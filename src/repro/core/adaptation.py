@@ -321,7 +321,6 @@ class ViolationLikelihoodSampler:
         """
         v = self._sign * value
         violation = v > self._threshold
-        self._observations += 1
 
         if self._last_time is not None:
             steps = time_index - self._last_time
@@ -331,6 +330,8 @@ class ViolationLikelihoodSampler:
                     f"{self._last_time}")
             # delta_hat = (v(t) - v(t - I)) / I  (paper SIII-B)
             self._stats.update((v - self._last_value) / steps)
+        # Counted only once validated: a rejected offer leaves no trace.
+        self._observations += 1
         self._last_value = v
         self._last_time = time_index
 
@@ -406,7 +407,6 @@ class ViolationLikelihoodSampler:
         """
         v = self._sign * value
         flags = 4 if v > self._threshold else 0
-        self._observations += 1
 
         last_time = self._last_time
         if last_time is not None:
@@ -417,6 +417,7 @@ class ViolationLikelihoodSampler:
                     f"{last_time}")
             # delta_hat = (v(t) - v(t - I)) / I  (paper SIII-B)
             self._stats.update((v - self._last_value) / steps)
+        self._observations += 1
         self._last_value = v
         self._last_time = time_index
 
@@ -586,7 +587,6 @@ class ViolationLikelihoodSampler:
                 value = values[t]
                 v = sign * value
                 flags = 4 if v > threshold else 0
-                observations += 1
 
                 if last_time is not None:
                     steps = t - last_time
@@ -612,6 +612,7 @@ class ViolationLikelihoodSampler:
                         mean_acc = 0.0
                         var_acc = 0.0
                         restarts += 1
+                observations += 1
                 last_value = v
                 last_time = t
 

@@ -5,8 +5,17 @@ samplers as column vectors per tick — the multi-task analogue of
 :meth:`~repro.core.adaptation.ViolationLikelihoodSampler.run_trace`,
 which batches one task over many steps. A tick is a set of offers with at
 most one offer per task; :meth:`run_columns` splits an arbitrary decoded
-offer batch into such ticks (stable-sorted occurrence splitting) so every
-task still sees its updates in arrival order.
+offer batch into such ticks (stable-sorted occurrence splitting; a batch
+that repeats no row is one tick as it stands) so every task still sees
+its updates in arrival order.
+
+A tick's cost is mostly fixed — numpy calls, not elements — so the tick
+is written to make few of them: every column is gathered once and every
+written column scattered once, the beta kernel covers all look-ahead
+steps of all rows in one ``(steps, rows)`` pass, and a tick with fewer
+due rows than ``_NARROW_TICK_ROWS`` skips the vector machinery and goes
+row by row through :meth:`SoaSamplerEngine.observe_one`, the scalar
+mirror the by-name path already uses.
 
 Bit-equivalence contract
 ------------------------
@@ -34,7 +43,6 @@ peers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -55,8 +63,23 @@ _NO_RESTART = 2 ** 62
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
 
+# What advancing one tick returns: (rows, steps, raw values, new
+# intervals, flags, beta) of the accepted offers, and the rejected count.
+_Tick = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+              np.ndarray, int]
 
-@dataclass
+# Ticks with fewer due rows than this are advanced row by row through
+# observe_one instead of vectorised: a vectorised tick costs ~110 numpy
+# calls whatever its width, observe_one costs per row. Sweep (us per tick,
+# all rows due, quiet and hot streams alike, numpy 2.4 / CPython 3.11):
+#   width        4    8   12   16   24   32   64
+#   vectorised  82   83   88   87   93   96  106
+#   row by row  34   59   85  104  152  194  370
+# i.e. ~80 us fixed against ~6.2 us a row + 9: they cross between 12 and
+# 13 rows. Keyed on tick width alone; deliberately not a setting.
+_NARROW_TICK_ROWS = 13
+
+
 class ColumnBatchResult:
     """Outcome of one :meth:`SoaSamplerEngine.run_columns` call.
 
@@ -64,23 +87,24 @@ class ColumnBatchResult:
     longer engine-managed — the caller re-drives those by name through the
     scalar path, which is always correct. The ``viol_*`` / ``adapt_*``
     arrays carry the rare alert/trace-worthy events for the service to
-    materialise.
+    materialise. The defaults are class attributes — shared, and empty, so
+    nothing can be written through them — which makes a result free to
+    create on the per-batch path.
     """
 
-    applied: int = 0
-    consumed: int = 0
-    rejected: int = 0
-    consumed_intervals: np.ndarray = field(
-        default_factory=lambda: _EMPTY_I8)
-    fallback: np.ndarray = field(default_factory=lambda: _EMPTY_I8)
-    viol_rows: np.ndarray = field(default_factory=lambda: _EMPTY_I8)
-    viol_steps: np.ndarray = field(default_factory=lambda: _EMPTY_I8)
-    viol_values: np.ndarray = field(default_factory=lambda: _EMPTY_F8)
-    adapt_rows: np.ndarray = field(default_factory=lambda: _EMPTY_I8)
-    adapt_steps: np.ndarray = field(default_factory=lambda: _EMPTY_I8)
-    adapt_intervals: np.ndarray = field(default_factory=lambda: _EMPTY_I8)
-    adapt_flags: np.ndarray = field(default_factory=lambda: _EMPTY_I8)
-    adapt_betas: np.ndarray = field(default_factory=lambda: _EMPTY_F8)
+    applied = 0
+    consumed = 0
+    rejected = 0
+    consumed_intervals = _EMPTY_I8
+    fallback = _EMPTY_I8
+    viol_rows = _EMPTY_I8
+    viol_steps = _EMPTY_I8
+    viol_values = _EMPTY_F8
+    adapt_rows = _EMPTY_I8
+    adapt_steps = _EMPTY_I8
+    adapt_intervals = _EMPTY_I8
+    adapt_flags = _EMPTY_I8
+    adapt_betas = _EMPTY_F8
 
 
 class SoaSamplerEngine:
@@ -293,7 +317,6 @@ class SoaSamplerEngine:
         v = float(self.sign[row]) * value
         threshold = float(self.threshold[row])
         flags = 4 if v > threshold else 0
-        self.observations[row] += 1
 
         if self.has_last[row]:
             steps = step - int(self.last_time[row])
@@ -322,6 +345,7 @@ class SoaSamplerEngine:
             self.stat_n[row] = n_acc
             self.mean[row] = mean_acc
             self.var[row] = var_acc
+        self.observations[row] += 1
         self.last_value[row] = v
         self.last_time[row] = step
         self.has_last[row] = True
@@ -425,14 +449,15 @@ class SoaSamplerEngine:
         """Apply a decoded offer batch (may repeat rows) to the columns.
 
         Splits the batch into ticks — one occurrence per row, in arrival
-        order — and advances each tick vectorised. Inactive rows are
-        reported back as ``fallback`` positions instead of being applied.
+        order — and advances each tick, vectorised or (narrow ticks) row
+        by row. Inactive rows are reported back as ``fallback`` positions
+        instead of being applied.
         """
         result = ColumnBatchResult()
         if len(rows) == 0:
             return result
         act = self.active[rows]
-        if not act.all():
+        if np.count_nonzero(act) < len(rows):
             result.fallback = np.flatnonzero(~act)
             keep = np.flatnonzero(act)
             rows = rows[keep]
@@ -441,31 +466,33 @@ class SoaSamplerEngine:
             if len(rows) == 0:
                 return result
 
-        # Occurrence splitting: a stable sort groups equal rows while
-        # preserving their arrival order, so occurrence k of every row can
-        # be processed in tick k.
-        order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
-        new_group = np.empty(len(sorted_rows), dtype=bool)
-        new_group[0] = True
-        np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=new_group[1:])
-        group_starts = np.flatnonzero(new_group)
-        group_ids = np.cumsum(new_group) - 1
-        occurrence = np.arange(len(sorted_rows)) - group_starts[group_ids]
-        max_occ = int(occurrence.max())
+        if not np.count_nonzero(rows[1:] <= rows[:-1]):
+            # Strictly increasing rows repeat none: the batch is one tick
+            # as it stands (what a per-node agent's frame looks like).
+            ticks: list[Any] = [slice(None)]
+        else:
+            # Occurrence splitting: a stable sort groups equal rows while
+            # preserving their arrival order, so occurrence k of every row
+            # can be processed in tick k.
+            order = np.argsort(rows, kind="stable")
+            sorted_rows = rows[order]
+            new_group = np.empty(len(sorted_rows), dtype=bool)
+            new_group[0] = True
+            np.not_equal(sorted_rows[1:], sorted_rows[:-1],
+                         out=new_group[1:])
+            group_starts = np.flatnonzero(new_group)
+            if len(group_starts) == len(rows):
+                ticks = [order]
+            else:
+                group_ids = np.cumsum(new_group) - 1
+                occurrence = (np.arange(len(sorted_rows))
+                              - group_starts[group_ids])
+                ticks = [order[occurrence == k]
+                         for k in range(int(occurrence.max()) + 1)]
 
-        viol_r: list[np.ndarray] = []
-        viol_s: list[np.ndarray] = []
-        viol_v: list[np.ndarray] = []
-        adapt_r: list[np.ndarray] = []
-        adapt_s: list[np.ndarray] = []
-        adapt_i: list[np.ndarray] = []
-        adapt_f: list[np.ndarray] = []
-        adapt_b: list[np.ndarray] = []
+        events: list[tuple[np.ndarray, ...]] = []
         intervals: list[np.ndarray] = []
-
-        for k in range(max_occ + 1):
-            sel = order[occurrence == k]
+        for sel in ticks:
             tick_rows = rows[sel]
             tick_steps = steps[sel]
             tick_values = values[sel]
@@ -475,262 +502,284 @@ class SoaSamplerEngine:
             self.last_offered[tick_rows] = tick_values
             self.has_offered[tick_rows] = True
             due = tick_steps >= self.next_due[tick_rows]
-            not_due = int(len(sel) - due.sum())
-            result.applied += not_due
-            if not due.all():
+            n_due = int(np.count_nonzero(due))
+            result.applied += len(tick_rows) - n_due
+            if n_due == 0:
+                continue
+            if n_due < len(tick_rows):
                 d = np.flatnonzero(due)
                 tick_rows = tick_rows[d]
                 tick_steps = tick_steps[d]
                 tick_values = tick_values[d]
-            if len(tick_rows) == 0:
-                continue
-            tick = self._observe_tick(tick_rows, tick_values, tick_steps)
+            advance = (self._observe_narrow if n_due < _NARROW_TICK_ROWS
+                       else self._observe_tick)
             (ok_rows, ok_steps, ok_values, iv_new, flags, beta,
-             n_rejected) = tick
+             n_rejected) = advance(tick_rows, tick_values, tick_steps)
             result.rejected += n_rejected
             result.applied += len(ok_rows)
             result.consumed += len(ok_rows)
             if len(ok_rows) == 0:
                 continue
-            # Schedule advance (no triggers on engine rows by
-            # construction, so the gate is just max(1, interval)).
-            self.next_due[ok_rows] = ok_steps + np.maximum(iv_new, 1)
-            self.samples_taken[ok_rows] += 1
             intervals.append(iv_new)
-            viol = (flags & 4) != 0
-            if viol.any():
-                viol_r.append(ok_rows[viol])
-                viol_s.append(ok_steps[viol])
-                viol_v.append(ok_values[viol])
-            adapted = (flags & 3) != 0
-            if adapted.any():
-                adapt_r.append(ok_rows[adapted])
-                adapt_s.append(ok_steps[adapted])
-                adapt_i.append(iv_new[adapted])
-                adapt_f.append(flags[adapted])
-                adapt_b.append(beta[adapted])
+            if np.count_nonzero(flags):
+                events.append((ok_rows, ok_steps, ok_values, iv_new, flags,
+                               beta))
 
         if intervals:
             result.consumed_intervals = (intervals[0] if len(intervals) == 1
                                          else np.concatenate(intervals))
-        if viol_r:
-            result.viol_rows = np.concatenate(viol_r)
-            result.viol_steps = np.concatenate(viol_s)
-            result.viol_values = np.concatenate(viol_v)
-        if adapt_r:
-            result.adapt_rows = np.concatenate(adapt_r)
-            result.adapt_steps = np.concatenate(adapt_s)
-            result.adapt_intervals = np.concatenate(adapt_i)
-            result.adapt_flags = np.concatenate(adapt_f)
-            result.adapt_betas = np.concatenate(adapt_b)
+        if events:
+            (ev_rows, ev_steps, ev_values, ev_iv, ev_flags, ev_beta) = (
+                cols[0] if len(cols) == 1 else np.concatenate(cols)
+                for cols in zip(*events))
+            viol = np.flatnonzero(ev_flags & 4)
+            result.viol_rows = ev_rows[viol]
+            result.viol_steps = ev_steps[viol]
+            result.viol_values = ev_values[viol]
+            adapted = np.flatnonzero(ev_flags & 3)
+            result.adapt_rows = ev_rows[adapted]
+            result.adapt_steps = ev_steps[adapted]
+            result.adapt_intervals = ev_iv[adapted]
+            result.adapt_flags = ev_flags[adapted]
+            result.adapt_betas = ev_beta[adapted]
         return result
 
+    def _observe_narrow(self, rows: np.ndarray, values: np.ndarray,
+                        steps: np.ndarray) -> _Tick:
+        """:meth:`_observe_tick` for a tick too narrow to amortise it.
+
+        Advances the rows one by one through :meth:`observe_one` and
+        returns the same tuple, so everything downstream of a tick is one
+        code path whichever way the tick was advanced.
+        """
+        observe_one = self.observe_one
+        next_due = self.next_due
+        samples_taken = self.samples_taken
+        ok: list[int] = []
+        iv_new: list[int] = []
+        for pos, (row, value, step) in enumerate(zip(
+                rows.tolist(), values.tolist(), steps.tolist())):
+            try:
+                interval = observe_one(row, value, step)
+            except ValueError:
+                continue
+            next_due[row] = step + max(1, interval)
+            samples_taken[row] += 1
+            ok.append(pos)
+            iv_new.append(interval)
+        rejected = len(rows) - len(ok)
+        if rejected:
+            keep = np.asarray(ok, dtype=np.int64)
+            rows = rows[keep]
+            steps = steps[keep]
+            values = values[keep]
+        return (rows, steps, values, np.asarray(iv_new, dtype=np.int64),
+                self.last_flags[rows], self.last_beta[rows], rejected)
+
     def _observe_tick(self, rows: np.ndarray, values: np.ndarray,
-                      steps: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                  np.ndarray, np.ndarray,
-                                                  np.ndarray, np.ndarray,
-                                                  int]:
+                      steps: np.ndarray) -> _Tick:
         """Advance unique ``rows`` by one offer each (all due and active).
 
         Returns ``(rows, steps, raw_values, new_intervals, flags, beta,
         rejected)`` for the accepted subset. Matches the scalar error
         contract: a non-increasing step or non-finite delta rejects only
-        that row's offer, after the observation counter bump, leaving all
-        other state untouched.
+        that row's offer and leaves every column of the row — the
+        observation counter included — untouched.
+
+        Every column is gathered once, the math runs on the gathered
+        vectors, and every written column is scattered once at the
+        bottom (the rare restart branch scatters its own stale columns).
         """
         v = self.sign[rows] * values
-        viol = v > self.threshold[rows]
-        self.observations[rows] += 1
-
+        threshold = self.threshold[rows]
         has = self.has_last[rows]
-        dt = steps - self.last_time[rows]
         with np.errstate(all="ignore"):
-            x = (v - self.last_value[rows]) / dt.astype(np.float64)
+            dt = steps - self.last_time[rows]
+            x = (v - self.last_value[rows]) / dt
             bad = has & ((dt <= 0) | ~np.isfinite(x))
-            if bad.any():
+            rejected = int(np.count_nonzero(bad))
+            if rejected:
                 ok = np.flatnonzero(~bad)
-                rejected = int(bad.sum())
                 rows = rows[ok]
                 steps = steps[ok]
                 values = values[ok]
                 v = v[ok]
-                viol = viol[ok]
+                threshold = threshold[ok]
                 has = has[ok]
-                dt = dt[ok]
                 x = x[ok]
-            else:
-                rejected = 0
-            if len(rows) == 0:
-                return (rows, steps, values, _EMPTY_I8, _EMPTY_I8,
-                        _EMPTY_F8, rejected)
+                if len(rows) == 0:
+                    return (rows, steps, values, _EMPTY_I8, _EMPTY_I8,
+                            _EMPTY_F8, rejected)
+            n = len(rows)
+            all_has = np.count_nonzero(has) == n
 
-            # Welford update with restart (OnlineStatistics.update).
-            if has.any():
-                ur = rows[has]
-                ux = x[has]
-                n_acc = self.stat_n[ur] + 1
-                self.total_count[ur] += 1
-                prev_mean = self.mean[ur]
-                mean_acc = prev_mean + (ux - prev_mean) / n_acc
-                var_acc = ((n_acc - 1) * self.var[ur]
-                           + (ux - mean_acc) * (ux - prev_mean)) / n_acc
-                restart = n_acc > self.restart_limit[ur]
-                if restart.any():
-                    rr = ur[restart]
-                    self.stale_mean[rr] = mean_acc[restart]
-                    self.stale_var[rr] = var_acc[restart]
-                    self.stale_count[rr] = n_acc[restart]
-                    self.has_stale[rr] = True
-                    self.restarts[rr] += 1
-                    n_acc = np.where(restart, 0, n_acc)
-                    mean_acc = np.where(restart, 0.0, mean_acc)
-                    var_acc = np.where(restart, 0.0, var_acc)
-                self.stat_n[ur] = n_acc
-                self.mean[ur] = mean_acc
-                self.var[ur] = var_acc
-            self.last_value[rows] = v
-            self.last_time[rows] = steps
-            self.has_last[rows] = True
+            # Welford update with restart (OnlineStatistics.update); rows
+            # on their first-ever offer have no delta and keep their stats.
+            stat_n = self.stat_n[rows]
+            prev_mean = self.mean[rows]
+            n_acc = stat_n + 1
+            mean_acc = prev_mean + (x - prev_mean) / n_acc
+            var_acc = (stat_n * self.var[rows]
+                       + (x - mean_acc) * (x - prev_mean)) / n_acc
+            restart = n_acc > self.restart_limit[rows]
+            if not all_has:
+                restart &= has
+                n_acc = np.where(has, n_acc, stat_n)
+                mean_acc = np.where(has, mean_acc, prev_mean)
+                var_acc = np.where(has, var_acc, self.var[rows])
+            if np.count_nonzero(restart):
+                rr = rows[restart]
+                self.stale_mean[rr] = mean_acc[restart]
+                self.stale_var[rr] = var_acc[restart]
+                self.stale_count[rr] = n_acc[restart]
+                self.has_stale[rr] = True
+                self.restarts[rr] += 1
+                n_acc = np.where(restart, 0, n_acc)
+                mean_acc = np.where(restart, 0.0, mean_acc)
+                var_acc = np.where(restart, 0.0, var_acc)
 
             # Stale serving (OnlineStatistics mean/variance/effective_count).
-            n_cur = self.stat_n[rows]
-            serving = self.has_stale[rows] & (n_cur < self.min_fresh[rows])
-            eff = np.where(serving, self.stale_count[rows], n_cur)
-            mean_est = np.where(serving, self.stale_mean[rows],
-                                self.mean[rows])
-            var_est = np.where(serving, self.stale_var[rows],
-                               np.maximum(self.var[rows], 0.0))
+            serving = self.has_stale[rows] & (n_acc < self.min_fresh[rows])
+            eff = n_acc
+            mean_est = mean_acc
+            var_est = np.maximum(var_acc, 0.0)
+            if np.count_nonzero(serving):
+                eff = np.where(serving, self.stale_count[rows], eff)
+                mean_est = np.where(serving, self.stale_mean[rows], mean_est)
+                var_est = np.where(serving, self.stale_var[rows], var_est)
 
             interval = self.interval[rows]
-            beta = np.ones(len(rows), dtype=np.float64)
+            use_cheb = self.use_cheb[rows]
             trusted = eff >= self.min_samples[rows]
-            if trusted.any():
-                ti = np.flatnonzero(trusted)
-                beta[ti] = self._kernel(
-                    v[ti], self.threshold[rows[ti]], mean_est[ti],
-                    var_est[ti], interval[ti], self.use_cheb[rows[ti]])
+            n_trusted = np.count_nonzero(trusted)
+            if n_trusted == n:
+                beta = self._kernel(threshold - v, mean_est, var_est,
+                                    interval, use_cheb)
+            else:
+                beta = np.ones(n, dtype=np.float64)
+                if n_trusted:
+                    ti = np.flatnonzero(trusted)
+                    beta[ti] = self._kernel(
+                        (threshold - v)[ti], mean_est[ti], var_est[ti],
+                        interval[ti], use_cheb[ti])
 
-            # AIMD interval adaptation.
+            # AIMD interval adaptation. reset and grow zones are disjoint
+            # for err > 0 (one_minus_slack <= 1); err == 0 rows go to
+            # interval 1 without counting a reset.
             err = self.err[rows]
             one_minus_slack = self.one_minus_slack[rows]
             max_interval = self.max_interval[rows]
-            flags = np.where(viol, 4, 0).astype(np.int64)
-            zero_err = err <= 0.0
-            reset_m = ~zero_err & (beta > err)
-            grow_zone = (~zero_err & ~reset_m
-                         & (beta <= one_minus_slack * err))
-            to_one = zero_err | reset_m
+            to_one = beta > err
+            grow_zone = beta <= one_minus_slack * err
             ne1 = interval != 1
-            flags = np.where(to_one & ne1, flags | 2, flags)
-            counted_reset = reset_m & ne1
-            if counted_reset.any():
-                self.reset_events[rows[counted_reset]] += 1
+            went_one = counted_reset = to_one & ne1
+            zero_err = err <= 0.0
+            if np.count_nonzero(zero_err):
+                counted_reset = went_one & ~zero_err
+                grow_zone &= ~zero_err
+                to_one = to_one | zero_err
+                went_one = to_one & ne1
             streak = np.where(grow_zone, self.streak[rows] + 1, 0)
-            fired = grow_zone & (streak >= self.patience[rows])
+            fired = streak >= self.patience[rows]   # patience >= 1
             streak = np.where(fired, 0, streak)
             grew = fired & (interval < max_interval)
-            iv_new = np.where(to_one, 1, interval)
-            iv_new = np.where(grew, interval + 1, iv_new)
-            flags = np.where(grew, flags | 1, flags)
-            if grew.any():
-                self.grow_events[rows[grew]] += 1
+            iv_new = np.where(to_one, 1, interval + grew)
+            flags = (v > threshold) * 4 + went_one * 2 + grew
 
-            # Coordination statistics accumulation.
-            can_grow = iv_new < max_interval
-            if can_grow.any():
-                gr = iv_new[can_grow]
-                self.coord_sum_r[rows[can_grow]] += 1.0 / gr - 1.0 / (gr
-                                                                      + 1.0)
+            # Coordination statistics accumulation (x + 0.0 == x).
+            coord_sum_r = self.coord_sum_r[rows] + np.where(
+                iv_new < max_interval, 1.0 / iv_new - 1.0 / (iv_new + 1.0),
+                0.0)
             log_arg = np.maximum(beta / one_minus_slack, _MIN_ERROR_NEEDED)
         # math.log element-wise: numpy's log kernel is not guaranteed
         # bit-identical to libm's, and coord_sum_log_e is fingerprinted.
         # map() over a pre-converted list keeps the per-element call in C.
-        args_list = log_arg.tolist()
-        logs = np.fromiter(map(math.log, args_list),
-                           dtype=np.float64, count=len(args_list))
-        self.coord_sum_log_e[rows] += logs
-        self.coord_n[rows] += 1
+        logs = np.fromiter(map(math.log, log_arg.tolist()),
+                           dtype=np.float64, count=n)
 
+        self.observations[rows] += 1
+        self.total_count[rows] += has
+        self.stat_n[rows] = n_acc
+        self.mean[rows] = mean_acc
+        self.var[rows] = var_acc
+        self.last_value[rows] = v
+        self.last_time[rows] = steps
+        if not all_has:
+            self.has_last[rows] = True
         self.interval[rows] = iv_new
         self.streak[rows] = streak
+        self.reset_events[rows] += counted_reset
+        self.grow_events[rows] += grew
+        self.coord_sum_r[rows] = coord_sum_r
+        self.coord_sum_log_e[rows] += logs
+        self.coord_n[rows] += 1
         self.last_beta[rows] = beta
         self.last_flags[rows] = flags
+        # Schedule advance (no triggers on engine rows by construction,
+        # so the gate is just max(1, interval); iv_new >= 1 always).
+        self.next_due[rows] = steps + iv_new
+        self.samples_taken[rows] += 1
 
         metrics = _adaptation._SAMPLER_METRICS
         if metrics.enabled:
-            metrics.observations += len(rows)
-            if flags.any():
-                metrics.grow_events += int(((flags & 1) != 0).sum())
-                metrics.reset_events += int(((flags & 2) != 0).sum())
-                metrics.violations += int(((flags & 4) != 0).sum())
+            metrics.observations += n
+            metrics.grow_events += int(np.count_nonzero(grew))
+            metrics.reset_events += int(np.count_nonzero(went_one))
+            metrics.violations += int(np.count_nonzero(flags & 4))
         return rows, steps, values, iv_new, flags, beta, rejected
 
     @staticmethod
-    def _kernel(v: np.ndarray, threshold: np.ndarray, mean_est: np.ndarray,
-                var_est: np.ndarray, interval: np.ndarray,
-                use_cheb: np.ndarray) -> np.ndarray:
+    def _kernel(gap0: np.ndarray, mean_est: np.ndarray, var_est: np.ndarray,
+                interval: np.ndarray, use_cheb: np.ndarray) -> np.ndarray:
         """Vectorised misdetection kernels (bit-equal to the fused pair).
 
-        Element-wise the same operation sequence as
-        ``misdetection_bound_fused`` / ``gaussian_misdetection_estimate_fused``
-        — including the deliberate ``1 - (1 - x)`` double rounding through
-        the survive product (``survive`` starts at exactly 1.0, and
-        ``1.0 * y == y`` in IEEE, so the unrolled interval-1 case needs no
-        special branch).
+        All look-ahead steps at once, as ``(steps, rows)`` matrices as
+        tall as the widest interval present. Cell ``(i, r)`` holds the
+        single-step violation probability ``q`` the scalar loop computes
+        at step ``i`` — ``1/(1+k^2)`` (Cantelli) or ``erfc(k/sqrt2)/2``
+        through :func:`math.erfc` — and exactly ``0.0`` past the row's
+        interval, so its survive factor ``1 - q`` is the identity there.
+        The survive product is taken top to bottom, one multiply per
+        step: every row performs the scalar loop's multiplications in
+        the scalar loop's order — including the deliberate ``1 - (1 - x)``
+        double rounding (``survive`` starts at exactly 1.0 and
+        ``1.0 * y == y`` in IEEE) — where a reordering reduce would round
+        differently. A step that is certain to violate (``gap <= 0``
+        resp. ``q >= 1``) inside the interval makes beta 1 whatever the
+        product, as the scalar loop's early exit does.
         """
-        beta = np.empty(len(v), dtype=np.float64)
+        n = len(gap0)
         std_est = np.sqrt(var_est)
-        gap0 = threshold - v
+        step = np.arange(1, int(interval.max()) + 1,
+                         dtype=np.float64)[:, None]
+        within = step <= interval
+        gap = gap0 - step * mean_est
+        k = gap / (step * std_est)
+        n_cheb = np.count_nonzero(use_cheb)
+        cheb = within if n_cheb == n else within & use_cheb
+        if n_cheb:
+            q = np.where(cheb, 1.0 / (1.0 + k * k), 0.0)
+            certain = cheb & (gap <= 0.0)
+        else:
+            q = np.zeros(k.shape, dtype=np.float64)
+            certain = np.zeros(k.shape, dtype=bool)
+        if n_cheb < n:
+            gauss = within & ~cheb
+            # math.erfc element-wise: same libm call as the scalar
+            # kernel, so the survive product stays bit-identical.
+            args = (k[gauss] / _SQRT2).tolist()
+            q[gauss] = 0.5 * np.fromiter(map(math.erfc, args),
+                                         dtype=np.float64, count=len(args))
+            certain |= gauss & (q >= 1.0)
+        factors = 1.0 - q
+        survive = factors[0]
+        for factor in factors[1:]:
+            survive = survive * factor
+        beta = np.where(certain.any(axis=0), 1.0, 1.0 - survive)
         zero_std = std_est == 0.0
-        if zero_std.any():
-            zi = np.flatnonzero(zero_std)
-            worst = np.where(mean_est[zi] >= 0.0, interval[zi], 1)
-            beta[zi] = np.where(gap0[zi] - worst * mean_est[zi] > 0.0,
-                                0.0, 1.0)
-        erfc_ = math.erfc
-        for cheb in (True, False):
-            mask = ~zero_std & (use_cheb == cheb)
-            if not mask.any():
-                continue
-            mi = np.flatnonzero(mask)
-            g0 = gap0[mi]
-            me = mean_est[mi]
-            sd = std_est[mi]
-            iv = interval[mi]
-            survive = np.ones(len(mi), dtype=np.float64)
-            b = np.empty(len(mi), dtype=np.float64)
-            done = np.zeros(len(mi), dtype=bool)
-            for i in range(1, int(iv.max()) + 1):
-                alive = ~done & (iv >= i)
-                if not alive.any():
-                    break
-                gap = g0 - i * me
-                if cheb:
-                    hit = alive & (gap <= 0.0)
-                    if hit.any():
-                        b[hit] = 1.0
-                        done[hit] = True
-                    rem = alive & ~hit
-                    if rem.any():
-                        k = gap[rem] / (i * sd[rem])
-                        survive[rem] = survive[rem] * (
-                            1.0 - 1.0 / (1.0 + k * k))
-                else:
-                    ai = np.flatnonzero(alive)
-                    arg = (gap[ai] / (i * sd[ai]) / _SQRT2)
-                    # math.erfc element-wise: same libm call as the scalar
-                    # kernel, so the survive product stays bit-identical.
-                    p = 0.5 * np.fromiter(
-                        map(erfc_, arg.tolist()),
-                        dtype=np.float64, count=len(ai))
-                    hit = p >= 1.0
-                    if hit.any():
-                        b[ai[hit]] = 1.0
-                        done[ai[hit]] = True
-                    rem = ai[~hit]
-                    if len(rem):
-                        survive[rem] = survive[rem] * (1.0 - p[~hit])
-            left = ~done
-            b[left] = 1.0 - survive[left]
-            beta[mi] = b
+        if np.count_nonzero(zero_std):
+            worst = np.where(mean_est >= 0.0, interval, 1)
+            beta = np.where(
+                zero_std,
+                np.where(gap0 - worst * mean_est > 0.0, 0.0, 1.0), beta)
         return beta

@@ -13,10 +13,17 @@ through growth, violation streaks, restarts and stale-serving regimes.
 
 The report also carries throughput for each path, which is the honest way
 to state the SoA speedup: the columnar engine's win is amortising the
-per-offer Python interpreter cost across thousands of rows per tick.
+per-offer Python interpreter cost across thousands of rows per tick. How
+much of that survives small batches — a per-node agent's few dozen
+metrics a step — is the ``ns_per_offer`` profile by batch size; its
+``small_batch_ratio`` (cost per offer at batch 16 over batch 1024) is a
+ratio of two timings from one process, so it can be gated
+(``--max-small-batch-ratio``) where absolute speed cannot.
 
-Exit code 1 when any estimator diverges — the CI core-hotpath job runs
-this as the equivalence gate.
+Exit code 1 when any estimator diverges or the ratio gate fails — the CI
+core-hotpath job runs this at the default batch and at ``--batch 16``
+(ticks of at most 16 due rows, either side of the engine's row-by-row
+crossover) as the equivalence gate.
 """
 
 from __future__ import annotations
@@ -39,6 +46,9 @@ __all__ = ["equivalence_report", "main", "run_equivalence"]
 _THRESHOLD = 100.0
 
 ESTIMATORS = ("chebyshev", "gaussian")
+
+_PROFILE_BATCHES = (16, 64, 1024)
+_PROFILE_SHAPE = (1024, 800, 192)   # tasks, warm-up steps, timed steps
 
 
 def _build_service(tasks: int, estimator: str, soa: bool,
@@ -63,6 +73,23 @@ def _task_counters(service: MonitoringService) -> dict[str, tuple]:
     return {name: (service.samples_taken(name), service.interval(name),
                    service.next_due(name), service.observations(name))
             for name in service.task_names}
+
+
+def _drive_columns(service: MonitoringService, rows: np.ndarray,
+                   steps: np.ndarray, values: np.ndarray,
+                   batch: int) -> tuple[int, float]:
+    """Feed the stream as ``batch``-sized columns: (applied, seconds)."""
+    started = time.perf_counter()
+    applied = 0
+    for lo in range(0, len(rows), batch):
+        hi = lo + batch
+        a, _, rejected, _ = service.offer_columns(
+            rows[lo:hi], steps[lo:hi], values[lo:hi], names=None)
+        applied += a
+        if rejected:
+            raise AssertionError(
+                f"columnar path rejected {rejected} offers")
+    return applied, time.perf_counter() - started
 
 
 def run_equivalence(points: int, tasks: int, estimator: str,
@@ -101,19 +128,9 @@ def run_equivalence(points: int, tasks: int, estimator: str,
     rows_by_task = np.asarray([vector.soa_row_for(n) for n in names],
                               dtype=np.int64)
     positions = np.arange(points, dtype=np.int64)
-    all_rows = rows_by_task[positions % tasks]
-    all_steps = positions // tasks
-    started = time.perf_counter()
-    applied = 0
-    for lo in range(0, points, batch):
-        hi = min(lo + batch, points)
-        a, _, rejected, _ = vector.offer_columns(
-            all_rows[lo:hi], all_steps[lo:hi], values[lo:hi], names=None)
-        applied += a
-        if rejected:
-            raise AssertionError(
-                f"columnar path rejected {rejected} offers")
-    soa_elapsed = time.perf_counter() - started
+    applied, soa_elapsed = _drive_columns(
+        vector, rows_by_task[positions % tasks], positions // tasks, values,
+        batch)
 
     snapshots_equal = scalar.snapshot() == vector.snapshot()
     alerts_equal = _alert_log(scalar) == _alert_log(vector)
@@ -139,6 +156,42 @@ def run_equivalence(points: int, tasks: int, estimator: str,
     }
 
 
+def _batch_cost_profile(batch: int, seed: int = 7) -> dict[str, float]:
+    """SoA-path cost per offer (ns) by batch size, default estimator.
+
+    The traffic the ratio is about is a fleet at rest, not the
+    equivalence stream's permanent alarm: 1024 tasks whose noise is
+    scaled to their headroom (gap/sd from 25 to 250, so sustained
+    intervals range from 1 to the cap and about a third of offers are
+    due), warmed to steady state in large batches, untimed. Every batch
+    size — 16, 64 and 1024 offers a call, plus the run's own ``batch`` —
+    then continues the same stream from the same restored snapshot.
+    """
+    tasks, warm_steps, timed_steps = _PROFILE_SHAPE
+    rng = np.random.default_rng(seed)
+    sd = 40.0 / rng.permutation(np.geomspace(25.0, 250.0, tasks))
+    positions = np.arange((warm_steps + timed_steps) * tasks,
+                          dtype=np.int64)
+    steps = positions // tasks
+    values = 60.0 + rng.normal(0.0, 1.0, len(positions)) * sd[
+        positions % tasks]
+    service = _build_service(tasks, ESTIMATORS[0], soa=True,
+                             max_interval=10)
+    rows = np.asarray([service.soa_row_for(name)
+                       for name in service.task_names],
+                      dtype=np.int64)[positions % tasks]
+    warm = warm_steps * tasks
+    _drive_columns(service, rows[:warm], steps[:warm], values[:warm], 4096)
+    snapshot = service.snapshot()
+    profile = {}
+    for size in sorted({*_PROFILE_BATCHES, batch}):
+        service = MonitoringService.restore(snapshot, soa=True)
+        _, elapsed = _drive_columns(service, rows[warm:], steps[warm:],
+                                    values[warm:], size)
+        profile[str(size)] = round(elapsed / (len(rows) - warm) * 1e9, 1)
+    return profile
+
+
 def equivalence_report(points: int = 1_000_000, tasks: int = 1024,
                        batch: int = 4096, seed: int = 7) -> dict[str, Any]:
     """Both estimators' equivalence runs plus a combined verdict.
@@ -148,11 +201,14 @@ def equivalence_report(points: int = 1_000_000, tasks: int = 1024,
     """
     runs = [run_equivalence(points, tasks, estimator, batch=batch,
                             seed=seed) for estimator in ESTIMATORS]
+    profile = _batch_cost_profile(batch, seed=seed)
     return {
         "points": points,
         "tasks": tasks,
         "identical": all(run["identical"] for run in runs),
         "estimators": {run["estimator"]: run for run in runs},
+        "ns_per_offer": profile,
+        "small_batch_ratio": round(profile["16"] / profile["1024"], 2),
     }
 
 
@@ -169,6 +225,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch", type=int, default=4096,
                         help="columnar batch size (default 4096)")
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--max-small-batch-ratio", type=float, default=None,
+                        help="fail when ns/offer at batch 16 exceeds this "
+                             "many times ns/offer at batch 1024")
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         help="write the JSON report here")
     return parser
@@ -187,6 +246,11 @@ def main(argv: list[str] | None = None) -> int:
               f"soa {run['soa_points_per_sec']}/s "
               f"({run['soa_speedup']}x); alerts={run['alerts']}",
               flush=True)
+    ratio = report["small_batch_ratio"]
+    print("[bench-soa] ns/offer by batch: "
+          + ", ".join(f"{size}: {ns}" for size, ns
+                      in report["ns_per_offer"].items())
+          + f"; batch 16 costs {ratio}x batch 1024", flush=True)
     if args.out is not None:
         args.out.write_text(json.dumps(report, indent=2) + "\n",
                             encoding="utf-8")
@@ -194,6 +258,11 @@ def main(argv: list[str] | None = None) -> int:
     if not report["identical"]:
         print("[bench-soa] FAIL: SoA engine diverged from the scalar "
               "sampler", file=sys.stderr, flush=True)
+        return 1
+    limit = args.max_small_batch_ratio
+    if limit is not None and ratio > limit:
+        print(f"[bench-soa] FAIL: small-batch ratio {ratio} > {limit}",
+              file=sys.stderr, flush=True)
         return 1
     return 0
 

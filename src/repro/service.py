@@ -1011,8 +1011,8 @@ class MonitoringService:
         rows = np.asarray(rows, dtype=np.int64)
         steps = np.asarray(steps, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
-        neg_pos = np.flatnonzero(rows < 0)
-        if len(neg_pos):
+        if len(rows) and rows.min() < 0:
+            neg_pos = np.flatnonzero(rows < 0)
             keep = np.flatnonzero(rows >= 0)
             res = engine.run_columns(rows[keep], steps[keep], values[keep])
             # Ascending merge keeps per-task arrival order on the
@@ -1040,8 +1040,21 @@ class MonitoringService:
             if interval is not None:
                 consumed += 1
                 fb_intervals.append(interval)
+        trace = self._trace
+        soa_rows = self._soa_rows
+        if trace is not None and len(res.adapt_rows):
+            for row, step, interval, flags, beta in zip(
+                    res.adapt_rows.tolist(), res.adapt_steps.tolist(),
+                    res.adapt_intervals.tolist(), res.adapt_flags.tolist(),
+                    res.adapt_betas.tolist()):
+                state = soa_rows.get(row)
+                if state is None:
+                    continue
+                trace.emit("interval_adapted", task=state.name,
+                           shard=self._trace_shard, step=step,
+                           interval=interval, grew=bool(flags & 1),
+                           reset=bool(flags & 2), beta=beta)
         if len(res.viol_rows):
-            soa_rows = self._soa_rows
             for row, step, value in zip(res.viol_rows.tolist(),
                                         res.viol_steps.tolist(),
                                         res.viol_values.tolist()):
@@ -1053,28 +1066,10 @@ class MonitoringService:
                 state.alerts.append(alert)
                 if state.on_alert is not None:
                     state.on_alert(alert)
-        trace = self._trace
-        if trace is not None:
-            for i in range(len(res.adapt_rows)):
-                state = self._soa_rows.get(int(res.adapt_rows[i]))
-                if state is None:
-                    continue
-                flags = int(res.adapt_flags[i])
-                trace.emit("interval_adapted", task=state.name,
-                           shard=self._trace_shard,
-                           step=int(res.adapt_steps[i]),
-                           interval=int(res.adapt_intervals[i]),
-                           grew=bool(flags & 1), reset=bool(flags & 2),
-                           beta=float(res.adapt_betas[i]))
-            for i in range(len(res.viol_rows)):
-                state = self._soa_rows.get(int(res.viol_rows[i]))
-                if state is None:
-                    continue
-                trace.emit("violation", task=state.name,
-                           shard=self._trace_shard,
-                           step=int(res.viol_steps[i]),
-                           value=float(res.viol_values[i]),
-                           threshold=state.task.threshold)
+                if trace is not None:
+                    trace.emit("violation", task=state.name,
+                               shard=self._trace_shard, step=step,
+                               value=value, threshold=state.task.threshold)
         intervals = res.consumed_intervals
         if fb_intervals:
             intervals = np.concatenate(

@@ -13,7 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.adaptation import AdaptationConfig
+from repro.core import soa as soa_mod
+from repro.core.adaptation import (AdaptationConfig,
+                                   ViolationLikelihoodSampler)
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
 from repro.experiments.bench_soa import (ESTIMATORS, _alert_log,
@@ -22,6 +24,7 @@ from repro.service import MonitoringService
 
 POINTS = 24_000
 TASKS = 64
+CROSSOVER = soa_mod._NARROW_TICK_ROWS
 
 
 class TestStreamEquivalence:
@@ -175,3 +178,146 @@ class TestEligibility:
                                          error_allowance=0.05, name="win"),
                          window=3)
         assert service.soa_row_for("win") == -1
+
+
+class TestCrossover:
+    """Ticks narrower than ``_NARROW_TICK_ROWS`` are advanced row by row,
+    wider ones vectorised; both must be the scalar sampler."""
+
+    WIDTHS = (1, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 4 * CROSSOVER)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS + ("mixed",))
+    def test_ticks_straddling_the_crossover_match_scalar(
+            self, estimator, soa_differential):
+        tasks = 4 * CROSSOVER + 6
+        rng = np.random.default_rng(CROSSOVER)
+        pair = soa_differential(soa_differential.population(tasks, estimator))
+        engine = pair.vector.soa_engine
+        intervals_seen = set()
+        step = 0
+        for round_ in range(160):
+            width = self.WIDTHS[round_ % len(self.WIDTHS)]
+            # The widest ticks need everything due; otherwise creep.
+            step += 7 if width > CROSSOVER + 1 else int(rng.integers(1, 3))
+            due = [i for i, name in enumerate(pair.names)
+                   if name in pair.scalar.task_names
+                   and pair.scalar.due(name, step)]
+            rest = [i for i in range(tasks) if i not in due]
+            idx = list(rng.permutation(due)[:width])
+            idx += list(rng.permutation(rest)[:3])       # not due / stale
+            steps = [step] * len(idx)
+            # Repeated rows: a second occurrence, one step on, of a few.
+            again = idx[:int(rng.integers(0, 4))]
+            idx += again
+            steps += [step + 1] * len(again)
+            step += 1
+            if round_ % 9 == 4:                          # an old step
+                steps[0] = max(step - 5, 0)
+            pair.offer(idx, steps,
+                       [pair.value(rng, i, s) for i, s in zip(idx, steps)])
+            if round_ == 60:
+                for service in (pair.scalar, pair.vector):
+                    service.remove_task(pair.names[2])
+                    service.add_trigger(pair.names[8], pair.names[9],
+                                        elevation_level=60.0)
+            intervals_seen.update(engine.interval[:tasks].tolist())
+            if round_ % 40 == 0:
+                pair.check()
+        pair.check()
+        # The stream did reach the regimes it is here for.
+        assert engine.restarts[:tasks].sum() > tasks
+        assert intervals_seen == set(range(1, 7))
+        assert sum(len(pair.vector.alerts(n))
+                   for n in pair.vector.task_names) > 0
+
+    def test_tick_result_does_not_depend_on_the_path(self, monkeypatch,
+                                                     soa_differential):
+        # The same batches through an always-vectorised and an always
+        # row-by-row engine: every ColumnBatchResult field, event order
+        # included, and every row's state must agree.
+        tasks = 40
+        engines = []
+        for _ in range(2):
+            engine = soa_mod.SoaSamplerEngine()
+            for task, config in soa_differential.population(tasks, "mixed"):
+                engine.add_task(task, config)
+            engines.append(engine)
+        rng = np.random.default_rng(3)
+        events = 0
+        for step in range(0, 400, 2):
+            idx = rng.permutation(tasks)[:int(rng.integers(1, tasks))]
+            again = idx[:5]
+            steps = np.concatenate([np.full(len(idx), step),
+                                    np.full(len(again), step + 1)])
+            idx = np.concatenate([idx, again])
+            values = np.asarray([soa_differential.value(rng, int(i), int(s))
+                                 for i, s in zip(idx, steps)])
+            results = []
+            for engine, crossover in zip(engines, (0, 10 ** 9)):
+                monkeypatch.setattr(soa_mod, "_NARROW_TICK_ROWS", crossover)
+                results.append(engine.run_columns(idx, steps, values))
+            wide, narrow = results
+            for name in ("applied", "consumed", "rejected"):
+                assert getattr(wide, name) == getattr(narrow, name)
+            for name in ("consumed_intervals", "fallback", "viol_rows",
+                         "viol_steps", "viol_values", "adapt_rows",
+                         "adapt_steps", "adapt_intervals", "adapt_flags",
+                         "adapt_betas"):
+                np.testing.assert_array_equal(getattr(wide, name),
+                                              getattr(narrow, name))
+            events += len(wide.viol_rows) + len(wide.adapt_rows)
+        assert events > 100
+        for row in range(tasks):
+            assert (repr(engines[0].row_state_dict(row))
+                    == repr(engines[1].row_state_dict(row)))
+
+
+class TestRejectedOffersLeaveNoTrace:
+    """A rejected offer (non-increasing step, non-finite delta) must not
+    change the checkpoint fingerprint — not even ``observations``."""
+
+    BAD = ((3, 50.0), (2, 50.0), (9, float("nan")), (9, float("inf")))
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_scalar_surfaces(self, estimator):
+        task = TaskSpec(threshold=100.0, error_allowance=0.05)
+        for drive in ("observe", "observe_fast"):
+            sampler = ViolationLikelihoodSampler(
+                task, AdaptationConfig(estimator=estimator))
+            for step in range(4):
+                getattr(sampler, drive)(40.0 + step, step)
+            before = sampler.state_dict()
+            for step, value in self.BAD:
+                with pytest.raises(ValueError):
+                    getattr(sampler, drive)(value, step)
+            assert sampler.state_dict() == before
+        sampler = ViolationLikelihoodSampler(task, AdaptationConfig())
+        with pytest.raises(ValueError):
+            sampler.run_trace([1.0, 2.0, float("nan"), 3.0])
+        assert sampler.observations == 2
+
+    @pytest.mark.parametrize("width", [CROSSOVER - 1, 4 * CROSSOVER])
+    def test_engine_paths(self, width):
+        # Narrow (row-by-row) and wide (vectorised) ticks alike: half the
+        # rows get a bad offer, and only the other half may change.
+        engine = soa_mod.SoaSamplerEngine()
+        task = TaskSpec(threshold=100.0, error_allowance=0.05)
+        rows = np.asarray([engine.add_task(task) for _ in range(width)])
+        for step in range(4):
+            engine.run_columns(rows, np.full(width, step),
+                               np.full(width, 40.0 + step))
+        before = [engine.row_state_dict(int(row)) for row in rows]
+        even = rows % 2 == 0
+        for k, (step, value) in enumerate(self.BAD):
+            # Forced due, as after a trigger's full-rate resume: the
+            # schedule alone never lets a stale step reach the sampler.
+            engine.next_due[rows] = 0
+            result = engine.run_columns(rows, np.where(even, step, 20 + k),
+                                        np.where(even, value, 45.0))
+            assert result.rejected == np.count_nonzero(even)
+            assert result.consumed == width - result.rejected
+            engine.next_due[rows] = 0
+            after = [engine.row_state_dict(int(row)) for row in rows]
+            for row in rows.tolist():
+                assert (after[row] == before[row]) == bool(even[row])
+            before = after

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import os
 import pathlib
@@ -21,8 +22,8 @@ import sys
 from typing import Any
 
 from repro.config import ClusterConfig
-from repro.core.adaptation import AdaptationConfig
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ReproError
+from repro.runtime.frontend import cli_overrides, load_config_file
 
 from repro.cluster.server import ClusterServer
 
@@ -54,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "omitted = disabled)")
     parser.add_argument("--queue-depth", type=int, default=None)
     parser.add_argument("--max-batch", type=int, default=None)
-    parser.add_argument("--checkpoint", type=pathlib.Path, default=None,
+    parser.add_argument("--checkpoint", dest="checkpoint_path",
+                        type=pathlib.Path, default=None,
                         help="cluster checkpoint file (restored at startup "
                              "if it exists; flushed on shutdown)")
     parser.add_argument("--checkpoint-interval", type=float, default=None)
@@ -71,54 +73,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cluster_config(args: argparse.Namespace,
                     file_section: dict[str, Any]) -> ClusterConfig:
     base = ClusterConfig.from_dict(file_section)
-    overrides: dict[str, Any] = {}
-    for arg, key in (("workers", "workers"), ("shards", "shards"),
-                     ("backend", "backend"), ("host", "host"),
-                     ("port", "port"), ("http_port", "http_port"),
-                     ("queue_depth", "queue_depth"),
-                     ("max_batch", "max_batch"),
-                     ("checkpoint_interval", "checkpoint_interval"),
-                     ("heartbeat_interval", "heartbeat_interval"),
-                     ("runtime_dir", "runtime_dir")):
-        value = getattr(args, arg)
-        if value is not None:
-            overrides[key] = value
+    overrides = cli_overrides(args, base)
     if args.worker_endpoint:
         overrides["worker_endpoints"] = tuple(args.worker_endpoint)
         overrides.setdefault("workers", len(args.worker_endpoint))
         overrides.setdefault("backend", "tcp")
-    if args.checkpoint is not None:
-        overrides["checkpoint_path"] = args.checkpoint
-    if not overrides:
-        return base
-    merged = {key: getattr(base, key) for key in (
-        "workers", "shards", "backend", "worker_endpoints", "host", "port",
-        "http_port", "queue_depth", "max_batch", "buffer_depth",
-        "heartbeat_interval", "heartbeat_misses", "heartbeat_timeout",
-        "connections_per_worker", "checkpoint_path", "checkpoint_interval",
-        "shed_retry_ms", "trace_capacity", "runtime_dir")}
-    merged.update(overrides)
-    return ClusterConfig(**merged)
+    return dataclasses.replace(base, **overrides)
 
 
 async def _run(args: argparse.Namespace) -> None:
-    service_config: dict[str, Any] = {}
-    cluster_section: dict[str, Any] = {}
-    adaptation: AdaptationConfig | None = None
-    if args.config is not None:
-        loaded = json.loads(args.config.read_text(encoding="utf-8"))
-        if not isinstance(loaded, dict):
-            raise ConfigurationError("config file must hold a JSON object")
-        cluster_section = dict(loaded.pop("cluster", {}))
-        adaptation_section = loaded.pop("adaptation", None)
-        if adaptation_section is not None:
-            try:
-                adaptation = AdaptationConfig(**adaptation_section)
-            except TypeError as exc:
-                raise ConfigurationError(
-                    f"bad adaptation section: {exc}") from None
-        service_config = loaded
-    server = ClusterServer(_cluster_config(args, cluster_section),
+    section, adaptation, service_config = load_config_file(args.config,
+                                                           "cluster")
+    server = ClusterServer(_cluster_config(args, section),
                            adaptation=adaptation)
     await server.start()
     try:

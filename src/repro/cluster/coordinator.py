@@ -37,7 +37,7 @@ import tempfile
 import time
 from typing import Any
 
-from repro.config import ClusterConfig, task_from_config
+from repro.config import ClusterConfig
 from repro.core.adaptation import AdaptationConfig
 from repro.exceptions import ClusterError, ConfigurationError
 from repro.runtime.checkpoint import read_checkpoint, write_checkpoint
@@ -47,7 +47,6 @@ from repro.triggers.plan import TriggerPlan
 
 from repro.cluster.fleet import merge_fleet_snapshots
 from repro.cluster.hosting import WorkerHost
-from repro.cluster.routing import route
 from repro.cluster.transport import (InProcTransport, ShardTransport,
                                      SubprocessTransport, TCPTransport)
 
@@ -110,20 +109,19 @@ class Coordinator:
         self.n_shards = config.n_shards
         self.transports: dict[str, ShardTransport] = {}
         self.routes: list[ShardRoute] = []
+        # task_shard, defaults, trigger_plans and trigger_edges are
+        # shared with the ClusterServer front end, whose control ops
+        # write them: mutate in place, never rebind.
         self.task_shard: dict[str, int] = {}
         self.catalog: dict[str, dict[str, Any]] = {}
         self.defaults: dict[str, Any] = {}
         # Cluster-global task ids for the binary columnar path: assigned
-        # densely at registration, synced lazily to each worker host as a
-        # per-worker watermark (gids below it are interned there). These
-        # are runtime-scoped, not checkpointed — rebuilt from the catalog
-        # on start, re-synced to workers on first use.
+        # densely on first use (:meth:`gid_for`), synced lazily to each
+        # worker host as a per-worker watermark (gids below it are
+        # interned there). These are runtime-scoped, not checkpointed.
         self.gids: dict[str, int] = {}
         self.gid_names: list[str] = []
         self._gid_synced: dict[str, int] = {}
-        # Bumped on every register/remove so routing-tier connections can
-        # revalidate their interned-name resolution lazily.
-        self.task_epoch = 0
         # Trigger channel (repro.triggers): installed plans by target,
         # plus routed-edge accounting. Plans are coordinator state — they
         # survive checkpoints and are re-installed with every shard
@@ -157,19 +155,6 @@ class Coordinator:
             "volley_replacements_total",
             "Shards re-placed after worker failure",
             fn=lambda: float(self.replacements))
-        self.registry.gauge(
-            "volley_tasks", "Registered monitoring tasks",
-            fn=lambda: float(len(self.task_shard)))
-        self.registry.gauge(
-            "volley_trigger_plans", "Correlation trigger plans installed",
-            fn=lambda: float(len(self.trigger_plans)))
-        edge_family = self.registry.counter(
-            "volley_trigger_edges_total",
-            "Trigger-channel arm/disarm edges routed to guarded tasks",
-            labels=("op",))
-        for edge_op in ("arm", "disarm"):
-            edge_family.labels(
-                edge_op, fn=lambda o=edge_op: float(self.trigger_edges[o]))
         self.registry.gauge(
             "volley_coordinator_uptime_seconds",
             "Seconds since the coordinator started",
@@ -234,13 +219,12 @@ class Coordinator:
                 wid = worker_ids[sid % len(worker_ids)]
             self.routes.append(ShardRoute(sid, wid))
         if state:
-            self.defaults = dict(state.get("defaults", {}))
+            self.defaults.update(state.get("defaults", {}))
             self.catalog = {str(k): dict(v)
                             for k, v in state.get("catalog", {}).items()}
-            self.task_shard = {str(k): int(v)
-                               for k, v in state.get("task_shard", {}).items()}
-            for name in self.task_shard:
-                self._assign_gid(name)
+            self.task_shard.update(
+                (str(k), int(v))
+                for k, v in state.get("task_shard", {}).items())
             for entry in state.get("trigger_plans", []):
                 plan = TriggerPlan.from_dict(dict(entry))
                 self.trigger_plans[plan.target] = plan
@@ -368,6 +352,14 @@ class Coordinator:
         except ClusterError:
             pass
 
+    async def shard_call(self, sid: int,
+                         payload: dict[str, Any]) -> dict[str, Any]:
+        """Send one ``w_*`` op to whichever worker hosts shard ``sid``,
+        once no migration or re-placement of it is in progress."""
+        routed = self.routes[sid]
+        await routed.wait_settled()
+        return await self._request(routed.worker_id, payload)
+
     def _note_failure(self, worker_id: str) -> None:
         """A data-path request failed; let the heartbeat confirm sooner."""
         self._misses[worker_id] = self._misses.get(worker_id, 0) + 1
@@ -463,7 +455,8 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Data path — binary columnar
 
-    def _assign_gid(self, name: str) -> int:
+    def gid_for(self, name: str) -> int:
+        """The task's cluster-global id (assigned on first use)."""
         gid = self.gids.get(name)
         if gid is None:
             gid = self.gids[name] = len(self.gid_names)
@@ -548,126 +541,7 @@ class Coordinator:
             return 0, total, 0
 
     # ------------------------------------------------------------------
-    # Task control
-
-    async def register_task(self, entry: dict[str, Any]) -> dict[str, Any]:
-        spec = task_from_config(dict(entry), self.defaults)
-        sid = route(spec.name, self.n_shards)
-        routed = self.routes[sid]
-        await routed.wait_settled()
-        reply = await self._request(routed.worker_id, {
-            "op": "w_register_task", "shard": sid,
-            "task": dict(entry), "defaults": self.defaults})
-        if not reply.get("ok"):
-            return reply
-        self.task_shard[spec.name] = sid
-        self.catalog[spec.name] = dict(entry)
-        self._assign_gid(spec.name)
-        self.task_epoch += 1
-        task_type = str(reply.get("type", "value"))
-        self.trace.emit("task_registered", task=spec.name, shard=sid,
-                        threshold=spec.threshold, type=task_type)
-        return {"ok": True, "task": spec.name, "shard": sid,
-                "type": task_type}
-
-    async def remove_task(self, name: str) -> dict[str, Any]:
-        sid = self.task_shard.get(name)
-        if sid is None:
-            return {"ok": False, "error": f"unknown task {name!r}",
-                    "code": "unknown-task"}
-        routed = self.routes[sid]
-        await routed.wait_settled()
-        reply = await self._request(routed.worker_id, {
-            "op": "w_remove_task", "shard": sid, "task": name})
-        if not reply.get("ok"):
-            return reply
-        del self.task_shard[name]
-        self.catalog.pop(name, None)
-        self.task_epoch += 1
-        self.trace.emit("task_removed", task=name, shard=sid)
-        return {"ok": True, "task": name}
-
-    async def add_trigger(self, request: dict[str, Any]) -> dict[str, Any]:
-        target = str(request.get("target", ""))
-        trigger = str(request.get("trigger", ""))
-        for name in (target, trigger):
-            if name not in self.task_shard:
-                return {"ok": False, "error": f"unknown task {name!r}",
-                        "code": "unknown-task"}
-        if self.task_shard[target] != self.task_shard[trigger]:
-            return {"ok": False, "code": "cross-shard-trigger",
-                    "error": f"target {target!r} (shard "
-                             f"{self.task_shard[target]}) and trigger "
-                             f"{trigger!r} (shard "
-                             f"{self.task_shard[trigger]}) hash to "
-                             f"different shards; correlation gating is "
-                             f"intra-shard"}
-        sid = self.task_shard[target]
-        routed = self.routes[sid]
-        await routed.wait_settled()
-        reply = await self._request(routed.worker_id, {
-            "op": "w_add_trigger", "shard": sid, "target": target,
-            "trigger": trigger,
-            "elevation_level": float(request.get("elevation_level", 0.0)),
-            "suspend_interval": int(request.get("suspend_interval", 10))})
-        if not reply.get("ok"):
-            return reply
-        return {"ok": True, "target": target, "trigger": trigger}
-
-    # ------------------------------------------------------------------
     # Trigger channel (repro.triggers, DESIGN.md S32)
-
-    async def install_trigger(self, request: dict[str, Any],
-                              ) -> dict[str, Any]:
-        """Install a cross-shard trigger plan on both involved shards.
-
-        Unlike :meth:`add_trigger` (intra-shard value gating), the plan's
-        trigger and target may live on different shards or workers: the
-        trigger's shard watches for elevation edges and the coordinator
-        routes them to the target's shard via ``w_trigger_set``.
-        """
-        entry = request.get("plan")
-        if not isinstance(entry, dict):
-            return {"ok": False, "code": "bad-request",
-                    "error": "trigger_install needs a 'plan' dict"}
-        plan = TriggerPlan.from_dict(entry)
-        for name in (plan.target, plan.trigger):
-            if name not in self.task_shard:
-                return {"ok": False, "error": f"unknown task {name!r}",
-                        "code": "unknown-task"}
-        for sid in sorted({self.task_shard[plan.trigger],
-                           self.task_shard[plan.target]}):
-            routed = self.routes[sid]
-            await routed.wait_settled()
-            reply = await self._request(routed.worker_id, {
-                "op": "w_trigger_install", "shard": sid,
-                "plan": plan.to_dict()})
-            if not reply.get("ok"):
-                return reply
-        self.trigger_plans[plan.target] = plan
-        self.trace.emit("trigger_plan_installed", task=plan.target,
-                        shard=self.task_shard[plan.target],
-                        trigger=plan.trigger,
-                        elevation_level=plan.elevation_level,
-                        suspend_interval=plan.suspend_interval)
-        return {"ok": True, "target": plan.target, "trigger": plan.trigger,
-                "plans": len(self.trigger_plans)}
-
-    async def set_trigger_armed(self, name: str,
-                                armed: bool) -> dict[str, Any]:
-        """Explicitly arm/disarm a guarded task (operator override)."""
-        sid = self.task_shard.get(name)
-        if sid is None:
-            return {"ok": False, "error": f"unknown task {name!r}",
-                    "code": "unknown-task"}
-        routed = self.routes[sid]
-        await routed.wait_settled()
-        reply = await self._request(routed.worker_id, {
-            "op": "w_trigger_set", "shard": sid, "task": name,
-            "armed": bool(armed)})
-        if reply.get("ok") and reply.get("was_armed") != reply.get("armed"):
-            self.trigger_edges["arm" if armed else "disarm"] += 1
-        return reply
 
     async def pump_triggers(self) -> None:
         """Drain elevation edges from every worker and route them.
@@ -700,41 +574,13 @@ class Coordinator:
                 sid = self.task_shard.get(plan.target)
                 if sid is None:
                     continue
-                routed = self.routes[sid]
-                await routed.wait_settled()
-                await self._best_effort(routed.worker_id, {
-                    "op": "w_trigger_set", "shard": sid,
-                    "task": plan.target, "armed": op == "arm"})
+                try:
+                    await self.shard_call(sid, {
+                        "op": "w_trigger_set", "shard": sid,
+                        "task": plan.target, "armed": op == "arm"})
+                except ClusterError:
+                    pass
                 self.trigger_edges[op] += 1
-
-    async def trigger_plan_stats(self) -> tuple[int, float]:
-        """Fleet-wide (suspensions, probe collections saved) totals."""
-        suspensions = 0
-        saved = 0.0
-        for target in self.trigger_plans:
-            reply = await self.forward_task_read("w_trigger_state", target)
-            if not reply.get("ok"):
-                continue
-            status = reply.get("state", {})
-            count = int(status.get("suspensions", 0))
-            suspensions += count
-            saved += count * (int(status.get("suspend_interval", 1)) - 1)
-        return suspensions, saved
-
-    async def forward_task_read(self, op: str, name: str,
-                                extra: dict[str, Any] | None = None,
-                                ) -> dict[str, Any]:
-        """Route a per-task read (``due``/``task_info``/``alerts``)."""
-        sid = self.task_shard.get(name)
-        if sid is None:
-            return {"ok": False, "error": f"unknown task {name!r}",
-                    "code": "unknown-task"}
-        routed = self.routes[sid]
-        await routed.wait_settled()
-        payload = {"op": op, "shard": sid, "task": name}
-        if extra:
-            payload.update(extra)
-        return await self._request(routed.worker_id, payload)
 
     # ------------------------------------------------------------------
     # Migration
@@ -992,6 +838,11 @@ class Coordinator:
         path = write_checkpoint(self.config.checkpoint_path, state)
         self._last_checkpoint_monotonic = time.monotonic()
         return path
+
+    def checkpoint_age(self) -> float | None:
+        """Seconds since the last checkpoint was written (None if never)."""
+        last = self._last_checkpoint_monotonic
+        return None if last is None else time.monotonic() - last
 
     async def _checkpoint_loop(self) -> None:
         while True:

@@ -41,6 +41,7 @@ from repro.runtime.shard import ColumnBatch, ShardWorker, restore_counters
 from repro.service import MonitoringService
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import DecisionTrace
+from repro.testkit.faults import FaultHook, NOOP_HOOK
 from repro.triggers.plan import TriggerPlan
 from repro.types import Alert
 
@@ -100,16 +101,20 @@ class WorkerHost:
             per-worker counters always exist for the fleet merge.
         trace: decision trace for sampler events; the default creates a
             local ring the coordinator drains via ``w_trace``.
+        fault_hook: chaos-testing seam (``repro.testkit``) handed to
+            every hosted :class:`~repro.runtime.shard.ShardWorker`.
     """
 
     def __init__(self, worker_id: str, queue_depth: int = 1024,
                  adaptation: AdaptationConfig | None = None,
                  registry: MetricsRegistry | None = None,
                  trace: DecisionTrace | None = None,
-                 trace_capacity: int = 4096, soa: bool = True):
+                 trace_capacity: int = 4096, soa: bool = True,
+                 fault_hook: FaultHook = NOOP_HOOK):
         self.worker_id = worker_id
         self.queue_depth = queue_depth
         self.soa = soa
+        self.fault_hook = fault_hook
         # Cluster-global task-id table, interned lazily by the coordinator
         # (``w_intern``). Lives on the *host*, not a shard, so it survives
         # shard migrations in and out of this worker.
@@ -175,10 +180,40 @@ class WorkerHost:
             _worker.alerts_fired += 1
         return hook
 
-    def _install(self, shard_id: int, service: MonitoringService,
-                 ) -> ShardWorker:
-        self._gid_rows.pop(shard_id, None)
-        worker = ShardWorker(shard_id, service, self.queue_depth)
+    def install_shard(self, shard_id: int,
+                      snapshot: dict[str, Any] | None = None,
+                      counters: dict[str, Any] | None = None,
+                      ) -> ShardWorker:
+        """Host shard ``shard_id``: fresh, or restored from a snapshot.
+
+        The one place a shard comes to life — wired to the host's trace,
+        interval histogram, per-shard metric series and alert-count hook,
+        with checkpointed ``counters`` carried over. Replaces a hosted
+        shard of the same id only if its drain loop is not running
+        (callers stop a live one first).
+        """
+        if snapshot is None:
+            service = MonitoringService(self.adaptation, soa=self.soa)
+        else:
+            # The alert callback must bump the ShardWorker's counter, but
+            # the worker only exists after the service does — close over a
+            # cell that is filled right after installation.
+            cell: list[ShardWorker] = []
+
+            def on_alert(_name: str, _alert: Alert) -> None:
+                if cell:
+                    cell[0].alerts_fired += 1
+
+            service = MonitoringService.restore(dict(snapshot),
+                                                on_alert=on_alert,
+                                                soa=self.soa)
+        self._forget(shard_id)
+        worker = ShardWorker(shard_id, service, self.queue_depth,
+                             fault_hook=self.fault_hook)
+        if snapshot is not None:
+            cell.append(worker)
+        if counters:
+            restore_counters(worker, counters)
         worker.interval_hist = (self._interval_hist
                                 if self.registry.enabled else None)
         service.attach_telemetry(self.trace, shard_id)
@@ -192,16 +227,20 @@ class WorkerHost:
             worker.start()
         return worker
 
-    async def _uninstall(self, shard_id: int, drain: bool) -> None:
+    def _forget(self, shard_id: int) -> ShardWorker | None:
+        """Drop a shard's table entry, row cache and metric series."""
         self._gid_rows.pop(shard_id, None)
-        worker = self.shards.pop(shard_id)
+        for family, _attr in self._counter_families:
+            family.remove(shard_id)
+        self._queue_depth_family.remove(shard_id)
+        return self.shards.pop(shard_id, None)
+
+    async def _uninstall(self, shard_id: int, drain: bool) -> None:
+        worker = self._forget(shard_id)
         if drain:
             await worker.stop()
         else:
             await worker.abort()
-        for family, _attr in self._counter_families:
-            family.remove(shard_id)
-        self._queue_depth_family.remove(shard_id)
 
     def _shard(self, shard_id: int) -> ShardWorker:
         worker = self.shards.get(shard_id)
@@ -252,8 +291,7 @@ class WorkerHost:
         adaptation = request.get("adaptation")
         if adaptation is not None:
             self.adaptation = AdaptationConfig(**adaptation)
-        self._install(shard_id,
-                      MonitoringService(self.adaptation, soa=self.soa))
+        self.install_shard(shard_id)
         return {"ok": True, "shard": shard_id}
 
     async def _op_restore_shard(self, request: dict[str, Any],
@@ -270,28 +308,8 @@ class WorkerHost:
             self.adaptation = AdaptationConfig(**adaptation)
         if shard_id in self.shards:
             await self._uninstall(shard_id, drain=False)
-        snapshot = request.get("snapshot")
-        if snapshot is None:
-            worker = self._install(
-                shard_id, MonitoringService(self.adaptation, soa=self.soa))
-        else:
-            # The alert callback must bump the ShardWorker's counter, but
-            # the worker only exists after the service does — close over a
-            # cell that is filled right after installation.
-            cell: list[ShardWorker] = []
-
-            def on_alert(_name: str, _alert: Alert) -> None:
-                if cell:
-                    cell[0].alerts_fired += 1
-
-            service = MonitoringService.restore(dict(snapshot),
-                                                on_alert=on_alert,
-                                                soa=self.soa)
-            worker = self._install(shard_id, service)
-            cell.append(worker)
-        counters = request.get("counters")
-        if counters:
-            restore_counters(worker, counters)
+        worker = self.install_shard(shard_id, request.get("snapshot"),
+                                    request.get("counters"))
         check = worker.service.snapshot()
         return {"ok": True, "shard": shard_id,
                 "fingerprint": state_fingerprint(check),
@@ -445,6 +463,7 @@ class WorkerHost:
         # The new task's name may already be cached as row -1.
         self._gid_rows.pop(worker.shard_id, None)
         return {"ok": True, "task": spec.name, "shard": worker.shard_id,
+                "threshold": spec.threshold,
                 "type": worker.service.task_type(spec.name)}
 
     def _op_remove_task(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -539,9 +558,12 @@ class WorkerHost:
                            for a in state.alerts]}
 
     def _op_stats(self, request: dict[str, Any]) -> dict[str, Any]:
+        """Counter snapshots of one hosted shard, or of all of them."""
+        shard = request.get("shard")
+        workers = ([self._shard(int(shard))] if shard is not None
+                   else [self.shards[sid] for sid in sorted(self.shards)])
         return {"ok": True, "worker_id": self.worker_id,
-                "shards": [self.shards[sid].stats()
-                           for sid in sorted(self.shards)]}
+                "shards": [worker.stats() for worker in workers]}
 
     def _op_telemetry(self, request: dict[str, Any]) -> dict[str, Any]:
         """Raw-sketch metrics snapshot for the coordinator-side merge."""

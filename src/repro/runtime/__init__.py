@@ -44,8 +44,9 @@ from repro.runtime.protocol import (MAX_FRAME, PROTOCOL_BINARY,
                                     encode_offer_columns,
                                     encode_offer_reply, encode_shard_offer,
                                     read_frame, read_frame_blocking)
+from repro.runtime.frontend import WireServer
 from repro.runtime.server import RuntimeServer
-from repro.runtime.shard import ShardWorker, shard_for
+from repro.runtime.shard import ShardWorker
 
 __all__ = [
     "AsyncRuntimeClient",
@@ -60,6 +61,7 @@ __all__ = [
     "RuntimeServer",
     "ShardOffer",
     "ShardWorker",
+    "WireServer",
     "decode_binary",
     "encode_frame",
     "encode_frame_parts",
@@ -69,6 +71,5 @@ __all__ = [
     "read_checkpoint",
     "read_frame",
     "read_frame_blocking",
-    "shard_for",
     "write_checkpoint",
 ]

@@ -14,8 +14,9 @@ document can still parse if it happens to be cut at a token boundary.
 The checksum closes that hole: :func:`read_checkpoint` refuses any
 version-2 document whose trailer is missing or does not match, so a
 damaged checkpoint raises :class:`~repro.exceptions.CheckpointError`
-instead of silently loading partial shard state. Version-1 files (no
-trailer) remain readable for backward compatibility.
+instead of silently loading partial shard state. A file with no trailer
+at all — including the un-checksummed version-1 format — fails closed the
+same way.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ __all__ = ["CHECKPOINT_VERSION", "read_checkpoint", "state_fingerprint",
            "write_checkpoint"]
 
 CHECKPOINT_VERSION = 2
-
-_LEGACY_VERSIONS = {1}
-"""Trailer-less format versions still accepted by :func:`read_checkpoint`."""
 
 _TRAILER = re.compile(r"\ncrc32:([0-9a-f]{8})\n?\Z")
 
@@ -127,16 +125,17 @@ def read_checkpoint(path: pathlib.Path | str) -> dict[str, Any]:
         raise CheckpointError(
             f"checkpoint {path} is not valid UTF-8: {exc}") from None
     trailer = _TRAILER.search(text)
-    if trailer is not None:
-        body = text[:trailer.start()]
-        crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-        if crc != int(trailer.group(1), 16):
-            raise CheckpointError(
-                f"checkpoint {path} failed its checksum "
-                f"(stored {trailer.group(1)}, computed {crc:08x}); "
-                f"the file is corrupt or was truncated mid-write")
-    else:
-        body = text
+    if trailer is None:
+        raise CheckpointError(
+            f"checkpoint {path} has no checksum trailer; the file was "
+            f"truncated or predates format version {CHECKPOINT_VERSION}")
+    body = text[:trailer.start()]
+    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+    if crc != int(trailer.group(1), 16):
+        raise CheckpointError(
+            f"checkpoint {path} failed its checksum "
+            f"(stored {trailer.group(1)}, computed {crc:08x}); "
+            f"the file is corrupt or was truncated mid-write")
     try:
         state = json.loads(body)
     except json.JSONDecodeError as exc:
@@ -147,13 +146,8 @@ def read_checkpoint(path: pathlib.Path | str) -> dict[str, Any]:
             f"checkpoint {path} must hold a JSON object, got "
             f"{type(state).__name__}")
     version = state.get("checkpoint_version")
-    if version == CHECKPOINT_VERSION:
-        if trailer is None:
-            raise CheckpointError(
-                f"checkpoint {path} declares version {version} but has no "
-                f"checksum trailer; the file was truncated")
-    elif version not in _LEGACY_VERSIONS:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has version {version!r}; this runtime "
-            f"reads versions {sorted(_LEGACY_VERSIONS | {CHECKPOINT_VERSION})}")
+            f"reads version {CHECKPOINT_VERSION}")
     return state

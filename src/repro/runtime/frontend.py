@@ -1,0 +1,868 @@
+"""The client-facing wire front end shared by both servers.
+
+:class:`WireServer` is everything a monitoring server says to a client,
+written once: the listen sockets and telemetry HTTP endpoint, the
+connection loop, protocol negotiation and interning, offer validation
+and routing, the op dispatcher with its error mapping, and every
+router-level control op. :class:`~repro.runtime.server.RuntimeServer`
+(shards in this process) and :class:`~repro.cluster.server.ClusterServer`
+(shards behind a coordinator) subclass it and differ only in how a
+routed request reaches a shard.
+
+Every control op is written over a seam of two members:
+
+* ``task_shard`` — the task name → shard id map of registered tasks;
+* ``async _shard_call(sid, payload)`` — send one shard-level ``w_*`` op
+  (the :class:`~repro.cluster.hosting.WorkerHost` op table) to the host
+  of shard ``sid`` and return its reply.
+
+The data path adds ``_submit`` / ``_submit_columns``, which take the
+routed per-shard batches of one frame and return
+``(accepted, shed, rejected)`` — directly when the shard queues are
+local, as an awaitable when they are a worker round-trip away — and
+``_intern_id``, the id a backend addresses an interned task by. The front
+end awaits a hook's result only when it is awaitable, so the
+single-process offer path never yields to the event loop between a frame
+and its reply. ``write_checkpoint`` and ``_checkpoint_health`` expose the
+backend's own checkpointing to the ``checkpoint`` and ``stats`` ops.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import dataclasses
+import json
+import pathlib
+import signal
+import time
+from typing import Any
+
+import numpy as np
+
+from repro.cluster.routing import route
+from repro.core.adaptation import AdaptationConfig
+from repro.exceptions import ConfigurationError, ProtocolError, ReproError
+from repro.runtime.protocol import (PROTOCOL_BINARY, PROTOCOL_JSON,
+                                    PROTOCOL_VERSION, OfferColumns,
+                                    encode_frame_parts, encode_offer_reply,
+                                    read_frame)
+from repro.telemetry.exposition import (CONTENT_TYPE_PROMETHEUS,
+                                        TelemetryHTTPServer,
+                                        render_prometheus)
+from repro.testkit.faults import FaultHook, NOOP_HOOK
+from repro.triggers.plan import TriggerPlan
+
+__all__ = ["WireServer"]
+
+_MAX_INTERN = 1 << 20  # hard cap on per-connection intern table size
+
+# The ``stats`` totals keep their original short keys: they are the
+# reply's own namespace (consumed by loadgen, replay, the chaos harness),
+# distinct from the per-shard canonical counter snapshots.
+_TOTALS = (("offered", "updates_offered"), ("applied", "updates_applied"),
+           ("consumed", "updates_consumed"), ("shed", "updates_shed"),
+           ("rejected", "updates_rejected"), ("alerts", "alerts_fired"),
+           ("queue_depth", "queue_depth"))
+
+
+def _error(message: str, code: str = "bad-request") -> dict[str, Any]:
+    return {"ok": False, "error": message, "code": code}
+
+
+def _unknown_task(name: str) -> dict[str, Any]:
+    return _error(f"unknown task {name!r}", code="unknown-task")
+
+
+class ConnState:
+    """Per-connection wire state: negotiated version + intern table.
+
+    ``shard`` and ``ids`` are parallel to ``names``: each interned name's
+    shard (``-1`` = empty slot or not a registered task) and the id the
+    backend addresses it by on the columnar path (SoA engine row in the
+    runtime, cluster-global task id in the cluster). Both are only valid
+    for the task table they were resolved against — ``epoch`` records
+    the server's task-table version so they refresh lazily after any
+    register/remove instead of per offer.
+    """
+
+    __slots__ = ("protocol", "names", "shard", "ids", "epoch")
+
+    def __init__(self) -> None:
+        self.protocol = PROTOCOL_JSON
+        self.names: list[str | None] = []
+        self.shard = np.empty(0, dtype=np.int64)
+        self.ids = np.empty(0, dtype=np.int64)
+        self.epoch = -1
+
+
+class WireServer:
+    """Wire front end + router-level ops over a shard backend.
+
+    Args:
+        config: a :class:`~repro.config.RuntimeConfig` or
+            :class:`~repro.config.ClusterConfig` (the listen addresses,
+            ``max_batch``, ``shed_retry_ms``, ``protocol`` and
+            ``checkpoint_path`` fields are read here).
+        n_shards: total shard count tasks are routed over.
+        registry: metrics registry for the front end's instruments.
+        trace: decision trace receiving structured server events.
+        fault_hook: chaos-testing seam (``repro.testkit``); the default
+            :data:`~repro.testkit.faults.NOOP_HOOK` injects nothing and
+            costs one guarded attribute check per frame.
+    """
+
+    selfmon: Any = None
+    """Self-monitor whose stats ride the ``telemetry`` reply (or None)."""
+
+    def __init__(self, config: Any, n_shards: int, registry: Any, trace: Any,
+                 fault_hook: FaultHook = NOOP_HOOK):
+        self.config = config
+        self.n_shards = n_shards
+        self.registry = registry
+        self.trace = trace
+        self.fault_hook = fault_hook
+        self.task_shard: dict[str, int] = {}
+        self.defaults: dict[str, Any] = {}
+        self.trigger_plans: dict[str, TriggerPlan] = {}
+        self.trigger_edges = {"arm": 0, "disarm": 0}
+        self.restored_tasks = 0
+        """Number of tasks recovered from the checkpoint at startup."""
+        # Bumped on every register/remove so connections revalidate
+        # their interned-name resolution lazily.
+        self._task_epoch = 0
+        self._servers: list[asyncio.AbstractServer] = []
+        self._connections: set[asyncio.Task[None]] = set()
+        self._http: TelemetryHTTPServer | None = None
+        self._tcp_port: int | None = None
+        self._frames = 0
+        self._shutdown_started = False
+        self._done = asyncio.Event()
+        self._started_monotonic = time.monotonic()
+        registry.counter("volley_frames_total", "Wire frames handled",
+                         fn=lambda: float(self._frames))
+        registry.gauge("volley_tasks", "Monitoring tasks registered",
+                       fn=lambda: float(len(self.task_shard)))
+        registry.gauge("volley_trigger_plans",
+                       "Correlation trigger plans installed",
+                       fn=lambda: float(len(self.trigger_plans)))
+        edges = registry.counter(
+            "volley_trigger_edges_total",
+            "Trigger-channel arm/disarm edges routed to guarded tasks",
+            labels=("op",))
+        for edge_op in ("arm", "disarm"):
+            edges.labels(edge_op,
+                         fn=lambda o=edge_op: float(self.trigger_edges[o]))
+        self._offer_latency = registry.histogram(
+            "volley_offer_latency_seconds",
+            "offer_batch handler latency (server-side)")
+        self._offer_batch_size = registry.histogram(
+            "volley_offer_batch_size", "Updates per offer_batch frame")
+
+    # ------------------------------------------------------------------
+    # The shard-backend seam (subclasses implement)
+
+    async def _shard_call(self, sid: int,
+                          payload: dict[str, Any]) -> dict[str, Any]:
+        """Send one ``w_*`` op to the host of shard ``sid``."""
+        raise NotImplementedError
+
+    def _submit(self, per_shard: dict[int, list[Any]]) -> Any:
+        """Queue routed JSON updates; ``(accepted, shed, rejected)`` or
+        an awaitable of it."""
+        raise NotImplementedError
+
+    def _submit_columns(self, conn: ConnState,
+                        per_shard: dict[int, tuple[Any, Any, Any]]) -> Any:
+        """Columnar twin of :meth:`_submit`: ``per_shard`` maps shard id
+        to ``(intern_idx, steps, values)`` arrays of one connection."""
+        raise NotImplementedError
+
+    def _intern_id(self, name: str, sid: int) -> int:
+        """The backend's columnar id for a registered task (``-1`` = none)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Listening, telemetry HTTP, lifecycle
+
+    @property
+    def tcp_port(self) -> int | None:
+        """The bound TCP port (resolves ``port=0`` to the actual port)."""
+        return self._tcp_port
+
+    @property
+    def http_port(self) -> int | None:
+        """The bound telemetry HTTP port (None when disabled)."""
+        return self._http.port if self._http is not None else None
+
+    @property
+    def max_protocol(self) -> int:
+        """Highest wire protocol version this server negotiates."""
+        return min(self.config.protocol, PROTOCOL_VERSION)
+
+    async def _listen(self, unix_socket: pathlib.Path | None = None) -> None:
+        """Bind the client sockets and the telemetry HTTP endpoint."""
+        cfg = self.config
+        if unix_socket is not None:
+            unix_socket.parent.mkdir(parents=True, exist_ok=True)
+            if unix_socket.exists():
+                unix_socket.unlink()
+            self._servers.append(await asyncio.start_unix_server(
+                self._on_connection, path=str(unix_socket)))
+        if cfg.port is not None:
+            server = await asyncio.start_server(
+                self._on_connection, host=cfg.host, port=cfg.port)
+            self._tcp_port = server.sockets[0].getsockname()[1]
+            self._servers.append(server)
+        if cfg.http_port is not None:
+            self._http = TelemetryHTTPServer(
+                self._http_routes(), host=cfg.host, port=cfg.http_port)
+            await self._http.start()
+
+    async def _stop_serving(self) -> bool:
+        """Stop accepting, cancel connections, stop the HTTP endpoint.
+
+        The common prelude of every shutdown flavour. Returns False when
+        a shutdown was already under way (after waiting for it to
+        finish), so callers return without tearing down twice.
+        """
+        if self._shutdown_started:
+            await self._done.wait()
+            return False
+        self._shutdown_started = True
+        for server in self._servers:
+            server.close()
+        for server in self._servers:
+            await server.wait_closed()
+        for conn in list(self._connections):
+            conn.cancel()
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._http is not None:
+            await self._http.stop()
+        return True
+
+    async def shutdown(self) -> None:
+        """Graceful stop (subclasses define what is flushed)."""
+        raise NotImplementedError
+
+    async def serve_forever(self) -> None:
+        """Run until :meth:`shutdown` (or SIGTERM/SIGINT) completes."""
+        loop = asyncio.get_running_loop()
+
+        def _request_shutdown() -> None:
+            loop.create_task(self.shutdown())
+
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(sig, _request_shutdown)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass  # non-unix platforms / nested loops
+        await self._done.wait()
+
+    def _metrics(self) -> dict[str, Any]:
+        """The metrics snapshot ``/metrics`` and ``telemetry`` serve."""
+        return self.registry.snapshot()
+
+    def _health(self) -> dict[str, Any]:
+        """The ``/healthz`` body; ``ok`` decides 200 vs 503."""
+        return {"ok": not self._shutdown_started,
+                "shards": self.n_shards,
+                "tasks": len(self.task_shard),
+                "uptime_s": time.monotonic() - self._started_monotonic}
+
+    def _http_routes(self) -> dict[str, Any]:
+        # Route handlers are synchronous: they must not await a worker.
+        def metrics(params: dict[str, str]) -> tuple[int, str, str]:
+            return (200, CONTENT_TYPE_PROMETHEUS,
+                    render_prometheus(self._metrics()))
+
+        def healthz(params: dict[str, str]) -> tuple[int, str, str]:
+            body = self._health()
+            return ((200 if body["ok"] else 503), "application/json",
+                    json.dumps(body))
+
+        def trace_route(params: dict[str, str]) -> tuple[int, str, str]:
+            try:
+                since = int(params.get("since", "0"))
+            except ValueError:
+                return 400, "text/plain; charset=utf-8", "bad since\n"
+            return (200, "application/x-ndjson",
+                    self.trace.to_jsonl(since=since))
+
+        return {"/metrics": metrics, "/healthz": healthz,
+                "/trace": trace_route}
+
+    async def apply_config(self, config: dict[str, Any]) -> None:
+        """Register defaults, tasks and triggers from a config dict.
+
+        Tasks and trigger plans a checkpoint already restored win over
+        the config's copy, so restarted state (a deliberately disarmed
+        guard, an adapted sampler) is never reset by the file.
+        """
+        if not config:
+            return
+        if not isinstance(config, dict):
+            raise ConfigurationError(
+                f"service config must be a dict, got {config!r}")
+
+        def check(reply: dict[str, Any]) -> None:
+            if not reply.get("ok"):
+                raise ConfigurationError(str(reply.get("error")))
+
+        self.defaults.clear()  # in place: the cluster coordinator shares it
+        self.defaults.update(config.get("defaults", {}))
+        for entry in config.get("tasks", []):
+            if str(entry.get("name", "")) not in self.task_shard:
+                check(await self.register_task(dict(entry)))
+        for trigger in config.get("triggers", []):
+            check(await self._op_add_trigger(dict(trigger)))
+        for entry in config.get("trigger_plans", []):
+            if str(dict(entry).get("target", "")) not in self.trigger_plans:
+                check(await self._op_trigger_install({"plan": dict(entry)}))
+
+    # ------------------------------------------------------------------
+    # The connection loop
+
+    async def _on_connection(self, reader: asyncio.StreamReader,
+                             writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections.add(task)
+        conn = ConnState()
+        try:
+            hook = self.fault_hook
+            while True:
+                try:
+                    request = await read_frame(reader, fault_hook=hook)
+                except ProtocolError as exc:
+                    writer.writelines(encode_frame_parts(
+                        _error(str(exc), code="protocol")))
+                    await writer.drain()
+                    break
+                if request is None:
+                    break
+                self._frames += 1
+                if isinstance(request, OfferColumns):
+                    if conn.protocol < PROTOCOL_BINARY:
+                        writer.writelines(encode_frame_parts(_error(
+                            "binary frames require a negotiated "
+                            "protocol >= 2 (send a 'hello' op first)",
+                            code="protocol")))
+                        await writer.drain()
+                        break
+                    writer.writelines(await self._offer_columns(conn,
+                                                                request))
+                    await writer.drain()
+                    continue
+                if not isinstance(request, dict):
+                    # Decoded binary frame of a kind the ingest server
+                    # has no business receiving (reply / shard fan-out).
+                    writer.writelines(encode_frame_parts(_error(
+                        "unexpected binary frame kind", code="protocol")))
+                    await writer.drain()
+                    break
+                op = request.get("op")
+                if op == "hello":
+                    reply = self._op_hello(conn, request)
+                elif op == "intern":
+                    reply = self._op_intern(conn, request)
+                else:
+                    reply = await self.handle_request(request)
+                    if (hook.enabled and op == "offer_batch"
+                            and hook.duplicate_frame(request)):
+                        # Duplicated delivery: the frame is dispatched
+                        # twice but only the primary reply goes back on
+                        # the wire — exactly what a client retrying a
+                        # lost ACK produces.
+                        hook.note_duplicate_reply(
+                            await self.handle_request(request))
+                writer.writelines(encode_frame_parts(reply))
+                await writer.drain()
+        except (asyncio.CancelledError, ConnectionResetError,
+                BrokenPipeError):
+            pass
+        finally:
+            self._connections.discard(task)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+
+    async def handle_request(self, request: dict[str, Any]) -> dict[str, Any]:
+        """Dispatch one decoded request frame to its op handler.
+
+        Per-connection ordering is preserved — one frame is fully handled
+        before the next is read. Whether connections can interleave
+        mid-handler is the backend's property: a handler suspends only
+        where ``_shard_call`` / ``_submit*`` do.
+        """
+        op = request.get("op")
+        if not isinstance(op, str) or op not in self._OPS:
+            return _error(f"unknown op {op!r}", code="unknown-op")
+        try:
+            return await getattr(self, "_op_" + op)(request)
+        except ReproError as exc:
+            return _error(str(exc))
+        except (ValueError, TypeError, KeyError) as exc:
+            # Malformed field inside an otherwise well-framed request
+            # (e.g. aggregate="bogus", non-int step). The connection must
+            # get an error reply, never be dropped.
+            return _error(f"invalid request: {exc}")
+
+    # ------------------------------------------------------------------
+    # Connection-scoped ops (negotiation + interning)
+
+    def _op_hello(self, conn: ConnState,
+                  request: dict[str, Any]) -> dict[str, Any]:
+        """Version negotiation: both sides meet at the lower maximum.
+
+        A protocol-1 server has no ``hello`` op at all — clients treat
+        its ``unknown-op`` error as "stay on JSON", which is what makes
+        the upgrade transparent in both directions.
+        """
+        try:
+            peer_max = int(request.get("max_protocol", PROTOCOL_JSON))
+        except (TypeError, ValueError):
+            return _error("hello needs an integer 'max_protocol'")
+        conn.protocol = max(PROTOCOL_JSON, min(peer_max, self.max_protocol))
+        return {"ok": True, "protocol": conn.protocol,
+                "server_protocol": self.max_protocol,
+                "max_batch": self.config.max_batch}
+
+    def _op_intern(self, conn: ConnState,
+                   request: dict[str, Any]) -> dict[str, Any]:
+        """Install ``[index, name]`` pairs in the connection's table.
+
+        Indexes are caller-assigned (so the client's own numbering rides
+        the wire) and may be re-interned to repoint a slot. A frame is
+        applied whole or not at all. Names interned before their task is
+        registered are rejected on offer until the task exists — the
+        table re-resolves itself on the first offer after any
+        register/remove.
+        """
+        entries = request.get("tasks")
+        if not isinstance(entries, list):
+            return _error("intern needs a 'tasks' list of [index, name]")
+        for entry in entries:
+            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                    or isinstance(entry[0], bool)
+                    or not isinstance(entry[0], int)
+                    or not isinstance(entry[1], str)):
+                return _error("each intern entry must be [index, name]")
+            if not 0 <= entry[0] < _MAX_INTERN:
+                return _error(f"intern index {entry[0]} out of range "
+                              f"[0, {_MAX_INTERN})")
+        for idx, name in entries:
+            if idx >= len(conn.names):
+                conn.names.extend([None] * (idx + 1 - len(conn.names)))
+            conn.names[idx] = name
+        self._resolve(conn)
+        return {"ok": True, "interned": len(entries),
+                "table_size": len(conn.names)}
+
+    def _resolve(self, conn: ConnState) -> None:
+        """(Re)resolve interned names to shards and backend ids."""
+        shard = np.full(len(conn.names), -1, dtype=np.int64)
+        ids = np.full(len(conn.names), -1, dtype=np.int64)
+        task_shard = self.task_shard
+        for i, name in enumerate(conn.names):
+            sid = task_shard.get(name)
+            if sid is not None:
+                shard[i] = sid
+                ids[i] = self._intern_id(name, sid)
+        conn.shard = shard
+        conn.ids = ids
+        conn.epoch = self._task_epoch
+
+    # ------------------------------------------------------------------
+    # Data path
+
+    def _offer_done(self, began: float, count: int, accepted: int,
+                    shed: int) -> None:
+        """The shared tail of both offer paths: shed trace + histograms."""
+        if shed:
+            self.trace.emit("shed", count=shed, batch=count,
+                            accepted=accepted)
+        if self.registry.enabled:
+            self._offer_batch_size.observe(count)
+            self._offer_latency.observe(time.perf_counter() - began)
+
+    def _too_large(self, count: int) -> dict[str, Any]:
+        return _error(f"batch of {count} exceeds max_batch="
+                      f"{self.config.max_batch}", code="batch-too-large")
+
+    async def _op_offer_batch(self, request: dict[str, Any],
+                              ) -> dict[str, Any]:
+        began = time.perf_counter() if self.registry.enabled else 0.0
+        updates = request.get("updates")
+        if not isinstance(updates, list):
+            return _error("offer_batch needs an 'updates' list")
+        if len(updates) > self.config.max_batch:
+            return self._too_large(len(updates))
+        per_shard: dict[int, list[Any]] = {}
+        rejected = 0
+        task_shard = self.task_shard
+        for update in updates:
+            if (not isinstance(update, (list, tuple)) or len(update) != 3):
+                return _error("each update must be [task, step, value]")
+            step, value = update[1], update[2]
+            if (not isinstance(step, (int, float))
+                    or not isinstance(value, (int, float))
+                    or isinstance(step, bool) or isinstance(value, bool)):
+                # Reject before enqueueing: a malformed update must never
+                # be ACKed and then fail inside the shard drain loop.
+                return _error(
+                    f"update step and value must be numbers, got "
+                    f"[{update[0]!r}, {step!r}, {value!r}]",
+                    code="bad-update")
+            shard = task_shard.get(str(update[0]))
+            if shard is None:
+                rejected += 1
+                continue
+            per_shard.setdefault(shard, []).append(update)
+        result = self._submit(per_shard)
+        if hasattr(result, "__await__"):
+            result = await result
+        accepted, shed, late_rejected = result
+        reply: dict[str, Any] = {"ok": True, "accepted": accepted,
+                                 "shed": shed,
+                                 "rejected": rejected + late_rejected}
+        if shed:
+            reply["backpressure"] = True
+            reply["retry_after_ms"] = self.config.shed_retry_ms
+        self._offer_done(began, len(updates), accepted, shed)
+        return reply
+
+    async def _offer_columns(self, conn: ConnState,
+                             cols: OfferColumns) -> tuple[bytes, bytes]:
+        """Route a decoded binary offer batch; returns the reply frame.
+
+        The columnar twin of :meth:`_op_offer_batch`: same routing,
+        backpressure and counter semantics, but the offers stay numpy
+        columns from the wire to the backend.
+        """
+        began = time.perf_counter() if self.registry.enabled else 0.0
+        count = len(cols)
+        if count > self.config.max_batch:
+            return encode_frame_parts(self._too_large(count))
+        if conn.epoch != self._task_epoch:
+            self._resolve(conn)
+        idx = cols.task_idx.astype(np.int64)
+        steps = cols.steps
+        values = cols.values
+        valid = idx < len(conn.names)
+        rejected = 0
+        if not valid.all():
+            keep = np.flatnonzero(valid)
+            rejected = count - len(keep)
+            idx = idx[keep]
+            steps = steps[keep]
+            values = values[keep]
+        shards = conn.shard[idx]
+        unknown = shards < 0
+        if unknown.any():
+            keep = np.flatnonzero(~unknown)
+            rejected += int(unknown.sum())
+            idx = idx[keep]
+            steps = steps[keep]
+            values = values[keep]
+            shards = shards[keep]
+        per_shard: dict[int, tuple[Any, Any, Any]] = {}
+        for shard in np.unique(shards).tolist():
+            sel = np.flatnonzero(shards == shard)
+            per_shard[shard] = (idx[sel], steps[sel], values[sel])
+        result = self._submit_columns(conn, per_shard)
+        if hasattr(result, "__await__"):
+            result = await result
+        accepted, shed, late_rejected = result
+        self._offer_done(began, count, accepted, shed)
+        return encode_offer_reply(accepted, shed, rejected + late_rejected,
+                                  shed > 0,
+                                  self.config.shed_retry_ms if shed else 0)
+
+    # ------------------------------------------------------------------
+    # Router-level control ops, over task_shard + _shard_call
+
+    async def _task_call(self, op: str, name: str,
+                         **fields: Any) -> dict[str, Any]:
+        """Send a per-task shard op to the shard ``name`` lives on."""
+        sid = self.task_shard.get(name)
+        if sid is None:
+            return _unknown_task(name)
+        return await self._shard_call(
+            sid, {"op": op, "shard": sid, "task": name, **fields})
+
+    async def _op_ping(self, request: dict[str, Any]) -> dict[str, Any]:
+        return {"ok": True, "shards": self.n_shards,
+                "tasks": len(self.task_shard),
+                "protocol": self.max_protocol}
+
+    async def register_task(self, entry: dict[str, Any]) -> dict[str, Any]:
+        """Register one task config entry on the shard its name routes to.
+
+        The entry is parsed once, by the shard's host; a malformed one
+        comes back as that host's error reply.
+        """
+        sid = route(str(entry.get("name", "")), self.n_shards)
+        reply = await self._shard_call(sid, {
+            "op": "w_register_task", "shard": sid, "task": entry,
+            "defaults": self.defaults})
+        if not reply.get("ok"):
+            return reply
+        name, kind = reply["task"], reply["type"]
+        self.task_shard[name] = sid
+        self._task_epoch += 1
+        self.trace.emit("task_registered", task=name, shard=sid,
+                        threshold=reply["threshold"], type=kind)
+        return {"ok": True, "task": name, "shard": sid, "type": kind}
+
+    async def _op_register_task(self, request: dict[str, Any],
+                                ) -> dict[str, Any]:
+        entry = request.get("task")
+        if not isinstance(entry, dict):
+            return _error("register_task needs a 'task' dict")
+        return await self.register_task(entry)
+
+    async def remove_task(self, name: str) -> dict[str, Any]:
+        """Remove a registered task from its shard and the routing map."""
+        reply = await self._task_call("w_remove_task", name)
+        if not reply.get("ok"):
+            return reply
+        sid = self.task_shard.pop(name)
+        self._task_epoch += 1
+        self.trace.emit("task_removed", task=name, shard=sid)
+        return {"ok": True, "task": name}
+
+    async def _op_remove_task(self, request: dict[str, Any],
+                              ) -> dict[str, Any]:
+        return await self.remove_task(str(request.get("task", "")))
+
+    async def _op_add_trigger(self, request: dict[str, Any],
+                              ) -> dict[str, Any]:
+        target = str(request.get("target", ""))
+        trigger = str(request.get("trigger", ""))
+        for name in (target, trigger):
+            if name not in self.task_shard:
+                return _unknown_task(name)
+        sid = self.task_shard[target]
+        if sid != self.task_shard[trigger]:
+            return _error(
+                f"target {target!r} (shard {sid}) and trigger {trigger!r} "
+                f"(shard {self.task_shard[trigger]}) hash to different "
+                f"shards; correlation gating is intra-shard",
+                code="cross-shard-trigger")
+        reply = await self._shard_call(sid, {
+            "op": "w_add_trigger", "shard": sid, "target": target,
+            "trigger": trigger,
+            "elevation_level": float(request.get("elevation_level", 0.0)),
+            "suspend_interval": int(request.get("suspend_interval", 10))})
+        if not reply.get("ok"):
+            return reply
+        return {"ok": True, "target": target, "trigger": trigger}
+
+    # -- trigger channel (repro.triggers, DESIGN.md S32) ----------------
+
+    async def _op_trigger_install(self, request: dict[str, Any],
+                                  ) -> dict[str, Any]:
+        """Install a trigger plan on the shards of both its tasks.
+
+        Unlike ``add_trigger`` (intra-shard value gating), the plan's
+        trigger and target may live on different shards: the trigger's
+        shard watches for elevation edges and the backend routes them to
+        the target's shard.
+        """
+        entry = request.get("plan")
+        if not isinstance(entry, dict):
+            return _error("trigger_install needs a 'plan' dict")
+        plan = TriggerPlan.from_dict(entry)
+        for name in (plan.target, plan.trigger):
+            if name not in self.task_shard:
+                return _unknown_task(name)
+        for sid in sorted({self.task_shard[plan.trigger],
+                           self.task_shard[plan.target]}):
+            reply = await self._shard_call(sid, {
+                "op": "w_trigger_install", "shard": sid,
+                "plan": plan.to_dict()})
+            if not reply.get("ok"):
+                return reply
+        self.trigger_plans[plan.target] = plan
+        self.trace.emit("trigger_plan_installed", task=plan.target,
+                        shard=self.task_shard[plan.target],
+                        trigger=plan.trigger,
+                        elevation_level=plan.elevation_level,
+                        suspend_interval=plan.suspend_interval)
+        return {"ok": True, "target": plan.target, "trigger": plan.trigger,
+                "plans": len(self.trigger_plans)}
+
+    async def _set_trigger_armed(self, request: dict[str, Any],
+                                 armed: bool) -> dict[str, Any]:
+        """Explicitly arm/disarm a guarded task (operator override)."""
+        reply = await self._task_call(
+            "w_trigger_set", str(request.get("task", "")), armed=armed)
+        if reply.get("ok") and reply["was_armed"] != armed:
+            self.trigger_edges["arm" if armed else "disarm"] += 1
+        return reply
+
+    async def _op_trigger_arm(self, request: dict[str, Any],
+                              ) -> dict[str, Any]:
+        return await self._set_trigger_armed(request, True)
+
+    async def _op_trigger_disarm(self, request: dict[str, Any],
+                                 ) -> dict[str, Any]:
+        return await self._set_trigger_armed(request, False)
+
+    async def _op_trigger_state(self, request: dict[str, Any],
+                                ) -> dict[str, Any]:
+        return await self._task_call("w_trigger_state",
+                                     str(request.get("task", "")))
+
+    async def _op_trigger_plans(self, request: dict[str, Any],
+                                ) -> dict[str, Any]:
+        suspensions, saved = 0, 0.0
+        for target in list(self.trigger_plans):
+            reply = await self._task_call("w_trigger_state", target)
+            if not reply.get("ok"):
+                continue  # target removed since the plan was installed
+            status = reply["state"]
+            count = int(status.get("suspensions", 0))
+            suspensions += count
+            saved += count * (int(status.get("suspend_interval", 1)) - 1)
+        return {"ok": True,
+                "plans": [self.trigger_plans[t].to_dict()
+                          for t in sorted(self.trigger_plans)],
+                "edges": dict(self.trigger_edges),
+                "suspensions": suspensions,
+                "probe_cost_saved": saved}
+
+    # -- reads ----------------------------------------------------------
+
+    async def _op_due(self, request: dict[str, Any]) -> dict[str, Any]:
+        return await self._task_call("w_due", str(request.get("task", "")),
+                                     step=int(request.get("step", 0)))
+
+    async def _op_task_info(self, request: dict[str, Any],
+                            ) -> dict[str, Any]:
+        return await self._task_call("w_task_info",
+                                     str(request.get("task", "")))
+
+    async def _op_alerts(self, request: dict[str, Any]) -> dict[str, Any]:
+        return await self._task_call("w_alerts",
+                                     str(request.get("task", "")))
+
+    # -- server state ---------------------------------------------------
+
+    def _checkpoint_health(self) -> tuple[int, float | None]:
+        """``(failed periodic writes, seconds since the last good one)``."""
+        raise NotImplementedError
+
+    def write_checkpoint(self) -> Any:
+        """Persist the full state to ``config.checkpoint_path``; returns
+        the path written, or an awaitable of it."""
+        raise NotImplementedError
+
+    async def _op_stats(self, request: dict[str, Any]) -> dict[str, Any]:
+        shards: list[dict[str, Any]] = []
+        for sid in range(self.n_shards):
+            try:
+                reply = await self._shard_call(
+                    sid, {"op": "w_stats", "shard": sid})
+            except ReproError:
+                continue  # unreachable host: report the shards we can see
+            if reply.get("ok"):
+                shards.extend(reply["shards"])
+        totals = {short: sum(s[canonical] for s in shards)
+                  for short, canonical in _TOTALS}
+        totals["tasks"] = len(self.task_shard)
+        reply = {"ok": True, "shards": shards, "totals": totals,
+                 "frames": self._frames,
+                 "protocol": self.max_protocol,
+                 "uptime_s": time.monotonic() - self._started_monotonic,
+                 "restored_tasks": self.restored_tasks}
+        if self.config.checkpoint_path is not None:
+            failures, age = self._checkpoint_health()
+            reply["checkpoint"] = {"failures": failures, "last_age_s": age}
+        return reply
+
+    async def _op_checkpoint(self, request: dict[str, Any],
+                             ) -> dict[str, Any]:
+        if self.config.checkpoint_path is None:
+            return _error("no checkpoint_path configured")
+        path = self.write_checkpoint()
+        if hasattr(path, "__await__"):
+            path = await path
+        return {"ok": True, "path": str(path)}
+
+    async def _op_telemetry(self, request: dict[str, Any],
+                            ) -> dict[str, Any]:
+        """Full metrics snapshot as JSON (the wire twin of ``/metrics``)."""
+        reply: dict[str, Any] = {"ok": True,
+                                 "metrics": self._metrics(),
+                                 "trace": {"next_seq": self.trace.next_seq,
+                                           "dropped": self.trace.dropped,
+                                           "retained": len(self.trace)}}
+        if self.selfmon is not None:
+            reply["selfmon"] = self.selfmon.stats()
+        return reply
+
+    async def _op_trace(self, request: dict[str, Any]) -> dict[str, Any]:
+        since = int(request.get("since", 0))
+        raw_limit = request.get("limit")
+        limit = None if raw_limit is None else int(raw_limit)
+        return {"ok": True,
+                "events": self.trace.drain(since=since, limit=limit),
+                "next_seq": self.trace.next_seq,
+                "dropped": self.trace.dropped}
+
+    _OPS = frozenset({
+        "ping", "register_task", "remove_task", "add_trigger",
+        "trigger_install", "trigger_arm", "trigger_disarm",
+        "trigger_state", "trigger_plans", "offer_batch", "due",
+        "task_info", "alerts", "stats", "checkpoint", "telemetry", "trace",
+    })
+
+
+# ----------------------------------------------------------------------
+# Shared by the two CLIs (``python -m repro.runtime`` / ``repro.cluster``)
+
+
+def load_config_file(path: pathlib.Path | None, section: str,
+                     ) -> tuple[dict[str, Any], AdaptationConfig | None,
+                                dict[str, Any]]:
+    """Split a ``--config`` file into ``(server section, adaptation,
+    service config)``.
+
+    ``section`` names the server's own block (``runtime`` / ``cluster``);
+    what remains after it and ``adaptation`` are removed is the service
+    config (``defaults`` / ``tasks`` / ``triggers`` / ``trigger_plans``).
+    """
+    if path is None:
+        return {}, None, {}
+    loaded = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(loaded, dict):
+        raise ConfigurationError("config file must hold a JSON object")
+    server_section = dict(loaded.pop(section, {}))
+    adaptation = None
+    adaptation_section = loaded.pop("adaptation", None)
+    if adaptation_section is not None:
+        try:
+            adaptation = AdaptationConfig(**adaptation_section)
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"bad adaptation section: {exc}") from None
+    return server_section, adaptation, loaded
+
+
+def cli_overrides(args: Any, base: Any) -> dict[str, Any]:
+    """Fields of config ``base`` the command line set, for
+    ``dataclasses.replace``.
+
+    Each flag's argparse ``dest`` is the config field it overrides, so
+    every field is covered without a list to keep in step; a flag that
+    was not given (``None``) leaves the config file's (or default) value
+    alone.
+    """
+    given = {f.name: getattr(args, f.name, None)
+             for f in dataclasses.fields(base)}
+    return {name: value for name, value in given.items()
+            if value is not None}

@@ -1,6 +1,7 @@
 """Shard workers: one bounded queue + one MonitoringService per shard.
 
-Tasks are partitioned across shards by :func:`shard_for`, a stable
+Tasks are partitioned across shards by
+:func:`repro.cluster.routing.route`, a stable
 (``PYTHONHASHSEED``-independent) hash of the task name, so the same task
 always lands on the same shard — across restarts and across independent
 client processes. All updates for a task are therefore applied in arrival
@@ -23,12 +24,11 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.cluster.routing import route
 from repro.exceptions import ConfigurationError
 from repro.service import MonitoringService
 from repro.testkit.faults import FaultHook, NOOP_HOOK
 
-__all__ = ["ColumnBatch", "ShardWorker", "restore_counters", "shard_for"]
+__all__ = ["ColumnBatch", "ShardWorker", "restore_counters"]
 
 logger = logging.getLogger(__name__)
 
@@ -53,34 +53,16 @@ class ColumnBatch:
         return len(self.rows)
 
 
-def shard_for(name: str, shards: int) -> int:
-    """Stable shard index for a task name (CRC32, not ``hash()``).
-
-    Thin alias of :func:`repro.cluster.routing.route`, kept for the
-    runtime's historical import surface; both the single-process server
-    and the cluster routing tier share the one implementation.
-    """
-    return route(name, shards)
-
-
 def restore_counters(worker: "ShardWorker",
                      counters: Mapping[str, Any]) -> None:
-    """Load a checkpointed counter dict onto ``worker``.
-
-    Canonical telemetry keys (``updates_offered``, ..., ``alerts_fired``)
-    win; the pre-telemetry short aliases (``offered``, ..., ``alerts``)
-    are still honoured so checkpoints written before PR 5 restore
-    correctly — the aliases live on *only* here, on the restore path.
-    """
-    def pick(canonical: str, alias: str) -> int:
-        return int(counters.get(canonical, counters.get(alias, 0)))
-
-    worker.offered = pick("updates_offered", "offered")
-    worker.applied = pick("updates_applied", "applied")
-    worker.consumed = pick("updates_consumed", "consumed")
-    worker.shed = pick("updates_shed", "shed")
-    worker.rejected = pick("updates_rejected", "rejected")
-    worker.alerts_fired = pick("alerts_fired", "alerts")
+    """Load a checkpointed counter dict (:meth:`ShardWorker.stats` keys)
+    onto ``worker``."""
+    worker.offered = int(counters.get("updates_offered", 0))
+    worker.applied = int(counters.get("updates_applied", 0))
+    worker.consumed = int(counters.get("updates_consumed", 0))
+    worker.shed = int(counters.get("updates_shed", 0))
+    worker.rejected = int(counters.get("updates_rejected", 0))
+    worker.alerts_fired = int(counters.get("alerts_fired", 0))
 
 
 class ShardWorker:
@@ -272,10 +254,7 @@ class ShardWorker:
         """Counter snapshot for the ``stats`` wire op.
 
         Keys follow the canonical telemetry naming (``updates_offered``,
-        ..., ``alerts_fired``). The pre-telemetry short aliases
-        (``offered``, ..., ``alerts``), deprecated in PR 5, are gone from
-        this snapshot; :func:`restore_counters` still reads them so
-        alias-only checkpoints keep restoring.
+        ..., ``alerts_fired``); :func:`restore_counters` reads them back.
         """
         return {
             "shard": self.shard_id,

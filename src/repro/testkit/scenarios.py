@@ -40,13 +40,13 @@ from typing import Any
 
 import numpy as np
 
+from repro.cluster.routing import route
 from repro.config import RuntimeConfig, task_from_config
 from repro.core.adaptation import AdaptationConfig
 from repro.core.coordination import AdaptiveAllocation
 from repro.runtime.checkpoint import read_checkpoint
 from repro.runtime.protocol import encode_frame, read_frame
 from repro.runtime.server import RuntimeServer
-from repro.runtime.shard import shard_for
 from repro.service import MonitoringService
 from repro.simulation.clock import SimulationClock
 from repro.testkit.faults import (FRAME_CORRUPT, FRAME_DROP, FRAME_OK,
@@ -154,7 +154,7 @@ def _group_by_shard(batch: list[list[Any]],
     """Replica of the server's per-shard grouping (same iteration order)."""
     per_shard: dict[int, list[list[Any]]] = {}
     for update in batch:
-        per_shard.setdefault(shard_for(str(update[0]), shards),
+        per_shard.setdefault(route(str(update[0]), shards),
                              []).append(update)
     return per_shard
 
@@ -207,7 +207,7 @@ class _ScenarioDriver:
 
     def _register_shadow(self, entry: dict[str, Any]) -> None:
         spec = task_from_config(dict(entry), {})
-        shard = shard_for(spec.name, SHARDS)
+        shard = route(spec.name, SHARDS)
         self.shadow[shard].add_task(spec.name, spec,
                                     on_alert=self._attach_alert_hook(shard),
                                     window=1, config=self.adaptation)
@@ -444,7 +444,7 @@ class _ScenarioDriver:
         expected: dict[str, int] = {}
         actual: dict[str, int] = {}
         for name in TASKS:
-            shard = shard_for(name, SHARDS)
+            shard = route(name, SHARDS)
             expected[f"samples:{name}"] = self.shadow[shard].samples_taken(
                 name)
             info = await _roundtrip(server.tcp_port,

@@ -13,7 +13,8 @@ from __future__ import annotations
 import zlib
 
 from repro.cluster.routing import route
-from repro.runtime.shard import shard_for
+from repro.config import RuntimeConfig
+from repro.runtime.server import RuntimeServer
 
 # Pinned CRC32 assignments. Computed once from the reference
 # implementation and frozen; regenerating them from route() itself would
@@ -54,9 +55,10 @@ class TestSharedWithRuntime:
         # The single-process server and the cluster router must agree on
         # every assignment, or a cluster restoring a single-process
         # catalog would send tasks to the wrong shard.
-        for name in GOLDEN_8:
-            for n in (2, 4, 8):
-                assert shard_for(name, n) == route(name, n)
+        for n in (2, 4, 8):
+            server = RuntimeServer(RuntimeConfig(shards=n))
+            for name in GOLDEN_8:
+                assert server.worker_for(name).shard_id == route(name, n)
 
     def test_unicode_task_ids_route_stably(self):
         assert route("温度@机架-1", 8) == zlib.crc32(

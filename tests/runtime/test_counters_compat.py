@@ -1,13 +1,12 @@
 """Regression tests for the counter-key normalisation.
 
 PR 5 renamed the runtime counters to the canonical telemetry names
-(``updates_offered`` ... ``alerts_fired``) and kept the pre-telemetry
-short keys (``offered`` ... ``alerts``) as deprecated aliases; this PR
-removes the aliases from ``stats()`` / ``runtime_state()`` entirely.
-Canonical keys are now the only per-shard shape on the wire — but
-checkpoints written by the old key scheme must still restore (the alias
-mapping lives on solely in
-:func:`repro.runtime.shard.restore_counters`).
+(``updates_offered`` ... ``alerts_fired``); the pre-telemetry short keys
+(``offered`` ... ``alerts``) are gone from ``stats()`` /
+``runtime_state()`` and, since every checkpoint any release still reads
+carries the canonical keys, from
+:func:`repro.runtime.shard.restore_counters` too. Canonical keys are the
+only per-shard shape on the wire and on disk.
 """
 
 from __future__ import annotations
@@ -95,40 +94,6 @@ class TestStatsShapes:
 
 
 class TestAliasOnlyCheckpointRestore:
-    def test_old_key_scheme_checkpoint_restores(self, tmp_path):
-        path = tmp_path / "old.ckpt.json"
-        # A checkpoint as a pre-PR-5 server would have written it:
-        # counters carry ONLY the short alias keys.
-        shards = []
-        for _ in range(2):
-            service = MonitoringService()
-            shards.append(service.snapshot())
-        state = {
-            "shard_count": 2,
-            "task_shard": {},
-            "shards": shards,
-            "counters": [
-                {"shard": 0, "offered": 11, "applied": 9, "consumed": 9,
-                 "shed": 2, "rejected": 1, "alerts": 3},
-                {"shard": 1, "offered": 5, "applied": 5, "consumed": 5,
-                 "shed": 0, "rejected": 0, "alerts": 0},
-            ],
-        }
-        write_checkpoint(path, state)
-
-        async def scenario(server, client):
-            return [w.stats() for w in server._workers]
-
-        stats = run_with_server(scenario, checkpoint_path=path)
-        assert stats[0]["updates_offered"] == 11
-        assert stats[0]["updates_shed"] == 2
-        assert stats[0]["updates_rejected"] == 1
-        assert stats[0]["alerts_fired"] == 3
-        assert stats[1]["updates_offered"] == 5
-        # The restored stats expose canonical keys only — the aliases
-        # exist on the restore path, never on the reporting path.
-        assert "offered" not in stats[0] and "alerts" not in stats[0]
-
     def test_canonical_keys_win_over_aliases(self, tmp_path):
         path = tmp_path / "mixed.ckpt.json"
         state = {
@@ -144,3 +109,5 @@ class TestAliasOnlyCheckpointRestore:
 
         stats = run_with_server(scenario, shards=1, checkpoint_path=path)
         assert stats["updates_offered"] == 42
+        # The restored stats expose canonical keys only.
+        assert "offered" not in stats

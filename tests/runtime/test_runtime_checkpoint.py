@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -49,8 +50,10 @@ class TestCheckpointFile:
 
     def test_wrong_version_raises(self, tmp_path):
         path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps({"checkpoint_version": 999}))
-        with pytest.raises(CheckpointError):
+        body = json.dumps({"checkpoint_version": 999})
+        crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+        path.write_text(f"{body}\ncrc32:{crc:08x}\n")
+        with pytest.raises(CheckpointError, match="version 999"):
             read_checkpoint(path)
 
 
@@ -123,11 +126,14 @@ class TestChecksumTrailer:
         with pytest.raises(CheckpointError, match="checksum"):
             read_checkpoint(path)
 
-    def test_legacy_v1_file_without_trailer_still_reads(self, tmp_path):
+    def test_legacy_v1_file_without_trailer_fails_closed(self, tmp_path):
+        # The un-checksummed v1 format is no longer read: with no trailer
+        # to verify, a v1 file is indistinguishable from a truncated one.
         path = tmp_path / "ckpt.json"
         legacy = dict(self.STATE, checkpoint_version=1)
         path.write_text(json.dumps(legacy))
-        assert read_checkpoint(path)["shards"] == self.STATE["shards"]
+        with pytest.raises(CheckpointError, match="checksum trailer"):
+            read_checkpoint(path)
 
     def test_write_oserror_becomes_checkpoint_error(self, tmp_path):
         blocker = tmp_path / "not-a-dir"

@@ -12,11 +12,11 @@ import collections
 
 import pytest
 
+from repro.cluster.routing import route
 from repro.config import RuntimeConfig
 from repro.exceptions import ProtocolError
 from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.server import RuntimeServer
-from repro.runtime.shard import shard_for
 from repro.service import MonitoringService
 
 
@@ -130,7 +130,7 @@ class TestSharding:
             return shards
 
         shards = run_with_server(scenario)
-        assert all(shards[n] == shard_for(n, 4) for n in shards)
+        assert all(shards[n] == route(n, 4) for n in shards)
         # 64 names over 4 shards: every shard gets some tasks.
         assert len(collections.Counter(shards.values())) == 4
 
@@ -140,9 +140,9 @@ class TestSharding:
             for name in names:
                 await client.register_task(name, 1e9)
             same = [n for n in names
-                    if shard_for(n, 4) == shard_for(names[0], 4)]
+                    if route(n, 4) == route(names[0], 4)]
             other = [n for n in names
-                     if shard_for(n, 4) != shard_for(names[0], 4)]
+                     if route(n, 4) != route(names[0], 4)]
             ok = await client.add_trigger(same[1], same[0], 5.0)
             bad = await client.request(
                 {"op": "add_trigger", "target": other[0],
@@ -358,7 +358,7 @@ class TestCheckpointOps:
 
         state = read_checkpoint(path)
         restored = MonitoringService.restore(
-            state["shards"][shard_for("t", 4)])
+            state["shards"][route("t", 4)])
         assert restored.samples_taken("t") == 2
 
     def test_checkpoint_loop_survives_write_failure(self, tmp_path):

@@ -16,7 +16,7 @@ from repro.config import RuntimeConfig
 from repro.runtime.checkpoint import read_checkpoint, state_fingerprint
 from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.server import RuntimeServer
-from repro.runtime.shard import shard_for
+from repro.cluster.routing import route
 
 
 def run_with_server(coro_factory, **config_kwargs):
@@ -98,7 +98,7 @@ class TestQuantileOverTheWire:
             await server.start()
             client = AsyncRuntimeClient(port=server.tcp_port)
             try:
-                shard = shard_for("q", 2)
+                shard = route("q", 2)
                 fingerprint = state_fingerprint(
                     server._workers[shard].service.snapshot())
                 return (server.restored_tasks, fingerprint,
@@ -116,7 +116,7 @@ class TestQuantileOverTheWire:
         checkpoint_state = read_checkpoint(path)
         assert fingerprint \
             == state_fingerprint(checkpoint_state["shards"][
-                shard_for("q", 2)])
+                route("q", 2)])
 
 
 class TestEntropyOverTheWire:

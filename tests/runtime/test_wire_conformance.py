@@ -1,0 +1,284 @@
+"""Wire conformance: one request table, two servers, equal replies.
+
+``RuntimeServer`` and ``ClusterServer`` share the
+:class:`~repro.runtime.frontend.WireServer` front end, so every reply a
+client can provoke — validation errors above all — must be the same dict
+on both. Each case below is a script of frames sent on one fresh
+connection to a runtime and to an in-proc cluster that were set up
+identically; the two reply lists must be equal, modulo the documented
+cluster-only keys (``workers`` in ``ping``, ``cluster`` in ``stats``) and
+the wall-clock ``uptime_s``.
+
+The table is the parity contract: a new op or a new validation rule gets
+a row here rather than a hand-written runtime-vs-cluster test. What the
+*backends* do with valid traffic (sampler state, counters, checkpoints)
+is covered by the bit-for-bit state tests in ``tests/cluster``.
+"""
+
+from __future__ import annotations
+
+import asyncio
+from typing import Any
+
+import pytest
+
+from repro.cluster.routing import route
+from repro.cluster.server import ClusterServer
+from repro.config import ClusterConfig, RuntimeConfig
+from repro.runtime.protocol import (OfferReply, encode_frame,
+                                    encode_offer_columns, read_frame)
+from repro.runtime.server import RuntimeServer
+
+SHARDS = 4
+MAX_BATCH = 16
+
+# Two tasks on one shard and one on another, found by the routing
+# function itself so the table does not depend on the golden values.
+_NAMES = [f"task-{i}" for i in range(32)]
+A = _NAMES[0]
+SAME = next(n for n in _NAMES[1:] if route(n, SHARDS) == route(A, SHARDS))
+OTHER = next(n for n in _NAMES if route(n, SHARDS) != route(A, SHARDS))
+
+PLAN = {"target": OTHER, "trigger": A, "elevation_level": 60.0,
+        "suspend_interval": 6, "hysteresis": 0.1, "min_hold": 2}
+
+HELLO = {"op": "hello", "max_protocol": 2}
+
+
+def _task(name: str, **extra: Any) -> dict[str, Any]:
+    return {"op": "register_task",
+            "task": {"name": name, "threshold": 100.0, **extra}}
+
+
+def _columns(idx: list[int]) -> tuple[bytes, bytes]:
+    return encode_offer_columns(idx, [0] * len(idx), [1.0] * len(idx))
+
+
+def _per_task(op: str, **extra: Any) -> list[dict[str, Any]]:
+    return [{"op": op, "task": "ghost", **extra}]
+
+
+# case id -> frames; a frame is a request dict or a pre-encoded binary
+# ``(header, body)`` pair.
+CASES: dict[str, list[Any]] = {
+    # -- negotiation ----------------------------------------------------
+    "hello-ok": [HELLO],
+    "hello-default": [{"op": "hello"}],
+    "hello-above-server-max": [{"op": "hello", "max_protocol": 99}],
+    "hello-non-integer": [{"op": "hello", "max_protocol": "two"}],
+    "hello-null": [{"op": "hello", "max_protocol": None}],
+    # -- interning ------------------------------------------------------
+    "intern-ok": [HELLO, {"op": "intern", "tasks": [[0, A], [3, OTHER]]}],
+    "intern-missing-tasks": [{"op": "intern"}],
+    "intern-tasks-not-a-list": [{"op": "intern", "tasks": {"0": A}}],
+    "intern-entry-not-a-pair": [{"op": "intern", "tasks": [[0, A, 1]]}],
+    "intern-entry-not-a-list": [{"op": "intern", "tasks": [A]}],
+    "intern-null-name": [{"op": "intern", "tasks": [[0, None]]}],
+    "intern-numeric-name": [{"op": "intern", "tasks": [[0, 123]]}],
+    "intern-bool-index": [{"op": "intern", "tasks": [[True, A]]}],
+    "intern-string-index": [{"op": "intern", "tasks": [["0", A]]}],
+    "intern-negative-index": [{"op": "intern", "tasks": [[-1, A]]}],
+    "intern-index-past-cap": [{"op": "intern", "tasks": [[1 << 20, A]]}],
+    "intern-bad-entry-applies-nothing": [
+        HELLO, {"op": "intern", "tasks": [[0, A], [1, None]]},
+        _columns([0])],
+    # -- JSON offers ----------------------------------------------------
+    "offer-ok": [{"op": "offer_batch", "updates": [[A, 0, 1.0],
+                                                   [OTHER, 0, 2]]}],
+    "offer-unknown-task-rejected": [
+        {"op": "offer_batch", "updates": [[A, 1, 1.0], ["ghost", 1, 1.0]]}],
+    "offer-missing-updates": [{"op": "offer_batch"}],
+    "offer-updates-not-a-list": [{"op": "offer_batch", "updates": "x"}],
+    "offer-update-too-short": [{"op": "offer_batch", "updates": [[A, 1]]}],
+    "offer-update-not-a-list": [{"op": "offer_batch", "updates": [A]}],
+    "offer-non-numeric-step": [
+        {"op": "offer_batch", "updates": [[A, "soon", 1.0]]}],
+    "offer-non-numeric-value": [
+        {"op": "offer_batch", "updates": [[A, 0, "high"]]}],
+    "offer-bool-step": [{"op": "offer_batch", "updates": [[A, True, 1.0]]}],
+    "offer-null-value": [{"op": "offer_batch", "updates": [[A, 0, None]]}],
+    "offer-bad-update-enqueues-nothing": [
+        {"op": "offer_batch", "updates": [[A, 5, 1.0], [A, 6, "x"]]},
+        {"op": "stats"}],
+    "offer-batch-too-large": [
+        {"op": "offer_batch", "updates": [[A, 0, 1.0]] * (MAX_BATCH + 1)}],
+    # -- binary offers --------------------------------------------------
+    "binary-before-hello": [_columns([0]), {"op": "ping"}],
+    "binary-after-v1-hello": [{"op": "hello", "max_protocol": 1},
+                              _columns([0])],
+    "binary-ok": [HELLO, {"op": "intern", "tasks": [[0, A], [1, OTHER]]},
+                  _columns([0, 1, 0])],
+    "binary-index-out-of-range": [
+        HELLO, {"op": "intern", "tasks": [[0, A]]}, _columns([0, 7])],
+    "binary-empty-intern-table": [HELLO, _columns([0, 1])],
+    "binary-never-interned-slot": [
+        HELLO, {"op": "intern", "tasks": [[2, A]]}, _columns([0, 1, 2])],
+    "binary-unregistered-name": [
+        HELLO, {"op": "intern", "tasks": [[0, A], [1, "ghost"]]},
+        _columns([0, 1])],
+    "binary-name-registered-after-intern": [
+        HELLO, {"op": "intern", "tasks": [[0, "late"]]}, _columns([0]),
+        _task("late"), _columns([0])],
+    "binary-name-removed-after-intern": [
+        HELLO, {"op": "intern", "tasks": [[0, SAME]]},
+        {"op": "remove_task", "task": SAME}, _columns([0])],
+    "binary-batch-too-large": [
+        HELLO, {"op": "intern", "tasks": [[0, A]]},
+        _columns([0] * (MAX_BATCH + 1))],
+    # -- dispatch -------------------------------------------------------
+    "unknown-op": [{"op": "resharden"}],
+    "missing-op": [{"task": A}],
+    "non-string-op": [{"op": 5}],
+    "ping": [{"op": "ping"}],
+    # -- unknown task, on every per-task op -----------------------------
+    "unknown-task-remove": _per_task("remove_task"),
+    "unknown-task-due": _per_task("due", step=3),
+    "unknown-task-task-info": _per_task("task_info"),
+    "unknown-task-alerts": _per_task("alerts"),
+    "unknown-task-trigger-arm": _per_task("trigger_arm"),
+    "unknown-task-trigger-disarm": _per_task("trigger_disarm"),
+    "unknown-task-trigger-state": _per_task("trigger_state"),
+    "unknown-task-missing-field": [{"op": "task_info"}],
+    "unknown-task-add-trigger-target": [
+        {"op": "add_trigger", "target": "ghost", "trigger": A}],
+    "unknown-task-add-trigger-trigger": [
+        {"op": "add_trigger", "target": A, "trigger": "ghost"}],
+    "unknown-task-trigger-install": [
+        {"op": "trigger_install", "plan": {**PLAN, "trigger": "ghost"}}],
+    # -- task control ---------------------------------------------------
+    "register-ok": [_task("fresh", error_allowance=0.05)],
+    "register-typed-ok": [_task("p99", type="quantile", quantile=0.99)],
+    "register-missing-task": [{"op": "register_task"}],
+    "register-task-not-a-dict": [{"op": "register_task", "task": "fresh"}],
+    "register-unknown-key": [_task("fresh", colour="red")],
+    "register-missing-threshold": [
+        {"op": "register_task", "task": {"name": "fresh"}}],
+    "register-missing-name": [
+        {"op": "register_task", "task": {"threshold": 1.0}}],
+    "register-bad-aggregate": [_task("fresh", window=4, aggregate="bogus")],
+    "register-bad-type": [_task("fresh", type="histogram")],
+    "register-quantile-without-q": [_task("fresh", type="quantile")],
+    "register-non-numeric-threshold": [
+        {"op": "register_task", "task": {"name": "fresh",
+                                         "threshold": "high"}}],
+    "register-duplicate": [_task(A)],
+    "remove-then-reads-fail": [{"op": "remove_task", "task": SAME},
+                               {"op": "task_info", "task": SAME},
+                               {"op": "remove_task", "task": SAME}],
+    # -- reads ----------------------------------------------------------
+    "due-ok": [{"op": "due", "task": A, "step": 0}],
+    "due-non-integer-step": [{"op": "due", "task": A, "step": "soon"}],
+    "task-info-ok": [{"op": "task_info", "task": A}],
+    "alerts-ok": [{"op": "alerts", "task": A}],
+    "stats": [{"op": "stats"}],
+    "trace-bad-since": [{"op": "trace", "since": "yesterday"}],
+    "trace-bad-limit": [{"op": "trace", "limit": "few"}],
+    "checkpoint-not-configured": [{"op": "checkpoint"}],
+    # -- triggers -------------------------------------------------------
+    "add-trigger-ok": [{"op": "add_trigger", "target": A, "trigger": SAME,
+                        "elevation_level": 0.5}],
+    "add-trigger-cross-shard": [
+        {"op": "add_trigger", "target": A, "trigger": OTHER}],
+    "add-trigger-bad-interval": [
+        {"op": "add_trigger", "target": A, "trigger": SAME,
+         "suspend_interval": "long"}],
+    "trigger-install-ok": [{"op": "trigger_install", "plan": PLAN},
+                           {"op": "trigger_install", "plan": PLAN},
+                           {"op": "trigger_state", "task": OTHER},
+                           {"op": "trigger_state", "task": A},
+                           {"op": "trigger_plans"}],
+    "trigger-install-missing-plan": [{"op": "trigger_install"}],
+    "trigger-install-plan-not-a-dict": [
+        {"op": "trigger_install", "plan": [A, OTHER]}],
+    "trigger-install-invalid-plan": [
+        {"op": "trigger_install", "plan": {**PLAN, "suspend_interval": 1}}],
+    "trigger-install-unknown-plan-key": [
+        {"op": "trigger_install", "plan": {**PLAN, "colour": "red"}}],
+    "trigger-arm-unguarded-task": [{"op": "trigger_arm", "task": A}],
+    "trigger-overrides": [{"op": "trigger_install", "plan": PLAN},
+                          {"op": "trigger_disarm", "task": OTHER},
+                          {"op": "trigger_disarm", "task": OTHER},
+                          {"op": "trigger_arm", "task": OTHER},
+                          {"op": "trigger_plans"}],
+}
+
+_BACKEND_KEYS = ("workers", "cluster", "uptime_s")
+
+
+def _comparable(reply: Any) -> Any:
+    if isinstance(reply, OfferReply):
+        return {name: getattr(reply, name) for name in OfferReply.__slots__}
+    if isinstance(reply, dict):
+        return {k: v for k, v in reply.items() if k not in _BACKEND_KEYS}
+    return reply
+
+
+async def _run_script(server: Any, frames: list[Any]) -> list[Any]:
+    """Set the server up, play ``frames`` on one fresh connection."""
+    await server.start()
+    try:
+        reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                       server.tcp_port)
+        replies = []
+        try:
+            setup = [_task(A), _task(SAME), _task(OTHER)]
+            for frame in setup + frames:
+                if isinstance(frame, dict):
+                    writer.write(encode_frame(frame))
+                else:
+                    writer.writelines(frame)
+                await writer.drain()
+                reply = await asyncio.wait_for(read_frame(reader), 10)
+                replies.append(_comparable(reply))
+                if reply is None:
+                    break  # the server closed the connection
+            # A protocol error closes the connection after its reply; a
+            # script that provoked one must observe the close, too.
+            if replies and isinstance(replies[-1], dict) \
+                    and replies[-1].get("code") == "protocol":
+                replies.append(await asyncio.wait_for(read_frame(reader),
+                                                      10))
+        finally:
+            writer.close()
+        await server.drain()
+        return replies[len(setup):]
+    finally:
+        await server.shutdown()
+
+
+def _runtime() -> RuntimeServer:
+    return RuntimeServer(RuntimeConfig(port=0, shards=SHARDS,
+                                       max_batch=MAX_BATCH))
+
+
+def _cluster() -> ClusterServer:
+    return ClusterServer(ClusterConfig(
+        backend="inproc", workers=2, shards=SHARDS, port=0,
+        max_batch=MAX_BATCH))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_runtime_and_cluster_answer_alike(case):
+    frames = CASES[case]
+    on_runtime = asyncio.run(_run_script(_runtime(), frames))
+    on_cluster = asyncio.run(_run_script(_cluster(), frames))
+    # Every frame was answered, unless a protocol error ended the
+    # conversation (then the close itself, ``None``, was observed).
+    assert len(on_runtime) == len(frames) or on_runtime[-1] is None
+    assert on_runtime == on_cluster
+
+
+def test_table_provokes_every_error_code():
+    """The table is only a contract if it reaches every client-facing
+    code; a new code needs a row."""
+    async def collect() -> set[str]:
+        codes: set[str] = set()
+        for frames in CASES.values():
+            for reply in await _run_script(_runtime(), frames):
+                if isinstance(reply, dict) and not reply.get("ok", True):
+                    codes.add(reply["code"])
+        return codes
+
+    assert asyncio.run(collect()) == {
+        "protocol", "unknown-op", "unknown-task", "cross-shard-trigger",
+        "batch-too-large", "bad-update", "bad-request"}

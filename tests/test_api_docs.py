@@ -102,6 +102,11 @@ IGNORED = {
     "drain_trigger_events", "suspend_interval", "min_hold",
     "disarm_level", "from_rule", "ingest_trace", "to_plans",
     "probe_cost_saved",
+    # wire front end: the backend seam, host/coordinator methods and
+    # config keys, not module attributes
+    "task_shard", "_shard_call", "_submit", "_submit_columns",
+    "shard_call", "submit_columns", "install_shard", "handle_request",
+    "apply_config", "max_batch",
 }
 
 

@@ -4,10 +4,10 @@ One :class:`Coordinator` owns the authoritative map from global shard id
 to worker, reached through a :class:`~repro.cluster.transport.ShardTransport`
 per worker. Everything stateful about the cluster flows through here:
 
-* **Forwarding** — :meth:`submit` takes pre-routed per-shard batches and
-  fans them out, one ``w_offer`` frame per touched worker. A worker that
-  cannot be reached costs its updates a *shed* (never a silent loss) and
-  feeds the failure detector.
+* **Forwarding** — :meth:`submit_columns` takes pre-routed per-shard
+  column segments and fans them out, one ``SHARD_OFFER`` frame per
+  touched worker. A worker that cannot be reached costs its updates a
+  *shed* (never a silent loss) and feeds the failure detector.
 * **Live migration** — :meth:`migrate` moves one shard between workers
   under load: buffer incoming offers, wait for in-flight forwards, drain
   the source, snapshot, restore on the target, verify the restored
@@ -55,7 +55,7 @@ __all__ = ["Coordinator", "ShardRoute"]
 logger = logging.getLogger(__name__)
 
 _FLUSH_RETRY_LIMIT = 200
-"""Shed-retry attempts per buffered batch during replay before giving up
+"""Shed-retry attempts per buffered segment during replay before giving up
 (each waits ``shed_retry_ms``, so the default is ~10s of backpressure)."""
 
 
@@ -69,7 +69,8 @@ class ShardRoute:
         self.shard_id = shard_id
         self.worker_id = worker_id
         self.buffering = False
-        self.buffer: list[list[Any]] = []
+        # (gids, steps, values) column segments ACKed while buffering.
+        self.buffer: list[tuple[Any, Any, Any]] = []
         self.buffered_updates = 0
         self.inflight = 0
         self._idle = asyncio.Event()
@@ -378,66 +379,6 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Data path
 
-    async def submit(self, per_shard: dict[int, list[Any]],
-                     ) -> tuple[int, int, int]:
-        """Forward pre-routed updates; returns (accepted, shed, rejected).
-
-        Buffering shards ACK into their migration buffer (replayed after
-        cutover — an ACK here carries the same durability as an ACK into
-        a shard queue). Everything else groups into one ``w_offer`` frame
-        per worker, sent concurrently.
-        """
-        accepted = shed = rejected = 0
-        per_worker: dict[str, list[list[Any]]] = {}
-        touched: list[ShardRoute] = []
-        for sid, items in per_shard.items():
-            routed = self.routes[sid]
-            if routed.buffering:
-                if (routed.buffered_updates + len(items)
-                        <= self.config.buffer_depth):
-                    routed.buffer.append(items)
-                    routed.buffered_updates += len(items)
-                    accepted += len(items)
-                else:
-                    self.router_shed += len(items)
-                    shed += len(items)
-                continue
-            per_worker.setdefault(routed.worker_id, []).append([sid, items])
-            routed.inflight += 1
-            routed._idle.clear()
-            touched.append(routed)
-        if per_worker:
-            try:
-                results = await asyncio.gather(
-                    *(self._offer(wid, batches)
-                      for wid, batches in per_worker.items()))
-            finally:
-                for routed in touched:
-                    routed.inflight -= 1
-                    if routed.inflight == 0:
-                        routed._idle.set()
-            for a, s, r in results:
-                accepted += a
-                shed += s
-                rejected += r
-        return accepted, shed, rejected
-
-    async def _offer(self, worker_id: str,
-                     batches: list[list[Any]]) -> tuple[int, int, int]:
-        total = sum(len(items) for _sid, items in batches)
-        try:
-            reply = await self._request(worker_id,
-                                        {"op": "w_offer", "b": batches})
-        except ClusterError:
-            self._note_failure(worker_id)
-            self.router_shed += total
-            return 0, total, 0
-        if not reply.get("ok"):  # pragma: no cover - defensive
-            self.router_shed += total
-            return 0, total, 0
-        return (int(reply.get("accepted", 0)), int(reply.get("shed", 0)),
-                int(reply.get("rejected", 0)))
-
     async def drain(self) -> None:
         """Wait until every live worker has applied its queued batches."""
         for wid in sorted(self.transports):
@@ -451,9 +392,6 @@ class Coordinator:
         # caller that drains at a phase boundary observes guard state
         # deterministically (scenario replay relies on this).
         await self.pump_triggers()
-
-    # ------------------------------------------------------------------
-    # Data path — binary columnar
 
     def gid_for(self, name: str) -> int:
         """The task's cluster-global id (assigned on first use)."""
@@ -482,13 +420,15 @@ class Coordinator:
     async def submit_columns(
             self, per_shard: dict[int, tuple[Any, Any, Any]],
     ) -> tuple[int, int, int]:
-        """Columnar twin of :meth:`submit` for pre-routed gid columns.
+        """Forward pre-routed gid columns; returns (accepted, shed,
+        rejected).
 
         ``per_shard`` maps shard id to ``(gids, steps, values)`` arrays.
-        Buffering (migrating) shards fall back to row-wise update lists in
-        the migration buffer — replay reuses the JSON ``w_offer`` path, so
-        a migration window costs throughput, never correctness. Everything
-        else groups into one binary ``SHARD_OFFER`` frame per worker.
+        Buffering (migrating) shards ACK the segment into their migration
+        buffer, replayed after cutover — an ACK here carries the same
+        durability as an ACK into a shard queue. Everything else groups
+        into one binary ``SHARD_OFFER`` frame per worker, sent
+        concurrently.
         """
         accepted = shed = rejected = 0
         per_worker: dict[str, list[Any]] = {}
@@ -496,17 +436,14 @@ class Coordinator:
         for sid, (gids, steps, values) in per_shard.items():
             routed = self.routes[sid]
             if routed.buffering:
-                items = [[self.gid_names[g], int(s), float(v)]
-                         for g, s, v in zip(gids.tolist(), steps.tolist(),
-                                            values.tolist())]
-                if (routed.buffered_updates + len(items)
+                if (routed.buffered_updates + len(gids)
                         <= self.config.buffer_depth):
-                    routed.buffer.append(items)
-                    routed.buffered_updates += len(items)
-                    accepted += len(items)
+                    routed.buffer.append((gids, steps, values))
+                    routed.buffered_updates += len(gids)
+                    accepted += len(gids)
                 else:
-                    self.router_shed += len(items)
-                    shed += len(items)
+                    self.router_shed += len(gids)
+                    shed += len(gids)
                 continue
             per_worker.setdefault(routed.worker_id, []).append(
                 (sid, gids, steps, values))
@@ -531,14 +468,23 @@ class Coordinator:
 
     async def _offer_columns(self, worker_id: str,
                              segments: list[Any]) -> tuple[int, int, int]:
-        total = sum(len(seg[1]) for seg in segments)
+        try:
+            return await self._forward(worker_id, segments)
+        except ClusterError:
+            total = sum(len(seg[1]) for seg in segments)
+            self.router_shed += total
+            return 0, total, 0
+
+    async def _forward(self, worker_id: str,
+                       segments: list[Any]) -> tuple[int, int, int]:
+        """One ``SHARD_OFFER`` to ``worker_id``, its gid table synced
+        first; a failure is noted for the heartbeat and re-raised."""
         try:
             await self._sync_gids(worker_id)
             return await self.transports[worker_id].request_columns(segments)
         except ClusterError:
             self._note_failure(worker_id)
-            self.router_shed += total
-            return 0, total, 0
+            raise
 
     # ------------------------------------------------------------------
     # Trigger channel (repro.triggers, DESIGN.md S32)
@@ -655,31 +601,29 @@ class Coordinator:
         replayed = 0
         retries = 0
         while routed.buffer:
-            items = routed.buffer[0]
+            segment = routed.buffer[0]
+            count = len(segment[0])
             try:
-                reply = await self._request(routed.worker_id, {
-                    "op": "w_offer", "b": [[routed.shard_id, items]]})
+                accepted, shed, _ = await self._forward(
+                    routed.worker_id, [(routed.shard_id, *segment)])
             except ClusterError:
-                self._note_failure(routed.worker_id)
-                reply = None
-            if reply is not None and reply.get("ok"):
-                if int(reply.get("accepted", 0)) == len(items):
-                    replayed += len(items)
-                    routed.buffered_updates -= len(items)
-                    routed.buffer.pop(0)
-                    retries = 0
-                    continue
-                if (int(reply.get("shed", 0))
-                        and retries < _FLUSH_RETRY_LIMIT):
-                    retries += 1
-                    await asyncio.sleep(self.config.shed_retry_ms / 1000.0)
-                    continue
+                accepted = shed = 0
+            if accepted == count:
+                replayed += count
+                routed.buffered_updates -= count
+                routed.buffer.pop(0)
+                retries = 0
+                continue
+            if shed and retries < _FLUSH_RETRY_LIMIT:
+                retries += 1
+                await asyncio.sleep(self.config.shed_retry_ms / 1000.0)
+                continue
             # Worker unreachable, shard rejected, or out of retries: the
             # remaining buffer is honestly accounted as shed and recovery
             # (if the worker is dead) is the heartbeat's job.
-            for rest in routed.buffer:
-                self.router_shed += len(rest)
-                routed.buffered_updates -= len(rest)
+            for gids, _steps, _values in routed.buffer:
+                self.router_shed += len(gids)
+                routed.buffered_updates -= len(gids)
             routed.buffer.clear()
             break
         return replayed

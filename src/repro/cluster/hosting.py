@@ -37,7 +37,8 @@ from repro.config import register_task_from_config
 from repro.core.adaptation import AdaptationConfig
 from repro.exceptions import ConfigurationError, ReproError
 from repro.runtime.checkpoint import state_fingerprint
-from repro.runtime.shard import ColumnBatch, ShardWorker, restore_counters
+from repro.runtime.shard import (ColumnBatch, InternedNames, ShardWorker,
+                                 restore_counters)
 from repro.service import MonitoringService
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import DecisionTrace
@@ -50,22 +51,6 @@ __all__ = ["WorkerHost"]
 _MAX_GID = 1 << 20
 """Cap on cluster-global task ids a coordinator may intern on a host."""
 
-
-class _GidNames:
-    """Lazy name view for a columnar sub-batch keyed by global task id."""
-
-    __slots__ = ("table", "gids")
-
-    def __init__(self, table: list, gids: np.ndarray):
-        self.table = table
-        self.gids = gids
-
-    def __len__(self) -> int:
-        return len(self.gids)
-
-    def __getitem__(self, pos: int):
-        gid = int(self.gids[pos])
-        return self.table[gid] if 0 <= gid < len(self.table) else None
 
 _PER_SHARD_COUNTERS = (
     ("volley_updates_offered_total",
@@ -109,11 +94,10 @@ class WorkerHost:
                  adaptation: AdaptationConfig | None = None,
                  registry: MetricsRegistry | None = None,
                  trace: DecisionTrace | None = None,
-                 trace_capacity: int = 4096, soa: bool = True,
+                 trace_capacity: int = 4096,
                  fault_hook: FaultHook = NOOP_HOOK):
         self.worker_id = worker_id
         self.queue_depth = queue_depth
-        self.soa = soa
         self.fault_hook = fault_hook
         # Cluster-global task-id table, interned lazily by the coordinator
         # (``w_intern``). Lives on the *host*, not a shard, so it survives
@@ -188,12 +172,14 @@ class WorkerHost:
 
         The one place a shard comes to life — wired to the host's trace,
         interval histogram, per-shard metric series and alert-count hook,
-        with checkpointed ``counters`` carried over. Replaces a hosted
-        shard of the same id only if its drain loop is not running
-        (callers stop a live one first).
+        with checkpointed ``counters`` carried over. Every hosted shard's
+        service has an SoA engine: offers reach it as columns whatever
+        encoding the client used. Replaces a hosted shard of the same id
+        only if its drain loop is not running (callers stop a live one
+        first).
         """
         if snapshot is None:
-            service = MonitoringService(self.adaptation, soa=self.soa)
+            service = MonitoringService(self.adaptation, soa=True)
         else:
             # The alert callback must bump the ShardWorker's counter, but
             # the worker only exists after the service does — close over a
@@ -205,8 +191,7 @@ class WorkerHost:
                     cell[0].alerts_fired += 1
 
             service = MonitoringService.restore(dict(snapshot),
-                                                on_alert=on_alert,
-                                                soa=self.soa)
+                                                on_alert=on_alert, soa=True)
         self._forget(shard_id)
         worker = ShardWorker(shard_id, service, self.queue_depth,
                              fault_hook=self.fault_hook)
@@ -345,27 +330,6 @@ class WorkerHost:
     # ------------------------------------------------------------------
     # Ops — data path
 
-    def _op_offer(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Apply pre-routed sub-batches: ``{"b": [[shard, updates], ...]}``.
-
-        The router already validated shapes and routed by task id; this
-        side only enqueues. Sub-batches for shards this worker no longer
-        hosts (a migration raced the forward) are *rejected*, not shed —
-        the router counts them and the client sees them in ``rejected``.
-        """
-        accepted = shed = rejected = 0
-        for shard_id, updates in request.get("b", ()):
-            worker = self.shards.get(shard_id)
-            if worker is None:
-                rejected += len(updates)
-                continue
-            if worker.try_enqueue(updates):
-                accepted += len(updates)
-            else:
-                shed += len(updates)
-        return {"ok": True, "accepted": accepted, "shed": shed,
-                "rejected": rejected}
-
     def _op_intern(self, request: dict[str, Any]) -> dict[str, Any]:
         """Extend the host's gid table: ``{"tasks": [[gid, name], ...]}``.
 
@@ -422,12 +386,15 @@ class WorkerHost:
 
     def handle_shard_offer(
             self, segments: Sequence[tuple[int, Any]]) -> tuple[int, int, int]:
-        """Enqueue pre-routed binary segments; returns (accepted, shed,
-        rejected).
+        """Enqueue pre-routed ``(shard, columns)`` segments; returns
+        (accepted, shed, rejected).
 
-        Mirrors :meth:`_op_offer` for ``(shard, columns)`` segments from a
-        decoded ``ShardOffer`` frame (or passed directly by the in-proc
-        transport): unknown shards reject, full queues shed, everything
+        The host's one data-path entry, fed by a decoded ``ShardOffer``
+        frame or directly by the in-proc transport. The router already
+        validated and routed; this side only enqueues. Segments for
+        shards this worker no longer hosts (a migration raced the
+        forward) are *rejected*, not shed — the router counts them and
+        the client sees them in ``rejected``. Full queues shed; everything
         else lands as one :class:`ColumnBatch` with gid-resolved engine
         rows and a lazy name view for the fallback path.
         """
@@ -441,7 +408,7 @@ class WorkerHost:
             batch = ColumnBatch(
                 rows=self._rows_for(int(shard_id), worker, gids),
                 steps=cols.steps, values=cols.values,
-                names=_GidNames(self.gid_names, gids))
+                names=InternedNames(self.gid_names, gids))
             if worker.try_enqueue_columns(batch):
                 accepted += len(cols)
             else:
@@ -584,7 +551,6 @@ class WorkerHost:
         "w_snapshot_shard": _op_snapshot_shard,
         "w_drop_shard": _op_drop_shard,
         "w_drain": _op_drain,
-        "w_offer": _op_offer,
         "w_intern": _op_intern,
         "w_register_task": _op_register_task,
         "w_remove_task": _op_remove_task,

@@ -77,9 +77,6 @@ class ClusterServer(WireServer):
     def _intern_id(self, name: str, sid: int) -> int:
         return self.coordinator.gid_for(name)
 
-    def _submit(self, per_shard: dict[int, list[Any]]) -> Any:
-        return self.coordinator.submit(per_shard)
-
     def _submit_columns(self, conn: ConnState,
                         per_shard: dict[int, tuple[Any, Any, Any]]) -> Any:
         gids = conn.ids

@@ -59,7 +59,8 @@ class ShardTransport(Protocol):
     async def request_columns(self, segments: list[Any],
                               ) -> tuple[int, int, int]:
         """Forward pre-routed ``(shard, task_idx, steps, values)``
-        segments on the binary path; returns (accepted, shed, rejected)."""
+        segments (the one offer forward); returns (accepted, shed,
+        rejected)."""
 
     async def close(self) -> None:
         """Graceful teardown (drains hosted shards where applicable)."""

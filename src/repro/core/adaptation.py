@@ -739,6 +739,12 @@ class ViolationLikelihoodSampler:
         return self._last_beta
 
     @property
+    def last_flags(self) -> int:
+        """The most recent observation's outcome as bits: 1 grew, 2 reset,
+        4 violation (the encoding the SoA engine's column uses)."""
+        return self._last_flags
+
+    @property
     def last_grew(self) -> bool:
         """Whether the most recent observation grew the interval."""
         return bool(self._last_flags & 1)

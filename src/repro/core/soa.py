@@ -52,7 +52,14 @@ from repro.core.adaptation import _MIN_ERROR_NEEDED, AdaptationConfig
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
 
-__all__ = ["SoaSamplerEngine", "ColumnBatchResult"]
+__all__ = ["SoaSamplerEngine", "ColumnBatchResult", "STEP_MIN", "STEP_MAX"]
+
+# The steps an engine row accepts. The time columns are int64 and the
+# engine computes `step - last_time` and `step + interval` in them, so
+# only half the int64 range is admitted: any difference of two accepted
+# steps, and any accepted step plus an interval, still fits. Every decode
+# point refuses a step outside these bounds before it reaches a column.
+STEP_MIN, STEP_MAX = -(1 << 62), (1 << 62) - 1
 
 _SQRT2 = math.sqrt(2.0)  # the identical double to likelihood._SQRT2
 
@@ -304,14 +311,15 @@ class SoaSamplerEngine:
         self.total_count[row] = int(stats.get("total_count", 0))
 
     # ------------------------------------------------------------------
-    # Scalar drive surface (mixed JSON/binary traffic to the same task)
+    # Scalar drive surface (by-name offers and narrow ticks)
 
     def observe_one(self, row: int, value: float, step: int) -> int:
         """Advance one row by one offer; returns the next interval.
 
         The exact scalar-math mirror of
         :meth:`ViolationLikelihoodSampler.observe_fast` operating on
-        column storage — the by-name JSON path and the columnar path may
+        column storage — by-name offers (``MonitoringService.offer`` /
+        ``offer_fast`` on an engine row) and columnar batches may
         interleave freely on the same task without representation sync.
         """
         v = float(self.sign[row]) * value
@@ -450,16 +458,20 @@ class SoaSamplerEngine:
 
         Splits the batch into ticks — one occurrence per row, in arrival
         order — and advances each tick, vectorised or (narrow ticks) row
-        by row. Inactive rows are reported back as ``fallback`` positions
-        instead of being applied.
+        by row. Rows that are negative (not engine-managed) or inactive
+        are reported back as ``fallback`` positions instead of being
+        applied; a non-finite value on an active row is rejected here,
+        before any column of the row sees it.
         """
         result = ColumnBatchResult()
         if len(rows) == 0:
             return result
-        act = self.active[rows]
-        if np.count_nonzero(act) < len(rows):
+        act = self.active[rows] & (rows >= 0)
+        usable = act & np.isfinite(values)
+        if np.count_nonzero(usable) < len(rows):
             result.fallback = np.flatnonzero(~act)
-            keep = np.flatnonzero(act)
+            keep = np.flatnonzero(usable)
+            result.rejected = len(rows) - len(keep) - len(result.fallback)
             rows = rows[keep]
             steps = steps[keep]
             values = values[keep]

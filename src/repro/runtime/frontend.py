@@ -16,12 +16,14 @@ Every control op is written over a seam of two members:
   (the :class:`~repro.cluster.hosting.WorkerHost` op table) to the host
   of shard ``sid`` and return its reply.
 
-The data path adds ``_submit`` / ``_submit_columns``, which take the
-routed per-shard batches of one frame and return
-``(accepted, shed, rejected)`` — directly when the shard queues are
-local, as an awaitable when they are a worker round-trip away — and
-``_intern_id``, the id a backend addresses an interned task by. The front
-end awaits a hook's result only when it is awaitable, so the
+The data path is one chain whatever the frame's encoding: a JSON
+``offer_batch`` and a binary offer frame both decode to
+``(intern slot, step, value)`` columns, which :meth:`WireServer._route`
+groups by shard and hands to the backend's ``_submit_columns``. That hook
+returns ``(accepted, shed, rejected)`` — directly when the shard queues
+are local, as an awaitable when they are a worker round-trip away — and
+``_intern_id`` names the id a backend addresses an interned task by. The
+front end awaits the hook's result only when it is awaitable, so the
 single-process offer path never yields to the event loop between a frame
 and its reply. ``write_checkpoint`` and ``_checkpoint_health`` expose the
 backend's own checkpointing to the ``checkpoint`` and ``stats`` ops.
@@ -41,6 +43,7 @@ import numpy as np
 
 from repro.cluster.routing import route
 from repro.core.adaptation import AdaptationConfig
+from repro.core.soa import STEP_MAX, STEP_MIN
 from repro.exceptions import ConfigurationError, ProtocolError, ReproError
 from repro.runtime.protocol import (PROTOCOL_BINARY, PROTOCOL_JSON,
                                     PROTOCOL_VERSION, OfferColumns,
@@ -78,8 +81,8 @@ class ConnState:
 
     ``shard`` and ``ids`` are parallel to ``names``: each interned name's
     shard (``-1`` = empty slot or not a registered task) and the id the
-    backend addresses it by on the columnar path (SoA engine row in the
-    runtime, cluster-global task id in the cluster). Both are only valid
+    backend addresses it by (SoA engine row in the runtime, cluster-global
+    task id in the cluster). Both are only valid
     for the task table they were resolved against — ``epoch`` records
     the server's task-table version so they refresh lazily after any
     register/remove instead of per offer.
@@ -130,6 +133,11 @@ class WireServer:
         # Bumped on every register/remove so connections revalidate
         # their interned-name resolution lazily.
         self._task_epoch = 0
+        # JSON offers name their tasks; the names resolve through this
+        # server-owned intern table (name -> slot of ``_json_conn``),
+        # started afresh whenever the task table changes.
+        self._json_conn = ConnState()
+        self._json_slots: dict[str, int] = {}
         self._servers: list[asyncio.AbstractServer] = []
         self._connections: set[asyncio.Task[None]] = set()
         self._http: TelemetryHTTPServer | None = None
@@ -166,15 +174,11 @@ class WireServer:
         """Send one ``w_*`` op to the host of shard ``sid``."""
         raise NotImplementedError
 
-    def _submit(self, per_shard: dict[int, list[Any]]) -> Any:
-        """Queue routed JSON updates; ``(accepted, shed, rejected)`` or
-        an awaitable of it."""
-        raise NotImplementedError
-
     def _submit_columns(self, conn: ConnState,
                         per_shard: dict[int, tuple[Any, Any, Any]]) -> Any:
-        """Columnar twin of :meth:`_submit`: ``per_shard`` maps shard id
-        to ``(intern_idx, steps, values)`` arrays of one connection."""
+        """Queue one frame's routed offers: ``per_shard`` maps shard id to
+        ``(intern_idx, steps, values)`` arrays over ``conn``'s table.
+        Returns ``(accepted, shed, rejected)`` or an awaitable of it."""
         raise NotImplementedError
 
     def _intern_id(self, name: str, sid: int) -> int:
@@ -395,7 +399,7 @@ class WireServer:
         Per-connection ordering is preserved — one frame is fully handled
         before the next is read. Whether connections can interleave
         mid-handler is the backend's property: a handler suspends only
-        where ``_shard_call`` / ``_submit*`` do.
+        where ``_shard_call`` / ``_submit_columns`` do.
         """
         op = request.get("op")
         if not isinstance(op, str) or op not in self._OPS:
@@ -461,16 +465,20 @@ class WireServer:
         return {"ok": True, "interned": len(entries),
                 "table_size": len(conn.names)}
 
-    def _resolve(self, conn: ConnState) -> None:
-        """(Re)resolve interned names to shards and backend ids."""
-        shard = np.full(len(conn.names), -1, dtype=np.int64)
-        ids = np.full(len(conn.names), -1, dtype=np.int64)
+    def _resolve(self, conn: ConnState, start: int = 0) -> None:
+        """(Re)resolve interned names, from slot ``start`` up, to shards
+        and backend ids."""
+        names = conn.names
+        shard = np.full(len(names), -1, dtype=np.int64)
+        ids = np.full(len(names), -1, dtype=np.int64)
+        shard[:start] = conn.shard[:start]
+        ids[:start] = conn.ids[:start]
         task_shard = self.task_shard
-        for i, name in enumerate(conn.names):
-            sid = task_shard.get(name)
+        for i in range(start, len(names)):
+            sid = task_shard.get(names[i])
             if sid is not None:
                 shard[i] = sid
-                ids[i] = self._intern_id(name, sid)
+                ids[i] = self._intern_id(names[i], sid)
         conn.shard = shard
         conn.ids = ids
         conn.epoch = self._task_epoch
@@ -478,31 +486,38 @@ class WireServer:
     # ------------------------------------------------------------------
     # Data path
 
-    def _offer_done(self, began: float, count: int, accepted: int,
-                    shed: int) -> None:
-        """The shared tail of both offer paths: shed trace + histograms."""
-        if shed:
-            self.trace.emit("shed", count=shed, batch=count,
-                            accepted=accepted)
-        if self.registry.enabled:
-            self._offer_batch_size.observe(count)
-            self._offer_latency.observe(time.perf_counter() - began)
-
     def _too_large(self, count: int) -> dict[str, Any]:
         return _error(f"batch of {count} exceeds max_batch="
                       f"{self.config.max_batch}", code="batch-too-large")
 
     async def _op_offer_batch(self, request: dict[str, Any],
                               ) -> dict[str, Any]:
+        """Decode a JSON offer batch to columns and route it.
+
+        JSON is an encoding, not a path: past this decode the offers are
+        the same ``(intern slot, step, value)`` columns a binary frame
+        carries. A malformed update fails the whole frame before
+        anything is enqueued — an update must never be ACKed and then
+        fail inside a shard drain loop.
+        """
         began = time.perf_counter() if self.registry.enabled else 0.0
         updates = request.get("updates")
         if not isinstance(updates, list):
             return _error("offer_batch needs an 'updates' list")
         if len(updates) > self.config.max_batch:
             return self._too_large(len(updates))
-        per_shard: dict[int, list[Any]] = {}
+        conn, slots, task_shard = (self._json_conn, self._json_slots,
+                                   self.task_shard)
+        if conn.epoch != self._task_epoch:
+            # Rebound, never cleared: queued batches still read names
+            # through the table they were routed with.
+            conn = self._json_conn = ConnState()
+            slots = self._json_slots = {}
+            conn.epoch = self._task_epoch
+        idx: list[int] = []
+        steps: list[int] = []
+        values: list[float] = []
         rejected = 0
-        task_shard = self.task_shard
         for update in updates:
             if (not isinstance(update, (list, tuple)) or len(update) != 3):
                 return _error("each update must be [task, step, value]")
@@ -510,38 +525,49 @@ class WireServer:
             if (not isinstance(step, (int, float))
                     or not isinstance(value, (int, float))
                     or isinstance(step, bool) or isinstance(value, bool)):
-                # Reject before enqueueing: a malformed update must never
-                # be ACKed and then fail inside the shard drain loop.
                 return _error(
                     f"update step and value must be numbers, got "
                     f"[{update[0]!r}, {step!r}, {value!r}]",
                     code="bad-update")
-            shard = task_shard.get(str(update[0]))
-            if shard is None:
-                rejected += 1
-                continue
-            per_shard.setdefault(shard, []).append(update)
-        result = self._submit(per_shard)
-        if hasattr(result, "__await__"):
-            result = await result
-        accepted, shed, late_rejected = result
+            try:
+                step = int(step)  # fractional steps truncate
+                value = float(value)
+                fits = STEP_MIN <= step <= STEP_MAX
+            except (OverflowError, ValueError):
+                fits = False  # inf/nan step, or an int no double holds
+            if not fits:
+                return _error(
+                    f"update step must lie in [{STEP_MIN}, {STEP_MAX}] "
+                    f"(and value fit a double), got [{update[0]!r}, "
+                    f"{update[1]!r}, {update[2]!r}]", code="bad-update")
+            name = str(update[0])
+            slot = slots.get(name)
+            if slot is None:
+                if name not in task_shard:
+                    rejected += 1
+                    continue
+                slot = slots[name] = len(conn.names)
+                conn.names.append(name)
+            idx.append(slot)
+            steps.append(step)
+            values.append(value)
+        if len(conn.names) > len(conn.shard):
+            self._resolve(conn, start=len(conn.shard))
+        accepted, shed, late_rejected = await self._route(
+            conn, began, len(updates), np.array(idx, dtype=np.int64),
+            np.array(steps, dtype=np.int64),
+            np.array(values, dtype=np.float64))
         reply: dict[str, Any] = {"ok": True, "accepted": accepted,
                                  "shed": shed,
                                  "rejected": rejected + late_rejected}
         if shed:
             reply["backpressure"] = True
             reply["retry_after_ms"] = self.config.shed_retry_ms
-        self._offer_done(began, len(updates), accepted, shed)
         return reply
 
     async def _offer_columns(self, conn: ConnState,
                              cols: OfferColumns) -> tuple[bytes, bytes]:
-        """Route a decoded binary offer batch; returns the reply frame.
-
-        The columnar twin of :meth:`_op_offer_batch`: same routing,
-        backpressure and counter semantics, but the offers stay numpy
-        columns from the wire to the backend.
-        """
+        """Route a decoded binary offer batch; returns the reply frame."""
         began = time.perf_counter() if self.registry.enabled else 0.0
         count = len(cols)
         if count > self.config.max_batch:
@@ -551,6 +577,11 @@ class WireServer:
         idx = cols.task_idx.astype(np.int64)
         steps = cols.steps
         values = cols.values
+        if count and not (STEP_MIN <= steps.min()
+                          and steps.max() <= STEP_MAX):
+            return encode_frame_parts(_error(
+                f"offer steps must lie in [{STEP_MIN}, {STEP_MAX}]",
+                code="bad-update"))
         valid = idx < len(conn.names)
         rejected = 0
         if not valid.all():
@@ -559,11 +590,27 @@ class WireServer:
             idx = idx[keep]
             steps = steps[keep]
             values = values[keep]
+        accepted, shed, late_rejected = await self._route(
+            conn, began, count, idx, steps, values)
+        return encode_offer_reply(accepted, shed, rejected + late_rejected,
+                                  shed > 0,
+                                  self.config.shed_retry_ms if shed else 0)
+
+    async def _route(self, conn: ConnState, began: float, count: int,
+                     idx: np.ndarray, steps: np.ndarray, values: np.ndarray,
+                     ) -> tuple[int, int, int]:
+        """The tail of every offer frame (of ``count`` offers, begun at
+        ``began``): group its decoded columns by shard (ascending) and
+        submit; ``idx`` holds slots of ``conn``'s table. Returns
+        ``(accepted, shed, rejected)``; slots that name no registered
+        task are rejected.
+        """
         shards = conn.shard[idx]
+        rejected = 0
         unknown = shards < 0
         if unknown.any():
             keep = np.flatnonzero(~unknown)
-            rejected += int(unknown.sum())
+            rejected = len(idx) - len(keep)
             idx = idx[keep]
             steps = steps[keep]
             values = values[keep]
@@ -576,10 +623,13 @@ class WireServer:
         if hasattr(result, "__await__"):
             result = await result
         accepted, shed, late_rejected = result
-        self._offer_done(began, count, accepted, shed)
-        return encode_offer_reply(accepted, shed, rejected + late_rejected,
-                                  shed > 0,
-                                  self.config.shed_retry_ms if shed else 0)
+        if shed:
+            self.trace.emit("shed", count=shed, batch=count,
+                            accepted=accepted)
+        if self.registry.enabled:
+            self._offer_batch_size.observe(count)
+            self._offer_latency.observe(time.perf_counter() - began)
+        return accepted, shed, rejected + late_rejected
 
     # ------------------------------------------------------------------
     # Router-level control ops, over task_shard + _shard_call

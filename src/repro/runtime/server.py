@@ -40,8 +40,6 @@ import sys
 import time
 from typing import Any
 
-import numpy as np
-
 # Module, not name: hosting imports repro.runtime's lower layers, so when
 # it is imported first it is still initialising while this module loads.
 from repro.cluster import hosting
@@ -54,8 +52,7 @@ from repro.exceptions import (CheckpointError, ConfigurationError,
 from repro.runtime.checkpoint import read_checkpoint, write_checkpoint
 from repro.runtime.frontend import (ConnState, WireServer, cli_overrides,
                                     load_config_file)
-from repro.runtime.protocol import PROTOCOL_BINARY
-from repro.runtime.shard import ColumnBatch, ShardWorker
+from repro.runtime.shard import ColumnBatch, InternedNames, ShardWorker
 from repro.telemetry.registry import MetricsRegistry, instrument_samplers
 from repro.telemetry.selfmon import SelfMonitor
 from repro.telemetry.trace import DecisionTrace
@@ -65,24 +62,6 @@ from repro.triggers.plan import TriggerPlan
 __all__ = ["RuntimeServer", "main"]
 
 logger = logging.getLogger(__name__)
-
-
-class _InternNames:
-    """Lazy position → task-name view for the columnar fallback path.
-
-    ``offer_columns`` touches names only for the (rare) fallback
-    positions, so the hot path never materialises a per-offer name list.
-    """
-
-    __slots__ = ("table", "idx")
-
-    def __init__(self, table: list[str | None], idx: np.ndarray):
-        self.table = table
-        self.idx = idx
-
-    def __getitem__(self, pos: int) -> str | None:
-        i = int(self.idx[pos])
-        return self.table[i] if 0 <= i < len(self.table) else None
 
 
 class RuntimeServer(WireServer):
@@ -131,13 +110,9 @@ class RuntimeServer(WireServer):
             MetricsRegistry() if registry is None else registry,
             DecisionTrace(config.trace_capacity) if trace is None else trace,
             fault_hook=fault_hook)
-        # Protocol ≥ 2 servers back eligible tasks with the SoA engine so
-        # binary offer columns apply without per-offer Python objects; a
-        # protocol-1 deployment keeps the historical scalar-only services.
         self._host = hosting.WorkerHost(
             "runtime", queue_depth=config.queue_depth, adaptation=adaptation,
-            registry=self.registry, trace=self.trace,
-            soa=config.protocol >= PROTOCOL_BINARY, fault_hook=fault_hook)
+            registry=self.registry, trace=self.trace, fault_hook=fault_hook)
         self._workers: list[ShardWorker] = []
         self._place_shards({})
         self._checkpoint_task: asyncio.Task[None] | None = None
@@ -181,38 +156,22 @@ class RuntimeServer(WireServer):
         except ConfigurationError:
             return -1
 
-    def _forced_shed(self, worker: ShardWorker, count: int) -> bool:
-        """Chaos seam: shed as if the queue were full, so the
-        backpressure reply path is exercised deterministically."""
-        hook = self.fault_hook
-        if hook.enabled and hook.force_shed(worker.shard_id):
-            worker.shed += count
-            return True
-        return False
-
-    def _submit(self, per_shard: dict[int, list[Any]],
-                ) -> tuple[int, int, int]:
-        accepted = shed = 0
-        for sid, items in per_shard.items():
-            worker = self._workers[sid]
-            if (not self._forced_shed(worker, len(items))
-                    and worker.try_enqueue(items)):
-                accepted += len(items)
-            else:
-                shed += len(items)
-        return accepted, shed, 0
-
     def _submit_columns(self, conn: ConnState,
                         per_shard: dict[int, tuple[Any, Any, Any]],
                         ) -> tuple[int, int, int]:
+        hook = self.fault_hook
         accepted = shed = 0
         for sid, (idx, steps, values) in per_shard.items():
             batch = ColumnBatch(rows=conn.ids[idx], steps=steps,
                                 values=values,
-                                names=_InternNames(conn.names, idx))
+                                names=InternedNames(conn.names, idx))
             worker = self._workers[sid]
-            if (not self._forced_shed(worker, len(batch))
-                    and worker.try_enqueue_columns(batch)):
+            if hook.enabled and hook.force_shed(sid):
+                # Chaos seam: shed as if the queue were full, so the
+                # backpressure reply path is exercised deterministically.
+                worker.shed += len(batch)
+                shed += len(batch)
+            elif worker.try_enqueue_columns(batch):
                 accepted += len(batch)
             else:
                 shed += len(batch)

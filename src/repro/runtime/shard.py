@@ -8,11 +8,11 @@ client processes. All updates for a task are therefore applied in arrival
 order by a single consumer, which is what keeps the per-task samplers'
 strictly-increasing ``time_index`` contract safe without locks.
 
-Backpressure contract: :meth:`ShardWorker.try_enqueue` never blocks. When
-the shard's queue is full the batch is *shed* — counted, reported to the
-caller, and dropped. The server turns that into an explicit reply with a
-retry hint; a lagging shard can never stall the event loop or starve the
-other shards.
+Backpressure contract: :meth:`ShardWorker.try_enqueue_columns` never
+blocks. When the shard's queue is full the batch is *shed* — counted,
+reported to the caller, and dropped. The server turns that into an explicit
+reply with a retry hint; a lagging shard can never stall the event loop or
+starve the other shards.
 """
 
 from __future__ import annotations
@@ -28,16 +28,35 @@ from repro.exceptions import ConfigurationError
 from repro.service import MonitoringService
 from repro.testkit.faults import FaultHook, NOOP_HOOK
 
-__all__ = ["ColumnBatch", "ShardWorker", "restore_counters"]
+__all__ = ["ColumnBatch", "InternedNames", "ShardWorker",
+           "restore_counters"]
 
 logger = logging.getLogger(__name__)
 
-Update = Sequence[Any]  # [task_name, step, value]
+
+class InternedNames:
+    """Lazy position → task-name view of a batch addressed through an
+    intern table.
+
+    ``offer_columns`` touches names only for the (rare) fallback
+    positions, so the hot path never materialises a per-offer name list.
+    """
+
+    __slots__ = ("table", "idx")
+
+    def __init__(self, table: list[str | None], idx: np.ndarray):
+        self.table = table
+        self.idx = idx
+
+    def __getitem__(self, pos: int) -> str | None:
+        i = int(self.idx[pos])
+        return self.table[i] if 0 <= i < len(self.table) else None
 
 
 @dataclass
 class ColumnBatch:
-    """A decoded binary offer batch, pre-resolved to engine rows.
+    """One shard's share of a decoded offer frame, pre-resolved to engine
+    rows — the only thing a shard queue carries.
 
     ``rows`` holds SoA engine row ids (``-1`` = resolve by name instead);
     ``names`` is parallel to the columns and only consulted for fallback
@@ -83,7 +102,7 @@ class ShardWorker:
         self.shard_id = shard_id
         self.service = service
         self.fault_hook = fault_hook
-        self._queue: asyncio.Queue[list[Update]] = asyncio.Queue(
+        self._queue: asyncio.Queue[ColumnBatch] = asyncio.Queue(
             maxsize=queue_depth)
         self._runner: asyncio.Task[None] | None = None
         # Counters exposed via the server's `stats` op.
@@ -108,18 +127,8 @@ class ShardWorker:
         """Queue capacity in batches."""
         return self._queue.maxsize
 
-    def try_enqueue(self, updates: list[Update]) -> bool:
-        """Queue a batch without blocking; False (and shed) when full."""
-        try:
-            self._queue.put_nowait(updates)
-        except asyncio.QueueFull:
-            self.shed += len(updates)
-            return False
-        self.offered += len(updates)
-        return True
-
     def try_enqueue_columns(self, batch: ColumnBatch) -> bool:
-        """Columnar twin of :meth:`try_enqueue` (same backpressure)."""
+        """Queue a batch without blocking; False (and shed) when full."""
         try:
             self._queue.put_nowait(batch)
         except asyncio.QueueFull:
@@ -128,45 +137,8 @@ class ShardWorker:
         self.offered += len(batch)
         return True
 
-    def apply(self, updates: list[Update]) -> None:
-        """Apply a batch synchronously (the drain loop's work unit).
-
-        Drives the service through its allocation-light
-        :meth:`~repro.service.MonitoringService.offer_fast` path — same
-        behaviour as ``offer`` (equivalence-tested), minus one decision
-        object per consumed update on the hottest loop in the runtime.
-        """
-        if self.fault_hook.enabled:
-            # Chaos seam: may raise to simulate an unexpected internal
-            # error taking out the whole batch (the drain loop's
-            # reject-and-continue path). Guarded so production pays one
-            # attribute load + falsy check per batch.
-            self.fault_hook.before_apply(self.shard_id, len(updates))
-        offer_fast = self.service.offer_fast
-        interval_hist = self.interval_hist
-        for name, step, value in updates:
-            try:
-                interval = offer_fast(str(name), float(value), int(step))
-            except ConfigurationError:
-                # Unknown task: raced a remove_task that was applied after
-                # this batch was queued. Shed-with-count, don't poison the
-                # batch.
-                self.rejected += 1
-                continue
-            except (ValueError, TypeError):
-                # Non-numeric step/value that slipped past wire validation
-                # (or a direct caller). Count it rejected; the rest of the
-                # batch must still apply.
-                self.rejected += 1
-                continue
-            self.applied += 1
-            if interval is not None:
-                self.consumed += 1
-                if interval_hist is not None:
-                    interval_hist.observe(interval)
-
     def apply_columns(self, batch: ColumnBatch) -> None:
-        """Apply a decoded columnar batch (the binary-path work unit).
+        """Apply a batch synchronously (the drain loop's work unit).
 
         Drives the service through
         :meth:`~repro.service.MonitoringService.offer_columns` — one
@@ -175,6 +147,10 @@ class ShardWorker:
         updates instead of one ``observe`` per consumed offer.
         """
         if self.fault_hook.enabled:
+            # Chaos seam: may raise to simulate an unexpected internal
+            # error taking out the whole batch (the drain loop's
+            # reject-and-continue path). Guarded so production pays one
+            # attribute load + falsy check per batch.
             self.fault_hook.before_apply(self.shard_id, len(batch))
         applied, consumed, rejected, intervals = self.service.offer_columns(
             batch.rows, batch.steps, batch.values, batch.names)
@@ -197,20 +173,17 @@ class ShardWorker:
 
     async def _run(self) -> None:
         while True:
-            updates = await self._queue.get()
+            batch = await self._queue.get()
             try:
-                if type(updates) is ColumnBatch:
-                    self.apply_columns(updates)
-                else:
-                    self.apply(updates)
+                self.apply_columns(batch)
             except Exception:
                 # The drain loop is the shard's only consumer: if it dies,
                 # acknowledged batches pile up unapplied and shutdown's
                 # drain() deadlocks. Reject the batch and keep consuming.
-                self.rejected += len(updates)
+                self.rejected += len(batch)
                 logger.exception(
                     "shard %d: dropping batch of %d updates after "
-                    "unexpected error", self.shard_id, len(updates))
+                    "unexpected error", self.shard_id, len(batch))
             finally:
                 self._queue.task_done()
 

@@ -34,12 +34,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, fields as dataclass_fields
+from math import isfinite
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core.adaptation import (AdaptationConfig, SamplingDecision,
                                    ViolationLikelihoodSampler)
+from repro.core.soa import STEP_MAX, STEP_MIN, SoaSamplerEngine
 from repro.core.substrates import (DEFAULT_ENTROPY_WINDOW,
                                    DEFAULT_SKETCH_WINDOW, EntropyEstimator,
                                    QuantileEstimator)
@@ -345,7 +347,6 @@ class MonitoringService:
         self._soa = None
         self._soa_rows: dict[int, TaskState] = {}
         if soa:
-            from repro.core.soa import SoaSamplerEngine
             self._soa = SoaSamplerEngine()
 
     # -- SoA engine plumbing (DESIGN.md S31) ----------------------------
@@ -825,9 +826,13 @@ class MonitoringService:
         Returns the sampling decision when the value was consumed as a
         scheduled sample, or ``None`` when the task was not due (the
         value still refreshes trigger state for tasks gated on this one).
+        A non-finite ``value`` raises :class:`ValueError` before anything
+        is touched.
 
         Alerts fire synchronously through the task's callback.
         """
+        if not isfinite(value):
+            raise ValueError(f"non-finite value: {value!r}")
         state = self._state(name)
         if state.soa_row >= 0:
             interval = self._offer_soa(state, value, step)
@@ -851,38 +856,10 @@ class MonitoringService:
         monitored = state.monitored(step, value)
         decision = state.sampler.observe(monitored, step)
         state.samples_taken += 1
-
-        interval = decision.next_interval
-        if state.trigger_task is not None:
-            trigger_value = self._last_seen.get(state.trigger_task)
-            if (trigger_value is not None
-                    and trigger_value < state.trigger_level):
-                interval = max(interval, state.suspend_interval)
-        if (state.remote_trigger is not None and not state.trigger_armed
-                and state.suspend_interval > interval):
-            interval = state.suspend_interval
-            state.trigger_suspensions += 1
-        state.next_due = step + max(1, interval)
-
-        alert = None
-        if decision.violation:
-            alert = state.make_alert(step, monitored)
-            state.alerts.append(alert)
-            if state.on_alert is not None:
-                state.on_alert(alert)
-        trace = self._trace
-        if trace is not None:
-            if decision.grew or decision.reset:
-                trace.emit("interval_adapted", task=name,
-                           shard=self._trace_shard, step=step,
-                           interval=decision.next_interval,
-                           grew=decision.grew, reset=decision.reset,
-                           beta=decision.misdetection_bound)
-            if alert is not None:
-                trace.emit("violation", task=name,
-                           shard=self._trace_shard, step=step,
-                           value=alert.value,
-                           threshold=alert.threshold)
+        state.next_due = step + self._after_sample(
+            state, step, monitored, decision.next_interval,
+            decision.grew | decision.reset << 1 | decision.violation << 2,
+            decision.misdetection_bound)
         return decision
 
     def offer_fast(self, name: str, value: float, step: int) -> int | None:
@@ -896,8 +873,11 @@ class MonitoringService:
         constructed. Returns the sampler's next interval (the pre-gating
         value :meth:`offer` reports in its decision) when the value was
         consumed as a scheduled sample, ``None`` when the task was not
-        due. This is the runtime shard drain loop's data path.
+        due. :meth:`offer_columns` sends every offer outside the engine
+        through here.
         """
+        if not isfinite(value):
+            raise ValueError(f"non-finite value: {value!r}")
         state = self._state(name)
         if state.soa_row >= 0:
             return self._offer_soa(state, value, step)
@@ -911,46 +891,21 @@ class MonitoringService:
 
         monitored = state.monitored(step, value)
         sampler = state.sampler
-        raw_interval = sampler.observe_fast(monitored, step)
+        interval = sampler.observe_fast(monitored, step)
         state.samples_taken += 1
-
-        interval = raw_interval
-        if state.trigger_task is not None:
-            trigger_value = self._last_seen.get(state.trigger_task)
-            if (trigger_value is not None
-                    and trigger_value < state.trigger_level):
-                interval = max(interval, state.suspend_interval)
-        if (state.remote_trigger is not None and not state.trigger_armed
-                and state.suspend_interval > interval):
-            interval = state.suspend_interval
-            state.trigger_suspensions += 1
-        state.next_due = step + max(1, interval)
-
-        alert = None
-        if sampler.last_violation:
-            alert = state.make_alert(step, monitored)
-            state.alerts.append(alert)
-            if state.on_alert is not None:
-                state.on_alert(alert)
-        trace = self._trace
-        if trace is not None:
-            grew = sampler.last_grew
-            reset = sampler.last_reset
-            if grew or reset:
-                trace.emit("interval_adapted", task=name,
-                           shard=self._trace_shard, step=step,
-                           interval=raw_interval, grew=grew, reset=reset,
-                           beta=sampler.last_misdetection_bound)
-            if alert is not None:
-                trace.emit("violation", task=name,
-                           shard=self._trace_shard, step=step,
-                           value=alert.value,
-                           threshold=alert.threshold)
-        return raw_interval
+        state.next_due = step + self._after_sample(
+            state, step, monitored, interval, sampler.last_flags,
+            sampler.last_misdetection_bound)
+        return interval
 
     def _offer_soa(self, state: TaskState, value: float,
                    step: int) -> int | None:
         """SoA-row twin of :meth:`offer_fast` (identical behaviour)."""
+        if not STEP_MIN <= step <= STEP_MAX:
+            # Refuse before any column is written rather than half-way
+            # through the row.
+            raise ValueError(f"step {step!r} is outside the engine's "
+                             f"range [{STEP_MIN}, {STEP_MAX}]")
         engine = self._soa
         row = state.soa_row
         engine.last_offered[row] = value
@@ -959,39 +914,54 @@ class MonitoringService:
             return None
         interval = engine.observe_one(row, value, step)
         engine.samples_taken[row] += 1
-        # No trigger gating by construction (trigger wiring evicts).
-        engine.next_due[row] = step + max(1, interval)
-        self._soa_events(state, step, value, interval,
-                         int(engine.last_flags[row]),
-                         float(engine.last_beta[row]))
+        engine.next_due[row] = step + self._after_sample(
+            state, step, value, interval, int(engine.last_flags[row]),
+            float(engine.last_beta[row]))
         return interval
 
-    def _soa_events(self, state: TaskState, step: int, monitored: float,
-                    interval: int, flags: int, beta: float) -> None:
-        """Alert + trace fan-out for one consumed SoA offer."""
-        if flags & 4:
-            alert = Alert(time_index=step, value=monitored,
-                          threshold=state.task.threshold)
-            state.alerts.append(alert)
-            if state.on_alert is not None:
-                state.on_alert(alert)
-        trace = self._trace
-        if trace is not None:
-            if flags & 3:
-                trace.emit("interval_adapted", task=state.name,
-                           shard=self._trace_shard, step=step,
-                           interval=interval, grew=bool(flags & 1),
-                           reset=bool(flags & 2), beta=beta)
+    def _after_sample(self, state: TaskState, step: int, monitored: float,
+                      interval: int, flags: int, beta: float) -> int:
+        """What follows every consumed offer, whichever surface stepped
+        the sampler: trigger gating of the sampler's ``interval``, then
+        the alert and trace fan-out for the step's ``flags`` (1 grew,
+        2 reset, 4 violation). Returns the gated advance (>= 1) from
+        ``step`` to the task's next due step.
+        """
+        advance = interval
+        if state.trigger_task is not None:
+            trigger_value = self._last_seen.get(state.trigger_task)
+            if (trigger_value is not None
+                    and trigger_value < state.trigger_level):
+                advance = max(advance, state.suspend_interval)
+        if (state.remote_trigger is not None and not state.trigger_armed
+                and state.suspend_interval > advance):
+            advance = state.suspend_interval
+            state.trigger_suspensions += 1
+        if flags:
+            alert = None
             if flags & 4:
-                trace.emit("violation", task=state.name,
-                           shard=self._trace_shard, step=step,
-                           value=monitored,
-                           threshold=state.task.threshold)
+                alert = state.make_alert(step, monitored)
+                state.alerts.append(alert)
+                if state.on_alert is not None:
+                    state.on_alert(alert)
+            trace = self._trace
+            if trace is not None:
+                if flags & 3:
+                    trace.emit("interval_adapted", task=state.name,
+                               shard=self._trace_shard, step=step,
+                               interval=interval, grew=bool(flags & 1),
+                               reset=bool(flags & 2), beta=beta)
+                if alert is not None:
+                    trace.emit("violation", task=state.name,
+                               shard=self._trace_shard, step=step,
+                               value=alert.value,
+                               threshold=alert.threshold)
+        return advance if advance > 1 else 1
 
     def offer_columns(self, rows: Any, steps: Any, values: Any,
                       names: Sequence[str | None] | None = None,
                       ) -> tuple[int, int, int, np.ndarray]:
-        """Apply a decoded columnar offer batch (the binary hot path).
+        """Apply a decoded offer batch as columns (the server data path).
 
         ``rows`` are engine row ids (``-1`` = not engine-managed); rows
         that are negative or no longer active fall back to the scalar
@@ -1011,21 +981,11 @@ class MonitoringService:
         rows = np.asarray(rows, dtype=np.int64)
         steps = np.asarray(steps, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
-        if len(rows) and rows.min() < 0:
-            neg_pos = np.flatnonzero(rows < 0)
-            keep = np.flatnonzero(rows >= 0)
-            res = engine.run_columns(rows[keep], steps[keep], values[keep])
-            # Ascending merge keeps per-task arrival order on the
-            # fallback path.
-            fb_positions = np.sort(np.concatenate(
-                [neg_pos, keep[res.fallback]]))
-        else:
-            res = engine.run_columns(rows, steps, values)
-            fb_positions = res.fallback
+        res = engine.run_columns(rows, steps, values)
         applied, consumed = res.applied, res.consumed
         rejected = res.rejected
         fb_intervals: list[int] = []
-        for pos in fb_positions.tolist():
+        for pos in res.fallback.tolist():  # ascending: arrival order
             name = None if names is None else names[pos]
             if name is None:
                 rejected += 1
@@ -1040,36 +1000,26 @@ class MonitoringService:
             if interval is not None:
                 consumed += 1
                 fb_intervals.append(interval)
-        trace = self._trace
+        # The engine advanced its rows' schedules itself (engine rows
+        # carry no trigger wiring); what is left of the per-offer tail is
+        # the alert and trace fan-out of the rare flagged steps.
         soa_rows = self._soa_rows
-        if trace is not None and len(res.adapt_rows):
+        if self._trace is not None and len(res.adapt_rows):
             for row, step, interval, flags, beta in zip(
                     res.adapt_rows.tolist(), res.adapt_steps.tolist(),
                     res.adapt_intervals.tolist(), res.adapt_flags.tolist(),
                     res.adapt_betas.tolist()):
                 state = soa_rows.get(row)
-                if state is None:
-                    continue
-                trace.emit("interval_adapted", task=state.name,
-                           shard=self._trace_shard, step=step,
-                           interval=interval, grew=bool(flags & 1),
-                           reset=bool(flags & 2), beta=beta)
+                if state is not None:
+                    self._after_sample(state, step, 0.0, interval,
+                                       flags & 3, beta)
         if len(res.viol_rows):
             for row, step, value in zip(res.viol_rows.tolist(),
                                         res.viol_steps.tolist(),
                                         res.viol_values.tolist()):
                 state = soa_rows.get(row)
-                if state is None:
-                    continue
-                alert = Alert(time_index=step, value=value,
-                              threshold=state.task.threshold)
-                state.alerts.append(alert)
-                if state.on_alert is not None:
-                    state.on_alert(alert)
-                if trace is not None:
-                    trace.emit("violation", task=state.name,
-                               shard=self._trace_shard, step=step,
-                               value=value, threshold=state.task.threshold)
+                if state is not None:
+                    self._after_sample(state, step, value, 1, 4, 1.0)
         intervals = res.consumed_intervals
         if fb_intervals:
             intervals = np.concatenate(

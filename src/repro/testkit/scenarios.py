@@ -151,12 +151,15 @@ async def _roundtrip(port: int, payload: dict[str, Any],
 
 def _group_by_shard(batch: list[list[Any]],
                     shards: int) -> dict[int, list[list[Any]]]:
-    """Replica of the server's per-shard grouping (same iteration order)."""
+    """Replica of the server's per-shard grouping, iteration order
+    included: the front end routes a frame's decoded columns shard by
+    shard in ascending shard id (``WireServer._route``), which is the
+    order the ``force_shed`` seam is consulted in."""
     per_shard: dict[int, list[list[Any]]] = {}
     for update in batch:
         per_shard.setdefault(route(str(update[0]), shards),
                              []).append(update)
-    return per_shard
+    return dict(sorted(per_shard.items()))
 
 
 class _ScenarioDriver:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
+
 from repro.cluster.hosting import WorkerHost
 from repro.runtime.checkpoint import state_fingerprint
+from repro.runtime.protocol import OfferColumns
 
 
 def run(coro):
@@ -14,6 +17,23 @@ def run(coro):
 
 TASK = {"name": "t", "threshold": 50.0, "error_allowance": 0.01,
         "max_interval": 8}
+
+
+async def _offer(host: WorkerHost, *segments) -> tuple[int, int, int]:
+    """Send ``(shard, [[name, step, value], ...])`` segments down the
+    host's data path the way the coordinator does: names interned to
+    gids with ``w_intern``, then columns into ``handle_shard_offer``."""
+    names = sorted({u[0] for _sid, updates in segments for u in updates})
+    assert (await host.handle({
+        "op": "w_intern", "tasks": [[g, n] for g, n in enumerate(names)]}))[
+            "ok"]
+    return host.handle_shard_offer([
+        (sid, OfferColumns(
+            np.asarray([names.index(u[0]) for u in updates],
+                       dtype=np.uint32),
+            np.asarray([u[1] for u in updates], dtype=np.int64),
+            np.asarray([u[2] for u in updates], dtype=np.float64)))
+        for sid, updates in segments])
 
 
 async def _host_with_task(shard_id: int = 3) -> WorkerHost:
@@ -76,9 +96,8 @@ class TestDataPath:
     def test_offer_applies_and_counts(self):
         async def scenario():
             host = await _host_with_task(shard_id=2)
-            offer = await host.handle({
-                "op": "w_offer",
-                "b": [[2, [["t", s, 10.0] for s in range(6)]]]})
+            offer = await _offer(host,
+                                 (2, [["t", s, 10.0] for s in range(6)]))
             await host.handle({"op": "w_drain"})
             stats = await host.handle({"op": "w_stats"})
             info = await host.handle({"op": "w_task_info", "shard": 2,
@@ -87,7 +106,7 @@ class TestDataPath:
             return offer, stats, info
 
         offer, stats, info = run(scenario())
-        assert offer["accepted"] == 6 and offer["shed"] == 0
+        assert offer == (6, 0, 0)
         shard = stats["shards"][0]
         assert shard["updates_offered"] == 6
         assert shard["updates_applied"] == 6
@@ -97,15 +116,14 @@ class TestDataPath:
     def test_offer_to_missing_shard_is_rejected_not_shed(self):
         async def scenario():
             host = await _host_with_task(shard_id=0)
-            reply = await host.handle({
-                "op": "w_offer", "b": [[7, [["t", 0, 1.0]]],
-                                       [0, [["t", 0, 1.0]]]]})
+            reply = await _offer(host, (7, [["t", 0, 1.0]]),
+                                 (0, [["t", 0, 1.0]]))
             await host.close()
             return reply
 
-        reply = run(scenario())
-        assert reply["rejected"] == 1 and reply["accepted"] == 1
-        assert reply["shed"] == 0
+        accepted, shed, rejected = run(scenario())
+        assert rejected == 1 and accepted == 1
+        assert shed == 0
 
     def test_alerts_fire_through_hosted_shards(self):
         async def scenario():
@@ -115,9 +133,7 @@ class TestDataPath:
             await host.handle({"op": "w_register_task", "shard": 0,
                                "task": {"name": "hot", "threshold": 10.0,
                                         "error_allowance": 0.0}})
-            await host.handle({"op": "w_offer",
-                               "b": [[0, [["hot", s, 99.0]
-                                          for s in range(4)]]]})
+            await _offer(host, (0, [["hot", s, 99.0] for s in range(4)]))
             await host.handle({"op": "w_drain"})
             alerts = await host.handle({"op": "w_alerts", "shard": 0,
                                         "task": "hot"})
@@ -134,9 +150,8 @@ class TestSnapshotRestore:
     def test_snapshot_restore_roundtrip_is_bit_identical(self):
         async def scenario():
             source = await _host_with_task(shard_id=4)
-            await source.handle({"op": "w_offer",
-                                 "b": [[4, [["t", s, 30.0 + s]
-                                            for s in range(20)]]]})
+            await _offer(source,
+                         (4, [["t", s, 30.0 + s] for s in range(20)]))
             snap = await source.handle({"op": "w_snapshot_shard",
                                         "shard": 4, "drain": True})
             target = WorkerHost("w1")
@@ -162,8 +177,8 @@ class TestSnapshotRestore:
             b = await _host_with_task(shard_id=0)
             updates = [["t", s, 20.0 + (s % 7)] for s in range(60)]
             # a sees the whole stream; b is snapshotted to c at step 30.
-            await a.handle({"op": "w_offer", "b": [[0, updates]]})
-            await b.handle({"op": "w_offer", "b": [[0, updates[:30]]]})
+            await _offer(a, (0, updates))
+            await _offer(b, (0, updates[:30]))
             snap = await b.handle({"op": "w_snapshot_shard", "shard": 0,
                                    "drain": True})
             c = WorkerHost("w2")
@@ -171,7 +186,7 @@ class TestSnapshotRestore:
             await c.handle({"op": "w_restore_shard", "shard": 0,
                             "snapshot": snap["snapshot"],
                             "counters": snap["counters"]})
-            await c.handle({"op": "w_offer", "b": [[0, updates[30:]]]})
+            await _offer(c, (0, updates[30:]))
             final_a = await a.handle({"op": "w_snapshot_shard", "shard": 0,
                                       "drain": True})
             final_c = await c.handle({"op": "w_snapshot_shard", "shard": 0,
@@ -204,9 +219,7 @@ class TestTelemetryOps:
     def test_raw_telemetry_carries_mergeable_sketches(self):
         async def scenario():
             host = await _host_with_task(shard_id=0)
-            await host.handle({"op": "w_offer",
-                               "b": [[0, [["t", s, 20.0]
-                                          for s in range(10)]]]})
+            await _offer(host, (0, [["t", s, 20.0] for s in range(10)]))
             await host.handle({"op": "w_drain"})
             reply = await host.handle({"op": "w_telemetry"})
             await host.close()
@@ -220,9 +233,7 @@ class TestTelemetryOps:
     def test_trace_cursor_drains_incrementally(self):
         async def scenario():
             host = await _host_with_task(shard_id=0)
-            await host.handle({"op": "w_offer",
-                               "b": [[0, [["t", s, 20.0]
-                                          for s in range(40)]]]})
+            await _offer(host, (0, [["t", s, 20.0] for s in range(40)]))
             await host.handle({"op": "w_drain"})
             first = await host.handle({"op": "w_trace", "since": 0})
             second = await host.handle({"op": "w_trace",

@@ -57,14 +57,19 @@ class SoaDifferential:
     the batch accounting equal, :meth:`check` the resulting state.
     """
 
-    def __init__(self, specs):
+    def __init__(self, specs, register_more=None):
+        """``specs`` are ``(TaskSpec, AdaptationConfig)`` plain tasks;
+        ``register_more(service)`` may register further tasks of any kind
+        (windowed, typed, ...) on each service and returns their names."""
         self.scalar = MonitoringService(soa=False)
         self.vector = MonitoringService(soa=True)
         self.names = [task.name for task, _ in specs]
         for service in (self.scalar, self.vector):
             for task, config in specs:
                 service.add_task(task.name, task, config=config)
+            more = register_more(service) if register_more else []
             service.attach_telemetry(DecisionTrace(capacity=1 << 20))
+        self.names += more
         self.rows = np.asarray([self.vector.soa_row_for(name)
                                 for name in self.names], dtype=np.int64)
 

@@ -253,15 +253,28 @@ class TestServiceOfferFast:
 
 
 class TestShardApplyFastPath:
+    @staticmethod
+    def _batch(service, names, steps, values):
+        from repro.runtime.shard import ColumnBatch
+
+        rows = [service.soa_row_for(name) if name in service.task_names
+                else -1 for name in names]
+        return ColumnBatch(rows=np.asarray(rows, dtype=np.int64),
+                           steps=np.asarray(steps, dtype=np.int64),
+                           values=np.asarray(values, dtype=np.float64),
+                           names=names)
+
     def test_apply_counts_consumed_and_rejected(self):
         from repro.runtime.shard import ShardWorker
 
-        service = MonitoringService()
+        service = MonitoringService(soa=True)
         service.add_task("cpu", _task())
         worker = ShardWorker(0, service, queue_depth=4)
-        updates = [["cpu", 0, 10.0], ["cpu", 1, 10.5],
-                   ["nope", 2, 1.0], ["cpu", "bad-step", 1.0]]
-        worker.apply(updates)
+        # An unknown name and a non-finite value are each rejected on
+        # their own; the rest of the batch applies.
+        worker.apply_columns(self._batch(
+            service, ["cpu", "cpu", "nope", "cpu"],
+            [0, 1, 2, 3], [10.0, 10.5, 1.0, float("nan")]))
         assert worker.applied == 2
         assert worker.consumed >= 1
         assert worker.rejected == 2
@@ -270,14 +283,14 @@ class TestShardApplyFastPath:
     def test_apply_matches_reference_offer(self):
         from repro.runtime.shard import ShardWorker
 
-        fast_svc = MonitoringService()
+        fast_svc = MonitoringService(soa=True)
         fast_svc.add_task("cpu", _task())
         worker = ShardWorker(0, fast_svc, queue_depth=4)
         ref_svc = MonitoringService()
         ref_svc.add_task("cpu", _task())
         trace = _trace(1_000).tolist()
-        worker.apply([["cpu", step, value]
-                      for step, value in enumerate(trace)])
+        worker.apply_columns(self._batch(
+            fast_svc, ["cpu"] * len(trace), range(len(trace)), trace))
         for step, value in enumerate(trace):
             ref_svc.offer("cpu", value, step)
         assert ref_svc.snapshot() == fast_svc.snapshot()

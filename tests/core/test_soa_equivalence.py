@@ -10,12 +10,15 @@ same check is ``python -m repro.experiments.bench_soa`` (CI gate).
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import soa as soa_mod
 from repro.core.adaptation import (AdaptationConfig,
                                    ViolationLikelihoodSampler)
+from repro.core.soa import STEP_MAX, STEP_MIN
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
 from repro.experiments.bench_soa import (ESTIMATORS, _alert_log,
@@ -25,6 +28,11 @@ from repro.service import MonitoringService
 POINTS = 24_000
 TASKS = 64
 CROSSOVER = soa_mod._NARROW_TICK_ROWS
+
+
+def json_snapshot(service):
+    """Serialised, so NaN state compares equal to itself."""
+    return json.dumps(service.snapshot(), sort_keys=True)
 
 
 class TestStreamEquivalence:
@@ -321,3 +329,80 @@ class TestRejectedOffersLeaveNoTrace:
             for row in rows.tolist():
                 assert (after[row] == before[row]) == bool(even[row])
             before = after
+
+
+class TestNonFiniteValuesNeverLand:
+    """A non-finite *value* is refused before anything sees it — last-seen
+    map, watcher, substrate, window buffer, engine column — on the scalar
+    and the columnar surface alike. Before the gate only non-finite
+    *deltas* were refused, so a NaN that was a task's first-ever value
+    became its ``last_value`` and every later offer was rejected."""
+
+    @staticmethod
+    def _typed(service):
+        service.add_task("win", TaskSpec(threshold=100.0,
+                                         error_allowance=0.05,
+                                         max_interval=6, name="win"),
+                         window=4)
+        service.add_quantile_task("p90", threshold=100.0, quantile=0.9,
+                                  error_allowance=0.05, max_interval=6,
+                                  sketch_window=32)
+        service.add_entropy_task("ent", threshold=0.5, error_allowance=0.05,
+                                 max_interval=6, entropy_window=32)
+        return ["win", "p90", "ent"]
+
+    @pytest.mark.parametrize("first", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_first_value_does_not_brick_a_task(
+            self, first, soa_differential):
+        pair = soa_differential(soa_differential.population(6, "mixed"),
+                                register_more=self._typed)
+        everyone = list(range(len(pair.names)))
+        before = json_snapshot(pair.scalar)
+        pair.offer(everyone, [0] * len(everyone), [first] * len(everyone))
+        # Refused means untouched: nothing of the offer was recorded.
+        assert json_snapshot(pair.scalar) == before
+        assert json_snapshot(pair.vector) == before
+        rng = np.random.default_rng(5)
+        for step in range(1, 240):
+            values = [pair.value(rng, i, step) for i in everyone]
+            pair.offer(everyone, [step] * len(everyone), values)
+        pair.check()
+        for name in pair.names:
+            # Bricked tasks sampled once and then rejected for good.
+            assert pair.vector.samples_taken(name) > 20, name
+        window = pair.vector._tasks["win"]
+        assert np.isfinite(window._window_sum)
+
+    def test_finite_streams_are_untouched_by_the_gate(self,
+                                                      soa_differential):
+        pair = soa_differential(soa_differential.population(6, "mixed"),
+                                register_more=self._typed)
+        everyone = list(range(len(pair.names)))
+        for step in range(120):
+            pair.offer(everyone, [step] * len(everyone),
+                       [40.0 + i + 0.1 * step for i in everyone])
+        pair.check()
+        applied = sum(pair.vector.observations(n) for n in pair.names)
+        assert applied > len(everyone)
+
+    def test_engine_row_refuses_a_step_outside_its_range(self):
+        service = _service(soa=True, tasks=2)
+        for step in range(5):
+            for name in ("mix-0", "mix-1"):
+                service.offer_fast(name, 40.0 + step, step)
+        before = json_snapshot(service)
+        for step in (2 ** 63, -2 ** 63 - 1, 2 ** 63 - 1, STEP_MAX + 1,
+                     STEP_MIN - 1):
+            with pytest.raises(ValueError):
+                service.offer_fast("mix-0", 45.0, step)
+            with pytest.raises(ValueError):
+                service.offer("mix-0", 45.0, step)
+        # Refused before any column of the row was written.
+        assert json_snapshot(service) == before
+        # The bound itself leaves `step + interval` room in int64: by
+        # name and as a (narrow-tick) column batch.
+        assert service.offer_fast("mix-0", 45.0, STEP_MAX) is not None
+        applied, consumed, rejected, _ = service.offer_columns(
+            [service.soa_row_for("mix-1")], [STEP_MAX], [45.0], ["mix-1"])
+        assert (applied, consumed, rejected) == (1, 1, 0)

@@ -1,0 +1,207 @@
+"""JSON ≡ binary: an offer's encoding must not change what it does.
+
+Past the wire decode there is one data path, so the same seeded stream
+sent once as JSON ``offer_batch`` frames and once as ``intern`` + binary
+offer frames must leave a server in the same place: equal per-frame
+reply counts, equal ``stats`` counters, equal per-shard snapshot
+fingerprints, equal alerts. Checked on a ``RuntimeServer`` and on an
+in-proc ``ClusterServer`` that live-migrates a shard mid-stream, with
+offers ACKed into the migration buffer while it moves.
+
+The stream is hostile on purpose: plain, windowed, quantile, entropy,
+locally-triggered and plan-guarded tasks; tasks repeated within a frame;
+stale steps; non-finite values; a name nobody registered; a task
+registered and one removed while their offers keep coming. The JSON side
+additionally spells some steps as floats (integral, and one fractional
+that must truncate to the integer the binary side sends).
+"""
+
+from __future__ import annotations
+
+import asyncio
+from typing import Any
+
+import numpy as np
+import pytest
+
+from repro.cluster.routing import route
+from repro.cluster.server import ClusterServer
+from repro.config import ClusterConfig, RuntimeConfig
+from repro.runtime.client import AsyncRuntimeClient
+from repro.runtime.server import RuntimeServer
+
+SHARDS = 4
+FRAMES = 60
+REGISTER_AT, MIGRATE_AT, REMOVE_AT = 20, 25, 30
+BUFFERED_FRAMES = 3
+
+PLAIN = [f"p{i}" for i in range(8)]
+_POOL = [f"t{i}" for i in range(64)]
+# A same-shard pair for the value-gated trigger, found by the routing
+# function itself.
+LOCAL_TARGET = _POOL[0]
+LOCAL_TRIGGER = next(n for n in _POOL[1:]
+                     if route(n, SHARDS) == route(LOCAL_TARGET, SHARDS))
+TASKS = PLAIN + ["win", "p90", "ent", LOCAL_TARGET, LOCAL_TRIGGER,
+                 "guard", "edge", "gone"]
+OFFERED = TASKS + ["late", "ghost"]
+PLAN = {"target": "guard", "trigger": "edge", "elevation_level": 60.0,
+        "suspend_interval": 6, "hysteresis": 0.1, "min_hold": 2}
+MOVED_SHARD = route("p0", SHARDS)
+
+
+def _frames() -> list[list[tuple[str, int, float]]]:
+    """The stream, as frames of ``(name, step, value)``."""
+    rng = np.random.default_rng(2013)
+    frames = []
+    for f in range(FRAMES):
+        hot = 20 <= f < 40
+        frame = []
+        for occurrence in range(2):
+            for name in OFFERED:
+                if occurrence and rng.random() < 0.6:
+                    continue  # some tasks repeat within the frame
+                if name in ("edge", LOCAL_TRIGGER):
+                    value = (80.0 if hot else 40.0) + rng.normal(0.0, 1.0)
+                elif rng.random() < 0.02:
+                    value = float(rng.choice([np.nan, np.inf]))
+                else:
+                    value = rng.normal(90.0, 8.0)
+                frame.append((name, 2 * f + occurrence, float(value)))
+        if f % 7 == 3:
+            frame.append(("p0", max(0, 2 * f - 9), 50.0))  # a stale step
+        frames.append(frame)
+    return frames
+
+
+async def _setup(client: AsyncRuntimeClient) -> None:
+    spec = {"error_allowance": 0.05, "max_interval": 6}
+    for name in TASKS:
+        if name == "win":
+            await client.register_task(name, 100.0, window=4, **spec)
+        elif name == "p90":
+            await client.register_task(name, 100.0, type="quantile",
+                                       quantile=0.9, sketch_window=32,
+                                       **spec)
+        elif name == "ent":
+            await client.register_task(name, 0.5, type="entropy",
+                                       entropy_window=32, **spec)
+        else:
+            await client.register_task(name, 100.0, **spec)
+    await client.add_trigger(LOCAL_TARGET, LOCAL_TRIGGER,
+                             elevation_level=60.0, suspend_interval=5)
+    await client.install_trigger_plan(PLAN)
+
+
+async def _send(client: AsyncRuntimeClient, encoding: str,
+                frame: list[tuple[str, int, float]]) -> tuple[int, int, int]:
+    if encoding == "json":
+        updates: list[list[Any]] = []
+        for k, (name, step, value) in enumerate(frame):
+            # Integral floats are steps too, and a fractional one
+            # truncates to the integer the binary side sends.
+            spelled = (float(step) if k % 3 == 0
+                       else step + 0.75 if k % 11 == 5 else step)
+            updates.append([name, spelled, value])
+        reply = await client.offer_batch(updates)
+        return reply["accepted"], reply["shed"], reply["rejected"]
+    idx = await client.intern([name for name, _, _ in frame])
+    reply = await client.offer_columns(idx, [s for _, s, _ in frame],
+                                       [v for _, _, v in frame])
+    return reply.accepted, reply.shed, reply.rejected
+
+
+async def _hold_migration(server: ClusterServer) -> tuple[Any, Any]:
+    """Start migrating ``MOVED_SHARD`` and hold it at the source
+    snapshot, so the frames that follow are ACKed into the buffer."""
+    coord = server.coordinator
+    routed = coord.routes[MOVED_SHARD]
+    source = coord.transports[routed.worker_id]
+    target = next(w for w in sorted(coord.transports)
+                  if w != routed.worker_id)
+    gate = asyncio.Event()
+    forward = source.request
+
+    async def held(payload: dict[str, Any]) -> dict[str, Any]:
+        if payload.get("op") == "w_snapshot_shard" and payload.get("drain"):
+            await gate.wait()
+        return await forward(payload)
+
+    source.request = held
+    migration = asyncio.create_task(coord.migrate(MOVED_SHARD, target))
+    while not routed.buffering:
+        await asyncio.sleep(0)
+    return gate, migration
+
+
+async def _drive(server: Any, encoding: str) -> dict[str, Any]:
+    await server.start()
+    client = AsyncRuntimeClient(port=server.tcp_port)
+    try:
+        await _setup(client)
+        if encoding == "binary":
+            assert await client.negotiate() == 2
+        replies = []
+        held = None
+        for f, frame in enumerate(_frames()):
+            if f == REGISTER_AT:
+                await client.register_task("late", 100.0,
+                                           error_allowance=0.05)
+            if f == REMOVE_AT:
+                await client.remove_task("gone")
+            if f == MIGRATE_AT and isinstance(server, ClusterServer):
+                held = await _hold_migration(server)
+            replies.append(await _send(client, encoding, frame))
+            if held is not None:
+                if f < MIGRATE_AT + BUFFERED_FRAMES - 1:
+                    continue  # no drain: the held migration would block it
+                gate, migration = held
+                routed = server.coordinator.routes[MOVED_SHARD]
+                assert routed.buffered_updates > 0
+                gate.set()
+                moved = await migration
+                assert moved["fingerprint_match"] and moved["replayed"] > 0
+                held = None
+            await server.drain()
+        stats = await client.stats()
+        fingerprints = []
+        for sid in range(SHARDS):
+            snap = await server._shard_call(
+                sid, {"op": "w_snapshot_shard", "shard": sid})
+            fingerprints.append(snap["fingerprint"])
+        alerts = {name: await client.alerts(name)
+                  for name in TASKS + ["late"] if name != "gone"}
+        plans = await client.trigger_plans()
+        return {"replies": replies, "shards": stats["shards"],
+                "totals": stats["totals"], "fingerprints": fingerprints,
+                "alerts": alerts, "edges": plans["edges"],
+                "suspensions": plans["suspensions"]}
+    finally:
+        await client.close()
+        await server.shutdown()
+
+
+def _runtime() -> RuntimeServer:
+    return RuntimeServer(RuntimeConfig(port=0, shards=SHARDS))
+
+
+def _cluster() -> ClusterServer:
+    return ClusterServer(ClusterConfig(backend="inproc", workers=2,
+                                       shards=SHARDS, port=0))
+
+
+@pytest.mark.parametrize("make_server", [_runtime, _cluster],
+                         ids=["runtime", "cluster-migrating"])
+def test_json_and_binary_offers_are_one_path(make_server):
+    as_json = asyncio.run(_drive(make_server(), "json"))
+    as_binary = asyncio.run(_drive(make_server(), "binary"))
+    for key in as_json:
+        assert as_json[key] == as_binary[key], key
+    # The stream did reach what it is here for.
+    totals = as_json["totals"]
+    refused_at_the_door = sum(r for _, _, r in as_json["replies"])
+    assert refused_at_the_door > FRAMES         # ghost, late, gone
+    assert totals["rejected"] > 0               # non-finite values
+    assert totals["alerts"] > 0
+    assert as_json["edges"]["arm"] and as_json["edges"]["disarm"]
+    assert as_json["suspensions"] > 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import collections
 
+import numpy as np
 import pytest
 
 from repro.cluster.routing import route
@@ -17,6 +18,7 @@ from repro.config import RuntimeConfig
 from repro.exceptions import ProtocolError
 from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.server import RuntimeServer
+from repro.runtime.shard import ColumnBatch
 from repro.service import MonitoringService
 
 
@@ -265,13 +267,16 @@ class TestMalformedInput:
         assert info["samples_taken"] == 1
 
     def test_drain_loop_survives_poison_update(self):
-        # Inject a malformed update directly into the queue, bypassing
-        # wire validation: apply() must reject it per-update and keep
-        # applying the rest of the batch.
+        # Inject a poisoned update directly into the queue, bypassing
+        # wire validation: apply_columns() must reject it per-update and
+        # keep applying the rest of the batch.
         async def scenario(server, client):
             await client.register_task("t", 1e9)
             worker = server.worker_for("t")
-            assert worker.try_enqueue([["t", 0, "oops"], ["t", 1, 2.0]])
+            row = worker.service.soa_row_for("t")
+            assert worker.try_enqueue_columns(ColumnBatch(
+                rows=np.array([row, row]), steps=np.array([0, 1]),
+                values=np.array([float("nan"), 2.0]), names=["t", "t"]))
             await worker.drain()
             info = await client.task_info("t")
             stats = await client.stats()

@@ -25,6 +25,7 @@ import pytest
 from repro.cluster.routing import route
 from repro.cluster.server import ClusterServer
 from repro.config import ClusterConfig, RuntimeConfig
+from repro.core.soa import STEP_MAX, STEP_MIN
 from repro.runtime.protocol import (OfferReply, encode_frame,
                                     encode_offer_columns, read_frame)
 from repro.runtime.server import RuntimeServer
@@ -50,8 +51,8 @@ def _task(name: str, **extra: Any) -> dict[str, Any]:
             "task": {"name": name, "threshold": 100.0, **extra}}
 
 
-def _columns(idx: list[int]) -> tuple[bytes, bytes]:
-    return encode_offer_columns(idx, [0] * len(idx), [1.0] * len(idx))
+def _columns(idx: list[int], step: int = 0) -> tuple[bytes, bytes]:
+    return encode_offer_columns(idx, [step] * len(idx), [1.0] * len(idx))
 
 
 def _per_task(op: str, **extra: Any) -> list[dict[str, Any]]:
@@ -102,6 +103,49 @@ CASES: dict[str, list[Any]] = {
         {"op": "stats"}],
     "offer-batch-too-large": [
         {"op": "offer_batch", "updates": [[A, 0, 1.0]] * (MAX_BATCH + 1)}],
+    # Steps the engine's int64 columns cannot hold with room left for
+    # `step + interval` (repro.core.soa.STEP_MIN..STEP_MAX, half the
+    # int64 range) are refused at the decode point, as a frame: nothing
+    # of it may be ACKed and then fail inside a shard.
+    "offer-infinite-step": [
+        {"op": "offer_batch", "updates": [[A, 5, 1.0],
+                                          [A, float("inf"), 1.0]]},
+        {"op": "stats"}],
+    "offer-nan-step": [
+        {"op": "offer_batch", "updates": [[A, float("nan"), 1.0]]},
+        {"op": "stats"}],
+    "offer-step-past-int64": [
+        {"op": "offer_batch", "updates": [[OTHER, 5, 1.0],
+                                          [A, 2 ** 63, 1.0]]},
+        {"op": "stats"}],
+    "offer-step-below-int64": [
+        {"op": "offer_batch", "updates": [[A, -2 ** 63 - 1, 1.0]]},
+        {"op": "stats"}],
+    "offer-float-step-past-int64": [
+        {"op": "offer_batch", "updates": [[A, 1e19, 1.0]]},
+        {"op": "stats"}],
+    "offer-value-past-double": [
+        {"op": "offer_batch", "updates": [[A, 0, 10 ** 400]]},
+        {"op": "stats"}],
+    "offer-step-at-int64-edge": [
+        {"op": "offer_batch", "updates": [[OTHER, 5, 1.0],
+                                          [A, 2 ** 63 - 1, 1.0]]},
+        {"op": "stats"}],
+    "offer-step-past-bound": [
+        {"op": "offer_batch", "updates": [[A, STEP_MAX + 1, 1.0]]},
+        {"op": "stats"}],
+    "offer-step-below-bound": [
+        {"op": "offer_batch", "updates": [[A, STEP_MIN - 1, 1.0]]},
+        {"op": "stats"}],
+    "offer-step-bounds-and-float-steps-ok": [
+        {"op": "offer_batch", "updates": [[A, STEP_MIN, 1.0], [SAME, 3.0, 1],
+                                          [OTHER, 2.75, 1.0]]},
+        {"op": "offer_batch", "updates": [[A, STEP_MAX, 1.0]]}],
+    # A non-finite *value* is a well-formed update: ACKed on the wire,
+    # then refused (counted rejected) by the shard's service.
+    "offer-non-finite-value-acked": [
+        {"op": "offer_batch", "updates": [[A, 0, float("nan")],
+                                          [OTHER, 0, float("inf")]]}],
     # -- binary offers --------------------------------------------------
     "binary-before-hello": [_columns([0]), {"op": "ping"}],
     "binary-after-v1-hello": [{"op": "hello", "max_protocol": 1},
@@ -125,6 +169,12 @@ CASES: dict[str, list[Any]] = {
     "binary-batch-too-large": [
         HELLO, {"op": "intern", "tasks": [[0, A]]},
         _columns([0] * (MAX_BATCH + 1))],
+    "binary-step-at-int64-edge": [
+        HELLO, {"op": "intern", "tasks": [[0, A]]},
+        _columns([0], step=2 ** 63 - 1), {"op": "stats"}],
+    "binary-step-bounds-ok": [
+        HELLO, {"op": "intern", "tasks": [[0, A]]},
+        _columns([0], step=STEP_MIN), _columns([0], step=STEP_MAX)],
     # -- dispatch -------------------------------------------------------
     "unknown-op": [{"op": "resharden"}],
     "missing-op": [{"task": A}],
@@ -266,6 +316,23 @@ def test_runtime_and_cluster_answer_alike(case):
     # conversation (then the close itself, ``None``, was observed).
     assert len(on_runtime) == len(frames) or on_runtime[-1] is None
     assert on_runtime == on_cluster
+
+
+REFUSED_STEPS = ("offer-infinite-step", "offer-nan-step",
+                 "offer-step-past-int64", "offer-step-below-int64",
+                 "offer-float-step-past-int64", "offer-value-past-double",
+                 "offer-step-at-int64-edge", "offer-step-past-bound",
+                 "offer-step-below-bound", "binary-step-at-int64-edge")
+
+
+@pytest.mark.parametrize("case", REFUSED_STEPS)
+def test_unrepresentable_update_is_refused_before_ack(case):
+    """Equal replies are not enough here: both servers used to ACK these
+    frames alike and then lose the whole batch in the shard."""
+    *_, refusal, stats = asyncio.run(_run_script(_runtime(), CASES[case]))
+    assert not refusal["ok"] and refusal["code"] == "bad-update"
+    totals = stats["totals"]
+    assert totals["offered"] == totals["rejected"] == totals["shed"] == 0
 
 
 def test_table_provokes_every_error_code():

@@ -104,9 +104,10 @@ IGNORED = {
     "probe_cost_saved",
     # wire front end: the backend seam, host/coordinator methods and
     # config keys, not module attributes
-    "task_shard", "_shard_call", "_submit", "_submit_columns",
+    "task_shard", "_shard_call", "_submit_columns",
     "shard_call", "submit_columns", "install_shard", "handle_request",
-    "apply_config", "max_batch",
+    "apply_config", "max_batch", "try_enqueue_columns", "apply_columns",
+    "handle_shard_offer",
 }
 
 

@@ -446,7 +446,7 @@ class WorkerHost:
             str(request.get("target", "")), str(request.get("trigger", "")),
             elevation_level=float(request.get("elevation_level", 0.0)),
             suspend_interval=int(request.get("suspend_interval", 10)))
-        # Trigger involvement evicts both tasks' SoA rows.
+        # A last-seen pair leaves the SoA engine, both ends.
         self._gid_rows.pop(worker.shard_id, None)
         return {"ok": True}
 
@@ -457,8 +457,6 @@ class WorkerHost:
         if not isinstance(entry, dict):
             return _error("w_trigger_install needs a 'plan' dict")
         worker.service.install_trigger_plan(TriggerPlan.from_dict(entry))
-        # Channel involvement evicts the affected tasks' SoA rows.
-        self._gid_rows.pop(worker.shard_id, None)
         return {"ok": True, "shard": worker.shard_id}
 
     def _op_trigger_set(self, request: dict[str, Any]) -> dict[str, Any]:

@@ -17,6 +17,16 @@ due rows than ``_NARROW_TICK_ROWS`` skips the vector machinery and goes
 row by row through :meth:`SoaSamplerEngine.observe_one`, the scalar
 mirror the by-name path already uses.
 
+The sampler sees one monitored scalar per task. For most rows that is
+the offered value; for windowed, quantile and entropy tasks it is a
+statistic the owning service derives from the value, and a disarmed
+trigger guard floors the schedule. Neither is a reason to leave the
+tick: ``run_columns`` calls back into the service for the marked rows
+(``absorb`` on every occurrence, ``monitored`` on the due ones) and the
+``floor`` column turns ``next_due = step + interval`` into
+``step + max(interval, floor)``. An engine none of whose rows is marked
+or floored is handed no call-back object and skips the floor gather.
+
 Bit-equivalence contract
 ------------------------
 
@@ -70,7 +80,7 @@ _NO_RESTART = 2 ** 62
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
 
-# What advancing one tick returns: (rows, steps, raw values, new
+# What advancing one tick returns: (rows, steps, monitored values, new
 # intervals, flags, beta) of the accepted offers, and the rejected count.
 _Tick = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
               np.ndarray, int]
@@ -92,11 +102,13 @@ class ColumnBatchResult:
 
     ``fallback`` holds positions (into the input arrays) whose rows are no
     longer engine-managed — the caller re-drives those by name through the
-    scalar path, which is always correct. The ``viol_*`` / ``adapt_*``
-    arrays carry the rare alert/trace-worthy events for the service to
-    materialise. The defaults are class attributes — shared, and empty, so
-    nothing can be written through them — which makes a result free to
-    create on the per-batch path.
+    scalar path, which is always correct. The ``event_*`` arrays carry
+    the rare alert/trace-worthy offers (flags: 1 grew, 2 reset, 4
+    violation) for the service to materialise, in tick order — so each
+    task's in its arrival order; ``viol_*`` is their violating subset,
+    for a caller that only alerts. The defaults are class attributes —
+    shared, and empty, so nothing can be written through them — which
+    makes a result free to create on the per-batch path.
     """
 
     applied = 0
@@ -107,11 +119,12 @@ class ColumnBatchResult:
     viol_rows = _EMPTY_I8
     viol_steps = _EMPTY_I8
     viol_values = _EMPTY_F8
-    adapt_rows = _EMPTY_I8
-    adapt_steps = _EMPTY_I8
-    adapt_intervals = _EMPTY_I8
-    adapt_flags = _EMPTY_I8
-    adapt_betas = _EMPTY_F8
+    event_rows = _EMPTY_I8
+    event_steps = _EMPTY_I8
+    event_values = _EMPTY_F8
+    event_intervals = _EMPTY_I8
+    event_flags = _EMPTY_I8
+    event_betas = _EMPTY_F8
 
 
 class SoaSamplerEngine:
@@ -128,6 +141,10 @@ class SoaSamplerEngine:
             raise ConfigurationError(
                 f"capacity must be >= 1, got {capacity}")
         self._rows = 0
+        self.derived_rows = 0
+        """Active rows marked ``derived``: zero means :meth:`run_columns`
+        needs no call-back object."""
+        self._floored = 0  # rows whose floor is above 1
         self._alloc(capacity)
 
     def _alloc(self, capacity: int) -> None:
@@ -176,6 +193,21 @@ class SoaSamplerEngine:
         self.last_offered = f8()
         self.has_offered = b1()
         self.active = b1()
+        # Rows whose tick is more than (value, step) -> sampler, set by
+        # the owning service (mark_row / set_floor). absorbs: a substrate
+        # takes every offered value, due or not. derived: the sampler
+        # sees a statistic the service computes from the value when the
+        # row is due (window aggregate, exceedance, entropy). watched: a
+        # trigger watcher reads the row's offered values (the service
+        # scans these before a batch; the tick itself ignores the mark).
+        # floor: least advance to the next due step — a disarmed guard's
+        # suspend interval, else 1; suspensions counts the consumed
+        # offers the floor deferred.
+        self.absorbs = b1()
+        self.derived = b1()
+        self.watched = b1()
+        self.floor = i8()
+        self.suspensions = i8()
 
     _COLUMNS = (
         "sign", "threshold", "alert_threshold", "err", "max_interval",
@@ -186,7 +218,7 @@ class SoaSamplerEngine:
         "last_beta", "last_flags", "stat_n", "mean", "var", "stale_mean",
         "stale_var", "has_stale", "stale_count", "restarts", "total_count",
         "next_due", "samples_taken", "last_offered", "has_offered",
-        "active")
+        "active", "absorbs", "derived", "watched", "floor", "suspensions")
 
     def __len__(self) -> int:
         return self._rows
@@ -230,12 +262,47 @@ class SoaSamplerEngine:
         self.next_due[row] = 0
         self.samples_taken[row] = 0
         self.has_offered[row] = False
+        self.floor[row] = 1
         self.active[row] = True
         return row
 
     def deactivate(self, row: int) -> None:
         """Retire a row; offers routed to it fall back / reject."""
+        self.mark_row(row)
+        self.set_floor(row, 1)
         self.active[row] = False
+
+    def mark_row(self, row: int, absorbs: bool = False,
+                 derived: bool = False, watched: bool = False) -> None:
+        """Set the row's ``absorbs`` / ``derived`` / ``watched`` marks."""
+        self.derived_rows += derived - bool(self.derived[row])
+        self.absorbs[row] = absorbs
+        self.derived[row] = derived
+        self.watched[row] = watched
+
+    def set_floor(self, row: int, floor: int) -> None:
+        """Set the least advance from a consumed offer to the row's next
+        due step (1 = the sampler's interval alone decides)."""
+        self._floored += (floor > 1) - bool(self.floor[row] > 1)
+        self.floor[row] = floor
+
+    def resume_full_rate(self, row: int) -> None:
+        """:meth:`ViolationLikelihoodSampler.resume_full_rate` on a row,
+        and due at the very next offer (a guard's arm edge)."""
+        self.interval[row] = 1
+        self.streak[row] = 0
+        self.next_due[row] = 0
+
+    def advance_one(self, row: int, step: int, interval: int) -> None:
+        """Schedule the row after a consumed offer at ``step`` that left
+        the sampler at ``interval`` (the row-at-a-time twin of the tail
+        of :meth:`_observe_tick`)."""
+        advance = interval if interval > 1 else 1
+        if self._floored and self.floor[row] > advance:
+            advance = int(self.floor[row])
+            self.suspensions[row] += 1
+        self.next_due[row] = step + advance
+        self.samples_taken[row] += 1
 
     # ------------------------------------------------------------------
     # state_dict round-trip (checkpoint v2 compatibility)
@@ -247,33 +314,43 @@ class SoaSamplerEngine:
         into :meth:`ViolationLikelihoodSampler.load_state_dict`, JSON
         canonicalisation and checkpoint fingerprints.
         """
-        has_last = bool(self.has_last[row])
-        has_stale = bool(self.has_stale[row])
-        return {
-            "interval": int(self.interval[row]),
-            "streak": int(self.streak[row]),
-            "last_value": float(self.last_value[row]) if has_last else None,
-            "last_time": int(self.last_time[row]) if has_last else None,
-            "error_allowance": float(self.err[row]),
-            "observations": int(self.observations[row]),
-            "grow_events": int(self.grow_events[row]),
-            "reset_events": int(self.reset_events[row]),
-            "coord_sum_r": float(self.coord_sum_r[row]),
-            "coord_sum_log_e": float(self.coord_sum_log_e[row]),
-            "coord_n": int(self.coord_n[row]),
+        return self.rows_state_dicts(np.asarray([row], dtype=np.int64))[0]
+
+    def rows_state_dicts(self, rows: np.ndarray) -> list[dict[str, Any]]:
+        """:meth:`row_state_dict` of many rows, each column read once."""
+        (interval, streak, last_value, has_last, last_time, err,
+         observations, grow_events, reset_events, coord_sum_r,
+         coord_sum_log_e, coord_n, stat_n, mean, var, stale_mean, stale_var,
+         has_stale, stale_count, restarts, total_count) = (
+            getattr(self, name)[rows].tolist() for name in (
+                "interval", "streak", "last_value", "has_last", "last_time",
+                "err", "observations", "grow_events", "reset_events",
+                "coord_sum_r", "coord_sum_log_e", "coord_n", "stat_n",
+                "mean", "var", "stale_mean", "stale_var", "has_stale",
+                "stale_count", "restarts", "total_count"))
+        return [{
+            "interval": interval[i],
+            "streak": streak[i],
+            "last_value": last_value[i] if has_last[i] else None,
+            "last_time": last_time[i] if has_last[i] else None,
+            "error_allowance": err[i],
+            "observations": observations[i],
+            "grow_events": grow_events[i],
+            "reset_events": reset_events[i],
+            "coord_sum_r": coord_sum_r[i],
+            "coord_sum_log_e": coord_sum_log_e[i],
+            "coord_n": coord_n[i],
             "stats": {
-                "n": int(self.stat_n[row]),
-                "mean": float(self.mean[row]),
-                "var": float(self.var[row]),
-                "stale_mean": (float(self.stale_mean[row])
-                               if has_stale else None),
-                "stale_var": (float(self.stale_var[row])
-                              if has_stale else None),
-                "stale_count": int(self.stale_count[row]),
-                "restarts": int(self.restarts[row]),
-                "total_count": int(self.total_count[row]),
+                "n": stat_n[i],
+                "mean": mean[i],
+                "var": var[i],
+                "stale_mean": stale_mean[i] if has_stale[i] else None,
+                "stale_var": stale_var[i] if has_stale[i] else None,
+                "stale_count": stale_count[i],
+                "restarts": restarts[i],
+                "total_count": total_count[i],
             },
-        }
+        } for i in range(len(rows))]
 
     def load_row_state(self, row: int, state: dict[str, Any]) -> None:
         """Load a scalar sampler ``state_dict`` into the row."""
@@ -453,7 +530,8 @@ class SoaSamplerEngine:
     # Vectorised drive surface
 
     def run_columns(self, rows: np.ndarray, steps: np.ndarray,
-                    values: np.ndarray) -> ColumnBatchResult:
+                    values: np.ndarray, hooks: Any = None,
+                    ) -> ColumnBatchResult:
         """Apply a decoded offer batch (may repeat rows) to the columns.
 
         Splits the batch into ticks — one occurrence per row, in arrival
@@ -462,6 +540,14 @@ class SoaSamplerEngine:
         are reported back as ``fallback`` positions instead of being
         applied; a non-finite value on an active row is rejected here,
         before any column of the row sees it.
+
+        ``hooks`` is the owner of what the marked rows keep outside the
+        columns, called back per tick: ``hooks.absorb(rows, values)``
+        for the tick's ``absorbs`` rows, before the due check, and
+        ``hooks.monitored(rows, steps, values)`` for its due ``derived``
+        rows, whose return (one statistic per row) replaces their values
+        for the rest of the tick — the sampler step, ``viol_values``.
+        Without ``hooks`` every row's monitored scalar is its value.
         """
         result = ColumnBatchResult()
         if len(rows) == 0:
@@ -513,6 +599,10 @@ class SoaSamplerEngine:
             # keeps "latest occurrence wins" exact under duplicates.
             self.last_offered[tick_rows] = tick_values
             self.has_offered[tick_rows] = True
+            if hooks is not None:
+                marked = np.flatnonzero(self.absorbs[tick_rows])
+                if len(marked):
+                    hooks.absorb(tick_rows[marked], tick_values[marked])
             due = tick_steps >= self.next_due[tick_rows]
             n_due = int(np.count_nonzero(due))
             result.applied += len(tick_rows) - n_due
@@ -523,6 +613,13 @@ class SoaSamplerEngine:
                 tick_rows = tick_rows[d]
                 tick_steps = tick_steps[d]
                 tick_values = tick_values[d]
+            if hooks is not None:
+                marked = np.flatnonzero(self.derived[tick_rows])
+                if len(marked):
+                    tick_values = tick_values.copy()
+                    tick_values[marked] = hooks.monitored(
+                        tick_rows[marked], tick_steps[marked],
+                        tick_values[marked])
             advance = (self._observe_narrow if n_due < _NARROW_TICK_ROWS
                        else self._observe_tick)
             (ok_rows, ok_steps, ok_values, iv_new, flags, beta,
@@ -544,16 +641,17 @@ class SoaSamplerEngine:
             (ev_rows, ev_steps, ev_values, ev_iv, ev_flags, ev_beta) = (
                 cols[0] if len(cols) == 1 else np.concatenate(cols)
                 for cols in zip(*events))
-            viol = np.flatnonzero(ev_flags & 4)
-            result.viol_rows = ev_rows[viol]
-            result.viol_steps = ev_steps[viol]
-            result.viol_values = ev_values[viol]
-            adapted = np.flatnonzero(ev_flags & 3)
-            result.adapt_rows = ev_rows[adapted]
-            result.adapt_steps = ev_steps[adapted]
-            result.adapt_intervals = ev_iv[adapted]
-            result.adapt_flags = ev_flags[adapted]
-            result.adapt_betas = ev_beta[adapted]
+            flagged = np.flatnonzero(ev_flags)
+            result.event_rows = ev_rows[flagged]
+            result.event_steps = ev_steps[flagged]
+            result.event_values = ev_values[flagged]
+            result.event_intervals = ev_iv[flagged]
+            result.event_flags = flags = ev_flags[flagged]
+            result.event_betas = ev_beta[flagged]
+            viol = np.flatnonzero(flags & 4)
+            result.viol_rows = result.event_rows[viol]
+            result.viol_steps = result.event_steps[viol]
+            result.viol_values = result.event_values[viol]
         return result
 
     def _observe_narrow(self, rows: np.ndarray, values: np.ndarray,
@@ -565,8 +663,7 @@ class SoaSamplerEngine:
         code path whichever way the tick was advanced.
         """
         observe_one = self.observe_one
-        next_due = self.next_due
-        samples_taken = self.samples_taken
+        advance_one = self.advance_one
         ok: list[int] = []
         iv_new: list[int] = []
         for pos, (row, value, step) in enumerate(zip(
@@ -575,8 +672,7 @@ class SoaSamplerEngine:
                 interval = observe_one(row, value, step)
             except ValueError:
                 continue
-            next_due[row] = step + max(1, interval)
-            samples_taken[row] += 1
+            advance_one(row, step, interval)
             ok.append(pos)
             iv_new.append(interval)
         rejected = len(rows) - len(ok)
@@ -592,7 +688,7 @@ class SoaSamplerEngine:
                       steps: np.ndarray) -> _Tick:
         """Advance unique ``rows`` by one offer each (all due and active).
 
-        Returns ``(rows, steps, raw_values, new_intervals, flags, beta,
+        Returns ``(rows, steps, values, new_intervals, flags, beta,
         rejected)`` for the accepted subset. Matches the scalar error
         contract: a non-increasing step or non-finite delta rejects only
         that row's offer and leaves every column of the row — the
@@ -727,9 +823,14 @@ class SoaSamplerEngine:
         self.coord_n[rows] += 1
         self.last_beta[rows] = beta
         self.last_flags[rows] = flags
-        # Schedule advance (no triggers on engine rows by construction,
-        # so the gate is just max(1, interval); iv_new >= 1 always).
-        self.next_due[rows] = steps + iv_new
+        # Schedule advance: iv_new >= 1 always, so without a floored row
+        # the gate is the interval itself.
+        if self._floored:
+            floor = self.floor[rows]
+            self.suspensions[rows] += floor > iv_new
+            self.next_due[rows] = steps + np.maximum(iv_new, floor)
+        else:
+            self.next_due[rows] = steps + iv_new
         self.samples_taken[rows] += 1
 
         metrics = _adaptation._SAMPLER_METRICS

@@ -52,14 +52,39 @@ _PROFILE_SHAPE = (1024, 800, 192)   # tasks, warm-up steps, timed steps
 
 
 def _build_service(tasks: int, estimator: str, soa: bool,
-                   max_interval: int) -> MonitoringService:
+                   max_interval: int, kinds: bool = False,
+                   ) -> MonitoringService:
+    """``tasks`` plain tasks; with ``kinds``, of every eight one each is
+    windowed, quantile and entropy and one pair is a watched trigger and
+    the task it guards, edges routed in-service as they fire."""
     config = AdaptationConfig(estimator=estimator)
     service = MonitoringService(config, soa=soa)
+    guards: dict[str, str] = {}
     for i in range(tasks):
-        service.add_task(
-            f"soa-{i:04d}",
-            TaskSpec(threshold=_THRESHOLD, error_allowance=0.01,
-                     max_interval=max_interval, name=f"soa-{i:04d}"))
+        name = f"soa-{i:04d}"
+        kind = i % 8 if kinds else 0
+        if kind == 3:
+            service.add_quantile_task(name, threshold=_THRESHOLD,
+                                      quantile=0.9, sketch_window=64,
+                                      max_interval=max_interval)
+        elif kind == 4:
+            service.add_entropy_task(name, threshold=4.0,
+                                     entropy_window=32, bin_width=4.0,
+                                     max_interval=max_interval)
+        else:
+            service.add_task(
+                name, TaskSpec(threshold=_THRESHOLD, error_allowance=0.01,
+                               max_interval=max_interval, name=name),
+                window=4 if kind == 2 else 1)
+        if kind == 5:
+            service.add_trigger_watch(name, 95.0, min_hold=3)
+        elif kind == 6:
+            guards[f"soa-{i - 1:04d}"] = name
+            service.add_remote_trigger(name, f"soa-{i - 1:04d}", 95.0,
+                                       suspend_interval=5)
+    if guards:
+        service.set_trigger_sink(lambda event: service.set_trigger_armed(
+            guards[event["trigger"]], event["op"] == "arm"))
     return service
 
 
@@ -94,8 +119,10 @@ def _drive_columns(service: MonitoringService, rows: np.ndarray,
 
 def run_equivalence(points: int, tasks: int, estimator: str,
                     batch: int = 4096, seed: int = 7,
-                    max_interval: int = 10) -> dict[str, Any]:
-    """One estimator's bit-identity check + throughput numbers.
+                    max_interval: int = 10,
+                    kinds: bool = False) -> dict[str, Any]:
+    """One estimator's bit-identity check + throughput numbers
+    (``kinds``: over :func:`_build_service`'s mixed population).
 
     The stream is round-robin over ``tasks`` with heavy gaussian noise
     hovering below the threshold, so interval growth, violations and
@@ -112,9 +139,9 @@ def run_equivalence(points: int, tasks: int, estimator: str,
     names = [f"soa-{i:04d}" for i in range(tasks)]
 
     scalar = _build_service(tasks, estimator, soa=False,
-                            max_interval=max_interval)
+                            max_interval=max_interval, kinds=kinds)
     vector = _build_service(tasks, estimator, soa=True,
-                            max_interval=max_interval)
+                            max_interval=max_interval, kinds=kinds)
 
     # Scalar path: one interpreter round-trip per offer.
     started = time.perf_counter()
@@ -201,12 +228,18 @@ def equivalence_report(points: int = 1_000_000, tasks: int = 1024,
     """
     runs = [run_equivalence(points, tasks, estimator, batch=batch,
                             seed=seed) for estimator in ESTIMATORS]
+    # Windowed, quantile, entropy, guarded and watched rows ride the same
+    # tick: one more run, over tasks of every kind.
+    every_kind = run_equivalence(points, tasks, ESTIMATORS[0], batch=batch,
+                                 seed=seed, kinds=True)
     profile = _batch_cost_profile(batch, seed=seed)
     return {
         "points": points,
         "tasks": tasks,
-        "identical": all(run["identical"] for run in runs),
+        "identical": (all(run["identical"] for run in runs)
+                      and every_kind["identical"]),
         "estimators": {run["estimator"]: run for run in runs},
+        "every_kind": every_kind,
         "ns_per_offer": profile,
         "small_batch_ratio": round(profile["16"] / profile["1024"], 2),
     }
@@ -246,6 +279,12 @@ def main(argv: list[str] | None = None) -> int:
               f"soa {run['soa_points_per_sec']}/s "
               f"({run['soa_speedup']}x); alerts={run['alerts']}",
               flush=True)
+    run = report["every_kind"]
+    print(f"[bench-soa] every task kind ({run['estimator']}): "
+          f"{'bit-identical' if run['identical'] else 'DIVERGED'}; scalar "
+          f"{run['scalar_points_per_sec']}/s, soa "
+          f"{run['soa_points_per_sec']}/s ({run['soa_speedup']}x); "
+          f"alerts={run['alerts']}", flush=True)
     ratio = report["small_batch_ratio"]
     print("[bench-soa] ns/offer by batch: "
           + ", ".join(f"{size}: {ns}" for size, ns

@@ -95,13 +95,15 @@ class TaskState:
         soa_row: row index in the service's SoA engine, or ``-1`` when the
             task is driven by its scalar sampler. While ``>= 0`` the
             engine columns are authoritative for sampler state, schedule
-            position and last-offered value; the scalar fields here are
-            synced back on snapshot/eviction.
+            position, last-offered value and :attr:`trigger_suspensions`;
+            the scalar fields here are synced back on snapshot/eviction.
+            Window buffer, substrate, watcher and armed flag stay here
+            either way.
         task_type: ``"value"`` (scalar, the default), ``"quantile"`` or
             ``"entropy"``. Non-value tasks carry a ``substrate`` whose
             derived statistic — exceedance rate / windowed entropy — is
-            what the sampler watches; they stay on the scalar path (the
-            SoA engine never adopts them).
+            what the sampler watches, on an engine row as much as on the
+            scalar path.
         value_threshold: quantile tasks only — the raw value threshold
             ``T`` of ``p_q(X) > T``; the sampler's spec threshold is the
             derived exceedance bound ``1 - q``.
@@ -177,30 +179,37 @@ class TaskState:
             return self.substrate.exceedance(self.value_threshold)
         return self.substrate.entropy()
 
-    def make_alert(self, step: int, monitored: float) -> Alert:
+    def make_alert(self, step: int, monitored: float,
+                   estimate: float | None = None) -> Alert:
         """The alert for a violation at ``step``.
 
         Value and entropy tasks report the monitored statistic against
         the spec threshold. Quantile tasks alert in the *value* frame —
         the estimated ``p_q`` against the raw threshold ``T`` — because
         that is the predicate the operator registered; the exceedance
-        rate the sampler watches is an internal derivation.
+        rate the sampler watches is an internal derivation. ``estimate``
+        is that ``p_q`` when the caller took it at the alerting offer and
+        the substrate has absorbed later offers since (a column batch);
+        by default the substrate is read now.
         """
         if self.task_type == "quantile":
             return Alert(time_index=step,
-                         value=self.substrate.quantile_value(),
+                         value=(self.substrate.quantile_value()
+                                if estimate is None else estimate),
                          threshold=self.value_threshold)
         return Alert(time_index=step, value=monitored,
                      threshold=self.task.threshold)
 
-    def state_dict(self) -> dict[str, Any]:
+    def state_dict(self, sampler: dict[str, Any] | None = None,
+                   ) -> dict[str, Any]:
         """The task's full mutable + declarative state, JSON-able.
 
         Everything :meth:`MonitoringService.restore` needs to resume this
         task exactly: the spec, adaptation config, schedule position,
         sampler internals, alert history, trigger wiring and window buffer.
         The ``on_alert`` callback is *not* serialisable — restoring callers
-        re-attach their own.
+        re-attach their own. ``sampler`` is the sampler's ``state_dict``
+        when an engine row holds it (default: :attr:`sampler`'s own).
         """
         state: dict[str, Any] = {
             "name": self.name,
@@ -221,7 +230,8 @@ class TaskState:
             # bit-identical to an uninterrupted run's, floating-point
             # accumulation history included.
             "window_sum": self._window_sum,
-            "sampler": self.sampler.state_dict(),
+            "sampler": (self.sampler.state_dict() if sampler is None
+                        else sampler),
         }
         if self.task_type != "value":
             # Typed-task keys are emitted only when present so value-task
@@ -324,6 +334,45 @@ def _adaptation_from_dict(entry: dict[str, Any]) -> AdaptationConfig:
     return AdaptationConfig(**entry)
 
 
+class _RowHooks:
+    """What :meth:`SoaSamplerEngine.run_columns` calls back for marked
+    rows: their substrates and window buffers stay on the
+    :class:`TaskState`, so the tick asks for the monitored scalar instead
+    of the task leaving the tick.
+    """
+
+    __slots__ = ("states", "estimates")
+
+    def __init__(self, states: dict[int, TaskState]):
+        self.states = states
+        # (row, step) -> a quantile task's p_q as of a violating offer:
+        # the alert is built after the batch, when the substrate has
+        # absorbed the row's later occurrences.
+        self.estimates: dict[tuple[int, int], float] = {}
+
+    def absorb(self, rows: np.ndarray, values: np.ndarray) -> None:
+        states = self.states
+        for row, value in zip(rows.tolist(), values.tolist()):
+            states[row].substrate.update(value)  # TaskState.absorb, inlined
+
+    def monitored(self, rows: np.ndarray, steps: np.ndarray,
+                  values: np.ndarray) -> list[float]:
+        states = self.states
+        out = []
+        for row, step, value in zip(rows.tolist(), steps.tolist(),
+                                    values.tolist()):
+            state = states[row]
+            monitored = state.monitored(step, value)
+            if (state.task_type == "quantile"
+                    and state.task.violated(monitored)):
+                # First writer wins: a later offer repeating the step is
+                # rejected by the sampler and must not replace it.
+                self.estimates.setdefault(
+                    (row, step), state.substrate.quantile_value())
+            out.append(monitored)
+        return out
+
+
 class MonitoringService:
     """Push-based multi-task monitoring front end."""
 
@@ -344,50 +393,65 @@ class MonitoringService:
         self._tasks: dict[str, TaskState] = {}
         self._last_seen: dict[str, float] = {}
         self._trigger_events: deque[dict[str, Any]] = deque(maxlen=1024)
+        # add_trigger sources: name -> number of tasks gated on its
+        # last-seen value (what keeps a task off the engine).
+        self._local_sources: dict[str, int] = {}
+        self._watchers = 0  # tasks carrying a TriggerWatcher
         self._soa = None
         self._soa_rows: dict[int, TaskState] = {}
+        self._hooks = _RowHooks(self._soa_rows)
         if soa:
             self._soa = SoaSamplerEngine()
 
     # -- SoA engine plumbing (DESIGN.md S31) ----------------------------
     #
-    # With ``soa=True`` eligible tasks (window == 1, no trigger wiring)
-    # are backed by rows of a shared :class:`~repro.core.soa
-    # .SoaSamplerEngine` instead of per-offer scalar stepping. The engine
-    # columns are then authoritative; tasks that gain trigger wiring are
+    # With ``soa=True`` every task — plain, windowed, quantile, entropy,
+    # channel-guarded, watched — is backed by a row of a shared
+    # :class:`~repro.core.soa.SoaSamplerEngine` instead of per-offer
+    # scalar stepping; the engine columns are then authoritative. The one
+    # exception is a local ``add_trigger`` pair: its gate reads another
+    # task's last-seen value at every consumed offer, so both ends are
     # *evicted* back to their scalar sampler via the state_dict
-    # round-trip, so behaviour — and snapshots — are identical either way.
+    # round-trip. Behaviour — and snapshots — are identical either way.
 
     def _soa_eligible(self, state: TaskState) -> bool:
-        if self._soa is None or state.window > 1:
-            return False
-        if state.task_type != "value":
-            # Sketch/entropy tasks carry non-columnar substrate state;
-            # they always run the scalar path.
-            return False
-        if state.trigger_task is not None:
-            return False
-        if state.remote_trigger is not None or state.watch is not None:
-            # Channel-guarded tasks need the scalar path's armed-flag
-            # gating; watched tasks need per-offer edge detection.
-            return False
-        return all(other.trigger_task != state.name
-                   for other in self._tasks.values())
+        return (self._soa is not None and state.trigger_task is None
+                and state.name not in self._local_sources)
 
-    def _adopt_soa(self, state: TaskState,
-                   config: AdaptationConfig) -> None:
+    def _register(self, state: TaskState) -> None:
+        self._tasks[state.name] = state
+        if self._soa_eligible(state):
+            self._adopt_soa(state)
+
+    def _adopt_soa(self, state: TaskState) -> None:
         engine = self._soa
         assert engine is not None
-        row = engine.add_task(state.task, config)
+        row = engine.add_task(state.task, state.sampler.config)
         engine.load_row_state(row, state.sampler.state_dict())
         engine.next_due[row] = state.next_due
         engine.samples_taken[row] = state.samples_taken
+        engine.suspensions[row] = state.trigger_suspensions
         last = self._last_seen.get(state.name)
         if last is not None:
             engine.last_offered[row] = last
             engine.has_offered[row] = True
+        typed = state.task_type != "value"
+        engine.mark_row(row, absorbs=typed,
+                        derived=typed or state.window > 1,
+                        watched=state.watch is not None)
         state.soa_row = row
         self._soa_rows[row] = state
+        self._refresh_floor(state)
+
+    def _refresh_floor(self, state: TaskState) -> None:
+        """Bring the row's schedule floor in line with the guard fields;
+        follows every write to ``remote_trigger`` / ``trigger_armed`` /
+        ``suspend_interval``."""
+        if state.soa_row >= 0:
+            self._soa.set_floor(
+                state.soa_row,
+                state.suspend_interval if state.remote_trigger is not None
+                and not state.trigger_armed else 1)
 
     def _sync_soa(self, state: TaskState) -> None:
         """Copy a row's authoritative state back onto the scalar fields."""
@@ -396,6 +460,7 @@ class MonitoringService:
         state.sampler.load_state_dict(engine.row_state_dict(row))
         state.next_due = int(engine.next_due[row])
         state.samples_taken = int(engine.samples_taken[row])
+        state.trigger_suspensions = int(engine.suspensions[row])
         if engine.has_offered[row]:
             self._last_seen[state.name] = float(engine.last_offered[row])
 
@@ -455,13 +520,10 @@ class MonitoringService:
         if window < 1:
             raise ConfigurationError(f"window must be >= 1, got {window}")
         sampler = ViolationLikelihoodSampler(task, config or self._config)
-        state = TaskState(name=name, task=task,
-                          sampler=sampler, window=window,
-                          window_kind=window_kind,
-                          on_alert=on_alert)
-        self._tasks[name] = state
-        if self._soa_eligible(state):
-            self._adopt_soa(state, config or self._config)
+        self._register(TaskState(name=name, task=task,
+                                 sampler=sampler, window=window,
+                                 window_kind=window_kind,
+                                 on_alert=on_alert))
 
     def add_quantile_task(self, name: str, *, threshold: float,
                           quantile: float,
@@ -512,10 +574,10 @@ class MonitoringService:
                         max_interval=max_interval,
                         direction=direction, name=name)
         sampler = ViolationLikelihoodSampler(spec, config or self._config)
-        self._tasks[name] = TaskState(
+        self._register(TaskState(
             name=name, task=spec, sampler=sampler, on_alert=on_alert,
             task_type="quantile", value_threshold=float(threshold),
-            substrate=substrate)
+            substrate=substrate))
 
     def add_entropy_task(self, name: str, *, threshold: float,
                          error_allowance: float = 0.01,
@@ -556,9 +618,9 @@ class MonitoringService:
                         max_interval=max_interval,
                         direction=direction, name=name)
         sampler = ViolationLikelihoodSampler(spec, config or self._config)
-        self._tasks[name] = TaskState(
+        self._register(TaskState(
             name=name, task=spec, sampler=sampler, on_alert=on_alert,
-            task_type="entropy", substrate=substrate)
+            task_type="entropy", substrate=substrate))
 
     def remove_task(self, name: str) -> None:
         """Unregister a task (live-runtime tenant churn).
@@ -579,6 +641,10 @@ class MonitoringService:
             state.soa_row = -1
         del self._tasks[name]
         self._last_seen.pop(name, None)
+        self._watchers -= state.watch is not None
+        if state.trigger_task is not None:
+            self._drop_local_source(state.trigger_task)
+        self._local_sources.pop(name, None)
         for other in self._tasks.values():
             if other.trigger_task == name:
                 other.trigger_task = None
@@ -589,6 +655,14 @@ class MonitoringService:
                 # target at whatever armed state the last edge left.
                 other.remote_trigger = None
                 other.trigger_armed = True
+                self._refresh_floor(other)
+
+    def _drop_local_source(self, trigger: str) -> None:
+        left = self._local_sources[trigger] - 1
+        if left:
+            self._local_sources[trigger] = left
+        else:
+            del self._local_sources[trigger]
 
     def add_trigger(self, target: str, trigger: str, elevation_level: float,
                     suspend_interval: int = 10) -> None:
@@ -604,10 +678,13 @@ class MonitoringService:
         if suspend_interval < 1:
             raise ConfigurationError(
                 f"suspend_interval must be >= 1, got {suspend_interval}")
-        # Trigger wiring needs the scalar path's last-seen gating on both
-        # ends — evict either side from the SoA engine first.
+        # The gate reads the trigger's last-seen value at every consumed
+        # offer of the target: both ends leave the SoA engine.
         self._evict_soa(state)
         self._evict_soa(trigger_state)
+        if state.trigger_task is not None:
+            self._drop_local_source(state.trigger_task)
+        self._local_sources[trigger] = self._local_sources.get(trigger, 0) + 1
         state.trigger_task = trigger
         state.trigger_level = elevation_level
         state.suspend_interval = suspend_interval
@@ -642,13 +719,13 @@ class MonitoringService:
         if suspend_interval < 1:
             raise ConfigurationError(
                 f"suspend_interval must be >= 1, got {suspend_interval}")
-        self._evict_soa(state)
         fresh = state.remote_trigger != trigger
         state.remote_trigger = trigger
         state.trigger_level = float(elevation_level)
         state.suspend_interval = int(suspend_interval)
         if fresh:
             state.trigger_armed = True
+        self._refresh_floor(state)
 
     def add_trigger_watch(self, trigger: str, level: float,
                           hysteresis: float = 0.1,
@@ -661,13 +738,16 @@ class MonitoringService:
         parameters replace the watcher (conservatively re-armed).
         """
         state = self._state(trigger)
-        self._evict_soa(state)
         if state.watch is not None:
             current = state.watch.state_dict()
             if (current["level"] == float(level)
                     and current["hysteresis"] == float(hysteresis)
                     and current["min_hold"] == int(min_hold)):
                 return
+        else:
+            self._watchers += 1
+            if state.soa_row >= 0:
+                self._soa.watched[state.soa_row] = True
         state.watch = TriggerWatcher(level, hysteresis=hysteresis,
                                      min_hold=min_hold)
 
@@ -707,8 +787,12 @@ class MonitoringService:
                 # healthy stream. The arm edge signals a suspected
                 # incident, so the guard probes again at the very next
                 # offer and at the default rate.
-                state.sampler.resume_full_rate()
-                state.next_due = 0
+                if state.soa_row >= 0:
+                    self._soa.resume_full_rate(state.soa_row)
+                else:
+                    state.sampler.resume_full_rate()
+                    state.next_due = 0
+            self._refresh_floor(state)
             if self._trace is not None:
                 self._trace.emit(
                     "trigger_armed" if state.trigger_armed
@@ -730,14 +814,19 @@ class MonitoringService:
             status["trigger"] = state.remote_trigger
             status["armed"] = state.trigger_armed
             status["suspend_interval"] = state.suspend_interval
-            status["suspensions"] = state.trigger_suspensions
+            status["suspensions"] = self._suspensions(state)
         if state.watch is not None:
             status["watch"] = state.watch.state_dict()
         return status
 
     def trigger_suspensions(self, name: str) -> int:
         """Consumed offers the disarmed guard deferred so far."""
-        return self._state(name).trigger_suspensions
+        return self._suspensions(self._state(name))
+
+    def _suspensions(self, state: TaskState) -> int:
+        if state.soa_row >= 0:
+            return int(self._soa.suspensions[state.soa_row])
+        return state.trigger_suspensions
 
     def trigger_accounting(self) -> tuple[int, float]:
         """``(suspensions, est_probes_saved)`` across guarded tasks.
@@ -754,8 +843,9 @@ class MonitoringService:
         for state in self._tasks.values():
             if state.remote_trigger is None:
                 continue
-            suspensions += state.trigger_suspensions
-            saved += state.trigger_suspensions * (state.suspend_interval - 1)
+            deferred = self._suspensions(state)
+            suspensions += deferred
+            saved += deferred * (state.suspend_interval - 1)
         return suspensions, saved
 
     def set_trigger_sink(self, sink: Callable[[dict[str, Any]], None]
@@ -786,10 +876,11 @@ class MonitoringService:
     def _watch_edge(self, state: TaskState, value: float,
                     step: int) -> None:
         edge = state.watch.observe(value, step)
-        if edge is None:
-            return
-        event = {"op": edge, "trigger": state.name,
-                 "step": int(step), "value": float(value)}
+        if edge is not None:
+            self._deliver_edge({"op": edge, "trigger": state.name,
+                                "step": int(step), "value": float(value)})
+
+    def _deliver_edge(self, event: dict[str, Any]) -> None:
         if self._trigger_sink is not None:
             self._trigger_sink(event)
         else:
@@ -856,7 +947,8 @@ class MonitoringService:
         monitored = state.monitored(step, value)
         decision = state.sampler.observe(monitored, step)
         state.samples_taken += 1
-        state.next_due = step + self._after_sample(
+        state.next_due = step + self._gate(state, decision.next_interval)
+        self._fan_out(
             state, step, monitored, decision.next_interval,
             decision.grew | decision.reset << 1 | decision.violation << 2,
             decision.misdetection_bound)
@@ -893,9 +985,9 @@ class MonitoringService:
         sampler = state.sampler
         interval = sampler.observe_fast(monitored, step)
         state.samples_taken += 1
-        state.next_due = step + self._after_sample(
-            state, step, monitored, interval, sampler.last_flags,
-            sampler.last_misdetection_bound)
+        state.next_due = step + self._gate(state, interval)
+        self._fan_out(state, step, monitored, interval, sampler.last_flags,
+                      sampler.last_misdetection_bound)
         return interval
 
     def _offer_soa(self, state: TaskState, value: float,
@@ -910,23 +1002,24 @@ class MonitoringService:
         row = state.soa_row
         engine.last_offered[row] = value
         engine.has_offered[row] = True
+        if state.watch is not None:
+            self._watch_edge(state, value, step)
+        if state.task_type != "value":
+            state.absorb(value)
         if step < engine.next_due[row]:
             return None
-        interval = engine.observe_one(row, value, step)
-        engine.samples_taken[row] += 1
-        engine.next_due[row] = step + self._after_sample(
-            state, step, value, interval, int(engine.last_flags[row]),
-            float(engine.last_beta[row]))
+        monitored = state.monitored(step, value)
+        interval = engine.observe_one(row, monitored, step)
+        engine.advance_one(row, step, interval)
+        self._fan_out(state, step, monitored, interval,
+                      int(engine.last_flags[row]),
+                      float(engine.last_beta[row]))
         return interval
 
-    def _after_sample(self, state: TaskState, step: int, monitored: float,
-                      interval: int, flags: int, beta: float) -> int:
-        """What follows every consumed offer, whichever surface stepped
-        the sampler: trigger gating of the sampler's ``interval``, then
-        the alert and trace fan-out for the step's ``flags`` (1 grew,
-        2 reset, 4 violation). Returns the gated advance (>= 1) from
-        ``step`` to the task's next due step.
-        """
+    def _gate(self, state: TaskState, interval: int) -> int:
+        """Trigger gating of a scalar-driven task's consumed offer: the
+        advance (>= 1) to its next due step, given the sampler's
+        ``interval``. An engine row's gate is its ``floor`` column."""
         advance = interval
         if state.trigger_task is not None:
             trigger_value = self._last_seen.get(state.trigger_task)
@@ -937,10 +1030,18 @@ class MonitoringService:
                 and state.suspend_interval > advance):
             advance = state.suspend_interval
             state.trigger_suspensions += 1
+        return advance if advance > 1 else 1
+
+    def _fan_out(self, state: TaskState, step: int, monitored: float,
+                 interval: int, flags: int, beta: float,
+                 estimate: float | None = None) -> None:
+        """The alert and trace fan-out of a consumed offer's ``flags``
+        (1 grew, 2 reset, 4 violation), whichever surface stepped the
+        sampler; ``estimate`` as in :meth:`TaskState.make_alert`."""
         if flags:
             alert = None
             if flags & 4:
-                alert = state.make_alert(step, monitored)
+                alert = state.make_alert(step, monitored, estimate)
                 state.alerts.append(alert)
                 if state.on_alert is not None:
                     state.on_alert(alert)
@@ -956,7 +1057,6 @@ class MonitoringService:
                                shard=self._trace_shard, step=step,
                                value=alert.value,
                                threshold=alert.threshold)
-        return advance if advance > 1 else 1
 
     def offer_columns(self, rows: Any, steps: Any, values: Any,
                       names: Sequence[str | None] | None = None,
@@ -973,20 +1073,104 @@ class MonitoringService:
         ``applied`` includes not-due offers, ``consumed_intervals`` holds
         one post-adaptation interval per consumed offer (for telemetry
         histograms).
+
+        Tasks are independent but for trigger edges, so the batch is
+        applied tick-wise, not offer by offer — except where a watcher in
+        it fires: see :meth:`_watch_cuts`.
         """
-        engine = self._soa
-        if engine is None:
+        if self._soa is None:
             raise ConfigurationError(
                 "offer_columns requires an SoA-enabled service")
         rows = np.asarray(rows, dtype=np.int64)
         steps = np.asarray(steps, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
-        res = engine.run_columns(rows, steps, values)
+        if not self._watchers or not len(rows):
+            return self._apply_columns(rows, steps, values, names, 0)
+        parts: list[tuple[int, int, int, np.ndarray]] = []
+        pending: list[dict[str, Any]] = []
+        lo = 0
+        cuts = self._watch_cuts(rows, steps, values, names)
+        for pos, event, cut in cuts + [(len(rows), None, True)]:
+            if not cut:
+                pending.append(event)
+                continue
+            if pos > lo:
+                parts.append(self._apply_columns(
+                    rows[lo:pos], steps[lo:pos], values[lo:pos], names, lo))
+                lo = pos
+            for earlier in pending:
+                self._deliver_edge(earlier)
+            pending.clear()
+            if event is not None:
+                self._deliver_edge(event)
+        if len(parts) == 1:
+            return parts[0]
+        applied, consumed, rejected, intervals = zip(*parts)
+        return (sum(applied), sum(consumed), sum(rejected),
+                np.concatenate(intervals))
+
+    def _watch_cuts(self, rows: np.ndarray, steps: np.ndarray,
+                    values: np.ndarray,
+                    names: Sequence[str | None] | None,
+                    ) -> list[tuple[int, dict[str, Any] | None, bool]]:
+        """Run a batch's watchers ahead of the batch; returns where their
+        edges fall, as ``(position, event, cut)`` in arrival order.
+
+        A watcher depends on its own task's stream alone, so every
+        watched offer of the batch can be observed first. An edge belongs
+        between the offers before its position and the rest: ``cut``
+        says the batch has to be split there for that to hold — a sink
+        is attached (a buffered edge is acted on by nobody before the
+        batch ends) and a later offer of the batch is for a row the
+        edge's trigger guards, or goes by name (not resolved here).
+        Other edges only have to keep their order. A watched task
+        offered by name runs its own watcher in :meth:`offer_fast`: it
+        is cut out as a batch of one (``event`` None at both ends).
+        """
+        engine = self._soa
+        on_row = engine.active[rows] & (rows >= 0)
+        usable = np.isfinite(values)
+        by_name = np.flatnonzero(~on_row & usable)
+        last_by_name = int(by_name[-1]) if len(by_name) else -1
+        watched = np.flatnonzero(engine.watched[rows] & on_row & usable)
+        cuts: list[tuple[int, dict[str, Any] | None, bool]] = []
+        for pos, row, step, value in zip(
+                watched.tolist(), rows[watched].tolist(),
+                steps[watched].tolist(), values[watched].tolist()):
+            state = self._soa_rows[row]
+            edge = state.watch.observe(value, step)
+            if edge is None:
+                continue
+            cut = self._trigger_sink is not None and (
+                last_by_name > pos
+                or bool(np.isin(rows[pos + 1:], [
+                    other.soa_row for other in self._soa_rows.values()
+                    if other.remote_trigger == state.name]).any()))
+            cuts.append((pos, {"op": edge, "trigger": state.name,
+                               "step": step, "value": value}, cut))
+        if names is not None and len(by_name):
+            for pos in by_name.tolist():
+                state = self._tasks.get(names[pos])
+                if state is not None and state.watch is not None:
+                    cuts += (pos, None, True), (pos + 1, None, True)
+            cuts.sort(key=lambda cut: cut[0])
+        return cuts
+
+    def _apply_columns(self, rows: np.ndarray, steps: np.ndarray,
+                       values: np.ndarray,
+                       names: Sequence[str | None] | None, offset: int,
+                       ) -> tuple[int, int, int, np.ndarray]:
+        """:meth:`offer_columns` for a batch no trigger edge falls inside;
+        ``names`` is indexed from ``offset``."""
+        engine = self._soa
+        hooks = self._hooks
+        res = engine.run_columns(rows, steps, values,
+                                 hooks if engine.derived_rows else None)
         applied, consumed = res.applied, res.consumed
         rejected = res.rejected
         fb_intervals: list[int] = []
         for pos in res.fallback.tolist():  # ascending: arrival order
-            name = None if names is None else names[pos]
+            name = None if names is None else names[offset + pos]
             if name is None:
                 rejected += 1
                 continue
@@ -1000,26 +1184,29 @@ class MonitoringService:
             if interval is not None:
                 consumed += 1
                 fb_intervals.append(interval)
-        # The engine advanced its rows' schedules itself (engine rows
-        # carry no trigger wiring); what is left of the per-offer tail is
-        # the alert and trace fan-out of the rare flagged steps.
+        # The engine advanced and gated its rows' schedules itself; what
+        # is left of the per-offer tail is the alert and trace fan-out of
+        # the rare flagged steps.
         soa_rows = self._soa_rows
-        if self._trace is not None and len(res.adapt_rows):
-            for row, step, interval, flags, beta in zip(
-                    res.adapt_rows.tolist(), res.adapt_steps.tolist(),
-                    res.adapt_intervals.tolist(), res.adapt_flags.tolist(),
-                    res.adapt_betas.tolist()):
+        estimates = hooks.estimates
+        if self._trace is not None and len(res.event_rows):
+            for row, step, value, interval, flags, beta in zip(
+                    res.event_rows.tolist(), res.event_steps.tolist(),
+                    res.event_values.tolist(), res.event_intervals.tolist(),
+                    res.event_flags.tolist(), res.event_betas.tolist()):
                 state = soa_rows.get(row)
                 if state is not None:
-                    self._after_sample(state, step, 0.0, interval,
-                                       flags & 3, beta)
-        if len(res.viol_rows):
+                    self._fan_out(state, step, value, interval, flags, beta,
+                                  estimates.get((row, step)))
+        elif len(res.viol_rows):
             for row, step, value in zip(res.viol_rows.tolist(),
                                         res.viol_steps.tolist(),
                                         res.viol_values.tolist()):
                 state = soa_rows.get(row)
                 if state is not None:
-                    self._after_sample(state, step, value, 1, 4, 1.0)
+                    self._fan_out(state, step, value, 1, 4, 1.0,
+                                  estimates.get((row, step)))
+        estimates.clear()
         intervals = res.consumed_intervals
         if fb_intervals:
             intervals = np.concatenate(
@@ -1087,16 +1274,36 @@ class MonitoringService:
         the trigger last-seen map — everything :meth:`restore` needs to
         resume with identical behaviour. Alert callbacks are not captured.
 
-        SoA-backed tasks are synced back to their scalar fields first, so
-        the snapshot format — and its fingerprint — is identical whether
-        the service ran columnar or scalar.
+        SoA-backed tasks are serialised from their engine rows, so the
+        snapshot format — and its fingerprint — is identical whether the
+        service ran columnar or scalar.
         """
-        for state in self._soa_rows.values():
-            self._sync_soa(state)
+        samplers: dict[str, dict[str, Any]] = {}
+        if self._soa_rows:
+            # Each column is read once for all rows; the rows' samplers
+            # are serialised from the columns, not loaded and re-dumped.
+            engine = self._soa
+            rows = np.fromiter(self._soa_rows, dtype=np.int64,
+                               count=len(self._soa_rows))
+            for (state, sampler, next_due, samples_taken, suspensions,
+                 has_offered, last_offered) in zip(
+                    self._soa_rows.values(), engine.rows_state_dicts(rows),
+                    engine.next_due[rows].tolist(),
+                    engine.samples_taken[rows].tolist(),
+                    engine.suspensions[rows].tolist(),
+                    engine.has_offered[rows].tolist(),
+                    engine.last_offered[rows].tolist()):
+                samplers[state.name] = sampler
+                state.next_due = next_due
+                state.samples_taken = samples_taken
+                state.trigger_suspensions = suspensions
+                if has_offered:
+                    self._last_seen[state.name] = last_offered
         return {
             "version": SNAPSHOT_VERSION,
             "adaptation": _adaptation_to_dict(self._config),
-            "tasks": [state.state_dict() for state in self._tasks.values()],
+            "tasks": [state.state_dict(samplers.get(state.name))
+                      for state in self._tasks.values()],
             "last_seen": dict(self._last_seen),
         }
 
@@ -1111,7 +1318,7 @@ class MonitoringService:
             on_alert: optional ``(task_name, alert)`` callback attached to
                 every restored task (callbacks cannot be serialised, so
                 they are re-wired here).
-            soa: adopt eligible restored tasks into an SoA engine
+            soa: adopt restored tasks into an SoA engine
                 (columnar hot path); snapshots carry no trace of the flag,
                 so any snapshot restores either way.
 
@@ -1144,8 +1351,12 @@ class MonitoringService:
                     f"trigger {state.trigger_task!r}")
         service._last_seen = {str(k): float(v) for k, v in
                               snapshot.get("last_seen", {}).items()}
-        if service._soa is not None:
-            for state in service._tasks.values():
-                if service._soa_eligible(state):
-                    service._adopt_soa(state, state.sampler.config)
+        for state in service._tasks.values():
+            service._watchers += state.watch is not None
+            if state.trigger_task is not None:
+                service._local_sources[state.trigger_task] = (
+                    service._local_sources.get(state.trigger_task, 0) + 1)
+        for state in service._tasks.values():
+            if service._soa_eligible(state):
+                service._adopt_soa(state)
         return service

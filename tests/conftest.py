@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.adaptation import AdaptationConfig
 from repro.core.task import TaskSpec
+from repro.core.windowed import AggregateKind
 from repro.exceptions import ConfigurationError
 from repro.experiments.bench_soa import _alert_log, _task_counters
 from repro.service import MonitoringService
@@ -57,21 +58,96 @@ class SoaDifferential:
     the batch accounting equal, :meth:`check` the resulting state.
     """
 
-    def __init__(self, specs, register_more=None):
+    def __init__(self, specs, register_more=None, sink=True):
         """``specs`` are ``(TaskSpec, AdaptationConfig)`` plain tasks;
         ``register_more(service)`` may register further tasks of any kind
-        (windowed, typed, ...) on each service and returns their names."""
+        (windowed, typed, guarded, ...) on each service and returns their
+        names. With ``sink`` each service routes its watch edges to its
+        own guarded tasks the moment they fire, as ``RuntimeServer``
+        does; without, edges collect in the service's buffer, as on a
+        cluster worker. Either way :meth:`check` compares them."""
         self.scalar = MonitoringService(soa=False)
         self.vector = MonitoringService(soa=True)
         self.names = [task.name for task, _ in specs]
+        self.edges = {}
         for service in (self.scalar, self.vector):
             for task, config in specs:
                 service.add_task(task.name, task, config=config)
             more = register_more(service) if register_more else []
             service.attach_telemetry(DecisionTrace(capacity=1 << 20))
+            if sink:
+                service.set_trigger_sink(self.edge_router(
+                    service, self.edges.setdefault(id(service), [])))
         self.names += more
         self.rows = np.asarray([self.vector.soa_row_for(name)
                                 for name in self.names], dtype=np.int64)
+
+    @staticmethod
+    def edge_router(service, log):
+        """A trigger sink that logs each edge and routes it to the
+        service's own guarded tasks."""
+        def sink(event):
+            log.append(dict(event))
+            for name in service.task_names:
+                status = service.trigger_status(name)
+                if status.get("trigger") == event["trigger"]:
+                    service.set_trigger_armed(name, event["op"] == "arm")
+        return sink
+
+    KINDS = ("window-mean", "window-sum", "window-max", "window-min",
+             "quantile", "entropy", "trigger", "guarded",
+             "watched-window", "guarded-quantile", "lone-trigger")
+
+    @classmethod
+    def register_kinds(cls, service, copies=2, estimator="chebyshev"):
+        """``copies`` tasks of every kind the engine holds beside plain
+        ones (``KINDS``): the four window aggregates, quantile, entropy,
+        a watched trigger and the task it guards (registered before and
+        after each other in turn), a watched windowed task guarding a
+        quantile task, and a watched task whose targets live elsewhere.
+        Returns the names, kind by kind; :meth:`value` knows them."""
+        config = AdaptationConfig(estimator=estimator, patience=2,
+                                  min_samples=4, stats_restart=9)
+
+        def plain(name, window=1, kind=AggregateKind.MEAN):
+            service.add_task(name, TaskSpec(
+                threshold=100.0, error_allowance=0.05, max_interval=6,
+                name=name), window=window, window_kind=kind, config=config)
+
+        def quantile(name):
+            service.add_quantile_task(
+                name, threshold=100.0, quantile=0.9, error_allowance=0.05,
+                max_interval=6, sketch_window=16, config=config)
+
+        names = []
+        for copy in range(copies):
+            made = {kind: f"{kind}-{copy}" for kind in cls.KINDS}
+            for kind in (AggregateKind.MEAN, AggregateKind.SUM,
+                         AggregateKind.MAX, AggregateKind.MIN):
+                plain(made[f"window-{kind.value}"], window=2 + copy,
+                      kind=kind)
+            quantile(made["quantile"])
+            service.add_entropy_task(
+                made["entropy"], threshold=2.0, error_allowance=0.05,
+                max_interval=6, entropy_window=12, config=config)
+            pair = [made["guarded"], made["trigger"]]
+            for name in pair[::-1] if copy % 2 else pair:
+                plain(name)
+            service.add_trigger_watch(made["trigger"], 95.0, min_hold=2)
+            service.add_remote_trigger(made["guarded"], made["trigger"],
+                                       95.0, suspend_interval=5)
+            plain(made["watched-window"], window=3)
+            quantile(made["guarded-quantile"])
+            service.add_trigger_watch(made["watched-window"], 92.0,
+                                      hysteresis=0.02, min_hold=0)
+            service.add_remote_trigger(made["guarded-quantile"],
+                                       made["watched-window"], 92.0,
+                                       suspend_interval=4)
+            plain(made["lone-trigger"])
+            service.add_trigger_watch(made["lone-trigger"], 90.0,
+                                      hysteresis=0.05, min_hold=1)
+            names += made.values()
+        return names
 
     @staticmethod
     def population(tasks, estimator, stats_restart=9):
@@ -111,6 +187,31 @@ class SoaDifferential:
             value = rng.normal(90.0, 8.0)
         return float(-value if task % 7 == 3 else value)
 
+    def draw(self, rng, i, step):
+        """:meth:`value_for` task ``i`` of :attr:`names`."""
+        return self.value_for(rng, self.names[i], i, step)
+
+    @classmethod
+    def value_for(cls, rng, name, i, step):
+        """A value for the task ``name`` (the ``i``-th registered),
+        whatever its kind: :meth:`value` for the plain population, and
+        for :meth:`register_kinds` tasks streams that keep their
+        statistic near its threshold and their watchers flipping."""
+        if name.startswith("x-"):
+            return cls.value(rng, i, step)
+        if rng.random() < 0.01:
+            return float(rng.choice([np.nan, np.inf, -np.inf]))
+        kind, copy = name.rsplit("-", 1)
+        if kind == "window-sum":
+            return float(rng.normal(100.0 / (2 + int(copy)) - 3.0, 4.0))
+        if kind == "entropy" and (step // 30) % 2:
+            return 90.0                       # the window collapses
+        if kind == "guarded" and copy == "0":
+            return float(50.0 + 0.01 * step + rng.normal(0.0, 0.5))
+        if kind in ("watched-window", "lone-trigger"):
+            return float(rng.normal(90.0, 4.0))
+        return float(rng.normal(90.0, 8.0))
+
     def offer(self, task_idx, steps, values):
         names = [self.names[i] for i in task_idx]
         applied = consumed = rejected = 0
@@ -132,6 +233,34 @@ class SoaDifferential:
         assert got[:3] == (applied, consumed, rejected)
         assert sorted(got[3].tolist()) == sorted(intervals)
 
+    def count_segments(self):
+        """Start logging the size of every piece :attr:`vector` applies a
+        column batch in (one per batch unless watch edges cut it)."""
+        sizes = []
+        apply_columns = self.vector._apply_columns
+        self.vector._apply_columns = lambda *args: (
+            sizes.append(len(args[0])) or apply_columns(*args))
+        return sizes
+
+    def offer_by_name(self, task_idx, steps, values, fast=True):
+        """The same offers to both services one by one, by name:
+        ``offer_fast`` or (``fast=False``) ``offer`` on an engine row."""
+        for i, step, value in zip(task_idx, steps, values):
+            got = []
+            for service in (self.scalar, self.vector):
+                call = service.offer_fast if fast else service.offer
+                try:
+                    got.append(call(self.names[i], value, step))
+                except (ConfigurationError, ValueError) as error:
+                    got.append(type(error))
+            assert got[0] == got[1], (self.names[i], step, value)
+
+    def set_armed(self, name, armed):
+        """An operator's explicit arm/disarm, on both services."""
+        was = [service.set_trigger_armed(name, armed)
+               for service in (self.scalar, self.vector)]
+        assert was[0] == was[1]
+
     @staticmethod
     def _events(service):
         """Per-task trace-event sequences (arrival order within a task)."""
@@ -143,14 +272,26 @@ class SoaDifferential:
         return by_task
 
     def check(self):
-        scalar, vector = self.scalar, self.vector
+        self.same_state(self.scalar, self.vector)
+        # The watch edges each sink was handed.
+        assert (self.edges.get(id(self.scalar))
+                == self.edges.get(id(self.vector)))
+
+    @classmethod
+    def same_state(cls, one, other):
+        """Everything two services fed the same offers must agree on."""
         # Serialised, so that NaN state compares equal to itself and
         # -0.0 differs from 0.0, as in the checkpoint fingerprint.
-        assert (json.dumps(scalar.snapshot(), sort_keys=True)
-                == json.dumps(vector.snapshot(), sort_keys=True))
-        assert _alert_log(scalar) == _alert_log(vector)
-        assert _task_counters(scalar) == _task_counters(vector)
-        assert self._events(scalar) == self._events(vector)
+        assert (json.dumps(one.snapshot(), sort_keys=True)
+                == json.dumps(other.snapshot(), sort_keys=True))
+        assert _alert_log(one) == _alert_log(other)
+        assert _task_counters(one) == _task_counters(other)
+        assert cls._events(one) == cls._events(other)
+        assert one.drain_trigger_events() == other.drain_trigger_events()
+        for name in one.task_names:
+            assert (one.trigger_status(name)
+                    == other.trigger_status(name)), name
+        assert one.trigger_accounting() == other.trigger_accounting()
 
 
 @pytest.fixture(scope="session")

@@ -103,6 +103,14 @@ class TestMixedPaths:
         with pytest.raises(ConfigurationError, match="SoA"):
             _service(soa=False).offer_columns([0], [0], [1.0])
 
+    def test_empty_batch_is_a_no_op_with_or_without_watchers(self):
+        service = _service(soa=True)
+        assert service.offer_columns([], [], [])[:3] == (0, 0, 0)
+        service.add_trigger_watch("mix-0", 90.0)
+        applied, consumed, rejected, intervals = service.offer_columns(
+            [], [], [], names=[])
+        assert (applied, consumed, rejected, len(intervals)) == (0, 0, 0, 0)
+
     def test_negative_rows_fall_back_by_name(self):
         service = _service(soa=True)
         applied, _, rejected, _ = service.offer_columns(
@@ -180,12 +188,228 @@ class TestEligibility:
         assert scalar.snapshot() == vector.snapshot()
         assert _alert_log(scalar) == _alert_log(vector)
 
-    def test_windowed_task_never_adopted(self):
+    def test_every_kind_is_adopted_and_only_local_pairs_evict(
+            self, soa_differential):
         service = MonitoringService(AdaptationConfig(), soa=True)
-        service.add_task("win", TaskSpec(threshold=100.0,
-                                         error_allowance=0.05, name="win"),
-                         window=3)
-        assert service.soa_row_for("win") == -1
+        names = soa_differential.register_kinds(service)
+        assert {name.rsplit("-", 1)[0] for name in names} == set(
+            soa_differential.KINDS)
+        rows = [service.soa_row_for(name) for name in names]
+        assert sorted(rows) == list(range(len(names)))
+        # Channel wiring, re-installed or changed, and explicit arming
+        # leave every row where it is.
+        service.add_trigger_watch("trigger-0", 80.0, min_hold=1)
+        service.add_remote_trigger("guarded-0", "trigger-1", 80.0)
+        service.add_remote_trigger("entropy-0", "window-max-0", 1.0)
+        service.set_trigger_armed("guarded-0", False)
+        assert [service.soa_row_for(name) for name in names] == rows
+        # A restore adopts them all again.
+        restored = MonitoringService.restore(service.snapshot(), soa=True)
+        assert all(restored.soa_row_for(name) >= 0 for name in names)
+        # Only a last-seen pair leaves, both ends, whatever their kind.
+        service.add_trigger("quantile-0", "window-sum-1",
+                            elevation_level=50.0)
+        gone = {"quantile-0", "window-sum-1"}
+        for name, row in zip(names, rows):
+            assert service.soa_row_for(name) == (-1 if name in gone
+                                                 else row)
+        restored = MonitoringService.restore(service.snapshot(), soa=True)
+        assert {name for name in names
+                if restored.soa_row_for(name) < 0} == gone
+        # A task registered after the pair exists is not held back by it.
+        service.add_quantile_task("late", threshold=1.0, quantile=0.5)
+        assert service.soa_row_for("late") >= 0
+
+    def test_local_source_count_matches_the_scan_it_replaced(self):
+        # _soa_eligible used to scan every task for one gated on this
+        # one; the count it keeps instead must agree under any sequence
+        # of add / trigger / re-target / remove / restore.
+        rng = np.random.default_rng(31)
+        service = MonitoringService(AdaptationConfig(), soa=True)
+        made = 0
+        for round_ in range(400):
+            names = service.task_names
+            roll = rng.random()
+            if roll < 0.35 or len(names) < 3:
+                service.add_task(f"t-{made}", TaskSpec(
+                    threshold=100.0, error_allowance=0.05,
+                    name=f"t-{made}"))
+                made += 1
+            elif roll < 0.7:
+                target, trigger = rng.choice(names, 2, replace=False)
+                service.add_trigger(str(target), str(trigger),
+                                    elevation_level=1.0)
+            elif roll < 0.9:
+                service.remove_task(str(rng.choice(names)))
+            else:
+                service = MonitoringService.restore(service.snapshot(),
+                                                    soa=True)
+            tasks = service._tasks
+            for state in tasks.values():
+                scan = (state.trigger_task is None and all(
+                    other.trigger_task != state.name
+                    for other in tasks.values()))
+                assert service._soa_eligible(state) == scan, round_
+                if not scan:
+                    assert state.soa_row == -1
+        assert made > 100 and service._local_sources
+
+
+class TestEveryKindOnRows:
+    """Windowed, quantile, entropy, guarded and watched tasks on engine
+    rows are the scalar service, through wide and narrow ticks, batches
+    that repeat rows, by-name offers and explicit arming — with edges
+    routed by an in-service sink and left in the buffer alike."""
+
+    @pytest.mark.parametrize("sink", [True, False], ids=["sink", "buffer"])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_mixed_batches_match_scalar(self, estimator, sink,
+                                        soa_differential):
+        plain = 2 * CROSSOVER
+        pair = soa_differential(
+            soa_differential.population(plain, estimator),
+            register_more=lambda service: soa_differential.register_kinds(
+                service, estimator=estimator), sink=sink)
+        tasks = len(pair.names)
+        assert (pair.rows >= 0).all()
+        rng = np.random.default_rng(17)
+        calls = pair.count_segments()
+        guarded = [n for n in pair.names if n.startswith("guarded")]
+        batches = step = 0
+        for round_ in range(240):
+            step += int(rng.integers(1, 4))
+            width = (2, CROSSOVER - 1, 3 * CROSSOVER, tasks)[round_ % 4]
+            idx = [int(i) for i in rng.permutation(tasks)[:width]]
+            steps = [step] * len(idx)
+            # A multi-step frame: some of the rows again, one and two
+            # steps on, so a target meets its trigger's edge before and
+            # after its own offer of the step.
+            for ahead in (1, 2):
+                again = [int(i) for i in rng.permutation(idx)[
+                    :int(rng.integers(0, len(idx) + 1))]]
+                idx += again
+                steps += [step + ahead] * len(again)
+            step += 2
+            if round_ % 11 == 3:
+                steps[0] = max(step - 9, 0)              # an old step
+            values = [pair.draw(rng, i, s) for i, s in zip(idx, steps)]
+            if round_ % 5 == 1:
+                pair.offer_by_name(idx, steps, values, fast=round_ % 2)
+            else:
+                pair.offer(idx, steps, values)
+                batches += 1
+            if round_ % 7 == 2:
+                pair.set_armed(guarded[round_ % len(guarded)],
+                               bool(round_ % 3))
+            if round_ % 40 == 0:
+                pair.check()
+        pair.check()
+        vector = pair.vector
+        assert sum(len(vector.alerts(n)) for n in pair.names
+                   if n.startswith(("quantile", "entropy", "window"))) > 20
+        suspensions, _saved = vector.trigger_accounting()
+        assert suspensions > 20
+        # With a sink, edges whose trigger guards a later row of the
+        # batch split it; buffered edges never do.
+        assert (len(calls) > batches) == sink
+
+    @pytest.mark.parametrize("order", ["target-first", "trigger-first"])
+    def test_edge_lands_between_the_offers_either_side(self, order,
+                                                       soa_differential):
+        # One pair, frames of several steps: the guard's offer of a step
+        # sits before or after its trigger's, and the trigger crosses its
+        # level mid-frame. The target's schedule must turn on the edge's
+        # position in the frame, not on the frame.
+        pair = soa_differential([], register_more=lambda service: (
+            soa_differential.register_kinds(service, copies=1)))
+        target = pair.names.index("guarded-0")
+        trigger = pair.names.index("trigger-0")
+        both = ([target, trigger] if order == "target-first"
+                else [trigger, target])
+        rng = np.random.default_rng(2)
+        edges = 0
+        for frame in range(60):
+            steps = [frame * 6 + k for k in range(6) for _ in both]
+            hot = frame % 2
+            values = []
+            for step in steps[::2]:
+                hot ^= step % 6 == 3                     # mid-frame flip
+                level = {target: 50.0, trigger: 120.0 if hot else 60.0}
+                values += [level[i] + rng.normal(0.0, 0.3) for i in both]
+            pair.offer(both * 6, steps, values)
+            edges = len(pair.edges[id(pair.vector)])
+        pair.check()
+        assert edges > 50
+        assert pair.vector.trigger_suspensions("guarded-0") > 10
+
+    def test_edge_with_no_guard_in_the_batch_does_not_split(
+            self, soa_differential):
+        pair = soa_differential([], register_more=lambda service: (
+            soa_differential.register_kinds(service, copies=1)))
+        lone = pair.names.index("lone-trigger-0")
+        others = [i for i, name in enumerate(pair.names)
+                  if not name.startswith(("trigger", "watched"))]
+        calls = pair.count_segments()
+        for step in range(80):
+            idx = others[:3] + [lone] + others[3:]
+            value = 99.0 if (step // 4) % 2 else 70.0
+            pair.offer(idx, [step] * len(idx),
+                       [value if i == lone else 60.0 for i in idx])
+        pair.check()
+        assert len(pair.edges[id(pair.vector)]) > 10
+        assert len(calls) == 80
+
+    @pytest.mark.parametrize("sink", [True, False], ids=["sink", "buffer"])
+    def test_offers_that_go_by_name_keep_their_place(self, sink,
+                                                     soa_differential):
+        # A connection whose intern table says -1 for a task that has a
+        # row, and a watched task the engine does not hold (one end of a
+        # last-seen pair): their offers go by name, and their edges — and
+        # those they must see — still fall where they arrived.
+        pair = soa_differential(
+            soa_differential.population(6, "mixed"),
+            register_more=soa_differential.register_kinds, sink=sink)
+        for service in (pair.scalar, pair.vector):
+            service.add_trigger("x-001", "trigger-1", elevation_level=90.0)
+        assert pair.vector.soa_row_for("trigger-1") == -1
+        for name in ("trigger-0", "guarded-1", "guarded-quantile-0"):
+            pair.rows[pair.names.index(name)] = -1
+        tasks = len(pair.names)
+        rng = np.random.default_rng(29)
+        for step in range(0, 360, 3):
+            idx = [int(i) for i in rng.permutation(tasks)]
+            again = idx[:int(rng.integers(0, tasks))]
+            steps = [step] * tasks + [step + 1] * len(again)
+            idx += again
+            pair.offer(idx, steps,
+                       [pair.draw(rng, i, s) for i, s in zip(idx, steps)])
+        pair.check()
+        if sink:
+            assert pair.vector.trigger_suspensions("guarded-1") > 5
+            assert pair.vector.trigger_suspensions("guarded-0") > 5
+
+    def test_quantile_alert_reports_the_estimate_at_the_alerting_offer(
+            self, soa_differential):
+        # One frame: the offer that tips p90 over the threshold, then
+        # more offers of the same task that drag the estimate far away.
+        # The alert is materialised after the frame; it must still carry
+        # p90 as of the offer that raised it.
+        def register(service):
+            service.add_quantile_task("p90", threshold=100.0, quantile=0.9,
+                                      error_allowance=0.05, max_interval=4,
+                                      sketch_window=64)
+            return ["p90"]
+        pair = soa_differential([], register_more=register)
+        lows = [50.0 + k for k in range(20)]
+        pair.offer([0] * 20, list(range(20)), lows)
+        assert not pair.vector.alerts("p90")
+        frame = [150.0, 150.0, 150.0] + [1e6] * 12
+        pair.offer([0] * len(frame), list(range(20, 20 + len(frame))), frame)
+        pair.check()
+        first = pair.vector.alerts("p90")[0]
+        assert first.threshold == 100.0
+        assert first.value < 1e3
+        assert pair.vector.task_estimate("p90") > 1e5
 
 
 class TestCrossover:
@@ -268,12 +492,12 @@ class TestCrossover:
             for name in ("applied", "consumed", "rejected"):
                 assert getattr(wide, name) == getattr(narrow, name)
             for name in ("consumed_intervals", "fallback", "viol_rows",
-                         "viol_steps", "viol_values", "adapt_rows",
-                         "adapt_steps", "adapt_intervals", "adapt_flags",
-                         "adapt_betas"):
+                         "viol_steps", "viol_values", "event_rows",
+                         "event_steps", "event_values", "event_intervals",
+                         "event_flags", "event_betas"):
                 np.testing.assert_array_equal(getattr(wide, name),
                                               getattr(narrow, name))
-            events += len(wide.viol_rows) + len(wide.adapt_rows)
+            events += len(wide.event_rows)
         assert events > 100
         for row in range(tasks):
             assert (repr(engines[0].row_state_dict(row))

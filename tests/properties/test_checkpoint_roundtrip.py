@@ -236,3 +236,49 @@ class TestServiceSnapshotRoundtrip:
         # The full final states are bit-identical, not merely equivalent.
         assert snapshot_fingerprint(restored.snapshot()) \
             == snapshot_fingerprint(uninterrupted.snapshot())
+
+
+class TestEngineRowSnapshotRoundtrip:
+    """The same property with every task on an engine row: windowed,
+    quantile, entropy, guarded (armed or not, suspensions counted in a
+    column) and watched (mid-hold or not) tasks are serialised from
+    their rows and adopted again on restore, at any split point."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           split=st.integers(min_value=0, max_value=160),
+           estimator=st.sampled_from(("chebyshev", "gaussian")))
+    @settings(max_examples=25, deadline=None)
+    def test_row_snapshot_restore_is_bit_identical_and_continues(
+            self, soa_differential, seed, split, estimator):
+        pair = soa_differential(
+            soa_differential.population(4, estimator),
+            register_more=lambda service: soa_differential.register_kinds(
+                service, copies=1, estimator=estimator))
+        everyone = list(range(len(pair.names)))
+        rng = np.random.default_rng(seed)
+
+        def feed(lo, hi):
+            for step in range(lo, hi):
+                pair.offer(everyone, [step] * len(everyone),
+                           [pair.draw(rng, i, step) for i in everyone])
+
+        feed(0, split)
+        snapshot = roundtrip(pair.vector.snapshot())
+        assert snapshot_fingerprint(snapshot) \
+            == snapshot_fingerprint(pair.scalar.snapshot())
+        restored = MonitoringService.restore(snapshot, soa=True)
+        assert all(restored.soa_row_for(name) >= 0 for name in pair.names)
+        # Restore -> snapshot must be the identity on the wire format.
+        assert snapshot_fingerprint(restored.snapshot()) \
+            == snapshot_fingerprint(snapshot)
+        # Carry on with the restored service in the interrupted one's
+        # place (its trace and sink, like callbacks, are re-attached).
+        restored.attach_telemetry(pair.vector._trace)
+        restored.set_trigger_sink(soa_differential.edge_router(
+            restored, pair.edges[id(pair.vector)]))
+        pair.edges[id(restored)] = pair.edges[id(pair.vector)]
+        pair.vector = restored
+        pair.rows = np.asarray([restored.soa_row_for(name)
+                                for name in pair.names], dtype=np.int64)
+        feed(split, 200)
+        pair.check()

@@ -172,7 +172,7 @@ class TestObserveFastProperties:
             intervals_fast.extend(i)
             if s:
                 t = s[-1] + max(1, fast.interval)
-            if end < len(trace) and t >= end:
+            if end <= t < len(trace):   # a retune no sample follows is moot
                 active = [b for b in boundaries if b <= t]
                 if active:
                     fast.error_allowance = plan[active[-1]]

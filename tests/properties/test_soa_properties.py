@@ -7,6 +7,8 @@ NaNs and infinities fall, the restart period, the estimator mix — and a
 seed for the values; the ``soa_differential`` harness (tests/conftest.py)
 feeds a scalar and an SoA service the same offers and holds batch
 accounting, snapshots, alerts, counters and per-task trace events equal.
+The second property holds ``offer_columns`` to its own batch boundaries:
+where a frame is cut must not show, for tasks of every kind.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import soa as soa_mod
+from repro.service import MonitoringService
+from repro.telemetry.trace import DecisionTrace
 
 CROSSOVER = soa_mod._NARROW_TICK_ROWS
 TASKS = 4 * CROSSOVER + 4
@@ -69,3 +73,66 @@ def test_any_tick_width_matches_the_scalar_service(
                 service.add_trigger(pair.names[4], pair.names[6],
                                     elevation_level=60.0)
     pair.check()
+
+
+def _every_kind(soa_differential, estimator, sink):
+    """An SoA service with plain tasks and ``register_kinds``' (windowed,
+    quantile, entropy, guarded, watched); returns it with its task names,
+    rows and the log of edges its sink routed."""
+    service = MonitoringService(soa=True)
+    names = []
+    for task, config in soa_differential.population(8, estimator):
+        service.add_task(task.name, task, config=config)
+        names.append(task.name)
+    names += soa_differential.register_kinds(
+        service, estimator="chebyshev" if estimator == "mixed"
+        else estimator)
+    service.attach_telemetry(DecisionTrace(capacity=1 << 20))
+    edges = []
+    if sink:
+        service.set_trigger_sink(soa_differential.edge_router(service,
+                                                              edges))
+    rows = np.asarray([service.soa_row_for(name) for name in names],
+                      dtype=np.int64)
+    return service, names, rows, edges
+
+
+@given(estimator=st.sampled_from(("chebyshev", "gaussian", "mixed")),
+       sink=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       frames=st.lists(
+           st.tuples(st.integers(min_value=1, max_value=60),   # offers
+                     st.integers(min_value=1, max_value=4),    # steps
+                     st.lists(st.floats(min_value=0.0, max_value=1.0),
+                              max_size=5)),                    # cut points
+           min_size=3, max_size=20))
+@settings(max_examples=30, deadline=None)
+def test_offer_columns_does_not_depend_on_where_a_batch_is_split(
+        soa_differential, estimator, sink, seed, frames):
+    whole, names, rows, whole_edges = _every_kind(soa_differential,
+                                                  estimator, sink)
+    split, _, split_rows, split_edges = _every_kind(soa_differential,
+                                                    estimator, sink)
+    assert (rows >= 0).all() and (rows == split_rows).all()
+    rng = np.random.default_rng(seed)
+    step = 0
+    for offers, span, cuts in frames:
+        idx = rng.integers(0, len(names), offers)
+        steps = step + np.sort(rng.integers(0, span, offers))
+        step += span
+        values = np.asarray([
+            soa_differential.value_for(rng, names[i], int(i), int(s))
+            for i, s in zip(idx, steps)])
+        got = whole.offer_columns(rows[idx], steps, values,
+                                  [names[i] for i in idx])
+        bounds = sorted({0, offers, *(int(c * offers) for c in cuts)})
+        parts = [split.offer_columns(rows[idx[lo:hi]], steps[lo:hi],
+                                     values[lo:hi],
+                                     [names[i] for i in idx[lo:hi]])
+                 for lo, hi in zip(bounds, bounds[1:])]
+        assert got[:3] == tuple(sum(part[k] for part in parts)
+                                for k in range(3))
+        assert sorted(got[3].tolist()) == sorted(
+            np.concatenate([part[3] for part in parts]).tolist())
+    soa_differential.same_state(whole, split)
+    assert whole_edges == split_edges

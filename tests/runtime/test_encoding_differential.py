@@ -48,6 +48,10 @@ OFFERED = TASKS + ["late", "ghost"]
 PLAN = {"target": "guard", "trigger": "edge", "elevation_level": 60.0,
         "suspend_interval": 6, "hysteresis": 0.1, "min_hold": 2}
 MOVED_SHARD = route("p0", SHARDS)
+# Every kind of task rides the columnar tick; one of these lives on the
+# shard that migrates.
+ON_ROWS = ["p0", "win", "p90", "ent", "guard", "edge"]
+assert MOVED_SHARD in {route(name, SHARDS) for name in ON_ROWS[1:]}
 
 
 def _frames() -> list[list[tuple[str, int, float]]]:
@@ -91,6 +95,21 @@ async def _setup(client: AsyncRuntimeClient) -> None:
     await client.add_trigger(LOCAL_TARGET, LOCAL_TRIGGER,
                              elevation_level=60.0, suspend_interval=5)
     await client.install_trigger_plan(PLAN)
+
+
+def _engine_rows(server: Any, names: list[str]) -> list[int]:
+    """Each task's SoA engine row on the shard that hosts it now."""
+    rows = []
+    for name in names:
+        sid = route(name, SHARDS)
+        if isinstance(server, ClusterServer):
+            coord = server.coordinator
+            worker = coord.transports[
+                coord.routes[sid].worker_id].host.shards[sid]
+        else:
+            worker = server._workers[sid]
+        rows.append(worker.service.soa_row_for(name))
+    return rows
 
 
 async def _send(client: AsyncRuntimeClient, encoding: str,
@@ -139,6 +158,11 @@ async def _drive(server: Any, encoding: str) -> dict[str, Any]:
     client = AsyncRuntimeClient(port=server.tcp_port)
     try:
         await _setup(client)
+        # The stream goes down the columnar path, not its by-name
+        # fallback: only the last-seen pair is off the engine.
+        assert min(_engine_rows(server, ON_ROWS)) >= 0
+        assert _engine_rows(server, [LOCAL_TARGET, LOCAL_TRIGGER]) == [-1,
+                                                                       -1]
         if encoding == "binary":
             assert await client.negotiate() == 2
         replies = []
@@ -161,8 +185,10 @@ async def _drive(server: Any, encoding: str) -> dict[str, Any]:
                 gate.set()
                 moved = await migration
                 assert moved["fingerprint_match"] and moved["replayed"] > 0
+                assert min(_engine_rows(server, ON_ROWS)) >= 0
                 held = None
             await server.drain()
+        assert min(_engine_rows(server, ON_ROWS)) >= 0
         stats = await client.stats()
         fingerprints = []
         for sid in range(SHARDS):

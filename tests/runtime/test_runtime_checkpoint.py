@@ -15,6 +15,7 @@ from repro.core.windowed import AggregateKind
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.runtime.checkpoint import (CHECKPOINT_VERSION, read_checkpoint,
                                       write_checkpoint)
+from repro.runtime.checkpoint import state_fingerprint
 from repro.service import MonitoringService
 
 
@@ -307,3 +308,64 @@ class TestServiceSnapshot:
         # Next aggregate must still see the pre-snapshot window contents.
         state = restored._state("w")
         assert state.aggregate(3, 6.0) == pytest.approx(3.0)
+
+
+class TestSnapshotOntoEngineRows:
+    """Before every task was an engine row, windowed, quantile, entropy,
+    guarded and watched tasks were checkpointed from their scalar state.
+    Such a checkpoint — here taken from a scalar service, with a guard
+    disarmed and its suspensions counted, and a watcher inside its hold —
+    must restore onto rows and carry on as if never interrupted."""
+
+    def test_scalar_written_snapshot_continues_on_rows(self,
+                                                       soa_differential):
+        pair = soa_differential(soa_differential.population(6, "mixed"),
+                                register_more=soa_differential
+                                .register_kinds)
+        everyone = list(range(len(pair.names)))
+        rng = np.random.default_rng(41)
+        scalar = pair.scalar
+
+        def ready():
+            guard = scalar.trigger_status("guarded-0")
+            watch = scalar.trigger_status("trigger-1")["watch"]
+            return (not guard["armed"] and guard["suspensions"] > 0
+                    and watch["last_transition"] is not None
+                    and step - watch["last_transition"]
+                    < watch["min_hold"])
+
+        for step in range(400):
+            pair.offer(everyone, [step] * len(everyone),
+                       [pair.draw(rng, i, step) for i in everyone])
+            if step > 150 and ready():
+                break
+        assert ready()
+        written = json.loads(json.dumps(scalar.snapshot()))
+        assert any(entry.get("trigger_suspensions")
+                   for entry in written["tasks"])
+
+        restored = MonitoringService.restore(written, soa=True)
+        assert all(restored.soa_row_for(name) >= 0 for name in pair.names)
+        assert (state_fingerprint(restored.snapshot())
+                == state_fingerprint(written))
+        # Carry on: the uninterrupted scalar service offer by offer, the
+        # restored one in column batches on its new rows.
+        edges = []
+        restored.set_trigger_sink(soa_differential.edge_router(restored,
+                                                               edges))
+        seen = len(pair.edges[id(scalar)])
+        rows = np.asarray([restored.soa_row_for(n) for n in pair.names])
+        for step in range(step + 1, step + 200):
+            values = [pair.draw(rng, i, step) for i in everyone]
+            for name, value in zip(pair.names, values):
+                try:
+                    scalar.offer_fast(name, value, step)
+                except ValueError:
+                    pass
+            restored.offer_columns(rows, [step] * len(rows), values,
+                                   pair.names)
+        assert (state_fingerprint(restored.snapshot())
+                == state_fingerprint(scalar.snapshot()))
+        assert edges == pair.edges[id(scalar)][seen:] and edges
+        for name in pair.names:
+            assert restored.alerts(name)[-5:] == scalar.alerts(name)[-5:]

@@ -85,7 +85,9 @@ IGNORED = {
     "worker_endpoints", "worker_id", "shard_id", "w_",
     # binary-protocol / SoA-engine methods, not module attributes
     "offer_columns", "soa_row_for", "run_columns", "observe_one",
-    "row_state_dict", "load_row_state", "state_dict",
+    "row_state_dict", "load_row_state", "state_dict", "rows_state_dicts",
+    "mark_row", "set_floor", "resume_full_rate", "next_due", "event_",
+    "viol_",
     # typed-task substrate/service methods, config keys, Timeline fields
     # and math tokens (p_q(X), P(X > T), add_*_task), not module
     # attributes

@@ -9,7 +9,8 @@ serves a fleet ``/metrics`` with no special cases:
 
 * counter/gauge series gain a leading ``worker`` label (per-worker series
   stay distinguishable; Prometheus-side ``sum by ()`` gives fleet totals,
-  and the loadgen's family-total accounting keeps working unchanged);
+  and a client that sums a family's series, as the loadgen's ACK ledger
+  does, reads a fleet exactly as it reads one server);
 * histogram series are **merged sketch-first** — quantiles are computed
   from the combined sketch, never averaged across workers (averaging
   per-worker p99s is the classic fleet-monitoring mistake; the mergeable

@@ -27,9 +27,10 @@ Inside every cell the samplers run on the fused core fast path
 (DESIGN.md S27): :func:`~repro.experiments.runner.run_adaptive` and
 :func:`~repro.experiments.distributed.run_distributed_task` drive
 ``observe_fast`` with the fused likelihood kernels, and scoring goes
-through the vectorized ``evaluate_sampling`` — decision streams provably
-identical to the reference path, benchmarked by
-``python -m repro.experiments.bench_core`` (``BENCH_core.json``).
+through the vectorized ``evaluate_sampling`` — decision streams identical
+to the reference path (``tests/core/test_fastpath.py``, the fast-path
+property suite and ``benchmarks/test_core_hotpath.py`` hold that), their
+cost tracked by ``bench/``'s ``adaptation.*`` per-layer metrics.
 """
 
 from __future__ import annotations

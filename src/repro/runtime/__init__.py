@@ -29,6 +29,10 @@ Entry points::
         --http-port 9464 --selfmon-interval 1.0
     python -m repro.runtime.loadgen --tasks 64 --duration 5
 
+(the second is a smoke driver: its exit code is the run's correctness
+verdicts — ACK ledger, checkpoint round-trip, migration under load — and
+it measures nothing; speed is ``bench/``'s job).
+
 Clients: :class:`~repro.runtime.client.RuntimeClient` (sync) and
 :class:`~repro.runtime.client.AsyncRuntimeClient` (asyncio).
 """

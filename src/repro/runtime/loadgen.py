@@ -1,55 +1,42 @@
-"""Load generator for the ingestion runtime (``python -m repro.runtime.loadgen``).
+"""Smoke driver for the ingestion runtime (``python -m repro.runtime.loadgen``).
 
-Drives N synthetic tasks at a target offer rate through the real wire
-protocol and reports sustained throughput plus request latency
-percentiles to ``BENCH_runtime.json``. With no ``--connect``/``--unix``
-endpoint it self-hosts: a :class:`~repro.runtime.server.RuntimeServer` is
-spun up on an ephemeral loopback port in a background thread, so one
-command benchmarks the full client → TCP → shard-queue → sampler path.
+Registers N synthetic tasks on a server, pushes offers at it over C
+concurrent connections for a fixed time, and exits with the run's
+*correctness* verdicts. It measures nothing — throughput, latency and
+per-layer cost are ``bench/``'s job — and the exit code is non-zero when:
 
-Cluster mode: ``--cluster-workers N`` self-hosts a
-:class:`~repro.cluster.server.ClusterServer` fleet instead (default
-``subprocess`` backend — one worker process per core, which is where
-multi-process scaling actually comes from; ``--connections C`` drives it
-over C concurrent sender connections so the routing tier is not
-serialised behind one socket). ``--cluster-sweep 1,2,4,8`` benchmarks
-each fleet size in turn and reports offers/s scaling normalised to the
-single-worker run (``--min-scaling`` turns the floor into an exit code,
-used by the CI cluster-smoke job). ``--migrate-under-load`` live-migrates
-one shard at the midpoint of the run and records whether the cutover was
-bit-identical (fingerprint match) and how many buffered offers replayed.
+* **ledger** — on a server the driver hosts itself, the offers its
+  clients saw ACKed differ from the server's own
+  ``volley_updates_offered_total`` delta (single-process: the shed counts
+  too): an acknowledged update never reached a shard queue, or reached
+  one twice;
+* **checkpoint** — with ``--checkpoint`` (self-hosted, single-process)
+  the run ends in a graceful stop, which flushes a final checkpoint; it
+  is restored, and some task does not come back with its exact interval,
+  next-due step and sample count;
+* **migration** — with ``--migrate-under-load`` (self-hosted cluster of
+  two or more workers) one shard is moved to the least-loaded other
+  worker at the midpoint, senders still running, and the move does not
+  report ``ok`` and ``fingerprint_match``;
+* any sender fails — a protocol error, a refused negotiation, a reset
+  connection fails the run with that error.
 
-Wire protocol: ``--protocol auto`` (default) negotiates per connection
-and rides the compact binary framing when the server agrees; ``json``
-pins the v1 row-of-rows path (the compatibility baseline), ``binary``
-requires protocol >= 2 and fails fast otherwise. ``--protocol-sweep``
-benchmarks both paths back to back and reports the binary/JSON
-throughput ratio plus the scalar-vs-SoA bit-equivalence block
-(:mod:`repro.experiments.bench_soa`) in one combined
-``BENCH_runtime.json`` (``--min-protocol-ratio`` turns the ratio into an
-exit code for CI). ``--profile`` wraps the self-hosted server's event
-loop in cProfile and drops a pstats summary of the server hot loop next
-to the benchmark JSON.
+The server: by default a :class:`~repro.runtime.server.RuntimeServer`, or
+with ``--cluster-workers N`` a :class:`~repro.cluster.server.ClusterServer`
+fleet (``subprocess`` backend unless told otherwise), started on an
+ephemeral loopback port in the senders' own event loop, as
+``repro.scenarios.replay`` hosts its server. ``--connect HOST:PORT``
+drives one that is already running; the driver cannot know it is that
+server's only client, so there is no ledger verdict.
 
-The synthetic streams hover below the threshold with heavy noise, so the
-benchmark exercises both regimes: samplers that grow their intervals (the
-cheap early-return ingest path) and occasional violations (alert path).
-
-With ``--checkpoint`` (self-hosted mode) the run finishes by gracefully
-shutting the server down — flushing a final checkpoint — and restoring it,
-asserting that every task survives with its exact sampler interval,
-next-due step and sample count; the result is recorded as
-``checkpoint_roundtrip`` in the benchmark JSON.
-
-The run also pulls the server's telemetry snapshot (the ``telemetry``
-wire op) before and after driving load: the report carries *server-side*
-offer latency quantiles (from the runtime's
-``volley_offer_latency_seconds`` sketch) next to the client-side numbers,
-plus the server's shed/rejected counter deltas. In self-hosted mode the
-ACKed-offer accounting must agree exactly — a mismatch between the
-server's ``volley_updates_offered_total`` delta and the client's summed
-ACKs fails the run (exit 1), because it would mean acknowledged updates
-were never counted onto a shard.
+The offers: round-robin over each connection's even share of the tasks,
+heavy noise under the threshold, so samplers both stretch their intervals
+and alert. Every frame is built as numpy columns; ``--protocol auto``
+(default) negotiates per connection and sends them binary when the server
+agrees, ``json`` spells the same columns as ``[name, step, value]`` rows,
+``binary`` refuses to run on less than protocol 2. ``--triggers`` guards
+every odd-numbered task behind the first one (``repro.triggers``) and
+reports the channel's edges and suspensions.
 """
 
 from __future__ import annotations
@@ -59,820 +46,282 @@ import asyncio
 import json
 import pathlib
 import sys
-import threading
 import time
 from typing import Any
 
 import numpy as np
 
+from repro.cluster.server import ClusterServer
 from repro.config import ClusterConfig, RuntimeConfig
-from repro.exceptions import ProtocolError
-from repro.runtime.client import RuntimeClient
-from repro.runtime.protocol import PROTOCOL_BINARY, PROTOCOL_JSON
+from repro.exceptions import ProtocolError, ReproError
+from repro.runtime.checkpoint import read_checkpoint
+from repro.runtime.client import AsyncRuntimeClient
+from repro.runtime.protocol import PROTOCOL_BINARY
 from repro.runtime.server import RuntimeServer
 from repro.service import MonitoringService
 
 __all__ = ["main", "run_loadgen"]
 
+_THRESHOLD = 100.0
+_VALUE_MEAN, _VALUE_STD = 80.0, 18.0   # ~13 % of offered values violate
+
 _MIGRATION_SHARD = 0
 """The shard moved by ``--migrate-under-load`` (every shard carries an
 even slice of the synthetic tasks, so any one is representative)."""
 
-_THRESHOLD = 100.0
+_LEDGER = ("offered", "shed", "rejected")      # server counter families
+_SEEN = ("offers", "accepted", "shed", "rejected")  # a sender's own tally
+_SCHEDULE = ("interval", "next_due", "samples_taken")
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1,
-                max(0, round(q * (len(sorted_values) - 1))))
-    return sorted_values[index]
+async def _server_counters(client: AsyncRuntimeClient) -> dict[str, int]:
+    """The server's ``volley_updates_*_total`` families, series summed."""
+    metrics = (await client.telemetry())["metrics"]
+    return {key: int(sum(
+        series["value"] for series in
+        metrics.get(f"volley_updates_{key}_total", {}).get("series", [])))
+        for key in _LEDGER}
 
 
-def _family_total(metrics: dict[str, Any], name: str) -> float:
-    """Sum every series of a counter/gauge family in a telemetry snapshot."""
-    family = metrics.get(name)
-    if not family:
-        return 0.0
-    return float(sum(s["value"] for s in family.get("series", [])))
+async def _send(client: AsyncRuntimeClient, names: list[str],
+                args: argparse.Namespace, seed: int) -> dict[str, Any]:
+    """One connection's closed loop over its share of the tasks.
 
-
-def _histogram_value(metrics: dict[str, Any], name: str,
-                     ) -> dict[str, Any] | None:
-    """The (single) series summary of a histogram family, if present."""
-    family = metrics.get(name)
-    if not family or not family.get("series"):
-        return None
-    return family["series"][0]["value"]
-
-
-def _server_side_report(before: dict[str, Any], after: dict[str, Any],
-                        ) -> dict[str, Any] | None:
-    """Server-side latency quantiles + counter deltas over the run.
-
-    Returns None when the server exposes no telemetry (NULL_REGISTRY
-    deployment or a pre-telemetry server).
+    Frames are ``args.batch`` offers, round-robin over ``names``, built as
+    numpy columns whatever the encoding: element i of a frame is the
+    ``i // len(names)``-th repeat of its task within it, which makes the
+    step column a closed form. Returns what the connection saw ACKed.
     """
-    if not after:
-        return None
-    latency = _histogram_value(after, "volley_offer_latency_seconds")
-    report: dict[str, Any] = {
-        "offered_delta": int(_family_total(after,
-                                           "volley_updates_offered_total")
-                             - _family_total(before,
-                                             "volley_updates_offered_total")),
-        "shed_delta": int(_family_total(after, "volley_updates_shed_total")
-                          - _family_total(before,
-                                          "volley_updates_shed_total")),
-        "rejected_delta": int(
-            _family_total(after, "volley_updates_rejected_total")
-            - _family_total(before, "volley_updates_rejected_total")),
-    }
-    if latency is not None:
-        quantiles = latency.get("quantiles", {})
-        report["offer_latency_ms"] = {
-            "p50": round(1e3 * float(quantiles.get("0.5", 0.0)), 4),
-            "p99": round(1e3 * float(quantiles.get("0.99", 0.0)), 4),
-            "max": round(1e3 * float(latency.get("max", 0.0)), 4),
-            "count": int(latency.get("count", 0)),
-        }
-    return report
-
-
-class _SpawnedServer:
-    """RuntimeServer on a background thread with its own event loop."""
-
-    def __init__(self, config: RuntimeConfig, profile: bool = False):
-        self._config = config
-        self._ready = threading.Event()
-        self._failure: BaseException | None = None
-        self.server: RuntimeServer | None = None
-        self.loop: asyncio.AbstractEventLoop | None = None
-        self.profiler: Any = None
-        self._profile = profile
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="loadgen-server")
-
-    def _run(self) -> None:
-        async def amain() -> None:
-            server = RuntimeServer(self._config)
-            await server.start()
-            self.server = server
-            self.loop = asyncio.get_running_loop()
-            self._ready.set()
-            await server.serve_forever()
-
-        profiler = None
-        if self._profile:
-            # cProfile is per-thread; enabled here it sees exactly the
-            # server's event loop — the decode/route/apply hot path.
-            import cProfile
-            profiler = cProfile.Profile()
-            profiler.enable()
-        try:
-            asyncio.run(amain())
-        except BaseException as exc:  # surface startup failures to caller
-            self._failure = exc
-            self._ready.set()
-        finally:
-            if profiler is not None:
-                profiler.disable()
-                self.profiler = profiler
-
-    def start(self) -> int:
-        self._thread.start()
-        self._ready.wait(timeout=30)
-        if self._failure is not None:
-            raise self._failure
-        assert self.server is not None and self.server.tcp_port is not None
-        return self.server.tcp_port
-
-    def stop(self) -> None:
-        if self.server is None or self.loop is None:
-            return
-        future = asyncio.run_coroutine_threadsafe(self.server.shutdown(),
-                                                  self.loop)
-        future.result(timeout=30)
-        self._thread.join(timeout=30)
-
-
-class _SpawnedCluster:
-    """ClusterServer on a background thread with its own event loop."""
-
-    def __init__(self, config: ClusterConfig):
-        self._config = config
-        self._ready = threading.Event()
-        self._failure: BaseException | None = None
-        self.server = None
-        self.loop: asyncio.AbstractEventLoop | None = None
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="loadgen-cluster")
-
-    def _run(self) -> None:
-        from repro.cluster.server import ClusterServer
-
-        async def amain() -> None:
-            server = ClusterServer(self._config)
-            await server.start()
-            self.server = server
-            self.loop = asyncio.get_running_loop()
-            self._ready.set()
-            await server.serve_forever()
-
-        try:
-            asyncio.run(amain())
-        except BaseException as exc:  # surface startup failures to caller
-            self._failure = exc
-            self._ready.set()
-
-    def start(self) -> int:
-        self._thread.start()
-        self._ready.wait(timeout=60)
-        if self._failure is not None:
-            raise self._failure
-        assert self.server is not None and self.server.tcp_port is not None
-        return self.server.tcp_port
-
-    def migrate_one_shard(self) -> dict[str, Any]:
-        """Move one shard to the least-loaded other worker, under load."""
-        assert self.server is not None and self.loop is not None
-        coordinator = self.server.coordinator
-
-        async def do() -> dict[str, Any]:
-            source = coordinator.routes[_MIGRATION_SHARD].worker_id
-            others = [wid for wid in sorted(coordinator.transports)
-                      if wid != source and wid not in coordinator._dead]
-            if not others:
-                return {"ok": False, "error": "no migration target"}
-            load = {wid: sum(1 for r in coordinator.routes
-                             if r.worker_id == wid) for wid in others}
-            target = min(others, key=lambda w: (load[w], w))
-            try:
-                return await coordinator.migrate(_MIGRATION_SHARD, target)
-            except Exception as exc:
-                return {"ok": False, "error": str(exc)}
-
-        return asyncio.run_coroutine_threadsafe(
-            do(), self.loop).result(timeout=60)
-
-    def stop(self) -> None:
-        if self.server is None or self.loop is None:
-            return
-        future = asyncio.run_coroutine_threadsafe(self.server.shutdown(),
-                                                  self.loop)
-        future.result(timeout=60)
-        self._thread.join(timeout=30)
-
-
-def _verify_checkpoint_roundtrip(checkpoint: pathlib.Path,
-                                 expected: dict[str, dict[str, Any]]) -> bool:
-    """Restore the flushed checkpoint and compare every task's state."""
-    from repro.runtime.checkpoint import read_checkpoint
-
-    state = read_checkpoint(checkpoint)
-    restored: dict[str, dict[str, Any]] = {}
-    for snapshot in state.get("shards", []):
-        service = MonitoringService.restore(snapshot)
-        for name in service.task_names:
-            restored[name] = {
-                "interval": service.interval(name),
-                "next_due": service.next_due(name),
-                "samples_taken": service.samples_taken(name),
-            }
-    return restored == expected
-
-
-def _send_updates(client: RuntimeClient, names: list[str],
-                  args: argparse.Namespace, rate: float,
-                  seed: int) -> dict[str, Any]:
-    """One connection's send loop over its partition of the tasks."""
-    rng = np.random.default_rng(seed)
+    binary = (args.protocol != "json"
+              and await client.negotiate() >= PROTOCOL_BINARY)
+    if binary:
+        # After registration, so the server resolves every name to a row.
+        indexes = np.asarray(await client.intern(names), dtype=np.uint32)
+    elif args.protocol == "binary":
+        raise ProtocolError(
+            f"--protocol binary requested but the server only speaks "
+            f"protocol {client.protocol}")
     mask = (1 << 16) - 1
-    values = rng.normal(getattr(args, "value_mean", 80.0),
-                        getattr(args, "value_std", 18.0), mask + 1)
-    steps = [0] * len(names)
-    latencies: list[float] = []
-    offers = accepted = shed = rejected = 0
-    batch_interval = (args.batch / rate) if rate > 0 else 0.0
-    value_index = 0
-    task_index = 0
-    started = time.perf_counter()
-    deadline = started + args.duration
-    next_send = started
-    while True:
-        now = time.perf_counter()
-        if now >= deadline:
-            break
-        if batch_interval and now < next_send:
-            time.sleep(min(next_send - now, 0.005))
-            continue
-        batch: list[list[Any]] = []
-        for _ in range(args.batch):
-            batch.append([names[task_index], steps[task_index],
-                          float(values[value_index & mask])])
-            steps[task_index] += 1
-            value_index += 1
-            task_index += 1
-            if task_index == len(names):
-                task_index = 0
-        sent = time.perf_counter()
-        reply = client.offer_batch(batch)
-        latencies.append(time.perf_counter() - sent)
-        offers += len(batch)
-        accepted += int(reply.get("accepted", 0))
-        shed += int(reply.get("shed", 0))
-        rejected += int(reply.get("rejected", 0))
-        if batch_interval:
-            next_send += batch_interval
-    return {"offers": offers, "accepted": accepted, "shed": shed,
-            "rejected": rejected, "latencies": latencies,
-            "elapsed": time.perf_counter() - started}
-
-
-def _send_updates_binary(client: RuntimeClient, names: list[str],
-                         args: argparse.Namespace, rate: float,
-                         seed: int) -> dict[str, Any]:
-    """One connection's vectorised send loop on the binary path.
-
-    The caller has already negotiated protocol >= 2; this interns the
-    connection's task partition (post-registration, so the server resolves
-    every name onto an engine row) and then builds each batch as numpy
-    columns — no per-update Python lists, no JSON encode.
-    """
-    rng = np.random.default_rng(seed)
-    mask = (1 << 16) - 1
-    values = rng.normal(getattr(args, "value_mean", 80.0),
-                        getattr(args, "value_std", 18.0), mask + 1)
-    indexes = np.asarray(client.intern(names), dtype=np.uint32)
+    table = np.random.default_rng(seed).normal(_VALUE_MEAN, _VALUE_STD,
+                                               mask + 1)
     count = len(names)
     lane = np.arange(args.batch, dtype=np.int64)
-    # Round-robin over a cyclic task order: element i of any batch is the
-    # (i // count)-th repeat of its task within that batch, which makes
-    # the per-task step columns a closed form instead of a Python loop.
     occurrence = lane // count
     full_cycles, remainder = divmod(args.batch, count)
     steps = np.zeros(count, dtype=np.int64)
-    latencies: list[float] = []
-    offers = accepted = shed = rejected = 0
-    batch_interval = (args.batch / rate) if rate > 0 else 0.0
+    seen = np.zeros(len(_SEEN), dtype=np.int64)
     cursor = 0
-    value_cursor = 0
     started = time.perf_counter()
-    deadline = started + args.duration
-    next_send = started
-    while True:
-        now = time.perf_counter()
-        if now >= deadline:
-            break
-        if batch_interval and now < next_send:
-            time.sleep(min(next_send - now, 0.005))
-            continue
+    while time.perf_counter() - started < args.duration:
         positions = (cursor + lane) % count
-        sent = time.perf_counter()
-        reply = client.offer_columns(indexes[positions],
-                                     steps[positions] + occurrence,
-                                     values[(value_cursor + lane) & mask])
-        latencies.append(time.perf_counter() - sent)
-        offers += args.batch
-        accepted += reply.accepted
-        shed += reply.shed
-        rejected += reply.rejected
+        frame_steps = steps[positions] + occurrence
+        frame_values = table[(seen[0] + lane) & mask]
+        if binary:
+            reply = await client.offer_columns(indexes[positions],
+                                               frame_steps, frame_values)
+            seen += (args.batch, reply.accepted, reply.shed, reply.rejected)
+        else:
+            reply = await client.offer_batch(
+                [[names[p], s, v] for p, s, v in zip(
+                    positions.tolist(), frame_steps.tolist(),
+                    frame_values.tolist())])
+            seen += (args.batch, reply["accepted"], reply["shed"],
+                     reply["rejected"])
         steps += full_cycles
         if remainder:
             steps[(cursor + np.arange(remainder)) % count] += 1
         cursor = (cursor + args.batch) % count
-        value_cursor += args.batch
-        if batch_interval:
-            next_send += batch_interval
-    return {"offers": offers, "accepted": accepted, "shed": shed,
-            "rejected": rejected, "latencies": latencies,
+    return {**dict(zip(_SEEN, seen.tolist())), "protocol": client.protocol,
             "elapsed": time.perf_counter() - started}
 
 
-def _dump_profile(profiler: Any, path: pathlib.Path) -> None:
-    """Write a pstats text summary of the server hot loop."""
-    import io
-    import pstats
+async def _migrate_at_midpoint(control: AsyncRuntimeClient,
+                               delay: float) -> dict[str, Any]:
+    """Move one shard to the least-loaded other live worker, under load.
 
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(40)
-    stats.sort_stats("tottime").print_stats(25)
-    path.write_text(buffer.getvalue(), encoding="utf-8")
+    The cutover must be invisible to the senders (offers buffered during
+    it replay afterwards); returns the coordinator's own account of it.
+    """
+    await asyncio.sleep(delay)
+    workers = (await control.placement())["workers"]
+    load = {wid: len(entry["shards"]) for wid, entry in workers.items()
+            if entry["alive"] and _MIGRATION_SHARD not in entry["shards"]}
+    return await control.migrate(
+        _MIGRATION_SHARD, min(load, key=lambda wid: (load[wid], wid)))
 
 
-def _run_once(args: argparse.Namespace,
-              out: pathlib.Path | None) -> dict[str, Any]:
-    """One benchmark run (single-process or cluster); returns the report."""
-    spawned: _SpawnedServer | None = None
-    cluster: _SpawnedCluster | None = None
-    cluster_workers = int(getattr(args, "cluster_workers", 0) or 0)
-    if args.connect is None and args.unix is None:
-        if cluster_workers:
-            config = ClusterConfig(
-                workers=cluster_workers,
-                shards=max(args.shards, cluster_workers),
-                backend=args.cluster_backend,
-                queue_depth=args.queue_depth,
-                max_batch=max(8192, args.batch), port=0)
-            cluster = _SpawnedCluster(config)
-            port = cluster.start()
-            host, unix = "127.0.0.1", None
-        else:
-            checkpoint = args.checkpoint
-            config = RuntimeConfig(shards=args.shards,
-                                   queue_depth=args.queue_depth,
-                                   max_batch=max(8192, args.batch),
-                                   port=0, checkpoint_path=checkpoint,
-                                   checkpoint_interval=3600.0)
-            spawned = _SpawnedServer(
-                config, profile=bool(getattr(args, "profile", False)))
-            port = spawned.start()
-            host, unix = "127.0.0.1", None
-    elif args.unix is not None:
-        host, port, unix = "", 0, args.unix
+def _restored_schedules(checkpoint: pathlib.Path) -> dict[str, dict]:
+    """Every task's schedule as a restore of ``checkpoint`` gives it."""
+    restored = {}
+    for snapshot in read_checkpoint(checkpoint).get("shards", []):
+        service = MonitoringService.restore(snapshot)
+        for name in service.task_names:
+            restored[name] = {key: getattr(service, key)(name)
+                              for key in _SCHEDULE}
+    return restored
+
+
+async def run_loadgen(args: argparse.Namespace) -> dict[str, Any]:
+    """One run against a self-hosted or ``--connect``ed server; returns
+    the report (verdicts included, ``None`` where one does not apply)."""
+    server: RuntimeServer | ClusterServer | None = None
+    host, port = "127.0.0.1", 0
+    if args.connect is not None:
+        host, _, port_text = args.connect.rpartition(":")
+        port = int(port_text)
+    elif args.cluster_workers:
+        server = ClusterServer(ClusterConfig(
+            workers=args.cluster_workers,
+            shards=max(args.shards, args.cluster_workers),
+            backend=args.cluster_backend,
+            max_batch=max(8192, args.batch), port=0))
     else:
-        host, _, port_text = args.connect.partition(":")
-        port, unix = int(port_text), None
-
+        server = RuntimeServer(RuntimeConfig(
+            shards=args.shards, max_batch=max(8192, args.batch), port=0,
+            checkpoint_path=args.checkpoint, checkpoint_interval=3600.0))
+    if server is not None:
+        await server.start()
+        port = server.tcp_port
+    control = AsyncRuntimeClient(host, port)
+    senders = [AsyncRuntimeClient(host, port)
+               for _ in range(args.connections)]
     names = [f"lg-{i:04d}" for i in range(args.tasks)]
-
-    client = RuntimeClient(host=host, port=port, unix_socket=unix)
-    client.connect()
-    for name in names:
-        client.register_task(name, _THRESHOLD,
-                             error_allowance=args.error_allowance,
-                             max_interval=args.max_interval)
-
-    use_triggers = bool(getattr(args, "triggers", False))
-    guarded: list[str] = []
-    if use_triggers:
-        if args.tasks < 2:
-            raise SystemExit("--triggers needs at least 2 tasks")
+    migrate = bool(args.migrate_under_load and server is not None
+                   and args.cluster_workers > 1)
+    try:
+        for name in names:
+            await control.register_task(name, _THRESHOLD,
+                                        error_allowance=0.01,
+                                        max_interval=10)
         # The first task is the cheap edge source; every odd-indexed task
         # rides as an expensive guarded target. The elevation level sits
         # at the violation threshold, so the noisy healthy streams spend
         # most of the run disarmed and the channel's suspension
         # accounting has something to show.
-        guarded = names[1::2]
+        guarded = names[1::2] if args.triggers else []
         for target in guarded:
-            client.install_trigger_plan({
+            await control.install_trigger_plan({
                 "target": target, "trigger": names[0],
                 "elevation_level": _THRESHOLD,
                 "suspend_interval": 10, "hysteresis": 0.1, "min_hold": 3})
 
-    protocol_choice = str(getattr(args, "protocol", "auto") or "auto")
-    negotiated = PROTOCOL_JSON
-    if protocol_choice != "json":
-        negotiated = client.negotiate()
-        if protocol_choice == "binary" and negotiated < PROTOCOL_BINARY:
-            client.close()
-            if spawned is not None:
-                spawned.stop()
-            if cluster is not None:
-                cluster.stop()
-            raise ProtocolError(
-                f"--protocol binary requested but the server only speaks "
-                f"protocol {negotiated}")
-    use_binary = negotiated >= PROTOCOL_BINARY
-    send = _send_updates_binary if use_binary else _send_updates
-    if getattr(args, "profile", False) and spawned is None:
-        print("[loadgen] note: --profile only instruments the "
-              "self-hosted single-process server; ignoring", flush=True)
+        before = (await _server_counters(control)
+                  if server is not None else None)
+        jobs = [_send(client, names[i::args.connections], args,
+                      args.seed + i) for i, client in enumerate(senders)]
+        if migrate:
+            jobs.append(_migrate_at_midpoint(control, args.duration / 2.0))
+        # Every job ends by itself (a sender at the deadline or at its
+        # first error), so wait for all and then fail on the first error.
+        done = await asyncio.gather(*jobs, return_exceptions=True)
+        for result in done:
+            if isinstance(result, BaseException):
+                raise result
+        sent = done[:args.connections]
+        seen = {key: sum(r[key] for r in sent) for key in _SEEN}
 
-    def _telemetry_metrics() -> dict[str, Any]:
-        from repro.exceptions import ProtocolError
-        try:
-            return dict(client.telemetry().get("metrics", {}))
-        except ProtocolError:
-            return {}  # pre-telemetry server
+        # Let the shards finish applying what was ACKed: the schedules
+        # read below must be the ones the final checkpoint holds.
+        drain_deadline = time.monotonic() + 30
+        stats = await control.stats()
+        while (stats["totals"]["applied"] + stats["totals"]["rejected"]
+               < seen["accepted"] and time.monotonic() < drain_deadline):
+            await asyncio.sleep(0.02)
+            stats = await control.stats()
 
-    metrics_before = _telemetry_metrics()
+        server_side = consistent = None
+        if before is not None:
+            after = await _server_counters(control)
+            server_side = {f"{key}_delta": after[key] - before[key]
+                           for key in _LEDGER}
+            # Every ACKed offer lands on a shard queue exactly once,
+            # migration-buffer replays included. A cluster's shed deltas
+            # are not compared: replay retries legitimately bump
+            # worker-side shed counters with no client-visible shed.
+            consistent = (
+                server_side["offered_delta"] == seen["accepted"]
+                and (bool(args.cluster_workers)
+                     or server_side["shed_delta"] == seen["shed"]))
 
-    migration_holder: dict[str, Any] = {}
-    migration_timer: threading.Timer | None = None
-    if (cluster is not None and cluster_workers > 1
-            and getattr(args, "migrate_under_load", False)):
-        # Move one shard at the midpoint of the run: the cutover must be
-        # invisible to the senders (buffered offers replay after it).
-        migration_timer = threading.Timer(
-            args.duration / 2.0,
-            lambda: migration_holder.update(cluster.migrate_one_shard()))
-        migration_timer.start()
+        triggers = None
+        if args.triggers:
+            reply = await control.trigger_plans()
+            triggers = {"plans": len(reply.get("plans", [])),
+                        "guarded_tasks": len(guarded),
+                        "edges": dict(reply.get("edges", {})),
+                        "suspensions": int(reply.get("suspensions", 0)),
+                        "probe_collections_saved": float(
+                            reply.get("probe_cost_saved", 0.0))}
 
-    connections = max(1, int(getattr(args, "connections", 1) or 1))
-    partitions = [names[i::connections] for i in range(connections)]
-    per_conn_rate = args.rate / connections if args.rate > 0 else 0.0
-    if connections == 1:
-        results = [send(client, names, args, args.rate, args.seed)]
-    else:
-        senders = []
-        for i in range(connections):
-            extra = RuntimeClient(host=host, port=port, unix_socket=unix)
-            extra.connect()
-            if use_binary and extra.negotiate() < PROTOCOL_BINARY:
-                raise ProtocolError(
-                    "server downgraded a sender connection to JSON "
-                    "mid-benchmark")
-            senders.append(extra)
-        results: list[dict[str, Any] | None] = [None] * connections
-        threads = []
-        for i, (sender, part) in enumerate(zip(senders, partitions)):
-            def run(i=i, sender=sender, part=part):
-                results[i] = send(sender, part, args,
-                                  per_conn_rate, args.seed + i)
-            thread = threading.Thread(target=run,
-                                      name=f"loadgen-send-{i}")
-            thread.start()
-            threads.append(thread)
-        for thread in threads:
-            thread.join()
-        for sender in senders:
-            sender.close()
-    if migration_timer is not None:
-        migration_timer.join(timeout=90)
-
-    latencies = sorted(lat for r in results for lat in r["latencies"])
-    offers = sum(r["offers"] for r in results)
-    accepted = sum(r["accepted"] for r in results)
-    shed = sum(r["shed"] for r in results)
-    rejected = sum(r["rejected"] for r in results)
-    started = time.perf_counter() - max(r["elapsed"] for r in results)
-    elapsed = max(r["elapsed"] for r in results)
-
-    # Wait for the shards to finish applying what was accepted, so the
-    # reported apply throughput covers the full pipeline.
-    drain_deadline = time.monotonic() + 30
-    stats = client.stats()
-    while (stats["totals"]["applied"] + stats["totals"]["rejected"]
-           < accepted and time.monotonic() < drain_deadline):
-        time.sleep(0.02)
-        stats = client.stats()
-    drained = time.perf_counter() - started
-
-    metrics_after = _telemetry_metrics()
-    server_side = _server_side_report(metrics_before, metrics_after)
-    counters_consistent: bool | None = None
-    if server_side is not None and spawned is not None:
-        # Exclusive server: the ACKed-offer accounting must line up
-        # exactly with the server's own counters.
-        counters_consistent = (
-            server_side["offered_delta"] == accepted
-            and server_side["shed_delta"] == shed)
-    elif server_side is not None and cluster is not None:
-        # Exclusive cluster: every ACKed offer must land on a shard
-        # queue exactly once (migration-buffer replays included). The
-        # shed deltas are not compared — replay retries legitimately
-        # bump worker-side shed counters with no client-visible shed.
-        counters_consistent = server_side["offered_delta"] == accepted
-
-    trigger_report: dict[str, Any] | None = None
-    if use_triggers:
-        reply = client.trigger_plans()
-        trigger_report = {
-            "plans": len(reply.get("plans", [])),
-            "guarded_tasks": len(guarded),
-            "edges": dict(reply.get("edges", {})),
-            "suspensions": int(reply.get("suspensions", 0)),
-            "probe_collections_saved": float(
-                reply.get("probe_cost_saved", 0.0)),
-        }
-
-    expected: dict[str, dict[str, Any]] = {}
-    if spawned is not None and args.checkpoint is not None:
-        for name in names:
-            info = client.task_info(name)
-            expected[name] = {
-                "interval": info["interval"],
-                "next_due": info["next_due"],
-                "samples_taken": info["samples_taken"],
-            }
-    client.close()
-
-    checkpoint_roundtrip: bool | None = None
-    profile_path: str | None = None
-    if spawned is not None:
-        spawned.stop()  # graceful: drains queues, flushes final checkpoint
-        if args.checkpoint is not None:
-            checkpoint_roundtrip = _verify_checkpoint_roundtrip(
-                args.checkpoint, expected)
-        if spawned.profiler is not None:
-            target = pathlib.Path(args.out)
-            profile_file = target.with_name(
-                f"{target.stem}-{'binary' if use_binary else 'json'}"
-                f"-profile.txt")
-            _dump_profile(spawned.profiler, profile_file)
-            profile_path = str(profile_file)
-            print(f"[loadgen] server profile -> {profile_file}",
-                  flush=True)
-    if cluster is not None:
-        cluster.stop()
+        expected = None
+        if isinstance(server, RuntimeServer) and args.checkpoint is not None:
+            expected = {}
+            for name in names:
+                info = await control.task_info(name)
+                expected[name] = {key: info[key] for key in _SCHEDULE}
+    finally:
+        for client in (control, *senders):
+            await client.close()
+        if server is not None:
+            await server.shutdown()   # graceful: drains, flushes checkpoint
 
     totals = stats["totals"]
-    report = {
+    return {
         "tasks": args.tasks,
-        "shards": (max(args.shards, cluster_workers)
-                   if spawned is not None or cluster is not None
-                   else stats.get("shards") and len(stats["shards"])),
-        "cluster": ({"workers": cluster_workers,
+        "shards": len(stats["shards"]),
+        "cluster": ({"workers": args.cluster_workers,
                      "backend": args.cluster_backend}
-                    if cluster is not None else None),
-        "connections": connections,
-        "protocol": negotiated,
+                    if isinstance(server, ClusterServer) else None),
+        "connections": args.connections,
+        "protocol": min(r["protocol"] for r in sent),
         "batch": args.batch,
-        "rate_target": args.rate,
-        "duration_s": round(elapsed, 4),
-        "offers": offers,
-        "accepted": accepted,
-        "shed": shed,
-        "rejected": rejected,
+        "duration_s": round(max(r["elapsed"] for r in sent), 4),
+        **seen,
         "applied": totals["applied"],
         "consumed": totals["consumed"],
         "alerts": totals["alerts"],
-        "offers_per_sec": round(accepted / elapsed) if elapsed else 0,
-        "applied_per_sec": (round(totals["applied"] / drained)
-                            if drained else 0),
-        "latency_ms": {
-            "mean": round(1e3 * sum(latencies) / len(latencies), 4)
-                    if latencies else 0.0,
-            "p50": round(1e3 * _percentile(latencies, 0.50), 4),
-            "p99": round(1e3 * _percentile(latencies, 0.99), 4),
-            "max": round(1e3 * latencies[-1], 4) if latencies else 0.0,
-        },
-        "checkpoint_roundtrip": checkpoint_roundtrip,
-        "profile": profile_path,
         "server": server_side,
-        "counters_consistent": counters_consistent,
-        "migration": (dict(migration_holder)
-                      if migration_timer is not None else None),
-        "triggers": trigger_report,
+        "counters_consistent": consistent,
+        "checkpoint_roundtrip": (
+            None if expected is None
+            else _restored_schedules(args.checkpoint) == expected),
+        "migration": done[-1] if migrate else None,
+        "triggers": triggers,
     }
-    if out is not None:
-        out.write_text(json.dumps(report, indent=2) + "\n",
-                       encoding="utf-8")
-
-    where = (f"{cluster_workers}-worker {args.cluster_backend} cluster"
-             if cluster is not None else "server")
-    where += " [binary]" if use_binary else " [json]"
-    lat = report["latency_ms"]
-    print(f"[loadgen] {where}: {accepted} offers in {elapsed:.2f}s = "
-          f"{report['offers_per_sec']} offers/s "
-          f"(applied {report['applied_per_sec']}/s); "
-          f"p50={lat['p50']}ms p99={lat['p99']}ms; "
-          f"shed={shed} rejected={rejected} alerts={report['alerts']}"
-          + (f"; -> {out}" if out is not None else ""), flush=True)
-    migration = report["migration"]
-    if migration is not None:
-        print(f"[loadgen] migration under load: "
-              f"{'ok' if migration.get('ok') else 'FAILED'} "
-              f"shard={migration.get('shard')} "
-              f"{migration.get('from')}->{migration.get('to')} "
-              f"replayed={migration.get('replayed')} "
-              f"fingerprint_match={migration.get('fingerprint_match')}",
-              flush=True)
-    if trigger_report is not None:
-        print(f"[loadgen] triggers: {trigger_report['plans']} plans over "
-              f"{trigger_report['guarded_tasks']} guarded tasks; "
-              f"edges={trigger_report['edges']} "
-              f"suspensions={trigger_report['suspensions']} "
-              f"probe_collections_saved="
-              f"{trigger_report['probe_collections_saved']}", flush=True)
-    if server_side is not None and "offer_latency_ms" in server_side:
-        srv = server_side["offer_latency_ms"]
-        print(f"[loadgen] server-side offer latency: p50={srv['p50']}ms "
-              f"p99={srv['p99']}ms over {srv['count']} frames; "
-              f"offered_delta={server_side['offered_delta']} "
-              f"shed_delta={server_side['shed_delta']}", flush=True)
-    if counters_consistent is not None:
-        print(f"[loadgen] counter consistency: "
-              f"{'ok' if counters_consistent else 'MISMATCH'}", flush=True)
-    if checkpoint_roundtrip is not None:
-        print(f"[loadgen] checkpoint roundtrip: "
-              f"{'ok' if checkpoint_roundtrip else 'MISMATCH'}", flush=True)
-    return report
-
-
-def _run_protocol_sweep(args: argparse.Namespace,
-                        out: pathlib.Path) -> dict[str, Any]:
-    """JSON run, then binary run, then the combined comparison report.
-
-    The report carries both runs in full, the binary/JSON offers-per-sec
-    ratio (the number the CI floor gates on) and the scalar-vs-SoA
-    bit-equivalence block so one artifact answers both "how much faster"
-    and "still exactly the paper's sampler".
-    """
-    runs: dict[str, dict[str, Any]] = {}
-    for choice in ("json", "binary"):
-        sub = argparse.Namespace(**vars(args))
-        sub.protocol = choice
-        sub.protocol_sweep = False
-        sub.checkpoint = None
-        # With --profile both runs dump (the file is named per protocol),
-        # which makes the JSON-vs-binary hot-loop comparison one diff.
-        sub.profile = bool(getattr(args, "profile", False))
-        print(f"[loadgen] protocol sweep: {choice} run, "
-              f"{args.duration}s...", flush=True)
-        runs[choice] = _run_once(sub, None)
-    ratio = (runs["binary"]["offers_per_sec"]
-             / max(1, runs["json"]["offers_per_sec"]))
-
-    soa_points = int(getattr(args, "soa_points", 0) or 0)
-    soa_block: dict[str, Any] | None = None
-    if soa_points > 0:
-        from repro.experiments.bench_soa import equivalence_report
-        print(f"[loadgen] scalar-vs-SoA equivalence: {soa_points} points "
-              f"per estimator...", flush=True)
-        soa_block = equivalence_report(points=soa_points,
-                                       tasks=min(args.tasks, 1024),
-                                       seed=args.seed)
-
-    report = {
-        "mode": "protocol-sweep",
-        "protocol": runs["binary"]["protocol"],
-        "tasks": args.tasks,
-        "batch": args.batch,
-        "connections": max(1, int(getattr(args, "connections", 1) or 1)),
-        "duration_s_per_run": args.duration,
-        "json": runs["json"],
-        "binary": runs["binary"],
-        "offers_per_sec": runs["binary"]["offers_per_sec"],
-        "binary_vs_json": round(ratio, 3),
-        "soa_equivalence": soa_block,
-        "counters_consistent": all(
-            run["counters_consistent"] is not False
-            for run in runs.values()),
-    }
-    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    soa_text = ""
-    if soa_block is not None:
-        soa_text = (", soa=bit-identical" if soa_block["identical"]
-                    else ", soa=DIVERGED")
-    print(f"[loadgen] protocol sweep: json "
-          f"{runs['json']['offers_per_sec']}/s, binary "
-          f"{runs['binary']['offers_per_sec']}/s "
-          f"({report['binary_vs_json']}x{soa_text}); -> {out}", flush=True)
-    return report
-
-
-def run_loadgen(args: argparse.Namespace) -> dict[str, Any]:
-    """Execute the benchmark; returns the report dict (also written out).
-
-    With ``--cluster-sweep`` the benchmark runs once per worker count and
-    the report is a scaling table (offers/s per fleet size, normalised to
-    the single-worker run) instead of a single run's numbers.
-    """
-    out = pathlib.Path(args.out)
-    if getattr(args, "protocol_sweep", False):
-        return _run_protocol_sweep(args, out)
-    sweep_spec = getattr(args, "cluster_sweep", None)
-    if not sweep_spec:
-        return _run_once(args, out)
-
-    counts = [int(part) for part in str(sweep_spec).split(",")
-              if part.strip()]
-    if not counts:
-        raise ValueError(f"empty --cluster-sweep {sweep_spec!r}")
-    runs: list[dict[str, Any]] = []
-    for workers in counts:
-        sub = argparse.Namespace(**vars(args))
-        sub.cluster_workers = workers
-        sub.cluster_sweep = None
-        sub.checkpoint = None
-        print(f"[loadgen] sweep: {workers} worker(s), "
-              f"{args.duration}s...", flush=True)
-        runs.append(_run_once(sub, None))
-    base = runs[0]["offers_per_sec"] or 1
-    sweep = [{
-        "workers": workers,
-        "offers_per_sec": run["offers_per_sec"],
-        "applied_per_sec": run["applied_per_sec"],
-        "latency_p99_ms": run["latency_ms"]["p99"],
-        "scaling_vs_single": round(run["offers_per_sec"] / base, 3),
-        "counters_consistent": run["counters_consistent"],
-    } for workers, run in zip(counts, runs)]
-    import os
-    report = {
-        "mode": "cluster-sweep",
-        "backend": args.cluster_backend,
-        "cpu_count": os.cpu_count(),
-        "tasks": args.tasks,
-        "batch": args.batch,
-        "connections": max(1, int(args.connections or 1)),
-        "duration_s_per_run": args.duration,
-        "sweep": sweep,
-        "scaling": sweep[-1]["scaling_vs_single"],
-        "counters_consistent": all(
-            entry["counters_consistent"] is not False for entry in sweep),
-        "migration": runs[-1].get("migration"),
-    }
-    out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    table = ", ".join(f"{e['workers']}w={e['offers_per_sec']}/s "
-                      f"({e['scaling_vs_single']}x)" for e in sweep)
-    print(f"[loadgen] sweep: {table}; -> {out}", flush=True)
-    return report
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runtime.loadgen",
-        description="Benchmark the ingestion runtime with synthetic tasks; "
-                    "writes throughput and latency percentiles to a JSON "
-                    "report.")
+        description="Drive a self-hosted or running server with synthetic "
+                    "tasks over several connections; the exit code is the "
+                    "run's correctness verdicts (ACK ledger, checkpoint "
+                    "round-trip, migration under load). Measures nothing: "
+                    "see bench/.")
     parser.add_argument("--tasks", type=int, default=64,
                         help="synthetic tasks to register (default 64)")
     parser.add_argument("--duration", type=float, default=5.0,
                         help="send duration in seconds (default 5)")
     parser.add_argument("--batch", type=int, default=512,
-                        help="updates per offer_batch frame (default 512)")
-    parser.add_argument("--rate", type=float, default=0.0,
-                        help="target offers/sec; 0 = as fast as possible")
-    parser.add_argument("--shards", type=int, default=4,
-                        help="shards for the self-hosted server")
-    parser.add_argument("--queue-depth", type=int, default=1024)
-    parser.add_argument("--connect", default=None, metavar="HOST:PORT",
-                        help="drive an existing server instead of "
-                             "self-hosting")
-    parser.add_argument("--unix", type=pathlib.Path, default=None,
-                        help="drive an existing server on a unix socket")
-    parser.add_argument("--checkpoint", type=pathlib.Path, default=None,
-                        help="(self-hosted) checkpoint file; verifies a "
-                             "full shutdown->restore roundtrip")
-    parser.add_argument("--out", type=pathlib.Path,
-                        default=pathlib.Path("BENCH_runtime.json"))
+                        help="offers per frame (default 512)")
+    parser.add_argument("--connections", type=int, default=1,
+                        help="concurrent sender connections, each driving "
+                             "an even share of the tasks (default 1)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--protocol", default="auto",
                         choices=("auto", "json", "binary"),
-                        help="wire protocol: auto negotiates per "
-                             "connection (default), json pins the v1 "
-                             "baseline, binary requires protocol >= 2")
-    parser.add_argument("--protocol-sweep", action="store_true",
-                        help="benchmark the json and binary paths back "
-                             "to back and report the throughput ratio "
-                             "plus the scalar-vs-SoA equivalence block")
-    parser.add_argument("--min-protocol-ratio", type=float, default=None,
-                        help="(with --protocol-sweep) exit non-zero if "
-                             "binary offers/s is below this multiple of "
-                             "the json run's")
-    parser.add_argument("--soa-points", type=int, default=1_000_000,
-                        help="(with --protocol-sweep) stream length per "
-                             "estimator for the scalar-vs-SoA "
-                             "bit-equivalence check (0 disables)")
-    parser.add_argument("--profile", action="store_true",
-                        help="(self-hosted single-process) cProfile the "
-                             "server event loop and write a pstats "
-                             "summary next to --out")
-    parser.add_argument("--error-allowance", type=float, default=0.01)
-    parser.add_argument("--max-interval", type=int, default=10)
-    parser.add_argument("--value-mean", type=float, default=80.0,
-                        help="mean of the synthetic value stream "
-                             "(default 80; threshold is 100)")
-    parser.add_argument("--value-std", type=float, default=18.0,
-                        help="stddev of the synthetic value stream "
-                             "(default 18 = heavy noise, ~13%% violation "
-                             "rate; small values benchmark the calm "
-                             "rare-violation regime the paper assumes)")
-    parser.add_argument("--min-throughput", type=float, default=None,
-                        help="exit non-zero below this offers/sec floor")
+                        help="offer encoding: auto negotiates per "
+                             "connection (default), json spells every "
+                             "frame as rows, binary requires protocol >= 2")
+    parser.add_argument("--connect", default=None, metavar="HOST:PORT",
+                        help="drive an existing server instead of "
+                             "self-hosting")
+    parser.add_argument("--shards", type=int, default=4,
+                        help="shards for the self-hosted server")
+    parser.add_argument("--checkpoint", type=pathlib.Path, default=None,
+                        help="(self-hosted, single-process) checkpoint "
+                             "file; verifies a graceful-stop -> restore "
+                             "round-trip")
     parser.add_argument("--cluster-workers", type=int, default=0,
                         help="self-host a repro.cluster fleet with this "
                              "many workers instead of a single-process "
@@ -880,71 +329,86 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cluster-backend", default="subprocess",
                         choices=("inproc", "subprocess"),
                         help="cluster transport backend (default "
-                             "subprocess: one worker process per core)")
-    parser.add_argument("--connections", type=int, default=1,
-                        help="concurrent sender connections, each driving "
-                             "an even partition of the tasks (default 1)")
-    parser.add_argument("--cluster-sweep", default=None, metavar="N,N,...",
-                        help="run once per worker count (e.g. 1,2,4,8) and "
-                             "report a scaling table")
-    parser.add_argument("--min-scaling", type=float, default=None,
-                        help="(with --cluster-sweep) exit non-zero if the "
-                             "largest fleet's offers/s is below this "
-                             "multiple of the single-worker run's")
+                             "subprocess: one worker process each)")
     parser.add_argument("--migrate-under-load", action="store_true",
-                        help="(cluster) migrate one shard at the midpoint "
-                             "of the run and record the result")
+                        help="(self-hosted cluster, >= 2 workers) migrate "
+                             "one shard at the midpoint of the run")
     parser.add_argument("--triggers", action="store_true",
-                        help="install a correlated-monitoring guard (the "
-                             "first task triggers every odd-indexed task, "
-                             "repro.triggers) and report the probe "
-                             "collections the channel saved")
+                        help="guard every odd-indexed task behind the "
+                             "first one (repro.triggers) and report the "
+                             "channel's edges and suspensions")
+    parser.add_argument("--out", type=pathlib.Path, default=None,
+                        help="write the report here as JSON")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point (``python -m repro.runtime.loadgen``)."""
-    args = _build_parser().parse_args(argv)
-    report = run_loadgen(args)
-    if report.get("checkpoint_roundtrip") is False:
-        print("[loadgen] FAIL: checkpoint did not round-trip",
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if not 1 <= args.connections <= args.tasks:
+        parser.error("--connections must be between 1 and --tasks")
+    if args.batch < 1:
+        parser.error("--batch must be >= 1")
+    try:
+        report = asyncio.run(run_loadgen(args))
+    except (ReproError, OSError) as exc:
+        print(f"[loadgen] FAIL: {type(exc).__name__}: {exc}",
               file=sys.stderr, flush=True)
         return 1
-    if report.get("counters_consistent") is False:
-        print("[loadgen] FAIL: server-side counters disagree with "
-              "client-side ACK accounting", file=sys.stderr, flush=True)
-        return 1
-    if (args.min_throughput is not None
-            and report.get("offers_per_sec") is not None
-            and report["offers_per_sec"] < args.min_throughput):
-        print(f"[loadgen] FAIL: {report['offers_per_sec']} offers/s below "
-              f"floor {args.min_throughput}", file=sys.stderr, flush=True)
-        return 1
-    if (args.min_protocol_ratio is not None
-            and report.get("binary_vs_json") is not None
-            and report["binary_vs_json"] < args.min_protocol_ratio):
-        print(f"[loadgen] FAIL: binary/json ratio "
-              f"{report['binary_vs_json']}x below floor "
-              f"{args.min_protocol_ratio}x", file=sys.stderr, flush=True)
-        return 1
-    soa_block = report.get("soa_equivalence")
-    if soa_block is not None and not soa_block.get("identical"):
-        print("[loadgen] FAIL: SoA engine diverged from the scalar "
-              "sampler", file=sys.stderr, flush=True)
-        return 1
-    migration = report.get("migration")
-    if migration is not None and not (migration.get("ok")
-                                      and migration.get("fingerprint_match")):
-        print(f"[loadgen] FAIL: migration under load did not complete "
-              f"bit-identically: {migration}", file=sys.stderr, flush=True)
-        return 1
-    if (args.min_scaling is not None
-            and report.get("scaling") is not None
-            and report["scaling"] < args.min_scaling):
-        print(f"[loadgen] FAIL: scaling {report['scaling']}x below floor "
-              f"{args.min_scaling}x", file=sys.stderr, flush=True)
-        return 1
-    return 0
+    if args.out is not None:
+        args.out.write_text(json.dumps(report, indent=2) + "\n",
+                            encoding="utf-8")
+
+    cluster = report["cluster"]
+    where = (f"{cluster['workers']}-worker {cluster['backend']} cluster"
+             if cluster else "server")
+    print(f"[loadgen] {where} [protocol {report['protocol']}]: "
+          f"{report['accepted']} of {report['offers']} offers ACKed over "
+          f"{report['connections']} connection(s) in "
+          f"{report['duration_s']:.2f}s; applied={report['applied']} "
+          f"shed={report['shed']} rejected={report['rejected']} "
+          f"alerts={report['alerts']}", flush=True)
+    triggers = report["triggers"]
+    if triggers is not None:
+        print(f"[loadgen] triggers: {triggers['plans']} plans over "
+              f"{triggers['guarded_tasks']} guarded tasks; "
+              f"edges={triggers['edges']} "
+              f"suspensions={triggers['suspensions']} "
+              f"probe_collections_saved="
+              f"{triggers['probe_collections_saved']}", flush=True)
+
+    failures = []
+    migration = report["migration"]
+    if migration is not None:
+        moved = bool(migration.get("ok")
+                     and migration.get("fingerprint_match"))
+        print(f"[loadgen] migration under load: "
+              f"{'ok' if moved else 'FAILED'} "
+              f"shard={migration.get('shard')} "
+              f"{migration.get('from')}->{migration.get('to')} "
+              f"replayed={migration.get('replayed')} "
+              f"fingerprint_match={migration.get('fingerprint_match')}",
+              flush=True)
+        if not moved:
+            failures.append(f"migration under load did not complete "
+                            f"bit-identically: {migration}")
+    consistent = report["counters_consistent"]
+    if consistent is not None:
+        print(f"[loadgen] counter consistency: "
+              f"{'ok' if consistent else 'MISMATCH'}", flush=True)
+        if not consistent:
+            failures.append(f"server-side counters {report['server']} "
+                            f"disagree with the clients' ACK ledger")
+    roundtrip = report["checkpoint_roundtrip"]
+    if roundtrip is not None:
+        print(f"[loadgen] checkpoint roundtrip: "
+              f"{'ok' if roundtrip else 'MISMATCH'}", flush=True)
+        if not roundtrip:
+            failures.append("checkpoint did not round-trip")
+    for failure in failures:
+        print(f"[loadgen] FAIL: {failure}", file=sys.stderr, flush=True)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

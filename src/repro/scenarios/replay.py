@@ -3,7 +3,7 @@
 :func:`replay_scenario` is the fleet-scale path: it spins up a real
 :class:`~repro.runtime.server.RuntimeServer` on an ephemeral loopback
 port inside one event loop, registers the whole fleet over the wire,
-feeds one ``offer_batch`` frame per grid step through the loadgen path,
+feeds one ``offer_batch`` frame per grid step over that connection,
 polls the decision-trace ring incrementally, and collects every task's
 alerts, sample count and final interval back over the wire. A testkit
 :class:`~repro.testkit.faults.FaultSpec` can be layered on top: the

@@ -11,7 +11,6 @@ from repro.core.adaptation import AdaptationConfig
 from repro.core.task import TaskSpec
 from repro.core.windowed import AggregateKind
 from repro.exceptions import ConfigurationError
-from repro.experiments.bench_soa import _alert_log, _task_counters
 from repro.service import MonitoringService
 from repro.telemetry.trace import DecisionTrace
 from repro.types import ThresholdDirection
@@ -277,6 +276,18 @@ class SoaDifferential:
         assert (self.edges.get(id(self.scalar))
                 == self.edges.get(id(self.vector)))
 
+    @staticmethod
+    def alert_log(service):
+        return {name: [(a.time_index, a.value, a.threshold)
+                       for a in service.alerts(name)]
+                for name in service.task_names}
+
+    @staticmethod
+    def task_counters(service):
+        return {name: (service.samples_taken(name), service.interval(name),
+                       service.next_due(name), service.observations(name))
+                for name in service.task_names}
+
     @classmethod
     def same_state(cls, one, other):
         """Everything two services fed the same offers must agree on."""
@@ -284,8 +295,8 @@ class SoaDifferential:
         # -0.0 differs from 0.0, as in the checkpoint fingerprint.
         assert (json.dumps(one.snapshot(), sort_keys=True)
                 == json.dumps(other.snapshot(), sort_keys=True))
-        assert _alert_log(one) == _alert_log(other)
-        assert _task_counters(one) == _task_counters(other)
+        assert cls.alert_log(one) == cls.alert_log(other)
+        assert cls.task_counters(one) == cls.task_counters(other)
         assert cls._events(one) == cls._events(other)
         assert one.drain_trigger_events() == other.drain_trigger_events()
         for name in one.task_names:

@@ -4,8 +4,7 @@ Formalises the DESIGN.md S31 contract at test scale: a service running
 columnar (``soa=True``, :meth:`MonitoringService.offer_columns`) must end
 in exactly the state — snapshots, alert logs, counters — of a service
 stepping the same stream through the scalar
-:class:`ViolationLikelihoodSampler` path. The 1M+-point version of the
-same check is ``python -m repro.experiments.bench_soa`` (CI gate).
+:class:`ViolationLikelihoodSampler` path.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ from repro.core.adaptation import (AdaptationConfig,
 from repro.core.soa import STEP_MAX, STEP_MIN
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
-from repro.experiments.bench_soa import (ESTIMATORS, _alert_log,
-                                         _task_counters, run_equivalence)
 from repro.service import MonitoringService
 
+ESTIMATORS = ("chebyshev", "gaussian")
 POINTS = 24_000
 TASKS = 64
 CROSSOVER = soa_mod._NARROW_TICK_ROWS
@@ -36,25 +34,53 @@ def json_snapshot(service):
 
 
 class TestStreamEquivalence:
-    @pytest.mark.parametrize("estimator", ESTIMATORS)
-    def test_round_robin_stream_is_bit_identical(self, estimator):
-        result = run_equivalence(POINTS, TASKS, estimator, batch=1024)
-        assert result["snapshots_equal"], estimator
-        assert result["alerts_equal"], estimator
-        assert result["counters_equal"], estimator
-        assert result["identical"]
-        # The stream must actually exercise alerting for the check to
-        # mean anything.
-        assert result["alerts"] > 0
+    """The default configuration on a round-robin stream of heavy noise
+    under the threshold, so growth, violations and resets all occur."""
+
+    @staticmethod
+    def _drive(harness, estimator, points, tasks, batch):
+        pair = harness([(TaskSpec(threshold=100.0, error_allowance=0.01,
+                                  max_interval=10, name=f"soa-{i:04d}"),
+                         AdaptationConfig(estimator=estimator))
+                        for i in range(tasks)])
+        values = np.random.default_rng(7).normal(80.0, 18.0, points)
+        position = np.arange(points)
+        for lo in range(0, points, batch):
+            cut = slice(lo, lo + batch)
+            pair.offer((position[cut] % tasks).tolist(),
+                       (position[cut] // tasks).tolist(),
+                       values[cut].tolist())
+        pair.check()
+        return pair
 
     @pytest.mark.parametrize("estimator", ESTIMATORS)
-    def test_uneven_batches_do_not_change_state(self, estimator):
+    def test_round_robin_stream_is_bit_identical(self, estimator,
+                                                 soa_differential):
+        pair = self._drive(soa_differential, estimator, POINTS, TASKS, 1024)
+        # The stream must actually exercise alerting for the check to
+        # mean anything.
+        assert sum(len(pair.vector.alerts(n)) for n in pair.names) > 0
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_uneven_batches_do_not_change_state(self, estimator,
+                                                soa_differential):
         # Batch boundaries are an implementation detail: odd-sized
         # batches land on the same final state as the reference split.
-        even = run_equivalence(6_000, 16, estimator, batch=512)
-        odd = run_equivalence(6_000, 16, estimator, batch=777)
-        assert even["identical"] and odd["identical"]
-        assert even["alerts"] == odd["alerts"]
+        even = self._drive(soa_differential, estimator, 6_000, 16, 512)
+        odd = self._drive(soa_differential, estimator, 6_000, 16, 777)
+        soa_differential.same_state(even.vector, odd.vector)
+
+    @pytest.mark.parametrize("batch", [CROSSOVER - 1, 4096],
+                             ids=["narrow", "wide"])
+    def test_default_restart_period_is_crossed_on_rows(self, batch,
+                                                       soa_differential):
+        # stats_restart is 1000 samples unless configured, and every
+        # other case configures it small or stops short of it. Hot tasks
+        # cross it in ~1300 steps, either side of the tick crossover.
+        tasks = 2 * CROSSOVER
+        pair = self._drive(soa_differential, ESTIMATORS[0], 1_300 * tasks,
+                           tasks, batch)
+        assert pair.vector.soa_engine.restarts[pair.rows].min() >= 1
 
 
 def _service(estimator="chebyshev", soa=False, tasks=4):
@@ -69,7 +95,8 @@ def _service(estimator="chebyshev", soa=False, tasks=4):
 
 
 class TestMixedPaths:
-    def test_interleaved_offer_fast_and_offer_columns(self):
+    def test_interleaved_offer_fast_and_offer_columns(self,
+                                                      soa_differential):
         # One service fed through both entry points must match a scalar
         # service fed the identical stream: offer_fast on an SoA-backed
         # task routes into the engine row, so the two are one state.
@@ -96,8 +123,10 @@ class TestMixedPaths:
                 rows[positions % 4], steps, tail, names=None)
             assert applied == 20 and rejected == 0
         assert scalar.snapshot() == mixed.snapshot()
-        assert _alert_log(scalar) == _alert_log(mixed)
-        assert _task_counters(scalar) == _task_counters(mixed)
+        assert (soa_differential.alert_log(scalar)
+                == soa_differential.alert_log(mixed))
+        assert (soa_differential.task_counters(scalar)
+                == soa_differential.task_counters(mixed))
 
     def test_offer_columns_requires_soa_service(self):
         with pytest.raises(ConfigurationError, match="SoA"):
@@ -123,7 +152,8 @@ class TestMixedPaths:
 
 class TestSnapshotRoundTrip:
     @pytest.mark.parametrize("estimator", ESTIMATORS)
-    def test_snapshot_restore_continuation_stays_identical(self, estimator):
+    def test_snapshot_restore_continuation_stays_identical(
+            self, estimator, soa_differential):
         # Run half the stream, snapshot the SoA service, restore it both
         # ways, finish the stream on all three — every continuation must
         # land on the same final state. This is the "checkpoints stay
@@ -163,13 +193,14 @@ class TestSnapshotRoundTrip:
         assert vector.snapshot() == final
         assert restored_soa.snapshot() == final
         assert restored_scalar.snapshot() == final
-        assert (_task_counters(restored_soa)
-                == _task_counters(restored_scalar)
-                == _task_counters(scalar))
+        assert (soa_differential.task_counters(restored_soa)
+                == soa_differential.task_counters(restored_scalar)
+                == soa_differential.task_counters(scalar))
 
 
 class TestEligibility:
-    def test_trigger_wiring_evicts_rows_and_stays_equivalent(self):
+    def test_trigger_wiring_evicts_rows_and_stays_equivalent(
+            self, soa_differential):
         # add_trigger pulls both ends out of the engine; behaviour after
         # eviction must still match a never-SoA service.
         rng = np.random.default_rng(5)
@@ -186,7 +217,8 @@ class TestEligibility:
             scalar.offer_fast(f"mix-{i % 4}", value, i // 4)
             vector.offer_fast(f"mix-{i % 4}", value, i // 4)
         assert scalar.snapshot() == vector.snapshot()
-        assert _alert_log(scalar) == _alert_log(vector)
+        assert (soa_differential.alert_log(scalar)
+                == soa_differential.alert_log(vector))
 
     def test_every_kind_is_adopted_and_only_local_pairs_evict(
             self, soa_differential):

@@ -9,6 +9,7 @@ from repro.core import adaptation
 from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
+from repro.service import MonitoringService
 from repro.telemetry.registry import (NULL_REGISTRY, MetricsRegistry,
                                       NullRegistry, instrument_samplers)
 
@@ -143,6 +144,25 @@ class TestInstrumentSamplers:
             "value"] >= 1.0
         assert snap["volley_sampler_grow_events_total"]["series"][0][
             "value"] > 0.0
+
+    def test_live_registry_counts_engine_rows(self):
+        # A tick bumps the same counters: vectorised (20 due rows) and
+        # row by row (5) alike.
+        registry = MetricsRegistry()
+        instrument_samplers(registry)
+        service = MonitoringService(soa=True)
+        for i in range(20):
+            service.add_task(f"t{i}", TaskSpec(threshold=100.0,
+                                               error_allowance=0.05))
+        rows = [service.soa_row_for(f"t{i}") for i in range(20)]
+        consumed = 0
+        for step in range(60):
+            width = 5 if step % 2 else 20
+            consumed += service.offer_columns(
+                rows[:width], [step] * width, [10.0 + step % 3] * width)[1]
+        observed = registry.snapshot()[
+            "volley_sampler_observations_total"]["series"][0]["value"]
+        assert observed == consumed > 20
 
     def test_null_registry_restores_null_object(self):
         instrument_samplers(MetricsRegistry())

@@ -66,7 +66,7 @@ IGNORED = {
     "monetary_bill", "schedule_every", "run_until",
     # runtime wire ops / methods / CLI artifacts, not module attributes
     "register_task", "remove_task", "offer_batch", "task_info",
-    "serve_forever", "BENCH_runtime", "BENCH_core", "min_speedup",
+    "serve_forever",
     # testkit FaultPlan/FaultSpec methods, not module attributes
     "frame_fault", "duplicate_offer", "force_shed", "shard_fault",
     "checkpoint_fault", "crash_steps", "to_dict", "from_dict",
@@ -74,7 +74,7 @@ IGNORED = {
     # telemetry config keys, metric-name prefixes, instrument/trace
     # methods and math tokens, not module attributes
     "http_port", "trace_capacity", "selfmon_interval", "relative_error",
-    "bench_core", "dump_jsonl", "volley_selfmon_", "volley_sampler_",
+    "dump_jsonl", "volley_selfmon_", "volley_sampler_",
     "interval_adapted", "allowance_reallocated", "checkpoint_written",
     # scenario CLI artifacts and Timeline/compiled methods, not module
     # attributes

@@ -7,6 +7,12 @@ what its reference twin (``observe``, ``run_sampler_on_trace``, the
 seed's set-based scorer kept below) produces on that trace. It asserts
 nothing about speed: per-layer cost is tracked by ``bench/``
 (``adaptation.observe_fast_ns``, ``adaptation.run_trace_ns_per_step``).
+
+The three count guards at the bottom hold the typed-row hot path to its
+*shape* instead — calls that must not happen, counted, not timed: the
+regressions a later refactor would reintroduce without any test turning
+red (an O(buckets) walk per due quantile offer, a sketch materialised
+per alert, a sort per step-major batch).
 """
 
 from __future__ import annotations
@@ -17,8 +23,11 @@ import numpy as np
 
 from repro.core.accuracy import alert_episodes, truth_alert_indices
 from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
+from repro.core.soa import SoaSamplerEngine
+from repro.core.substrates import QuantileEstimator
 from repro.core.task import TaskSpec
 from repro.experiments.runner import run_adaptive, run_sampler_on_trace
+from repro.telemetry.histogram import LogHistogram
 
 N = 50_000
 SEED = 7
@@ -149,3 +158,64 @@ def test_evaluate_sampling_vectorized(benchmark, report):
 
     report(f"evaluate_sampling: {benchmark.stats['mean'] * 1e3:.2f} ms "
            f"for {N:,} points / {sampled.size:,} samples")
+
+
+def _counted(monkeypatch, owner: Any, name: str) -> list[int]:
+    """Count calls to ``owner.name`` from here on (the call still runs)."""
+    calls: list[int] = []
+    wrapped = getattr(owner, name)
+
+    def counting(*args: Any, **kwargs: Any) -> Any:
+        calls.append(1)
+        return wrapped(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_watched_exceedance_walks_no_bucket(monkeypatch):
+    """10 000 interleaved updates and queries, ~78 rotations: after its
+    first query ``exceedance(value_threshold)`` reads two counters."""
+    values = synthetic_trace(10_000, SEED) + 50.0
+    threshold = float(np.quantile(values, 0.99))
+    estimator = QuantileEstimator(0.99)
+    midpoints = _counted(monkeypatch, LogHistogram, "_bucket_value")
+    estimator.update(float(values[0]))
+    estimator.exceedance(threshold)
+    walked = len(midpoints)
+    assert walked > 0                   # the first query finds the cut-off
+    above = 0
+    for value in values[1:].tolist():
+        estimator.update(value)
+        above += estimator.exceedance(threshold) > 0.0
+    assert len(midpoints) == walked
+    assert 0 < above < len(values) - 1  # the tail came and went
+
+
+def test_quantile_value_materialises_no_sketch(monkeypatch):
+    """``quantile_value`` walks the two sketches where they are: the only
+    sketches ever built are the rotations' (one per ``window`` updates)."""
+    values = synthetic_trace(10_000, SEED) + 50.0
+    estimator = QuantileEstimator(0.99, window=100)
+    built = _counted(monkeypatch, LogHistogram, "__init__")
+    for value in values.tolist():
+        estimator.update(value)
+        assert estimator.quantile_value() > 0.0
+    assert len(built) == len(values) // 100
+
+
+def test_step_major_batch_ticks_without_a_sort(monkeypatch):
+    """A 4 x 1024 step-major batch — what ``bench/``'s bulk, typed-mix
+    and cluster workloads send a shard — is four slices, never sorted."""
+    engine = SoaSamplerEngine()
+    task = TaskSpec(threshold=100.0, error_allowance=0.01, max_interval=10)
+    for _ in range(1024):
+        engine.add_task(task)
+    rows = np.tile(np.arange(1024, dtype=np.int64), 4)
+    values = np.random.default_rng(SEED).normal(50.0, 5.0, 4 * 1024)
+    sorts = _counted(monkeypatch, np, "argsort")
+    for frame in range(8):
+        steps = np.repeat(np.arange(4 * frame, 4 * frame + 4,
+                                    dtype=np.int64), 1024)
+        result = engine.run_columns(rows, steps, values)
+        assert result.applied == 4 * 1024
+    assert not sorts

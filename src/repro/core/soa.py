@@ -5,9 +5,9 @@ samplers as column vectors per tick — the multi-task analogue of
 :meth:`~repro.core.adaptation.ViolationLikelihoodSampler.run_trace`,
 which batches one task over many steps. A tick is a set of offers with at
 most one offer per task; :meth:`run_columns` splits an arbitrary decoded
-offer batch into such ticks (stable-sorted occurrence splitting; a batch
-that repeats no row is one tick as it stands) so every task still sees
-its updates in arrival order.
+offer batch into such ticks (its strictly increasing runs of rows as they
+stand when they are long, stable-sorted occurrence splitting otherwise)
+so every task still sees its updates in arrival order.
 
 A tick's cost is mostly fixed — numpy calls, not elements — so the tick
 is written to make few of them: every column is gathered once and every
@@ -564,14 +564,21 @@ class SoaSamplerEngine:
             if len(rows) == 0:
                 return result
 
-        if not np.count_nonzero(rows[1:] <= rows[:-1]):
-            # Strictly increasing rows repeat none: the batch is one tick
-            # as it stands (what a per-node agent's frame looks like).
+        # A strictly increasing run repeats no row, so it is a tick as it
+        # stands, and runs taken in order keep each row's offers in
+        # arrival order: one run (a per-node agent's frame) or a few long
+        # ones (a step-major frame) tick as slices, unsorted.
+        descents = rows[1:] <= rows[:-1]
+        runs = int(np.count_nonzero(descents)) + 1
+        if runs == 1:
             ticks: list[Any] = [slice(None)]
+        elif len(rows) >= runs * _NARROW_TICK_ROWS:
+            bounds = [0, *(np.flatnonzero(descents) + 1).tolist(), len(rows)]
+            ticks = list(map(slice, bounds, bounds[1:]))
         else:
             # Occurrence splitting: a stable sort groups equal rows while
             # preserving their arrival order, so occurrence k of every row
-            # can be processed in tick k.
+            # can be processed in tick k: short runs regroup into wide ticks.
             order = np.argsort(rows, kind="stable")
             sorted_rows = rows[order]
             new_group = np.empty(len(sorted_rows), dtype=bool)

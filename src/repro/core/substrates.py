@@ -101,40 +101,74 @@ class QuantileEstimator:
 
     def update(self, value: float) -> None:
         """Absorb one observation; rotates epochs every ``window`` updates."""
-        self._current.record(float(value))
+        self._current.record(value)
         self._in_epoch += 1
         if self._in_epoch >= self.window:
             self._sealed = self._current
-            self._current = self.sketch_factory()
-            self._in_epoch = 0
+            self._start_epoch()
+
+    def _start_epoch(self) -> None:
+        """A fresh current sketch, watching what the last one watched."""
+        last = self._current
+        self._current = self.sketch_factory()
+        self._in_epoch = 0
+        if not math.isnan(last._watched):
+            self._current._watch(last._watched, like=last)
 
     def exceedance(self, threshold: float) -> float:
         """Windowed ``P(X > threshold)`` — the sampler-facing statistic.
 
         Integer tail counts from both sketches are summed before a
         single division, so the result depends only on the sketch
-        contents, never on update order or checkpoint boundaries.
+        contents, never on update order or checkpoint boundaries. The
+        first threshold asked for (a quantile task only asks for its
+        own) is watched by both sketches from then on and across
+        rotations (:meth:`LogHistogram._watch`): asking again reads two
+        counters. Any other threshold walks the buckets.
         """
         total = self.count
         if total == 0:
             return 0.0
-        tail = self._current.tail_count(threshold)
-        if self._sealed is not None:
-            tail += self._sealed.tail_count(threshold)
+        current, sealed = self._current, self._sealed
+        if math.isnan(current._watched):
+            current._watch(threshold)
+            if sealed is not None:
+                sealed._watch(threshold, like=current)
+        tail = current.tail_count(threshold)
+        if sealed is not None:
+            tail += sealed.tail_count(threshold)
         return tail / total
 
     def quantile_value(self) -> float:
         """Windowed estimate of the tracked quantile (alert annotation).
 
-        Materialises the sealed+current merge on demand; alerts are rare
-        relative to updates, so the O(buckets) copy happens off the
-        per-offer path.
+        :meth:`LogHistogram.quantile`'s rank walk over both sketches'
+        bucket counts at once: the merged sketch's integer arithmetic
+        and midpoints without building it. A task in violation is pinned
+        at interval 1 and alerts on every due offer, which puts this on
+        the per-offer path exactly when the service is busiest.
         """
-        if self._sealed is None:
-            return self._current.quantile(self.quantile)
-        merged = LogHistogram.from_dict(self._sealed.to_dict())
-        merged.merge(self._current)
-        return merged.quantile(self.quantile)
+        current, sealed = self._current, self._sealed
+        if sealed is None:
+            return current.quantile(self.quantile)
+        count = sealed.count + current.count
+        if count == 0:
+            return 0.0
+        remaining = int(self.quantile * (count - 1)) + 1
+        ours, theirs = sealed._neg, current._neg
+        for key in sorted(ours.keys() | theirs.keys(), reverse=True):
+            remaining -= ours.get(key, 0) + theirs.get(key, 0)
+            if remaining <= 0:
+                return -sealed._bucket_value(key)
+        remaining -= sealed.zero_count + current.zero_count
+        if remaining <= 0:
+            return 0.0
+        ours, theirs = sealed._pos, current._pos
+        for key in sorted(ours.keys() | theirs.keys()):
+            remaining -= ours.get(key, 0) + theirs.get(key, 0)
+            if remaining <= 0:
+                return sealed._bucket_value(key)
+        return max(sealed._max, current._max)
 
     def plant_sketch_factory(
             self, factory: Callable[[], LogHistogram]) -> None:
@@ -146,9 +180,8 @@ class QuantileEstimator:
         invariant catches it.
         """
         self.sketch_factory = factory
-        self._current = factory()
         self._sealed = None
-        self._in_epoch = 0
+        self._start_epoch()
 
     def state_dict(self) -> dict[str, Any]:
         """JSON-able state; restoring reproduces every query bit-for-bit."""
@@ -208,8 +241,13 @@ class EntropyEstimator:
         return len(self._symbols)
 
     def update(self, value: float) -> None:
-        """Absorb one observation, evicting the oldest beyond the window."""
-        symbol = int(math.floor(float(value) / self.bin_width))
+        """Absorb one observation, evicting the oldest beyond the window;
+        a non-finite one is refused before any field moves."""
+        value = float(value)
+        try:
+            symbol = math.floor(value / self.bin_width)
+        except (OverflowError, ValueError):  # floor of inf / of NaN
+            raise ValueError(f"non-finite value: {value!r}") from None
         self._symbols.append(symbol)
         self._counts[symbol] = self._counts.get(symbol, 0) + 1
         if len(self._symbols) > self.window:

@@ -338,39 +338,57 @@ class _RowHooks:
     """What :meth:`SoaSamplerEngine.run_columns` calls back for marked
     rows: their substrates and window buffers stay on the
     :class:`TaskState`, so the tick asks for the monitored scalar instead
-    of the task leaving the tick.
+    of the task leaving the tick. A row's kind is resolved once, in
+    :meth:`bind`: the per-offer loops are a dict lookup and a call.
     """
 
-    __slots__ = ("states", "estimates")
+    __slots__ = ("update", "read", "estimates")
 
-    def __init__(self, states: dict[int, TaskState]):
-        self.states = states
+    def __init__(self) -> None:
+        # row -> its substrate's update / its TaskState.monitored, bound.
+        self.update: dict[int, Callable[[float], None]] = {}
+        self.read: dict[int, Callable[[int, float], float]] = {}
         # (row, step) -> a quantile task's p_q as of a violating offer:
         # the alert is built after the batch, when the substrate has
         # absorbed the row's later occurrences.
         self.estimates: dict[tuple[int, int], float] = {}
 
+    def bind(self, row: int, state: TaskState) -> None:
+        substrate = state.substrate
+        if substrate is None:
+            if state.window > 1:
+                self.read[row] = state.aggregate
+            return
+        self.update[row] = substrate.update  # TaskState.absorb
+        if state.task_type != "quantile":
+            self.read[row] = lambda step, value: substrate.entropy()
+            return
+        threshold, violated = state.value_threshold, state.task.violated
+        estimates = self.estimates
+
+        def read(step: int, value: float) -> float:
+            monitored = substrate.exceedance(threshold)
+            if violated(monitored):
+                # First writer wins: a later offer repeating the step is
+                # rejected by the sampler and must not replace it.
+                estimates.setdefault((row, step), substrate.quantile_value())
+            return monitored
+        self.read[row] = read
+
+    def release(self, row: int) -> None:
+        self.update.pop(row, None)
+        self.read.pop(row, None)
+
     def absorb(self, rows: np.ndarray, values: np.ndarray) -> None:
-        states = self.states
+        update = self.update
         for row, value in zip(rows.tolist(), values.tolist()):
-            states[row].substrate.update(value)  # TaskState.absorb, inlined
+            update[row](value)
 
     def monitored(self, rows: np.ndarray, steps: np.ndarray,
                   values: np.ndarray) -> list[float]:
-        states = self.states
-        out = []
-        for row, step, value in zip(rows.tolist(), steps.tolist(),
-                                    values.tolist()):
-            state = states[row]
-            monitored = state.monitored(step, value)
-            if (state.task_type == "quantile"
-                    and state.task.violated(monitored)):
-                # First writer wins: a later offer repeating the step is
-                # rejected by the sampler and must not replace it.
-                self.estimates.setdefault(
-                    (row, step), state.substrate.quantile_value())
-            out.append(monitored)
-        return out
+        read = self.read
+        return [read[row](step, value) for row, step, value in zip(
+            rows.tolist(), steps.tolist(), values.tolist())]
 
 
 class MonitoringService:
@@ -399,7 +417,9 @@ class MonitoringService:
         self._watchers = 0  # tasks carrying a TriggerWatcher
         self._soa = None
         self._soa_rows: dict[int, TaskState] = {}
-        self._hooks = _RowHooks(self._soa_rows)
+        self._hooks = _RowHooks()
+        # remote trigger name -> engine rows it guards (see _guard_rows)
+        self._guarded_rows: dict[str, set[int]] = {}
         if soa:
             self._soa = SoaSamplerEngine()
 
@@ -441,7 +461,28 @@ class MonitoringService:
                         watched=state.watch is not None)
         state.soa_row = row
         self._soa_rows[row] = state
+        self._hooks.bind(row, state)
+        self._guard_rows(state, True)
         self._refresh_floor(state)
+
+    def _release_row(self, state: TaskState) -> None:
+        """Deactivate the task's engine row and forget it everywhere."""
+        row = state.soa_row
+        self._soa.deactivate(row)
+        del self._soa_rows[row]
+        self._hooks.release(row)
+        self._guard_rows(state, False)
+        state.soa_row = -1
+
+    def _guard_rows(self, state: TaskState, guarded: bool) -> None:
+        """Enter the task's row under its trigger in ``_guarded_rows`` or
+        take it out; brackets every write to ``remote_trigger``/``soa_row``."""
+        if state.remote_trigger is None or state.soa_row < 0:
+            return
+        rows = self._guarded_rows.setdefault(state.remote_trigger, set())
+        (rows.add if guarded else rows.discard)(state.soa_row)
+        if not rows:
+            del self._guarded_rows[state.remote_trigger]
 
     def _refresh_floor(self, state: TaskState) -> None:
         """Bring the row's schedule floor in line with the guard fields;
@@ -468,9 +509,7 @@ class MonitoringService:
         if state.soa_row < 0:
             return
         self._sync_soa(state)
-        self._soa.deactivate(state.soa_row)
-        self._soa_rows.pop(state.soa_row, None)
-        state.soa_row = -1
+        self._release_row(state)
 
     @property
     def soa_engine(self):
@@ -636,15 +675,14 @@ class MonitoringService:
         """
         state = self._state(name)  # must exist
         if state.soa_row >= 0:
-            self._soa.deactivate(state.soa_row)
-            self._soa_rows.pop(state.soa_row, None)
-            state.soa_row = -1
+            self._release_row(state)
         del self._tasks[name]
         self._last_seen.pop(name, None)
         self._watchers -= state.watch is not None
         if state.trigger_task is not None:
             self._drop_local_source(state.trigger_task)
         self._local_sources.pop(name, None)
+        self._guarded_rows.pop(name, None)
         for other in self._tasks.values():
             if other.trigger_task == name:
                 other.trigger_task = None
@@ -720,7 +758,9 @@ class MonitoringService:
             raise ConfigurationError(
                 f"suspend_interval must be >= 1, got {suspend_interval}")
         fresh = state.remote_trigger != trigger
+        self._guard_rows(state, False)
         state.remote_trigger = trigger
+        self._guard_rows(state, True)
         state.trigger_level = float(elevation_level)
         state.suspend_interval = int(suspend_interval)
         if fresh:
@@ -1141,11 +1181,11 @@ class MonitoringService:
             edge = state.watch.observe(value, step)
             if edge is None:
                 continue
+            guarded = self._guarded_rows.get(state.name)
             cut = self._trigger_sink is not None and (
                 last_by_name > pos
-                or bool(np.isin(rows[pos + 1:], [
-                    other.soa_row for other in self._soa_rows.values()
-                    if other.remote_trigger == state.name]).any()))
+                or guarded is not None
+                and bool(np.isin(rows[pos + 1:], list(guarded)).any()))
             cuts.append((pos, {"op": edge, "trigger": state.name,
                                "step": step, "value": value}, cut))
         if names is not None and len(by_name):

@@ -27,6 +27,7 @@ not within a fixed absolute error sized for the median.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any, Iterable
 
 from repro.exceptions import ConfigurationError
@@ -53,7 +54,8 @@ class LogHistogram:
 
     __slots__ = ("relative_error", "min_value", "_gamma", "_log_gamma",
                  "count", "total", "zero_count", "_pos", "_neg",
-                 "_min", "_max")
+                 "_min", "_max", "_watched", "_tail", "_pos_from",
+                 "_neg_below")
 
     def __init__(self, relative_error: float = DEFAULT_RELATIVE_ERROR,
                  min_value: float = DEFAULT_MIN_VALUE):
@@ -74,6 +76,11 @@ class LogHistogram:
         self._neg: dict[int, int] = {}
         self._min = math.inf
         self._max = -math.inf
+        # The watched tail (_watch): derived, never serialised; NaN = none.
+        self._watched = math.nan
+        self._tail = 0
+        self._pos_from: float = math.inf
+        self._neg_below: float = -math.inf
 
     # ------------------------------------------------------------------
     # Updates
@@ -82,10 +89,13 @@ class LogHistogram:
         return math.ceil(math.log(magnitude) / self._log_gamma)
 
     def record(self, value: float, count: int = 1) -> None:
-        """Absorb one observation (O(1): a log, a dict upsert)."""
+        """Absorb one observation (O(1): a log, a dict upsert); a
+        non-finite one is refused before any field moves."""
         value = float(value)
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value: {value!r}")
         self.count += count
         self.total += value * count
         if value < self._min:
@@ -95,11 +105,17 @@ class LogHistogram:
         if value > self.min_value:
             key = self._index(value)
             self._pos[key] = self._pos.get(key, 0) + count
+            if key >= self._pos_from:
+                self._tail += count
         elif value < -self.min_value:
             key = self._index(-value)
             self._neg[key] = self._neg.get(key, 0) + count
+            if key < self._neg_below:
+                self._tail += count
         else:
             self.zero_count += count
+            if self._watched < 0.0:
+                self._tail += count
 
     def merge(self, other: "LogHistogram") -> None:
         """Fold another sketch into this one (commutative, associative).
@@ -111,6 +127,8 @@ class LogHistogram:
             raise ConfigurationError(
                 f"cannot merge sketches with different relative errors "
                 f"({self.relative_error} vs {other.relative_error})")
+        if not math.isnan(self._watched):
+            self._tail += other.tail_count(self._watched)
         self.count += other.count
         self.total += other.total
         self.zero_count += other.zero_count
@@ -193,9 +211,12 @@ class LogHistogram:
         the threshold itself. O(distinct buckets), integer arithmetic
         only: two sketches' tail counts add without any float drift,
         which is what lets the quantile task substrate query its rotating
-        sketch pair without materialising a merge.
+        sketch pair without materialising a merge. The watched threshold
+        (:meth:`_watch`) is answered from its running counter.
         """
         threshold = float(threshold)
+        if threshold == self._watched:
+            return self._tail
         tail = 0
         for key, n in self._pos.items():
             if self._bucket_value(key) > threshold:
@@ -207,6 +228,50 @@ class LogHistogram:
                 if -self._bucket_value(key) > threshold:
                     tail += n
         return tail
+
+    def _watch(self, threshold: float,
+               like: "LogHistogram | None" = None) -> None:
+        """Keep ``tail_count(threshold)`` current inside :meth:`record`.
+
+        ``record`` bins every value anyway, so whether its bucket lies
+        above one fixed threshold is an integer compare: positive keys
+        count from ``_pos_from`` up; under a negative threshold the zero
+        bucket counts, and negative keys below ``_neg_below``. The
+        cut-offs come from :meth:`_bucket_value` itself (midpoints grow
+        with the index), so the counter is the walk's own float
+        predicate; ``like``, a sketch of the same bucket base watching
+        ``threshold`` already, lends its. One walk brings the counter
+        up to date. A subclass whose ``record`` bypasses this class's
+        starves the counter as it starves the buckets.
+        """
+        threshold = float(threshold)
+        self._watched = math.nan  # so that the walk below walks
+        self._tail = self.tail_count(threshold)
+        if (like is not None and like._watched == threshold
+                and like._gamma == self._gamma):
+            self._pos_from, self._neg_below = like._pos_from, like._neg_below
+        else:
+            self._pos_from = (-math.inf if threshold <= 0.0
+                              else self._first_index(threshold, False))
+            self._neg_below = (self._first_index(-threshold, True)
+                               if threshold < 0.0 else -math.inf)
+        self._watched = threshold
+
+    def _first_index(self, bound: float, inclusive: bool) -> float:
+        """Smallest index whose midpoint is above ``bound`` > 0 (at or
+        above it when ``inclusive``); ``inf`` when no midpoint is."""
+        if not bound < math.inf:  # inf, or the NaN threshold
+            return math.inf
+        above = operator.ge if inclusive else operator.gt
+        index = self._index(bound)  # within a bucket of the answer
+        try:
+            while above(self._bucket_value(index), bound):
+                index -= 1
+            while not above(self._bucket_value(index), bound):
+                index += 1
+        except OverflowError:  # midpoints past the float range
+            return math.inf
+        return index
 
     # ------------------------------------------------------------------
     # Serialisation (wire snapshots, checkpoint-adjacent tooling)

@@ -21,6 +21,7 @@ from repro.core.soa import STEP_MAX, STEP_MIN
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
 from repro.service import MonitoringService
+from repro.triggers.plan import TriggerPlan
 
 ESTIMATORS = ("chebyshev", "gaussian")
 POINTS = 24_000
@@ -286,6 +287,61 @@ class TestEligibility:
                     assert state.soa_row == -1
         assert made > 100 and service._local_sources
 
+    def test_guarded_row_index_matches_the_scan_it_replaced(self):
+        # _watch_cuts used to scan every row of the service per edge for
+        # the rows the edge's trigger guards; the index it reads instead
+        # must agree under any sequence of add / guard / re-guard / plan
+        # / evict / remove / restore — and so must the rows' call-backs.
+        rng = np.random.default_rng(37)
+        service = MonitoringService(AdaptationConfig(), soa=True)
+        made = populated = 0
+        for round_ in range(500):
+            names = service.task_names
+            roll = rng.random()
+            if roll < 0.3 or len(names) < 4:
+                name = f"t-{made}"
+                if made % 3:
+                    service.add_task(name, TaskSpec(
+                        threshold=100.0, error_allowance=0.05, name=name),
+                        window=1 + made % 2)
+                else:
+                    service.add_quantile_task(name, threshold=100.0,
+                                              quantile=0.9)
+                made += 1
+            elif roll < 0.6:
+                target, trigger = rng.choice(names, 2, replace=False)
+                if roll < 0.45:
+                    service.add_remote_trigger(str(target), str(trigger),
+                                               90.0)
+                else:               # a trigger hosted on another shard
+                    service.install_trigger_plan(TriggerPlan(
+                        target=str(target), trigger=f"remote-{round_ % 5}",
+                        elevation_level=90.0))
+            elif roll < 0.72:      # a last-seen pair: both ends evicted
+                target, trigger = rng.choice(names, 2, replace=False)
+                service.add_trigger(str(target), str(trigger),
+                                    elevation_level=1.0)
+            elif roll < 0.9:
+                service.remove_task(str(rng.choice(names)))
+            else:
+                service = MonitoringService.restore(service.snapshot(),
+                                                    soa=True)
+            scan: dict[str, set[int]] = {}
+            for state in service._soa_rows.values():
+                if state.remote_trigger is not None:
+                    scan.setdefault(state.remote_trigger,
+                                    set()).add(state.soa_row)
+            assert service._guarded_rows == scan, round_
+            populated += bool(scan)
+            hooks = service._hooks
+            assert set(hooks.update) == {
+                row for row, state in service._soa_rows.items()
+                if state.task_type != "value"}
+            assert set(hooks.read) == {
+                row for row, state in service._soa_rows.items()
+                if state.task_type != "value" or state.window > 1}
+        assert made > 100 and populated > 300
+
 
 class TestEveryKindOnRows:
     """Windowed, quantile, entropy, guarded and watched tasks on engine
@@ -506,6 +562,12 @@ class TestCrossover:
             for task, config in soa_differential.population(tasks, "mixed"):
                 engine.add_task(task, config)
             engines.append(engine)
+        # The advance is swapped per engine, not the crossover constant:
+        # the tick split reads that too, and must be the same for both.
+        monkeypatch.setattr(engines[0], "_observe_narrow",
+                            engines[0]._observe_tick)
+        monkeypatch.setattr(engines[1], "_observe_tick",
+                            engines[1]._observe_narrow)
         rng = np.random.default_rng(3)
         events = 0
         for step in range(0, 400, 2):
@@ -516,11 +578,8 @@ class TestCrossover:
             idx = np.concatenate([idx, again])
             values = np.asarray([soa_differential.value(rng, int(i), int(s))
                                  for i, s in zip(idx, steps)])
-            results = []
-            for engine, crossover in zip(engines, (0, 10 ** 9)):
-                monkeypatch.setattr(soa_mod, "_NARROW_TICK_ROWS", crossover)
-                results.append(engine.run_columns(idx, steps, values))
-            wide, narrow = results
+            wide, narrow = (engine.run_columns(idx, steps, values)
+                            for engine in engines)
             for name in ("applied", "consumed", "rejected"):
                 assert getattr(wide, name) == getattr(narrow, name)
             for name in ("consumed_intervals", "fallback", "viol_rows",
@@ -534,6 +593,197 @@ class TestCrossover:
         for row in range(tasks):
             assert (repr(engines[0].row_state_dict(row))
                     == repr(engines[1].row_state_dict(row)))
+
+
+class _RecordingHooks:
+    """Engine call-backs that log every call per row and answer with a
+    statistic that depends on the order of the row's own calls."""
+
+    def __init__(self):
+        self.calls = {}
+        self.mean = {}
+
+    def absorb(self, rows, values):
+        for row, value in zip(rows.tolist(), values.tolist()):
+            self.calls.setdefault(row, []).append(("absorb", value))
+            self.mean[row] = 0.9 * self.mean.get(row, value) + 0.1 * value
+
+    def monitored(self, rows, steps, values):
+        out = []
+        for row, step, value in zip(rows.tolist(), steps.tolist(),
+                                    values.tolist()):
+            self.calls.setdefault(row, []).append(("read", step, value))
+            out.append(0.5 * (self.mean.get(row, value) + value))
+        return out
+
+
+def _count_argsorts(monkeypatch):
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: (
+        calls.append(1) or argsort(*args, **kwargs)))
+    return calls
+
+
+def _step_major(tasks, steps, first_step=0, skip=()):
+    """A step-major frame: ``steps`` grid steps of rows ``0..tasks-1`` in
+    row order, leaving out the ``(step, row)`` pairs in ``skip``."""
+    idx, at = [], []
+    for step in range(first_step, first_step + steps):
+        for row in range(tasks):
+            if (step - first_step, row) not in skip:
+                idx.append(row)
+                at.append(step)
+    return np.asarray(idx, dtype=np.int64), np.asarray(at, dtype=np.int64)
+
+
+class TestTickSplit:
+    """A batch made of a few long strictly-increasing runs is ticked run
+    by run as slices; anything else is regrouped by a stable argsort.
+    Which of the two happened must not show in any row."""
+
+    TASKS = 3 * CROSSOVER
+
+    def _shapes(self, rng):
+        """``(name, rows, steps)`` batch shapes, one grid step on from
+        each other: step-major, with holes, runs either side of the
+        rule's threshold, task-major and shuffled."""
+        tasks = self.TASKS
+        full = _step_major(tasks, 4)
+        holes = _step_major(tasks, 4, skip={
+            (1, r) for r in range(0, tasks, 3)} | {(2, 5), (3, 0)})
+        shapes = [("step-major", *full), ("holes", *holes)]
+        for run in (CROSSOVER - 1, CROSSOVER, CROSSOVER + 1):
+            shapes.append((f"runs-of-{run}", *_step_major(run, 5)))
+        order = np.lexsort((full[1], full[0]))          # task-major
+        shapes.append(("task-major", full[0][order], full[1][order]))
+        order = rng.permutation(len(full[0]))
+        order = order[np.argsort(full[1][order], kind="stable")]
+        shapes.append(("shuffled", full[0][order], full[1][order]))
+        return shapes
+
+    @staticmethod
+    def _engine(soa_differential, tasks):
+        engine = soa_mod.SoaSamplerEngine()
+        for task, config in soa_differential.population(tasks, "mixed"):
+            row = engine.add_task(task, config)
+            engine.mark_row(row, absorbs=row % 3 == 0,
+                            derived=row % 3 == 0 or row % 5 == 1)
+        return engine
+
+    def test_run_slices_and_argsort_split_leave_the_same_rows(
+            self, monkeypatch, soa_differential):
+        runs, sort = (self._engine(soa_differential, self.TASKS)
+                      for _ in range(2))
+        # Both always vectorised, so only the split differs: the rule
+        # reads the crossover constant, which forces it either way.
+        for engine in (runs, sort):
+            monkeypatch.setattr(engine, "_observe_narrow",
+                                engine._observe_tick)
+        hooks = _RecordingHooks(), _RecordingHooks()
+        argsorts = _count_argsorts(monkeypatch)
+        rng = np.random.default_rng(41)
+        events = first = 0
+        for round_ in range(60):
+            for name, idx, steps in self._shapes(rng):
+                steps = steps + first
+                first = int(steps.max()) + 1 + round_ % 3
+                values = np.asarray([
+                    soa_differential.value(rng, int(i), int(s))
+                    for i, s in zip(idx, steps)])
+                results = []
+                for engine, hook, crossover in zip(
+                        (runs, sort), hooks, (0, 10 ** 9)):
+                    monkeypatch.setattr(soa_mod, "_NARROW_TICK_ROWS",
+                                        crossover)
+                    before = len(argsorts)
+                    results.append(engine.run_columns(idx, steps, values,
+                                                      hook))
+                    # One run needs no sort under either rule.
+                    assert len(argsorts) - before == (crossover > 0)
+                by_runs, by_sort = results
+                for field in ("applied", "consumed", "rejected"):
+                    assert (getattr(by_runs, field)
+                            == getattr(by_sort, field)), name
+                assert (sorted(by_runs.consumed_intervals.tolist())
+                        == sorted(by_sort.consumed_intervals.tolist()))
+                assert (set(by_runs.event_rows.tolist())
+                        == set(by_sort.event_rows.tolist()))
+                for row in set(by_runs.event_rows.tolist()):
+                    for field in ("event_steps", "event_values",
+                                  "event_intervals", "event_flags",
+                                  "event_betas"):
+                        np.testing.assert_array_equal(
+                            getattr(by_runs, field)[by_runs.event_rows
+                                                    == row],
+                            getattr(by_sort, field)[by_sort.event_rows
+                                                    == row], (name, row))
+                events += len(by_runs.event_rows)
+        assert events > 1000
+        assert hooks[0].calls == hooks[1].calls and len(hooks[0].calls) > 10
+        for column, array in vars(runs).items():
+            if isinstance(array, np.ndarray):
+                np.testing.assert_array_equal(array, getattr(sort, column),
+                                              column)
+
+    def test_the_rule_sorts_only_short_or_interleaved_batches(
+            self, monkeypatch, soa_differential):
+        engine = self._engine(soa_differential, self.TASKS)
+        argsorts = _count_argsorts(monkeypatch)
+        sorted_shapes = set()
+        first = 0
+        rng = np.random.default_rng(43)
+        for name, idx, steps in self._shapes(rng):
+            steps = steps + first
+            first = int(steps.max()) + 1
+            before = len(argsorts)
+            engine.run_columns(idx, steps, np.full(len(idx), 50.0),
+                               _RecordingHooks())
+            if len(argsorts) > before:
+                sorted_shapes.add(name)
+        assert sorted_shapes == {f"runs-of-{CROSSOVER - 1}", "task-major",
+                                 "shuffled"}
+        # One run is a tick as it stands, however short.
+        before = len(argsorts)
+        engine.run_columns(np.arange(3), np.full(3, first), np.ones(3))
+        assert len(argsorts) == before
+
+    @pytest.mark.parametrize("split", ["natural", "runs", "argsort"])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_step_major_frames_of_every_kind_match_scalar(
+            self, estimator, split, monkeypatch, soa_differential):
+        # Typed, windowed, guarded and watched rows in step-major frames
+        # whose triggers flip mid-frame, so watch cuts fall inside runs
+        # and every piece is ticked as slices (or, forced, regrouped).
+        if split != "natural":
+            monkeypatch.setattr(soa_mod, "_NARROW_TICK_ROWS",
+                                0 if split == "runs" else 10 ** 9)
+        pair = soa_differential(
+            soa_differential.population(CROSSOVER, estimator),
+            register_more=lambda service: soa_differential.register_kinds(
+                service, estimator=estimator))
+        tasks = len(pair.names)
+        by_row = np.argsort(pair.rows)   # a step's offers in row order
+        calls = pair.count_segments()
+        rng = np.random.default_rng(47)
+        step = frames = 0
+        for frame in range(90):
+            skip = {(int(rng.integers(4)), int(rng.integers(tasks)))
+                    for _ in range(frame % 4 * 3)}
+            idx, steps = _step_major(tasks, 4, first_step=step, skip=skip)
+            idx = by_row[idx]
+            step += 4 + frame % 2
+            values = [pair.draw(rng, int(i), int(s))
+                      for i, s in zip(idx, steps)]
+            pair.offer(idx.tolist(), steps.tolist(), values)
+            frames += 1
+            if frame % 30 == 0:
+                pair.check()
+        pair.check()
+        assert len(calls) > frames                  # edges cut inside runs
+        assert len(pair.edges[id(pair.vector)]) > 20
+        assert sum(len(pair.vector.alerts(n)) for n in pair.names
+                   if n.startswith(("quantile", "entropy", "window"))) > 20
 
 
 class TestRejectedOffersLeaveNoTrace:

@@ -123,6 +123,79 @@ class TestQuantileEstimatorCheckpoint:
         assert len(built) == 3
 
 
+class TestQuantileEstimatorWatch:
+    """The first threshold asked of ``exceedance`` is watched by both
+    epochs from then on; the answers are the bucket walks' all the same."""
+
+    @staticmethod
+    def walked(est, threshold):
+        tail = sum(
+            LogHistogram.from_dict(sketch.to_dict()).tail_count(threshold)
+            for sketch in (est._current, est._sealed) if sketch is not None)
+        return tail / est.count
+
+    def test_watch_is_adopted_once_and_carried_across_rotations(self):
+        rng = np.random.default_rng(13)
+        est = QuantileEstimator(0.9, window=8)
+        assert est.exceedance(40.0) == 0.0          # empty: nothing yet
+        assert math.isnan(est._current._watched)
+        for n, v in enumerate(rng.normal(40.0, 10.0, 100)):
+            est.update(float(v))
+            assert est.exceedance(40.0) == self.walked(est, 40.0)
+            # Another threshold walks and does not move the watch.
+            assert est.exceedance(45.0) == self.walked(est, 45.0)
+            for sketch in (est._current, est._sealed):
+                assert sketch is None or sketch._watched == 40.0
+            if n >= 8:
+                assert est._current._pos_from == est._sealed._pos_from
+
+    def test_restore_and_planting_keep_the_answers(self):
+        rng = np.random.default_rng(17)
+        est = QuantileEstimator(0.9, window=8)
+        values = [float(v) for v in rng.normal(0.0, 10.0, 60)]
+        for v in values[:30]:
+            est.update(v)
+            est.exceedance(-2.0)
+        clone = QuantileEstimator.from_state_dict(est.state_dict())
+        assert math.isnan(clone._current._watched)  # derived, not saved
+        for v in values[30:]:
+            est.update(v)
+            clone.update(v)
+            assert clone.exceedance(-2.0) == est.exceedance(-2.0) \
+                == self.walked(est, -2.0)
+        assert clone.state_dict() == est.state_dict()
+        # A planted factory of another bucket base: the watch follows,
+        # with cut-offs of its own.
+        est.plant_sketch_factory(lambda: LogHistogram(relative_error=0.05))
+        assert est._current._watched == -2.0
+        for v in values:
+            est.update(v)
+            assert est.exceedance(-2.0) == self.walked(est, -2.0)
+
+    def test_quantile_value_is_the_merged_sketch_quantile(self):
+        rng = np.random.default_rng(23)
+        for q in (0.05, 0.5, 0.99):
+            est = QuantileEstimator(q, window=16)
+            for v in rng.normal(0.0, 5.0, 90):
+                est.update(float(v) if abs(v) > 1.0 else 0.0)
+                merged = LogHistogram.from_dict(est._current.to_dict())
+                if est._sealed is not None:
+                    merged.merge(est._sealed)
+                assert est.quantile_value() == merged.quantile(q)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_update_is_refused_whole(self, bad):
+        est = QuantileEstimator(0.9, window=4)
+        for v in (1.0, 2.0, 3.0, 4.0, 5.0):
+            est.update(v)
+        est.exceedance(2.5)
+        before = est.state_dict()
+        with pytest.raises(ValueError, match="non-finite"):
+            est.update(bad)
+        assert est.state_dict() == before
+        assert est.exceedance(2.5) == self.walked(est, 2.5)
+
+
 class TestEntropyEstimatorConstruction:
     def test_window_must_be_at_least_two(self):
         with pytest.raises(ConfigurationError):
@@ -194,3 +267,15 @@ class TestEntropyEstimatorCheckpoint:
             clone.update(float(v))
             assert clone.entropy() == est.entropy()
         assert clone.state_dict() == est.state_dict()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_update_is_refused_whole(self, bad):
+        # One error for all of them (inf used to be an OverflowError),
+        # 1e308 / 1e-3 included: its quotient is not finite either.
+        est = EntropyEstimator(window=4, bin_width=1e-3)
+        for v in (0.001, 0.002, 0.002, 0.004, 0.005):
+            est.update(v)
+        before, entropy = est.state_dict(), est.entropy()
+        with pytest.raises(ValueError, match="non-finite"):
+            est.update(bad)
+        assert est.state_dict() == before and est.entropy() == entropy

@@ -8,10 +8,15 @@ seed for the values; the ``soa_differential`` harness (tests/conftest.py)
 feeds a scalar and an SoA service the same offers and holds batch
 accounting, snapshots, alerts, counters and per-task trace events equal.
 The second property holds ``offer_columns`` to its own batch boundaries:
-where a frame is cut must not show, for tasks of every kind.
+where a frame is cut must not show, for tasks of every kind. The third
+holds ``run_columns`` to its tick split: whether a frame's runs are
+ticked as slices or regrouped by the argsort must not show either.
 """
 
 from __future__ import annotations
+
+import contextlib
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -136,3 +141,71 @@ def test_offer_columns_does_not_depend_on_where_a_batch_is_split(
             np.concatenate([part[3] for part in parts]).tolist())
     soa_differential.same_state(whole, split)
     assert whole_edges == split_edges
+
+
+@contextlib.contextmanager
+def _crossover(rows):
+    """``_NARROW_TICK_ROWS`` set to ``rows`` for one call: 0 ticks every
+    batch run by run, a huge value regroups every batch by the argsort
+    (and, either way, moves the row-by-row crossover with it)."""
+    natural = soa_mod._NARROW_TICK_ROWS
+    soa_mod._NARROW_TICK_ROWS = rows
+    try:
+        yield
+    finally:
+        soa_mod._NARROW_TICK_ROWS = natural
+
+
+@given(estimator=st.sampled_from(("chebyshev", "gaussian", "mixed")),
+       sink=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       frames=st.lists(
+           st.tuples(st.integers(min_value=1, max_value=5),    # steps
+                     st.floats(min_value=0.0, max_value=0.7),  # left out
+                     st.sampled_from(("rows", "rows", "shuffled",
+                                      "task-major"))),         # order
+           min_size=3, max_size=16))
+@settings(max_examples=30, deadline=None)
+def test_the_tick_split_does_not_show(soa_differential, estimator, sink,
+                                      seed, frames):
+    kinds_estimator = "chebyshev" if estimator == "mixed" else estimator
+    pair = soa_differential(
+        soa_differential.population(8, estimator),
+        register_more=lambda service: soa_differential.register_kinds(
+            service, estimator=kinds_estimator), sink=sink)
+    forced = [_every_kind(soa_differential, estimator, sink)
+              for _ in range(2)]
+    names, rows = pair.names, pair.rows
+    for _service, forced_names, forced_rows, _edges in forced:
+        assert forced_names == names and (forced_rows == rows).all()
+    by_row = np.argsort(rows)
+    rng = np.random.default_rng(seed)
+    step = 0
+    for span, left_out, order in frames:
+        keep = rng.random((span, len(names))) >= left_out
+        at, pos = np.nonzero(keep)            # step-major, row-minor
+        if order == "shuffled":               # within each step
+            mix = rng.permutation(len(at))
+            mix = mix[np.argsort(at[mix], kind="stable")]
+            at, pos = at[mix], pos[mix]
+        elif order == "task-major":
+            at, pos = (col.T[keep.T] for col in np.indices(keep.shape))
+        idx = by_row[pos]
+        steps = step + at
+        step += span
+        if not len(idx):
+            continue
+        values = [pair.draw(rng, int(i), int(s))
+                  for i, s in zip(idx, steps)]
+        pair.offer(idx.tolist(), steps.tolist(), values)
+        for (service, *_), crossover in zip(forced, (0, 10 ** 9)):
+            with _crossover(crossover):
+                service.offer_columns(rows[idx], steps, np.asarray(values),
+                                      [names[i] for i in idx])
+    (by_runs, _, _, run_edges), (by_sort, _, _, sort_edges) = forced
+    for service in (by_runs, by_sort):
+        assert (json.dumps(service.snapshot(), sort_keys=True)
+                == json.dumps(pair.vector.snapshot(), sort_keys=True))
+    pair.check()
+    soa_differential.same_state(by_runs, by_sort)
+    assert run_edges == sort_edges == pair.edges.get(id(pair.vector), [])

@@ -9,10 +9,16 @@ Two contracts from the task-type design:
 * **Entropy analytic accuracy** — the windowed estimator must equal the
   exact empirical entropy of its window (it is not an approximation,
   only the accumulation order is constrained for bit-stable restore).
+* **O(1) answers are the walks' answers** — the watched-tail counters
+  behind ``exceedance`` and the two-sketch rank walk behind
+  ``quantile_value`` must equal, exactly, a fresh bucket walk and the
+  materialised merged sketch, through rotations, a checkpoint round
+  trip, a merge and a planted sketch factory.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -21,7 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.substrates import EntropyEstimator, QuantileEstimator
-from repro.testkit.invariants import check_quantile_misdetection
+from repro.telemetry.histogram import DEFAULT_MIN_VALUE, LogHistogram
+from repro.testkit.invariants import (LeakySketch,
+                                      check_quantile_misdetection)
 
 bounded = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False,
                     allow_infinity=False)
@@ -75,6 +83,115 @@ class TestQuantileMisdetectionProperty:
         hi = float(recent[min(span - 1, int(0.9 * (span - 1)) + 1)])
         assert lo * 0.97 <= est.quantile_value() <= hi * 1.03 \
             or est.quantile_value() == exact
+
+
+def _fresh(sketch):
+    """The sketch as a checkpoint would rebuild it: nothing watched."""
+    return LogHistogram.from_dict(sketch.to_dict())
+
+
+def _walked_exceedance(est, threshold):
+    tail = sum(_fresh(sketch).tail_count(threshold)
+               for sketch in (est._current, est._sealed)
+               if sketch is not None)
+    return tail / est.count if est.count else 0.0
+
+
+def _merged_quantile(est):
+    merged = _fresh(est._current)
+    if est._sealed is not None:
+        merged = _fresh(est._sealed)
+        merged.merge(est._current)
+    return merged.quantile(est.quantile)
+
+
+def _midpoint(value, alpha):
+    """The reported value of ``value``'s bucket (0.0 in the zero bucket)."""
+    sketch = LogHistogram(relative_error=alpha)
+    if abs(value) <= sketch.min_value:
+        return 0.0
+    return math.copysign(sketch._bucket_value(sketch._index(abs(value))),
+                         value)
+
+
+magnitudes = st.floats(min_value=1e-6, max_value=1e6)
+repeated = st.sampled_from((1.0, -1.0, 64.0, -64.0))  # buckets hit again
+stream_values = st.one_of(
+    magnitudes, magnitudes.map(lambda v: -v),
+    st.floats(min_value=-DEFAULT_MIN_VALUE, max_value=DEFAULT_MIN_VALUE),
+    repeated)
+operations = st.lists(st.one_of(
+    st.tuples(st.just("update"), stream_values),
+    st.tuples(st.just("update"), stream_values),
+    st.tuples(st.just("update"), stream_values),
+    st.tuples(st.just("roundtrip"), st.none()),
+    st.tuples(st.just("merge"), st.lists(stream_values, max_size=6)),
+    st.tuples(st.just("plant"), st.none())),
+    min_size=1, max_size=120)
+
+
+class TestAnswersAreTheWalksAnswers:
+    @given(ops=operations,
+           window=st.integers(min_value=1, max_value=12),
+           quantile=st.sampled_from((0.05, 0.5, 0.9, 0.99)),
+           alpha=st.sampled_from((0.01, 0.05)),
+           threshold=stream_values,
+           on_midpoint=st.none() | st.integers(min_value=0, max_value=119),
+           query_from=st.integers(min_value=0, max_value=40))
+    @settings(max_examples=150, deadline=None)
+    def test_exceedance_and_quantile_value_are_exact(
+            self, ops, window, quantile, alpha, threshold, on_midpoint,
+            query_from):
+        if on_midpoint is not None:
+            # Exactly the reported value of a bucket the stream fills:
+            # the tail predicate is strict, and the cut-off must leave
+            # that bucket outside.
+            op, arg = ops[on_midpoint % len(ops)]
+            threshold = _midpoint(arg if op == "update" else threshold,
+                                  alpha)
+        est = QuantileEstimator(quantile, window=window,
+                                relative_error=alpha)
+        for n, (op, arg) in enumerate(ops):
+            if op == "update":
+                est.update(arg)
+            elif op == "roundtrip":
+                est = QuantileEstimator.from_state_dict(
+                    json.loads(json.dumps(est.state_dict())))
+            elif op == "merge":
+                other = LogHistogram(relative_error=alpha)
+                for value in arg:
+                    other.record(value)
+                est._current.merge(other)
+            else:
+                est.plant_sketch_factory(
+                    lambda: LogHistogram(relative_error=alpha))
+            if n < query_from:
+                continue           # the watch starts mid-stream
+            assert est.exceedance(threshold) == _walked_exceedance(
+                est, threshold)
+            assert est.quantile_value() == _merged_quantile(est)
+        if len(ops) > query_from and est.count:
+            for sketch in (est._current, est._sealed):
+                assert sketch is None or sketch._watched == threshold
+
+    @given(values=st.lists(magnitudes, min_size=1, max_size=80),
+           drop_above=magnitudes, threshold=magnitudes)
+    @settings(max_examples=60, deadline=None)
+    def test_a_record_override_starves_counter_and_buckets_alike(
+            self, values, drop_above, threshold):
+        est = QuantileEstimator(0.9, window=16, sketch_factory=lambda: (
+            LeakySketch(drop_above=drop_above)))
+        for value in values:
+            est.update(value)
+            assert est.exceedance(threshold) == _walked_exceedance(
+                est, threshold)
+
+    def test_planted_leaky_sketch_still_fails_the_invariant(self):
+        result = check_quantile_misdetection(
+            seed=11, err=0.05, streams=2, horizon=3000,
+            sketch_factory=lambda: LeakySketch(drop_above=81.0))
+        assert result.metrics["truth_points"] > 0
+        assert not result.passed and "exceeds err" in result.detail
 
 
 class TestEntropyAnalyticProperty:

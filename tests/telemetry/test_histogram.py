@@ -132,6 +132,111 @@ class TestTailCount:
         assert LogHistogram().tail_count(0.0) == 0
 
 
+def walked_tail(sketch: LogHistogram, threshold: float) -> int:
+    """``tail_count`` by the bucket walk, whatever ``sketch`` watches."""
+    return LogHistogram.from_dict(sketch.to_dict()).tail_count(threshold)
+
+
+def midpoint(sketch: LogHistogram, value: float) -> float:
+    """The reported magnitude of ``value``'s bucket, signed."""
+    if abs(value) <= sketch.min_value:
+        return 0.0
+    return math.copysign(sketch._bucket_value(sketch._index(abs(value))),
+                         value)
+
+
+tiny = st.floats(min_value=-1e-9, max_value=1e-9)
+mixed_streams = st.lists(st.one_of(bounded, bounded, tiny),
+                         min_size=1, max_size=200)
+
+
+class TestWatchedTail:
+    """The running counter for one watched threshold is the walk's own
+    answer, whatever the threshold's sign and wherever it falls."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_streams, st.one_of(bounded, tiny, st.just(0.0)),
+           st.integers(min_value=0, max_value=200), st.booleans())
+    def test_counter_equals_the_walk_after_every_record(
+            self, values, threshold, watch_at, on_midpoint):
+        sketch = LogHistogram()
+        if on_midpoint:
+            # Exactly the reported value of a bucket the stream fills:
+            # the predicate is strict, so that bucket stays out.
+            threshold = midpoint(sketch, values[watch_at % len(values)])
+        for n, v in enumerate(values):
+            if n == watch_at:
+                sketch._watch(threshold)
+            sketch.record(v)
+            if n >= watch_at:
+                assert sketch._watched == threshold
+                assert sketch._tail == walked_tail(sketch, threshold)
+                assert sketch.tail_count(threshold) == sketch._tail
+
+    @pytest.mark.parametrize("threshold", [
+        50.0, -50.0, 0.0, 1e-12, -1e-12, math.inf, -math.inf, 1e308,
+        -1e308, 5e-324])
+    def test_every_sign_and_extreme_of_threshold(self, threshold):
+        sketch = LogHistogram()
+        sketch._watch(threshold)
+        for v in (-1e300, -75.0, -50.0, -1.0, -1e-9, 0.0, 1e-10, 1e-9,
+                  2e-9, 1.0, 49.0, 50.0, 51.0, 1e300):
+            sketch.record(v, count=3)
+            assert sketch._tail == walked_tail(sketch, threshold)
+        assert sketch.tail_count(threshold) == sketch._tail
+
+    def test_nan_watches_nothing(self):
+        sketch = fill([-5.0, 0.0, 5.0])
+        sketch._watch(math.nan)
+        sketch.record(7.0)
+        assert sketch._tail == 0 == sketch.tail_count(math.nan)
+        assert sketch.tail_count(1.0) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_streams, mixed_streams, bounded, bounded)
+    def test_merge_rewatch_and_other_thresholds(self, a, b, threshold,
+                                                other):
+        sketch = fill(a)
+        sketch._watch(threshold)
+        watching_too = fill(b)
+        watching_too._watch(threshold)
+        for source in (fill(b), watching_too):
+            merged = LogHistogram.from_dict(sketch.to_dict())
+            merged._watch(threshold)
+            merged.merge(source)
+            assert merged._tail == walked_tail(merged, threshold)
+        # Any other threshold still walks, and leaves the watch alone.
+        assert sketch.tail_count(other) == walked_tail(sketch, other)
+        assert sketch._watched == threshold
+        # A change of threshold is one recount; records follow the new one.
+        sketch._watch(other)
+        for v in b:
+            sketch.record(v)
+        assert sketch._tail == walked_tail(sketch, other)
+
+    def test_cutoffs_are_lent_only_across_one_bucket_base(self):
+        lender = LogHistogram()
+        lender._watch(75.0)
+        same, coarse = LogHistogram(), LogHistogram(relative_error=0.05)
+        same._watch(75.0, like=lender)
+        coarse._watch(75.0, like=lender)
+        assert same._pos_from == lender._pos_from
+        assert coarse._pos_from != lender._pos_from
+        for sketch in (same, coarse):
+            for v in range(60, 90):
+                sketch.record(float(v))
+            assert sketch._tail == walked_tail(sketch, 75.0)
+
+    def test_the_watch_is_derived_state_and_never_serialised(self):
+        sketch = fill([1.0, 60.0, 80.0])
+        plain = sketch.to_dict()
+        sketch._watch(50.0)
+        assert sketch.to_dict() == plain
+        restored = LogHistogram.from_dict(sketch.to_dict())
+        assert math.isnan(restored._watched) and restored._tail == 0
+        assert restored.tail_count(50.0) == sketch.tail_count(50.0) == 2
+
+
 class TestMergeMonoid:
     @settings(max_examples=100, deadline=None)
     @given(streams, streams)
@@ -213,6 +318,22 @@ class TestValidation:
     def test_bad_record_count(self):
         with pytest.raises(ValueError):
             LogHistogram().record(1.0, count=0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_is_refused_before_any_field_moves(self, bad):
+        # inf used to raise out of the bucket index after count / total /
+        # min / max had moved; NaN was filed in the zero bucket and
+        # turned total and mean into NaN for good.
+        for sketch in (LogHistogram(), fill([-3.0, 0.0, 42.0])):
+            sketch._watch(-1.0)
+            before, tail = sketch.to_dict(), sketch._tail
+            with pytest.raises(ValueError, match="non-finite"):
+                sketch.record(bad)
+            with pytest.raises(ValueError, match="non-finite"):
+                sketch.record(bad, count=4)
+            assert sketch.to_dict() == before and sketch._tail == tail
+            assert sketch.quantile(0.5) == LogHistogram.from_dict(
+                before).quantile(0.5)
 
     def test_empty_sketch_answers_zero(self):
         sketch = LogHistogram()

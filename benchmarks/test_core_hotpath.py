@@ -8,11 +8,12 @@ seed's set-based scorer kept below) produces on that trace. It asserts
 nothing about speed: per-layer cost is tracked by ``bench/``
 (``adaptation.observe_fast_ns``, ``adaptation.run_trace_ns_per_step``).
 
-The three count guards at the bottom hold the typed-row hot path to its
+The count guards at the bottom hold the hosted-shard hot path to its
 *shape* instead — calls that must not happen, counted, not timed: the
 regressions a later refactor would reintroduce without any test turning
 red (an O(buckets) walk per due quantile offer, a sketch materialised
-per alert, a sort per step-major batch).
+per alert, a sort per step-major batch, a scalar sampler built beside an
+engine row, a last-seen pair dragging its batch off the tick).
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ import numpy as np
 
 from repro.core.accuracy import alert_episodes, truth_alert_indices
 from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
+from repro.core.online_stats import OnlineStatistics
 from repro.core.soa import SoaSamplerEngine
 from repro.core.substrates import QuantileEstimator
 from repro.core.task import TaskSpec
 from repro.experiments.runner import run_adaptive, run_sampler_on_trace
+from repro.service import MonitoringService
 from repro.telemetry.histogram import LogHistogram
 
 N = 50_000
@@ -219,3 +222,68 @@ def test_step_major_batch_ticks_without_a_sort(monkeypatch):
         result = engine.run_columns(rows, steps, values)
         assert result.applied == 4 * 1024
     assert not sorts
+
+
+def _engine_service(tasks: int) -> MonitoringService:
+    service = MonitoringService(soa=True)
+    for i in range(tasks):
+        service.add_task(f"t{i:04d}", TaskSpec(
+            threshold=100.0, error_allowance=0.01, max_interval=10))
+    return service
+
+
+def test_engine_service_builds_no_scalar_twin(monkeypatch):
+    """Registering 1024 tasks on, and restoring a 1024-task snapshot
+    into, an engine service builds no scalar sampler or statistics
+    object: a fresh row per task, and each snapshot entry's ``sampler``
+    dict loaded straight into its row, once, nothing dumped back."""
+    warm = _engine_service(1024)
+    rows = np.arange(1024, dtype=np.int64)
+    for step in range(8):
+        warm.offer_columns(rows, np.full(1024, step), np.full(1024, 50.0))
+    snapshot = warm.snapshot()
+    built = (_counted(monkeypatch, ViolationLikelihoodSampler, "__init__")
+             + _counted(monkeypatch, OnlineStatistics, "__init__"))
+    loads = _counted(monkeypatch, SoaSamplerEngine, "load_row_state")
+    dumps = (_counted(monkeypatch, SoaSamplerEngine, "row_state_dict"),
+             _counted(monkeypatch, SoaSamplerEngine, "rows_state_dicts"))
+    fresh = _engine_service(1024)
+    assert not loads
+    restored = MonitoringService.restore(snapshot, soa=True)
+    assert len(loads) == 1024
+    assert not built and not any(dumps)
+    assert all(state.sampler is None for service in (fresh, restored)
+               for state in service._tasks.values())
+    assert restored.snapshot() == snapshot
+
+
+def test_a_last_seen_pair_leaves_the_tick_alone(monkeypatch):
+    """A 4 x 1024 step-major batch on a service that also holds one
+    last-seen pair (and a watched trigger whose edges cut the batch):
+    still one ``run_columns`` call per watch-cut segment, and only the
+    pair's two rows are stepped by name."""
+    service = _engine_service(1024)
+    service.add_trigger("t0007", "t0400", elevation_level=50.0)
+    service.add_trigger_watch("t0100", 50.0, hysteresis=0.0, min_hold=0)
+    service.add_remote_trigger("t0900", "t0100", 50.0)
+    service.set_trigger_sink(lambda event: service.set_trigger_armed(
+        "t0900", event["op"] == "arm"))
+    segments = _counted(monkeypatch, service, "_apply_columns")
+    ticks = _counted(monkeypatch, SoaSamplerEngine, "run_columns")
+    by_name: list[str] = []
+    offer_soa = service._offer_soa
+    monkeypatch.setattr(service, "_offer_soa", lambda name, *offer: (
+        by_name.append(name) or offer_soa(name, *offer)))
+    rows = np.tile(np.arange(1024, dtype=np.int64), 4)
+    names = [f"t{i:04d}" for i in rows.tolist()]
+    rng = np.random.default_rng(SEED)
+    for frame in range(8):
+        steps = np.repeat(np.arange(4 * frame, 4 * frame + 4,
+                                    dtype=np.int64), 1024)
+        values = rng.normal(50.0, 5.0, 4 * 1024)
+        applied, _, rejected, _ = service.offer_columns(rows, steps, values,
+                                                        names)
+        assert (applied, rejected) == (4 * 1024, 0)
+    assert len(ticks) == len(segments) > 8          # the edges did cut
+    assert sorted(by_name) == ["t0007"] * 32 + ["t0400"] * 32
+    assert service.samples_taken("t0007") > 0

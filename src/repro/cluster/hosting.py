@@ -103,10 +103,11 @@ class WorkerHost:
         # (``w_intern``). Lives on the *host*, not a shard, so it survives
         # shard migrations in and out of this worker.
         self.gid_names: list[str | None] = []
-        # Per-shard gid -> SoA engine row cache (-1 = resolve by name).
-        # Invalidated whenever the shard's service or task set changes;
-        # stale-but-uninvalidated rows are safe because engine rows are
-        # never reused (an evicted row stays inactive -> name fallback).
+        # Per-shard gid -> SoA engine row cache (-1 = no such task here:
+        # resolve by name). Invalidated whenever the shard's service or
+        # task set changes — a task keeps its row for life; stale rows
+        # are safe because engine rows are never reused (a removed
+        # task's row stays inactive -> name fallback).
         self._gid_rows: dict[int, np.ndarray] = {}
         self.adaptation = adaptation or AdaptationConfig()
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -446,8 +447,6 @@ class WorkerHost:
             str(request.get("target", "")), str(request.get("trigger", "")),
             elevation_level=float(request.get("elevation_level", 0.0)),
             suspend_interval=int(request.get("suspend_interval", 10)))
-        # A last-seen pair leaves the SoA engine, both ends.
-        self._gid_rows.pop(worker.shard_id, None)
         return {"ok": True}
 
     def _op_trigger_install(self, request: dict[str, Any]) -> dict[str, Any]:

@@ -31,9 +31,10 @@ Bit-equivalence contract
 ------------------------
 
 Every row's state trajectory is bit-identical to driving a scalar
-:class:`~repro.core.adaptation.ViolationLikelihoodSampler` through
-:meth:`~repro.service.MonitoringService.offer_fast` with the same
-(value, step) stream: the vectorised Welford / restart / stale-serving /
+:class:`~repro.core.adaptation.ViolationLikelihoodSampler` through a
+scalar service's :meth:`~repro.service.MonitoringService.offer` — the
+reference statement of a step — with the same (value, step) stream: the
+vectorised Welford / restart / stale-serving /
 Cantelli / AIMD / coordination math performs the same floating-point
 operations in the same order and association per element (numpy float64
 arithmetic is IEEE-754 double, exactly CPython's float). Two operations
@@ -43,8 +44,10 @@ bit-identical to libm: ``log`` (coordination accumulator) and ``erfc``
 smaller — consumed subset. ``sqrt`` and the arithmetic primitives are
 correctly rounded by IEEE and safe to vectorise.
 
-State moves between the scalar and columnar representations through the
-sampler ``state_dict`` format (:meth:`SoaSamplerEngine.row_state_dict` /
+A service is all rows or all scalar for life, so state never moves
+between the two representations at run time; it crosses only inside a
+snapshot, in the sampler ``state_dict`` format
+(:meth:`SoaSamplerEngine.rows_state_dicts` /
 :meth:`SoaSamplerEngine.load_row_state`), so checkpoints, snapshot
 fingerprints and live migration stay byte-compatible with scalar-only
 peers.
@@ -100,9 +103,9 @@ _NARROW_TICK_ROWS = 13
 class ColumnBatchResult:
     """Outcome of one :meth:`SoaSamplerEngine.run_columns` call.
 
-    ``fallback`` holds positions (into the input arrays) whose rows are no
-    longer engine-managed — the caller re-drives those by name through the
-    scalar path, which is always correct. The ``event_*`` arrays carry
+    ``fallback`` holds positions (into the input arrays) whose rows are
+    negative or not ``active`` — the caller steps those by name, which is
+    always correct. The ``event_*`` arrays carry
     the rare alert/trace-worthy offers (flags: 1 grew, 2 reset, 4
     violation) for the service to materialise, in tick order — so each
     task's in its arrival order; ``viol_*`` is their violating subset,
@@ -130,10 +133,13 @@ class ColumnBatchResult:
 class SoaSamplerEngine:
     """Columnar storage + vectorised stepping for many samplers.
 
-    Rows are allocated by :meth:`add_task` and never reused: a removed or
-    evicted task's row is deactivated, so stale row references held by
+    Rows are allocated by :meth:`add_task` and never reused: a removed
+    task's row is deactivated, so stale row references held by
     long-lived connections degrade to an explicit fallback instead of
-    silently hitting another task's state.
+    silently hitting another task's state. The owner may also lower a
+    live row's ``active`` flag to have the tick *hand back* its offers
+    (as ``fallback``) and step the row itself, one offer at a time,
+    through :meth:`observe_one` / :meth:`advance_one`.
     """
 
     def __init__(self, capacity: int = 256):
@@ -394,10 +400,10 @@ class SoaSamplerEngine:
         """Advance one row by one offer; returns the next interval.
 
         The exact scalar-math mirror of
-        :meth:`ViolationLikelihoodSampler.observe_fast` operating on
-        column storage — by-name offers (``MonitoringService.offer`` /
-        ``offer_fast`` on an engine row) and columnar batches may
-        interleave freely on the same task without representation sync.
+        :meth:`ViolationLikelihoodSampler.observe` operating on column
+        storage — by-name offers (``MonitoringService.offer`` on an
+        engine service) and columnar batches may interleave freely on
+        the same task: both write the one row.
         """
         v = float(self.sign[row]) * value
         threshold = float(self.threshold[row])
@@ -536,10 +542,11 @@ class SoaSamplerEngine:
 
         Splits the batch into ticks — one occurrence per row, in arrival
         order — and advances each tick, vectorised or (narrow ticks) row
-        by row. Rows that are negative (not engine-managed) or inactive
-        are reported back as ``fallback`` positions instead of being
-        applied; a non-finite value on an active row is rejected here,
-        before any column of the row sees it.
+        by row. Rows that are negative (unresolved) or not ``active``
+        (retired, or handed back to the owner) are reported back as
+        ``fallback`` positions instead of being applied; a non-finite
+        value on an active row is rejected here, before any column of
+        the row sees it.
 
         ``hooks`` is the owner of what the marked rows keep outside the
         columns, called back per tick: ``hooks.absorb(rows, values)``
@@ -601,7 +608,7 @@ class SoaSamplerEngine:
             tick_rows = rows[sel]
             tick_steps = steps[sel]
             tick_values = values[sel]
-            # The last-offered columns mirror offer_fast's unconditional
+            # The last-offered columns mirror offer's unconditional
             # last-seen refresh (before the due check); per-tick scatter
             # keeps "latest occurrence wins" exact under duplicates.
             self.last_offered[tick_rows] = tick_values

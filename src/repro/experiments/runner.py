@@ -91,45 +91,34 @@ def _drive_and_score(arr: np.ndarray, observe, threshold: float,
 
 
 def _drive_fast(arr: np.ndarray, observe_fast, threshold: float,
-                direction: ThresholdDirection,
-                record_intervals: bool = True,
-                trigger: np.ndarray | None = None) -> RunResult:
-    """The fused sample loop (DESIGN.md S27).
+                direction: ThresholdDirection, trigger: np.ndarray,
+                record_intervals: bool = True) -> RunResult:
+    """The fused sample loop of a triggered sampler (DESIGN.md S27).
 
-    ``observe_fast(value, t)`` — or ``observe_fast(value, t, trig)`` when a
-    ``trigger`` trace is supplied — returns the next interval as a plain
+    ``observe_fast(value, t, trig)`` returns the next interval as a plain
     int, so driving a whole trace allocates no per-step decision objects.
-    The trace (and trigger) are converted to Python floats once up front
-    with ``tolist()`` instead of a ``float(arr[t])`` coercion per visited
-    grid point. Produces schedules identical to :func:`_drive_and_score`
-    over an equivalent ``observe`` (enforced by the equivalence suite).
+    The trace and the ``trigger`` trace are converted to Python floats
+    once up front with ``tolist()`` instead of a ``float(arr[t])``
+    coercion per visited grid point. Produces schedules identical to
+    :func:`_drive_and_score` over an equivalent ``observe`` (enforced by
+    the equivalence suite).
     """
     n = arr.size
     values = arr.tolist()
+    trig_values = trigger.tolist()
     sampled: list[int] = []
     intervals: list[int] = []
     sampled_append = sampled.append
     intervals_append = intervals.append
     t = 0
-    if trigger is None:
-        while t < n:
-            sampled_append(t)
-            step = observe_fast(values[t], t)
-            if step < 1:
-                step = 1
-            if record_intervals:
-                intervals_append(step)
-            t += step
-    else:
-        trig_values = trigger.tolist()
-        while t < n:
-            sampled_append(t)
-            step = observe_fast(values[t], t, trig_values[t])
-            if step < 1:
-                step = 1
-            if record_intervals:
-                intervals_append(step)
-            t += step
+    while t < n:
+        sampled_append(t)
+        step = observe_fast(values[t], t, trig_values[t])
+        if step < 1:
+            step = 1
+        if record_intervals:
+            intervals_append(step)
+        t += step
     accuracy = evaluate_sampling(arr, threshold, sampled, direction)
     return RunResult(
         sampled_indices=np.asarray(sampled, dtype=int),

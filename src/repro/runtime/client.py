@@ -17,7 +17,7 @@ from __future__ import annotations
 import asyncio
 import pathlib
 import socket
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.exceptions import ProtocolError
 from repro.runtime.protocol import (PROTOCOL_BINARY, PROTOCOL_JSON,
@@ -50,7 +50,110 @@ def _check_reply(reply: dict[str, Any] | None, op: str) -> dict[str, Any]:
     return reply
 
 
-class RuntimeClient:
+def _whole(reply: dict[str, Any]) -> dict[str, Any]:
+    return reply
+
+
+class _ConvenienceOps:
+    """The one-request ops both clients offer, each stated once.
+
+    A method builds its request and hands ``(payload, pick)`` to
+    ``_call``; ``pick`` takes the checked reply to the method's value.
+    :class:`RuntimeClient` answers with that value,
+    :class:`AsyncRuntimeClient` with a coroutine of it — the annotations
+    below name the value either way.
+    """
+
+    def _call(self, payload: dict[str, Any],
+              pick: Callable[[dict[str, Any]], Any] = _whole) -> Any:
+        raise NotImplementedError
+
+    def ping(self) -> dict[str, Any]:
+        return self._call({"op": "ping"})
+
+    def register_task(self, name: str, threshold: float,
+                      **spec: Any) -> dict[str, Any]:
+        """Register a task; ``spec`` takes the declarative config keys
+        (``error_allowance``, ``max_interval``, ``direction``, ``window``,
+        ``aggregate``, ...)."""
+        task = {"name": name, "threshold": threshold, **spec}
+        return self._call({"op": "register_task", "task": task})
+
+    def remove_task(self, name: str) -> dict[str, Any]:
+        return self._call({"op": "remove_task", "task": name})
+
+    def add_trigger(self, target: str, trigger: str, elevation_level: float,
+                    suspend_interval: int = 10) -> dict[str, Any]:
+        return self._call({"op": "add_trigger", "target": target,
+                           "trigger": trigger,
+                           "elevation_level": elevation_level,
+                           "suspend_interval": suspend_interval})
+
+    def install_trigger_plan(self, plan: dict[str, Any]) -> dict[str, Any]:
+        """Install a correlated-monitoring :class:`repro.triggers.TriggerPlan`
+        (as its ``to_dict()`` form); both server kinds accept it."""
+        return self._call({"op": "trigger_install", "plan": dict(plan)})
+
+    def set_trigger_armed(self, task: str, armed: bool) -> dict[str, Any]:
+        """Arm (or disarm) a guarded task's remote trigger explicitly."""
+        op = "trigger_arm" if armed else "trigger_disarm"
+        return self._call({"op": op, "task": task})
+
+    def trigger_state(self, task: str) -> dict[str, Any]:
+        """One task's channel wiring (guard state and/or watch state)."""
+        return self._call({"op": "trigger_state", "task": task})
+
+    def trigger_plans(self) -> dict[str, Any]:
+        """Installed plans plus channel accounting (edge counts, guard
+        suspensions, estimated probe collections saved)."""
+        return self._call({"op": "trigger_plans"})
+
+    def due(self, task: str, step: int) -> bool:
+        return self._call({"op": "due", "task": task, "step": step},
+                          lambda reply: bool(reply["due"]))
+
+    def task_info(self, task: str) -> dict[str, Any]:
+        return self._call({"op": "task_info", "task": task})
+
+    def alerts(self, task: str) -> list[list[float]]:
+        return self._call({"op": "alerts", "task": task},
+                          lambda reply: list(reply["alerts"]))
+
+    def stats(self) -> dict[str, Any]:
+        return self._call({"op": "stats"})
+
+    def checkpoint(self) -> str:
+        return self._call({"op": "checkpoint"},
+                          lambda reply: str(reply["path"]))
+
+    def telemetry(self) -> dict[str, Any]:
+        """The server's full metrics snapshot (see ``repro.telemetry``)."""
+        return self._call({"op": "telemetry"})
+
+    def trace(self, since: int = 0,
+              limit: int | None = None) -> dict[str, Any]:
+        """Drain decision-trace events with ``seq >= since``.
+
+        Returns the reply dict: ``events`` (oldest first), ``next_seq``
+        (pass back as ``since`` to poll incrementally), ``dropped``.
+        """
+        payload: dict[str, Any] = {"op": "trace", "since": since}
+        if limit is not None:
+            payload["limit"] = limit
+        return self._call(payload)
+
+    def migrate(self, shard: int, worker: str) -> dict[str, Any]:
+        """Move one shard to another worker live (``repro.cluster`` only;
+        a single-process server answers with ``unknown-op``)."""
+        return self._call({"op": "migrate", "shard": shard,
+                           "worker": worker})
+
+    def placement(self) -> dict[str, Any]:
+        """The cluster's live placement table (``repro.cluster`` only)."""
+        return self._call({"op": "placement"})
+
+
+class RuntimeClient(_ConvenienceOps):
     """Blocking client over TCP or a unix-domain socket.
 
     Args:
@@ -143,8 +246,10 @@ class RuntimeClient:
             raise ProtocolError("server closed the connection")
         return reply
 
-    def _call(self, payload: dict[str, Any]) -> dict[str, Any]:
-        return _check_reply(self.request(payload), str(payload.get("op")))
+    def _call(self, payload: dict[str, Any],
+              pick: Callable[[dict[str, Any]], Any] = _whole) -> Any:
+        return pick(_check_reply(self.request(payload),
+                                 str(payload.get("op"))))
 
     # -- binary protocol -------------------------------------------------
 
@@ -212,47 +317,7 @@ class RuntimeClient:
             return reply
         raise _offer_reply_error(reply)
 
-    # -- convenience ops -------------------------------------------------
-
-    def ping(self) -> dict[str, Any]:
-        return self._call({"op": "ping"})
-
-    def register_task(self, name: str, threshold: float,
-                      **spec: Any) -> dict[str, Any]:
-        """Register a task; ``spec`` takes the declarative config keys
-        (``error_allowance``, ``max_interval``, ``direction``, ``window``,
-        ``aggregate``, ...)."""
-        task = {"name": name, "threshold": threshold, **spec}
-        return self._call({"op": "register_task", "task": task})
-
-    def remove_task(self, name: str) -> dict[str, Any]:
-        return self._call({"op": "remove_task", "task": name})
-
-    def add_trigger(self, target: str, trigger: str, elevation_level: float,
-                    suspend_interval: int = 10) -> dict[str, Any]:
-        return self._call({"op": "add_trigger", "target": target,
-                           "trigger": trigger,
-                           "elevation_level": elevation_level,
-                           "suspend_interval": suspend_interval})
-
-    def install_trigger_plan(self, plan: dict[str, Any]) -> dict[str, Any]:
-        """Install a correlated-monitoring :class:`repro.triggers.TriggerPlan`
-        (as its ``to_dict()`` form); both server kinds accept it."""
-        return self._call({"op": "trigger_install", "plan": dict(plan)})
-
-    def set_trigger_armed(self, task: str, armed: bool) -> dict[str, Any]:
-        """Arm (or disarm) a guarded task's remote trigger explicitly."""
-        op = "trigger_arm" if armed else "trigger_disarm"
-        return self._call({"op": op, "task": task})
-
-    def trigger_state(self, task: str) -> dict[str, Any]:
-        """One task's channel wiring (guard state and/or watch state)."""
-        return self._call({"op": "trigger_state", "task": task})
-
-    def trigger_plans(self) -> dict[str, Any]:
-        """Installed plans plus channel accounting (edge counts, guard
-        suspensions, estimated probe collections saved)."""
-        return self._call({"op": "trigger_plans"})
+    # -- JSON offers (the other ops are _ConvenienceOps') -----------------
 
     def offer_batch(self, updates: Sequence[Update]) -> dict[str, Any]:
         """Push a batch; returns the reply even under backpressure
@@ -265,50 +330,8 @@ class RuntimeClient:
                 f"(code={reply.get('code', '?')})")
         return reply
 
-    def due(self, task: str, step: int) -> bool:
-        return bool(self._call({"op": "due", "task": task,
-                                "step": step})["due"])
 
-    def task_info(self, task: str) -> dict[str, Any]:
-        return self._call({"op": "task_info", "task": task})
-
-    def alerts(self, task: str) -> list[list[float]]:
-        return list(self._call({"op": "alerts", "task": task})["alerts"])
-
-    def stats(self) -> dict[str, Any]:
-        return self._call({"op": "stats"})
-
-    def checkpoint(self) -> str:
-        return str(self._call({"op": "checkpoint"})["path"])
-
-    def telemetry(self) -> dict[str, Any]:
-        """The server's full metrics snapshot (see ``repro.telemetry``)."""
-        return self._call({"op": "telemetry"})
-
-    def trace(self, since: int = 0,
-              limit: int | None = None) -> dict[str, Any]:
-        """Drain decision-trace events with ``seq >= since``.
-
-        Returns the reply dict: ``events`` (oldest first), ``next_seq``
-        (pass back as ``since`` to poll incrementally), ``dropped``.
-        """
-        payload: dict[str, Any] = {"op": "trace", "since": since}
-        if limit is not None:
-            payload["limit"] = limit
-        return self._call(payload)
-
-    def migrate(self, shard: int, worker: str) -> dict[str, Any]:
-        """Move one shard to another worker live (``repro.cluster`` only;
-        a single-process server answers with ``unknown-op``)."""
-        return self._call({"op": "migrate", "shard": shard,
-                           "worker": worker})
-
-    def placement(self) -> dict[str, Any]:
-        """The cluster's live placement table (``repro.cluster`` only)."""
-        return self._call({"op": "placement"})
-
-
-class AsyncRuntimeClient:
+class AsyncRuntimeClient(_ConvenienceOps):
     """Asyncio twin of :class:`RuntimeClient` (same op surface).
 
     Requests are serialised with an internal lock so concurrent coroutines
@@ -371,9 +394,10 @@ class AsyncRuntimeClient:
             raise ProtocolError("server closed the connection")
         return reply
 
-    async def _call(self, payload: dict[str, Any]) -> dict[str, Any]:
-        return _check_reply(await self.request(payload),
-                            str(payload.get("op")))
+    async def _call(self, payload: dict[str, Any],
+                    pick: Callable[[dict[str, Any]], Any] = _whole) -> Any:
+        return pick(_check_reply(await self.request(payload),
+                                 str(payload.get("op"))))
 
     # -- binary protocol -------------------------------------------------
 
@@ -438,47 +462,6 @@ class AsyncRuntimeClient:
             return reply
         raise _offer_reply_error(reply)
 
-    async def ping(self) -> dict[str, Any]:
-        return await self._call({"op": "ping"})
-
-    async def register_task(self, name: str, threshold: float,
-                            **spec: Any) -> dict[str, Any]:
-        task = {"name": name, "threshold": threshold, **spec}
-        return await self._call({"op": "register_task", "task": task})
-
-    async def remove_task(self, name: str) -> dict[str, Any]:
-        return await self._call({"op": "remove_task", "task": name})
-
-    async def add_trigger(self, target: str, trigger: str,
-                          elevation_level: float,
-                          suspend_interval: int = 10) -> dict[str, Any]:
-        return await self._call({"op": "add_trigger", "target": target,
-                                 "trigger": trigger,
-                                 "elevation_level": elevation_level,
-                                 "suspend_interval": suspend_interval})
-
-    async def install_trigger_plan(self,
-                                   plan: dict[str, Any]) -> dict[str, Any]:
-        """Install a correlated-monitoring :class:`repro.triggers.TriggerPlan`
-        (as its ``to_dict()`` form); both server kinds accept it."""
-        return await self._call({"op": "trigger_install",
-                                 "plan": dict(plan)})
-
-    async def set_trigger_armed(self, task: str,
-                                armed: bool) -> dict[str, Any]:
-        """Arm (or disarm) a guarded task's remote trigger explicitly."""
-        op = "trigger_arm" if armed else "trigger_disarm"
-        return await self._call({"op": op, "task": task})
-
-    async def trigger_state(self, task: str) -> dict[str, Any]:
-        """One task's channel wiring (guard state and/or watch state)."""
-        return await self._call({"op": "trigger_state", "task": task})
-
-    async def trigger_plans(self) -> dict[str, Any]:
-        """Installed plans plus channel accounting (edge counts, guard
-        suspensions, estimated probe collections saved)."""
-        return await self._call({"op": "trigger_plans"})
-
     async def offer_batch(self, updates: Sequence[Update]) -> dict[str, Any]:
         reply = await self.request({"op": "offer_batch",
                                     "updates": [list(u) for u in updates]})
@@ -487,42 +470,3 @@ class AsyncRuntimeClient:
                 f"offer_batch failed: {reply.get('error')} "
                 f"(code={reply.get('code', '?')})")
         return reply
-
-    async def due(self, task: str, step: int) -> bool:
-        reply = await self._call({"op": "due", "task": task, "step": step})
-        return bool(reply["due"])
-
-    async def task_info(self, task: str) -> dict[str, Any]:
-        return await self._call({"op": "task_info", "task": task})
-
-    async def alerts(self, task: str) -> list[list[float]]:
-        reply = await self._call({"op": "alerts", "task": task})
-        return list(reply["alerts"])
-
-    async def stats(self) -> dict[str, Any]:
-        return await self._call({"op": "stats"})
-
-    async def checkpoint(self) -> str:
-        return str((await self._call({"op": "checkpoint"}))["path"])
-
-    async def telemetry(self) -> dict[str, Any]:
-        """The server's full metrics snapshot (see ``repro.telemetry``)."""
-        return await self._call({"op": "telemetry"})
-
-    async def trace(self, since: int = 0,
-                    limit: int | None = None) -> dict[str, Any]:
-        """Drain decision-trace events with ``seq >= since``."""
-        payload: dict[str, Any] = {"op": "trace", "since": since}
-        if limit is not None:
-            payload["limit"] = limit
-        return await self._call(payload)
-
-    async def migrate(self, shard: int, worker: str) -> dict[str, Any]:
-        """Move one shard to another worker live (``repro.cluster`` only;
-        a single-process server answers with ``unknown-op``)."""
-        return await self._call({"op": "migrate", "shard": shard,
-                                 "worker": worker})
-
-    async def placement(self) -> dict[str, Any]:
-        """The cluster's live placement table (``repro.cluster`` only)."""
-        return await self._call({"op": "placement"})

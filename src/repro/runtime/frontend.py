@@ -729,8 +729,11 @@ class WireServer:
         for name in (plan.target, plan.trigger):
             if name not in self.task_shard:
                 return _unknown_task(name)
-        for sid in sorted({self.task_shard[plan.trigger],
-                           self.task_shard[plan.target]}):
+        # The target's shard first: its half is the one a shard can
+        # refuse (the target already carries a gate), and then no shard
+        # has been written.
+        for sid in dict.fromkeys((self.task_shard[plan.target],
+                                  self.task_shard[plan.trigger])):
             reply = await self._shard_call(sid, {
                 "op": "w_trigger_install", "shard": sid,
                 "plan": plan.to_dict()})

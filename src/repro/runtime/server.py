@@ -148,9 +148,8 @@ class RuntimeServer(WireServer):
         return await self._host.handle(payload)
 
     def _intern_id(self, name: str, sid: int) -> int:
-        # The SoA engine row; a task outside the engine (one end of an
-        # add_trigger pair) or a row gone stale degrades to the
-        # always-correct by-name fallback.
+        # The SoA engine row, the task's for life; a row gone stale
+        # (task removed) degrades to the always-correct by-name fallback.
         try:
             return self._workers[sid].service.soa_row_for(name)
         except ConfigurationError:

@@ -391,7 +391,7 @@ def simulate_replay(compiled: CompiledScenario,
     for step in range(n_steps):
         row = values[step]
         for t in range(n_tasks):
-            service.offer_fast(names[t], float(row[t]), step)
+            service.offer(names[t], float(row[t]), step)
         if (step + 1) in boundaries:
             phase_samples.append([service.samples_taken(name)
                                   for name in names])

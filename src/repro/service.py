@@ -67,7 +67,9 @@ class TaskState:
     Attributes:
         name: task identifier.
         task: the threshold task.
-        sampler: the adaptive sampler driving the schedule.
+        config: the task's adaptation tunables.
+        sampler: the adaptive sampler driving the schedule — on a scalar
+            service; ``None`` on an engine service, whose row is it.
         next_due: grid step of the next wanted sample.
         samples_taken: sampling operations consumed so far.
         alerts: alerts raised so far.
@@ -92,13 +94,14 @@ class TaskState:
             guards nothing.
         window / window_kind: aggregation settings (window 1 = instant).
         on_alert: callback invoked on every alert.
-        soa_row: row index in the service's SoA engine, or ``-1`` when the
-            task is driven by its scalar sampler. While ``>= 0`` the
-            engine columns are authoritative for sampler state, schedule
-            position, last-offered value and :attr:`trigger_suspensions`;
-            the scalar fields here are synced back on snapshot/eviction.
-            Window buffer, substrate, watcher and armed flag stay here
-            either way.
+        soa_row: the task's row in the service's SoA engine, from
+            registration to removal, or ``-1`` on a scalar service. The
+            row is the one home of sampler state, schedule position,
+            last-offered value and suspension count: :attr:`sampler`,
+            :attr:`next_due`, :attr:`samples_taken` and
+            :attr:`trigger_suspensions` are a scalar service's. Window
+            buffer, substrate, watcher and armed flag stay here either
+            way.
         task_type: ``"value"`` (scalar, the default), ``"quantile"`` or
             ``"entropy"``. Non-value tasks carry a ``substrate`` whose
             derived statistic — exceedance rate / windowed entropy — is
@@ -112,7 +115,8 @@ class TaskState:
 
     name: str
     task: TaskSpec
-    sampler: ViolationLikelihoodSampler
+    config: AdaptationConfig
+    sampler: ViolationLikelihoodSampler | None = None
     soa_row: int = -1
     next_due: int = 0
     samples_taken: int = 0
@@ -200,25 +204,30 @@ class TaskState:
         return Alert(time_index=step, value=monitored,
                      threshold=self.task.threshold)
 
-    def state_dict(self, sampler: dict[str, Any] | None = None,
-                   ) -> dict[str, Any]:
+    def state_dict(self, row: tuple[dict[str, Any], int, int, int]
+                   | None = None) -> dict[str, Any]:
         """The task's full mutable + declarative state, JSON-able.
 
         Everything :meth:`MonitoringService.restore` needs to resume this
         task exactly: the spec, adaptation config, schedule position,
         sampler internals, alert history, trigger wiring and window buffer.
         The ``on_alert`` callback is *not* serialisable — restoring callers
-        re-attach their own. ``sampler`` is the sampler's ``state_dict``
-        when an engine row holds it (default: :attr:`sampler`'s own).
+        re-attach their own. ``row`` is what an engine row holds of the
+        task, ``(sampler state_dict, next_due, samples_taken,
+        trigger_suspensions)``; by default the fields of a scalar
+        service's task.
         """
+        sampler, next_due, samples_taken, suspensions = row or (
+            self.sampler.state_dict(), self.next_due, self.samples_taken,
+            self.trigger_suspensions)
         state: dict[str, Any] = {
             "name": self.name,
             "spec": _spec_to_dict(self.task),
-            "adaptation": _adaptation_to_dict(self.sampler.config),
+            "adaptation": _adaptation_to_dict(self.config),
             "window": self.window,
             "window_kind": self.window_kind.value,
-            "next_due": self.next_due,
-            "samples_taken": self.samples_taken,
+            "next_due": next_due,
+            "samples_taken": samples_taken,
             "alerts": [[a.time_index, a.value, a.threshold]
                        for a in self.alerts],
             "trigger_task": self.trigger_task,
@@ -230,8 +239,7 @@ class TaskState:
             # bit-identical to an uninterrupted run's, floating-point
             # accumulation history included.
             "window_sum": self._window_sum,
-            "sampler": (self.sampler.state_dict() if sampler is None
-                        else sampler),
+            "sampler": sampler,
         }
         if self.task_type != "value":
             # Typed-task keys are emitted only when present so value-task
@@ -246,7 +254,7 @@ class TaskState:
         if self.remote_trigger is not None:
             state["remote_trigger"] = self.remote_trigger
             state["trigger_armed"] = self.trigger_armed
-            state["trigger_suspensions"] = self.trigger_suspensions
+            state["trigger_suspensions"] = suspensions
         if self.watch is not None:
             state["watch"] = self.watch.state_dict()
         return state
@@ -254,11 +262,12 @@ class TaskState:
     @classmethod
     def from_state_dict(cls, state: dict[str, Any],
                         on_alert: AlertCallback | None = None) -> "TaskState":
-        """Rebuild a task (spec, sampler and all) from :meth:`state_dict`."""
+        """Rebuild a task from :meth:`state_dict` — all of it but what an
+        engine row may hold instead (the ``sampler``, ``next_due``,
+        ``samples_taken`` and ``trigger_suspensions`` keys, which
+        :meth:`MonitoringService.restore` loads where they live) and
+        ``trigger_task``, which the service wires."""
         spec = _spec_from_dict(state["spec"])
-        config = _adaptation_from_dict(state["adaptation"])
-        sampler = ViolationLikelihoodSampler(spec, config)
-        sampler.load_state_dict(state["sampler"])
         task_type = str(state.get("type", "value"))
         substrate: Any = None
         if task_type == "quantile":
@@ -272,21 +281,17 @@ class TaskState:
         task_state = cls(
             name=str(state["name"]),
             task=spec,
-            sampler=sampler,
+            config=_adaptation_from_dict(state["adaptation"]),
             task_type=task_type,
             value_threshold=float(state.get("value_threshold", 0.0)),
             substrate=substrate,
-            next_due=int(state["next_due"]),
-            samples_taken=int(state["samples_taken"]),
             alerts=[Alert(time_index=int(t), value=float(v),
                           threshold=float(thr))
                     for t, v, thr in state.get("alerts", [])],
-            trigger_task=state.get("trigger_task"),
             trigger_level=float(state.get("trigger_level", 0.0)),
             suspend_interval=int(state.get("suspend_interval", 10)),
             remote_trigger=state.get("remote_trigger"),
             trigger_armed=bool(state.get("trigger_armed", True)),
-            trigger_suspensions=int(state.get("trigger_suspensions", 0)),
             watch=(TriggerWatcher.from_state_dict(state["watch"])
                    if "watch" in state else None),
             window=int(state["window"]),
@@ -409,70 +414,49 @@ class MonitoringService:
                  soa: bool = False):
         self._config = config or AdaptationConfig()
         self._tasks: dict[str, TaskState] = {}
+        # A scalar service's last offered value per task; an engine
+        # service keeps it in the rows' last_offered / has_offered.
         self._last_seen: dict[str, float] = {}
         self._trigger_events: deque[dict[str, Any]] = deque(maxlen=1024)
         # add_trigger sources: name -> number of tasks gated on its
-        # last-seen value (what keeps a task off the engine).
+        # last-seen value (see _retarget).
         self._local_sources: dict[str, int] = {}
         self._watchers = 0  # tasks carrying a TriggerWatcher
-        self._soa = None
+        self._soa = SoaSamplerEngine() if soa else None
         self._soa_rows: dict[int, TaskState] = {}
         self._hooks = _RowHooks()
         # remote trigger name -> engine rows it guards (see _guard_rows)
         self._guarded_rows: dict[str, set[int]] = {}
-        if soa:
-            self._soa = SoaSamplerEngine()
 
     # -- SoA engine plumbing (DESIGN.md S31) ----------------------------
     #
-    # With ``soa=True`` every task — plain, windowed, quantile, entropy,
-    # channel-guarded, watched — is backed by a row of a shared
-    # :class:`~repro.core.soa.SoaSamplerEngine` instead of per-offer
-    # scalar stepping; the engine columns are then authoritative. The one
-    # exception is a local ``add_trigger`` pair: its gate reads another
-    # task's last-seen value at every consumed offer, so both ends are
-    # *evicted* back to their scalar sampler via the state_dict
-    # round-trip. Behaviour — and snapshots — are identical either way.
-
-    def _soa_eligible(self, state: TaskState) -> bool:
-        return (self._soa is not None and state.trigger_task is None
-                and state.name not in self._local_sources)
+    # A service is all rows or all scalar from construction. With
+    # ``soa=True`` every task — plain, windowed, quantile, entropy,
+    # channel-guarded, watched, either end of a local ``add_trigger``
+    # pair — is a row of a shared
+    # :class:`~repro.core.soa.SoaSamplerEngine` from registration to
+    # removal and has no scalar sampler; without, every task is stepped
+    # through its own :class:`ViolationLikelihoodSampler` by the
+    # reference :meth:`offer`. Behaviour — and snapshots — are identical
+    # either way.
 
     def _register(self, state: TaskState) -> None:
         self._tasks[state.name] = state
-        if self._soa_eligible(state):
-            self._adopt_soa(state)
-
-    def _adopt_soa(self, state: TaskState) -> None:
+        self._watchers += state.watch is not None
         engine = self._soa
-        assert engine is not None
-        row = engine.add_task(state.task, state.sampler.config)
-        engine.load_row_state(row, state.sampler.state_dict())
-        engine.next_due[row] = state.next_due
-        engine.samples_taken[row] = state.samples_taken
-        engine.suspensions[row] = state.trigger_suspensions
-        last = self._last_seen.get(state.name)
-        if last is not None:
-            engine.last_offered[row] = last
-            engine.has_offered[row] = True
+        if engine is None:
+            state.sampler = ViolationLikelihoodSampler(state.task,
+                                                       state.config)
+            return
+        row = state.soa_row = engine.add_task(state.task, state.config)
         typed = state.task_type != "value"
         engine.mark_row(row, absorbs=typed,
                         derived=typed or state.window > 1,
                         watched=state.watch is not None)
-        state.soa_row = row
         self._soa_rows[row] = state
         self._hooks.bind(row, state)
         self._guard_rows(state, True)
         self._refresh_floor(state)
-
-    def _release_row(self, state: TaskState) -> None:
-        """Deactivate the task's engine row and forget it everywhere."""
-        row = state.soa_row
-        self._soa.deactivate(row)
-        del self._soa_rows[row]
-        self._hooks.release(row)
-        self._guard_rows(state, False)
-        state.soa_row = -1
 
     def _guard_rows(self, state: TaskState, guarded: bool) -> None:
         """Enter the task's row under its trigger in ``_guarded_rows`` or
@@ -488,28 +472,35 @@ class MonitoringService:
         """Bring the row's schedule floor in line with the guard fields;
         follows every write to ``remote_trigger`` / ``trigger_armed`` /
         ``suspend_interval``."""
-        if state.soa_row >= 0:
+        if self._soa is not None:
             self._soa.set_floor(
                 state.soa_row,
                 state.suspend_interval if state.remote_trigger is not None
                 and not state.trigger_armed else 1)
 
-    def _sync_soa(self, state: TaskState) -> None:
-        """Copy a row's authoritative state back onto the scalar fields."""
-        engine = self._soa
-        row = state.soa_row
-        state.sampler.load_state_dict(engine.row_state_dict(row))
-        state.next_due = int(engine.next_due[row])
-        state.samples_taken = int(engine.samples_taken[row])
-        state.trigger_suspensions = int(engine.suspensions[row])
-        if engine.has_offered[row]:
-            self._last_seen[state.name] = float(engine.last_offered[row])
-
-    def _evict_soa(self, state: TaskState) -> None:
-        if state.soa_row < 0:
-            return
-        self._sync_soa(state)
-        self._release_row(state)
+    def _retarget(self, state: TaskState, trigger: str | None) -> None:
+        """Every write to ``trigger_task``: keeps the per-source counts,
+        and on an engine service the rows of whichever tasks the write
+        made or unmade an end of a last-seen pair *handed back* — their
+        ``active`` flag down, so the tick returns their offers as
+        ``fallback`` and :meth:`_offer_soa` steps them by name, in
+        arrival order, as the gate's read of the source's last offered
+        value needs."""
+        sources = self._local_sources
+        old = state.trigger_task
+        if old is not None:
+            sources[old] -= 1
+            if not sources[old]:
+                del sources[old]
+        if trigger is not None:
+            sources[trigger] = sources.get(trigger, 0) + 1
+        state.trigger_task = trigger
+        if self._soa is not None:
+            for end in map(self._tasks.get, (state.name, old, trigger)):
+                if end is not None:
+                    self._soa.active[end.soa_row] = (
+                        end.trigger_task is None
+                        and end.name not in sources)
 
     @property
     def soa_engine(self):
@@ -517,7 +508,8 @@ class MonitoringService:
         return self._soa
 
     def soa_row_for(self, name: str) -> int:
-        """The task's engine row, or ``-1`` when scalar-driven."""
+        """The task's engine row — the same from registration to
+        removal — or ``-1`` on a scalar service."""
         return self._state(name).soa_row
 
     def attach_telemetry(self, trace: Any,
@@ -525,7 +517,7 @@ class MonitoringService:
         """Attach a decision trace (``repro.telemetry.trace``).
 
         Once attached, interval adaptations (grow/reset) and violations
-        observed by :meth:`offer` / :meth:`offer_fast` are emitted as
+        observed by :meth:`offer` / :meth:`offer_columns` are emitted as
         structured trace events tagged with ``shard``. Pass ``None`` to
         detach.
         """
@@ -558,10 +550,9 @@ class MonitoringService:
             raise ConfigurationError(f"task {name!r} already registered")
         if window < 1:
             raise ConfigurationError(f"window must be >= 1, got {window}")
-        sampler = ViolationLikelihoodSampler(task, config or self._config)
         self._register(TaskState(name=name, task=task,
-                                 sampler=sampler, window=window,
-                                 window_kind=window_kind,
+                                 config=config or self._config,
+                                 window=window, window_kind=window_kind,
                                  on_alert=on_alert))
 
     def add_quantile_task(self, name: str, *, threshold: float,
@@ -612,11 +603,10 @@ class MonitoringService:
                         default_interval=default_interval,
                         max_interval=max_interval,
                         direction=direction, name=name)
-        sampler = ViolationLikelihoodSampler(spec, config or self._config)
         self._register(TaskState(
-            name=name, task=spec, sampler=sampler, on_alert=on_alert,
-            task_type="quantile", value_threshold=float(threshold),
-            substrate=substrate))
+            name=name, task=spec, config=config or self._config,
+            on_alert=on_alert, task_type="quantile",
+            value_threshold=float(threshold), substrate=substrate))
 
     def add_entropy_task(self, name: str, *, threshold: float,
                          error_allowance: float = 0.01,
@@ -656,10 +646,9 @@ class MonitoringService:
                         default_interval=default_interval,
                         max_interval=max_interval,
                         direction=direction, name=name)
-        sampler = ViolationLikelihoodSampler(spec, config or self._config)
         self._register(TaskState(
-            name=name, task=spec, sampler=sampler, on_alert=on_alert,
-            task_type="entropy", substrate=substrate))
+            name=name, task=spec, config=config or self._config,
+            on_alert=on_alert, task_type="entropy", substrate=substrate))
 
     def remove_task(self, name: str) -> None:
         """Unregister a task (live-runtime tenant churn).
@@ -674,18 +663,20 @@ class MonitoringService:
         is unknown.
         """
         state = self._state(name)  # must exist
-        if state.soa_row >= 0:
-            self._release_row(state)
         del self._tasks[name]
         self._last_seen.pop(name, None)
         self._watchers -= state.watch is not None
-        if state.trigger_task is not None:
-            self._drop_local_source(state.trigger_task)
-        self._local_sources.pop(name, None)
+        if self._soa is not None:
+            # The one place a row is retired.
+            self._soa.deactivate(state.soa_row)
+            del self._soa_rows[state.soa_row]
+            self._hooks.release(state.soa_row)
+            self._guard_rows(state, False)
+        self._retarget(state, None)
         self._guarded_rows.pop(name, None)
         for other in self._tasks.values():
             if other.trigger_task == name:
-                other.trigger_task = None
+                self._retarget(other, None)
                 other.trigger_level = 0.0
             if other.remote_trigger == name:
                 # A locally-registered guard loses its edge source; fall
@@ -695,13 +686,6 @@ class MonitoringService:
                 other.trigger_armed = True
                 self._refresh_floor(other)
 
-    def _drop_local_source(self, trigger: str) -> None:
-        left = self._local_sources[trigger] - 1
-        if left:
-            self._local_sources[trigger] = left
-        else:
-            del self._local_sources[trigger]
-
     def add_trigger(self, target: str, trigger: str, elevation_level: float,
                     suspend_interval: int = 10) -> None:
         """Gate ``target``'s sampling on ``trigger``'s last seen value.
@@ -709,21 +693,20 @@ class MonitoringService:
         While the most recent value offered for ``trigger`` sits below
         ``elevation_level`` the target idles at ``suspend_interval``
         (paper SII-A's state-correlation scheme; typically configured from
-        a :class:`repro.core.correlation.TriggerRule`).
+        a :class:`repro.core.correlation.TriggerRule`). A task carries
+        one gate: a target guarded through the trigger channel
+        (:meth:`add_remote_trigger`) is refused.
         """
         state = self._state(target)
-        trigger_state = self._state(trigger)  # must exist
+        self._state(trigger)  # must exist
         if suspend_interval < 1:
             raise ConfigurationError(
                 f"suspend_interval must be >= 1, got {suspend_interval}")
-        # The gate reads the trigger's last-seen value at every consumed
-        # offer of the target: both ends leave the SoA engine.
-        self._evict_soa(state)
-        self._evict_soa(trigger_state)
-        if state.trigger_task is not None:
-            self._drop_local_source(state.trigger_task)
-        self._local_sources[trigger] = self._local_sources.get(trigger, 0) + 1
-        state.trigger_task = trigger
+        if state.remote_trigger is not None and state.trigger_task is None:
+            raise ConfigurationError(
+                f"task {target!r} is already guarded on channel edges from "
+                f"{state.remote_trigger!r}; a task carries one gate")
+        self._retarget(state, trigger)
         state.trigger_level = elevation_level
         state.suspend_interval = suspend_interval
 
@@ -746,7 +729,9 @@ class MonitoringService:
         Unlike :meth:`add_trigger` the trigger need not be registered on
         this service. Re-installing the same pair is idempotent and
         *preserves* the current armed state — post-failover re-installs
-        must not silently re-arm a deliberately disarmed guard.
+        must not silently re-arm a deliberately disarmed guard. A task
+        carries one gate: a target gated by :meth:`add_trigger` is
+        refused.
         """
         state = self._state(target)
         if not trigger:
@@ -757,6 +742,10 @@ class MonitoringService:
         if suspend_interval < 1:
             raise ConfigurationError(
                 f"suspend_interval must be >= 1, got {suspend_interval}")
+        if state.trigger_task is not None and state.remote_trigger is None:
+            raise ConfigurationError(
+                f"task {target!r} is already gated on the last value of "
+                f"{state.trigger_task!r}; a task carries one gate")
         fresh = state.remote_trigger != trigger
         self._guard_rows(state, False)
         state.remote_trigger = trigger
@@ -786,7 +775,7 @@ class MonitoringService:
                 return
         else:
             self._watchers += 1
-            if state.soa_row >= 0:
+            if self._soa is not None:
                 self._soa.watched[state.soa_row] = True
         state.watch = TriggerWatcher(level, hysteresis=hysteresis,
                                      min_hold=min_hold)
@@ -795,17 +784,18 @@ class MonitoringService:
         """Wire whichever sides of a ``TriggerPlan`` live on this service.
 
         A plan's trigger and target may land on different shards; each
-        shard's service installs only its local half (watch on the
-        trigger task, remote guard on the target task).
+        shard's service installs only its local half (remote guard on
+        the target task, watch on the trigger task) — the target's first:
+        it is the half that can be refused, and then nothing is wired.
         """
-        if plan.trigger in self._tasks:
-            self.add_trigger_watch(plan.trigger, plan.elevation_level,
-                                   hysteresis=plan.hysteresis,
-                                   min_hold=plan.min_hold)
         if plan.target in self._tasks:
             self.add_remote_trigger(plan.target, plan.trigger,
                                     plan.elevation_level,
                                     suspend_interval=plan.suspend_interval)
+        if plan.trigger in self._tasks:
+            self.add_trigger_watch(plan.trigger, plan.elevation_level,
+                                   hysteresis=plan.hysteresis,
+                                   min_hold=plan.min_hold)
 
     def set_trigger_armed(self, target: str, armed: bool) -> bool:
         """Flip a guarded task's armed flag; returns the previous state.
@@ -827,7 +817,7 @@ class MonitoringService:
                 # healthy stream. The arm edge signals a suspected
                 # incident, so the guard probes again at the very next
                 # offer and at the default rate.
-                if state.soa_row >= 0:
+                if self._soa is not None:
                     self._soa.resume_full_rate(state.soa_row)
                 else:
                     state.sampler.resume_full_rate()
@@ -864,7 +854,7 @@ class MonitoringService:
         return self._suspensions(self._state(name))
 
     def _suspensions(self, state: TaskState) -> int:
-        if state.soa_row >= 0:
+        if self._soa is not None:
             return int(self._soa.suspensions[state.soa_row])
         return state.trigger_suspensions
 
@@ -938,15 +928,12 @@ class MonitoringService:
         Callers may skip the (expensive) collection work whenever this is
         False — that skipping *is* the saving.
         """
-        state = self._state(name)
-        if state.soa_row >= 0:
-            return step >= int(self._soa.next_due[state.soa_row])
-        return step >= state.next_due
+        return step >= self.next_due(name)
 
     def next_due(self, name: str) -> int:
         """Grid step of the task's next wanted sample."""
         state = self._state(name)
-        if state.soa_row >= 0:
+        if self._soa is not None:
             return int(self._soa.next_due[state.soa_row])
         return state.next_due
 
@@ -961,21 +948,26 @@ class MonitoringService:
         is touched.
 
         Alerts fire synchronously through the task's callback.
+
+        On a scalar service this is the reference statement of a step
+        (``sampler.observe``) and the only one; an engine service steps
+        the task's row (:meth:`_offer_soa`).
         """
-        if not isfinite(value):
-            raise ValueError(f"non-finite value: {value!r}")
-        state = self._state(name)
-        if state.soa_row >= 0:
-            interval = self._offer_soa(state, value, step)
+        if self._soa is not None:
+            interval = self._offer_soa(name, value, step)
             if interval is None:
                 return None
             engine = self._soa
-            flags = int(engine.last_flags[state.soa_row])
+            row = self._tasks[name].soa_row
+            flags = int(engine.last_flags[row])
             return SamplingDecision(
                 next_interval=interval,
-                misdetection_bound=float(engine.last_beta[state.soa_row]),
+                misdetection_bound=float(engine.last_beta[row]),
                 grew=bool(flags & 1), reset=bool(flags & 2),
                 violation=bool(flags & 4))
+        if not isfinite(value):
+            raise ValueError(f"non-finite value: {value!r}")
+        state = self._state(name)
         self._last_seen[name] = value
         if state.watch is not None:
             self._watch_edge(state, value, step)
@@ -995,44 +987,29 @@ class MonitoringService:
         return decision
 
     def offer_fast(self, name: str, value: float, step: int) -> int | None:
-        """Allocation-light twin of :meth:`offer` (DESIGN.md S27).
-
-        Identical behaviour — aggregation, trigger gating, schedule
-        advance, alert callbacks and counters — but the sampler is driven
-        through its fused
-        :meth:`~repro.core.adaptation.ViolationLikelihoodSampler.observe_fast`
-        path and no :class:`~repro.core.adaptation.SamplingDecision` is
-        constructed. Returns the sampler's next interval (the pre-gating
-        value :meth:`offer` reports in its decision) when the value was
-        consumed as a scheduled sample, ``None`` when the task was not
-        due. :meth:`offer_columns` sends every offer outside the engine
-        through here.
+        """:meth:`offer` for a caller that wants only the sampler's next
+        interval (the pre-gating value :meth:`offer` reports in its
+        decision) of a consumed offer, ``None`` when the task was not
+        due. A name, not a surface (DESIGN.md S27): an engine service
+        steps the row without building the decision, a scalar service
+        calls :meth:`offer`.
         """
+        if self._soa is not None:
+            return self._offer_soa(name, value, step)
+        decision = self.offer(name, value, step)
+        return None if decision is None else decision.next_interval
+
+    def _offer_soa(self, name: str, value: float,
+                   step: int) -> int | None:
+        """An engine service's by-name step of one offer — :meth:`offer`
+        on the task's row, bit for bit, returning what :meth:`offer_fast`
+        does. Every offer that does not ride a tick comes here: the
+        by-name entry points, and the ``fallback`` positions of a column
+        batch (negative or stale rows, and the handed-back rows of
+        last-seen pairs, see :meth:`_retarget`)."""
         if not isfinite(value):
             raise ValueError(f"non-finite value: {value!r}")
         state = self._state(name)
-        if state.soa_row >= 0:
-            return self._offer_soa(state, value, step)
-        self._last_seen[name] = value
-        if state.watch is not None:
-            self._watch_edge(state, value, step)
-        if state.task_type != "value":
-            state.absorb(value)
-        if step < state.next_due:
-            return None
-
-        monitored = state.monitored(step, value)
-        sampler = state.sampler
-        interval = sampler.observe_fast(monitored, step)
-        state.samples_taken += 1
-        state.next_due = step + self._gate(state, interval)
-        self._fan_out(state, step, monitored, interval, sampler.last_flags,
-                      sampler.last_misdetection_bound)
-        return interval
-
-    def _offer_soa(self, state: TaskState, value: float,
-                   step: int) -> int | None:
-        """SoA-row twin of :meth:`offer_fast` (identical behaviour)."""
         if not STEP_MIN <= step <= STEP_MAX:
             # Refuse before any column is written rather than half-way
             # through the row.
@@ -1049,17 +1026,26 @@ class MonitoringService:
         if step < engine.next_due[row]:
             return None
         monitored = state.monitored(step, value)
-        interval = engine.observe_one(row, monitored, step)
-        engine.advance_one(row, step, interval)
+        interval = advance = engine.observe_one(row, monitored, step)
+        if state.trigger_task is not None:
+            # The last-seen gate (_gate's first half; the row's floor is
+            # its second), read from the trigger's row.
+            source = self._tasks[state.trigger_task].soa_row
+            if (engine.has_offered[source]
+                    and engine.last_offered[source] < state.trigger_level):
+                advance = max(interval, state.suspend_interval)
+        engine.advance_one(row, step, advance)
         self._fan_out(state, step, monitored, interval,
                       int(engine.last_flags[row]),
                       float(engine.last_beta[row]))
         return interval
 
     def _gate(self, state: TaskState, interval: int) -> int:
-        """Trigger gating of a scalar-driven task's consumed offer: the
+        """Trigger gating of a scalar service's consumed offer: the
         advance (>= 1) to its next due step, given the sampler's
-        ``interval``. An engine row's gate is its ``floor`` column."""
+        ``interval``. On an engine service the row's ``floor`` column is
+        the channel guard and :meth:`_offer_soa` applies the last-seen
+        gate."""
         advance = interval
         if state.trigger_task is not None:
             trigger_value = self._last_seen.get(state.trigger_task)
@@ -1103,11 +1089,12 @@ class MonitoringService:
                       ) -> tuple[int, int, int, np.ndarray]:
         """Apply a decoded offer batch as columns (the server data path).
 
-        ``rows`` are engine row ids (``-1`` = not engine-managed); rows
-        that are negative or no longer active fall back to the scalar
-        by-name path through ``names`` (parallel to the columns), which is
-        always correct — an unknown or missing name counts as rejected,
-        mirroring the per-offer error contract of :meth:`offer_fast`.
+        ``rows`` are engine row ids (``-1`` = unresolved); rows that are
+        negative, retired or handed back (an end of a last-seen pair) are
+        stepped by name instead, through ``names`` (parallel to the
+        columns) and :meth:`_offer_soa`, which is always correct — an
+        unknown or missing name counts as rejected, mirroring the
+        per-offer error contract of :meth:`offer`.
 
         Returns ``(applied, consumed, rejected, consumed_intervals)``;
         ``applied`` includes not-due offers, ``consumed_intervals`` holds
@@ -1164,7 +1151,7 @@ class MonitoringService:
         batch ends) and a later offer of the batch is for a row the
         edge's trigger guards, or goes by name (not resolved here).
         Other edges only have to keep their order. A watched task
-        offered by name runs its own watcher in :meth:`offer_fast`: it
+        offered by name runs its own watcher in :meth:`_offer_soa`: it
         is cut out as a batch of one (``event`` None at both ends).
         """
         engine = self._soa
@@ -1215,7 +1202,7 @@ class MonitoringService:
                 rejected += 1
                 continue
             try:
-                interval = self.offer_fast(name, float(values[pos]),
+                interval = self._offer_soa(name, float(values[pos]),
                                            int(steps[pos]))
             except (ConfigurationError, ValueError, TypeError):
                 rejected += 1
@@ -1260,21 +1247,21 @@ class MonitoringService:
     def samples_taken(self, name: str) -> int:
         """Sampling operations consumed by a task so far."""
         state = self._state(name)
-        if state.soa_row >= 0:
+        if self._soa is not None:
             return int(self._soa.samples_taken[state.soa_row])
         return state.samples_taken
 
     def interval(self, name: str) -> int:
         """A task's current sampling interval (in default intervals)."""
         state = self._state(name)
-        if state.soa_row >= 0:
+        if self._soa is not None:
             return int(self._soa.interval[state.soa_row])
         return state.sampler.interval
 
     def observations(self, name: str) -> int:
         """Values offered while the task was due (sampler observations)."""
         state = self._state(name)
-        if state.soa_row >= 0:
+        if self._soa is not None:
             return int(self._soa.observations[state.soa_row])
         return state.sampler.observations
 
@@ -1314,15 +1301,18 @@ class MonitoringService:
         the trigger last-seen map — everything :meth:`restore` needs to
         resume with identical behaviour. Alert callbacks are not captured.
 
-        SoA-backed tasks are serialised from their engine rows, so the
+        An engine service serialises its tasks from their rows, so the
         snapshot format — and its fingerprint — is identical whether the
-        service ran columnar or scalar.
+        service ran columnar or scalar. Nothing is written.
         """
-        samplers: dict[str, dict[str, Any]] = {}
-        if self._soa_rows:
-            # Each column is read once for all rows; the rows' samplers
-            # are serialised from the columns, not loaded and re-dumped.
-            engine = self._soa
+        engine = self._soa
+        if engine is None:
+            tasks = [state.state_dict() for state in self._tasks.values()]
+            last_seen = dict(self._last_seen)
+        else:
+            # Each column is read once for all rows, in registration
+            # order (which is _tasks' order).
+            tasks, last_seen = [], {}
             rows = np.fromiter(self._soa_rows, dtype=np.int64,
                                count=len(self._soa_rows))
             for (state, sampler, next_due, samples_taken, suspensions,
@@ -1333,18 +1323,15 @@ class MonitoringService:
                     engine.suspensions[rows].tolist(),
                     engine.has_offered[rows].tolist(),
                     engine.last_offered[rows].tolist()):
-                samplers[state.name] = sampler
-                state.next_due = next_due
-                state.samples_taken = samples_taken
-                state.trigger_suspensions = suspensions
+                tasks.append(state.state_dict(
+                    (sampler, next_due, samples_taken, suspensions)))
                 if has_offered:
-                    self._last_seen[state.name] = last_offered
+                    last_seen[state.name] = last_offered
         return {
             "version": SNAPSHOT_VERSION,
             "adaptation": _adaptation_to_dict(self._config),
-            "tasks": [state.state_dict(samplers.get(state.name))
-                      for state in self._tasks.values()],
-            "last_seen": dict(self._last_seen),
+            "tasks": tasks,
+            "last_seen": last_seen,
         }
 
     @classmethod
@@ -1358,7 +1345,7 @@ class MonitoringService:
             on_alert: optional ``(task_name, alert)`` callback attached to
                 every restored task (callbacks cannot be serialised, so
                 they are re-wired here).
-            soa: adopt restored tasks into an SoA engine
+            soa: restore every task onto a row of an SoA engine
                 (columnar hot path); snapshots carry no trace of the flag,
                 so any snapshot restores either way.
 
@@ -1372,6 +1359,8 @@ class MonitoringService:
                 f"expected {SNAPSHOT_VERSION}")
         service = cls(_adaptation_from_dict(snapshot["adaptation"]),
                       soa=soa)
+        engine = service._soa
+        gated: list[tuple[TaskState, str]] = []
         for entry in snapshot.get("tasks", []):
             name = str(entry["name"])
             callback: AlertCallback | None = None
@@ -1381,22 +1370,36 @@ class MonitoringService:
             if name in service._tasks:
                 raise ConfigurationError(
                     f"snapshot contains duplicate task {name!r}")
-            service._tasks[name] = TaskState.from_state_dict(
-                entry, on_alert=callback)
-        for state in service._tasks.values():
-            if (state.trigger_task is not None
-                    and state.trigger_task not in service._tasks):
+            state = TaskState.from_state_dict(entry, on_alert=callback)
+            service._register(state)
+            # What a row holds goes straight into the row.
+            next_due = int(entry["next_due"])
+            samples_taken = int(entry["samples_taken"])
+            suspensions = int(entry.get("trigger_suspensions", 0))
+            if engine is None:
+                state.sampler.load_state_dict(entry["sampler"])
+                state.next_due = next_due
+                state.samples_taken = samples_taken
+                state.trigger_suspensions = suspensions
+            else:
+                row = state.soa_row
+                engine.load_row_state(row, entry["sampler"])
+                engine.next_due[row] = next_due
+                engine.samples_taken[row] = samples_taken
+                engine.suspensions[row] = suspensions
+            if entry.get("trigger_task") is not None:
+                gated.append((state, entry["trigger_task"]))
+        for state, trigger in gated:
+            if trigger not in service._tasks:
                 raise ConfigurationError(
                     f"snapshot task {state.name!r} references missing "
-                    f"trigger {state.trigger_task!r}")
-        service._last_seen = {str(k): float(v) for k, v in
-                              snapshot.get("last_seen", {}).items()}
-        for state in service._tasks.values():
-            service._watchers += state.watch is not None
-            if state.trigger_task is not None:
-                service._local_sources[state.trigger_task] = (
-                    service._local_sources.get(state.trigger_task, 0) + 1)
-        for state in service._tasks.values():
-            if service._soa_eligible(state):
-                service._adopt_soa(state)
+                    f"trigger {trigger!r}")
+            service._retarget(state, trigger)
+        for name, value in snapshot.get("last_seen", {}).items():
+            if engine is None:
+                service._last_seen[str(name)] = float(value)
+            elif name in service._tasks:
+                row = service._tasks[name].soa_row
+                engine.last_offered[row] = float(value)
+                engine.has_offered[row] = True
         return service

@@ -409,7 +409,7 @@ def check_quantile_misdetection(*, seed: int, err: float = 0.05,
             service._state(name).substrate.plant_sketch_factory(
                 sketch_factory)
         for i, value in enumerate(trace):
-            service.offer_fast(name, float(value), i)
+            service.offer(name, float(value), i)
         alert_steps = {a.time_index for a in service.alerts(name)}
         truth_total += len(truth_steps)
         detected_total += sum(1 for i in truth_steps if i in alert_steps)

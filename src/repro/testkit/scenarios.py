@@ -225,9 +225,9 @@ class _ScenarioDriver:
             return
         service = self.shadow[shard]
         for name, step, value in items:
-            interval = service.offer_fast(str(name), float(value), int(step))
+            decision = service.offer(str(name), float(value), int(step))
             counters["applied"] += 1
-            if interval is not None:
+            if decision is not None:
                 counters["consumed"] += 1
 
     def _dispatch_shadow(self, batch: list[list[Any]]) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import os
 
+import numpy as np
 import pytest
 
 from cluster_utils import run_cluster
@@ -27,6 +28,10 @@ from repro.testkit.invariants import check_no_acked_loss
 SHARDS = 4
 TASK = "task-0"
 TASK_SHARD = route(TASK, SHARDS)
+# A same-shard partner: TASK is gated on its last value, so the pair's
+# rows are handed back — and must still resolve after a failover.
+PARTNER = next(name for name in (f"task-{i}" for i in range(1, 64))
+               if route(name, SHARDS) == TASK_SHARD)
 
 TASK_SPEC = {"name": TASK, "threshold": 60.0, "error_allowance": 0.01,
              "max_interval": 6}
@@ -57,6 +62,9 @@ class TestInProcReplacement:
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
                 await client.register_task(**TASK_SPEC)
+                await client.register_task(**{**TASK_SPEC, "name": PARTNER})
+                await client.add_trigger(TASK, PARTNER, elevation_level=1.0,
+                                         suspend_interval=1)
                 await client.offer_batch(
                     [[TASK, s, 20.0 + (s % 9)] for s in range(50)])
                 await coord.drain()
@@ -76,13 +84,21 @@ class TestInProcReplacement:
                 await coord.drain()
                 final = await client.task_info(TASK)
                 events = coord.trace.drain(0, 10_000)
+                host = coord.transports[
+                    coord.routes[TASK_SHARD].worker_id].host
+                worker = host.shards[TASK_SHARD]
+                gids = np.asarray([host.gid_names.index(TASK)])
+                rows = (host._rows_for(TASK_SHARD, worker, gids).tolist()
+                        + [worker.service.soa_row_for(PARTNER)])
                 return (victim, before, after, placement, more, final,
-                        events)
+                        events, rows)
             finally:
                 await client.close()
 
-        victim, before, after, placement, more, final, events = \
+        victim, before, after, placement, more, final, events, rows = \
             run_cluster(scenario, workers=2, shards=SHARDS, **FAST_BEAT)
+        # Restored tasks are rows again, a last-seen pair's included.
+        assert min(rows) >= 0
         # The shard came back on the survivor with its snapshotted state.
         assert not placement["workers"][victim]["alive"]
         assert placement["workers"][victim]["shards"] == []

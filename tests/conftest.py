@@ -50,11 +50,12 @@ def simple_task() -> TaskSpec:
 class SoaDifferential:
     """A scalar and an SoA-backed service fed the same offers.
 
-    The scalar service steps offer by offer through ``offer_fast``; the
-    SoA service takes each batch through ``offer_columns`` with the row
-    ids captured at registration (so rows of removed or evicted tasks go
-    stale, as they do on a long-lived connection). :meth:`offer` holds
-    the batch accounting equal, :meth:`check` the resulting state.
+    The scalar service steps offer by offer through ``offer``, the
+    reference statement of a step; the SoA service takes each batch
+    through ``offer_columns`` with the row ids captured at registration
+    (so rows of removed tasks go stale, as they do on a long-lived
+    connection). :meth:`offer` holds the batch accounting equal,
+    :meth:`check` the resulting state.
     """
 
     def __init__(self, specs, register_more=None, sink=True):
@@ -95,7 +96,8 @@ class SoaDifferential:
 
     KINDS = ("window-mean", "window-sum", "window-max", "window-min",
              "quantile", "entropy", "trigger", "guarded",
-             "watched-window", "guarded-quantile", "lone-trigger")
+             "watched-window", "guarded-quantile", "lone-trigger",
+             "local-source", "local-target")
 
     @classmethod
     def register_kinds(cls, service, copies=2, estimator="chebyshev"):
@@ -103,8 +105,13 @@ class SoaDifferential:
         ones (``KINDS``): the four window aggregates, quantile, entropy,
         a watched trigger and the task it guards (registered before and
         after each other in turn), a watched windowed task guarding a
-        quantile task, and a watched task whose targets live elsewhere.
-        Returns the names, kind by kind; :meth:`value` knows them."""
+        quantile task, a watched task whose targets live elsewhere, and
+        a last-seen ``add_trigger`` pair (registered before and after
+        each other in turn; in even copies the source also carries a
+        channel watch, in odd ones the target is windowed) — the rows an
+        engine service hands back and steps by name, in the same frames
+        as the ticked ones. Returns the names, kind by kind;
+        :meth:`value_for` knows them."""
         config = AdaptationConfig(estimator=estimator, patience=2,
                                   min_samples=4, stats_restart=9)
 
@@ -145,6 +152,15 @@ class SoaDifferential:
             plain(made["lone-trigger"])
             service.add_trigger_watch(made["lone-trigger"], 90.0,
                                       hysteresis=0.05, min_hold=1)
+            pair = [made["local-target"], made["local-source"]]
+            for name in pair[::-1] if copy % 2 else pair:
+                plain(name, window=3 if copy % 2
+                      and name == made["local-target"] else 1)
+            service.add_trigger(made["local-target"], made["local-source"],
+                                elevation_level=90.0, suspend_interval=4)
+            if not copy % 2:
+                service.add_trigger_watch(made["local-source"], 93.0,
+                                          hysteresis=0.02, min_hold=1)
             names += made.values()
         return names
 
@@ -207,7 +223,7 @@ class SoaDifferential:
             return 90.0                       # the window collapses
         if kind == "guarded" and copy == "0":
             return float(50.0 + 0.01 * step + rng.normal(0.0, 0.5))
-        if kind in ("watched-window", "lone-trigger"):
+        if kind in ("watched-window", "lone-trigger", "local-source"):
             return float(rng.normal(90.0, 4.0))
         return float(rng.normal(90.0, 8.0))
 
@@ -217,14 +233,14 @@ class SoaDifferential:
         intervals = []
         for name, step, value in zip(names, steps, values):
             try:
-                interval = self.scalar.offer_fast(name, value, step)
+                decision = self.scalar.offer(name, value, step)
             except (ConfigurationError, ValueError):
                 rejected += 1
                 continue
             applied += 1
-            if interval is not None:
+            if decision is not None:
                 consumed += 1
-                intervals.append(interval)
+                intervals.append(decision.next_interval)
         got = self.vector.offer_columns(
             self.rows[np.asarray(task_idx, dtype=np.int64)],
             np.asarray(steps, dtype=np.int64),

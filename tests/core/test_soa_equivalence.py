@@ -10,6 +10,7 @@ stepping the same stream through the scalar
 from __future__ import annotations
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.core.adaptation import (AdaptationConfig,
 from repro.core.soa import STEP_MAX, STEP_MIN
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
+from repro.runtime.checkpoint import state_fingerprint
 from repro.service import MonitoringService
 from repro.triggers.plan import TriggerPlan
 
@@ -199,67 +201,160 @@ class TestSnapshotRoundTrip:
                 == soa_differential.task_counters(scalar))
 
 
-class TestEligibility:
-    def test_trigger_wiring_evicts_rows_and_stays_equivalent(
+FIXTURE = pathlib.Path(__file__).parent.parent / "fixtures" / (
+    "engine_snapshot_912dc69.json")
+
+
+def continuation(names, frames=150, seed=19):
+    """The seeded stream a restored fixture is continued on: shuffled
+    frames of ``(name, step, value)``, a third of the tasks repeated one
+    step on, sources and watched tasks swinging across their levels."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for frame in range(frames):
+        step = 400 + 2 * frame
+        order = [names[i] for i in rng.permutation(len(names))]
+        offers = [(name, step) for name in order]
+        offers += [(name, step + 1) for name in order[::3]]
+        out.append([(name, at, float(rng.normal(
+            (60.0 + 40.0 * ((at // 16) % 2)) if name[0] in "se"
+            else 90.0, 6.0))) for name, at in offers])
+    return out
+
+
+def drive(service, frames, sink=None):
+    """Feed ``frames`` to ``service`` the way its representation takes
+    them (column batches by row, or ``offer`` by name); returns its
+    snapshot fingerprint. ``sink`` as ``SoaDifferential.edge_router``."""
+    if sink is not None:
+        service.set_trigger_sink(sink(service, []))
+    for frame in frames:
+        if service.soa_engine is None:
+            for name, step, value in frame:
+                service.offer(name, value, step)
+        else:
+            names, steps, values = zip(*frame)
+            applied, _, rejected, _ = service.offer_columns(
+                [service.soa_row_for(name) for name in names], steps,
+                values, names)
+            assert (applied, rejected) == (len(frame), 0)
+    return state_fingerprint(service.snapshot())
+
+
+class TestParentWrittenSnapshot:
+    """``tests/fixtures/engine_snapshot_912dc69.json`` was written by the
+    parent of the rows-for-life change (commit 912dc69), from an engine
+    service whose last-seen pairs were *evicted* to scalar samplers: two
+    sources gating three targets (one source shared), windowed, quantile
+    and entropy tasks, a disarmed guard with suspensions, a watcher
+    mid-hold. It records the snapshot, its fingerprint, and the
+    fingerprint that parent reached after :func:`continuation`."""
+
+    def test_restores_onto_rows_and_continues(
             self, soa_differential):
-        # add_trigger pulls both ends out of the engine; behaviour after
-        # eviction must still match a never-SoA service.
+        fixture = json.loads(FIXTURE.read_text(encoding="utf-8"))
+        snapshot = fixture["snapshot"]
+        names = [entry["name"] for entry in snapshot["tasks"]]
+        assert state_fingerprint(snapshot) == fixture["fingerprint"]
+        restored = {soa: MonitoringService.restore(snapshot, soa=soa)
+                    for soa in (True, False)}
+        on_rows = restored[True]
+        assert all(on_rows.soa_row_for(name) >= 0 for name in names)
+        assert TestEligibility._handed_back(on_rows) == {
+            "t1", "t2", "t3", "s1", "s2"}
+        guard = on_rows.trigger_status("guard")
+        assert not guard["armed"] and guard["suspensions"] > 0
+        frames = continuation(names)
+        for service in restored.values():
+            assert state_fingerprint(service.snapshot()) == (
+                fixture["fingerprint"])
+            assert drive(service, frames, soa_differential.edge_router) == (
+                fixture["continued_fingerprint"])
+        assert (soa_differential.alert_log(on_rows)
+                == soa_differential.alert_log(restored[False]))
+        assert (soa_differential.task_counters(on_rows)
+                == soa_differential.task_counters(restored[False]))
+
+
+class TestEligibility:
+    """On an engine service every task is a row from registration to
+    removal and has no scalar sampler; the ends of a last-seen pair are
+    *handed back* (``active`` down: stepped by name on their rows)."""
+
+    @staticmethod
+    def _handed_back(service):
+        """The names whose rows the engine hands back."""
+        return {name for name in service.task_names
+                if not service.soa_engine.active[service.soa_row_for(name)]}
+
+    def test_a_last_seen_pair_keeps_its_rows_and_is_scalar(
+            self, soa_differential):
+        # add_trigger moves no state: both ends keep their rows, handed
+        # back, and behave as on a never-SoA service.
         rng = np.random.default_rng(5)
         values = rng.normal(90.0, 10.0, 240)
         scalar = _service(soa=False)
         vector = _service(soa=True)
-        assert vector.soa_row_for("mix-0") >= 0
+        rows = [vector.soa_row_for(f"mix-{i}") for i in range(4)]
         for service in (scalar, vector):
             service.add_trigger("mix-0", "mix-1", elevation_level=2.0)
-        assert vector.soa_row_for("mix-0") == -1
-        assert vector.soa_row_for("mix-1") == -1
-        assert vector.soa_row_for("mix-2") >= 0
+        assert [vector.soa_row_for(f"mix-{i}") for i in range(4)] == rows
+        assert self._handed_back(vector) == {"mix-0", "mix-1"}
         for i, value in enumerate(values.tolist()):
-            scalar.offer_fast(f"mix-{i % 4}", value, i // 4)
+            scalar.offer(f"mix-{i % 4}", value, i // 4)
             vector.offer_fast(f"mix-{i % 4}", value, i // 4)
         assert scalar.snapshot() == vector.snapshot()
         assert (soa_differential.alert_log(scalar)
                 == soa_differential.alert_log(vector))
 
-    def test_every_kind_is_adopted_and_only_local_pairs_evict(
-            self, soa_differential):
+    def test_every_kind_is_a_row_for_life(self, soa_differential):
         service = MonitoringService(AdaptationConfig(), soa=True)
         names = soa_differential.register_kinds(service)
         assert {name.rsplit("-", 1)[0] for name in names} == set(
             soa_differential.KINDS)
         rows = [service.soa_row_for(name) for name in names]
         assert sorted(rows) == list(range(len(names)))
-        # Channel wiring, re-installed or changed, and explicit arming
-        # leave every row where it is.
+        pairs = {name for name in names if name.startswith("local")}
+        assert self._handed_back(service) == pairs
+        # Channel wiring, re-installed or changed, explicit arming, a
+        # new last-seen pair and its re-target leave every row where it
+        # is; only the hand-back mark moves, with the pairs.
         service.add_trigger_watch("trigger-0", 80.0, min_hold=1)
         service.add_remote_trigger("guarded-0", "trigger-1", 80.0)
         service.add_remote_trigger("entropy-0", "window-max-0", 1.0)
+        service.install_trigger_plan(TriggerPlan(
+            target="window-min-1", trigger="elsewhere",
+            elevation_level=1.0))
         service.set_trigger_armed("guarded-0", False)
-        assert [service.soa_row_for(name) for name in names] == rows
-        # A restore adopts them all again.
-        restored = MonitoringService.restore(service.snapshot(), soa=True)
-        assert all(restored.soa_row_for(name) >= 0 for name in names)
-        # Only a last-seen pair leaves, both ends, whatever their kind.
+        service.set_trigger_armed("guarded-0", True)
         service.add_trigger("quantile-0", "window-sum-1",
                             elevation_level=50.0)
-        gone = {"quantile-0", "window-sum-1"}
-        for name, row in zip(names, rows):
-            assert service.soa_row_for(name) == (-1 if name in gone
-                                                 else row)
+        assert self._handed_back(service) == pairs | {"quantile-0",
+                                                      "window-sum-1"}
+        service.add_trigger("quantile-0", "window-sum-0",
+                            elevation_level=50.0)
+        assert self._handed_back(service) == pairs | {"quantile-0",
+                                                      "window-sum-0"}
+        assert [service.soa_row_for(name) for name in names] == rows
+        assert all(state.sampler is None
+                   for state in service._tasks.values())
+        # A restore gives every task a row again, pairs included.
         restored = MonitoringService.restore(service.snapshot(), soa=True)
-        assert {name for name in names
-                if restored.soa_row_for(name) < 0} == gone
-        # A task registered after the pair exists is not held back by it.
-        service.add_quantile_task("late", threshold=1.0, quantile=0.5)
-        assert service.soa_row_for("late") >= 0
+        assert all(restored.soa_row_for(name) >= 0 for name in names)
+        assert self._handed_back(restored) == self._handed_back(service)
+        # Removing one end dissolves the pair; the other end ticks again.
+        service.remove_task("window-sum-0")
+        assert self._handed_back(service) == pairs
 
-    def test_local_source_count_matches_the_scan_it_replaced(self):
-        # _soa_eligible used to scan every task for one gated on this
-        # one; the count it keeps instead must agree under any sequence
-        # of add / trigger / re-target / remove / restore.
+    def test_rows_last_from_registration_to_removal(self):
+        # Under any sequence of add / trigger / re-target / remove /
+        # restore: a row for every task, the same one for life, no
+        # scalar sampler, and ``active`` down for exactly the ends of
+        # the last-seen pairs (the scan the per-source count replaces).
         rng = np.random.default_rng(31)
         service = MonitoringService(AdaptationConfig(), soa=True)
         made = 0
+        rows: dict[str, int] = {}
         for round_ in range(400):
             names = service.task_names
             roll = rng.random()
@@ -277,21 +372,82 @@ class TestEligibility:
             else:
                 service = MonitoringService.restore(service.snapshot(),
                                                     soa=True)
+                rows.clear()
             tasks = service._tasks
-            for state in tasks.values():
-                scan = (state.trigger_task is None and all(
-                    other.trigger_task != state.name
-                    for other in tasks.values()))
-                assert service._soa_eligible(state) == scan, round_
-                if not scan:
-                    assert state.soa_row == -1
+            engine = service.soa_engine
+            for name, state in tasks.items():
+                assert state.soa_row >= 0 and state.sampler is None
+                assert rows.setdefault(name, state.soa_row) == state.soa_row
+                paired = (state.trigger_task is not None or any(
+                    other.trigger_task == name for other in tasks.values()))
+                assert engine.active[state.soa_row] == (not paired), round_
+            rows = {name: rows[name] for name in tasks}
+            assert len(set(rows.values())) == len(rows)
         assert made > 100 and service._local_sources
+
+    def test_pairs_wire_without_scanning_the_tasks(self):
+        # N pairs wire in O(N): add_trigger, re-targets included, never
+        # walks the task table.
+        class Counting(dict):
+            walks = 0
+
+            def _walk(self, how):
+                type(self).walks += 1
+                return how()
+
+            def values(self):
+                return self._walk(super().values)
+
+            def items(self):
+                return self._walk(super().items)
+
+            def keys(self):
+                return self._walk(super().keys)
+
+            def __iter__(self):
+                return self._walk(super().__iter__)
+
+        service = _service(soa=True, tasks=64)
+        service._tasks = Counting(service._tasks)
+        for i in range(0, 64, 2):
+            service.add_trigger(f"mix-{i}", f"mix-{i + 1}",
+                                elevation_level=1.0)
+        for i in range(0, 60, 2):
+            service.add_trigger(f"mix-{i}", f"mix-{i + 3}",
+                                elevation_level=1.0)
+        assert Counting.walks == 0
+        assert len(TestEligibility._handed_back(service)) == 63
+
+    def test_snapshot_writes_nothing(self, soa_differential):
+        # A read is a read: two snapshots in a row leave every TaskState
+        # field and the last-seen map as they were, and agree.
+        pair = soa_differential(soa_differential.population(4, "mixed"),
+                                register_more=soa_differential
+                                .register_kinds)
+        rng = np.random.default_rng(3)
+        everyone = list(range(len(pair.names)))
+        for step in range(60):
+            pair.offer(everyone, [step] * len(everyone),
+                       [pair.draw(rng, i, step) for i in everyone])
+        service = pair.vector
+
+        def held():
+            return ({name: {key: repr(value) for key, value
+                            in vars(state).items()}
+                     for name, state in service._tasks.items()},
+                    dict(service._last_seen))
+
+        before = held()
+        first = json_snapshot(service)
+        assert held() == before
+        assert json_snapshot(service) == first
+        assert held() == before and not service._last_seen
 
     def test_guarded_row_index_matches_the_scan_it_replaced(self):
         # _watch_cuts used to scan every row of the service per edge for
         # the rows the edge's trigger guards; the index it reads instead
         # must agree under any sequence of add / guard / re-guard / plan
-        # / evict / remove / restore — and so must the rows' call-backs.
+        # / pair / remove / restore — and so must the rows' call-backs.
         rng = np.random.default_rng(37)
         service = MonitoringService(AdaptationConfig(), soa=True)
         made = populated = 0
@@ -309,18 +465,22 @@ class TestEligibility:
                                               quantile=0.9)
                 made += 1
             elif roll < 0.6:
-                target, trigger = rng.choice(names, 2, replace=False)
+                target, trigger = map(str, rng.choice(names, 2,
+                                                      replace=False))
+                if service._tasks[target].trigger_task is not None:
+                    continue        # one target, one gate
                 if roll < 0.45:
-                    service.add_remote_trigger(str(target), str(trigger),
-                                               90.0)
+                    service.add_remote_trigger(target, trigger, 90.0)
                 else:               # a trigger hosted on another shard
                     service.install_trigger_plan(TriggerPlan(
-                        target=str(target), trigger=f"remote-{round_ % 5}",
+                        target=target, trigger=f"remote-{round_ % 5}",
                         elevation_level=90.0))
-            elif roll < 0.72:      # a last-seen pair: both ends evicted
-                target, trigger = rng.choice(names, 2, replace=False)
-                service.add_trigger(str(target), str(trigger),
-                                    elevation_level=1.0)
+            elif roll < 0.72:      # a last-seen pair: both ends handed back
+                target, trigger = map(str, rng.choice(names, 2,
+                                                      replace=False))
+                if service._tasks[target].remote_trigger is None:
+                    service.add_trigger(target, trigger,
+                                        elevation_level=1.0)
             elif roll < 0.9:
                 service.remove_task(str(rng.choice(names)))
             else:
@@ -363,7 +523,10 @@ class TestEveryKindOnRows:
         rng = np.random.default_rng(17)
         calls = pair.count_segments()
         guarded = [n for n in pair.names if n.startswith("guarded")]
-        batches = step = 0
+        # A watched task stepped by name (a last-seen source that also
+        # carries a channel watch) is cut out of its batch, edge or not.
+        alone = pair.names.index("local-source-0")
+        pieces = step = 0
         for round_ in range(240):
             step += int(rng.integers(1, 4))
             width = (2, CROSSOVER - 1, 3 * CROSSOVER, tasks)[round_ % 4]
@@ -385,7 +548,11 @@ class TestEveryKindOnRows:
                 pair.offer_by_name(idx, steps, values, fast=round_ % 2)
             else:
                 pair.offer(idx, steps, values)
-                batches += 1
+                bounds = {0, len(idx)}
+                for pos, (i, value) in enumerate(zip(idx, values)):
+                    if i == alone and np.isfinite(value):
+                        bounds |= {pos, pos + 1}
+                pieces += len(bounds) - 1
             if round_ % 7 == 2:
                 pair.set_armed(guarded[round_ % len(guarded)],
                                bool(round_ % 3))
@@ -399,7 +566,8 @@ class TestEveryKindOnRows:
         assert suspensions > 20
         # With a sink, edges whose trigger guards a later row of the
         # batch split it; buffered edges never do.
-        assert (len(calls) > batches) == sink
+        assert (len(calls) > pieces) == sink
+        assert len(calls) >= pieces > 180
 
     @pytest.mark.parametrize("order", ["target-first", "trigger-first"])
     def test_edge_lands_between_the_offers_either_side(self, order,
@@ -436,7 +604,7 @@ class TestEveryKindOnRows:
             soa_differential.register_kinds(service, copies=1)))
         lone = pair.names.index("lone-trigger-0")
         others = [i for i, name in enumerate(pair.names)
-                  if not name.startswith(("trigger", "watched"))]
+                  if not name.startswith(("trigger", "watched", "local"))]
         calls = pair.count_segments()
         for step in range(80):
             idx = others[:3] + [lone] + others[3:]
@@ -451,15 +619,17 @@ class TestEveryKindOnRows:
     def test_offers_that_go_by_name_keep_their_place(self, sink,
                                                      soa_differential):
         # A connection whose intern table says -1 for a task that has a
-        # row, and a watched task the engine does not hold (one end of a
-        # last-seen pair): their offers go by name, and their edges — and
-        # those they must see — still fall where they arrived.
+        # row, and a watched task whose row the engine hands back (one
+        # end of a last-seen pair): their offers go by name, and their
+        # edges — and those they must see — still fall where they arrived.
         pair = soa_differential(
             soa_differential.population(6, "mixed"),
             register_more=soa_differential.register_kinds, sink=sink)
         for service in (pair.scalar, pair.vector):
             service.add_trigger("x-001", "trigger-1", elevation_level=90.0)
-        assert pair.vector.soa_row_for("trigger-1") == -1
+        row = pair.vector.soa_row_for("trigger-1")
+        assert row == pair.rows[pair.names.index("trigger-1")] >= 0
+        assert not pair.vector.soa_engine.active[row]
         for name in ("trigger-0", "guarded-1", "guarded-quantile-0"):
             pair.rows[pair.names.index(name)] = -1
         tasks = len(pair.names)

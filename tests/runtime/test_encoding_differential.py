@@ -48,9 +48,11 @@ OFFERED = TASKS + ["late", "ghost"]
 PLAN = {"target": "guard", "trigger": "edge", "elevation_level": 60.0,
         "suspend_interval": 6, "hysteresis": 0.1, "min_hold": 2}
 MOVED_SHARD = route("p0", SHARDS)
-# Every kind of task rides the columnar tick; one of these lives on the
-# shard that migrates.
-ON_ROWS = ["p0", "win", "p90", "ent", "guard", "edge"]
+# Every kind of task is an engine row for life — the last-seen pair too,
+# handed back to be stepped by name on its rows; one of these lives on
+# the shard that migrates.
+ON_ROWS = ["p0", "win", "p90", "ent", "guard", "edge", LOCAL_TARGET,
+           LOCAL_TRIGGER]
 assert MOVED_SHARD in {route(name, SHARDS) for name in ON_ROWS[1:]}
 
 
@@ -98,17 +100,23 @@ async def _setup(client: AsyncRuntimeClient) -> None:
 
 
 def _engine_rows(server: Any, names: list[str]) -> list[int]:
-    """Each task's SoA engine row on the shard that hosts it now."""
+    """Each task's SoA engine row on the shard that hosts it now — as
+    the service knows it and as the server's offer path resolves it."""
     rows = []
     for name in names:
         sid = route(name, SHARDS)
         if isinstance(server, ClusterServer):
             coord = server.coordinator
-            worker = coord.transports[
-                coord.routes[sid].worker_id].host.shards[sid]
+            host = coord.transports[coord.routes[sid].worker_id].host
+            worker = host.shards[sid]
+            row = worker.service.soa_row_for(name)
+            if name in host.gid_names:
+                gids = np.asarray([host.gid_names.index(name)])
+                assert host._rows_for(sid, worker, gids).tolist() == [row]
         else:
-            worker = server._workers[sid]
-        rows.append(worker.service.soa_row_for(name))
+            row = server._workers[sid].service.soa_row_for(name)
+            assert server._intern_id(name, sid) == row
+        rows.append(row)
     return rows
 
 
@@ -158,11 +166,9 @@ async def _drive(server: Any, encoding: str) -> dict[str, Any]:
     client = AsyncRuntimeClient(port=server.tcp_port)
     try:
         await _setup(client)
-        # The stream goes down the columnar path, not its by-name
-        # fallback: only the last-seen pair is off the engine.
+        # The stream goes down the columnar path: nothing resolves to
+        # -1, and only the last-seen pair's rows come back by name.
         assert min(_engine_rows(server, ON_ROWS)) >= 0
-        assert _engine_rows(server, [LOCAL_TARGET, LOCAL_TRIGGER]) == [-1,
-                                                                       -1]
         if encoding == "binary":
             assert await client.negotiate() == 2
         replies = []

@@ -45,6 +45,17 @@ PLAN = {"target": OTHER, "trigger": A, "elevation_level": 60.0,
 
 HELLO = {"op": "hello", "max_protocol": 2}
 
+# The two ways to gate ``A`` — on ``SAME``'s last value, or through the
+# channel on edges from ``OTHER`` (another shard) — and the reads that
+# show every shard's side of them.
+LOCAL_GATE = {"op": "add_trigger", "target": A, "trigger": SAME,
+              "elevation_level": 50.0, "suspend_interval": 10}
+CROSS_PLAN = {**PLAN, "target": A, "trigger": OTHER,
+              "elevation_level": 95.0, "suspend_interval": 5}
+_GATES = [{"op": "trigger_state", "task": A},
+          {"op": "trigger_state", "task": OTHER},
+          {"op": "trigger_plans"}]
+
 
 def _task(name: str, **extra: Any) -> dict[str, Any]:
     return {"op": "register_task",
@@ -244,6 +255,14 @@ CASES: dict[str, list[Any]] = {
         {"op": "trigger_install", "plan": {**PLAN, "suspend_interval": 1}}],
     "trigger-install-unknown-plan-key": [
         {"op": "trigger_install", "plan": {**PLAN, "colour": "red"}}],
+    # One target, one gate: a gate of the other kind is refused before
+    # any shard is written (reads before and after the refusal agree).
+    "install-over-local-gate": [
+        LOCAL_GATE, *_GATES, {"op": "trigger_install", "plan": CROSS_PLAN},
+        *_GATES],
+    "add-trigger-over-guard": [
+        {"op": "trigger_install", "plan": CROSS_PLAN}, *_GATES, LOCAL_GATE,
+        *_GATES],
     "trigger-arm-unguarded-task": [{"op": "trigger_arm", "task": A}],
     "trigger-overrides": [{"op": "trigger_install", "plan": PLAN},
                           {"op": "trigger_disarm", "task": OTHER},
@@ -333,6 +352,22 @@ def test_unrepresentable_update_is_refused_before_ack(case):
     assert not refusal["ok"] and refusal["code"] == "bad-update"
     totals = stats["totals"]
     assert totals["offered"] == totals["rejected"] == totals["shed"] == 0
+
+
+@pytest.mark.parametrize("make_server", [_runtime, _cluster],
+                         ids=["runtime", "cluster"])
+@pytest.mark.parametrize("case", ["install-over-local-gate",
+                                  "add-trigger-over-guard"])
+def test_second_gate_is_refused(case, make_server):
+    """Equal replies on both servers are not enough: the refusal has to
+    come before the first write, on the trigger's shard too."""
+    replies = asyncio.run(_run_script(make_server(), CASES[case]))
+    first, *before, refusal = replies[:len(_GATES) + 2]
+    after = replies[len(_GATES) + 2:]
+    assert first["ok"] and all(reply["ok"] for reply in before)
+    assert not refusal["ok"] and refusal["code"] == "bad-request"
+    assert "one gate" in refusal["error"]
+    assert after == before
 
 
 def test_table_provokes_every_error_code():

@@ -10,6 +10,7 @@ from repro.core.task import TaskSpec
 from repro.core.windowed import AggregateKind
 from repro.exceptions import ConfigurationError
 from repro.service import MonitoringService
+from repro.triggers.plan import TriggerPlan
 
 
 def task(threshold=100.0, err=0.01):
@@ -152,6 +153,80 @@ class TestTriggers:
         service.add_task("b", task())
         with pytest.raises(ConfigurationError):
             service.add_trigger("a", "b", 1.0, suspend_interval=0)
+
+
+class TestOneTargetOneGate:
+    """The two kinds of gate share ``trigger_level`` / ``suspend_interval``
+    on the target, so the second kind used to rewrite the first; it is
+    refused instead, before anything is written."""
+
+    PLAN = TriggerPlan(target="costly", trigger="far", elevation_level=95.0,
+                       suspend_interval=5)
+
+    @staticmethod
+    def make(soa):
+        service = MonitoringService(AdaptationConfig(patience=3,
+                                                     min_samples=5), soa=soa)
+        for name in ("cheap", "costly", "far"):
+            service.add_task(name, task(threshold=100.0, err=0.0))
+        return service
+
+    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
+    def test_channel_guard_over_a_local_gate_is_refused(self, soa):
+        service = self.make(soa)
+        service.add_trigger("costly", "cheap", elevation_level=50.0,
+                            suspend_interval=10)
+        before = service.snapshot()
+        for install in (
+                lambda: service.install_trigger_plan(self.PLAN),
+                lambda: service.add_remote_trigger("costly", "far", 95.0,
+                                                   suspend_interval=5)):
+            with pytest.raises(ConfigurationError, match="one gate"):
+                install()
+            # Neither half was wired: no guard, and no watch on "far".
+            assert service.snapshot() == before
+            assert service.trigger_status("far") == {}
+        # The local gate still reads its own level: hot at 60, cold at 40.
+        service.offer("cheap", 60.0, 0)
+        service.offer("costly", 1.0, 0)
+        assert service.next_due("costly") == 1
+        service.offer("cheap", 40.0, 1)
+        service.offer("costly", 1.0, 1)
+        assert service.next_due("costly") == 11
+
+    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
+    def test_local_gate_over_a_channel_guard_is_refused(self, soa):
+        service = self.make(soa)
+        service.install_trigger_plan(self.PLAN)
+        before = service.snapshot()
+        with pytest.raises(ConfigurationError, match="one gate"):
+            service.add_trigger("costly", "cheap", elevation_level=50.0,
+                                suspend_interval=10)
+        assert service.snapshot() == before
+        if soa:
+            assert service.soa_engine.active[:3].all()
+        # Re-installing the guard the task carries stays idempotent, and
+        # removing an unrelated task leaves the guard's level alone.
+        service.set_trigger_armed("costly", False)
+        service.install_trigger_plan(self.PLAN)
+        service.remove_task("cheap")
+        assert service.trigger_status("costly")["armed"] is False
+        entry = service.snapshot()["tasks"][0]
+        assert (entry["name"], entry["trigger_level"],
+                entry["suspend_interval"]) == ("costly", 95.0, 5)
+
+    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
+    def test_a_snapshot_holding_both_still_loads(self, soa):
+        service = self.make(soa)
+        service.install_trigger_plan(self.PLAN)
+        snapshot = service.snapshot()
+        snapshot["tasks"][1]["trigger_task"] = "cheap"   # as the parent
+        restored = MonitoringService.restore(snapshot, soa=soa)
+        assert restored.snapshot() == snapshot
+        restored.install_trigger_plan(self.PLAN)          # failover
+        restored.add_trigger("costly", "far", elevation_level=95.0,
+                             suspend_interval=5)          # a re-target
+        assert restored.snapshot()["tasks"][1]["trigger_task"] == "far"
 
 
 class TestTriggerEdgeCases:

@@ -13,17 +13,15 @@ checkpoints. The config file format is the same one
 from __future__ import annotations
 
 import argparse
-import asyncio
 import dataclasses
-import json
 import os
 import pathlib
 import sys
 from typing import Any
 
 from repro.config import ClusterConfig
-from repro.exceptions import ReproError
-from repro.runtime.frontend import cli_overrides, load_config_file
+from repro.runtime.frontend import (cli_overrides, load_config_file, run_cli,
+                                    write_ready_file)
 
 from repro.cluster.server import ClusterServer
 
@@ -85,13 +83,9 @@ async def _run(args: argparse.Namespace) -> None:
     section, adaptation, service_config = load_config_file(args.config,
                                                            "cluster")
     server = ClusterServer(_cluster_config(args, section),
-                           adaptation=adaptation)
+                           adaptation=adaptation,
+                           service_config=service_config)
     await server.start()
-    try:
-        await server.apply_config(service_config)
-    except Exception:
-        await server.shutdown()
-        raise
     coord = server.coordinator
     endpoints = [f"tcp {server.config.host}:{server.tcp_port}"]
     if server.http_port is not None:
@@ -100,25 +94,18 @@ async def _run(args: argparse.Namespace) -> None:
           f"({len(coord.transports)} workers x {coord.n_shards} shards, "
           f"backend={server.config.backend}, "
           f"{coord.restored_tasks} tasks restored)", flush=True)
-    if args.ready_file is not None:
-        ready = {"port": server.tcp_port,
-                 "http_port": server.http_port,
-                 "pid": os.getpid(),
-                 "workers": coord.worker_pids()}
-        args.ready_file.write_text(json.dumps(ready), encoding="utf-8")
+    write_ready_file(args.ready_file, {
+        "port": server.tcp_port,
+        "http_port": server.http_port,
+        "pid": os.getpid(),
+        "workers": coord.worker_pids()})
     await server.serve_forever()
     print("[cluster] shut down cleanly", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point (``python -m repro.cluster``)."""
-    args = _build_parser().parse_args(argv)
-    try:
-        asyncio.run(_run(args))
-    except ReproError as exc:
-        print(f"[cluster] error: {exc}", file=sys.stderr, flush=True)
-        return 1
-    return 0
+    return run_cli("cluster", _build_parser(), _run, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -35,12 +35,12 @@ import logging
 import pathlib
 import tempfile
 import time
-from typing import Any
+from typing import Any, AsyncIterator, Callable
 
 from repro.config import ClusterConfig
 from repro.core.adaptation import AdaptationConfig
 from repro.exceptions import ClusterError, ConfigurationError
-from repro.runtime.checkpoint import read_checkpoint, write_checkpoint
+from repro.runtime.checkpoint import read_checkpoint
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import DecisionTrace
 from repro.triggers.plan import TriggerPlan
@@ -133,7 +133,6 @@ class Coordinator:
         self.migrations = 0
         self.replacements = 0
         self.restored_tasks = 0
-        self.checkpoint_failures = 0
         self._dead: set[str] = set()
         self._misses: dict[str, int] = {}
         self._trace_cursor: dict[str, int] = {}
@@ -141,9 +140,7 @@ class Coordinator:
         self._recover_lock = asyncio.Lock()
         self._fleet_cache: dict[str, Any] = {}
         self._last_checkpoint_state: dict[str, Any] | None = None
-        self._last_checkpoint_monotonic: float | None = None
         self._heartbeat_task: asyncio.Task | None = None
-        self._checkpoint_task: asyncio.Task | None = None
         self._tmpdir: tempfile.TemporaryDirectory | None = None
         self._started_monotonic = time.monotonic()
         self._worker_up = self.registry.gauge(
@@ -207,7 +204,7 @@ class Coordinator:
                     trace_capacity=cfg.trace_capacity))
 
     async def start(self) -> None:
-        """Spawn/connect workers, place every shard, start the loops."""
+        """Spawn/connect workers, place every shard, start the heartbeat."""
         self._build_transports()
         await asyncio.gather(*(t.start() for t in self.transports.values()))
         state = self._read_checkpoint_state()
@@ -241,9 +238,6 @@ class Coordinator:
             self.trace.emit("worker_started", worker=wid,
                             pid=self.worker_pids().get(wid))
         self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
-        if self.config.checkpoint_path is not None:
-            self._checkpoint_task = asyncio.create_task(
-                self._checkpoint_loop())
 
     def _read_checkpoint_state(self) -> dict[str, Any] | None:
         path = self.config.checkpoint_path
@@ -314,21 +308,20 @@ class Coordinator:
                 logger.warning("cannot re-register task %s on shard %d: %s",
                                name, routed.shard_id, reply.get("error"))
 
-    async def shutdown(self) -> None:
-        """Stop loops, flush a final checkpoint, close every transport."""
-        for task in (self._heartbeat_task, self._checkpoint_task):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-        self._heartbeat_task = self._checkpoint_task = None
-        if self.config.checkpoint_path is not None:
+    async def stop_heartbeat(self) -> None:
+        """Stop the failure detector (the first step of a shutdown: the
+        final checkpoint must not race a re-placement)."""
+        task, self._heartbeat_task = self._heartbeat_task, None
+        if task is not None:
+            task.cancel()
             try:
-                await self.write_checkpoint()
-            except Exception:  # pragma: no cover - best-effort flush
-                logger.exception("final cluster checkpoint failed")
+                await task
+            except asyncio.CancelledError:
+                pass
+
+    async def shutdown(self) -> None:
+        """Stop the heartbeat and close every transport."""
+        await self.stop_heartbeat()
         await asyncio.gather(
             *(t.close() for t in self.transports.values()),
             return_exceptions=True)
@@ -379,15 +372,37 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Data path
 
-    async def drain(self) -> None:
-        """Wait until every live worker has applied its queued batches."""
-        for wid in sorted(self.transports):
+    async def _live_replies(
+            self, payload: Any, timeout: float | None = None,
+            on_miss: Callable[[str], Any] | None = None,
+    ) -> AsyncIterator[tuple[str, dict[str, Any]]]:
+        """Ask every live worker; yield ``(worker_id, reply)`` per ``ok``
+        reply.
+
+        ``payload`` is the request, or a function of the worker id that
+        builds it. A worker that is down, unreachable, too slow for
+        ``timeout`` or answers an error is skipped — ``on_miss(worker_id)``
+        hears of it — and left to the heartbeat to judge.
+        """
+        for wid, transport in list(self.transports.items()):
             if wid in self._dead:
                 continue
+            request = payload(wid) if callable(payload) else payload
             try:
-                await self._request(wid, {"op": "w_drain"})
-            except ClusterError:
-                self._note_failure(wid)
+                reply = await asyncio.wait_for(transport.request(request),
+                                               timeout)
+            except (ClusterError, asyncio.TimeoutError):
+                reply = {}
+            if reply.get("ok"):
+                yield wid, reply
+            elif on_miss is not None:
+                on_miss(wid)
+
+    async def drain(self) -> None:
+        """Wait until every live worker has applied its queued batches."""
+        async for _ in self._live_replies({"op": "w_drain"},
+                                          on_miss=self._note_failure):
+            pass
         # Propagate any trigger edges the drained batches produced, so a
         # caller that drains at a phase boundary observes guard state
         # deterministically (scenario replay relies on this).
@@ -500,15 +515,8 @@ class Coordinator:
         if not self.trigger_plans:
             return
         events: list[dict[str, Any]] = []
-        for wid, transport in list(self.transports.items()):
-            if wid in self._dead:
-                continue
-            try:
-                reply = await transport.request({"op": "w_trigger_events"})
-            except ClusterError:
-                continue
-            if reply.get("ok"):
-                events.extend(reply.get("events", ()))
+        async for _, reply in self._live_replies({"op": "w_trigger_events"}):
+            events.extend(reply.get("events", ()))
         for event in events:
             op = str(event.get("op", ""))
             if op not in ("arm", "disarm"):
@@ -555,7 +563,8 @@ class Coordinator:
         try:
             await routed.wait_idle()
             snap = await self._request(source, {
-                "op": "w_snapshot_shard", "shard": shard_id, "drain": True})
+                "op": "w_snapshot_shard", "shard": shard_id, "drain": True,
+                "fingerprint": True})
             if not snap.get("ok"):
                 raise ClusterError(
                     f"cannot snapshot shard {shard_id} on {source}: "
@@ -563,7 +572,7 @@ class Coordinator:
             restored = await self._request(target, {
                 "op": "w_restore_shard", "shard": shard_id,
                 "snapshot": snap["snapshot"], "counters": snap["counters"],
-                "adaptation": self._adaptation_dict()})
+                "adaptation": self._adaptation_dict(), "fingerprint": True})
             if not restored.get("ok"):
                 raise ClusterError(
                     f"cannot restore shard {shard_id} on {target}: "
@@ -642,37 +651,21 @@ class Coordinator:
                 logger.exception("heartbeat pass failed")
 
     async def _heartbeat_once(self) -> None:
-        for wid, transport in list(self.transports.items()):
-            if wid in self._dead:
-                continue
-            failed = not transport.alive
-            if not failed:
-                try:
-                    reply = await asyncio.wait_for(
-                        transport.request({"op": "w_ping"}),
-                        timeout=self.config.heartbeat_timeout)
-                    failed = not reply.get("ok")
-                except (ClusterError, asyncio.TimeoutError):
-                    failed = True
-            if failed:
-                self._misses[wid] = self._misses.get(wid, 0) + 1
-                if self._misses[wid] >= self.config.heartbeat_misses:
-                    await self._handle_worker_loss(wid)
-            else:
-                self._misses[wid] = 0
+        missed: list[str] = []
+        async for wid, _ in self._live_replies(
+                {"op": "w_ping"}, timeout=self.config.heartbeat_timeout,
+                on_miss=missed.append):
+            self._misses[wid] = 0
+        for wid in missed:
+            self._note_failure(wid)
+            if self._misses[wid] >= self.config.heartbeat_misses:
+                await self._handle_worker_loss(wid)
         await self.pump_triggers()
         await self.pull_traces()
         await self.refresh_fleet()
-        await self._refresh_recovery_state()
-
-    async def _refresh_recovery_state(self) -> None:
-        """Keep an in-memory copy of every shard's state for re-placement.
-
-        This is the 'last checkpoint' failure recovery restores from; it
-        is refreshed every heartbeat so recovery loses at most one beat
-        of sampler adaptation, checkpoint file or not.
-        """
-        self._last_checkpoint_state = await self._collect_state()
+        # The recovery copy, refreshed every beat so a re-placement loses
+        # at most one beat of sampler adaptation, checkpoint file or not.
+        await self._collect_state()
 
     async def _handle_worker_loss(self, worker_id: str) -> None:
         async with self._recover_lock:
@@ -736,6 +729,11 @@ class Coordinator:
     # Checkpointing
 
     async def _collect_state(self) -> dict[str, Any]:
+        """Snapshot every reachable shard into the cluster state document.
+
+        What a cluster checkpoint persists; a copy is kept as the
+        in-memory 'last checkpoint' failure recovery restores from.
+        """
         # A worker that is unreachable this pass (possibly dying, not yet
         # declared dead) must not evict its shards from the recovery
         # state: keep the last-known-good entry so a subsequent
@@ -771,33 +769,8 @@ class Coordinator:
             state["trigger_plans"] = [
                 self.trigger_plans[t].to_dict()
                 for t in sorted(self.trigger_plans)]
-        return state
-
-    async def write_checkpoint(self) -> pathlib.Path | None:
-        """Collect and persist the full cluster state (v2 CRC format)."""
-        state = await self._collect_state()
         self._last_checkpoint_state = state
-        if self.config.checkpoint_path is None:
-            return None
-        path = write_checkpoint(self.config.checkpoint_path, state)
-        self._last_checkpoint_monotonic = time.monotonic()
-        return path
-
-    def checkpoint_age(self) -> float | None:
-        """Seconds since the last checkpoint was written (None if never)."""
-        last = self._last_checkpoint_monotonic
-        return None if last is None else time.monotonic() - last
-
-    async def _checkpoint_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.checkpoint_interval)
-            try:
-                await self.write_checkpoint()
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # pragma: no cover - degrade, don't die
-                self.checkpoint_failures += 1
-                logger.exception("periodic cluster checkpoint failed")
+        return state
 
     # ------------------------------------------------------------------
     # Fleet telemetry
@@ -805,17 +778,8 @@ class Coordinator:
     async def pull_traces(self) -> None:
         """Drain worker sampler traces into the coordinator's ring."""
         async with self._trace_lock:
-            for wid, transport in list(self.transports.items()):
-                if wid in self._dead:
-                    continue
-                try:
-                    reply = await transport.request({
-                        "op": "w_trace",
-                        "since": self._trace_cursor.get(wid, 0)})
-                except ClusterError:
-                    continue
-                if not reply.get("ok"):
-                    continue
+            async for wid, reply in self._live_replies(lambda w: {
+                    "op": "w_trace", "since": self._trace_cursor.get(w, 0)}):
                 self._trace_cursor[wid] = int(reply.get("next_seq", 0))
                 for event in reply.get("events", ()):
                     data = {k: v for k, v in event.items()
@@ -828,16 +792,8 @@ class Coordinator:
 
     async def refresh_fleet(self) -> dict[str, Any]:
         """Pull raw worker registries, merge, cache for the HTTP server."""
-        snaps: dict[str, Any] = {}
-        for wid, transport in list(self.transports.items()):
-            if wid in self._dead:
-                continue
-            try:
-                reply = await transport.request({"op": "w_telemetry"})
-            except ClusterError:
-                continue
-            if reply.get("ok"):
-                snaps[wid] = reply.get("metrics", {})
+        snaps = {wid: reply.get("metrics", {}) async for wid, reply
+                 in self._live_replies({"op": "w_telemetry"})}
         self._fleet_cache = merge_fleet_snapshots(
             snaps, base=self.registry.snapshot())
         return self._fleet_cache

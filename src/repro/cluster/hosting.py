@@ -37,6 +37,7 @@ from repro.config import register_task_from_config
 from repro.core.adaptation import AdaptationConfig
 from repro.exceptions import ConfigurationError, ReproError
 from repro.runtime.checkpoint import state_fingerprint
+from repro.runtime.protocol import intern_entries
 from repro.runtime.shard import (ColumnBatch, InternedNames, ShardWorker,
                                  restore_counters)
 from repro.service import MonitoringService
@@ -284,9 +285,10 @@ class WorkerHost:
                                 ) -> dict[str, Any]:
         """Install a shard from a snapshot (migration target / recovery).
 
-        Replies with the fingerprint of the *re-serialised* restored state
-        so the coordinator can verify the transfer was bit-identical
-        before cutting traffic over.
+        With ``"fingerprint": true`` the reply carries the fingerprint of
+        the *re-serialised* restored state, so a migration can verify
+        the transfer was bit-identical before cutting traffic over;
+        recovery and start-up restores compare nothing and do not ask.
         """
         shard_id = int(request["shard"])
         adaptation = request.get("adaptation")
@@ -296,22 +298,27 @@ class WorkerHost:
             await self._uninstall(shard_id, drain=False)
         worker = self.install_shard(shard_id, request.get("snapshot"),
                                     request.get("counters"))
-        check = worker.service.snapshot()
-        return {"ok": True, "shard": shard_id,
-                "fingerprint": state_fingerprint(check),
-                "tasks": len(worker.service.task_names)}
+        reply = {"ok": True, "shard": shard_id,
+                 "tasks": len(worker.service.task_names)}
+        if request.get("fingerprint"):
+            reply["fingerprint"] = state_fingerprint(
+                worker.service.snapshot())
+        return reply
 
     async def _op_snapshot_shard(self, request: dict[str, Any],
                                  ) -> dict[str, Any]:
-        """Serialise one shard's full state (optionally after draining)."""
+        """Serialise one shard's full state (optionally after draining;
+        with its fingerprint when a migration asks for one)."""
         shard_id = int(request["shard"])
         worker = self._shard(shard_id)
         if bool(request.get("drain", False)):
             await worker.drain()
         snapshot = worker.service.snapshot()
-        return {"ok": True, "shard": shard_id, "snapshot": snapshot,
-                "counters": worker.stats(),
-                "fingerprint": state_fingerprint(snapshot)}
+        reply = {"ok": True, "shard": shard_id, "snapshot": snapshot,
+                 "counters": worker.stats()}
+        if request.get("fingerprint"):
+            reply["fingerprint"] = state_fingerprint(snapshot)
+        return reply
 
     async def _op_drop_shard(self, request: dict[str, Any]) -> dict[str, Any]:
         shard_id = int(request["shard"])
@@ -339,22 +346,9 @@ class WorkerHost:
         rarely (new tasks only) and may re-intern existing entries.
         """
         entries = request.get("tasks")
-        if not isinstance(entries, list):
-            return _error("w_intern needs a 'tasks' list")
-        for entry in entries:
-            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or isinstance(entry[0], bool)
-                    or not isinstance(entry[0], int)
-                    or not isinstance(entry[1], str)):
-                return _error("each intern entry must be [gid, name]")
-            gid = entry[0]
-            if not 0 <= gid < _MAX_GID:
-                return _error(f"gid {gid} out of range [0, {_MAX_GID})")
-        for gid, name in entries:
-            if gid >= len(self.gid_names):
-                self.gid_names.extend(
-                    [None] * (gid + 1 - len(self.gid_names)))
-            self.gid_names[gid] = name
+        problem = intern_entries(self.gid_names, entries, _MAX_GID, "gid")
+        if problem is not None:
+            return _error(problem)
         # New names may resolve to rows the caches marked unknown.
         self._gid_rows.clear()
         return {"ok": True, "interned": len(entries),

@@ -33,12 +33,19 @@ __all__ = ["ClusterServer"]
 
 
 class ClusterServer(WireServer):
-    """Routing tier bound to one :class:`Coordinator`."""
+    """Routing tier bound to one :class:`Coordinator`.
+
+    ``service_config`` is the declarative service config
+    :class:`~repro.runtime.server.RuntimeServer` takes: tasks it declares
+    are registered at startup unless a checkpoint already has them.
+    """
 
     def __init__(self, config: ClusterConfig,
-                 adaptation: AdaptationConfig | None = None):
+                 adaptation: AdaptationConfig | None = None,
+                 service_config: dict[str, Any] | None = None):
         coord = self.coordinator = Coordinator(config, adaptation=adaptation)
-        super().__init__(config, coord.n_shards, coord.registry, coord.trace)
+        super().__init__(config, coord.n_shards, coord.registry, coord.trace,
+                         service_config=service_config)
         # The routing tables are the coordinator's own objects: it reads
         # them for placement, edge pumping and checkpoints, the front end
         # writes them from the control ops. Both sides only ever mutate
@@ -52,9 +59,15 @@ class ClusterServer(WireServer):
     # Lifecycle
 
     async def start(self) -> None:
-        """Start workers and placement, then bind the listen sockets."""
+        """Start workers and placement, apply the service config, then
+        bind the listen sockets."""
         await self.coordinator.start()
         self.restored_tasks = self.coordinator.restored_tasks
+        try:
+            await self.apply_config(self._service_config)
+        except Exception:
+            await self.coordinator.shutdown()  # do not orphan the workers
+            raise
         await self._listen()
 
     async def drain(self) -> None:
@@ -62,8 +75,11 @@ class ClusterServer(WireServer):
         await self.coordinator.drain()
 
     async def shutdown(self) -> None:
-        """Stop accepting, close connections, shut the cluster down."""
+        """Stop accepting, close connections, flush a final checkpoint,
+        shut the cluster down."""
         if await self._stop_serving():
+            await self.coordinator.stop_heartbeat()
+            await self._flush_checkpoint()
             await self.coordinator.shutdown()
             self._done.set()
 
@@ -98,13 +114,8 @@ class ClusterServer(WireServer):
             self.coordinator.catalog.pop(name, None)
         return reply
 
-    def _checkpoint_health(self) -> tuple[int, float | None]:
-        coord = self.coordinator
-        return coord.checkpoint_failures, coord.checkpoint_age()
-
-    def write_checkpoint(self) -> Any:
-        """Collect and persist the cluster state (awaitable of the path)."""
-        return self.coordinator.write_checkpoint()
+    def _checkpoint_state(self) -> Any:
+        return self.coordinator._collect_state()
 
     # ------------------------------------------------------------------
     # Telemetry (serves the heartbeat-refreshed fleet cache: the HTTP

@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import logging
 import os
 import pathlib
-import signal
 import sys
-from typing import Any
 
 from repro.cluster.hosting import WorkerHost
 from repro.exceptions import ProtocolError, ReproError
+from repro.runtime.frontend import (listen, run_cli, stop_listening,
+                                    until_signalled, write_ready_file)
 from repro.runtime.protocol import (ShardOffer, encode_frame_parts,
                                     encode_offer_reply, read_frame)
 from repro.telemetry.registry import instrument_samplers
@@ -57,17 +56,8 @@ class ClusterWorker:
                     host: str, port: int | None) -> None:
         instrument_samplers(self.host.registry)
         self.host.start()
-        if unix_socket is not None:
-            unix_socket.parent.mkdir(parents=True, exist_ok=True)
-            if unix_socket.exists():
-                unix_socket.unlink()
-            self._servers.append(await asyncio.start_unix_server(
-                self._on_connection, path=str(unix_socket)))
-        if port is not None:
-            server = await asyncio.start_server(
-                self._on_connection, host=host, port=port)
-            self._tcp_port = server.sockets[0].getsockname()[1]
-            self._servers.append(server)
+        self._servers, self._tcp_port = await listen(
+            self._on_connection, host, port, unix_socket)
 
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
@@ -119,17 +109,8 @@ class ClusterWorker:
                 pass
 
     async def run_until_shutdown(self) -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self._shutdown.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        await self._shutdown.wait()
-        for server in self._servers:
-            server.close()
-        for server in self._servers:
-            await server.wait_closed()
+        await until_signalled(self._shutdown, self._shutdown.set)
+        await stop_listening(self._servers)
         await self.host.close(drain=True)
 
 
@@ -157,28 +138,17 @@ async def _run(args: argparse.Namespace) -> None:
     worker = ClusterWorker(args.worker_id, queue_depth=args.queue_depth,
                            trace_capacity=args.trace_capacity)
     await worker.start(args.unix, args.host, args.port)
-    if args.ready_file is not None:
-        ready: dict[str, Any] = {
-            "pid": os.getpid(),
-            "worker_id": args.worker_id,
-            "unix": str(args.unix) if args.unix is not None else None,
-            "port": worker.tcp_port,
-        }
-        tmp = args.ready_file.with_name(args.ready_file.name + ".tmp")
-        tmp.write_text(json.dumps(ready), encoding="utf-8")
-        os.replace(tmp, args.ready_file)
+    write_ready_file(args.ready_file, {
+        "pid": os.getpid(),
+        "worker_id": args.worker_id,
+        "unix": str(args.unix) if args.unix is not None else None,
+        "port": worker.tcp_port})
     await worker.run_until_shutdown()
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point (``python -m repro.cluster.worker``)."""
-    args = _build_parser().parse_args(argv)
-    try:
-        asyncio.run(_run(args))
-    except ReproError as exc:
-        print(f"[cluster-worker] error: {exc}", file=sys.stderr, flush=True)
-        return 1
-    return 0
+    return run_cli("cluster-worker", _build_parser(), _run, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

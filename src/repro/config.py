@@ -26,8 +26,11 @@ fail deployment, not silently monitor the wrong thing.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pathlib
+import types
+import typing
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -87,10 +90,59 @@ class ExecutionConfig:
         cache_dir = pathlib.Path(raw_dir) if raw_dir else None
         return cls(workers=workers, cache_dir=cache_dir)
 
-_RUNTIME_KEYS = {"shards", "queue_depth", "max_batch", "host", "port",
-                 "unix_socket", "checkpoint_path", "checkpoint_interval",
-                 "shed_retry_ms", "http_port", "trace_capacity",
-                 "selfmon_interval", "protocol"}
+
+def _coerce(hint: Any, value: Any) -> Any:
+    """``value`` as a field annotated ``hint`` holds it, else ``TypeError``.
+
+    JSON-typed and lossless: an ``int`` field takes an integer, a
+    ``float`` field any number, a ``str`` or ``Path`` field a string, a
+    tuple field a list of its element type, and ``None`` passes only
+    where the annotation admits it.
+    """
+    options = (typing.get_args(hint) if isinstance(hint, types.UnionType)
+               else (hint,))
+    if value is None and type(None) in options:
+        return None
+    kind, = (option for option in options if option is not type(None))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if typing.get_origin(kind) is tuple:
+        if isinstance(value, (list, tuple)):
+            element = typing.get_args(kind)[0]
+            return tuple(_coerce(element, item) for item in value)
+    elif kind is float:
+        if number:
+            return float(value)
+    elif kind is int:
+        if number and isinstance(value, int):
+            return value
+    elif kind in (str, pathlib.Path) and isinstance(value, str):
+        return kind(value)
+    raise TypeError  # the caller names the section, key and value
+
+
+def _from_section(cls: Any, entry: Any, section: str) -> Any:
+    """Build config dataclass ``cls`` from a config file's ``section``.
+
+    The allowed keys and each key's type come from the dataclass fields,
+    so a new field is loadable with no list to keep in step. Unknown
+    keys, nulls and mis-typed values fail closed; the range checks are
+    the dataclass's own ``__post_init__``.
+    """
+    where = f"{section} section"
+    if not isinstance(entry, Mapping):
+        raise ConfigurationError(f"{where} must be a dict, got {entry!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    _reject_unknown(dict(entry), set(fields), where)
+    hints = typing.get_type_hints(cls)
+    kwargs: dict[str, Any] = {}
+    for key, value in entry.items():
+        try:
+            kwargs[key] = _coerce(hints[key], value)
+        except (TypeError, OverflowError):  # 10**400 fits no float
+            raise ConfigurationError(
+                f"{where}: {key!r} must be {fields[key].type}, "
+                f"got {value!r}") from None
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,36 +220,8 @@ class RuntimeConfig:
     @classmethod
     def from_dict(cls, entry: Mapping[str, Any]) -> "RuntimeConfig":
         """Build from a config file's ``runtime`` section (fail closed)."""
-        if not isinstance(entry, Mapping):
-            raise ConfigurationError(
-                f"runtime section must be a dict, got {entry!r}")
-        _reject_unknown(dict(entry), _RUNTIME_KEYS, "runtime section")
-        kwargs: dict[str, Any] = {}
-        for key in ("shards", "queue_depth", "max_batch", "port",
-                    "shed_retry_ms", "trace_capacity", "protocol"):
-            if key in entry:
-                kwargs[key] = int(entry[key])
-        if "host" in entry:
-            kwargs["host"] = str(entry["host"])
-        if "checkpoint_interval" in entry:
-            kwargs["checkpoint_interval"] = float(entry["checkpoint_interval"])
-        if "http_port" in entry and entry["http_port"] is not None:
-            kwargs["http_port"] = int(entry["http_port"])
-        if "selfmon_interval" in entry and entry["selfmon_interval"] \
-                is not None:
-            kwargs["selfmon_interval"] = float(entry["selfmon_interval"])
-        for key in ("unix_socket", "checkpoint_path"):
-            if key in entry and entry[key] is not None:
-                kwargs[key] = pathlib.Path(str(entry[key]))
-        return cls(**kwargs)
+        return _from_section(cls, entry, "runtime")
 
-
-_CLUSTER_KEYS = {"workers", "shards", "backend", "worker_endpoints",
-                 "host", "port", "http_port", "queue_depth", "max_batch",
-                 "buffer_depth", "heartbeat_interval", "heartbeat_misses",
-                 "heartbeat_timeout", "connections_per_worker",
-                 "checkpoint_path", "checkpoint_interval", "shed_retry_ms",
-                 "trace_capacity", "runtime_dir", "protocol"}
 
 _CLUSTER_BACKENDS = ("inproc", "subprocess", "tcp")
 
@@ -320,33 +344,7 @@ class ClusterConfig:
     @classmethod
     def from_dict(cls, entry: Mapping[str, Any]) -> "ClusterConfig":
         """Build from a config file's ``cluster`` section (fail closed)."""
-        if not isinstance(entry, Mapping):
-            raise ConfigurationError(
-                f"cluster section must be a dict, got {entry!r}")
-        _reject_unknown(dict(entry), _CLUSTER_KEYS, "cluster section")
-        kwargs: dict[str, Any] = {}
-        for key in ("workers", "shards", "port", "queue_depth", "max_batch",
-                    "buffer_depth", "heartbeat_misses",
-                    "connections_per_worker", "shed_retry_ms",
-                    "trace_capacity", "protocol"):
-            if key in entry and entry[key] is not None:
-                kwargs[key] = int(entry[key])
-        for key in ("heartbeat_interval", "heartbeat_timeout",
-                    "checkpoint_interval"):
-            if key in entry:
-                kwargs[key] = float(entry[key])
-        for key in ("backend", "host"):
-            if key in entry:
-                kwargs[key] = str(entry[key])
-        if "worker_endpoints" in entry:
-            kwargs["worker_endpoints"] = tuple(
-                str(e) for e in entry["worker_endpoints"])
-        if "http_port" in entry and entry["http_port"] is not None:
-            kwargs["http_port"] = int(entry["http_port"])
-        for key in ("checkpoint_path", "runtime_dir"):
-            if key in entry and entry[key] is not None:
-                kwargs[key] = pathlib.Path(str(entry[key]))
-        return cls(**kwargs)
+        return _from_section(cls, entry, "cluster")
 
 
 _TASK_KEYS = {"name", "threshold", "error_allowance", "default_interval",

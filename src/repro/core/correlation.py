@@ -298,14 +298,6 @@ class TriggeredSampler:
     scheme still observes every value taken so its delta statistics stay
     warm for the moment the trigger fires.
 
-    The sampler also carries an *armed* flag for deployments where the
-    trigger metric lives on another shard or worker and arrives as
-    arm/disarm edges instead of per-observation values (the
-    :mod:`repro.triggers` channel): when no ``trigger_value`` accompanies
-    an observation, a disarmed sampler idles exactly as a cold trigger
-    would. The flag defaults to ``True`` (conservatively elevated), so
-    callers that pass explicit trigger values see unchanged behaviour.
-
     Args:
         inner: the guarded task's own sampling scheme.
         elevation_level: trigger value at which full sampling resumes.
@@ -321,7 +313,6 @@ class TriggeredSampler:
         self._level = elevation_level
         self._suspend_interval = suspend_interval
         self._suspended_steps = 0
-        self._armed = True
         # Resolved once: the inner scheme's fused drive surface, when it
         # has one (ViolationLikelihoodSampler does; generic schemes fall
         # back to observe() inside observe_fast).
@@ -338,40 +329,9 @@ class TriggeredSampler:
         return self._suspended_steps
 
     @property
-    def armed(self) -> bool:
-        """Whether a remote trigger currently holds the task armed."""
-        return self._armed
-
-    @property
     def elevation_level(self) -> float:
         """The trigger value above which the task samples at full rate."""
         return self._level
-
-    def arm(self) -> None:
-        """Resume full adaptive sampling (remote trigger went hot)."""
-        self._armed = True
-
-    def disarm(self) -> None:
-        """Idle at the suspend interval until re-armed (trigger cold)."""
-        self._armed = False
-
-    def state_dict(self) -> dict[str, object]:
-        """JSON-able snapshot: armed flag, trigger wiring, inner state."""
-        return {
-            "armed": self._armed,
-            "elevation_level": self._level,
-            "suspend_interval": self._suspend_interval,
-            "suspended_steps": self._suspended_steps,
-            "inner": self._inner.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot bit-identically."""
-        self._armed = bool(state["armed"])
-        self._level = float(state["elevation_level"])  # type: ignore[arg-type]
-        self._suspend_interval = int(state["suspend_interval"])  # type: ignore[arg-type]
-        self._suspended_steps = int(state["suspended_steps"])  # type: ignore[arg-type]
-        self._inner.load_state_dict(state["inner"])  # type: ignore[arg-type]
 
     def observe(self, value: float, time_index: int,
                 trigger_value: float | None = None) -> SamplingDecision:
@@ -381,12 +341,11 @@ class TriggeredSampler:
             value: the guarded task's sampled value.
             time_index: grid position of the sample.
             trigger_value: the trigger metric at the same instant; ``None``
-                (trigger unavailable) defers to the :attr:`armed` flag,
-                which defaults to ``True`` — conservatively elevated.
+                (trigger unavailable) counts as elevated — conservatively
+                not cold.
         """
         decision = self._inner.observe(value, time_index)
-        if (trigger_value < self._level if trigger_value is not None
-                else not self._armed):
+        if trigger_value is not None and trigger_value < self._level:
             self._suspended_steps += 1
             idle = max(decision.next_interval, self._suspend_interval)
             return SamplingDecision(
@@ -412,8 +371,7 @@ class TriggeredSampler:
         else:
             interval = int(self._inner.observe(value, time_index)
                            .next_interval)
-        if (trigger_value < self._level if trigger_value is not None
-                else not self._armed):
+        if trigger_value is not None and trigger_value < self._level:
             self._suspended_steps += 1
             if interval < self._suspend_interval:
                 interval = self._suspend_interval

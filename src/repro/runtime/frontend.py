@@ -25,19 +25,31 @@ are local, as an awaitable when they are a worker round-trip away — and
 ``_intern_id`` names the id a backend addresses an interned task by. The
 front end awaits the hook's result only when it is awaitable, so the
 single-process offer path never yields to the event loop between a frame
-and its reply. ``write_checkpoint`` and ``_checkpoint_health`` expose the
-backend's own checkpointing to the ``checkpoint`` and ``stats`` ops.
+and its reply.
+
+The shell around that is written once, too. The checkpointer — periodic
+loop, failure counter, age, write-latency histogram, trace events, final
+flush — is :meth:`WireServer.write_checkpoint` and its callers; a backend
+supplies only ``_checkpoint_state()`` (the document to persist, or an
+awaitable of it) and its own ``shutdown`` body. The module-level helpers
+at the bottom (:func:`listen`, :func:`until_signalled`,
+:func:`write_ready_file`, :func:`run_cli`) are the lifecycle every
+executable shares, the cluster worker included.
 """
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import dataclasses
 import json
+import logging
+import os
 import pathlib
 import signal
+import sys
 import time
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 import numpy as np
 
@@ -45,10 +57,11 @@ from repro.cluster.routing import route
 from repro.core.adaptation import AdaptationConfig
 from repro.core.soa import STEP_MAX, STEP_MIN
 from repro.exceptions import ConfigurationError, ProtocolError, ReproError
+from repro.runtime.checkpoint import write_checkpoint
 from repro.runtime.protocol import (PROTOCOL_BINARY, PROTOCOL_JSON,
                                     PROTOCOL_VERSION, OfferColumns,
                                     encode_frame_parts, encode_offer_reply,
-                                    read_frame)
+                                    intern_entries, read_frame)
 from repro.telemetry.exposition import (CONTENT_TYPE_PROMETHEUS,
                                         TelemetryHTTPServer,
                                         render_prometheus)
@@ -56,6 +69,8 @@ from repro.testkit.faults import FaultHook, NOOP_HOOK
 from repro.triggers.plan import TriggerPlan
 
 __all__ = ["WireServer"]
+
+logger = logging.getLogger(__name__)
 
 _MAX_INTERN = 1 << 20  # hard cap on per-connection intern table size
 
@@ -112,13 +127,19 @@ class WireServer:
         fault_hook: chaos-testing seam (``repro.testkit``); the default
             :data:`~repro.testkit.faults.NOOP_HOOK` injects nothing and
             costs one guarded attribute check per frame.
+        service_config: optional declarative service config (the
+            ``defaults``/``tasks``/``triggers`` shape of
+            :func:`repro.config.service_from_config`); a backend's
+            ``start`` applies it before the first socket is bound, and
+            tasks a checkpoint already restored win over it.
     """
 
     selfmon: Any = None
     """Self-monitor whose stats ride the ``telemetry`` reply (or None)."""
 
     def __init__(self, config: Any, n_shards: int, registry: Any, trace: Any,
-                 fault_hook: FaultHook = NOOP_HOOK):
+                 fault_hook: FaultHook = NOOP_HOOK,
+                 service_config: dict[str, Any] | None = None):
         self.config = config
         self.n_shards = n_shards
         self.registry = registry
@@ -143,6 +164,10 @@ class WireServer:
         self._http: TelemetryHTTPServer | None = None
         self._tcp_port: int | None = None
         self._frames = 0
+        self._service_config = service_config or {}
+        self._checkpoint_task: asyncio.Task[None] | None = None
+        self._last_checkpoint_monotonic: float | None = None
+        self._checkpoint_failures = 0
         self._shutdown_started = False
         self._done = asyncio.Event()
         self._started_monotonic = time.monotonic()
@@ -165,6 +190,16 @@ class WireServer:
             "offer_batch handler latency (server-side)")
         self._offer_batch_size = registry.histogram(
             "volley_offer_batch_size", "Updates per offer_batch frame")
+        registry.counter("volley_checkpoint_failures_total",
+                         "Periodic checkpoint writes that failed",
+                         fn=lambda: float(self._checkpoint_failures))
+        registry.gauge("volley_checkpoint_age_seconds",
+                       "Seconds since the last successful checkpoint "
+                       "(0 before the first)",
+                       fn=lambda: self.checkpoint_age() or 0.0)
+        self._checkpoint_write = registry.histogram(
+            "volley_checkpoint_write_seconds",
+            "Checkpoint serialize+fsync latency")
 
     # ------------------------------------------------------------------
     # The shard-backend seam (subclasses implement)
@@ -183,6 +218,10 @@ class WireServer:
 
     def _intern_id(self, name: str, sid: int) -> int:
         """The backend's columnar id for a registered task (``-1`` = none)."""
+        raise NotImplementedError
+
+    def _checkpoint_state(self) -> Any:
+        """The document a checkpoint persists, or an awaitable of it."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -204,26 +243,22 @@ class WireServer:
         return min(self.config.protocol, PROTOCOL_VERSION)
 
     async def _listen(self, unix_socket: pathlib.Path | None = None) -> None:
-        """Bind the client sockets and the telemetry HTTP endpoint."""
+        """Bind the client sockets and the telemetry HTTP endpoint, then
+        start the periodic checkpointer."""
         cfg = self.config
-        if unix_socket is not None:
-            unix_socket.parent.mkdir(parents=True, exist_ok=True)
-            if unix_socket.exists():
-                unix_socket.unlink()
-            self._servers.append(await asyncio.start_unix_server(
-                self._on_connection, path=str(unix_socket)))
-        if cfg.port is not None:
-            server = await asyncio.start_server(
-                self._on_connection, host=cfg.host, port=cfg.port)
-            self._tcp_port = server.sockets[0].getsockname()[1]
-            self._servers.append(server)
+        self._servers, self._tcp_port = await listen(
+            self._on_connection, cfg.host, cfg.port, unix_socket)
         if cfg.http_port is not None:
             self._http = TelemetryHTTPServer(
                 self._http_routes(), host=cfg.host, port=cfg.http_port)
             await self._http.start()
+        if cfg.checkpoint_path is not None:
+            self._checkpoint_task = asyncio.get_running_loop().create_task(
+                self._checkpoint_loop(), name="checkpoint-loop")
 
     async def _stop_serving(self) -> bool:
-        """Stop accepting, cancel connections, stop the HTTP endpoint.
+        """Stop accepting, cancel connections, stop the HTTP endpoint and
+        the periodic checkpointer.
 
         The common prelude of every shutdown flavour. Returns False when
         a shutdown was already under way (after waiting for it to
@@ -233,16 +268,19 @@ class WireServer:
             await self._done.wait()
             return False
         self._shutdown_started = True
-        for server in self._servers:
-            server.close()
-        for server in self._servers:
-            await server.wait_closed()
+        await stop_listening(self._servers)
         for conn in list(self._connections):
             conn.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         if self._http is not None:
             await self._http.stop()
+        if self._checkpoint_task is not None:
+            self._checkpoint_task.cancel()
+            try:
+                await self._checkpoint_task
+            except asyncio.CancelledError:
+                pass
         return True
 
     async def shutdown(self) -> None:
@@ -252,16 +290,10 @@ class WireServer:
     async def serve_forever(self) -> None:
         """Run until :meth:`shutdown` (or SIGTERM/SIGINT) completes."""
         loop = asyncio.get_running_loop()
-
-        def _request_shutdown() -> None:
-            loop.create_task(self.shutdown())
-
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, _request_shutdown)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-unix platforms / nested loops
-        await self._done.wait()
+        stopping: list[asyncio.Task[None]] = []  # keeps the task alive
+        await until_signalled(
+            self._done,
+            lambda: stopping.append(loop.create_task(self.shutdown())))
 
     def _metrics(self) -> dict[str, Any]:
         """The metrics snapshot ``/metrics`` and ``telemetry`` serve."""
@@ -446,21 +478,9 @@ class WireServer:
         register/remove.
         """
         entries = request.get("tasks")
-        if not isinstance(entries, list):
-            return _error("intern needs a 'tasks' list of [index, name]")
-        for entry in entries:
-            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or isinstance(entry[0], bool)
-                    or not isinstance(entry[0], int)
-                    or not isinstance(entry[1], str)):
-                return _error("each intern entry must be [index, name]")
-            if not 0 <= entry[0] < _MAX_INTERN:
-                return _error(f"intern index {entry[0]} out of range "
-                              f"[0, {_MAX_INTERN})")
-        for idx, name in entries:
-            if idx >= len(conn.names):
-                conn.names.extend([None] * (idx + 1 - len(conn.names)))
-            conn.names[idx] = name
+        problem = intern_entries(conn.names, entries, _MAX_INTERN, "index")
+        if problem is not None:
+            return _error(problem)
         self._resolve(conn)
         return {"ok": True, "interned": len(entries),
                 "table_size": len(conn.names)}
@@ -805,14 +825,69 @@ class WireServer:
 
     # -- server state ---------------------------------------------------
 
-    def _checkpoint_health(self) -> tuple[int, float | None]:
-        """``(failed periodic writes, seconds since the last good one)``."""
-        raise NotImplementedError
+    def checkpoint_age(self) -> float | None:
+        """Seconds since the last successful checkpoint (None if never)."""
+        last = self._last_checkpoint_monotonic
+        return None if last is None else time.monotonic() - last
 
     def write_checkpoint(self) -> Any:
-        """Persist the full state to ``config.checkpoint_path``; returns
-        the path written, or an awaitable of it."""
-        raise NotImplementedError
+        """Write a checkpoint now; returns the path written — or, when
+        the backend's state is a round-trip away, an awaitable of it."""
+        path = self.config.checkpoint_path
+        if path is None:
+            raise ConfigurationError("no checkpoint_path configured")
+        began = time.monotonic()
+
+        def persist(state: dict[str, Any]) -> pathlib.Path:
+            written = write_checkpoint(path, state,
+                                       fault_hook=self.fault_hook)
+            finished = time.monotonic()
+            self._last_checkpoint_monotonic = finished
+            self._checkpoint_write.observe(finished - began)
+            self.trace.emit("checkpoint_written", path=str(written),
+                            write_s=finished - began,
+                            tasks=len(self.task_shard))
+            return written
+
+        async def collect_then_persist(pending: Any) -> pathlib.Path:
+            return persist(await pending)
+
+        state = self._checkpoint_state()
+        if hasattr(state, "__await__"):
+            return collect_then_persist(state)
+        return persist(state)
+
+    async def _checkpoint_now(self) -> pathlib.Path:
+        """:meth:`write_checkpoint`, awaited only when it is awaitable."""
+        written = self.write_checkpoint()
+        if hasattr(written, "__await__"):
+            written = await written
+        return written
+
+    async def _checkpoint_loop(self) -> None:
+        while True:
+            await asyncio.sleep(self.config.checkpoint_interval)
+            await self._flush_checkpoint()
+
+    async def _flush_checkpoint(self) -> None:
+        """The periodic and the final write (a no-op with no path set).
+
+        A failure (disk full, permissions, an unreachable worker) must
+        not kill the periodic loop — crash recovery would then silently
+        degrade to the last good checkpoint — nor leave a shutdown
+        half-done: log it, count it, go on. The count and the age of the
+        last good write are visible via ``stats`` and ``/metrics``.
+        """
+        if self.config.checkpoint_path is None:
+            return
+        try:
+            await self._checkpoint_now()
+        except Exception:
+            self._checkpoint_failures += 1
+            self.trace.emit("checkpoint_failed",
+                            failures=self._checkpoint_failures)
+            logger.exception("checkpoint write failed (%d so far)",
+                             self._checkpoint_failures)
 
     async def _op_stats(self, request: dict[str, Any]) -> dict[str, Any]:
         shards: list[dict[str, Any]] = []
@@ -833,18 +908,15 @@ class WireServer:
                  "uptime_s": time.monotonic() - self._started_monotonic,
                  "restored_tasks": self.restored_tasks}
         if self.config.checkpoint_path is not None:
-            failures, age = self._checkpoint_health()
-            reply["checkpoint"] = {"failures": failures, "last_age_s": age}
+            reply["checkpoint"] = {"failures": self._checkpoint_failures,
+                                   "last_age_s": self.checkpoint_age()}
         return reply
 
     async def _op_checkpoint(self, request: dict[str, Any],
                              ) -> dict[str, Any]:
         if self.config.checkpoint_path is None:
             return _error("no checkpoint_path configured")
-        path = self.write_checkpoint()
-        if hasattr(path, "__await__"):
-            path = await path
-        return {"ok": True, "path": str(path)}
+        return {"ok": True, "path": str(await self._checkpoint_now())}
 
     async def _op_telemetry(self, request: dict[str, Any],
                             ) -> dict[str, Any]:
@@ -876,7 +948,81 @@ class WireServer:
 
 
 # ----------------------------------------------------------------------
-# Shared by the two CLIs (``python -m repro.runtime`` / ``repro.cluster``)
+# The serving shell shared by the three executables (``python -m
+# repro.runtime`` / ``repro.cluster`` / ``repro.cluster.worker``)
+
+
+async def listen(handler: Callable[..., Awaitable[None]], host: str,
+                 port: int | None, unix_socket: pathlib.Path | None = None,
+                 ) -> tuple[list[asyncio.AbstractServer], int | None]:
+    """Serve ``handler`` on a unix socket and/or a TCP port.
+
+    Returns the listening servers and the bound TCP port (``port=0``
+    resolved; None without a TCP listener). A stale socket file is
+    replaced.
+    """
+    servers: list[asyncio.AbstractServer] = []
+    tcp_port = None
+    if unix_socket is not None:
+        unix_socket.parent.mkdir(parents=True, exist_ok=True)
+        if unix_socket.exists():
+            unix_socket.unlink()
+        servers.append(await asyncio.start_unix_server(
+            handler, path=str(unix_socket)))
+    if port is not None:
+        server = await asyncio.start_server(handler, host=host, port=port)
+        tcp_port = server.sockets[0].getsockname()[1]
+        servers.append(server)
+    return servers, tcp_port
+
+
+async def stop_listening(servers: list[asyncio.AbstractServer]) -> None:
+    """Stop accepting on every server :func:`listen` returned."""
+    for server in servers:
+        server.close()
+    for server in servers:
+        await server.wait_closed()
+
+
+async def until_signalled(done: asyncio.Event,
+                          on_signal: Callable[[], Any]) -> None:
+    """Wait for ``done``; SIGTERM and SIGINT call ``on_signal`` meanwhile."""
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(sig, on_signal)
+        except (NotImplementedError, RuntimeError):  # pragma: no cover
+            pass  # non-unix platforms / nested loops
+    await done.wait()
+
+
+def write_ready_file(path: pathlib.Path | None,
+                     payload: dict[str, Any]) -> None:
+    """Publish ``payload`` as JSON at ``path`` (None = no ready file).
+
+    Written beside the target and renamed into place, so a supervisor
+    polling for the file never reads a created-but-empty one.
+    """
+    if path is None:
+        return
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(payload), encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def run_cli(prog: str, parser: argparse.ArgumentParser,
+            amain: Callable[[argparse.Namespace], Awaitable[None]],
+            argv: list[str] | None) -> int:
+    """Parse ``argv``, run ``amain(args)`` to completion; a
+    :class:`~repro.exceptions.ReproError` becomes a one-line
+    ``[prog] error: ...`` on stderr and exit code 1."""
+    args = parser.parse_args(argv)
+    try:
+        asyncio.run(amain(args))
+    except ReproError as exc:
+        print(f"[{prog}] error: {exc}", file=sys.stderr, flush=True)
+        return 1
+    return 0
 
 
 def load_config_file(path: pathlib.Path | None, section: str,
@@ -894,7 +1040,7 @@ def load_config_file(path: pathlib.Path | None, section: str,
     loaded = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(loaded, dict):
         raise ConfigurationError("config file must hold a JSON object")
-    server_section = dict(loaded.pop(section, {}))
+    server_section = loaded.pop(section, {})
     adaptation = None
     adaptation_section = loaded.pop("adaptation", None)
     if adaptation_section is not None:

@@ -63,6 +63,7 @@ __all__ = [
     "encode_offer_columns",
     "encode_offer_reply",
     "encode_shard_offer",
+    "intern_entries",
     "read_frame",
     "read_frame_blocking",
 ]
@@ -367,3 +368,31 @@ def _read_exactly(stream: BinaryIO, n: int,
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
+
+
+def intern_entries(table: list[str | None], entries: Any, limit: int,
+                   noun: str) -> str | None:
+    """Install ``[index, name]`` pairs in an intern ``table``, in place.
+
+    The one statement of what an ``intern`` / ``w_intern`` frame may
+    carry: a list of pairs, each an integer index in ``[0, limit)`` (the
+    caller's ``noun`` for it names it in errors) and a string name.
+    Indexes are caller-assigned and may repoint a slot; the table grows
+    to fit. A frame is applied whole or not at all: returns None when
+    applied, else what was wrong with it.
+    """
+    if not isinstance(entries, list):
+        return f"intern needs a 'tasks' list of [{noun}, name]"
+    for entry in entries:
+        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                or isinstance(entry[0], bool)
+                or not isinstance(entry[0], int)
+                or not isinstance(entry[1], str)):
+            return f"each intern entry must be [{noun}, name]"
+        if not 0 <= entry[0] < limit:
+            return f"intern {noun} {entry[0]} out of range [0, {limit})"
+    for idx, name in entries:
+        if idx >= len(table):
+            table.extend([None] * (idx + 1 - len(table)))
+        table[idx] = name
+    return None

@@ -30,10 +30,7 @@ shards — or, under the cluster runtime, any two workers.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import dataclasses
-import json
-import logging
 import os
 import pathlib
 import sys
@@ -47,11 +44,11 @@ from repro.cluster.routing import route
 from repro.config import RuntimeConfig
 from repro.core.adaptation import AdaptationConfig
 from repro.core.substrates import TASK_TYPES
-from repro.exceptions import (CheckpointError, ConfigurationError,
-                              ReproError)
-from repro.runtime.checkpoint import read_checkpoint, write_checkpoint
+from repro.exceptions import CheckpointError, ConfigurationError
+from repro.runtime.checkpoint import read_checkpoint
 from repro.runtime.frontend import (ConnState, WireServer, cli_overrides,
-                                    load_config_file)
+                                    load_config_file, run_cli,
+                                    write_ready_file)
 from repro.runtime.shard import ColumnBatch, InternedNames, ShardWorker
 from repro.telemetry.registry import MetricsRegistry, instrument_samplers
 from repro.telemetry.selfmon import SelfMonitor
@@ -60,8 +57,6 @@ from repro.testkit.faults import FaultHook, NOOP_HOOK
 from repro.triggers.plan import TriggerPlan
 
 __all__ = ["RuntimeServer", "main"]
-
-logger = logging.getLogger(__name__)
 
 
 class RuntimeServer(WireServer):
@@ -109,16 +104,12 @@ class RuntimeServer(WireServer):
             config, config.shards,
             MetricsRegistry() if registry is None else registry,
             DecisionTrace(config.trace_capacity) if trace is None else trace,
-            fault_hook=fault_hook)
+            fault_hook=fault_hook, service_config=service_config)
         self._host = hosting.WorkerHost(
             "runtime", queue_depth=config.queue_depth, adaptation=adaptation,
             registry=self.registry, trace=self.trace, fault_hook=fault_hook)
         self._workers: list[ShardWorker] = []
         self._place_shards({})
-        self._checkpoint_task: asyncio.Task[None] | None = None
-        self._last_checkpoint_monotonic: float | None = None
-        self._checkpoint_failures = 0
-        self._pending_config = service_config or {}
         self._register_metrics()
 
     # ------------------------------------------------------------------
@@ -211,27 +202,9 @@ class RuntimeServer(WireServer):
         registry.gauge("volley_uptime_seconds",
                        "Seconds since the server started",
                        fn=lambda: time.monotonic() - self._started_monotonic)
-        registry.counter("volley_checkpoint_failures_total",
-                         "Periodic checkpoint writes that failed",
-                         fn=lambda: float(self._checkpoint_failures))
-        registry.gauge("volley_checkpoint_age_seconds",
-                       "Seconds since the last successful checkpoint "
-                       "(0 before the first)",
-                       fn=lambda: self.checkpoint_age() or 0.0)
         registry.counter("volley_trace_events_dropped_total",
                          "Decision-trace events evicted unread",
                          fn=lambda: float(self.trace.dropped))
-        self._checkpoint_write = registry.histogram(
-            "volley_checkpoint_write_seconds",
-            "Checkpoint serialize+fsync latency")
-
-    def checkpoint_age(self) -> float | None:
-        """Seconds since the last successful checkpoint (None if never)."""
-        last = self._last_checkpoint_monotonic
-        return None if last is None else time.monotonic() - last
-
-    def _checkpoint_health(self) -> tuple[int, float | None]:
-        return self._checkpoint_failures, self.checkpoint_age()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -241,7 +214,7 @@ class RuntimeServer(WireServer):
         self._started_monotonic = time.monotonic()
         instrument_samplers(self.registry)
         self._maybe_restore()
-        await self.apply_config(self._pending_config)
+        await self.apply_config(self._service_config)
         self._host.start()
         cfg = self.config
         await self._listen(cfg.unix_socket)
@@ -249,9 +222,6 @@ class RuntimeServer(WireServer):
             self.selfmon = SelfMonitor(self, registry=self.registry,
                                        trace=self.trace)
             self.selfmon.start(cfg.selfmon_interval)
-        if cfg.checkpoint_path is not None:
-            self._checkpoint_task = asyncio.get_running_loop().create_task(
-                self._checkpoint_loop(), name="checkpoint-loop")
 
     def _maybe_restore(self) -> None:
         path = self.config.checkpoint_path
@@ -283,15 +253,9 @@ class RuntimeServer(WireServer):
             return
         if self.selfmon is not None:
             await self.selfmon.stop()
-        if self._checkpoint_task is not None:
-            self._checkpoint_task.cancel()
-            try:
-                await self._checkpoint_task
-            except asyncio.CancelledError:
-                pass
         await self._host.close(drain=drain)
-        if drain and self.config.checkpoint_path is not None:
-            self.write_checkpoint()
+        if drain:
+            await self._flush_checkpoint()
         if (self.config.unix_socket is not None
                 and self.config.unix_socket.exists()):
             self.config.unix_socket.unlink()
@@ -335,40 +299,7 @@ class RuntimeServer(WireServer):
                                  for t in sorted(self.trigger_plans)]
         return state
 
-    def write_checkpoint(self) -> pathlib.Path:
-        """Write a checkpoint now; returns the path written."""
-        path = self.config.checkpoint_path
-        if path is None:
-            raise ConfigurationError("no checkpoint_path configured")
-        began = time.monotonic()
-        written = write_checkpoint(path, self.runtime_state(),
-                                   fault_hook=self.fault_hook)
-        finished = time.monotonic()
-        self._last_checkpoint_monotonic = finished
-        self._checkpoint_write.observe(finished - began)
-        self.trace.emit("checkpoint_written", path=str(written),
-                        write_s=finished - began,
-                        tasks=len(self.task_shard))
-        return written
-
-    async def _checkpoint_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.checkpoint_interval)
-            try:
-                self.write_checkpoint()
-            except Exception:
-                # A transient write failure (disk full, permissions) must
-                # not kill the periodic loop — crash recovery would then
-                # silently degrade to the last successful checkpoint. Log,
-                # count it, and retry next interval. Failure age is
-                # visible via the `stats` op.
-                self._checkpoint_failures += 1
-                self.trace.emit("checkpoint_failed",
-                                failures=self._checkpoint_failures)
-                logger.exception("periodic checkpoint failed (%d so far); "
-                                 "will retry in %gs",
-                                 self._checkpoint_failures,
-                                 self.config.checkpoint_interval)
+    _checkpoint_state = runtime_state
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -434,26 +365,19 @@ async def _run(args: argparse.Namespace) -> None:
     print(f"[runtime] listening on {', '.join(endpoints)} "
           f"({server.config.shards} shards, "
           f"{server.restored_tasks} tasks restored)", flush=True)
-    if args.ready_file is not None:
-        ready = {"port": server.tcp_port,
-                 "unix": (str(server.config.unix_socket)
-                          if server.config.unix_socket else None),
-                 "http_port": server.http_port,
-                 "pid": os.getpid()}
-        args.ready_file.write_text(json.dumps(ready), encoding="utf-8")
+    write_ready_file(args.ready_file, {
+        "port": server.tcp_port,
+        "unix": (str(server.config.unix_socket)
+                 if server.config.unix_socket else None),
+        "http_port": server.http_port,
+        "pid": os.getpid()})
     await server.serve_forever()
     print("[runtime] shut down cleanly", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point (``python -m repro.runtime``)."""
-    args = _build_parser().parse_args(argv)
-    try:
-        asyncio.run(_run(args))
-    except ReproError as exc:
-        print(f"[runtime] error: {exc}", file=sys.stderr, flush=True)
-        return 1
-    return 0
+    return run_cli("runtime", _build_parser(), _run, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

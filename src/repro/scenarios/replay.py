@@ -26,9 +26,8 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.config import RuntimeConfig
+from repro.config import RuntimeConfig, register_task_from_config
 from repro.core.adaptation import AdaptationConfig
-from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.server import RuntimeServer
@@ -73,6 +72,29 @@ def _adaptation(timeline_overrides: dict[str, Any]) -> AdaptationConfig:
     except TypeError as exc:
         raise ConfigurationError(
             f"bad adaptation overrides {timeline_overrides}: {exc}") from exc
+
+
+def _task_entries(compiled: CompiledScenario) -> list[dict[str, Any]]:
+    """The fleet as declarative task config entries.
+
+    One statement for both replays: the live one sends each entry in a
+    ``register_task`` op, the offline twin hands it to
+    :func:`~repro.config.register_task_from_config`, which is what the
+    server's shard host registers through. Typed timelines use the same
+    config keys the wire schema exposes; registration derives the
+    sampler-facing spec (e.g. the 1 - q exceedance threshold).
+    """
+    timeline = compiled.timeline
+    typed_keys: dict[str, Any] = {}
+    if timeline.task_type != "value":
+        typed_keys["type"] = timeline.task_type
+        typed_keys.update(timeline.task_params)
+    return [{"name": name, "threshold": float(compiled.thresholds[t]),
+             "error_allowance": timeline.err,
+             "default_interval": timeline.default_interval,
+             "max_interval": timeline.max_interval,
+             "direction": timeline.direction, **typed_keys}
+            for t, name in enumerate(compiled.task_names)]
 
 
 def replay_scenario(compiled: CompiledScenario, shards: int = 4,
@@ -169,28 +191,14 @@ async def _replay(compiled: CompiledScenario, shards: int,
             kind = str(event.get("kind", "?"))
             trace_events[kind] = trace_events.get(kind, 0) + 1
 
-    # Typed timelines register through the same declarative config keys
-    # the wire schema exposes; the server derives the sampler-facing
-    # spec (e.g. the 1 - q exceedance threshold) at registration.
-    typed_keys: dict[str, Any] = {}
-    if timeline.task_type != "value":
-        typed_keys["type"] = timeline.task_type
-        typed_keys.update(timeline.task_params)
-
     plans = compiled.trigger_plans()
     boundaries = ({span.end for span in compiled.spans} if plans
                   else set())
     phase_samples: list[list[int]] = []
 
     try:
-        for t, name in enumerate(compiled.task_names):
-            await client.register_task(
-                name, float(compiled.thresholds[t]),
-                error_allowance=timeline.err,
-                default_interval=timeline.default_interval,
-                max_interval=timeline.max_interval,
-                direction=timeline.direction,
-                **typed_keys)
+        for entry in _task_entries(compiled):
+            await client.register_task(**entry)
         for trigger_plan in plans:
             reply = await client.request({"op": "trigger_install",
                                           "plan": trigger_plan.to_dict()})
@@ -343,26 +351,8 @@ def simulate_replay(compiled: CompiledScenario,
                            if has_triggers else None))
 
     service = MonitoringService(_adaptation(timeline.adaptation))
-    direction = timeline.direction_enum
-    params = timeline.task_params
-    for t, name in enumerate(compiled.task_names):
-        common = dict(error_allowance=timeline.err,
-                      default_interval=timeline.default_interval,
-                      max_interval=timeline.max_interval,
-                      direction=direction)
-        if timeline.task_type == "quantile":
-            service.add_quantile_task(
-                name, threshold=float(compiled.thresholds[t]),
-                quantile=float(params["quantile"]),
-                **_substrate_kwargs(params, "quantile"), **common)
-        elif timeline.task_type == "entropy":
-            service.add_entropy_task(
-                name, threshold=float(compiled.thresholds[t]),
-                **_substrate_kwargs(params, "entropy"), **common)
-        else:
-            service.add_task(name, TaskSpec(
-                threshold=float(compiled.thresholds[t]),
-                name=name, **common))
+    for entry in _task_entries(compiled):
+        register_task_from_config(service, entry)
     values = compiled.values
     names = compiled.task_names
 
@@ -413,13 +403,6 @@ def simulate_replay(compiled: CompiledScenario,
                                sum(len(a) for a in alert_steps)),
         phase_samples=phase_samples if plans else None,
         triggers=trigger_stats)
-
-
-def _substrate_kwargs(params: dict[str, Any], kind: str) -> dict[str, Any]:
-    """Optional substrate kwargs present in a timeline's task_params."""
-    wanted = (("sketch_window", "relative_error") if kind == "quantile"
-              else ("entropy_window", "bin_width"))
-    return {key: params[key] for key in wanted if key in params}
 
 
 def _sim_counters(n_steps: int, n_tasks: int, consumed: int,

@@ -70,7 +70,7 @@ class TestInProcReplacement:
                 await coord.drain()
                 before = await client.task_info(TASK)
                 # Pin the recovery snapshot at exactly this point.
-                await coord.write_checkpoint()
+                await coord._collect_state()
                 victim = await _victim_of(client, TASK_SHARD)
                 await coord.kill_worker(victim)
                 victim_shards = sum(
@@ -218,7 +218,7 @@ class TestSubprocessChaos:
                 await client.offer_batch(
                     [[TASK, s, 20.0 + (s % 9)] for s in range(50)])
                 await coord.drain()
-                await coord.write_checkpoint()
+                await coord._collect_state()
                 base = (await client.stats())["totals"]["applied"]
                 victim = await _victim_of(client, TASK_SHARD)
                 await coord.kill_worker(victim)

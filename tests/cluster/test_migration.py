@@ -103,7 +103,8 @@ class TestMidStreamMigration:
                 await cluster.coordinator.drain()
                 observed = await _observe(client)
                 snap = await cluster.coordinator._request(target, {
-                    "op": "w_snapshot_shard", "shard": TASK_SHARD})
+                    "op": "w_snapshot_shard", "shard": TASK_SHARD,
+                    "fingerprint": True})
                 return observed, snap["fingerprint"]
             finally:
                 await client.close()
@@ -186,7 +187,8 @@ class TestMigrationUnderConcurrentLoad:
                 await cluster.coordinator.drain()
                 observed = await _observe(client)
                 snap = await cluster.coordinator._request(home, {
-                    "op": "w_snapshot_shard", "shard": TASK_SHARD})
+                    "op": "w_snapshot_shard", "shard": TASK_SHARD,
+                    "fingerprint": True})
                 return observed, snap["fingerprint"]
             finally:
                 await client.close()
@@ -198,3 +200,137 @@ class TestMigrationUnderConcurrentLoad:
         expected, expected_fingerprint = _reference(values, "gaussian")
         assert observed == expected
         assert fingerprint == expected_fingerprint
+
+
+def _other(worker: str) -> str:
+    return "w1" if worker == "w0" else "w0"
+
+
+class TestTheGateIsTheMigrations:
+    """``state_fingerprint`` hashes a whole shard; only ``migrate``
+    compares the result, so only ``migrate`` may ask for it."""
+
+    def test_only_migrate_fingerprints_state(self, tmp_path, monkeypatch):
+        from repro.cluster import hosting
+
+        calls = []
+        real = hosting.state_fingerprint
+
+        def counted(state):
+            calls.append(1)
+            return real(state)
+
+        monkeypatch.setattr(hosting, "state_fingerprint", counted)
+        path = tmp_path / "cluster.ckpt"
+
+        async def first(cluster):
+            coord = cluster.coordinator
+            client = AsyncRuntimeClient(port=cluster.tcp_port)
+            try:
+                await client.register_task(**TASK_SPEC)
+                await client.offer_batch(
+                    [[TASK, s, 20.0 + (s % 9)] for s in range(40)])
+                await coord.drain()
+                await client.checkpoint()
+                await cluster.write_checkpoint()
+                await coord._heartbeat_once()
+                assert calls == [], "checkpoint / heartbeat hashed state"
+                source = coord.routes[TASK_SHARD].worker_id
+                await client.migrate(TASK_SHARD, _other(source))
+                assert len(calls) == 2
+                await client.migrate(TASK_SHARD, source)
+                assert len(calls) == 4
+                # Failover: the victim's shards are restored elsewhere
+                # from the recovery copy, with nothing to compare to.
+                await coord.kill_worker(source)
+                for _ in range(coord.config.heartbeat_misses):
+                    await coord._heartbeat_once()
+                assert coord.replacements > 0
+                return await client.task_info(TASK)
+            finally:
+                await client.close()
+
+        async def restarted(cluster):
+            client = AsyncRuntimeClient(port=cluster.tcp_port)
+            try:
+                return cluster.restored_tasks, await client.task_info(TASK)
+            finally:
+                await client.close()
+
+        config = dict(workers=2, shards=SHARDS, checkpoint_path=path,
+                      checkpoint_interval=3600.0, heartbeat_interval=3600.0)
+        before = run_cluster(first, **config)   # + the final flush
+        restored, after = run_cluster(restarted, **config)
+        assert len(calls) == 4
+        assert restored == 1 and after == before
+
+    def test_fingerprint_mismatch_aborts_with_the_source_serving(self):
+        async def scenario(cluster):
+            coord = cluster.coordinator
+            client = AsyncRuntimeClient(port=cluster.tcp_port)
+            try:
+                await client.register_task(**TASK_SPEC)
+                await client.offer_batch(
+                    [[TASK, s, 30.0] for s in range(20)])
+                await coord.drain()
+                routed = coord.routes[TASK_SHARD]
+                source = routed.worker_id
+                target = _other(source)
+                placement = coord.placement()
+
+                # The target restores a state that hashes differently
+                # (here: its reply is tampered), and while it does, more
+                # offers arrive and are ACKed into the migration buffer.
+                transport = coord.transports[target]
+                forward = transport.request
+                gate = asyncio.Event()
+
+                async def tampered(payload):
+                    reply = await forward(payload)
+                    if payload.get("op") == "w_restore_shard":
+                        await gate.wait()
+                        reply = {**reply, "fingerprint": "0" * 64}
+                    return reply
+
+                transport.request = tampered
+                migration = asyncio.create_task(
+                    coord.migrate(TASK_SHARD, target))
+                while not routed.buffering:
+                    await asyncio.sleep(0)
+                meanwhile = await client.offer_batch(
+                    [[TASK, s, 30.0] for s in range(20, 30)])
+                assert routed.buffered_updates == 10
+                gate.set()
+                try:
+                    await migration
+                    raised = None
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    raised = exc
+                transport.request = forward
+                await coord.drain()
+                after = await client.offer_batch([[TASK, 30, 30.0]])
+                await coord.drain()
+                stats = await client.stats()
+                events = [e["kind"] for e in coord.trace.drain(since=0)]
+                hosted = await coord._request(target, {"op": "w_ping"})
+                return (raised, meanwhile, after, stats, events, hosted,
+                        placement, coord.placement(), source)
+            finally:
+                await client.close()
+
+        (raised, meanwhile, after, stats, events, hosted, before, now,
+         source) = run_cluster(scenario, workers=2, shards=SHARDS)
+        from repro.exceptions import ClusterError
+        assert isinstance(raised, ClusterError)
+        assert "fingerprint mismatch" in str(raised)
+        assert "migration_aborted" in events
+        assert "shard_migrated" not in events
+        # The target's copy is dropped and the table did not move.
+        assert TASK_SHARD not in hosted["shards"]
+        assert now == before and now["migrations"] == 0
+        assert TASK_SHARD in now["workers"][source]["shards"]
+        # Nothing ACKed was lost: the buffer replayed to the source, which
+        # goes on accepting and applying.
+        assert meanwhile["accepted"] == 10 and after["accepted"] == 1
+        assert stats["totals"]["applied"] == 31
+        assert stats["totals"]["shed"] == 0

@@ -189,7 +189,7 @@ class TestTriggerChaos:
                 await coord.drain()
                 before = await client.trigger_state(TARGET)
                 # Pin the recovery snapshot with the guard disarmed.
-                await coord.write_checkpoint()
+                await coord._collect_state()
 
                 target_shard = route(TARGET, SHARDS)
                 placement = await client.placement()

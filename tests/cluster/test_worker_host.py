@@ -153,12 +153,17 @@ class TestSnapshotRestore:
             await _offer(source,
                          (4, [["t", s, 30.0 + s] for s in range(20)]))
             snap = await source.handle({"op": "w_snapshot_shard",
-                                        "shard": 4, "drain": True})
+                                        "shard": 4, "drain": True,
+                                        "fingerprint": True})
             target = WorkerHost("w1")
             target.start()
             restored = await target.handle({
-                "op": "w_restore_shard", "shard": 4,
+                "op": "w_restore_shard", "shard": 4, "fingerprint": True,
                 "snapshot": snap["snapshot"], "counters": snap["counters"]})
+            # Nobody who does not ask pays for the hash or gets the key.
+            unasked = await target.handle({"op": "w_snapshot_shard",
+                                           "shard": 4})
+            assert "fingerprint" not in unasked
             # Counters carried over with the shard.
             stats = await target.handle({"op": "w_stats"})
             await source.close()
@@ -188,9 +193,9 @@ class TestSnapshotRestore:
                             "counters": snap["counters"]})
             await _offer(c, (0, updates[30:]))
             final_a = await a.handle({"op": "w_snapshot_shard", "shard": 0,
-                                      "drain": True})
+                                      "drain": True, "fingerprint": True})
             final_c = await c.handle({"op": "w_snapshot_shard", "shard": 0,
-                                      "drain": True})
+                                      "drain": True, "fingerprint": True})
             for host in (a, b, c):
                 await host.close()
             return final_a, final_c

@@ -106,3 +106,133 @@ def test_config_file_fails_closed(tmp_path):
     path.write_text(json.dumps({"adaptation": {"no_such_knob": 1}}))
     with pytest.raises(ConfigurationError, match="bad adaptation section"):
         load_config_file(path, "runtime")
+
+
+# -- one section parser: keys and types come from the dataclass fields ---
+
+MALFORMED = [
+    (RuntimeConfig, "runtime", {"port": None}),
+    (RuntimeConfig, "runtime", {"shards": "four"}),
+    (ClusterConfig, "cluster", {"heartbeat_interval": None}),
+    (ClusterConfig, "cluster", {"workers": "two"}),
+    (ClusterConfig, "cluster", {"worker_endpoints": 5}),
+]
+
+
+@pytest.mark.parametrize("config_cls, section, entry", MALFORMED)
+def test_malformed_section_values_fail_closed(config_cls, section, entry):
+    key, = entry
+    with pytest.raises(ConfigurationError,
+                       match=f"{section} section.*{key}"):
+        config_cls.from_dict(entry)
+
+
+def test_null_is_accepted_exactly_where_the_type_allows_it():
+    assert RuntimeConfig.from_dict(
+        {"http_port": None, "selfmon_interval": None, "unix_socket": None,
+         "checkpoint_path": None}) == RuntimeConfig()
+    assert ClusterConfig.from_dict(
+        {"shards": None, "http_port": None, "checkpoint_path": None,
+         "runtime_dir": None}) == ClusterConfig()
+
+
+# A well-typed JSON value per annotation (one every range check admits),
+# and one of the wrong type.
+_SAMPLES = {
+    "int": (2, "two"), "int | None": (2, "two"),
+    "float": (1.5, "soon"), "float | None": (1.5, "soon"),
+    "str": ("127.0.0.2", 5),
+    "pathlib.Path | None": ("/tmp/x", 5),
+    "tuple[str, ...]": (["h1:1", "h2:2"], 5),
+}
+
+
+@pytest.mark.parametrize("config_cls", [RuntimeConfig, ClusterConfig])
+def test_every_field_loads_and_fails_closed_by_its_type(config_cls):
+    for field in dataclasses.fields(config_cls):
+        good, bad = _SAMPLES[field.type]
+        if field.name in ("backend", "worker_endpoints"):
+            # The one cross-field rule: endpoints belong to (only) tcp.
+            loaded = config_cls.from_dict({
+                "backend": "tcp", "worker_endpoints": ["h1:1", "h2:2"]})
+            assert loaded.worker_endpoints == ("h1:1", "h2:2")
+        else:
+            loaded = config_cls.from_dict({field.name: good})
+            assert getattr(loaded, field.name) == type(
+                getattr(loaded, field.name))(good)
+        # A float field takes any JSON number; nothing takes a bool.
+        for wrong in (bad, True):
+            with pytest.raises(ConfigurationError, match=field.name):
+                config_cls.from_dict({field.name: wrong})
+    with pytest.raises(ConfigurationError, match="unknown key"):
+        config_cls.from_dict({"no_such_knob": 1})
+    assert config_cls.from_dict({"checkpoint_interval": 30}) \
+        .checkpoint_interval == 30.0
+
+
+@pytest.mark.parametrize("config_cls", [RuntimeConfig, ClusterConfig])
+def test_a_new_field_is_loadable_with_no_other_edit(config_cls):
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class Extended(config_cls):
+        linger_ms: int | None = 7
+
+    assert Extended.from_dict({"linger_ms": 9, "max_batch": 5}) == \
+        Extended(linger_ms=9, max_batch=5)
+    assert Extended.from_dict({"linger_ms": None}).linger_ms is None
+    with pytest.raises(ConfigurationError, match="linger_ms"):
+        Extended.from_dict({"linger_ms": "long"})
+    with pytest.raises(ConfigurationError, match="unknown key"):
+        config_cls.from_dict({"linger_ms": 9})
+
+
+# -- the CLI runner: a config error is one line and exit code 1 ----------
+
+CLIS = [(runtime_cli, "runtime"), (cluster_cli, "cluster")]
+
+
+@pytest.mark.parametrize("cli, section", CLIS)
+def test_bad_config_file_exits_1_with_a_one_line_error(cli, section,
+                                                       tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({section: {"port": "eighty"}}))
+    assert cli.main(["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"[{section}] error: {section} section")
+    assert "'port'" in err and err.count("\n") == 1
+    path.write_text(json.dumps({section: ["port", 80]}))
+    assert cli.main(["--config", str(path)]) == 1
+    assert "must be a dict" in capsys.readouterr().err
+
+
+def _signal_at_once(monkeypatch):
+    """Make every executable behave as if SIGTERM arrived the moment it
+    started waiting for one."""
+    async def signalled(done, on_signal):
+        on_signal()
+        await done.wait()
+
+    from repro.cluster import worker
+    from repro.runtime import frontend
+    monkeypatch.setattr(frontend, "until_signalled", signalled)
+    monkeypatch.setattr(worker, "until_signalled", signalled)
+
+
+@pytest.mark.parametrize("main, flags, keys", [
+    (runtime_cli.main, ["--port", "0", "--shards", "2"],
+     {"port", "unix", "http_port", "pid"}),
+    (cluster_cli.main, ["--port", "0", "--backend", "inproc",
+                        "--heartbeat-interval", "3600"],
+     {"port", "http_port", "pid", "workers"}),
+    (None, ["--worker-id", "w0", "--port", "0"],
+     {"pid", "worker_id", "unix", "port"}),
+], ids=["runtime", "cluster", "worker"])
+def test_ready_file_is_whole_when_it_appears(main, flags, keys, tmp_path,
+                                             monkeypatch):
+    if main is None:
+        from repro.cluster.worker import main
+    _signal_at_once(monkeypatch)
+    ready = tmp_path / "ready.json"
+    assert main([*flags, "--ready-file", str(ready)]) == 0
+    payload = json.loads(ready.read_text())
+    assert set(payload) == keys and payload["port"] > 0
+    assert [p.name for p in tmp_path.iterdir()] == ["ready.json"]

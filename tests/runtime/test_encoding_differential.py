@@ -199,7 +199,8 @@ async def _drive(server: Any, encoding: str) -> dict[str, Any]:
         fingerprints = []
         for sid in range(SHARDS):
             snap = await server._shard_call(
-                sid, {"op": "w_snapshot_shard", "shard": sid})
+                sid, {"op": "w_snapshot_shard", "shard": sid,
+                      "fingerprint": True})
             fingerprints.append(snap["fingerprint"])
         alerts = {name: await client.alerts(name)
                   for name in TASKS + ["late"] if name != "gone"}

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.routing import route
-from repro.config import RuntimeConfig
+from repro.cluster.server import ClusterServer
+from repro.config import ClusterConfig, RuntimeConfig
 from repro.exceptions import ProtocolError
 from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.server import RuntimeServer
@@ -366,30 +367,52 @@ class TestCheckpointOps:
             state["shards"][route("t", 4)])
         assert restored.samples_taken("t") == 2
 
-    def test_checkpoint_loop_survives_write_failure(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["runtime", "cluster"])
+    def test_checkpoint_loop_survives_write_failure(self, tmp_path, kind):
+        """The periodic checkpointer is the front end's, so it degrades
+        the same way — counted, traced, retried — on both servers."""
         path = tmp_path / "ckpt.json"
+        common = dict(port=0, shards=4, checkpoint_path=path,
+                      checkpoint_interval=0.01)
 
-        async def scenario(server, client):
-            await client.register_task("t", 1e9)
-            real = server.write_checkpoint
-            calls = {"n": 0}
+        async def runner():
+            if kind == "runtime":
+                server = RuntimeServer(RuntimeConfig(**common))
+            else:
+                server = ClusterServer(ClusterConfig(
+                    backend="inproc", workers=2, **common))
+            await server.start()
+            client = AsyncRuntimeClient(port=server.tcp_port)
+            try:
+                await client.register_task("t", 1e9)
+                real = server.write_checkpoint
+                calls = {"n": 0}
 
-            def flaky():
-                calls["n"] += 1
-                if calls["n"] == 1:
-                    raise OSError("disk full")
-                return real()
+                def flaky():
+                    calls["n"] += 1
+                    if calls["n"] == 1:
+                        raise OSError("disk full")
+                    return real()
 
-            server.write_checkpoint = flaky
-            # Wait until the loop has both failed once and recovered.
-            while calls["n"] < 2:
-                await asyncio.sleep(0.005)
-            server.write_checkpoint = real
-            return await client.stats()
+                server.write_checkpoint = flaky
+                # Wait until the loop has both failed once and recovered.
+                while calls["n"] < 2 or not path.exists():
+                    await asyncio.sleep(0.005)
+                server.write_checkpoint = real
+                return (await client.stats(), await client.telemetry(),
+                        await client.trace())
+            finally:
+                await client.close()
+                await server.shutdown()
 
-        stats = run_with_server(scenario, checkpoint_path=path,
-                                checkpoint_interval=0.01)
+        stats, telemetry, trace = asyncio.run(runner())
         assert stats["checkpoint"]["failures"] == 1
+        assert stats["checkpoint"]["last_age_s"] is not None
+        failures = telemetry["metrics"]["volley_checkpoint_failures_total"]
+        assert [s["value"] for s in failures["series"]] == [1.0]
+        kinds = [event["kind"] for event in trace["events"]]
+        assert kinds.count("checkpoint_failed") == 1
+        assert "checkpoint_written" in kinds
         assert path.exists()
 
     def test_shard_count_mismatch_fails_closed(self, tmp_path):
@@ -440,6 +463,50 @@ class TestConfigFileTasks:
         reply, alerts = asyncio.run(runner())
         assert reply["accepted"] == 2
         assert alerts == [[0, 10.0, 5.0]]
+
+    @pytest.mark.parametrize("kind", ["runtime", "cluster"])
+    def test_configured_tasks_exist_before_the_socket_accepts(
+            self, tmp_path, kind):
+        """Both ``start()``s apply the service config before ``_listen``:
+        whoever connects first — on a fresh start or a restart from a
+        checkpoint — already finds every configured task."""
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        common = dict(port=port, shards=4,
+                      checkpoint_path=tmp_path / "ckpt.json",
+                      checkpoint_interval=3600.0)
+        service_config = {"tasks": [{"name": f"cfg-{i}", "threshold": 5.0}
+                                    for i in range(6)]}
+
+        async def incarnation():
+            if kind == "runtime":
+                server = RuntimeServer(RuntimeConfig(**common),
+                                       service_config=service_config)
+            else:
+                server = ClusterServer(
+                    ClusterConfig(backend="inproc", workers=2, **common),
+                    service_config=service_config)
+            starting = asyncio.create_task(server.start())
+            try:
+                while True:  # connect in a tight loop from the start
+                    client = AsyncRuntimeClient(port=port)
+                    try:
+                        first = await client.ping()
+                        break
+                    except OSError:
+                        await asyncio.sleep(0)
+                    finally:
+                        await client.close()
+                return first["tasks"], server.restored_tasks
+            finally:
+                await starting
+                await server.shutdown()
+
+        assert asyncio.run(incarnation()) == (6, 0)
+        assert asyncio.run(incarnation()) == (6, 6)  # from the checkpoint
 
 
 class TestTelemetryOps:

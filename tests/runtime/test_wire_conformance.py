@@ -315,15 +315,15 @@ async def _run_script(server: Any, frames: list[Any]) -> list[Any]:
         await server.shutdown()
 
 
-def _runtime() -> RuntimeServer:
+def _runtime(**extra: Any) -> RuntimeServer:
     return RuntimeServer(RuntimeConfig(port=0, shards=SHARDS,
-                                       max_batch=MAX_BATCH))
+                                       max_batch=MAX_BATCH, **extra))
 
 
-def _cluster() -> ClusterServer:
+def _cluster(**extra: Any) -> ClusterServer:
     return ClusterServer(ClusterConfig(
         backend="inproc", workers=2, shards=SHARDS, port=0,
-        max_batch=MAX_BATCH))
+        max_batch=MAX_BATCH, **extra))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -384,3 +384,56 @@ def test_table_provokes_every_error_code():
     assert asyncio.run(collect()) == {
         "protocol", "unknown-op", "unknown-task", "cross-shard-trigger",
         "batch-too-large", "bad-update", "bad-request"}
+
+
+# -- the checkpointer (one, in the front end) ---------------------------
+# These replies carry wall-clock ages and a whole metrics snapshot, so
+# each row states what must hold of them instead of comparing the two
+# servers' dicts; every row is sent to both.
+
+_CHECKPOINT_FAMILIES = {"volley_checkpoint_failures_total": "counter",
+                        "volley_checkpoint_age_seconds": "gauge",
+                        "volley_checkpoint_write_seconds": "histogram"}
+
+
+def _stats_block(replies: list[Any]) -> None:
+    assert replies[0]["checkpoint"] == {"failures": 0, "last_age_s": None}
+
+
+def _telemetry_families(replies: list[Any]) -> None:
+    metrics = replies[0]["metrics"]
+    assert {name: metrics[name]["kind"]
+            for name in _CHECKPOINT_FAMILIES} == _CHECKPOINT_FAMILIES
+    assert all(len(metrics[name]["series"]) == 1
+               for name in _CHECKPOINT_FAMILIES)
+
+
+def _age_resets(replies: list[Any]) -> None:
+    before, written, after, telemetry = replies
+    assert before["checkpoint"]["last_age_s"] is None
+    assert written["ok"] and written["path"].endswith("conformance.ckpt")
+    assert after["checkpoint"]["failures"] == 0
+    assert 0.0 <= after["checkpoint"]["last_age_s"] < 5.0
+    write, = telemetry["metrics"][
+        "volley_checkpoint_write_seconds"]["series"]
+    assert write["value"]["count"] == 1
+
+
+SHELL_CASES: dict[str, tuple[list[Any], Any]] = {
+    "stats-checkpoint-block": ([{"op": "stats"}], _stats_block),
+    "telemetry-checkpoint-families": ([{"op": "telemetry"}],
+                                      _telemetry_families),
+    "checkpoint-resets-age": ([{"op": "stats"}, {"op": "checkpoint"},
+                               {"op": "stats"}, {"op": "telemetry"}],
+                              _age_resets),
+}
+
+
+@pytest.mark.parametrize("make_server", [_runtime, _cluster],
+                         ids=["runtime", "cluster"])
+@pytest.mark.parametrize("case", sorted(SHELL_CASES))
+def test_checkpointer_answers_alike(case, make_server, tmp_path):
+    frames, check = SHELL_CASES[case]
+    server = make_server(checkpoint_path=tmp_path / "conformance.ckpt",
+                         checkpoint_interval=3600.0)
+    check(asyncio.run(_run_script(server, frames)))

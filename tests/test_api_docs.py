@@ -22,6 +22,7 @@ import repro.cluster
 import repro.config
 import repro.experiments
 import repro.runtime
+import repro.runtime.frontend
 import repro.scenarios
 import repro.simulation
 import repro.telemetry
@@ -37,7 +38,8 @@ API_MD = pathlib.Path(__file__).resolve().parents[1] / "docs" / "API.md"
 NAMESPACES = [repro, repro.core, repro.experiments, repro.workloads,
               repro.datacenter, repro.simulation, repro.baselines,
               repro.analysis, repro.exceptions, repro.config,
-              repro.runtime, repro.scenarios, repro.telemetry,
+              repro.runtime, repro.runtime.frontend, repro.scenarios,
+              repro.telemetry,
               repro.cluster, repro.triggers,
               repro.testkit, repro.testkit.scenarios,
               figures, monetary, delay, multitask, reliability]
@@ -109,7 +111,10 @@ IGNORED = {
     "task_shard", "_shard_call", "_submit_columns",
     "shard_call", "submit_columns", "install_shard", "handle_request",
     "apply_config", "max_batch", "try_enqueue_columns", "apply_columns",
-    "handle_shard_offer",
+    "handle_shard_offer", "_checkpoint_state", "checkpoint_age",
+    "service_config", "checkpoint_path", "runtime_dir",
+    "checkpoint_failed", "volley_checkpoint_", "w_snapshot_shard",
+    "w_restore_shard", "w_shutdown",
 }
 
 
@@ -121,3 +126,14 @@ def test_api_reference_file_exists():
 def test_documented_symbol_exists(symbol):
     found = any(hasattr(ns, symbol) for ns in NAMESPACES)
     assert found, f"docs/API.md documents missing symbol {symbol!r}"
+
+
+@pytest.mark.parametrize("config_cls", [repro.config.RuntimeConfig,
+                                        repro.config.ClusterConfig])
+def test_config_rows_list_the_dataclass_fields(config_cls):
+    """The config rows are not re-typed by hand and left to drift: each
+    must name exactly the dataclass's fields, in order."""
+    import dataclasses
+
+    signature = ", ".join(f.name for f in dataclasses.fields(config_cls))
+    assert f"`{config_cls.__name__}({signature})`" in API_MD.read_text()

@@ -13,7 +13,9 @@ The count guards at the bottom hold the hosted-shard hot path to its
 regressions a later refactor would reintroduce without any test turning
 red (an O(buckets) walk per due quantile offer, a sketch materialised
 per alert, a sort per step-major batch, a scalar sampler built beside an
-engine row, a last-seen pair dragging its batch off the tick).
+engine row, a last-seen pair dragging its batch off the tick, an
+``Alert`` object or a trace call per alert on a hosted shard or in its
+restore).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from typing import Any
 
 import numpy as np
 
+from repro import service as service_module
+from repro.cluster.hosting import WorkerHost
 from repro.core.accuracy import alert_episodes, truth_alert_indices
 from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
 from repro.core.online_stats import OnlineStatistics
@@ -29,6 +33,7 @@ from repro.core.soa import SoaSamplerEngine
 from repro.core.substrates import QuantileEstimator
 from repro.core.task import TaskSpec
 from repro.experiments.runner import run_adaptive, run_sampler_on_trace
+from repro.runtime.shard import ColumnBatch
 from repro.service import MonitoringService
 from repro.telemetry.histogram import LogHistogram
 
@@ -287,3 +292,63 @@ def test_a_last_seen_pair_leaves_the_tick_alone(monkeypatch):
     assert len(ticks) == len(segments) > 8          # the edges did cut
     assert sorted(by_name) == ["t0007"] * 32 + ["t0400"] * 32
     assert service.samples_taken("t0007") > 0
+
+
+def _counted_alerts(monkeypatch) -> list[int]:
+    """Count the ``Alert`` objects ``repro.service`` builds from here on
+    (a subclass in the module's name; equal to the originals)."""
+    built: list[int] = []
+
+    class CountedAlert(service_module.Alert):
+        __slots__ = ()
+
+        def __new__(cls, *args: Any, **kwargs: Any) -> "CountedAlert":
+            built.append(1)
+            return super().__new__(cls)
+    monkeypatch.setattr(service_module, "Alert", CountedAlert)
+    return built
+
+
+def test_a_hosted_shards_alerts_stay_columns(monkeypatch):
+    """1024 tasks, every offer of every batch violating, on a shard as
+    ``WorkerHost`` installs it (trace attached, alert-count sink, nobody's
+    ``on_alert``): no ``Alert`` is built and the trace is called once per
+    ``_apply_columns`` — until somebody reads."""
+    host = WorkerHost("w0")
+    worker = host.install_shard(0)
+    service = worker.service
+    for i in range(1024):
+        service.add_task(f"t{i:04d}", TaskSpec(
+            threshold=100.0, error_allowance=0.01, max_interval=10))
+    built = _counted_alerts(monkeypatch)
+    segments = _counted(monkeypatch, service, "_apply_columns")
+    batches = _counted(monkeypatch, host.trace, "emit_batch")
+    singles = _counted(monkeypatch, host.trace, "emit")
+    rows = np.arange(1024, dtype=np.int64)
+    for step in range(8):
+        worker.apply_columns(ColumnBatch(rows, np.full(1024, step),
+                                         np.full(1024, 150.0)))
+    assert worker.applied == worker.alerts_fired == 8 * 1024
+    assert len(batches) == len(segments) == 8 and not singles
+    assert service.alert_count("t0007") == 8
+    assert len(service.snapshot()["tasks"][7]["alerts"]) == 8
+    assert not built
+    assert len(service.alerts("t0007")) == 8 == len(built)
+
+
+def test_restore_builds_alerts_only_for_the_scalar_oracle(monkeypatch):
+    """A snapshot carrying 20 000 alerts goes into an engine service's
+    columns without one ``Alert``; restored scalar, it is exactly 20 000."""
+    source = _engine_service(100)
+    rows = np.arange(100, dtype=np.int64)
+    for step in range(200):
+        source.offer_columns(rows, np.full(100, step), np.full(100, 150.0))
+    snapshot = source.snapshot()
+    assert sum(len(task["alerts"]) for task in snapshot["tasks"]) == 20_000
+    built = _counted_alerts(monkeypatch)
+    on_rows = MonitoringService.restore(snapshot, soa=True)
+    assert not built
+    assert on_rows.snapshot() == snapshot and not built
+    scalar = MonitoringService.restore(snapshot, soa=False)
+    assert len(built) == 20_000
+    assert scalar.snapshot() == snapshot and len(built) == 20_000

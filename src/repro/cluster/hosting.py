@@ -45,7 +45,6 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import DecisionTrace
 from repro.testkit.faults import FaultHook, NOOP_HOOK
 from repro.triggers.plan import TriggerPlan
-from repro.types import Alert
 
 __all__ = ["WorkerHost"]
 
@@ -161,11 +160,6 @@ class WorkerHost:
             else:
                 await worker.abort()
 
-    def _alert_hook(self, worker: ShardWorker):
-        def hook(alert: Alert, _worker: ShardWorker = worker) -> None:
-            _worker.alerts_fired += 1
-        return hook
-
     def install_shard(self, shard_id: int,
                       snapshot: dict[str, Any] | None = None,
                       counters: dict[str, Any] | None = None,
@@ -173,8 +167,9 @@ class WorkerHost:
         """Host shard ``shard_id``: fresh, or restored from a snapshot.
 
         The one place a shard comes to life — wired to the host's trace,
-        interval histogram, per-shard metric series and alert-count hook,
-        with checkpointed ``counters`` carried over. Every hosted shard's
+        interval histogram and per-shard metric series, its service's
+        alert-count sink feeding ``alerts_fired`` a batch at a time, with
+        checkpointed ``counters`` carried over. Every hosted shard's
         service has an SoA engine: offers reach it as columns whatever
         encoding the client used. Replaces a hosted shard of the same id
         only if its drain loop is not running (callers stop a live one
@@ -183,22 +178,14 @@ class WorkerHost:
         if snapshot is None:
             service = MonitoringService(self.adaptation, soa=True)
         else:
-            # The alert callback must bump the ShardWorker's counter, but
-            # the worker only exists after the service does — close over a
-            # cell that is filled right after installation.
-            cell: list[ShardWorker] = []
-
-            def on_alert(_name: str, _alert: Alert) -> None:
-                if cell:
-                    cell[0].alerts_fired += 1
-
-            service = MonitoringService.restore(dict(snapshot),
-                                                on_alert=on_alert, soa=True)
+            service = MonitoringService.restore(dict(snapshot), soa=True)
         self._forget(shard_id)
         worker = ShardWorker(shard_id, service, self.queue_depth,
                              fault_hook=self.fault_hook)
-        if snapshot is not None:
-            cell.append(worker)
+
+        def count_alerts(fired: int) -> None:
+            worker.alerts_fired += fired
+        service.set_alert_count_sink(count_alerts)
         if counters:
             restore_counters(worker, counters)
         worker.interval_hist = (self._interval_hist
@@ -235,10 +222,6 @@ class WorkerHost:
             raise KeyError(f"worker {self.worker_id} does not host shard "
                            f"{shard_id}")
         return worker
-
-    def _find_task(self, request: dict[str, Any]) -> tuple[ShardWorker, Any]:
-        worker = self._shard(int(request.get("shard", -1)))
-        return worker, worker.service._state(str(request.get("task", "")))
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -420,8 +403,7 @@ class WorkerHost:
         worker = self._shard(int(request.get("shard", -1)))
         spec = register_task_from_config(
             worker.service, dict(entry),
-            dict(request.get("defaults") or {}),
-            on_alert=self._alert_hook(worker), config=self.adaptation)
+            dict(request.get("defaults") or {}), config=self.adaptation)
         # The new task's name may already be cached as row -1.
         self._gid_rows.pop(worker.shard_id, None)
         return {"ok": True, "task": spec.name, "shard": worker.shard_id,
@@ -493,7 +475,7 @@ class WorkerHost:
                 "next_due": next_due, "shard": worker.shard_id}
 
     def _op_task_info(self, request: dict[str, Any]) -> dict[str, Any]:
-        worker, state = self._find_task(request)
+        worker = self._shard(int(request.get("shard", -1)))
         service = worker.service
         name = str(request.get("task", ""))
         return {
@@ -501,7 +483,7 @@ class WorkerHost:
             "task": name,
             "shard": worker.shard_id,
             "samples_taken": service.samples_taken(name),
-            "alerts": len(state.alerts),
+            "alerts": service.alert_count(name),
             "interval": service.interval(name),
             "next_due": service.next_due(name),
             "observations": service.observations(name),
@@ -510,10 +492,11 @@ class WorkerHost:
         }
 
     def _op_alerts(self, request: dict[str, Any]) -> dict[str, Any]:
-        _worker, state = self._find_task(request)
-        return {"ok": True, "task": str(request.get("task", "")),
+        worker = self._shard(int(request.get("shard", -1)))
+        name = str(request.get("task", ""))
+        return {"ok": True, "task": name,
                 "alerts": [[a.time_index, a.value, a.threshold]
-                           for a in state.alerts]}
+                           for a in worker.service.alerts(name)]}
 
     def _op_stats(self, request: dict[str, Any]) -> dict[str, Any]:
         """Counter snapshots of one hosted shard, or of all of them."""

@@ -129,6 +129,24 @@ class ColumnBatchResult:
     event_flags = _EMPTY_I8
     event_betas = _EMPTY_F8
 
+    @classmethod
+    def of_one(cls, row: int, step: int, value: float, interval: int,
+               flags: int, beta: float) -> "ColumnBatchResult":
+        """The ``event_*`` / ``viol_*`` columns of one flagged offer
+        stepped outside a batch (``flags`` non-zero)."""
+        result = cls()
+        result.event_rows = np.array([row], dtype=np.int64)
+        result.event_steps = np.array([step], dtype=np.int64)
+        result.event_values = np.array([value], dtype=np.float64)
+        result.event_intervals = np.array([interval], dtype=np.int64)
+        result.event_flags = np.array([flags], dtype=np.int64)
+        result.event_betas = np.array([beta], dtype=np.float64)
+        if flags & 4:
+            result.viol_rows = result.event_rows
+            result.viol_steps = result.event_steps
+            result.viol_values = result.event_values
+        return result
+
 
 class SoaSamplerEngine:
     """Columnar storage + vectorised stepping for many samplers.
@@ -160,7 +178,10 @@ class SoaSamplerEngine:
         # Per-row invariants (from TaskSpec / AdaptationConfig).
         self.sign = f8()
         self.threshold = f8()          # oriented (upper-frame) threshold
-        self.alert_threshold = f8()    # raw spec threshold, for Alert dicts
+        # What the row's alerts report as their threshold: the raw spec
+        # threshold, unless the owner writes the row another frame's (a
+        # quantile task alerts against its value-frame ``T``).
+        self.alert_threshold = f8()
         self.err = f8()                # error allowance (coordinator-tunable)
         self.max_interval = i8()
         self.patience = i8()
@@ -198,6 +219,7 @@ class SoaSamplerEngine:
         self.samples_taken = i8()
         self.last_offered = f8()
         self.has_offered = b1()
+        self.alerts = i8()             # alerts raised, counted by the owner
         self.active = b1()
         # Rows whose tick is more than (value, step) -> sampler, set by
         # the owning service (mark_row / set_floor). absorbs: a substrate
@@ -224,7 +246,7 @@ class SoaSamplerEngine:
         "last_beta", "last_flags", "stat_n", "mean", "var", "stale_mean",
         "stale_var", "has_stale", "stale_count", "restarts", "total_count",
         "next_due", "samples_taken", "last_offered", "has_offered",
-        "active", "absorbs", "derived", "watched", "floor", "suspensions")
+        "alerts", "active", "absorbs", "derived", "watched", "floor", "suspensions")
 
     def __len__(self) -> int:
         return self._rows
@@ -268,6 +290,7 @@ class SoaSamplerEngine:
         self.next_due[row] = 0
         self.samples_taken[row] = 0
         self.has_offered[row] = False
+        self.alerts[row] = 0
         self.floor[row] = 1
         self.active[row] = True
         return row

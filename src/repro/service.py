@@ -32,6 +32,7 @@ Example::
 
 from __future__ import annotations
 
+import logging
 from collections import deque
 from dataclasses import dataclass, field, fields as dataclass_fields
 from math import isfinite
@@ -41,7 +42,8 @@ import numpy as np
 
 from repro.core.adaptation import (AdaptationConfig, SamplingDecision,
                                    ViolationLikelihoodSampler)
-from repro.core.soa import STEP_MAX, STEP_MIN, SoaSamplerEngine
+from repro.core.soa import (STEP_MAX, STEP_MIN, ColumnBatchResult,
+                            SoaSamplerEngine)
 from repro.core.substrates import (DEFAULT_ENTROPY_WINDOW,
                                    DEFAULT_SKETCH_WINDOW, EntropyEstimator,
                                    QuantileEstimator)
@@ -53,6 +55,8 @@ from repro.triggers.channel import TriggerWatcher
 from repro.types import Alert, ThresholdDirection
 
 __all__ = ["MonitoringService", "TaskState", "SNAPSHOT_VERSION"]
+
+logger = logging.getLogger(__name__)
 
 AlertCallback = Callable[[Alert], None]
 
@@ -72,7 +76,8 @@ class TaskState:
             service; ``None`` on an engine service, whose row is it.
         next_due: grid step of the next wanted sample.
         samples_taken: sampling operations consumed so far.
-        alerts: alerts raised so far.
+        alerts: alerts raised so far — on a scalar service; an engine
+            service keeps every task's in its one columnar log.
         trigger_task: name of the task gating this one (or ``None``).
         trigger_level: elevation level of the gating metric.
         suspend_interval: idle interval while the trigger is cold.
@@ -97,9 +102,11 @@ class TaskState:
         soa_row: the task's row in the service's SoA engine, from
             registration to removal, or ``-1`` on a scalar service. The
             row is the one home of sampler state, schedule position,
-            last-offered value and suspension count: :attr:`sampler`,
-            :attr:`next_due`, :attr:`samples_taken` and
-            :attr:`trigger_suspensions` are a scalar service's. Window
+            last-offered value, suspension and alert counts, and keys
+            the task's entries in the service's alert log:
+            :attr:`sampler`, :attr:`next_due`, :attr:`samples_taken`,
+            :attr:`trigger_suspensions` and :attr:`alerts` are a scalar
+            service's. Window
             buffer, substrate, watcher and armed flag stay here either
             way.
         task_type: ``"value"`` (scalar, the default), ``"quantile"`` or
@@ -183,43 +190,43 @@ class TaskState:
             return self.substrate.exceedance(self.value_threshold)
         return self.substrate.entropy()
 
-    def make_alert(self, step: int, monitored: float,
-                   estimate: float | None = None) -> Alert:
-        """The alert for a violation at ``step``.
+    def make_alert(self, step: int, monitored: float) -> Alert:
+        """The alert for a violation at ``step``, on a scalar service.
 
         Value and entropy tasks report the monitored statistic against
         the spec threshold. Quantile tasks alert in the *value* frame —
         the estimated ``p_q`` against the raw threshold ``T`` — because
         that is the predicate the operator registered; the exceedance
-        rate the sampler watches is an internal derivation. ``estimate``
-        is that ``p_q`` when the caller took it at the alerting offer and
-        the substrate has absorbed later offers since (a column batch);
-        by default the substrate is read now.
+        rate the sampler watches is an internal derivation. (An engine
+        service holds the same two frames in columns: the row's
+        ``alert_threshold``, and ``p_q`` as of the alerting offer.)
         """
         if self.task_type == "quantile":
             return Alert(time_index=step,
-                         value=(self.substrate.quantile_value()
-                                if estimate is None else estimate),
+                         value=self.substrate.quantile_value(),
                          threshold=self.value_threshold)
         return Alert(time_index=step, value=monitored,
                      threshold=self.task.threshold)
 
-    def state_dict(self, row: tuple[dict[str, Any], int, int, int]
-                   | None = None) -> dict[str, Any]:
+    def state_dict(self, row: tuple[dict[str, Any], int, int, int,
+                                    list[list[Any]]] | None = None,
+                   ) -> dict[str, Any]:
         """The task's full mutable + declarative state, JSON-able.
 
         Everything :meth:`MonitoringService.restore` needs to resume this
         task exactly: the spec, adaptation config, schedule position,
         sampler internals, alert history, trigger wiring and window buffer.
         The ``on_alert`` callback is *not* serialisable — restoring callers
-        re-attach their own. ``row`` is what an engine row holds of the
-        task, ``(sampler state_dict, next_due, samples_taken,
-        trigger_suspensions)``; by default the fields of a scalar
-        service's task.
+        re-attach their own. ``row`` is what an engine service holds of
+        the task in columns, ``(sampler state_dict, next_due,
+        samples_taken, trigger_suspensions, alerts as [step, value,
+        threshold] lists)``; by default the fields of a scalar service's
+        task.
         """
-        sampler, next_due, samples_taken, suspensions = row or (
+        sampler, next_due, samples_taken, suspensions, alerts = row or (
             self.sampler.state_dict(), self.next_due, self.samples_taken,
-            self.trigger_suspensions)
+            self.trigger_suspensions,
+            [[a.time_index, a.value, a.threshold] for a in self.alerts])
         state: dict[str, Any] = {
             "name": self.name,
             "spec": _spec_to_dict(self.task),
@@ -228,8 +235,7 @@ class TaskState:
             "window_kind": self.window_kind.value,
             "next_due": next_due,
             "samples_taken": samples_taken,
-            "alerts": [[a.time_index, a.value, a.threshold]
-                       for a in self.alerts],
+            "alerts": alerts,
             "trigger_task": self.trigger_task,
             "trigger_level": self.trigger_level,
             "suspend_interval": self.suspend_interval,
@@ -263,10 +269,10 @@ class TaskState:
     def from_state_dict(cls, state: dict[str, Any],
                         on_alert: AlertCallback | None = None) -> "TaskState":
         """Rebuild a task from :meth:`state_dict` — all of it but what an
-        engine row may hold instead (the ``sampler``, ``next_due``,
-        ``samples_taken`` and ``trigger_suspensions`` keys, which
-        :meth:`MonitoringService.restore` loads where they live) and
-        ``trigger_task``, which the service wires."""
+        engine service may hold in columns instead (the ``sampler``,
+        ``next_due``, ``samples_taken``, ``trigger_suspensions`` and
+        ``alerts`` keys, which :meth:`MonitoringService.restore` loads
+        where they live) and ``trigger_task``, which the service wires."""
         spec = _spec_from_dict(state["spec"])
         task_type = str(state.get("type", "value"))
         substrate: Any = None
@@ -285,9 +291,6 @@ class TaskState:
             task_type=task_type,
             value_threshold=float(state.get("value_threshold", 0.0)),
             substrate=substrate,
-            alerts=[Alert(time_index=int(t), value=float(v),
-                          threshold=float(thr))
-                    for t, v, thr in state.get("alerts", [])],
             trigger_level=float(state.get("trigger_level", 0.0)),
             suspend_interval=int(state.get("suspend_interval", 10)),
             remote_trigger=state.get("remote_trigger"),
@@ -396,6 +399,76 @@ class _RowHooks:
             rows.tolist(), steps.tolist(), values.tolist())]
 
 
+_ALERT_ENTRY = np.dtype([("row", np.int64), ("step", np.int64),
+                         ("value", np.float64), ("threshold", np.float64)])
+
+
+class _AlertLog:
+    """An engine service's alert history (DESIGN.md S31): one append-only
+    log of ``(row, step, value, threshold)`` entries for all its tasks,
+    in the order raised — tick order across tasks, so each task's
+    entries are in its arrival order. An alert is 32 bytes of one
+    growable array; nothing is built per alert until somebody reads.
+    """
+
+    __slots__ = ("_entries", "size")
+
+    def __init__(self) -> None:
+        self._entries = np.empty(0, dtype=_ALERT_ENTRY)
+        self.size = 0
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of every entry, oldest first (a view)."""
+        return self._entries["row"][:self.size]
+
+    def append(self, rows: Any, steps: Any, values: Any,
+               thresholds: Any) -> None:
+        end = self.size + len(rows)
+        if end > len(self._entries):
+            grown = np.empty(max(end, 2 * len(self._entries), 256),
+                             dtype=_ALERT_ENTRY)
+            grown[:self.size] = self._entries[:self.size]
+            self._entries = grown
+        new = self._entries[self.size:end]
+        new["row"] = rows
+        new["step"] = steps
+        new["value"] = values
+        new["threshold"] = thresholds
+        self.size = end
+
+    def _triples(self, at: np.ndarray) -> list[list[Any]]:
+        """The entries at positions ``at`` as ``[step, value, threshold]``
+        lists — a snapshot's (and the ``alerts`` op's) form."""
+        entries = self._entries[at]
+        return list(map(list, zip(entries["step"].tolist(),
+                                  entries["value"].tolist(),
+                                  entries["threshold"].tolist())))
+
+    def of_row(self, row: int) -> list[list[Any]]:
+        """One row's entries, oldest first."""
+        return self._triples(np.flatnonzero(self.rows == row))
+
+    def by_row(self) -> dict[int, list[list[Any]]]:
+        """Every row's entries, oldest first: one stable argsort groups
+        the log by row, one pass builds the lists, slices hand them out."""
+        if not self.size:
+            return {}
+        order = np.argsort(self.rows, kind="stable")
+        rows = self.rows[order]
+        triples = self._triples(order)
+        bounds = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(),
+                  self.size]
+        return {row: triples[lo:hi] for row, lo, hi in zip(
+            rows[bounds[:-1]].tolist(), bounds, bounds[1:])}
+
+    def drop_row(self, row: int) -> None:
+        """Forget a retired row's entries; the rest keep their order."""
+        keep = np.flatnonzero(self.rows != row)
+        self._entries[:len(keep)] = self._entries[keep]
+        self.size = len(keep)
+
+
 class MonitoringService:
     """Push-based multi-task monitoring front end."""
 
@@ -409,6 +482,9 @@ class MonitoringService:
     # attaches a callable for synchronous in-process routing; cluster
     # workers leave it unset and the coordinator drains the buffer.
     _trigger_sink: Callable[[dict[str, Any]], None] | None = None
+    # Alert-count sink (same lifecycle again): what hosts an engine
+    # service counts the alerts of each batch through it.
+    _alert_count_sink: Callable[[int], None] | None = None
 
     def __init__(self, config: AdaptationConfig | None = None,
                  soa: bool = False):
@@ -425,6 +501,11 @@ class MonitoringService:
         self._soa = SoaSamplerEngine() if soa else None
         self._soa_rows: dict[int, TaskState] = {}
         self._hooks = _RowHooks()
+        # An engine service's alert history, and the rows whose task
+        # came with a caller's on_alert: the only alerts built as they
+        # are raised.
+        self._alert_log = _AlertLog()
+        self._alert_callbacks: dict[int, AlertCallback] = {}
         # remote trigger name -> engine rows it guards (see _guard_rows)
         self._guarded_rows: dict[str, set[int]] = {}
 
@@ -453,6 +534,11 @@ class MonitoringService:
         engine.mark_row(row, absorbs=typed,
                         derived=typed or state.window > 1,
                         watched=state.watch is not None)
+        if state.task_type == "quantile":
+            # Alerts are in the value frame (TaskState.make_alert).
+            engine.alert_threshold[row] = state.value_threshold
+        if state.on_alert is not None:
+            self._alert_callbacks[row] = state.on_alert
         self._soa_rows[row] = state
         self._hooks.bind(row, state)
         self._guard_rows(state, True)
@@ -672,6 +758,9 @@ class MonitoringService:
             del self._soa_rows[state.soa_row]
             self._hooks.release(state.soa_row)
             self._guard_rows(state, False)
+            self._alert_callbacks.pop(state.soa_row, None)
+            if self._soa.alerts[state.soa_row]:
+                self._alert_log.drop_row(state.soa_row)
         self._retarget(state, None)
         self._guarded_rows.pop(name, None)
         for other in self._tasks.values():
@@ -888,6 +977,19 @@ class MonitoringService:
         """
         self._trigger_sink = sink
 
+    def set_alert_count_sink(self, sink: Callable[[int], None] | None,
+                             ) -> None:
+        """Attach a callable receiving the number of alerts each batch
+        (or by-name offer) of an engine service raised, after they are
+        logged and before any task's ``on_alert`` runs — how a host
+        counts alerts without a callback per task or a call per alert.
+        Not serialised, like :meth:`set_trigger_sink`'s.
+        """
+        if self._soa is None:
+            raise ConfigurationError(
+                "an alert-count sink requires an SoA-enabled service")
+        self._alert_count_sink = sink
+
     def drain_trigger_events(self) -> list[dict[str, Any]]:
         """Pop the buffered arm/disarm edges (oldest first).
 
@@ -1035,9 +1137,13 @@ class MonitoringService:
                     and engine.last_offered[source] < state.trigger_level):
                 advance = max(interval, state.suspend_interval)
         engine.advance_one(row, step, advance)
-        self._fan_out(state, step, monitored, interval,
-                      int(engine.last_flags[row]),
-                      float(engine.last_beta[row]))
+        flags = int(engine.last_flags[row])
+        if flags:
+            self._fan_out_columns(
+                ColumnBatchResult.of_one(row, step, monitored, interval,
+                                         flags, float(engine.last_beta[row])),
+                {(row, step): state.substrate.quantile_value()}
+                if flags & 4 and state.task_type == "quantile" else {})
         return interval
 
     def _gate(self, state: TaskState, interval: int) -> int:
@@ -1059,15 +1165,14 @@ class MonitoringService:
         return advance if advance > 1 else 1
 
     def _fan_out(self, state: TaskState, step: int, monitored: float,
-                 interval: int, flags: int, beta: float,
-                 estimate: float | None = None) -> None:
-        """The alert and trace fan-out of a consumed offer's ``flags``
-        (1 grew, 2 reset, 4 violation), whichever surface stepped the
-        sampler; ``estimate`` as in :meth:`TaskState.make_alert`."""
+                 interval: int, flags: int, beta: float) -> None:
+        """A scalar service's alert and trace fan-out of a consumed
+        offer's ``flags`` (1 grew, 2 reset, 4 violation) — the reference
+        statement :meth:`_fan_out_columns` is held to."""
         if flags:
             alert = None
             if flags & 4:
-                alert = state.make_alert(step, monitored, estimate)
+                alert = state.make_alert(step, monitored)
                 state.alerts.append(alert)
                 if state.on_alert is not None:
                     state.on_alert(alert)
@@ -1083,6 +1188,82 @@ class MonitoringService:
                                shard=self._trace_shard, step=step,
                                value=alert.value,
                                threshold=alert.threshold)
+
+    def _fan_out_columns(self, res: ColumnBatchResult,
+                         estimates: dict[tuple[int, int], float]) -> None:
+        """An engine service's alert and trace fan-out, of a batch's
+        flagged offers at once (``res.event_*``, in tick order, and their
+        violating subset ``res.viol_*``): the alerts go to the log, the
+        count column and the count sink as columns, the trace gets one
+        batch of events, and only then is an :class:`Alert` built and a
+        callback run, for the rows that carry one. ``estimates`` holds a
+        quantile row's ``p_q`` as of its violating offer ``(row, step)``
+        — what it alerts with, see :meth:`TaskState.make_alert`.
+        """
+        engine = self._soa
+        rows, steps, values = res.viol_rows, res.viol_steps, res.viol_values
+        thresholds = engine.alert_threshold[rows]
+        if estimates:
+            values = values.copy()
+            for at, offer in enumerate(zip(rows.tolist(), steps.tolist())):
+                if offer in estimates:
+                    values[at] = estimates[offer]
+        if len(rows):
+            self._alert_log.append(rows, steps, values, thresholds)
+            np.add.at(engine.alerts, rows, 1)
+            if self._alert_count_sink is not None:
+                self._alert_count_sink(len(rows))
+        soa_rows = self._soa_rows
+        trace = self._trace
+        if trace is not None:
+            # Key for key what N x trace.emit would build, in its order:
+            # tick order, an offer's interval_adapted before its
+            # violation (the next of ``viol_*``).
+            shard = self._trace_shard
+            violations = zip(values.tolist(), thresholds.tolist())
+            events: list[dict[str, Any]] = []
+            for row, step, interval, flags, beta in zip(
+                    res.event_rows.tolist(), res.event_steps.tolist(),
+                    res.event_intervals.tolist(), res.event_flags.tolist(),
+                    res.event_betas.tolist()):
+                name = soa_rows[row].name
+                if flags & 3:
+                    events.append({
+                        "seq": 0, "ts_monotonic": 0.0,
+                        "kind": "interval_adapted", "task": name,
+                        "shard": shard, "step": step, "interval": interval,
+                        "grew": bool(flags & 1), "reset": bool(flags & 2),
+                        "beta": beta})
+                if flags & 4:
+                    value, threshold = next(violations)
+                    events.append({
+                        "seq": 0, "ts_monotonic": 0.0, "kind": "violation",
+                        "task": name, "shard": shard, "step": step,
+                        "value": value, "threshold": threshold})
+            if shard is None:  # which emit leaves out
+                for event in events:
+                    del event["shard"]
+            trace.emit_batch(events)
+        callbacks = self._alert_callbacks
+        if callbacks and len(rows):
+            for row, step, value, threshold in zip(
+                    rows.tolist(), steps.tolist(), values.tolist(),
+                    thresholds.tolist()):
+                on_alert = callbacks.get(row)
+                if on_alert is None:
+                    continue
+                try:
+                    on_alert(Alert(time_index=step, value=value,
+                                   threshold=threshold))
+                except Exception:
+                    # The rows have advanced and the alerts are logged:
+                    # one caller's failing callback must not cost the
+                    # others theirs, or the batch its place in the
+                    # ledger.
+                    state = soa_rows.get(row)  # the callback may remove it
+                    logger.exception(
+                        "on_alert of task %r raised at step %d",
+                        state.name if state is not None else row, step)
 
     def offer_columns(self, rows: Any, steps: Any, values: Any,
                       names: Sequence[str | None] | None = None,
@@ -1214,25 +1395,10 @@ class MonitoringService:
         # The engine advanced and gated its rows' schedules itself; what
         # is left of the per-offer tail is the alert and trace fan-out of
         # the rare flagged steps.
-        soa_rows = self._soa_rows
         estimates = hooks.estimates
-        if self._trace is not None and len(res.event_rows):
-            for row, step, value, interval, flags, beta in zip(
-                    res.event_rows.tolist(), res.event_steps.tolist(),
-                    res.event_values.tolist(), res.event_intervals.tolist(),
-                    res.event_flags.tolist(), res.event_betas.tolist()):
-                state = soa_rows.get(row)
-                if state is not None:
-                    self._fan_out(state, step, value, interval, flags, beta,
-                                  estimates.get((row, step)))
-        elif len(res.viol_rows):
-            for row, step, value in zip(res.viol_rows.tolist(),
-                                        res.viol_steps.tolist(),
-                                        res.viol_values.tolist()):
-                state = soa_rows.get(row)
-                if state is not None:
-                    self._fan_out(state, step, value, 1, 4, 1.0,
-                                  estimates.get((row, step)))
+        if len(res.event_rows if self._trace is not None
+               else res.viol_rows):
+            self._fan_out_columns(res, estimates)
         estimates.clear()
         intervals = res.consumed_intervals
         if fb_intervals:
@@ -1242,7 +1408,22 @@ class MonitoringService:
 
     def alerts(self, name: str) -> list[Alert]:
         """Alerts raised by a task so far (chronological)."""
-        return list(self._state(name).alerts)
+        state = self._state(name)
+        if self._soa is None:
+            return list(state.alerts)
+        if not self._soa.alerts[state.soa_row]:
+            return []
+        return [Alert(time_index=step, value=value, threshold=threshold)
+                for step, value, threshold
+                in self._alert_log.of_row(state.soa_row)]
+
+    def alert_count(self, name: str) -> int:
+        """How many alerts a task has raised so far — ``len(alerts(name))``
+        without building the history."""
+        state = self._state(name)
+        if self._soa is None:
+            return len(state.alerts)
+        return int(self._soa.alerts[state.soa_row])
 
     def samples_taken(self, name: str) -> int:
         """Sampling operations consumed by a task so far."""
@@ -1315,16 +1496,19 @@ class MonitoringService:
             tasks, last_seen = [], {}
             rows = np.fromiter(self._soa_rows, dtype=np.int64,
                                count=len(self._soa_rows))
-            for (state, sampler, next_due, samples_taken, suspensions,
+            alerts = self._alert_log.by_row()
+            for (row, state, sampler, next_due, samples_taken, suspensions,
                  has_offered, last_offered) in zip(
-                    self._soa_rows.values(), engine.rows_state_dicts(rows),
+                    self._soa_rows, self._soa_rows.values(),
+                    engine.rows_state_dicts(rows),
                     engine.next_due[rows].tolist(),
                     engine.samples_taken[rows].tolist(),
                     engine.suspensions[rows].tolist(),
                     engine.has_offered[rows].tolist(),
                     engine.last_offered[rows].tolist()):
                 tasks.append(state.state_dict(
-                    (sampler, next_due, samples_taken, suspensions)))
+                    (sampler, next_due, samples_taken, suspensions,
+                     alerts.get(row, []))))
                 if has_offered:
                     last_seen[state.name] = last_offered
         return {
@@ -1361,6 +1545,10 @@ class MonitoringService:
                       soa=soa)
         engine = service._soa
         gated: list[tuple[TaskState, str]] = []
+        # An engine service's alert history, gathered as the entries go
+        # by: the [step, value, threshold] lists as they stand (how many
+        # are whose is the rows' alert count).
+        logged: list[list[Any]] = []
         for entry in snapshot.get("tasks", []):
             name = str(entry["name"])
             callback: AlertCallback | None = None
@@ -1372,23 +1560,37 @@ class MonitoringService:
                     f"snapshot contains duplicate task {name!r}")
             state = TaskState.from_state_dict(entry, on_alert=callback)
             service._register(state)
-            # What a row holds goes straight into the row.
+            # What columns hold goes straight into the columns.
             next_due = int(entry["next_due"])
             samples_taken = int(entry["samples_taken"])
             suspensions = int(entry.get("trigger_suspensions", 0))
+            alerts = entry.get("alerts", [])
             if engine is None:
                 state.sampler.load_state_dict(entry["sampler"])
                 state.next_due = next_due
                 state.samples_taken = samples_taken
                 state.trigger_suspensions = suspensions
+                state.alerts = [Alert(time_index=int(t), value=float(v),
+                                      threshold=float(thr))
+                                for t, v, thr in alerts]
             else:
                 row = state.soa_row
                 engine.load_row_state(row, entry["sampler"])
                 engine.next_due[row] = next_due
                 engine.samples_taken[row] = samples_taken
                 engine.suspensions[row] = suspensions
+                engine.alerts[row] = len(alerts)
+                logged += alerts
             if entry.get("trigger_task") is not None:
                 gated.append((state, entry["trigger_task"]))
+        if logged:
+            steps, values, thresholds = zip(*logged)
+            rows = np.fromiter(service._soa_rows, dtype=np.int64)
+            service._alert_log.append(
+                np.repeat(rows, engine.alerts[rows]),
+                np.array(steps, dtype=np.int64),
+                np.array(values, dtype=np.float64),
+                np.array(thresholds, dtype=np.float64))
         for state, trigger in gated:
             if trigger not in service._tasks:
                 raise ConfigurationError(

@@ -193,7 +193,7 @@ class SelfMonitor:
             "tasks": {name: {"interval": self.service.interval(name),
                              "samples_taken":
                                  self.service.samples_taken(name),
-                             "alerts": len(self.service.alerts(name))}
+                             "alerts": self.service.alert_count(name)}
                       for name, _ in self._probes},
             "alerts": len(self.alerts),
         }

@@ -98,6 +98,32 @@ class DecisionTrace:
         self._events.append(event)
         return seq
 
+    def emit_batch(self, events: list[dict[str, Any]]) -> int:
+        """Append a batch of events in order — one :meth:`emit` each, for
+        the price of a dict each: one clock read, consecutive sequence
+        numbers, :attr:`dropped` advanced by what the ring evicts.
+        Returns the first sequence number.
+
+        The caller builds the dicts as :meth:`emit` would, key for key:
+        ``seq`` and ``ts_monotonic`` first (any value — they are set
+        here), then ``kind``, ``task`` and ``shard`` where not ``None``,
+        then the data.
+        """
+        first = seq = self._next_seq
+        stamp = time.monotonic()
+        for event in events:
+            event["seq"] = seq
+            event["ts_monotonic"] = stamp
+            seq += 1
+        self._next_seq = seq
+        # Once full the ring stays full: every append past its free room
+        # evicts one event, whether of this batch or an earlier one.
+        free = self.capacity - len(self._events)
+        if len(events) > free:
+            self.dropped += len(events) - free
+        self._events.extend(events)
+        return first
+
     def __len__(self) -> int:
         return len(self._events)
 
@@ -151,6 +177,9 @@ class NullTrace:
 
     def emit(self, kind: str, task: str | None = None,
              shard: int | str | None = None, **data: Any) -> int:
+        return 0
+
+    def emit_batch(self, events: list[dict[str, Any]]) -> int:
         return 0
 
     def __len__(self) -> int:

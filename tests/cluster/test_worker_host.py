@@ -145,6 +145,60 @@ class TestDataPath:
         assert len(alerts["alerts"]) == 4
         assert stats["shards"][0]["alerts_fired"] == 4
 
+    def test_a_raising_on_alert_costs_nobody_else_anything(self, caplog):
+        # 10 tasks x 5 steps, every offer violating, in one batch; the
+        # first task's own callback raises on its first alert. The
+        # engine has advanced every row by then, so the history, the
+        # counters and everybody else's callbacks must all be whole.
+        from repro.core.task import TaskSpec
+        from repro.service import MonitoringService
+
+        names = [f"hot-{i}" for i in range(10)]
+        fired = {name: [] for name in names}
+
+        def on_alert(name, raising):
+            def callback(alert):
+                fired[name].append(alert)
+                if raising and len(fired[name]) == 1:
+                    raise RuntimeError("pager is down")
+            return callback
+
+        reference = MonitoringService()
+        updates = [[name, step, 99.0] for step in range(5)
+                   for name in names]
+
+        async def scenario():
+            host = WorkerHost("w0")
+            host.start()
+            await host.handle({"op": "w_add_shard", "shard": 0})
+            service = host.shards[0].service
+            for i, name in enumerate(names):
+                spec = TaskSpec(threshold=10.0, error_allowance=0.01,
+                                name=name)
+                service.add_task(name, spec, on_alert=on_alert(name, i == 0))
+                reference.add_task(name, spec)
+            offer = await _offer(host, (0, updates))
+            await host.handle({"op": "w_drain"})
+            stats = (await host.handle({"op": "w_stats"}))["shards"][0]
+            infos = [await host.handle({"op": "w_task_info", "shard": 0,
+                                        "task": name}) for name in names]
+            snapshot = service.snapshot()
+            alerts = {name: service.alerts(name) for name in names}
+            await host.close()
+            return offer, stats, infos, snapshot, alerts
+
+        offer, stats, infos, snapshot, alerts = run(scenario())
+        for name, step, value in updates:
+            reference.offer(name, value, step)
+        assert offer == (50, 0, 0)
+        assert (stats["updates_applied"], stats["updates_rejected"],
+                stats["alerts_fired"]) == (50, 0, 50)
+        assert [info["alerts"] for info in infos] == [5] * 10
+        assert alerts == {name: reference.alerts(name) for name in names}
+        assert fired == alerts               # every callback, every alert
+        assert snapshot == reference.snapshot()
+        assert "pager is down" in caplog.text
+
 
 class TestSnapshotRestore:
     def test_snapshot_restore_roundtrip_is_bit_identical(self):

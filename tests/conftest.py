@@ -58,29 +58,74 @@ class SoaDifferential:
     :meth:`check` the resulting state.
     """
 
-    def __init__(self, specs, register_more=None, sink=True):
-        """``specs`` are ``(TaskSpec, AdaptationConfig)`` plain tasks;
-        ``register_more(service)`` may register further tasks of any kind
-        (windowed, typed, guarded, ...) on each service and returns their
-        names. With ``sink`` each service routes its watch edges to its
-        own guarded tasks the moment they fire, as ``RuntimeServer``
-        does; without, edges collect in the service's buffer, as on a
-        cluster worker. Either way :meth:`check` compares them."""
+    def __init__(self, specs, register_more=None, sink=True, kinds=None):
+        """``specs`` are ``(TaskSpec, AdaptationConfig)`` plain tasks,
+        every other one registered with an ``on_alert`` (see
+        :meth:`callback`); ``register_more(service)`` may register
+        further tasks of any kind (windowed, typed, guarded, ...) on
+        each service and returns their names; ``kinds``, an estimator
+        name, adds :meth:`register_kinds`' tasks, each with an
+        ``on_alert``. With ``sink`` each service
+        routes its watch edges to its own guarded tasks the moment they
+        fire, as ``RuntimeServer`` does; without, edges collect in the
+        service's buffer, as on a cluster worker. Either way
+        :meth:`check` compares them."""
         self.scalar = MonitoringService(soa=False)
         self.vector = MonitoringService(soa=True)
         self.names = [task.name for task, _ in specs]
         self.edges = {}
-        for service in (self.scalar, self.vector):
-            for task, config in specs:
-                service.add_task(task.name, task, config=config)
+        self.fired = {"scalar": {}, "vector": {}}
+        self.sink = sink
+        for side in self.fired:
+            service = getattr(self, side)
+            for i, (task, config) in enumerate(specs):
+                service.add_task(task.name, task, config=config,
+                                 on_alert=(None if i % 2 else
+                                           self.callback(side, task.name)))
             more = register_more(service) if register_more else []
-            service.attach_telemetry(DecisionTrace(capacity=1 << 20))
-            if sink:
-                service.set_trigger_sink(self.edge_router(
-                    service, self.edges.setdefault(id(service), [])))
+            if kinds is not None:
+                more += self.register_kinds(
+                    service, estimator=kinds,
+                    on_alert=lambda name: self.callback(side, name))
+            self._wire(service)
         self.names += more
         self.rows = np.asarray([self.vector.soa_row_for(name)
                                 for name in self.names], dtype=np.int64)
+
+    def _wire(self, service):
+        service.attach_telemetry(DecisionTrace(capacity=1 << 20))
+        if self.sink:
+            service.set_trigger_sink(self.edge_router(
+                service, self.edges.setdefault(id(service), [])))
+
+    def callback(self, side, name):
+        """An ``on_alert`` for task ``name`` of the ``"scalar"`` or
+        ``"vector"`` service that logs what it is handed, for
+        :meth:`check` to compare per task."""
+        return self.fired[side].setdefault(name, []).append
+
+    def cross_restored(self):
+        """A harness continuing this one's stream on services restored
+        from each other's snapshot: the scalar oracle from the engine
+        service's, the engine service from the oracle's, every task with
+        a logging ``on_alert``."""
+        other = object.__new__(type(self))
+        other.names, other.sink = list(self.names), self.sink
+        other.edges, other.fired = {}, {"scalar": {}, "vector": {}}
+        for side, source in (("scalar", self.vector),
+                             ("vector", self.scalar)):
+            service = MonitoringService.restore(
+                json.loads(json.dumps(source.snapshot())),
+                soa=side == "vector",
+                on_alert=lambda name, alert, side=side: other.callback(
+                    side, name)(alert))
+            setattr(other, side, service)
+            other._wire(service)
+        other.rows = np.asarray([
+            other.vector.soa_row_for(name)
+            if name in other.vector.task_names else -1
+            for name in other.names], dtype=np.int64)
+        return other
 
     @staticmethod
     def edge_router(service, log):
@@ -100,7 +145,8 @@ class SoaDifferential:
              "local-source", "local-target")
 
     @classmethod
-    def register_kinds(cls, service, copies=2, estimator="chebyshev"):
+    def register_kinds(cls, service, copies=2, estimator="chebyshev",
+                       on_alert=None):
         """``copies`` tasks of every kind the engine holds beside plain
         ones (``KINDS``): the four window aggregates, quantile, entropy,
         a watched trigger and the task it guards (registered before and
@@ -110,20 +156,24 @@ class SoaDifferential:
         each other in turn; in even copies the source also carries a
         channel watch, in odd ones the target is windowed) — the rows an
         engine service hands back and steps by name, in the same frames
-        as the ticked ones. Returns the names, kind by kind;
+        as the ticked ones. ``on_alert(name)`` gives each task its alert
+        callback (default: none). Returns the names, kind by kind;
         :meth:`value_for` knows them."""
         config = AdaptationConfig(estimator=estimator, patience=2,
                                   min_samples=4, stats_restart=9)
+        on_alert = on_alert or (lambda name: None)
 
         def plain(name, window=1, kind=AggregateKind.MEAN):
             service.add_task(name, TaskSpec(
                 threshold=100.0, error_allowance=0.05, max_interval=6,
-                name=name), window=window, window_kind=kind, config=config)
+                name=name), window=window, window_kind=kind, config=config,
+                on_alert=on_alert(name))
 
         def quantile(name):
             service.add_quantile_task(
                 name, threshold=100.0, quantile=0.9, error_allowance=0.05,
-                max_interval=6, sketch_window=16, config=config)
+                max_interval=6, sketch_window=16, config=config,
+                on_alert=on_alert(name))
 
         names = []
         for copy in range(copies):
@@ -135,7 +185,8 @@ class SoaDifferential:
             quantile(made["quantile"])
             service.add_entropy_task(
                 made["entropy"], threshold=2.0, error_allowance=0.05,
-                max_interval=6, entropy_window=12, config=config)
+                max_interval=6, entropy_window=12, config=config,
+                on_alert=on_alert(made["entropy"]))
             pair = [made["guarded"], made["trigger"]]
             for name in pair[::-1] if copy % 2 else pair:
                 plain(name)
@@ -288,9 +339,11 @@ class SoaDifferential:
 
     def check(self):
         self.same_state(self.scalar, self.vector)
-        # The watch edges each sink was handed.
+        # The watch edges each sink was handed, and the alerts each
+        # task's on_alert was, in order.
         assert (self.edges.get(id(self.scalar))
                 == self.edges.get(id(self.vector)))
+        assert self.fired["scalar"] == self.fired["vector"]
 
     @staticmethod
     def alert_log(service):
@@ -312,6 +365,11 @@ class SoaDifferential:
         assert (json.dumps(one.snapshot(), sort_keys=True)
                 == json.dumps(other.snapshot(), sort_keys=True))
         assert cls.alert_log(one) == cls.alert_log(other)
+        for service in (one, other):
+            assert {name: service.alert_count(name)
+                    for name in service.task_names} == {
+                name: len(log) for name, log
+                in cls.alert_log(service).items()}
         assert cls.task_counters(one) == cls.task_counters(other)
         assert cls._events(one) == cls._events(other)
         assert one.drain_trigger_events() == other.drain_trigger_events()

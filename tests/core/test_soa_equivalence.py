@@ -266,6 +266,10 @@ class TestParentWrittenSnapshot:
         assert not guard["armed"] and guard["suspensions"] > 0
         frames = continuation(names)
         for service in restored.values():
+            # Byte for byte: alert history comes back out of the columns
+            # as the lists it went in as.
+            assert json_snapshot(service) == json.dumps(snapshot,
+                                                        sort_keys=True)
             assert state_fingerprint(service.snapshot()) == (
                 fixture["fingerprint"])
             assert drive(service, frames, soa_differential.edge_router) == (
@@ -274,6 +278,54 @@ class TestParentWrittenSnapshot:
                 == soa_differential.alert_log(restored[False]))
         assert (soa_differential.task_counters(on_rows)
                 == soa_differential.task_counters(restored[False]))
+
+
+class TestAlertLog:
+    """The engine service's columnar alert history, at its edges; the
+    stream-level agreement with the scalar oracle is the differential
+    harness's (``alert_log`` / ``alert_count`` / callbacks in ``check``)."""
+
+    @staticmethod
+    def _hot(service, names, steps):
+        rows = [service.soa_row_for(name) for name in names]
+        for step in steps:
+            service.offer_columns(rows, [step] * len(rows),
+                                  [150.0] * len(rows), names)
+
+    def test_a_removed_tasks_history_leaves_the_log(self):
+        service = _service(soa=True, tasks=3)
+        self._hot(service, ["mix-0", "mix-1", "mix-2"], range(4))
+        log = service._alert_log
+        assert log.size == 12
+        kept = service.alerts("mix-0") + service.alerts("mix-2")
+        service.remove_task("mix-1")
+        assert log.size == 8 and service.soa_row_for("mix-0") == 0
+        assert service.alerts("mix-0") + service.alerts("mix-2") == kept
+        # Re-registered under its name, the task starts with no history.
+        service.add_task("mix-1", TaskSpec(threshold=100.0,
+                                           error_allowance=0.02,
+                                           name="mix-1"))
+        assert service.alert_count("mix-1") == 0
+        assert service.alerts("mix-1") == []
+        self._hot(service, ["mix-1"], [9])
+        assert [a.time_index for a in service.alerts("mix-1")] == [9]
+        assert service.snapshot()["tasks"][2]["alerts"] == [
+            [9, 150.0, 100.0]]
+
+    def test_the_count_sink_sees_each_batch_before_any_callback(self):
+        order = []
+        service = MonitoringService(soa=True)
+        for name in ("a", "b"):
+            service.add_task(name, TaskSpec(100.0, 0.01, name=name),
+                             on_alert=lambda alert, name=name: order.append(
+                                 (name, service.alert_count(name))))
+        service.set_alert_count_sink(order.append)
+        self._hot(service, ["a", "b"], range(2))
+        service.offer("a", 150.0, 5)
+        assert order == [2, ("a", 1), ("b", 1), 2, ("a", 2), ("b", 2),
+                         1, ("a", 3)]
+        with pytest.raises(ConfigurationError, match="SoA"):
+            MonitoringService().set_alert_count_sink(order.append)
 
 
 class TestEligibility:

@@ -266,13 +266,16 @@ class TestEngineRowSnapshotRoundtrip:
         snapshot = roundtrip(pair.vector.snapshot())
         assert snapshot_fingerprint(snapshot) \
             == snapshot_fingerprint(pair.scalar.snapshot())
-        restored = MonitoringService.restore(snapshot, soa=True)
+        # Carry on with the restored service in the interrupted one's
+        # place: its callbacks, trace and sink are re-attached.
+        fired = pair.fired["vector"]
+        restored = MonitoringService.restore(
+            snapshot, soa=True, on_alert=lambda name, alert: (
+                fired[name].append(alert) if name in fired else None))
         assert all(restored.soa_row_for(name) >= 0 for name in pair.names)
         # Restore -> snapshot must be the identity on the wire format.
         assert snapshot_fingerprint(restored.snapshot()) \
             == snapshot_fingerprint(snapshot)
-        # Carry on with the restored service in the interrupted one's
-        # place (its trace and sink, like callbacks, are re-attached).
         restored.attach_telemetry(pair.vector._trace)
         restored.set_trigger_sink(soa_differential.edge_router(
             restored, pair.edges[id(pair.vector)]))

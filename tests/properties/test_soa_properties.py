@@ -10,7 +10,10 @@ accounting, snapshots, alerts, counters and per-task trace events equal.
 The second property holds ``offer_columns`` to its own batch boundaries:
 where a frame is cut must not show, for tasks of every kind. The third
 holds ``run_columns`` to its tick split: whether a frame's runs are
-ticked as slices or regrouped by the argsort must not show either.
+ticked as slices or regrouped by the argsort must not show either. The
+fourth holds the engine service's columnar alert history — log, count
+column, callbacks, trace batches, snapshot lists — to the scalar oracle's
+per-alert objects, across by-name offers, task churn and a cross-restore.
 """
 
 from __future__ import annotations
@@ -209,3 +212,83 @@ def test_the_tick_split_does_not_show(soa_differential, estimator, sink,
     pair.check()
     soa_differential.same_state(by_runs, by_sort)
     assert run_edges == sort_edges == pair.edges.get(id(pair.vector), [])
+
+
+alert_frames = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=60),    # offers
+              st.integers(min_value=1, max_value=4),     # steps spanned
+              st.sampled_from(("columns", "columns", "by-name", "offer")),
+              st.booleans()),                            # a step goes back
+    min_size=2, max_size=14)
+
+
+def _feed(pair, rng, frames, step):
+    """Drive ``frames`` into both services of ``pair`` from ``step`` on:
+    rows repeat within a frame, steps repeat and now and then decrease,
+    ``value_for`` throws in NaNs and infinities, and a frame goes as one
+    column batch or offer by offer, by name."""
+    for offers, span, mode, back in frames:
+        idx = rng.integers(0, len(pair.names), offers)
+        steps = step + np.sort(rng.integers(0, span, offers))
+        step += span
+        if back:
+            steps[int(rng.integers(offers))] -= 3
+        values = [pair.draw(rng, int(i), int(s))
+                  for i, s in zip(idx, steps)]
+        if mode == "columns":
+            pair.offer(idx.tolist(), steps.tolist(), values)
+        else:
+            live = [k for k, i in enumerate(idx.tolist())
+                    if pair.names[i] in pair.scalar.task_names]
+            pair.offer_by_name(idx[live].tolist(), steps[live].tolist(),
+                               [values[k] for k in live],
+                               fast=mode == "by-name")
+    return step
+
+
+@given(estimator=st.sampled_from(("chebyshev", "gaussian")),
+       sink=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       before=alert_frames, between=alert_frames, after=alert_frames,
+       fresh_rows=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_alert_history_is_the_scalar_oracles(
+        soa_differential, estimator, sink, seed, before, between, after,
+        fresh_rows):
+    specs = soa_differential.population(8, estimator)
+    pair = soa_differential(specs, sink=sink, kinds=estimator)
+    rng = np.random.default_rng(seed)
+    step = _feed(pair, rng, before, 0)
+    # Churn: one plain task leaves for good, two (one with a callback,
+    # one without) leave and come back under their names — on new rows,
+    # which the batches reach through the stale ones (by name) or not.
+    gone = [pair.vector.soa_row_for(name) for name in pair.names[:3]]
+    for side in ("scalar", "vector"):
+        service = getattr(pair, side)
+        for name in pair.names[:3]:
+            service.remove_task(name)
+        for (task, config), on_alert in zip(
+                specs[:2], (pair.callback(side, pair.names[0]), None)):
+            service.add_task(task.name, task, config=config,
+                             on_alert=on_alert)
+    assert not np.isin(pair.vector._alert_log.rows, gone).any()
+    if fresh_rows:
+        pair.rows[:2] = [pair.vector.soa_row_for(name)
+                         for name in pair.names[:2]]
+    step = _feed(pair, rng, between, step)
+    pair.check()
+
+    other = pair.cross_restored()
+    snapshots = {json.dumps(service.snapshot(), sort_keys=True)
+                 for service in (pair.scalar, pair.vector, other.scalar,
+                                 other.vector)}
+    assert len(snapshots) == 1
+    other.check()
+    state = rng.bit_generator.state
+    _feed(pair, rng, after, step)
+    rng.bit_generator.state = state
+    _feed(other, rng, after, step)
+    pair.check()
+    other.check()
+    assert (json.dumps(pair.vector.snapshot(), sort_keys=True)
+            == json.dumps(other.vector.snapshot(), sort_keys=True))

@@ -63,6 +63,46 @@ class TestRingBuffer:
         assert trace.to_jsonl() == path.read_text()
         assert json.loads(lines[1])["shard"] == 2
 
+    @pytest.mark.parametrize("held,batch", [
+        (0, 0), (0, 3), (2, 5),   # fits the free room (8 - held)
+        (5, 3), (5, 4),           # fills it exactly / straddles it
+        (8, 2), (3, 8),           # full ring / a batch of the capacity
+        (3, 11), (8, 30)])        # more than the ring holds
+    def test_emit_batch_is_emit_in_a_loop(self, held, batch):
+        def event(i, stamped):
+            data = {"step": i, "value": i / 2, "threshold": 1.5}
+            kind = "violation" if i % 3 else "interval_adapted"
+            task = f"t{i % 2}" if i % 4 else None
+            if not stamped:
+                return (kind,), dict(task=task, shard=7, **data)
+            built = {"seq": None, "ts_monotonic": None, "kind": kind,
+                     "task": task, "shard": 7, **data}
+            if task is None:
+                del built["task"]
+            return built
+
+        one_by_one, batched = DecisionTrace(8), DecisionTrace(8)
+        for trace in (one_by_one, batched):
+            for i in range(held):
+                trace.emit("shed", count=i)
+        for i in range(batch):
+            args, kwargs = event(i, stamped=False)
+            one_by_one.emit(*args, **kwargs)
+        first = batched.emit_batch([event(i, stamped=True)
+                                    for i in range(batch)])
+        assert first == held
+        assert batched.next_seq == one_by_one.next_seq == held + batch
+        assert batched.dropped == one_by_one.dropped
+        assert len(batched) == len(one_by_one)
+        got, want = batched.drain(), one_by_one.drain()
+        assert [list(e) for e in got] == [list(e) for e in want]  # key order
+        stamps = {e["ts_monotonic"] for e in got if e["seq"] >= held}
+        assert len(stamps) <= 1                     # one clock read
+        for e in got + want:
+            del e["ts_monotonic"]
+        assert got == want
+        assert NullTrace().emit_batch([{"kind": "shed"}]) == 0
+
     def test_capacity_validation(self):
         with pytest.raises(ConfigurationError):
             DecisionTrace(capacity=0)

@@ -89,7 +89,8 @@ IGNORED = {
     "offer_columns", "soa_row_for", "run_columns", "observe_one",
     "row_state_dict", "load_row_state", "state_dict", "rows_state_dicts",
     "mark_row", "set_floor", "resume_full_rate", "next_due", "event_",
-    "viol_",
+    "viol_", "alert_count", "set_alert_count_sink", "emit_batch",
+    "ts_monotonic", "alerts_fired",
     # typed-task substrate/service methods, config keys, Timeline fields
     # and math tokens (p_q(X), P(X > T), add_*_task), not module
     # attributes

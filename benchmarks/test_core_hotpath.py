@@ -15,11 +15,13 @@ red (an O(buckets) walk per due quantile offer, a sketch materialised
 per alert, a sort per step-major batch, a scalar sampler built beside an
 engine row, a last-seen pair dragging its batch off the tick, an
 ``Alert`` object or a trace call per alert on a hosted shard or in its
-restore).
+restore, a JSON object per task in a snapshot, a row-by-row engine write
+in a restore).
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any
 
 import numpy as np
@@ -237,29 +239,49 @@ def _engine_service(tasks: int) -> MonitoringService:
     return service
 
 
+def _warm(tasks: int) -> MonitoringService:
+    service = _engine_service(tasks)
+    rows = np.arange(tasks, dtype=np.int64)
+    for step in range(8):
+        service.offer_columns(rows, np.full(tasks, step),
+                              np.full(tasks, 50.0))
+    return service
+
+
 def test_engine_service_builds_no_scalar_twin(monkeypatch):
     """Registering 1024 tasks on, and restoring a 1024-task snapshot
     into, an engine service builds no scalar sampler or statistics
-    object: a fresh row per task, and each snapshot entry's ``sampler``
-    dict loaded straight into its row, once, nothing dumped back."""
-    warm = _engine_service(1024)
-    rows = np.arange(1024, dtype=np.int64)
-    for step in range(8):
-        warm.offer_columns(rows, np.full(1024, step), np.full(1024, 50.0))
-    snapshot = warm.snapshot()
+    object: a fresh row per task registered; a restore's rows allocated
+    in one call and the snapshot's sampler columns loaded in one,
+    nothing row by row and nothing dumped back."""
+    snapshot = _warm(1024).snapshot()
     built = (_counted(monkeypatch, ViolationLikelihoodSampler, "__init__")
              + _counted(monkeypatch, OnlineStatistics, "__init__"))
-    loads = _counted(monkeypatch, SoaSamplerEngine, "load_row_state")
-    dumps = (_counted(monkeypatch, SoaSamplerEngine, "row_state_dict"),
-             _counted(monkeypatch, SoaSamplerEngine, "rows_state_dicts"))
+    loads = _counted(monkeypatch, SoaSamplerEngine, "load_rows_state")
+    bulk = _counted(monkeypatch, SoaSamplerEngine, "add_tasks")
+    by_row = (_counted(monkeypatch, SoaSamplerEngine, "add_task"),
+              _counted(monkeypatch, SoaSamplerEngine, "row_state_dict"))
+    dumps = _counted(monkeypatch, SoaSamplerEngine, "rows_state")
     fresh = _engine_service(1024)
-    assert not loads
+    assert len(by_row[0]) == 1024 and not loads and not bulk
+    by_row[0].clear()
     restored = MonitoringService.restore(snapshot, soa=True)
-    assert len(loads) == 1024
-    assert not built and not any(dumps)
+    assert len(loads) == len(bulk) == 1
+    assert not built and not dumps and not any(by_row)
     assert all(state.sampler is None for service in (fresh, restored)
                for state in service._tasks.values())
-    assert restored.snapshot() == snapshot
+    assert restored.snapshot() == snapshot and len(dumps) == 1
+
+
+def test_a_snapshot_holds_nothing_per_task():
+    """The number of JSON objects in a plain engine service's snapshot
+    does not depend on how many tasks it has (64 or 1024): what every
+    task has is columns, and a plain task has nothing else."""
+    small, large = (json.dumps(_warm(tasks).snapshot())
+                    for tasks in (64, 1024))
+    assert small.count("{") == large.count("{") < 24
+    assert large.count("[") == small.count("[")
+    assert len(large) > 12 * len(small)
 
 
 def test_a_last_seen_pair_leaves_the_tick_alone(monkeypatch):
@@ -331,7 +353,7 @@ def test_a_hosted_shards_alerts_stay_columns(monkeypatch):
     assert worker.applied == worker.alerts_fired == 8 * 1024
     assert len(batches) == len(segments) == 8 and not singles
     assert service.alert_count("t0007") == 8
-    assert len(service.snapshot()["tasks"][7]["alerts"]) == 8
+    assert service.snapshot()["task"]["alerts"][7] == 8
     assert not built
     assert len(service.alerts("t0007")) == 8 == len(built)
 
@@ -344,7 +366,7 @@ def test_restore_builds_alerts_only_for_the_scalar_oracle(monkeypatch):
     for step in range(200):
         source.offer_columns(rows, np.full(100, step), np.full(100, 150.0))
     snapshot = source.snapshot()
-    assert sum(len(task["alerts"]) for task in snapshot["tasks"]) == 20_000
+    assert sum(snapshot["task"]["alerts"]) == 20_000
     built = _counted_alerts(monkeypatch)
     on_rows = MonitoringService.restore(snapshot, soa=True)
     assert not built

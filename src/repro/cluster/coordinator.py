@@ -41,6 +41,7 @@ from repro.config import ClusterConfig
 from repro.core.adaptation import AdaptationConfig
 from repro.exceptions import ClusterError, ConfigurationError
 from repro.runtime.checkpoint import read_checkpoint
+from repro.service import snapshot_task_names
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import DecisionTrace
 from repro.triggers.plan import TriggerPlan
@@ -231,7 +232,7 @@ class Coordinator:
             await self._place_shard(routed, entry)
             if entry is not None:
                 self.restored_tasks += len(
-                    (entry.get("snapshot") or {}).get("tasks", []))
+                    snapshot_task_names(entry.get("snapshot") or {}))
         for wid, transport in self.transports.items():
             self._worker_up.labels(
                 wid, fn=lambda w=wid: 0.0 if w in self._dead else 1.0)
@@ -295,8 +296,8 @@ class Coordinator:
     async def _register_missing_tasks(self, routed: ShardRoute,
                                       entry: dict[str, Any] | None) -> None:
         """Re-register catalog tasks a snapshot did not already carry."""
-        present = {str(t.get("name")) for t in
-                   ((entry or {}).get("snapshot") or {}).get("tasks", [])}
+        present = set(snapshot_task_names(
+            (entry or {}).get("snapshot") or {}))
         for name, task_entry in self.catalog.items():
             if (self.task_shard.get(name) != routed.shard_id
                     or name in present):

@@ -171,9 +171,10 @@ class WorkerHost:
         alert-count sink feeding ``alerts_fired`` a batch at a time, with
         checkpointed ``counters`` carried over. Every hosted shard's
         service has an SoA engine: offers reach it as columns whatever
-        encoding the client used. Replaces a hosted shard of the same id
-        only if its drain loop is not running (callers stop a live one
-        first).
+        encoding the client used. A snapshot that does not load raises
+        before anything hosted is touched; one that does takes the table
+        entry of a hosted shard of the same id, whose drain loop the
+        caller then stops.
         """
         if snapshot is None:
             service = MonitoringService(self.adaptation, soa=True)
@@ -277,10 +278,13 @@ class WorkerHost:
         adaptation = request.get("adaptation")
         if adaptation is not None:
             self.adaptation = AdaptationConfig(**adaptation)
-        if shard_id in self.shards:
-            await self._uninstall(shard_id, drain=False)
+        # Restore first, swap after: a snapshot that does not load is
+        # an error reply, and costs the worker nothing it hosts.
+        previous = self.shards.get(shard_id)
         worker = self.install_shard(shard_id, request.get("snapshot"),
                                     request.get("counters"))
+        if previous is not None:
+            await previous.abort()
         reply = {"ok": True, "shard": shard_id,
                  "tasks": len(worker.service.task_names)}
         if request.get("fingerprint"):

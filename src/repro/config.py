@@ -260,7 +260,8 @@ class ClusterConfig:
         connections_per_worker: transport connection-pool size; more than
             one keeps offers flowing while control ops are in flight.
         checkpoint_path: cluster checkpoint file (placement table + every
-            shard snapshot, v2 CRC format); ``None`` disables.
+            shard snapshot, in the CRC-trailed checkpoint file format);
+            ``None`` disables.
         checkpoint_interval: seconds between periodic cluster checkpoints.
         shed_retry_ms: retry hint returned to clients on shed batches.
         trace_capacity: coordinator decision-trace ring size.

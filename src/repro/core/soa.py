@@ -46,17 +46,18 @@ correctly rounded by IEEE and safe to vectorise.
 
 A service is all rows or all scalar for life, so state never moves
 between the two representations at run time; it crosses only inside a
-snapshot, in the sampler ``state_dict`` format
-(:meth:`SoaSamplerEngine.rows_state_dicts` /
-:meth:`SoaSamplerEngine.load_row_state`), so checkpoints, snapshot
-fingerprints and live migration stay byte-compatible with scalar-only
-peers.
+snapshot, as the :data:`SAMPLER_STATE` columns
+(:meth:`SoaSamplerEngine.rows_state` /
+:meth:`SoaSamplerEngine.load_rows_state` on rows,
+:func:`sampler_state_columns` / :func:`sampler_state_dict` for the scalar
+sampler's ``state_dict``), so checkpoints, snapshot fingerprints and live
+migration stay byte-compatible with scalar-only peers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -65,7 +66,8 @@ from repro.core.adaptation import _MIN_ERROR_NEEDED, AdaptationConfig
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
 
-__all__ = ["SoaSamplerEngine", "ColumnBatchResult", "STEP_MIN", "STEP_MAX"]
+__all__ = ["SoaSamplerEngine", "ColumnBatchResult", "STEP_MIN", "STEP_MAX",
+           "SAMPLER_STATE", "sampler_state_columns", "sampler_state_dict"]
 
 # The steps an engine row accepts. The time columns are int64 and the
 # engine computes `step - last_time` and `step + interval` in them, so
@@ -98,6 +100,67 @@ _Tick = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
 # i.e. ~80 us fixed against ~6.2 us a row + 9: they cross between 12 and
 # 13 rows. Keyed on tick width alone; deliberately not a setting.
 _NARROW_TICK_ROWS = 13
+
+# A sampler's state as a snapshot holds it, one column per key: the
+# scalar sampler's ``state_dict`` keys with its ``stats`` flattened in
+# and ``None`` spelled as a flag -> (engine column, element type).
+SAMPLER_STATE: dict[str, tuple[str, type]] = {
+    "interval": ("interval", int),
+    "streak": ("streak", int),
+    "has_last": ("has_last", bool),
+    "last_value": ("last_value", float),
+    "last_time": ("last_time", int),
+    "error_allowance": ("err", float),
+    "observations": ("observations", int),
+    "grow_events": ("grow_events", int),
+    "reset_events": ("reset_events", int),
+    "coord_sum_r": ("coord_sum_r", float),
+    "coord_sum_log_e": ("coord_sum_log_e", float),
+    "coord_n": ("coord_n", int),
+    "n": ("stat_n", int),
+    "mean": ("mean", float),
+    "var": ("var", float),
+    "has_stale": ("has_stale", bool),
+    "stale_mean": ("stale_mean", float),
+    "stale_var": ("stale_var", float),
+    "stale_count": ("stale_count", int),
+    "restarts": ("restarts", int),
+    "total_count": ("total_count", int),
+}
+# flag -> the keys that are None in a state_dict while it is down.
+_FLAGGED = {"has_last": ("last_value", "last_time"),
+            "has_stale": ("stale_mean", "stale_var")}
+_STATS_KEYS = ("n", "mean", "var", "stale_mean", "stale_var", "stale_count",
+               "restarts", "total_count")
+
+
+def sampler_state_columns(states: list[dict[str, Any]],
+                          ) -> dict[str, list[Any]]:
+    """Scalar sampler ``state_dict`` s as :data:`SAMPLER_STATE` columns —
+    what :meth:`SoaSamplerEngine.rows_state` reads off rows holding the
+    same state, element for element."""
+    flat = [{**state, **state["stats"]} for state in states]
+    columns = {key: [state.get(key) for state in flat]
+               for key in SAMPLER_STATE}
+    for flag, keys in _FLAGGED.items():
+        columns[flag] = [value is not None for value in columns[keys[0]]]
+        for key in keys:
+            zero = SAMPLER_STATE[key][1]()
+            columns[key] = [zero if value is None else value
+                            for value in columns[key]]
+    return columns
+
+
+def sampler_state_dict(columns: dict[str, list[Any]],
+                       at: int) -> dict[str, Any]:
+    """Element ``at`` of :data:`SAMPLER_STATE` columns as the scalar
+    sampler ``state_dict`` (the inverse of :func:`sampler_state_columns`)."""
+    state = {key: columns[key][at] for key in SAMPLER_STATE}
+    for flag, keys in _FLAGGED.items():
+        if not state.pop(flag):
+            state.update(dict.fromkeys(keys))
+    state["stats"] = {key: state.pop(key) for key in _STATS_KEYS}
+    return state
 
 
 class ColumnBatchResult:
@@ -282,18 +345,50 @@ class SoaSamplerEngine:
         self.restart_limit[row] = (_NO_RESTART if config.stats_restart
                                    is None else config.stats_restart)
         self.min_fresh[row] = config.min_samples
-        self.interval[row] = 1
-        self.streak[row] = 0
-        self.has_last[row] = False
-        self.last_beta[row] = 1.0
-        self.last_flags[row] = 0
-        self.next_due[row] = 0
-        self.samples_taken[row] = 0
-        self.has_offered[row] = False
-        self.alerts[row] = 0
-        self.floor[row] = 1
-        self.active[row] = True
+        self._freshen(row)
         return row
+
+    def _freshen(self, at: int | slice) -> None:
+        """The mutable state of newly allocated rows, scalar-fresh."""
+        self.interval[at] = 1
+        self.streak[at] = 0
+        self.has_last[at] = False
+        self.last_beta[at] = 1.0
+        self.last_flags[at] = 0
+        self.next_due[at] = 0
+        self.samples_taken[at] = 0
+        self.has_offered[at] = False
+        self.alerts[at] = 0
+        self.floor[at] = 1
+        self.active[at] = True
+
+    def add_tasks(self, tasks: Sequence[TaskSpec],
+                  configs: Sequence[AdaptationConfig]) -> range:
+        """:meth:`add_task` for many tasks at once (a restore): the rows,
+        in order — each column stored once for all of them."""
+        rows = range(self._rows, self._rows + len(tasks))
+        while rows.stop > len(self.sign):
+            self._grow()
+        self._rows = rows.stop
+        at = slice(rows.start, rows.stop)
+        oriented = [task.oriented() for task in tasks]
+        self.sign[at] = [sign for sign, _ in oriented]
+        self.threshold[at] = [threshold for _, threshold in oriented]
+        self.alert_threshold[at] = [task.threshold for task in tasks]
+        self.err[at] = [task.error_allowance for task in tasks]
+        self.max_interval[at] = [task.max_interval for task in tasks]
+        self.patience[at] = [config.patience for config in configs]
+        self.min_samples[at] = self.min_fresh[at] = [
+            config.min_samples for config in configs]
+        self.one_minus_slack[at] = [1.0 - config.slack_ratio
+                                    for config in configs]
+        self.use_cheb[at] = [config.estimator == "chebyshev"
+                             for config in configs]
+        self.restart_limit[at] = [
+            _NO_RESTART if config.stats_restart is None
+            else config.stats_restart for config in configs]
+        self._freshen(at)
+        return rows
 
     def deactivate(self, row: int) -> None:
         """Retire a row; offers routed to it fall back / reject."""
@@ -334,87 +429,42 @@ class SoaSamplerEngine:
         self.samples_taken[row] += 1
 
     # ------------------------------------------------------------------
-    # state_dict round-trip (checkpoint v2 compatibility)
+    # Sampler state as snapshot columns (DESIGN.md S31 "snapshots are
+    # columns")
+
+    def rows_state(self, rows: np.ndarray) -> dict[str, list[Any]]:
+        """The sampler state of ``rows`` as a snapshot holds it: one
+        list per :data:`SAMPLER_STATE` key, each column gathered once.
+
+        An absent ``last_value`` / ``last_time`` / ``stale_mean`` /
+        ``stale_var`` is its flag column false and the value written as
+        zero, whatever the row holds there — what a fingerprint sees is
+        the state, not the row's history. Every element is a plain
+        Python type.
+        """
+        state = {key: getattr(self, column)[rows]
+                 for key, (column, _) in SAMPLER_STATE.items()}
+        for flag, keys in _FLAGGED.items():
+            for key in keys:
+                state[key] = np.where(state[flag], state[key], 0)
+        return {key: column.tolist() for key, column in state.items()}
+
+    def load_rows_state(self, rows: np.ndarray,
+                        state: dict[str, list[Any]]) -> None:
+        """Load :meth:`rows_state` columns into ``rows``, one scatter
+        per column."""
+        err = np.asarray(state["error_allowance"], dtype=np.float64)
+        if not ((err >= 0.0) & (err <= 1.0)).all():
+            raise ConfigurationError(
+                "error allowance must be in [0, 1] on every row")
+        for key, (column, _) in SAMPLER_STATE.items():
+            getattr(self, column)[rows] = state[key]
 
     def row_state_dict(self, row: int) -> dict[str, Any]:
-        """The row's sampler state in the exact scalar ``state_dict`` shape.
-
-        Every value is a plain Python type, so the dict feeds straight
-        into :meth:`ViolationLikelihoodSampler.load_state_dict`, JSON
-        canonicalisation and checkpoint fingerprints.
-        """
-        return self.rows_state_dicts(np.asarray([row], dtype=np.int64))[0]
-
-    def rows_state_dicts(self, rows: np.ndarray) -> list[dict[str, Any]]:
-        """:meth:`row_state_dict` of many rows, each column read once."""
-        (interval, streak, last_value, has_last, last_time, err,
-         observations, grow_events, reset_events, coord_sum_r,
-         coord_sum_log_e, coord_n, stat_n, mean, var, stale_mean, stale_var,
-         has_stale, stale_count, restarts, total_count) = (
-            getattr(self, name)[rows].tolist() for name in (
-                "interval", "streak", "last_value", "has_last", "last_time",
-                "err", "observations", "grow_events", "reset_events",
-                "coord_sum_r", "coord_sum_log_e", "coord_n", "stat_n",
-                "mean", "var", "stale_mean", "stale_var", "has_stale",
-                "stale_count", "restarts", "total_count"))
-        return [{
-            "interval": interval[i],
-            "streak": streak[i],
-            "last_value": last_value[i] if has_last[i] else None,
-            "last_time": last_time[i] if has_last[i] else None,
-            "error_allowance": err[i],
-            "observations": observations[i],
-            "grow_events": grow_events[i],
-            "reset_events": reset_events[i],
-            "coord_sum_r": coord_sum_r[i],
-            "coord_sum_log_e": coord_sum_log_e[i],
-            "coord_n": coord_n[i],
-            "stats": {
-                "n": stat_n[i],
-                "mean": mean[i],
-                "var": var[i],
-                "stale_mean": stale_mean[i] if has_stale[i] else None,
-                "stale_var": stale_var[i] if has_stale[i] else None,
-                "stale_count": stale_count[i],
-                "restarts": restarts[i],
-                "total_count": total_count[i],
-            },
-        } for i in range(len(rows))]
-
-    def load_row_state(self, row: int, state: dict[str, Any]) -> None:
-        """Load a scalar sampler ``state_dict`` into the row."""
-        self.interval[row] = int(state["interval"])
-        self.streak[row] = int(state["streak"])
-        last_value = state.get("last_value")
-        last_time = state.get("last_time")
-        self.has_last[row] = last_time is not None
-        self.last_value[row] = (0.0 if last_value is None
-                                else float(last_value))
-        self.last_time[row] = 0 if last_time is None else int(last_time)
-        err = float(state["error_allowance"])
-        if not 0.0 <= err <= 1.0:
-            raise ConfigurationError(
-                f"error allowance must be in [0, 1], got {err}")
-        self.err[row] = err
-        self.observations[row] = int(state.get("observations", 0))
-        self.grow_events[row] = int(state.get("grow_events", 0))
-        self.reset_events[row] = int(state.get("reset_events", 0))
-        self.coord_sum_r[row] = float(state.get("coord_sum_r", 0.0))
-        self.coord_sum_log_e[row] = float(state.get("coord_sum_log_e", 0.0))
-        self.coord_n[row] = int(state.get("coord_n", 0))
-        stats = state["stats"]
-        self.stat_n[row] = int(stats["n"])
-        self.mean[row] = float(stats["mean"])
-        self.var[row] = float(stats["var"])
-        stale_mean = stats.get("stale_mean")
-        stale_var = stats.get("stale_var")
-        self.has_stale[row] = stale_mean is not None
-        self.stale_mean[row] = (0.0 if stale_mean is None
-                                else float(stale_mean))
-        self.stale_var[row] = 0.0 if stale_var is None else float(stale_var)
-        self.stale_count[row] = int(stats.get("stale_count", 0))
-        self.restarts[row] = int(stats.get("restarts", 0))
-        self.total_count[row] = int(stats.get("total_count", 0))
+        """One row's sampler state in the exact scalar ``state_dict``
+        shape — the diagnostic view of :meth:`rows_state`."""
+        return sampler_state_dict(
+            self.rows_state(np.asarray([row], dtype=np.int64)), 0)
 
     # ------------------------------------------------------------------
     # Scalar drive surface (by-name offers and narrow ticks)

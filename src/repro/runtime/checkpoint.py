@@ -6,7 +6,9 @@ and counters. Writes go through a same-directory temp file + ``os.replace``
 so a crash mid-write leaves the previous checkpoint intact — readers see
 either the old complete state or the new complete state, never a torn file.
 
-Format version 2 appends a ``crc32:<8 hex>`` trailer line covering the
+File format version 2 (``CHECKPOINT_VERSION``; not the snapshot
+documents' own ``repro.service.SNAPSHOT_VERSION``, which a checkpoint
+carries inside) appends a ``crc32:<8 hex>`` trailer line covering the
 JSON body. The atomic writer makes torn files impossible through *this*
 code path, but checkpoints also travel — partial copies, filesystem
 corruption, backup tools interrupted mid-stream — and a truncated JSON
@@ -39,7 +41,7 @@ __all__ = ["CHECKPOINT_VERSION", "read_checkpoint", "state_fingerprint",
 
 CHECKPOINT_VERSION = 2
 
-_TRAILER = re.compile(r"\ncrc32:([0-9a-f]{8})\n?\Z")
+_TRAILER = re.compile(rb"\ncrc32:([0-9a-f]{8})\n?\Z")
 
 
 def state_fingerprint(state: Mapping[str, Any]) -> str:
@@ -57,9 +59,8 @@ def state_fingerprint(state: Mapping[str, Any]) -> str:
 def _encode(state: dict[str, Any]) -> bytes:
     payload = dict(state)
     payload["checkpoint_version"] = CHECKPOINT_VERSION
-    body = json.dumps(payload, separators=(",", ":"))
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return f"{body}\ncrc32:{crc:08x}\n".encode("utf-8")
+    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return body + b"\ncrc32:%08x\n" % zlib.crc32(body)
 
 
 def write_checkpoint(path: pathlib.Path | str, state: dict[str, Any],
@@ -119,25 +120,26 @@ def read_checkpoint(path: pathlib.Path | str) -> dict[str, Any]:
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") \
             from None
+    # The trailer is the file's last 16 bytes (15 without its newline);
+    # the multi-MB body is sliced, checksummed and parsed once each.
+    trailer = _TRAILER.search(raw, max(len(raw) - 16, 0))
     try:
-        text = raw.decode("utf-8")
+        if trailer is None:
+            raw.decode("utf-8")  # or else: which of the two it is
+            raise CheckpointError(
+                f"checkpoint {path} has no checksum trailer; the file was "
+                f"truncated or predates format version {CHECKPOINT_VERSION}")
+        body = raw[:trailer.start()]
+        crc = zlib.crc32(body)
+        if crc != int(trailer.group(1), 16):
+            raise CheckpointError(
+                f"checkpoint {path} failed its checksum "
+                f"(stored {trailer.group(1).decode()}, computed {crc:08x}); "
+                f"the file is corrupt or was truncated mid-write")
+        state = json.loads(body)
     except UnicodeDecodeError as exc:
         raise CheckpointError(
             f"checkpoint {path} is not valid UTF-8: {exc}") from None
-    trailer = _TRAILER.search(text)
-    if trailer is None:
-        raise CheckpointError(
-            f"checkpoint {path} has no checksum trailer; the file was "
-            f"truncated or predates format version {CHECKPOINT_VERSION}")
-    body = text[:trailer.start()]
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    if crc != int(trailer.group(1), 16):
-        raise CheckpointError(
-            f"checkpoint {path} failed its checksum "
-            f"(stored {trailer.group(1)}, computed {crc:08x}); "
-            f"the file is corrupt or was truncated mid-write")
-    try:
-        state = json.loads(body)
     except json.JSONDecodeError as exc:
         raise CheckpointError(
             f"checkpoint {path} is not valid JSON: {exc}") from None

@@ -34,16 +34,19 @@ from __future__ import annotations
 
 import logging
 from collections import deque
+from functools import partial
+from itertools import compress, repeat
 from dataclasses import dataclass, field, fields as dataclass_fields
 from math import isfinite
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.adaptation import (AdaptationConfig, SamplingDecision,
                                    ViolationLikelihoodSampler)
-from repro.core.soa import (STEP_MAX, STEP_MIN, ColumnBatchResult,
-                            SoaSamplerEngine)
+from repro.core.soa import (SAMPLER_STATE, STEP_MAX, STEP_MIN,
+                            ColumnBatchResult, SoaSamplerEngine,
+                            sampler_state_columns, sampler_state_dict)
 from repro.core.substrates import (DEFAULT_ENTROPY_WINDOW,
                                    DEFAULT_SKETCH_WINDOW, EntropyEstimator,
                                    QuantileEstimator)
@@ -54,14 +57,18 @@ from repro.exceptions import ConfigurationError
 from repro.triggers.channel import TriggerWatcher
 from repro.types import Alert, ThresholdDirection
 
-__all__ = ["MonitoringService", "TaskState", "SNAPSHOT_VERSION"]
+__all__ = ["MonitoringService", "TaskState", "SNAPSHOT_VERSION",
+           "snapshot_task_names"]
 
 logger = logging.getLogger(__name__)
 
 AlertCallback = Callable[[Alert], None]
 
-SNAPSHOT_VERSION = 1
-"""Format version stamped into :meth:`MonitoringService.snapshot` dicts."""
+SNAPSHOT_VERSION = 2
+"""Format version stamped into :meth:`MonitoringService.snapshot` dicts:
+2 is the columnar document; :meth:`MonitoringService.restore` still reads
+version 1. Not the checkpoint *file* format's
+(:data:`repro.runtime.checkpoint.CHECKPOINT_VERSION`)."""
 
 
 @dataclass
@@ -208,73 +215,44 @@ class TaskState:
         return Alert(time_index=step, value=monitored,
                      threshold=self.task.threshold)
 
-    def state_dict(self, row: tuple[dict[str, Any], int, int, int,
-                                    list[list[Any]]] | None = None,
-                   ) -> dict[str, Any]:
-        """The task's full mutable + declarative state, JSON-able.
+    def state_dict(self, suspensions: int) -> dict[str, Any]:
+        """What few tasks have, JSON-able, only when present: the sparse
+        part of a snapshot (:meth:`MonitoringService.snapshot` holds what
+        every task has as columns). ``suspensions`` is the deferred-offer
+        count from wherever the service keeps it.
 
-        Everything :meth:`MonitoringService.restore` needs to resume this
-        task exactly: the spec, adaptation config, schedule position,
-        sampler internals, alert history, trigger wiring and window buffer.
-        The ``on_alert`` callback is *not* serialisable — restoring callers
-        re-attach their own. ``row`` is what an engine service holds of
-        the task in columns, ``(sampler state_dict, next_due,
-        samples_taken, trigger_suspensions, alerts as [step, value,
-        threshold] lists)``; by default the fields of a scalar service's
-        task.
+        Typed-task keys, trigger-channel keys (so guards survive
+        migration and failover bit-identically) and a non-empty window
+        buffer each appear only on the tasks that have them, so the
+        snapshot of a fleet of plain tasks holds nothing per task. The
+        ``on_alert`` callback is *not* serialisable — restoring callers
+        re-attach their own.
         """
-        sampler, next_due, samples_taken, suspensions, alerts = row or (
-            self.sampler.state_dict(), self.next_due, self.samples_taken,
-            self.trigger_suspensions,
-            [[a.time_index, a.value, a.threshold] for a in self.alerts])
-        state: dict[str, Any] = {
-            "name": self.name,
-            "spec": _spec_to_dict(self.task),
-            "adaptation": _adaptation_to_dict(self.config),
-            "window": self.window,
-            "window_kind": self.window_kind.value,
-            "next_due": next_due,
-            "samples_taken": samples_taken,
-            "alerts": alerts,
-            "trigger_task": self.trigger_task,
-            "trigger_level": self.trigger_level,
-            "suspend_interval": self.suspend_interval,
-            "window_values": [[s, v] for s, v in self._window_values],
-            # The running sum is serialised verbatim (not recomputed from
-            # the buffer on restore) so a restored task's aggregates are
-            # bit-identical to an uninterrupted run's, floating-point
-            # accumulation history included.
-            "window_sum": self._window_sum,
-            "sampler": sampler,
-        }
+        state: dict[str, Any] = {}
         if self.task_type != "value":
-            # Typed-task keys are emitted only when present so value-task
-            # snapshots stay byte-identical to every earlier release.
             state["type"] = self.task_type
             state["value_threshold"] = self.value_threshold
             state["substrate"] = self.substrate.state_dict()
-        # Trigger-channel keys follow the same only-when-present rule:
-        # the armed flag and watcher debounce state ride the ordinary
-        # checkpoint so guards survive migration and failover
-        # bit-identically, while unguarded snapshots never change shape.
         if self.remote_trigger is not None:
             state["remote_trigger"] = self.remote_trigger
             state["trigger_armed"] = self.trigger_armed
             state["trigger_suspensions"] = suspensions
         if self.watch is not None:
             state["watch"] = self.watch.state_dict()
+        if self._window_values:
+            state["window_values"] = [[s, v] for s, v in self._window_values]
         return state
 
     @classmethod
     def from_state_dict(cls, state: dict[str, Any],
-                        on_alert: AlertCallback | None = None) -> "TaskState":
-        """Rebuild a task from :meth:`state_dict` — all of it but what an
-        engine service may hold in columns instead (the ``sampler``,
-        ``next_due``, ``samples_taken``, ``trigger_suspensions`` and
-        ``alerts`` keys, which :meth:`MonitoringService.restore` loads
-        where they live) and ``trigger_task``, which the service wires."""
-        spec = _spec_from_dict(state["spec"])
-        task_type = str(state.get("type", "value"))
+                        **dense: Any) -> "TaskState":
+        """Rebuild a task from its ``dense`` fields (constructor
+        arguments, off a snapshot's columns) and :meth:`state_dict` — all
+        but ``trigger_suspensions``, which the service loads where it
+        keeps it."""
+        if not state:  # a plain task: most of any fleet
+            return cls(**dense)
+        task_type = state.get("type", "value")
         substrate: Any = None
         if task_type == "quantile":
             substrate = QuantileEstimator.from_state_dict(state["substrate"])
@@ -283,54 +261,19 @@ class TaskState:
         elif task_type != "value":
             raise ConfigurationError(
                 f"unknown task type {task_type!r} in snapshot entry "
-                f"{state.get('name')!r}")
+                f"{dense.get('name')!r}")
         task_state = cls(
-            name=str(state["name"]),
-            task=spec,
-            config=_adaptation_from_dict(state["adaptation"]),
             task_type=task_type,
-            value_threshold=float(state.get("value_threshold", 0.0)),
+            value_threshold=state.get("value_threshold", 0.0),
             substrate=substrate,
-            trigger_level=float(state.get("trigger_level", 0.0)),
-            suspend_interval=int(state.get("suspend_interval", 10)),
             remote_trigger=state.get("remote_trigger"),
-            trigger_armed=bool(state.get("trigger_armed", True)),
+            trigger_armed=state.get("trigger_armed", True),
             watch=(TriggerWatcher.from_state_dict(state["watch"])
                    if "watch" in state else None),
-            window=int(state["window"]),
-            window_kind=AggregateKind(state["window_kind"]),
-            on_alert=on_alert,
-        )
-        for s, v in state.get("window_values", []):
-            task_state._window_values.append((int(s), float(v)))
-        if "window_sum" in state:
-            task_state._window_sum = float(state["window_sum"])
-        else:
-            task_state._window_sum = sum(
-                v for _, v in task_state._window_values)
+            **dense)
+        task_state._window_values.extend(
+            (int(s), float(v)) for s, v in state.get("window_values", ()))
         return task_state
-
-
-def _spec_to_dict(spec: TaskSpec) -> dict[str, Any]:
-    return {
-        "threshold": spec.threshold,
-        "error_allowance": spec.error_allowance,
-        "default_interval": spec.default_interval,
-        "max_interval": spec.max_interval,
-        "direction": spec.direction.value,
-        "name": spec.name,
-    }
-
-
-def _spec_from_dict(entry: dict[str, Any]) -> TaskSpec:
-    return TaskSpec(
-        threshold=float(entry["threshold"]),
-        error_allowance=float(entry["error_allowance"]),
-        default_interval=float(entry["default_interval"]),
-        max_interval=int(entry["max_interval"]),
-        direction=ThresholdDirection(entry["direction"]),
-        name=str(entry.get("name", "")),
-    )
 
 
 def _adaptation_to_dict(config: AdaptationConfig) -> dict[str, Any]:
@@ -340,6 +283,203 @@ def _adaptation_to_dict(config: AdaptationConfig) -> dict[str, Any]:
 
 def _adaptation_from_dict(entry: dict[str, Any]) -> AdaptationConfig:
     return AdaptationConfig(**entry)
+
+
+# -- the snapshot document (DESIGN.md S31 "snapshots are columns") ------
+#
+# What every task has is one list per key, aligned with ``names``
+# (registration order), grouped by where it lives: ``spec`` (the
+# TaskSpec fields), ``sampler`` (core.soa.SAMPLER_STATE) and ``task``
+# (schedule, window, last-seen gate, alert count). ``alerts`` are three
+# flat columns in ``names`` order, each task's oldest first, cut by
+# ``task.alerts``. What few tasks have is a map by task name per
+# TaskState.state_dict key, under ``sparse``. key -> element types:
+_NUMBER, _INT, _STR = (float, int), (int,), (str,)
+_GROUPS: dict[str, dict[str, tuple[type, ...]]] = {
+    "spec": {"threshold": _NUMBER, "error_allowance": _NUMBER,
+             "default_interval": _NUMBER, "max_interval": _INT,
+             "direction": _STR, "name": _STR},
+    "sampler": {key: _NUMBER if kind is float else (kind,)
+                for key, (_, kind) in SAMPLER_STATE.items()},
+    "task": {"adaptation": _INT, "window": _INT, "window_kind": _STR,
+             "window_sum": _NUMBER, "next_due": _INT, "samples_taken": _INT,
+             "alerts": _INT, "trigger_task": (str, type(None)),
+             "trigger_level": _NUMBER, "suspend_interval": _INT},
+    "alerts": {"step": _INT, "value": _NUMBER, "threshold": _NUMBER},
+}
+_SPARSE_KEYS = ("type", "value_threshold", "substrate", "remote_trigger",
+                "trigger_armed", "trigger_suspensions", "watch",
+                "window_values")
+_SNAPSHOT_KEYS = {"version", "adaptation", "adaptations", "names",
+                  *_GROUPS, "sparse", "last_seen"}
+_DIRECTIONS = {d.value: d for d in ThresholdDirection}
+_WINDOW_KINDS = {k.value: k for k in AggregateKind}
+
+
+def snapshot_task_names(snapshot: Mapping[str, Any]) -> list[str]:
+    """The tasks a :meth:`MonitoringService.snapshot` document carries,
+    in registration order — of either snapshot version, so nobody
+    outside this module indexes a snapshot's insides."""
+    if "names" in snapshot:
+        return list(snapshot["names"])
+    return [str(entry["name"]) for entry in snapshot.get("tasks", [])]
+
+
+def _distinct(configs: Iterable[AdaptationConfig],
+              ) -> tuple[list[AdaptationConfig], list[int]]:
+    """The distinct ``configs`` in first-use order, and each one's index
+    among them — a snapshot's ``adaptations`` and ``task.adaptation``."""
+    seen: dict[AdaptationConfig, int] = {}
+    indices = [seen.setdefault(config, len(seen)) for config in configs]
+    return list(seen), indices
+
+
+def _sparse_maps(states: Iterable[tuple[str, dict[str, Any]]],
+                 ) -> dict[str, dict[str, Any]]:
+    """``(name, TaskState.state_dict())`` pairs as a snapshot's
+    ``sparse`` group: one map by task name per key."""
+    sparse: dict[str, dict[str, Any]] = {key: {} for key in _SPARSE_KEYS}
+    for name, state in states:
+        for key, value in state.items():
+            sparse[key][name] = value
+    return sparse
+
+
+def _upgrade_v1(snapshot: Mapping[str, Any]) -> dict[str, Any]:
+    """A version-1 snapshot (one dict per task under ``tasks``) as the
+    version-2 document holding the same state. Pure, read-only, and the
+    only code that knows the old shape: checkpoint files and fixtures
+    written before the bump load through it; nothing writes version 1.
+    """
+    tasks = snapshot.get("tasks", [])
+    names = snapshot_task_names(snapshot)
+    known = set(names)
+    configs, adaptation = _distinct(_adaptation_from_dict(
+        entry["adaptation"]) for entry in tasks)
+    # What version 1's readers defaulted when an older writer left it out.
+    sampler_defaults = {"observations": 0, "grow_events": 0,
+                        "reset_events": 0, "coord_sum_r": 0.0,
+                        "coord_sum_log_e": 0.0, "coord_n": 0}
+    stats_defaults = {"stale_count": 0, "restarts": 0, "total_count": 0}
+    tasks = [{"alerts": [], "window_values": [], "trigger_task": None,
+              "trigger_level": 0.0, "suspend_interval": 10, **entry}
+             for entry in tasks]
+    alerts = [alert for entry in tasks for alert in entry["alerts"]]
+
+    def sparse(entry: dict[str, Any]) -> dict[str, Any]:
+        # Version 1 wrote an empty window buffer out.
+        state = {key: entry[key] for key in _SPARSE_KEYS if entry.get(
+            key) not in (None, [])}
+        if "type" in state:
+            state.setdefault("value_threshold", 0.0)
+        if "remote_trigger" in state:
+            state.setdefault("trigger_armed", True)
+            state.setdefault("trigger_suspensions", 0)
+        return state
+
+    return {
+        "version": 2,
+        "adaptation": snapshot["adaptation"],
+        "adaptations": [_adaptation_to_dict(config) for config in configs],
+        "names": names,
+        "spec": {key: [entry["spec"].get("name", "") if key == "name"
+                       else entry["spec"][key] for entry in tasks]
+                 for key in _GROUPS["spec"]},
+        "sampler": sampler_state_columns([
+            {**sampler_defaults, **entry["sampler"],
+             "stats": {**stats_defaults, **entry["sampler"]["stats"]}}
+            for entry in tasks]),
+        "task": {key: [entry[key] for entry in tasks]
+                 for key in _GROUPS["task"]
+                 if key not in ("adaptation", "alerts", "window_sum")}
+        | {"adaptation": adaptation,
+           "alerts": [len(entry["alerts"]) for entry in tasks],
+           "window_sum": [
+               entry["window_sum"] if "window_sum" in entry
+               else sum(float(v) for _, v in entry["window_values"])
+               for entry in tasks]},
+        "alerts": {key: [alert[at] for alert in alerts]
+                   for at, key in enumerate(_GROUPS["alerts"])},
+        "sparse": _sparse_maps(zip(names, map(sparse, tasks))),
+        # A removed task's entry was harmless there; it is not a task's.
+        "last_seen": {name: value for name, value
+                      in snapshot.get("last_seen", {}).items()
+                      if name in known},
+    }
+
+
+def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
+    """Refuse a version-2 document that is not one — a wrong key set, a
+    ragged or mistyped column, counts, indices or names that point
+    nowhere — with a :class:`ConfigurationError` naming the culprit,
+    before a service exists."""
+    def fail(what: str) -> None:
+        raise ConfigurationError(f"malformed snapshot: {what}")
+
+    def check_keys(where: str, have: Any, want: Iterable[str]) -> None:
+        if not isinstance(have, dict):
+            fail(f"{where} is not a map")
+        if set(have) != set(want):
+            fail(f"{where} has missing or unknown keys "
+                 f"{sorted(set(have) ^ set(want), key=repr)}")
+
+    def check(where: str, column: Any, kinds: tuple[type, ...],
+              length: int | None) -> None:
+        if not isinstance(column, list) or length not in (None, len(column)):
+            fail(f"column {where} is not a list"
+                 + ("" if length is None else f" of {length} elements"))
+        if not set(map(type, column)) <= set(kinds):
+            fail(f"column {where} holds an element that is not "
+                 + " or ".join(kind.__name__ for kind in kinds))
+        if kinds == _INT:
+            try:
+                np.asarray(column, dtype=np.int64)
+            except OverflowError:
+                fail(f"column {where} holds an integer beyond 64 bits")
+
+    check_keys("the document", snapshot, _SNAPSHOT_KEYS)
+    names = snapshot["names"]
+    check("names", names, _STR, None)
+    known = set(names)
+    if len(known) != len(names):
+        fail("names holds a task twice")
+    for group, kinds in _GROUPS.items():
+        check_keys(f"group {group!r}", snapshot[group], kinds)
+    task = snapshot["task"]
+    check("task.alerts", task["alerts"], _INT, len(names))
+    if min(task["alerts"], default=0) < 0:
+        fail("column task.alerts holds a negative count")
+    for group, kinds in _GROUPS.items():
+        # One element per task; per alert (task.alerts in all) in alerts.
+        length = sum(task["alerts"]) if group == "alerts" else len(names)
+        for key, kind in kinds.items():
+            check(f"{group}.{key}", snapshot[group][key], kind, length)
+    configs = snapshot["adaptations"]
+    if not isinstance(configs, list) or not set(
+            task["adaptation"]) <= set(range(len(configs))):
+        fail("column task.adaptation indexes outside adaptations")
+    for where, column, legal in (
+            ("spec.direction", snapshot["spec"]["direction"], _DIRECTIONS),
+            ("task.window_kind", task["window_kind"], _WINDOW_KINDS),
+            ("task.trigger_task", task["trigger_task"], known | {None})):
+        strays = set(column) - set(legal)
+        if strays:
+            fail(f"column {where} holds {min(strays, key=repr)!r}")
+    sparse = snapshot["sparse"]
+    check_keys("group 'sparse'", sparse, _SPARSE_KEYS)
+    for key, column in (*sparse.items(),
+                        ("last_seen", snapshot["last_seen"])):
+        if not isinstance(column, dict) or not set(column) <= known:
+            fail(f"map {key!r} has a key that is not in names")
+    for keys in (_SPARSE_KEYS[:3], _SPARSE_KEYS[3:6]):
+        if len({frozenset(sparse[key]) for key in keys}) != 1:
+            fail(f"maps {list(keys)} are not keyed by the same tasks")
+    for key, column, kinds in (
+            ("trigger_suspensions", sparse["trigger_suspensions"], _INT),
+            ("last_seen", snapshot["last_seen"], _NUMBER)):
+        if not set(map(type, column.values())) <= set(kinds):
+            fail(f"map {key!r} holds a value that is not "
+                 + " or ".join(kind.__name__ for kind in kinds))
 
 
 class _RowHooks:
@@ -437,30 +577,21 @@ class _AlertLog:
         new["threshold"] = thresholds
         self.size = end
 
-    def _triples(self, at: np.ndarray) -> list[list[Any]]:
-        """The entries at positions ``at`` as ``[step, value, threshold]``
-        lists — a snapshot's (and the ``alerts`` op's) form."""
-        entries = self._entries[at]
+    def of_row(self, row: int) -> list[list[Any]]:
+        """One row's entries, oldest first, as ``[step, value,
+        threshold]`` lists (the ``alerts`` op's form)."""
+        entries = self._entries[np.flatnonzero(self.rows == row)]
         return list(map(list, zip(entries["step"].tolist(),
                                   entries["value"].tolist(),
                                   entries["threshold"].tolist())))
 
-    def of_row(self, row: int) -> list[list[Any]]:
-        """One row's entries, oldest first."""
-        return self._triples(np.flatnonzero(self.rows == row))
-
-    def by_row(self) -> dict[int, list[list[Any]]]:
-        """Every row's entries, oldest first: one stable argsort groups
-        the log by row, one pass builds the lists, slices hand them out."""
-        if not self.size:
-            return {}
-        order = np.argsort(self.rows, kind="stable")
-        rows = self.rows[order]
-        triples = self._triples(order)
-        bounds = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(),
-                  self.size]
-        return {row: triples[lo:hi] for row, lo, hi in zip(
-            rows[bounds[:-1]].tolist(), bounds, bounds[1:])}
+    def columns(self) -> dict[str, list[Any]]:
+        """Every entry as a snapshot's ``alerts`` columns: grouped by
+        row, rows ascending — registration order, as rows are handed out
+        in it and never reused — and each row's oldest first. One stable
+        argsort and a ``tolist()`` per column."""
+        entries = self._entries[np.argsort(self.rows, kind="stable")]
+        return {key: entries[key].tolist() for key in _GROUPS["alerts"]}
 
     def drop_row(self, row: int) -> None:
         """Forget a retired row's entries; the rest keep their order."""
@@ -521,7 +652,9 @@ class MonitoringService:
     # reference :meth:`offer`. Behaviour — and snapshots — are identical
     # either way.
 
-    def _register(self, state: TaskState) -> None:
+    def _register(self, state: TaskState, row: int | None = None) -> None:
+        """Take ``state`` in; on an engine service onto a fresh row, or
+        onto ``row`` when the caller allocated it (a restore's, in bulk)."""
         self._tasks[state.name] = state
         self._watchers += state.watch is not None
         engine = self._soa
@@ -529,7 +662,9 @@ class MonitoringService:
             state.sampler = ViolationLikelihoodSampler(state.task,
                                                        state.config)
             return
-        row = state.soa_row = engine.add_task(state.task, state.config)
+        if row is None:
+            row = engine.add_task(state.task, state.config)
+        state.soa_row = row
         typed = state.task_type != "value"
         engine.mark_row(row, absorbs=typed,
                         derived=typed or state.window > 1,
@@ -1482,39 +1617,75 @@ class MonitoringService:
         the trigger last-seen map — everything :meth:`restore` needs to
         resume with identical behaviour. Alert callbacks are not captured.
 
-        An engine service serialises its tasks from their rows, so the
-        snapshot format — and its fingerprint — is identical whether the
-        service ran columnar or scalar. Nothing is written.
+        The document is columns aligned with ``names`` (module comment
+        above ``_GROUPS``; DESIGN.md S31 "snapshots are columns"): an
+        engine service reads each off its rows with one gather, the
+        scalar oracle walks its samplers, and both write the identical
+        document — so its fingerprint is the same whether the service
+        ran columnar or scalar. Nothing is written.
         """
         engine = self._soa
+        names = list(self._tasks)
+        states = list(self._tasks.values())
         if engine is None:
-            tasks = [state.state_dict() for state in self._tasks.values()]
+            sampler = sampler_state_columns(
+                [state.sampler.state_dict() for state in states])
+            next_due = [state.next_due for state in states]
+            samples_taken = [state.samples_taken for state in states]
+            logged = [len(state.alerts) for state in states]
+            history = [alert for state in states for alert in state.alerts]
+            alerts = {"step": [a.time_index for a in history],
+                      "value": [a.value for a in history],
+                      "threshold": [a.threshold for a in history]}
             last_seen = dict(self._last_seen)
         else:
-            # Each column is read once for all rows, in registration
-            # order (which is _tasks' order).
-            tasks, last_seen = [], {}
             rows = np.fromiter(self._soa_rows, dtype=np.int64,
-                               count=len(self._soa_rows))
-            alerts = self._alert_log.by_row()
-            for (row, state, sampler, next_due, samples_taken, suspensions,
-                 has_offered, last_offered) in zip(
-                    self._soa_rows, self._soa_rows.values(),
-                    engine.rows_state_dicts(rows),
-                    engine.next_due[rows].tolist(),
-                    engine.samples_taken[rows].tolist(),
-                    engine.suspensions[rows].tolist(),
-                    engine.has_offered[rows].tolist(),
-                    engine.last_offered[rows].tolist()):
-                tasks.append(state.state_dict(
-                    (sampler, next_due, samples_taken, suspensions,
-                     alerts.get(row, []))))
-                if has_offered:
-                    last_seen[state.name] = last_offered
+                               count=len(names))
+            sampler = engine.rows_state(rows)
+            next_due = engine.next_due[rows].tolist()
+            samples_taken = engine.samples_taken[rows].tolist()
+            logged = engine.alerts[rows].tolist()
+            alerts = self._alert_log.columns()
+            offered = engine.has_offered[rows]
+            last_seen = dict(zip(compress(names, offered.tolist()),
+                                 engine.last_offered[rows][offered].tolist()))
+        configs, adaptation = _distinct(state.config for state in states)
+        spec = {key: [getattr(state.task, key) for state in states]
+                for key in _GROUPS["spec"]}
+        spec["direction"] = [way.value for way in spec["direction"]]
         return {
             "version": SNAPSHOT_VERSION,
             "adaptation": _adaptation_to_dict(self._config),
-            "tasks": tasks,
+            "adaptations": [_adaptation_to_dict(config)
+                            for config in configs],
+            "names": names,
+            "spec": spec,
+            "sampler": sampler,
+            "task": {
+                "adaptation": adaptation,
+                "window": [state.window for state in states],
+                "window_kind": [state.window_kind.value
+                                for state in states],
+                # The running sum is serialised verbatim (not recomputed
+                # from the buffer on restore) so a restored task's
+                # aggregates are bit-identical to an uninterrupted
+                # run's, floating-point accumulation history included.
+                "window_sum": [state._window_sum for state in states],
+                "next_due": next_due,
+                "samples_taken": samples_taken,
+                "alerts": logged,
+                "trigger_task": [state.trigger_task for state in states],
+                "trigger_level": [state.trigger_level for state in states],
+                "suspend_interval": [state.suspend_interval
+                                     for state in states],
+            },
+            "alerts": alerts,
+            "sparse": _sparse_maps(
+                (state.name, state.state_dict(self._suspensions(state)))
+                for state in states
+                if state.substrate is not None or state.watch is not None
+                or state.remote_trigger is not None
+                or state._window_values),
             "last_seen": last_seen,
         }
 
@@ -1525,7 +1696,8 @@ class MonitoringService:
         """Rebuild a service from a :meth:`snapshot` dict.
 
         Args:
-            snapshot: a dict produced by :meth:`snapshot`.
+            snapshot: a dict produced by :meth:`snapshot` — of this
+                version or of version 1, which is upgraded on the way in.
             on_alert: optional ``(task_name, alert)`` callback attached to
                 every restored task (callbacks cannot be serialised, so
                 they are re-wired here).
@@ -1534,74 +1706,89 @@ class MonitoringService:
                 so any snapshot restores either way.
 
         A restored service produces the same decision/alert stream as one
-        that was never interrupted, given the same subsequent offers.
+        that was never interrupted, given the same subsequent offers. A
+        document that is not a snapshot raises
+        :class:`~repro.exceptions.ConfigurationError` before a service
+        exists.
         """
         version = snapshot.get("version")
-        if version != SNAPSHOT_VERSION:
+        if version == 1:
+            snapshot = _upgrade_v1(snapshot)
+        elif version != SNAPSHOT_VERSION:
             raise ConfigurationError(
                 f"unsupported snapshot version {version!r}; "
                 f"expected {SNAPSHOT_VERSION}")
+        _check_snapshot(snapshot)
+        names = snapshot["names"]
+        spec, task = snapshot["spec"], snapshot["task"]
+        configs = [_adaptation_from_dict(entry)
+                   for entry in snapshot["adaptations"]]
+        # name -> its TaskState.state_dict(), for the few that have one.
+        sparse: dict[str, dict[str, Any]] = {}
+        for key, column in snapshot["sparse"].items():
+            for name, value in column.items():
+                sparse.setdefault(name, {})[key] = value
+        specs = [TaskSpec(threshold=threshold, error_allowance=err,
+                          default_interval=default_interval,
+                          max_interval=max_interval,
+                          direction=_DIRECTIONS[direction], name=spec_name)
+                 for (threshold, err, default_interval, max_interval,
+                      direction, spec_name)
+                 in zip(*map(spec.get, _GROUPS["spec"]))]
+        plain: dict[str, Any] = {}
+        states = [TaskState.from_state_dict(
+            sparse.get(name, plain), name=name, task=task_spec,
+            config=configs[config], window=window,
+            window_kind=_WINDOW_KINDS[kind], _window_sum=window_sum,
+            trigger_level=level, suspend_interval=suspend_interval,
+            on_alert=None if on_alert is None else partial(on_alert, name))
+            for (name, task_spec, config, window, kind, window_sum, level,
+                 suspend_interval)
+            in zip(names, specs, *map(task.get, (
+                "adaptation", "window", "window_kind", "window_sum",
+                "trigger_level", "suspend_interval")))]
+
         service = cls(_adaptation_from_dict(snapshot["adaptation"]),
                       soa=soa)
         engine = service._soa
-        gated: list[tuple[TaskState, str]] = []
-        # An engine service's alert history, gathered as the entries go
-        # by: the [step, value, threshold] lists as they stand (how many
-        # are whose is the rows' alert count).
-        logged: list[list[Any]] = []
-        for entry in snapshot.get("tasks", []):
-            name = str(entry["name"])
-            callback: AlertCallback | None = None
-            if on_alert is not None:
-                def callback(alert: Alert, _name: str = name) -> None:
-                    on_alert(_name, alert)
-            if name in service._tasks:
-                raise ConfigurationError(
-                    f"snapshot contains duplicate task {name!r}")
-            state = TaskState.from_state_dict(entry, on_alert=callback)
-            service._register(state)
-            # What columns hold goes straight into the columns.
-            next_due = int(entry["next_due"])
-            samples_taken = int(entry["samples_taken"])
-            suspensions = int(entry.get("trigger_suspensions", 0))
-            alerts = entry.get("alerts", [])
-            if engine is None:
-                state.sampler.load_state_dict(entry["sampler"])
-                state.next_due = next_due
-                state.samples_taken = samples_taken
-                state.trigger_suspensions = suspensions
-                state.alerts = [Alert(time_index=int(t), value=float(v),
-                                      threshold=float(thr))
-                                for t, v, thr in alerts]
-            else:
-                row = state.soa_row
-                engine.load_row_state(row, entry["sampler"])
-                engine.next_due[row] = next_due
-                engine.samples_taken[row] = samples_taken
-                engine.suspensions[row] = suspensions
-                engine.alerts[row] = len(alerts)
-                logged += alerts
-            if entry.get("trigger_task") is not None:
-                gated.append((state, entry["trigger_task"]))
-        if logged:
-            steps, values, thresholds = zip(*logged)
-            rows = np.fromiter(service._soa_rows, dtype=np.int64)
-            service._alert_log.append(
-                np.repeat(rows, engine.alerts[rows]),
-                np.array(steps, dtype=np.int64),
-                np.array(values, dtype=np.float64),
-                np.array(thresholds, dtype=np.float64))
-        for state, trigger in gated:
-            if trigger not in service._tasks:
-                raise ConfigurationError(
-                    f"snapshot task {state.name!r} references missing "
-                    f"trigger {trigger!r}")
-            service._retarget(state, trigger)
-        for name, value in snapshot.get("last_seen", {}).items():
-            if engine is None:
-                service._last_seen[str(name)] = float(value)
-            elif name in service._tasks:
-                row = service._tasks[name].soa_row
-                engine.last_offered[row] = float(value)
-                engine.has_offered[row] = True
+        rows = repeat(None) if engine is None else engine.add_tasks(
+            specs, [state.config for state in states])
+        for state, row in zip(states, rows):
+            service._register(state, row)
+        logged = task["alerts"]
+        alerts = list(map(snapshot["alerts"].get, _GROUPS["alerts"]))
+        suspensions = snapshot["sparse"]["trigger_suspensions"]
+        last_seen = snapshot["last_seen"]
+        # What columns hold goes straight into the columns.
+        if engine is None:
+            history = [Alert(time_index=step, value=float(value),
+                             threshold=float(threshold))
+                       for step, value, threshold in zip(*alerts)]
+            lo = 0
+            for at, (state, count) in enumerate(zip(states, logged)):
+                state.sampler.load_state_dict(
+                    sampler_state_dict(snapshot["sampler"], at))
+                state.next_due = task["next_due"][at]
+                state.samples_taken = task["samples_taken"][at]
+                state.trigger_suspensions = suspensions.get(state.name, 0)
+                state.alerts = history[lo:lo + count]
+                lo += count
+            service._last_seen = {name: float(value)
+                                  for name, value in last_seen.items()}
+        else:
+            rows = np.asarray(rows, dtype=np.int64)
+            engine.load_rows_state(rows, snapshot["sampler"])
+            engine.next_due[rows] = task["next_due"]
+            engine.samples_taken[rows] = task["samples_taken"]
+            engine.alerts[rows] = logged
+            service._alert_log.append(np.repeat(rows, logged), *alerts)
+            row_of = dict(zip(names, rows.tolist()))
+            engine.suspensions[[row_of[name] for name in suspensions]] = (
+                list(suspensions.values()))
+            seen = [row_of[name] for name in last_seen]
+            engine.last_offered[seen] = list(last_seen.values())
+            engine.has_offered[seen] = True
+        for state, trigger in zip(states, task["trigger_task"]):
+            if trigger is not None:
+                service._retarget(state, trigger)
         return service

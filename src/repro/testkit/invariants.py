@@ -34,7 +34,7 @@ from repro.core.substrates import QuantileEstimator
 from repro.core.task import TaskSpec
 from repro.experiments.runner import run_adaptive
 from repro.runtime.checkpoint import state_fingerprint
-from repro.service import MonitoringService
+from repro.service import MonitoringService, snapshot_task_names
 from repro.telemetry.histogram import DEFAULT_RELATIVE_ERROR, LogHistogram
 from repro.testkit.faults import stable_uniform
 
@@ -479,7 +479,7 @@ def check_restore_bit_identical(snapshot: Mapping[str, Any],
         return InvariantResult(
             name="restore_bit_identical", passed=False,
             detail=f"restore raised {type(exc).__name__}: {exc}",
-            metrics={"tasks": len(snapshot.get("tasks", []))})
+            metrics={"tasks": len(snapshot_task_names(snapshot))})
     restored = snapshot_fingerprint(rebuilt)
     passed = restored == original
     return InvariantResult(
@@ -489,7 +489,7 @@ def check_restore_bit_identical(snapshot: Mapping[str, Any],
                 f"snapshot drifted through restore "
                 f"({original[:12]} -> {restored[:12]})"),
         metrics={
-            "tasks": len(snapshot.get("tasks", [])),
+            "tasks": len(snapshot_task_names(snapshot)),
             "fingerprint": original,
         },
     )

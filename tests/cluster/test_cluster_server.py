@@ -258,3 +258,53 @@ class TestClusterOnlyOps:
         hist = metrics["volley_sampling_interval"]
         assert len(hist["series"]) == 1
         assert hist["series"][0]["value"]["count"] > 0
+
+
+class TestRestartFromOwnCheckpoint:
+    def test_tasks_a_snapshot_carried_are_restored_not_re_registered(
+            self, tmp_path, monkeypatch):
+        """A 2-worker cluster restarted from its own checkpoint counts
+        every task as restored and sends no ``w_register_task``: what
+        the shard snapshots carry is read through
+        ``repro.service.snapshot_task_names``, whatever their version."""
+        from repro.cluster.coordinator import Coordinator
+        names = [f"task-{i}" for i in range(12)]
+        ops: list[str] = []
+        request = Coordinator._request
+
+        async def recorded(self, worker_id, payload):
+            ops.append(payload["op"])
+            return await request(self, worker_id, payload)
+        monkeypatch.setattr(Coordinator, "_request", recorded)
+
+        async def first(cluster):
+            client = AsyncRuntimeClient(port=cluster.tcp_port)
+            try:
+                for name in names:
+                    await client.register_task(
+                        name=name, threshold=60.0, error_allowance=0.01)
+                await client.offer_batch([[name, s, 20.0 + s % 5]
+                                          for s in range(12)
+                                          for name in names])
+                await cluster.coordinator.drain()
+                return [await client.task_info(name) for name in names]
+            finally:
+                await client.close()
+
+        async def restarted(cluster):
+            client = AsyncRuntimeClient(port=cluster.tcp_port)
+            try:
+                return cluster.restored_tasks, [
+                    await client.task_info(name) for name in names]
+            finally:
+                await client.close()
+
+        config = dict(workers=2, shards=4, heartbeat_interval=3600.0,
+                      checkpoint_path=tmp_path / "cluster.ckpt",
+                      checkpoint_interval=3600.0)
+        before = run_cluster(first, **config)    # + the final flush
+        assert ops.count("w_register_task") == len(names)
+        del ops[:]
+        restored, after = run_cluster(restarted, **config)
+        assert restored == len(names) and after == before
+        assert "w_restore_shard" in ops and "w_register_task" not in ops

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import json
 
 import numpy as np
 
@@ -229,6 +230,40 @@ class TestSnapshotRestore:
         assert restored["fingerprint"] == snap["fingerprint"]
         assert restored["tasks"] == 1
         assert stats["shards"][0]["updates_offered"] == 20
+
+    def test_a_snapshot_that_does_not_load_costs_the_hosted_shard_nothing(
+            self):
+        """``w_restore_shard`` over a shard the worker already hosts
+        restores first and swaps after: a malformed snapshot is an error
+        reply, and the hosted shard is still there, still serving."""
+        async def scenario():
+            host = await _host_with_task(shard_id=4)
+            await _offer(host, (4, [["t", s, 30.0] for s in range(10)]))
+            good = await host.handle({"op": "w_snapshot_shard", "shard": 4,
+                                      "drain": True})
+            bad = json.loads(json.dumps(good["snapshot"]))
+            bad["sampler"]["mean"].append(0.0)          # a ragged column
+            refused = await host.handle({
+                "op": "w_restore_shard", "shard": 4, "snapshot": bad,
+                "counters": good["counters"]})
+            served = await _offer(host, (4, [["t", 10, 30.0]]))
+            await host.handle({"op": "w_drain", "shard": 4})
+            info = await host.handle({"op": "w_task_info", "shard": 4,
+                                      "task": "t"})
+            # The well-formed one then takes the old shard's place.
+            accepted = await host.handle({
+                "op": "w_restore_shard", "shard": 4,
+                "snapshot": good["snapshot"], "counters": good["counters"]})
+            again = await host.handle({"op": "w_task_info", "shard": 4,
+                                       "task": "t"})
+            await host.close()
+            return refused, served, info, accepted, again
+
+        refused, served, info, accepted, again = run(scenario())
+        assert refused["ok"] is False and "sampler.mean" in refused["error"]
+        assert served[0] == 1 and info["ok"] and info["observations"] == 11
+        assert accepted["ok"] and accepted["tasks"] == 1
+        assert again["ok"] and again["observations"] == 10
 
     def test_restored_shard_keeps_sampling_identically(self):
         async def scenario():

@@ -104,16 +104,17 @@ class SoaDifferential:
         :meth:`check` to compare per task."""
         return self.fired[side].setdefault(name, []).append
 
-    def cross_restored(self):
+    def cross_restored(self, crossed=True):
         """A harness continuing this one's stream on services restored
         from each other's snapshot: the scalar oracle from the engine
-        service's, the engine service from the oracle's, every task with
-        a logging ``on_alert``."""
+        service's, the engine service from the oracle's (each from its
+        own with ``crossed=False``), every task with a logging
+        ``on_alert``."""
         other = object.__new__(type(self))
         other.names, other.sink = list(self.names), self.sink
         other.edges, other.fired = {}, {"scalar": {}, "vector": {}}
-        for side, source in (("scalar", self.vector),
-                             ("vector", self.scalar)):
+        sources = (self.vector, self.scalar)[::1 if crossed else -1]
+        for side, source in zip(("scalar", "vector"), sources):
             service = MonitoringService.restore(
                 json.loads(json.dumps(source.snapshot())),
                 soa=side == "vector",

@@ -1,0 +1,186 @@
+"""Version-1 snapshot fixtures: the streams behind them, the answers a
+service restored from one must give, and the script that recorded both.
+
+``tests/fixtures/engine_snapshot_912dc69.json`` was written by commit
+912dc69. ``engine_snapshot_9e0d563.json`` and ``v1_answers_9e0d563.json``
+were written by commit 9e0d563 — the last one whose ``snapshot()`` wrote
+version 1 — by running this file there::
+
+    PYTHONPATH=<checkout of 9e0d563>/src python tests/core/snapshot_fixtures.py
+
+It uses nothing of ``repro`` that commit does not have. The
+``*.v2.json`` twins beside them are what the columnar writer made of the
+restored fixtures when version 2 was introduced (the same command, run
+on that commit); they are regression anchors, not independent evidence
+(the recorded answers are).
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import sys
+
+import numpy as np
+
+from repro.runtime.checkpoint import state_fingerprint
+from repro.service import MonitoringService
+
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+V1_FIXTURES = ("engine_snapshot_912dc69", "engine_snapshot_9e0d563")
+ANSWERS = FIXTURES / "v1_answers_9e0d563.json"
+
+
+def continuation(names, frames=150, seed=19):
+    """The seeded stream a restored fixture is continued on: shuffled
+    frames of ``(name, step, value)``, a third of the tasks repeated one
+    step on, sources and watched tasks swinging across their levels."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for frame in range(frames):
+        step = 400 + 2 * frame
+        order = [names[i] for i in rng.permutation(len(names))]
+        offers = [(name, step) for name in order]
+        offers += [(name, step + 1) for name in order[::3]]
+        out.append([(name, at, float(rng.normal(
+            (60.0 + 40.0 * ((at // 16) % 2)) if name[0] in "se"
+            else 90.0, 6.0))) for name, at in offers])
+    return out
+
+
+def drive(service, frames, sink=None):
+    """Feed ``frames`` to ``service`` the way its representation takes
+    them (column batches by row, or ``offer`` by name); returns its
+    snapshot fingerprint. ``sink`` as ``SoaDifferential.edge_router``."""
+    if sink is not None:
+        service.set_trigger_sink(sink(service, []))
+    for frame in frames:
+        if service.soa_engine is None:
+            for name, step, value in frame:
+                service.offer(name, value, step)
+        else:
+            names, steps, values = zip(*frame)
+            applied, _, rejected, _ = service.offer_columns(
+                [service.soa_row_for(name) for name in names], steps,
+                values, names)
+            assert (applied, rejected) == (len(frame), 0)
+    return state_fingerprint(service.snapshot())
+
+
+def answers(service):
+    """What the ``task_info``, ``alerts`` and ``trigger_state`` ops
+    reply for every task of ``service``, serialised (so NaN compares)."""
+    return json.dumps({name: {
+        "task_info": {
+            "samples_taken": service.samples_taken(name),
+            "alerts": service.alert_count(name),
+            "interval": service.interval(name),
+            "next_due": service.next_due(name),
+            "observations": service.observations(name),
+            "type": service.task_type(name),
+            "estimate": service.task_estimate(name)},
+        "alerts": [[a.time_index, a.value, a.threshold]
+                   for a in service.alerts(name)],
+        "trigger": service.trigger_status(name),
+    } for name in service.task_names}, sort_keys=True)
+
+
+def history(harness):
+    """The differential pair whose engine service the 9e0d563 fixture is
+    a snapshot of: six plain tasks and two of every other kind, fed
+    shuffled frames with repeated rows and stale steps, by-name offers
+    in between, two tasks removed and re-registered (one reached through
+    its stale row from then on, one through its fresh one) — stopped
+    with a guard disarmed and counting, another armed, a watcher inside
+    its hold, and alert history on many tasks."""
+    specs = harness.population(6, "mixed")
+    pair = harness(specs, kinds="chebyshev")
+    rng = np.random.default_rng(23)
+    scalar = pair.scalar
+
+    def ready(step):
+        guards = [scalar.trigger_status(name) for name in pair.names
+                  if name.startswith("guarded")]
+        watch = scalar.trigger_status("trigger-1")["watch"]
+        return (any(not g["armed"] and g["suspensions"] for g in guards)
+                and any(g["armed"] for g in guards)
+                and watch["last_transition"] is not None
+                and step - watch["last_transition"] < watch["min_hold"])
+
+    for step in range(0, 1200, 2):
+        idx = rng.permutation(len(pair.names)).tolist()
+        idx += idx[::3]                              # repeated rows ...
+        steps = [step] * len(pair.names) + [step + 1] * (len(idx) - len(
+            pair.names))
+        steps[0] -= 5 * (step % 14 == 0)             # ... and a stale step
+        pair.offer(idx, steps, [pair.draw(rng, i, s)
+                                for i, s in zip(idx, steps)])
+        if step % 10 == 4:
+            some = rng.integers(0, len(pair.names), 5).tolist()
+            pair.offer_by_name(some, [step + 1] * 5,
+                               [pair.draw(rng, i, step + 1) for i in some],
+                               fast=bool(step % 20 == 4))
+        if step == 120:
+            for service in (pair.scalar, pair.vector):
+                for i in (1, 2):
+                    service.remove_task(pair.names[i])
+                    service.add_task(pair.names[i], specs[i][0],
+                                     config=specs[i][1])
+            pair.rows[2] = pair.vector.soa_row_for(pair.names[2])
+        if step > 300 and ready(step + 1):
+            break
+    assert ready(step + 1)
+    pair.check()
+    assert sum(bool(pair.vector.alert_count(name))
+               for name in pair.names) >= 8
+    return pair
+
+
+def v1_snapshot(fixture):
+    return json.loads((FIXTURES / f"{fixture}.json").read_text(
+        encoding="utf-8"))["snapshot"]
+
+
+def twin_text(fixture):
+    return (FIXTURES / f"{fixture}.v2.json").read_text(encoding="utf-8")
+
+
+def main():
+    """At a commit that writes version 1: record the fixture and both
+    fixtures' answers. At one that writes version 2: their twins."""
+    from repro.service import SNAPSHOT_VERSION
+    if SNAPSHOT_VERSION == 2:
+        for fixture in V1_FIXTURES:
+            restored = MonitoringService.restore(v1_snapshot(fixture),
+                                                 soa=True)
+            (FIXTURES / f"{fixture}.v2.json").write_text(json.dumps(
+                restored.snapshot(), sort_keys=True), encoding="utf-8")
+        return
+    sys.path.insert(0, str(FIXTURES.parent))
+    from conftest import SoaDifferential
+    snapshot = json.loads(json.dumps(history(SoaDifferential)
+                                     .vector.snapshot()))
+    (FIXTURES / "engine_snapshot_9e0d563.json").write_text(json.dumps({
+        "written_by": "9e0d563 (parent of the columnar-snapshot change)",
+        "fingerprint": state_fingerprint(snapshot),
+        "snapshot": snapshot}, sort_keys=True) + "\n", encoding="utf-8")
+    recorded = {}
+    for fixture in V1_FIXTURES:
+        snapshot = v1_snapshot(fixture)
+        names = [entry["name"] for entry in snapshot["tasks"]]
+        per_soa = []
+        for soa in (True, False):
+            service = MonitoringService.restore(snapshot, soa=soa)
+            restored = answers(service)
+            drive(service, continuation(names), SoaDifferential.edge_router)
+            per_soa.append({"restored": json.loads(restored),
+                            "continued": json.loads(answers(service))})
+        assert (json.dumps(per_soa[0], sort_keys=True)
+                == json.dumps(per_soa[1], sort_keys=True))
+        recorded[fixture] = per_soa[0]
+    ANSWERS.write_text(json.dumps(recorded, sort_keys=True) + "\n",
+                       encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,7 +10,6 @@ stepping the same stream through the scalar
 from __future__ import annotations
 
 import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -22,8 +21,11 @@ from repro.core.soa import STEP_MAX, STEP_MIN
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
 from repro.runtime.checkpoint import state_fingerprint
-from repro.service import MonitoringService
+from repro.service import MonitoringService, snapshot_task_names
 from repro.triggers.plan import TriggerPlan
+
+from snapshot_fixtures import (ANSWERS, FIXTURES, answers, continuation,
+                               drive, history, twin_text, v1_snapshot)
 
 ESTIMATORS = ("chebyshev", "gaussian")
 POINTS = 24_000
@@ -201,83 +203,135 @@ class TestSnapshotRoundTrip:
                 == soa_differential.task_counters(scalar))
 
 
-FIXTURE = pathlib.Path(__file__).parent.parent / "fixtures" / (
-    "engine_snapshot_912dc69.json")
-
-
-def continuation(names, frames=150, seed=19):
-    """The seeded stream a restored fixture is continued on: shuffled
-    frames of ``(name, step, value)``, a third of the tasks repeated one
-    step on, sources and watched tasks swinging across their levels."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for frame in range(frames):
-        step = 400 + 2 * frame
-        order = [names[i] for i in rng.permutation(len(names))]
-        offers = [(name, step) for name in order]
-        offers += [(name, step + 1) for name in order[::3]]
-        out.append([(name, at, float(rng.normal(
-            (60.0 + 40.0 * ((at // 16) % 2)) if name[0] in "se"
-            else 90.0, 6.0))) for name, at in offers])
-    return out
-
-
-def drive(service, frames, sink=None):
-    """Feed ``frames`` to ``service`` the way its representation takes
-    them (column batches by row, or ``offer`` by name); returns its
-    snapshot fingerprint. ``sink`` as ``SoaDifferential.edge_router``."""
-    if sink is not None:
-        service.set_trigger_sink(sink(service, []))
-    for frame in frames:
-        if service.soa_engine is None:
-            for name, step, value in frame:
-                service.offer(name, value, step)
-        else:
-            names, steps, values = zip(*frame)
-            applied, _, rejected, _ = service.offer_columns(
-                [service.soa_row_for(name) for name in names], steps,
-                values, names)
-            assert (applied, rejected) == (len(frame), 0)
-    return state_fingerprint(service.snapshot())
-
-
 class TestParentWrittenSnapshot:
-    """``tests/fixtures/engine_snapshot_912dc69.json`` was written by the
-    parent of the rows-for-life change (commit 912dc69), from an engine
-    service whose last-seen pairs were *evicted* to scalar samplers: two
-    sources gating three targets (one source shared), windowed, quantile
-    and entropy tasks, a disarmed guard with suspensions, a watcher
-    mid-hold. It records the snapshot, its fingerprint, and the
-    fingerprint that parent reached after :func:`continuation`."""
+    """Version-1 snapshots written by commits that wrote them (who, from
+    what stream, and what they recorded: ``snapshot_fixtures``) load
+    through the upgrade onto rows and onto the scalar oracle, answer
+    what their writer answered, re-snapshot to the committed version-2
+    twin byte for byte, and continue to what their writer continued to.
 
-    def test_restores_onto_rows_and_continues(
-            self, soa_differential):
-        fixture = json.loads(FIXTURE.read_text(encoding="utf-8"))
-        snapshot = fixture["snapshot"]
-        names = [entry["name"] for entry in snapshot["tasks"]]
-        assert state_fingerprint(snapshot) == fixture["fingerprint"]
-        restored = {soa: MonitoringService.restore(snapshot, soa=soa)
-                    for soa in (True, False)}
-        on_rows = restored[True]
-        assert all(on_rows.soa_row_for(name) >= 0 for name in names)
+    ``engine_snapshot_912dc69.json`` is from an engine service whose
+    last-seen pairs were *evicted* to scalar samplers: two sources gating
+    three targets (one source shared), windowed, quantile and entropy
+    tasks, a disarmed guard with suspensions, a watcher mid-hold.
+    ``engine_snapshot_9e0d563.json`` is the last version-1 writer's, of
+    every kind of task, after churn (``snapshot_fixtures.history``)."""
+
+    @staticmethod
+    def _holds(fixture, edge_router):
+        snapshot = v1_snapshot(fixture)
+        names = snapshot_task_names(snapshot)
+        recorded = json.loads(ANSWERS.read_text(encoding="utf-8"))[fixture]
+        twin = twin_text(fixture)
+        services = {
+            (version, soa): MonitoringService.restore(document, soa=soa)
+            for version, document in ((1, snapshot), (2, json.loads(twin)))
+            for soa in (True, False)}
+        frames = continuation(names)
+        continued = set()
+        for service in services.values():
+            assert service.task_names == names
+            assert json.loads(answers(service)) == recorded["restored"]
+            assert json_snapshot(service) == twin
+            continued.add(drive(service, frames, edge_router))
+            assert answers(service) == json.dumps(recorded["continued"],
+                                                  sort_keys=True)
+        # Whichever version it came from, whichever way it is held: the
+        # next checkpoint's bytes are the same.
+        assert len(continued) == 1
+        return services[1, True]
+
+    def test_restores_onto_rows_and_continues(self, soa_differential):
+        fixture = "engine_snapshot_912dc69"
+        assert state_fingerprint(v1_snapshot(fixture)) == json.loads(
+            (FIXTURES / f"{fixture}.json").read_text())["fingerprint"]
+        on_rows = MonitoringService.restore(v1_snapshot(fixture), soa=True)
         assert TestEligibility._handed_back(on_rows) == {
             "t1", "t2", "t3", "s1", "s2"}
         guard = on_rows.trigger_status("guard")
         assert not guard["armed"] and guard["suspensions"] > 0
-        frames = continuation(names)
-        for service in restored.values():
-            # Byte for byte: alert history comes back out of the columns
-            # as the lists it went in as.
-            assert json_snapshot(service) == json.dumps(snapshot,
-                                                        sort_keys=True)
-            assert state_fingerprint(service.snapshot()) == (
-                fixture["fingerprint"])
-            assert drive(service, frames, soa_differential.edge_router) == (
-                fixture["continued_fingerprint"])
-        assert (soa_differential.alert_log(on_rows)
-                == soa_differential.alert_log(restored[False]))
-        assert (soa_differential.task_counters(on_rows)
-                == soa_differential.task_counters(restored[False]))
+        self._holds(fixture, soa_differential.edge_router)
+
+    def test_the_last_version_1_writers_snapshot_continues(
+            self, soa_differential):
+        on_rows = self._holds("engine_snapshot_9e0d563",
+                              soa_differential.edge_router)
+        # The continuation did not wash out what the fixture is for.
+        assert on_rows.task_names[-2:] == ["x-001", "x-002"]
+        assert on_rows.trigger_status("guarded-1")["trigger"] == "trigger-1"
+
+    def test_the_fixture_stream_still_reaches_its_state(
+            self, soa_differential):
+        """The stream behind the 9e0d563 fixture, run today on both
+        representations, writes the fixture's twin: the fixture is a
+        state this code reaches, not only one it can load."""
+        pair = history(soa_differential)
+        assert json_snapshot(pair.vector) == json_snapshot(pair.scalar) == (
+            twin_text("engine_snapshot_9e0d563"))
+
+
+class TestSnapshotColumns:
+    """The columnar snapshot at its edges; that both representations
+    write the same document over any stream is the differential
+    harness's (``same_state``) and the properties'."""
+
+    def test_rows_allocated_in_bulk_are_rows_allocated_one_by_one(
+            self, soa_differential):
+        specs = soa_differential.population(300, "mixed",
+                                            stats_restart=None)
+        one_by_one, bulk = soa_mod.SoaSamplerEngine(), (
+            soa_mod.SoaSamplerEngine())
+        rows = [one_by_one.add_task(task, config) for task, config in specs]
+        assert bulk.add_tasks(*zip(*specs)) == range(300)
+        assert bulk.add_tasks([], []) == range(300, 300)
+        assert rows == list(range(300)) and len(bulk) == len(one_by_one)
+        for column in soa_mod.SoaSamplerEngine._COLUMNS:
+            assert (getattr(bulk, column).tolist()
+                    == getattr(one_by_one, column).tolist()), column
+
+    def test_what_a_lowered_flag_covers_is_written_as_zero(self):
+        """The canonical-absent rule: whatever a row holds under a
+        lowered ``has_last`` / ``has_stale`` never reaches a snapshot."""
+        service = _service(soa=True, tasks=3)
+        service.offer("mix-1", 50.0, 0)
+        clean = json_snapshot(service)
+        engine = service.soa_engine
+        assert not engine.has_last[0] and not engine.has_stale[:3].any()
+        engine.last_value[0], engine.last_time[0] = 7.5, 99
+        engine.stale_mean[:3], engine.stale_var[:3] = -1.0, 4.0
+        assert json_snapshot(service) == clean
+        sampler = service.snapshot()["sampler"]
+        assert sampler["has_last"] == [False, True, False]
+        assert sampler["last_value"] == [0.0, 50.0, 0.0]
+        assert sampler["last_time"] == [0, 0, 0]
+        assert engine.row_state_dict(0)["last_value"] is None
+        assert engine.row_state_dict(1)["last_value"] == 50.0
+        assert engine.row_state_dict(1)["stats"]["stale_mean"] is None
+
+    def test_equal_configs_are_written_once(self):
+        service = MonitoringService(AdaptationConfig(patience=4), soa=True)
+        custom = AdaptationConfig(estimator="gaussian")
+        for i in range(6):
+            service.add_task(f"t{i}", TaskSpec(100.0, 0.01, name=f"t{i}"),
+                             config=(None, custom,
+                                     AdaptationConfig(estimator="gaussian"),
+                                     )[i % 3])
+        snapshot = service.snapshot()
+        assert snapshot["task"]["adaptation"] == [0, 1, 1, 0, 1, 1]
+        assert [entry["estimator"] for entry in snapshot["adaptations"]] == [
+            "chebyshev", "gaussian"]
+        for soa in (False, True):
+            restored = MonitoringService.restore(snapshot, soa=soa)
+            assert restored.snapshot() == snapshot
+            assert restored._state("t4").config == custom
+
+    def test_task_names_of_either_version(self):
+        service = _service(soa=True, tasks=3)
+        assert snapshot_task_names(service.snapshot()) == [
+            "mix-0", "mix-1", "mix-2"]
+        assert snapshot_task_names(
+            v1_snapshot("engine_snapshot_912dc69"))[:3] == ["p0", "p1", "s1"]
+        assert snapshot_task_names({}) == []
 
 
 class TestAlertLog:
@@ -309,8 +363,11 @@ class TestAlertLog:
         assert service.alerts("mix-1") == []
         self._hot(service, ["mix-1"], [9])
         assert [a.time_index for a in service.alerts("mix-1")] == [9]
-        assert service.snapshot()["tasks"][2]["alerts"] == [
-            [9, 150.0, 100.0]]
+        snapshot = service.snapshot()
+        assert snapshot["names"][2] == "mix-1"
+        assert snapshot["task"]["alerts"] == [4, 4, 1]
+        assert [column[-1] for column in snapshot["alerts"].values()] == [
+            9, 150.0, 100.0]
 
     def test_the_count_sink_sees_each_batch_before_any_callback(self):
         order = []

@@ -14,6 +14,8 @@ ticked as slices or regrouped by the argsort must not show either. The
 fourth holds the engine service's columnar alert history — log, count
 column, callbacks, trace batches, snapshot lists — to the scalar oracle's
 per-alert objects, across by-name offers, task churn and a cross-restore.
+The fifth holds the snapshot document: byte-equal from either
+representation, written back as read by either, whichever wrote it.
 """
 
 from __future__ import annotations
@@ -292,3 +294,47 @@ def test_alert_history_is_the_scalar_oracles(
     other.check()
     assert (json.dumps(pair.vector.snapshot(), sort_keys=True)
             == json.dumps(other.vector.snapshot(), sort_keys=True))
+
+
+@given(estimator=st.sampled_from(("chebyshev", "gaussian")),
+       sink=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       before=alert_frames, between=alert_frames, after=alert_frames)
+@settings(max_examples=25, deadline=None)
+def test_a_snapshot_is_the_same_columns_whoever_writes_or_reads_it(
+        soa_differential, estimator, sink, seed, before, between, after):
+    specs = soa_differential.population(8, estimator)
+    pair = soa_differential(specs, sink=sink, kinds=estimator)
+    rng = np.random.default_rng(seed)
+    step = _feed(pair, rng, before, 0)
+    # Two tasks leave and come back under their names, so registration
+    # order is no longer the harness's: one is reached through its stale
+    # row from here on (by name), one through its fresh row.
+    for service in (pair.scalar, pair.vector):
+        for task, config in specs[:2]:
+            service.remove_task(task.name)
+            service.add_task(task.name, task, config=config)
+    assert pair.vector.task_names[-2:] == pair.names[:2]
+    pair.rows[1] = pair.vector.soa_row_for(pair.names[1])
+    step = _feed(pair, rng, between, step)
+
+    written = [json.dumps(service.snapshot(), sort_keys=True)
+               for service in (pair.scalar, pair.vector)]
+    assert written[0] == written[1]                     # byte-equal
+    assert json.loads(written[0])["names"] == pair.vector.task_names
+    # Either writer's document, restored either way, is written back as
+    # it was read ...
+    restored = [pair.cross_restored(), pair.cross_restored(crossed=False)]
+    for other in restored:
+        for service in (other.scalar, other.vector):
+            assert json.dumps(service.snapshot(),
+                              sort_keys=True) == written[0]
+        other.check()
+    # ... and all six services carry on decision for decision.
+    state = rng.bit_generator.state
+    for harness in (pair, *restored):
+        rng.bit_generator.state = state
+        _feed(harness, rng, after, step)
+        harness.check()
+    assert len({json.dumps(harness.vector.snapshot(), sort_keys=True)
+                for harness in (pair, *restored)}) == 1

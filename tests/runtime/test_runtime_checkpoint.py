@@ -293,8 +293,8 @@ class TestServiceSnapshot:
         service.add_task("b", task())
         service.add_trigger("a", trigger="b", elevation_level=1.0)
         snapshot = service.snapshot()
-        snapshot["tasks"] = [t for t in snapshot["tasks"]
-                             if t["name"] != "b"]
+        assert snapshot["task"]["trigger_task"] == ["b", None]
+        snapshot["task"]["trigger_task"][0] = "gone"
         with pytest.raises(ConfigurationError):
             MonitoringService.restore(snapshot)
 
@@ -308,6 +308,132 @@ class TestServiceSnapshot:
         # Next aggregate must still see the pre-snapshot window contents.
         state = restored._state("w")
         assert state.aggregate(3, 6.0) == pytest.approx(3.0)
+
+
+def _ragged(s):
+    s["sampler"]["mean"].append(0.0)
+
+
+def _missing(s):
+    del s["task"]["window"]
+
+
+def _unknown(s):
+    s["spec"]["colour"] = ["red"] * len(s["names"])
+
+
+def _string_in_a_float_column(s):
+    s["sampler"]["var"][1] = "0.5"
+
+
+def _null_under_a_raised_flag(s):
+    assert s["sampler"]["has_last"][0]
+    s["sampler"]["last_value"][0] = None
+
+
+def _counts_that_do_not_add_up(s):
+    s["task"]["alerts"][0] += 1
+
+
+def _sparse_key_outside_names(s):
+    s["sparse"]["watch"]["ghost"] = dict(s["sparse"]["watch"]["edge"])
+
+
+def _half_a_guard(s):
+    del s["sparse"]["trigger_armed"]["held"]
+
+
+def _unknown_map(s):
+    s["sparse"]["colour"] = {}
+
+
+def _version_3(s):
+    s["version"] = 3
+
+
+def _bool_in_an_int_column(s):
+    s["task"]["next_due"][0] = True
+
+
+def _int_beyond_64_bits(s):
+    s["sampler"]["last_time"][0] = 1 << 70
+
+
+def _a_task_twice(s):
+    s["names"][1] = s["names"][0]
+
+
+def _config_index_out_of_range(s):
+    s["task"]["adaptation"][0] = 7
+
+
+def _unknown_direction(s):
+    s["spec"]["direction"][0] = "sideways"
+
+
+def _unknown_top_level_key(s):
+    s["tasks"] = []
+
+
+def _last_seen_of_nobody(s):
+    s["last_seen"]["ghost"] = 1.0
+
+
+class TestMalformedSnapshot:
+    """A version-2 document that is not one is refused by name, before a
+    service exists — onto rows and onto the scalar oracle alike."""
+
+    CASES = [
+        (_ragged, "sampler.mean"),
+        (_missing, r"'task'.*\['window'\]"),
+        (_unknown, r"'spec'.*\['colour'\]"),
+        (_string_in_a_float_column, "sampler.var"),
+        (_null_under_a_raised_flag, "sampler.last_value"),
+        (_counts_that_do_not_add_up, "alerts.step"),
+        (_sparse_key_outside_names, "'watch'"),
+        (_half_a_guard, "trigger_armed"),
+        (_unknown_map, r"'sparse'.*\['colour'\]"),
+        (_version_3, "version 3"),
+        (_bool_in_an_int_column, "task.next_due"),
+        (_int_beyond_64_bits, "sampler.last_time"),
+        (_a_task_twice, "names"),
+        (_config_index_out_of_range, "task.adaptation"),
+        (_unknown_direction, "spec.direction.*sideways"),
+        (_unknown_top_level_key, r"\['tasks'\]"),
+        (_last_seen_of_nobody, "'last_seen'"),
+    ]
+
+    @staticmethod
+    def _snapshot():
+        service = MonitoringService(soa=True)
+        for name in ("hot", "edge", "held"):
+            service.add_task(name, task(threshold=50.0, err=0.05))
+        service.add_trigger_watch("edge", 40.0)
+        service.add_remote_trigger("held", "edge", 40.0)
+        for step in range(6):
+            for name in ("hot", "edge", "held"):
+                service.offer(name, 45.0 + 2 * step, step)
+        snapshot = json.loads(json.dumps(service.snapshot()))
+        assert sum(snapshot["task"]["alerts"]) > 0
+        return snapshot
+
+    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
+    @pytest.mark.parametrize("damage, culprit", CASES,
+                             ids=[case.__name__[1:] for case, _ in CASES])
+    def test_is_refused_by_name_before_a_service_exists(
+            self, damage, culprit, soa, monkeypatch):
+        snapshot = self._snapshot()
+        assert (MonitoringService.restore(snapshot, soa=soa).snapshot()
+                == snapshot)
+        damage(snapshot)
+        built = []
+        init = MonitoringService.__init__
+        monkeypatch.setattr(
+            MonitoringService, "__init__", lambda self, *args, **kwargs: (
+                built.append(self), init(self, *args, **kwargs))[1])
+        with pytest.raises(ConfigurationError, match=culprit):
+            MonitoringService.restore(snapshot, soa=soa)
+        assert not built
 
 
 class TestSnapshotOntoEngineRows:
@@ -341,8 +467,7 @@ class TestSnapshotOntoEngineRows:
                 break
         assert ready()
         written = json.loads(json.dumps(scalar.snapshot()))
-        assert any(entry.get("trigger_suspensions")
-                   for entry in written["tasks"])
+        assert any(written["sparse"]["trigger_suspensions"].values())
 
         restored = MonitoringService.restore(written, soa=True)
         assert all(restored.soa_row_for(name) >= 0 for name in pair.names)

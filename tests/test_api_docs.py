@@ -87,7 +87,12 @@ IGNORED = {
     "worker_endpoints", "worker_id", "shard_id", "w_",
     # binary-protocol / SoA-engine methods, not module attributes
     "offer_columns", "soa_row_for", "run_columns", "observe_one",
-    "row_state_dict", "load_row_state", "state_dict", "rows_state_dicts",
+    "row_state_dict", "rows_state", "load_rows_state", "add_tasks",
+    "state_dict", "sampler_state_columns", "sampler_state_dict",
+    # the snapshot format's constants and reader (repro.service,
+    # .runtime.checkpoint, .core.soa), not package attributes
+    "SNAPSHOT_VERSION", "CHECKPOINT_VERSION", "SAMPLER_STATE",
+    "snapshot_task_names",
     "mark_row", "set_floor", "resume_full_rate", "next_due", "event_",
     "viol_", "alert_count", "set_alert_count_sink", "emit_batch",
     "ts_monotonic", "alerts_fired",

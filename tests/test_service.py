@@ -211,22 +211,23 @@ class TestOneTargetOneGate:
         service.install_trigger_plan(self.PLAN)
         service.remove_task("cheap")
         assert service.trigger_status("costly")["armed"] is False
-        entry = service.snapshot()["tasks"][0]
-        assert (entry["name"], entry["trigger_level"],
-                entry["suspend_interval"]) == ("costly", 95.0, 5)
+        snapshot = service.snapshot()
+        assert (snapshot["names"][0], snapshot["task"]["trigger_level"][0],
+                snapshot["task"]["suspend_interval"][0]) == (
+            "costly", 95.0, 5)
 
     @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
     def test_a_snapshot_holding_both_still_loads(self, soa):
         service = self.make(soa)
         service.install_trigger_plan(self.PLAN)
         snapshot = service.snapshot()
-        snapshot["tasks"][1]["trigger_task"] = "cheap"   # as the parent
+        snapshot["task"]["trigger_task"][1] = "cheap"    # as the parent
         restored = MonitoringService.restore(snapshot, soa=soa)
         assert restored.snapshot() == snapshot
         restored.install_trigger_plan(self.PLAN)          # failover
         restored.add_trigger("costly", "far", elevation_level=95.0,
                              suspend_interval=5)          # a re-target
-        assert restored.snapshot()["tasks"][1]["trigger_task"] == "far"
+        assert restored.snapshot()["task"]["trigger_task"][1] == "far"
 
 
 class TestTriggerEdgeCases:

@@ -186,7 +186,7 @@ class TestRestoreBitIdentical:
         assert snapshot_fingerprint(snapshot) \
             == snapshot_fingerprint(reordered)
         mutated = json.loads(json.dumps(snapshot))
-        mutated["tasks"][0]["samples_taken"] += 1
+        mutated["task"]["samples_taken"][0] += 1
         assert snapshot_fingerprint(mutated) \
             != snapshot_fingerprint(snapshot)
 

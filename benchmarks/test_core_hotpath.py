@@ -284,23 +284,23 @@ def test_a_snapshot_holds_nothing_per_task():
     assert len(large) > 12 * len(small)
 
 
-def test_a_last_seen_pair_leaves_the_tick_alone(monkeypatch):
+def test_a_local_pair_rides_the_tick(monkeypatch):
     """A 4 x 1024 step-major batch on a service that also holds one
-    last-seen pair (and a watched trigger whose edges cut the batch):
-    still one ``run_columns`` call per watch-cut segment, and only the
-    pair's two rows are stepped by name."""
+    local ``add_trigger`` pair and one installed plan, with no sink
+    attached: one ``run_columns`` call per watch-cut segment, every one
+    of them with an empty ``fallback``, and nothing is stepped by name —
+    the service routes both triggers' edges itself."""
     service = _engine_service(1024)
     service.add_trigger("t0007", "t0400", elevation_level=50.0)
     service.add_trigger_watch("t0100", 50.0, hysteresis=0.0, min_hold=0)
     service.add_remote_trigger("t0900", "t0100", 50.0)
-    service.set_trigger_sink(lambda event: service.set_trigger_armed(
-        "t0900", event["op"] == "arm"))
     segments = _counted(monkeypatch, service, "_apply_columns")
-    ticks = _counted(monkeypatch, SoaSamplerEngine, "run_columns")
-    by_name: list[str] = []
-    offer_soa = service._offer_soa
-    monkeypatch.setattr(service, "_offer_soa", lambda name, *offer: (
-        by_name.append(name) or offer_soa(name, *offer)))
+    by_name = _counted(monkeypatch, service, "_offer_soa")
+    fallbacks: list[int] = []
+    run_columns = SoaSamplerEngine.run_columns
+    monkeypatch.setattr(SoaSamplerEngine, "run_columns", lambda *args: (
+        result := run_columns(*args),
+        fallbacks.append(len(result.fallback)))[0])
     rows = np.tile(np.arange(1024, dtype=np.int64), 4)
     names = [f"t{i:04d}" for i in rows.tolist()]
     rng = np.random.default_rng(SEED)
@@ -311,9 +311,11 @@ def test_a_last_seen_pair_leaves_the_tick_alone(monkeypatch):
         applied, _, rejected, _ = service.offer_columns(rows, steps, values,
                                                         names)
         assert (applied, rejected) == (4 * 1024, 0)
-    assert len(ticks) == len(segments) > 8          # the edges did cut
-    assert sorted(by_name) == ["t0007"] * 32 + ["t0400"] * 32
-    assert service.samples_taken("t0007") > 0
+    assert len(fallbacks) == len(segments) > 16     # the edges did cut
+    assert not any(fallbacks) and not by_name
+    for target in ("t0007", "t0900"):
+        assert service.trigger_suspensions(target) > 0
+    assert len(service.drain_trigger_events()) > 16
 
 
 def _counted_alerts(monkeypatch) -> list[int]:

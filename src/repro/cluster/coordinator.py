@@ -285,7 +285,7 @@ class Coordinator:
         shard keeps its armed/watch state, while a fresh (no-snapshot)
         re-placement comes back conservatively armed.
         """
-        for plan in self.trigger_plans.values():
+        for plan in list(self.trigger_plans.values()):
             if routed.shard_id not in (self.task_shard.get(plan.trigger),
                                        self.task_shard.get(plan.target)):
                 continue
@@ -509,9 +509,12 @@ class Coordinator:
         """Drain elevation edges from every worker and route them.
 
         Each edge fans out to every plan watching the edge's trigger
-        task; the guarded target's shard may sit on any worker. Edge
-        counters bump per routed target, mirroring the single-process
-        runtime's accounting exactly.
+        task; the guarded target's shard may sit on any worker — but for
+        the trigger's own shard, whose service flipped its guards as the
+        edge fired (a stale pumped edge must not re-flip them). Edge
+        counters bump per plan, mirroring the single-process runtime's
+        accounting exactly. The plans are the front end's to change
+        while this awaits: it walks a copy.
         """
         if not self.trigger_plans:
             return
@@ -523,18 +526,19 @@ class Coordinator:
             if op not in ("arm", "disarm"):
                 continue
             source = str(event.get("trigger", ""))
-            for plan in self.trigger_plans.values():
+            for plan in list(self.trigger_plans.values()):
                 if plan.trigger != source:
                     continue
                 sid = self.task_shard.get(plan.target)
                 if sid is None:
                     continue
-                try:
-                    await self.shard_call(sid, {
-                        "op": "w_trigger_set", "shard": sid,
-                        "task": plan.target, "armed": op == "arm"})
-                except ClusterError:
-                    pass
+                if sid != self.task_shard.get(source):
+                    try:
+                        await self.shard_call(sid, {
+                            "op": "w_trigger_set", "shard": sid,
+                            "task": plan.target, "armed": op == "arm"})
+                    except ClusterError:
+                        pass
                 self.trigger_edges[op] += 1
 
     # ------------------------------------------------------------------

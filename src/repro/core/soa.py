@@ -217,10 +217,8 @@ class SoaSamplerEngine:
     Rows are allocated by :meth:`add_task` and never reused: a removed
     task's row is deactivated, so stale row references held by
     long-lived connections degrade to an explicit fallback instead of
-    silently hitting another task's state. The owner may also lower a
-    live row's ``active`` flag to have the tick *hand back* its offers
-    (as ``fallback``) and step the row itself, one offer at a time,
-    through :meth:`observe_one` / :meth:`advance_one`.
+    silently hitting another task's state. An inactive row is a retired
+    row: ``active`` goes up at allocation and down in :meth:`deactivate`.
     """
 
     def __init__(self, capacity: int = 256):
@@ -280,8 +278,6 @@ class SoaSamplerEngine:
         # Service-level schedule state (MonitoringService.TaskState).
         self.next_due = i8()
         self.samples_taken = i8()
-        self.last_offered = f8()
-        self.has_offered = b1()
         self.alerts = i8()             # alerts raised, counted by the owner
         self.active = b1()
         # Rows whose tick is more than (value, step) -> sampler, set by
@@ -308,8 +304,8 @@ class SoaSamplerEngine:
         "reset_events", "coord_sum_r", "coord_sum_log_e", "coord_n",
         "last_beta", "last_flags", "stat_n", "mean", "var", "stale_mean",
         "stale_var", "has_stale", "stale_count", "restarts", "total_count",
-        "next_due", "samples_taken", "last_offered", "has_offered",
-        "alerts", "active", "absorbs", "derived", "watched", "floor", "suspensions")
+        "next_due", "samples_taken", "alerts", "active", "absorbs",
+        "derived", "watched", "floor", "suspensions")
 
     def __len__(self) -> int:
         return self._rows
@@ -357,7 +353,6 @@ class SoaSamplerEngine:
         self.last_flags[at] = 0
         self.next_due[at] = 0
         self.samples_taken[at] = 0
-        self.has_offered[at] = False
         self.alerts[at] = 0
         self.floor[at] = 1
         self.active[at] = True
@@ -616,10 +611,9 @@ class SoaSamplerEngine:
         Splits the batch into ticks — one occurrence per row, in arrival
         order — and advances each tick, vectorised or (narrow ticks) row
         by row. Rows that are negative (unresolved) or not ``active``
-        (retired, or handed back to the owner) are reported back as
-        ``fallback`` positions instead of being applied; a non-finite
-        value on an active row is rejected here, before any column of
-        the row sees it.
+        (retired) are reported back as ``fallback`` positions instead of
+        being applied; a non-finite value on an active row is rejected
+        here, before any column of the row sees it.
 
         ``hooks`` is the owner of what the marked rows keep outside the
         columns, called back per tick: ``hooks.absorb(rows, values)``
@@ -681,11 +675,6 @@ class SoaSamplerEngine:
             tick_rows = rows[sel]
             tick_steps = steps[sel]
             tick_values = values[sel]
-            # The last-offered columns mirror offer's unconditional
-            # last-seen refresh (before the due check); per-tick scatter
-            # keeps "latest occurrence wins" exact under duplicates.
-            self.last_offered[tick_rows] = tick_values
-            self.has_offered[tick_rows] = True
             if hooks is not None:
                 marked = np.flatnonzero(self.absorbs[tick_rows])
                 if len(marked):

@@ -695,12 +695,27 @@ class WireServer:
         return await self.register_task(entry)
 
     async def remove_task(self, name: str) -> dict[str, Any]:
-        """Remove a registered task from its shard and the routing map."""
+        """Remove a registered task from its shard and the routing map,
+        and with it every trigger plan it was an end of: a target whose
+        trigger went falls back to full-rate sampling (its own shard saw
+        to that if it hosted both; best effort elsewhere — the target
+        may be gone too)."""
         reply = await self._task_call("w_remove_task", name)
         if not reply.get("ok"):
             return reply
         sid = self.task_shard.pop(name)
         self._task_epoch += 1
+        gone = [plan for plan in self.trigger_plans.values()
+                if name in (plan.target, plan.trigger)]
+        for plan in gone:
+            del self.trigger_plans[plan.target]
+        for plan in gone:
+            if self.task_shard.get(plan.target) not in (None, sid):
+                try:
+                    await self._task_call("w_trigger_set", plan.target,
+                                          armed=True)
+                except ReproError:
+                    pass  # unreachable host: its guard stays as it is
         self.trace.emit("task_removed", task=name, shard=sid)
         return {"ok": True, "task": name}
 
@@ -722,13 +737,20 @@ class WireServer:
                 f"(shard {self.task_shard[trigger]}) hash to different "
                 f"shards; correlation gating is intra-shard",
                 code="cross-shard-trigger")
+        # A local pair is a plan whose two halves share a shard, at
+        # hysteresis 0 / hold 0: listed, counted, checkpointed and
+        # re-installed after a failover as one.
+        plan = TriggerPlan(
+            target, trigger, float(request.get("elevation_level", 0.0)),
+            int(request.get("suspend_interval", 10)), hysteresis=0.0,
+            min_hold=0)
         reply = await self._shard_call(sid, {
             "op": "w_add_trigger", "shard": sid, "target": target,
-            "trigger": trigger,
-            "elevation_level": float(request.get("elevation_level", 0.0)),
-            "suspend_interval": int(request.get("suspend_interval", 10))})
+            "trigger": trigger, "elevation_level": plan.elevation_level,
+            "suspend_interval": plan.suspend_interval})
         if not reply.get("ok"):
             return reply
+        self.trigger_plans[target] = plan
         return {"ok": True, "target": target, "trigger": trigger}
 
     # -- trigger channel (repro.triggers, DESIGN.md S32) ----------------
@@ -737,10 +759,10 @@ class WireServer:
                                   ) -> dict[str, Any]:
         """Install a trigger plan on the shards of both its tasks.
 
-        Unlike ``add_trigger`` (intra-shard value gating), the plan's
-        trigger and target may live on different shards: the trigger's
-        shard watches for elevation edges and the backend routes them to
-        the target's shard.
+        Unlike ``add_trigger`` (the same gate, intra-shard and never
+        debounced), the plan's trigger and target may live on different
+        shards: the trigger's shard watches for elevation edges and the
+        backend routes them to the target's shard.
         """
         entry = request.get("plan")
         if not isinstance(entry, dict):
@@ -749,9 +771,6 @@ class WireServer:
         for name in (plan.target, plan.trigger):
             if name not in self.task_shard:
                 return _unknown_task(name)
-        # The target's shard first: its half is the one a shard can
-        # refuse (the target already carries a gate), and then no shard
-        # has been written.
         for sid in dict.fromkeys((self.task_shard[plan.target],
                                   self.task_shard[plan.trigger])):
             reply = await self._shard_call(sid, {

@@ -190,9 +190,12 @@ async def run_loadgen(args: argparse.Namespace) -> dict[str, Any]:
                    and args.cluster_workers > 1)
     try:
         for name in names:
-            await control.register_task(name, _THRESHOLD,
-                                        error_allowance=0.01,
-                                        max_interval=10)
+            # A server started from a config file may hold some already.
+            if not (await control.request({"op": "task_info",
+                                           "task": name})).get("ok"):
+                await control.register_task(name, _THRESHOLD,
+                                            error_allowance=0.01,
+                                            max_interval=10)
         # The first task is the cheap edge source; every odd-indexed task
         # rides as an expensive guarded target. The elevation level sits
         # at the violation threshold, so the noisy healthy streams spend

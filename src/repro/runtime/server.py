@@ -17,14 +17,13 @@ update is therefore either applied or persisted. On a hard crash, updates
 queued after the last checkpoint are lost (at-most-once); clients that
 need stronger guarantees replay from their own cursor.
 
-Sharding constraint: correlation triggers
-(:meth:`~repro.service.MonitoringService.add_trigger`) connect two tasks
-through shared last-seen state, so target and trigger must hash to the
-same shard; ``add_trigger`` rejects cross-shard pairs with code
-``cross-shard-trigger``. The *trigger channel* (``trigger_install`` and
-friends, DESIGN.md S32) lifts that constraint: it gates on explicit
-arm/disarm edges routed by the server, so the pair may live on any two
-shards — or, under the cluster runtime, any two workers.
+Correlation triggers are one gate (DESIGN.md S32): a guard on the target
+flipped by the arm/disarm edges of a watch on the trigger. ``add_trigger``
+installs the pair undebounced on one shard, whose service routes its own
+edges, and rejects cross-shard pairs with code ``cross-shard-trigger``;
+``trigger_install`` takes a debounced plan whose ends may live on any two
+shards — or, under the cluster runtime, any two workers — and the server
+routes the edges a shard cannot see.
 """
 
 from __future__ import annotations
@@ -126,8 +125,9 @@ class RuntimeServer(WireServer):
             for sid in range(self.n_shards)]
         for worker in self._workers:
             # Trigger edges route synchronously: watch fires in a shard
-            # drain loop, the sink flips the target's armed flag on its
-            # own shard inline (one event loop, so no cross-shard race).
+            # drain loop, the service flips its own guards and the sink
+            # the armed flag of targets on other shards, inline (one
+            # event loop, so no cross-shard race).
             worker.service.set_trigger_sink(self._on_trigger_edge)
 
     def worker_for(self, name: str) -> ShardWorker:
@@ -168,17 +168,21 @@ class RuntimeServer(WireServer):
         return accepted, shed, 0
 
     def _on_trigger_edge(self, event: dict[str, Any]) -> None:
-        """Route one watch edge to every guarded target (the sink)."""
+        """Route one watch edge to every guarded target (the sink) —
+        but those on the trigger's shard, whose service flipped its own —
+        and count it per plan."""
         trigger = event.get("trigger")
         armed = event.get("op") == "arm"
+        source = self.worker_for(trigger)
         for plan in self.trigger_plans.values():
             if plan.trigger != trigger:
                 continue
-            try:
-                self.worker_for(plan.target).service.set_trigger_armed(
-                    plan.target, armed)
-            except ConfigurationError:
-                continue  # target removed since the plan was installed
+            host = self.worker_for(plan.target)
+            if host is not source:
+                try:
+                    host.service.set_trigger_armed(plan.target, armed)
+                except ConfigurationError:
+                    continue  # a plan older than its target
             self.trigger_edges["arm" if armed else "disarm"] += 1
 
     # ------------------------------------------------------------------

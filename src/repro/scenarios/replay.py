@@ -23,6 +23,7 @@ must score as maximal-cost/zero-delay and as a mis-detection breach.
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -356,24 +357,20 @@ def simulate_replay(compiled: CompiledScenario,
     values = compiled.values
     names = compiled.task_names
 
-    # Trigger plans route synchronously here — the exact twin of the
-    # single-process server's sink (RuntimeServer._on_trigger_edge).
+    # The one service routes its own edges; the sink counts them per
+    # plan, as the single-process server's does
+    # (RuntimeServer._on_trigger_edge).
     plans = compiled.trigger_plans()
     edges = {"arm": 0, "disarm": 0}
     if plans:
-        by_trigger: dict[str, list] = {}
         for trigger_plan in plans:
             service.install_trigger_plan(trigger_plan)
-            by_trigger.setdefault(trigger_plan.trigger,
-                                  []).append(trigger_plan)
+        fan_out = Counter(plan.trigger for plan in plans)
 
-        def _route_edge(event: dict[str, Any]) -> None:
-            armed = event["op"] == "arm"
-            for routed in by_trigger.get(str(event["trigger"]), ()):
-                service.set_trigger_armed(routed.target, armed)
-                edges["arm" if armed else "disarm"] += 1
+        def _count_edge(event: dict[str, Any]) -> None:
+            edges[event["op"]] += fan_out[event["trigger"]]
 
-        service.set_trigger_sink(_route_edge)
+        service.set_trigger_sink(_count_edge)
     boundaries = ({span.end for span in compiled.spans} if plans
                   else set())
     phase_samples: list[list[int]] = []

@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from functools import partial
-from itertools import compress, repeat
+from itertools import repeat
 from dataclasses import dataclass, field, fields as dataclass_fields
 from math import isfinite
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -55,6 +55,7 @@ from repro.core.windowed import AggregateKind
 from repro.telemetry.histogram import DEFAULT_RELATIVE_ERROR
 from repro.exceptions import ConfigurationError
 from repro.triggers.channel import TriggerWatcher
+from repro.triggers.plan import TriggerPlan
 from repro.types import Alert, ThresholdDirection
 
 __all__ = ["MonitoringService", "TaskState", "SNAPSHOT_VERSION",
@@ -64,10 +65,11 @@ logger = logging.getLogger(__name__)
 
 AlertCallback = Callable[[Alert], None]
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 """Format version stamped into :meth:`MonitoringService.snapshot` dicts:
-2 is the columnar document; :meth:`MonitoringService.restore` still reads
-version 1. Not the checkpoint *file* format's
+3 is the columnar document with one kind of trigger gate;
+:meth:`MonitoringService.restore` still reads versions 2 and 1. Not the
+checkpoint *file* format's
 (:data:`repro.runtime.checkpoint.CHECKPOINT_VERSION`)."""
 
 
@@ -85,16 +87,14 @@ class TaskState:
         samples_taken: sampling operations consumed so far.
         alerts: alerts raised so far — on a scalar service; an engine
             service keeps every task's in its one columnar log.
-        trigger_task: name of the task gating this one (or ``None``).
         trigger_level: elevation level of the gating metric.
-        suspend_interval: idle interval while the trigger is cold.
-        remote_trigger: name of a (possibly non-local) task whose
-            arm/disarm edges gate this one through the trigger channel
-            (``repro.triggers``), or ``None``. Unlike ``trigger_task``
-            the gating signal is the explicit :attr:`trigger_armed`
-            flag, not a last-seen value — the trigger may live on
-            another shard or worker.
-        trigger_armed: the remote guard's state; ``True`` (the
+        suspend_interval: idle interval while the guard is disarmed.
+        remote_trigger: name of the task whose arm/disarm edges gate
+            this one through the trigger channel (``repro.triggers``),
+            or ``None``. The gating signal is the explicit
+            :attr:`trigger_armed` flag — the trigger may live on this
+            service, on another shard or on another worker.
+        trigger_armed: the guard's state; ``True`` (the
             conservative default) samples at full violation-likelihood
             rate, ``False`` floors the interval at
             :attr:`suspend_interval`.
@@ -109,7 +109,7 @@ class TaskState:
         soa_row: the task's row in the service's SoA engine, from
             registration to removal, or ``-1`` on a scalar service. The
             row is the one home of sampler state, schedule position,
-            last-offered value, suspension and alert counts, and keys
+            suspension and alert counts, and keys
             the task's entries in the service's alert log:
             :attr:`sampler`, :attr:`next_due`, :attr:`samples_taken`,
             :attr:`trigger_suspensions` and :attr:`alerts` are a scalar
@@ -135,7 +135,6 @@ class TaskState:
     next_due: int = 0
     samples_taken: int = 0
     alerts: list[Alert] = field(default_factory=list)
-    trigger_task: str | None = None
     trigger_level: float = 0.0
     suspend_interval: int = 10
     remote_trigger: str | None = None
@@ -290,7 +289,7 @@ def _adaptation_from_dict(entry: dict[str, Any]) -> AdaptationConfig:
 # What every task has is one list per key, aligned with ``names``
 # (registration order), grouped by where it lives: ``spec`` (the
 # TaskSpec fields), ``sampler`` (core.soa.SAMPLER_STATE) and ``task``
-# (schedule, window, last-seen gate, alert count). ``alerts`` are three
+# (schedule, window, guard level, alert count). ``alerts`` are three
 # flat columns in ``names`` order, each task's oldest first, cut by
 # ``task.alerts``. What few tasks have is a map by task name per
 # TaskState.state_dict key, under ``sparse``. key -> element types:
@@ -303,15 +302,15 @@ _GROUPS: dict[str, dict[str, tuple[type, ...]]] = {
                 for key, (_, kind) in SAMPLER_STATE.items()},
     "task": {"adaptation": _INT, "window": _INT, "window_kind": _STR,
              "window_sum": _NUMBER, "next_due": _INT, "samples_taken": _INT,
-             "alerts": _INT, "trigger_task": (str, type(None)),
-             "trigger_level": _NUMBER, "suspend_interval": _INT},
+             "alerts": _INT, "trigger_level": _NUMBER,
+             "suspend_interval": _INT},
     "alerts": {"step": _INT, "value": _NUMBER, "threshold": _NUMBER},
 }
 _SPARSE_KEYS = ("type", "value_threshold", "substrate", "remote_trigger",
                 "trigger_armed", "trigger_suspensions", "watch",
                 "window_values")
 _SNAPSHOT_KEYS = {"version", "adaptation", "adaptations", "names",
-                  *_GROUPS, "sparse", "last_seen"}
+                  *_GROUPS, "sparse"}
 _DIRECTIONS = {d.value: d for d in ThresholdDirection}
 _WINDOW_KINDS = {k.value: k for k in AggregateKind}
 
@@ -345,15 +344,17 @@ def _sparse_maps(states: Iterable[tuple[str, dict[str, Any]]],
     return sparse
 
 
+# -- the upgrade chain: the only code that knows the old shapes ---------
+#
+# Pure and read-only, one step per version bump, applied in order by
+# :meth:`MonitoringService.restore`: checkpoint files and fixtures
+# written before a bump load through it; nothing writes an old version.
+
 def _upgrade_v1(snapshot: Mapping[str, Any]) -> dict[str, Any]:
     """A version-1 snapshot (one dict per task under ``tasks``) as the
-    version-2 document holding the same state. Pure, read-only, and the
-    only code that knows the old shape: checkpoint files and fixtures
-    written before the bump load through it; nothing writes version 1.
-    """
+    version-2 document holding the same state."""
     tasks = snapshot.get("tasks", [])
     names = snapshot_task_names(snapshot)
-    known = set(names)
     configs, adaptation = _distinct(_adaptation_from_dict(
         entry["adaptation"]) for entry in tasks)
     # What version 1's readers defaulted when an older writer left it out.
@@ -390,7 +391,7 @@ def _upgrade_v1(snapshot: Mapping[str, Any]) -> dict[str, Any]:
              "stats": {**stats_defaults, **entry["sampler"]["stats"]}}
             for entry in tasks]),
         "task": {key: [entry[key] for entry in tasks]
-                 for key in _GROUPS["task"]
+                 for key in (*_GROUPS["task"], "trigger_task")
                  if key not in ("adaptation", "alerts", "window_sum")}
         | {"adaptation": adaptation,
            "alerts": [len(entry["alerts"]) for entry in tasks],
@@ -401,15 +402,51 @@ def _upgrade_v1(snapshot: Mapping[str, Any]) -> dict[str, Any]:
         "alerts": {key: [alert[at] for alert in alerts]
                    for at, key in enumerate(_GROUPS["alerts"])},
         "sparse": _sparse_maps(zip(names, map(sparse, tasks))),
-        # A removed task's entry was harmless there; it is not a task's.
-        "last_seen": {name: value for name, value
-                      in snapshot.get("last_seen", {}).items()
-                      if name in known},
     }
 
 
+def _upgrade_v2(snapshot: Mapping[str, Any]) -> dict[str, Any]:
+    """A version-2 snapshot as the version-3 document: version 2 gated a
+    task either through the channel or on the *last seen value* of a
+    co-located ``task.trigger_task`` (the map ``last_seen``). A last-seen
+    pair comes back as what a fresh ``add_trigger`` of the same target,
+    trigger, level and suspend interval installs — guard armed, watch at
+    hysteresis 0 / hold 0 armed, as a fresh re-placement comes back
+    conservatively armed — over the target's recorded sampler state,
+    schedule and alerts; a watch or a channel guard the document already
+    holds wins, and ``last_seen`` is dropped."""
+    try:
+        names = snapshot["names"]
+        task = dict(snapshot["task"])
+        triggers = task.pop("trigger_task")
+        sparse = {key: dict(column)
+                  for key, column in snapshot["sparse"].items()}
+        if (len(triggers) != len(names)
+                or not set(triggers) <= {*names, None}):
+            raise ValueError(triggers)
+        for name, trigger, level in zip(names, triggers,
+                                        task["trigger_level"]):
+            if trigger is None or name in sparse["remote_trigger"]:
+                continue
+            sparse["remote_trigger"][name] = trigger
+            sparse["trigger_armed"][name] = True
+            sparse["trigger_suspensions"][name] = 0
+            sparse["watch"].setdefault(trigger, TriggerWatcher(
+                level, hysteresis=0.0, min_hold=0).state_dict())
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise ConfigurationError(
+            "malformed snapshot: a version-2 document whose last-seen "
+            f"pairs do not read ({error!r})") from None
+    return {**{key: value for key, value in snapshot.items()
+               if key != "last_seen"},
+            "version": 3, "task": task, "sparse": sparse}
+
+
+_UPGRADES = ((1, _upgrade_v1), (2, _upgrade_v2))
+
+
 def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
-    """Refuse a version-2 document that is not one — a wrong key set, a
+    """Refuse a version-3 document that is not one — a wrong key set, a
     ragged or mistyped column, counts, indices or names that point
     nowhere — with a :class:`ConfigurationError` naming the culprit,
     before a service exists."""
@@ -460,26 +497,20 @@ def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
         fail("column task.adaptation indexes outside adaptations")
     for where, column, legal in (
             ("spec.direction", snapshot["spec"]["direction"], _DIRECTIONS),
-            ("task.window_kind", task["window_kind"], _WINDOW_KINDS),
-            ("task.trigger_task", task["trigger_task"], known | {None})):
+            ("task.window_kind", task["window_kind"], _WINDOW_KINDS)):
         strays = set(column) - set(legal)
         if strays:
             fail(f"column {where} holds {min(strays, key=repr)!r}")
     sparse = snapshot["sparse"]
     check_keys("group 'sparse'", sparse, _SPARSE_KEYS)
-    for key, column in (*sparse.items(),
-                        ("last_seen", snapshot["last_seen"])):
+    for key, column in sparse.items():
         if not isinstance(column, dict) or not set(column) <= known:
             fail(f"map {key!r} has a key that is not in names")
     for keys in (_SPARSE_KEYS[:3], _SPARSE_KEYS[3:6]):
         if len({frozenset(sparse[key]) for key in keys}) != 1:
             fail(f"maps {list(keys)} are not keyed by the same tasks")
-    for key, column, kinds in (
-            ("trigger_suspensions", sparse["trigger_suspensions"], _INT),
-            ("last_seen", snapshot["last_seen"], _NUMBER)):
-        if not set(map(type, column.values())) <= set(kinds):
-            fail(f"map {key!r} holds a value that is not "
-                 + " or ".join(kind.__name__ for kind in kinds))
+    if not set(map(type, sparse["trigger_suspensions"].values())) <= {int}:
+        fail("map 'trigger_suspensions' holds a value that is not int")
 
 
 class _RowHooks:
@@ -610,8 +641,9 @@ class MonitoringService:
     _trace = None
     _trace_shard: int | str | None = None
     # Trigger-edge sink (same lifecycle as traces): the owning runtime
-    # attaches a callable for synchronous in-process routing; cluster
-    # workers leave it unset and the coordinator drains the buffer.
+    # attaches a callable to route edges to its other shards in-process;
+    # cluster workers leave it unset and the coordinator drains the
+    # buffer. The service's own guards need neither (_deliver_edge).
     _trigger_sink: Callable[[dict[str, Any]], None] | None = None
     # Alert-count sink (same lifecycle again): what hosts an engine
     # service counts the alerts of each batch through it.
@@ -621,13 +653,10 @@ class MonitoringService:
                  soa: bool = False):
         self._config = config or AdaptationConfig()
         self._tasks: dict[str, TaskState] = {}
-        # A scalar service's last offered value per task; an engine
-        # service keeps it in the rows' last_offered / has_offered.
-        self._last_seen: dict[str, float] = {}
         self._trigger_events: deque[dict[str, Any]] = deque(maxlen=1024)
-        # add_trigger sources: name -> number of tasks gated on its
-        # last-seen value (see _retarget).
-        self._local_sources: dict[str, int] = {}
+        # trigger name -> the tasks of this service guarded on it, by
+        # name (see _index_guard): whom an edge of that trigger flips.
+        self._guards: dict[str, dict[str, TaskState]] = {}
         self._watchers = 0  # tasks carrying a TriggerWatcher
         self._soa = SoaSamplerEngine() if soa else None
         self._soa_rows: dict[int, TaskState] = {}
@@ -637,15 +666,12 @@ class MonitoringService:
         # are raised.
         self._alert_log = _AlertLog()
         self._alert_callbacks: dict[int, AlertCallback] = {}
-        # remote trigger name -> engine rows it guards (see _guard_rows)
-        self._guarded_rows: dict[str, set[int]] = {}
 
     # -- SoA engine plumbing (DESIGN.md S31) ----------------------------
     #
     # A service is all rows or all scalar from construction. With
     # ``soa=True`` every task — plain, windowed, quantile, entropy,
-    # channel-guarded, watched, either end of a local ``add_trigger``
-    # pair — is a row of a shared
+    # guarded, watched — is a row of a shared
     # :class:`~repro.core.soa.SoaSamplerEngine` from registration to
     # removal and has no scalar sampler; without, every task is stepped
     # through its own :class:`ViolationLikelihoodSampler` by the
@@ -657,6 +683,7 @@ class MonitoringService:
         onto ``row`` when the caller allocated it (a restore's, in bulk)."""
         self._tasks[state.name] = state
         self._watchers += state.watch is not None
+        self._index_guard(state, True)
         engine = self._soa
         if engine is None:
             state.sampler = ViolationLikelihoodSampler(state.task,
@@ -676,18 +703,20 @@ class MonitoringService:
             self._alert_callbacks[row] = state.on_alert
         self._soa_rows[row] = state
         self._hooks.bind(row, state)
-        self._guard_rows(state, True)
         self._refresh_floor(state)
 
-    def _guard_rows(self, state: TaskState, guarded: bool) -> None:
-        """Enter the task's row under its trigger in ``_guarded_rows`` or
-        take it out; brackets every write to ``remote_trigger``/``soa_row``."""
-        if state.remote_trigger is None or state.soa_row < 0:
+    def _index_guard(self, state: TaskState, guarded: bool) -> None:
+        """Enter the task under its trigger in ``_guards`` or take it
+        out; brackets every write to ``remote_trigger``."""
+        trigger = state.remote_trigger
+        if trigger is None:
             return
-        rows = self._guarded_rows.setdefault(state.remote_trigger, set())
-        (rows.add if guarded else rows.discard)(state.soa_row)
-        if not rows:
-            del self._guarded_rows[state.remote_trigger]
+        if guarded:
+            self._guards.setdefault(trigger, {})[state.name] = state
+        else:
+            del self._guards[trigger][state.name]
+            if not self._guards[trigger]:
+                del self._guards[trigger]
 
     def _refresh_floor(self, state: TaskState) -> None:
         """Bring the row's schedule floor in line with the guard fields;
@@ -698,30 +727,6 @@ class MonitoringService:
                 state.soa_row,
                 state.suspend_interval if state.remote_trigger is not None
                 and not state.trigger_armed else 1)
-
-    def _retarget(self, state: TaskState, trigger: str | None) -> None:
-        """Every write to ``trigger_task``: keeps the per-source counts,
-        and on an engine service the rows of whichever tasks the write
-        made or unmade an end of a last-seen pair *handed back* — their
-        ``active`` flag down, so the tick returns their offers as
-        ``fallback`` and :meth:`_offer_soa` steps them by name, in
-        arrival order, as the gate's read of the source's last offered
-        value needs."""
-        sources = self._local_sources
-        old = state.trigger_task
-        if old is not None:
-            sources[old] -= 1
-            if not sources[old]:
-                del sources[old]
-        if trigger is not None:
-            sources[trigger] = sources.get(trigger, 0) + 1
-        state.trigger_task = trigger
-        if self._soa is not None:
-            for end in map(self._tasks.get, (state.name, old, trigger)):
-                if end is not None:
-                    self._soa.active[end.soa_row] = (
-                        end.trigger_task is None
-                        and end.name not in sources)
 
     @property
     def soa_engine(self):
@@ -874,88 +879,82 @@ class MonitoringService:
     def remove_task(self, name: str) -> None:
         """Unregister a task (live-runtime tenant churn).
 
-        Any task gated on the removed one loses its trigger and falls back
-        to pure violation-likelihood scheduling — a dangling trigger would
-        otherwise freeze the dependent task at its suspend interval using a
-        stale last-seen value. The removed task's last-seen entry is
-        dropped for the same reason.
+        Any task of this service guarded on the removed one loses its
+        guard and falls back to pure violation-likelihood scheduling — a
+        guard with no edge source left would otherwise freeze the
+        dependent task at whatever armed state the last edge left.
 
         Raises :class:`~repro.exceptions.ConfigurationError` when the task
         is unknown.
         """
         state = self._state(name)  # must exist
         del self._tasks[name]
-        self._last_seen.pop(name, None)
         self._watchers -= state.watch is not None
+        self._index_guard(state, False)
         if self._soa is not None:
             # The one place a row is retired.
             self._soa.deactivate(state.soa_row)
             del self._soa_rows[state.soa_row]
             self._hooks.release(state.soa_row)
-            self._guard_rows(state, False)
             self._alert_callbacks.pop(state.soa_row, None)
             if self._soa.alerts[state.soa_row]:
                 self._alert_log.drop_row(state.soa_row)
-        self._retarget(state, None)
-        self._guarded_rows.pop(name, None)
-        for other in self._tasks.values():
-            if other.trigger_task == name:
-                self._retarget(other, None)
-                other.trigger_level = 0.0
-            if other.remote_trigger == name:
-                # A locally-registered guard loses its edge source; fall
-                # back to full-rate sampling rather than freezing the
-                # target at whatever armed state the last edge left.
-                other.remote_trigger = None
-                other.trigger_armed = True
-                self._refresh_floor(other)
+        for other in self._guards.pop(name, {}).values():
+            other.remote_trigger = None
+            other.trigger_armed = True
+            self._refresh_floor(other)
 
     def add_trigger(self, target: str, trigger: str, elevation_level: float,
                     suspend_interval: int = 10) -> None:
-        """Gate ``target``'s sampling on ``trigger``'s last seen value.
-
-        While the most recent value offered for ``trigger`` sits below
-        ``elevation_level`` the target idles at ``suspend_interval``
+        """Gate ``target``'s sampling on ``trigger``, a task of this
+        service: while the most recent value offered for ``trigger`` sits
+        below ``elevation_level`` the target idles at ``suspend_interval``
         (paper SII-A's state-correlation scheme; typically configured from
-        a :class:`repro.core.correlation.TriggerRule`). A task carries
-        one gate: a target guarded through the trigger channel
-        (:meth:`add_remote_trigger`) is refused.
+        a :class:`repro.core.correlation.TriggerRule`).
+
+        A local pair is a channel plan whose two halves share a service:
+        this is :meth:`install_trigger_plan` of the pair at hysteresis 0
+        and hold 0, whose watcher is armed exactly when the trigger's
+        last offered value is ``>= elevation_level``. Debouncing bounds
+        *messages*, and an edge delivered inside the service that raised
+        it is none. A trigger task carries one watch, hence one level: a
+        level other than the one ``trigger`` is already watched at is
+        refused while another task of the service is guarded on it.
         """
-        state = self._state(target)
-        self._state(trigger)  # must exist
-        if suspend_interval < 1:
+        self._state(target)
+        watch = self._state(trigger).watch
+        others = self._guards.get(trigger, {}).keys() - {target}
+        if (watch is not None and others
+                and watch.level != float(elevation_level)):
             raise ConfigurationError(
-                f"suspend_interval must be >= 1, got {suspend_interval}")
-        if state.remote_trigger is not None and state.trigger_task is None:
-            raise ConfigurationError(
-                f"task {target!r} is already guarded on channel edges from "
-                f"{state.remote_trigger!r}; a task carries one gate")
-        self._retarget(state, trigger)
-        state.trigger_level = elevation_level
-        state.suspend_interval = suspend_interval
+                f"task {trigger!r} is watched at level {watch.level!r} for "
+                f"{sorted(others)}; a trigger task carries one watch, "
+                f"hence one level")
+        self.install_trigger_plan(TriggerPlan(
+            target, trigger, elevation_level, suspend_interval,
+            hysteresis=0.0, min_hold=0))
 
     # -- trigger channel (repro.triggers, DESIGN.md S32) ----------------
     #
-    # ``add_trigger`` gates on a co-located task's last-seen value; the
-    # channel methods below gate on explicit arm/disarm *edges* instead,
-    # so the trigger task may live on any shard or worker. A watch on
-    # the trigger side turns its offered values into edges; the armed
-    # flag on the target side is flipped by whoever routes them (the
-    # runtime server in-process, the cluster coordinator across
-    # workers).
+    # One gate: a guard on the target (``remote_trigger``, the explicit
+    # ``trigger_armed`` flag, the row's ``floor``) flipped by arm/disarm
+    # *edges*, and a watch on the trigger that turns its offered values
+    # into them, so the trigger task may live on any shard or worker.
+    # The service flips the guards it hosts itself (``_deliver_edge``);
+    # whoever routes the rest (the runtime server in-process, the
+    # cluster coordinator across workers) flips the others.
 
     def add_remote_trigger(self, target: str, trigger: str,
                            elevation_level: float,
                            suspend_interval: int = 10) -> None:
         """Guard ``target`` on channel edges from (possibly remote)
-        ``trigger``.
+        ``trigger``: the target's half of a plan.
 
         Unlike :meth:`add_trigger` the trigger need not be registered on
         this service. Re-installing the same pair is idempotent and
         *preserves* the current armed state — post-failover re-installs
-        must not silently re-arm a deliberately disarmed guard. A task
-        carries one gate: a target gated by :meth:`add_trigger` is
-        refused.
+        must not silently re-arm a deliberately disarmed guard; a new
+        trigger re-targets the guard, armed.
         """
         state = self._state(target)
         if not trigger:
@@ -966,14 +965,10 @@ class MonitoringService:
         if suspend_interval < 1:
             raise ConfigurationError(
                 f"suspend_interval must be >= 1, got {suspend_interval}")
-        if state.trigger_task is not None and state.remote_trigger is None:
-            raise ConfigurationError(
-                f"task {target!r} is already gated on the last value of "
-                f"{state.trigger_task!r}; a task carries one gate")
         fresh = state.remote_trigger != trigger
-        self._guard_rows(state, False)
+        self._index_guard(state, False)
         state.remote_trigger = trigger
-        self._guard_rows(state, True)
+        self._index_guard(state, True)
         state.trigger_level = float(elevation_level)
         state.suspend_interval = int(suspend_interval)
         if fresh:
@@ -983,7 +978,8 @@ class MonitoringService:
     def add_trigger_watch(self, trigger: str, level: float,
                           hysteresis: float = 0.1,
                           min_hold: int = 5) -> None:
-        """Watch ``trigger``'s offered values for arm/disarm edges.
+        """Watch ``trigger``'s offered values for arm/disarm edges: the
+        trigger's half of a plan.
 
         Every offer — due or not — feeds the watcher, so edge latency is
         one collection period, not one sampling interval. Re-installing
@@ -1004,13 +1000,12 @@ class MonitoringService:
         state.watch = TriggerWatcher(level, hysteresis=hysteresis,
                                      min_hold=min_hold)
 
-    def install_trigger_plan(self, plan: Any) -> None:
+    def install_trigger_plan(self, plan: TriggerPlan) -> None:
         """Wire whichever sides of a ``TriggerPlan`` live on this service.
 
         A plan's trigger and target may land on different shards; each
-        shard's service installs only its local half (remote guard on
-        the target task, watch on the trigger task) — the target's first:
-        it is the half that can be refused, and then nothing is wired.
+        shard's service installs only its local half (guard on the
+        target task, watch on the trigger task), both when they share it.
         """
         if plan.target in self._tasks:
             self.add_remote_trigger(plan.target, plan.trigger,
@@ -1129,12 +1124,13 @@ class MonitoringService:
         """Pop the buffered arm/disarm edges (oldest first).
 
         Each event is ``{"op": "arm"|"disarm", "trigger": name,
-        "step": int, "value": float}``. The cluster coordinator polls
-        this per worker. With a sink attached edges are delivered
-        synchronously instead of buffered (so an in-process runtime
-        never accumulates events nobody drains); without one the buffer
-        is a bounded ring — edges evicted unread are lost, like trace
-        events under a storm.
+        "step": int, "value": float}``, already applied to this
+        service's own guards. The cluster coordinator polls this per
+        worker. With a sink attached edges are delivered synchronously
+        instead of buffered (so an in-process runtime never accumulates
+        events nobody drains); without one the buffer is a bounded ring
+        — edges evicted unread are lost to the guards of *other*
+        services, like trace events under a storm.
         """
         events = list(self._trigger_events)
         self._trigger_events.clear()
@@ -1148,6 +1144,12 @@ class MonitoringService:
                                 "step": int(step), "value": float(value)})
 
     def _deliver_edge(self, event: dict[str, Any]) -> None:
+        """Route one watch edge: flip every task of this service guarded
+        on the edge's trigger, then hand the event on — to the sink or
+        the buffer — for whoever routes what this service cannot see."""
+        armed = event["op"] == "arm"
+        for name in self._guards.get(event["trigger"], ()):
+            self.set_trigger_armed(name, armed)
         if self._trigger_sink is not None:
             self._trigger_sink(event)
         else:
@@ -1180,7 +1182,7 @@ class MonitoringService:
 
         Returns the sampling decision when the value was consumed as a
         scheduled sample, or ``None`` when the task was not due (the
-        value still refreshes trigger state for tasks gated on this one).
+        value still feeds the task's trigger watch and substrate).
         A non-finite ``value`` raises :class:`ValueError` before anything
         is touched.
 
@@ -1205,7 +1207,6 @@ class MonitoringService:
         if not isfinite(value):
             raise ValueError(f"non-finite value: {value!r}")
         state = self._state(name)
-        self._last_seen[name] = value
         if state.watch is not None:
             self._watch_edge(state, value, step)
         if state.task_type != "value":
@@ -1242,8 +1243,7 @@ class MonitoringService:
         on the task's row, bit for bit, returning what :meth:`offer_fast`
         does. Every offer that does not ride a tick comes here: the
         by-name entry points, and the ``fallback`` positions of a column
-        batch (negative or stale rows, and the handed-back rows of
-        last-seen pairs, see :meth:`_retarget`)."""
+        batch (negative or stale rows)."""
         if not isfinite(value):
             raise ValueError(f"non-finite value: {value!r}")
         state = self._state(name)
@@ -1254,8 +1254,6 @@ class MonitoringService:
                              f"range [{STEP_MIN}, {STEP_MAX}]")
         engine = self._soa
         row = state.soa_row
-        engine.last_offered[row] = value
-        engine.has_offered[row] = True
         if state.watch is not None:
             self._watch_edge(state, value, step)
         if state.task_type != "value":
@@ -1263,15 +1261,8 @@ class MonitoringService:
         if step < engine.next_due[row]:
             return None
         monitored = state.monitored(step, value)
-        interval = advance = engine.observe_one(row, monitored, step)
-        if state.trigger_task is not None:
-            # The last-seen gate (_gate's first half; the row's floor is
-            # its second), read from the trigger's row.
-            source = self._tasks[state.trigger_task].soa_row
-            if (engine.has_offered[source]
-                    and engine.last_offered[source] < state.trigger_level):
-                advance = max(interval, state.suspend_interval)
-        engine.advance_one(row, step, advance)
+        interval = engine.observe_one(row, monitored, step)
+        engine.advance_one(row, step, interval)
         flags = int(engine.last_flags[row])
         if flags:
             self._fan_out_columns(
@@ -1284,15 +1275,9 @@ class MonitoringService:
     def _gate(self, state: TaskState, interval: int) -> int:
         """Trigger gating of a scalar service's consumed offer: the
         advance (>= 1) to its next due step, given the sampler's
-        ``interval``. On an engine service the row's ``floor`` column is
-        the channel guard and :meth:`_offer_soa` applies the last-seen
-        gate."""
+        ``interval`` — a disarmed guard's floor, which on an engine
+        service is the row's ``floor`` column."""
         advance = interval
-        if state.trigger_task is not None:
-            trigger_value = self._last_seen.get(state.trigger_task)
-            if (trigger_value is not None
-                    and trigger_value < state.trigger_level):
-                advance = max(advance, state.suspend_interval)
         if (state.remote_trigger is not None and not state.trigger_armed
                 and state.suspend_interval > advance):
             advance = state.suspend_interval
@@ -1406,11 +1391,10 @@ class MonitoringService:
         """Apply a decoded offer batch as columns (the server data path).
 
         ``rows`` are engine row ids (``-1`` = unresolved); rows that are
-        negative, retired or handed back (an end of a last-seen pair) are
-        stepped by name instead, through ``names`` (parallel to the
-        columns) and :meth:`_offer_soa`, which is always correct — an
-        unknown or missing name counts as rejected, mirroring the
-        per-offer error contract of :meth:`offer`.
+        negative or retired are stepped by name instead, through
+        ``names`` (parallel to the columns) and :meth:`_offer_soa`, which
+        is always correct — an unknown or missing name counts as
+        rejected, mirroring the per-offer error contract of :meth:`offer`.
 
         Returns ``(applied, consumed, rejected, consumed_intervals)``;
         ``applied`` includes not-due offers, ``consumed_intervals`` holds
@@ -1462,11 +1446,10 @@ class MonitoringService:
         A watcher depends on its own task's stream alone, so every
         watched offer of the batch can be observed first. An edge belongs
         between the offers before its position and the rest: ``cut``
-        says the batch has to be split there for that to hold — a sink
-        is attached (a buffered edge is acted on by nobody before the
-        batch ends) and a later offer of the batch is for a row the
-        edge's trigger guards, or goes by name (not resolved here).
-        Other edges only have to keep their order. A watched task
+        says the batch has to be split there for that to hold — the
+        edge's trigger guards a task of this service, and a later offer
+        of the batch is for its row, or goes by name (not resolved
+        here). Other edges only have to keep their order. A watched task
         offered by name runs its own watcher in :meth:`_offer_soa`: it
         is cut out as a batch of one (``event`` None at both ends).
         """
@@ -1484,11 +1467,10 @@ class MonitoringService:
             edge = state.watch.observe(value, step)
             if edge is None:
                 continue
-            guarded = self._guarded_rows.get(state.name)
-            cut = self._trigger_sink is not None and (
-                last_by_name > pos
-                or guarded is not None
-                and bool(np.isin(rows[pos + 1:], list(guarded)).any()))
+            guarded = self._guards.get(state.name)
+            cut = guarded is not None and (
+                last_by_name > pos or bool(np.isin(rows[pos + 1:], [
+                    guard.soa_row for guard in guarded.values()]).any()))
             cuts.append((pos, {"op": edge, "trigger": state.name,
                                "step": step, "value": value}, cut))
         if names is not None and len(by_name):
@@ -1613,8 +1595,8 @@ class MonitoringService:
 
         Captures every registered task's spec, adaptation config, schedule
         position, sampler statistics (Welford state, current interval,
-        patience streak), alert history, trigger wiring, window buffers and
-        the trigger last-seen map — everything :meth:`restore` needs to
+        patience streak), alert history, trigger wiring (guards and
+        watchers) and window buffers — everything :meth:`restore` needs to
         resume with identical behaviour. Alert callbacks are not captured.
 
         The document is columns aligned with ``names`` (module comment
@@ -1637,7 +1619,6 @@ class MonitoringService:
             alerts = {"step": [a.time_index for a in history],
                       "value": [a.value for a in history],
                       "threshold": [a.threshold for a in history]}
-            last_seen = dict(self._last_seen)
         else:
             rows = np.fromiter(self._soa_rows, dtype=np.int64,
                                count=len(names))
@@ -1646,9 +1627,6 @@ class MonitoringService:
             samples_taken = engine.samples_taken[rows].tolist()
             logged = engine.alerts[rows].tolist()
             alerts = self._alert_log.columns()
-            offered = engine.has_offered[rows]
-            last_seen = dict(zip(compress(names, offered.tolist()),
-                                 engine.last_offered[rows][offered].tolist()))
         configs, adaptation = _distinct(state.config for state in states)
         spec = {key: [getattr(state.task, key) for state in states]
                 for key in _GROUPS["spec"]}
@@ -1674,7 +1652,6 @@ class MonitoringService:
                 "next_due": next_due,
                 "samples_taken": samples_taken,
                 "alerts": logged,
-                "trigger_task": [state.trigger_task for state in states],
                 "trigger_level": [state.trigger_level for state in states],
                 "suspend_interval": [state.suspend_interval
                                      for state in states],
@@ -1686,7 +1663,6 @@ class MonitoringService:
                 if state.substrate is not None or state.watch is not None
                 or state.remote_trigger is not None
                 or state._window_values),
-            "last_seen": last_seen,
         }
 
     @classmethod
@@ -1697,7 +1673,8 @@ class MonitoringService:
 
         Args:
             snapshot: a dict produced by :meth:`snapshot` — of this
-                version or of version 1, which is upgraded on the way in.
+                version or of an earlier one, which is upgraded on the
+                way in (``_UPGRADES``).
             on_alert: optional ``(task_name, alert)`` callback attached to
                 every restored task (callbacks cannot be serialised, so
                 they are re-wired here).
@@ -1711,12 +1688,12 @@ class MonitoringService:
         :class:`~repro.exceptions.ConfigurationError` before a service
         exists.
         """
-        version = snapshot.get("version")
-        if version == 1:
-            snapshot = _upgrade_v1(snapshot)
-        elif version != SNAPSHOT_VERSION:
+        for version, upgrade in _UPGRADES:
+            if snapshot.get("version") == version:
+                snapshot = upgrade(snapshot)
+        if snapshot.get("version") != SNAPSHOT_VERSION:
             raise ConfigurationError(
-                f"unsupported snapshot version {version!r}; "
+                f"unsupported snapshot version {snapshot.get('version')!r}; "
                 f"expected {SNAPSHOT_VERSION}")
         _check_snapshot(snapshot)
         names = snapshot["names"]
@@ -1758,7 +1735,6 @@ class MonitoringService:
         logged = task["alerts"]
         alerts = list(map(snapshot["alerts"].get, _GROUPS["alerts"]))
         suspensions = snapshot["sparse"]["trigger_suspensions"]
-        last_seen = snapshot["last_seen"]
         # What columns hold goes straight into the columns.
         if engine is None:
             history = [Alert(time_index=step, value=float(value),
@@ -1773,8 +1749,6 @@ class MonitoringService:
                 state.trigger_suspensions = suspensions.get(state.name, 0)
                 state.alerts = history[lo:lo + count]
                 lo += count
-            service._last_seen = {name: float(value)
-                                  for name, value in last_seen.items()}
         else:
             rows = np.asarray(rows, dtype=np.int64)
             engine.load_rows_state(rows, snapshot["sampler"])
@@ -1785,10 +1759,4 @@ class MonitoringService:
             row_of = dict(zip(names, rows.tolist()))
             engine.suspensions[[row_of[name] for name in suspensions]] = (
                 list(suspensions.values()))
-            seen = [row_of[name] for name in last_seen]
-            engine.last_offered[seen] = list(last_seen.values())
-            engine.has_offered[seen] = True
-        for state, trigger in zip(states, task["trigger_task"]):
-            if trigger is not None:
-                service._retarget(state, trigger)
         return service

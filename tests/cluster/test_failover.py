@@ -64,7 +64,7 @@ class TestInProcReplacement:
                 await client.register_task(**TASK_SPEC)
                 await client.register_task(**{**TASK_SPEC, "name": PARTNER})
                 await client.add_trigger(TASK, PARTNER, elevation_level=1.0,
-                                         suspend_interval=1)
+                                         suspend_interval=2)
                 await client.offer_batch(
                     [[TASK, s, 20.0 + (s % 9)] for s in range(50)])
                 await coord.drain()

@@ -126,6 +126,65 @@ class TestTriggerWireParity:
         assert final["probe_cost_saved"] > 0.0
 
 
+class TestPlansChangeUnderThePump:
+    def test_an_install_racing_a_yielding_pump_raises_nothing(self):
+        """The plans are the front end's to change while the coordinator
+        awaits a shard: ``pump_triggers`` (run by the heartbeat, ``drain``
+        and ``trigger_plans``) and ``_reinstall_triggers`` walk a copy.
+        Iterating the shared dict itself raised ``RuntimeError:
+        dictionary changed size during iteration`` — into ``drain``'s
+        caller, or out of the beat."""
+        late = [f"late-{i}" for i in range(2)]
+
+        async def scenario(cluster):
+            coord = cluster.coordinator
+            client = AsyncRuntimeClient(port=cluster.tcp_port)
+            try:
+                for name in (TRIGGER, TARGET, *late):
+                    await client.register_task(**_spec(name))
+                await client.install_trigger_plan(PLAN)
+                await client.offer_batch(
+                    [[TRIGGER, s, 10.0] for s in range(8)])   # a disarm
+                racing = iter(late)
+
+                async def install_another():
+                    target = next(racing)
+                    reply = await client.install_trigger_plan(
+                        {**PLAN, "target": target})
+                    assert reply["ok"]
+
+                shard_call, best_effort = (coord.shard_call,
+                                           coord._best_effort)
+
+                async def yielding(forward, op, *args):
+                    # A transport that yields, and an install that gets
+                    # in while it does.
+                    if args[-1]["op"] == op:
+                        await install_another()
+                    return await forward(*args)
+
+                coord.shard_call = lambda *a: yielding(
+                    shard_call, "w_trigger_set", *a)
+                await coord.drain()                     # pumps the edge
+                coord.shard_call = shard_call
+                coord._best_effort = lambda *a: yielding(
+                    best_effort, "w_trigger_install", *a)
+                await coord._reinstall_triggers(
+                    coord.routes[route(TARGET, SHARDS)])
+                coord._best_effort = best_effort
+                return (await client.trigger_state(TARGET),
+                        await client.trigger_plans())
+            finally:
+                await client.close()
+
+        state, plans = run_cluster(scenario, shards=SHARDS,
+                                   heartbeat_interval=3600.0)
+        assert state["state"]["armed"] is False         # the edge landed
+        assert sorted(p["target"] for p in plans["plans"]) == sorted(
+            [TARGET, *late])
+        assert plans["edges"]["disarm"] == 1
+
+
 class TestTriggerMigration:
     def test_disarmed_guard_survives_live_migration(self):
         async def scenario(cluster):

@@ -65,10 +65,10 @@ class SoaDifferential:
         further tasks of any kind (windowed, typed, guarded, ...) on
         each service and returns their names; ``kinds``, an estimator
         name, adds :meth:`register_kinds`' tasks, each with an
-        ``on_alert``. With ``sink`` each service
-        routes its watch edges to its own guarded tasks the moment they
-        fire, as ``RuntimeServer`` does; without, edges collect in the
-        service's buffer, as on a cluster worker. Either way
+        ``on_alert``. A service routes its watch edges to its own guarded
+        tasks itself; with ``sink`` it then hands each to a sink that
+        logs it, as ``RuntimeServer``'s counts it; without, edges collect
+        in the service's buffer, as on a cluster worker. Either way
         :meth:`check` compares them."""
         self.scalar = MonitoringService(soa=False)
         self.vector = MonitoringService(soa=True)
@@ -95,8 +95,8 @@ class SoaDifferential:
     def _wire(self, service):
         service.attach_telemetry(DecisionTrace(capacity=1 << 20))
         if self.sink:
-            service.set_trigger_sink(self.edge_router(
-                service, self.edges.setdefault(id(service), [])))
+            service.set_trigger_sink(
+                self.edges.setdefault(id(service), []).append)
 
     def callback(self, side, name):
         """An ``on_alert`` for task ``name`` of the ``"scalar"`` or
@@ -129,16 +129,14 @@ class SoaDifferential:
         return other
 
     @staticmethod
-    def edge_router(service, log):
-        """A trigger sink that logs each edge and routes it to the
-        service's own guarded tasks."""
-        def sink(event):
-            log.append(dict(event))
-            for name in service.task_names:
-                status = service.trigger_status(name)
-                if status.get("trigger") == event["trigger"]:
-                    service.set_trigger_armed(name, event["op"] == "arm")
-        return sink
+    def version_2(snapshot, **gated_on):
+        """A snapshot as the last version-2 writer wrote it: with a
+        ``last_seen`` map (dropped on the way in, so empty here) and a
+        ``task.trigger_task`` column, ``target=trigger`` for each
+        last-seen pair."""
+        return {**snapshot, "version": 2, "last_seen": {},
+                "task": {**snapshot["task"], "trigger_task": [
+                    gated_on.get(name) for name in snapshot["names"]]}}
 
     KINDS = ("window-mean", "window-sum", "window-max", "window-min",
              "quantile", "entropy", "trigger", "guarded",
@@ -153,11 +151,10 @@ class SoaDifferential:
         a watched trigger and the task it guards (registered before and
         after each other in turn), a watched windowed task guarding a
         quantile task, a watched task whose targets live elsewhere, and
-        a last-seen ``add_trigger`` pair (registered before and after
-        each other in turn; in even copies the source also carries a
-        channel watch, in odd ones the target is windowed) — the rows an
-        engine service hands back and steps by name, in the same frames
-        as the ticked ones. ``on_alert(name)`` gives each task its alert
+        a local ``add_trigger`` pair (registered before and after each
+        other in turn; in even copies the source's watch is then
+        replaced by a debounced one at another level, in odd ones the
+        target is windowed). ``on_alert(name)`` gives each task its alert
         callback (default: none). Returns the names, kind by kind;
         :meth:`value_for` knows them."""
         config = AdaptationConfig(estimator=estimator, patience=2,
@@ -321,12 +318,6 @@ class SoaDifferential:
                 except (ConfigurationError, ValueError) as error:
                     got.append(type(error))
             assert got[0] == got[1], (self.names[i], step, value)
-
-    def set_armed(self, name, armed):
-        """An operator's explicit arm/disarm, on both services."""
-        was = [service.set_trigger_armed(name, armed)
-               for service in (self.scalar, self.vector)]
-        assert was[0] == was[1]
 
     @staticmethod
     def _events(service):

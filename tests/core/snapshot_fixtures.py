@@ -1,33 +1,29 @@
-"""Version-1 snapshot fixtures: the streams behind them, the answers a
-service restored from one must give, and the script that recorded both.
+"""Old-version snapshot fixtures: the streams behind them and the
+answers a service restored from one must give.
 
 ``tests/fixtures/engine_snapshot_912dc69.json`` was written by commit
 912dc69. ``engine_snapshot_9e0d563.json`` and ``v1_answers_9e0d563.json``
 were written by commit 9e0d563 — the last one whose ``snapshot()`` wrote
-version 1 — by running this file there::
-
-    PYTHONPATH=<checkout of 9e0d563>/src python tests/core/snapshot_fixtures.py
-
-It uses nothing of ``repro`` that commit does not have. The
-``*.v2.json`` twins beside them are what the columnar writer made of the
-restored fixtures when version 2 was introduced (the same command, run
-on that commit); they are regression anchors, not independent evidence
-(the recorded answers are).
+version 1 — by the ``main()`` this file had up to commit 96f71ca, run
+there with that commit's ``tests/conftest.py`` (whose harness still
+routed a service's edges for it). The ``*.v2.json`` twins beside them
+are what the last version-2 writer made of the restored fixtures: they
+are the version-2 documents the upgrade chain is tested on. The answers
+were recorded when a local ``add_trigger`` pair gated on its source's
+last seen value; what they say of the ends of such pairs no longer
+holds, and nothing reads it.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import sys
 
 import numpy as np
 
 from repro.runtime.checkpoint import state_fingerprint
-from repro.service import MonitoringService
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
-V1_FIXTURES = ("engine_snapshot_912dc69", "engine_snapshot_9e0d563")
 ANSWERS = FIXTURES / "v1_answers_9e0d563.json"
 
 
@@ -48,12 +44,13 @@ def continuation(names, frames=150, seed=19):
     return out
 
 
-def drive(service, frames, sink=None):
+def drive(service, frames, sink=False):
     """Feed ``frames`` to ``service`` the way its representation takes
     them (column batches by row, or ``offer`` by name); returns its
-    snapshot fingerprint. ``sink`` as ``SoaDifferential.edge_router``."""
-    if sink is not None:
-        service.set_trigger_sink(sink(service, []))
+    snapshot fingerprint. With ``sink`` its edges go to one, not to its
+    buffer."""
+    if sink:
+        service.set_trigger_sink(lambda event: None)
     for frame in frames:
         if service.soa_engine is None:
             for name, step, value in frame:
@@ -143,44 +140,3 @@ def v1_snapshot(fixture):
 
 def twin_text(fixture):
     return (FIXTURES / f"{fixture}.v2.json").read_text(encoding="utf-8")
-
-
-def main():
-    """At a commit that writes version 1: record the fixture and both
-    fixtures' answers. At one that writes version 2: their twins."""
-    from repro.service import SNAPSHOT_VERSION
-    if SNAPSHOT_VERSION == 2:
-        for fixture in V1_FIXTURES:
-            restored = MonitoringService.restore(v1_snapshot(fixture),
-                                                 soa=True)
-            (FIXTURES / f"{fixture}.v2.json").write_text(json.dumps(
-                restored.snapshot(), sort_keys=True), encoding="utf-8")
-        return
-    sys.path.insert(0, str(FIXTURES.parent))
-    from conftest import SoaDifferential
-    snapshot = json.loads(json.dumps(history(SoaDifferential)
-                                     .vector.snapshot()))
-    (FIXTURES / "engine_snapshot_9e0d563.json").write_text(json.dumps({
-        "written_by": "9e0d563 (parent of the columnar-snapshot change)",
-        "fingerprint": state_fingerprint(snapshot),
-        "snapshot": snapshot}, sort_keys=True) + "\n", encoding="utf-8")
-    recorded = {}
-    for fixture in V1_FIXTURES:
-        snapshot = v1_snapshot(fixture)
-        names = [entry["name"] for entry in snapshot["tasks"]]
-        per_soa = []
-        for soa in (True, False):
-            service = MonitoringService.restore(snapshot, soa=soa)
-            restored = answers(service)
-            drive(service, continuation(names), SoaDifferential.edge_router)
-            per_soa.append({"restored": json.loads(restored),
-                            "continued": json.loads(answers(service))})
-        assert (json.dumps(per_soa[0], sort_keys=True)
-                == json.dumps(per_soa[1], sort_keys=True))
-        recorded[fixture] = per_soa[0]
-    ANSWERS.write_text(json.dumps(recorded, sort_keys=True) + "\n",
-                       encoding="utf-8")
-
-
-if __name__ == "__main__":
-    main()

@@ -277,8 +277,7 @@ class TestEngineRowSnapshotRoundtrip:
         assert snapshot_fingerprint(restored.snapshot()) \
             == snapshot_fingerprint(snapshot)
         restored.attach_telemetry(pair.vector._trace)
-        restored.set_trigger_sink(soa_differential.edge_router(
-            restored, pair.edges[id(pair.vector)]))
+        restored.set_trigger_sink(pair.edges[id(pair.vector)].append)
         pair.edges[id(restored)] = pair.edges[id(pair.vector)]
         pair.vector = restored
         pair.rows = np.asarray([restored.soa_row_for(name)

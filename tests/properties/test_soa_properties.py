@@ -100,8 +100,7 @@ def _every_kind(soa_differential, estimator, sink):
     service.attach_telemetry(DecisionTrace(capacity=1 << 20))
     edges = []
     if sink:
-        service.set_trigger_sink(soa_differential.edge_router(service,
-                                                              edges))
+        service.set_trigger_sink(edges.append)
     rows = np.asarray([service.soa_row_for(name) for name in names],
                       dtype=np.int64)
     return service, names, rows, edges

@@ -1,6 +1,6 @@
 """Hypothesis properties for the live trigger channel (``repro.triggers``).
 
-Three contracts pinned here keep the online machinery honest against its
+Four contracts pinned here keep the online machinery honest against its
 batch counterparts and against itself:
 
 * the :class:`~repro.triggers.miner.CorrelationMiner`'s evidence and
@@ -13,18 +13,25 @@ batch counterparts and against itself:
 * the :class:`~repro.triggers.channel.TriggerWatcher` cannot oscillate —
   at most one transition on any constant stream, ``min_hold`` spacing on
   any stream at all, and bit-identical continuation across a
-  ``state_dict`` round-trip.
+  ``state_dict`` round-trip;
+* the gate is one: a local ``add_trigger`` pair is the plan of the same
+  pair at hysteresis 0 / hold 0, on every observable.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.adaptation import AdaptationConfig
 from repro.core.correlation import CorrelationDetector, CorrelationPlanner
+from repro.core.task import TaskSpec
 from repro.exceptions import CorrelationError
+from repro.service import MonitoringService
 from repro.triggers import CorrelationMiner, TriggerPlan, TriggerWatcher
 
 _THRESHOLD = 50.0
@@ -187,3 +194,62 @@ class TestPlanRoundtrip:
                            suspend_interval=suspend,
                            hysteresis=hysteresis, min_hold=min_hold)
         assert TriggerPlan.from_dict(plan.to_dict()) == plan
+
+
+class TestLocalPairIsAPlan:
+    """One gate: ``add_trigger`` is ``install_trigger_plan`` of the pair
+    at hysteresis 0 / hold 0 — on every observable, for any stream and
+    any interleaving of the offers with the install, scalar and on rows,
+    handed to a sink or left in the buffer."""
+
+    @given(level=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+           suspend=st.integers(min_value=2, max_value=12),
+           install_at=st.integers(min_value=0, max_value=60),
+           offers=st.lists(
+               st.tuples(st.sampled_from(["cheap", "costly", "other"]),
+                         st.floats(min_value=0.0, max_value=150.0,
+                                   allow_nan=False),
+                         st.integers(min_value=0, max_value=3)),   # gap
+               min_size=1, max_size=120),
+           soa=st.booleans(), sink=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_add_trigger_equals_the_plan_at_hysteresis_0_hold_0(
+            self, level, suspend, install_at, offers, soa, sink):
+        def drive(install):
+            service = MonitoringService(
+                AdaptationConfig(patience=2, min_samples=3), soa=soa)
+            for name in ("cheap", "costly", "other"):
+                service.add_task(name, TaskSpec(
+                    threshold=100.0, error_allowance=0.05, max_interval=8,
+                    name=name))
+            handed = []
+            if sink:
+                service.set_trigger_sink(handed.append)
+            step = 0
+            for at, (name, value, gap) in enumerate(offers):
+                if at == install_at:
+                    install(service)
+                step += gap
+                try:
+                    service.offer(name, value, step)
+                except ValueError:      # a step the task has seen
+                    pass
+            if install_at >= len(offers):
+                install(service)
+            return (json.dumps(service.snapshot(), sort_keys=True), {
+                name: (service.samples_taken(name), service.interval(name),
+                       service.next_due(name), service.observations(name),
+                       service.alert_count(name), service.alerts(name),
+                       service.trigger_status(name))
+                for name in service.task_names},
+                handed, service.drain_trigger_events(),
+                service.trigger_accounting())
+
+        pair = drive(lambda service: service.add_trigger(
+            "costly", "cheap", level, suspend))
+        plan = drive(lambda service: service.install_trigger_plan(
+            TriggerPlan("costly", "cheap", level, suspend,
+                        hysteresis=0.0, min_hold=0)))
+        assert pair == plan
+        assert pair[1]["costly"][-1]["trigger"] == "cheap"
+        assert pair[1]["cheap"][-1]["watch"]["level"] == level

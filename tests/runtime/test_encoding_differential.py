@@ -37,7 +37,7 @@ BUFFERED_FRAMES = 3
 
 PLAIN = [f"p{i}" for i in range(8)]
 _POOL = [f"t{i}" for i in range(64)]
-# A same-shard pair for the value-gated trigger, found by the routing
+# A same-shard pair for the local trigger pair, found by the routing
 # function itself.
 LOCAL_TARGET = _POOL[0]
 LOCAL_TRIGGER = next(n for n in _POOL[1:]
@@ -48,9 +48,8 @@ OFFERED = TASKS + ["late", "ghost"]
 PLAN = {"target": "guard", "trigger": "edge", "elevation_level": 60.0,
         "suspend_interval": 6, "hysteresis": 0.1, "min_hold": 2}
 MOVED_SHARD = route("p0", SHARDS)
-# Every kind of task is an engine row for life — the last-seen pair too,
-# handed back to be stepped by name on its rows; one of these lives on
-# the shard that migrates.
+# Every kind of task is an engine row for life — the local pair too;
+# one of these lives on the shard that migrates.
 ON_ROWS = ["p0", "win", "p90", "ent", "guard", "edge", LOCAL_TARGET,
            LOCAL_TRIGGER]
 assert MOVED_SHARD in {route(name, SHARDS) for name in ON_ROWS[1:]}
@@ -167,7 +166,7 @@ async def _drive(server: Any, encoding: str) -> dict[str, Any]:
     try:
         await _setup(client)
         # The stream goes down the columnar path: nothing resolves to
-        # -1, and only the last-seen pair's rows come back by name.
+        # -1, and no row comes back by name.
         assert min(_engine_rows(server, ON_ROWS)) >= 0
         if encoding == "binary":
             assert await client.negotiate() == 2
@@ -238,3 +237,53 @@ def test_json_and_binary_offers_are_one_path(make_server):
     assert totals["alerts"] > 0
     assert as_json["edges"]["arm"] and as_json["edges"]["disarm"]
     assert as_json["suspensions"] > 0
+
+
+# -- a same-shard plan arms inside the drain loop, on both servers ------
+
+SAME_SHARD_PLAN = {**PLAN, "target": LOCAL_TARGET, "trigger": LOCAL_TRIGGER}
+
+
+async def _guard_a_same_shard_stream(server: Any) -> list[tuple[Any, ...]]:
+    """One guarded stream through a plan whose ends share a shard; after
+    each frame, the target's guard and schedule — with nothing in
+    between that would pump a cluster's edge buffers (no ``drain``, no
+    ``trigger_plans``, and the heartbeat an hour away)."""
+    await server.start()
+    client = AsyncRuntimeClient(port=server.tcp_port)
+    try:
+        for name in (LOCAL_TARGET, LOCAL_TRIGGER):
+            await client.register_task(name, 100.0, error_allowance=0.05,
+                                       max_interval=6)
+        await client.install_trigger_plan(SAME_SHARD_PLAN)
+        sid = route(LOCAL_TARGET, SHARDS)
+        seen = []
+        for step in range(48):
+            hot = (step // 8) % 2
+            await client.offer_batch([
+                [LOCAL_TRIGGER, step, 80.0 if hot else 40.0],
+                [LOCAL_TARGET, step, 50.0]])
+            await server._shard_call(sid, {"op": "w_drain", "shard": sid})
+            state = (await client.trigger_state(LOCAL_TARGET))["state"]
+            info = await client.task_info(LOCAL_TARGET)
+            seen.append((step, state["armed"], state["suspensions"],
+                         info["next_due"], info["samples_taken"]))
+        return seen
+    finally:
+        await client.close()
+        await server.shutdown()
+
+
+def test_a_same_shard_plan_needs_no_pump():
+    on_runtime = asyncio.run(_guard_a_same_shard_stream(_runtime()))
+    on_cluster = asyncio.run(_guard_a_same_shard_stream(ClusterServer(
+        ClusterConfig(backend="inproc", workers=2, shards=SHARDS, port=0,
+                      heartbeat_interval=3600.0))))
+    assert on_cluster == on_runtime
+    # The edges fell where the trigger crossed its band — disarm on the
+    # first cold offer, arm on the first hot one, and so on — and an arm
+    # edge made the target due at once.
+    flips = [step for (step, armed, *_), (_, was, *_) in zip(
+        on_runtime[1:], on_runtime) if armed != was]
+    assert not on_runtime[0][1] and flips == [8, 16, 24, 32, 40]
+    assert on_runtime[8][3] == 9 and on_runtime[-1][2] > 3

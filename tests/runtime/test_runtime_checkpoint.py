@@ -287,16 +287,24 @@ class TestServiceSnapshot:
         with pytest.raises(ConfigurationError):
             MonitoringService.restore(snapshot)
 
-    def test_restore_rejects_dangling_trigger(self):
+    def test_restore_rejects_dangling_trigger(self, soa_differential):
+        """In a version-2 document, whose last-seen pairs were local; a
+        guard's trigger may live anywhere."""
         service = MonitoringService()
         service.add_task("a", task())
         service.add_task("b", task())
-        service.add_trigger("a", trigger="b", elevation_level=1.0)
         snapshot = service.snapshot()
-        assert snapshot["task"]["trigger_task"] == ["b", None]
-        snapshot["task"]["trigger_task"][0] = "gone"
-        with pytest.raises(ConfigurationError):
-            MonitoringService.restore(snapshot)
+        paired = MonitoringService.restore(
+            soa_differential.version_2(snapshot, a="b"))
+        service.add_trigger("a", trigger="b", elevation_level=0.0)
+        assert paired.snapshot() == service.snapshot()
+        assert service.snapshot()["sparse"]["remote_trigger"] == {"a": "b"}
+        with pytest.raises(ConfigurationError, match="version-2"):
+            MonitoringService.restore(
+                soa_differential.version_2(snapshot, a="gone"))
+        service.add_remote_trigger("a", "gone", 1.0)
+        assert MonitoringService.restore(
+            service.snapshot()).snapshot() == service.snapshot()
 
     def test_window_buffer_survives_restore(self):
         service = MonitoringService()
@@ -347,8 +355,8 @@ def _unknown_map(s):
     s["sparse"]["colour"] = {}
 
 
-def _version_3(s):
-    s["version"] = 3
+def _version_4(s):
+    s["version"] = 4
 
 
 def _bool_in_an_int_column(s):
@@ -375,12 +383,16 @@ def _unknown_top_level_key(s):
     s["tasks"] = []
 
 
-def _last_seen_of_nobody(s):
-    s["last_seen"]["ghost"] = 1.0
+def _last_seen_map_of_version_2(s):
+    s["last_seen"] = {}
+
+
+def _trigger_task_column_of_version_2(s):
+    s["task"]["trigger_task"] = [None] * len(s["names"])
 
 
 class TestMalformedSnapshot:
-    """A version-2 document that is not one is refused by name, before a
+    """A version-3 document that is not one is refused by name, before a
     service exists — onto rows and onto the scalar oracle alike."""
 
     CASES = [
@@ -393,14 +405,15 @@ class TestMalformedSnapshot:
         (_sparse_key_outside_names, "'watch'"),
         (_half_a_guard, "trigger_armed"),
         (_unknown_map, r"'sparse'.*\['colour'\]"),
-        (_version_3, "version 3"),
+        (_version_4, "version 4"),
         (_bool_in_an_int_column, "task.next_due"),
         (_int_beyond_64_bits, "sampler.last_time"),
         (_a_task_twice, "names"),
         (_config_index_out_of_range, "task.adaptation"),
         (_unknown_direction, "spec.direction.*sideways"),
         (_unknown_top_level_key, r"\['tasks'\]"),
-        (_last_seen_of_nobody, "'last_seen'"),
+        (_last_seen_map_of_version_2, r"\['last_seen'\]"),
+        (_trigger_task_column_of_version_2, r"'task'.*\['trigger_task'\]"),
     ]
 
     @staticmethod
@@ -476,8 +489,7 @@ class TestSnapshotOntoEngineRows:
         # Carry on: the uninterrupted scalar service offer by offer, the
         # restored one in column batches on its new rows.
         edges = []
-        restored.set_trigger_sink(soa_differential.edge_router(restored,
-                                                               edges))
+        restored.set_trigger_sink(edges.append)
         seen = len(pair.edges[id(scalar)])
         rows = np.asarray([restored.soa_row_for(n) for n in pair.names])
         for step in range(step + 1, step + 200):

@@ -33,11 +33,13 @@ from repro.runtime.server import RuntimeServer
 SHARDS = 4
 MAX_BATCH = 16
 
-# Two tasks on one shard and one on another, found by the routing
-# function itself so the table does not depend on the golden values.
+# Two tasks on one shard (a third, ``SAME2``, for the rows that register
+# it) and one on another, found by the routing function itself so the
+# table does not depend on the golden values.
 _NAMES = [f"task-{i}" for i in range(32)]
 A = _NAMES[0]
-SAME = next(n for n in _NAMES[1:] if route(n, SHARDS) == route(A, SHARDS))
+SAME, SAME2 = [n for n in _NAMES[1:]
+               if route(n, SHARDS) == route(A, SHARDS)][:2]
 OTHER = next(n for n in _NAMES if route(n, SHARDS) != route(A, SHARDS))
 
 PLAN = {"target": OTHER, "trigger": A, "elevation_level": 60.0,
@@ -45,14 +47,18 @@ PLAN = {"target": OTHER, "trigger": A, "elevation_level": 60.0,
 
 HELLO = {"op": "hello", "max_protocol": 2}
 
-# The two ways to gate ``A`` — on ``SAME``'s last value, or through the
-# channel on edges from ``OTHER`` (another shard) — and the reads that
-# show every shard's side of them.
+# The two ways to install the one gate on ``A`` — undebounced on
+# ``SAME``, its own shard's, or debounced on ``OTHER`` (another shard) —
+# a plan that has ``SAME`` watched for ``SAME2`` at another level, and
+# the reads that show every shard's side of them.
 LOCAL_GATE = {"op": "add_trigger", "target": A, "trigger": SAME,
               "elevation_level": 50.0, "suspend_interval": 10}
 CROSS_PLAN = {**PLAN, "target": A, "trigger": OTHER,
               "elevation_level": 95.0, "suspend_interval": 5}
+SHARED_PLAN = {**PLAN, "target": SAME2, "trigger": SAME,
+               "elevation_level": 95.0}
 _GATES = [{"op": "trigger_state", "task": A},
+          {"op": "trigger_state", "task": SAME},
           {"op": "trigger_state", "task": OTHER},
           {"op": "trigger_plans"}]
 
@@ -255,14 +261,33 @@ CASES: dict[str, list[Any]] = {
         {"op": "trigger_install", "plan": {**PLAN, "suspend_interval": 1}}],
     "trigger-install-unknown-plan-key": [
         {"op": "trigger_install", "plan": {**PLAN, "colour": "red"}}],
-    # One target, one gate: a gate of the other kind is refused before
-    # any shard is written (reads before and after the refusal agree).
+    # One gate: a local pair is a plan (listed, its target a guarded
+    # task), and installing the gate the other way re-targets it ...
+    "add-trigger-is-a-plan": [LOCAL_GATE, LOCAL_GATE, *_GATES],
     "install-over-local-gate": [
         LOCAL_GATE, *_GATES, {"op": "trigger_install", "plan": CROSS_PLAN},
         *_GATES],
-    "add-trigger-over-guard": [
+    "add-trigger-over-install": [
         {"op": "trigger_install", "plan": CROSS_PLAN}, *_GATES, LOCAL_GATE,
         *_GATES],
+    # ... a trigger task carries one watch, hence one level: a second
+    # level on one another task is guarded on is refused before any
+    # shard is written (reads before and after the refusal agree).
+    "add-trigger-over-guard": [
+        _task(SAME2), {"op": "trigger_install", "plan": SHARED_PLAN},
+        *_GATES, LOCAL_GATE, *_GATES],
+    # Removing a task drops every plan it was an end of; a target whose
+    # trigger went — here on another shard — is re-armed.
+    "remove-a-plans-trigger": [
+        {"op": "trigger_install", "plan": PLAN},
+        {"op": "trigger_disarm", "task": OTHER},
+        {"op": "remove_task", "task": A}, *_GATES[2:]],
+    "remove-a-plans-target": [
+        {"op": "trigger_install", "plan": PLAN},
+        {"op": "remove_task", "task": OTHER}, *_GATES],
+    "remove-a-local-pairs-trigger": [
+        LOCAL_GATE, {"op": "trigger_disarm", "task": A},
+        {"op": "remove_task", "task": SAME}, *_GATES],
     "trigger-arm-unguarded-task": [{"op": "trigger_arm", "task": A}],
     "trigger-overrides": [{"op": "trigger_install", "plan": PLAN},
                           {"op": "trigger_disarm", "task": OTHER},
@@ -356,18 +381,55 @@ def test_unrepresentable_update_is_refused_before_ack(case):
 
 @pytest.mark.parametrize("make_server", [_runtime, _cluster],
                          ids=["runtime", "cluster"])
-@pytest.mark.parametrize("case", ["install-over-local-gate",
-                                  "add-trigger-over-guard"])
+@pytest.mark.parametrize("case", ["add-trigger-over-guard"])
 def test_second_gate_is_refused(case, make_server):
-    """Equal replies on both servers are not enough: the refusal has to
-    come before the first write, on the trigger's shard too."""
+    """... when it would be a second level on a watched trigger. Equal
+    replies on both servers are not enough: the refusal has to come
+    before the first write, and leave no plan behind."""
     replies = asyncio.run(_run_script(make_server(), CASES[case]))
-    first, *before, refusal = replies[:len(_GATES) + 2]
-    after = replies[len(_GATES) + 2:]
-    assert first["ok"] and all(reply["ok"] for reply in before)
+    registered, first, *before, refusal = replies[:len(_GATES) + 3]
+    after = replies[len(_GATES) + 3:]
+    assert registered["ok"] and first["ok"]
+    assert all(reply["ok"] for reply in before)
     assert not refusal["ok"] and refusal["code"] == "bad-request"
-    assert "one gate" in refusal["error"]
+    assert "one level" in refusal["error"]
     assert after == before
+    assert [plan["target"] for plan in after[-1]["plans"]] == [SAME2]
+
+
+@pytest.mark.parametrize("make_server", [_runtime, _cluster],
+                         ids=["runtime", "cluster"])
+def test_the_other_way_round_is_a_re_target(make_server):
+    for case, was, now in (("install-over-local-gate", SAME, OTHER),
+                           ("add-trigger-over-install", OTHER, SAME)):
+        replies = asyncio.run(_run_script(make_server(), CASES[case]))
+        assert all(reply["ok"] for reply in replies)
+        before, after = replies[1], replies[len(_GATES) + 2]
+        assert (before["state"]["trigger"], after["state"]["trigger"]) == (
+            was, now)
+        assert [(plan["target"], plan["trigger"])
+                for plan in replies[-1]["plans"]] == [(A, now)]
+
+
+@pytest.mark.parametrize("make_server", [_runtime, _cluster],
+                         ids=["runtime", "cluster"])
+def test_removing_a_plans_end_drops_the_plan(make_server):
+    """Equal replies are not enough: both servers used to keep the plan
+    of a task that no longer exists, and a target on another shard than
+    its removed trigger stayed parked with no edge source left."""
+    *_, target, plans = asyncio.run(_run_script(
+        make_server(), CASES["remove-a-plans-trigger"]))
+    assert target["state"] == {"trigger": A, "armed": True,
+                               "suspend_interval": 6, "suspensions": 0}
+    assert plans["ok"] and plans["plans"] == []
+    *_, trigger, _, _, plans = asyncio.run(_run_script(
+        make_server(), CASES["remove-a-plans-target"]))
+    assert trigger["state"]["watch"]["level"] == 60.0
+    assert plans["plans"] == []
+    *_, disarmed, removed, target, _, _, plans = asyncio.run(_run_script(
+        make_server(), CASES["remove-a-local-pairs-trigger"]))
+    assert disarmed["was_armed"] and removed["ok"]
+    assert target["state"] == {} and plans["plans"] == []
 
 
 def test_table_provokes_every_error_code():

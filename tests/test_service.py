@@ -156,9 +156,10 @@ class TestTriggers:
 
 
 class TestOneTargetOneGate:
-    """The two kinds of gate share ``trigger_level`` / ``suspend_interval``
-    on the target, so the second kind used to rewrite the first; it is
-    refused instead, before anything is written."""
+    """There is one kind of gate — a guard on the target, a watch on the
+    trigger — so installing it the other way is a re-target, not a second
+    gate; what is refused, before anything is written, is a second
+    *level* on a trigger whose watch other tasks are guarded on."""
 
     PLAN = TriggerPlan(target="costly", trigger="far", elevation_level=95.0,
                        suspend_interval=5)
@@ -172,62 +173,82 @@ class TestOneTargetOneGate:
         return service
 
     @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
-    def test_channel_guard_over_a_local_gate_is_refused(self, soa):
+    def test_a_gate_installed_the_other_way_is_a_re_target(self, soa):
         service = self.make(soa)
         service.add_trigger("costly", "cheap", elevation_level=50.0,
                             suspend_interval=10)
-        before = service.snapshot()
-        for install in (
-                lambda: service.install_trigger_plan(self.PLAN),
-                lambda: service.add_remote_trigger("costly", "far", 95.0,
-                                                   suspend_interval=5)):
-            with pytest.raises(ConfigurationError, match="one gate"):
-                install()
-            # Neither half was wired: no guard, and no watch on "far".
-            assert service.snapshot() == before
-            assert service.trigger_status("far") == {}
-        # The local gate still reads its own level: hot at 60, cold at 40.
+        assert service.trigger_status("costly") == {
+            "trigger": "cheap", "armed": True, "suspend_interval": 10,
+            "suspensions": 0}
+        # The pair reads its own level: hot at 60, cold at 40.
         service.offer("cheap", 60.0, 0)
         service.offer("costly", 1.0, 0)
         assert service.next_due("costly") == 1
         service.offer("cheap", 40.0, 1)
         service.offer("costly", 1.0, 1)
         assert service.next_due("costly") == 11
+        assert not service.trigger_status("costly")["armed"]
+        # A plan on another trigger re-targets the guard, armed; the
+        # watch on the old trigger outlives it and moves nobody.
+        service.install_trigger_plan(self.PLAN)
+        assert service.trigger_status("costly") == {
+            "trigger": "far", "armed": True, "suspend_interval": 5,
+            "suspensions": 1}
+        assert service.trigger_status("cheap")["watch"]["level"] == 50.0
+        service.offer("cheap", 60.0, 2)
+        service.offer("far", 10.0, 2)
+        assert not service.trigger_status("costly")["armed"]
+        # And back.
+        service.add_trigger("costly", "cheap", elevation_level=50.0,
+                            suspend_interval=10)
+        assert service.trigger_status("costly")["trigger"] == "cheap"
+        assert service.trigger_status("costly")["armed"]
 
     @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
     def test_local_gate_over_a_channel_guard_is_refused(self, soa):
+        """... at another level than the one the guard's trigger is
+        watched at: a trigger task carries one watch, hence one level."""
         service = self.make(soa)
-        service.install_trigger_plan(self.PLAN)
+        service.install_trigger_plan(self.PLAN)     # costly <- far @ 95
+        service.set_trigger_armed("costly", False)
         before = service.snapshot()
-        with pytest.raises(ConfigurationError, match="one gate"):
-            service.add_trigger("costly", "cheap", elevation_level=50.0,
+        with pytest.raises(ConfigurationError, match="one level"):
+            service.add_trigger("cheap", "far", elevation_level=50.0,
                                 suspend_interval=10)
         assert service.snapshot() == before
+        assert service.trigger_status("cheap") == {}
         if soa:
             assert service.soa_engine.active[:3].all()
-        # Re-installing the guard the task carries stays idempotent, and
-        # removing an unrelated task leaves the guard's level alone.
-        service.set_trigger_armed("costly", False)
-        service.install_trigger_plan(self.PLAN)
+        # An equal level shares the watch — at hysteresis 0 / hold 0 —
+        # and re-levelling the one task guarded on it is its own affair.
+        service.add_trigger("cheap", "far", elevation_level=95.0)
+        assert service.trigger_status("far")["watch"]["hysteresis"] == 0.0
         service.remove_task("cheap")
+        service.add_trigger("costly", "far", elevation_level=50.0,
+                            suspend_interval=5)
+        assert service.trigger_status("far")["watch"]["level"] == 50.0
+        # Re-installing the guard the task carries stays idempotent.
         assert service.trigger_status("costly")["armed"] is False
         snapshot = service.snapshot()
         assert (snapshot["names"][0], snapshot["task"]["trigger_level"][0],
                 snapshot["task"]["suspend_interval"][0]) == (
-            "costly", 95.0, 5)
+            "costly", 50.0, 5)
 
     @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
-    def test_a_snapshot_holding_both_still_loads(self, soa):
+    def test_a_snapshot_holding_both_still_loads(self, soa,
+                                                 soa_differential):
+        """A version-2 document could hold a channel guard and a
+        last-seen gate on one task; the guard wins the upgrade."""
         service = self.make(soa)
         service.install_trigger_plan(self.PLAN)
+        service.set_trigger_armed("costly", False)
         snapshot = service.snapshot()
-        snapshot["task"]["trigger_task"][1] = "cheap"    # as the parent
-        restored = MonitoringService.restore(snapshot, soa=soa)
+        both = soa_differential.version_2(snapshot, costly="cheap")
+        restored = MonitoringService.restore(both, soa=soa)
         assert restored.snapshot() == snapshot
+        assert restored.trigger_status("cheap") == {}
         restored.install_trigger_plan(self.PLAN)          # failover
-        restored.add_trigger("costly", "far", elevation_level=95.0,
-                             suspend_interval=5)          # a re-target
-        assert restored.snapshot()["task"]["trigger_task"][1] == "far"
+        assert restored.snapshot() == snapshot
 
 
 class TestTriggerEdgeCases:
@@ -313,12 +334,14 @@ class TestRemoveTask:
         service.offer("costly", 1.0, 1)
         assert service.next_due("costly") == 2
 
-    def test_remove_clears_last_seen(self):
+    def test_remove_clears_a_guard_on_a_trigger_elsewhere_too(self):
         service = MonitoringService()
         service.add_task("a", task())
-        service.offer("a", 123.0, 0)
+        service.add_remote_trigger("a", "far", 1.0)
         service.remove_task("a")
-        assert "a" not in service._last_seen
+        assert service._guards == {}
+        service.add_task("a", task())
+        assert service.trigger_status("a") == {}
 
 
 class TestWindowedAggregateBuffer:

@@ -14,9 +14,9 @@ regressions a later refactor would reintroduce without any test turning
 red (an O(buckets) walk per due quantile offer, a sketch materialised
 per alert, a sort per step-major batch, a scalar sampler built beside an
 engine row, a last-seen pair dragging its batch off the tick, an
-``Alert`` object or a trace call per alert on a hosted shard or in its
-restore, a JSON object per task in a snapshot, a row-by-row engine write
-in a restore).
+``Alert`` object, a trace call or a trace event dict per alert on a
+hosted shard or in its restore, a JSON object per task in a snapshot, a
+row-by-row engine write in a restore).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.core.task import TaskSpec
 from repro.experiments.runner import run_adaptive, run_sampler_on_trace
 from repro.runtime.shard import ColumnBatch
 from repro.service import MonitoringService
+from repro.telemetry import trace as trace_module
 from repro.telemetry.histogram import LogHistogram
 
 N = 50_000
@@ -336,8 +337,9 @@ def _counted_alerts(monkeypatch) -> list[int]:
 def test_a_hosted_shards_alerts_stay_columns(monkeypatch):
     """1024 tasks, every offer of every batch violating, on a shard as
     ``WorkerHost`` installs it (trace attached, alert-count sink, nobody's
-    ``on_alert``): no ``Alert`` is built and the trace is called once per
-    ``_apply_columns`` — until somebody reads."""
+    ``on_alert``): no ``Alert`` is built, the trace takes one block per
+    ``_apply_columns`` and no ``emit``, and no event dict exists — until
+    somebody reads."""
     host = WorkerHost("w0")
     worker = host.install_shard(0)
     service = worker.service
@@ -346,18 +348,24 @@ def test_a_hosted_shards_alerts_stay_columns(monkeypatch):
             threshold=100.0, error_allowance=0.01, max_interval=10))
     built = _counted_alerts(monkeypatch)
     segments = _counted(monkeypatch, service, "_apply_columns")
-    batches = _counted(monkeypatch, host.trace, "emit_batch")
+    blocks = _counted(monkeypatch, host.trace, "emit_block")
     singles = _counted(monkeypatch, host.trace, "emit")
+    dicts = _counted(monkeypatch, trace_module, "_event")
     rows = np.arange(1024, dtype=np.int64)
     for step in range(8):
         worker.apply_columns(ColumnBatch(rows, np.full(1024, step),
                                          np.full(1024, 150.0)))
     assert worker.applied == worker.alerts_fired == 8 * 1024
-    assert len(batches) == len(segments) == 8 and not singles
+    assert len(blocks) == len(segments) == 8 and not singles
+    assert not dicts and not any(type(entry) is dict
+                                 for entry in host.trace._ring)
     assert service.alert_count("t0007") == 8
     assert service.snapshot()["task"]["alerts"][7] == 8
     assert not built
     assert len(service.alerts("t0007")) == 8 == len(built)
+    events = host.trace.drain()
+    assert len(events) == host.trace.capacity <= len(dicts)
+    assert {event["kind"] for event in events} == {"violation"}
 
 
 def test_restore_builds_alerts_only_for_the_scalar_oracle(monkeypatch):

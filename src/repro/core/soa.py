@@ -11,7 +11,8 @@ so every task still sees its updates in arrival order.
 
 A tick's cost is mostly fixed — numpy calls, not elements — so the tick
 is written to make few of them: every column is gathered once and every
-written column scattered once, the beta kernel covers all look-ahead
+written column scattered once — through a slice, a view, when the tick's
+rows are one contiguous run — the beta kernel covers all look-ahead
 steps of all rows in one ``(steps, rows)`` pass, and a tick with fewer
 due rows than ``_NARROW_TICK_ROWS`` skips the vector machinery and goes
 row by row through :meth:`SoaSamplerEngine.observe_one`, the scalar
@@ -100,6 +101,22 @@ _Tick = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
 # i.e. ~80 us fixed against ~6.2 us a row + 9: they cross between 12 and
 # 13 rows. Keyed on tick width alone; deliberately not a setting.
 _NARROW_TICK_ROWS = 13
+
+
+def _columns_at(rows: np.ndarray) -> slice | np.ndarray:
+    """The index a tick reaches its rows' columns through. Every tick
+    ``run_columns`` builds has strictly increasing ``rows`` (non-empty),
+    so when they span exactly ``len(rows)`` ids they are the contiguous
+    run ``rows[0]..rows[-1]``, and the slice of it reads views and writes
+    in place where ``rows`` would gather and scatter (at 1 024 rows a
+    fancy gather is ~1.5 us against ~0.1 us for the view); else ``rows``.
+    """
+    n = len(rows)
+    first = rows.item(0)
+    if rows.item(n - 1) - first == n - 1:
+        return slice(first, first + n)
+    return rows
+
 
 # A sampler's state as a snapshot holds it, one column per key: the
 # scalar sampler's ``state_dict`` keys with its ``stats`` flattened in
@@ -675,22 +692,23 @@ class SoaSamplerEngine:
             tick_rows = rows[sel]
             tick_steps = steps[sel]
             tick_values = values[sel]
+            at = _columns_at(tick_rows)
             if hooks is not None:
-                marked = np.flatnonzero(self.absorbs[tick_rows])
+                marked = np.flatnonzero(self.absorbs[at])
                 if len(marked):
                     hooks.absorb(tick_rows[marked], tick_values[marked])
-            due = tick_steps >= self.next_due[tick_rows]
+            due = tick_steps >= self.next_due[at]
             n_due = int(np.count_nonzero(due))
             result.applied += len(tick_rows) - n_due
             if n_due == 0:
                 continue
             if n_due < len(tick_rows):
                 d = np.flatnonzero(due)
-                tick_rows = tick_rows[d]
+                tick_rows = at = tick_rows[d]
                 tick_steps = tick_steps[d]
                 tick_values = tick_values[d]
             if hooks is not None:
-                marked = np.flatnonzero(self.derived[tick_rows])
+                marked = np.flatnonzero(self.derived[at])
                 if len(marked):
                     tick_values = tick_values.copy()
                     tick_values[marked] = hooks.monitored(
@@ -773,18 +791,22 @@ class SoaSamplerEngine:
         Every column is gathered once, the math runs on the gathered
         vectors, and every written column is scattered once at the
         bottom (the rare restart branch scatters its own stale columns).
+        The columns are reached through ``at`` (:func:`_columns_at`):
+        where that is a slice a read is a view of its column, so nothing
+        read from a column is read again after the write to it.
         """
-        v = self.sign[rows] * values
-        threshold = self.threshold[rows]
-        has = self.has_last[rows]
+        at = _columns_at(rows)
+        v = self.sign[at] * values
+        threshold = self.threshold[at]
+        has = self.has_last[at]
         with np.errstate(all="ignore"):
-            dt = steps - self.last_time[rows]
-            x = (v - self.last_value[rows]) / dt
+            dt = steps - self.last_time[at]
+            x = (v - self.last_value[at]) / dt
             bad = has & ((dt <= 0) | ~np.isfinite(x))
             rejected = int(np.count_nonzero(bad))
             if rejected:
                 ok = np.flatnonzero(~bad)
-                rows = rows[ok]
+                rows = at = rows[ok]
                 steps = steps[ok]
                 values = values[ok]
                 v = v[ok]
@@ -799,18 +821,18 @@ class SoaSamplerEngine:
 
             # Welford update with restart (OnlineStatistics.update); rows
             # on their first-ever offer have no delta and keep their stats.
-            stat_n = self.stat_n[rows]
-            prev_mean = self.mean[rows]
+            stat_n = self.stat_n[at]
+            prev_mean = self.mean[at]
             n_acc = stat_n + 1
             mean_acc = prev_mean + (x - prev_mean) / n_acc
-            var_acc = (stat_n * self.var[rows]
+            var_acc = (stat_n * self.var[at]
                        + (x - mean_acc) * (x - prev_mean)) / n_acc
-            restart = n_acc > self.restart_limit[rows]
+            restart = n_acc > self.restart_limit[at]
             if not all_has:
                 restart &= has
                 n_acc = np.where(has, n_acc, stat_n)
                 mean_acc = np.where(has, mean_acc, prev_mean)
-                var_acc = np.where(has, var_acc, self.var[rows])
+                var_acc = np.where(has, var_acc, self.var[at])
             if np.count_nonzero(restart):
                 rr = rows[restart]
                 self.stale_mean[rr] = mean_acc[restart]
@@ -823,18 +845,18 @@ class SoaSamplerEngine:
                 var_acc = np.where(restart, 0.0, var_acc)
 
             # Stale serving (OnlineStatistics mean/variance/effective_count).
-            serving = self.has_stale[rows] & (n_acc < self.min_fresh[rows])
+            serving = self.has_stale[at] & (n_acc < self.min_fresh[at])
             eff = n_acc
             mean_est = mean_acc
             var_est = np.maximum(var_acc, 0.0)
             if np.count_nonzero(serving):
-                eff = np.where(serving, self.stale_count[rows], eff)
-                mean_est = np.where(serving, self.stale_mean[rows], mean_est)
-                var_est = np.where(serving, self.stale_var[rows], var_est)
+                eff = np.where(serving, self.stale_count[at], eff)
+                mean_est = np.where(serving, self.stale_mean[at], mean_est)
+                var_est = np.where(serving, self.stale_var[at], var_est)
 
-            interval = self.interval[rows]
-            use_cheb = self.use_cheb[rows]
-            trusted = eff >= self.min_samples[rows]
+            interval = self.interval[at]
+            use_cheb = self.use_cheb[at]
+            trusted = eff >= self.min_samples[at]
             n_trusted = np.count_nonzero(trusted)
             if n_trusted == n:
                 beta = self._kernel(threshold - v, mean_est, var_est,
@@ -850,9 +872,9 @@ class SoaSamplerEngine:
             # AIMD interval adaptation. reset and grow zones are disjoint
             # for err > 0 (one_minus_slack <= 1); err == 0 rows go to
             # interval 1 without counting a reset.
-            err = self.err[rows]
-            one_minus_slack = self.one_minus_slack[rows]
-            max_interval = self.max_interval[rows]
+            err = self.err[at]
+            one_minus_slack = self.one_minus_slack[at]
+            max_interval = self.max_interval[at]
             to_one = beta > err
             grow_zone = beta <= one_minus_slack * err
             ne1 = interval != 1
@@ -863,15 +885,15 @@ class SoaSamplerEngine:
                 grow_zone &= ~zero_err
                 to_one = to_one | zero_err
                 went_one = to_one & ne1
-            streak = np.where(grow_zone, self.streak[rows] + 1, 0)
-            fired = streak >= self.patience[rows]   # patience >= 1
+            streak = np.where(grow_zone, self.streak[at] + 1, 0)
+            fired = streak >= self.patience[at]   # patience >= 1
             streak = np.where(fired, 0, streak)
             grew = fired & (interval < max_interval)
             iv_new = np.where(to_one, 1, interval + grew)
             flags = (v > threshold) * 4 + went_one * 2 + grew
 
             # Coordination statistics accumulation (x + 0.0 == x).
-            coord_sum_r = self.coord_sum_r[rows] + np.where(
+            coord_sum_r = self.coord_sum_r[at] + np.where(
                 iv_new < max_interval, 1.0 / iv_new - 1.0 / (iv_new + 1.0),
                 0.0)
             log_arg = np.maximum(beta / one_minus_slack, _MIN_ERROR_NEEDED)
@@ -881,33 +903,33 @@ class SoaSamplerEngine:
         logs = np.fromiter(map(math.log, log_arg.tolist()),
                            dtype=np.float64, count=n)
 
-        self.observations[rows] += 1
-        self.total_count[rows] += has
-        self.stat_n[rows] = n_acc
-        self.mean[rows] = mean_acc
-        self.var[rows] = var_acc
-        self.last_value[rows] = v
-        self.last_time[rows] = steps
+        self.observations[at] += 1
+        self.total_count[at] += has
+        self.stat_n[at] = n_acc
+        self.mean[at] = mean_acc
+        self.var[at] = var_acc
+        self.last_value[at] = v
+        self.last_time[at] = steps
         if not all_has:
-            self.has_last[rows] = True
-        self.interval[rows] = iv_new
-        self.streak[rows] = streak
-        self.reset_events[rows] += counted_reset
-        self.grow_events[rows] += grew
-        self.coord_sum_r[rows] = coord_sum_r
-        self.coord_sum_log_e[rows] += logs
-        self.coord_n[rows] += 1
-        self.last_beta[rows] = beta
-        self.last_flags[rows] = flags
+            self.has_last[at] = True
+        self.interval[at] = iv_new
+        self.streak[at] = streak
+        self.reset_events[at] += counted_reset
+        self.grow_events[at] += grew
+        self.coord_sum_r[at] = coord_sum_r
+        self.coord_sum_log_e[at] += logs
+        self.coord_n[at] += 1
+        self.last_beta[at] = beta
+        self.last_flags[at] = flags
         # Schedule advance: iv_new >= 1 always, so without a floored row
         # the gate is the interval itself.
         if self._floored:
-            floor = self.floor[rows]
-            self.suspensions[rows] += floor > iv_new
-            self.next_due[rows] = steps + np.maximum(iv_new, floor)
+            floor = self.floor[at]
+            self.suspensions[at] += floor > iv_new
+            self.next_due[at] = steps + np.maximum(iv_new, floor)
         else:
-            self.next_due[rows] = steps + iv_new
-        self.samples_taken[rows] += 1
+            self.next_due[at] = steps + iv_new
+        self.samples_taken[at] += 1
 
         metrics = _adaptation._SAMPLER_METRICS
         if metrics.enabled:

@@ -318,12 +318,12 @@ class WireServer:
                     json.dumps(body))
 
         def trace_route(params: dict[str, str]) -> tuple[int, str, str]:
-            try:
+            try:  # not an integer, or negative: drain refuses it
                 since = int(params.get("since", "0"))
+                body = self.trace.to_jsonl(since=since)
             except ValueError:
                 return 400, "text/plain; charset=utf-8", "bad since\n"
-            return (200, "application/x-ndjson",
-                    self.trace.to_jsonl(since=since))
+            return 200, "application/x-ndjson", body
 
         return {"/metrics": metrics, "/healthz": healthz,
                 "/trace": trace_route}

@@ -53,6 +53,7 @@ from repro.core.substrates import (DEFAULT_ENTROPY_WINDOW,
 from repro.core.task import TaskSpec
 from repro.core.windowed import AggregateKind
 from repro.telemetry.histogram import DEFAULT_RELATIVE_ERROR
+from repro.telemetry.trace import DECISION_BLOCK
 from repro.exceptions import ConfigurationError
 from repro.triggers.channel import TriggerWatcher
 from repro.triggers.plan import TriggerPlan
@@ -660,6 +661,9 @@ class MonitoringService:
         self._watchers = 0  # tasks carrying a TriggerWatcher
         self._soa = SoaSamplerEngine() if soa else None
         self._soa_rows: dict[int, TaskState] = {}
+        # Every row's task name, removed tasks' included — rows are never
+        # reused, so this only grows: what the trace names a row by.
+        self._row_names: list[str] = []
         self._hooks = _RowHooks()
         # An engine service's alert history, and the rows whose task
         # came with a caller's on_alert: the only alerts built as they
@@ -692,6 +696,7 @@ class MonitoringService:
         if row is None:
             row = engine.add_task(state.task, state.config)
         state.soa_row = row
+        self._row_names.append(state.name)  # rows are handed out in order
         typed = state.task_type != "value"
         engine.mark_row(row, absorbs=typed,
                         derived=typed or state.window > 1,
@@ -1314,11 +1319,12 @@ class MonitoringService:
         """An engine service's alert and trace fan-out, of a batch's
         flagged offers at once (``res.event_*``, in tick order, and their
         violating subset ``res.viol_*``): the alerts go to the log, the
-        count column and the count sink as columns, the trace gets one
-        batch of events, and only then is an :class:`Alert` built and a
-        callback run, for the rows that carry one. ``estimates`` holds a
-        quantile row's ``p_q`` as of its violating offer ``(row, step)``
-        — what it alerts with, see :meth:`TaskState.make_alert`.
+        count column and the count sink as columns, the trace gets the
+        batch as one record block, and only then is an :class:`Alert`
+        built and a callback run, for the rows that carry one.
+        ``estimates`` holds a quantile row's ``p_q`` as of its violating
+        offer ``(row, step)`` — what it alerts with, see
+        :meth:`TaskState.make_alert`.
         """
         engine = self._soa
         rows, steps, values = res.viol_rows, res.viol_steps, res.viol_values
@@ -1333,37 +1339,21 @@ class MonitoringService:
             np.add.at(engine.alerts, rows, 1)
             if self._alert_count_sink is not None:
                 self._alert_count_sink(len(rows))
-        soa_rows = self._soa_rows
         trace = self._trace
         if trace is not None:
-            # Key for key what N x trace.emit would build, in its order:
-            # tick order, an offer's interval_adapted before its
-            # violation (the next of ``viol_*``).
-            shard = self._trace_shard
-            violations = zip(values.tolist(), thresholds.tolist())
-            events: list[dict[str, Any]] = []
-            for row, step, interval, flags, beta in zip(
-                    res.event_rows.tolist(), res.event_steps.tolist(),
-                    res.event_intervals.tolist(), res.event_flags.tolist(),
-                    res.event_betas.tolist()):
-                name = soa_rows[row].name
-                if flags & 3:
-                    events.append({
-                        "seq": 0, "ts_monotonic": 0.0,
-                        "kind": "interval_adapted", "task": name,
-                        "shard": shard, "step": step, "interval": interval,
-                        "grew": bool(flags & 1), "reset": bool(flags & 2),
-                        "beta": beta})
-                if flags & 4:
-                    value, threshold = next(violations)
-                    events.append({
-                        "seq": 0, "ts_monotonic": 0.0, "kind": "violation",
-                        "task": name, "shard": shard, "step": step,
-                        "value": value, "threshold": threshold})
-            if shard is None:  # which emit leaves out
-                for event in events:
-                    del event["shard"]
-            trace.emit_batch(events)
+            block = np.empty(len(res.event_rows), dtype=DECISION_BLOCK)
+            block["row"] = res.event_rows
+            block["step"] = res.event_steps
+            block["interval"] = res.event_intervals
+            block["flags"] = res.event_flags
+            block["beta"] = res.event_betas
+            # A violating offer reports its monitored value, or the
+            # estimate that replaced it, against its row's threshold.
+            block["value"] = res.event_values
+            block["threshold"] = engine.alert_threshold[res.event_rows]
+            if estimates:
+                block["value"][np.flatnonzero(res.event_flags & 4)] = values
+            trace.emit_block(block, self._row_names, self._trace_shard)
         callbacks = self._alert_callbacks
         if callbacks and len(rows):
             for row, step, value, threshold in zip(
@@ -1380,10 +1370,9 @@ class MonitoringService:
                     # one caller's failing callback must not cost the
                     # others theirs, or the batch its place in the
                     # ledger.
-                    state = soa_rows.get(row)  # the callback may remove it
                     logger.exception(
                         "on_alert of task %r raised at step %d",
-                        state.name if state is not None else row, step)
+                        self._row_names[row], step)
 
     def offer_columns(self, rows: Any, steps: Any, values: Any,
                       names: Sequence[str | None] | None = None,

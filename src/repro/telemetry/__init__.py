@@ -44,12 +44,14 @@ from repro.telemetry.registry import (NULL_REGISTRY, Counter, Gauge,
                                       SUMMARY_QUANTILES,
                                       instrument_samplers)
 from repro.telemetry.selfmon import SELF_SHARD, SelfMonitor
-from repro.telemetry.trace import (NULL_TRACE, DecisionTrace, NullTrace,
+from repro.telemetry.trace import (DECISION_BLOCK, NULL_TRACE,
+                                   DecisionTrace, NullTrace,
                                    TRACE_EVENT_KINDS)
 
 __all__ = [
     "CONTENT_TYPE_PROMETHEUS",
     "Counter",
+    "DECISION_BLOCK",
     "DecisionTrace",
     "Gauge",
     "HistogramInstrument",

@@ -14,6 +14,11 @@ events are evicted, never blocking the hot path — ``dropped`` counts the
 evictions so readers know the history is incomplete. Emission is O(1)
 (a deque append); un-traced deployments hold :data:`NULL_TRACE` and pay
 one ``enabled`` check.
+
+The ring holds two kinds of entry (DESIGN.md S29): an event dict per
+:meth:`DecisionTrace.emit`, and a :data:`DECISION_BLOCK` record array per
+:meth:`DecisionTrace.emit_block` — an engine batch's flagged offers,
+whose events are built as dicts only when somebody reads.
 """
 
 from __future__ import annotations
@@ -22,11 +27,14 @@ import json
 import pathlib
 import time
 from collections import deque
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 
 __all__ = [
+    "DECISION_BLOCK",
     "DecisionTrace",
     "NULL_TRACE",
     "NullTrace",
@@ -55,6 +63,75 @@ TRACE_EVENT_KINDS = (
 )
 """Kinds emitted by the instrumented runtime (extensible by callers)."""
 
+DECISION_BLOCK = np.dtype([
+    ("row", np.int64), ("step", np.int64), ("interval", np.int64),
+    ("flags", np.uint8), ("beta", np.float64), ("value", np.float64),
+    ("threshold", np.float64)])
+"""One flagged offer of an engine batch, as
+:meth:`DecisionTrace.emit_block` keeps it: the engine row, step,
+post-adaptation interval, flags (1 grew, 2 reset, 4 violation) and beta
+bound of the offer, and the value and threshold its violation reports
+(read only where ``flags & 4``). An offer is ``interval_adapted`` where
+``flags & 3``, then ``violation`` where ``flags & 4``: one or two events,
+in that order."""
+
+
+def _event(seq: int, stamp: float, kind: str, task: str | None,
+           shard: int | str | None) -> dict[str, Any]:
+    """An event's leading keys, in the order every event has them; the
+    data keys follow."""
+    event: dict[str, Any] = {"seq": seq, "ts_monotonic": stamp,
+                             "kind": kind}
+    if task is not None:
+        event["task"] = task
+    if shard is not None:
+        event["shard"] = shard
+    return event
+
+
+class _Block:
+    """A :data:`DECISION_BLOCK` array in the ring: ``size`` events from
+    sequence number ``first`` on, stamped with one clock read, the first
+    ``skip`` of them evicted. ``names`` maps a row to its task's name; it
+    is the owning service's append-only table, shared, not copied."""
+
+    __slots__ = ("first", "size", "skip", "stamp", "records", "names",
+                 "shard")
+
+    def __init__(self, first: int, size: int, stamp: float,
+                 records: np.ndarray, names: Sequence[str],
+                 shard: int | str | None):
+        self.first = first
+        self.size = size
+        self.skip = 0
+        self.stamp = stamp
+        self.records = records
+        self.names = names
+        self.shard = shard
+
+    def events(self, since: int) -> list[dict[str, Any]]:
+        """The retained events with ``seq >= since``, as the dicts N x
+        :meth:`DecisionTrace.emit` would have stored."""
+        names, stamp, shard = self.names, self.stamp, self.shard
+        seq = self.first
+        out: list[dict[str, Any]] = []
+        for (row, step, interval, flags, beta, value,
+             threshold) in self.records.tolist():
+            if flags & 3:
+                event = _event(seq, stamp, "interval_adapted", names[row],
+                               shard)
+                event.update(step=step, interval=interval,
+                             grew=bool(flags & 1), reset=bool(flags & 2),
+                             beta=beta)
+                out.append(event)
+                seq += 1
+            if flags & 4:
+                event = _event(seq, stamp, "violation", names[row], shard)
+                event.update(step=step, value=value, threshold=threshold)
+                out.append(event)
+                seq += 1
+        return out[max(self.skip, since - self.first):]
+
 
 class DecisionTrace:
     """Fixed-capacity ring buffer of structured decision events.
@@ -71,7 +148,10 @@ class DecisionTrace:
             raise ConfigurationError(
                 f"trace capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._events: deque[dict[str, Any]] = deque(maxlen=capacity)
+        # Event dicts and blocks, oldest first; ``_retained`` counts the
+        # events they hold.
+        self._ring: deque[dict[str, Any] | _Block] = deque()
+        self._retained = 0
         self._next_seq = 0
         self.dropped = 0
 
@@ -84,48 +164,58 @@ class DecisionTrace:
         """
         seq = self._next_seq
         self._next_seq = seq + 1
-        event: dict[str, Any] = {"seq": seq,
-                                 "ts_monotonic": time.monotonic(),
-                                 "kind": kind}
-        if task is not None:
-            event["task"] = task
-        if shard is not None:
-            event["shard"] = shard
+        event = _event(seq, time.monotonic(), kind, task, shard)
         if data:
             event.update(data)
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(event)
+        self._append(event, 1)
         return seq
 
-    def emit_batch(self, events: list[dict[str, Any]]) -> int:
-        """Append a batch of events in order — one :meth:`emit` each, for
-        the price of a dict each: one clock read, consecutive sequence
-        numbers, :attr:`dropped` advanced by what the ring evicts.
-        Returns the first sequence number.
+    def emit_block(self, records: np.ndarray, names: Sequence[str],
+                   shard: int | str | None = None) -> int:
+        """Append an engine batch's flagged offers (a :data:`DECISION_BLOCK`
+        array, in tick order) as their events; returns the first sequence
+        number. ``names[row]`` is the task of a row.
 
-        The caller builds the dicts as :meth:`emit` would, key for key:
-        ``seq`` and ``ts_monotonic`` first (any value — they are set
-        here), then ``kind``, ``task`` and ``shard`` where not ``None``,
-        then the data.
+        The events are the dicts N x :meth:`emit` would build, in one
+        entry: one clock read, consecutive sequence numbers, and
+        :attr:`dropped`, :attr:`next_seq` and ``len`` counting events. A
+        dict is built per event only by a read, so ``records`` must not
+        be written after the call, nor ``names``' entries for its rows
+        (an engine service's row -> name table only grows).
         """
-        first = seq = self._next_seq
-        stamp = time.monotonic()
-        for event in events:
-            event["seq"] = seq
-            event["ts_monotonic"] = stamp
-            seq += 1
-        self._next_seq = seq
-        # Once full the ring stays full: every append past its free room
-        # evicts one event, whether of this batch or an earlier one.
-        free = self.capacity - len(self._events)
-        if len(events) > free:
-            self.dropped += len(events) - free
-        self._events.extend(events)
+        # Flags are 1..7: an offer is two events exactly when it adapted
+        # (1 | 2) and violated (4).
+        size = len(records) + int(np.count_nonzero(records["flags"] > 4))
+        first = self._next_seq
+        self._next_seq = first + size
+        self._append(_Block(first, size, time.monotonic(), records, names,
+                            shard), size)
         return first
 
+    def _append(self, entry: dict[str, Any] | _Block, size: int) -> None:
+        """Put ``entry`` (``size`` events) at the tail; once the ring holds
+        more than its capacity, evict the excess from the head — whole
+        entries, and the head block's leading events where the excess
+        ends inside it."""
+        ring = self._ring
+        ring.append(entry)
+        self._retained += size
+        excess = self._retained - self.capacity
+        if excess <= 0:
+            return
+        self._retained = self.capacity
+        self.dropped += excess
+        while excess:
+            head = ring[0]
+            left = 1 if type(head) is dict else head.size - head.skip
+            if left > excess:
+                head.skip += excess
+                return
+            ring.popleft()
+            excess -= left
+
     def __len__(self) -> int:
-        return len(self._events)
+        return self._retained
 
     @property
     def next_seq(self) -> int:
@@ -134,18 +224,28 @@ class DecisionTrace:
 
     def drain(self, since: int = 0,
               limit: int | None = None) -> list[dict[str, Any]]:
-        """Events with ``seq >= since``, oldest first (non-destructive).
+        """Events with ``seq >= since``, oldest first (non-destructive),
+        at most ``limit`` of them.
 
         Pollers remember the last reply's ``next_seq`` and pass it back as
         ``since``; events evicted before being read are simply absent (the
         gap in sequence numbers, plus :attr:`dropped`, reveals the loss).
+        A negative ``since`` or ``limit`` raises :class:`ValueError`.
         """
         if since < 0:
             raise ValueError(f"since must be >= 0, got {since}")
-        out = [event for event in self._events if event["seq"] >= since]
-        if limit is not None and len(out) > limit:
-            out = out[:limit]
-        return out
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
+        out: list[dict[str, Any]] = []
+        for entry in self._ring:
+            if limit is not None and len(out) >= limit:
+                break
+            if type(entry) is dict:
+                if entry["seq"] >= since:
+                    out.append(entry)
+            elif entry.first + entry.size > since:
+                out += entry.events(since)
+        return out if limit is None else out[:limit]
 
     def dump_jsonl(self, path: pathlib.Path | str,
                    since: int = 0) -> pathlib.Path:
@@ -177,9 +277,6 @@ class NullTrace:
 
     def emit(self, kind: str, task: str | None = None,
              shard: int | str | None = None, **data: Any) -> int:
-        return 0
-
-    def emit_batch(self, events: list[dict[str, Any]]) -> int:
         return 0
 
     def __len__(self) -> int:

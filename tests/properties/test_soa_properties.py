@@ -215,6 +215,80 @@ def test_the_tick_split_does_not_show(soa_differential, estimator, sink,
     assert run_edges == sort_edges == pair.edges.get(id(pair.vector), [])
 
 
+@given(estimator=st.sampled_from(("chebyshev", "gaussian", "mixed")),
+       stats_restart=st.sampled_from((5, 9)),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       runs=st.lists(
+           st.tuples(st.integers(min_value=0, max_value=TASKS - CROSSOVER),
+                     st.integers(min_value=CROSSOVER, max_value=TASKS),
+                     st.sampled_from((None, None, "step", "delta")),
+                     st.booleans()),                   # flip a guard
+           min_size=4, max_size=24))
+@settings(max_examples=30, deadline=None)
+def test_a_contiguous_run_ticks_as_the_scalar_service(
+        soa_differential, estimator, stats_restart, seed, runs):
+    """Whole runs ``lo..hi`` of rows, every one due, so that every vector
+    tick reaches the columns through a slice: equal to the scalar oracle
+    column for column, with rows on their first offer, rows crossing
+    their restart limit into stale serving, floored (disarmed-guard)
+    rows, and now and then a row inside the run whose step does not
+    increase (a just-armed guard offered at its last step) or whose
+    delta overflows to infinity."""
+    pair = soa_differential(soa_differential.population(
+        TASKS, estimator, stats_restart=stats_restart))
+    assert (pair.rows == np.arange(TASKS)).all()
+    guarded = range(0, TASKS, 4)
+    for service in (pair.scalar, pair.vector):
+        for i in guarded:
+            service.add_remote_trigger(pair.names[i], "elsewhere", 95.0,
+                                       suspend_interval=3)
+            service.set_trigger_armed(pair.names[i], False)
+    engine = pair.vector.soa_engine
+    sliced = []
+    columns_at = soa_mod._columns_at
+    soa_mod._columns_at = lambda rows: (
+        sliced.append(isinstance(index := columns_at(rows), slice)) or index)
+    try:
+        _contiguous_runs(pair, engine, guarded, seed, runs)
+    finally:
+        soa_mod._columns_at = columns_at
+    pair.check()
+    assert sliced and all(sliced)
+
+
+def _contiguous_runs(pair, engine, guarded, seed, runs):
+    rng = np.random.default_rng(seed)
+    step = 0
+    for lo, width, poison, flip in runs:
+        step += 7                          # > max_interval: all due
+        idx = list(range(lo, min(lo + width, TASKS)))
+        steps = [step] * len(idx)
+        # Finite: run_columns would refuse a NaN, and cut the run there.
+        values = [50.0 if not np.isfinite(value) else value
+                  for value in (pair.value(rng, i, step) for i in idx)]
+        seen = [at for at, i in enumerate(idx) if engine.has_last[i]]
+        if flip:
+            i = int(rng.choice(guarded))
+            for service in (pair.scalar, pair.vector):
+                service.set_trigger_armed(
+                    pair.names[i], not service.trigger_status(
+                        pair.names[i])["armed"])
+        if poison == "step":
+            at = next((at for at in seen if idx[at] % 4 == 0), None)
+            if at is not None:             # armed: due, at its last step
+                for service in (pair.scalar, pair.vector):
+                    service.set_trigger_armed(pair.names[idx[at]], False)
+                    service.set_trigger_armed(pair.names[idx[at]], True)
+                steps[at] = int(engine.last_time[idx[at]])
+        elif poison == "delta" and seen:
+            at = seen[int(rng.integers(len(seen)))]
+            last = float(engine.last_value[idx[at]])
+            # Oriented values of opposite sign and huge: v - last = inf.
+            target = 1e308 if abs(last) < 1e307 or last < 0 else -1e308
+            values[at] = target * float(engine.sign[idx[at]])
+        pair.offer(idx, steps, values)
+
+
 alert_frames = st.lists(
     st.tuples(st.integers(min_value=1, max_value=60),    # offers
               st.integers(min_value=1, max_value=4),     # steps spanned

@@ -240,6 +240,8 @@ CASES: dict[str, list[Any]] = {
     "stats": [{"op": "stats"}],
     "trace-bad-since": [{"op": "trace", "since": "yesterday"}],
     "trace-bad-limit": [{"op": "trace", "limit": "few"}],
+    "trace-negative-since": [{"op": "trace", "since": -1}],
+    "trace-negative-limit": [{"op": "trace", "limit": -2}],
     "checkpoint-not-configured": [{"op": "checkpoint"}],
     # -- triggers -------------------------------------------------------
     "add-trigger-ok": [{"op": "add_trigger", "target": A, "trigger": SAME,
@@ -377,6 +379,18 @@ def test_unrepresentable_update_is_refused_before_ack(case):
     assert not refusal["ok"] and refusal["code"] == "bad-update"
     totals = stats["totals"]
     assert totals["offered"] == totals["rejected"] == totals["shed"] == 0
+
+
+@pytest.mark.parametrize("make_server", [_runtime, _cluster],
+                         ids=["runtime", "cluster"])
+@pytest.mark.parametrize("case", ["trace-negative-since",
+                                  "trace-negative-limit"])
+def test_a_negative_trace_cursor_is_refused(case, make_server):
+    """Equal replies are not enough: both servers used to answer a
+    negative ``limit`` with all but the newest events."""
+    refusal, = asyncio.run(_run_script(make_server(), CASES[case]))
+    assert not refusal["ok"] and refusal["code"] == "bad-request"
+    assert case.rsplit("-", 1)[1] in refusal["error"]
 
 
 @pytest.mark.parametrize("make_server", [_runtime, _cluster],

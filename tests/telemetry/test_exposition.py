@@ -168,7 +168,8 @@ class TestRuntimeHTTPEndpoint:
                       for line in full[2].splitlines()]
             later = await _http_get(
                 server.http_port, f"/trace?since={events[-1]['seq']}")
-            bad = await _http_get(server.http_port, "/trace?since=zzz")
+            bad = [await _http_get(server.http_port, f"/trace?since={since}")
+                   for since in ("zzz", "-1")]
             return full, events, later, bad
 
         full, events, later, bad = self._run(scenario)
@@ -178,4 +179,4 @@ class TestRuntimeHTTPEndpoint:
         assert kinds.count("task_registered") == 2
         tail = [json.loads(line) for line in later[2].splitlines()]
         assert [e["seq"] for e in tail] == [events[-1]["seq"]]
-        assert bad[0] == 400
+        assert [reply[0] for reply in bad] == [400, 400]  # -1 was a 500

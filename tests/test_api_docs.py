@@ -94,8 +94,8 @@ IGNORED = {
     "SNAPSHOT_VERSION", "CHECKPOINT_VERSION", "SAMPLER_STATE",
     "snapshot_task_names",
     "mark_row", "set_floor", "resume_full_rate", "next_due", "event_",
-    "viol_", "alert_count", "set_alert_count_sink", "emit_batch",
-    "ts_monotonic", "alerts_fired",
+    "viol_", "alert_count", "set_alert_count_sink", "emit_block",
+    "ts_monotonic", "next_seq", "alerts_fired",
     # typed-task substrate/service methods, config keys, Timeline fields
     # and math tokens (p_q(X), P(X > T), add_*_task), not module
     # attributes

@@ -792,17 +792,17 @@ class ViolationLikelihoodSampler:
         """
         self._interval = int(state["interval"])  # type: ignore[arg-type]
         self._streak = int(state["streak"])  # type: ignore[arg-type]
-        last_value = state.get("last_value")
-        last_time = state.get("last_time")
+        last_value = state["last_value"]
+        last_time = state["last_time"]
         self._last_value = None if last_value is None else float(last_value)  # type: ignore[arg-type]
         self._last_time = None if last_time is None else int(last_time)  # type: ignore[arg-type]
         self.error_allowance = float(state["error_allowance"])  # type: ignore[arg-type]
-        self._observations = int(state.get("observations", 0))  # type: ignore[arg-type]
-        self._grow_events = int(state.get("grow_events", 0))  # type: ignore[arg-type]
-        self._reset_events = int(state.get("reset_events", 0))  # type: ignore[arg-type]
-        self._coord_sum_r = float(state.get("coord_sum_r", 0.0))  # type: ignore[arg-type]
-        self._coord_sum_log_e = float(state.get("coord_sum_log_e", 0.0))  # type: ignore[arg-type]
-        self._coord_n = int(state.get("coord_n", 0))  # type: ignore[arg-type]
+        self._observations = int(state["observations"])  # type: ignore[arg-type]
+        self._grow_events = int(state["grow_events"])  # type: ignore[arg-type]
+        self._reset_events = int(state["reset_events"])  # type: ignore[arg-type]
+        self._coord_sum_r = float(state["coord_sum_r"])  # type: ignore[arg-type]
+        self._coord_sum_log_e = float(state["coord_sum_log_e"])  # type: ignore[arg-type]
+        self._coord_n = int(state["coord_n"])  # type: ignore[arg-type]
         self._stats.load_state_dict(state["stats"])  # type: ignore[arg-type]
 
     def drain_coordination_stats(self) -> CoordinationStats | None:

@@ -120,13 +120,13 @@ class OnlineStatistics:
         self._n = int(state["n"])  # type: ignore[arg-type]
         self._mean = float(state["mean"])  # type: ignore[arg-type]
         self._var = float(state["var"])  # type: ignore[arg-type]
-        stale_mean = state.get("stale_mean")
-        stale_var = state.get("stale_var")
+        stale_mean = state["stale_mean"]
+        stale_var = state["stale_var"]
         self._stale_mean = None if stale_mean is None else float(stale_mean)  # type: ignore[arg-type]
         self._stale_var = None if stale_var is None else float(stale_var)  # type: ignore[arg-type]
-        self._stale_count = int(state.get("stale_count", 0))  # type: ignore[arg-type]
-        self._restarts = int(state.get("restarts", 0))  # type: ignore[arg-type]
-        self._total_count = int(state.get("total_count", 0))  # type: ignore[arg-type]
+        self._stale_count = int(state["stale_count"])  # type: ignore[arg-type]
+        self._restarts = int(state["restarts"])  # type: ignore[arg-type]
+        self._total_count = int(state["total_count"])  # type: ignore[arg-type]
 
     @property
     def count(self) -> int:

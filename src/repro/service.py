@@ -68,9 +68,9 @@ AlertCallback = Callable[[Alert], None]
 
 SNAPSHOT_VERSION = 3
 """Format version stamped into :meth:`MonitoringService.snapshot` dicts:
-3 is the columnar document with one kind of trigger gate;
-:meth:`MonitoringService.restore` still reads versions 2 and 1. Not the
-checkpoint *file* format's
+3 is the columnar document with one kind of trigger gate, and the only
+version :meth:`MonitoringService.restore` reads (DESIGN.md S31 "one
+reader"). Not the checkpoint *file* format's
 (:data:`repro.runtime.checkpoint.CHECKPOINT_VERSION`)."""
 
 
@@ -262,15 +262,17 @@ class TaskState:
             raise ConfigurationError(
                 f"unknown task type {task_type!r} in snapshot entry "
                 f"{dense.get('name')!r}")
+        # The typed three and the guard three come as sets (_check_snapshot).
+        typed = ({"value_threshold": state["value_threshold"]}
+                 if "type" in state else {})
+        guard = ({"remote_trigger": state["remote_trigger"],
+                  "trigger_armed": state["trigger_armed"]}
+                 if "remote_trigger" in state else {})
         task_state = cls(
-            task_type=task_type,
-            value_threshold=state.get("value_threshold", 0.0),
-            substrate=substrate,
-            remote_trigger=state.get("remote_trigger"),
-            trigger_armed=state.get("trigger_armed", True),
+            task_type=task_type, substrate=substrate,
             watch=(TriggerWatcher.from_state_dict(state["watch"])
                    if "watch" in state else None),
-            **dense)
+            **typed, **guard, **dense)
         task_state._window_values.extend(
             (int(s), float(v)) for s, v in state.get("window_values", ()))
         return task_state
@@ -318,11 +320,10 @@ _WINDOW_KINDS = {k.value: k for k in AggregateKind}
 
 def snapshot_task_names(snapshot: Mapping[str, Any]) -> list[str]:
     """The tasks a :meth:`MonitoringService.snapshot` document carries,
-    in registration order — of either snapshot version, so nobody
-    outside this module indexes a snapshot's insides."""
-    if "names" in snapshot:
-        return list(snapshot["names"])
-    return [str(entry["name"]) for entry in snapshot.get("tasks", [])]
+    in registration order (none for ``{}``, a shard entry with no
+    snapshot), so nobody outside this module indexes a snapshot's
+    insides."""
+    return list(snapshot.get("names", ()))
 
 
 def _distinct(configs: Iterable[AdaptationConfig],
@@ -343,107 +344,6 @@ def _sparse_maps(states: Iterable[tuple[str, dict[str, Any]]],
         for key, value in state.items():
             sparse[key][name] = value
     return sparse
-
-
-# -- the upgrade chain: the only code that knows the old shapes ---------
-#
-# Pure and read-only, one step per version bump, applied in order by
-# :meth:`MonitoringService.restore`: checkpoint files and fixtures
-# written before a bump load through it; nothing writes an old version.
-
-def _upgrade_v1(snapshot: Mapping[str, Any]) -> dict[str, Any]:
-    """A version-1 snapshot (one dict per task under ``tasks``) as the
-    version-2 document holding the same state."""
-    tasks = snapshot.get("tasks", [])
-    names = snapshot_task_names(snapshot)
-    configs, adaptation = _distinct(_adaptation_from_dict(
-        entry["adaptation"]) for entry in tasks)
-    # What version 1's readers defaulted when an older writer left it out.
-    sampler_defaults = {"observations": 0, "grow_events": 0,
-                        "reset_events": 0, "coord_sum_r": 0.0,
-                        "coord_sum_log_e": 0.0, "coord_n": 0}
-    stats_defaults = {"stale_count": 0, "restarts": 0, "total_count": 0}
-    tasks = [{"alerts": [], "window_values": [], "trigger_task": None,
-              "trigger_level": 0.0, "suspend_interval": 10, **entry}
-             for entry in tasks]
-    alerts = [alert for entry in tasks for alert in entry["alerts"]]
-
-    def sparse(entry: dict[str, Any]) -> dict[str, Any]:
-        # Version 1 wrote an empty window buffer out.
-        state = {key: entry[key] for key in _SPARSE_KEYS if entry.get(
-            key) not in (None, [])}
-        if "type" in state:
-            state.setdefault("value_threshold", 0.0)
-        if "remote_trigger" in state:
-            state.setdefault("trigger_armed", True)
-            state.setdefault("trigger_suspensions", 0)
-        return state
-
-    return {
-        "version": 2,
-        "adaptation": snapshot["adaptation"],
-        "adaptations": [_adaptation_to_dict(config) for config in configs],
-        "names": names,
-        "spec": {key: [entry["spec"].get("name", "") if key == "name"
-                       else entry["spec"][key] for entry in tasks]
-                 for key in _GROUPS["spec"]},
-        "sampler": sampler_state_columns([
-            {**sampler_defaults, **entry["sampler"],
-             "stats": {**stats_defaults, **entry["sampler"]["stats"]}}
-            for entry in tasks]),
-        "task": {key: [entry[key] for entry in tasks]
-                 for key in (*_GROUPS["task"], "trigger_task")
-                 if key not in ("adaptation", "alerts", "window_sum")}
-        | {"adaptation": adaptation,
-           "alerts": [len(entry["alerts"]) for entry in tasks],
-           "window_sum": [
-               entry["window_sum"] if "window_sum" in entry
-               else sum(float(v) for _, v in entry["window_values"])
-               for entry in tasks]},
-        "alerts": {key: [alert[at] for alert in alerts]
-                   for at, key in enumerate(_GROUPS["alerts"])},
-        "sparse": _sparse_maps(zip(names, map(sparse, tasks))),
-    }
-
-
-def _upgrade_v2(snapshot: Mapping[str, Any]) -> dict[str, Any]:
-    """A version-2 snapshot as the version-3 document: version 2 gated a
-    task either through the channel or on the *last seen value* of a
-    co-located ``task.trigger_task`` (the map ``last_seen``). A last-seen
-    pair comes back as what a fresh ``add_trigger`` of the same target,
-    trigger, level and suspend interval installs — guard armed, watch at
-    hysteresis 0 / hold 0 armed, as a fresh re-placement comes back
-    conservatively armed — over the target's recorded sampler state,
-    schedule and alerts; a watch or a channel guard the document already
-    holds wins, and ``last_seen`` is dropped."""
-    try:
-        names = snapshot["names"]
-        task = dict(snapshot["task"])
-        triggers = task.pop("trigger_task")
-        sparse = {key: dict(column)
-                  for key, column in snapshot["sparse"].items()}
-        if (len(triggers) != len(names)
-                or not set(triggers) <= {*names, None}):
-            raise ValueError(triggers)
-        for name, trigger, level in zip(names, triggers,
-                                        task["trigger_level"]):
-            if trigger is None or name in sparse["remote_trigger"]:
-                continue
-            sparse["remote_trigger"][name] = trigger
-            sparse["trigger_armed"][name] = True
-            sparse["trigger_suspensions"][name] = 0
-            sparse["watch"].setdefault(trigger, TriggerWatcher(
-                level, hysteresis=0.0, min_hold=0).state_dict())
-    except (AttributeError, KeyError, TypeError, ValueError) as error:
-        raise ConfigurationError(
-            "malformed snapshot: a version-2 document whose last-seen "
-            f"pairs do not read ({error!r})") from None
-    return {**{key: value for key, value in snapshot.items()
-               if key != "last_seen"},
-            "version": 3, "task": task, "sparse": sparse}
-
-
-_UPGRADES = ((1, _upgrade_v1), (2, _upgrade_v2))
 
 
 def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
@@ -1661,9 +1561,9 @@ class MonitoringService:
         """Rebuild a service from a :meth:`snapshot` dict.
 
         Args:
-            snapshot: a dict produced by :meth:`snapshot` — of this
-                version or of an earlier one, which is upgraded on the
-                way in (``_UPGRADES``).
+            snapshot: a dict produced by :meth:`snapshot`, stamped
+                :data:`SNAPSHOT_VERSION` — the one version this build
+                reads; any other is refused, and nothing upgrades it.
             on_alert: optional ``(task_name, alert)`` callback attached to
                 every restored task (callbacks cannot be serialised, so
                 they are re-wired here).
@@ -1677,13 +1577,11 @@ class MonitoringService:
         :class:`~repro.exceptions.ConfigurationError` before a service
         exists.
         """
-        for version, upgrade in _UPGRADES:
-            if snapshot.get("version") == version:
-                snapshot = upgrade(snapshot)
-        if snapshot.get("version") != SNAPSHOT_VERSION:
+        version = snapshot.get("version")
+        if type(version) is not int or version != SNAPSHOT_VERSION:
             raise ConfigurationError(
-                f"unsupported snapshot version {snapshot.get('version')!r}; "
-                f"expected {SNAPSHOT_VERSION}")
+                f"unsupported snapshot version {version!r}; this build "
+                f"reads version {SNAPSHOT_VERSION} only")
         _check_snapshot(snapshot)
         names = snapshot["names"]
         spec, task = snapshot["spec"], snapshot["task"]

@@ -128,16 +128,6 @@ class SoaDifferential:
             for name in other.names], dtype=np.int64)
         return other
 
-    @staticmethod
-    def version_2(snapshot, **gated_on):
-        """A snapshot as the last version-2 writer wrote it: with a
-        ``last_seen`` map (dropped on the way in, so empty here) and a
-        ``task.trigger_task`` column, ``target=trigger`` for each
-        last-seen pair."""
-        return {**snapshot, "version": 2, "last_seen": {},
-                "task": {**snapshot["task"], "trigger_task": [
-                    gated_on.get(name) for name in snapshot["names"]]}}
-
     KINDS = ("window-mean", "window-sum", "window-max", "window-min",
              "quantile", "entropy", "trigger", "guarded",
              "watched-window", "guarded-quantile", "lone-trigger",

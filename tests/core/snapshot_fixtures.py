@@ -1,45 +1,45 @@
-"""Old-version snapshot fixtures: the streams behind them and the
-answers a service restored from one must give.
+"""The snapshot format pin: the stream behind it and the answers a
+service restored from it must give.
 
-``tests/fixtures/engine_snapshot_912dc69.json`` was written by commit
-912dc69. ``engine_snapshot_9e0d563.json`` and ``v1_answers_9e0d563.json``
-were written by commit 9e0d563 — the last one whose ``snapshot()`` wrote
-version 1 — by the ``main()`` this file had up to commit 96f71ca, run
-there with that commit's ``tests/conftest.py`` (whose harness still
-routed a service's edges for it). The ``*.v2.json`` twins beside them
-are what the last version-2 writer made of the restored fixtures: they
-are the version-2 documents the upgrade chain is tested on. The answers
-were recorded when a local ``add_trigger`` pair gated on its source's
-last seen value; what they say of the ends of such pairs no longer
-holds, and nothing reads it.
+``tests/fixtures/engine_snapshot_e1f07bf.json`` was written by commit
+e1f07bf: the version-3 snapshot the engine service of :func:`history`
+reaches there, its fingerprint, its :func:`answers`, and the fingerprint
+:func:`drive` reaches on it over :func:`continuation`. ``restore`` reads
+only the version ``snapshot`` writes (DESIGN.md S31 "one reader"), so a
+bump of ``SNAPSHOT_VERSION`` regenerates the pin rather than keeping the
+old one: point ``PIN`` at a file named for the commit that writes it,
+and ``PYTHONPATH=src python tests/core/snapshot_fixtures.py`` writes it
+from the checkout's code.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 import numpy as np
 
 from repro.runtime.checkpoint import state_fingerprint
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
-ANSWERS = FIXTURES / "v1_answers_9e0d563.json"
+PIN = FIXTURES / "engine_snapshot_e1f07bf.json"
 
 
 def continuation(names, frames=150, seed=19):
     """The seeded stream a restored fixture is continued on: shuffled
-    frames of ``(name, step, value)``, a third of the tasks repeated one
-    step on, sources and watched tasks swinging across their levels."""
+    frames of ``(name, step, value)`` past any step :func:`history`
+    reaches, a third of the tasks repeated one step on, triggers, local
+    pairs and windowed tasks swinging across their levels."""
     rng = np.random.default_rng(seed)
     out = []
     for frame in range(frames):
-        step = 400 + 2 * frame
+        step = 1400 + 2 * frame
         order = [names[i] for i in rng.permutation(len(names))]
         offers = [(name, step) for name in order]
         offers += [(name, step + 1) for name in order[::3]]
         out.append([(name, at, float(rng.normal(
-            (60.0 + 40.0 * ((at // 16) % 2)) if name[0] in "se"
+            (60.0 + 40.0 * ((at // 16) % 2)) if name[0] in "lwt"
             else 90.0, 6.0))) for name, at in offers])
     return out
 
@@ -83,13 +83,13 @@ def answers(service):
 
 
 def history(harness):
-    """The differential pair whose engine service the 9e0d563 fixture is
-    a snapshot of: six plain tasks and two of every other kind, fed
-    shuffled frames with repeated rows and stale steps, by-name offers
-    in between, two tasks removed and re-registered (one reached through
-    its stale row from then on, one through its fresh one) — stopped
-    with a guard disarmed and counting, another armed, a watcher inside
-    its hold, and alert history on many tasks."""
+    """The differential pair whose engine service the pin is a snapshot
+    of: six plain tasks and two of every other kind, fed shuffled frames
+    with repeated rows and stale steps, by-name offers in between, two
+    tasks removed and re-registered (one reached through its stale row
+    from then on, one through its fresh one) — stopped with a guard
+    disarmed and counting, another armed, a watcher inside its hold, and
+    alert history on many tasks."""
     specs = harness.population(6, "mixed")
     pair = harness(specs, kinds="chebyshev")
     rng = np.random.default_rng(23)
@@ -133,10 +133,29 @@ def history(harness):
     return pair
 
 
-def v1_snapshot(fixture):
-    return json.loads((FIXTURES / f"{fixture}.json").read_text(
-        encoding="utf-8"))["snapshot"]
+def read_pin():
+    """The pin's recorded document."""
+    return json.loads(PIN.read_text(encoding="utf-8"))
 
 
-def twin_text(fixture):
-    return (FIXTURES / f"{fixture}.v2.json").read_text(encoding="utf-8")
+def main():
+    """Write the pin from the code in the checkout."""
+    sys.path.insert(0, str(FIXTURES.parent))
+    from conftest import SoaDifferential
+    from repro.service import SNAPSHOT_VERSION, MonitoringService
+
+    snapshot = json.loads(json.dumps(history(SoaDifferential)
+                                     .vector.snapshot()))
+    assert snapshot["version"] == SNAPSHOT_VERSION
+    service = MonitoringService.restore(snapshot, soa=True)
+    PIN.write_text(json.dumps({
+        "written_by": PIN.stem.rsplit("_", 1)[1],
+        "fingerprint": state_fingerprint(snapshot),
+        "answers": json.loads(answers(service)),
+        "continued": drive(service, continuation(service.task_names),
+                           sink=True),
+        "snapshot": snapshot}, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

@@ -21,11 +21,11 @@ from repro.core.soa import STEP_MAX, STEP_MIN
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
 from repro.runtime.checkpoint import state_fingerprint
-from repro.service import MonitoringService, snapshot_task_names
+from repro.service import (SNAPSHOT_VERSION, MonitoringService,
+                           snapshot_task_names)
 from repro.triggers.plan import TriggerPlan
 
-from snapshot_fixtures import (ANSWERS, FIXTURES, answers, continuation,
-                               drive, history, twin_text, v1_snapshot)
+from snapshot_fixtures import answers, continuation, drive, history, read_pin
 
 ESTIMATORS = ("chebyshev", "gaussian")
 POINTS = 24_000
@@ -203,126 +203,46 @@ class TestSnapshotRoundTrip:
                 == soa_differential.task_counters(scalar))
 
 
-class TestParentWrittenSnapshot:
-    """Version-1 snapshots written by commits that wrote them (who, from
-    what stream, and what they recorded: ``snapshot_fixtures``) and their
-    version-2 twins load through the upgrade chain onto rows and onto the
-    scalar oracle, to one fingerprint. What is not an end of a last-seen
-    pair answers what its writer answered and continues to what its
-    writer continued to; a pair comes back as the plan ``add_trigger``
-    installs today, over the state recorded for its ends.
+class TestSnapshotPin:
+    """The version-3 format pin (who wrote it, from what stream, and what
+    it recorded: ``snapshot_fixtures``): a snapshot of every kind of task
+    after churn, with a guard disarmed and counting, another armed and a
+    watcher inside its hold. It restores onto rows and onto the scalar
+    oracle to its recorded fingerprint and answers, and continues to its
+    recorded fingerprint."""
 
-    ``engine_snapshot_912dc69.json`` is from an engine service whose
-    last-seen pairs were *evicted* to scalar samplers: two sources gating
-    three targets (one source shared, at two levels), windowed, quantile
-    and entropy tasks, a disarmed guard with suspensions, a watcher
-    mid-hold. ``engine_snapshot_9e0d563.json`` is the last version-1
-    writer's, of every kind of task, after churn
-    (``snapshot_fixtures.history``); one of its pair sources carries a
-    watch already."""
-
-    @staticmethod
-    def _pairs(snapshot):
-        """``(target, trigger, level, suspend_interval)`` of a version-1
-        document's last-seen pairs, and the names of their ends."""
-        pairs = [(entry["name"], entry["trigger_task"],
-                  entry["trigger_level"], entry["suspend_interval"])
-                 for entry in snapshot["tasks"] if entry.get("trigger_task")]
-        return pairs, {name for pair in pairs for name in pair[:2]}
-
-    @staticmethod
-    def _of(replies, names):
-        return {name: replies[name] for name in names}
-
-    @classmethod
-    def _holds(cls, fixture):
-        snapshot = v1_snapshot(fixture)
+    def test_restores_onto_rows_and_continues(self, soa_differential):
+        pin = read_pin()
+        snapshot, recorded = pin["snapshot"], json.dumps(
+            pin["answers"], sort_keys=True)
+        assert snapshot["version"] == SNAPSHOT_VERSION
+        assert state_fingerprint(snapshot) == pin["fingerprint"]
         names = snapshot_task_names(snapshot)
-        pairs, ends = cls._pairs(snapshot)
-        others = [name for name in names if name not in ends]
-        recorded = json.loads(ANSWERS.read_text(encoding="utf-8"))[fixture]
-        twin = json.loads(twin_text(fixture))
-        assert (snapshot["version"], twin["version"]) == (1, 2)
-        services = {
-            (version, soa): MonitoringService.restore(document, soa=soa)
-            for version, document in ((1, snapshot), (2, twin))
-            for soa in (True, False)}
-        # The same pairs installed fresh over the same restored state
-        # (an existing watch on the trigger wins, as in the upgrade).
-        unpaired = {**snapshot, "tasks": [
-            {**entry, "trigger_task": None} for entry in snapshot["tasks"]]}
-        fresh = MonitoringService.restore(unpaired, soa=True)
-        for target, trigger, level, suspend in pairs:
-            if "watch" in fresh.trigger_status(trigger):
-                fresh.add_remote_trigger(target, trigger, level, suspend)
-            else:
-                fresh.add_trigger(target, trigger, level, suspend)
-        restored = {json_snapshot(fresh)}
-        frames = continuation(names)
-        continued = {drive(fresh, frames, sink=True)}
-        for service in services.values():
-            assert service.task_names == names
-            assert service.snapshot()["version"] == 3
-            assert cls._of(json.loads(answers(service)), others) == cls._of(
-                recorded["restored"], others)
-            assert {service.trigger_status(target)["trigger"]
-                    for target, *_ in pairs} == {
-                trigger for _, trigger, *_ in pairs}
-            restored.add(json_snapshot(service))
-            continued.add(drive(service, frames, sink=True))
-            assert cls._of(json.loads(answers(service)), others) == cls._of(
-                recorded["continued"], others)
-        # Whichever version it came from, whichever way it is held,
-        # upgraded or installed fresh: the same document, and the next
-        # checkpoint's bytes are the same.
-        assert len(restored) == len(continued) == 1
-        return services[1, True]
-
-    def test_restores_onto_rows_and_continues(self):
-        fixture = "engine_snapshot_912dc69"
-        assert state_fingerprint(v1_snapshot(fixture)) == json.loads(
-            (FIXTURES / f"{fixture}.json").read_text())["fingerprint"]
-        on_rows = MonitoringService.restore(v1_snapshot(fixture), soa=True)
-        assert on_rows.soa_engine.active[:len(on_rows.task_names)].all()
-        guard = on_rows.trigger_status("guard")
-        assert not guard["armed"] and guard["suspensions"] > 0
-        # The pairs came back armed; the source two targets shared at two
-        # levels is watched at the first one's.
-        assert on_rows.trigger_status("t3") == {
-            "trigger": "s1", "armed": True, "suspend_interval": 3,
-            "suspensions": 0}
-        assert on_rows.trigger_status("s1")["watch"] == {
-            "level": 80.0, "hysteresis": 0.0, "min_hold": 0, "armed": True,
-            "last_transition": None}
-        continued = self._holds(fixture)
-        assert sum(continued.trigger_suspensions(name)
-                   for name in ("t1", "t2", "t3")) > 0
-
-    def test_the_last_version_1_writers_snapshot_continues(self):
-        on_rows = self._holds("engine_snapshot_9e0d563")
-        # The continuation did not wash out what the fixture is for.
-        assert on_rows.task_names[-2:] == ["x-001", "x-002"]
-        assert on_rows.trigger_status("guarded-1")["trigger"] == "trigger-1"
-        # A watch the document already held on a pair's source won.
-        assert on_rows.trigger_status("local-source-0")["watch"][
-            "level"] == 93.0
-        assert on_rows.trigger_status("local-source-1")["watch"][
-            "level"] == 90.0
+        assert {name.rsplit("-", 1)[0] for name in names} >= set(
+            soa_differential.KINDS)
+        for soa in (True, False):
+            service = MonitoringService.restore(snapshot, soa=soa)
+            assert (service.soa_engine is not None) == soa
+            assert state_fingerprint(service.snapshot()) == pin["fingerprint"]
+            assert answers(service) == recorded
+            guards = [service.trigger_status(name) for name in names
+                      if name.startswith("guarded")]
+            assert any(not g["armed"] and g["suspensions"] for g in guards)
+            assert any(g["armed"] for g in guards)
+            assert drive(service, continuation(names),
+                         sink=True) == pin["continued"]
 
     def test_the_fixture_stream_still_reaches_its_state(
             self, soa_differential):
-        """The stream behind the 9e0d563 fixture, run today on both
-        representations, reaches the state its writer recorded on every
-        task that is not an end of a local pair: the fixture is a state
+        """The stream behind the pin, run today on both representations,
+        reaches the state it recorded on every task: the pin is a state
         this code reaches, not only one it can load."""
         pair = history(soa_differential)
-        others = [name for name in pair.names
-                  if not name.startswith("local-")]
-        recorded = json.loads(ANSWERS.read_text(encoding="utf-8"))[
-            "engine_snapshot_9e0d563"]["restored"]
+        pin = read_pin()
+        recorded = json.dumps(pin["answers"], sort_keys=True)
         for service in (pair.scalar, pair.vector):
-            assert self._of(json.loads(answers(service)), others) == (
-                self._of(recorded, others))
+            assert state_fingerprint(service.snapshot()) == pin["fingerprint"]
+            assert answers(service) == recorded
 
 
 class TestSnapshotColumns:
@@ -381,11 +301,11 @@ class TestSnapshotColumns:
             assert restored._state("t4").config == custom
 
     def test_task_names_of_either_version(self):
+        """Of a snapshot, or of the ``{}`` a shard entry without one
+        stands for."""
         service = _service(soa=True, tasks=3)
         assert snapshot_task_names(service.snapshot()) == [
             "mix-0", "mix-1", "mix-2"]
-        assert snapshot_task_names(
-            v1_snapshot("engine_snapshot_912dc69"))[:3] == ["p0", "p1", "s1"]
         assert snapshot_task_names({}) == []
 
 

@@ -16,7 +16,7 @@ from repro.exceptions import CheckpointError, ConfigurationError
 from repro.runtime.checkpoint import (CHECKPOINT_VERSION, read_checkpoint,
                                       write_checkpoint)
 from repro.runtime.checkpoint import state_fingerprint
-from repro.service import MonitoringService
+from repro.service import SNAPSHOT_VERSION, MonitoringService
 
 
 def task(threshold=100.0, err=0.01, max_interval=10):
@@ -284,25 +284,18 @@ class TestServiceSnapshot:
         service.add_task("a", task())
         snapshot = service.snapshot()
         snapshot["version"] = 999
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=_versions(999)):
             MonitoringService.restore(snapshot)
 
-    def test_restore_rejects_dangling_trigger(self, soa_differential):
-        """In a version-2 document, whose last-seen pairs were local; a
-        guard's trigger may live anywhere."""
+    def test_restore_rejects_dangling_trigger(self):
+        """It does not: a guard's trigger may live anywhere, on another
+        shard or another worker, so one whose trigger is on no task of
+        the document restores equal."""
         service = MonitoringService()
         service.add_task("a", task())
-        service.add_task("b", task())
-        snapshot = service.snapshot()
-        paired = MonitoringService.restore(
-            soa_differential.version_2(snapshot, a="b"))
-        service.add_trigger("a", trigger="b", elevation_level=0.0)
-        assert paired.snapshot() == service.snapshot()
-        assert service.snapshot()["sparse"]["remote_trigger"] == {"a": "b"}
-        with pytest.raises(ConfigurationError, match="version-2"):
-            MonitoringService.restore(
-                soa_differential.version_2(snapshot, a="gone"))
         service.add_remote_trigger("a", "gone", 1.0)
+        assert service.snapshot()["sparse"]["remote_trigger"] == {
+            "a": "gone"}
         assert MonitoringService.restore(
             service.snapshot()).snapshot() == service.snapshot()
 
@@ -355,8 +348,32 @@ def _unknown_map(s):
     s["sparse"]["colour"] = {}
 
 
+def _version_1(s):
+    s["version"] = 1
+
+
+def _version_2(s):
+    s["version"] = 2
+
+
 def _version_4(s):
     s["version"] = 4
+
+
+def _version_999(s):
+    s["version"] = 999
+
+
+def _no_version(s):
+    del s["version"]
+
+
+def _version_as_string(s):
+    s["version"] = "3"
+
+
+def _version_as_float(s):
+    s["version"] = 3.0
 
 
 def _bool_in_an_int_column(s):
@@ -383,17 +400,17 @@ def _unknown_top_level_key(s):
     s["tasks"] = []
 
 
-def _last_seen_map_of_version_2(s):
-    s["last_seen"] = {}
-
-
-def _trigger_task_column_of_version_2(s):
-    s["task"]["trigger_task"] = [None] * len(s["names"])
+def _versions(got):
+    """The culprit of a document stamped ``got``: it and the one version
+    ``restore`` reads, named."""
+    return rf"version {got};.*version {SNAPSHOT_VERSION}\b"
 
 
 class TestMalformedSnapshot:
-    """A version-3 document that is not one is refused by name, before a
-    service exists — onto rows and onto the scalar oracle alike."""
+    """A document that is not a version-3 snapshot — any other stamp, or
+    a version-3 stamp on a body that is not one — is refused by name,
+    before a service exists, onto rows and onto the scalar oracle alike.
+    Nothing upgrades an older stamp."""
 
     CASES = [
         (_ragged, "sampler.mean"),
@@ -405,15 +422,19 @@ class TestMalformedSnapshot:
         (_sparse_key_outside_names, "'watch'"),
         (_half_a_guard, "trigger_armed"),
         (_unknown_map, r"'sparse'.*\['colour'\]"),
-        (_version_4, "version 4"),
+        (_version_1, _versions(1)),
+        (_version_2, _versions(2)),
+        (_version_4, _versions(4)),
+        (_version_999, _versions(999)),
+        (_no_version, _versions(None)),
+        (_version_as_string, _versions("'3'")),
+        (_version_as_float, _versions(r"3\.0")),
         (_bool_in_an_int_column, "task.next_due"),
         (_int_beyond_64_bits, "sampler.last_time"),
         (_a_task_twice, "names"),
         (_config_index_out_of_range, "task.adaptation"),
         (_unknown_direction, "spec.direction.*sideways"),
         (_unknown_top_level_key, r"\['tasks'\]"),
-        (_last_seen_map_of_version_2, r"\['last_seen'\]"),
-        (_trigger_task_column_of_version_2, r"'task'.*\['trigger_task'\]"),
     ]
 
     @staticmethod

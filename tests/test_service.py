@@ -234,22 +234,6 @@ class TestOneTargetOneGate:
                 snapshot["task"]["suspend_interval"][0]) == (
             "costly", 50.0, 5)
 
-    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
-    def test_a_snapshot_holding_both_still_loads(self, soa,
-                                                 soa_differential):
-        """A version-2 document could hold a channel guard and a
-        last-seen gate on one task; the guard wins the upgrade."""
-        service = self.make(soa)
-        service.install_trigger_plan(self.PLAN)
-        service.set_trigger_armed("costly", False)
-        snapshot = service.snapshot()
-        both = soa_differential.version_2(snapshot, costly="cheap")
-        restored = MonitoringService.restore(both, soa=soa)
-        assert restored.snapshot() == snapshot
-        assert restored.trigger_status("cheap") == {}
-        restored.install_trigger_plan(self.PLAN)          # failover
-        assert restored.snapshot() == snapshot
-
 
 class TestTriggerEdgeCases:
     def make_gated(self, suspend_interval=10, err=0.0):

@@ -69,6 +69,5 @@ def test_correlation_guarding(benchmark, report):
 
     # Guarding saves on top of adaptation...
     assert guarded.sampling_ratio < plain.sampling_ratio
-    # ...without busting the loss budget.
-    assert guarded.misdetection_rate <= \
-        plain.misdetection_rate + rule.estimated_loss + 0.1
+    # ...and misses no more than plain adaptation does.
+    assert guarded.misdetection_rate <= plain.misdetection_rate

@@ -30,12 +30,16 @@ def correlated_streams(rng: np.random.Generator):
     """Response time (cheap) leads traffic difference (expensive)."""
     response = 20.0 + rng.normal(0.0, 1.5, HORIZON)
     rho = TrafficDifferenceGenerator(burst_prob=0.0).generate(HORIZON, rng)
-    # Attack-ish episodes: response time rises, then rho follows.
+    # Attack-ish episodes: response time rises, then rho follows. The
+    # planner's elevation level is the midpoint between response time in
+    # an incident (median) and outside one, so an episode must raise it by
+    # more than half the median rise for the guard to see it. Here the
+    # weakest rise (150) is half the strongest (300), so none falls short.
     starts = rng.choice(np.arange(3000, HORIZON - 200), size=12,
                         replace=False)
     for s in np.sort(starts):
         span = int(rng.integers(60, 140))
-        response[s:s + span] += rng.uniform(100.0, 300.0)
+        response[s:s + span] += rng.uniform(150.0, 300.0)
         rho[s + 10:s + span - 10] += rng.uniform(2000.0, 6000.0)
     return response, rho
 

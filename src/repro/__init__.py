@@ -39,9 +39,8 @@ from repro.core import (AdaptationConfig, AdaptiveAllocation, AggregateKind,
                         CorrelationDetector, CorrelationPlanner,
                         DistributedTaskSpec, EvenAllocation,
                         OnlineStatistics, SamplingDecision, TaskProfile,
-                        TaskSpec, TriggeredSampler,
-                        ViolationLikelihoodSampler, WindowedTaskSpec,
-                        aggregate_trace, evaluate_sampling,
+                        TaskSpec, ViolationLikelihoodSampler,
+                        WindowedTaskSpec, aggregate_trace, evaluate_sampling,
                         misdetection_bound, run_windowed_adaptive)
 from repro.baselines import (OracleSampler, PeriodicSampler,
                              RandomIntervalSampler)
@@ -77,7 +76,6 @@ __all__ = [
     "TaskProfile",
     "TaskSpec",
     "ThresholdDirection",
-    "TriggeredSampler",
     "ViolationLikelihoodSampler",
     "WindowedTaskSpec",
     "__version__",

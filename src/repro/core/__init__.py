@@ -15,7 +15,7 @@ from repro.core.coordination import (AdaptiveAllocation, AllocationPolicy,
                                      AllocationUpdate, EvenAllocation)
 from repro.core.correlation import (CorrelationDetector, CorrelationEvidence,
                                     CorrelationPlanner, TaskProfile,
-                                    TriggerRule, TriggeredSampler)
+                                    TriggerRule)
 from repro.core.likelihood import (cantelli_upper_bound,
                                    gaussian_misdetection_estimate,
                                    gaussian_misdetection_estimate_fused,
@@ -58,7 +58,6 @@ __all__ = [
     "TaskProfile",
     "TaskSpec",
     "TriggerRule",
-    "TriggeredSampler",
     "ViolationLikelihoodSampler",
     "WindowedStatistics",
     "WindowedTaskSpec",

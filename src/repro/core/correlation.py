@@ -13,21 +13,22 @@ implements the documented interpretation from DESIGN.md S5:
 * :class:`CorrelationPlanner` greedily assigns at most one trigger to each
   expensive target task, maximising expected sampling-cost saving subject
   to a per-task accuracy-loss budget.
-* :class:`TriggeredSampler` wraps any sampling scheme: while the trigger
-  metric is below its elevation level the wrapped task idles at the
-  maximum interval; once the trigger is elevated the inner
-  violation-likelihood adaptation takes over unchanged.
+
+The gate a rule describes is the service's (``MonitoringService.add_trigger``
+/ ``install_trigger_plan``): while the trigger sits below the elevation
+level the target idles at the suspend interval, and the trigger's arm edge
+resumes it at full rate. Offline runs drive that same gate
+(:func:`repro.experiments.runner.run_triggered`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.core.adaptation import SamplingDecision
-from repro.core.sampler import SamplingScheme
 from repro.exceptions import ConfigurationError, CorrelationError
 from repro.types import ThresholdDirection
 
@@ -37,7 +38,6 @@ __all__ = [
     "TaskProfile",
     "TriggerRule",
     "CorrelationPlanner",
-    "TriggeredSampler",
 ]
 
 
@@ -49,8 +49,8 @@ class CorrelationEvidence:
         pearson: Pearson correlation of the two aligned metric histories.
         necessary_condition_score: ``P(trigger elevated | target violates)``
             — 1.0 means the trigger was elevated at every target violation.
-        elevation_level: the trigger value above which it counts as
-            elevated (a quantile of its history).
+        elevation_level: the trigger value at or above which it counts
+            as elevated.
         elevated_fraction: fraction of time the trigger was elevated; the
             complement is the fraction of time the target could idle.
         support: number of target violations backing the score.
@@ -66,37 +66,36 @@ class CorrelationEvidence:
 class CorrelationDetector:
     """Estimate necessary-condition correlation between two metric streams.
 
+    The elevation level is worked out from the two histories: the midpoint
+    between the trigger's median at the target's violation steps and its
+    median at every other step. It sits as far from the trigger's quiet
+    noise as from its incident values, so a trigger that only wobbles
+    raises (almost) no arm edges.
+
     Args:
-        elevation_quantile: the trigger is "elevated" above this quantile
-            of its history (default 0.8).
         min_support: minimum number of target violations required to trust
             a score; below it :meth:`analyze` raises
             :class:`~repro.exceptions.CorrelationError`.
         lag_window: the trigger counts as elevated for a violation at ``t``
             if it was elevated anywhere in ``[t - lag_window, t]`` —
-            correlated effects need not be exactly simultaneous.
+            correlated effects need not be exactly simultaneous. The level
+            reads the trigger the same way: its maximum over that window.
     """
 
-    def __init__(self, elevation_quantile: float = 0.8,
-                 min_support: int = 10, lag_window: int = 0):
-        if not 0.0 < elevation_quantile < 1.0:
-            raise ConfigurationError(
-                "elevation_quantile must be in (0, 1), got "
-                f"{elevation_quantile}")
+    def __init__(self, min_support: int = 10, lag_window: int = 0):
         if min_support < 1:
             raise ConfigurationError(
                 f"min_support must be >= 1, got {min_support}")
         if lag_window < 0:
             raise ConfigurationError(
                 f"lag_window must be >= 0, got {lag_window}")
-        self._quantile = elevation_quantile
         self._min_support = min_support
         self._lag_window = lag_window
 
     def analyze(self, trigger_values: np.ndarray, target_values: np.ndarray,
                 target_threshold: float,
                 direction: ThresholdDirection = ThresholdDirection.UPPER,
-                ) -> CorrelationEvidence:
+                level: float | None = None) -> CorrelationEvidence:
         """Score how well ``trigger_values`` predicts target violations.
 
         Args:
@@ -105,10 +104,12 @@ class CorrelationDetector:
             target_values: the target task's metric history.
             target_threshold: the target task's violation threshold.
             direction: the target task's violation side.
+            level: score at this elevation level instead of the worked-out
+                one (how a planner re-scores a rule at a shared level).
 
         Raises:
-            CorrelationError: when histories are misaligned or the target
-                violated fewer than ``min_support`` times.
+            CorrelationError: when histories are misaligned, the target
+                violated fewer than ``min_support`` times, or at every step.
         """
         trig = np.asarray(trigger_values, dtype=float)
         targ = np.asarray(target_values, dtype=float)
@@ -119,28 +120,28 @@ class CorrelationDetector:
             raise CorrelationError("histories too short to correlate")
 
         if direction is ThresholdDirection.UPPER:
-            violations = np.flatnonzero(targ > target_threshold)
+            violating = targ > target_threshold
         else:
-            violations = np.flatnonzero(targ < target_threshold)
+            violating = targ < target_threshold
+        violations = np.flatnonzero(violating)
         if violations.size < self._min_support:
             raise CorrelationError(
                 f"only {violations.size} target violations; need "
                 f">= {self._min_support}")
+        if violations.size == trig.size:
+            raise CorrelationError("the target violates at every step")
 
-        level = float(np.quantile(trig, self._quantile))
-        elevated = trig >= level
-        elevated_fraction = float(np.mean(elevated))
-
+        # What the trigger read at each violation, lag-aware: its maximum
+        # over [t - lag_window, t].
         lag = self._lag_window
-        if lag == 0:
-            hits = int(np.count_nonzero(elevated[violations]))
-        else:
-            hits = 0
-            for t in violations:
-                lo = max(0, int(t) - lag)
-                if elevated[lo:int(t) + 1].any():
-                    hits += 1
-        score = hits / violations.size
+        seen = trig if lag == 0 else sliding_window_view(
+            np.concatenate([np.full(lag, -np.inf), trig]), lag + 1).max(axis=1)
+        seen = seen[violations]
+        if level is None:
+            level = 0.5 * (float(np.median(seen))
+                           + float(np.median(trig[~violating])))
+        elevated_fraction = float(np.mean(trig >= level))
+        score = int(np.count_nonzero(seen >= level)) / violations.size
 
         # Pearson on the raw streams; degenerate (constant) streams give 0.
         std_t = float(np.std(trig))
@@ -155,7 +156,7 @@ class CorrelationDetector:
         return CorrelationEvidence(
             pearson=pearson,
             necessary_condition_score=score,
-            elevation_level=level,
+            elevation_level=float(level),
             elevated_fraction=elevated_fraction,
             support=int(violations.size),
         )
@@ -244,7 +245,8 @@ class CorrelationPlanner:
 
         Tasks whose violations are too rare for the detector's support
         requirement are simply skipped, not failed: lack of evidence means
-        no rule.
+        no rule. Rules that share a trigger share its level
+        (:meth:`share_levels`).
         """
         rules: list[TriggerRule] = []
         by_cost = sorted(tasks, key=lambda t: t.cost_per_sample,
@@ -257,122 +259,63 @@ class CorrelationPlanner:
                 if trigger.cost_per_sample >= target.cost_per_sample:
                     continue  # guarding with a costlier task cannot pay off
                 try:
-                    ev = self._detector.analyze(
-                        trigger.values, target.values, target.threshold,
-                        target.direction)
+                    rule = self._rule(target, trigger)
                 except CorrelationError:
                     continue
-                if ev.necessary_condition_score < self._min_score:
+                if (rule.evidence.necessary_condition_score < self._min_score
+                        or rule.estimated_loss > self._loss_budget):
                     continue
-                loss = 1.0 - ev.necessary_condition_score
-                if loss > self._loss_budget:
-                    continue
-                idle = 1.0 - ev.elevated_fraction
-                saving = (target.cost_per_sample * idle
-                          * (1.0 - 1.0 / self._suspend_interval))
-                rule = TriggerRule(
-                    target_id=target.task_id,
-                    trigger_id=trigger.task_id,
-                    elevation_level=ev.elevation_level,
-                    evidence=ev,
-                    expected_saving=saving,
-                    estimated_loss=loss,
-                )
                 if best is None or rule.expected_saving > best.expected_saving:
                     best = rule
             if best is not None and best.expected_saving > 0.0:
                 rules.append(best)
-        return rules
+        return self.share_levels(rules, tasks)
+
+    def share_levels(self, rules: list[TriggerRule],
+                     tasks: list[TaskProfile]) -> list[TriggerRule]:
+        """A trigger task carries one watch, hence one level: give every
+        rule that shares a trigger the lowest of those rules' levels, and
+        re-score it there on ``tasks``' histories.
+
+        A lower level can only raise a target's score, so a rule admitted
+        at its own level stays admitted; its expected saving may shrink.
+        A rule with no evidence left to re-score on takes the level alone.
+        """
+        lowest: dict[str, float] = {}
+        for rule in rules:
+            lowest[rule.trigger_id] = min(
+                rule.elevation_level,
+                lowest.get(rule.trigger_id, math.inf))
+        by_id = {task.task_id: task for task in tasks}
+        shared: list[TriggerRule] = []
+        for rule in rules:
+            level = lowest[rule.trigger_id]
+            if level != rule.elevation_level:
+                try:
+                    rule = self._rule(by_id[rule.target_id],
+                                      by_id[rule.trigger_id], level)
+                except CorrelationError:
+                    rule = replace(rule, elevation_level=level)
+            shared.append(rule)
+        return shared
+
+    def _rule(self, target: TaskProfile, trigger: TaskProfile,
+              level: float | None = None) -> TriggerRule:
+        ev = self._detector.analyze(trigger.values, target.values,
+                                    target.threshold, target.direction,
+                                    level)
+        return TriggerRule(
+            target_id=target.task_id,
+            trigger_id=trigger.task_id,
+            elevation_level=ev.elevation_level,
+            evidence=ev,
+            expected_saving=(target.cost_per_sample
+                             * (1.0 - ev.elevated_fraction)
+                             * (1.0 - 1.0 / self._suspend_interval)),
+            estimated_loss=1.0 - ev.necessary_condition_score,
+        )
 
     @property
     def suspend_interval(self) -> int:
         """Interval used while a guarded task idles."""
         return self._suspend_interval
-
-
-class TriggeredSampler:
-    """Wrap a sampling scheme with a correlation trigger.
-
-    While the trigger metric stays below ``elevation_level`` the wrapped
-    task samples only every ``suspend_interval`` grid points; the inner
-    scheme still observes every value taken so its delta statistics stay
-    warm for the moment the trigger fires.
-
-    Args:
-        inner: the guarded task's own sampling scheme.
-        elevation_level: trigger value at which full sampling resumes.
-        suspend_interval: idle interval in default-interval units.
-    """
-
-    def __init__(self, inner: SamplingScheme, elevation_level: float,
-                 suspend_interval: int = 10):
-        if suspend_interval < 1:
-            raise ConfigurationError(
-                f"suspend_interval must be >= 1, got {suspend_interval}")
-        self._inner = inner
-        self._level = elevation_level
-        self._suspend_interval = suspend_interval
-        self._suspended_steps = 0
-        # Resolved once: the inner scheme's fused drive surface, when it
-        # has one (ViolationLikelihoodSampler does; generic schemes fall
-        # back to observe() inside observe_fast).
-        self._inner_fast = getattr(inner, "observe_fast", None)
-
-    @property
-    def interval(self) -> int:
-        """Interval currently in force (inner's, or the idle interval)."""
-        return max(self._inner.interval, 1)
-
-    @property
-    def suspended_steps(self) -> int:
-        """How many observations happened while suspended."""
-        return self._suspended_steps
-
-    @property
-    def elevation_level(self) -> float:
-        """The trigger value above which the task samples at full rate."""
-        return self._level
-
-    def observe(self, value: float, time_index: int,
-                trigger_value: float | None = None) -> SamplingDecision:
-        """Observe a sample together with the current trigger value.
-
-        Args:
-            value: the guarded task's sampled value.
-            time_index: grid position of the sample.
-            trigger_value: the trigger metric at the same instant; ``None``
-                (trigger unavailable) counts as elevated — conservatively
-                not cold.
-        """
-        decision = self._inner.observe(value, time_index)
-        if trigger_value is not None and trigger_value < self._level:
-            self._suspended_steps += 1
-            idle = max(decision.next_interval, self._suspend_interval)
-            return SamplingDecision(
-                next_interval=idle,
-                misdetection_bound=decision.misdetection_bound,
-                grew=decision.grew, reset=decision.reset,
-                violation=decision.violation,
-            )
-        return decision
-
-    def observe_fast(self, value: float, time_index: int,
-                     trigger_value: float | None = None) -> int:
-        """Allocation-light twin of :meth:`observe` (DESIGN.md S27).
-
-        Returns the next interval as a plain int — the inner scheme's
-        decision, floored at the suspend interval while the trigger is
-        cold. State transitions (inner sampler state, the suspended-steps
-        counter) are identical to :meth:`observe`.
-        """
-        fast = self._inner_fast
-        if fast is not None:
-            interval = fast(value, time_index)
-        else:
-            interval = int(self._inner.observe(value, time_index)
-                           .next_interval)
-        if trigger_value is not None and trigger_value < self._level:
-            self._suspended_steps += 1
-            if interval < self._suspend_interval:
-                interval = self._suspend_interval
-        return interval

@@ -15,11 +15,11 @@ import numpy as np
 from repro.core.accuracy import RunAccuracy, evaluate_sampling
 from repro.core.adaptation import (AdaptationConfig,
                                    ViolationLikelihoodSampler)
-from repro.core.correlation import TriggeredSampler
 from repro.core.sampler import SamplingScheme
 from repro.core.task import TaskSpec
 from repro.baselines.periodic import PeriodicSampler
 from repro.exceptions import TraceError
+from repro.service import MonitoringService
 from repro.types import ThresholdDirection
 
 __all__ = ["RunResult", "run_sampler_on_trace", "run_adaptive",
@@ -59,70 +59,11 @@ def _as_trace(values: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _drive_and_score(arr: np.ndarray, observe, threshold: float,
-                     direction: ThresholdDirection,
-                     record_intervals: bool = True) -> RunResult:
-    """The reference sample loop (one decision object per step).
-
-    ``observe(value, t)`` must return the scheme's
-    :class:`~repro.core.adaptation.SamplingDecision`; sampling starts at
-    grid index 0, advances by the decided interval (floored at 1), and
-    stops past the end of the trace. This is the driver every *generic*
-    scheme goes through (:func:`run_sampler_on_trace`), and the oracle the
-    fused driver below is equivalence-tested against.
-    """
-    n = arr.size
-    sampled: list[int] = []
-    intervals: list[int] = []
-    t = 0
-    while t < n:
-        sampled.append(t)
-        decision = observe(float(arr[t]), t)
-        step = max(1, int(decision.next_interval))
-        if record_intervals:
-            intervals.append(step)
-        t += step
-    accuracy = evaluate_sampling(arr, threshold, sampled, direction)
+def _scored(arr: np.ndarray, sampled: list[int], intervals: list[int],
+            threshold: float, direction: ThresholdDirection) -> RunResult:
     return RunResult(
         sampled_indices=np.asarray(sampled, dtype=int),
-        accuracy=accuracy,
-        intervals=np.asarray(intervals, dtype=int),
-    )
-
-
-def _drive_fast(arr: np.ndarray, observe_fast, threshold: float,
-                direction: ThresholdDirection, trigger: np.ndarray,
-                record_intervals: bool = True) -> RunResult:
-    """The fused sample loop of a triggered sampler (DESIGN.md S27).
-
-    ``observe_fast(value, t, trig)`` returns the next interval as a plain
-    int, so driving a whole trace allocates no per-step decision objects.
-    The trace and the ``trigger`` trace are converted to Python floats
-    once up front with ``tolist()`` instead of a ``float(arr[t])``
-    coercion per visited grid point. Produces schedules identical to
-    :func:`_drive_and_score` over an equivalent ``observe`` (enforced by
-    the equivalence suite).
-    """
-    n = arr.size
-    values = arr.tolist()
-    trig_values = trigger.tolist()
-    sampled: list[int] = []
-    intervals: list[int] = []
-    sampled_append = sampled.append
-    intervals_append = intervals.append
-    t = 0
-    while t < n:
-        sampled_append(t)
-        step = observe_fast(values[t], t, trig_values[t])
-        if step < 1:
-            step = 1
-        if record_intervals:
-            intervals_append(step)
-        t += step
-    accuracy = evaluate_sampling(arr, threshold, sampled, direction)
-    return RunResult(
-        sampled_indices=np.asarray(sampled, dtype=int),
-        accuracy=accuracy,
+        accuracy=evaluate_sampling(arr, threshold, sampled, direction),
         intervals=np.asarray(intervals, dtype=int),
     )
 
@@ -134,7 +75,8 @@ def run_sampler_on_trace(values: np.ndarray, scheme: SamplingScheme,
     """Run ``scheme`` over ``values`` on the default-interval grid.
 
     The scheme is asked for its next interval after every sample; sampling
-    starts at grid index 0 and stops past the end of the trace.
+    starts at grid index 0, advances by the decided interval (floored at
+    1), and stops past the end of the trace.
 
     Args:
         values: one value per default-interval grid point.
@@ -144,8 +86,16 @@ def run_sampler_on_trace(values: np.ndarray, scheme: SamplingScheme,
         record_intervals: also record the interval trajectory.
     """
     arr = _as_trace(values)
-    return _drive_and_score(arr, scheme.observe, threshold, direction,
-                            record_intervals)
+    sampled: list[int] = []
+    intervals: list[int] = []
+    t = 0
+    while t < arr.size:
+        sampled.append(t)
+        step = max(1, int(scheme.observe(float(arr[t]), t).next_interval))
+        if record_intervals:
+            intervals.append(step)
+        t += step
+    return _scored(arr, sampled, intervals, threshold, direction)
 
 
 def run_adaptive(values: np.ndarray, task: TaskSpec,
@@ -163,13 +113,7 @@ def run_adaptive(values: np.ndarray, task: TaskSpec,
     sampler = ViolationLikelihoodSampler(task, config)
     sampled, intervals = sampler.run_trace(
         arr.tolist(), record_intervals=record_intervals)
-    accuracy = evaluate_sampling(arr, task.threshold, sampled,
-                                 task.direction)
-    return RunResult(
-        sampled_indices=np.asarray(sampled, dtype=int),
-        accuracy=accuracy,
-        intervals=np.asarray(intervals, dtype=int),
-    )
+    return _scored(arr, sampled, intervals, task.threshold, task.direction)
 
 
 def run_periodic(values: np.ndarray, threshold: float, interval: int = 1,
@@ -186,22 +130,45 @@ def run_triggered(values: np.ndarray, trigger_values: np.ndarray,
                   config: AdaptationConfig | None = None) -> RunResult:
     """Run a correlation-guarded adaptive sampler over a trace.
 
+    The gate is the live one: a scalar
+    :class:`~repro.service.MonitoringService` carries the pair through
+    :meth:`~repro.service.MonitoringService.add_trigger` (the plan at
+    hysteresis 0 / hold 0). The trigger is a plain task at a threshold its
+    trace never exceeds; at each grid step it is offered first, then the
+    target, and every offer the target consumes is a sample whose interval
+    is the advance to its next due step.
+
     Args:
         values: the guarded task's metric trace.
         trigger_values: the trigger metric, aligned with ``values``.
         task: the guarded task's spec.
-        elevation_level: trigger level above which full sampling resumes.
+        elevation_level: trigger level at which full sampling resumes.
         suspend_interval: idle interval while the trigger is cold.
-        config: adaptation tunables for the inner sampler.
+        config: adaptation tunables for the guarded task.
+
+    Raises:
+        TraceError: the traces are empty, misaligned or hold a non-finite
+            value.
     """
     arr = _as_trace(values)
     trig = _as_trace(trigger_values)
     if trig.shape != arr.shape:
         raise TraceError(
             f"trigger trace misaligned: {trig.shape} vs {arr.shape}")
-    inner = ViolationLikelihoodSampler(task, config)
-    sampler = TriggeredSampler(inner, elevation_level, suspend_interval)
-    # Fused path: the trigger trace is converted to floats once inside the
-    # driver (no per-step float(trig[t]) coercion or closure dispatch).
-    return _drive_fast(arr, sampler.observe_fast, task.threshold,
-                       task.direction, trigger=trig)
+    if not (np.isfinite(arr).all() and np.isfinite(trig).all()):
+        raise TraceError("traces must be finite")
+    service = MonitoringService(config)
+    service.add_task("trigger", TaskSpec(threshold=float(trig.max()),
+                                         error_allowance=1.0))
+    service.add_task("target", task)
+    service.add_trigger("target", "trigger", elevation_level,
+                        suspend_interval)
+    sampled: list[int] = []
+    intervals: list[int] = []
+    for t, (value, trig_value) in enumerate(zip(arr.tolist(),
+                                                trig.tolist())):
+        service.offer("trigger", trig_value, t)
+        if service.offer("target", value, t) is not None:
+            sampled.append(t)
+            intervals.append(service.next_due("target") - t)
+    return _scored(arr, sampled, intervals, task.threshold, task.direction)

@@ -744,6 +744,7 @@ class WireServer:
             target, trigger, float(request.get("elevation_level", 0.0)),
             int(request.get("suspend_interval", 10)), hysteresis=0.0,
             min_hold=0)
+        self._refuse_second_level(plan)
         reply = await self._shard_call(sid, {
             "op": "w_add_trigger", "shard": sid, "target": target,
             "trigger": trigger, "elevation_level": plan.elevation_level,
@@ -771,6 +772,7 @@ class WireServer:
         for name in (plan.target, plan.trigger):
             if name not in self.task_shard:
                 return _unknown_task(name)
+        self._refuse_second_level(plan)
         for sid in dict.fromkeys((self.task_shard[plan.target],
                                   self.task_shard[plan.trigger])):
             reply = await self._shard_call(sid, {
@@ -786,6 +788,15 @@ class WireServer:
                         suspend_interval=plan.suspend_interval)
         return {"ok": True, "target": plan.target, "trigger": plan.trigger,
                 "plans": len(self.trigger_plans)}
+
+    def _refuse_second_level(self, plan: TriggerPlan) -> None:
+        """A trigger task carries one watch, hence one level, whichever
+        shards its targets live on: checked over every installed plan
+        before any shard is written."""
+        plan.refuse_second_level({
+            other.target: other.elevation_level
+            for other in self.trigger_plans.values()
+            if other.trigger == plan.trigger})
 
     async def _set_trigger_armed(self, request: dict[str, Any],
                                  armed: bool) -> dict[str, Any]:

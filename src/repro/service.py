@@ -822,19 +822,10 @@ class MonitoringService:
         and hold 0, whose watcher is armed exactly when the trigger's
         last offered value is ``>= elevation_level``. Debouncing bounds
         *messages*, and an edge delivered inside the service that raised
-        it is none. A trigger task carries one watch, hence one level: a
-        level other than the one ``trigger`` is already watched at is
-        refused while another task of the service is guarded on it.
+        it is none.
         """
         self._state(target)
-        watch = self._state(trigger).watch
-        others = self._guards.get(trigger, {}).keys() - {target}
-        if (watch is not None and others
-                and watch.level != float(elevation_level)):
-            raise ConfigurationError(
-                f"task {trigger!r} is watched at level {watch.level!r} for "
-                f"{sorted(others)}; a trigger task carries one watch, "
-                f"hence one level")
+        self._state(trigger)
         self.install_trigger_plan(TriggerPlan(
             target, trigger, elevation_level, suspend_interval,
             hysteresis=0.0, min_hold=0))
@@ -911,7 +902,15 @@ class MonitoringService:
         A plan's trigger and target may land on different shards; each
         shard's service installs only its local half (guard on the
         target task, watch on the trigger task), both when they share it.
+        A trigger task carries one watch, hence one level: the plan is
+        refused, before anything is written, when another task of this
+        service is guarded on its trigger at another level (a router
+        refuses the same over every shard's plans).
         """
+        if plan.trigger in self._tasks:
+            plan.refuse_second_level({
+                name: guard.trigger_level
+                for name, guard in self._guards.get(plan.trigger, {}).items()})
         if plan.target in self._tasks:
             self.add_remote_trigger(plan.target, plan.trigger,
                                     plan.elevation_level,

@@ -1,10 +1,9 @@
 """Live cross-shard correlated monitoring (paper SII-A at runtime scale).
 
-The offline machinery in :mod:`repro.core.correlation` — detector,
-planner, :class:`~repro.core.correlation.TriggeredSampler` — answers
-"*which* cheap metric is a necessary condition of *which* expensive
-violation". This package promotes the answer to a production feature
-(DESIGN.md S32):
+The offline machinery in :mod:`repro.core.correlation` — detector and
+planner — answers "*which* cheap metric is a necessary condition of
+*which* expensive violation". This package promotes the answer to a
+production feature (DESIGN.md S32):
 
 * :class:`~repro.triggers.miner.CorrelationMiner` consumes per-task
   metric streams (or decision-trace events) online, maintains bounded

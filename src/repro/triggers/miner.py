@@ -15,7 +15,7 @@ histories and two deliberate properties:
   by ``tests/properties/test_trigger_properties.py``.
 * **Plans have hysteresis.** An installed rule is a cross-shard wiring
   change; re-deriving it every cycle would drift its elevation level
-  with every quantile wobble and flap targets between triggers. An
+  with every wobble of the window and flap targets between triggers. An
   active rule is therefore kept — level frozen — until its evidence
   decays below ``min_score - drop_margin`` (or its support vanishes),
   and a different trigger only takes over when it beats the incumbent's
@@ -197,10 +197,12 @@ class CorrelationMiner:
 
         Fresh rules come from the batch planner (which enforces the
         accuracy-loss budget); the active set then evolves conservatively
-        as documented on the class.
+        as documented on the class, and its rules that share a trigger
+        share that trigger's one level (``CorrelationPlanner.share_levels``).
         """
+        profiles = self.profiles()
         fresh = {rule.target_id: rule
-                 for rule in self._planner.plan(self.profiles())}
+                 for rule in self._planner.plan(profiles)}
         active: dict[str, TriggerRule] = {}
         for target, incumbent in self._active.items():
             if self._still_valid(incumbent):
@@ -217,8 +219,9 @@ class CorrelationMiner:
                 active[target] = fresh[target]
         for target, rule in fresh.items():
             active.setdefault(target, rule)
-        self._active = active
-        return sorted(active.values(), key=lambda r: r.target_id)
+        shared = self._planner.share_levels(list(active.values()), profiles)
+        self._active = {rule.target_id: rule for rule in shared}
+        return sorted(shared, key=lambda r: r.target_id)
 
     def _still_valid(self, rule: TriggerRule) -> bool:
         """Does the incumbent's evidence still clear the decayed floor?"""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping
 
 from repro.core.correlation import TriggerRule
 from repro.exceptions import ConfigurationError
@@ -54,6 +54,22 @@ class TriggerPlan:
         if self.min_hold < 0:
             raise ConfigurationError(
                 f"min_hold must be >= 0, got {self.min_hold}")
+
+    def refuse_second_level(self, guarded: Mapping[str, float]) -> None:
+        """Refuse this plan if it would re-level a watch other targets
+        rely on: a trigger task carries one watch, hence one level.
+
+        ``guarded`` maps each target guarded on this plan's trigger to the
+        level it is guarded at. The plan's own target may re-level itself.
+        """
+        clash = sorted(target for target, level in guarded.items()
+                       if target != self.target
+                       and level != self.elevation_level)
+        if clash:
+            raise ConfigurationError(
+                f"task {self.trigger!r} is watched at level "
+                f"{guarded[clash[0]]!r} for {clash}; a trigger task "
+                f"carries one watch, hence one level")
 
     @property
     def disarm_level(self) -> float:

@@ -21,8 +21,7 @@ class TestDetectorEdges:
         for s in starts:
             trigger[s:s + 60] -= 8.0    # trigger DROPS during events
             target[s + 5:s + 55] += 100.0
-        detector = CorrelationDetector(elevation_quantile=0.9,
-                                       min_support=10)
+        detector = CorrelationDetector(min_support=10)
         evidence = detector.analyze(trigger, target, 50.0)
         assert evidence.necessary_condition_score < 0.3
         assert evidence.pearson < 0.0

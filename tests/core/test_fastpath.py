@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
-from repro.core.correlation import TriggeredSampler
 from repro.core.online_stats import WindowedStatistics
 from repro.core.task import TaskSpec
 from repro.experiments.runner import run_adaptive, run_sampler_on_trace
@@ -176,27 +175,6 @@ class TestRunTraceEquivalence:
             for t, v in enumerate(values):
                 stepwise.observe_fast(v, t)
         assert batch.state_dict() == stepwise.state_dict()
-
-
-class TestTriggeredFastEquivalence:
-    def test_triggered_sampler_fast_matches_reference(self):
-        trace = _trace()
-        trigger = _trace(seed=11) - 2.0
-        task = _task()
-        ref_inner = ViolationLikelihoodSampler(task)
-        fast_inner = ViolationLikelihoodSampler(task)
-        ref = TriggeredSampler(ref_inner, elevation_level=10.0,
-                               suspend_interval=6)
-        fast = TriggeredSampler(fast_inner, elevation_level=10.0,
-                                suspend_interval=6)
-        values, trig = trace.tolist(), trigger.tolist()
-        t = 0
-        while t < trace.size:
-            decision = ref.observe(values[t], t, trig[t])
-            interval = fast.observe_fast(values[t], t, trig[t])
-            assert interval == decision.next_interval
-            t += max(1, decision.next_interval)
-        assert ref_inner.state_dict() == fast_inner.state_dict()
 
 
 class TestServiceOfferFast:

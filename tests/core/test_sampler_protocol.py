@@ -8,7 +8,6 @@ import pytest
 from repro.baselines import (OracleSampler, PeriodicSampler,
                              RandomIntervalSampler)
 from repro.core.adaptation import ViolationLikelihoodSampler
-from repro.core.correlation import TriggeredSampler
 from repro.core.sampler import SamplingScheme
 from repro.core.task import TaskSpec
 from repro.experiments.runner import run_sampler_on_trace
@@ -22,7 +21,6 @@ def all_schemes(rng):
         PeriodicSampler(interval=2),
         OracleSampler(values, 10.0, heartbeat=5),
         RandomIntervalSampler(3.0, rng),
-        TriggeredSampler(PeriodicSampler(), elevation_level=1.0),
     ]
 
 

@@ -23,10 +23,10 @@ class TestMultitaskExperiment:
         assert 0.0 < result.planned_cost < 1.0
 
     def test_accuracy_within_budget(self, result):
-        # The plan's estimated loss budget is 0.1; measured extra loss
-        # must respect it.
-        assert result.planned_misdetection <= \
-            result.plain_misdetection + 0.1
+        # The guard idles only while the trigger sits below a level above
+        # its noise, and its arm edge resumes full rate: no violation the
+        # plain schedule catches is lost.
+        assert result.planned_misdetection <= result.plain_misdetection
 
     def test_report_renders(self, result):
         text = result.report()

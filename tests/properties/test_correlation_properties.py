@@ -1,130 +1,121 @@
-"""Hypothesis properties for correlation-trigger arm/disarm edges.
+"""Offline and live run one gate.
 
-A :class:`~repro.core.correlation.TriggeredSampler` guards a task: cold
-trigger → idle at the suspend interval, hot trigger → the inner
-adaptation's decision verbatim. The edge cases worth pinning are the
-boundary value itself (``trigger == level`` counts as *elevated*: only
-strictly-below suspends), the ``None`` trigger (conservatively
-elevated), the interval floor (idle never *shortens* an inner interval
-that is already longer), and the observe/observe_fast equivalence the
-runtime drain loop depends on.
+:func:`~repro.experiments.runner.run_triggered` is the trace-driven form
+of a correlation guard, and it must be the live one: a
+:class:`~repro.service.MonitoringService` on engine rows with the pair
+installed as a :class:`~repro.triggers.plan.TriggerPlan` at hysteresis 0
+/ hold 0, fed the same two traces (trigger first at each step), samples
+the target at exactly the same steps with the same intervals. Pinned on
+the trigger-leads-by-two stream of the live gate's own tests, on the
+correlation benchmark's stream, and on hypothesis pairs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
-from repro.core.correlation import TriggeredSampler
+from repro.core.correlation import CorrelationPlanner, TaskProfile
 from repro.core.task import TaskSpec
-
-values_st = st.lists(st.floats(min_value=0.0, max_value=200.0,
-                               allow_nan=False),
-                     min_size=1, max_size=150)
-triggers_st = st.lists(st.one_of(st.none(),
-                                 st.floats(min_value=0.0, max_value=100.0,
-                                           allow_nan=False)),
-                       min_size=1, max_size=150)
+from repro.exceptions import TraceError
+from repro.experiments.runner import run_triggered
+from repro.service import MonitoringService
+from repro.triggers import TriggerPlan
+from repro.workloads import TrafficDifferenceGenerator
 
 
-def _inner(max_interval=8):
-    spec = TaskSpec(threshold=150.0, error_allowance=0.05,
-                    max_interval=max_interval)
-    config = AdaptationConfig(patience=3, min_samples=4)
-    return ViolationLikelihoodSampler(spec, config)
+def _live(values, trigger, task, level, suspend):
+    """The pair as a plan on an engine service: sampled steps and the
+    advance to the next due step after each."""
+    service = MonitoringService(soa=True)
+    service.add_task("trigger", TaskSpec(threshold=1e300,
+                                         error_allowance=0.01))
+    service.add_task("target", task)
+    service.install_trigger_plan(TriggerPlan(
+        "target", "trigger", level, suspend, hysteresis=0.0, min_hold=0))
+    sampled, intervals = [], []
+    for t, (value, trig) in enumerate(zip(values, trigger)):
+        service.offer("trigger", float(trig), t)
+        if service.offer("target", float(value), t) is not None:
+            sampled.append(t)
+            intervals.append(service.next_due("target") - t)
+    return sampled, intervals
 
 
-class TestTriggerEdges:
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-           level=st.floats(min_value=10.0, max_value=90.0,
-                           allow_nan=False),
-           suspend=st.integers(min_value=2, max_value=20),
-           n=st.integers(min_value=1, max_value=120))
-    @settings(max_examples=60, deadline=None)
-    def test_cold_trigger_floors_at_suspend_interval(self, seed, level,
-                                                     suspend, n):
-        rng = np.random.default_rng(seed)
-        guarded = TriggeredSampler(_inner(), level,
-                                   suspend_interval=suspend)
-        shadow = _inner()
-        step = 0
-        suspended = 0
-        for value in rng.normal(100.0, 30.0, n):
-            trig = float(rng.uniform(0.0, 100.0))
-            decision = guarded.observe(float(value), step)
-            inner = shadow.observe(float(value), step)
-            got = guarded.observe(float(value), step + 1,
-                                  trigger_value=trig)
-            expected = shadow.observe(float(value), step + 1)
-            if trig < level:
-                suspended += 1
-                # Arm edge: idling floors the interval, never shrinks it.
-                assert got.next_interval \
-                    == max(expected.next_interval, suspend)
-            else:
-                # Disarm edge: the inner decision passes through verbatim.
-                assert got == expected
-            assert decision == inner  # no trigger given -> pass-through
-            step += 2
-        assert guarded.suspended_steps == suspended
+def _assert_one_gate(values, trigger, task, level, suspend):
+    offline = run_triggered(values, trigger, task, level, suspend)
+    sampled, intervals = _live(values, trigger, task, level, suspend)
+    assert offline.sampled_indices.tolist() == sampled
+    assert offline.intervals.tolist() == intervals
 
-    @given(level=st.floats(min_value=1.0, max_value=99.0,
-                           allow_nan=False),
-           suspend=st.integers(min_value=2, max_value=20))
-    @settings(max_examples=40, deadline=None)
-    def test_boundary_value_counts_as_elevated(self, level, suspend):
-        """``trigger == level`` must NOT suspend — the arm edge is
-        strictly-below, matching the planner's ``trig >= level``
-        elevation convention."""
-        guarded = TriggeredSampler(_inner(), level,
-                                   suspend_interval=suspend)
-        shadow = _inner()
-        got = guarded.observe(50.0, 0, trigger_value=level)
-        expected = shadow.observe(50.0, 0)
-        assert got == expected
-        assert guarded.suspended_steps == 0
-        # Epsilon below the level is the other side of the edge.
-        eps_below = np.nextafter(level, -np.inf)
-        got2 = guarded.observe(50.0, 1, trigger_value=float(eps_below))
-        expected2 = shadow.observe(50.0, 1)
-        assert got2.next_interval == max(expected2.next_interval, suspend)
-        assert guarded.suspended_steps == 1
 
-    @given(values=values_st, triggers=triggers_st,
-           level=st.floats(min_value=10.0, max_value=90.0,
-                           allow_nan=False),
-           suspend=st.integers(min_value=2, max_value=20))
-    @settings(max_examples=80, deadline=None)
-    def test_observe_fast_is_bit_equivalent(self, values, triggers, level,
-                                            suspend):
-        """The drain-loop surface: intervals, inner sampler state and the
-        suspended-steps counter must match observe() exactly, including
-        None triggers (conservatively elevated)."""
-        slow = TriggeredSampler(_inner(), level, suspend_interval=suspend)
-        fast = TriggeredSampler(_inner(), level, suspend_interval=suspend)
-        step = 0
-        for value, trig in zip(values, triggers * (
-                len(values) // len(triggers) + 1)):
-            a = slow.observe(float(value), step, trigger_value=trig)
-            b = fast.observe_fast(float(value), step, trigger_value=trig)
-            assert b == a.next_interval
-            assert fast.suspended_steps == slow.suspended_steps
-            assert fast.interval == slow.interval
-            step += a.next_interval
-        assert fast._inner.state_dict() == slow._inner.state_dict()
+def _leads_by_two(steps: int = 20_000):
+    """The trigger rises two steps before each 3-11 step violation."""
+    rng = np.random.default_rng(1)
+    target = rng.normal(50.0, 3.0, steps)
+    trigger = rng.normal(10.0, 2.0, steps)
+    at = 200
+    while at < steps - 50:
+        length = int(rng.integers(3, 12))
+        target[at:at + length] = rng.normal(120.0, 3.0, length)
+        trigger[at - 2:at + length] = rng.normal(40.0, 2.0, length + 2)
+        at += length + int(rng.integers(150, 400))
+    return target, trigger
 
-    @given(suspend=st.integers(min_value=2, max_value=20))
-    @settings(max_examples=20, deadline=None)
-    def test_none_trigger_never_suspends(self, suspend):
-        guarded = TriggeredSampler(_inner(), 50.0,
-                                   suspend_interval=suspend)
-        shadow = _inner()
-        step = 0
-        for value in (10.0, 60.0, 160.0, 40.0):
-            got = guarded.observe(value, step, trigger_value=None)
-            expected = shadow.observe(value, step)
-            assert got == expected
-            step += got.next_interval
-        assert guarded.suspended_steps == 0
+
+def _benchmark_streams(n: int = 30_000):
+    """``benchmarks/test_correlation.py``'s response / rho pair."""
+    from repro.simulation.randomness import RandomStreams
+    rng = RandomStreams(17).stream("bench-correlation")
+    response = 20.0 + rng.normal(0.0, 1.5, n)
+    rho = TrafficDifferenceGenerator(burst_prob=0.0).generate(n, rng)
+    for s in range(2500, n - 200, 2500):
+        span = int(rng.integers(80, 140))
+        response[s:s + span] += rng.uniform(120.0, 280.0)
+        rho[s + 10:s + span - 10] += rng.uniform(2500.0, 6000.0)
+    return rho, response
+
+
+def test_trigger_leads_by_two():
+    target, trigger = _leads_by_two()
+    task = TaskSpec(threshold=100.0, error_allowance=0.01, max_interval=10)
+    _assert_one_gate(target, trigger, task, 25.0, 10)
+
+
+def test_correlation_benchmark_stream():
+    rho, response = _benchmark_streams()
+    rule, = CorrelationPlanner(min_score=0.9, loss_budget=0.1).plan([
+        TaskProfile(task_id="response", values=response, threshold=150.0,
+                    cost_per_sample=1.0),
+        TaskProfile(task_id="ddos", values=rho, threshold=1000.0,
+                    cost_per_sample=40.0),
+    ])
+    task = TaskSpec(threshold=1000.0, error_allowance=0.01, max_interval=10)
+    _assert_one_gate(rho, response, task, rule.elevation_level, 10)
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@given(pairs=st.lists(st.tuples(finite, finite), min_size=1, max_size=200),
+       level=finite, suspend=st.integers(min_value=2, max_value=20),
+       err=st.floats(min_value=0.0, max_value=0.5),
+       max_interval=st.integers(min_value=1, max_value=12))
+@settings(max_examples=80, deadline=None)
+def test_any_pair(pairs, level, suspend, err, max_interval):
+    values, trigger = (np.array(column) for column in zip(*pairs))
+    task = TaskSpec(threshold=float(np.median(values)),
+                    error_allowance=err, max_interval=max_interval)
+    _assert_one_gate(values, trigger, task, level, suspend)
+
+
+@pytest.mark.parametrize("which", ["values", "trigger"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_value_is_a_trace_error(which, bad):
+    traces = {"values": np.zeros(8), "trigger": np.zeros(8)}
+    traces[which][3] = bad
+    task = TaskSpec(threshold=1.0, error_allowance=0.01)
+    with pytest.raises(TraceError, match="finite"):
+        run_triggered(traces["values"], traces["trigger"], task, 1.0)

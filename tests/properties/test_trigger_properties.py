@@ -123,7 +123,12 @@ class TestPlannerBudget:
 
         rules = miner.plan()
         assert len({r.target_id for r in rules}) == len(rules)
+        levels: dict[str, float] = {}
         for rule in rules:
+            # One watch, one level: rules sharing a trigger share it.
+            assert levels.setdefault(rule.trigger_id,
+                                     rule.elevation_level) \
+                == rule.elevation_level == rule.evidence.elevation_level
             assert rule.estimated_loss <= loss_budget
             assert rule.evidence.necessary_condition_score >= min_score
             assert costs[rule.trigger_id] < costs[rule.target_id]

@@ -49,14 +49,17 @@ HELLO = {"op": "hello", "max_protocol": 2}
 
 # The two ways to install the one gate on ``A`` — undebounced on
 # ``SAME``, its own shard's, or debounced on ``OTHER`` (another shard) —
-# a plan that has ``SAME`` watched for ``SAME2`` at another level, and
-# the reads that show every shard's side of them.
+# a plan that has ``SAME`` watched for ``SAME2`` at another level, one
+# that has it watched for ``OTHER``, and the reads that show every
+# shard's side of them.
 LOCAL_GATE = {"op": "add_trigger", "target": A, "trigger": SAME,
               "elevation_level": 50.0, "suspend_interval": 10}
 CROSS_PLAN = {**PLAN, "target": A, "trigger": OTHER,
               "elevation_level": 95.0, "suspend_interval": 5}
 SHARED_PLAN = {**PLAN, "target": SAME2, "trigger": SAME,
                "elevation_level": 95.0}
+REMOTE_PLAN = {**PLAN, "target": OTHER, "trigger": SAME,
+               "elevation_level": 50.0}
 _GATES = [{"op": "trigger_state", "task": A},
           {"op": "trigger_state", "task": SAME},
           {"op": "trigger_state", "task": OTHER},
@@ -278,6 +281,22 @@ CASES: dict[str, list[Any]] = {
     "add-trigger-over-guard": [
         _task(SAME2), {"op": "trigger_install", "plan": SHARED_PLAN},
         *_GATES, LOCAL_GATE, *_GATES],
+    # ... on every path: a plan for another target, here on another
+    # shard than the trigger and the guard it would re-level ...
+    "install-over-guard": [
+        _task(SAME2), {"op": "trigger_install", "plan": SHARED_PLAN},
+        *_GATES, {"op": "trigger_install", "plan": REMOTE_PLAN}, *_GATES],
+    # ... and a gate whose trigger's shard cannot see the guard it would
+    # re-level, because that guard's target lives on another shard.
+    "install-over-remote-guard": [
+        {"op": "trigger_install", "plan": PLAN}, *_GATES,
+        {"op": "trigger_install", "plan": {**PLAN, "target": SAME,
+                                           "elevation_level": 95.0}},
+        *_GATES],
+    "add-trigger-over-remote-guard": [
+        {"op": "trigger_install", "plan": {**REMOTE_PLAN,
+                                           "elevation_level": 95.0}},
+        *_GATES, LOCAL_GATE, *_GATES],
     # Removing a task drops every plan it was an end of; a target whose
     # trigger went — here on another shard — is re-armed.
     "remove-a-plans-trigger": [
@@ -395,20 +414,24 @@ def test_a_negative_trace_cursor_is_refused(case, make_server):
 
 @pytest.mark.parametrize("make_server", [_runtime, _cluster],
                          ids=["runtime", "cluster"])
-@pytest.mark.parametrize("case", ["add-trigger-over-guard"])
+@pytest.mark.parametrize("case", ["add-trigger-over-guard",
+                                  "install-over-guard",
+                                  "install-over-remote-guard",
+                                  "add-trigger-over-remote-guard"])
 def test_second_gate_is_refused(case, make_server):
     """... when it would be a second level on a watched trigger. Equal
     replies on both servers are not enough: the refusal has to come
-    before the first write, and leave no plan behind."""
+    before the first write, and leave no plan behind. (Both servers used
+    to accept the last three and silently re-level the first target's
+    guard.)"""
     replies = asyncio.run(_run_script(make_server(), CASES[case]))
-    registered, first, *before, refusal = replies[:len(_GATES) + 3]
-    after = replies[len(_GATES) + 3:]
-    assert registered["ok"] and first["ok"]
-    assert all(reply["ok"] for reply in before)
+    *setup, refusal = replies[:-len(_GATES)]
+    before, after = setup[-len(_GATES):], replies[-len(_GATES):]
+    assert all(reply["ok"] for reply in setup)
     assert not refusal["ok"] and refusal["code"] == "bad-request"
     assert "one level" in refusal["error"]
     assert after == before
-    assert [plan["target"] for plan in after[-1]["plans"]] == [SAME2]
+    assert len(after[-1]["plans"]) == 1
 
 
 @pytest.mark.parametrize("make_server", [_runtime, _cluster],

@@ -103,15 +103,15 @@ IGNORED = {
     "sketch_factory", "plant_sketch_factory", "quantile_value",
     "from_state_dict", "task_type", "task_estimate", "task_type_counts",
     "task_params",
-    # trigger-channel wire ops, plan fields and service/client/miner
-    # methods, not module attributes
+    # trigger-channel wire ops, plan fields and service/client/miner/
+    # planner methods, not module attributes
     "trigger_install", "trigger_arm", "trigger_disarm", "trigger_state",
     "trigger_plans", "trigger_status", "trigger_suspensions",
     "trigger_accounting", "install_trigger_plan", "add_trigger_watch",
     "add_remote_trigger", "set_trigger_armed", "set_trigger_sink",
     "drain_trigger_events", "suspend_interval", "min_hold",
     "disarm_level", "from_rule", "ingest_trace", "to_plans",
-    "probe_cost_saved",
+    "probe_cost_saved", "share_levels",
     # wire front end: the backend seam, host/coordinator methods and
     # config keys, not module attributes
     "task_shard", "_shard_call", "_submit_columns",

@@ -234,6 +234,24 @@ class TestOneTargetOneGate:
                 snapshot["task"]["suspend_interval"][0]) == (
             "costly", 50.0, 5)
 
+    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
+    def test_a_plan_over_a_channel_guard_is_refused(self, soa):
+        """The refusal lives in ``install_trigger_plan``, so a plan is held
+        to it like a local pair — whether its target is a task of this
+        service or lives elsewhere (only the watch half is installed
+        here). Re-levelling the watch would flip ``costly`` at 50."""
+        service = self.make(soa)
+        service.install_trigger_plan(self.PLAN)     # costly <- far @ 95
+        before = service.snapshot()
+        for target in ("cheap", "elsewhere"):
+            with pytest.raises(ConfigurationError, match="one level"):
+                service.install_trigger_plan(TriggerPlan(
+                    target=target, trigger="far", elevation_level=50.0))
+            assert service.snapshot() == before
+        service.install_trigger_plan(TriggerPlan(
+            target="elsewhere", trigger="far", elevation_level=95.0))
+        assert service.snapshot() == before
+
 
 class TestTriggerEdgeCases:
     def make_gated(self, suspend_interval=10, err=0.0):

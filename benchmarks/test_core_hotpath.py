@@ -16,7 +16,8 @@ per alert, a sort per step-major batch, a scalar sampler built beside an
 engine row, a last-seen pair dragging its batch off the tick, an
 ``Alert`` object, a trace call or a trace event dict per alert on a
 hosted shard or in its restore, a JSON object per task in a snapshot, a
-row-by-row engine write in a restore).
+decimal number per task in a checkpoint file, a row-by-row engine write
+in a restore).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.core.soa import SoaSamplerEngine
 from repro.core.substrates import QuantileEstimator
 from repro.core.task import TaskSpec
 from repro.experiments.runner import run_adaptive, run_sampler_on_trace
+from repro.runtime.checkpoint import write_checkpoint
 from repro.runtime.shard import ColumnBatch
 from repro.service import MonitoringService
 from repro.telemetry import trace as trace_module
@@ -283,6 +285,29 @@ def test_a_snapshot_holds_nothing_per_task():
     assert small.count("{") == large.count("{") < 24
     assert large.count("[") == small.count("[")
     assert len(large) > 12 * len(small)
+
+
+def _numbers(node: Any) -> int:
+    """How many int and float leaves a parsed JSON document holds."""
+    if isinstance(node, dict):
+        return sum(_numbers(item) for item in node.values())
+    if isinstance(node, list):
+        return sum(_numbers(item) for item in node)
+    return type(node) in (int, float)
+
+
+def test_a_checkpoint_spells_no_number_per_task(tmp_path):
+    """The file-level twin of the snapshot guard: the JSON head of an
+    engine shard's checkpoint holds as many numbers for 1 024 tasks as
+    for 64 — every per-task number is in the raw column section."""
+    counts = []
+    for tasks in (64, 1024):
+        path = tmp_path / f"{tasks}.ckpt"
+        write_checkpoint(path, {"shard_count": 1,
+                                "shards": [_warm(tasks).snapshot()]})
+        raw = path.read_bytes()
+        counts.append(_numbers(json.loads(raw[:raw.index(b"\n")])))
+    assert counts[0] == counts[1]
 
 
 def test_a_local_pair_rides_the_tick(monkeypatch):

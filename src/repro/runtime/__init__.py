@@ -25,7 +25,7 @@ server speaking a length-prefixed JSON protocol
 
 Entry points::
 
-    python -m repro.runtime --port 7461 --shards 4 --checkpoint ckpt.json \\
+    python -m repro.runtime --port 7461 --shards 4 --checkpoint state.ckpt \\
         --http-port 9464 --selfmon-interval 1.0
     python -m repro.runtime.loadgen --tasks 64 --duration 5
 

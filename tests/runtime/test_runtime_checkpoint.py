@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
 from repro.core.online_stats import OnlineStatistics
 from repro.core.task import TaskSpec
 from repro.core.windowed import AggregateKind
 from repro.exceptions import CheckpointError, ConfigurationError
-from repro.runtime.checkpoint import (CHECKPOINT_VERSION, read_checkpoint,
+from repro.runtime.checkpoint import (_MIN_PACKED, CHECKPOINT_VERSION,
+                                      read_checkpoint, state_fingerprint,
                                       write_checkpoint)
-from repro.runtime.checkpoint import state_fingerprint
 from repro.service import SNAPSHOT_VERSION, MonitoringService
 
 
@@ -58,15 +61,39 @@ class TestCheckpointFile:
             read_checkpoint(path)
 
 
+def _regions(raw):
+    """``(head, columns, trailer)`` byte ranges of a checkpoint file."""
+    head_end = raw.index(b"\n")
+    trailer = raw.rindex(b"\ncrc32:")
+    return {"head": (0, head_end), "columns": (head_end + 1, trailer),
+            "trailer": (trailer, len(raw))}
+
+
+def _rewrite_head(path, edit):
+    """Apply ``edit`` to the parsed head of the file at ``path`` and write
+    it back under a fresh, matching checksum."""
+    raw = path.read_bytes()
+    body = raw[:raw.rindex(b"\ncrc32:")]
+    head_end = body.index(b"\n")
+    head = json.loads(body[:head_end])
+    edit(head)
+    body = json.dumps(head).encode("utf-8") + body[head_end:]
+    path.write_bytes(body + b"\ncrc32:%08x\n" % zlib.crc32(body))
+
+
 class TestChecksumTrailer:
-    """Format v2 regression: damaged checkpoints must raise, not load.
+    """Damaged checkpoints must raise, not load.
 
     Before the checksum trailer existed, a truncated checkpoint that
     happened to be cut at a JSON token boundary would parse and silently
-    restore partial shard state.
+    restore partial shard state. The trailer covers the JSON head and the
+    column section alike.
     """
 
-    STATE = {"shard_count": 2, "shards": [{"x": 1}, {"y": 2}],
+    STATE = {"shard_count": 2,
+             "shards": [{"x": [0.5 * i for i in range(_MIN_PACKED)]},
+                        {"y": list(range(_MIN_PACKED)),
+                         "up": [True, False] * _MIN_PACKED}],
              "task_shard": {"a": 0}}
 
     def _write(self, tmp_path):
@@ -74,11 +101,47 @@ class TestChecksumTrailer:
         write_checkpoint(path, dict(self.STATE))
         return path
 
-    def test_v2_file_carries_crc_trailer(self, tmp_path):
+    def test_file_carries_crc_trailer(self, tmp_path):
         path = self._write(tmp_path)
-        text = path.read_text()
-        assert text.splitlines()[-1].startswith("crc32:")
-        assert read_checkpoint(path)["shard_count"] == 2
+        raw = path.read_bytes()
+        assert raw.splitlines()[-1].startswith(b"crc32:")
+        head = json.loads(raw[:raw.index(b"\n")])
+        assert head["checkpoint_version"] == CHECKPOINT_VERSION == 3
+        assert [entry[1:] for entry in head["columns"]] == [
+            ["f8", _MIN_PACKED], ["i8", _MIN_PACKED], ["b1", 2 * _MIN_PACKED]]
+        state = read_checkpoint(path)
+        assert state.pop("checkpoint_version") == CHECKPOINT_VERSION
+        assert state == self.STATE
+
+    @pytest.mark.parametrize("region", ["head", "columns", "trailer"])
+    def test_a_flipped_byte_in_each_region_raises(self, tmp_path, region):
+        path = self._write(tmp_path)
+        raw = bytearray(path.read_bytes())
+        lo, hi = _regions(raw)[region]
+        raw[(lo + hi) // 2] ^= 0x20
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("region", ["head", "columns", "trailer"])
+    def test_a_cut_inside_each_region_raises(self, tmp_path, region):
+        path = self._write(tmp_path)
+        raw = path.read_bytes()
+        lo, hi = _regions(raw)[region]
+        path.write_bytes(raw[:(lo + hi) // 2])
+        with pytest.raises(CheckpointError):
+            read_checkpoint(path)
+
+    def test_a_format_2_file_fails_closed_naming_both_formats(self,
+                                                              tmp_path):
+        # Format 2: the whole document as one JSON body under a valid
+        # trailer. Nothing upgrades it.
+        path = tmp_path / "ckpt.json"
+        body = json.dumps(dict(self.STATE, checkpoint_version=2)).encode()
+        path.write_bytes(body + b"\ncrc32:%08x\n" % zlib.crc32(body))
+        with pytest.raises(CheckpointError,
+                           match=r"format version 2;.*format version 3\b"):
+            read_checkpoint(path)
 
     def test_losing_only_the_final_newline_is_harmless(self, tmp_path):
         # The trailer's closing newline is optional: cutting exactly one
@@ -97,25 +160,25 @@ class TestChecksumTrailer:
             read_checkpoint(path)
 
     def test_truncation_at_json_token_boundary_raises(self, tmp_path):
-        # The historical hole: strip the whole trailer and cut the body so
-        # it is still *valid JSON* — the reader must still reject it.
+        # The historical hole: strip the trailer and the columns and cut
+        # the head so it is still *valid JSON* — the reader must still
+        # reject it.
         path = self._write(tmp_path)
-        text = path.read_text()
-        body = text[:text.rindex("\ncrc32:")]
-        end = body.rindex(",\"task_shard\"")
-        truncated = body[:end] + "}"
+        raw = path.read_bytes()
+        head = raw[:raw.index(b"\n")]
+        truncated = head[:head.rindex(b",\"task_shard\"")] + b"}}"
         assert json.loads(truncated)  # would have loaded before the fix
-        path.write_text(truncated)
+        path.write_bytes(truncated)
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
 
-    def test_v2_document_without_trailer_raises(self, tmp_path):
-        # A complete v2 JSON document whose trailer was stripped (e.g. by
-        # a text-mode copy that dropped "binary garbage" lines) is
-        # indistinguishable from a truncated one — reject it.
-        path = tmp_path / "ckpt.json"
-        doc = dict(self.STATE, checkpoint_version=CHECKPOINT_VERSION)
-        path.write_text(json.dumps(doc))
+    def test_file_without_trailer_raises(self, tmp_path):
+        # A whole file whose trailer was stripped (e.g. by a text-mode
+        # copy that dropped "binary garbage" lines) is indistinguishable
+        # from a truncated one — reject it.
+        path = self._write(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:raw.rindex(b"\ncrc32:")])
         with pytest.raises(CheckpointError, match="checksum trailer"):
             read_checkpoint(path)
 
@@ -147,6 +210,168 @@ class TestChecksumTrailer:
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(CheckpointError, match="UTF-8"):
             read_checkpoint(path)
+
+
+def _dtype(head, name):
+    head["columns"][0][1] = name
+
+
+def _count(head, count):
+    head["columns"][0][2] = count
+
+
+def _keys(head, keys):
+    head["columns"][0][0] = keys
+
+
+def _entry(head, entry):
+    head["columns"][0] = entry
+
+
+class TestColumnTable:
+    """A head whose column table does not describe the bytes after it —
+    checksummed, so only a writer other than this one makes one — is a
+    ``CheckpointError``, never an ``IndexError``, ``KeyError`` or
+    ``ValueError`` from walking it."""
+
+    CASES = [
+        ("unknown-dtype", lambda h: _dtype(h, "f4"), "unknown dtype"),
+        ("dtype-not-a-name", lambda h: _dtype(h, ["f8"]), "unknown dtype"),
+        ("offset-past-the-end",
+         lambda h: h["columns"].append([["shards", 0, "x"], "b1", 1]),
+         "past the end"),
+        ("count-past-the-end", lambda h: _count(h, 1 << 40), "past the end"),
+        ("negative-count", lambda h: _count(h, -1), "bad element count"),
+        ("count-not-an-int", lambda h: _count(h, 8.0), "bad element count"),
+        ("short-count", lambda h: _count(h, _MIN_PACKED - 1),
+         "does not describe"),
+        ("missing-key", lambda h: _keys(h, ["shards", 0, "gone"]),
+         "no empty slot"),
+        ("missing-object", lambda h: _keys(h, ["gone", 0, "x"]),
+         "no empty slot"),
+        ("index-out-of-range", lambda h: _keys(h, ["shards", 9, "x"]),
+         "no empty slot"),
+        ("negative-index", lambda h: _keys(h, ["shards", -2, "x"]),
+         "no empty slot"),
+        ("string-index", lambda h: _keys(h, ["shards", "0", "x"]),
+         "no empty slot"),
+        ("unhashable-key", lambda h: _keys(h, [["shards"], 0, "x"]),
+         "no empty slot"),
+        ("empty-path", lambda h: _keys(h, []), "no empty slot"),
+        ("path-not-a-list", lambda h: _keys(h, "shards"), "no empty slot"),
+        ("slot-not-empty", lambda h: _keys(h, ["task_shard", "a"]),
+         "no empty slot"),
+        ("one-slot-twice",
+         lambda h: h["columns"].insert(1, list(h["columns"][0])),
+         "no empty slot"),
+        ("entry-not-a-triple", lambda h: _entry(h, ["f8", 16]), "malformed"),
+        ("entry-not-a-list", lambda h: _entry(h, None), "malformed"),
+        ("no-table", lambda h: h.pop("columns"), "column table"),
+        ("state-not-an-object", lambda h: h.update(state=[]),
+         "column table"),
+    ]
+
+    @pytest.mark.parametrize("edit, culprit", [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_is_a_checkpoint_error(self, tmp_path, edit, culprit):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(path, dict(TestChecksumTrailer.STATE))
+        _rewrite_head(path, edit)
+        with pytest.raises(CheckpointError, match=culprit):
+            read_checkpoint(path)
+
+
+_NAN = float("nan")
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, _NAN, -_NAN, math.inf, -math.inf, 5e-324, -2.2e-308])
+_INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
+_WIDE = st.sampled_from([1 << 63, -(1 << 63) - 1, 1 << 90])
+_LEAVES = (_FLOATS | _INT64 | _WIDE | st.booleans() | st.text(max_size=3)
+           | st.none())
+
+
+def _runs(element):
+    """Lists of ``element`` on and around the packing threshold."""
+    return st.integers(0, 3).flatmap(lambda size: st.lists(
+        element, min_size=size, max_size=size)) | st.sampled_from(
+        [_MIN_PACKED - 1, _MIN_PACKED, _MIN_PACKED + 1]).flatmap(
+        lambda size: st.lists(element, min_size=size, max_size=size))
+
+
+_COLUMNS = (_runs(_FLOATS) | _runs(_INT64) | _runs(st.booleans())
+            | _runs(_INT64 | _WIDE) | _runs(_FLOATS | _INT64)
+            | _runs(_FLOATS | st.none()) | _runs(_LEAVES))
+# Keys include the head's own, at every depth, to show none is reserved.
+_KEYS = st.sampled_from(["columns", "state", "shards", "x"]) \
+    | st.text(max_size=4)
+_DOCS = st.dictionaries(
+    _KEYS.filter(lambda key: key != "checkpoint_version"),
+    st.recursive(_LEAVES | _COLUMNS, lambda inner: st.lists(
+        inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+        max_leaves=12),
+    max_size=5)
+
+
+def _identical(read, written):
+    """Equal, with ``type(a) is type(b)`` at every leaf and keys in the
+    same order; floats equal as JSON spells them (``-0.0`` apart from
+    ``0.0``, any ``nan`` equal to any ``nan``)."""
+    assert type(read) is type(written), (read, written)
+    if isinstance(written, dict):
+        assert list(read) == list(written)
+        for key in written:
+            _identical(read[key], written[key])
+    elif isinstance(written, list):
+        assert len(read) == len(written)
+        for a, b in zip(read, written):
+            _identical(a, b)
+    elif isinstance(written, float) and math.isnan(written):
+        assert math.isnan(read)
+    elif isinstance(written, float):
+        assert read == written
+        assert math.copysign(1.0, read) == math.copysign(1.0, written)
+    else:
+        assert read == written
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec") / "doc.ckpt"
+
+
+class TestCodecRoundTrip:
+    """``read_checkpoint(write_checkpoint(doc))`` is ``doc``: whatever is
+    packed comes back as the same Python values, whatever cannot be
+    packed stays JSON, and the fingerprint cannot tell the two apart."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=_DOCS)
+    def test_the_document_comes_back_identical(self, scratch_file, doc):
+        write_checkpoint(scratch_file, doc)
+        read = read_checkpoint(scratch_file)
+        assert read.pop("checkpoint_version") == CHECKPOINT_VERSION
+        _identical(read, doc)
+        assert state_fingerprint(read) == state_fingerprint(doc)
+
+    def test_the_head_spells_no_packed_number(self, tmp_path):
+        doc = {"columns": [[["state"], "f8", 3]], "state": {"columns": None},
+               "f": [-0.0, _NAN, math.inf] * _MIN_PACKED,
+               "i": [-(1 << 63), (1 << 63) - 1] * _MIN_PACKED,
+               "b": [True] * _MIN_PACKED,
+               "wide": [1 << 64] + [1] * _MIN_PACKED,
+               "mixed": [1.0, 2] * _MIN_PACKED,
+               "short": [0.25] * (_MIN_PACKED - 1)}
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(path, doc)
+        raw = path.read_bytes()
+        head = json.loads(raw[:raw.index(b"\n")])
+        assert [keys for keys, _, _ in head["columns"]] == [["f"], ["i"],
+                                                            ["b"]]
+        assert head["state"]["f"] is None and head["state"]["wide"][0] \
+            == 1 << 64
+        read = read_checkpoint(path)
+        del read["checkpoint_version"]
+        _identical(read, doc)
 
 
 class TestOnlineStatisticsState:

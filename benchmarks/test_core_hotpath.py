@@ -1,12 +1,11 @@
-"""Core hot-path benchmarks: fused fast path vs. reference (DESIGN.md S27).
+"""Core hot-path benchmarks: offline drivers vs. reference (DESIGN.md S27).
 
-Times the three optimised layers — ``observe_fast``, the fused
-``run_adaptive`` driver, the vectorized scorer — on one synthetic trace
-and reports each timing; what it *asserts* is that each produces exactly
-what its reference twin (``observe``, ``run_sampler_on_trace``, the
-seed's set-based scorer kept below) produces on that trace. It asserts
-nothing about speed: per-layer cost is tracked by ``bench/``
-(``adaptation.observe_fast_ns``, ``adaptation.run_trace_ns_per_step``).
+Times two layers — a Fig. 5-sized ``run_lockstep`` panel and the
+vectorized scorer — and reports each timing beside its reference's;
+what it *asserts* is that each produces exactly what its reference
+(each run's scalar ``observe`` through ``run_sampler_on_trace``, the
+seed's set-based scorer kept below) produces. It asserts nothing about
+speed.
 
 The count guards at the bottom hold the hosted-shard hot path to its
 *shape* instead — calls that must not happen, counted, not timed: the
@@ -23,6 +22,7 @@ in a restore).
 from __future__ import annotations
 
 import json
+import time
 from typing import Any
 
 import numpy as np
@@ -35,12 +35,16 @@ from repro.core.online_stats import OnlineStatistics
 from repro.core.soa import SoaSamplerEngine
 from repro.core.substrates import QuantileEstimator
 from repro.core.task import TaskSpec
-from repro.experiments.runner import run_adaptive, run_sampler_on_trace
+from repro.experiments.runner import (run_adaptive, run_lockstep,
+                                      run_sampler_on_trace)
 from repro.runtime.checkpoint import write_checkpoint
 from repro.runtime.shard import ColumnBatch
 from repro.service import MonitoringService
 from repro.telemetry import trace as trace_module
 from repro.telemetry.histogram import LogHistogram
+from repro.workloads.thresholds import (PAPER_ERROR_ALLOWANCES,
+                                        PAPER_SELECTIVITIES,
+                                        threshold_for_selectivity)
 
 N = 50_000
 SEED = 7
@@ -103,53 +107,33 @@ def _bench_task(trace: np.ndarray) -> TaskSpec:
                     max_interval=10, name="bench-hotpath")
 
 
-def test_observe_fast_throughput(benchmark, report):
-    """Per-call observe_fast vs. observe at every grid point."""
-    trace = synthetic_trace(N, SEED)
-    values = trace.tolist()
-    task = _bench_task(trace)
+def test_run_lockstep_vs_reference(benchmark, report):
+    """A Fig. 5-sized panel — 6 streams x 35 (k, err) cells, 210 runs of
+    10 000 steps — as one lockstep against the reference loop: each run's
+    own scalar sampler through ``run_sampler_on_trace``."""
+    traces = [synthetic_trace(10_000, SEED + i) for i in range(6)]
+    tasks = [TaskSpec(threshold=threshold_for_selectivity(trace, k),
+                      error_allowance=err, max_interval=10)
+             for k in PAPER_SELECTIVITIES for err in PAPER_ERROR_ALLOWANCES
+             for trace in traces]
+    runs = traces * (len(tasks) // len(traces))
     config = AdaptationConfig()
 
-    def run_fast():
-        sampler = ViolationLikelihoodSampler(task, config)
-        observe_fast = sampler.observe_fast
-        for t in range(N):
-            observe_fast(values[t], t)
-        return sampler
-
-    benchmark.pedantic(run_fast, rounds=3, iterations=1)
-
-    # Equivalence gate: the fast surface must leave the sampler in the
-    # exact state the reference surface does.
-    fast = run_fast()
-    ref = ViolationLikelihoodSampler(task, config)
-    for t in range(N):
-        ref.observe(values[t], t)
-    assert fast.state_dict() == ref.state_dict()
-
-    per_call = benchmark.stats["mean"] / N
-    report(f"observe_fast: {per_call * 1e6:.2f} us/call "
-           f"({1.0 / per_call:,.0f} calls/s)")
-
-
-def test_run_adaptive_fused_vs_reference(benchmark, report):
-    """End-to-end fused driver vs. the reference decision-object driver."""
-    trace = synthetic_trace(N, SEED)
-    task = _bench_task(trace)
-    config = AdaptationConfig()
-
-    fast = benchmark.pedantic(lambda: run_adaptive(trace, task, config),
-                              rounds=3, iterations=1)
-    reference = run_sampler_on_trace(
+    lockstep = benchmark.pedantic(
+        lambda: run_lockstep(runs, tasks, config), rounds=1, iterations=1)
+    started = time.perf_counter()
+    reference = [run_sampler_on_trace(
         trace, ViolationLikelihoodSampler(task, config), task.threshold,
-        task.direction)
-    assert np.array_equal(reference.sampled_indices, fast.sampled_indices)
-    assert np.array_equal(reference.intervals, fast.intervals)
-    assert reference.accuracy == fast.accuracy
+        task.direction) for trace, task in zip(runs, tasks)]
+    reference_s = time.perf_counter() - started
+    for got, want in zip(lockstep, reference):
+        assert np.array_equal(got.sampled_indices, want.sampled_indices)
+        assert np.array_equal(got.intervals, want.intervals)
+        assert got.accuracy == want.accuracy
 
-    points_per_sec = N / benchmark.stats["mean"]
-    report(f"run_adaptive (fused): {points_per_sec:,.0f} points/s, "
-           f"sampling ratio {fast.accuracy.sampling_ratio:.3f}")
+    report(f"run_lockstep: {len(tasks)} runs x 10,000 steps in "
+           f"{benchmark.stats['mean']:.2f} s; reference loop "
+           f"{reference_s:.2f} s")
 
 
 def test_evaluate_sampling_vectorized(benchmark, report):

@@ -26,9 +26,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.likelihood import (gaussian_misdetection_estimate,
-                                   gaussian_misdetection_estimate_fused,
-                                   misdetection_bound,
-                                   misdetection_bound_fused)
+                                   misdetection_bound)
 from repro.core.online_stats import OnlineStatistics
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
@@ -38,13 +36,14 @@ _MIN_ERROR_NEEDED = 1e-12
 
 
 class _SamplerMetrics:
-    """Process-wide fast-path counters (held by ``_SAMPLER_METRICS``).
+    """Process-wide engine-row counters (held by ``_SAMPLER_METRICS``).
 
     The live instance is installed by
     :func:`repro.telemetry.registry.instrument_samplers`; the module
     default is the null twin below, so un-instrumented runs pay one
-    attribute check per :meth:`ViolationLikelihoodSampler.observe_fast`
-    call (mirroring the chaos harness' ``NOOP_HOOK`` contract).
+    attribute check per :meth:`~repro.core.soa.SoaSamplerEngine.observe_one`
+    call or vector tick (mirroring the chaos harness' ``NOOP_HOOK``
+    contract).
 
     The fields are plain ints incremented in place — the registry reads
     them through snapshot-time callbacks, so the hot path never pays for
@@ -188,23 +187,20 @@ class ViolationLikelihoodSampler:
     The coordinator may change :attr:`error_allowance` at any time
     (distributed coordination reallocates allowance between monitors).
 
-    Two equivalent drive surfaces exist (DESIGN.md S27): :meth:`observe`
-    is the reference implementation (per-step likelihood kernels, a
-    :class:`SamplingDecision` per call) and :meth:`observe_fast` is the
-    allocation-light twin used by the fused experiment drivers and the
-    runtime's hot ingest path. Both mutate the same state identically —
-    the property-based equivalence suite and the core-hotpath CI job
-    prove their decision streams bit-equal — so callers may use either
-    (or mix them) freely.
+    :meth:`observe` is the one scalar statement of the algorithm (DESIGN.md
+    S27): the reference every engine row
+    (:class:`~repro.core.soa.SoaSamplerEngine`, which steps hosted shards
+    and the offline sweeps alike) is held bit-equal to, and what a scalar
+    :class:`~repro.service.MonitoringService` steps. :meth:`observe_fast`
+    and :meth:`run_trace` are thin wrappers over it that only ``bench/``
+    still calls.
     """
 
     __slots__ = ("_task", "_config", "_sign", "_threshold",
-                 "_error_allowance", "_stats", "_estimate", "_estimate_fast",
+                 "_error_allowance", "_stats", "_estimate",
                  "_interval", "_streak", "_last_value", "_last_time",
                  "_observations", "_grow_events", "_reset_events",
-                 "_coord_sum_r", "_coord_sum_log_e", "_coord_n",
-                 "_max_interval", "_patience", "_min_samples",
-                 "_one_minus_slack", "_last_beta", "_last_flags")
+                 "_coord_sum_r", "_coord_sum_log_e", "_coord_n")
 
     def __init__(self, task: TaskSpec,
                  config: AdaptationConfig | None = None,
@@ -217,11 +213,9 @@ class ViolationLikelihoodSampler:
             restart_after=self._config.stats_restart,
             min_fresh=self._config.min_samples,
         )
-        chebyshev = self._config.estimator == "chebyshev"
-        self._estimate = (misdetection_bound if chebyshev
+        self._estimate = (misdetection_bound
+                          if self._config.estimator == "chebyshev"
                           else gaussian_misdetection_estimate)
-        self._estimate_fast = (misdetection_bound_fused if chebyshev
-                               else gaussian_misdetection_estimate_fused)
         self._interval = 1
         self._streak = 0
         self._last_value: float | None = None
@@ -233,15 +227,6 @@ class ViolationLikelihoodSampler:
         self._coord_sum_r = 0.0
         self._coord_sum_log_e = 0.0
         self._coord_n = 0
-        # Hoisted invariants for the fast path (config and task are
-        # immutable, so these can never drift from the reference reads).
-        self._max_interval = task.max_interval
-        self._patience = self._config.patience
-        self._min_samples = self._config.min_samples
-        self._one_minus_slack = 1.0 - self._config.slack_ratio
-        # Outcome of the most recent observation (either drive surface).
-        self._last_beta = 1.0
-        self._last_flags = 0
 
     @property
     def task(self) -> TaskSpec:
@@ -299,7 +284,8 @@ class ViolationLikelihoodSampler:
         had earned before the guard engaged — the arm edge itself is
         evidence the pre-suspension statistics are stale. Adaptation
         counters are untouched; this is an external scheduling decision,
-        not an adaptation event, so both drive surfaces stay bit-equal.
+        not an adaptation event, mirrored by the engine row's
+        :meth:`~repro.core.soa.SoaSamplerEngine.resume_full_rate`.
         """
         self._interval = 1
         self._streak = 0
@@ -384,380 +370,34 @@ class ViolationLikelihoodSampler:
             max(beta / (1.0 - cfg.slack_ratio), _MIN_ERROR_NEEDED))
         self._coord_n += 1
 
-        self._last_beta = beta
-        self._last_flags = ((1 if grew else 0) | (2 if reset else 0)
-                            | (4 if violation else 0))
         return SamplingDecision(next_interval=self._interval,
                                 misdetection_bound=beta,
                                 grew=grew, reset=reset, violation=violation)
 
     def observe_fast(self, value: float, time_index: int) -> int:
-        """Absorb a sampled value; return the next interval as a plain int.
+        """:meth:`observe`, returning only the next interval.
 
-        The allocation-light twin of :meth:`observe`: identical state
-        transitions and identical raised errors, but no
-        :class:`SamplingDecision` is constructed, the mis-detection bound
-        is computed by the fused kernels
-        (:func:`~repro.core.likelihood.misdetection_bound_fused` /
-        :func:`~repro.core.likelihood.gaussian_misdetection_estimate_fused`,
-        bit-equal to the reference), and the per-call invariants are read
-        from hoisted slots. The full outcome of the step remains readable
-        via :attr:`last_misdetection_bound`, :attr:`last_grew`,
-        :attr:`last_reset` and :attr:`last_violation`.
+        A wrapper kept for ``bench/``'s ``adaptation.observe_fast_ns``
+        loop; it goes when the benchmark retires that metric (ROADMAP.md
+        item 11). Offline runs step engine rows
+        (:func:`~repro.experiments.runner.run_lockstep`).
         """
-        v = self._sign * value
-        flags = 4 if v > self._threshold else 0
+        return self.observe(value, time_index).next_interval
 
-        last_time = self._last_time
-        if last_time is not None:
-            steps = time_index - last_time
-            if steps <= 0:
-                raise ValueError(
-                    f"time_index must increase: {time_index} after "
-                    f"{last_time}")
-            # delta_hat = (v(t) - v(t - I)) / I  (paper SIII-B)
-            self._stats.update((v - self._last_value) / steps)
-        self._observations += 1
-        self._last_value = v
-        self._last_time = time_index
-
-        stats = self._stats
-        err = self._error_allowance
-        interval = self._interval
-        if stats.effective_count >= self._min_samples:
-            beta = self._estimate_fast(v, self._threshold, stats.mean,
-                                       stats.std, interval)
-        else:
-            beta = 1.0
-
-        if err <= 0.0:
-            # A zero allowance degenerates to periodic default sampling.
-            if interval != 1:
-                self._interval = interval = 1
-                flags |= 2
-            self._streak = 0
-        elif beta > err:
-            if interval != 1:
-                flags |= 2
-                self._interval = interval = 1
-                self._reset_events += 1
-            self._streak = 0
-        elif beta <= self._one_minus_slack * err:
-            streak = self._streak + 1
-            if streak >= self._patience:
-                self._streak = 0
-                if interval < self._max_interval:
-                    self._interval = interval = interval + 1
-                    flags |= 1
-                    self._grow_events += 1
-            else:
-                self._streak = streak
-        else:
-            self._streak = 0
-
-        # Coordination statistics — see observe() for the rationale.
-        if interval < self._max_interval:
-            self._coord_sum_r += 1.0 / interval - 1.0 / (interval + 1.0)
-        self._coord_sum_log_e += math.log(
-            max(beta / self._one_minus_slack, _MIN_ERROR_NEEDED))
-        self._coord_n += 1
-
-        self._last_beta = beta
-        self._last_flags = flags
-
-        metrics = _SAMPLER_METRICS
-        if metrics.enabled:
-            # Counters only — the fast path stays allocation-free and the
-            # disabled case costs one global load plus one attribute check.
-            metrics.observations += 1
-            if flags:
-                if flags & 1:
-                    metrics.grow_events += 1
-                if flags & 2:
-                    metrics.reset_events += 1
-                if flags & 4:
-                    metrics.violations += 1
-        return interval
-
-    def run_trace(self, values: list[float], start: int = 0,
-                  record_intervals: bool = True,
+    def run_trace(self, values: list[float],
                   ) -> tuple[list[int], list[int]]:
-        """Drive the sampler over a whole trace in one call (DESIGN.md S27).
-
-        The batch twin of driving :meth:`observe_fast` step by step:
-        samples grid index ``start``, advances by the decided interval,
-        stops past the end of ``values``. The entire hot loop — Welford
-        update with the restart/stale-serving scheme, likelihood kernel,
-        AIMD rule, coordination accumulation — runs on local variables and
-        is written back to the sampler (and its statistics object) when
-        the loop finishes, so per-step attribute traffic and method-call
-        dispatch disappear from the inner loop. State transitions, raised
-        errors and the resulting ``(sampled, intervals)`` streams are
-        identical to the step-by-step surfaces; the equivalence suite
-        checks all three against :meth:`observe`.
-
-        Falls back to a plain :meth:`observe_fast` loop when the sampler
-        was built around a custom statistics object (the inlined Welford
-        math is only valid for :class:`~repro.core.online_stats.OnlineStatistics`).
-
-        Args:
-            values: the trace as plain Python floats (``arr.tolist()``),
-                one per default-interval grid point.
-            start: grid index of the first sample.
-            record_intervals: also record the interval trajectory.
-
-        Returns:
-            ``(sampled_indices, intervals)`` lists; ``intervals`` is empty
-            when recording was disabled.
-        """
-        n = len(values)
+        """Drive :meth:`observe` over ``values`` from grid index 0;
+        returns ``(sampled_indices, intervals)``. A wrapper kept for
+        ``bench/``'s ``adaptation.run_trace_ns_per_step`` loop, going with
+        it as :meth:`observe_fast` does."""
         sampled: list[int] = []
         intervals: list[int] = []
-        sampled_append = sampled.append
-        intervals_append = intervals.append
-
-        st = self._stats
-        if type(st) is not OnlineStatistics:
-            observe_fast = self.observe_fast
-            t = start
-            while t < n:
-                sampled_append(t)
-                step = observe_fast(values[t], t)
-                if step < 1:
-                    step = 1
-                if record_intervals:
-                    intervals_append(step)
-                t += step
-            return sampled, intervals
-
-        # Hoisted invariants (immutable for the duration of the run).
-        sign = self._sign
-        threshold = self._threshold
-        err = self._error_allowance
-        use_cheb = self._estimate_fast is misdetection_bound_fused
-        erfc = math.erfc
-        sqrt2 = math.sqrt(2.0)  # the identical double to likelihood._SQRT2
-        max_interval = self._max_interval
-        patience = self._patience
-        min_samples = self._min_samples
-        one_minus_slack = self._one_minus_slack
-        min_fresh = st._min_fresh
-        restart_limit = st._restart_after
-        if restart_limit is None:
-            restart_limit = n + st._n + 1  # unreachable: restarts disabled
-        isfinite = math.isfinite
-        sqrt = math.sqrt
-        log = math.log
-        # err is fixed for the duration of the run (the coordinator can
-        # only retune between calls), so the growth gate and the marginal
-        # cost reduction r_i = 1/I - 1/(I+1) are loop constants — the
-        # latter tabulated with the exact per-step expression.
-        grow_gate = one_minus_slack * err
-        coord_r = [0.0] + [1.0 / i - 1.0 / (i + 1.0)
-                           for i in range(1, max_interval + 1)]
-
-        # Mutable state, loaded into locals and written back in `finally`
-        # (so an error mid-trace leaves the sampler exactly as the
-        # step-by-step surfaces would have).
-        interval = self._interval
-        streak = self._streak
-        last_value = self._last_value
-        last_time = self._last_time
-        observations = self._observations
-        grow_events = self._grow_events
-        reset_events = self._reset_events
-        coord_sum_r = self._coord_sum_r
-        coord_sum_log_e = self._coord_sum_log_e
-        coord_n = self._coord_n
-        beta_out = self._last_beta
-        flags_out = self._last_flags
-        n_acc = st._n
-        mean_acc = st._mean
-        var_acc = st._var
-        stale_mean = st._stale_mean
-        stale_var = st._stale_var
-        stale_count = st._stale_count
-        restarts = st._restarts
-        total_count = st._total_count
-
-        t = start
-        try:
-            while t < n:
-                sampled_append(t)
-                value = values[t]
-                v = sign * value
-                flags = 4 if v > threshold else 0
-
-                if last_time is not None:
-                    steps = t - last_time
-                    if steps <= 0:
-                        raise ValueError(
-                            f"time_index must increase: {t} after "
-                            f"{last_time}")
-                    # Inlined OnlineStatistics.update (Welford + restart).
-                    x = (v - last_value) / steps
-                    if not isfinite(x):
-                        raise ValueError(f"non-finite observation: {x!r}")
-                    n_acc += 1
-                    total_count += 1
-                    prev_mean = mean_acc
-                    mean_acc = prev_mean + (x - prev_mean) / n_acc
-                    var_acc = ((n_acc - 1) * var_acc
-                               + (x - mean_acc) * (x - prev_mean)) / n_acc
-                    if n_acc > restart_limit:
-                        stale_mean = mean_acc
-                        stale_var = var_acc
-                        stale_count = n_acc
-                        n_acc = 0
-                        mean_acc = 0.0
-                        var_acc = 0.0
-                        restarts += 1
-                observations += 1
-                last_value = v
-                last_time = t
-
-                # Inlined mean/std/effective_count with stale serving.
-                if stale_mean is not None and n_acc < min_fresh:
-                    eff = stale_count
-                    mean_est = stale_mean
-                    var_est = stale_var
-                else:
-                    eff = n_acc
-                    mean_est = mean_acc
-                    var_est = max(var_acc, 0.0)
-
-                # Inlined likelihood kernel — the exact floating-point
-                # operation sequence of misdetection_bound_fused /
-                # gaussian_misdetection_estimate_fused (likelihood.py),
-                # with the dominant interval == 1 case unrolled. The
-                # survive-product double rounding (1 - (1 - x)) is kept
-                # deliberately: simplifying it would break bit-equality
-                # with the reference kernels.
-                if eff >= min_samples:
-                    std_est = sqrt(var_est)
-                    gap0 = threshold - v
-                    if std_est == 0.0:
-                        worst = interval if mean_est >= 0.0 else 1
-                        beta = (0.0 if gap0 - worst * mean_est > 0.0
-                                else 1.0)
-                    elif use_cheb:
-                        if interval == 1:
-                            gap = gap0 - mean_est
-                            if gap <= 0.0:
-                                beta = 1.0
-                            else:
-                                k = gap / std_est
-                                beta = 1.0 - (1.0 - 1.0 / (1.0 + k * k))
-                        else:
-                            survive = 1.0
-                            for i in range(1, interval + 1):
-                                gap = gap0 - i * mean_est
-                                if gap <= 0.0:
-                                    beta = 1.0
-                                    break
-                                k = gap / (i * std_est)
-                                survive *= 1.0 - 1.0 / (1.0 + k * k)
-                            else:
-                                beta = 1.0 - survive
-                    elif interval == 1:
-                        p = 0.5 * erfc((gap0 - mean_est) / std_est / sqrt2)
-                        beta = 1.0 if p >= 1.0 else 1.0 - (1.0 - p)
-                    else:
-                        survive = 1.0
-                        for i in range(1, interval + 1):
-                            p = 0.5 * erfc(
-                                (gap0 - i * mean_est) / (i * std_est)
-                                / sqrt2)
-                            if p >= 1.0:
-                                beta = 1.0
-                                break
-                            survive *= 1.0 - p
-                        else:
-                            beta = 1.0 - survive
-                else:
-                    beta = 1.0
-
-                if err <= 0.0:
-                    if interval != 1:
-                        interval = 1
-                        flags |= 2
-                    streak = 0
-                elif beta > err:
-                    if interval != 1:
-                        flags |= 2
-                        interval = 1
-                        reset_events += 1
-                    streak = 0
-                elif beta <= grow_gate:
-                    streak += 1
-                    if streak >= patience:
-                        streak = 0
-                        if interval < max_interval:
-                            interval += 1
-                            flags |= 1
-                            grow_events += 1
-                else:
-                    streak = 0
-
-                if interval < max_interval:
-                    coord_sum_r += coord_r[interval]
-                coord_sum_log_e += log(
-                    max(beta / one_minus_slack, _MIN_ERROR_NEEDED))
-                coord_n += 1
-
-                beta_out = beta
-                flags_out = flags
-                if record_intervals:
-                    intervals_append(interval)
-                t += interval
-        finally:
-            st._n = n_acc
-            st._mean = mean_acc
-            st._var = var_acc
-            st._stale_mean = stale_mean
-            st._stale_var = stale_var
-            st._stale_count = stale_count
-            st._restarts = restarts
-            st._total_count = total_count
-            self._interval = interval
-            self._streak = streak
-            self._last_value = last_value
-            self._last_time = last_time
-            self._observations = observations
-            self._grow_events = grow_events
-            self._reset_events = reset_events
-            self._coord_sum_r = coord_sum_r
-            self._coord_sum_log_e = coord_sum_log_e
-            self._coord_n = coord_n
-            self._last_beta = beta_out
-            self._last_flags = flags_out
+        step = 0
+        while step < len(values):
+            sampled.append(step)
+            intervals.append(self.observe(values[step], step).next_interval)
+            step += intervals[-1]
         return sampled, intervals
-
-    @property
-    def last_misdetection_bound(self) -> float:
-        """``beta`` computed by the most recent observation (1.0 initially)."""
-        return self._last_beta
-
-    @property
-    def last_flags(self) -> int:
-        """The most recent observation's outcome as bits: 1 grew, 2 reset,
-        4 violation (the encoding the SoA engine's column uses)."""
-        return self._last_flags
-
-    @property
-    def last_grew(self) -> bool:
-        """Whether the most recent observation grew the interval."""
-        return bool(self._last_flags & 1)
-
-    @property
-    def last_reset(self) -> bool:
-        """Whether the most recent observation reset the interval."""
-        return bool(self._last_flags & 2)
-
-    @property
-    def last_violation(self) -> bool:
-        """Whether the most recently observed value violated the threshold."""
-        return bool(self._last_flags & 4)
 
     def state_dict(self) -> dict[str, object]:
         """Return the sampler's mutable state as a JSON-able dict.

@@ -28,9 +28,10 @@ Kernel layer (DESIGN.md S27): the per-step functions above are the
 *reference oracle* — obviously-correct, validated once per call, and kept
 unchanged. The ``*_fused`` twins compute bit-identical values with the
 invariants hoisted out of the loop (``gap0 = T - v``, ``i * std`` only)
-and the Cantelli/Gaussian term inlined, so one adaptation step costs one
-function call instead of ``I`` of them. :func:`max_admissible_interval`
-inverts Cantelli's inequality in closed form to cap the search for the
+and the Cantelli/Gaussian term inlined, so one bound costs one function
+call instead of ``I`` of them; the engine's vector kernel
+(:mod:`repro.core.soa`) is held bit-equal to them.
+:func:`max_admissible_interval` inverts Cantelli's inequality in closed form to cap the search for the
 largest admissible interval, then verifies with one incremental fused
 pass — never by re-probing ``beta(I)`` per candidate.
 """

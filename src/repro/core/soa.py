@@ -1,9 +1,10 @@
 """Structure-of-arrays sampler engine (DESIGN.md S31).
 
 :class:`SoaSamplerEngine` advances *many* tasks' violation-likelihood
-samplers as column vectors per tick — the multi-task analogue of
-:meth:`~repro.core.adaptation.ViolationLikelihoodSampler.run_trace`,
-which batches one task over many steps. A tick is a set of offers with at
+samplers as column vectors per tick: a hosted shard's tasks, and the
+offline sweeps' independent runs stepping in lockstep on one grid
+(:func:`~repro.experiments.runner.run_lockstep`, the distributed-task
+driver). A tick is a set of offers with at
 most one offer per task; :meth:`run_columns` splits an arbitrary decoded
 offer batch into such ticks (its strictly increasing runs of rows as they
 stand when they are long, stable-sorted occurrence splitting otherwise)
@@ -63,7 +64,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core import adaptation as _adaptation
-from repro.core.adaptation import _MIN_ERROR_NEEDED, AdaptationConfig
+from repro.core.adaptation import (_MIN_ERROR_NEEDED, AdaptationConfig,
+                                   CoordinationStats)
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
 
@@ -80,7 +82,7 @@ STEP_MIN, STEP_MAX = -(1 << 62), (1 << 62) - 1
 _SQRT2 = math.sqrt(2.0)  # the identical double to likelihood._SQRT2
 
 # Stand-in for "restarts disabled": no real stream reaches 2**62 samples,
-# so `n > limit` never fires (mirrors run_trace's unreachable bound).
+# so `n > limit` never fires (OnlineStatistics' `restart_after=None`).
 _NO_RESTART = 2 ** 62
 
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
@@ -439,6 +441,24 @@ class SoaSamplerEngine:
             self.suspensions[row] += 1
         self.next_due[row] = step + advance
         self.samples_taken[row] += 1
+
+    def drain_coordination(self, rows: np.ndarray | slice,
+                           ) -> list[CoordinationStats | None]:
+        """:meth:`ViolationLikelihoodSampler.drain_coordination_stats` for
+        ``rows``, float for float: one report per row (``None`` for a row
+        that observed nothing since its last drain), then every row's
+        accumulators zeroed. ``exp`` runs through :mod:`math`, as there."""
+        counts = self.coord_n[rows].tolist()
+        sums_r = self.coord_sum_r[rows].tolist()
+        sums_log_e = self.coord_sum_log_e[rows].tolist()
+        self.coord_n[rows] = 0
+        self.coord_sum_r[rows] = 0.0
+        self.coord_sum_log_e[rows] = 0.0
+        return [None if n == 0 else CoordinationStats(
+                    avg_cost_reduction=sum_r / n,
+                    avg_error_needed=math.exp(sum_log_e / n),
+                    observations=n)
+                for n, sum_r, sum_log_e in zip(counts, sums_r, sums_log_e)]
 
     # ------------------------------------------------------------------
     # Sampler state as snapshot columns (DESIGN.md S31 "snapshots are

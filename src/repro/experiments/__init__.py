@@ -19,8 +19,9 @@ from repro.experiments.parallel import (SweepCache, SweepJob, SweepStats,
                                         run_sweep)
 from repro.experiments.reliability import (ReliabilityResult,
                                            reliability_experiment)
-from repro.experiments.runner import (RunResult, run_adaptive, run_periodic,
-                                      run_sampler_on_trace, run_triggered)
+from repro.experiments.runner import (RunResult, run_adaptive, run_lockstep,
+                                      run_periodic, run_sampler_on_trace,
+                                      run_triggered)
 
 __all__ = [
     "DelayResult",
@@ -43,6 +44,7 @@ __all__ = [
     "RunResult",
     "run_adaptive",
     "run_distributed_task",
+    "run_lockstep",
     "run_periodic",
     "run_sampler_on_trace",
     "run_triggered",

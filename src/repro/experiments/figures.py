@@ -15,22 +15,21 @@ All drivers honour the ``REPRO_SCALE`` environment variable (a float
 multiplier on stream counts and horizons) so the same code runs at laptop
 scale by default and approaches the paper's 800-VM scale when asked.
 
-Every grid-shaped driver expresses its sweep as pure, picklable
+Every driver expresses its sweep as pure, picklable
 :class:`~repro.experiments.parallel.SweepJob`\\ s and executes them
 through :func:`~repro.experiments.parallel.run_sweep`, so the same call
 runs serially (``workers=1``), fans out over a process pool
 (``workers=N`` / ``REPRO_WORKERS``), and can resume from an on-disk
 result cache — with bit-for-bit identical numbers in every mode, because
-each cell regenerates its own randomness from the master seed.
+each job regenerates its own randomness from the master seed.
 
-Inside every cell the samplers run on the fused core fast path
-(DESIGN.md S27): :func:`~repro.experiments.runner.run_adaptive` and
-:func:`~repro.experiments.distributed.run_distributed_task` drive
-``observe_fast`` with the fused likelihood kernels, and scoring goes
-through the vectorized ``evaluate_sampling`` — decision streams identical
-to the reference path (``tests/core/test_fastpath.py``, the fast-path
-property suite and ``benchmarks/test_core_hotpath.py`` hold that), their
-cost tracked by ``bench/``'s ``adaptation.*`` per-layer metrics.
+A Fig. 5 / Fig. 7 panel and the whole Fig. 8 grid are one job each: their
+runs are independent samplers on one aligned grid, so they step together
+as engine rows (DESIGN.md S27) —
+:func:`~repro.experiments.runner.run_lockstep` for a panel's
+(stream, k, err) runs, the distributed batch driver for Fig. 8's
+(repeat, skew, policy) tasks — with every schedule identical to driving
+each sampler's reference ``observe`` alone.
 """
 
 from __future__ import annotations
@@ -45,11 +44,11 @@ from repro.core.coordination import AdaptiveAllocation, EvenAllocation
 from repro.core.task import DistributedTaskSpec, TaskSpec
 from repro.datacenter.testbed import TestbedConfig, build_testbed
 from repro.exceptions import ConfigurationError
-from repro.experiments.distributed import run_distributed_task
+from repro.experiments.distributed import _run_batch
 from repro.experiments.parallel import SweepCache, SweepJob, SweepStats, \
     run_sweep
 from repro.experiments.reporting import format_matrix, format_table
-from repro.experiments.runner import run_adaptive
+from repro.experiments.runner import run_lockstep
 from repro.simulation.randomness import RandomStreams
 from repro.workloads.sysmetrics import SystemMetricsDataset
 from repro.workloads.thresholds import (PAPER_ERROR_ALLOWANCES,
@@ -190,33 +189,38 @@ def _domain_streams(domain: str, num_streams: int, horizon: int,
     return traces
 
 
-def _fig5_cell(*, domain: str, num_streams: int, horizon: int, seed: int,
-               selectivity: float, error_allowance: float,
-               max_interval: int,
-               config: AdaptationConfig | None) -> SweepCell:
-    """Compute one Fig. 5 sweep cell (pure; safe in any worker process).
+def _fig5_panel(*, domain: str, num_streams: int, horizon: int, seed: int,
+                selectivities: tuple[float, ...],
+                error_allowances: tuple[float, ...], max_interval: int,
+                config: AdaptationConfig | None) -> tuple[SweepCell, ...]:
+    """Compute a Fig. 5 panel's cells, ``k``-major (pure; safe in any
+    worker process).
 
-    Regenerates the domain's traces from the master seed, so the cell's
-    value depends only on its spec — never on which worker ran it, in
-    what order, or what ran before it in the same process.
+    Generates the domain's traces once from the master seed and runs every
+    (k, err, stream) combination as one lockstep, so the panel depends
+    only on its spec — never on which worker ran it or what ran before it
+    in the same process.
     """
     traces = _domain_streams(domain, num_streams, horizon, seed)
-    ratios, misses, alerts = [], [], 0
-    for trace in traces:
-        threshold = threshold_for_selectivity(trace, selectivity)
-        task = TaskSpec(threshold=threshold,
-                        error_allowance=error_allowance,
-                        max_interval=max_interval,
-                        name=f"fig5-{domain}")
-        result = run_adaptive(trace, task, config)
-        ratios.append(result.sampling_ratio)
-        misses.append(result.misdetection_rate)
-        alerts += result.accuracy.truth_alerts
-    return SweepCell(
-        selectivity=selectivity, error_allowance=error_allowance,
-        sampling_ratio=float(np.mean(ratios)),
-        misdetection_rate=float(np.mean(misses)),
-        truth_alerts=alerts)
+    grid = [(k, err) for k in selectivities for err in error_allowances]
+    thresholds = {k: [threshold_for_selectivity(trace, k)
+                      for trace in traces] for k in selectivities}
+    runs = run_lockstep(
+        traces * len(grid),
+        [TaskSpec(threshold=threshold, error_allowance=err,
+                  max_interval=max_interval, name=f"fig5-{domain}")
+         for k, err in grid for threshold in thresholds[k]],
+        config, record_intervals=False)
+    cells = []
+    for at, (k, err) in enumerate(grid):
+        cell = runs[at * len(traces):(at + 1) * len(traces)]
+        cells.append(SweepCell(
+            selectivity=k, error_allowance=err,
+            sampling_ratio=float(np.mean([r.sampling_ratio for r in cell])),
+            misdetection_rate=float(np.mean([r.misdetection_rate
+                                             for r in cell])),
+            truth_alerts=sum(r.accuracy.truth_alerts for r in cell)))
+    return tuple(cells)
 
 
 def fig5(domain: str, num_streams: int | None = None,
@@ -259,17 +263,16 @@ def fig5(domain: str, num_streams: int | None = None,
         raise ConfigurationError(
             f"unknown domain {domain!r}; expected network/system/application")
 
-    jobs = [SweepJob.call(_fig5_cell,
-                          label=f"fig5-{domain} k={k} err={err}",
-                          domain=domain, num_streams=num_streams,
-                          horizon=horizon, seed=seed, selectivity=k,
-                          error_allowance=err, max_interval=max_interval,
-                          config=config)
-            for k in selectivities for err in error_allowances]
-    cells, stats = run_sweep(jobs, workers=workers, cache=cache)
+    job = SweepJob.call(_fig5_panel, label=f"fig5-{domain}",
+                        domain=domain, num_streams=num_streams,
+                        horizon=horizon, seed=seed,
+                        selectivities=tuple(selectivities),
+                        error_allowances=tuple(error_allowances),
+                        max_interval=max_interval, config=config)
+    (cells,), stats = run_sweep([job], workers=workers, cache=cache)
     return Fig5Result(domain=domain, selectivities=tuple(selectivities),
                       error_allowances=tuple(error_allowances),
-                      cells=tuple(cells), streams=num_streams,
+                      cells=cells, streams=num_streams,
                       horizon=horizon, sweep_stats=stats)
 
 
@@ -437,39 +440,42 @@ class Fig8Result:
         return headers, rows
 
 
-def _fig8_cell(*, skew: float, rep: int, seed: int, num_monitors: int,
-               horizon: int, base_violation_rate: float,
+def _fig8_grid(*, skews: tuple[float, ...], repeats: int, seed: int,
+               num_monitors: int, horizon: int, base_violation_rate: float,
                error_allowance: float, update_period: int,
-               max_interval: int) -> tuple[float, float, float, float]:
-    """One (skew, repeat) of Fig. 8.
+               max_interval: int) -> list[tuple[float, float, float, float]]:
+    """Every (repeat, skew) of Fig. 8, repeat-major, as one lockstep.
 
-    Returns ``(even ratio, adaptive ratio, even miss, adaptive miss)``.
-    Traces are regenerated from ``seed + rep`` exactly as the serial
-    sweep always did, so each repeat sees the same streams for every
-    skew and both allocation policies.
+    Returns ``(even ratio, adaptive ratio, even miss, adaptive miss)``
+    per (repeat, skew). Repeat ``rep``'s traces come from ``seed + rep``,
+    so it sees the same streams for every skew and both policies.
     """
-    streams = RandomStreams(seed + rep)
-    traces = []
-    for i in range(num_monitors):
-        rng = streams.stream("fig8-network", i)
-        gen = TrafficDifferenceGenerator(
-            diurnal_depth=0.0, burst_prob=0.0006, burst_hold=14)
-        traces.append(gen.generate(horizon, rng))
-    rates = zipf_hotspot_rates(num_monitors, skew, base_violation_rate)
-    thresholds = thresholds_for_violation_rates(traces, rates)
-    spec = DistributedTaskSpec(
-        global_threshold=float(sum(thresholds)),
-        local_thresholds=tuple(thresholds),
-        error_allowance=error_allowance,
-        max_interval=max_interval,
-        name=f"fig8-skew-{skew}")
-    even = run_distributed_task(traces, spec, policy=EvenAllocation(),
-                                update_period=update_period)
-    adaptive = run_distributed_task(traces, spec,
-                                    policy=AdaptiveAllocation(),
-                                    update_period=update_period)
-    return (even.sampling_ratio, adaptive.sampling_ratio,
-            even.misdetection_rate, adaptive.misdetection_rate)
+    tasks = []
+    for rep in range(repeats):
+        streams = RandomStreams(seed + rep)
+        traces = []
+        for i in range(num_monitors):
+            rng = streams.stream("fig8-network", i)
+            gen = TrafficDifferenceGenerator(
+                diurnal_depth=0.0, burst_prob=0.0006, burst_hold=14)
+            traces.append(gen.generate(horizon, rng))
+        matrix = np.asarray(traces)
+        for skew in skews:
+            rates = zipf_hotspot_rates(num_monitors, skew,
+                                       base_violation_rate)
+            thresholds = thresholds_for_violation_rates(traces, rates)
+            spec = DistributedTaskSpec(
+                global_threshold=float(sum(thresholds)),
+                local_thresholds=tuple(thresholds),
+                error_allowance=error_allowance,
+                max_interval=max_interval,
+                name=f"fig8-skew-{skew}")
+            tasks += [(matrix, spec, EvenAllocation()),
+                      (matrix, spec, AdaptiveAllocation())]
+    results = _run_batch(tasks, update_period=update_period)
+    return [(even.sampling_ratio, adaptive.sampling_ratio,
+             even.misdetection_rate, adaptive.misdetection_rate)
+            for even, adaptive in zip(results[::2], results[1::2])]
 
 
 def fig8(skews: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0),
@@ -503,36 +509,22 @@ def fig8(skews: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0),
     if horizon is None:
         horizon = int(round(20_000 * scale))
 
-    grid = [(rep, skew) for rep in range(max(repeats, 1))
-            for skew in skews]
-    jobs = [SweepJob.call(_fig8_cell,
-                          label=f"fig8 skew={skew} rep={rep}",
-                          skew=skew, rep=rep, seed=seed,
-                          num_monitors=num_monitors, horizon=horizon,
-                          base_violation_rate=base_violation_rate,
-                          error_allowance=error_allowance,
-                          update_period=update_period,
-                          max_interval=max_interval)
-            for rep, skew in grid]
-    results, sweep_stats = run_sweep(jobs, workers=workers, cache=cache)
+    repeats = max(repeats, 1)
+    job = SweepJob.call(_fig8_grid, label="fig8", skews=tuple(skews),
+                        repeats=repeats, seed=seed,
+                        num_monitors=num_monitors, horizon=horizon,
+                        base_violation_rate=base_violation_rate,
+                        error_allowance=error_allowance,
+                        update_period=update_period,
+                        max_interval=max_interval)
+    (results,), sweep_stats = run_sweep([job], workers=workers, cache=cache)
 
-    even_acc: dict[float, list[float]] = {s: [] for s in skews}
-    adapt_acc: dict[float, list[float]] = {s: [] for s in skews}
-    even_miss_acc: dict[float, list[float]] = {s: [] for s in skews}
-    adapt_miss_acc: dict[float, list[float]] = {s: [] for s in skews}
-    for (rep, skew), cell in zip(grid, results):
-        even_ratio, adaptive_ratio, even_miss, adaptive_miss = cell
-        even_acc[skew].append(even_ratio)
-        adapt_acc[skew].append(adaptive_ratio)
-        even_miss_acc[skew].append(even_miss)
-        adapt_miss_acc[skew].append(adaptive_miss)
+    # Mean over repeats of (even ratio, adaptive ratio, even miss,
+    # adaptive miss), per skew.
+    means = np.asarray(results).reshape(repeats, len(skews), 4).mean(axis=0)
+    even, adaptive, even_miss, adaptive_miss = map(tuple, means.T.tolist())
     return Fig8Result(
-        skews=tuple(skews),
-        even_ratios=tuple(float(np.mean(even_acc[s])) for s in skews),
-        adaptive_ratios=tuple(float(np.mean(adapt_acc[s])) for s in skews),
-        even_misdetection=tuple(float(np.mean(even_miss_acc[s]))
-                                for s in skews),
-        adaptive_misdetection=tuple(float(np.mean(adapt_miss_acc[s]))
-                                    for s in skews),
+        skews=tuple(skews), even_ratios=even, adaptive_ratios=adaptive,
+        even_misdetection=even_miss, adaptive_misdetection=adaptive_miss,
         num_monitors=num_monitors, horizon=horizon,
         sweep_stats=sweep_stats)

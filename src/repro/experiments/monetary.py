@@ -18,7 +18,7 @@ from repro.core.task import TaskSpec
 from repro.datacenter.cost import MonetaryCostModel
 from repro.exceptions import ConfigurationError
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_adaptive
+from repro.experiments.runner import run_lockstep
 from repro.simulation.randomness import RandomStreams
 from repro.workloads.thresholds import threshold_for_selectivity
 from repro.workloads.traffic import TrafficDifferenceGenerator
@@ -89,18 +89,19 @@ def monetary_analysis(num_tasks: int = 8, horizon: int = 10_000,
     if num_tasks < 1:
         raise ConfigurationError(f"num_tasks must be >= 1, got {num_tasks}")
     streams = RandomStreams(seed)
-    ratios = []
+    traces, tasks = [], []
     for i in range(num_tasks):
         rng = streams.stream("monetary", i)
         trace = TrafficDifferenceGenerator(
             phase=float(rng.uniform(0.0, 1.0))).generate(horizon, rng)
-        threshold = threshold_for_selectivity(trace, selectivity)
-        task = TaskSpec(threshold=threshold,
-                        error_allowance=error_allowance,
-                        default_interval=15.0, max_interval=10)
-        ratios.append(run_adaptive(trace, task,
-                                   AdaptationConfig()).sampling_ratio)
-    mean_ratio = float(np.mean(ratios))
+        traces.append(trace)
+        tasks.append(TaskSpec(
+            threshold=threshold_for_selectivity(trace, selectivity),
+            error_allowance=error_allowance,
+            default_interval=15.0, max_interval=10))
+    mean_ratio = float(np.mean([
+        run.sampling_ratio
+        for run in run_lockstep(traces, tasks, AdaptationConfig())]))
 
     samples_per_month = 30 * 24 * 3600 / 15.0  # one task, periodic
     periodic_bill = MonetaryCostModel(price_per_sample=price_per_sample)

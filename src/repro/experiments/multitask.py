@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.adaptation import AdaptationConfig
-from repro.core.correlation import CorrelationPlanner, TaskProfile
+from repro.core.correlation import CorrelationPlanner, TaskProfile, TriggerRule
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_adaptive, run_triggered
+from repro.experiments.runner import run_lockstep, run_triggered
 from repro.simulation.randomness import RandomStreams
 from repro.workloads.sysmetrics import SystemMetricsDataset
 from repro.workloads.traffic import TrafficDifferenceGenerator
@@ -132,9 +132,11 @@ def multitask_experiment(num_vms: int = 4, horizon: int = 24_000,
     rho_threshold = 1000.0
     response_threshold = 120.0
 
-    plain_cost = planned_cost = periodic_cost = 0.0
-    plain_miss, planned_miss = [], []
-    rules_planned = 0
+    ddos_task = TaskSpec(threshold=rho_threshold,
+                         error_allowance=error_allowance, max_interval=10)
+    rules: list[TriggerRule | None] = []
+    traces: list[np.ndarray] = []
+    tasks: list[TaskSpec] = []
     for vm in range(num_vms):
         rho, response, cpu = _vm_streams(vm, horizon, streams, dataset)
         cpu_threshold = float(np.percentile(cpu[:split], 99.5))
@@ -147,53 +149,40 @@ def multitask_experiment(num_vms: int = 4, horizon: int = 24_000,
             TaskProfile(task_id="ddos", values=rho[:split],
                         threshold=rho_threshold, cost_per_sample=DPI_COST),
         ]
-        rules = planner.plan(profiles)
-        ddos_rule = next((r for r in rules if r.target_id == "ddos"), None)
-        if ddos_rule is not None:
-            rules_planned += 1
+        rules.append(next((r for r in planner.plan(profiles)
+                           if r.target_id == "ddos"), None))
 
-        # Evaluation window.
-        eval_rho = rho[split:]
-        eval_response = response[split:]
-        eval_cpu = cpu[split:]
-        ddos_task = TaskSpec(threshold=rho_threshold,
-                             error_allowance=error_allowance,
-                             max_interval=10)
-        cheap_tasks = [
-            (eval_response, TaskSpec(threshold=response_threshold,
-                                     error_allowance=error_allowance,
-                                     max_interval=10)),
-            (eval_cpu, TaskSpec(threshold=cpu_threshold,
-                                error_allowance=error_allowance,
-                                max_interval=10)),
-        ]
+        # Evaluation window: the fleet's cheap tasks and unguarded ddos
+        # tasks run as one lockstep below.
+        traces += [response[split:], cpu[split:], rho[split:]]
+        tasks += [TaskSpec(threshold=response_threshold,
+                           error_allowance=error_allowance, max_interval=10),
+                  TaskSpec(threshold=cpu_threshold,
+                           error_allowance=error_allowance, max_interval=10),
+                  ddos_task]
+    runs = run_lockstep(traces, tasks, config, record_intervals=False)
 
-        cheap_cost = 0.0
-        for values, task in cheap_tasks:
-            cheap_cost += run_adaptive(values, task,
-                                       config).sampling_ratio * 1.0
-
-        plain = run_adaptive(eval_rho, ddos_task, config)
+    plain_cost = planned_cost = periodic_cost = 0.0
+    plain_miss, planned_miss = [], []
+    for vm, ddos_rule in enumerate(rules):
+        eval_response, eval_cpu, eval_rho = traces[3 * vm:3 * vm + 3]
+        response_run, cpu_run, plain = runs[3 * vm:3 * vm + 3]
+        cheap_cost = response_run.sampling_ratio + cpu_run.sampling_ratio
         plain_cost += cheap_cost + plain.sampling_ratio * DPI_COST
         plain_miss.append(plain.misdetection_rate)
 
-        if ddos_rule is None:
-            planned_cost += cheap_cost + plain.sampling_ratio * DPI_COST
-            planned_miss.append(plain.misdetection_rate)
-        else:
-            trigger_values = (eval_response
-                              if ddos_rule.trigger_id == "response"
-                              else eval_cpu)
-            guarded = run_triggered(eval_rho, trigger_values, ddos_task,
-                                    ddos_rule.elevation_level,
-                                    planner.suspend_interval, config)
-            planned_cost += cheap_cost + guarded.sampling_ratio * DPI_COST
-            planned_miss.append(guarded.misdetection_rate)
+        guarded = plain if ddos_rule is None else run_triggered(
+            eval_rho,
+            eval_response if ddos_rule.trigger_id == "response" else eval_cpu,
+            ddos_task, ddos_rule.elevation_level, planner.suspend_interval,
+            config)
+        planned_cost += cheap_cost + guarded.sampling_ratio * DPI_COST
+        planned_miss.append(guarded.misdetection_rate)
         periodic_cost += 2.0 * 1.0 + DPI_COST
 
     return MultiTaskResult(
         num_vms=num_vms,
-        rules_planned=rules_planned,
+        rules_planned=sum(rule is not None for rule in rules),
         plain_cost=plain_cost / periodic_cost,
         planned_cost=planned_cost / periodic_cost,
         plain_misdetection=float(np.mean(plain_miss)),

@@ -1,8 +1,8 @@
 """Parallel sweep execution with deterministic seeding and result caching.
 
 Figure drivers (DESIGN.md S25) describe their parameter grids as lists of
-pure, picklable :class:`SweepJob`\\ s — one job per sweep cell — and hand
-them to :func:`run_sweep`, which
+pure, picklable :class:`SweepJob`\\ s and hand them to :func:`run_sweep`,
+which
 
 * fans the jobs out over a :class:`concurrent.futures.ProcessPoolExecutor`
   (worker count from the ``workers`` argument, the ``REPRO_WORKERS``
@@ -22,12 +22,11 @@ the driver function, workload parameters, task spec, adaptation config,
 seed and scale-derived sizes — so a cache can never serve a stale result
 for a changed spec: a changed spec *is* a different key.
 
-Worker processes execute their cells on the fused core fast path
-(DESIGN.md S27) — the figure drivers' cells call
-:func:`~repro.experiments.runner.run_adaptive` /
-:func:`~repro.experiments.distributed.run_distributed_task`, which drive
-samplers through ``observe_fast`` — so every sweep cell gets the kernel
-speedup for free while remaining bit-identical to the reference path.
+A job may be a whole figure: a Fig. 5 / Fig. 7 panel and the Fig. 8
+grid are one job each, stepping all their runs as engine rows in one
+lockstep (DESIGN.md S27). The pool therefore fans out only sweeps made
+of several jobs (Fig. 6's allowances), and the cache stores a panel as
+one entry.
 """
 
 from __future__ import annotations

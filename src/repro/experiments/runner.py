@@ -2,20 +2,23 @@
 
 Drives any :class:`~repro.core.sampler.SamplingScheme` over a
 full-resolution metric trace on the default-interval grid and scores the
-resulting schedule against periodic ground truth. This is the workhorse
-behind Figures 5 and 7: one call per (trace, task, scheme) combination.
+resulting schedule against periodic ground truth. Volley's own sampler
+runs as engine rows: :func:`run_lockstep` steps many independent
+(trace, task) runs on one grid — a whole Fig. 5 / Fig. 7 panel in one
+call — and :func:`run_adaptive` is its one-row case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.accuracy import RunAccuracy, evaluate_sampling
-from repro.core.adaptation import (AdaptationConfig,
-                                   ViolationLikelihoodSampler)
+from repro.core.adaptation import AdaptationConfig
 from repro.core.sampler import SamplingScheme
+from repro.core.soa import _NARROW_TICK_ROWS, SoaSamplerEngine
 from repro.core.task import TaskSpec
 from repro.baselines.periodic import PeriodicSampler
 from repro.exceptions import TraceError
@@ -23,7 +26,7 @@ from repro.service import MonitoringService
 from repro.types import ThresholdDirection
 
 __all__ = ["RunResult", "run_sampler_on_trace", "run_adaptive",
-           "run_periodic", "run_triggered"]
+           "run_lockstep", "run_periodic", "run_triggered"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +59,8 @@ def _as_trace(values: np.ndarray) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise TraceError(f"expected a non-empty 1-d trace, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise TraceError("traces must be finite")
     return arr
 
 
@@ -101,19 +106,109 @@ def run_sampler_on_trace(values: np.ndarray, scheme: SamplingScheme,
 def run_adaptive(values: np.ndarray, task: TaskSpec,
                  config: AdaptationConfig | None = None,
                  record_intervals: bool = True) -> RunResult:
-    """Run Volley's violation-likelihood sampler over a trace.
+    """Run Volley's violation-likelihood sampler over a trace: the
+    one-row :func:`run_lockstep`.
 
-    Drives the sampler through its fused whole-trace fast path
-    (:meth:`~repro.core.adaptation.ViolationLikelihoodSampler.run_trace`);
-    the schedule, intervals and accuracy are identical to driving
-    :meth:`observe` through :func:`run_sampler_on_trace` — the latter is
-    the reference the equivalence suite checks this path against.
+    Raises:
+        TraceError: the trace is empty, not 1-d or holds a non-finite
+            value.
     """
-    arr = _as_trace(values)
-    sampler = ViolationLikelihoodSampler(task, config)
-    sampled, intervals = sampler.run_trace(
-        arr.tolist(), record_intervals=record_intervals)
-    return _scored(arr, sampled, intervals, task.threshold, task.direction)
+    return run_lockstep([values], [task], config, record_intervals)[0]
+
+
+def run_lockstep(traces: Sequence[np.ndarray], tasks: Sequence[TaskSpec],
+                 config: AdaptationConfig | None = None,
+                 record_intervals: bool = True) -> list[RunResult]:
+    """Run Volley over many (trace, task) pairs at once, one engine row
+    each, stepping in lockstep on the default-interval grid.
+
+    Each row samples grid index 0 and then every step its interval
+    decides, until its own trace ends (traces may differ in length).
+    Every row's schedule, intervals and accuracy are those of driving
+    :meth:`~repro.core.adaptation.ViolationLikelihoodSampler.observe`
+    alone over its trace through :func:`run_sampler_on_trace`, the
+    reference the equivalence suite holds this driver to.
+
+    Args:
+        traces: one trace per run; passing one array object for several
+            runs stores it once.
+        tasks: the run's task, aligned with ``traces``.
+        config: adaptation tunables shared by every run.
+        record_intervals: also record each run's interval trajectory.
+
+    Raises:
+        TraceError: the two lists differ in length, or a trace is empty,
+            not 1-d or holds a non-finite value.
+    """
+    if len(traces) != len(tasks):
+        raise TraceError(f"{len(traces)} traces for {len(tasks)} tasks")
+    arrays = [_as_trace(values) for values in traces]
+    if not arrays:
+        return []
+    _, sampled, intervals = _lockstep(arrays, tasks, config,
+                                      record_intervals)
+    results = []
+    for row, (arr, task) in enumerate(zip(arrays, tasks)):
+        steps = np.flatnonzero(sampled[:arr.size, row])
+        results.append(_scored(
+            arr, steps, [] if intervals is None else intervals[steps, row],
+            task.threshold, task.direction))
+    return results
+
+
+def _lockstep(arrays: list[np.ndarray], tasks: Sequence[TaskSpec],
+              config: AdaptationConfig | None, record_intervals: bool,
+              ) -> tuple[SoaSamplerEngine, np.ndarray, np.ndarray | None]:
+    """Step one engine row per trace; returns the engine, the
+    ``(steps, rows)`` mask of samples taken and, when recording, the
+    ``(steps, rows)`` interval each sample left its row at.
+
+    Rows never read each other. Fewer rows than the engine's narrow-tick
+    width would never fill a vector tick, so each runs its whole trace
+    alone through ``observe_one``; wider sets step in lockstep, each pass
+    jumping to the earliest step some row is due at inside its trace and
+    offering exactly those rows as one tick.
+    """
+    engine = SoaSamplerEngine(len(tasks))
+    engine.add_tasks(tasks, [config or AdaptationConfig()] * len(tasks))
+    lengths = np.asarray([arr.size for arr in arrays])
+    horizon = int(lengths.max())
+    sampled = np.zeros((horizon, len(arrays)), dtype=bool)
+    intervals = (np.zeros((horizon, len(arrays)), dtype=np.int64)
+                 if record_intervals else None)
+    if len(arrays) < _NARROW_TICK_ROWS:
+        for row, arr in enumerate(arrays):
+            trace = arr.tolist()
+            step = 0
+            while step < len(trace):
+                interval = engine.observe_one(row, trace[step], step)
+                sampled[step, row] = True
+                if intervals is not None:
+                    intervals[step, row] = interval
+                step += interval
+        return engine, sampled, intervals
+
+    # Step-major values, each distinct trace object once (a panel shares
+    # a handful of traces across all its runs).
+    slots: dict[int, int] = {}
+    for arr in arrays:
+        slots.setdefault(id(arr), len(slots))
+    columns = np.zeros((horizon, len(slots)))
+    for arr in arrays:
+        columns[:arr.size, slots[id(arr)]] = arr
+    source = np.asarray([slots[id(arr)] for arr in arrays])
+    next_due = engine.next_due[:len(arrays)]  # a view the ticks write
+    while True:
+        waiting = np.where(next_due < lengths, next_due, horizon)
+        step = int(waiting.min())
+        if step == horizon:
+            return engine, sampled, intervals
+        rows = np.flatnonzero(waiting == step)
+        engine.run_columns(rows, np.full(len(rows), step),
+                           columns[step, source[rows]])
+        sampled[step, rows] = True
+        if intervals is not None:
+            intervals[step, rows] = engine.interval[rows]
 
 
 def run_periodic(values: np.ndarray, threshold: float, interval: int = 1,
@@ -155,8 +250,6 @@ def run_triggered(values: np.ndarray, trigger_values: np.ndarray,
     if trig.shape != arr.shape:
         raise TraceError(
             f"trigger trace misaligned: {trig.shape} vs {arr.shape}")
-    if not (np.isfinite(arr).all() and np.isfinite(trig).all()):
-        raise TraceError("traces must be finite")
     service = MonitoringService(config)
     service.add_task("trigger", TaskSpec(threshold=float(trig.max()),
                                          error_allowance=1.0))

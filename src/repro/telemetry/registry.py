@@ -359,11 +359,12 @@ NULL_REGISTRY = NullRegistry()
 
 
 def instrument_samplers(registry: MetricsRegistry | NullRegistry) -> None:
-    """Point the sampler fast path's process-wide counters at ``registry``.
+    """Point the engine rows' process-wide sampler counters at ``registry``.
 
-    :meth:`~repro.core.adaptation.ViolationLikelihoodSampler.observe_fast`
-    guards its counter updates behind one ``enabled`` attribute check on a
-    module-level metrics object (see ``repro.core.adaptation``). This
+    :meth:`~repro.core.soa.SoaSamplerEngine.observe_one` and the vector
+    tick guard their counter updates behind one ``enabled`` attribute
+    check on a module-level metrics object (see
+    ``repro.core.adaptation``). This
     swaps that object: a live registry installs real counters
     (``volley_sampler_*``), :data:`NULL_REGISTRY` restores the zero-cost
     null object. Process-wide by design — the registry is the process'

@@ -32,7 +32,7 @@ from repro.core.adaptation import AdaptationConfig, CoordinationStats
 from repro.core.coordination import AllocationPolicy, AllocationUpdate
 from repro.core.substrates import QuantileEstimator
 from repro.core.task import TaskSpec
-from repro.experiments.runner import run_adaptive
+from repro.experiments.runner import run_lockstep
 from repro.runtime.checkpoint import state_fingerprint
 from repro.service import MonitoringService, snapshot_task_names
 from repro.telemetry.histogram import DEFAULT_RELATIVE_ERROR, LogHistogram
@@ -250,17 +250,16 @@ def check_misdetection_bound(*, seed: int, err: float = 0.05,
         estimator: ``chebyshev`` (the paper's bound) or ``gaussian``.
     """
     threshold = 100.0
-    config = AdaptationConfig(estimator=estimator)
+    task = TaskSpec(threshold=threshold, error_allowance=err,
+                    max_interval=max_interval)
     truth_total = 0
     detected_total = 0
     samples_total = 0
     steps_total = 0
-    for s in range(streams):
-        trace = _seeded_trace(seed, s, horizon, threshold)
-        task = TaskSpec(threshold=threshold, error_allowance=err,
-                        max_interval=max_interval)
-        result = run_adaptive(trace, task, config,
-                              record_intervals=False)
+    for result in run_lockstep(
+            [_seeded_trace(seed, s, horizon, threshold)
+             for s in range(streams)], [task] * streams,
+            AdaptationConfig(estimator=estimator), record_intervals=False):
         truth_total += result.accuracy.truth_alerts
         detected_total += result.accuracy.detected_alerts
         samples_total += result.accuracy.samples_taken

@@ -1,11 +1,11 @@
-"""Deterministic equivalence tests for the fused fast path (DESIGN.md S27).
+"""Deterministic equivalence tests for the drive surfaces (DESIGN.md S27).
 
 The sampler, the service and the runtime shard each expose a reference
-surface (``observe`` / ``offer``) and an optimised twin (``observe_fast``
-/ ``run_trace`` / ``offer_fast``). These tests drive both surfaces over
-the same inputs and require identical decision streams and identical
-final state; the property suite (``tests/properties``) explores the same
-contract under randomised traces and mid-run retuning.
+surface (``observe`` / ``offer``) and a second way in (engine rows behind
+``run_adaptive``, ``offer_fast``, a shard's columnar apply). These tests
+drive both over the same inputs and require identical decision streams
+and identical final state; ``tests/properties/test_lockstep_properties.py``
+explores the same contract for many rows under randomised traces.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
-from repro.core.online_stats import WindowedStatistics
 from repro.core.task import TaskSpec
 from repro.experiments.runner import run_adaptive, run_sampler_on_trace
 from repro.service import MonitoringService
@@ -34,55 +33,16 @@ def _task(threshold: float = 14.0, err: float = 0.05) -> TaskSpec:
 
 
 class TestObserveFastEquivalence:
-    @pytest.mark.parametrize("estimator", ["chebyshev", "gaussian"])
-    def test_streams_identical_at_every_grid_point(self, estimator):
-        trace = _trace()
-        config = AdaptationConfig(estimator=estimator)
-        ref = ViolationLikelihoodSampler(_task(), config)
-        fast = ViolationLikelihoodSampler(_task(), config)
-        for t, value in enumerate(trace.tolist()):
-            decision = ref.observe(value, t)
-            interval = fast.observe_fast(value, t)
-            assert interval == decision.next_interval
-            assert fast.last_misdetection_bound == \
-                decision.misdetection_bound
-            assert fast.last_grew == decision.grew
-            assert fast.last_reset == decision.reset
-            assert fast.last_violation == decision.violation
-        assert ref.state_dict() == fast.state_dict()
-
-    def test_streams_identical_on_schedule(self):
-        trace = _trace()
-        config = AdaptationConfig()
-        ref = ViolationLikelihoodSampler(_task(), config)
-        fast = ViolationLikelihoodSampler(_task(), config)
-        values = trace.tolist()
-        t = 0
-        while t < trace.size:
-            decision = ref.observe(values[t], t)
-            assert fast.observe_fast(values[t], t) == decision.next_interval
-            t += max(1, decision.next_interval)
-        assert ref.state_dict() == fast.state_dict()
+    """The scalar sampler's own contract, which the bench-only
+    ``observe_fast`` wrapper inherits."""
 
     def test_observe_reports_last_outcome_too(self):
-        sampler = ViolationLikelihoodSampler(_task())
-        decision = sampler.observe(20.0, 0)
-        assert decision.violation and sampler.last_violation
-        assert sampler.last_misdetection_bound == \
-            decision.misdetection_bound
-
-    def test_mixing_surfaces_is_allowed(self):
-        trace = _trace()
-        values = trace.tolist()
-        mixed = ViolationLikelihoodSampler(_task())
-        ref = ViolationLikelihoodSampler(_task())
-        for t, value in enumerate(values[:500]):
-            ref.observe(value, t)
-            if t % 2:
-                mixed.observe(value, t)
-            else:
-                mixed.observe_fast(value, t)
-        assert mixed.state_dict() == ref.state_dict()
+        # The step's whole outcome rides the decision (a first sample has
+        # no statistics yet, so its bound is 1 and the interval stays).
+        decision = ViolationLikelihoodSampler(_task()).observe(20.0, 0)
+        assert decision.violation and not (decision.grew or decision.reset)
+        assert decision.misdetection_bound == 1.0
+        assert decision.next_interval == 1
 
     def test_time_must_advance(self):
         sampler = ViolationLikelihoodSampler(_task())
@@ -96,6 +56,8 @@ class TestObserveFastEquivalence:
 
 
 class TestRunTraceEquivalence:
+    """The offline driver (engine rows) against the reference driver."""
+
     @pytest.mark.parametrize("estimator", ["chebyshev", "gaussian"])
     def test_matches_reference_driver(self, estimator):
         trace = _trace()
@@ -110,71 +72,10 @@ class TestRunTraceEquivalence:
         assert np.array_equal(reference.intervals, fast.intervals)
         assert reference.accuracy == fast.accuracy
 
-    def test_matches_stepwise_observe_fast(self):
-        trace = _trace()
-        values = trace.tolist()
-        batch = ViolationLikelihoodSampler(_task())
-        stepwise = ViolationLikelihoodSampler(_task())
-        sampled, intervals = batch.run_trace(values)
-        expect_sampled, expect_intervals = [], []
-        t = 0
-        while t < len(values):
-            expect_sampled.append(t)
-            step = max(1, stepwise.observe_fast(values[t], t))
-            expect_intervals.append(step)
-            t += step
-        assert sampled == expect_sampled
-        assert intervals == expect_intervals
-        assert batch.state_dict() == stepwise.state_dict()
-
     def test_record_intervals_off(self):
-        values = _trace().tolist()
-        sampler = ViolationLikelihoodSampler(_task())
-        sampled, intervals = sampler.run_trace(values,
-                                               record_intervals=False)
-        assert intervals == []
-        assert sampled[0] == 0
-
-    def test_restartable_mid_trace(self):
-        # Driving two half traces through run_trace equals one full drive.
-        values = _trace().tolist()
-        half = len(values) // 2
-        whole = ViolationLikelihoodSampler(_task())
-        split = ViolationLikelihoodSampler(_task())
-        sampled_w, _ = whole.run_trace(values)
-        sampled_a, _ = split.run_trace(values[:half])
-        # Resume exactly where the first drive would sample next.
-        resume = sampled_a[-1] + max(1, split.interval)
-        sampled_b, _ = split.run_trace(values, start=resume)
-        assert sampled_a + sampled_b == sampled_w
-        assert whole.state_dict() == split.state_dict()
-
-    def test_custom_stats_fall_back_to_stepwise(self):
-        # A non-OnlineStatistics estimator must still drive correctly.
-        values = _trace().tolist()[:800]
-        task = _task()
-        batch = ViolationLikelihoodSampler(task,
-                                           stats=WindowedStatistics(64))
-        stepwise = ViolationLikelihoodSampler(task,
-                                              stats=WindowedStatistics(64))
-        sampled, intervals = batch.run_trace(values)
-        t = 0
-        expect = []
-        while t < len(values):
-            expect.append(t)
-            t += max(1, stepwise.observe_fast(values[t], t))
-        assert sampled == expect
-
-    def test_non_finite_value_raises_and_state_matches(self):
-        values = [1.0, 2.0, float("nan"), 3.0]
-        batch = ViolationLikelihoodSampler(_task())
-        stepwise = ViolationLikelihoodSampler(_task())
-        with pytest.raises(ValueError):
-            batch.run_trace(values)
-        with pytest.raises(ValueError):
-            for t, v in enumerate(values):
-                stepwise.observe_fast(v, t)
-        assert batch.state_dict() == stepwise.state_dict()
+        result = run_adaptive(_trace(), _task(), record_intervals=False)
+        assert result.intervals.size == 0
+        assert result.sampled_indices[0] == 0
 
 
 class TestServiceOfferFast:

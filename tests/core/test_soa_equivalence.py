@@ -1067,20 +1067,15 @@ class TestRejectedOffersLeaveNoTrace:
     @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_scalar_surfaces(self, estimator):
         task = TaskSpec(threshold=100.0, error_allowance=0.05)
-        for drive in ("observe", "observe_fast"):
-            sampler = ViolationLikelihoodSampler(
-                task, AdaptationConfig(estimator=estimator))
-            for step in range(4):
-                getattr(sampler, drive)(40.0 + step, step)
-            before = sampler.state_dict()
-            for step, value in self.BAD:
-                with pytest.raises(ValueError):
-                    getattr(sampler, drive)(value, step)
-            assert sampler.state_dict() == before
-        sampler = ViolationLikelihoodSampler(task, AdaptationConfig())
-        with pytest.raises(ValueError):
-            sampler.run_trace([1.0, 2.0, float("nan"), 3.0])
-        assert sampler.observations == 2
+        sampler = ViolationLikelihoodSampler(
+            task, AdaptationConfig(estimator=estimator))
+        for step in range(4):
+            sampler.observe(40.0 + step, step)
+        before = sampler.state_dict()
+        for step, value in self.BAD:
+            with pytest.raises(ValueError):
+                sampler.observe(value, step)
+        assert sampler.state_dict() == before
 
     @pytest.mark.parametrize("width", [CROSSOVER - 1, 4 * CROSSOVER])
     def test_engine_paths(self, width):

@@ -120,6 +120,16 @@ class TestValidation:
         with pytest.raises(TraceError):
             run_distributed_task(np.zeros((0, 0)), spec)
 
+    @pytest.mark.parametrize("step", [0, 205, 399])
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_value_refused(self, step, bad):
+        # Step 0 is sampled by every monitor; 205 sits inside the
+        # synchronized spike and 399 at the end of a quiet stretch.
+        traces, spec = crafted_task(err=0.05)
+        traces[1][step] = bad
+        with pytest.raises(TraceError):
+            run_distributed_task(traces, spec)
+
     def test_bad_update_period(self):
         traces, spec = crafted_task()
         with pytest.raises(TraceError):

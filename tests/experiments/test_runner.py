@@ -8,8 +8,9 @@ import pytest
 from repro.core.adaptation import AdaptationConfig
 from repro.core.task import TaskSpec
 from repro.exceptions import TraceError
-from repro.experiments.runner import (run_adaptive, run_periodic,
-                                      run_sampler_on_trace, run_triggered)
+from repro.experiments.runner import (run_adaptive, run_lockstep,
+                                      run_periodic, run_sampler_on_trace,
+                                      run_triggered)
 from repro.baselines.periodic import PeriodicSampler
 
 
@@ -72,6 +73,54 @@ class TestRunAdaptive:
         default = run_adaptive(bursty_trace, task)
         # Lower patience grows faster, hence fewer samples.
         assert eager.sampling_ratio <= default.sampling_ratio
+
+
+class TestNonFiniteTraces:
+    """A non-finite value anywhere is refused up front, whether or not the
+    schedule would have sampled it."""
+
+    @staticmethod
+    def _unsampled_step(trace, task):
+        sampled = set(run_adaptive(trace, task).sampled_indices.tolist())
+        return next(t for t in range(trace.size) if t not in sampled)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("where", ["sampled", "unsampled"])
+    def test_run_adaptive(self, bursty_trace, bad, where):
+        task = TaskSpec(threshold=100.0, error_allowance=0.05,
+                        max_interval=10)
+        trace = bursty_trace.copy()
+        trace[0 if where == "sampled"
+              else self._unsampled_step(trace, task)] = bad
+        with pytest.raises(TraceError):
+            run_adaptive(trace, task)
+
+    def test_run_lockstep(self, bursty_trace):
+        task = TaskSpec(threshold=100.0, error_allowance=0.05)
+        bad = bursty_trace.copy()
+        bad[-1] = float("nan")
+        with pytest.raises(TraceError):
+            run_lockstep([bursty_trace, bad], [task, task])
+        with pytest.raises(TraceError):
+            run_lockstep([bursty_trace], [task, task])
+
+
+class TestRunLockstep:
+    def test_rows_equal_one_row_runs(self, bursty_trace, quiet_trace):
+        # Ragged lengths, one trace shared by two rows, per-row tasks.
+        traces = [bursty_trace, quiet_trace[:700], bursty_trace]
+        tasks = [TaskSpec(threshold=100.0, error_allowance=err,
+                          max_interval=10) for err in (0.02, 0.0, 0.1)]
+        for got, trace, task in zip(run_lockstep(traces, tasks), traces,
+                                    tasks):
+            alone = run_adaptive(trace, task)
+            assert got.sampled_indices.tolist() == \
+                alone.sampled_indices.tolist()
+            assert got.intervals.tolist() == alone.intervals.tolist()
+            assert got.accuracy == alone.accuracy
+
+    def test_no_runs(self):
+        assert run_lockstep([], []) == []
 
 
 class TestRunTriggered:

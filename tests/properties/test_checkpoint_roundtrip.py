@@ -20,6 +20,7 @@ from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
 from repro.core.online_stats import OnlineStatistics
 from repro.core.task import TaskSpec
 from repro.core.windowed import AggregateKind
+from repro.experiments.runner import _lockstep
 from repro.service import MonitoringService
 from repro.testkit.invariants import snapshot_fingerprint
 
@@ -99,30 +100,29 @@ class TestSamplerRoundtrip:
     @settings(max_examples=40, deadline=None)
     def test_run_trace_final_state_is_restorable(self, seed, estimator,
                                                  record):
-        """The fused `run_trace` path (with interval recording on or off)
-        must leave the sampler in a state that round-trips exactly."""
+        """An offline run's engine row (interval recording on or off)
+        ends in a state that round-trips into a scalar sampler, and the
+        two then agree on every decision of a continuation stream."""
         spec = TaskSpec(threshold=10.0, error_allowance=0.05,
                         max_interval=8)
         config = AdaptationConfig(patience=3, min_samples=4,
                                   stats_restart=25, estimator=estimator)
         rng = np.random.default_rng(seed)
-        values = list(rng.normal(7.0, 2.0, 300))
-
-        sampler = ViolationLikelihoodSampler(spec, config)
-        sampled, intervals = sampler.run_trace(values,
-                                               record_intervals=record)
-        assert (len(intervals) > 0) == record or not sampled
+        engine, _, intervals = _lockstep([rng.normal(7.0, 2.0, 300)],
+                                         [spec], config, record)
+        assert (intervals is not None) == record
 
         restored = ViolationLikelihoodSampler(spec, config)
-        restored.load_state_dict(roundtrip(sampler.state_dict()))
-        assert restored.state_dict() == sampler.state_dict()
-        # Both must agree on every decision over a continuation stream.
+        restored.load_state_dict(roundtrip(engine.row_state_dict(0)))
+        assert restored.state_dict() == engine.row_state_dict(0)
         step = 300
-        for value in rng.normal(7.0, 2.0, 50):
-            a = sampler.observe(float(value), step)
-            b = restored.observe(float(value), step)
-            assert a == b
-            step += a.next_interval
+        for value in rng.normal(7.0, 2.0, 50).tolist():
+            decision = restored.observe(value, step)
+            assert engine.observe_one(0, value, step) == \
+                decision.next_interval
+            assert engine.last_beta[0] == decision.misdetection_bound
+            step += decision.next_interval
+        assert engine.row_state_dict(0) == restored.state_dict()
 
 
 class TestTypedTaskSnapshotRoundtrip:

@@ -6,7 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import adaptation
-from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
+from repro.core.adaptation import AdaptationConfig
+from repro.core.soa import SoaSamplerEngine
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
 from repro.service import MonitoringService
@@ -129,9 +130,10 @@ class TestInstrumentSamplers:
     def _drive(n: int = 200) -> None:
         task = TaskSpec(threshold=100.0, error_allowance=0.05,
                         max_interval=10)
-        sampler = ViolationLikelihoodSampler(task, AdaptationConfig())
+        engine = SoaSamplerEngine()
+        row = engine.add_task(task, AdaptationConfig())
         for t in range(n):
-            sampler.observe_fast(10.0 if t != 150 else 200.0, t)
+            engine.observe_one(row, 10.0 if t != 150 else 200.0, t)
 
     def test_live_registry_counts_fast_path(self):
         registry = MetricsRegistry()

@@ -87,6 +87,7 @@ IGNORED = {
     "worker_endpoints", "worker_id", "shard_id", "w_",
     # binary-protocol / SoA-engine methods, not module attributes
     "offer_columns", "soa_row_for", "run_columns", "observe_one",
+    "drain_coordination", "drain_coordination_stats",
     "row_state_dict", "rows_state", "load_rows_state", "add_tasks",
     "state_dict", "sampler_state_columns", "sampler_state_dict",
     # the snapshot format's constants and reader (repro.service,

@@ -151,23 +151,33 @@ _FLAGGED = {"has_last": ("last_value", "last_time"),
             "has_stale": ("stale_mean", "stale_var")}
 _STATS_KEYS = ("n", "mean", "var", "stale_mean", "stale_var", "stale_count",
                "restarts", "total_count")
+# A column's dtype by its element type: the engine's i8 / f8 / b1.
+_DTYPES = {int: np.dtype(np.int64), float: np.dtype(np.float64),
+           bool: np.dtype(np.bool_)}
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """``column``, which the caller owns, locked: a snapshot column is a
+    value, so nobody writes through it."""
+    column.flags.writeable = False
+    return column
 
 
 def sampler_state_columns(states: list[dict[str, Any]],
-                          ) -> dict[str, list[Any]]:
+                          ) -> dict[str, np.ndarray]:
     """Scalar sampler ``state_dict`` s as :data:`SAMPLER_STATE` columns —
     what :meth:`SoaSamplerEngine.rows_state` reads off rows holding the
-    same state, element for element."""
+    same state, element for element and dtype for dtype."""
     flat = [{**state, **state["stats"]} for state in states]
     columns = {key: [state.get(key) for state in flat]
                for key in SAMPLER_STATE}
     for flag, keys in _FLAGGED.items():
         columns[flag] = [value is not None for value in columns[keys[0]]]
         for key in keys:
-            zero = SAMPLER_STATE[key][1]()
-            columns[key] = [zero if value is None else value
+            columns[key] = [0 if value is None else value
                             for value in columns[key]]
-    return columns
+    return {key: _read_only(np.array(columns[key], dtype=_DTYPES[kind]))
+            for key, (_, kind) in SAMPLER_STATE.items()}
 
 
 def sampler_state_dict(columns: dict[str, list[Any]],
@@ -464,27 +474,28 @@ class SoaSamplerEngine:
     # Sampler state as snapshot columns (DESIGN.md S31 "snapshots are
     # columns")
 
-    def rows_state(self, rows: np.ndarray) -> dict[str, list[Any]]:
+    def rows_state(self, rows: np.ndarray) -> dict[str, np.ndarray]:
         """The sampler state of ``rows`` as a snapshot holds it: one
-        list per :data:`SAMPLER_STATE` key, each column gathered once.
+        read-only array per :data:`SAMPLER_STATE` key, each column
+        gathered once into an array of its own, so the rows moving on
+        leave it as it was.
 
         An absent ``last_value`` / ``last_time`` / ``stale_mean`` /
         ``stale_var`` is its flag column false and the value written as
         zero, whatever the row holds there — what a fingerprint sees is
-        the state, not the row's history. Every element is a plain
-        Python type.
+        the state, not the row's history.
         """
         state = {key: getattr(self, column)[rows]
                  for key, (column, _) in SAMPLER_STATE.items()}
         for flag, keys in _FLAGGED.items():
             for key in keys:
                 state[key] = np.where(state[flag], state[key], 0)
-        return {key: column.tolist() for key, column in state.items()}
+        return {key: _read_only(column) for key, column in state.items()}
 
     def load_rows_state(self, rows: np.ndarray,
-                        state: dict[str, list[Any]]) -> None:
-        """Load :meth:`rows_state` columns into ``rows``, one scatter
-        per column."""
+                        state: dict[str, Any]) -> None:
+        """Load :meth:`rows_state` columns — arrays, or lists of the same
+        elements — into ``rows``, one scatter per column."""
         err = np.asarray(state["error_allowance"], dtype=np.float64)
         if not ((err >= 0.0) & (err <= 1.0)).all():
             raise ConfigurationError(
@@ -494,9 +505,11 @@ class SoaSamplerEngine:
 
     def row_state_dict(self, row: int) -> dict[str, Any]:
         """One row's sampler state in the exact scalar ``state_dict``
-        shape — the diagnostic view of :meth:`rows_state`."""
+        shape — the diagnostic view of :meth:`rows_state`, in plain
+        Python values."""
+        state = self.rows_state(np.asarray([row], dtype=np.int64))
         return sampler_state_dict(
-            self.rows_state(np.asarray([row], dtype=np.int64)), 0)
+            {key: column.tolist() for key, column in state.items()}, 0)
 
     # ------------------------------------------------------------------
     # Scalar drive surface (by-name offers and narrow ticks)

@@ -15,16 +15,23 @@ carries inside) is a JSON head line, a column section and a trailer::
     crc32:<8 hex>
 
 Every list of at least ``_MIN_PACKED`` elements that are all ``float``,
-all ``int`` within int64 or all ``bool`` — a snapshot's dense columns —
-is written to the column section as ``f8``, ``i8`` or ``b1`` and left
-``null`` in the head's ``state``; the table gives the key path back to
-it, its dtype and its length. Everything else stays JSON, a list holding
-one value a column cannot carry (an int wider than 64 bits, a ``None``,
-an int among floats) included, so :func:`read_checkpoint` returns the
-identical document: same keys, same values, same element types, ``-0.0``
-and ``nan`` included. The table lives beside the state, not in it, so
-the codec reserves no key of the document. To read or diff a file as
-text: ``json.dumps(read_checkpoint(path), indent=1, sort_keys=True)``.
+all ``int`` within int64 or all ``bool``, and every one-dimensional
+``f8``, ``i8`` or ``b1`` array of as many — a snapshot's dense columns,
+whichever form they take — is written to the column section as ``f8``,
+``i8`` or ``b1`` and left ``null`` in the head's ``state``; the table
+gives the key path back to it, its dtype and its length. Everything else
+stays JSON, a list holding one value a column cannot carry (an int wider
+than 64 bits, a ``None``, an int among floats) included; any other array
+is written as the list it holds. So one document writes the same bytes
+whether its columns are lists or arrays, and :func:`read_checkpoint`
+returns it with the same keys and values, each packed column as a
+read-only array of its dtype (``-0.0`` and ``nan`` as bits): what
+:meth:`~repro.service.MonitoringService.restore` loads without a list in
+between, and what ``state_fingerprint`` cannot tell from the list. The
+table lives beside the state, not in it, so the codec reserves no key of
+the document. To read or diff a file as text: ``json.dumps(
+read_checkpoint(path), indent=1, sort_keys=True,
+default=numpy.ndarray.tolist)``.
 
 The ``crc32:`` trailer covers head and columns. The atomic writer makes
 torn files impossible through *this* code path, but checkpoints also
@@ -77,40 +84,67 @@ _TRAILER = re.compile(rb"\ncrc32:([0-9a-f]{8})\n?\Z")
 _MIN_PACKED = 12
 
 # A column's dtype by the name its table entry gives, and the one Python
-# type whose lists are packed as it.
+# type whose lists — and the dtype whose arrays — are packed as it.
 _DTYPES = {"f8": np.dtype("<f8"), "i8": np.dtype("<i8"), "b1": np.dtype("?")}
 _PACKED = {float: "f8", int: "i8", bool: "b1"}
+_PACKED_DTYPES = {dtype: name for name, dtype in _DTYPES.items()}
+# What _pack walks into: a column, or a container that may hold one.
+_NODES = (dict, list, np.ndarray)
+
+
+def _jsonable(value: Any) -> list:
+    """``json.dumps``'s ``default=`` wherever a snapshot becomes JSON
+    text (a fingerprint, a wire frame, a stash): an array is written as
+    the list it holds, so the text cannot tell the two forms apart."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def state_fingerprint(state: Mapping[str, Any]) -> str:
     """Stable fingerprint of a JSON-able state dict (canonical SHA-256).
 
     Two states with equal fingerprints are byte-identical up to dict
-    ordering. This is the equality the bit-identical-restore invariant is
-    stated in, and what the cluster migration protocol compares before
-    cutting a shard over to its target worker.
+    ordering, a column held as an array equal to one held as the list of
+    its elements. This is the equality the bit-identical-restore
+    invariant is stated in, and what the cluster migration protocol
+    compares before cutting a shard over to its target worker.
     """
-    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"),
+                           default=_jsonable)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _pack(value: Any, path: tuple, table: list, chunks: list) -> Any:
-    """``value`` with every packable list under it swapped for ``None``,
-    its table entry and bytes appended to ``table`` and ``chunks``; the
-    very object when nothing under it was packed (nothing is copied but
-    the containers on the way to a column)."""
+    """``value`` with every packable list or array under it swapped for
+    ``None``, its table entry and bytes appended to ``table`` and
+    ``chunks``; the very object when nothing under it was packed
+    (nothing is copied but the containers on the way to a column), and
+    an array that is not packed as the list it holds."""
     if type(value) is dict:
         out = value
         for key, item in value.items():
             # JSON spells a non-string key as a string, which no path
             # could name: what is under one stays JSON.
-            if type(item) in (dict, list) and type(key) is str:
+            if type(item) in _NODES and type(key) is str:
                 packed = _pack(item, path + (key,), table, chunks)
                 if packed is not item:
                     if out is value:
                         out = dict(value)
                     out[key] = packed
         return out
+    if type(value) is np.ndarray:
+        # The list rule without the scan: the dtype is the element type.
+        name = _PACKED_DTYPES.get(value.dtype)
+        if value.ndim == 1 and len(value) >= _MIN_PACKED and name:
+            chunks.append(value.tobytes())
+            table.append([list(path), name, len(value)])
+            return None
+        # Anything else is the list it holds, and goes the list's way.
+        value = value.tolist()
+        if type(value) is not list:  # a 0-d array's one element
+            return value
     kinds = set(map(type, value))
     if len(value) >= _MIN_PACKED and len(kinds) == 1:
         name = _PACKED.get(next(iter(kinds)))
@@ -121,11 +155,11 @@ def _pack(value: Any, path: tuple, table: list, chunks: list) -> Any:
                 return value
             table.append([list(path), name, len(value)])
             return None
-    if dict not in kinds and list not in kinds:
+    if kinds.isdisjoint(_NODES):
         return value
     out = value
     for index, item in enumerate(value):
-        if type(item) in (dict, list):
+        if type(item) in _NODES:
             packed = _pack(item, path + (index,), table, chunks)
             if packed is not item:
                 if out is value:
@@ -139,7 +173,8 @@ def _encode(state: dict[str, Any]) -> bytes:
     chunks: list[bytes] = []
     head = {"checkpoint_version": CHECKPOINT_VERSION, "columns": table,
             "state": _pack(state, (), table, chunks)}
-    body = b"".join([json.dumps(head, separators=(",", ":")).encode("utf-8"),
+    body = b"".join([json.dumps(head, separators=(",", ":"),
+                                default=_jsonable).encode("utf-8"),
                      b"\n", *chunks])
     return body + b"\ncrc32:%08x\n" % zlib.crc32(body)
 
@@ -150,7 +185,8 @@ def write_checkpoint(path: pathlib.Path | str, state: dict[str, Any],
 
     Args:
         path: final checkpoint location.
-        state: the runtime state (JSON-able).
+        state: the runtime state (JSON-able, its columns lists or
+            arrays).
         fault_hook: chaos-testing seam (``repro.testkit``); the production
             default injects nothing.
 
@@ -199,7 +235,7 @@ def _slot(node: Any, key: Any) -> bool:
 
 def _unpack(head: dict[str, Any], raw: bytes, start: int, end: int,
             path: pathlib.Path) -> dict[str, Any]:
-    """The document ``head`` describes, its columns read from
+    """The document ``head`` describes, its columns read-only views of
     ``raw[start:end]``."""
     state, table = head.get("state"), head.get("columns")
     if type(state) is not dict or type(table) is not list:
@@ -233,7 +269,7 @@ def _unpack(head: dict[str, Any], raw: bytes, start: int, end: int,
             raise CheckpointError(
                 f"checkpoint {path} column path {keys!r} names no empty "
                 f"slot of its state")
-        node[last] = np.frombuffer(raw, dtype, count, at).tolist()
+        node[last] = np.frombuffer(raw, dtype, count, at)
         at += count * dtype.itemsize
     if at != end:
         raise CheckpointError(
@@ -245,7 +281,8 @@ def _unpack(head: dict[str, Any], raw: bytes, start: int, end: int,
 def read_checkpoint(path: pathlib.Path | str) -> dict[str, Any]:
     """Load and validate a checkpoint written by :func:`write_checkpoint`.
 
-    Returns the document written, with ``checkpoint_version`` set.
+    Returns the document written, with ``checkpoint_version`` set and
+    each packed column a read-only ``f8`` / ``i8`` / ``b1`` array.
     Raises :class:`~repro.exceptions.CheckpointError` when the file is
     missing, unparsable, truncated, checksum-mismatched, inconsistent
     with its own column table, or from another format version.

@@ -49,6 +49,7 @@ from typing import Any, BinaryIO, Sequence
 import numpy as np
 
 from repro.exceptions import ProtocolError
+from repro.runtime.checkpoint import _jsonable
 
 __all__ = [
     "MAX_FRAME",
@@ -152,7 +153,9 @@ def encode_frame_parts(payload: dict[str, Any]) -> tuple[bytes, bytes]:
     if not isinstance(payload, dict):
         raise ProtocolError(f"frame payload must be a dict, got "
                             f"{type(payload).__name__}")
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    # A snapshot riding the frame holds arrays; they travel as lists.
+    body = json.dumps(payload, separators=(",", ":"),
+                      default=_jsonable).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds MAX_FRAME={MAX_FRAME}")

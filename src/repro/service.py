@@ -44,9 +44,10 @@ import numpy as np
 
 from repro.core.adaptation import (AdaptationConfig, SamplingDecision,
                                    ViolationLikelihoodSampler)
-from repro.core.soa import (SAMPLER_STATE, STEP_MAX, STEP_MIN,
+from repro.core.soa import (_DTYPES, SAMPLER_STATE, STEP_MAX, STEP_MIN,
                             ColumnBatchResult, SoaSamplerEngine,
-                            sampler_state_columns, sampler_state_dict)
+                            _read_only, sampler_state_columns,
+                            sampler_state_dict)
 from repro.core.substrates import (DEFAULT_ENTROPY_WINDOW,
                                    DEFAULT_SKETCH_WINDOW, EntropyEstimator,
                                    QuantileEstimator)
@@ -257,7 +258,10 @@ class TaskState:
         if task_type == "quantile":
             substrate = QuantileEstimator.from_state_dict(state["substrate"])
         elif task_type == "entropy":
-            substrate = EntropyEstimator.from_state_dict(state["substrate"])
+            # A checkpoint hands a long enough symbol ring back as an array.
+            entry = state["substrate"]
+            substrate = EntropyEstimator.from_state_dict(
+                {**entry, "symbols": _listed(entry.get("symbols", []))})
         elif task_type != "value":
             raise ConfigurationError(
                 f"unknown task type {task_type!r} in snapshot entry "
@@ -289,13 +293,19 @@ def _adaptation_from_dict(entry: dict[str, Any]) -> AdaptationConfig:
 
 # -- the snapshot document (DESIGN.md S31 "snapshots are columns") ------
 #
-# What every task has is one list per key, aligned with ``names``
+# What every task has is one column per key, aligned with ``names``
 # (registration order), grouped by where it lives: ``spec`` (the
 # TaskSpec fields), ``sampler`` (core.soa.SAMPLER_STATE) and ``task``
 # (schedule, window, guard level, alert count). ``alerts`` are three
 # flat columns in ``names`` order, each task's oldest first, cut by
 # ``task.alerts``. What few tasks have is a map by task name per
-# TaskState.state_dict key, under ``sparse``. key -> element types:
+# TaskState.state_dict key, under ``sparse``. The columns an engine
+# holds — ``sampler``, ``task.next_due`` / ``samples_taken`` /
+# ``alerts`` and ``alerts`` — are written as read-only i8 / f8 / b1
+# arrays, by both services; the ones a TaskState holds stay lists of the
+# caller's elements. ``restore`` reads either form of any column (a
+# checkpoint hands back arrays, a JSON frame lists). key -> element
+# types, an array's dtype the element type's (core.soa._DTYPES):
 _NUMBER, _INT, _STR = (float, int), (int,), (str,)
 _GROUPS: dict[str, dict[str, tuple[type, ...]]] = {
     "spec": {"threshold": _NUMBER, "error_allowance": _NUMBER,
@@ -324,6 +334,13 @@ def snapshot_task_names(snapshot: Mapping[str, Any]) -> list[str]:
     snapshot), so nobody outside this module indexes a snapshot's
     insides."""
     return list(snapshot.get("names", ()))
+
+
+def _listed(column: Any) -> Any:
+    """A snapshot column as a list of Python values, for whatever is
+    built or reasoned about element by element: an array's ``tolist()``,
+    a list itself. No numpy scalar reaches a task's objects."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def _distinct(configs: Iterable[AdaptationConfig],
@@ -363,9 +380,17 @@ def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
 
     def check(where: str, column: Any, kinds: tuple[type, ...],
               length: int | None) -> None:
-        if not isinstance(column, list) or length not in (None, len(column)):
-            fail(f"column {where} is not a list"
+        array = isinstance(column, np.ndarray)
+        if not (array and column.ndim == 1 or isinstance(column, list)) \
+                or length not in (None, len(column)):
+            fail(f"column {where} is not a list or a 1-D array"
                  + ("" if length is None else f" of {length} elements"))
+        if array:  # the dtype is the element type: nothing to scan
+            if column.dtype not in [_DTYPES[kind] for kind in kinds
+                                    if kind in _DTYPES]:
+                fail(f"column {where} holds {column.dtype} elements, not "
+                     + " or ".join(kind.__name__ for kind in kinds))
+            return
         if not set(map(type, column)) <= set(kinds):
             fail(f"column {where} holds an element that is not "
                  + " or ".join(kind.__name__ for kind in kinds))
@@ -385,16 +410,17 @@ def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
         check_keys(f"group {group!r}", snapshot[group], kinds)
     task = snapshot["task"]
     check("task.alerts", task["alerts"], _INT, len(names))
-    if min(task["alerts"], default=0) < 0:
+    logged = _listed(task["alerts"])
+    if min(logged, default=0) < 0:
         fail("column task.alerts holds a negative count")
     for group, kinds in _GROUPS.items():
         # One element per task; per alert (task.alerts in all) in alerts.
-        length = sum(task["alerts"]) if group == "alerts" else len(names)
+        length = sum(logged) if group == "alerts" else len(names)
         for key, kind in kinds.items():
             check(f"{group}.{key}", snapshot[group][key], kind, length)
     configs = snapshot["adaptations"]
     if not isinstance(configs, list) or not set(
-            task["adaptation"]) <= set(range(len(configs))):
+            _listed(task["adaptation"])) <= set(range(len(configs))):
         fail("column task.adaptation indexes outside adaptations")
     for where, column, legal in (
             ("spec.direction", snapshot["spec"]["direction"], _DIRECTIONS),
@@ -517,13 +543,14 @@ class _AlertLog:
                                   entries["value"].tolist(),
                                   entries["threshold"].tolist())))
 
-    def columns(self) -> dict[str, list[Any]]:
+    def columns(self) -> dict[str, np.ndarray]:
         """Every entry as a snapshot's ``alerts`` columns: grouped by
         row, rows ascending — registration order, as rows are handed out
         in it and never reused — and each row's oldest first. One stable
-        argsort and a ``tolist()`` per column."""
-        entries = self._entries[np.argsort(self.rows, kind="stable")]
-        return {key: entries[key].tolist() for key in _GROUPS["alerts"]}
+        argsort and one gather per column, into an array of its own."""
+        order = np.argsort(self.rows, kind="stable")
+        entries = self._entries[:self.size]
+        return {key: entries[key][order] for key in _GROUPS["alerts"]}
 
     def drop_row(self, row: int) -> None:
         """Forget a retired row's entries; the rest keep their order."""
@@ -1479,7 +1506,7 @@ class MonitoringService:
         return counts
 
     def snapshot(self) -> dict[str, Any]:
-        """Serialise the full service state to a JSON-able dict.
+        """Serialise the full service state to a dict of columns.
 
         Captures every registered task's spec, adaptation config, schedule
         position, sampler statistics (Welford state, current interval,
@@ -1492,29 +1519,40 @@ class MonitoringService:
         engine service reads each off its rows with one gather, the
         scalar oracle walks its samplers, and both write the identical
         document — so its fingerprint is the same whether the service
-        ran columnar or scalar. Nothing is written.
+        ran columnar or scalar. The columns an engine holds are read-only
+        arrays of their own, so the document is a value: later offers do
+        not move it. It is JSON once an array is taken for its list
+        (``default=numpy.ndarray.tolist``); ``state_fingerprint``, the
+        wire and ``write_checkpoint`` do that themselves. Nothing is
+        written.
         """
         engine = self._soa
         names = list(self._tasks)
         states = list(self._tasks.values())
         if engine is None:
+            i8, f8 = _DTYPES[int], _DTYPES[float]
             sampler = sampler_state_columns(
                 [state.sampler.state_dict() for state in states])
-            next_due = [state.next_due for state in states]
-            samples_taken = [state.samples_taken for state in states]
-            logged = [len(state.alerts) for state in states]
+            next_due = np.array([state.next_due for state in states], i8)
+            samples_taken = np.array(
+                [state.samples_taken for state in states], i8)
+            logged = np.array([len(state.alerts) for state in states], i8)
             history = [alert for state in states for alert in state.alerts]
-            alerts = {"step": [a.time_index for a in history],
-                      "value": [a.value for a in history],
-                      "threshold": [a.threshold for a in history]}
+            alerts = {"step": np.array([a.time_index for a in history], i8),
+                      "value": np.array([a.value for a in history], f8),
+                      "threshold": np.array(
+                          [a.threshold for a in history], f8)}
         else:
+            # A fancy gather: each column an array of its own.
             rows = np.fromiter(self._soa_rows, dtype=np.int64,
                                count=len(names))
             sampler = engine.rows_state(rows)
-            next_due = engine.next_due[rows].tolist()
-            samples_taken = engine.samples_taken[rows].tolist()
-            logged = engine.alerts[rows].tolist()
+            next_due = engine.next_due[rows]
+            samples_taken = engine.samples_taken[rows]
+            logged = engine.alerts[rows]
             alerts = self._alert_log.columns()
+        for column in (next_due, samples_taken, logged, *alerts.values()):
+            _read_only(column)
         configs, adaptation = _distinct(state.config for state in states)
         spec = {key: [getattr(state.task, key) for state in states]
                 for key in _GROUPS["spec"]}
@@ -1563,6 +1601,9 @@ class MonitoringService:
             snapshot: a dict produced by :meth:`snapshot`, stamped
                 :data:`SNAPSHOT_VERSION` — the one version this build
                 reads; any other is refused, and nothing upgrades it.
+                Any dense column may be an array (as :meth:`snapshot`
+                and ``read_checkpoint`` hand them out) or a list (its
+                JSON form, off the wire).
             on_alert: optional ``(task_name, alert)`` callback attached to
                 every restored task (callbacks cannot be serialised, so
                 they are re-wired here).
@@ -1583,7 +1624,7 @@ class MonitoringService:
                 f"reads version {SNAPSHOT_VERSION} only")
         _check_snapshot(snapshot)
         names = snapshot["names"]
-        spec, task = snapshot["spec"], snapshot["task"]
+        task = snapshot["task"]
         configs = [_adaptation_from_dict(entry)
                    for entry in snapshot["adaptations"]]
         # name -> its TaskState.state_dict(), for the few that have one.
@@ -1591,13 +1632,15 @@ class MonitoringService:
         for key, column in snapshot["sparse"].items():
             for name, value in column.items():
                 sparse.setdefault(name, {})[key] = value
+        # What builds a TaskSpec or a TaskState is read as lists.
         specs = [TaskSpec(threshold=threshold, error_allowance=err,
                           default_interval=default_interval,
                           max_interval=max_interval,
                           direction=_DIRECTIONS[direction], name=spec_name)
                  for (threshold, err, default_interval, max_interval,
                       direction, spec_name)
-                 in zip(*map(spec.get, _GROUPS["spec"]))]
+                 in zip(*(_listed(snapshot["spec"][key])
+                          for key in _GROUPS["spec"]))]
         plain: dict[str, Any] = {}
         states = [TaskState.from_state_dict(
             sparse.get(name, plain), name=name, task=task_spec,
@@ -1607,7 +1650,7 @@ class MonitoringService:
             on_alert=None if on_alert is None else partial(on_alert, name))
             for (name, task_spec, config, window, kind, window_sum, level,
                  suspend_interval)
-            in zip(names, specs, *map(task.get, (
+            in zip(names, specs, *(_listed(task[key]) for key in (
                 "adaptation", "window", "window_kind", "window_sum",
                 "trigger_level", "suspend_interval")))]
 
@@ -1621,17 +1664,22 @@ class MonitoringService:
         logged = task["alerts"]
         alerts = list(map(snapshot["alerts"].get, _GROUPS["alerts"]))
         suspensions = snapshot["sparse"]["trigger_suspensions"]
-        # What columns hold goes straight into the columns.
+        # What columns hold goes straight into the columns; the oracle's
+        # samplers and tasks take it as lists.
         if engine is None:
             history = [Alert(time_index=step, value=float(value),
                              threshold=float(threshold))
-                       for step, value, threshold in zip(*alerts)]
+                       for step, value, threshold
+                       in zip(*map(_listed, alerts))]
+            sampler = {key: _listed(column)
+                       for key, column in snapshot["sampler"].items()}
             lo = 0
-            for at, (state, count) in enumerate(zip(states, logged)):
-                state.sampler.load_state_dict(
-                    sampler_state_dict(snapshot["sampler"], at))
-                state.next_due = task["next_due"][at]
-                state.samples_taken = task["samples_taken"][at]
+            for at, (state, count, next_due, samples_taken) in enumerate(zip(
+                    states, _listed(logged), _listed(task["next_due"]),
+                    _listed(task["samples_taken"]))):
+                state.sampler.load_state_dict(sampler_state_dict(sampler, at))
+                state.next_due = next_due
+                state.samples_taken = samples_taken
                 state.trigger_suspensions = suspensions.get(state.name, 0)
                 state.alerts = history[lo:lo + count]
                 lo += count

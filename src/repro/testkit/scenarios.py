@@ -44,7 +44,7 @@ from repro.cluster.routing import route
 from repro.config import RuntimeConfig, task_from_config
 from repro.core.adaptation import AdaptationConfig
 from repro.core.coordination import AdaptiveAllocation
-from repro.runtime.checkpoint import read_checkpoint
+from repro.runtime.checkpoint import _jsonable, read_checkpoint
 from repro.runtime.protocol import encode_frame, read_frame
 from repro.runtime.server import RuntimeServer
 from repro.service import MonitoringService
@@ -249,7 +249,7 @@ class _ScenarioDriver:
 
     def _stash_good_state(self, file_bytes: bytes) -> None:
         snapshots = json.dumps([s.snapshot() for s in self.shadow],
-                               sort_keys=True)
+                               sort_keys=True, default=_jsonable)
         self._stash = (snapshots,
                        [dict(c) for c in self.predicted],
                        file_bytes)

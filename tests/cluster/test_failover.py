@@ -22,6 +22,7 @@ import pytest
 from cluster_utils import run_cluster
 
 from repro.cluster.routing import route
+from repro.runtime.checkpoint import state_fingerprint
 from repro.runtime.client import AsyncRuntimeClient
 from repro.testkit.invariants import check_no_acked_loss
 
@@ -115,6 +116,49 @@ class TestInProcReplacement:
         recovered = [e for e in events if e["kind"] == "shard_replaced"
                      and e["shard"] == TASK_SHARD]
         assert recovered and recovered[0]["recovered"] is True
+
+    def test_the_recovery_copy_is_the_state_it_was_taken_at(self):
+        """In-proc, the recovery copy is the worker's own snapshot dict,
+        never a JSON text: its columns must not move with the shard they
+        were read off. Offers after the copy are lost to a failover, and
+        the re-placed shard is the copy, fingerprint for fingerprint."""
+
+        async def scenario(cluster):
+            coord = cluster.coordinator
+            client = AsyncRuntimeClient(port=cluster.tcp_port)
+            try:
+                await client.register_task(**TASK_SPEC)
+                await client.register_task(**{**TASK_SPEC, "name": PARTNER})
+                await client.offer_batch(
+                    [[TASK, s, 50.0 + (s % 13)] for s in range(40)])
+                await coord.drain()
+                state = await coord._collect_state()
+                copy = state["shards"][str(TASK_SHARD)]["snapshot"]
+                taken = state_fingerprint(copy)
+                await client.offer_batch(
+                    [[name, s, 55.0 + (s % 11)] for s in range(40, 90)
+                     for name in (TASK, PARTNER)])
+                await coord.drain()
+                victim = await _victim_of(client, TASK_SHARD)
+                live = coord.transports[victim].host.shards[TASK_SHARD]
+                moved = state_fingerprint(live.service.snapshot())
+                kept = state_fingerprint(copy)
+                await coord.kill_worker(victim)
+                await coord._handle_worker_loss(victim)
+                host = coord.transports[
+                    coord.routes[TASK_SHARD].worker_id].host
+                replaced = state_fingerprint(
+                    host.shards[TASK_SHARD].service.snapshot())
+                return victim, taken, moved, kept, replaced, host
+            finally:
+                await client.close()
+
+        victim, taken, moved, kept, replaced, host = run_cluster(
+            scenario, workers=2, shards=SHARDS, heartbeat_interval=3600.0)
+        assert moved != taken                  # the shard moved on ...
+        assert kept == taken                   # ... its copy did not
+        assert host.worker_id != victim
+        assert replaced == taken
 
     def test_uncovered_shard_recovers_fresh_with_catalog_tasks(self):
         """No snapshot for the shard → fresh shard, tasks re-registered."""

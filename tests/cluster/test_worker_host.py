@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.cluster.hosting import WorkerHost
 from repro.runtime.checkpoint import state_fingerprint
-from repro.runtime.protocol import OfferColumns
+from repro.runtime.protocol import OfferColumns, encode_frame_parts
 
 
 def run(coro):
@@ -197,7 +197,8 @@ class TestDataPath:
         assert [info["alerts"] for info in infos] == [5] * 10
         assert alerts == {name: reference.alerts(name) for name in names}
         assert fired == alerts               # every callback, every alert
-        assert snapshot == reference.snapshot()
+        assert (state_fingerprint(snapshot)
+                == state_fingerprint(reference.snapshot()))
         assert "pager is down" in caplog.text
 
 
@@ -231,6 +232,33 @@ class TestSnapshotRestore:
         assert restored["tasks"] == 1
         assert stats["shards"][0]["updates_offered"] == 20
 
+    def test_a_snapshot_crosses_a_frame_as_lists(self):
+        """Between processes a ``w_snapshot_shard`` reply is one JSON
+        frame: its arrays travel as lists, and the shard restored from
+        them is the shard snapshotted."""
+        async def scenario():
+            source = await _host_with_task(shard_id=4)
+            await _offer(source,
+                         (4, [["t", s, 30.0 + s] for s in range(20)]))
+            snap = await source.handle({"op": "w_snapshot_shard",
+                                        "shard": 4, "drain": True,
+                                        "fingerprint": True})
+            wire = json.loads(encode_frame_parts(snap)[1])
+            target = WorkerHost("w1")
+            target.start()
+            restored = await target.handle({
+                "op": "w_restore_shard", "shard": 4, "fingerprint": True,
+                "snapshot": wire["snapshot"], "counters": wire["counters"]})
+            await source.close()
+            await target.close()
+            return snap, wire, restored
+
+        snap, wire, restored = run(scenario())
+        assert type(snap["snapshot"]["sampler"]["mean"]) is np.ndarray
+        assert type(wire["snapshot"]["sampler"]["mean"]) is list
+        assert (state_fingerprint(wire["snapshot"]) == snap["fingerprint"]
+                == restored["fingerprint"])
+
     def test_a_snapshot_that_does_not_load_costs_the_hosted_shard_nothing(
             self):
         """``w_restore_shard`` over a shard the worker already hosts
@@ -241,7 +269,8 @@ class TestSnapshotRestore:
             await _offer(host, (4, [["t", s, 30.0] for s in range(10)]))
             good = await host.handle({"op": "w_snapshot_shard", "shard": 4,
                                       "drain": True})
-            bad = json.loads(json.dumps(good["snapshot"]))
+            bad = json.loads(json.dumps(good["snapshot"],
+                                        default=np.ndarray.tolist))
             bad["sampler"]["mean"].append(0.0)          # a ragged column
             refused = await host.handle({
                 "op": "w_restore_shard", "shard": 4, "snapshot": bad,

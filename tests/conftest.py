@@ -11,6 +11,7 @@ from repro.core.adaptation import AdaptationConfig
 from repro.core.task import TaskSpec
 from repro.core.windowed import AggregateKind
 from repro.exceptions import ConfigurationError
+from repro.runtime.checkpoint import state_fingerprint
 from repro.service import MonitoringService
 from repro.telemetry.trace import DecisionTrace
 from repro.types import ThresholdDirection
@@ -116,7 +117,8 @@ class SoaDifferential:
         sources = (self.vector, self.scalar)[::1 if crossed else -1]
         for side, source in zip(("scalar", "vector"), sources):
             service = MonitoringService.restore(
-                json.loads(json.dumps(source.snapshot())),
+                json.loads(json.dumps(source.snapshot(),
+                                      default=np.ndarray.tolist)),
                 soa=side == "vector",
                 on_alert=lambda name, alert, side=side: other.callback(
                     side, name)(alert))
@@ -342,10 +344,10 @@ class SoaDifferential:
     @classmethod
     def same_state(cls, one, other):
         """Everything two services fed the same offers must agree on."""
-        # Serialised, so that NaN state compares equal to itself and
-        # -0.0 differs from 0.0, as in the checkpoint fingerprint.
-        assert (json.dumps(one.snapshot(), sort_keys=True)
-                == json.dumps(other.snapshot(), sort_keys=True))
+        # By fingerprint, so that NaN state compares equal to itself and
+        # -0.0 differs from 0.0, and 1 from 1.0.
+        assert (state_fingerprint(one.snapshot())
+                == state_fingerprint(other.snapshot()))
         assert cls.alert_log(one) == cls.alert_log(other)
         for service in (one, other):
             assert {name: service.alert_count(name)

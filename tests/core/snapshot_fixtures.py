@@ -145,7 +145,8 @@ def main():
     from repro.service import SNAPSHOT_VERSION, MonitoringService
 
     snapshot = json.loads(json.dumps(history(SoaDifferential)
-                                     .vector.snapshot()))
+                                     .vector.snapshot(),
+                                     default=np.ndarray.tolist))
     assert snapshot["version"] == SNAPSHOT_VERSION
     service = MonitoringService.restore(snapshot, soa=True)
     PIN.write_text(json.dumps({

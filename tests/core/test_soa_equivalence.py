@@ -33,9 +33,10 @@ TASKS = 64
 CROSSOVER = soa_mod._NARROW_TICK_ROWS
 
 
-def json_snapshot(service):
-    """Serialised, so NaN state compares equal to itself."""
-    return json.dumps(service.snapshot(), sort_keys=True)
+def fingerprint(service):
+    """The service's snapshot as its fingerprint: NaN state equal to
+    itself, 1 apart from 1.0, arrays equal to their lists."""
+    return state_fingerprint(service.snapshot())
 
 
 class TestStreamEquivalence:
@@ -127,7 +128,7 @@ class TestMixedPaths:
             applied, _, rejected, _ = mixed.offer_columns(
                 rows[positions % 4], steps, tail, names=None)
             assert applied == 20 and rejected == 0
-        assert scalar.snapshot() == mixed.snapshot()
+        assert fingerprint(scalar) == fingerprint(mixed)
         assert (soa_differential.alert_log(scalar)
                 == soa_differential.alert_log(mixed))
         assert (soa_differential.task_counters(scalar)
@@ -185,7 +186,7 @@ class TestSnapshotRoundTrip:
         drive(scalar, 0, 1_000, columnar=False)
         drive(vector, 0, 1_000, columnar=True)
         snap = vector.snapshot()
-        assert snap == scalar.snapshot()
+        assert state_fingerprint(snap) == fingerprint(scalar)
 
         restored_soa = MonitoringService.restore(snap, soa=True)
         restored_scalar = MonitoringService.restore(snap, soa=False)
@@ -194,10 +195,10 @@ class TestSnapshotRoundTrip:
         drive(restored_soa, 1_000, 2_000, columnar=True)
         drive(restored_scalar, 1_000, 2_000, columnar=False)
 
-        final = scalar.snapshot()
-        assert vector.snapshot() == final
-        assert restored_soa.snapshot() == final
-        assert restored_scalar.snapshot() == final
+        final = fingerprint(scalar)
+        assert fingerprint(vector) == final
+        assert fingerprint(restored_soa) == final
+        assert fingerprint(restored_scalar) == final
         assert (soa_differential.task_counters(restored_soa)
                 == soa_differential.task_counters(restored_scalar)
                 == soa_differential.task_counters(scalar))
@@ -269,16 +270,16 @@ class TestSnapshotColumns:
         lowered ``has_last`` / ``has_stale`` never reaches a snapshot."""
         service = _service(soa=True, tasks=3)
         service.offer("mix-1", 50.0, 0)
-        clean = json_snapshot(service)
+        clean = fingerprint(service)
         engine = service.soa_engine
         assert not engine.has_last[0] and not engine.has_stale[:3].any()
         engine.last_value[0], engine.last_time[0] = 7.5, 99
         engine.stale_mean[:3], engine.stale_var[:3] = -1.0, 4.0
-        assert json_snapshot(service) == clean
+        assert fingerprint(service) == clean
         sampler = service.snapshot()["sampler"]
-        assert sampler["has_last"] == [False, True, False]
-        assert sampler["last_value"] == [0.0, 50.0, 0.0]
-        assert sampler["last_time"] == [0, 0, 0]
+        assert sampler["has_last"].tolist() == [False, True, False]
+        assert sampler["last_value"].tolist() == [0.0, 50.0, 0.0]
+        assert sampler["last_time"].tolist() == [0, 0, 0]
         assert engine.row_state_dict(0)["last_value"] is None
         assert engine.row_state_dict(1)["last_value"] == 50.0
         assert engine.row_state_dict(1)["stats"]["stale_mean"] is None
@@ -297,7 +298,7 @@ class TestSnapshotColumns:
             "chebyshev", "gaussian"]
         for soa in (False, True):
             restored = MonitoringService.restore(snapshot, soa=soa)
-            assert restored.snapshot() == snapshot
+            assert fingerprint(restored) == state_fingerprint(snapshot)
             assert restored._state("t4").config == custom
 
     def test_task_names_of_either_version(self):
@@ -307,6 +308,92 @@ class TestSnapshotColumns:
         assert snapshot_task_names(service.snapshot()) == [
             "mix-0", "mix-1", "mix-2"]
         assert snapshot_task_names({}) == []
+
+
+class TestSnapshotIsAValue:
+    """A snapshot holds the columns an engine keeps as read-only arrays of
+    its own: nothing the service does next moves it, nobody writes
+    through it, and restoring from it leaves it as it was."""
+
+    ENGINE_HELD = [("sampler", key) for key in soa_mod.SAMPLER_STATE] + [
+        ("task", "next_due"), ("task", "samples_taken"), ("task", "alerts"),
+        ("alerts", "step"), ("alerts", "value"), ("alerts", "threshold")]
+
+    @staticmethod
+    def _hot(soa, tasks=2 * CROSSOVER):
+        service = _service(soa=soa, tasks=tasks)
+        rows = [service.soa_row_for(f"mix-{i}") for i in range(tasks)]
+        for step in range(6):
+            if soa:
+                service.offer_columns(rows, [step] * tasks,
+                                      [95.0 + i for i in range(tasks)])
+            else:
+                for i in range(tasks):
+                    service.offer(f"mix-{i}", 95.0 + i, step)
+        return service, rows
+
+    def test_later_offers_do_not_move_it(self, monkeypatch):
+        service, rows = self._hot(soa=True)
+        snapshot = service.snapshot()
+        taken = state_fingerprint(snapshot)
+        sliced = []
+        columns_at = soa_mod._columns_at
+        monkeypatch.setattr(soa_mod, "_columns_at", lambda rows: (
+            sliced.append(isinstance(index := columns_at(rows), slice))
+            or index))
+        for step in range(6, 40):
+            service.offer_columns(rows, [step] * len(rows),
+                                  [90.0 + (step * 7 + i) % 23
+                                   for i in range(len(rows))])
+            service.offer("mix-0", 150.0, step)
+        assert sliced and all(sliced)     # ticks read the rows as a slice
+        assert fingerprint(service) != taken
+        assert state_fingerprint(snapshot) == taken
+
+    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
+    def test_writing_into_it_raises(self, soa):
+        snapshot = self._hot(soa)[0].snapshot()
+        assert len(snapshot["alerts"]["step"]) > 0
+        for group, key in self.ENGINE_HELD:
+            column = snapshot[group][key]
+            assert type(column) is np.ndarray and column.ndim == 1, key
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+
+    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
+    def test_restoring_it_twice_leaves_it_as_it_was(self, soa):
+        snapshot = self._hot(soa)[0].snapshot()
+        taken = state_fingerprint(snapshot)
+        first, second = (MonitoringService.restore(snapshot, soa=side)
+                         for side in (soa, not soa))
+        for step in range(6, 12):
+            first.offer("mix-0", 150.0, step)
+        assert fingerprint(first) != taken
+        assert fingerprint(second) == taken
+        assert state_fingerprint(snapshot) == taken
+
+    def test_int_offers_write_the_engine_document(self):
+        """The scalar oracle once wrote an int threshold, an int value or
+        an int allowance into a float column as ints: its document told
+        1 from 1.0, so it fingerprinted apart from the engine's, and its
+        own restore (which reads them as floats) drifted."""
+        taken = []
+        for soa in (False, True):
+            service = MonitoringService(soa=soa)
+            service.add_task("t", TaskSpec(100, 0.01, name="t"))
+            service.add_task("z", TaskSpec(100, 0, name="z"))
+            for step in range(8):
+                for name in ("t", "z"):
+                    service.offer(name, 97 + step, step)
+            snapshot = service.snapshot()
+            assert snapshot["alerts"]["value"].tolist()[:1] == [101.0]
+            assert snapshot["alerts"]["threshold"].dtype == np.float64
+            assert snapshot["sampler"]["error_allowance"].tolist()[1] == 0.0
+            assert snapshot["spec"]["threshold"] == [100, 100]
+            taken.append(state_fingerprint(snapshot))
+            assert fingerprint(MonitoringService.restore(
+                snapshot, soa=soa)) == taken[-1]
+        assert taken[0] == taken[1]
 
 
 class TestAlertLog:
@@ -340,8 +427,9 @@ class TestAlertLog:
         assert [a.time_index for a in service.alerts("mix-1")] == [9]
         snapshot = service.snapshot()
         assert snapshot["names"][2] == "mix-1"
-        assert snapshot["task"]["alerts"] == [4, 4, 1]
-        assert [column[-1] for column in snapshot["alerts"].values()] == [
+        assert snapshot["task"]["alerts"].tolist() == [4, 4, 1]
+        assert [column.tolist()[-1]
+                for column in snapshot["alerts"].values()] == [
             9, 150.0, 100.0]
 
     def test_the_count_sink_sees_each_batch_before_any_callback(self):
@@ -401,7 +489,7 @@ class TestEligibility:
             scalar.offer(f"mix-{i % 4}", value, i // 4)
             vector.offer_fast(f"mix-{i % 4}", value, i // 4)
         assert len(by_name) == 240
-        assert scalar.snapshot() == vector.snapshot()
+        assert fingerprint(scalar) == fingerprint(vector)
         assert (soa_differential.alert_log(scalar)
                 == soa_differential.alert_log(vector))
         assert vector.trigger_suspensions("mix-0") > 5
@@ -539,9 +627,9 @@ class TestEligibility:
                     for name, state in service._tasks.items()}
 
         before = held()
-        first = json_snapshot(service)
+        first = fingerprint(service)
         assert held() == before
-        assert json_snapshot(service) == first
+        assert fingerprint(service) == first
         assert held() == before
 
     def test_guarded_row_index_matches_the_scan_it_replaced(self):
@@ -1131,11 +1219,11 @@ class TestNonFiniteValuesNeverLand:
         pair = soa_differential(soa_differential.population(6, "mixed"),
                                 register_more=self._typed)
         everyone = list(range(len(pair.names)))
-        before = json_snapshot(pair.scalar)
+        before = fingerprint(pair.scalar)
         pair.offer(everyone, [0] * len(everyone), [first] * len(everyone))
         # Refused means untouched: nothing of the offer was recorded.
-        assert json_snapshot(pair.scalar) == before
-        assert json_snapshot(pair.vector) == before
+        assert fingerprint(pair.scalar) == before
+        assert fingerprint(pair.vector) == before
         rng = np.random.default_rng(5)
         for step in range(1, 240):
             values = [pair.value(rng, i, step) for i in everyone]
@@ -1164,7 +1252,7 @@ class TestNonFiniteValuesNeverLand:
         for step in range(5):
             for name in ("mix-0", "mix-1"):
                 service.offer_fast(name, 40.0 + step, step)
-        before = json_snapshot(service)
+        before = fingerprint(service)
         for step in (2 ** 63, -2 ** 63 - 1, 2 ** 63 - 1, STEP_MAX + 1,
                      STEP_MIN - 1):
             with pytest.raises(ValueError):
@@ -1172,7 +1260,7 @@ class TestNonFiniteValuesNeverLand:
             with pytest.raises(ValueError):
                 service.offer("mix-0", 45.0, step)
         # Refused before any column of the row was written.
-        assert json_snapshot(service) == before
+        assert fingerprint(service) == before
         # The bound itself leaves `step + interval` room in int64: by
         # name and as a (narrow-tick) column batch.
         assert service.offer_fast("mix-0", 45.0, STEP_MAX) is not None

@@ -28,8 +28,9 @@ bounded = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
 
 
 def roundtrip(state):
-    """What a checkpoint does to a state dict: JSON out, JSON in."""
-    return json.loads(json.dumps(state))
+    """What the wire does to a state dict: JSON out (an array as its
+    list), JSON in."""
+    return json.loads(json.dumps(state, default=np.ndarray.tolist))
 
 
 class TestOnlineStatisticsRoundtrip:

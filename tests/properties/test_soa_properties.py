@@ -12,7 +12,7 @@ where a frame is cut must not show, for tasks of every kind. The third
 holds ``run_columns`` to its tick split: whether a frame's runs are
 ticked as slices or regrouped by the argsort must not show either. The
 fourth holds the engine service's columnar alert history — log, count
-column, callbacks, trace batches, snapshot lists — to the scalar oracle's
+column, callbacks, trace batches, snapshot columns — to the scalar oracle's
 per-alert objects, across by-name offers, task churn and a cross-restore.
 The fifth holds the snapshot document: byte-equal from either
 representation, written back as read by either, whichever wrote it.
@@ -21,13 +21,13 @@ representation, written back as read by either, whichever wrote it.
 from __future__ import annotations
 
 import contextlib
-import json
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import soa as soa_mod
+from repro.runtime.checkpoint import state_fingerprint
 from repro.service import MonitoringService
 from repro.telemetry.trace import DecisionTrace
 
@@ -208,8 +208,8 @@ def test_the_tick_split_does_not_show(soa_differential, estimator, sink,
                                       [names[i] for i in idx])
     (by_runs, _, _, run_edges), (by_sort, _, _, sort_edges) = forced
     for service in (by_runs, by_sort):
-        assert (json.dumps(service.snapshot(), sort_keys=True)
-                == json.dumps(pair.vector.snapshot(), sort_keys=True))
+        assert (state_fingerprint(service.snapshot())
+                == state_fingerprint(pair.vector.snapshot()))
     pair.check()
     soa_differential.same_state(by_runs, by_sort)
     assert run_edges == sort_edges == pair.edges.get(id(pair.vector), [])
@@ -354,7 +354,7 @@ def test_alert_history_is_the_scalar_oracles(
     pair.check()
 
     other = pair.cross_restored()
-    snapshots = {json.dumps(service.snapshot(), sort_keys=True)
+    snapshots = {state_fingerprint(service.snapshot())
                  for service in (pair.scalar, pair.vector, other.scalar,
                                  other.vector)}
     assert len(snapshots) == 1
@@ -365,8 +365,8 @@ def test_alert_history_is_the_scalar_oracles(
     _feed(other, rng, after, step)
     pair.check()
     other.check()
-    assert (json.dumps(pair.vector.snapshot(), sort_keys=True)
-            == json.dumps(other.vector.snapshot(), sort_keys=True))
+    assert (state_fingerprint(pair.vector.snapshot())
+            == state_fingerprint(other.vector.snapshot()))
 
 
 @given(estimator=st.sampled_from(("chebyshev", "gaussian")),
@@ -391,17 +391,16 @@ def test_a_snapshot_is_the_same_columns_whoever_writes_or_reads_it(
     pair.rows[1] = pair.vector.soa_row_for(pair.names[1])
     step = _feed(pair, rng, between, step)
 
-    written = [json.dumps(service.snapshot(), sort_keys=True)
+    written = [state_fingerprint(service.snapshot())
                for service in (pair.scalar, pair.vector)]
     assert written[0] == written[1]                     # byte-equal
-    assert json.loads(written[0])["names"] == pair.vector.task_names
+    assert pair.scalar.snapshot()["names"] == pair.vector.task_names
     # Either writer's document, restored either way, is written back as
     # it was read ...
     restored = [pair.cross_restored(), pair.cross_restored(crossed=False)]
     for other in restored:
         for service in (other.scalar, other.vector):
-            assert json.dumps(service.snapshot(),
-                              sort_keys=True) == written[0]
+            assert state_fingerprint(service.snapshot()) == written[0]
         other.check()
     # ... and all six services carry on decision for decision.
     state = rng.bit_generator.state
@@ -409,5 +408,5 @@ def test_a_snapshot_is_the_same_columns_whoever_writes_or_reads_it(
         rng.bit_generator.state = state
         _feed(harness, rng, after, step)
         harness.check()
-    assert len({json.dumps(harness.vector.snapshot(), sort_keys=True)
+    assert len({state_fingerprint(harness.vector.snapshot())
                 for harness in (pair, *restored)}) == 1

@@ -20,8 +20,6 @@ batch counterparts and against itself:
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +29,7 @@ from repro.core.adaptation import AdaptationConfig
 from repro.core.correlation import CorrelationDetector, CorrelationPlanner
 from repro.core.task import TaskSpec
 from repro.exceptions import CorrelationError
+from repro.runtime.checkpoint import state_fingerprint
 from repro.service import MonitoringService
 from repro.triggers import CorrelationMiner, TriggerPlan, TriggerWatcher
 
@@ -241,7 +240,7 @@ class TestLocalPairIsAPlan:
                     pass
             if install_at >= len(offers):
                 install(service)
-            return (json.dumps(service.snapshot(), sort_keys=True), {
+            return (state_fingerprint(service.snapshot()), {
                 name: (service.samples_taken(name), service.interval(name),
                        service.next_due(name), service.observations(name),
                        service.alert_count(name), service.alerts(name),

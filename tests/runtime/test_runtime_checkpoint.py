@@ -111,7 +111,7 @@ class TestChecksumTrailer:
             ["f8", _MIN_PACKED], ["i8", _MIN_PACKED], ["b1", 2 * _MIN_PACKED]]
         state = read_checkpoint(path)
         assert state.pop("checkpoint_version") == CHECKPOINT_VERSION
-        assert state == self.STATE
+        _identical(state, self.STATE)
 
     @pytest.mark.parametrize("region", ["head", "columns", "trailer"])
     def test_a_flipped_byte_in_each_region_raises(self, tmp_path, region):
@@ -283,8 +283,10 @@ class TestColumnTable:
 
 _NAN = float("nan")
 _FLOATS = st.floats() | st.sampled_from(
-    [0.0, -0.0, _NAN, -_NAN, math.inf, -math.inf, 5e-324, -2.2e-308])
-_INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
+    [0.0, -0.0, _NAN, -_NAN, math.inf, -math.inf, 5e-324, -5e-324,
+     -2.2e-308])
+_INT64 = st.integers(-(1 << 63), (1 << 63) - 1) | st.sampled_from(
+    [-(1 << 63), (1 << 63) - 1])
 _WIDE = st.sampled_from([1 << 63, -(1 << 63) - 1, 1 << 90])
 _LEAVES = (_FLOATS | _INT64 | _WIDE | st.booleans() | st.text(max_size=3)
            | st.none())
@@ -298,24 +300,75 @@ def _runs(element):
         lambda size: st.lists(element, min_size=size, max_size=size))
 
 
+def _arrays(element, dtype, shape=(-1,)):
+    """:func:`_runs` of ``element`` as arrays of ``dtype``."""
+    return _runs(element).map(
+        lambda values: np.array(values, dtype=dtype).reshape(shape))
+
+
 _COLUMNS = (_runs(_FLOATS) | _runs(_INT64) | _runs(st.booleans())
             | _runs(_INT64 | _WIDE) | _runs(_FLOATS | _INT64)
             | _runs(_FLOATS | st.none()) | _runs(_LEAVES))
+# What an engine snapshot holds, and arrays the codec writes as the list
+# they hold: another dtype, another byte order, another shape, no shape.
+_ARRAYS = (_arrays(_FLOATS, "<f8") | _arrays(_INT64, "<i8")
+           | _arrays(st.booleans(), "?"))
+_OTHER_ARRAYS = (_arrays(st.integers(-(1 << 31), (1 << 31) - 1), "<i4")
+                 | _arrays(_FLOATS, ">f8") | _arrays(_FLOATS, "<f8", (-1, 1))
+                 | _FLOATS.map(np.array))
 # Keys include the head's own, at every depth, to show none is reserved.
 _KEYS = st.sampled_from(["columns", "state", "shards", "x"]) \
     | st.text(max_size=4)
 _DOCS = st.dictionaries(
     _KEYS.filter(lambda key: key != "checkpoint_version"),
-    st.recursive(_LEAVES | _COLUMNS, lambda inner: st.lists(
-        inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
-        max_leaves=12),
+    st.recursive(_LEAVES | _COLUMNS | _ARRAYS | _OTHER_ARRAYS,
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(_KEYS, inner, max_size=3),
+                 max_leaves=12),
     max_size=5)
+_PACKS = {float: np.dtype("<f8"), int: np.dtype("<i8"), bool: np.dtype("?")}
+
+
+def _packed_as(written):
+    """The dtype the codec packs ``written`` — a list or an array — as,
+    or ``None`` where it stays JSON: at least ``_MIN_PACKED`` elements
+    of one packable type (ints within int64), or a 1-D array of a
+    packable dtype."""
+    if isinstance(written, np.ndarray):
+        return written.dtype if (written.ndim == 1
+                                 and len(written) >= _MIN_PACKED
+                                 and written.dtype in _PACKS.values()) \
+            else None
+    kinds = set(map(type, written))
+    if len(written) < _MIN_PACKED or len(kinds) != 1 or not kinds <= set(
+            _PACKS) or kinds == {int} and not all(
+            -(1 << 63) <= value < 1 << 63 for value in written):
+        return None
+    return _PACKS[kinds.pop()]
 
 
 def _identical(read, written):
-    """Equal, with ``type(a) is type(b)`` at every leaf and keys in the
-    same order; floats equal as JSON spells them (``-0.0`` apart from
-    ``0.0``, any ``nan`` equal to any ``nan``)."""
+    """What ``write_checkpoint`` of ``written`` reads back as: a packed
+    list or array a read-only array of its dtype — an array's very bytes,
+    a list's very elements — and any other array the list it holds; at
+    every other leaf ``type(a) is type(b)``, keys in the same order and
+    floats equal as JSON spells them (``-0.0`` apart from ``0.0``, any
+    ``nan`` equal to any ``nan``)."""
+    if isinstance(written, (list, np.ndarray)):
+        dtype = _packed_as(written)
+        if dtype is not None:
+            assert type(read) is np.ndarray and read.dtype == dtype
+            assert not read.flags.writeable
+            if isinstance(written, np.ndarray):
+                assert read.tobytes() == written.tobytes()
+            else:
+                assert len(read) == len(written)
+                for a, b in zip(read.tolist(), written):
+                    _identical(a, b)
+            return
+        if isinstance(written, np.ndarray):
+            _identical(read, written.tolist())
+            return
     assert type(read) is type(written), (read, written)
     if isinstance(written, dict):
         assert list(read) == list(written)
@@ -334,15 +387,42 @@ def _identical(read, written):
         assert read == written
 
 
+def _as_lists(doc):
+    """``doc`` with every array the list it holds."""
+    if isinstance(doc, dict):
+        return {key: _as_lists(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_as_lists(value) for value in doc]
+    return doc.tolist() if isinstance(doc, np.ndarray) else doc
+
+
+def _as_arrays(doc):
+    """``doc`` with every list of one packable type — any length — the
+    equal array of that type's dtype."""
+    if isinstance(doc, dict):
+        return {key: _as_arrays(value) for key, value in doc.items()}
+    if not isinstance(doc, list):
+        return doc
+    kinds = set(map(type, doc))
+    if len(kinds) == 1 and kinds <= set(_PACKS):
+        try:
+            return np.array(doc, dtype=_PACKS[kinds.pop()])
+        except OverflowError:   # an int wider than 64 bits
+            pass
+    return [_as_arrays(value) for value in doc]
+
+
 @pytest.fixture(scope="module")
 def scratch_file(tmp_path_factory):
     return tmp_path_factory.mktemp("codec") / "doc.ckpt"
 
 
 class TestCodecRoundTrip:
-    """``read_checkpoint(write_checkpoint(doc))`` is ``doc``: whatever is
-    packed comes back as the same Python values, whatever cannot be
-    packed stays JSON, and the fingerprint cannot tell the two apart."""
+    """``read_checkpoint(write_checkpoint(doc))`` is ``doc`` with every
+    packed column a read-only array: an array comes back with its dtype
+    and bytes, a list as the array of its elements, whatever cannot be
+    packed stays JSON — and the fingerprint cannot tell the two forms
+    apart, nor the file a list from the equal array."""
 
     @settings(max_examples=150, deadline=None)
     @given(doc=_DOCS)
@@ -351,6 +431,35 @@ class TestCodecRoundTrip:
         read = read_checkpoint(scratch_file)
         assert read.pop("checkpoint_version") == CHECKPOINT_VERSION
         _identical(read, doc)
+        assert state_fingerprint(read) == state_fingerprint(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_DOCS)
+    def test_lists_and_equal_arrays_write_the_same_file(self, scratch_file,
+                                                        doc):
+        files = []
+        listed = _as_lists(doc)
+        for form in (doc, listed, _as_arrays(listed)):
+            write_checkpoint(scratch_file, form)
+            files.append(scratch_file.read_bytes())
+        assert files[0] == files[1] == files[2]
+
+    @pytest.mark.parametrize("size", [0, _MIN_PACKED - 1, _MIN_PACKED,
+                                      _MIN_PACKED + 1])
+    def test_an_array_comes_back_bit_for_bit(self, tmp_path, size):
+        doc = {"f": np.resize(np.array(
+                   [-0.0, _NAN, math.inf, -math.inf, 5e-324, -2.2e-308]),
+                   size),
+               "i": np.resize(np.array([-(1 << 63), (1 << 63) - 1, 0],
+                                       dtype=np.int64), size),
+               "b": np.resize(np.array([True, False]), size)}
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(path, doc)
+        read = read_checkpoint(path)
+        del read["checkpoint_version"]
+        _identical(read, doc)
+        assert all((type(read[key]) is np.ndarray) == (size >= _MIN_PACKED)
+                   for key in doc)
         assert state_fingerprint(read) == state_fingerprint(doc)
 
     def test_the_head_spells_no_packed_number(self, tmp_path):
@@ -454,7 +563,10 @@ class TestServiceSnapshot:
         for step in range(20):
             service.offer("a", float(step * 7 % 13), step)
         snapshot = service.snapshot()
-        assert json.loads(json.dumps(snapshot)) == snapshot
+        wire = json.loads(json.dumps(snapshot, default=np.ndarray.tolist))
+        assert state_fingerprint(wire) == state_fingerprint(snapshot)
+        assert (state_fingerprint(MonitoringService.restore(wire).snapshot())
+                == state_fingerprint(snapshot))
 
     def test_restore_resumes_identically(self):
         rng = np.random.default_rng(5)
@@ -482,7 +594,8 @@ class TestServiceSnapshot:
 
         interrupted = build()
         feed(interrupted, 0, 300)
-        snapshot = json.loads(json.dumps(interrupted.snapshot()))
+        snapshot = json.loads(json.dumps(interrupted.snapshot(),
+                                         default=np.ndarray.tolist))
         restored = MonitoringService.restore(snapshot)
         feed(restored, 300, 600)
 
@@ -521,8 +634,9 @@ class TestServiceSnapshot:
         service.add_remote_trigger("a", "gone", 1.0)
         assert service.snapshot()["sparse"]["remote_trigger"] == {
             "a": "gone"}
-        assert MonitoringService.restore(
-            service.snapshot()).snapshot() == service.snapshot()
+        assert state_fingerprint(MonitoringService.restore(
+            service.snapshot()).snapshot()) == state_fingerprint(
+            service.snapshot())
 
     def test_window_buffer_survives_restore(self):
         service = MonitoringService()
@@ -631,11 +745,37 @@ def _versions(got):
     return rf"version {got};.*version {SNAPSHOT_VERSION}\b"
 
 
+def _f8_where_i8_is_expected(s):
+    s["task"]["next_due"] = s["task"]["next_due"].astype(np.float64)
+
+
+def _bool_array_in_an_int_column(s):
+    s["sampler"]["interval"] = s["sampler"]["interval"] > 0
+
+
+def _int32_array(s):
+    s["task"]["samples_taken"] = s["task"]["samples_taken"].astype(np.int32)
+
+
+def _2d_array(s):
+    s["sampler"]["mean"] = s["sampler"]["mean"].reshape(-1, 1)
+
+
+def _object_array(s):
+    s["alerts"]["value"] = s["alerts"]["value"].astype(object)
+
+
+def _array_of_the_wrong_length(s):
+    s["sampler"]["var"] = s["sampler"]["var"][:-1]
+
+
 class TestMalformedSnapshot:
     """A document that is not a version-3 snapshot — any other stamp, or
     a version-3 stamp on a body that is not one — is refused by name,
     before a service exists, onto rows and onto the scalar oracle alike.
-    Nothing upgrades an older stamp."""
+    Nothing upgrades an older stamp. ``CASES`` damage the wire form (the
+    document after a JSON round trip, every column a list),
+    ``ARRAY_CASES`` the columns a service writes as arrays."""
 
     CASES = [
         (_ragged, "sampler.mean"),
@@ -661,10 +801,18 @@ class TestMalformedSnapshot:
         (_unknown_direction, "spec.direction.*sideways"),
         (_unknown_top_level_key, r"\['tasks'\]"),
     ]
+    ARRAY_CASES = [
+        (_f8_where_i8_is_expected, "task.next_due.*float64"),
+        (_bool_array_in_an_int_column, "sampler.interval.*bool"),
+        (_int32_array, "task.samples_taken.*int32"),
+        (_2d_array, "sampler.mean"),
+        (_object_array, "alerts.value.*object"),
+        (_array_of_the_wrong_length, "sampler.var"),
+    ]
 
     @staticmethod
-    def _snapshot():
-        service = MonitoringService(soa=True)
+    def _snapshot(soa):
+        service = MonitoringService(soa=soa)
         for name in ("hot", "edge", "held"):
             service.add_task(name, task(threshold=50.0, err=0.05))
         service.add_trigger_watch("edge", 40.0)
@@ -672,18 +820,14 @@ class TestMalformedSnapshot:
         for step in range(6):
             for name in ("hot", "edge", "held"):
                 service.offer(name, 45.0 + 2 * step, step)
-        snapshot = json.loads(json.dumps(service.snapshot()))
-        assert sum(snapshot["task"]["alerts"]) > 0
+        snapshot = service.snapshot()
+        assert snapshot["task"]["alerts"].sum() > 0
         return snapshot
 
-    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
-    @pytest.mark.parametrize("damage, culprit", CASES,
-                             ids=[case.__name__[1:] for case, _ in CASES])
-    def test_is_refused_by_name_before_a_service_exists(
-            self, damage, culprit, soa, monkeypatch):
-        snapshot = self._snapshot()
-        assert (MonitoringService.restore(snapshot, soa=soa).snapshot()
-                == snapshot)
+    @staticmethod
+    def _refused(snapshot, damage, culprit, soa, monkeypatch):
+        assert (state_fingerprint(MonitoringService.restore(
+            snapshot, soa=soa).snapshot()) == state_fingerprint(snapshot))
         damage(snapshot)
         built = []
         init = MonitoringService.__init__
@@ -693,6 +837,24 @@ class TestMalformedSnapshot:
         with pytest.raises(ConfigurationError, match=culprit):
             MonitoringService.restore(snapshot, soa=soa)
         assert not built
+
+    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
+    @pytest.mark.parametrize("damage, culprit", CASES,
+                             ids=[case.__name__[1:] for case, _ in CASES])
+    def test_is_refused_by_name_before_a_service_exists(
+            self, damage, culprit, soa, monkeypatch):
+        wire = json.loads(json.dumps(self._snapshot(soa=True),
+                                     default=np.ndarray.tolist))
+        self._refused(wire, damage, culprit, soa, monkeypatch)
+
+    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
+    @pytest.mark.parametrize("damage, culprit", ARRAY_CASES, ids=[
+        case.__name__[1:] for case, _ in ARRAY_CASES])
+    def test_an_array_is_refused_by_name_before_a_service_exists(
+            self, damage, culprit, soa, monkeypatch):
+        # Either service's document, onto either: both write the arrays.
+        self._refused(self._snapshot(soa=not soa), damage, culprit, soa,
+                      monkeypatch)
 
 
 class TestSnapshotOntoEngineRows:
@@ -725,7 +887,8 @@ class TestSnapshotOntoEngineRows:
             if step > 150 and ready():
                 break
         assert ready()
-        written = json.loads(json.dumps(scalar.snapshot()))
+        written = json.loads(json.dumps(scalar.snapshot(),
+                                        default=np.ndarray.tolist))
         assert any(written["sparse"]["trigger_suspensions"].values())
 
         restored = MonitoringService.restore(written, soa=True)

@@ -9,6 +9,7 @@ from repro.core.adaptation import AdaptationConfig
 from repro.core.task import TaskSpec
 from repro.core.windowed import AggregateKind
 from repro.exceptions import ConfigurationError
+from repro.runtime.checkpoint import state_fingerprint
 from repro.service import MonitoringService
 from repro.triggers.plan import TriggerPlan
 
@@ -211,11 +212,11 @@ class TestOneTargetOneGate:
         service = self.make(soa)
         service.install_trigger_plan(self.PLAN)     # costly <- far @ 95
         service.set_trigger_armed("costly", False)
-        before = service.snapshot()
+        before = state_fingerprint(service.snapshot())
         with pytest.raises(ConfigurationError, match="one level"):
             service.add_trigger("cheap", "far", elevation_level=50.0,
                                 suspend_interval=10)
-        assert service.snapshot() == before
+        assert state_fingerprint(service.snapshot()) == before
         assert service.trigger_status("cheap") == {}
         if soa:
             assert service.soa_engine.active[:3].all()
@@ -242,15 +243,15 @@ class TestOneTargetOneGate:
         here). Re-levelling the watch would flip ``costly`` at 50."""
         service = self.make(soa)
         service.install_trigger_plan(self.PLAN)     # costly <- far @ 95
-        before = service.snapshot()
+        before = state_fingerprint(service.snapshot())
         for target in ("cheap", "elsewhere"):
             with pytest.raises(ConfigurationError, match="one level"):
                 service.install_trigger_plan(TriggerPlan(
                     target=target, trigger="far", elevation_level=50.0))
-            assert service.snapshot() == before
+            assert state_fingerprint(service.snapshot()) == before
         service.install_trigger_plan(TriggerPlan(
             target="elsewhere", trigger="far", elevation_level=95.0))
-        assert service.snapshot() == before
+        assert state_fingerprint(service.snapshot()) == before
 
 
 class TestTriggerEdgeCases:

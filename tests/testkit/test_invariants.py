@@ -182,10 +182,12 @@ class TestRestoreBitIdentical:
 
     def test_fingerprint_ignores_key_order_only(self):
         snapshot = self._snapshot()
-        reordered = json.loads(json.dumps(snapshot, sort_keys=True))
+        reordered = json.loads(json.dumps(snapshot, sort_keys=True,
+                                          default=np.ndarray.tolist))
         assert snapshot_fingerprint(snapshot) \
             == snapshot_fingerprint(reordered)
-        mutated = json.loads(json.dumps(snapshot))
+        mutated = json.loads(json.dumps(snapshot,
+                                        default=np.ndarray.tolist))
         mutated["task"]["samples_taken"][0] += 1
         assert snapshot_fingerprint(mutated) \
             != snapshot_fingerprint(snapshot)

@@ -16,7 +16,8 @@ engine row, a last-seen pair dragging its batch off the tick, an
 ``Alert`` object, a trace call or a trace event dict per alert on a
 hosted shard or in its restore, a JSON object per task in a snapshot, a
 decimal number per task in a checkpoint file, a row-by-row engine write
-in a restore).
+in a restore, a numpy scalar per column read or write of a narrow tick or
+a by-name offer).
 """
 
 from __future__ import annotations
@@ -397,3 +398,42 @@ def test_restore_builds_alerts_only_for_the_scalar_oracle(monkeypatch):
     assert len(built) == 20_000
     assert state_fingerprint(scalar.snapshot()) == taken
     assert len(built) == 20_000
+
+
+def test_a_narrow_tick_indexes_no_column(monkeypatch):
+    """A 16-row tick, stepped row by row, and by-name offers reach the
+    engine's columns through its views and whole-array operations only:
+    no column is indexed by an integer, which makes a numpy scalar."""
+    service = _warm(64)
+    engine = service.soa_engine
+    indexed: list[Any] = []
+
+    class CountedColumn(np.ndarray):
+        def __getitem__(self, key: Any) -> Any:
+            if isinstance(key, (int, np.integer)):
+                indexed.append(key)
+            return super().__getitem__(key)
+
+        def __setitem__(self, key: Any, value: Any) -> None:
+            if isinstance(key, (int, np.integer)):
+                indexed.append(key)
+            super().__setitem__(key, value)
+    for name in engine._COLUMNS:
+        monkeypatch.setattr(engine, name,
+                            getattr(engine, name).view(CountedColumn))
+    engine._bind_views()
+    narrow = _counted(monkeypatch, engine, "_observe_narrow")
+    rows = np.arange(0, 32, 2, dtype=np.int64)
+    values = np.where(rows % 4 == 0, 150.0, 50.0)   # half of them alert
+    applied, consumed, rejected, _ = service.offer_columns(
+        rows, np.full(16, 40), values)
+    assert (applied, consumed, rejected) == (16, 16, 0) and narrow
+    assert service.offer_fast("t0001", 150.0, 41) == 1
+    assert service.offer("t0003", 50.0, 41).violation is False
+    readers = (service.next_due, service.samples_taken, service.interval,
+               service.observations, service.alert_count,
+               service.trigger_suspensions)
+    assert all(type(read("t0001")) is int for read in readers)
+    assert not indexed
+    engine.views.mean[0] = 1.5          # the views alias the columns
+    assert engine.mean[:1].tolist() == [1.5]

@@ -96,13 +96,16 @@ _Tick = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
 # Ticks with fewer due rows than this are advanced row by row through
 # observe_one instead of vectorised: a vectorised tick costs ~110 numpy
 # calls whatever its width, observe_one costs per row. Sweep (us per tick,
-# all rows due, quiet and hot streams alike, numpy 2.4 / CPython 3.11):
-#   width        4    8   12   16   24   32   64
-#   vectorised  82   83   88   87   93   96  106
-#   row by row  34   59   85  104  152  194  370
-# i.e. ~80 us fixed against ~6.2 us a row + 9: they cross between 12 and
-# 13 rows. Keyed on tick width alone; deliberately not a setting.
-_NARROW_TICK_ROWS = 13
+# all rows due, quiet stream; median of 600 ticks, the two paths
+# alternating tick by tick on one CPU of a shared 2-CPU VM, numpy 2.4 /
+# CPython 3.11; a hot stream reads the same):
+#   width        4    8   12   16   20   24   28   32   48   64
+#   vectorised 184  188  195  197  208  212  214  210  215  211
+#   row by row  40   64   88  110  140  163  190  215  300  377
+# i.e. ~205 us fixed against ~5.6 us a row + 18: they cross near 28 rows,
+# and near 25 in a quieter hour (~95 us against ~3.6 us a row + 3). Keyed
+# on tick width alone; deliberately not a setting.
+_NARROW_TICK_ROWS = 24
 
 
 def _columns_at(rows: np.ndarray) -> slice | np.ndarray:
@@ -190,6 +193,22 @@ def sampler_state_dict(columns: dict[str, list[Any]],
             state.update(dict.fromkeys(keys))
     state["stats"] = {key: state.pop(key) for key in _STATS_KEYS}
     return state
+
+
+class _Views:
+    """:attr:`SoaSamplerEngine.views`: one ``memoryview`` per engine
+    column, by the column's name."""
+
+    __slots__ = (
+        "sign", "threshold", "alert_threshold", "err", "max_interval",
+        "patience", "min_samples", "one_minus_slack", "use_cheb",
+        "restart_limit", "min_fresh", "interval", "streak", "last_value",
+        "has_last", "last_time", "observations", "grow_events",
+        "reset_events", "coord_sum_r", "coord_sum_log_e", "coord_n",
+        "last_beta", "last_flags", "stat_n", "mean", "var", "stale_mean",
+        "stale_var", "has_stale", "stale_count", "restarts", "total_count",
+        "next_due", "samples_taken", "alerts", "active", "absorbs",
+        "derived", "watched", "floor", "suspensions")
 
 
 class ColumnBatchResult:
@@ -324,17 +343,9 @@ class SoaSamplerEngine:
         self.watched = b1()
         self.floor = i8()
         self.suspensions = i8()
+        self._bind_views()
 
-    _COLUMNS = (
-        "sign", "threshold", "alert_threshold", "err", "max_interval",
-        "patience", "min_samples", "one_minus_slack", "use_cheb",
-        "restart_limit", "min_fresh", "interval", "streak", "last_value",
-        "has_last", "last_time", "observations", "grow_events",
-        "reset_events", "coord_sum_r", "coord_sum_log_e", "coord_n",
-        "last_beta", "last_flags", "stat_n", "mean", "var", "stale_mean",
-        "stale_var", "has_stale", "stale_count", "restarts", "total_count",
-        "next_due", "samples_taken", "alerts", "active", "absorbs",
-        "derived", "watched", "floor", "suspensions")
+    _COLUMNS = _Views.__slots__
 
     def __len__(self) -> int:
         return self._rows
@@ -345,6 +356,16 @@ class SoaSamplerEngine:
             new = np.zeros(len(old) * 2, dtype=old.dtype)
             new[:len(old)] = old
             setattr(self, name, new)
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        """One ``memoryview`` per column over the array bound now (call it
+        wherever a column is bound): the scalar surface's way to one
+        element, a Python number where indexing the array makes a numpy
+        scalar. The views alias the columns, the one home of the state."""
+        self.views = _Views()
+        for name in self._COLUMNS:
+            setattr(self.views, name, memoryview(getattr(self, name)))
 
     # ------------------------------------------------------------------
     # Row lifecycle
@@ -418,39 +439,40 @@ class SoaSamplerEngine:
         """Retire a row; offers routed to it fall back / reject."""
         self.mark_row(row)
         self.set_floor(row, 1)
-        self.active[row] = False
+        self.views.active[row] = False
 
     def mark_row(self, row: int, absorbs: bool = False,
                  derived: bool = False, watched: bool = False) -> None:
         """Set the row's ``absorbs`` / ``derived`` / ``watched`` marks."""
-        self.derived_rows += derived - bool(self.derived[row])
-        self.absorbs[row] = absorbs
-        self.derived[row] = derived
-        self.watched[row] = watched
+        self.derived_rows += derived - self.views.derived[row]
+        self.views.absorbs[row] = absorbs
+        self.views.derived[row] = derived
+        self.views.watched[row] = watched
 
     def set_floor(self, row: int, floor: int) -> None:
         """Set the least advance from a consumed offer to the row's next
         due step (1 = the sampler's interval alone decides)."""
-        self._floored += (floor > 1) - bool(self.floor[row] > 1)
-        self.floor[row] = floor
+        self._floored += (floor > 1) - (self.views.floor[row] > 1)
+        self.views.floor[row] = floor
 
     def resume_full_rate(self, row: int) -> None:
         """:meth:`ViolationLikelihoodSampler.resume_full_rate` on a row,
         and due at the very next offer (a guard's arm edge)."""
-        self.interval[row] = 1
-        self.streak[row] = 0
-        self.next_due[row] = 0
+        self.views.interval[row] = 1
+        self.views.streak[row] = 0
+        self.views.next_due[row] = 0
 
     def advance_one(self, row: int, step: int, interval: int) -> None:
         """Schedule the row after a consumed offer at ``step`` that left
         the sampler at ``interval`` (the row-at-a-time twin of the tail
         of :meth:`_observe_tick`)."""
+        c = self.views
         advance = interval if interval > 1 else 1
-        if self._floored and self.floor[row] > advance:
-            advance = int(self.floor[row])
-            self.suspensions[row] += 1
-        self.next_due[row] = step + advance
-        self.samples_taken[row] += 1
+        if self._floored and c.floor[row] > advance:
+            advance = c.floor[row]
+            c.suspensions[row] += 1
+        c.next_due[row] = step + advance
+        c.samples_taken[row] += 1
 
     def drain_coordination(self, rows: np.ndarray | slice,
                            ) -> list[CoordinationStats | None]:
@@ -521,62 +543,67 @@ class SoaSamplerEngine:
         :meth:`ViolationLikelihoodSampler.observe` operating on column
         storage — by-name offers (``MonitoringService.offer`` on an
         engine service) and columnar batches may interleave freely on
-        the same task: both write the one row.
+        the same task: both write the one row. Reads and writes go
+        through :attr:`views`, so every element is a Python number.
         """
-        v = float(self.sign[row]) * value
-        threshold = float(self.threshold[row])
+        c = self.views
+        v = c.sign[row] * value
+        threshold = c.threshold[row]
         flags = 4 if v > threshold else 0
 
-        if self.has_last[row]:
-            steps = step - int(self.last_time[row])
+        if c.has_last[row]:
+            last_time = c.last_time[row]
+            steps = step - last_time
             if steps <= 0:
                 raise ValueError(
-                    f"time_index must increase: {step} after "
-                    f"{int(self.last_time[row])}")
-            x = (v - float(self.last_value[row])) / steps
+                    f"time_index must increase: {step} after {last_time}")
+            x = (v - c.last_value[row]) / steps
             if not math.isfinite(x):
                 raise ValueError(f"non-finite observation: {x!r}")
-            n_acc = int(self.stat_n[row]) + 1
-            self.total_count[row] += 1
-            prev_mean = float(self.mean[row])
+            n_acc = c.stat_n[row] + 1
+            c.total_count[row] += 1
+            prev_mean = c.mean[row]
             mean_acc = prev_mean + (x - prev_mean) / n_acc
-            var_acc = ((n_acc - 1) * float(self.var[row])
+            var_acc = ((n_acc - 1) * c.var[row]
                        + (x - mean_acc) * (x - prev_mean)) / n_acc
-            if n_acc > int(self.restart_limit[row]):
-                self.stale_mean[row] = mean_acc
-                self.stale_var[row] = var_acc
-                self.stale_count[row] = n_acc
-                self.has_stale[row] = True
-                self.restarts[row] += 1
+            if n_acc > c.restart_limit[row]:
+                c.stale_mean[row] = mean_acc
+                c.stale_var[row] = var_acc
+                c.stale_count[row] = n_acc
+                c.has_stale[row] = True
+                c.restarts[row] += 1
                 n_acc = 0
                 mean_acc = 0.0
                 var_acc = 0.0
-            self.stat_n[row] = n_acc
-            self.mean[row] = mean_acc
-            self.var[row] = var_acc
-        self.observations[row] += 1
-        self.last_value[row] = v
-        self.last_time[row] = step
-        self.has_last[row] = True
+            c.stat_n[row] = n_acc
+            c.mean[row] = mean_acc
+            c.var[row] = var_acc
+        else:
+            n_acc = c.stat_n[row]
+            mean_acc = c.mean[row]
+            var_acc = c.var[row]
+        c.observations[row] += 1
+        c.last_value[row] = v
+        c.last_time[row] = step
+        c.has_last[row] = True
 
-        n_acc = int(self.stat_n[row])
-        if self.has_stale[row] and n_acc < int(self.min_fresh[row]):
-            eff = int(self.stale_count[row])
-            mean_est = float(self.stale_mean[row])
-            var_est = float(self.stale_var[row])
+        if c.has_stale[row] and n_acc < c.min_fresh[row]:
+            eff = c.stale_count[row]
+            mean_est = c.stale_mean[row]
+            var_est = c.stale_var[row]
         else:
             eff = n_acc
-            mean_est = float(self.mean[row])
-            var_est = max(float(self.var[row]), 0.0)
+            mean_est = mean_acc
+            var_est = 0.0 if var_acc < 0.0 else var_acc     # max(var, 0.0)
 
-        interval = int(self.interval[row])
-        if eff >= int(self.min_samples[row]):
+        interval = c.interval[row]
+        if eff >= c.min_samples[row]:
             std_est = math.sqrt(var_est)
             gap0 = threshold - v
             if std_est == 0.0:
                 worst = interval if mean_est >= 0.0 else 1
                 beta = 0.0 if gap0 - worst * mean_est > 0.0 else 1.0
-            elif self.use_cheb[row]:
+            elif c.use_cheb[row]:
                 survive = 1.0
                 for i in range(1, interval + 1):
                     gap = gap0 - i * mean_est
@@ -601,9 +628,9 @@ class SoaSamplerEngine:
         else:
             beta = 1.0
 
-        err = float(self.err[row])
-        one_minus_slack = float(self.one_minus_slack[row])
-        streak = int(self.streak[row])
+        err = c.err[row]
+        one_minus_slack = c.one_minus_slack[row]
+        streak = c.streak[row]
         if err <= 0.0:
             if interval != 1:
                 interval = 1
@@ -613,30 +640,30 @@ class SoaSamplerEngine:
             if interval != 1:
                 flags |= 2
                 interval = 1
-                self.reset_events[row] += 1
+                c.reset_events[row] += 1
             streak = 0
         elif beta <= one_minus_slack * err:
             streak += 1
-            if streak >= int(self.patience[row]):
+            if streak >= c.patience[row]:
                 streak = 0
-                if interval < int(self.max_interval[row]):
+                if interval < c.max_interval[row]:
                     interval += 1
                     flags |= 1
-                    self.grow_events[row] += 1
+                    c.grow_events[row] += 1
         else:
             streak = 0
 
-        if interval < int(self.max_interval[row]):
-            self.coord_sum_r[row] += (1.0 / interval
-                                      - 1.0 / (interval + 1.0))
-        self.coord_sum_log_e[row] += math.log(
-            max(beta / one_minus_slack, _MIN_ERROR_NEEDED))
-        self.coord_n[row] += 1
+        if interval < c.max_interval[row]:
+            c.coord_sum_r[row] += 1.0 / interval - 1.0 / (interval + 1.0)
+        needed = beta / one_minus_slack
+        c.coord_sum_log_e[row] += math.log(
+            _MIN_ERROR_NEEDED if _MIN_ERROR_NEEDED > needed else needed)
+        c.coord_n[row] += 1
 
-        self.interval[row] = interval
-        self.streak[row] = streak
-        self.last_beta[row] = beta
-        self.last_flags[row] = flags
+        c.interval[row] = interval
+        c.streak[row] = streak
+        c.last_beta[row] = beta
+        c.last_flags[row] = flags
 
         metrics = _adaptation._SAMPLER_METRICS
         if metrics.enabled:

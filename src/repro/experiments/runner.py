@@ -179,13 +179,17 @@ def _lockstep(arrays: list[np.ndarray], tasks: Sequence[TaskSpec],
     if len(arrays) < _NARROW_TICK_ROWS:
         for row, arr in enumerate(arrays):
             trace = arr.tolist()
+            taken_steps: list[int] = []
+            taken_intervals: list[int] = []
             step = 0
             while step < len(trace):
                 interval = engine.observe_one(row, trace[step], step)
-                sampled[step, row] = True
-                if intervals is not None:
-                    intervals[step, row] = interval
+                taken_steps.append(step)
+                taken_intervals.append(interval)
                 step += interval
+            sampled[taken_steps, row] = True
+            if intervals is not None:
+                intervals[taken_steps, row] = taken_intervals
         return engine, sampled, intervals
 
     # Step-major values, each distinct trace object once (a panel shares

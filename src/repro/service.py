@@ -38,6 +38,7 @@ from functools import partial
 from itertools import repeat
 from dataclasses import dataclass, field, fields as dataclass_fields
 from math import isfinite
+from operator import index
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -829,7 +830,7 @@ class MonitoringService:
             del self._soa_rows[state.soa_row]
             self._hooks.release(state.soa_row)
             self._alert_callbacks.pop(state.soa_row, None)
-            if self._soa.alerts[state.soa_row]:
+            if self._soa.views.alerts[state.soa_row]:
                 self._alert_log.drop_row(state.soa_row)
         for other in self._guards.pop(name, {}).values():
             other.remote_trigger = None
@@ -919,7 +920,7 @@ class MonitoringService:
         else:
             self._watchers += 1
             if self._soa is not None:
-                self._soa.watched[state.soa_row] = True
+                self._soa.views.watched[state.soa_row] = True
         state.watch = TriggerWatcher(level, hysteresis=hysteresis,
                                      min_hold=min_hold)
 
@@ -1005,7 +1006,7 @@ class MonitoringService:
 
     def _suspensions(self, state: TaskState) -> int:
         if self._soa is not None:
-            return int(self._soa.suspensions[state.soa_row])
+            return self._soa.views.suspensions[state.soa_row]
         return state.trigger_suspensions
 
     def trigger_accounting(self) -> tuple[int, float]:
@@ -1104,7 +1105,7 @@ class MonitoringService:
         """Grid step of the task's next wanted sample."""
         state = self._state(name)
         if self._soa is not None:
-            return int(self._soa.next_due[state.soa_row])
+            return self._soa.views.next_due[state.soa_row]
         return state.next_due
 
     def offer(self, name: str, value: float, step: int,
@@ -1121,18 +1122,21 @@ class MonitoringService:
 
         On a scalar service this is the reference statement of a step
         (``sampler.observe``) and the only one; an engine service steps
-        the task's row (:meth:`_offer_soa`).
+        the task's row (:meth:`_offer_soa`). ``step`` is an integer
+        (anything :func:`operator.index` takes); a fractional one raises
+        :class:`TypeError` before anything is touched.
         """
+        step = index(step)
         if self._soa is not None:
             interval = self._offer_soa(name, value, step)
             if interval is None:
                 return None
-            engine = self._soa
+            c = self._soa.views
             row = self._tasks[name].soa_row
-            flags = int(engine.last_flags[row])
+            flags = c.last_flags[row]
             return SamplingDecision(
                 next_interval=interval,
-                misdetection_bound=float(engine.last_beta[row]),
+                misdetection_bound=c.last_beta[row],
                 grew=bool(flags & 1), reset=bool(flags & 2),
                 violation=bool(flags & 4))
         if not isfinite(value):
@@ -1163,6 +1167,7 @@ class MonitoringService:
         steps the row without building the decision, a scalar service
         calls :meth:`offer`.
         """
+        step = index(step)
         if self._soa is not None:
             return self._offer_soa(name, value, step)
         decision = self.offer(name, value, step)
@@ -1189,16 +1194,17 @@ class MonitoringService:
             self._watch_edge(state, value, step)
         if state.task_type != "value":
             state.absorb(value)
-        if step < engine.next_due[row]:
+        c = engine.views
+        if step < c.next_due[row]:
             return None
         monitored = state.monitored(step, value)
         interval = engine.observe_one(row, monitored, step)
         engine.advance_one(row, step, interval)
-        flags = int(engine.last_flags[row])
+        flags = c.last_flags[row]
         if flags:
             self._fan_out_columns(
                 ColumnBatchResult.of_one(row, step, monitored, interval,
-                                         flags, float(engine.last_beta[row])),
+                                         flags, c.last_beta[row]),
                 {(row, step): state.substrate.quantile_value()}
                 if flags & 4 and state.task_type == "quantile" else {})
         return interval
@@ -1443,7 +1449,7 @@ class MonitoringService:
         state = self._state(name)
         if self._soa is None:
             return list(state.alerts)
-        if not self._soa.alerts[state.soa_row]:
+        if not self._soa.views.alerts[state.soa_row]:
             return []
         return [Alert(time_index=step, value=value, threshold=threshold)
                 for step, value, threshold
@@ -1455,27 +1461,27 @@ class MonitoringService:
         state = self._state(name)
         if self._soa is None:
             return len(state.alerts)
-        return int(self._soa.alerts[state.soa_row])
+        return self._soa.views.alerts[state.soa_row]
 
     def samples_taken(self, name: str) -> int:
         """Sampling operations consumed by a task so far."""
         state = self._state(name)
         if self._soa is not None:
-            return int(self._soa.samples_taken[state.soa_row])
+            return self._soa.views.samples_taken[state.soa_row]
         return state.samples_taken
 
     def interval(self, name: str) -> int:
         """A task's current sampling interval (in default intervals)."""
         state = self._state(name)
         if self._soa is not None:
-            return int(self._soa.interval[state.soa_row])
+            return self._soa.views.interval[state.soa_row]
         return state.sampler.interval
 
     def observations(self, name: str) -> int:
         """Values offered while the task was due (sampler observations)."""
         state = self._state(name)
         if self._soa is not None:
-            return int(self._soa.observations[state.soa_row])
+            return self._soa.views.observations[state.soa_row]
         return state.sampler.observations
 
     def task_type(self, name: str) -> str:

@@ -396,6 +396,60 @@ class TestSnapshotIsAValue:
         assert taken[0] == taken[1]
 
 
+class TestViewsStayBound:
+    """The scalar surface reaches the columns through one memoryview per
+    column: each view must be over the array bound now, or a write
+    through it lands in a buffer nobody reads any more."""
+
+    @staticmethod
+    def _bound(engine):
+        return all(getattr(engine.views, name).obj is getattr(engine, name)
+                   for name in engine._COLUMNS)
+
+    def test_every_binding_rebinds_the_views(self):
+        engine = soa_mod.SoaSamplerEngine(capacity=2)
+        assert self._bound(engine)
+        task = TaskSpec(threshold=100.0, error_allowance=0.05)
+        for _ in range(3):                       # the third row grows
+            engine.add_task(task)
+        assert len(engine.sign) == 4 and self._bound(engine)
+        engine.add_tasks([task] * 7, [AdaptationConfig()] * 7)
+        assert len(engine.sign) == 16 and self._bound(engine)
+        service, _ = TestSnapshotIsAValue._hot(soa=True)
+        restored = MonitoringService.restore(service.snapshot(), soa=True)
+        assert self._bound(restored.soa_engine)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_rows_grown_mid_stream_step_as_the_oracle(self, estimator):
+        config = AdaptationConfig(estimator=estimator, stats_restart=40)
+        engine = soa_mod.SoaSamplerEngine(capacity=1)
+        oracles = []
+        rng = np.random.default_rng(13)
+        for step in range(200):
+            if step % 10 == 0:                   # 20 rows: grows 5 times
+                task = TaskSpec(threshold=100.0, error_allowance=0.02,
+                                max_interval=8)
+                assert engine.add_task(task, config) == len(oracles)
+                oracles.append(ViolationLikelihoodSampler(task, config))
+            for row, oracle in enumerate(oracles):
+                value = float(rng.normal(85.0, 10.0))
+                assert engine.observe_one(row, value, step) == (
+                    oracle.observe(value, step).next_interval)
+        assert len(engine.sign) == 32
+        for row, oracle in enumerate(oracles):
+            assert engine.row_state_dict(row) == oracle.state_dict()
+
+    def test_a_snapshot_keeps_its_fingerprint_through_observe_one(self):
+        service, _ = TestSnapshotIsAValue._hot(soa=True)
+        snapshot = service.snapshot()
+        taken = state_fingerprint(snapshot)
+        for step in range(6, 30):
+            service.offer_fast("mix-0", 90.0 + step % 13, step)
+            service.offer("mix-1", 150.0, step)
+        assert fingerprint(service) != taken
+        assert state_fingerprint(snapshot) == taken
+
+
 class TestAlertLog:
     """The engine service's columnar alert history, at its edges; the
     stream-level agreement with the scalar oracle is the differential
@@ -1267,3 +1321,55 @@ class TestNonFiniteValuesNeverLand:
         applied, consumed, rejected, _ = service.offer_columns(
             [service.soa_row_for("mix-1")], [STEP_MAX], [45.0], ["mix-1"])
         assert (applied, consumed, rejected) == (1, 1, 0)
+
+
+class TestBadByNameOffersLeaveNoTrace:
+    """A by-name offer is refused whole or taken whole. A fractional step
+    once went through on both services and left them apart (a float in
+    the scalar sampler's ``last_time``, an int in the row's); an engine
+    row now refuses it, as the scalar service does, before anything is
+    touched."""
+
+    @staticmethod
+    def _columns(engine):
+        return {name: getattr(engine, name).tobytes()
+                for name in engine._COLUMNS}
+
+    def test_a_fractional_step_is_refused_on_both_services(self):
+        services = [_service(soa=soa, tasks=2) for soa in (False, True)]
+        for service in services:
+            for step in range(6):
+                service.offer_fast("mix-0", 40.0 + step, np.int64(step))
+                service.offer("mix-1", 95.0 + step, step)
+        scalar, rows = services
+        states = [scalar._tasks["mix-0"].sampler.state_dict(),
+                  rows.soa_engine.row_state_dict(rows.soa_row_for("mix-0"))]
+        columns = self._columns(rows.soa_engine)
+        taken = fingerprint(scalar)
+        assert fingerprint(rows) == taken
+        for service in services:
+            for step in (6.5, 7.0, np.float64(8.0)):
+                with pytest.raises(TypeError):
+                    service.offer_fast("mix-0", 50.0, step)
+                with pytest.raises(TypeError):
+                    service.offer("mix-0", 50.0, step)
+            assert fingerprint(service) == taken
+        assert scalar._tasks["mix-0"].sampler.state_dict() == states[0]
+        assert rows.soa_engine.row_state_dict(
+            rows.soa_row_for("mix-0")) == states[1]
+        assert self._columns(rows.soa_engine) == columns
+
+    def test_a_stale_step_or_a_non_finite_delta_writes_no_column(self):
+        service = _service(soa=True, tasks=2)
+        service.offer("mix-0", 1e308, 0)
+        for step in range(1, 6):
+            service.offer("mix-1", 40.0 + step, step)
+        engine = service.soa_engine
+        # Due again, as after a guard's arm edge.
+        engine.next_due[:2] = 0
+        columns = self._columns(engine)
+        with pytest.raises(ValueError, match="non-finite observation"):
+            service.offer("mix-0", -1e308, 1)
+        with pytest.raises(ValueError, match="must increase"):
+            service.offer_fast("mix-1", 45.0, 3)
+        assert self._columns(engine) == columns

@@ -47,8 +47,7 @@ from repro.baselines import (OracleSampler, PeriodicSampler,
 from repro.experiments import (DistributedRunResult, RunResult, run_adaptive,
                                run_distributed_task, run_periodic,
                                run_sampler_on_trace, run_triggered)
-from repro.config import (ExecutionConfig, service_from_config,
-                          task_from_config)
+from repro.config import service_from_config, task_from_config
 from repro.service import MonitoringService
 from repro.types import Alert, Sample, ThresholdDirection
 
@@ -64,7 +63,6 @@ __all__ = [
     "DistributedRunResult",
     "DistributedTaskSpec",
     "EvenAllocation",
-    "ExecutionConfig",
     "MonitoringService",
     "OnlineStatistics",
     "OracleSampler",

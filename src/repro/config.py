@@ -27,7 +27,6 @@ fail deployment, not silently monitor the wrong thing.
 from __future__ import annotations
 
 import dataclasses
-import os
 import pathlib
 import types
 import typing
@@ -44,51 +43,8 @@ from repro.service import MonitoringService
 from repro.telemetry.histogram import DEFAULT_RELATIVE_ERROR
 from repro.types import ThresholdDirection
 
-__all__ = ["ClusterConfig", "ExecutionConfig", "RuntimeConfig",
-           "register_task_from_config", "service_from_config",
-           "task_from_config"]
-
-
-@dataclass(frozen=True, slots=True)
-class ExecutionConfig:
-    """Deployment-level execution knobs for the sweep harness.
-
-    Attributes:
-        workers: process-pool size for parameter sweeps; ``None`` means
-            auto (``os.cpu_count()``).
-        cache_dir: sweep result cache root; ``None`` means the default
-            (XDG cache directory).
-    """
-
-    workers: int | None = None
-    cache_dir: pathlib.Path | None = None
-
-    def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}")
-
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None,
-                 ) -> "ExecutionConfig":
-        """Read ``REPRO_WORKERS`` / ``REPRO_CACHE_DIR`` (fail closed).
-
-        Args:
-            environ: environment mapping (default ``os.environ``).
-        """
-        env = os.environ if environ is None else environ
-        workers: int | None = None
-        raw = env.get("REPRO_WORKERS")
-        if raw is not None and raw != "":
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad REPRO_WORKERS {raw!r}; expected a positive "
-                    f"integer") from None
-        raw_dir = env.get("REPRO_CACHE_DIR")
-        cache_dir = pathlib.Path(raw_dir) if raw_dir else None
-        return cls(workers=workers, cache_dir=cache_dir)
+__all__ = ["ClusterConfig", "RuntimeConfig", "register_task_from_config",
+           "service_from_config", "task_from_config"]
 
 
 def _coerce(hint: Any, value: Any) -> Any:

@@ -2,9 +2,9 @@
 
 * :mod:`repro.experiments.runner` — single-monitor runs (Figs. 5, 7).
 * :mod:`repro.experiments.distributed` — distributed-task runs (Fig. 8).
-* :mod:`repro.experiments.figures` — one driver per evaluation figure.
-* :mod:`repro.experiments.parallel` — parallel sweep execution with
-  deterministic seeding and on-disk result caching (DESIGN.md S25).
+* :mod:`repro.experiments.figures` — one driver per evaluation figure,
+  each a pure function of its arguments and seed, run in the caller's
+  process.
 * :mod:`repro.experiments.reporting` — paper-style text tables.
 """
 
@@ -13,10 +13,6 @@ from repro.experiments.distributed import (DistributedRunResult,
 from repro.experiments.delay import DelayResult, detection_delay_experiment
 from repro.experiments.monetary import MonetaryReport, monetary_analysis
 from repro.experiments.multitask import MultiTaskResult, multitask_experiment
-from repro.experiments.parallel import (SweepCache, SweepJob, SweepStats,
-                                        default_cache_dir, job_key,
-                                        job_streams, resolve_workers,
-                                        run_sweep)
 from repro.experiments.reliability import (ReliabilityResult,
                                            reliability_experiment)
 from repro.experiments.runner import (RunResult, run_adaptive, run_lockstep,
@@ -29,18 +25,10 @@ __all__ = [
     "MultiTaskResult",
     "MonetaryReport",
     "ReliabilityResult",
-    "SweepCache",
-    "SweepJob",
-    "SweepStats",
-    "default_cache_dir",
     "detection_delay_experiment",
-    "job_key",
-    "job_streams",
     "monetary_analysis",
     "multitask_experiment",
     "reliability_experiment",
-    "resolve_workers",
-    "run_sweep",
     "RunResult",
     "run_adaptive",
     "run_distributed_task",

@@ -15,10 +15,9 @@ Extension experiments (not paper figures) are available by name::
     python -m repro.experiments reliability
 
 Scale with ``REPRO_SCALE=4 python -m repro.experiments fig5a`` to approach
-the paper's testbed size. Figure sweeps fan out over a process pool
-(``--workers`` / ``REPRO_WORKERS``; results are bit-for-bit identical at
-any worker count) and cache completed cells on disk, so a re-run only
-recomputes cells whose parameters changed; disable with ``--no-cache``.
+the paper's testbed size. Each figure runs in this process and is a pure
+function of ``--seed`` and the scale; the CLI prints its wall time after
+its table.
 """
 
 from __future__ import annotations
@@ -26,13 +25,14 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+import time
 
+from repro.exceptions import ReproError
 from repro.experiments.delay import detection_delay_experiment
 from repro.experiments.figures import (fig5, fig6, fig7, fig7_report, fig8,
                                        scale_factor)
 from repro.experiments.monetary import monetary_analysis
 from repro.experiments.multitask import multitask_experiment
-from repro.experiments.parallel import SweepCache, default_cache_dir
 from repro.experiments.reliability import reliability_experiment
 from repro.experiments.reporting import to_csv
 
@@ -42,8 +42,7 @@ EXTENSIONS = ("monetary", "delay", "multitask", "reliability")
 ALIASES = {"fig5": "fig5a"}
 
 
-def run_figure(name: str, seed: int, *, workers: int | None = None,
-               cache: SweepCache | None = None, streams: int | None = None,
+def run_figure(name: str, seed: int, *, streams: int | None = None,
                horizon: int | None = None) -> tuple[str, object]:
     """Run one driver; returns ``(text report, result object)``.
 
@@ -54,27 +53,24 @@ def run_figure(name: str, seed: int, *, workers: int | None = None,
     name = ALIASES.get(name, name)
     if name == "fig5a":
         result = fig5("network", num_streams=streams, horizon=horizon,
-                      seed=seed, workers=workers, cache=cache)
+                      seed=seed)
         return result.report(), result
     if name == "fig5b":
         result = fig5("system", num_streams=streams, horizon=horizon,
-                      seed=seed, workers=workers, cache=cache)
+                      seed=seed)
         return result.report(), result
     if name == "fig5c":
         result = fig5("application", num_streams=streams, horizon=horizon,
-                      seed=seed, workers=workers, cache=cache)
+                      seed=seed)
         return result.report(), result
     if name == "fig6":
-        result = fig6(horizon=horizon, seed=seed, workers=workers,
-                      cache=cache)
+        result = fig6(horizon=horizon, seed=seed)
         return result.report(), result
     if name == "fig7":
-        result = fig7(num_streams=streams, horizon=horizon, seed=seed,
-                      workers=workers, cache=cache)
+        result = fig7(num_streams=streams, horizon=horizon, seed=seed)
         return fig7_report(result), result
     if name == "fig8":
-        result = fig8(num_monitors=streams, horizon=horizon, seed=seed,
-                      workers=workers, cache=cache)
+        result = fig8(num_monitors=streams, horizon=horizon, seed=seed)
         return result.report(), result
     if name == "monetary":
         result = monetary_analysis(seed=seed)
@@ -119,18 +115,6 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="DIR",
                         help="also write each figure's data as CSV into "
                              "this directory (figures only)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="sweep process-pool size (default: "
-                             "REPRO_WORKERS, then the CPU count; 1 = "
-                             "strictly serial, identical results either "
-                             "way)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every sweep cell instead of "
-                             "reusing the on-disk result cache")
-    parser.add_argument("--cache-dir", type=pathlib.Path, default=None,
-                        metavar="DIR",
-                        help="sweep cache location (default: "
-                             "REPRO_CACHE_DIR, then the XDG cache dir)")
     parser.add_argument("--streams", type=int, default=None, metavar="N",
                         help="override the stream/monitor count of "
                              "fig5*/fig7/fig8 sweeps")
@@ -138,29 +122,32 @@ def main(argv: list[str] | None = None) -> int:
                         help="override the per-stream horizon of figure "
                              "sweeps")
     args = parser.parse_args(argv)
+    try:
+        _run(args)
+    except ReproError as exc:
+        print(f"[repro.experiments] error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
-    cache: SweepCache | None = None
-    if not args.no_cache:
-        cache = SweepCache(args.cache_dir or default_cache_dir())
 
+def _run(args: argparse.Namespace) -> None:
+    """Run the figures ``args`` names, printing each table and its wall."""
     names = FIGURES if args.figure == "all" else (args.figure,)
     print(f"[repro] scale factor: {scale_factor():g} "
           f"(set REPRO_SCALE to change)")
     for name in names:
-        text, result = run_figure(name, args.seed, workers=args.workers,
-                                  cache=cache, streams=args.streams,
+        started = time.perf_counter()
+        text, result = run_figure(name, args.seed, streams=args.streams,
                                   horizon=args.horizon)
+        wall = time.perf_counter() - started
         print()
         print(text)
-        sweep_stats = getattr(result, "sweep_stats", None)
-        if sweep_stats is not None:
-            print(sweep_stats.report())
+        print(f"[repro] {name}: wall {wall:.2f} s")
         if args.csv is not None:
             write_csv(args.csv, ALIASES.get(name, name), result)
             csv_name = ALIASES.get(name, name)
             if (args.csv / f"{csv_name}.csv").exists():
                 print(f"[repro] wrote {args.csv / (csv_name + '.csv')}")
-    return 0
 
 
 if __name__ == "__main__":

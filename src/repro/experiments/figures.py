@@ -14,18 +14,13 @@ One function per evaluation figure:
 All drivers honour the ``REPRO_SCALE`` environment variable (a float
 multiplier on stream counts and horizons) so the same code runs at laptop
 scale by default and approaches the paper's 800-VM scale when asked.
+Every driver runs in the caller's process and is a pure function of its
+arguments, the seed and the scale: it regenerates its randomness from
+the master seed, so its numbers never depend on what ran before it.
 
-Every driver expresses its sweep as pure, picklable
-:class:`~repro.experiments.parallel.SweepJob`\\ s and executes them
-through :func:`~repro.experiments.parallel.run_sweep`, so the same call
-runs serially (``workers=1``), fans out over a process pool
-(``workers=N`` / ``REPRO_WORKERS``), and can resume from an on-disk
-result cache — with bit-for-bit identical numbers in every mode, because
-each job regenerates its own randomness from the master seed.
-
-A Fig. 5 / Fig. 7 panel and the whole Fig. 8 grid are one job each: their
-runs are independent samplers on one aligned grid, so they step together
-as engine rows (DESIGN.md S27) —
+A Fig. 5 / Fig. 7 panel and the whole Fig. 8 grid are one lockstep each:
+their runs are independent samplers on one aligned grid, so they step
+together as engine rows (DESIGN.md S27) —
 :func:`~repro.experiments.runner.run_lockstep` for a panel's
 (stream, k, err) runs, the distributed batch driver for Fig. 8's
 (repeat, skew, policy) tasks — with every schedule identical to driving
@@ -34,6 +29,7 @@ each sampler's reference ``observe`` alone.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -45,8 +41,6 @@ from repro.core.task import DistributedTaskSpec, TaskSpec
 from repro.datacenter.testbed import TestbedConfig, build_testbed
 from repro.exceptions import ConfigurationError
 from repro.experiments.distributed import _run_batch
-from repro.experiments.parallel import SweepCache, SweepJob, SweepStats, \
-    run_sweep
 from repro.experiments.reporting import format_matrix, format_table
 from repro.experiments.runner import run_lockstep
 from repro.simulation.randomness import RandomStreams
@@ -80,12 +74,19 @@ APPLICATION_SWEEP_RANKS = (5, 10, 20, 40, 80, 160)
 
 
 def scale_factor() -> float:
-    """The ``REPRO_SCALE`` multiplier (>= 1.0; default 1.0)."""
+    """The ``REPRO_SCALE`` multiplier (default 1.0; below 1 clamps to 1).
+
+    A non-numeric or non-finite value is a
+    :class:`~repro.exceptions.ConfigurationError`.
+    """
     raw = os.environ.get("REPRO_SCALE", "1.0")
     try:
         value = float(raw)
     except ValueError as exc:
         raise ConfigurationError(f"bad REPRO_SCALE {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigurationError(f"bad REPRO_SCALE {raw!r}; expected a "
+                                 f"finite number")
     return max(value, 1.0)
 
 
@@ -113,7 +114,6 @@ class Fig5Result:
     cells: tuple[SweepCell, ...]
     streams: int
     horizon: int
-    sweep_stats: SweepStats | None = None
 
     def cell(self, selectivity: float, error: float) -> SweepCell:
         """Look up one cell."""
@@ -193,13 +193,11 @@ def _fig5_panel(*, domain: str, num_streams: int, horizon: int, seed: int,
                 selectivities: tuple[float, ...],
                 error_allowances: tuple[float, ...], max_interval: int,
                 config: AdaptationConfig | None) -> tuple[SweepCell, ...]:
-    """Compute a Fig. 5 panel's cells, ``k``-major (pure; safe in any
-    worker process).
+    """Compute a Fig. 5 panel's cells, ``k``-major.
 
     Generates the domain's traces once from the master seed and runs every
     (k, err, stream) combination as one lockstep, so the panel depends
-    only on its spec — never on which worker ran it or what ran before it
-    in the same process.
+    only on its arguments — never on what ran before it in the process.
     """
     traces = _domain_streams(domain, num_streams, horizon, seed)
     grid = [(k, err) for k in selectivities for err in error_allowances]
@@ -228,9 +226,7 @@ def fig5(domain: str, num_streams: int | None = None,
          selectivities: tuple[float, ...] = PAPER_SELECTIVITIES,
          error_allowances: tuple[float, ...] = PAPER_ERROR_ALLOWANCES,
          max_interval: int = 10,
-         config: AdaptationConfig | None = None,
-         workers: int | None = None,
-         cache: SweepCache | None = None) -> Fig5Result:
+         config: AdaptationConfig | None = None) -> Fig5Result:
     """Reproduce one panel of Fig. 5.
 
     For every (selectivity ``k``, error allowance) combination, runs the
@@ -248,32 +244,20 @@ def fig5(domain: str, num_streams: int | None = None,
             default).
         max_interval: ``Im`` in default intervals.
         config: adaptation tunables.
-        workers: sweep pool size (``None`` = ``REPRO_WORKERS`` then CPU
-            count; ``1`` = strictly in-process). Results are identical
-            for every worker count.
-        cache: completed-cell store (``None`` = always recompute).
     """
     scale = scale_factor()
     if num_streams is None:
         num_streams = int(round(6 * scale))
     if horizon is None:
         horizon = int(round(10_000 * scale))
-    # Validate the domain before launching any (possibly remote) work.
-    if domain not in ("network", "system", "application"):
-        raise ConfigurationError(
-            f"unknown domain {domain!r}; expected network/system/application")
-
-    job = SweepJob.call(_fig5_panel, label=f"fig5-{domain}",
-                        domain=domain, num_streams=num_streams,
+    cells = _fig5_panel(domain=domain, num_streams=num_streams,
                         horizon=horizon, seed=seed,
                         selectivities=tuple(selectivities),
                         error_allowances=tuple(error_allowances),
                         max_interval=max_interval, config=config)
-    (cells,), stats = run_sweep([job], workers=workers, cache=cache)
     return Fig5Result(domain=domain, selectivities=tuple(selectivities),
                       error_allowances=tuple(error_allowances),
-                      cells=cells, streams=num_streams,
-                      horizon=horizon, sweep_stats=stats)
+                      cells=cells, streams=num_streams, horizon=horizon)
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,7 +270,6 @@ class Fig6Result:
     vms_per_server: int
     num_servers: int
     horizon: int
-    sweep_stats: SweepStats | None = None
 
     def report(self) -> str:
         """Paper-style text rendering of the box-plot statistics."""
@@ -339,8 +322,7 @@ def _fig6_cell(*, error_allowance: float, num_servers: int,
 def fig6(error_allowances: tuple[float, ...] = (0.0,) + PAPER_ERROR_ALLOWANCES,
          num_servers: int | None = None, vms_per_server: int = 40,
          horizon: int | None = None, selectivity: float = 0.4,
-         seed: int = 0, workers: int | None = None,
-         cache: SweepCache | None = None) -> Fig6Result:
+         seed: int = 0) -> Fig6Result:
     """Reproduce Fig. 6: Dom0 CPU cost of network monitoring vs. ``err``.
 
     Builds the per-VM-task testbed (the paper's 40 VMs per server) once
@@ -354,27 +336,22 @@ def fig6(error_allowances: tuple[float, ...] = (0.0,) + PAPER_ERROR_ALLOWANCES,
     if horizon is None:
         horizon = int(round(2000 * scale))
 
-    jobs = [SweepJob.call(_fig6_cell, label=f"fig6 err={err}",
-                          error_allowance=err, num_servers=num_servers,
+    results = [_fig6_cell(error_allowance=err, num_servers=num_servers,
                           vms_per_server=vms_per_server, horizon=horizon,
                           selectivity=selectivity, seed=seed)
-            for err in error_allowances]
-    results, sweep_stats = run_sweep(jobs, workers=workers, cache=cache)
-    stats = tuple(box for box, _ in results)
-    ratios = tuple(ratio for _, ratio in results)
+               for err in error_allowances]
     return Fig6Result(error_allowances=tuple(error_allowances),
-                      stats=stats, sampling_ratios=ratios,
+                      stats=tuple(box for box, _ in results),
+                      sampling_ratios=tuple(ratio for _, ratio in results),
                       vms_per_server=vms_per_server,
-                      num_servers=num_servers, horizon=horizon,
-                      sweep_stats=sweep_stats)
+                      num_servers=num_servers, horizon=horizon)
 
 
 def fig7(num_streams: int | None = None, horizon: int | None = None,
          seed: int = 0,
          selectivities: tuple[float, ...] = PAPER_SELECTIVITIES,
          error_allowances: tuple[float, ...] = PAPER_ERROR_ALLOWANCES,
-         workers: int | None = None,
-         cache: SweepCache | None = None) -> Fig5Result:
+         ) -> Fig5Result:
     """Reproduce Fig. 7: actual mis-detection rates, system-level tasks.
 
     Runs the same sweep as Fig. 5(b); the quantity of interest is the
@@ -383,11 +360,9 @@ def fig7(num_streams: int | None = None, horizon: int | None = None,
     sit below the specified allowance in most cells, and high-selectivity
     (small ``k``) tasks show relatively larger rates.
     """
-    result = fig5("system", num_streams=num_streams, horizon=horizon,
-                  seed=seed, selectivities=selectivities,
-                  error_allowances=error_allowances, workers=workers,
-                  cache=cache)
-    return result
+    return fig5("system", num_streams=num_streams, horizon=horizon,
+                seed=seed, selectivities=selectivities,
+                error_allowances=error_allowances)
 
 
 def fig7_report(result: Fig5Result) -> str:
@@ -414,7 +389,6 @@ class Fig8Result:
     adaptive_misdetection: tuple[float, ...]
     num_monitors: int
     horizon: int
-    sweep_stats: SweepStats | None = None
 
     def report(self) -> str:
         """Paper-style text rendering."""
@@ -482,8 +456,7 @@ def fig8(skews: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0),
          num_monitors: int | None = None, horizon: int | None = None,
          base_violation_rate: float = 0.2, error_allowance: float = 0.01,
          seed: int = 0, repeats: int = 3, update_period: int = 1000,
-         max_interval: int = 10, workers: int | None = None,
-         cache: SweepCache | None = None) -> Fig8Result:
+         max_interval: int = 10) -> Fig8Result:
     """Reproduce Fig. 8: adaptive vs. even error-allowance allocation.
 
     One distributed network task over ``num_monitors`` monitors; local
@@ -510,14 +483,12 @@ def fig8(skews: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0),
         horizon = int(round(20_000 * scale))
 
     repeats = max(repeats, 1)
-    job = SweepJob.call(_fig8_grid, label="fig8", skews=tuple(skews),
-                        repeats=repeats, seed=seed,
-                        num_monitors=num_monitors, horizon=horizon,
-                        base_violation_rate=base_violation_rate,
-                        error_allowance=error_allowance,
-                        update_period=update_period,
-                        max_interval=max_interval)
-    (results,), sweep_stats = run_sweep([job], workers=workers, cache=cache)
+    results = _fig8_grid(skews=tuple(skews), repeats=repeats, seed=seed,
+                         num_monitors=num_monitors, horizon=horizon,
+                         base_violation_rate=base_violation_rate,
+                         error_allowance=error_allowance,
+                         update_period=update_period,
+                         max_interval=max_interval)
 
     # Mean over repeats of (even ratio, adaptive ratio, even miss,
     # adaptive miss), per skew.
@@ -526,5 +497,4 @@ def fig8(skews: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0),
     return Fig8Result(
         skews=tuple(skews), even_ratios=even, adaptive_ratios=adaptive,
         even_misdetection=even_miss, adaptive_misdetection=adaptive_miss,
-        num_monitors=num_monitors, horizon=horizon,
-        sweep_stats=sweep_stats)
+        num_monitors=num_monitors, horizon=horizon)

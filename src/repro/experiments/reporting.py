@@ -7,12 +7,9 @@ column per x-axis value.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.experiments.parallel import SweepStats
-
-__all__ = ["format_table", "format_matrix", "format_sweep_stats", "to_csv"]
+__all__ = ["format_table", "format_matrix", "to_csv"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
@@ -60,24 +57,6 @@ def format_matrix(row_label: str, row_keys: Sequence[object],
                        if (r, c) in values else "-")
         rows.append(row)
     return format_table(headers, rows, title=title)
-
-
-def format_sweep_stats(stats: "SweepStats") -> str:
-    """One-line execution summary of a parallel sweep.
-
-    Covers cell counts, cache hits/misses, worker count, end-to-end wall
-    time and the per-computed-cell time distribution — the observability
-    surface the figure drivers print alongside their matrices.
-    """
-    parts = [f"[sweep] {stats.jobs} cells"
-             f" ({stats.cache_hits} cached, {stats.cache_misses} computed)"
-             f" on {stats.workers} worker{'s' if stats.workers != 1 else ''}",
-             f"wall {stats.wall_seconds:.2f}s"]
-    if stats.cell_seconds:
-        mean = sum(stats.cell_seconds) / len(stats.cell_seconds)
-        parts.append(f"cell mean {mean:.3f}s"
-                     f" max {max(stats.cell_seconds):.3f}s")
-    return "; ".join(parts)
 
 
 def to_csv(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

@@ -6,40 +6,15 @@ entity does not reshuffle every other stream. :class:`RandomStreams`
 derives a child ``numpy`` generator per ``(namespace, index)`` key from a
 single master seed using ``SeedSequence`` spawning keyed by a stable CRC
 of the namespace.
-
-For keys richer than an integer index (e.g. the content hash of a sweep
-job), :meth:`RandomStreams.stream_for` and :meth:`RandomStreams.derive`
-accept arbitrary parts and fold them through SHA-256, which is stable
-across processes, platforms and ``PYTHONHASHSEED`` — the property the
-parallel sweep layer (:mod:`repro.experiments.parallel`) relies on to
-make results independent of worker count and completion order.
 """
 
 from __future__ import annotations
 
-import hashlib
 import zlib
 
 import numpy as np
 
 __all__ = ["RandomStreams"]
-
-
-def _key_words(namespace: str, parts: tuple[object, ...]) -> list[int]:
-    """Stable 32-bit words hashing ``(namespace, *parts)``.
-
-    Parts are rendered with ``repr`` after type-tagging, so ``1`` and
-    ``"1"`` key different streams.
-    """
-    digest = hashlib.sha256()
-    digest.update(namespace.encode("utf-8"))
-    for part in parts:
-        digest.update(b"\x00")
-        digest.update(type(part).__name__.encode("utf-8"))
-        digest.update(b"\x01")
-        digest.update(repr(part).encode("utf-8"))
-    raw = digest.digest()
-    return [int.from_bytes(raw[i:i + 4], "big") for i in range(0, 16, 4)]
 
 
 class RandomStreams:
@@ -66,27 +41,3 @@ class RandomStreams:
         digest = zlib.crc32(namespace.encode("utf-8"))
         seq = np.random.SeedSequence([self._master_seed, digest, int(index)])
         return np.random.default_rng(seq)
-
-    def stream_for(self, namespace: str,
-                   *parts: object) -> np.random.Generator:
-        """A generator keyed by arbitrary parts (strings, ints, ...).
-
-        Like :meth:`stream` but the key can be any tuple of simple
-        values with stable ``repr``\\ s; the same ``(namespace, parts)``
-        always yields an identically seeded generator in any process.
-        """
-        words = _key_words(namespace, parts)
-        seq = np.random.SeedSequence([self._master_seed] + words)
-        return np.random.default_rng(seq)
-
-    def derive(self, namespace: str, *parts: object) -> "RandomStreams":
-        """A child :class:`RandomStreams` keyed by ``(namespace, parts)``.
-
-        Lets a subsystem (e.g. one sweep job) own a whole family of
-        named streams that is independent of every sibling's.
-        """
-        words = _key_words(namespace, parts)
-        seed = int.from_bytes(
-            np.random.SeedSequence([self._master_seed] + words)
-            .generate_state(2, np.uint64).tobytes(), "big")
-        return RandomStreams(seed)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.experiments.__main__ import (ALIASES, EXTENSIONS, FIGURES, main,
@@ -41,56 +43,53 @@ def test_main_runs_one_figure(monkeypatch, capsys):
     assert "scale factor" in out
 
 
-def test_main_forwards_workers_and_cache_flags(monkeypatch, capsys,
-                                               tmp_path):
+def test_main_forwards_seed_streams_and_horizon(monkeypatch, capsys):
     import repro.experiments.__main__ as cli
 
     seen = {}
 
-    def tiny(name, seed, *, workers, cache, streams, horizon):
-        seen.update(name=name, seed=seed, workers=workers, cache=cache,
-                    streams=streams, horizon=horizon)
+    def tiny(name, seed, *, streams, horizon):
+        seen.update(name=name, seed=seed, streams=streams, horizon=horizon)
         return "TINY-REPORT", object()
 
     monkeypatch.setattr(cli, "run_figure", tiny)
-    assert main(["fig5", "--workers", "3", "--seed", "7",
-                 "--streams", "2", "--horizon", "500",
-                 "--cache-dir", str(tmp_path)]) == 0
-    assert seen["name"] == "fig5"
-    assert seen["seed"] == 7
-    assert seen["workers"] == 3
-    assert seen["streams"] == 2
-    assert seen["horizon"] == 500
-    assert seen["cache"] is not None
-    assert seen["cache"].directory == tmp_path
+    assert main(["fig5", "--seed", "7", "--streams", "2",
+                 "--horizon", "500"]) == 0
+    assert seen == {"name": "fig5", "seed": 7, "streams": 2, "horizon": 500}
 
 
-def test_main_no_cache_disables_cache(monkeypatch, capsys):
+@pytest.mark.parametrize("flag", [["--workers", "2"], ["--no-cache"],
+                                  ["--cache-dir", "somewhere"]],
+                         ids=["workers", "no-cache", "cache-dir"])
+def test_main_refuses_the_removed_sweep_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig6", *flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_main_prints_a_wall_line_per_figure(monkeypatch, capsys):
     import repro.experiments.__main__ as cli
 
-    seen = {}
-
-    def tiny(name, seed, **kwargs):
-        seen.update(kwargs)
-        return "TINY-REPORT", object()
-
-    monkeypatch.setattr(cli, "run_figure", tiny)
-    assert main(["fig6", "--no-cache"]) == 0
-    assert seen["cache"] is None
-
-
-def test_main_prints_sweep_stats(monkeypatch, capsys):
-    import repro.experiments.__main__ as cli
-
-    result = fig6(error_allowances=(0.032,), num_servers=1,
-                  vms_per_server=2, horizon=200, workers=1)
-    assert result.sweep_stats is not None
     monkeypatch.setattr(cli, "run_figure",
-                        lambda name, seed, **kwargs: ("R", result))
-    assert main(["fig6", "--no-cache"]) == 0
+                        lambda name, seed, **kwargs: ("R", object()))
+    assert main(["all"]) == 0
     out = capsys.readouterr().out
-    assert "[sweep]" in out
-    assert "wall" in out
+    for name in FIGURES:
+        assert re.search(rf"^\[repro\] {name}: wall \d+\.\d\d s$", out,
+                         re.MULTILINE), name
+    assert "[sweep]" not in out
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "abc"])
+def test_main_turns_a_bad_scale_into_one_error_line(monkeypatch, capsys,
+                                                    raw):
+    monkeypatch.setenv("REPRO_SCALE", raw)
+    assert main(["fig6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"[repro.experiments] error: bad REPRO_SCALE "
+                          f"{raw!r}")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_fig5_alias_runs_network_panel(monkeypatch):
@@ -101,7 +100,7 @@ def test_fig5_alias_runs_network_panel(monkeypatch):
     def tiny_fig5(domain, **kwargs):
         calls["domain"] = domain
         return cli.fig6(error_allowances=(0.032,), num_servers=1,
-                        vms_per_server=2, horizon=200, workers=1)
+                        vms_per_server=2, horizon=200)
 
     monkeypatch.setattr(cli, "fig5", tiny_fig5)
     run_figure("fig5", seed=0)
@@ -112,10 +111,10 @@ def test_main_writes_csv(monkeypatch, capsys, tmp_path):
     import repro.experiments.__main__ as cli
 
     result = fig6(error_allowances=(0.0, 0.032), num_servers=1,
-                  vms_per_server=2, horizon=200, workers=1)
+                  vms_per_server=2, horizon=200)
     monkeypatch.setattr(cli, "run_figure",
                         lambda name, seed, **kwargs: ("R", result))
-    assert main(["fig6", "--csv", str(tmp_path), "--no-cache"]) == 0
+    assert main(["fig6", "--csv", str(tmp_path)]) == 0
     csv_file = tmp_path / "fig6.csv"
     assert csv_file.exists()
     content = csv_file.read_text()
@@ -125,7 +124,7 @@ def test_main_writes_csv(monkeypatch, capsys, tmp_path):
 
 def test_write_csv_creates_directories(tmp_path):
     result = fig6(error_allowances=(0.032,), num_servers=1,
-                  vms_per_server=2, horizon=200, workers=1)
+                  vms_per_server=2, horizon=200)
     target = tmp_path / "nested" / "dir"
     write_csv(target, "fig6", result)
     assert (target / "fig6.csv").exists()

@@ -34,6 +34,12 @@ class TestScaleFactor:
         with pytest.raises(ConfigurationError):
             scale_factor()
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        with pytest.raises(ConfigurationError, match="bad REPRO_SCALE"):
+            scale_factor()
+
 
 class TestFig5:
     def test_cells_cover_grid(self, fig5_network):

@@ -60,7 +60,7 @@ def documented_symbols() -> set[str]:
 
 IGNORED = {
     # config/file/env tokens, not Python symbols
-    "REPRO_SCALE", "REPRO_WORKERS", "REPRO_CACHE_DIR", "PYTHONHASHSEED",
+    "REPRO_SCALE", "PYTHONHASHSEED",
     "error_allowance", "local_thresholds", "max_interval",
     "trace_hook", "message_loss_rate", "except_ReproError",
     "default_interval", "add_task", "add_trigger", "generate_with_volume",

@@ -299,14 +299,16 @@ def test_a_checkpoint_spells_no_number_per_task(tmp_path):
 
 def test_a_local_pair_rides_the_tick(monkeypatch):
     """A 4 x 1024 step-major batch on a service that also holds one
-    local ``add_trigger`` pair and one installed plan, with no sink
-    attached: one ``run_columns`` call per watch-cut segment, every one
+    local ``add_trigger`` pair and one installed plan, with a sink that
+    only logs: one ``run_columns`` call per watch-cut segment, every one
     of them with an empty ``fallback``, and nothing is stepped by name —
     the service routes both triggers' edges itself."""
     service = _engine_service(1024)
     service.add_trigger("t0007", "t0400", elevation_level=50.0)
     service.add_trigger_watch("t0100", 50.0, hysteresis=0.0, min_hold=0)
     service.add_remote_trigger("t0900", "t0100", 50.0)
+    edges: list[dict] = []
+    service.set_trigger_sink(edges.append)
     segments = _counted(monkeypatch, service, "_apply_columns")
     by_name = _counted(monkeypatch, service, "_offer_soa")
     fallbacks: list[int] = []
@@ -328,7 +330,7 @@ def test_a_local_pair_rides_the_tick(monkeypatch):
     assert not any(fallbacks) and not by_name
     for target in ("t0007", "t0900"):
         assert service.trigger_suspensions(target) > 0
-    assert len(service.drain_trigger_events()) > 16
+    assert len(edges) > 16
 
 
 def _counted_alerts(monkeypatch) -> list[int]:

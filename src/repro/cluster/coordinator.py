@@ -35,6 +35,7 @@ import logging
 import pathlib
 import tempfile
 import time
+from collections import deque
 from typing import Any, AsyncIterator, Callable
 
 from repro.config import ClusterConfig
@@ -44,7 +45,7 @@ from repro.runtime.checkpoint import read_checkpoint
 from repro.service import snapshot_task_names
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import DecisionTrace
-from repro.triggers.plan import TriggerPlan
+from repro.triggers.plan import TriggerPlan, count_edge
 
 from repro.cluster.fleet import merge_fleet_snapshots
 from repro.cluster.hosting import WorkerHost
@@ -506,40 +507,58 @@ class Coordinator:
     # Trigger channel (repro.triggers, DESIGN.md S32)
 
     async def pump_triggers(self) -> None:
-        """Drain elevation edges from every worker and route them.
+        """Drain every worker's edge outbox and route the edges on.
 
-        Each edge fans out to every plan watching the edge's trigger
-        task; the guarded target's shard may sit on any worker — but for
-        the trigger's own shard, whose service flipped its guards as the
-        edge fired (a stale pumped edge must not re-flip them). Edge
-        counters bump per plan, mirroring the single-process runtime's
-        accounting exactly. The plans are the front end's to change
-        while this awaits: it walks a copy.
+        Each edge counts per plan (:func:`~repro.triggers.plan.count_edge`)
+        and reaches a target only if it is newer, in its trigger's order
+        (:meth:`_in_edge_order`), than the newest edge the target's shard
+        flipped inline: one its raising worker hosted and still holds,
+        not moving (DESIGN.md S32). The plans are the front end's to
+        change while this awaits: it walks a copy.
         """
         if not self.trigger_plans:
             return
-        events: list[dict[str, Any]] = []
-        async for _, reply in self._live_replies({"op": "w_trigger_events"}):
-            events.extend(reply.get("events", ()))
-        for event in events:
-            op = str(event.get("op", ""))
-            if op not in ("arm", "disarm"):
-                continue
-            source = str(event.get("trigger", ""))
+        events: list[tuple[str, dict[str, Any]]] = []
+        async for wid, reply in self._live_replies(
+                {"op": "w_trigger_events"}):
+            events.extend((wid, event) for event in reply.get("events", ())
+                          if event.get("op") in ("arm", "disarm"))
+        events = self._in_edge_order(events)
+        flipped = {(event["trigger"], sid): i
+                   for i, (wid, event) in enumerate(events)
+                   for sid in event["hosted"]
+                   if self.routes[sid].worker_id == wid
+                   and not self.routes[sid].buffering}
+        for i, (_, event) in enumerate(events):
+            count_edge(self.trigger_plans, self.task_shard,
+                       self.trigger_edges, event)
             for plan in list(self.trigger_plans.values()):
-                if plan.trigger != source:
-                    continue
                 sid = self.task_shard.get(plan.target)
-                if sid is None:
+                if (plan.trigger != event["trigger"] or sid is None
+                        or flipped.get((plan.trigger, sid), -1) >= i):
                     continue
-                if sid != self.task_shard.get(source):
-                    try:
-                        await self.shard_call(sid, {
-                            "op": "w_trigger_set", "shard": sid,
-                            "task": plan.target, "armed": op == "arm"})
-                    except ClusterError:
-                        pass
-                self.trigger_edges[op] += 1
+                try:
+                    await self.shard_call(sid, {
+                        "op": "w_trigger_set", "shard": sid,
+                        "task": plan.target, "armed": event["op"] == "arm"})
+                except ClusterError:
+                    pass
+
+    def _in_edge_order(self, events: list[tuple[str, dict[str, Any]]],
+                       ) -> list[tuple[str, dict[str, Any]]]:
+        """Each trigger's ``(worker, edge)`` pairs in the order its
+        watcher raised them — steps non-decreasing, a tie to the
+        trigger's current worker — in the slots the trigger holds."""
+        def key(item: tuple[str, dict[str, Any]]) -> tuple[int, bool]:
+            wid, event = item
+            sid = self.task_shard.get(event["trigger"])
+            return (int(event["step"]),
+                    sid is not None and self.routes[sid].worker_id == wid)
+
+        queues: dict[str, deque[tuple[str, dict[str, Any]]]] = {}
+        for item in sorted(events, key=key):
+            queues.setdefault(item[1]["trigger"], deque()).append(item)
+        return [queues[event["trigger"]].popleft() for _, event in events]
 
     # ------------------------------------------------------------------
     # Migration

@@ -23,18 +23,25 @@ events (``interval_adapted`` / ``violation``) are emitted into the host's
 local :class:`~repro.telemetry.trace.DecisionTrace` and pulled by the
 coordinator's trace aggregation, so a cluster's trace stream carries the
 same event kinds as a single-process runtime's.
+
+Trigger edges: the host flips its *other* shards' guards on an edge's
+trigger inside the raising shard's drain loop, then passes the edge to
+the outbox the coordinator pumps (``w_trigger_events``) or, for a host
+with no peers, to its owner's ``edge_sink``.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Sequence
+from collections import deque
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.config import register_task_from_config
 from repro.core.adaptation import AdaptationConfig
+from repro.core.substrates import TASK_TYPES
 from repro.exceptions import ConfigurationError, ReproError
 from repro.runtime.checkpoint import state_fingerprint
 from repro.runtime.protocol import intern_entries
@@ -50,6 +57,10 @@ __all__ = ["WorkerHost"]
 
 _MAX_GID = 1 << 20
 """Cap on cluster-global task ids a coordinator may intern on a host."""
+
+_EDGE_OUTBOX = 4096
+"""Edges a host holds for the coordinator's next pump; a storm past it
+loses the oldest to other workers' guards, like trace events."""
 
 
 _PER_SHARD_COUNTERS = (
@@ -87,7 +98,11 @@ class WorkerHost:
         trace: decision trace for sampler events; the default creates a
             local ring the coordinator drains via ``w_trace``.
         fault_hook: chaos-testing seam (``repro.testkit``) handed to
-            every hosted :class:`~repro.runtime.shard.ShardWorker`.
+            every hosted :class:`~repro.runtime.shard.ShardWorker` and
+            consulted by :meth:`enqueue` (``force_shed``).
+        edge_sink: where an edge goes once this host flipped its own
+            guards; default the outbox the coordinator pumps. A host
+            with no peers (the runtime's) passes its owner's counter.
     """
 
     def __init__(self, worker_id: str, queue_depth: int = 1024,
@@ -95,7 +110,8 @@ class WorkerHost:
                  registry: MetricsRegistry | None = None,
                  trace: DecisionTrace | None = None,
                  trace_capacity: int = 4096,
-                 fault_hook: FaultHook = NOOP_HOOK):
+                 fault_hook: FaultHook = NOOP_HOOK,
+                 edge_sink: Callable[[dict[str, Any]], None] | None = None):
         self.worker_id = worker_id
         self.queue_depth = queue_depth
         self.fault_hook = fault_hook
@@ -114,6 +130,11 @@ class WorkerHost:
         self.trace = trace if trace is not None else DecisionTrace(
             trace_capacity)
         self.shards: dict[int, ShardWorker] = {}
+        # Host-level, not per shard: an edge outlives a shard that
+        # migrates away before the next pump.
+        self._outbox: deque[dict[str, Any]] = deque(maxlen=_EDGE_OUTBOX)
+        self._edge_sink = (edge_sink if edge_sink is not None
+                           else self._outbox.append)
         self._running = False
         self._started_monotonic = time.monotonic()
         self._interval_hist = self.registry.histogram(
@@ -141,6 +162,13 @@ class WorkerHost:
             "Estimated probe collections avoided by trigger guards",
             fn=lambda: float(sum(w.service.trigger_accounting()[1]
                                  for w in self.shards.values())))
+        by_type = self.registry.gauge(
+            "volley_tasks_by_type",
+            "Monitoring tasks registered, per task type", labels=("type",))
+        for kind in TASK_TYPES:
+            by_type.labels(kind, fn=lambda k=kind: float(sum(
+                w.service.task_type_counts().get(k, 0)
+                for w in self.shards.values())))
 
     # ------------------------------------------------------------------
     # Shard lifecycle
@@ -174,7 +202,8 @@ class WorkerHost:
         encoding the client used. A snapshot that does not load raises
         before anything hosted is touched; one that does takes the table
         entry of a hosted shard of the same id, whose drain loop the
-        caller then stops.
+        caller then stops. The service's trigger sink is the host's
+        (:meth:`_route_edge`).
         """
         if snapshot is None:
             service = MonitoringService(self.adaptation, soa=True)
@@ -187,6 +216,8 @@ class WorkerHost:
         def count_alerts(fired: int) -> None:
             worker.alerts_fired += fired
         service.set_alert_count_sink(count_alerts)
+        service.set_trigger_sink(
+            lambda event: self._route_edge(shard_id, event))
         if counters:
             restore_counters(worker, counters)
         worker.interval_hist = (self._interval_hist
@@ -223,6 +254,19 @@ class WorkerHost:
             raise KeyError(f"worker {self.worker_id} does not host shard "
                            f"{shard_id}")
         return worker
+
+    def _route_edge(self, shard_id: int, event: dict[str, Any]) -> None:
+        """Every hosted service's trigger sink: shard ``shard_id`` raised
+        ``event`` and flipped its own guards; flip those the other hosted
+        shards hold on its trigger, inline, then pass it on stamped with
+        every shard that has now seen it (``hosted``), so a pump
+        delivers it only to the rest."""
+        armed = event["op"] == "arm"
+        for sid, worker in self.shards.items():
+            if sid != shard_id:
+                worker.service.flip_guards(event["trigger"], armed)
+        event["hosted"] = sorted(self.shards)
+        self._edge_sink(event)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -341,9 +385,12 @@ class WorkerHost:
         return {"ok": True, "interned": len(entries),
                 "table_size": len(self.gid_names)}
 
-    def _rows_for(self, shard_id: int, worker: ShardWorker,
-                  gids: np.ndarray) -> np.ndarray:
-        """Resolve gids to SoA engine rows through the per-shard cache."""
+    def _rows_for(self, shard_id: int, gids: np.ndarray) -> np.ndarray:
+        """Resolve gids to SoA engine rows through the per-shard cache
+        (all ``-1`` for a shard this host does not hold)."""
+        worker = self.shards.get(shard_id)
+        if worker is None:
+            return np.full(len(gids), -1, dtype=np.int64)
         cache = self._gid_rows.get(shard_id)
         table = len(self.gid_names)
         if cache is None or len(cache) < table:
@@ -368,33 +415,50 @@ class WorkerHost:
 
     def handle_shard_offer(
             self, segments: Sequence[tuple[int, Any]]) -> tuple[int, int, int]:
-        """Enqueue pre-routed ``(shard, columns)`` segments; returns
-        (accepted, shed, rejected).
+        """Enqueue pre-routed ``(shard, columns)`` segments of gid
+        columns; returns (accepted, shed, rejected).
 
-        The host's one data-path entry, fed by a decoded ``ShardOffer``
-        frame or directly by the in-proc transport. The router already
-        validated and routed; this side only enqueues. Segments for
-        shards this worker no longer hosts (a migration raced the
-        forward) are *rejected*, not shed — the router counts them and
-        the client sees them in ``rejected``. Full queues shed; everything
-        else lands as one :class:`ColumnBatch` with gid-resolved engine
-        rows and a lazy name view for the fallback path.
+        Fed by a decoded ``ShardOffer`` frame or directly by the in-proc
+        transport. The router already validated and routed; this side
+        resolves gids to engine rows, with a lazy name view for the
+        fallback path, and enqueues.
         """
-        accepted = shed = rejected = 0
+        batches = []
         for shard_id, cols in segments:
-            worker = self.shards.get(int(shard_id))
-            if worker is None:
-                rejected += len(cols)
-                continue
+            sid = int(shard_id)
             gids = cols.task_idx.astype(np.int64)
-            batch = ColumnBatch(
-                rows=self._rows_for(int(shard_id), worker, gids),
-                steps=cols.steps, values=cols.values,
-                names=InternedNames(self.gid_names, gids))
-            if worker.try_enqueue_columns(batch):
-                accepted += len(cols)
+            batches.append((sid, ColumnBatch(
+                rows=self._rows_for(sid, gids), steps=cols.steps,
+                values=cols.values,
+                names=InternedNames(self.gid_names, gids))))
+        return self.enqueue(batches)
+
+    def enqueue(self, batches: Iterable[tuple[int, ColumnBatch]],
+                ) -> tuple[int, int, int]:
+        """The host's one enqueue body, on both servers: queue each
+        ``(shard, batch)`` on its shard; returns (accepted, shed,
+        rejected).
+
+        A batch for a shard this host no longer holds (a migration raced
+        the forward) is *rejected*, not shed — the client sees it in
+        ``rejected``. A full queue sheds, and so does the chaos seam
+        (``force_shed``), so the backpressure reply path can be
+        exercised deterministically.
+        """
+        hook = self.fault_hook
+        accepted = shed = rejected = 0
+        for shard_id, batch in batches:
+            worker = self.shards.get(shard_id)
+            count = len(batch)
+            if worker is None:
+                rejected += count
+            elif hook.enabled and hook.force_shed(shard_id):
+                worker.shed += count
+                shed += count
+            elif worker.try_enqueue_columns(batch):
+                accepted += count
             else:
-                shed += len(cols)
+                shed += count
         return accepted, shed, rejected
 
     # ------------------------------------------------------------------
@@ -453,19 +517,17 @@ class WorkerHost:
                 "state": worker.service.trigger_status(name)}
 
     def _op_trigger_events(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Pop buffered watch edges from every hosted shard.
+        """Pop the outbox: every watch edge raised here since the last
+        pump, oldest first, each with its ``hosted``.
 
         Destructive by design: the coordinator is the only consumer, so
-        a cursor would buy nothing — and edges buffered on a worker that
+        a cursor would buy nothing — and edges held by a worker that
         dies before the next pump are lost along with its queues (the
         guarded targets simply stay at their last armed state, which the
         re-placement snapshot preserves).
         """
-        events: list[dict[str, Any]] = []
-        for sid in sorted(self.shards):
-            for event in self.shards[sid].service.drain_trigger_events():
-                event["shard"] = sid
-                events.append(event)
+        events = list(self._outbox)
+        self._outbox.clear()
         return {"ok": True, "worker_id": self.worker_id, "events": events}
 
     def _op_due(self, request: dict[str, Any]) -> dict[str, Any]:

@@ -126,10 +126,6 @@ class RuntimeConfig:
         selfmon_interval: seconds between self-monitoring polls (the
             runtime's own gauges monitored as Volley tasks); ``None``
             (the default) disables self-monitoring.
-        protocol: highest wire protocol version the server negotiates
-            (``1`` = JSON only, ``2`` = JSON + binary offer frames; see
-            :mod:`repro.runtime.protocol`). Lowering it to ``1`` pins a
-            deployment to the pure-JSON wire format.
     """
 
     shards: int = 4
@@ -144,7 +140,6 @@ class RuntimeConfig:
     http_port: int | None = None
     trace_capacity: int = 4096
     selfmon_interval: float | None = None
-    protocol: int = 2
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -168,10 +163,6 @@ class RuntimeConfig:
         if self.selfmon_interval is not None and self.selfmon_interval <= 0:
             raise ConfigurationError(
                 f"selfmon_interval must be > 0, got {self.selfmon_interval}")
-        if self.protocol not in (1, 2):
-            raise ConfigurationError(
-                f"protocol must be 1 (JSON) or 2 (binary), got "
-                f"{self.protocol}")
 
     @classmethod
     def from_dict(cls, entry: Mapping[str, Any]) -> "RuntimeConfig":
@@ -223,9 +214,6 @@ class ClusterConfig:
         trace_capacity: coordinator decision-trace ring size.
         runtime_dir: directory for worker unix sockets and ready files
             (``subprocess`` backend); ``None`` uses a fresh temp dir.
-        protocol: highest wire protocol version the routing tier offers
-            clients (1 = JSON only, 2 = negotiated binary columnar
-            framing); the same framing rides the worker transports.
     """
 
     workers: int = 2
@@ -247,13 +235,8 @@ class ClusterConfig:
     shed_retry_ms: int = 50
     trace_capacity: int = 4096
     runtime_dir: pathlib.Path | None = None
-    protocol: int = 2
 
     def __post_init__(self) -> None:
-        if self.protocol not in (1, 2):
-            raise ConfigurationError(
-                f"protocol must be 1 (JSON) or 2 (binary), "
-                f"got {self.protocol!r}")
         if self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {self.workers}")

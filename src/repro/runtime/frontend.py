@@ -119,8 +119,8 @@ class WireServer:
     Args:
         config: a :class:`~repro.config.RuntimeConfig` or
             :class:`~repro.config.ClusterConfig` (the listen addresses,
-            ``max_batch``, ``shed_retry_ms``, ``protocol`` and
-            ``checkpoint_path`` fields are read here).
+            ``max_batch``, ``shed_retry_ms`` and ``checkpoint_path``
+            fields are read here).
         n_shards: total shard count tasks are routed over.
         registry: metrics registry for the front end's instruments.
         trace: decision trace receiving structured server events.
@@ -200,6 +200,12 @@ class WireServer:
         self._checkpoint_write = registry.histogram(
             "volley_checkpoint_write_seconds",
             "Checkpoint serialize+fsync latency")
+        registry.gauge("volley_uptime_seconds",
+                       "Seconds since the server started",
+                       fn=lambda: time.monotonic() - self._started_monotonic)
+        registry.counter("volley_trace_events_dropped_total",
+                         "Decision-trace events evicted unread",
+                         fn=lambda: float(self.trace.dropped))
 
     # ------------------------------------------------------------------
     # The shard-backend seam (subclasses implement)
@@ -236,11 +242,6 @@ class WireServer:
     def http_port(self) -> int | None:
         """The bound telemetry HTTP port (None when disabled)."""
         return self._http.port if self._http is not None else None
-
-    @property
-    def max_protocol(self) -> int:
-        """Highest wire protocol version this server negotiates."""
-        return min(self.config.protocol, PROTOCOL_VERSION)
 
     async def _listen(self, unix_socket: pathlib.Path | None = None) -> None:
         """Bind the client sockets and the telemetry HTTP endpoint, then
@@ -461,9 +462,9 @@ class WireServer:
             peer_max = int(request.get("max_protocol", PROTOCOL_JSON))
         except (TypeError, ValueError):
             return _error("hello needs an integer 'max_protocol'")
-        conn.protocol = max(PROTOCOL_JSON, min(peer_max, self.max_protocol))
+        conn.protocol = max(PROTOCOL_JSON, min(peer_max, PROTOCOL_VERSION))
         return {"ok": True, "protocol": conn.protocol,
-                "server_protocol": self.max_protocol,
+                "server_protocol": PROTOCOL_VERSION,
                 "max_batch": self.config.max_batch}
 
     def _op_intern(self, conn: ConnState,
@@ -670,7 +671,7 @@ class WireServer:
     async def _op_ping(self, request: dict[str, Any]) -> dict[str, Any]:
         return {"ok": True, "shards": self.n_shards,
                 "tasks": len(self.task_shard),
-                "protocol": self.max_protocol}
+                "protocol": PROTOCOL_VERSION}
 
     async def register_task(self, entry: dict[str, Any]) -> dict[str, Any]:
         """Register one task config entry on the shard its name routes to.
@@ -938,7 +939,7 @@ class WireServer:
         totals["tasks"] = len(self.task_shard)
         reply = {"ok": True, "shards": shards, "totals": totals,
                  "frames": self._frames,
-                 "protocol": self.max_protocol,
+                 "protocol": PROTOCOL_VERSION,
                  "uptime_s": time.monotonic() - self._started_monotonic,
                  "restored_tasks": self.restored_tasks}
         if self.config.checkpoint_path is not None:

@@ -22,8 +22,8 @@ flipped by the arm/disarm edges of a watch on the trigger. ``add_trigger``
 installs the pair undebounced on one shard, whose service routes its own
 edges, and rejects cross-shard pairs with code ``cross-shard-trigger``;
 ``trigger_install`` takes a debounced plan whose ends may live on any two
-shards — or, under the cluster runtime, any two workers — and the server
-routes the edges a shard cannot see.
+shards — or, under the cluster runtime, any two workers. The shards'
+host routes every edge between them, as a cluster worker does its own.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import dataclasses
 import os
 import pathlib
 import sys
-import time
 from typing import Any
 
 # Module, not name: hosting imports repro.runtime's lower layers, so when
@@ -42,7 +41,6 @@ from repro.cluster import hosting
 from repro.cluster.routing import route
 from repro.config import RuntimeConfig
 from repro.core.adaptation import AdaptationConfig
-from repro.core.substrates import TASK_TYPES
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.runtime.checkpoint import read_checkpoint
 from repro.runtime.frontend import (ConnState, WireServer, cli_overrides,
@@ -53,7 +51,7 @@ from repro.telemetry.registry import MetricsRegistry, instrument_samplers
 from repro.telemetry.selfmon import SelfMonitor
 from repro.telemetry.trace import DecisionTrace
 from repro.testkit.faults import FaultHook, NOOP_HOOK
-from repro.triggers.plan import TriggerPlan
+from repro.triggers.plan import TriggerPlan, count_edge
 
 __all__ = ["RuntimeServer", "main"]
 
@@ -65,9 +63,10 @@ class RuntimeServer(WireServer):
     this class is its in-process backend. All shards live in one
     :class:`~repro.cluster.hosting.WorkerHost` built on the server's own
     registry and trace, control ops dispatch straight into that host's op
-    table, and offers go straight onto the shard queues — nothing on any
-    path suspends, so a request can never interleave with another
-    mid-handler.
+    table, offers go through its enqueue body straight onto the shard
+    queues, and its edge router hands each trigger edge to the front
+    end's counter — nothing on any path suspends, so a request can never
+    interleave with another mid-handler.
 
     Args:
         runtime: deployment knobs (shard count, queue depth, listen
@@ -106,10 +105,12 @@ class RuntimeServer(WireServer):
             fault_hook=fault_hook, service_config=service_config)
         self._host = hosting.WorkerHost(
             "runtime", queue_depth=config.queue_depth, adaptation=adaptation,
-            registry=self.registry, trace=self.trace, fault_hook=fault_hook)
+            registry=self.registry, trace=self.trace, fault_hook=fault_hook,
+            edge_sink=lambda event: count_edge(
+                self.trigger_plans, self.task_shard, self.trigger_edges,
+                event))
         self._workers: list[ShardWorker] = []
         self._place_shards({})
-        self._register_metrics()
 
     # ------------------------------------------------------------------
     # Shard plumbing (the in-process backend)
@@ -123,12 +124,6 @@ class RuntimeServer(WireServer):
                 sid, snapshots[sid] if sid < len(snapshots) else None,
                 counters[sid] if sid < len(counters) else None)
             for sid in range(self.n_shards)]
-        for worker in self._workers:
-            # Trigger edges route synchronously: watch fires in a shard
-            # drain loop, the service flips its own guards and the sink
-            # the armed flag of targets on other shards, inline (one
-            # event loop, so no cross-shard race).
-            worker.service.set_trigger_sink(self._on_trigger_edge)
 
     def worker_for(self, name: str) -> ShardWorker:
         """The shard worker a task name routes to."""
@@ -149,73 +144,16 @@ class RuntimeServer(WireServer):
     def _submit_columns(self, conn: ConnState,
                         per_shard: dict[int, tuple[Any, Any, Any]],
                         ) -> tuple[int, int, int]:
-        hook = self.fault_hook
-        accepted = shed = 0
-        for sid, (idx, steps, values) in per_shard.items():
-            batch = ColumnBatch(rows=conn.ids[idx], steps=steps,
-                                values=values,
-                                names=InternedNames(conn.names, idx))
-            worker = self._workers[sid]
-            if hook.enabled and hook.force_shed(sid):
-                # Chaos seam: shed as if the queue were full, so the
-                # backpressure reply path is exercised deterministically.
-                worker.shed += len(batch)
-                shed += len(batch)
-            elif worker.try_enqueue_columns(batch):
-                accepted += len(batch)
-            else:
-                shed += len(batch)
-        return accepted, shed, 0
-
-    def _on_trigger_edge(self, event: dict[str, Any]) -> None:
-        """Route one watch edge to every guarded target (the sink) —
-        but those on the trigger's shard, whose service flipped its own —
-        and count it per plan."""
-        trigger = event.get("trigger")
-        armed = event.get("op") == "arm"
-        source = self.worker_for(trigger)
-        for plan in self.trigger_plans.values():
-            if plan.trigger != trigger:
-                continue
-            host = self.worker_for(plan.target)
-            if host is not source:
-                try:
-                    host.service.set_trigger_armed(plan.target, armed)
-                except ConfigurationError:
-                    continue  # a plan older than its target
-            self.trigger_edges["arm" if armed else "disarm"] += 1
-
-    # ------------------------------------------------------------------
-    # Telemetry
-
-    def _register_metrics(self) -> None:
-        """Register the runtime-only metric families on :attr:`registry`.
-
-        The wire families are the front end's and the per-shard families
-        the host's; everything here is exported through snapshot-time
-        callbacks (``fn=``), so the hot path pays nothing.
-        """
-        registry = self.registry
-        by_type = registry.gauge("volley_tasks_by_type",
-                                 "Monitoring tasks registered, per task "
-                                 "type", labels=("type",))
-        for kind in TASK_TYPES:
-            by_type.labels(kind, fn=lambda k=kind: float(sum(
-                w.service.task_type_counts().get(k, 0)
-                for w in self._workers)))
-        registry.gauge("volley_uptime_seconds",
-                       "Seconds since the server started",
-                       fn=lambda: time.monotonic() - self._started_monotonic)
-        registry.counter("volley_trace_events_dropped_total",
-                         "Decision-trace events evicted unread",
-                         fn=lambda: float(self.trace.dropped))
+        return self._host.enqueue(
+            (sid, ColumnBatch(rows=conn.ids[idx], steps=steps, values=values,
+                              names=InternedNames(conn.names, idx)))
+            for sid, (idx, steps, values) in per_shard.items())
 
     # ------------------------------------------------------------------
     # Lifecycle
 
     async def start(self) -> None:
         """Restore state, start shard workers, bind listen sockets."""
-        self._started_monotonic = time.monotonic()
         instrument_samplers(self.registry)
         self._maybe_restore()
         await self.apply_config(self._service_config)
@@ -336,10 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--selfmon-interval", type=float, default=None,
                         help="seconds between self-monitoring polls "
                              "(omitted = disabled)")
-    parser.add_argument("--protocol", type=int, choices=(1, 2),
-                        default=None,
-                        help="highest wire protocol version to negotiate "
-                             "(1 = JSON only, 2 = JSON + binary offers)")
     parser.add_argument("--ready-file", type=pathlib.Path, default=None,
                         help="write {port, unix, http_port, pid} JSON "
                              "once listening")

@@ -239,9 +239,10 @@ async def _replay(compiled: CompiledScenario, shards: int,
                     await reconnect()
                     stats["lost"] += len(chunk)
             if plans and cluster_workers:
-                # Cluster edges are pump-propagated (not synchronous like
-                # the single-process sink); pumping every step keeps the
-                # guard's edge latency at one grid step and the run a
+                # Cross-worker edges are pump-propagated (a worker routes
+                # those among its own shards inline, as the single-process
+                # server does); pumping every step keeps such a guard's
+                # edge latency at one grid step and the run a
                 # deterministic function of the inputs, heartbeat or not.
                 await client.request({"op": "trigger_plans"})
             if (step + 1) in boundaries:
@@ -358,8 +359,7 @@ def simulate_replay(compiled: CompiledScenario,
     names = compiled.task_names
 
     # The one service routes its own edges; the sink counts them per
-    # plan, as the single-process server's does
-    # (RuntimeServer._on_trigger_edge).
+    # plan, as the servers do (repro.triggers.plan.count_edge).
     plans = compiled.trigger_plans()
     edges = {"arm": 0, "disarm": 0}
     if plans:

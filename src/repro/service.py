@@ -569,10 +569,10 @@ class MonitoringService:
     # alert callbacks, the owner re-attaches after a restore.
     _trace = None
     _trace_shard: int | str | None = None
-    # Trigger-edge sink (same lifecycle as traces): the owning runtime
-    # attaches a callable to route edges to its other shards in-process;
-    # cluster workers leave it unset and the coordinator drains the
-    # buffer. The service's own guards need neither (_deliver_edge).
+    # Trigger-edge sink (same lifecycle as traces): what hosts the
+    # service attaches a callable to route edges past it (WorkerHost:
+    # its other shards, then its outbox). The service's own guards need
+    # none (_deliver_edge).
     _trigger_sink: Callable[[dict[str, Any]], None] | None = None
     # Alert-count sink (same lifecycle again): what hosts an engine
     # service counts the alerts of each batch through it.
@@ -582,7 +582,6 @@ class MonitoringService:
                  soa: bool = False):
         self._config = config or AdaptationConfig()
         self._tasks: dict[str, TaskState] = {}
-        self._trigger_events: deque[dict[str, Any]] = deque(maxlen=1024)
         # trigger name -> the tasks of this service guarded on it, by
         # name (see _index_guard): whom an edge of that trigger flips.
         self._guards: dict[str, dict[str, TaskState]] = {}
@@ -864,9 +863,9 @@ class MonitoringService:
     # ``trigger_armed`` flag, the row's ``floor``) flipped by arm/disarm
     # *edges*, and a watch on the trigger that turns its offered values
     # into them, so the trigger task may live on any shard or worker.
-    # The service flips the guards it hosts itself (``_deliver_edge``);
-    # whoever routes the rest (the runtime server in-process, the
-    # cluster coordinator across workers) flips the others.
+    # The service flips the guards it hosts itself (``_deliver_edge``),
+    # its host those on the host's other shards, and the cluster
+    # coordinator those on other workers (DESIGN.md S32).
 
     def add_remote_trigger(self, target: str, trigger: str,
                            elevation_level: float,
@@ -1033,9 +1032,12 @@ class MonitoringService:
                          | None) -> None:
         """Attach a callable receiving each arm/disarm edge synchronously.
 
-        Like traces and alert callbacks, sinks are not serialised —
-        owners re-attach after restore. Buffered delivery via
-        :meth:`drain_trigger_events` works with or without a sink.
+        Each edge is ``{"op": "arm"|"disarm", "trigger": name, "step":
+        int, "value": float}``, handed over after this service has
+        flipped its own guards, so a sink routes only to *other*
+        services; without one the edge goes no further. Like traces and
+        alert callbacks, sinks are not serialised — owners re-attach
+        after restore.
         """
         self._trigger_sink = sink
 
@@ -1052,22 +1054,6 @@ class MonitoringService:
                 "an alert-count sink requires an SoA-enabled service")
         self._alert_count_sink = sink
 
-    def drain_trigger_events(self) -> list[dict[str, Any]]:
-        """Pop the buffered arm/disarm edges (oldest first).
-
-        Each event is ``{"op": "arm"|"disarm", "trigger": name,
-        "step": int, "value": float}``, already applied to this
-        service's own guards. The cluster coordinator polls this per
-        worker. With a sink attached edges are delivered synchronously
-        instead of buffered (so an in-process runtime never accumulates
-        events nobody drains); without one the buffer is a bounded ring
-        — edges evicted unread are lost to the guards of *other*
-        services, like trace events under a storm.
-        """
-        events = list(self._trigger_events)
-        self._trigger_events.clear()
-        return events
-
     def _watch_edge(self, state: TaskState, value: float,
                     step: int) -> None:
         edge = state.watch.observe(value, step)
@@ -1076,16 +1062,18 @@ class MonitoringService:
                                 "step": int(step), "value": float(value)})
 
     def _deliver_edge(self, event: dict[str, Any]) -> None:
-        """Route one watch edge: flip every task of this service guarded
-        on the edge's trigger, then hand the event on — to the sink or
-        the buffer — for whoever routes what this service cannot see."""
-        armed = event["op"] == "arm"
-        for name in self._guards.get(event["trigger"], ()):
-            self.set_trigger_armed(name, armed)
+        """Route one watch edge: flip this service's guards on its
+        trigger, then hand the event to the sink, if any, for whoever
+        routes what this service cannot see."""
+        self.flip_guards(event["trigger"], event["op"] == "arm")
         if self._trigger_sink is not None:
             self._trigger_sink(event)
-        else:
-            self._trigger_events.append(event)
+
+    def flip_guards(self, trigger: str, armed: bool) -> None:
+        """Arm or disarm every task of this service guarded on
+        ``trigger`` — one edge delivered, through the guard index."""
+        for name in self._guards.get(trigger, ()):
+            self.set_trigger_armed(name, armed)
 
     def _state(self, name: str) -> TaskState:
         try:

@@ -21,10 +21,11 @@ production feature (DESIGN.md S32):
 * :class:`~repro.triggers.plan.TriggerPlan` is the wire- and
   checkpoint-serializable description of one installed guard.
 
-The runtime server and the cluster coordinator route the edges:
+The shard hosts and the cluster coordinator route the edges:
 ``trigger_install`` wires a plan across shards, a watcher on the trigger
 task's shard emits edges, and the channel arms or disarms the target
-task's sampler wherever its shard currently lives — surviving live
+task's sampler wherever its shard currently lives — its own service,
+its host, or, on another worker, the coordinator's pump — surviving live
 migration and worker failover because both the armed flag and the
 watcher state ride the ordinary typed checkpoint state.
 """

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Container, Mapping
 
 from repro.core.correlation import TriggerRule
 from repro.exceptions import ConfigurationError
 
-__all__ = ["TriggerPlan"]
+__all__ = ["TriggerPlan", "count_edge"]
 
 _PLAN_KEYS = {"target", "trigger", "elevation_level", "suspend_interval",
               "hysteresis", "min_hold"}
@@ -118,3 +118,13 @@ class TriggerPlan:
                    elevation_level=rule.elevation_level,
                    suspend_interval=suspend_interval,
                    hysteresis=hysteresis, min_hold=min_hold)
+
+
+def count_edge(plans: Mapping[str, TriggerPlan], tasks: Container[str],
+               edges: dict[str, int], event: Mapping[str, Any]) -> None:
+    """Count one watch edge into ``edges`` (``trigger_plans``' counter)
+    once per plan watching its trigger whose target is in ``tasks`` —
+    the one rule both servers count by, whoever delivers the edge."""
+    for plan in plans.values():
+        if plan.trigger == event["trigger"] and plan.target in tasks:
+            edges[event["op"]] += 1

@@ -89,7 +89,7 @@ class TestInProcReplacement:
                     coord.routes[TASK_SHARD].worker_id].host
                 worker = host.shards[TASK_SHARD]
                 gids = np.asarray([host.gid_names.index(TASK)])
-                rows = (host._rows_for(TASK_SHARD, worker, gids).tolist()
+                rows = (host._rows_for(TASK_SHARD, gids).tolist()
                         + [worker.service.soa_row_for(PARTNER)])
                 return (victim, before, after, placement, more, final,
                         events, rows)

@@ -9,7 +9,13 @@ only when the label shape matches.
 
 from __future__ import annotations
 
+import asyncio
+
 from repro.cluster.fleet import merge_fleet_snapshots
+from repro.cluster.server import ClusterServer
+from repro.config import ClusterConfig, RuntimeConfig
+from repro.runtime.client import AsyncRuntimeClient
+from repro.runtime.server import RuntimeServer
 from repro.telemetry.exposition import render_prometheus
 from repro.telemetry.histogram import LogHistogram
 from repro.telemetry.registry import MetricsRegistry
@@ -125,3 +131,47 @@ class TestExposition:
         assert 'volley_updates_offered_total{worker="w0",shard="0"} 5' \
             in text
         assert 'quantile="0.99"' in text
+
+
+class TestBothServersExportOneFamilySet:
+    """A runtime and an in-proc cluster answer ``telemetry`` with the
+    same metric families — the front end's and the host's — but for
+    the coordinator's own, and the process-wide ``volley_sampler_*``
+    counters an in-proc fleet would count once per host."""
+
+    COORDINATOR_ONLY = {"volley_worker_up", "volley_migrations_total",
+                        "volley_replacements_total",
+                        "volley_coordinator_uptime_seconds"}
+
+    @staticmethod
+    async def _metrics(server):
+        await server.start()
+        client = AsyncRuntimeClient(port=server.tcp_port)
+        try:
+            await client.register_task("plain", 100.0)
+            await client.register_task("p90", 100.0, type="quantile",
+                                       quantile=0.9)
+            await client.register_task("ent", 0.5, type="entropy")
+            return (await client.request({"op": "telemetry"}))["metrics"]
+        finally:
+            await client.close()
+            await server.shutdown()
+
+    def test_family_names_differ_only_by_the_coordinators_own(self):
+        runtime = asyncio.run(self._metrics(
+            RuntimeServer(RuntimeConfig(port=0))))
+        cluster = asyncio.run(self._metrics(ClusterServer(ClusterConfig(
+            backend="inproc", workers=2, port=0))))
+        assert ({n for n in runtime if not n.startswith("volley_sampler_")}
+                == set(cluster) - self.COORDINATOR_ONLY)
+        # Per type, the fleet's worker-labelled series sum to the
+        # runtime's one series.
+        by_type = {}
+        for series in cluster["volley_tasks_by_type"]["series"]:
+            kind = series["labels"][1]
+            by_type[kind] = by_type.get(kind, 0.0) + series["value"]
+        assert cluster["volley_tasks_by_type"]["label_names"] == [
+            "worker", "type"]
+        assert by_type == {s["labels"][0]: s["value"] for s
+                           in runtime["volley_tasks_by_type"]["series"]}
+        assert by_type["quantile"] == by_type["entropy"] == 1.0

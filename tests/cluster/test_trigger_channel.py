@@ -5,14 +5,17 @@ Three contracts:
 * **Wire parity** — a schedule that drives real edges through the
   channel answers byte-identically on a
   :class:`~repro.cluster.server.ClusterServer` and a single-process
-  :class:`~repro.runtime.server.RuntimeServer`: the two backends route
-  edges differently (pumped vs synchronous) and must agree on the guard
-  state that results. (The ops' error replies are front-end behaviour,
-  covered by ``tests/runtime/test_wire_conformance.py``.)
+  :class:`~repro.runtime.server.RuntimeServer`: across workers the
+  cluster pumps edges the runtime routes synchronously, and the two must
+  agree on the guard state that results. (The ops' error replies are
+  front-end behaviour, covered by
+  ``tests/runtime/test_wire_conformance.py``.)
 * **Migration survival** — a *disarmed* guard's armed flag, watcher
   debounce state and suspension counter ride the shard snapshot across a
   live migration (fingerprint-verified), and the channel keeps routing
-  edges to the moved shard afterwards.
+  edges to the moved shard afterwards; an edge still waiting for the
+  pump when either end's shard moves reaches its target, in its
+  trigger's order, never undoing a newer edge.
 * **SIGKILL survival** (``-m chaos``) — worker death restores the armed
   state from the recovery snapshot: a deliberately disarmed guard stays
   disarmed on the survivor and can still be re-armed by its trigger.
@@ -42,6 +45,12 @@ TARGET = next(f"dpi-flows-{i:02d}" for i in range(100)
 
 PLAN = {"target": TARGET, "trigger": TRIGGER, "elevation_level": 60.0,
         "suspend_interval": 6, "hysteresis": 0.1, "min_hold": 2}
+
+
+def _on_shard(prefix: str, shard: int) -> str:
+    """The first ``prefix-NN`` task name that routes to ``shard``."""
+    return next(f"{prefix}-{i:02d}" for i in range(100)
+                if route(f"{prefix}-{i:02d}", SHARDS) == shard)
 
 
 def _spec(name: str) -> dict:
@@ -231,6 +240,120 @@ class TestTriggerMigration:
         assert after["state"] == before["state"]
         assert plans_disarmed["suspensions"] > 0
         assert rearmed["state"]["armed"] is True
+
+    def test_an_edge_outlives_its_shards_migration(self):
+        """An edge raised on w0 for a target on w1 waits for the pump in
+        w0's outbox, which outlives the trigger's shard moving to w1
+        before that pump comes."""
+        trigger, target = _on_shard("edge", 0), _on_shard("dpi", 1)
+        plan = {**PLAN, "trigger": trigger, "target": target}
+
+        def scenario(migrate):
+            async def run(cluster):
+                coord = cluster.coordinator
+                client = AsyncRuntimeClient(port=cluster.tcp_port)
+                try:
+                    for name in (trigger, target):
+                        await client.register_task(**_spec(name))
+                    await client.install_trigger_plan(plan)
+                    await client.offer_batch(
+                        [[trigger, s, 10.0] for s in range(4)])
+                    if migrate:
+                        moved = await coord.migrate(0, "w1")
+                        assert moved["ok"], moved
+                    await coord.drain()
+                    return (await client.trigger_state(target),
+                            await client.trigger_plans())
+                finally:
+                    await client.close()
+            return run_cluster(run, shards=SHARDS,
+                               heartbeat_interval=3600.0)
+
+        for migrate in (False, True):
+            state, plans = scenario(migrate)
+            assert state["state"]["armed"] is False, migrate
+            assert plans["edges"] == {"arm": 0, "disarm": 1}, migrate
+
+    def test_an_edge_raised_while_its_target_moves_reaches_the_move(self):
+        """Trigger and target on two shards of w0; the target's shard is
+        snapshotted to move to w1 when an edge fires on w0. w0 flips the
+        copy it still holds, which is about to go: the pump delivers the
+        edge to the copy that moved."""
+        trigger, target = _on_shard("edge", 0), _on_shard("dpi", 2)
+        plan = {**PLAN, "trigger": trigger, "target": target}
+
+        async def scenario(cluster):
+            coord = cluster.coordinator
+            client = AsyncRuntimeClient(port=cluster.tcp_port)
+            request = coord._request
+
+            async def racing(wid, payload):
+                if payload["op"] == "w_restore_shard":
+                    await client.offer_batch(
+                        [[trigger, s, 10.0] for s in range(4)])
+                    await request("w0", {"op": "w_drain", "shard": 0})
+                return await request(wid, payload)
+
+            try:
+                for name in (trigger, target):
+                    await client.register_task(**_spec(name))
+                await client.install_trigger_plan(plan)
+                coord._request = racing
+                moved = await coord.migrate(2, "w1")
+                coord._request = request
+                assert moved["ok"], moved
+                await coord.drain()
+                return (await client.trigger_state(target),
+                        await client.trigger_plans())
+            finally:
+                await client.close()
+
+        state, plans = run_cluster(scenario, shards=SHARDS,
+                                   heartbeat_interval=3600.0)
+        assert state["state"]["armed"] is False
+        assert plans["edges"] == {"arm": 0, "disarm": 1}
+
+    @pytest.mark.parametrize("ends,shard,to,workers", [
+        # Trigger and target share shard 0. Its disarm waits in w0's
+        # outbox while the shard moves to w1, where the trigger goes hot
+        # and the shard arms its target itself.
+        ((0, 0), 0, "w1", 2),
+        # The trigger's shard moves from w1 to w0 between its disarm and
+        # its arm, and the target sits on w2: the pump reads w0's outbox
+        # before w1's.
+        ((1, 2), 1, "w0", 3),
+    ], ids=["same-shard-plan", "two-workers-to-a-third"])
+    def test_a_stale_edge_never_undoes_a_newer_one(self, ends, shard, to,
+                                                   workers):
+        """Cold trigger offers raise a disarm; ``shard`` moves to ``to``;
+        hot offers raise the newer arm there; then one pump. The target
+        ends armed, whichever outbox the older edge waited in."""
+        trigger, target = _on_shard("edge", ends[0]), _on_shard("dpi", ends[1])
+        plan = {**PLAN, "trigger": trigger, "target": target}
+
+        async def scenario(cluster):
+            coord = cluster.coordinator
+            client = AsyncRuntimeClient(port=cluster.tcp_port)
+            try:
+                for name in (trigger, target):
+                    await client.register_task(**_spec(name))
+                await client.install_trigger_plan(plan)
+                await client.offer_batch(
+                    [[trigger, s, 10.0] for s in range(4)])
+                moved = await coord.migrate(shard, to)
+                assert moved["ok"], moved
+                await client.offer_batch(
+                    [[trigger, s, 90.0] for s in range(4, 8)])
+                await coord.drain()
+                return (await client.trigger_state(target),
+                        await client.trigger_plans())
+            finally:
+                await client.close()
+
+        state, plans = run_cluster(scenario, shards=SHARDS, workers=workers,
+                                   heartbeat_interval=3600.0)
+        assert state["state"]["armed"] is True
+        assert plans["edges"] == {"arm": 1, "disarm": 1}
 
 
 @pytest.mark.chaos

@@ -47,8 +47,8 @@ def continuation(names, frames=150, seed=19):
 def drive(service, frames, sink=False):
     """Feed ``frames`` to ``service`` the way its representation takes
     them (column batches by row, or ``offer`` by name); returns its
-    snapshot fingerprint. With ``sink`` its edges go to one, not to its
-    buffer."""
+    snapshot fingerprint. With ``sink`` its edges go on to one that
+    drops them; without, no further than the service."""
     if sink:
         service.set_trigger_sink(lambda event: None)
     for frame in frames:

@@ -2,10 +2,9 @@
 
 A flag given on the command line replaces its field; every field *not*
 named on the command line keeps the config file's value. The cluster CLI
-used to rebuild the config from a hand-kept field list that omitted
-``protocol``, so ``{"protocol": 1}`` plus any flag silently came up at
-protocol 2 — the merge is now ``dataclasses.replace`` over the parsed
-section, which cannot forget a field.
+once rebuilt the config from a hand-kept field list that forgot a field
+— the merge is now ``dataclasses.replace`` over the parsed section,
+which cannot forget one.
 """
 
 from __future__ import annotations
@@ -30,22 +29,15 @@ CLUSTER_SECTION = {
     "heartbeat_misses": 5, "heartbeat_timeout": 1.5,
     "connections_per_worker": 3, "checkpoint_path": "/tmp/c.ckpt",
     "checkpoint_interval": 12.5, "shed_retry_ms": 17,
-    "trace_capacity": 321, "runtime_dir": "/tmp/rt", "protocol": 1,
+    "trace_capacity": 321, "runtime_dir": "/tmp/rt",
 }
 RUNTIME_SECTION = {
     "shards": 3, "queue_depth": 77, "max_batch": 99, "host": "127.0.0.2",
     "port": 9701, "unix_socket": "/tmp/r.sock",
     "checkpoint_path": "/tmp/r.ckpt", "checkpoint_interval": 12.5,
     "shed_retry_ms": 17, "http_port": 9791, "trace_capacity": 321,
-    "selfmon_interval": 0.5, "protocol": 1,
+    "selfmon_interval": 0.5,
 }
-
-
-def test_cluster_cli_keeps_the_config_files_protocol():
-    args = cluster_cli._build_parser().parse_args(["--port", "0"])
-    config = cluster_cli._cluster_config(args, {"protocol": 1})
-    assert config.protocol == 1
-    assert config.port == 0
 
 
 @pytest.mark.parametrize("cli, build, section, config_cls", [

@@ -111,7 +111,7 @@ def _engine_rows(server: Any, names: list[str]) -> list[int]:
             row = worker.service.soa_row_for(name)
             if name in host.gid_names:
                 gids = np.asarray([host.gid_names.index(name)])
-                assert host._rows_for(sid, worker, gids).tolist() == [row]
+                assert host._rows_for(sid, gids).tolist() == [row]
         else:
             row = server._workers[sid].service.soa_row_for(name)
             assert server._intern_id(name, sid) == row
@@ -239,51 +239,80 @@ def test_json_and_binary_offers_are_one_path(make_server):
     assert as_json["suspensions"] > 0
 
 
-# -- a same-shard plan arms inside the drain loop, on both servers ------
+# -- a plan within one worker arms inside the drain loop, on both servers -
 
 SAME_SHARD_PLAN = {**PLAN, "target": LOCAL_TARGET, "trigger": LOCAL_TRIGGER}
+# Ends on two shards of one worker: shards 0 and 2 share w0 of a
+# 2-worker cluster (placement starts round-robin), and a 1-worker
+# cluster hosts every shard.
+SPLIT_PLAN = {**PLAN,
+              "trigger": next(n for n in _POOL if route(n, SHARDS) == 0),
+              "target": next(n for n in _POOL if route(n, SHARDS) == 2)}
 
 
-async def _guard_a_same_shard_stream(server: Any) -> list[tuple[Any, ...]]:
-    """One guarded stream through a plan whose ends share a shard; after
-    each frame, the target's guard and schedule — with nothing in
-    between that would pump a cluster's edge buffers (no ``drain``, no
-    ``trigger_plans``, and the heartbeat an hour away)."""
+async def _guard_a_stream(server: Any, plan: dict[str, Any],
+                          ) -> tuple[list[tuple[Any, ...]], tuple[Any, ...]]:
+    """One guarded stream through ``plan``; after each frame, the
+    target's guard and schedule — with nothing in between that would
+    pump a cluster's edge outboxes (no ``drain``, no ``trigger_plans``,
+    and the heartbeat an hour away). Then one ``trigger_plans`` (which
+    pumps a cluster) and the target once more, with the edge counts."""
+    target, trigger = plan["target"], plan["trigger"]
     await server.start()
     client = AsyncRuntimeClient(port=server.tcp_port)
+
+    async def observe() -> tuple[Any, ...]:
+        state = (await client.trigger_state(target))["state"]
+        info = await client.task_info(target)
+        return (state["armed"], state["suspensions"], info["next_due"],
+                info["samples_taken"])
+
     try:
-        for name in (LOCAL_TARGET, LOCAL_TRIGGER):
+        for name in (target, trigger):
             await client.register_task(name, 100.0, error_allowance=0.05,
                                        max_interval=6)
-        await client.install_trigger_plan(SAME_SHARD_PLAN)
-        sid = route(LOCAL_TARGET, SHARDS)
+        await client.install_trigger_plan(plan)
         seen = []
         for step in range(48):
             hot = (step // 8) % 2
-            await client.offer_batch([
-                [LOCAL_TRIGGER, step, 80.0 if hot else 40.0],
-                [LOCAL_TARGET, step, 50.0]])
-            await server._shard_call(sid, {"op": "w_drain", "shard": sid})
-            state = (await client.trigger_state(LOCAL_TARGET))["state"]
-            info = await client.task_info(LOCAL_TARGET)
-            seen.append((step, state["armed"], state["suspensions"],
-                         info["next_due"], info["samples_taken"]))
-        return seen
+            await client.offer_batch([[trigger, step, 80.0 if hot else 40.0],
+                                      [target, step, 50.0]])
+            for sid in dict.fromkeys(route(n, SHARDS)
+                                     for n in (trigger, target)):
+                await server._shard_call(sid, {"op": "w_drain",
+                                               "shard": sid})
+            seen.append((step, *await observe()))
+        edges = (await client.trigger_plans())["edges"]
+        return seen, (*await observe(), edges)
     finally:
         await client.close()
         await server.shutdown()
 
 
+def _cluster_between_beats(workers: int) -> ClusterServer:
+    return ClusterServer(ClusterConfig(
+        backend="inproc", workers=workers, shards=SHARDS, port=0,
+        heartbeat_interval=3600.0))
+
+
 def test_a_same_shard_plan_needs_no_pump():
-    on_runtime = asyncio.run(_guard_a_same_shard_stream(_runtime()))
-    on_cluster = asyncio.run(_guard_a_same_shard_stream(ClusterServer(
-        ClusterConfig(backend="inproc", workers=2, shards=SHARDS, port=0,
-                      heartbeat_interval=3600.0))))
-    assert on_cluster == on_runtime
-    # The edges fell where the trigger crossed its band — disarm on the
-    # first cold offer, arm on the first hot one, and so on — and an arm
-    # edge made the target due at once.
-    flips = [step for (step, armed, *_), (_, was, *_) in zip(
-        on_runtime[1:], on_runtime) if armed != was]
-    assert not on_runtime[0][1] and flips == [8, 16, 24, 32, 40]
-    assert on_runtime[8][3] == 9 and on_runtime[-1][2] > 3
+    """Every guard on the worker that raised an edge flips inside the
+    drain loop — its own shard's by the service, the worker's other
+    shards' by the worker — and the closing pump delivers nothing there
+    again."""
+    for plan, fleets in ((SAME_SHARD_PLAN, (2,)), (SPLIT_PLAN, (1, 2))):
+        on_runtime = asyncio.run(_guard_a_stream(_runtime(), plan))
+        for workers in fleets:
+            on_cluster = asyncio.run(_guard_a_stream(
+                _cluster_between_beats(workers), plan))
+            assert on_cluster == on_runtime, (plan["target"], workers)
+        # The edges fell where the trigger crossed its band — disarm on
+        # the first cold offer, arm on the first hot one, and so on — and
+        # an arm edge made the target due at once.
+        seen, final = on_runtime
+        flips = [step for (step, armed, *_), (_, was, *_) in zip(
+            seen[1:], seen) if armed != was]
+        assert not seen[0][1] and flips == [8, 16, 24, 32, 40]
+        assert seen[8][3] == 9 and seen[-1][2] > 3
+        assert final[:-1] == seen[-1][1:]
+        assert final[-1] == {"arm": 3, "disarm": 3}

@@ -52,16 +52,16 @@ class TestNegotiation:
         assert agreed == PROTOCOL_BINARY
         assert protocol == PROTOCOL_BINARY
 
-    def test_server_pinned_to_v1_downgrades_client(self):
+    def test_client_asking_for_v1_gets_json(self):
         async def scenario(server, client):
-            agreed = await client.negotiate()
+            agreed = await client.negotiate(max_protocol=PROTOCOL_JSON)
             # The connection stays fully usable on JSON.
             await client.register_task("t", 100.0, error_allowance=0.05)
             reply = await client.offer_batch([["t", 0, 50.0]])
-            return agreed, reply["accepted"]
+            return agreed, client.protocol, reply["accepted"]
 
-        agreed, accepted = run_with_server(scenario, protocol=1)
-        assert agreed == PROTOCOL_JSON
+        agreed, protocol, accepted = run_with_server(scenario)
+        assert agreed == protocol == PROTOCOL_JSON
         assert accepted == 1
 
     def test_offer_columns_without_negotiation_raises(self):

@@ -110,7 +110,7 @@ IGNORED = {
     "trigger_plans", "trigger_status", "trigger_suspensions",
     "trigger_accounting", "install_trigger_plan", "add_trigger_watch",
     "add_remote_trigger", "set_trigger_armed", "set_trigger_sink",
-    "drain_trigger_events", "suspend_interval", "min_hold",
+    "flip_guards", "suspend_interval", "min_hold",
     "disarm_level", "from_rule", "ingest_trace", "to_plans",
     "probe_cost_saved", "share_levels",
     # wire front end: the backend seam, host/coordinator methods and

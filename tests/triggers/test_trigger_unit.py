@@ -136,19 +136,22 @@ class TestServiceChannel:
             suspend_interval=8, min_hold=0))
         assert service.trigger_status("costly")["armed"] is False
 
-    def test_watch_edges_buffer_or_sink(self):
+    def test_watch_edges_reach_the_sink(self):
+        """A service keeps no edges: each goes to the sink attached when
+        it fires, or, with none, no further than the service's own
+        guards."""
         service = MonitoringService()
         service.add_task("conns", task(threshold=200.0))
         service.add_trigger_watch("conns", 40.0, min_hold=0)
         service.offer("conns", 10.0, 0)  # below the band -> disarm
-        events = service.drain_trigger_events()
-        assert events == [{"op": "disarm", "trigger": "conns",
-                           "step": 0, "value": 10.0}]
         seen: list[dict] = []
         service.set_trigger_sink(seen.append)
         service.offer("conns", 80.0, 1)  # above the level -> arm
-        assert service.drain_trigger_events() == []
-        assert seen and seen[0]["op"] == "arm"
+        service.offer("conns", 10.0, 2)
+        assert seen == [
+            {"op": "arm", "trigger": "conns", "step": 1, "value": 80.0},
+            {"op": "disarm", "trigger": "conns", "step": 2, "value": 10.0}]
+        assert not hasattr(service, "drain_trigger_events")
 
 
 @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
@@ -171,6 +174,8 @@ class TestLocalPair:
     def test_a_parked_target_is_due_the_offer_after_the_trigger_goes_hot(
             self, soa):
         service = self._pair(soa)
+        edges: list[dict] = []
+        service.set_trigger_sink(edges.append)
         for step in range(3):
             service.offer("cheap", 10.0, step)
             service.offer("costly", 50.0, step)
@@ -183,7 +188,7 @@ class TestLocalPair:
         # A violation inside what was the parked window is seen.
         assert service.offer("costly", 120.0, 3).violation
         assert [a.time_index for a in service.alerts("costly")] == [3]
-        assert service.drain_trigger_events() == [
+        assert edges == [
             {"op": "disarm", "trigger": "cheap", "step": 0, "value": 10.0},
             {"op": "arm", "trigger": "cheap", "step": 3,
              "value": self.LEVEL}]

@@ -93,7 +93,7 @@ async def _run(args: argparse.Namespace) -> None:
     print(f"[cluster] listening on {', '.join(endpoints)} "
           f"({len(coord.transports)} workers x {coord.n_shards} shards, "
           f"backend={server.config.backend}, "
-          f"{coord.restored_tasks} tasks restored)", flush=True)
+          f"{server.restored_tasks} tasks restored)", flush=True)
     write_ready_file(args.ready_file, {
         "port": server.tcp_port,
         "http_port": server.http_port,

@@ -448,6 +448,19 @@ def register_task_from_config(service: MonitoringService,
     return spec
 
 
+def _service_defaults(config: Any, top_keys: set[str]) -> dict[str, Any]:
+    """Check a service config's root (a dict of ``top_keys`` only) and
+    its ``defaults`` section, failing closed; returns the defaults."""
+    if not isinstance(config, dict):
+        raise ConfigurationError(f"config must be a dict, got {config!r}")
+    _reject_unknown(config, top_keys, "config root")
+    defaults = config.get("defaults", {})
+    if not isinstance(defaults, dict):
+        raise ConfigurationError("'defaults' must be a dict")
+    _reject_unknown(defaults, _DEFAULT_KEYS, "defaults")
+    return defaults
+
+
 def service_from_config(config: dict[str, Any],
                         adaptation: AdaptationConfig | None = None,
                         ) -> MonitoringService:
@@ -457,13 +470,7 @@ def service_from_config(config: dict[str, Any],
     key, missing field, duplicate task name, or dangling trigger
     reference — configs fail closed.
     """
-    if not isinstance(config, dict):
-        raise ConfigurationError(f"config must be a dict, got {config!r}")
-    _reject_unknown(config, _TOP_KEYS, "config root")
-    defaults = config.get("defaults", {})
-    if not isinstance(defaults, dict):
-        raise ConfigurationError("'defaults' must be a dict")
-    _reject_unknown(defaults, _DEFAULT_KEYS, "defaults")
+    defaults = _service_defaults(config, _TOP_KEYS)
     tasks = config.get("tasks", [])
     if not tasks:
         raise ConfigurationError("config defines no tasks")

@@ -38,7 +38,8 @@ Clients: :class:`~repro.runtime.client.RuntimeClient` (sync) and
 """
 
 from repro.config import RuntimeConfig
-from repro.runtime.checkpoint import read_checkpoint, write_checkpoint
+from repro.runtime.checkpoint import (read_checkpoint, state_fingerprint,
+                                      write_checkpoint)
 from repro.runtime.client import AsyncRuntimeClient, RuntimeClient
 from repro.runtime.protocol import (MAX_FRAME, PROTOCOL_BINARY,
                                     PROTOCOL_JSON, PROTOCOL_VERSION,
@@ -75,5 +76,6 @@ __all__ = [
     "read_checkpoint",
     "read_frame",
     "read_frame_blocking",
+    "state_fingerprint",
     "write_checkpoint",
 ]

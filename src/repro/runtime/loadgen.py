@@ -153,8 +153,8 @@ async def _migrate_at_midpoint(control: AsyncRuntimeClient,
 def _restored_schedules(checkpoint: pathlib.Path) -> dict[str, dict]:
     """Every task's schedule as a restore of ``checkpoint`` gives it."""
     restored = {}
-    for snapshot in read_checkpoint(checkpoint).get("shards", []):
-        service = MonitoringService.restore(snapshot)
+    for entry in read_checkpoint(checkpoint)["shards"].values():
+        service = MonitoringService.restore(entry["snapshot"])
         for name in service.task_names:
             restored[name] = {key: getattr(service, key)(name)
                               for key in _SCHEDULE}

@@ -41,8 +41,7 @@ from repro.cluster import hosting
 from repro.cluster.routing import route
 from repro.config import RuntimeConfig
 from repro.core.adaptation import AdaptationConfig
-from repro.exceptions import CheckpointError, ConfigurationError
-from repro.runtime.checkpoint import read_checkpoint
+from repro.exceptions import ConfigurationError
 from repro.runtime.frontend import (ConnState, WireServer, cli_overrides,
                                     load_config_file, run_cli,
                                     write_ready_file)
@@ -51,7 +50,7 @@ from repro.telemetry.registry import MetricsRegistry, instrument_samplers
 from repro.telemetry.selfmon import SelfMonitor
 from repro.telemetry.trace import DecisionTrace
 from repro.testkit.faults import FaultHook, NOOP_HOOK
-from repro.triggers.plan import TriggerPlan, count_edge
+from repro.triggers.plan import count_edge
 
 __all__ = ["RuntimeServer", "main"]
 
@@ -109,21 +108,24 @@ class RuntimeServer(WireServer):
             edge_sink=lambda event: count_edge(
                 self.trigger_plans, self.task_shard, self.trigger_edges,
                 event))
-        self._workers: list[ShardWorker] = []
-        self._place_shards({})
+        self._workers = [self._host.install_shard(sid)
+                         for sid in range(self.n_shards)]
 
     # ------------------------------------------------------------------
     # Shard plumbing (the in-process backend)
 
-    def _place_shards(self, state: dict[str, Any]) -> None:
-        """Host every shard, restored from ``state`` where it has one."""
-        snapshots = state.get("shards", [])
-        counters = state.get("counters", [])
-        self._workers = [
-            self._host.install_shard(
-                sid, snapshots[sid] if sid < len(snapshots) else None,
-                counters[sid] if sid < len(counters) else None)
-            for sid in range(self.n_shards)]
+    async def _start_shards(self, shards: dict[str, Any],
+                            placement: dict[str, str]) -> None:
+        for key, entry in shards.items():
+            sid = int(key)
+            self._workers[sid] = self._host.install_shard(
+                sid, entry["snapshot"], entry.get("counters"))
+
+    async def _collect_shards(self) -> tuple[dict[str, Any], dict[str, Any]]:
+        # Awaits nothing: a runtime request never interleaves mid-handler.
+        return {str(w.shard_id): {"snapshot": w.service.snapshot(),
+                                  "counters": w.stats()}
+                for w in self._workers}, {}
 
     def worker_for(self, name: str) -> ShardWorker:
         """The shard worker a task name routes to."""
@@ -155,7 +157,7 @@ class RuntimeServer(WireServer):
     async def start(self) -> None:
         """Restore state, start shard workers, bind listen sockets."""
         instrument_samplers(self.registry)
-        self._maybe_restore()
+        await self._restore()
         await self.apply_config(self._service_config)
         self._host.start()
         cfg = self.config
@@ -164,31 +166,6 @@ class RuntimeServer(WireServer):
             self.selfmon = SelfMonitor(self, registry=self.registry,
                                        trace=self.trace)
             self.selfmon.start(cfg.selfmon_interval)
-
-    def _maybe_restore(self) -> None:
-        path = self.config.checkpoint_path
-        if path is None or not pathlib.Path(path).exists():
-            return
-        state = read_checkpoint(path)
-        shard_count = int(state.get("shard_count", -1))
-        if shard_count != self.n_shards:
-            raise CheckpointError(
-                f"checkpoint was written with {shard_count} shards but the "
-                f"server is configured with {self.n_shards}; "
-                f"resharding a checkpoint is not supported")
-        self._place_shards(state)
-        self.restored_tasks = sum(len(w.service.task_names)
-                                  for w in self._workers)
-        self.task_shard.update((str(k), int(v)) for k, v in
-                               state.get("task_shard", {}).items())
-        # Rebuild the routing table only — the armed flags and watcher
-        # debounce state already came back inside the shard snapshots,
-        # bit-identical; re-installing would conservatively re-arm.
-        for entry in state.get("triggers", []):
-            plan = TriggerPlan.from_dict(dict(entry))
-            self.trigger_plans[plan.target] = plan
-        self.trace.emit("restore", tasks=self.restored_tasks,
-                        shards=self.n_shards, path=str(path))
 
     async def _stop(self, drain: bool) -> None:
         if not await self._stop_serving():
@@ -221,27 +198,6 @@ class RuntimeServer(WireServer):
         """Wait until every queued batch on every shard has been applied."""
         for worker in self._workers:
             await worker.drain()
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-
-    def runtime_state(self) -> dict[str, Any]:
-        """The full runtime state (what checkpoints persist)."""
-        state: dict[str, Any] = {
-            "shard_count": self.n_shards,
-            "task_shard": dict(self.task_shard),
-            "shards": [w.service.snapshot() for w in self._workers],
-            "counters": [w.stats() for w in self._workers],
-        }
-        if self.trigger_plans:
-            # Only-when-present, like the typed-task snapshot keys:
-            # checkpoints without trigger plans stay byte-identical to
-            # every earlier release's.
-            state["triggers"] = [self.trigger_plans[t].to_dict()
-                                 for t in sorted(self.trigger_plans)]
-        return state
-
-    _checkpoint_state = runtime_state
 
 
 def _build_parser() -> argparse.ArgumentParser:

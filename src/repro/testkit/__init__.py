@@ -26,8 +26,7 @@ from repro.testkit.invariants import (ConservationCheckedPolicy,
                                       check_misdetection_bound,
                                       check_no_acked_loss,
                                       check_quantile_misdetection,
-                                      check_restore_bit_identical,
-                                      snapshot_fingerprint)
+                                      check_restore_bit_identical)
 
 __all__ = [
     "ConservationCheckedPolicy",
@@ -44,6 +43,5 @@ __all__ = [
     "check_no_acked_loss",
     "check_quantile_misdetection",
     "check_restore_bit_identical",
-    "snapshot_fingerprint",
     "stable_uniform",
 ]

@@ -47,7 +47,6 @@ __all__ = [
     "check_no_acked_loss",
     "check_quantile_misdetection",
     "check_restore_bit_identical",
-    "snapshot_fingerprint",
 ]
 
 CONSERVATION_RTOL = 1e-9
@@ -448,19 +447,6 @@ def check_quantile_misdetection(*, seed: int, err: float = 0.05,
 # 3. Bit-identical restore
 
 
-def snapshot_fingerprint(snapshot: Mapping[str, Any]) -> str:
-    """Stable fingerprint of a service snapshot (canonical-JSON SHA-256).
-
-    Two snapshots with equal fingerprints are byte-identical up to dict
-    ordering — the equality the restore invariant is stated in. Alias of
-    :func:`repro.runtime.checkpoint.state_fingerprint`, which the cluster
-    migration protocol uses for its cutover equality check; the testkit
-    name is kept so conformance reports and older call sites read the
-    same either way.
-    """
-    return state_fingerprint(snapshot)
-
-
 def check_restore_bit_identical(snapshot: Mapping[str, Any],
                                 ) -> InvariantResult:
     """``restore(snapshot).snapshot()`` must reproduce ``snapshot`` exactly.
@@ -471,7 +457,7 @@ def check_restore_bit_identical(snapshot: Mapping[str, Any],
     serialise → rebuild → serialise cycle without any drift (float
     re-accumulation, field defaulting, ordering).
     """
-    original = snapshot_fingerprint(snapshot)
+    original = state_fingerprint(snapshot)
     try:
         rebuilt = MonitoringService.restore(dict(snapshot)).snapshot()
     except Exception as exc:  # noqa: BLE001 - verdict, not control flow
@@ -479,7 +465,7 @@ def check_restore_bit_identical(snapshot: Mapping[str, Any],
             name="restore_bit_identical", passed=False,
             detail=f"restore raised {type(exc).__name__}: {exc}",
             metrics={"tasks": len(snapshot_task_names(snapshot))})
-    restored = snapshot_fingerprint(rebuilt)
+    restored = state_fingerprint(rebuilt)
     passed = restored == original
     return InvariantResult(
         name="restore_bit_identical",

@@ -44,7 +44,8 @@ from repro.cluster.routing import route
 from repro.config import RuntimeConfig, task_from_config
 from repro.core.adaptation import AdaptationConfig
 from repro.core.coordination import AdaptiveAllocation
-from repro.runtime.checkpoint import _jsonable, read_checkpoint
+from repro.runtime.checkpoint import (_jsonable, read_checkpoint,
+                                      state_fingerprint)
 from repro.runtime.protocol import encode_frame, read_frame
 from repro.runtime.server import RuntimeServer
 from repro.service import MonitoringService
@@ -56,8 +57,7 @@ from repro.testkit.invariants import (InvariantResult,
                                       check_allowance_conservation,
                                       check_misdetection_bound,
                                       check_no_acked_loss,
-                                      check_restore_bit_identical,
-                                      snapshot_fingerprint)
+                                      check_restore_bit_identical)
 
 __all__ = ["SCENARIOS", "run_scenario", "run_matrix", "render_report",
            "main"]
@@ -245,7 +245,7 @@ class _ScenarioDriver:
         return acked
 
     def _shadow_fingerprints(self) -> list[str]:
-        return [snapshot_fingerprint(s.snapshot()) for s in self.shadow]
+        return [state_fingerprint(s.snapshot()) for s in self.shadow]
 
     def _stash_good_state(self, file_bytes: bytes) -> None:
         snapshots = json.dumps([s.snapshot() for s in self.shadow],
@@ -326,7 +326,7 @@ class _ScenarioDriver:
         self.barrier_checks += 1
         # Live state must equal the shadow reference bit-for-bit.
         for shard, fingerprint in enumerate(self._shadow_fingerprints()):
-            live = snapshot_fingerprint(
+            live = state_fingerprint(
                 server._workers[shard].service.snapshot())
             if live != fingerprint:
                 self.identity_mismatches.append(
@@ -373,7 +373,8 @@ class _ScenarioDriver:
         self.checkpoint_outcomes.append("valid")
         # Durable bit-identity: what hit the disk equals the shadow.
         for shard, fingerprint in enumerate(self._shadow_fingerprints()):
-            durable = snapshot_fingerprint(state["shards"][shard])
+            durable = state_fingerprint(
+                state["shards"][str(shard)]["snapshot"])
             if durable != fingerprint:
                 self.identity_mismatches.append(
                     f"checkpoint {len(self.checkpoint_outcomes)}: shard "
@@ -393,7 +394,7 @@ class _ScenarioDriver:
         restarted = self._new_server()
         await restarted.start()
         for shard, fingerprint in enumerate(self._shadow_fingerprints()):
-            live = snapshot_fingerprint(
+            live = state_fingerprint(
                 restarted._workers[shard].service.snapshot())
             if live != fingerprint:
                 self.identity_mismatches.append(
@@ -474,7 +475,7 @@ class _ScenarioDriver:
         await cold.start()
         try:
             for shard, fingerprint in enumerate(self._shadow_fingerprints()):
-                live = snapshot_fingerprint(
+                live = state_fingerprint(
                     cold._workers[shard].service.snapshot())
                 if live != fingerprint:
                     mismatches.append(
@@ -489,8 +490,8 @@ class _ScenarioDriver:
                       cold_mismatches: list[str]) -> dict[str, Any]:
         self.identity_mismatches.extend(cold_mismatches)
         roundtrip_failures = []
-        for shard, snapshot in enumerate(final_state.get("shards", [])):
-            verdict = check_restore_bit_identical(snapshot)
+        for shard, entry in final_state["shards"].items():
+            verdict = check_restore_bit_identical(entry["snapshot"])
             if not verdict.passed:
                 roundtrip_failures.append(f"shard {shard}: {verdict.detail}")
         identity_ok = not self.identity_mismatches and not roundtrip_failures

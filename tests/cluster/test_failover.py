@@ -132,8 +132,8 @@ class TestInProcReplacement:
                 await client.offer_batch(
                     [[TASK, s, 50.0 + (s % 13)] for s in range(40)])
                 await coord.drain()
-                state = await coord._collect_state()
-                copy = state["shards"][str(TASK_SHARD)]["snapshot"]
+                shards = await coord._collect_state()
+                copy = shards[str(TASK_SHARD)]["snapshot"]
                 taken = state_fingerprint(copy)
                 await client.offer_batch(
                     [[name, s, 55.0 + (s % 11)] for s in range(40, 90)
@@ -161,7 +161,8 @@ class TestInProcReplacement:
         assert replaced == taken
 
     def test_uncovered_shard_recovers_fresh_with_catalog_tasks(self):
-        """No snapshot for the shard → fresh shard, tasks re-registered."""
+        """No snapshot for the shard → fresh shard, its pending
+        registrations registered again."""
 
         async def scenario(cluster):
             coord = cluster.coordinator
@@ -171,7 +172,7 @@ class TestInProcReplacement:
                 victim = await _victim_of(client, TASK_SHARD)
                 # Kill before any heartbeat snapshotted the shard: the
                 # re-placement has nothing to restore from and must fall
-                # back to a fresh shard plus catalog re-registration.
+                # back to a fresh shard plus the pending registration.
                 await coord.kill_worker(victim)
                 await _wait_until(lambda: coord.replacements >= 1)
                 info = await client.task_info(TASK)

@@ -54,7 +54,7 @@ class TestSharedWithRuntime:
     def test_runtime_shard_map_delegates_to_route(self):
         # The single-process server and the cluster router must agree on
         # every assignment, or a cluster restoring a single-process
-        # catalog would send tasks to the wrong shard.
+        # checkpoint would send tasks to the wrong shard.
         for n in (2, 4, 8):
             server = RuntimeServer(RuntimeConfig(shards=n))
             for name in GOLDEN_8:

@@ -33,10 +33,10 @@ from repro.config import RuntimeConfig
 from repro.core.adaptation import AdaptationConfig
 from repro.core.task import TaskSpec
 from repro.exceptions import ProtocolError
+from repro.runtime.checkpoint import state_fingerprint
 from repro.runtime.client import AsyncRuntimeClient, RuntimeClient
 from repro.runtime.server import RuntimeServer
 from repro.service import MonitoringService
-from repro.testkit.invariants import snapshot_fingerprint
 
 REPO_SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
@@ -169,12 +169,12 @@ def test_hard_crash_restores_exact_checkpoint_state(tmp_path):
             await feed(client, stream, 0, SPLIT)
             await server.drain()
             await client.checkpoint()
-            durable = [snapshot_fingerprint(w.service.snapshot())
+            durable = [state_fingerprint(w.service.snapshot())
                        for w in server._workers]
             # Updates after the checkpoint barrier: voided by the crash.
             await feed(client, stream, SPLIT, SPLIT + 50)
             await server.drain()
-            assert [snapshot_fingerprint(w.service.snapshot())
+            assert [state_fingerprint(w.service.snapshot())
                     for w in server._workers] != durable
         finally:
             await client.close()
@@ -183,7 +183,7 @@ def test_hard_crash_restores_exact_checkpoint_state(tmp_path):
         restarted = new_server(ckpt)
         await restarted.start()
         try:
-            assert [snapshot_fingerprint(w.service.snapshot())
+            assert [state_fingerprint(w.service.snapshot())
                     for w in restarted._workers] == durable
             # And the restored state matches a reference run over exactly
             # the pre-checkpoint prefix.

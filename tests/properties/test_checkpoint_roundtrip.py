@@ -21,8 +21,8 @@ from repro.core.online_stats import OnlineStatistics
 from repro.core.task import TaskSpec
 from repro.core.windowed import AggregateKind
 from repro.experiments.runner import _lockstep
+from repro.runtime.checkpoint import state_fingerprint
 from repro.service import MonitoringService
-from repro.testkit.invariants import snapshot_fingerprint
 
 bounded = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
 
@@ -171,8 +171,8 @@ class TestTypedTaskSnapshotRoundtrip:
         feed(interrupted, 0, split)
         snapshot = roundtrip(interrupted.snapshot())
         restored = MonitoringService.restore(snapshot)
-        assert snapshot_fingerprint(restored.snapshot()) \
-            == snapshot_fingerprint(snapshot)
+        assert state_fingerprint(restored.snapshot()) \
+            == state_fingerprint(snapshot)
         feed(restored, split, 300)
 
         for name in ("q", "h"):
@@ -182,8 +182,8 @@ class TestTypedTaskSnapshotRoundtrip:
             assert restored.interval(name) == uninterrupted.interval(name)
             assert restored.task_estimate(name) \
                 == uninterrupted.task_estimate(name)
-        assert snapshot_fingerprint(restored.snapshot()) \
-            == snapshot_fingerprint(uninterrupted.snapshot())
+        assert state_fingerprint(restored.snapshot()) \
+            == state_fingerprint(uninterrupted.snapshot())
 
 
 class TestServiceSnapshotRoundtrip:
@@ -224,8 +224,8 @@ class TestServiceSnapshotRoundtrip:
         snapshot = roundtrip(interrupted.snapshot())
         restored = MonitoringService.restore(snapshot)
         # Restore -> snapshot must be the identity on the wire format.
-        assert snapshot_fingerprint(restored.snapshot()) \
-            == snapshot_fingerprint(snapshot)
+        assert state_fingerprint(restored.snapshot()) \
+            == state_fingerprint(snapshot)
         feed(restored, split, 300)
 
         for name in ("inst", "win"):
@@ -235,8 +235,8 @@ class TestServiceSnapshotRoundtrip:
             assert restored.interval(name) == uninterrupted.interval(name)
             assert restored.next_due(name) == uninterrupted.next_due(name)
         # The full final states are bit-identical, not merely equivalent.
-        assert snapshot_fingerprint(restored.snapshot()) \
-            == snapshot_fingerprint(uninterrupted.snapshot())
+        assert state_fingerprint(restored.snapshot()) \
+            == state_fingerprint(uninterrupted.snapshot())
 
 
 class TestEngineRowSnapshotRoundtrip:
@@ -265,8 +265,8 @@ class TestEngineRowSnapshotRoundtrip:
 
         feed(0, split)
         snapshot = roundtrip(pair.vector.snapshot())
-        assert snapshot_fingerprint(snapshot) \
-            == snapshot_fingerprint(pair.scalar.snapshot())
+        assert state_fingerprint(snapshot) \
+            == state_fingerprint(pair.scalar.snapshot())
         # Carry on with the restored service in the interrupted one's
         # place: its callbacks, trace and sink are re-attached.
         fired = pair.fired["vector"]
@@ -275,8 +275,8 @@ class TestEngineRowSnapshotRoundtrip:
                 fired[name].append(alert) if name in fired else None))
         assert all(restored.soa_row_for(name) >= 0 for name in pair.names)
         # Restore -> snapshot must be the identity on the wire format.
-        assert snapshot_fingerprint(restored.snapshot()) \
-            == snapshot_fingerprint(snapshot)
+        assert state_fingerprint(restored.snapshot()) \
+            == state_fingerprint(snapshot)
         restored.attach_telemetry(pair.vector._trace)
         restored.set_trigger_sink(pair.edges[id(pair.vector)].append)
         pair.edges[id(restored)] = pair.edges[id(pair.vector)]

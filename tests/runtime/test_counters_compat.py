@@ -3,7 +3,7 @@
 PR 5 renamed the runtime counters to the canonical telemetry names
 (``updates_offered`` ... ``alerts_fired``); the pre-telemetry short keys
 (``offered`` ... ``alerts``) are gone from ``stats()`` /
-``runtime_state()`` and, since every checkpoint any release still reads
+the checkpoint's shard entries and, since every checkpoint any release still reads
 carries the canonical keys, from
 :func:`repro.runtime.shard.restore_counters` too. Canonical keys are the
 only per-shard shape on the wire and on disk.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.config import RuntimeConfig
-from repro.runtime.checkpoint import write_checkpoint
+from repro.runtime.checkpoint import read_checkpoint, write_checkpoint
 from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.server import RuntimeServer
 from repro.service import MonitoringService
@@ -79,16 +79,21 @@ class TestStatsShapes:
         assert stats["totals"]["offered"] == 5
         assert stats["totals"]["alerts"] == 5
 
-    def test_runtime_state_counters_use_canonical_keys_only(self):
+    def test_runtime_state_counters_use_canonical_keys_only(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+
         async def scenario(server, client):
             await client.register_task("t", 10.0)
             await client.offer_batch([["t", 0, 1.0]])
             for worker in server._workers:
                 await worker.drain()
-            return server.runtime_state()
+            await client.checkpoint()
+            return read_checkpoint(path)
 
-        state = run_with_server(scenario)
-        for counters in state["counters"]:
+        state = run_with_server(scenario, checkpoint_path=path,
+                                checkpoint_interval=3600.0)
+        for entry in state["shards"].values():
+            counters = entry["counters"]
             assert set(ALIASES) <= set(counters)
             assert not set(ALIASES.values()) & set(counters)
 
@@ -97,10 +102,13 @@ class TestAliasOnlyCheckpointRestore:
     def test_canonical_keys_win_over_aliases(self, tmp_path):
         path = tmp_path / "mixed.ckpt.json"
         state = {
-            "shard_count": 1,
-            "task_shard": {},
-            "shards": [MonitoringService().snapshot()],
-            "counters": [{"shard": 0, "updates_offered": 42, "offered": 7}],
+            "n_shards": 1,
+            "shards": {"0": {
+                "snapshot": MonitoringService().snapshot(),
+                "counters": {"shard": 0, "updates_offered": 42,
+                             "offered": 7}}},
+            "trigger_plans": [],
+            "pending": [],
         }
         write_checkpoint(path, state)
 

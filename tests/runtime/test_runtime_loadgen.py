@@ -123,7 +123,7 @@ def test_each_verdict_fails_the_run(verdict, message, tmp_path, monkeypatch,
         argv += ["--protocol", "json"]
     elif verdict == "checkpoint":
         monkeypatch.setattr(loadgen, "read_checkpoint",
-                            lambda path: {"shards": []})
+                            lambda path: {"shards": {}})
     else:
         async def unverified(self, shard, worker):
             return {"ok": True, "shard": shard, "to": worker,

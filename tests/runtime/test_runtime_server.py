@@ -364,7 +364,7 @@ class TestCheckpointOps:
 
         state = read_checkpoint(path)
         restored = MonitoringService.restore(
-            state["shards"][route("t", 4)])
+            state["shards"][str(route("t", 4))]["snapshot"])
         assert restored.samples_taken("t") == 2
 
     @pytest.mark.parametrize("kind", ["runtime", "cluster"])
@@ -463,6 +463,33 @@ class TestConfigFileTasks:
         reply, alerts = asyncio.run(runner())
         assert reply["accepted"] == 2
         assert alerts == [[0, 10.0, 5.0]]
+
+    @pytest.mark.parametrize("kind", ["runtime", "cluster"])
+    @pytest.mark.parametrize("config, culprit", [
+        ({"defaults": {"max_intervl": 4},
+          "tasks": [{"name": "t", "threshold": 5.0}]}, "max_intervl"),
+        ({"task": [{"name": "t", "threshold": 5.0}]}, "'task'"),
+    ], ids=["defaults-key", "top-key"])
+    def test_an_unknown_config_key_fails_closed(self, kind, config,
+                                                culprit):
+        """A misspelt key is refused at start on both servers, as
+        ``service_from_config`` refuses it — never a task silently given
+        the default it did not ask for, nor a server with no tasks."""
+        from repro.exceptions import ConfigurationError
+
+        async def runner():
+            if kind == "runtime":
+                server = RuntimeServer(RuntimeConfig(port=0, shards=2),
+                                       service_config=config)
+            else:
+                server = ClusterServer(
+                    ClusterConfig(backend="inproc", workers=1, shards=2,
+                                  port=0), service_config=config)
+            await server.start()
+            await server.shutdown()
+
+        with pytest.raises(ConfigurationError, match=culprit):
+            asyncio.run(runner())
 
     @pytest.mark.parametrize("kind", ["runtime", "cluster"])
     def test_configured_tasks_exist_before_the_socket_accepts(

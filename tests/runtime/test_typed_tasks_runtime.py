@@ -116,7 +116,7 @@ class TestQuantileOverTheWire:
         checkpoint_state = read_checkpoint(path)
         assert fingerprint \
             == state_fingerprint(checkpoint_state["shards"][
-                route("q", 2)])
+                str(route("q", 2))]["snapshot"])
 
 
 class TestEntropyOverTheWire:

@@ -118,7 +118,8 @@ IGNORED = {
     "task_shard", "_shard_call", "_submit_columns",
     "shard_call", "submit_columns", "install_shard", "handle_request",
     "apply_config", "max_batch", "try_enqueue_columns", "apply_columns",
-    "handle_shard_offer", "_checkpoint_state", "checkpoint_age",
+    "handle_shard_offer", "_collect_shards", "_start_shards",
+    "checkpoint_age",
     "service_config", "checkpoint_path", "runtime_dir",
     "checkpoint_failed", "volley_checkpoint_", "w_snapshot_shard",
     "w_restore_shard", "w_shutdown",

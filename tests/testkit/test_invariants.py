@@ -17,6 +17,7 @@ from repro.core.adaptation import AdaptationConfig
 from repro.core.coordination import (AdaptiveAllocation, AllocationPolicy,
                                      AllocationUpdate, EvenAllocation)
 from repro.core.task import TaskSpec
+from repro.runtime.checkpoint import state_fingerprint
 from repro.service import MonitoringService
 from repro.testkit.invariants import (ConservationCheckedPolicy,
                                       InvariantResult, LeakySketch,
@@ -24,8 +25,7 @@ from repro.testkit.invariants import (ConservationCheckedPolicy,
                                       check_misdetection_bound,
                                       check_no_acked_loss,
                                       check_quantile_misdetection,
-                                      check_restore_bit_identical,
-                                      snapshot_fingerprint)
+                                      check_restore_bit_identical)
 
 
 class LeakyAllocation(AllocationPolicy):
@@ -184,13 +184,13 @@ class TestRestoreBitIdentical:
         snapshot = self._snapshot()
         reordered = json.loads(json.dumps(snapshot, sort_keys=True,
                                           default=np.ndarray.tolist))
-        assert snapshot_fingerprint(snapshot) \
-            == snapshot_fingerprint(reordered)
+        assert state_fingerprint(snapshot) \
+            == state_fingerprint(reordered)
         mutated = json.loads(json.dumps(snapshot,
                                         default=np.ndarray.tolist))
         mutated["task"]["samples_taken"][0] += 1
-        assert snapshot_fingerprint(mutated) \
-            != snapshot_fingerprint(snapshot)
+        assert state_fingerprint(mutated) \
+            != state_fingerprint(snapshot)
 
     def test_unrestorable_snapshot_fails_not_raises(self):
         result = check_restore_bit_identical({"version": 999, "tasks": []})

@@ -1,16 +1,17 @@
 """Atomic checkpoint persistence for the ingestion runtime.
 
 A checkpoint is one document holding every shard's full
-:meth:`~repro.service.MonitoringService.snapshot` plus the task→shard map
-and counters. Writes go through a same-directory temp file + ``os.replace``
-so a crash mid-write leaves the previous checkpoint intact — readers see
-either the old complete state or the new complete state, never a torn file.
+:meth:`~repro.service.MonitoringService.snapshot` and counters, the
+trigger plans and the pending registrations (DESIGN.md S26). Writes go
+through a same-directory temp file + ``os.replace`` so a crash mid-write
+leaves the previous checkpoint intact — readers see either the old
+complete state or the new complete state, never a torn file.
 
-File format version 3 (``CHECKPOINT_VERSION``; not the snapshot
+File format version 4 (``CHECKPOINT_VERSION``; not the snapshot
 documents' own ``repro.service.SNAPSHOT_VERSION``, which a checkpoint
 carries inside) is a JSON head line, a column section and a trailer::
 
-    {"checkpoint_version":3,"columns":[[path,dtype,count],...],"state":{...}}
+    {"checkpoint_version":4,"columns":[[path,dtype,count],...],"state":{...}}
     <every packed column's raw little-endian bytes, in table order>
     crc32:<8 hex>
 
@@ -42,8 +43,9 @@ trailer is missing or does not match, and any head or column table that
 does not describe the bytes it sits on, with
 :class:`~repro.exceptions.CheckpointError`, instead of loading partial
 shard state. Only the format this module writes is read: a file of an
-earlier format — format 2 was the whole document as one JSON body —
-fails closed, naming both versions.
+earlier format fails closed, naming both versions. Format 3 had this
+framing around the two servers' two older documents; format 2 was the
+whole document as one JSON body.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 __all__ = ["CHECKPOINT_VERSION", "read_checkpoint", "state_fingerprint",
            "write_checkpoint"]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 _TRAILER = re.compile(rb"\ncrc32:([0-9a-f]{8})\n?\Z")
 

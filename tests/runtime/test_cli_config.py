@@ -9,17 +9,20 @@ which cannot forget one.
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import json
 
 import pytest
 
 from repro.cluster import __main__ as cluster_cli
+from repro.cluster.server import ClusterServer
 from repro.config import ClusterConfig, RuntimeConfig
 from repro.core.adaptation import AdaptationConfig
 from repro.exceptions import ConfigurationError
 from repro.runtime import server as runtime_cli
 from repro.runtime.frontend import load_config_file
+from repro.runtime.server import RuntimeServer
 
 # A non-default value for every field a config file can set.
 CLUSTER_SECTION = {
@@ -88,6 +91,37 @@ def test_config_file_splits_into_section_adaptation_and_service(tmp_path):
     assert service == {"defaults": {"max_interval": 4},
                        "tasks": [{"name": "t", "threshold": 1.0}]}
     assert load_config_file(None, "cluster") == ({}, None, {})
+
+
+def test_one_config_file_with_both_sections_starts_both_servers(tmp_path):
+    """Both servers take the same ``--config`` file: each reads its own
+    section, and the other's is not service config."""
+    path = tmp_path / "volley.json"
+    path.write_text(json.dumps({
+        "runtime": {"shards": 2, "port": 0},
+        "cluster": {"backend": "inproc", "workers": 1, "shards": 2,
+                    "port": 0},
+        "defaults": {"max_interval": 4},
+        "tasks": [{"name": "t", "threshold": 1.0}]}))
+
+    async def registered(server):
+        await server.start()
+        try:
+            return sorted(server.task_shard), server.defaults
+        finally:
+            await server.shutdown()
+
+    args = runtime_cli._build_parser().parse_args(["--config", str(path)])
+    section, adaptation, service = load_config_file(args.config, "runtime")
+    runtime = RuntimeServer(runtime_cli._runtime_config(args, section),
+                            service_config=service, adaptation=adaptation)
+    args = cluster_cli._build_parser().parse_args(["--config", str(path)])
+    section, adaptation, service = load_config_file(args.config, "cluster")
+    cluster = ClusterServer(cluster_cli._cluster_config(args, section),
+                            adaptation=adaptation, service_config=service)
+    for server in (runtime, cluster):
+        assert asyncio.run(registered(server)) == (["t"],
+                                                   {"max_interval": 4})
 
 
 def test_config_file_fails_closed(tmp_path):

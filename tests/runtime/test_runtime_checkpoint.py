@@ -106,7 +106,7 @@ class TestChecksumTrailer:
         raw = path.read_bytes()
         assert raw.splitlines()[-1].startswith(b"crc32:")
         head = json.loads(raw[:raw.index(b"\n")])
-        assert head["checkpoint_version"] == CHECKPOINT_VERSION == 3
+        assert head["checkpoint_version"] == CHECKPOINT_VERSION == 4
         assert [entry[1:] for entry in head["columns"]] == [
             ["f8", _MIN_PACKED], ["i8", _MIN_PACKED], ["b1", 2 * _MIN_PACKED]]
         state = read_checkpoint(path)
@@ -140,7 +140,24 @@ class TestChecksumTrailer:
         body = json.dumps(dict(self.STATE, checkpoint_version=2)).encode()
         path.write_bytes(body + b"\ncrc32:%08x\n" % zlib.crc32(body))
         with pytest.raises(CheckpointError,
-                           match=r"format version 2;.*format version 3\b"):
+                           match=r"format version 2;.*format version 4\b"):
+            read_checkpoint(path)
+
+    def test_a_format_3_file_fails_closed_naming_both_formats(self,
+                                                              tmp_path):
+        # Format 3: this framing around the two servers' older documents
+        # (a cluster's kept a per-task catalog the one reader ignores).
+        # Nothing upgrades it.
+        raw = self._write(tmp_path).read_bytes()
+        head_end = raw.index(b"\n")
+        head = json.loads(raw[:head_end])
+        head["checkpoint_version"] = 3
+        body = json.dumps(head).encode() + raw[head_end:raw.rindex(b"crc32:")
+                                               - 1]
+        path = tmp_path / "format3.ckpt"
+        path.write_bytes(body + b"\ncrc32:%08x\n" % zlib.crc32(body))
+        with pytest.raises(CheckpointError,
+                           match=r"format version 3;.*format version 4\b"):
             read_checkpoint(path)
 
     def test_losing_only_the_final_newline_is_harmless(self, tmp_path):

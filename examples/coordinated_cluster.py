@@ -2,7 +2,7 @@
 """Full datacenter testbed run (paper SV-A, Fig. 4 topology).
 
 Builds the simulated virtualized datacenter — physical servers, Dom0 CPU
-accounting, VMs with traffic agents, per-VM monitors, one coordinator per
+accounting, VMs with traffic streams, per-VM monitors, one coordinator per
 server group — in *distributed* mode, runs it, and prints the cost,
 accuracy, Dom0 CPU and coordination-traffic summary.
 
@@ -57,27 +57,25 @@ def main() -> None:
     print(f"\nsimulated {config.horizon_steps} windows of "
           f"{config.default_interval:.0f}s "
           f"({config.horizon_steps * config.default_interval / 3600:.1f} "
-          f"hours); engine processed {testbed.engine.events_processed} "
-          f"events")
+          f"hours)")
     print(f"total samples: {testbed.total_samples} "
           f"(ratio vs periodic: {testbed.sampling_ratio:.3f})")
 
     print("\nper-coordinator tasks:")
-    for i, coordinator in enumerate(testbed.coordinators):
-        print(f"  group {i}: {coordinator.spec.num_monitors} monitors, "
-              f"{len(coordinator.polls)} polls, "
-              f"{len(coordinator.alerts)} global alerts, "
-              f"{coordinator.reallocations} reallocation rounds")
+    for i, (spec, group) in enumerate(zip(testbed.groups,
+                                          testbed.group_runs)):
+        print(f"  group {i}: {spec.num_monitors} monitors, "
+              f"{group.global_polls} polls, "
+              f"{group.detected_alerts} global alerts, "
+              f"{group.reallocations} reallocation rounds")
 
     print("\nDom0 CPU utilisation per server (percent):")
-    for server, stats in zip(testbed.servers,
-                             testbed.dom0_utilization_stats()):
-        print(f"  server {server.server_id}: median "
+    for server, stats in enumerate(testbed.dom0_utilization_stats()):
+        print(f"  server {server}: median "
               f"{stats['median']:5.1f}  q25 {stats['q25']:5.1f}  "
               f"q75 {stats['q75']:5.1f}  max {stats['max']:5.1f}")
 
-    print("\ncoordination traffic:", testbed.network.breakdown())
-
+    print("\ncoordination traffic:", testbed.coordination_messages())
 
 if __name__ == "__main__":
     main()

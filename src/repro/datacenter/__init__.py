@@ -1,34 +1,23 @@
 """Virtualized datacenter testbed (DESIGN.md S9-S10).
 
 Simulated counterpart of the paper's Emulab deployment: physical servers
-with Dom0 CPU accounting, VMs with trace-serving agents, per-VM monitor
-daemons, coordinators (one per group of servers), a virtual network for
-coordination traffic, and the sampling cost models behind Fig. 6.
+whose Dom0 is charged for every sampling operation, VMs with traffic
+streams, one monitor per VM and one coordinator per group of servers,
+all stepped as engine rows on the default-interval grid, plus the
+sampling cost models behind Fig. 6.
 """
 
-from repro.datacenter.coordinator import CoordinatorNode
 from repro.datacenter.cost import (FlatSamplingCostModel, MonetaryCostModel,
                                    NetworkSamplingCostModel)
-from repro.datacenter.monitor import MonitorDaemon
-from repro.datacenter.network import VirtualNetwork
-from repro.datacenter.server import Dom0CpuAccount, PhysicalServer
 from repro.datacenter.testbed import (PAPER_SCALE, Testbed, TestbedConfig,
                                       build_testbed)
-from repro.datacenter.vm import TraceAgent, VirtualMachine
 
 __all__ = [
-    "CoordinatorNode",
-    "Dom0CpuAccount",
     "FlatSamplingCostModel",
     "MonetaryCostModel",
-    "MonitorDaemon",
     "NetworkSamplingCostModel",
     "PAPER_SCALE",
-    "PhysicalServer",
     "Testbed",
     "TestbedConfig",
-    "TraceAgent",
-    "VirtualMachine",
-    "VirtualNetwork",
     "build_testbed",
 ]

@@ -9,6 +9,14 @@ recreates that topology at any scale, wires per-VM traffic streams
   (Figs. 5(a) and 6), or
 * **distributed tasks** — one task per coordinator group whose global
   state is the sum of its VMs' metrics (SIV, Fig. 8).
+
+Every monitor samples on the default-interval grid, polls and allocation
+rounds fall on it too, and coordination messages arrive within the step
+they are sent. So the testbed steps engine rows: per-VM mode is one
+:func:`~repro.experiments.runner.run_lockstep` over every VM, distributed
+mode one batch of every coordinator group through the distributed-task
+runner, and each server's Dom0 is charged from the sampled steps of its
+VMs after the run.
 """
 
 from __future__ import annotations
@@ -16,22 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
-
 import numpy as np
 
+from repro.analysis.stats import box_stats
 from repro.core.accuracy import RunAccuracy, evaluate_sampling
 from repro.core.adaptation import AdaptationConfig
 from repro.core.coordination import AllocationPolicy
 from repro.core.task import DistributedTaskSpec, TaskSpec
-from repro.datacenter.coordinator import CoordinatorNode
 from repro.datacenter.cost import (MonetaryCostModel,
                                    NetworkSamplingCostModel)
-from repro.datacenter.monitor import MonitorDaemon
-from repro.datacenter.network import VirtualNetwork
-from repro.datacenter.server import PhysicalServer
-from repro.datacenter.vm import TraceAgent, VirtualMachine
 from repro.exceptions import ConfigurationError
-from repro.simulation.engine import SimulationEngine
+from repro.experiments.distributed import DistributedRunResult, _run_batch
+from repro.experiments.runner import run_lockstep
 from repro.simulation.randomness import RandomStreams
 from repro.workloads.thresholds import threshold_for_selectivity
 from repro.workloads.traffic import (NETWORK_DEFAULT_INTERVAL,
@@ -62,7 +66,7 @@ class TestbedConfig:
         max_interval: ``Im`` in default intervals.
         distributed: build one distributed task per coordinator group
             instead of per-VM tasks.
-        message_loss_rate: probability that a coordination message is
+        message_loss_rate: probability that a local-violation report is
             dropped in transit (0 = the paper's reliable-messaging
             assumption; used by the reliability experiments).
         seed: master seed for all randomness.
@@ -116,61 +120,117 @@ class Testbed:
 
     Use :func:`build_testbed` to construct one; then :meth:`run` executes
     the full horizon and the summary accessors report cost and accuracy.
+
+    Attributes:
+        config: the testbed's shape and task parameters.
+        traces: ``(num_vms, horizon)`` monitored value per VM and step.
+        packets: ``(num_vms, horizon)`` packets a sample at that step
+            inspects.
+        tasks: each VM's task; in distributed mode its group's local
+            spec at the even initial share.
+        groups: each coordinator group's distributed task (distributed
+            mode only); group ``k`` spans the VMs of servers
+            ``k * servers_per_coordinator`` onwards.
+        sampled: ``(horizon, num_vms)`` mask of the sampling operations,
+            forced samples included (all false until :meth:`run`).
+        group_runs: each group's run, its global polls kept (filled by
+            :meth:`run`).
     """
 
     # Not a test case despite the Test* name (pytest collection opt-out).
     __test__ = False
 
-    def __init__(self, config: TestbedConfig, engine: SimulationEngine,
-                 servers: list[PhysicalServer], vms: list[VirtualMachine],
-                 monitors: list[MonitorDaemon],
-                 coordinators: list[CoordinatorNode],
-                 network: VirtualNetwork):
+    def __init__(self, config: TestbedConfig, traces: np.ndarray,
+                 packets: np.ndarray, tasks: list[TaskSpec],
+                 groups: list[DistributedTaskSpec],
+                 adaptation: AdaptationConfig | None,
+                 policy: AllocationPolicy | None,
+                 cost_model: NetworkSamplingCostModel):
         self.config = config
-        self.engine = engine
-        self.servers = servers
-        self.vms = vms
-        self.monitors = monitors
-        self.coordinators = coordinators
-        self.network = network
+        self.traces = traces
+        self.packets = packets
+        self.tasks = tasks
+        self.groups = groups
+        self.sampled = np.zeros((config.horizon_steps, config.num_vms),
+                                dtype=bool)
+        self.group_runs: list[DistributedRunResult] = []
+        self._adaptation = adaptation
+        self._policy = policy
+        self._cost_model = cost_model
+        self._dom0_busy = np.zeros((config.num_servers,
+                                    config.horizon_steps))
         self._ran = False
 
     def run(self) -> None:
-        """Start every monitor/coordinator and run the whole horizon."""
+        """Step every monitor (and coordinator) over the whole horizon,
+        then charge each server's Dom0 for its VMs' samples."""
         if self._ran:
             raise ConfigurationError("testbed already ran")
         self._ran = True
-        for coordinator in self.coordinators:
-            coordinator.start()
-        for monitor in self.monitors:
-            monitor.start()
-        end = self.config.horizon_steps * self.config.default_interval
-        self.engine.run_until(end)
+        config = self.config
+        if not self.groups:
+            runs = run_lockstep(list(self.traces), self.tasks,
+                                self._adaptation, record_intervals=False)
+            for vm, result in enumerate(runs):
+                self.sampled[result.sampled_indices, vm] = True
+        else:
+            span = config.servers_per_coordinator * config.vms_per_server
+            loss = (config.message_loss_rate,
+                    RandomStreams(config.seed).stream("network-loss"))
+            self.group_runs = _run_batch(
+                [(self.traces[k * span:(k + 1) * span], spec, self._policy)
+                 for k, spec in enumerate(self.groups)],
+                self._adaptation, keep_polls=True, loss=loss,
+                sampled=self.sampled)
+        # Each Dom0 window sums its VMs' sampling costs in VM order.
+        for vm in range(config.num_vms):
+            steps = np.flatnonzero(self.sampled[:, vm])
+            self._dom0_busy[vm // config.vms_per_server, steps] += [
+                self._cost_model.cpu_seconds(packets)
+                for packets in self.packets[vm, steps].tolist()]
 
     @property
     def total_samples(self) -> int:
         """Sampling operations across all monitors."""
-        return sum(m.samples_taken for m in self.monitors)
+        return int(np.count_nonzero(self.sampled))
 
     @property
     def sampling_ratio(self) -> float:
         """Cost relative to periodic default sampling of every VM."""
-        denominator = len(self.monitors) * self.config.horizon_steps
-        return self.total_samples / float(denominator)
+        return self.total_samples / float(self.sampled.size)
+
+    def dom0_utilization(self) -> np.ndarray:
+        """``(num_servers, horizon)`` Dom0 CPU utilisation in percent per
+        window (may exceed 100 when oversubscribed — Fig. 6's err=0 case
+        saturates Dom0)."""
+        return 100.0 * self._dom0_busy / self.config.default_interval
 
     def dom0_utilization_stats(self) -> list[dict[str, float]]:
         """Per-server Dom0 utilisation box-plot statistics (Fig. 6)."""
-        return [s.dom0.utilization_stats() for s in self.servers]
+        return [box_stats(util) for util in self.dom0_utilization()]
 
     def monitor_accuracy(self) -> list[RunAccuracy]:
-        """Per-monitor accuracy vs. periodic ground truth (per-VM tasks)."""
-        results = []
-        for monitor in self.monitors:
-            truth = monitor.vm.agent.values[:self.config.horizon_steps]
-            results.append(evaluate_sampling(
-                truth, monitor.task.threshold, monitor.sampled_steps,
-                monitor.task.direction))
-        return results
+        """Per-monitor accuracy vs. periodic ground truth, against each
+        VM's own (local) threshold."""
+        return [evaluate_sampling(values, task.threshold,
+                                  np.flatnonzero(self.sampled[:, vm]),
+                                  task.direction)
+                for vm, (values, task) in enumerate(zip(self.traces,
+                                                        self.tasks))]
+
+    def coordination_messages(self) -> dict[str, int]:
+        """Coordination messages by kind: one report per local violation
+        (dropped ones included), a request and a response per monitor per
+        poll, and one allowance update per monitor per reallocation."""
+        kinds = dict.fromkeys(("violation-report", "poll-request",
+                               "poll-response", "allowance-update"), 0)
+        for spec, result in zip(self.groups, self.group_runs):
+            kinds["violation-report"] += result.local_violations
+            kinds["poll-request"] += spec.num_monitors * result.global_polls
+            kinds["poll-response"] += spec.num_monitors * result.global_polls
+            kinds["allowance-update"] += (spec.num_monitors
+                                          * result.reallocations)
+        return kinds
 
     def monetary_bill(self, price_per_sample: float = 1.0e-4,
                       price_per_message: float = 1.0e-6,
@@ -184,7 +244,7 @@ class Testbed:
         bill = MonetaryCostModel(price_per_sample=price_per_sample,
                                  price_per_message=price_per_message)
         bill.charge_sample(self.total_samples)
-        bill.charge_message(self.network.total_messages)
+        bill.charge_message(sum(self.coordination_messages().values()))
         return bill
 
 
@@ -207,86 +267,53 @@ def build_testbed(config: TestbedConfig | None = None,
         policy: allocation policy for distributed mode.
         cost_model: Dom0 CPU cost model.
         trace_hook: optional ``(vm_id, rho, packets) -> (rho, packets)``
-            transform applied to each VM's generated stream before the
-            agent is built — the injection point for attacks and fault
-            scenarios. Thresholds are calibrated on the *clean* stream
-            (as an operator would, from historical data), so injected
-            anomalies register as violations rather than raising the bar.
+            transform applied to each VM's generated stream — the
+            injection point for attacks and fault scenarios. Thresholds
+            are calibrated on the *clean* stream (as an operator would,
+            from historical data), so injected anomalies register as
+            violations rather than raising the bar.
     """
     config = config or TestbedConfig()
     streams = RandomStreams(config.seed)
-    engine = SimulationEngine()
-    network = VirtualNetwork(
-        loss_rate=config.message_loss_rate,
-        rng=(streams.stream("network-loss")
-             if config.message_loss_rate > 0.0 else None))
-    cost = cost_model or NetworkSamplingCostModel()
-
-    servers = [PhysicalServer(s, config.default_interval,
-                              config.horizon_steps)
-               for s in range(config.num_servers)]
-
-    vms: list[VirtualMachine] = []
+    traces = np.empty((config.num_vms, config.horizon_steps))
+    packets = np.empty((config.num_vms, config.horizon_steps),
+                       dtype=np.int64)
     thresholds: list[float] = []
     for vm_id in range(config.num_vms):
-        server_id = vm_id // config.vms_per_server
         rng = streams.stream("vm-traffic", vm_id)
         generator = TrafficDifferenceGenerator(
             phase=float(rng.uniform(0.0, 1.0)))
-        rho, packets = generator.generate_with_volume(config.horizon_steps,
-                                                      rng)
+        rho, volume = generator.generate_with_volume(config.horizon_steps,
+                                                     rng)
         thresholds.append(threshold_for_selectivity(
             rho, config.selectivity_percent))
         if trace_hook is not None:
-            rho, packets = trace_hook(vm_id, rho, packets)
-        agent = TraceAgent(values=rho, packets=packets)
-        vm = VirtualMachine(vm_id, server_id, agent)
-        servers[server_id].attach_vm(vm_id)
-        vms.append(vm)
+            rho, volume = trace_hook(vm_id, rho, volume)
+        traces[vm_id], packets[vm_id] = rho, volume
 
-    monitors: list[MonitorDaemon] = []
-    coordinators: list[CoordinatorNode] = []
-
+    tasks: list[TaskSpec] = []
+    groups: list[DistributedTaskSpec] = []
     if not config.distributed:
-        for vm, threshold in zip(vms, thresholds):
-            task = TaskSpec(threshold=threshold,
-                            error_allowance=config.error_allowance,
-                            default_interval=config.default_interval,
-                            max_interval=config.max_interval,
-                            name=f"net/vm-{vm.vm_id}")
-            monitors.append(MonitorDaemon(
-                monitor_id=vm.vm_id, vm=vm, task=task, engine=engine,
-                cost_model=cost, dom0=servers[vm.server_id].dom0,
-                horizon_steps=config.horizon_steps, config=adaptation))
-        return Testbed(config, engine, servers, vms, monitors, [], network)
-
-    # Distributed mode: one task per coordinator group.
-    for group_start in range(0, config.num_servers,
-                             config.servers_per_coordinator):
-        group_servers = range(
-            group_start,
-            min(group_start + config.servers_per_coordinator,
-                config.num_servers))
-        group_vms = [vm for vm in vms if vm.server_id in group_servers]
-        local_thresholds = tuple(thresholds[vm.vm_id] for vm in group_vms)
-        spec = DistributedTaskSpec(
-            global_threshold=float(sum(local_thresholds)),
-            local_thresholds=local_thresholds,
-            error_allowance=config.error_allowance,
-            default_interval=config.default_interval,
-            max_interval=config.max_interval,
-            name=f"net/group-{group_start // config.servers_per_coordinator}")
-        coordinator = CoordinatorNode(spec, engine, network, policy=policy)
-        for slot, vm in enumerate(group_vms):
-            task = spec.local_spec(
-                slot, config.error_allowance / spec.num_monitors)
-            monitor = MonitorDaemon(
-                monitor_id=slot, vm=vm, task=task, engine=engine,
-                cost_model=cost, dom0=servers[vm.server_id].dom0,
-                horizon_steps=config.horizon_steps, config=adaptation,
-                coordinator=coordinator)
-            coordinator.register(monitor)
-            monitors.append(monitor)
-        coordinators.append(coordinator)
-    return Testbed(config, engine, servers, vms, monitors, coordinators,
-                   network)
+        tasks = [TaskSpec(threshold=threshold,
+                          error_allowance=config.error_allowance,
+                          default_interval=config.default_interval,
+                          max_interval=config.max_interval,
+                          name=f"net/vm-{vm_id}")
+                 for vm_id, threshold in enumerate(thresholds)]
+    else:
+        span = config.servers_per_coordinator * config.vms_per_server
+        for k, start in enumerate(range(0, config.num_vms, span)):
+            local = tuple(thresholds[start:start + span])
+            spec = DistributedTaskSpec(
+                global_threshold=float(sum(local)),
+                local_thresholds=local,
+                error_allowance=config.error_allowance,
+                default_interval=config.default_interval,
+                max_interval=config.max_interval,
+                name=f"net/group-{k}")
+            groups.append(spec)
+            tasks += [spec.local_spec(slot, config.error_allowance
+                                      / spec.num_monitors)
+                      for slot in range(spec.num_monitors)]
+    return Testbed(config, traces, packets, tasks, groups, adaptation,
+                   policy, cost_model or NetworkSamplingCostModel())

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.stats import box_stats
 from repro.core.adaptation import AdaptationConfig
 from repro.core.coordination import AdaptiveAllocation, EvenAllocation
 from repro.core.task import DistributedTaskSpec, TaskSpec
@@ -307,16 +308,8 @@ def _fig6_cell(*, error_allowance: float, num_servers: int,
         horizon_steps=horizon, error_allowance=error_allowance,
         selectivity_percent=selectivity, seed=seed))
     testbed.run()
-    util = np.concatenate([s.dom0.utilization() for s in testbed.servers])
-    box = {
-        "min": float(util.min()),
-        "q25": float(np.percentile(util, 25)),
-        "median": float(np.percentile(util, 50)),
-        "q75": float(np.percentile(util, 75)),
-        "max": float(util.max()),
-        "mean": float(util.mean()),
-    }
-    return box, testbed.sampling_ratio
+    return box_stats(testbed.dom0_utilization().ravel()), \
+        testbed.sampling_ratio
 
 
 def fig6(error_allowances: tuple[float, ...] = (0.0,) + PAPER_ERROR_ALLOWANCES,

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.datacenter.testbed import TestbedConfig, build_testbed
 from repro.exceptions import ConfigurationError
 from repro.experiments.reporting import format_table
@@ -99,18 +97,12 @@ def reliability_experiment(loss_rates: tuple[float, ...] = (
             message_loss_rate=rate, seed=seed)
         testbed = build_testbed(config, trace_hook=hook)
         testbed.run()
-        coordinator = testbed.coordinators[0]
-
-        totals = np.sum([m.vm.agent.values for m in coordinator.monitors],
-                        axis=0)
-        truth = set(np.flatnonzero(
-            totals > coordinator.spec.global_threshold).tolist())
-        truth_alerts = len(truth)
-        detected = {a.time_index for a in coordinator.alerts}
-        recalls.append(len(truth & detected) / len(truth)
-                       if truth else 1.0)
-        polls.append(len(coordinator.polls))
-        dropped.append(testbed.network.dropped_of("violation-report"))
+        group = testbed.group_runs[0]
+        truth_alerts = group.truth_alerts
+        recalls.append(group.detected_alerts / truth_alerts
+                       if truth_alerts else 1.0)
+        polls.append(group.global_polls)
+        dropped.append(group.dropped_reports)
 
     return ReliabilityResult(
         loss_rates=tuple(loss_rates),

@@ -1,14 +1,11 @@
-"""Discrete-event simulation substrate (DESIGN.md S8).
+"""Simulation substrate (DESIGN.md S8).
 
-:class:`SimulationEngine` executes callbacks in simulated time on a
-deterministic event heap; :class:`RandomStreams` hands out reproducible
-per-entity randomness. The datacenter testbed is built on these.
+:class:`RandomStreams` hands out reproducible per-entity randomness, and
+:class:`SimulationClock` is the forward-only clock the fault scenarios
+advance along the grid.
 """
 
 from repro.simulation.clock import SimulationClock
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import Event, EventQueue
 from repro.simulation.randomness import RandomStreams
 
-__all__ = ["Event", "EventQueue", "RandomStreams", "SimulationClock",
-           "SimulationEngine"]
+__all__ = ["RandomStreams", "SimulationClock"]

@@ -15,8 +15,8 @@ __all__ = ["SimulationClock"]
 class SimulationClock:
     """Monotonically advancing simulated time.
 
-    The engine owns the clock; entities read :attr:`now` and must never
-    set it directly.
+    Its driver owns the clock; everything else reads :attr:`now` and
+    must never set it directly.
     """
 
     __slots__ = ("_now",)
@@ -33,9 +33,9 @@ class SimulationClock:
         """Move time forward to ``t``.
 
         Raises:
-            SimulationError: if ``t`` lies in the past — an event queue
-                handing out out-of-order events is a programming error
-                worth failing loudly on.
+            SimulationError: if ``t`` lies in the past — a driver
+                stepping out of order is a programming error worth
+                failing loudly on.
         """
         if t < self._now:
             raise SimulationError(

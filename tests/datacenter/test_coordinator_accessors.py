@@ -1,80 +1,54 @@
-"""Accessor and message-accounting details of the coordinator."""
+"""Accessor and message-accounting details of the testbed's coordinator
+groups."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.coordination import AdaptiveAllocation
 from repro.core.task import DistributedTaskSpec
-from repro.datacenter.coordinator import CoordinatorNode
-from repro.datacenter.cost import FlatSamplingCostModel
-from repro.datacenter.monitor import MonitorDaemon
-from repro.datacenter.network import VirtualNetwork
-from repro.datacenter.server import Dom0CpuAccount
-from repro.datacenter.vm import TraceAgent, VirtualMachine
-from repro.simulation.engine import SimulationEngine
+from repro.datacenter.testbed import TestbedConfig, build_testbed
+from repro.experiments.distributed import run_distributed_task
 
 
-def build(traces, policy=None, update_period=100, err=0.01):
-    engine = SimulationEngine()
-    network = VirtualNetwork()
-    horizon = len(traces[0])
-    spec = DistributedTaskSpec(
-        global_threshold=100.0 * len(traces),
-        local_thresholds=(100.0,) * len(traces),
-        error_allowance=err, max_interval=10)
-    coordinator = CoordinatorNode(spec, engine, network, policy=policy,
-                                  update_period_steps=update_period)
-    dom0 = Dom0CpuAccount(1.0, horizon)
-    for i, trace in enumerate(traces):
-        monitor = MonitorDaemon(
-            monitor_id=i, vm=VirtualMachine(i, 0, TraceAgent(trace)),
-            task=spec.local_spec(i, err / len(traces)), engine=engine,
-            cost_model=FlatSamplingCostModel(), dom0=dom0,
-            horizon_steps=horizon, coordinator=coordinator)
-        coordinator.register(monitor)
-    return engine, coordinator, network
+def group_testbed(policy=None, horizon=400, seed=1):
+    return build_testbed(TestbedConfig(
+        num_servers=2, vms_per_server=3, servers_per_coordinator=1,
+        horizon_steps=horizon, error_allowance=0.01, distributed=True,
+        seed=seed), policy=policy)
 
 
 def test_accessors_before_and_after_start():
-    traces = [np.zeros(200), np.zeros(200)]
-    engine, coordinator, _ = build(traces)
-    assert coordinator.spec.num_monitors == 2
-    assert len(coordinator.monitors) == 2
-    assert coordinator.polls == ()
-    assert coordinator.alerts == ()
-    assert sum(coordinator.allocations) == 0.01
-    coordinator.start()
-    for monitor in coordinator.monitors:
-        monitor.start()
-    engine.run_until(200.0)
-    assert coordinator.reallocations == 0  # nothing interesting happened
+    testbed = group_testbed()
+    assert [spec.num_monitors for spec in testbed.groups] == [3, 3]
+    assert testbed.group_runs == []
+    assert testbed.total_samples == 0
+    testbed.run()
+    assert len(testbed.group_runs) == 2
+    for spec, run in zip(testbed.groups, testbed.group_runs):
+        assert len(run.polls) == run.global_polls
+        assert len(run.final_allocations) == spec.num_monitors
+        assert sum(run.final_allocations) == pytest.approx(0.01)
+        assert run.reallocations == 0  # even split, no update period yet
+    assert testbed.total_samples == sum(
+        sum(run.per_monitor_samples) for run in testbed.group_runs)
 
 
 def test_allowance_update_messages_counted():
-    rng = np.random.default_rng(1)
-    hot = 95.0 + rng.normal(0.0, 2.0, 400)
-    cold = rng.normal(0.0, 0.1, 400)
-    engine, coordinator, network = build([hot, cold],
-                                         policy=AdaptiveAllocation(),
-                                         update_period=100)
-    coordinator.start()
-    for monitor in coordinator.monitors:
-        monitor.start()
-    engine.run_until(400.0)
-    if coordinator.reallocations:
-        expected = 2 * coordinator.reallocations
-        assert network.messages_of("allowance-update") == expected
+    testbed = group_testbed(AdaptiveAllocation(), horizon=2000)
+    testbed.run()
+    rounds = sum(run.reallocations for run in testbed.group_runs)
+    assert rounds > 0
+    assert testbed.coordination_messages()["allowance-update"] == 3 * rounds
 
 
 def test_poll_values_ordered_by_monitor_slot():
     a = np.zeros(50)
     b = np.full(50, 7.0)
     a[10] = 150.0
-    engine, coordinator, _ = build([a, b], err=0.0)
-    coordinator.start()
-    for monitor in coordinator.monitors:
-        monitor.start()
-    engine.run_until(50.0)
-    poll = coordinator.polls[0]
-    assert poll.values == (150.0, 7.0)
+    spec = DistributedTaskSpec(global_threshold=200.0,
+                               local_thresholds=(100.0, 100.0),
+                               error_allowance=0.0, max_interval=10)
+    result = run_distributed_task([a, b], spec, keep_polls=True)
+    assert result.polls[0].values == (150.0, 7.0)

@@ -1,64 +1,57 @@
-"""Tests for servers and Dom0 CPU accounting."""
+"""Tests for the servers' Dom0 CPU accounting."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.datacenter.server import Dom0CpuAccount, PhysicalServer
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.datacenter.cost import NetworkSamplingCostModel
+from repro.datacenter.testbed import TestbedConfig, build_testbed
 
 
 class TestDom0CpuAccount:
     def test_utilization_per_window(self):
-        account = Dom0CpuAccount(window_seconds=15.0, num_windows=3)
-        account.charge(0, 1.5)
-        account.charge(0, 1.5)
-        account.charge(2, 7.5)
-        util = account.utilization()
-        assert util.tolist() == [20.0, 0.0, 50.0]
+        cost = NetworkSamplingCostModel()
+        testbed = build_testbed(TestbedConfig(
+            num_servers=2, vms_per_server=3, horizon_steps=200,
+            error_allowance=0.02), cost_model=cost)
+        testbed.run()
+        expected = np.zeros((2, 200))
+        for vm in range(6):
+            for step in np.flatnonzero(testbed.sampled[:, vm]):
+                expected[vm // 3, step] += cost.cpu_seconds(
+                    int(testbed.packets[vm, step]))
+        assert np.array_equal(testbed.dom0_utilization(),
+                              100.0 * expected / 15.0)
 
     def test_stats(self):
-        account = Dom0CpuAccount(window_seconds=10.0, num_windows=4)
-        for w, busy in enumerate((1.0, 2.0, 3.0, 4.0)):
-            account.charge(w, busy)
-        stats = account.utilization_stats()
-        assert stats["min"] == 10.0
-        assert stats["max"] == 40.0
-        assert stats["median"] == pytest.approx(25.0)
-        assert stats["mean"] == pytest.approx(25.0)
-
-    def test_out_of_horizon_rejected(self):
-        account = Dom0CpuAccount(window_seconds=1.0, num_windows=2)
-        with pytest.raises(SimulationError):
-            account.charge(2, 0.1)
-        with pytest.raises(SimulationError):
-            account.charge(-1, 0.1)
-
-    def test_negative_cpu_rejected(self):
-        account = Dom0CpuAccount(window_seconds=1.0, num_windows=2)
-        with pytest.raises(SimulationError):
-            account.charge(0, -0.1)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            Dom0CpuAccount(window_seconds=0.0, num_windows=1)
-        with pytest.raises(ConfigurationError):
-            Dom0CpuAccount(window_seconds=1.0, num_windows=0)
+        testbed = build_testbed(TestbedConfig(
+            num_servers=2, vms_per_server=3, horizon_steps=200))
+        testbed.run()
+        stats = testbed.dom0_utilization_stats()
+        assert len(stats) == 2
+        for server, util in zip(stats, testbed.dom0_utilization()):
+            assert server["min"] == util.min() > 0.0
+            assert server["max"] == util.max()
+            assert server["median"] == pytest.approx(np.median(util))
+            assert server["mean"] == pytest.approx(util.mean())
 
 
 class TestPhysicalServer:
     def test_attach_vms(self):
-        server = PhysicalServer(0, window_seconds=15.0, num_windows=10)
-        server.attach_vm(3)
-        server.attach_vm(4)
-        assert server.vm_ids == (3, 4)
+        # VM v lives on server v // vms_per_server: a traffic burst on
+        # VM 3 loads server 1's Dom0 and no other.
+        def burst(vm_id, rho, packets):
+            if vm_id == 3:
+                packets = packets + 1_000_000
+            return rho, packets
 
-    def test_duplicate_vm_rejected(self):
-        server = PhysicalServer(0, 15.0, 10)
-        server.attach_vm(3)
-        with pytest.raises(ConfigurationError):
-            server.attach_vm(3)
-
-    def test_bad_id(self):
-        with pytest.raises(ConfigurationError):
-            PhysicalServer(-1, 15.0, 10)
+        config = TestbedConfig(num_servers=3, vms_per_server=2,
+                               horizon_steps=50, error_allowance=0.0)
+        clean, loaded = build_testbed(config), build_testbed(
+            config, trace_hook=burst)
+        clean.run()
+        loaded.run()
+        extra = loaded.dom0_utilization() - clean.dom0_utilization()
+        assert (extra[1] > 0).all()
+        assert not extra[[0, 2]].any()

@@ -41,11 +41,14 @@ class TestPerVmMode:
         return tb
 
     def test_topology(self, testbed):
-        assert len(testbed.servers) == 2
-        assert len(testbed.vms) == 8
-        assert len(testbed.monitors) == 8
-        assert testbed.coordinators == []
-        assert testbed.servers[0].vm_ids == (0, 1, 2, 3)
+        assert testbed.traces.shape == testbed.packets.shape == (8, 600)
+        assert [task.name for task in testbed.tasks] == [
+            f"net/vm-{vm}" for vm in range(8)]
+        assert testbed.groups == [] and testbed.group_runs == []
+        assert testbed.dom0_utilization().shape == (2, 600)
+        assert testbed.coordination_messages() == {
+            "violation-report": 0, "poll-request": 0, "poll-response": 0,
+            "allowance-update": 0}
 
     def test_savings(self, testbed):
         assert 0.0 < testbed.sampling_ratio < 1.0
@@ -72,15 +75,22 @@ class TestDistributedMode:
                                          horizon_steps=600,
                                          error_allowance=0.01,
                                          distributed=True))
-        assert len(tb.coordinators) == 2
-        for coordinator in tb.coordinators:
-            assert coordinator.spec.num_monitors == 4
+        assert [spec.num_monitors for spec in tb.groups] == [4, 4]
+        assert [spec.name for spec in tb.groups] == ["net/group-0",
+                                                     "net/group-1"]
+        # Each VM's task is its group's local spec at the even share.
+        assert [task.threshold for task in tb.tasks] == [
+            t for spec in tb.groups for t in spec.local_thresholds]
+        assert {task.error_allowance for task in tb.tasks} == {0.01 / 4}
         tb.run()
         assert tb.total_samples > 0
+        assert len(tb.group_runs) == 2
         # Coordination traffic exists whenever local violations occurred.
-        reports = tb.network.messages_of("violation-report")
-        polls = sum(len(c.polls) for c in tb.coordinators)
-        assert (reports == 0) == (polls == 0)
+        messages = tb.coordination_messages()
+        polls = sum(run.global_polls for run in tb.group_runs)
+        assert (messages["violation-report"] == 0) == (polls == 0)
+        assert messages["poll-request"] == messages["poll-response"] \
+            == 4 * polls
 
     def test_periodic_reference_ratio_is_one(self):
         tb = build_testbed(TestbedConfig(num_servers=1, vms_per_server=2,

@@ -30,12 +30,14 @@ class TestAttackInjection:
         testbed = build_testbed(config,
                                 trace_hook=flood_hook(attack, group0))
         testbed.run()
-        attacked, clean = testbed.coordinators
-        assert len(attacked.alerts) > 0, "coordinated flood must alert"
-        assert len(clean.alerts) == 0
+        attacked, clean = testbed.group_runs
+        alerts = [p.time_index for p in attacked.polls if p.violated]
+        assert len(alerts) == attacked.detected_alerts > 0, \
+            "coordinated flood must alert"
+        assert clean.detected_alerts == 0
         # Alerts land inside the attack's footprint.
         start, end = attack.alert_window()
-        assert all(start <= a.time_index < end for a in attacked.alerts)
+        assert all(start <= step < end for step in alerts)
 
     def test_thresholds_calibrated_on_clean_stream(self):
         """The hook must not inflate the victim's threshold."""
@@ -46,8 +48,8 @@ class TestAttackInjection:
                                seed=5)
         clean = build_testbed(config)
         attacked = build_testbed(config, trace_hook=flood_hook(attack, {0}))
-        assert attacked.monitors[0].task.threshold == \
-            clean.monitors[0].task.threshold
+        assert attacked.tasks[0].threshold == clean.tasks[0].threshold
+        assert attacked.traces[0].max() > clean.traces[0].max()
 
     def test_single_vm_flood_detected_by_its_monitor(self):
         attack = SynFloodAttack(start=500, peak_syn_rate=5000.0,
@@ -57,11 +59,10 @@ class TestAttackInjection:
                                seed=7)
         testbed = build_testbed(config, trace_hook=flood_hook(attack, {1}))
         testbed.run()
-        victim = testbed.monitors[1]
+        values, task = testbed.traces[1], testbed.tasks[1]
         start, end = attack.alert_window()
-        hits = [s for s in victim.sampled_steps
-                if start <= s < end
-                and victim.vm.agent.value_at(s) > victim.task.threshold]
+        hits = [s for s in np.flatnonzero(testbed.sampled[:, 1])
+                if start <= s < end and values[s] > task.threshold]
         assert hits, "flood must be sampled above threshold"
 
 
@@ -75,10 +76,12 @@ class TestMonetaryBill:
         testbed.run()
         bill = testbed.monetary_bill(price_per_sample=1.0,
                                      price_per_message=0.5)
+        messages = sum(testbed.coordination_messages().values())
+        assert messages > 0
         assert bill.samples == testbed.total_samples
-        assert bill.messages == testbed.network.total_messages
+        assert bill.messages == messages
         assert bill.total_cost == pytest.approx(
-            testbed.total_samples + 0.5 * testbed.network.total_messages)
+            testbed.total_samples + 0.5 * messages)
 
     def test_adaptive_bill_below_periodic(self):
         base = dict(num_servers=1, vms_per_server=4, horizon_steps=500,

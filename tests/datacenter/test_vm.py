@@ -1,51 +1,28 @@
-"""Tests for VMs and trace agents."""
+"""Tests for the VMs' streams: what a trace hook returns is what the
+testbed's monitors sample and its Dom0s are charged for."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.datacenter.vm import TraceAgent, VirtualMachine
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.datacenter.testbed import TestbedConfig, build_testbed
+
+CONFIG = TestbedConfig(num_servers=1, vms_per_server=3, horizon_steps=40)
 
 
 class TestTraceAgent:
     def test_serves_values(self):
-        agent = TraceAgent(values=np.array([1.0, 2.0, 3.0]))
-        assert agent.horizon == 3
-        assert agent.value_at(1) == 2.0
-        assert agent.packets_at(1) == 0
+        def ramp(vm_id, rho, packets):
+            return np.arange(40.0) + vm_id, packets
+
+        testbed = build_testbed(CONFIG, trace_hook=ramp)
+        assert testbed.traces.tolist() == [
+            (np.arange(40.0) + vm).tolist() for vm in range(3)]
 
     def test_serves_packets(self):
-        agent = TraceAgent(values=np.zeros(3),
-                           packets=np.array([10, 20, 30]))
-        assert agent.packets_at(2) == 30
+        def volume(vm_id, rho, packets):
+            return rho, np.full(40, 10 * (vm_id + 1))
 
-    def test_out_of_horizon(self):
-        agent = TraceAgent(values=np.zeros(3), packets=np.zeros(3, int))
-        with pytest.raises(SimulationError):
-            agent.value_at(3)
-        with pytest.raises(SimulationError):
-            agent.packets_at(-1)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            TraceAgent(values=np.array([]))
-        with pytest.raises(ConfigurationError):
-            TraceAgent(values=np.zeros(3), packets=np.zeros(4, int))
-        with pytest.raises(ConfigurationError):
-            TraceAgent(values=np.zeros(2), packets=np.array([-1, 0]))
-
-
-class TestVirtualMachine:
-    def test_identity(self):
-        agent = TraceAgent(values=np.zeros(2))
-        vm = VirtualMachine(vm_id=7, server_id=1, agent=agent)
-        assert vm.vm_id == 7
-        assert vm.server_id == 1
-        assert vm.agent is agent
-
-    def test_bad_ids(self):
-        agent = TraceAgent(values=np.zeros(2))
-        with pytest.raises(ConfigurationError):
-            VirtualMachine(vm_id=-1, server_id=0, agent=agent)
+        testbed = build_testbed(CONFIG, trace_hook=volume)
+        assert testbed.packets.dtype == np.int64
+        assert testbed.packets[:, 2].tolist() == [10, 20, 30]

@@ -65,7 +65,7 @@ IGNORED = {
     "trace_hook", "message_loss_rate", "except_ReproError",
     "default_interval", "add_task", "add_trigger", "generate_with_volume",
     "sampling_ratio", "dom0_utilization_stats", "monitor_accuracy",
-    "monetary_bill", "schedule_every", "run_until",
+    "monetary_bill",
     # runtime wire ops / methods / CLI artifacts, not module attributes
     "register_task", "remove_task", "offer_batch", "task_info",
     "serve_forever",

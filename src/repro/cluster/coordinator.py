@@ -137,6 +137,7 @@ class Coordinator:
         self._dead: set[str] = set()
         self._misses: dict[str, int] = {}
         self._trace_cursor: dict[str, int] = {}
+        self._trace_dropped: dict[str, int] = {}
         self._trace_lock = asyncio.Lock()
         self._recover_lock = asyncio.Lock()
         self._collect_lock = asyncio.Lock()
@@ -769,11 +770,22 @@ class Coordinator:
     # Fleet telemetry
 
     async def pull_traces(self) -> None:
-        """Drain worker sampler traces into the coordinator's ring."""
+        """Drain worker sampler traces into the coordinator's ring.
+
+        Re-emitted events get the ring's own sequence numbers, so events
+        a worker's ring evicted before the pull would leave no gap: the
+        ring's ``dropped`` counts each worker's evictions since the last
+        pull (a restarted worker's counter starts again at 0).
+        """
         async with self._trace_lock:
             async for wid, reply in self._live_replies(lambda w: {
                     "op": "w_trace", "since": self._trace_cursor.get(w, 0)}):
                 self._trace_cursor[wid] = int(reply.get("next_seq", 0))
+                dropped = int(reply.get("dropped", 0))
+                seen = self._trace_dropped.get(wid, 0)
+                self.trace.dropped += (dropped - seen if dropped >= seen
+                                       else dropped)
+                self._trace_dropped[wid] = dropped
                 for event in reply.get("events", ()):
                     data = {k: v for k, v in event.items()
                             if k not in ("seq", "ts_monotonic", "kind",

@@ -399,7 +399,8 @@ class WorkerHost:
                 fresh[:len(cache)] = cache
             cache = self._gid_rows[shard_id] = fresh
         in_range = gids[(gids >= 0) & (gids < table)]
-        for gid in np.unique(in_range[cache[in_range] == -2]).tolist():
+        # A set, not np.unique: NumPy imports numpy.ma on its first call.
+        for gid in set(in_range[cache[in_range] == -2].tolist()):
             name = self.gid_names[gid]
             row = -1
             if name is not None:

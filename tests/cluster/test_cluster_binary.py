@@ -9,6 +9,10 @@ contract does not stop at the routing tier.
 from __future__ import annotations
 
 import asyncio
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 from cluster_utils import run_cluster
@@ -121,3 +125,48 @@ class TestClusterBinary:
         assert reply.rejected == 1
         assert totals["applied"] == 1
         assert info["samples_taken"] == 1
+
+
+FIRST_OFFER = """
+import asyncio, sys
+import numpy as np
+from repro.cluster.server import ClusterServer
+from repro.config import ClusterConfig
+from repro.runtime.client import AsyncRuntimeClient
+
+async def main():
+    server = ClusterServer(ClusterConfig(backend="inproc", workers=2,
+                                         port=0))
+    await server.start()
+    client = AsyncRuntimeClient(port=server.tcp_port)
+    try:
+        names = ["ma-0", "ma-1", "ma-2"]
+        for name in names:
+            assert (await client.register_task(name, 100.0))["ok"]
+        await client.negotiate()
+        idx = np.asarray(await client.intern(names), dtype=np.uint32)
+        before = "numpy.ma" in sys.modules
+        reply = await client.offer_columns(
+            idx, np.zeros(3, dtype=np.int64), np.array([1.0, 2.0, 3.0]))
+        assert reply.accepted == 3, reply
+        while (await client.stats())["totals"]["applied"] < 3:
+            await asyncio.sleep(0.01)
+        print(before, "numpy.ma" in sys.modules)
+    finally:
+        await client.close()
+        await server.shutdown()
+
+asyncio.run(main())
+"""
+
+
+def test_a_first_offer_imports_no_numpy_ma():
+    """Resolving a frame's gids to rows must not pull in ``numpy.ma``
+    (``np.unique`` imports it on first use: ~1.3 MB resident)."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+    out = subprocess.run([sys.executable, "-c", FIRST_OFFER], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "False"]

@@ -231,6 +231,31 @@ class TestClusterOnlyOps:
                    if e["kind"] == "interval_adapted"}
         assert workers <= {"w0", "w1"} and workers
 
+    def test_trace_counts_events_workers_evicted(self):
+        async def scenario(cluster):
+            client = AsyncRuntimeClient(port=cluster.tcp_port)
+            hosts = [t.host for t in cluster.coordinator.transports.values()]
+            try:
+                for task in TASKS:
+                    await client.register_task(**task)
+                first = await client.trace()
+                # w0's ring evicts between two pulls.
+                for i in range(100):
+                    hosts[0].trace.emit("shed", count=i)
+                second = await client.trace()
+                return first, second, [h.trace.dropped for h in hosts]
+            finally:
+                await client.close()
+
+        first, second, evicted = run_cluster(scenario, shards=SHARDS,
+                                             trace_capacity=16)
+        assert evicted[0] >= 100 - 16
+        # The fleet ring's own evictions leave a sequence gap; on top of
+        # them its ``dropped`` counts every event a worker evicted.
+        own = second["next_seq"] - len(second["events"])
+        assert second["dropped"] == own + sum(evicted)
+        assert second["dropped"] - first["dropped"] >= 100 - 16
+
     def test_telemetry_merges_fleet_metrics(self):
         async def scenario(cluster):
             client = AsyncRuntimeClient(port=cluster.tcp_port)

@@ -30,8 +30,9 @@ Quickstart::
     print(f"mis-detection   {volley.misdetection_rate:.4f}")
 
 Subpackages: :mod:`repro.core` (algorithms), :mod:`repro.workloads`
-(synthetic datacenter workloads), :mod:`repro.simulation` (discrete-event
-engine), :mod:`repro.datacenter` (virtualized testbed + cost models),
+(synthetic datacenter workloads), :mod:`repro.simulation` (seeded RNG
+streams + clock), :mod:`repro.datacenter` (grid-stepped virtualized
+testbed + cost models),
 :mod:`repro.baselines`, :mod:`repro.experiments` (figure reproductions).
 """
 

@@ -2,7 +2,7 @@
 
 Everything in this package is pure computation over sampled values — no
 simulation, workload, or I/O dependencies — so the same code drives both
-the lightweight experiment runners and the discrete-event datacenter
+the lightweight experiment runners and the grid-stepped datacenter
 testbed.
 """
 

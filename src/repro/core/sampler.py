@@ -1,10 +1,10 @@
 """Sampling-scheme protocol shared by Volley and the baselines.
 
 Any object exposing ``observe(value, time_index) -> SamplingDecision`` and an
-``interval`` property can drive a monitor: the experiment runners and the
-datacenter monitor daemons are written against this protocol, so adaptive
-sampling (:class:`repro.core.adaptation.ViolationLikelihoodSampler`),
-periodic sampling and the oracle baseline are interchangeable.
+``interval`` property can drive a monitor: the experiment runners are
+written against this protocol, so adaptive sampling
+(:class:`repro.core.adaptation.ViolationLikelihoodSampler`), periodic
+sampling and the oracle baseline are interchangeable.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ class TraceError(ReproError):
 
 
 class SimulationError(ReproError):
-    """The discrete-event simulation reached an inconsistent state."""
+    """The simulation reached an inconsistent state (e.g. its clock was
+    asked to move backwards)."""
 
 
 class CoordinationError(ReproError):

@@ -100,14 +100,11 @@ class Coordinator:
     """Owns placement, migration, recovery and fleet telemetry."""
 
     def __init__(self, config: ClusterConfig,
-                 adaptation: AdaptationConfig | None = None,
-                 registry: MetricsRegistry | None = None,
-                 trace: DecisionTrace | None = None):
+                 adaptation: AdaptationConfig | None = None):
         self.config = config
         self.adaptation = adaptation or AdaptationConfig()
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.trace = trace if trace is not None else DecisionTrace(
-            config.trace_capacity)
+        self.registry = MetricsRegistry()
+        self.trace = DecisionTrace(config.trace_capacity)
         self.n_shards = config.n_shards
         self.transports: dict[str, ShardTransport] = {}
         self.routes: list[ShardRoute] = []

@@ -17,7 +17,8 @@ snapshot dicts (the checkpoint format), never as live objects.
 
 Telemetry: each host carries its own
 :class:`~repro.telemetry.registry.MetricsRegistry` with the standard
-per-shard counter families; the coordinator pulls raw snapshots
+per-shard counter families and the ``volley_sampler_*`` counts, each a
+sum over its hosted engine rows; the coordinator pulls raw snapshots
 (``w_telemetry``) and merges them into the fleet view. Sampler decision
 events (``interval_adapted`` / ``violation``) are emitted into the host's
 local :class:`~repro.telemetry.trace.DecisionTrace` and pulled by the
@@ -77,6 +78,19 @@ _PER_SHARD_COUNTERS = (
     ("volley_alerts_fired_total",
      "State-violation alerts fired", "alerts_fired"),
 )
+
+_SAMPLER_COUNTERS = (
+    ("volley_sampler_observations_total",
+     "Sampling operations taken by hosted engine rows", "observations"),
+    ("volley_sampler_grow_events_total",
+     "Interval additive-increase events", "grow_events"),
+    ("volley_sampler_reset_events_total",
+     "Interval resets to the default", "reset_events"),
+    ("volley_sampler_violations_total",
+     "Threshold violations observed (one alert each)", "alerts"),
+)
+"""The paper's monitor-level cost (SIII): each a sum of one engine
+column over the hosted rows, read when a snapshot is taken."""
 
 
 def _error(message: str, code: str = "bad-request") -> dict[str, Any]:
@@ -150,6 +164,9 @@ class WorkerHost:
         self._counter_families = [
             (self.registry.counter(name, help_text, labels=("shard",)), attr)
             for name, help_text, attr in _PER_SHARD_COUNTERS]
+        for name, help_text, column in _SAMPLER_COUNTERS:
+            self.registry.counter(
+                name, help_text, fn=lambda c=column: self._row_sum(c))
         # Trigger-channel accounting rides the fleet telemetry merge like
         # every other per-worker family.
         self.registry.counter(
@@ -169,6 +186,15 @@ class WorkerHost:
             by_type.labels(kind, fn=lambda k=kind: float(sum(
                 w.service.task_type_counts().get(k, 0)
                 for w in self.shards.values())))
+
+    def _row_sum(self, column: str) -> float:
+        """Engine ``column`` summed over every row of the hosted shards —
+        a removed task's row too, until its shard is restored or moved."""
+        total = 0
+        for worker in self.shards.values():
+            engine = worker.service.soa_engine
+            total += int(getattr(engine, column)[:len(engine)].sum())
+        return float(total)
 
     # ------------------------------------------------------------------
     # Shard lifecycle
@@ -220,8 +246,7 @@ class WorkerHost:
             lambda event: self._route_edge(shard_id, event))
         if counters:
             restore_counters(worker, counters)
-        worker.interval_hist = (self._interval_hist
-                                if self.registry.enabled else None)
+        worker.interval_hist = self._interval_hist
         service.attach_telemetry(self.trace, shard_id)
         self.shards[shard_id] = worker
         for family, attr in self._counter_families:

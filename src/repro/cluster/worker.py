@@ -30,7 +30,6 @@ from repro.runtime.frontend import (listen, run_cli, stop_listening,
                                     until_signalled, write_ready_file)
 from repro.runtime.protocol import (ShardOffer, encode_frame_parts,
                                     encode_offer_reply, read_frame)
-from repro.telemetry.registry import instrument_samplers
 
 __all__ = ["ClusterWorker", "main"]
 
@@ -54,7 +53,6 @@ class ClusterWorker:
 
     async def start(self, unix_socket: pathlib.Path | None,
                     host: str, port: int | None) -> None:
-        instrument_samplers(self.host.registry)
         self.host.start()
         self._servers, self._tcp_port = await listen(
             self._on_connection, host, port, unix_socket)

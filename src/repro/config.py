@@ -17,8 +17,16 @@ JSON/YAML/TOML with whatever the deployment uses)::
       "triggers": [
         {"target": "ddos", "trigger": "response",
          "elevation_level": 60.0, "suspend_interval": 10}
+      ],
+      "trigger_plans": [
+        {"target": "free-mem", "trigger": "cpu-1min",
+         "elevation_level": 70.0, "hysteresis": 0.1, "min_hold": 5}
       ]
     }
+
+``triggers`` are undebounced guards; ``trigger_plans`` are debounced
+:class:`~repro.triggers.plan.TriggerPlan` entries, the form the servers
+install across shards. Either server's config root is this one.
 
 Unknown keys are rejected loudly — a typo in a monitoring config should
 fail deployment, not silently monitor the wrong thing.
@@ -41,6 +49,7 @@ from repro.core.windowed import AggregateKind
 from repro.exceptions import ConfigurationError
 from repro.service import MonitoringService
 from repro.telemetry.histogram import DEFAULT_RELATIVE_ERROR
+from repro.triggers.plan import TriggerPlan
 from repro.types import ThresholdDirection
 
 __all__ = ["ClusterConfig", "RuntimeConfig", "register_task_from_config",
@@ -295,7 +304,7 @@ _QUANTILE_KEYS = {"quantile", "sketch_window", "relative_error"}
 _ENTROPY_KEYS = {"entropy_window", "bin_width"}
 _TRIGGER_KEYS = {"target", "trigger", "elevation_level",
                  "suspend_interval"}
-_TOP_KEYS = {"defaults", "tasks", "triggers"}
+_TOP_KEYS = {"defaults", "tasks", "triggers", "trigger_plans"}
 _DEFAULT_KEYS = {"error_allowance", "default_interval", "max_interval",
                  "direction"}
 
@@ -492,4 +501,15 @@ def service_from_config(config: dict[str, Any],
             str(trigger["target"]), str(trigger["trigger"]),
             float(trigger["elevation_level"]),
             suspend_interval=int(trigger.get("suspend_interval", 10)))
+
+    for entry in config.get("trigger_plans", []):
+        if not isinstance(entry, dict):
+            raise ConfigurationError(
+                f"trigger plan entry must be a dict, got {entry!r}")
+        plan = TriggerPlan.from_dict(entry)
+        for name in (plan.target, plan.trigger):
+            if name not in service.task_names:
+                raise ConfigurationError(
+                    f"trigger plan names unknown task {name!r}: {entry}")
+        service.install_trigger_plan(plan)
     return service

@@ -18,12 +18,10 @@ from repro.core.correlation import (CorrelationDetector, CorrelationEvidence,
                                     TriggerRule)
 from repro.core.likelihood import (cantelli_upper_bound,
                                    gaussian_misdetection_estimate,
-                                   gaussian_misdetection_estimate_fused,
                                    gaussian_step_violation_estimate,
                                    max_admissible_interval,
                                    misdetection_bound,
                                    misdetection_bound_fused,
-                                   misdetection_bound_profile,
                                    step_violation_bound)
 from repro.core.online_stats import OnlineStatistics, WindowedStatistics
 from repro.core.sampler import SamplingScheme
@@ -66,12 +64,10 @@ __all__ = [
     "cantelli_upper_bound",
     "evaluate_sampling",
     "gaussian_misdetection_estimate",
-    "gaussian_misdetection_estimate_fused",
     "gaussian_step_violation_estimate",
     "max_admissible_interval",
     "misdetection_bound",
     "misdetection_bound_fused",
-    "misdetection_bound_profile",
     "run_windowed_adaptive",
     "step_violation_bound",
     "truth_alert_indices",

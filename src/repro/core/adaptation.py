@@ -34,46 +34,6 @@ from repro.exceptions import ConfigurationError
 _MIN_ERROR_NEEDED = 1e-12
 """Clamp for the geometric accumulation of e_i (beta can be exactly 0)."""
 
-
-class _SamplerMetrics:
-    """Process-wide engine-row counters (held by ``_SAMPLER_METRICS``).
-
-    The live instance is installed by
-    :func:`repro.telemetry.registry.instrument_samplers`; the module
-    default is the null twin below, so un-instrumented runs pay one
-    attribute check per :meth:`~repro.core.soa.SoaSamplerEngine.observe_one`
-    call or vector tick (mirroring the chaos harness' ``NOOP_HOOK``
-    contract).
-
-    The fields are plain ints incremented in place — the registry reads
-    them through snapshot-time callbacks, so the hot path never pays for
-    instrument-object method dispatch.
-    """
-
-    enabled = True
-    __slots__ = ("observations", "grow_events", "reset_events",
-                 "violations")
-
-    def __init__(self) -> None:
-        self.observations = 0
-        self.grow_events = 0
-        self.reset_events = 0
-        self.violations = 0
-
-
-class _NullSamplerMetrics:
-    """Disabled twin: the ``enabled`` check is the entire cost."""
-
-    enabled = False
-    __slots__ = ()
-
-
-_NULL_SAMPLER_METRICS = _NullSamplerMetrics()
-
-_SAMPLER_METRICS: "_SamplerMetrics | _NullSamplerMetrics" = \
-    _NULL_SAMPLER_METRICS
-"""Swapped by ``repro.telemetry.registry.instrument_samplers``."""
-
 __all__ = [
     "AdaptationConfig",
     "SamplingDecision",

@@ -64,11 +64,10 @@ class AllocationPolicy:
         """Attach a decision trace; reallocations emit
         ``allowance_reallocated`` events (``repro.telemetry.trace``).
 
-        Passing ``None`` (or a disabled trace) detaches. The un-traced
-        cost is one ``is None`` check per allocation round.
+        Passing ``None`` detaches. The un-traced cost is one ``is None``
+        check per allocation round.
         """
-        self._trace = (trace if trace is not None and trace.enabled
-                       else None)
+        self._trace = trace
         self._trace_task = task
 
     def _emit_reallocated(self, update: "AllocationUpdate",

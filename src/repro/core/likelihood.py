@@ -26,11 +26,12 @@ thresholds).
 
 Kernel layer (DESIGN.md S27): the per-step functions above are the
 *reference oracle* — obviously-correct, validated once per call, and kept
-unchanged. The ``*_fused`` twins compute bit-identical values with the
-invariants hoisted out of the loop (``gap0 = T - v``, ``i * std`` only)
-and the Cantelli/Gaussian term inlined, so one bound costs one function
-call instead of ``I`` of them; the engine's vector kernel
-(:mod:`repro.core.soa`) is held bit-equal to them.
+unchanged. :func:`misdetection_bound_fused` computes the bit-identical
+Cantelli bound with the invariants hoisted out of the loop (``gap0 = T -
+v``, ``i * std`` only) and the step term inlined, so one bound costs one
+function call instead of ``I`` of them; the engine's vector kernel
+(:mod:`repro.core.soa`) is held bit-equal to it and, for the Gaussian
+estimator, to :func:`gaussian_misdetection_estimate`.
 :func:`max_admissible_interval` inverts Cantelli's inequality in closed form to cap the search for the
 largest admissible interval, then verifies with one incremental fused
 pass — never by re-probing ``beta(I)`` per candidate.
@@ -45,17 +46,10 @@ __all__ = [
     "step_violation_bound",
     "misdetection_bound",
     "misdetection_bound_fused",
-    "misdetection_bound_profile",
     "max_admissible_interval",
     "gaussian_step_violation_estimate",
     "gaussian_misdetection_estimate",
-    "gaussian_misdetection_estimate_fused",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-"""Hoisted ``sqrt(2)`` for the fused Gaussian kernel (bit-identical to the
-per-call ``math.sqrt(2.0)`` in the reference — same double constant)."""
-
 
 def cantelli_upper_bound(k: float) -> float:
     """Upper bound of ``P(X - mu >= k * sigma)`` for any distribution.
@@ -197,67 +191,6 @@ def gaussian_misdetection_estimate(value: float, threshold: float,
             return 1.0
         survive *= 1.0 - p
     return 1.0 - survive
-
-
-def gaussian_misdetection_estimate_fused(value: float, threshold: float,
-                                         mean: float, std: float,
-                                         interval: int) -> float:
-    """Fused twin of :func:`gaussian_misdetection_estimate` (bit-identical).
-
-    Same fusion as :func:`misdetection_bound_fused`: invariants hoisted,
-    normal tail inlined (with ``sqrt(2)`` precomputed — the identical
-    double), identical operation order, validation once per call.
-    """
-    if interval < 1:
-        raise ValueError(f"interval must be >= 1, got {interval}")
-    if std < 0.0:
-        raise ValueError(f"std must be >= 0, got {std}")
-    gap0 = threshold - value
-    if std == 0.0:
-        worst = interval if mean >= 0.0 else 1
-        return 0.0 if gap0 - worst * mean > 0.0 else 1.0
-    survive = 1.0
-    erfc = math.erfc
-    for i in range(1, interval + 1):
-        p = 0.5 * erfc((gap0 - i * mean) / (i * std) / _SQRT2)
-        if p >= 1.0:
-            return 1.0
-        survive *= 1.0 - p
-    return 1.0 - survive
-
-
-def misdetection_bound_profile(value: float, threshold: float, mean: float,
-                               std: float, max_interval: int) -> list[float]:
-    """Return ``[beta(1), beta(2), ..., beta(max_interval)]`` in one pass.
-
-    Useful for analysis and for choosing the largest admissible interval
-    directly; shares the survival product across successive intervals so the
-    whole profile costs the same as one ``misdetection_bound`` call at
-    ``max_interval``.
-
-    Matches :func:`misdetection_bound` point queries exactly, including the
-    saturated regime: once any step's bound reaches 1 the profile pins to
-    exactly 1.0 for that and every larger interval (the point query's early
-    exit), and the survival product is clamped at 0 so accumulated float
-    error can never push it negative and the profile above 1.
-    """
-    if max_interval < 1:
-        raise ValueError(f"max_interval must be >= 1, got {max_interval}")
-    profile: list[float] = []
-    survive = 1.0
-    for i in range(1, max_interval + 1):
-        bound = step_violation_bound(value, threshold, mean, std, i)
-        if bound >= 1.0:
-            # beta is monotone in I: a saturated step keeps every longer
-            # interval saturated. Pin instead of multiplying so the profile
-            # agrees bit-for-bit with misdetection_bound's early exit.
-            profile.extend([1.0] * (max_interval - i + 1))
-            return profile
-        survive *= 1.0 - bound
-        if survive < 0.0:  # defensive: bound <= 1 makes this unreachable
-            survive = 0.0
-        profile.append(1.0 - survive)
-    return profile
 
 
 def max_admissible_interval(value: float, threshold: float, mean: float,

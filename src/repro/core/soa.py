@@ -63,7 +63,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core import adaptation as _adaptation
 from repro.core.adaptation import (_MIN_ERROR_NEEDED, AdaptationConfig,
                                    CoordinationStats)
 from repro.core.task import TaskSpec
@@ -79,7 +78,8 @@ __all__ = ["SoaSamplerEngine", "ColumnBatchResult", "STEP_MIN", "STEP_MAX",
 # point refuses a step outside these bounds before it reaches a column.
 STEP_MIN, STEP_MAX = -(1 << 62), (1 << 62) - 1
 
-_SQRT2 = math.sqrt(2.0)  # the identical double to likelihood._SQRT2
+# The identical double to gaussian_step_violation_estimate's math.sqrt(2.0).
+_SQRT2 = math.sqrt(2.0)
 
 # Stand-in for "restarts disabled": no real stream reaches 2**62 samples,
 # so `n > limit` never fires (OnlineStatistics' `restart_after=None`).
@@ -664,17 +664,6 @@ class SoaSamplerEngine:
         c.streak[row] = streak
         c.last_beta[row] = beta
         c.last_flags[row] = flags
-
-        metrics = _adaptation._SAMPLER_METRICS
-        if metrics.enabled:
-            metrics.observations += 1
-            if flags:
-                if flags & 1:
-                    metrics.grow_events += 1
-                if flags & 2:
-                    metrics.reset_events += 1
-                if flags & 4:
-                    metrics.violations += 1
         return interval
 
     # ------------------------------------------------------------------
@@ -990,19 +979,13 @@ class SoaSamplerEngine:
         else:
             self.next_due[at] = steps + iv_new
         self.samples_taken[at] += 1
-
-        metrics = _adaptation._SAMPLER_METRICS
-        if metrics.enabled:
-            metrics.observations += n
-            metrics.grow_events += int(np.count_nonzero(grew))
-            metrics.reset_events += int(np.count_nonzero(went_one))
-            metrics.violations += int(np.count_nonzero(flags & 4))
         return rows, steps, values, iv_new, flags, beta, rejected
 
     @staticmethod
     def _kernel(gap0: np.ndarray, mean_est: np.ndarray, var_est: np.ndarray,
                 interval: np.ndarray, use_cheb: np.ndarray) -> np.ndarray:
-        """Vectorised misdetection kernels (bit-equal to the fused pair).
+        """Vectorised misdetection kernels (bit-equal to
+        ``misdetection_bound_fused`` and ``gaussian_misdetection_estimate``).
 
         All look-ahead steps at once, as ``(steps, rows)`` matrices as
         tall as the widest interval present. Cell ``(i, r)`` holds the

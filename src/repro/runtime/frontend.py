@@ -139,11 +139,10 @@ class WireServer:
             :data:`~repro.testkit.faults.NOOP_HOOK` injects nothing and
             costs one guarded attribute check per frame.
         service_config: optional declarative service config (the
-            ``defaults``/``tasks``/``triggers`` shape of
-            :func:`repro.config.service_from_config`, plus
-            ``trigger_plans``); a backend's ``start`` applies it before
-            the first socket is bound, and tasks a checkpoint already
-            restored win over it.
+            ``defaults``/``tasks``/``triggers``/``trigger_plans`` root of
+            :func:`repro.config.service_from_config`); a backend's
+            ``start`` applies it before the first socket is bound, and
+            tasks a checkpoint already restored win over it.
     """
 
     selfmon: Any = None
@@ -365,8 +364,7 @@ class WireServer:
         """
         if not config:
             return
-        self.defaults = dict(_service_defaults(
-            config, _TOP_KEYS | {"trigger_plans"}))
+        self.defaults = dict(_service_defaults(config, _TOP_KEYS))
         for entry in config.get("tasks", []):
             if str(entry.get("name", "")) not in self.task_shard:
                 _check(await self.register_task(dict(entry)))
@@ -589,7 +587,7 @@ class WireServer:
         anything is enqueued — an update must never be ACKed and then
         fail inside a shard drain loop.
         """
-        began = time.perf_counter() if self.registry.enabled else 0.0
+        began = time.perf_counter()
         updates = request.get("updates")
         if not isinstance(updates, list):
             return _error("offer_batch needs an 'updates' list")
@@ -657,7 +655,7 @@ class WireServer:
     async def _offer_columns(self, conn: ConnState,
                              cols: OfferColumns) -> tuple[bytes, bytes]:
         """Route a decoded binary offer batch; returns the reply frame."""
-        began = time.perf_counter() if self.registry.enabled else 0.0
+        began = time.perf_counter()
         count = len(cols)
         if count > self.config.max_batch:
             return encode_frame_parts(self._too_large(count))
@@ -719,9 +717,8 @@ class WireServer:
         if shed:
             self.trace.emit("shed", count=shed, batch=count,
                             accepted=accepted)
-        if self.registry.enabled:
-            self._offer_batch_size.observe(count)
-            self._offer_latency.observe(time.perf_counter() - began)
+        self._offer_batch_size.observe(count)
+        self._offer_latency.observe(time.perf_counter() - began)
         return accepted, shed, rejected + late_rejected
 
     # ------------------------------------------------------------------

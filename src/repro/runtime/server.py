@@ -46,7 +46,7 @@ from repro.runtime.frontend import (ConnState, WireServer, cli_overrides,
                                     load_config_file, run_cli,
                                     write_ready_file)
 from repro.runtime.shard import ColumnBatch, InternedNames, ShardWorker
-from repro.telemetry.registry import MetricsRegistry, instrument_samplers
+from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.selfmon import SelfMonitor
 from repro.telemetry.trace import DecisionTrace
 from repro.testkit.faults import FaultHook, NOOP_HOOK
@@ -67,11 +67,16 @@ class RuntimeServer(WireServer):
     end's counter — nothing on any path suspends, so a request can never
     interleave with another mid-handler.
 
+    Each server owns one live
+    :class:`~repro.telemetry.registry.MetricsRegistry` and one
+    :class:`~repro.telemetry.trace.DecisionTrace` ring of
+    ``runtime.trace_capacity`` events; there is no un-instrumented mode.
+
     Args:
         runtime: deployment knobs (shard count, queue depth, listen
             addresses, checkpoint path/interval).
         service_config: optional declarative service config (the
-            ``defaults``/``tasks``/``triggers`` shape of
+            ``defaults``/``tasks``/``triggers``/``trigger_plans`` root of
             :func:`repro.config.service_from_config`); tasks it declares
             are registered at startup unless a checkpoint already has them.
         adaptation: default adaptation tunables for tasks registered over
@@ -79,28 +84,16 @@ class RuntimeServer(WireServer):
         fault_hook: chaos-testing seam (``repro.testkit``). The default
             :data:`~repro.testkit.faults.NOOP_HOOK` injects nothing and
             costs one guarded attribute check per frame/batch.
-        registry: metrics registry for the runtime's instruments; the
-            default creates a fresh live
-            :class:`~repro.telemetry.registry.MetricsRegistry`. Pass
-            :data:`~repro.telemetry.registry.NULL_REGISTRY` to run
-            un-instrumented.
-        trace: decision trace receiving structured runtime events; the
-            default creates a
-            :class:`~repro.telemetry.trace.DecisionTrace` ring of
-            ``runtime.trace_capacity`` events. Pass
-            :data:`~repro.telemetry.trace.NULL_TRACE` to disable.
     """
 
     def __init__(self, runtime: RuntimeConfig | None = None,
                  service_config: dict[str, Any] | None = None,
                  adaptation: AdaptationConfig | None = None,
-                 fault_hook: FaultHook = NOOP_HOOK,
-                 registry: Any = None, trace: Any = None):
+                 fault_hook: FaultHook = NOOP_HOOK):
         config = runtime or RuntimeConfig()
         super().__init__(
-            config, config.shards,
-            MetricsRegistry() if registry is None else registry,
-            DecisionTrace(config.trace_capacity) if trace is None else trace,
+            config, config.shards, MetricsRegistry(),
+            DecisionTrace(config.trace_capacity),
             fault_hook=fault_hook, service_config=service_config)
         self._host = hosting.WorkerHost(
             "runtime", queue_depth=config.queue_depth, adaptation=adaptation,
@@ -156,15 +149,13 @@ class RuntimeServer(WireServer):
 
     async def start(self) -> None:
         """Restore state, start shard workers, bind listen sockets."""
-        instrument_samplers(self.registry)
         await self._restore()
         await self.apply_config(self._service_config)
         self._host.start()
         cfg = self.config
         await self._listen(cfg.unix_socket)
         if cfg.selfmon_interval is not None:
-            self.selfmon = SelfMonitor(self, registry=self.registry,
-                                       trace=self.trace)
+            self.selfmon = SelfMonitor(self)
             self.selfmon.start(cfg.selfmon_interval)
 
     async def _stop(self, drain: bool) -> None:

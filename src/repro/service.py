@@ -679,7 +679,7 @@ class MonitoringService:
         structured trace events tagged with ``shard``. Pass ``None`` to
         detach.
         """
-        self._trace = trace if trace is not None and trace.enabled else None
+        self._trace = trace
         self._trace_shard = shard
 
     @property

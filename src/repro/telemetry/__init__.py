@@ -2,11 +2,10 @@
 
 The observability layer for the live runtime and the sampling core:
 
-* :mod:`repro.telemetry.registry` — process-wide
+* :mod:`repro.telemetry.registry` — the
   :class:`~repro.telemetry.registry.MetricsRegistry` of counter / gauge /
-  histogram instruments with label support and a no-op
-  :data:`~repro.telemetry.registry.NULL_REGISTRY` default, so
-  un-instrumented runs pay one attribute check per seam;
+  histogram instruments with label support; each server owns one, and
+  so does each cluster worker's host;
 * :mod:`repro.telemetry.histogram` — the mergeable log-bucketed
   :class:`~repro.telemetry.histogram.LogHistogram` quantile sketch
   (DDSketch-style relative-error bound) behind every latency / size /
@@ -38,14 +37,11 @@ from repro.telemetry.exposition import (CONTENT_TYPE_PROMETHEUS,
                                         TelemetryHTTPServer,
                                         render_prometheus)
 from repro.telemetry.histogram import LogHistogram
-from repro.telemetry.registry import (NULL_REGISTRY, Counter, Gauge,
-                                      HistogramInstrument, MetricsFamily,
-                                      MetricsRegistry, NullRegistry,
-                                      SUMMARY_QUANTILES,
-                                      instrument_samplers)
+from repro.telemetry.registry import (Counter, Gauge, HistogramInstrument,
+                                      MetricsFamily, MetricsRegistry,
+                                      SUMMARY_QUANTILES)
 from repro.telemetry.selfmon import SELF_SHARD, SelfMonitor
-from repro.telemetry.trace import (DECISION_BLOCK, NULL_TRACE,
-                                   DecisionTrace, NullTrace,
+from repro.telemetry.trace import (DECISION_BLOCK, DecisionTrace,
                                    TRACE_EVENT_KINDS)
 
 __all__ = [
@@ -58,15 +54,10 @@ __all__ = [
     "LogHistogram",
     "MetricsFamily",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NULL_TRACE",
-    "NullRegistry",
-    "NullTrace",
     "SELF_SHARD",
     "SUMMARY_QUANTILES",
     "SelfMonitor",
     "TRACE_EVENT_KINDS",
     "TelemetryHTTPServer",
-    "instrument_samplers",
     "render_prometheus",
 ]

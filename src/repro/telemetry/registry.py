@@ -1,23 +1,16 @@
-"""Process-wide metrics registry: counters, gauges, histogram instruments.
+"""Metrics registry: counters, gauges, histogram instruments.
 
 The registry is the write side of the telemetry subsystem. Hot paths hold
 *instrument* objects (a :class:`Counter` is one float attribute; ``inc``
 is one addition) and never touch the registry after creation; readers —
 the ``telemetry`` wire op, the ``/metrics`` endpoint — call
-:meth:`MetricsRegistry.snapshot` which walks every family once.
-
-Two deployment modes, mirroring the chaos harness' ``NOOP_HOOK``:
-
-* a live :class:`MetricsRegistry` (``enabled = True``) hands out real
-  instruments;
-* :data:`NULL_REGISTRY` (``enabled = False``) hands out shared no-op
-  singletons, so un-instrumented code paths pay exactly one attribute
-  check (``registry.enabled`` / ``metrics.enabled``) and nothing else.
+:meth:`MetricsRegistry.snapshot` which walks every family once. Each
+server owns one registry; there is no un-instrumented mode.
 
 Instruments supporting *callbacks* (``fn=...``) read their value at
 snapshot time instead of being pushed — used to export state the runtime
-already tracks (shard counters, queue depths, checkpoint age) without
-double bookkeeping on the hot path.
+already tracks (shard counters, queue depths, the engine rows' sampler
+counts, checkpoint age) without double bookkeeping on the hot path.
 """
 
 from __future__ import annotations
@@ -33,10 +26,7 @@ __all__ = [
     "HistogramInstrument",
     "MetricsFamily",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "SUMMARY_QUANTILES",
-    "instrument_samplers",
 ]
 
 SUMMARY_QUANTILES = (0.5, 0.9, 0.99)
@@ -47,7 +37,6 @@ class Counter:
     """Monotonically increasing value. ``inc`` is the entire hot path."""
 
     kind = "counter"
-    enabled = True
     __slots__ = ("value", "_fn")
 
     def __init__(self, fn: Callable[[], float] | None = None):
@@ -66,7 +55,6 @@ class Gauge:
     """A value that can go up and down (or be computed at snapshot time)."""
 
     kind = "gauge"
-    enabled = True
     __slots__ = ("value", "_fn")
 
     def __init__(self, fn: Callable[[], float] | None = None):
@@ -93,7 +81,6 @@ class HistogramInstrument:
     quantiles on the snapshot side)."""
 
     kind = "histogram"
-    enabled = True
     __slots__ = ("sketch",)
 
     def __init__(self, relative_error: float = DEFAULT_RELATIVE_ERROR):
@@ -206,14 +193,12 @@ class MetricsFamily:
 
 
 class MetricsRegistry:
-    """Registry of metric families; the process-wide telemetry root.
+    """Registry of metric families; one server's telemetry root.
 
     Creating an already-registered family returns the existing one (so
     independent components can share families idempotently); re-registering
     under a different kind or label set is a configuration error.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._families: dict[str, MetricsFamily] = {}
@@ -283,117 +268,3 @@ class MetricsRegistry:
         """
         return {name: family.snapshot(raw=raw)
                 for name, family in self._families.items()}
-
-
-class _NullInstrument:
-    """Shared no-op instrument: every mutator discards, ``get`` is 0."""
-
-    enabled = False
-    kind = "null"
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_repeat(self, value: float, count: int) -> None:
-        pass
-
-    def labels(self, *values: Any, fn: Any = None) -> "_NullInstrument":
-        return self
-
-    def remove(self, *values: Any) -> bool:
-        return False
-
-    def get(self) -> float:
-        return 0.0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """No-op twin of :class:`MetricsRegistry` (the un-instrumented default).
-
-    Every factory returns the same inert singleton, so holding and driving
-    instruments is safe everywhere; code that wants to skip instrumentation
-    work entirely guards with ``registry.enabled`` — one attribute check,
-    mirroring the chaos harness' ``NOOP_HOOK`` contract.
-    """
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "",
-                labels: Sequence[str] = (),
-                fn: Callable[[], float] | None = None) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "",
-              labels: Sequence[str] = (),
-              fn: Callable[[], float] | None = None) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, help: str = "",
-                  labels: Sequence[str] = (),
-                  relative_error: float = DEFAULT_RELATIVE_ERROR,
-                  ) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def families(self) -> Iterable[MetricsFamily]:
-        return ()
-
-    def snapshot(self, raw: bool = False) -> dict[str, Any]:
-        return {}
-
-
-NULL_REGISTRY = NullRegistry()
-"""The shared un-instrumented registry (``enabled = False``)."""
-
-
-def instrument_samplers(registry: MetricsRegistry | NullRegistry) -> None:
-    """Point the engine rows' process-wide sampler counters at ``registry``.
-
-    :meth:`~repro.core.soa.SoaSamplerEngine.observe_one` and the vector
-    tick guard their counter updates behind one ``enabled`` attribute
-    check on a module-level metrics object (see
-    ``repro.core.adaptation``). This
-    swaps that object: a live registry installs real counters
-    (``volley_sampler_*``), :data:`NULL_REGISTRY` restores the zero-cost
-    null object. Process-wide by design — the registry is the process'
-    telemetry root and samplers are created in many places.
-    """
-    from repro.core import adaptation
-
-    if registry is None or not registry.enabled:
-        adaptation._SAMPLER_METRICS = adaptation._NULL_SAMPLER_METRICS
-        return
-    # The metrics object holds plain ints the fast path increments in
-    # place; the registry reads them through snapshot-time callbacks.
-    # Reuse the live object across re-instrumentation so callbacks
-    # captured by an earlier registry keep seeing the same counters.
-    metrics = adaptation._SAMPLER_METRICS
-    if not metrics.enabled:
-        metrics = adaptation._SamplerMetrics()
-    for name, help_text, attr in (
-            ("volley_sampler_observations_total",
-             "Sampling operations absorbed by the fast path",
-             "observations"),
-            ("volley_sampler_grow_events_total",
-             "Interval additive-increase events (fast path)",
-             "grow_events"),
-            ("volley_sampler_reset_events_total",
-             "Interval resets to the default (fast path)", "reset_events"),
-            ("volley_sampler_violations_total",
-             "Threshold violations observed by the fast path",
-             "violations")):
-        registry.counter(name, help_text,
-                         fn=lambda m=metrics, a=attr: float(getattr(m, a)))
-    adaptation._SAMPLER_METRICS = metrics

@@ -24,8 +24,6 @@ import asyncio
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.task import TaskSpec
-from repro.telemetry.registry import MetricsRegistry, NULL_REGISTRY
-from repro.telemetry.trace import NULL_TRACE
 from repro.types import Alert
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -42,10 +40,9 @@ class SelfMonitor:
     """Monitors the runtime's own health gauges as Volley tasks.
 
     Args:
-        server: the :class:`~repro.runtime.server.RuntimeServer` to watch.
-        registry: metrics registry for the ``volley_selfmon_*`` counters
-            (the server's registry in production).
-        trace: decision trace receiving ``selfmon_alert`` events.
+        server: the :class:`~repro.runtime.server.RuntimeServer` to watch;
+            its registry takes the ``volley_selfmon_*`` counters and its
+            trace the ``selfmon_alert`` events.
         saturation_fraction: queue-depth alert threshold as a fraction of
             each shard queue's capacity.
         shed_rate_threshold: alert threshold on updates shed per poll
@@ -59,8 +56,6 @@ class SelfMonitor:
     """
 
     def __init__(self, server: "RuntimeServer",
-                 registry: MetricsRegistry | Any = NULL_REGISTRY,
-                 trace: Any = NULL_TRACE,
                  saturation_fraction: float = 0.8,
                  shed_rate_threshold: float = 1.0,
                  checkpoint_age_factor: float = 3.0,
@@ -72,7 +67,8 @@ class SelfMonitor:
         from repro.service import MonitoringService
 
         self._server = server
-        self._trace = trace
+        self._trace = server.trace
+        registry = server.registry
         self.service = MonitoringService()
         self._step = 0
         self._probes: list[tuple[str, Callable[[], float]]] = []

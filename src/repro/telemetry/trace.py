@@ -4,16 +4,15 @@ Counters say *how much*; the decision trace says *what happened, in
 order*. Every notable decision the runtime takes — an interval adapted,
 an allowance reallocated, a violation detected, a batch shed, a
 checkpoint written — is appended to a fixed-capacity ring buffer as a
-structured event carrying a process-wide sequence number and a monotonic
-timestamp. The buffer is drainable over the wire (``trace`` op, with a
-``since`` cursor so pollers never re-read events) and dumpable to JSONL
-for offline analysis or CI artifacts.
+structured event carrying a sequence number and a monotonic timestamp.
+Each server owns one ring. The buffer is drainable over the wire
+(``trace`` op, with a ``since`` cursor so pollers never re-read events)
+and readable as JSONL (the ``/trace`` endpoint).
 
 The ring is deliberately lossy at the head: under event storms old
 events are evicted, never blocking the hot path — ``dropped`` counts the
 evictions so readers know the history is incomplete. Emission is O(1)
-(a deque append); un-traced deployments hold :data:`NULL_TRACE` and pay
-one ``enabled`` check.
+(a deque append).
 
 The ring holds two kinds of entry (DESIGN.md S29): an event dict per
 :meth:`DecisionTrace.emit`, and a :data:`DECISION_BLOCK` record array per
@@ -24,7 +23,6 @@ whose events are built as dicts only when somebody reads.
 from __future__ import annotations
 
 import json
-import pathlib
 import time
 from collections import deque
 from typing import Any, Sequence
@@ -36,8 +34,6 @@ from repro.exceptions import ConfigurationError
 __all__ = [
     "DECISION_BLOCK",
     "DecisionTrace",
-    "NULL_TRACE",
-    "NullTrace",
     "TRACE_EVENT_KINDS",
 ]
 
@@ -140,8 +136,6 @@ class DecisionTrace:
         capacity: maximum events retained; older events are evicted
             (and counted in :attr:`dropped`) once the ring is full.
     """
-
-    enabled = True
 
     def __init__(self, capacity: int = 4096):
         if capacity < 1:
@@ -247,48 +241,7 @@ class DecisionTrace:
                 out += entry.events(since)
         return out if limit is None else out[:limit]
 
-    def dump_jsonl(self, path: pathlib.Path | str,
-                   since: int = 0) -> pathlib.Path:
-        """Write the retained events to a JSONL file; returns the path."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = "".join(json.dumps(event, separators=(",", ":")) + "\n"
-                        for event in self.drain(since=since))
-        path.write_text(lines, encoding="utf-8")
-        return path
-
     def to_jsonl(self, since: int = 0) -> str:
         """The retained events as JSONL text (the ``/trace`` endpoint)."""
         return "".join(json.dumps(event, separators=(",", ":")) + "\n"
                        for event in self.drain(since=since))
-
-
-class NullTrace:
-    """No-op trace: ``emit`` discards, ``drain`` is empty.
-
-    Hot paths that emit more than a couple of fields guard with
-    ``trace.enabled`` to skip even the argument packing.
-    """
-
-    enabled = False
-    capacity = 0
-    dropped = 0
-    next_seq = 0
-
-    def emit(self, kind: str, task: str | None = None,
-             shard: int | str | None = None, **data: Any) -> int:
-        return 0
-
-    def __len__(self) -> int:
-        return 0
-
-    def drain(self, since: int = 0,
-              limit: int | None = None) -> list[dict[str, Any]]:
-        return []
-
-    def to_jsonl(self, since: int = 0) -> str:
-        return ""
-
-
-NULL_TRACE = NullTrace()
-"""The shared disabled trace (``enabled = False``)."""

@@ -135,9 +135,9 @@ class TestExposition:
 
 class TestBothServersExportOneFamilySet:
     """A runtime and an in-proc cluster answer ``telemetry`` with the
-    same metric families — the front end's and the host's — but for
-    the coordinator's own, and the process-wide ``volley_sampler_*``
-    counters an in-proc fleet would count once per host."""
+    same metric families — the front end's and the host's, the
+    ``volley_sampler_*`` counts among them — but for the coordinator's
+    own."""
 
     COORDINATOR_ONLY = {"volley_worker_up", "volley_migrations_total",
                         "volley_replacements_total",
@@ -162,8 +162,16 @@ class TestBothServersExportOneFamilySet:
             RuntimeServer(RuntimeConfig(port=0))))
         cluster = asyncio.run(self._metrics(ClusterServer(ClusterConfig(
             backend="inproc", workers=2, port=0))))
-        assert ({n for n in runtime if not n.startswith("volley_sampler_")}
-                == set(cluster) - self.COORDINATOR_ONLY)
+        assert set(runtime) == set(cluster) - self.COORDINATOR_ONLY
+        # One unlabelled series per host: the runtime's, and one per
+        # worker once the fleet merge labels them.
+        for name in ("observations", "grow_events", "reset_events",
+                     "violations"):
+            family = f"volley_sampler_{name}_total"
+            assert runtime[family]["label_names"] == []
+            assert cluster[family]["label_names"] == ["worker"]
+            assert sorted(s["labels"][0] for s in
+                          cluster[family]["series"]) == ["w0", "w1"]
         # Per type, the fleet's worker-labelled series sum to the
         # runtime's one series.
         by_type = {}

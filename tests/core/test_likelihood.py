@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.likelihood import (cantelli_upper_bound,
-                                   gaussian_misdetection_estimate,
-                                   gaussian_misdetection_estimate_fused,
                                    max_admissible_interval,
                                    misdetection_bound,
                                    misdetection_bound_fused,
-                                   misdetection_bound_profile,
                                    step_violation_bound)
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
@@ -100,17 +97,6 @@ class TestMisdetectionBound:
         with pytest.raises(ValueError):
             misdetection_bound(0.0, 1.0, 0.0, 1.0, 0)
 
-    def test_profile_matches_individual_bounds(self):
-        profile = misdetection_bound_profile(0.0, 50.0, 0.2, 2.0, 8)
-        assert len(profile) == 8
-        for i, value in enumerate(profile, start=1):
-            assert value == pytest.approx(
-                misdetection_bound(0.0, 50.0, 0.2, 2.0, i))
-
-    def test_profile_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            misdetection_bound_profile(0.0, 1.0, 0.0, 1.0, 0)
-
     @given(value=finite, threshold=finite, mean=finite, std=positive_std,
            interval=st.integers(min_value=1, max_value=20))
     @settings(max_examples=150, deadline=None)
@@ -132,7 +118,7 @@ class TestMisdetectionBound:
 
 
 class TestFusedKernels:
-    """The fused kernels must be bit-for-bit equal to the reference."""
+    """The fused kernel must be bit-for-bit equal to the reference."""
 
     @given(value=finite, threshold=finite, mean=finite, std=positive_std,
            interval=st.integers(min_value=1, max_value=20))
@@ -143,17 +129,6 @@ class TestFusedKernels:
         fused = misdetection_bound_fused(value, threshold, mean, std,
                                          interval)
         assert fused == reference  # exact, not approx
-
-    @given(value=finite, threshold=finite, mean=finite, std=positive_std,
-           interval=st.integers(min_value=1, max_value=20))
-    @settings(max_examples=200, deadline=None)
-    def test_gaussian_fused_bit_equal(self, value, threshold, mean, std,
-                                      interval):
-        reference = gaussian_misdetection_estimate(value, threshold, mean,
-                                                   std, interval)
-        fused = gaussian_misdetection_estimate_fused(value, threshold, mean,
-                                                     std, interval)
-        assert fused == reference
 
     @given(value=finite, threshold=finite, mean=finite,
            interval=st.integers(min_value=1, max_value=20))
@@ -168,34 +143,6 @@ class TestFusedKernels:
             misdetection_bound_fused(0.0, 1.0, 0.0, 1.0, 0)
         with pytest.raises(ValueError):
             misdetection_bound_fused(0.0, 1.0, 0.0, -1.0, 1)
-        with pytest.raises(ValueError):
-            gaussian_misdetection_estimate_fused(0.0, 1.0, 0.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            gaussian_misdetection_estimate_fused(0.0, 1.0, 0.0, -1.0, 1)
-
-
-class TestProfilePinning:
-    def test_pins_to_exactly_one_after_saturation(self):
-        # Positive drift reaches the threshold deterministically: once a
-        # step's bound hits 1 the profile must be exactly 1.0 from there on.
-        profile = misdetection_bound_profile(0.0, 10.0, 5.0, 1e-9, 8)
-        assert any(v == 1.0 for v in profile)
-        first_one = profile.index(1.0)
-        assert profile[first_one:] == [1.0] * (len(profile) - first_one)
-
-    def test_profile_stays_in_unit_interval(self):
-        profile = misdetection_bound_profile(0.0, 3.0, 1.0, 0.5, 12)
-        assert all(0.0 <= v <= 1.0 for v in profile)
-
-    @given(value=finite, threshold=finite, mean=finite, std=positive_std,
-           max_interval=st.integers(min_value=1, max_value=15))
-    @settings(max_examples=100, deadline=None)
-    def test_profile_matches_point_queries_exactly(self, value, threshold,
-                                                   mean, std, max_interval):
-        profile = misdetection_bound_profile(value, threshold, mean, std,
-                                             max_interval)
-        for i, entry in enumerate(profile, start=1):
-            assert entry == misdetection_bound(value, threshold, mean, std, i)
 
 
 class TestMaxAdmissibleInterval:

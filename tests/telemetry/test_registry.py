@@ -1,18 +1,14 @@
-"""Tests for the metrics registry: instruments, families, the null twin,
-and the sampler fast-path instrumentation seam."""
+"""Tests for the metrics registry: instruments, families, and a host's
+``volley_sampler_*`` counters read off its engine rows."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import adaptation
-from repro.core.adaptation import AdaptationConfig
-from repro.core.soa import SoaSamplerEngine
+from repro.cluster.hosting import WorkerHost
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
-from repro.service import MonitoringService
-from repro.telemetry.registry import (NULL_REGISTRY, MetricsRegistry,
-                                      NullRegistry, instrument_samplers)
+from repro.telemetry.registry import MetricsRegistry
 
 
 class TestInstruments:
@@ -96,63 +92,42 @@ class TestFamilies:
         assert json.loads(json.dumps(registry.snapshot()))
 
 
-class TestNullRegistry:
-    def test_all_factories_return_inert_singleton(self):
-        null = NullRegistry()
-        c = null.counter("x_total")
-        g = null.gauge("y")
-        h = null.histogram("z_seconds")
-        assert c is g is h
-        c.inc()
-        g.set(5.0)
-        h.observe(1.0)
-        assert c.get() == 0.0
-        assert c.labels("anything") is c
-        assert null.snapshot() == {}
-        assert list(null.families()) == []
+SAMPLER_COUNTS = ("observations", "grow_events", "reset_events",
+                  "violations")
 
-    def test_enabled_flags(self):
-        assert MetricsRegistry().enabled
-        assert not NULL_REGISTRY.enabled
+
+def sampler_counts(registry: MetricsRegistry) -> dict[str, float]:
+    """The four ``volley_sampler_*`` values of one host's registry."""
+    snap = registry.snapshot()
+    return {name: snap[f"volley_sampler_{name}_total"]["series"][0]["value"]
+            for name in SAMPLER_COUNTS}
 
 
 class TestInstrumentSamplers:
-    def setup_method(self):
-        # Earlier tests (e.g. in-process runtime servers) may have left a
-        # live metrics object with accumulated counts; restoring the null
-        # object makes the next live instrumentation start from zero.
-        instrument_samplers(NULL_REGISTRY)
-
-    def teardown_method(self):
-        instrument_samplers(NULL_REGISTRY)
-
-    @staticmethod
-    def _drive(n: int = 200) -> None:
-        task = TaskSpec(threshold=100.0, error_allowance=0.05,
-                        max_interval=10)
-        engine = SoaSamplerEngine()
-        row = engine.add_task(task, AdaptationConfig())
-        for t in range(n):
-            engine.observe_one(row, 10.0 if t != 150 else 200.0, t)
+    """A host exports its rows' sampler counts: each counter is one engine
+    column summed over the rows of its hosted shards."""
 
     def test_live_registry_counts_fast_path(self):
-        registry = MetricsRegistry()
-        instrument_samplers(registry)
-        self._drive()
-        snap = registry.snapshot()
-        observed = snap["volley_sampler_observations_total"]["series"][0]
-        assert observed["value"] == 200.0
-        assert snap["volley_sampler_violations_total"]["series"][0][
-            "value"] >= 1.0
-        assert snap["volley_sampler_grow_events_total"]["series"][0][
-            "value"] > 0.0
+        # Row by row, through the engine's observe_one.
+        host = WorkerHost("w0")
+        service = host.install_shard(0).service
+        service.add_task("t", TaskSpec(threshold=100.0, error_allowance=0.05,
+                                       max_interval=10))
+        consumed = 0
+        for t in range(200):
+            consumed += service.offer(
+                "t", 10.0 if t < 150 else 200.0, t) is not None
+        counts = sampler_counts(host.registry)
+        assert counts["observations"] == consumed > 20
+        assert counts["violations"] == service.alert_count("t") >= 1
+        assert counts["grow_events"] > 0.0
+        assert counts["reset_events"] >= 1.0
 
     def test_live_registry_counts_engine_rows(self):
-        # A tick bumps the same counters: vectorised (20 due rows) and
+        # A tick feeds the same columns: vectorised (20 due rows) and
         # row by row (5) alike.
-        registry = MetricsRegistry()
-        instrument_samplers(registry)
-        service = MonitoringService(soa=True)
+        host = WorkerHost("w0")
+        service = host.install_shard(0).service
         for i in range(20):
             service.add_task(f"t{i}", TaskSpec(threshold=100.0,
                                                error_allowance=0.05))
@@ -162,23 +137,18 @@ class TestInstrumentSamplers:
             width = 5 if step % 2 else 20
             consumed += service.offer_columns(
                 rows[:width], [step] * width, [10.0 + step % 3] * width)[1]
-        observed = registry.snapshot()[
-            "volley_sampler_observations_total"]["series"][0]["value"]
-        assert observed == consumed > 20
+        assert sampler_counts(host.registry)["observations"] == consumed > 20
 
-    def test_null_registry_restores_null_object(self):
-        instrument_samplers(MetricsRegistry())
-        instrument_samplers(NULL_REGISTRY)
-        assert adaptation._SAMPLER_METRICS is \
-            adaptation._NULL_SAMPLER_METRICS
-        self._drive(50)  # must not blow up and must count nothing
-
-    def test_reinstrumentation_reuses_live_counters(self):
-        registry = MetricsRegistry()
-        instrument_samplers(registry)
-        self._drive(100)
-        instrument_samplers(registry)  # e.g. a second server in-process
-        self._drive(100)
-        observed = registry.snapshot()[
-            "volley_sampler_observations_total"]["series"][0]["value"]
-        assert observed == 200.0
+    def test_counts_are_per_host_and_sum_over_shards(self):
+        busy, idle = WorkerHost("w0"), WorkerHost("w1")
+        idle.install_shard(0)
+        consumed = 0
+        for sid in (0, 1):
+            service = busy.install_shard(sid).service
+            service.add_task(f"t{sid}", TaskSpec(threshold=100.0,
+                                                 error_allowance=0.05))
+            for step in range(30):
+                consumed += service.offer(f"t{sid}", 10.0, step) is not None
+        assert sampler_counts(busy.registry)["observations"] == consumed
+        assert sampler_counts(idle.registry) == dict.fromkeys(
+            SAMPLER_COUNTS, 0.0)

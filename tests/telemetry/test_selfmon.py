@@ -7,8 +7,6 @@ import asyncio
 from repro.config import RuntimeConfig
 from repro.runtime.server import RuntimeServer
 from repro.telemetry.selfmon import SELF_SHARD, SelfMonitor
-from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.trace import DecisionTrace
 
 
 def with_server(scenario, **config_kwargs):
@@ -59,14 +57,12 @@ class TestProbeRegistration:
 class TestLikelihoodScheduling:
     def test_healthy_runtime_saves_probe_collections(self):
         async def scenario(server):
-            registry = MetricsRegistry()
-            monitor = SelfMonitor(server, registry=registry)
+            monitor = SelfMonitor(server)
             for _ in range(500):
                 monitor.poll()
-            return registry, monitor.stats()
+            return server.registry.snapshot(), monitor.stats()
 
-        registry, stats = with_server(scenario)
-        snap = registry.snapshot()
+        snap, stats = with_server(scenario)
         polls = snap["volley_selfmon_polls_total"]["series"][0]["value"]
         samples = snap["volley_selfmon_samples_total"]["series"][0]["value"]
         assert polls == 500 * 3  # 2 shard probes + shed rate, every period
@@ -77,12 +73,8 @@ class TestLikelihoodScheduling:
 
     def test_breach_alerts_and_traces(self):
         async def scenario(server):
-            registry = MetricsRegistry()
-            trace = DecisionTrace(capacity=256)
-            monitor = SelfMonitor(server, registry=registry,
-                                  shed_rate_threshold=1.0,
+            monitor = SelfMonitor(server, shed_rate_threshold=1.0,
                                   max_interval=5)
-            monitor._trace = trace
             for _ in range(20):
                 monitor.poll()          # healthy: intervals stretch
             assert not monitor.alerts
@@ -90,7 +82,8 @@ class TestLikelihoodScheduling:
             for _ in range(10):
                 worker.shed += 500      # sustained shedding storm
                 monitor.poll()
-            return monitor.alerts, trace.drain(), registry.snapshot()
+            return (monitor.alerts, server.trace.drain(),
+                    server.registry.snapshot())
 
         alerts, events, snap = with_server(scenario)
         assert alerts and alerts[0][0] == "volley.shed_rate"

@@ -18,8 +18,8 @@ from repro.core.soa import ColumnBatchResult
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
 from repro.service import MonitoringService
-from repro.telemetry.trace import (DECISION_BLOCK, NULL_TRACE, DecisionTrace,
-                                   NullTrace, TRACE_EVENT_KINDS)
+from repro.telemetry.trace import (DECISION_BLOCK, DecisionTrace,
+                                   TRACE_EVENT_KINDS)
 
 
 def _parent_events(res: ColumnBatchResult, values: list[float],
@@ -164,16 +164,18 @@ class TestRingBuffer:
         assert len(trace.drain()) == 1
         assert len(trace.drain()) == 1
 
-    def test_dump_and_to_jsonl(self, tmp_path):
+    def test_dump_and_to_jsonl(self):
         trace = DecisionTrace(capacity=8)
         trace.emit("violation", task="a", value=5.0)
         trace.emit("shed", shard=2, count=7)
-        path = trace.dump_jsonl(tmp_path / "sub" / "trace.jsonl")
-        lines = path.read_text().splitlines()
+        text = trace.to_jsonl()
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert [json.loads(line) for line in lines] == trace.drain()
         assert [json.loads(line)["kind"] for line in lines] == \
             ["violation", "shed"]
-        assert trace.to_jsonl() == path.read_text()
         assert json.loads(lines[1])["shard"] == 2
+        assert trace.to_jsonl(since=1) == lines[1] + "\n"
 
     @pytest.mark.parametrize("held,batch", [
         (0, 0), (0, 3), (2, 5),   # fits the free room (8 - held)
@@ -215,15 +217,6 @@ class TestRingBuffer:
     def test_capacity_validation(self):
         with pytest.raises(ConfigurationError):
             DecisionTrace(capacity=0)
-
-    def test_null_trace_is_inert(self):
-        null = NullTrace()
-        assert null.emit("violation", task="x", step=1) == 0
-        assert null.drain() == []
-        assert null.to_jsonl() == ""
-        assert len(null) == 0
-        assert not NULL_TRACE.enabled
-        assert DecisionTrace().enabled
 
 
 _flagged = st.tuples(
@@ -349,9 +342,12 @@ class TestServiceEmission:
         assert strip(slow.drain()) == strip(fast.drain())
 
     def test_disabled_trace_detaches(self):
-        service = self._service(NULL_TRACE)
+        trace = DecisionTrace(capacity=16)
+        service = self._service(trace)
+        service.attach_telemetry(None)
         assert service._trace is None  # one is-None check on the hot path
         self._drive(service.offer_fast)
+        assert len(trace) == 0 and trace.next_seq == 0
 
 
 class TestCoordinationEmission:
@@ -390,7 +386,8 @@ class TestCoordinationEmission:
 
     def test_detached_policy_pays_one_none_check(self):
         policy = AdaptiveAllocation()
-        policy.attach_trace(NULL_TRACE)
+        policy.attach_trace(DecisionTrace(capacity=16), task="cpu")
+        policy.attach_trace(None)
         assert policy._trace is None
 
 

@@ -76,7 +76,7 @@ IGNORED = {
     # telemetry config keys, metric-name prefixes, instrument/trace
     # methods and math tokens, not module attributes
     "http_port", "trace_capacity", "selfmon_interval", "relative_error",
-    "dump_jsonl", "volley_selfmon_", "volley_sampler_",
+    "volley_selfmon_", "volley_sampler_",
     "interval_adapted", "allowance_reallocated", "checkpoint_written",
     # scenario CLI artifacts and Timeline/compiled methods, not module
     # attributes

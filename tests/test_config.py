@@ -98,6 +98,30 @@ class TestServiceFromConfig:
         with pytest.raises(ConfigurationError):
             service_from_config(config)  # type: ignore[arg-type]
 
+    def test_trigger_plans_install_debounced_guards(self):
+        # The config root the servers' apply_config takes: a plan guards
+        # b on a, and a watches with the plan's debounce.
+        service = service_from_config({
+            "tasks": [{"name": "a", "threshold": 10.0},
+                      {"name": "b", "threshold": 10.0}],
+            "trigger_plans": [{"target": "b", "trigger": "a",
+                               "elevation_level": 5.0, "min_hold": 3}]})
+        assert service.trigger_status("b")["trigger"] == "a"
+        assert service.trigger_status("a")["watch"]["min_hold"] == 3
+
+    @pytest.mark.parametrize("plan", [
+        {"target": "b", "trigger": "missing", "elevation_level": 1.0},
+        {"target": "b", "trigger": "a"},
+        {"target": "b", "trigger": "a", "elevation_level": 1.0, "typo": 1},
+        "nope",
+    ])
+    def test_bad_trigger_plans_rejected(self, plan):
+        with pytest.raises(ConfigurationError):
+            service_from_config({
+                "tasks": [{"name": "a", "threshold": 10.0},
+                          {"name": "b", "threshold": 10.0}],
+                "trigger_plans": [plan]})
+
     def test_duplicate_names_rejected(self):
         config = {"tasks": [{"name": "a", "threshold": 1.0},
                             {"name": "a", "threshold": 2.0}]}

@@ -214,9 +214,10 @@ class TestHooks:
 class TestBlockingReaderSeam:
     """The sync reader honours the same fault_hook seam as the async one.
 
-    ``read_frame_blocking`` is what the thread-based client and the
-    subprocess worker transport use; chaos plans must bite there exactly
-    as they do on the event-loop path.
+    ``read_frame_blocking`` is what the blocking ``RuntimeClient`` reads
+    its replies with (the subprocess worker transport reads on the event
+    loop); chaos plans must bite there exactly as they do on the
+    event-loop path.
     """
 
     @staticmethod

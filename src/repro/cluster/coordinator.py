@@ -41,6 +41,7 @@ from typing import Any, AsyncIterator, Callable
 from repro.config import ClusterConfig
 from repro.core.adaptation import AdaptationConfig
 from repro.exceptions import ClusterError, ConfigurationError
+from repro.runtime.protocol import SHED_RETRY_MS
 from repro.service import snapshot_task_names
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import DecisionTrace
@@ -57,7 +58,11 @@ logger = logging.getLogger(__name__)
 
 _FLUSH_RETRY_LIMIT = 200
 """Shed-retry attempts per buffered segment during replay before giving up
-(each waits ``shed_retry_ms``, so the default is ~10s of backpressure)."""
+(each waits ``SHED_RETRY_MS``, so ~10s of backpressure)."""
+
+BUFFER_DEPTH = 65536
+"""Updates buffered per shard while it migrates; overflow is shed with
+the usual backpressure reply."""
 
 
 class ShardRoute:
@@ -185,7 +190,6 @@ class Coordinator:
                 wid = f"w{i}"
                 self.transports[wid] = SubprocessTransport(
                     wid, runtime_dir, queue_depth=cfg.queue_depth,
-                    connections=cfg.connections_per_worker,
                     trace_capacity=cfg.trace_capacity)
         elif cfg.backend == "tcp":
             for i, endpoint in enumerate(cfg.worker_endpoints):
@@ -194,9 +198,7 @@ class Coordinator:
                 if not host or not port.isdigit():
                     raise ConfigurationError(
                         f"worker endpoint {endpoint!r} is not host:port")
-                self.transports[wid] = TCPTransport(
-                    wid, host, int(port),
-                    connections=cfg.connections_per_worker)
+                self.transports[wid] = TCPTransport(wid, host, int(port))
         else:  # inproc
             for i in range(cfg.workers):
                 wid = f"w{i}"
@@ -427,7 +429,7 @@ class Coordinator:
             routed = self.routes[sid]
             if routed.buffering:
                 if (routed.buffered_updates + len(gids)
-                        <= self.config.buffer_depth):
+                        <= BUFFER_DEPTH):
                     routed.buffer.append((gids, steps, values))
                     routed.buffered_updates += len(gids)
                     accepted += len(gids)
@@ -622,7 +624,7 @@ class Coordinator:
                 continue
             if shed and retries < _FLUSH_RETRY_LIMIT:
                 retries += 1
-                await asyncio.sleep(self.config.shed_retry_ms / 1000.0)
+                await asyncio.sleep(SHED_RETRY_MS / 1000.0)
                 continue
             # Worker unreachable, shard rejected, or out of retries: the
             # remaining buffer is honestly accounted as shed and recovery

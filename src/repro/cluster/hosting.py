@@ -46,7 +46,8 @@ from repro.core.substrates import TASK_TYPES
 from repro.exceptions import ConfigurationError, ReproError
 from repro.runtime.checkpoint import state_fingerprint
 from repro.runtime.protocol import intern_entries
-from repro.runtime.shard import (ColumnBatch, InternedNames, ShardWorker,
+from repro.runtime.shard import (SHARD_COUNTERS, ColumnBatch,
+                                 InternedNames, ShardWorker,
                                  restore_counters)
 from repro.service import MonitoringService
 from repro.telemetry.registry import MetricsRegistry
@@ -63,21 +64,6 @@ _EDGE_OUTBOX = 4096
 """Edges a host holds for the coordinator's next pump; a storm past it
 loses the oldest to other workers' guards, like trace events."""
 
-
-_PER_SHARD_COUNTERS = (
-    ("volley_updates_offered_total",
-     "Updates accepted into shard queues", "offered"),
-    ("volley_updates_applied_total",
-     "Updates applied to shard services", "applied"),
-    ("volley_updates_consumed_total",
-     "Updates consumed as scheduled samples", "consumed"),
-    ("volley_updates_shed_total",
-     "Updates shed under backpressure", "shed"),
-    ("volley_updates_rejected_total",
-     "Updates rejected (unknown task / malformed)", "rejected"),
-    ("volley_alerts_fired_total",
-     "State-violation alerts fired", "alerts_fired"),
-)
 
 _SAMPLER_COUNTERS = (
     ("volley_sampler_observations_total",
@@ -162,8 +148,9 @@ class WorkerHost:
             "Seconds since this worker host started",
             fn=lambda: time.monotonic() - self._started_monotonic)
         self._counter_families = [
-            (self.registry.counter(name, help_text, labels=("shard",)), attr)
-            for name, help_text, attr in _PER_SHARD_COUNTERS]
+            (self.registry.counter(counter.family, counter.help,
+                                   labels=("shard",)), counter.attr)
+            for counter in SHARD_COUNTERS]
         for name, help_text, column in _SAMPLER_COUNTERS:
             self.registry.counter(
                 name, help_text, fn=lambda c=column: self._row_sum(c))
@@ -511,14 +498,6 @@ class WorkerHost:
         self._gid_rows.pop(worker.shard_id, None)
         return {"ok": True, "task": name}
 
-    def _op_add_trigger(self, request: dict[str, Any]) -> dict[str, Any]:
-        worker = self._shard(int(request.get("shard", -1)))
-        worker.service.add_trigger(
-            str(request.get("target", "")), str(request.get("trigger", "")),
-            elevation_level=float(request.get("elevation_level", 0.0)),
-            suspend_interval=int(request.get("suspend_interval", 10)))
-        return {"ok": True}
-
     def _op_trigger_install(self, request: dict[str, Any]) -> dict[str, Any]:
         """Install whichever halves of a trigger plan live on one shard."""
         worker = self._shard(int(request.get("shard", -1)))
@@ -620,7 +599,6 @@ class WorkerHost:
         "w_intern": _op_intern,
         "w_register_task": _op_register_task,
         "w_remove_task": _op_remove_task,
-        "w_add_trigger": _op_add_trigger,
         "w_trigger_install": _op_trigger_install,
         "w_trigger_set": _op_trigger_set,
         "w_trigger_state": _op_trigger_state,

@@ -44,6 +44,10 @@ __all__ = ["InProcTransport", "ShardTransport", "SubprocessTransport",
 READY_TIMEOUT = 15.0
 """Seconds to wait for a spawned worker's ready file."""
 
+CONNECTIONS_PER_WORKER = 2
+"""Pooled connections per wire worker: more than one keeps offers
+flowing while control ops are in flight."""
+
 
 class ShardTransport(Protocol):
     """What the coordinator needs from any worker backend."""
@@ -115,10 +119,10 @@ class InProcTransport:
 class _PooledSocketTransport:
     """Connection-pooled framing over a stream endpoint (unix or TCP)."""
 
-    def __init__(self, worker_id: str, connections: int = 2):
+    def __init__(self, worker_id: str):
         self.worker_id = worker_id
         self._slots: asyncio.Queue[tuple[Any, Any] | None] = asyncio.Queue()
-        for _ in range(max(1, connections)):
+        for _ in range(CONNECTIONS_PER_WORKER):
             self._slots.put_nowait(None)
         self._closed = False
 
@@ -198,9 +202,8 @@ class _PooledSocketTransport:
 class TCPTransport(_PooledSocketTransport):
     """Transport to an externally started worker on ``host:port``."""
 
-    def __init__(self, worker_id: str, host: str, port: int,
-                 connections: int = 2):
-        super().__init__(worker_id, connections)
+    def __init__(self, worker_id: str, host: str, port: int):
+        super().__init__(worker_id)
         self.host = host
         self.port = port
 
@@ -236,9 +239,8 @@ class SubprocessTransport(_PooledSocketTransport):
     """
 
     def __init__(self, worker_id: str, runtime_dir: pathlib.Path,
-                 queue_depth: int = 1024, connections: int = 2,
-                 trace_capacity: int = 4096):
-        super().__init__(worker_id, connections)
+                 queue_depth: int = 1024, trace_capacity: int = 4096):
+        super().__init__(worker_id)
         self.runtime_dir = pathlib.Path(runtime_dir)
         self.queue_depth = queue_depth
         self.trace_capacity = trace_capacity

@@ -24,9 +24,11 @@ JSON/YAML/TOML with whatever the deployment uses)::
       ]
     }
 
-``triggers`` are undebounced guards; ``trigger_plans`` are debounced
-:class:`~repro.triggers.plan.TriggerPlan` entries, the form the servers
-install across shards. Either server's config root is this one.
+Every trigger pair is a :class:`~repro.triggers.plan.TriggerPlan`:
+a ``triggers`` entry is the undebounced plan of its pair (hysteresis 0,
+hold 0), a ``trigger_plans`` entry is written out in full, and
+:func:`config_trigger_plans` reads both for every surface. Either
+server's config root is this one.
 
 Unknown keys are rejected loudly — a typo in a monitoring config should
 fail deployment, not silently monitor the wrong thing.
@@ -52,8 +54,9 @@ from repro.telemetry.histogram import DEFAULT_RELATIVE_ERROR
 from repro.triggers.plan import TriggerPlan
 from repro.types import ThresholdDirection
 
-__all__ = ["ClusterConfig", "RuntimeConfig", "register_task_from_config",
-           "service_from_config", "task_from_config"]
+__all__ = ["ClusterConfig", "RuntimeConfig", "config_trigger_plans",
+           "register_task_from_config", "service_from_config",
+           "task_from_config", "trigger_pair_plan"]
 
 
 def _coerce(hint: Any, value: Any) -> Any:
@@ -126,8 +129,6 @@ class RuntimeConfig:
         checkpoint_path: where periodic + shutdown snapshots are written;
             ``None`` disables checkpointing.
         checkpoint_interval: seconds between periodic checkpoints.
-        shed_retry_ms: retry hint (milliseconds) returned to clients whose
-            batches were shed under backpressure.
         http_port: telemetry HTTP endpoint (``/metrics`` + ``/healthz`` +
             ``/trace``); ``None`` (the default) disables it, ``0`` picks a
             free port. Binds on ``host``.
@@ -145,7 +146,6 @@ class RuntimeConfig:
     unix_socket: pathlib.Path | None = None
     checkpoint_path: pathlib.Path | None = None
     checkpoint_interval: float = 30.0
-    shed_retry_ms: int = 50
     http_port: int | None = None
     trace_capacity: int = 4096
     selfmon_interval: float | None = None
@@ -163,9 +163,6 @@ class RuntimeConfig:
             raise ConfigurationError(
                 f"checkpoint_interval must be > 0, got "
                 f"{self.checkpoint_interval}")
-        if self.shed_retry_ms < 0:
-            raise ConfigurationError(
-                f"shed_retry_ms must be >= 0, got {self.shed_retry_ms}")
         if self.trace_capacity < 1:
             raise ConfigurationError(
                 f"trace_capacity must be >= 1, got {self.trace_capacity}")
@@ -207,19 +204,14 @@ class ClusterConfig:
         queue_depth: per-shard ingest queue depth on each worker.
         max_batch: maximum updates accepted per ``offer_batch`` frame at
             the router.
-        buffer_depth: updates buffered per shard while it migrates;
-            overflow is shed with the usual backpressure reply.
         heartbeat_interval: seconds between coordinator heartbeats.
         heartbeat_misses: consecutive missed heartbeats before a worker
             is declared dead and its shards re-placed.
         heartbeat_timeout: per-heartbeat reply timeout in seconds.
-        connections_per_worker: transport connection-pool size; more than
-            one keeps offers flowing while control ops are in flight.
         checkpoint_path: cluster checkpoint file (placement table + every
             shard snapshot, in the CRC-trailed checkpoint file format);
             ``None`` disables.
         checkpoint_interval: seconds between periodic cluster checkpoints.
-        shed_retry_ms: retry hint returned to clients on shed batches.
         trace_capacity: coordinator decision-trace ring size.
         runtime_dir: directory for worker unix sockets and ready files
             (``subprocess`` backend); ``None`` uses a fresh temp dir.
@@ -234,14 +226,11 @@ class ClusterConfig:
     http_port: int | None = None
     queue_depth: int = 1024
     max_batch: int = 8192
-    buffer_depth: int = 65536
     heartbeat_interval: float = 0.5
     heartbeat_misses: int = 3
     heartbeat_timeout: float = 2.0
-    connections_per_worker: int = 2
     checkpoint_path: pathlib.Path | None = None
     checkpoint_interval: float = 30.0
-    shed_retry_ms: int = 50
     trace_capacity: int = 4096
     runtime_dir: pathlib.Path | None = None
 
@@ -269,8 +258,7 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"shards ({self.shards}) must be >= workers "
                 f"({self.workers}); a worker with no shard serves nothing")
-        for attr in ("queue_depth", "max_batch", "buffer_depth",
-                     "heartbeat_misses", "connections_per_worker",
+        for attr in ("queue_depth", "max_batch", "heartbeat_misses",
                      "trace_capacity"):
             if getattr(self, attr) < 1:
                 raise ConfigurationError(
@@ -280,9 +268,6 @@ class ClusterConfig:
             if getattr(self, attr) <= 0:
                 raise ConfigurationError(
                     f"{attr} must be > 0, got {getattr(self, attr)}")
-        if self.shed_retry_ms < 0:
-            raise ConfigurationError(
-                f"shed_retry_ms must be >= 0, got {self.shed_retry_ms}")
 
     @property
     def n_shards(self) -> int:
@@ -470,6 +455,30 @@ def _service_defaults(config: Any, top_keys: set[str]) -> dict[str, Any]:
     return defaults
 
 
+def trigger_pair_plan(entry: Any) -> TriggerPlan:
+    """A trigger pair — a ``triggers`` entry, or an ``add_trigger``
+    request's fields — as the plan it is: hysteresis 0, hold 0."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(
+            f"trigger entry must be a dict, got {entry!r}")
+    _reject_unknown(entry, _TRIGGER_KEYS, "trigger entry")
+    return TriggerPlan.from_dict({**entry, "hysteresis": 0.0, "min_hold": 0})
+
+
+def config_trigger_plans(config: Mapping[str, Any]) -> list[TriggerPlan]:
+    """Every trigger pair of a service config as the plan it installs:
+    the ``triggers`` entries (:func:`trigger_pair_plan`), then the
+    ``trigger_plans`` entries. Fails closed on either."""
+    plans = [trigger_pair_plan(entry)
+             for entry in config.get("triggers", [])]
+    for entry in config.get("trigger_plans", []):
+        if not isinstance(entry, dict):
+            raise ConfigurationError(
+                f"trigger plan entry must be a dict, got {entry!r}")
+        plans.append(TriggerPlan.from_dict(entry))
+    return plans
+
+
 def service_from_config(config: dict[str, Any],
                         adaptation: AdaptationConfig | None = None,
                         ) -> MonitoringService:
@@ -488,28 +497,11 @@ def service_from_config(config: dict[str, Any],
     for entry in tasks:
         register_task_from_config(service, entry, defaults)
 
-    for trigger in config.get("triggers", []):
-        if not isinstance(trigger, dict):
-            raise ConfigurationError(
-                f"trigger entry must be a dict, got {trigger!r}")
-        _reject_unknown(trigger, _TRIGGER_KEYS, "trigger entry")
-        for key in ("target", "trigger", "elevation_level"):
-            if key not in trigger:
-                raise ConfigurationError(
-                    f"trigger entry missing {key!r}: {trigger}")
-        service.add_trigger(
-            str(trigger["target"]), str(trigger["trigger"]),
-            float(trigger["elevation_level"]),
-            suspend_interval=int(trigger.get("suspend_interval", 10)))
-
-    for entry in config.get("trigger_plans", []):
-        if not isinstance(entry, dict):
-            raise ConfigurationError(
-                f"trigger plan entry must be a dict, got {entry!r}")
-        plan = TriggerPlan.from_dict(entry)
+    for plan in config_trigger_plans(config):
         for name in (plan.target, plan.trigger):
             if name not in service.task_names:
                 raise ConfigurationError(
-                    f"trigger plan names unknown task {name!r}: {entry}")
+                    f"trigger plan names unknown task {name!r}: "
+                    f"{plan.to_dict()}")
         service.install_trigger_plan(plan)
     return service

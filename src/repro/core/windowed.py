@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.accuracy import RunAccuracy, evaluate_sampling
-from repro.core.adaptation import (AdaptationConfig,
-                                   ViolationLikelihoodSampler)
+from repro.core.accuracy import RunAccuracy
+from repro.core.adaptation import AdaptationConfig
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError, TraceError
 
@@ -146,26 +145,20 @@ def run_windowed_adaptive(values: np.ndarray, spec: WindowedTaskSpec,
 
     Each sampling operation at step ``t`` observes the exact aggregate of
     the trailing window ending at ``t`` (the operation collects the
-    window's raw data); adaptation runs on that aggregated stream.
+    window's raw data), so the run is
+    :func:`~repro.experiments.runner.run_adaptive` over the aggregated
+    stream, which comes back with the result.
 
     Args:
         values: the raw full-resolution stream.
         spec: windowed task (threshold task + window + aggregation kind).
         config: adaptation tunables.
     """
+    # Imported here: the runner's engine rows sit above this module.
+    from repro.experiments.runner import run_adaptive
+
     aggregated = aggregate_trace(values, spec.window, spec.kind)
-    sampler = ViolationLikelihoodSampler(spec.task, config)
-    n = aggregated.size
-    sampled: list[int] = []
-    t = 0
-    while t < n:
-        sampled.append(t)
-        decision = sampler.observe(float(aggregated[t]), t)
-        t += max(1, decision.next_interval)
-    accuracy = evaluate_sampling(aggregated, spec.task.threshold, sampled,
-                                 spec.task.direction)
-    return WindowedRunResult(
-        sampled_indices=np.asarray(sampled, dtype=int),
-        accuracy=accuracy,
-        aggregated=aggregated,
-    )
+    run = run_adaptive(aggregated, spec.task, config,
+                       record_intervals=False)
+    return WindowedRunResult(sampled_indices=run.sampled_indices,
+                             accuracy=run.accuracy, aggregated=aggregated)

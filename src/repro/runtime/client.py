@@ -4,12 +4,15 @@ Both clients speak one request/one reply over a single connection (the
 server replies in order, so no correlation ids are needed). Error replies
 (``ok: false``) raise :class:`~repro.exceptions.ProtocolError` — with the
 deliberate exception of backpressure: a shed batch is an expected
-operating condition, so :meth:`offer_batch` returns the reply dict and the
-caller decides whether to retry after ``retry_after_ms`` or drop.
+operating condition, so :meth:`~_ConvenienceOps.offer_batch` returns the
+reply dict and the caller decides whether to retry after
+``retry_after_ms`` or drop.
 
-The sync :class:`RuntimeClient` exists for collection pipelines that are
-not asyncio programs (cron collectors, WSGI hooks, the load generator);
-the :class:`AsyncRuntimeClient` is for event-loop-native integrations.
+Every op is written once, in :class:`_ConvenienceOps`; the two clients
+differ only in I/O. The sync :class:`RuntimeClient` exists for collection
+pipelines that are not asyncio programs (cron collectors, WSGI hooks, the
+load generator); the :class:`AsyncRuntimeClient` is for event-loop-native
+integrations.
 """
 
 from __future__ import annotations
@@ -29,44 +32,144 @@ from repro.runtime.protocol import (PROTOCOL_BINARY, PROTOCOL_JSON,
 __all__ = ["AsyncRuntimeClient", "RuntimeClient"]
 
 Update = Sequence[Any]  # [task, step, value]
+Pick = Callable[[Any], Any]
 
 
-def _offer_reply_error(reply: Any) -> ProtocolError:
-    if isinstance(reply, dict):
+def _failure(reply: Any, op: str) -> ProtocolError:
+    if not isinstance(reply, dict):
         return ProtocolError(
-            f"binary offer failed: {reply.get('error', 'unknown error')} "
-            f"(code={reply.get('code', '?')})")
+            f"unexpected {type(reply).__name__} reply to {op!r}")
     return ProtocolError(
-        f"unexpected reply to a binary offer: {type(reply).__name__}")
+        f"{op!r} failed: {reply.get('error', 'unknown error')} "
+        f"(code={reply.get('code', '?')})")
 
 
-def _check_reply(reply: dict[str, Any] | None, op: str) -> dict[str, Any]:
-    if reply is None:
-        raise ProtocolError(f"server closed the connection during {op!r}")
-    if not reply.get("ok"):
-        raise ProtocolError(
-            f"{op!r} failed: {reply.get('error', 'unknown error')} "
-            f"(code={reply.get('code', '?')})")
+def _check_reply(reply: Any, op: str) -> dict[str, Any]:
+    if isinstance(reply, dict) and reply.get("ok"):
+        return reply
+    raise _failure(reply, op)
+
+
+def _whole(reply: Any) -> Any:
     return reply
 
 
-def _whole(reply: dict[str, Any]) -> dict[str, Any]:
-    return reply
+def _offer_reply(reply: Any) -> OfferReply:
+    if isinstance(reply, OfferReply):
+        return reply
+    raise _failure(reply, "binary offer")
 
 
 class _ConvenienceOps:
-    """The one-request ops both clients offer, each stated once.
+    """Every op both clients offer, each stated once.
 
-    A method builds its request and hands ``(payload, pick)`` to
-    ``_call``; ``pick`` takes the checked reply to the method's value.
+    A method builds its request frame and hands ``(parts, pick)`` to
+    ``_exchange``; ``pick`` takes the reply to the method's value. An op
+    with nothing to send hands its value to ``_done`` instead.
     :class:`RuntimeClient` answers with that value,
     :class:`AsyncRuntimeClient` with a coroutine of it — the annotations
-    below name the value either way.
+    below name the value either way. A request is built (and the intern
+    table updated) when the method is called.
     """
 
-    def _call(self, payload: dict[str, Any],
-              pick: Callable[[dict[str, Any]], Any] = _whole) -> Any:
+    def __init__(self, host: str, port: int,
+                 unix_socket: str | pathlib.Path | None):
+        self._host = host
+        self._port = port
+        self._unix = None if unix_socket is None else str(unix_socket)
+        self._protocol = PROTOCOL_JSON
+        self._intern: dict[str, int] = {}
+
+    def _exchange(self, parts: tuple[bytes, bytes], pick: Pick) -> Any:
+        """Send one frame, read its reply and return ``pick(reply)``."""
         raise NotImplementedError
+
+    def _done(self, value: Any) -> Any:
+        """``value``, as an op that needed no I/O returns it."""
+        raise NotImplementedError
+
+    def _forget_connection(self) -> None:
+        # Negotiation and the intern table are per-connection server
+        # state: a closed connection takes both with it.
+        self._protocol = PROTOCOL_JSON
+        self._intern.clear()
+
+    @property
+    def protocol(self) -> int:
+        """The negotiated protocol version (1 until :meth:`negotiate`)."""
+        return self._protocol
+
+    def request(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """Send one frame and return the raw reply dict."""
+        return self._exchange(encode_frame_parts(payload), _whole)
+
+    def _call(self, payload: dict[str, Any], pick: Pick = _whole) -> Any:
+        op = str(payload.get("op"))
+        return self._exchange(encode_frame_parts(payload),
+                              lambda reply: pick(_check_reply(reply, op)))
+
+    # -- negotiation and the binary protocol ------------------------------
+
+    def negotiate(self, max_protocol: int = PROTOCOL_VERSION) -> int:
+        """Negotiate the connection's protocol; returns the agreed version."""
+        def agreed(reply: dict[str, Any]) -> int:
+            self._protocol = int(reply.get("protocol", PROTOCOL_JSON))
+            return self._protocol
+
+        return self._call({"op": "hello", "max_protocol": max_protocol},
+                          agreed)
+
+    def intern(self, names: Sequence[str]) -> list[int]:
+        """Intern task names for columnar offers; returns their indexes.
+
+        Indexes are assigned client-side (dense, in first-seen order) and
+        are stable for the life of the connection. Already-interned names
+        cost nothing; call :meth:`reintern` instead after registering
+        tasks that were interned *before* registration, so the server
+        re-resolves them onto engine rows.
+        """
+        entries = []
+        for name in names:
+            if name not in self._intern:
+                idx = len(self._intern)
+                self._intern[name] = idx
+                entries.append([idx, name])
+        indexes = [self._intern[n] for n in names]
+        if not entries:
+            return self._done(indexes)
+        return self._call({"op": "intern", "tasks": entries},
+                          lambda reply: indexes)
+
+    def reintern(self) -> None:
+        """Re-send the whole intern table (re-resolves rows server-side)."""
+        if not self._intern:
+            return self._done(None)
+        return self._call({"op": "intern",
+                           "tasks": [[i, n] for n, i in self._intern.items()]},
+                          lambda reply: None)
+
+    def offer_columns(self, task_idx: Any, steps: Any,
+                      values: Any) -> OfferReply:
+        """Push one binary columnar batch; returns the decoded reply.
+
+        Requires a prior :meth:`negotiate` that agreed on protocol >= 2
+        and task indexes from :meth:`intern`. Backpressure is reported on
+        the reply (``reply.backpressure`` / ``reply.retry_after_ms``), not
+        raised, mirroring :meth:`offer_batch`.
+        """
+        if self._protocol < PROTOCOL_BINARY:
+            raise ProtocolError(
+                "binary offers need negotiate() to agree on protocol >= 2")
+        return self._exchange(encode_offer_columns(task_idx, steps, values),
+                              _offer_reply)
+
+    # -- JSON ops --------------------------------------------------------
+
+    def offer_batch(self, updates: Sequence[Update]) -> dict[str, Any]:
+        """Push a batch; returns the reply even under backpressure
+        (check ``reply.get("shed", 0)``)."""
+        return self._call({"op": "offer_batch",
+                           "updates": [list(u) for u in updates]})
 
     def ping(self) -> dict[str, Any]:
         return self._call({"op": "ping"})
@@ -84,6 +187,8 @@ class _ConvenienceOps:
 
     def add_trigger(self, target: str, trigger: str, elevation_level: float,
                     suspend_interval: int = 10) -> dict[str, Any]:
+        """Guard ``target`` on ``trigger``: the plan of the pair at
+        hysteresis 0 / hold 0, wherever the two tasks live."""
         return self._call({"op": "add_trigger", "target": target,
                            "trigger": trigger,
                            "elevation_level": elevation_level,
@@ -168,19 +273,10 @@ class RuntimeClient(_ConvenienceOps):
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  unix_socket: str | pathlib.Path | None = None,
                  timeout: float = 30.0):
-        self._host = host
-        self._port = port
-        self._unix = None if unix_socket is None else str(unix_socket)
+        super().__init__(host, port, unix_socket)
         self._timeout = timeout
         self._sock: socket.socket | None = None
         self._file: Any = None
-        self._protocol = PROTOCOL_JSON
-        self._intern: dict[str, int] = {}
-
-    @property
-    def protocol(self) -> int:
-        """The negotiated protocol version (1 until :meth:`negotiate`)."""
-        return self._protocol
 
     def connect(self) -> None:
         """Open the connection now (otherwise the first request does)."""
@@ -198,19 +294,15 @@ class RuntimeClient(_ConvenienceOps):
         self._file = sock.makefile("rb")
 
     def close(self) -> None:
-        """Close the connection (idempotent).
-
-        Negotiation and the intern table are per-connection server state,
-        so both reset here; re-run :meth:`negotiate` after reconnecting.
-        """
+        """Close the connection (idempotent); re-run :meth:`negotiate`
+        after reconnecting."""
         if self._file is not None:
             self._file.close()
             self._file = None
         if self._sock is not None:
             self._sock.close()
             self._sock = None
-        self._protocol = PROTOCOL_JSON
-        self._intern.clear()
+        self._forget_connection()
 
     def __enter__(self) -> "RuntimeClient":
         self.connect()
@@ -237,98 +329,16 @@ class RuntimeClient(_ConvenienceOps):
         else:
             self._sock.sendall(body[sent - len(header):])
 
-    def request(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Send one frame and return the raw reply dict."""
+    def _exchange(self, parts: tuple[bytes, bytes], pick: Pick) -> Any:
         self.connect()
-        self._send_parts(*encode_frame_parts(payload))
+        self._send_parts(*parts)
         reply = read_frame_blocking(self._file)
         if reply is None:
             raise ProtocolError("server closed the connection")
-        return reply
+        return pick(reply)
 
-    def _call(self, payload: dict[str, Any],
-              pick: Callable[[dict[str, Any]], Any] = _whole) -> Any:
-        return pick(_check_reply(self.request(payload),
-                                 str(payload.get("op"))))
-
-    # -- binary protocol -------------------------------------------------
-
-    def negotiate(self, max_protocol: int = PROTOCOL_VERSION) -> int:
-        """Negotiate the connection's protocol; returns the agreed version.
-
-        A protocol-1 server has no ``hello`` op at all — its ``unknown-op``
-        error means "stay on JSON", not failure, so this never raises
-        against an old server.
-        """
-        reply = self.request({"op": "hello", "max_protocol": max_protocol})
-        if not reply.get("ok"):
-            if reply.get("code") == "unknown-op":
-                self._protocol = PROTOCOL_JSON
-                return self._protocol
-            raise ProtocolError(
-                f"'hello' failed: {reply.get('error', 'unknown error')} "
-                f"(code={reply.get('code', '?')})")
-        self._protocol = int(reply.get("protocol", PROTOCOL_JSON))
-        return self._protocol
-
-    def intern(self, names: Sequence[str]) -> list[int]:
-        """Intern task names for columnar offers; returns their indexes.
-
-        Indexes are assigned client-side (dense, in first-seen order) and
-        are stable for the life of the connection. Already-interned names
-        cost nothing; call :meth:`reintern` instead after registering
-        tasks that were interned *before* registration, so the server
-        re-resolves them onto engine rows.
-        """
-        entries = []
-        for name in names:
-            if name not in self._intern:
-                idx = len(self._intern)
-                self._intern[name] = idx
-                entries.append([idx, name])
-        if entries:
-            self._call({"op": "intern", "tasks": entries})
-        return [self._intern[n] for n in names]
-
-    def reintern(self) -> None:
-        """Re-send the whole intern table (re-resolves rows server-side)."""
-        if self._intern:
-            self._call({"op": "intern",
-                        "tasks": [[i, n] for n, i in self._intern.items()]})
-
-    def offer_columns(self, task_idx: Any, steps: Any,
-                      values: Any) -> OfferReply:
-        """Push one binary columnar batch; returns the decoded reply.
-
-        Requires a prior :meth:`negotiate` that agreed on protocol >= 2
-        and task indexes from :meth:`intern`. Backpressure is reported on
-        the reply (``reply.backpressure`` / ``reply.retry_after_ms``), not
-        raised, mirroring :meth:`offer_batch`.
-        """
-        if self._protocol < PROTOCOL_BINARY:
-            raise ProtocolError(
-                "binary offers need negotiate() to agree on protocol >= 2")
-        self.connect()
-        self._send_parts(*encode_offer_columns(task_idx, steps, values))
-        reply = read_frame_blocking(self._file)
-        if reply is None:
-            raise ProtocolError("server closed the connection")
-        if isinstance(reply, OfferReply):
-            return reply
-        raise _offer_reply_error(reply)
-
-    # -- JSON offers (the other ops are _ConvenienceOps') -----------------
-
-    def offer_batch(self, updates: Sequence[Update]) -> dict[str, Any]:
-        """Push a batch; returns the reply even under backpressure
-        (check ``reply.get("shed", 0)``)."""
-        reply = self.request({"op": "offer_batch",
-                              "updates": [list(u) for u in updates]})
-        if not reply.get("ok"):
-            raise ProtocolError(
-                f"offer_batch failed: {reply.get('error')} "
-                f"(code={reply.get('code', '?')})")
-        return reply
+    def _done(self, value: Any) -> Any:
+        return value
 
 
 class AsyncRuntimeClient(_ConvenienceOps):
@@ -340,19 +350,10 @@ class AsyncRuntimeClient(_ConvenienceOps):
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  unix_socket: str | pathlib.Path | None = None):
-        self._host = host
-        self._port = port
-        self._unix = None if unix_socket is None else str(unix_socket)
+        super().__init__(host, port, unix_socket)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._lock = asyncio.Lock()
-        self._protocol = PROTOCOL_JSON
-        self._intern: dict[str, int] = {}
-
-    @property
-    def protocol(self) -> int:
-        """The negotiated protocol version (1 until :meth:`negotiate`)."""
-        return self._protocol
 
     async def connect(self) -> None:
         if self._writer is not None:
@@ -373,8 +374,7 @@ class AsyncRuntimeClient(_ConvenienceOps):
                 pass
             self._writer = None
             self._reader = None
-        self._protocol = PROTOCOL_JSON
-        self._intern.clear()
+        self._forget_connection()
 
     async def __aenter__(self) -> "AsyncRuntimeClient":
         await self.connect()
@@ -383,73 +383,7 @@ class AsyncRuntimeClient(_ConvenienceOps):
     async def __aexit__(self, *exc: object) -> None:
         await self.close()
 
-    async def request(self, payload: dict[str, Any]) -> dict[str, Any]:
-        async with self._lock:
-            await self.connect()
-            assert self._writer is not None and self._reader is not None
-            self._writer.writelines(encode_frame_parts(payload))
-            await self._writer.drain()
-            reply = await read_frame(self._reader)
-        if reply is None:
-            raise ProtocolError("server closed the connection")
-        return reply
-
-    async def _call(self, payload: dict[str, Any],
-                    pick: Callable[[dict[str, Any]], Any] = _whole) -> Any:
-        return pick(_check_reply(await self.request(payload),
-                                 str(payload.get("op"))))
-
-    # -- binary protocol -------------------------------------------------
-
-    async def negotiate(self, max_protocol: int = PROTOCOL_VERSION) -> int:
-        """Negotiate the connection's protocol; returns the agreed version.
-
-        As with the sync client, a protocol-1 server's ``unknown-op`` reply
-        means "stay on JSON" rather than failure.
-        """
-        reply = await self.request({"op": "hello",
-                                    "max_protocol": max_protocol})
-        if not reply.get("ok"):
-            if reply.get("code") == "unknown-op":
-                self._protocol = PROTOCOL_JSON
-                return self._protocol
-            raise ProtocolError(
-                f"'hello' failed: {reply.get('error', 'unknown error')} "
-                f"(code={reply.get('code', '?')})")
-        self._protocol = int(reply.get("protocol", PROTOCOL_JSON))
-        return self._protocol
-
-    async def intern(self, names: Sequence[str]) -> list[int]:
-        """Intern task names for columnar offers; returns their indexes."""
-        entries = []
-        for name in names:
-            if name not in self._intern:
-                idx = len(self._intern)
-                self._intern[name] = idx
-                entries.append([idx, name])
-        if entries:
-            await self._call({"op": "intern", "tasks": entries})
-        return [self._intern[n] for n in names]
-
-    async def reintern(self) -> None:
-        """Re-send the whole intern table (re-resolves rows server-side)."""
-        if self._intern:
-            await self._call(
-                {"op": "intern",
-                 "tasks": [[i, n] for n, i in self._intern.items()]})
-
-    async def offer_columns(self, task_idx: Any, steps: Any,
-                            values: Any) -> OfferReply:
-        """Push one binary columnar batch; returns the decoded reply.
-
-        Same contract as the sync client: requires protocol >= 2 from
-        :meth:`negotiate`; backpressure rides on the reply, not an
-        exception.
-        """
-        if self._protocol < PROTOCOL_BINARY:
-            raise ProtocolError(
-                "binary offers need negotiate() to agree on protocol >= 2")
-        parts = encode_offer_columns(task_idx, steps, values)
+    async def _exchange(self, parts: tuple[bytes, bytes], pick: Pick) -> Any:
         async with self._lock:
             await self.connect()
             assert self._writer is not None and self._reader is not None
@@ -458,15 +392,7 @@ class AsyncRuntimeClient(_ConvenienceOps):
             reply = await read_frame(self._reader)
         if reply is None:
             raise ProtocolError("server closed the connection")
-        if isinstance(reply, OfferReply):
-            return reply
-        raise _offer_reply_error(reply)
+        return pick(reply)
 
-    async def offer_batch(self, updates: Sequence[Update]) -> dict[str, Any]:
-        reply = await self.request({"op": "offer_batch",
-                                    "updates": [list(u) for u in updates]})
-        if not reply.get("ok"):
-            raise ProtocolError(
-                f"offer_batch failed: {reply.get('error')} "
-                f"(code={reply.get('code', '?')})")
-        return reply
+    async def _done(self, value: Any) -> Any:
+        return value

@@ -56,16 +56,19 @@ from typing import Any, Awaitable, Callable
 import numpy as np
 
 from repro.cluster.routing import route
-from repro.config import _TOP_KEYS, _service_defaults
+from repro.config import (_TOP_KEYS, _service_defaults,
+                          config_trigger_plans, trigger_pair_plan)
 from repro.core.adaptation import AdaptationConfig
 from repro.core.soa import STEP_MAX, STEP_MIN
 from repro.exceptions import (CheckpointError, ConfigurationError,
                               ProtocolError, ReproError)
 from repro.runtime.checkpoint import read_checkpoint, write_checkpoint
 from repro.runtime.protocol import (PROTOCOL_BINARY, PROTOCOL_JSON,
-                                    PROTOCOL_VERSION, OfferColumns,
+                                    PROTOCOL_VERSION, SHED_RETRY_MS,
+                                    OfferColumns,
                                     encode_frame_parts, encode_offer_reply,
                                     intern_entries, read_frame)
+from repro.runtime.shard import SHARD_COUNTERS
 from repro.telemetry.exposition import (CONTENT_TYPE_PROMETHEUS,
                                         TelemetryHTTPServer,
                                         render_prometheus)
@@ -78,14 +81,6 @@ __all__ = ["WireServer"]
 logger = logging.getLogger(__name__)
 
 _MAX_INTERN = 1 << 20  # hard cap on per-connection intern table size
-
-# The ``stats`` totals keep their original short keys: they are the
-# reply's own namespace (consumed by loadgen, replay, the chaos harness),
-# distinct from the per-shard canonical counter snapshots.
-_TOTALS = (("offered", "updates_offered"), ("applied", "updates_applied"),
-           ("consumed", "updates_consumed"), ("shed", "updates_shed"),
-           ("rejected", "updates_rejected"), ("alerts", "alerts_fired"),
-           ("queue_depth", "queue_depth"))
 
 
 def _error(message: str, code: str = "bad-request") -> dict[str, Any]:
@@ -130,8 +125,8 @@ class WireServer:
     Args:
         config: a :class:`~repro.config.RuntimeConfig` or
             :class:`~repro.config.ClusterConfig` (the listen addresses,
-            ``max_batch``, ``shed_retry_ms`` and ``checkpoint_path``
-            fields are read here).
+            ``max_batch`` and ``checkpoint_path`` fields are read here;
+            a shed reply's retry hint is :data:`~repro.runtime.protocol.SHED_RETRY_MS`).
         n_shards: total shard count tasks are routed over.
         registry: metrics registry for the front end's instruments.
         trace: decision trace receiving structured server events.
@@ -354,25 +349,26 @@ class WireServer:
                 "/trace": trace_route}
 
     async def apply_config(self, config: dict[str, Any]) -> None:
-        """Register defaults, tasks and triggers from a config dict.
+        """Register defaults, tasks and trigger plans from a config dict.
 
         Fails closed, as :func:`repro.config.service_from_config` does: an
-        unknown key at the top or in ``defaults`` is refused. Tasks and
-        trigger plans a checkpoint already restored win over the config's
-        copy, so restarted state (a deliberately disarmed guard, an
-        adapted sampler) is never reset by the file.
+        unknown key at the top or in ``defaults``, or a malformed trigger
+        entry, is refused. Tasks and trigger plans a checkpoint already
+        restored win over the config's copy, so restarted state (a
+        deliberately disarmed guard, an adapted sampler) is never reset
+        by the file.
         """
         if not config:
             return
         self.defaults = dict(_service_defaults(config, _TOP_KEYS))
+        plans = config_trigger_plans(config)
         for entry in config.get("tasks", []):
             if str(entry.get("name", "")) not in self.task_shard:
                 _check(await self.register_task(dict(entry)))
-        for trigger in config.get("triggers", []):
-            _check(await self._op_add_trigger(dict(trigger)))
-        for entry in config.get("trigger_plans", []):
-            if str(dict(entry).get("target", "")) not in self.trigger_plans:
-                _check(await self._op_trigger_install({"plan": dict(entry)}))
+        restored = set(self.trigger_plans)
+        for plan in plans:
+            if plan.target not in restored:
+                _check(await self.install_plan(plan))
 
     async def _restore(self) -> None:
         """Bring the backend up from the checkpoint file, if there is one.
@@ -520,9 +516,9 @@ class WireServer:
                   request: dict[str, Any]) -> dict[str, Any]:
         """Version negotiation: both sides meet at the lower maximum.
 
-        A protocol-1 server has no ``hello`` op at all — clients treat
-        its ``unknown-op`` error as "stay on JSON", which is what makes
-        the upgrade transparent in both directions.
+        A client asking for 1 (or sending no ``max_protocol``) stays on
+        JSON. Every server answers ``hello``, so a client treats any
+        error reply to it as a failure.
         """
         try:
             peer_max = int(request.get("max_protocol", PROTOCOL_JSON))
@@ -649,7 +645,7 @@ class WireServer:
                                  "rejected": rejected + late_rejected}
         if shed:
             reply["backpressure"] = True
-            reply["retry_after_ms"] = self.config.shed_retry_ms
+            reply["retry_after_ms"] = SHED_RETRY_MS
         return reply
 
     async def _offer_columns(self, conn: ConnState,
@@ -681,7 +677,7 @@ class WireServer:
             conn, began, count, idx, steps, values)
         return encode_offer_reply(accepted, shed, rejected + late_rejected,
                                   shed > 0,
-                                  self.config.shed_retry_ms if shed else 0)
+                                  SHED_RETRY_MS if shed else 0)
 
     async def _route(self, conn: ConnState, began: float, count: int,
                      idx: np.ndarray, steps: np.ndarray, values: np.ndarray,
@@ -794,52 +790,26 @@ class WireServer:
                               ) -> dict[str, Any]:
         return await self.remove_task(str(request.get("task", "")))
 
-    async def _op_add_trigger(self, request: dict[str, Any],
-                              ) -> dict[str, Any]:
-        target = str(request.get("target", ""))
-        trigger = str(request.get("trigger", ""))
-        for name in (target, trigger):
-            if name not in self.task_shard:
-                return _unknown_task(name)
-        sid = self.task_shard[target]
-        if sid != self.task_shard[trigger]:
-            return _error(
-                f"target {target!r} (shard {sid}) and trigger {trigger!r} "
-                f"(shard {self.task_shard[trigger]}) hash to different "
-                f"shards; correlation gating is intra-shard",
-                code="cross-shard-trigger")
-        # A local pair is a plan whose two halves share a shard, at
-        # hysteresis 0 / hold 0: listed, counted, checkpointed and
-        # re-installed after a failover as one.
-        plan = TriggerPlan(
-            target, trigger, float(request.get("elevation_level", 0.0)),
-            int(request.get("suspend_interval", 10)), hysteresis=0.0,
-            min_hold=0)
-        self._refuse_second_level(plan)
-        reply = await self._shard_call(sid, {
-            "op": "w_add_trigger", "shard": sid, "target": target,
-            "trigger": trigger, "elevation_level": plan.elevation_level,
-            "suspend_interval": plan.suspend_interval})
-        if not reply.get("ok"):
-            return reply
-        self.trigger_plans[target] = plan
-        return {"ok": True, "target": target, "trigger": trigger}
-
     # -- trigger channel (repro.triggers, DESIGN.md S32) ----------------
 
     async def _op_trigger_install(self, request: dict[str, Any],
                                   ) -> dict[str, Any]:
-        """Install a trigger plan on the shards of both its tasks.
-
-        Unlike ``add_trigger`` (the same gate, intra-shard and never
-        debounced), the plan's trigger and target may live on different
-        shards: the trigger's shard watches for elevation edges and the
-        backend routes them to the target's shard.
-        """
         entry = request.get("plan")
         if not isinstance(entry, dict):
             return _error("trigger_install needs a 'plan' dict")
-        plan = TriggerPlan.from_dict(entry)
+        return await self.install_plan(TriggerPlan.from_dict(entry))
+
+    async def _op_add_trigger(self, request: dict[str, Any],
+                              ) -> dict[str, Any]:
+        """A pair's flat fields: the plan at hysteresis 0 / hold 0."""
+        return await self.install_plan(trigger_pair_plan(
+            {key: value for key, value in request.items() if key != "op"}))
+
+    async def install_plan(self, plan: TriggerPlan) -> dict[str, Any]:
+        """Install a trigger plan on the shards of both its tasks — one
+        shard or two, on one worker or two: the trigger's shard watches
+        for elevation edges and its host (or the coordinator) routes
+        them to the target's shard."""
         for name in (plan.target, plan.trigger):
             if name not in self.task_shard:
                 return _unknown_task(name)
@@ -992,8 +962,11 @@ class WireServer:
                 continue  # unreachable host: report the shards we can see
             if reply.get("ok"):
                 shards.extend(reply["shards"])
-        totals = {short: sum(s[canonical] for s in shards)
-                  for short, canonical in _TOTALS}
+        # The totals keep the ledger's short keys: the reply's own
+        # namespace (loadgen, replay, the chaos harness read it).
+        totals = {counter.short: sum(s[counter.key] for s in shards)
+                  for counter in SHARD_COUNTERS}
+        totals["queue_depth"] = sum(s["queue_depth"] for s in shards)
         totals["tasks"] = len(self.task_shard)
         reply = {"ok": True, "shards": shards, "totals": totals,
                  "frames": self._frames,

@@ -26,10 +26,10 @@ numpy arrays — no per-offer Python objects on either side:
     <u32 nsegs>`` then ``nsegs`` × ``<u4 shard><u4 count>`` followed by
     the concatenated OFFER-style columns for all segments in order.
 
-Negotiation is in-band and backwards transparent: a client sends the
-JSON op ``hello`` announcing ``max_protocol``; a version-1 server answers
-``unknown-op`` and the client simply stays on JSON. All control ops stay
-JSON at every version — binary is only for the offer fast path.
+Negotiation is in-band: a client sends the JSON op ``hello`` announcing
+``max_protocol`` and the server meets it at the lower maximum (a client
+that never negotiates stays on JSON). All control ops stay JSON at every
+version — binary is only for the offer fast path.
 
 Requests are ``{"op": <name>, ...}``; replies are ``{"ok": true, ...}`` or
 ``{"ok": false, "error": <message>, "code": <machine-readable>}``. The
@@ -56,6 +56,7 @@ __all__ = [
     "PROTOCOL_JSON",
     "PROTOCOL_BINARY",
     "PROTOCOL_VERSION",
+    "SHED_RETRY_MS",
     "OfferColumns",
     "OfferReply",
     "ShardOffer",
@@ -82,6 +83,10 @@ PROTOCOL_BINARY = 2
 
 PROTOCOL_VERSION = PROTOCOL_BINARY
 """Highest protocol version this build speaks."""
+
+SHED_RETRY_MS = 50
+"""The retry hint (``retry_after_ms``) a reply to a shed batch carries;
+the cluster's migration-buffer flush waits as long between retries."""
 
 _BINARY_FLAG = 0x8000_0000
 _LENGTH_MASK = 0x7FFF_FFFF

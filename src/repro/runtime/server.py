@@ -18,12 +18,13 @@ queued after the last checkpoint are lost (at-most-once); clients that
 need stronger guarantees replay from their own cursor.
 
 Correlation triggers are one gate (DESIGN.md S32): a guard on the target
-flipped by the arm/disarm edges of a watch on the trigger. ``add_trigger``
-installs the pair undebounced on one shard, whose service routes its own
-edges, and rejects cross-shard pairs with code ``cross-shard-trigger``;
-``trigger_install`` takes a debounced plan whose ends may live on any two
-shards — or, under the cluster runtime, any two workers. The shards'
-host routes every edge between them, as a cluster worker does its own.
+flipped by the arm/disarm edges of a watch on the trigger, installed as
+one :class:`~repro.triggers.plan.TriggerPlan` by one path. ``add_trigger``
+is ``trigger_install`` of the pair at hysteresis 0 / hold 0, and either
+op takes a pair whose ends live on any two shards — or, under the
+cluster runtime, any two workers. A service flips the guards it hosts
+itself; the shards' host routes every edge between them, as a cluster
+worker does its own.
 """
 
 from __future__ import annotations

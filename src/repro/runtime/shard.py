@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import logging
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,10 +28,42 @@ from repro.exceptions import ConfigurationError
 from repro.service import MonitoringService
 from repro.testkit.faults import FaultHook, NOOP_HOOK
 
-__all__ = ["ColumnBatch", "InternedNames", "ShardWorker",
-           "restore_counters"]
+__all__ = ["SHARD_COUNTERS", "ColumnBatch", "InternedNames",
+           "LedgerCounter", "ShardWorker", "restore_counters"]
 
 logger = logging.getLogger(__name__)
+
+class LedgerCounter(NamedTuple):
+    """One shard ledger counter under each of its names."""
+
+    short: str   # the ``stats`` reply's ``totals`` key (and the tooling's)
+    attr: str    # the ShardWorker attribute
+    key: str     # per-shard ``stats`` and checkpoint ``counters`` key
+    family: str  # metric family
+    help: str
+
+
+SHARD_COUNTERS = (
+    LedgerCounter("offered", "offered", "updates_offered",
+                  "volley_updates_offered_total",
+                  "Updates accepted into shard queues"),
+    LedgerCounter("applied", "applied", "updates_applied",
+                  "volley_updates_applied_total",
+                  "Updates applied to shard services"),
+    LedgerCounter("consumed", "consumed", "updates_consumed",
+                  "volley_updates_consumed_total",
+                  "Updates consumed as scheduled samples"),
+    LedgerCounter("shed", "shed", "updates_shed",
+                  "volley_updates_shed_total",
+                  "Updates shed under backpressure"),
+    LedgerCounter("rejected", "rejected", "updates_rejected",
+                  "volley_updates_rejected_total",
+                  "Updates rejected (unknown task / malformed)"),
+    LedgerCounter("alerts", "alerts_fired", "alerts_fired",
+                  "volley_alerts_fired_total",
+                  "State-violation alerts fired"),
+)
+"""The shard ledger, named once: every other place reads its names here."""
 
 
 class InternedNames:
@@ -76,12 +108,8 @@ def restore_counters(worker: "ShardWorker",
                      counters: Mapping[str, Any]) -> None:
     """Load a checkpointed counter dict (:meth:`ShardWorker.stats` keys)
     onto ``worker``."""
-    worker.offered = int(counters.get("updates_offered", 0))
-    worker.applied = int(counters.get("updates_applied", 0))
-    worker.consumed = int(counters.get("updates_consumed", 0))
-    worker.shed = int(counters.get("updates_shed", 0))
-    worker.rejected = int(counters.get("updates_rejected", 0))
-    worker.alerts_fired = int(counters.get("alerts_fired", 0))
+    for counter in SHARD_COUNTERS:
+        setattr(worker, counter.attr, int(counters.get(counter.key, 0)))
 
 
 class ShardWorker:
@@ -226,18 +254,15 @@ class ShardWorker:
     def stats(self) -> dict[str, Any]:
         """Counter snapshot for the ``stats`` wire op.
 
-        Keys follow the canonical telemetry naming (``updates_offered``,
-        ..., ``alerts_fired``); :func:`restore_counters` reads them back.
+        The ledger's keys are :data:`SHARD_COUNTERS`' long ones;
+        :func:`restore_counters` reads them back.
         """
-        return {
+        stats: dict[str, Any] = {
             "shard": self.shard_id,
             "tasks": len(self.service.task_names),
             "queue_depth": self.depth,
             "queue_capacity": self.capacity,
-            "updates_offered": self.offered,
-            "updates_applied": self.applied,
-            "updates_consumed": self.consumed,
-            "updates_shed": self.shed,
-            "updates_rejected": self.rejected,
-            "alerts_fired": self.alerts_fired,
         }
+        for counter in SHARD_COUNTERS:
+            stats[counter.key] = getattr(self, counter.attr)
+        return stats

@@ -32,6 +32,7 @@ from repro.core.adaptation import AdaptationConfig
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.server import RuntimeServer
+from repro.runtime.shard import SHARD_COUNTERS
 from repro.scenarios.compiler import CompiledScenario
 from repro.service import MonitoringService
 from repro.testkit.faults import (FaultPlan, FaultSpec, NOOP_HOOK,
@@ -40,9 +41,6 @@ from repro.testkit.faults import (FaultPlan, FaultSpec, NOOP_HOOK,
 __all__ = ["ReplayResult", "replay_scenario", "simulate_replay"]
 
 SIM_MODES = ("volley", "always", "never")
-
-_COUNTER_KEYS = ("offered", "applied", "consumed", "shed", "rejected",
-                 "alerts")
 
 
 @dataclass
@@ -265,8 +263,8 @@ async def _replay(compiled: CompiledScenario, shards: int,
         await poll_trace()
 
         server_stats = await client.stats()
-        counters = {key: int(server_stats["totals"][key])
-                    for key in _COUNTER_KEYS}
+        counters = {counter.short: int(server_stats["totals"][counter.short])
+                    for counter in SHARD_COUNTERS}
 
         trigger_stats: dict[str, Any] | None = None
         if plans:

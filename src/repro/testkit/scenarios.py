@@ -48,6 +48,7 @@ from repro.runtime.checkpoint import (_jsonable, read_checkpoint,
                                       state_fingerprint)
 from repro.runtime.protocol import encode_frame, read_frame
 from repro.runtime.server import RuntimeServer
+from repro.runtime.shard import SHARD_COUNTERS
 from repro.service import MonitoringService
 from repro.simulation.clock import SimulationClock
 from repro.testkit.faults import (FRAME_CORRUPT, FRAME_DROP, FRAME_OK,
@@ -72,17 +73,6 @@ SHARDS = 4
 STEPS = 240
 BARRIER_EVERY = 60
 ADAPTATION = {"patience": 5, "min_samples": 5, "stats_restart": 100}
-
-COUNTER_KEYS = ("offered", "applied", "consumed", "shed", "rejected",
-                "alerts")
-# Per-shard stats replies carry canonical counter keys only; the shadow
-# predictions keep the compact short names internally.
-CANONICAL_KEYS = {"offered": "updates_offered",
-                  "applied": "updates_applied",
-                  "consumed": "updates_consumed",
-                  "shed": "updates_shed",
-                  "rejected": "updates_rejected",
-                  "alerts": "alerts_fired"}
 
 SCENARIOS: dict[str, FaultSpec] = {
     # Fault-free baseline: the full pipeline and every barrier check must
@@ -179,7 +169,8 @@ class _ScenarioDriver:
         self.trace = scenario_trace(name, seed)
         # Shadow reference: per-shard services the driver advances itself.
         self.shadow: list[MonitoringService] = []
-        self.predicted = [dict.fromkeys(COUNTER_KEYS, 0)
+        # The shard ledger as predicted, under its short keys.
+        self.predicted = [{counter.short: 0 for counter in SHARD_COUNTERS}
                           for _ in range(SHARDS)]
         for shard in range(SHARDS):
             service = MonitoringService(self.adaptation)
@@ -336,8 +327,8 @@ class _ScenarioDriver:
         stats = await _roundtrip(server.tcp_port, {"op": "stats"})
         assert stats is not None and stats.get("ok"), stats
         for shard_stats, expected in zip(stats["shards"], self.predicted):
-            actual = {key: shard_stats[CANONICAL_KEYS[key]]
-                      for key in COUNTER_KEYS}
+            actual = {counter.short: shard_stats[counter.key]
+                      for counter in SHARD_COUNTERS}
             if actual != expected:
                 self.counter_mismatches.append(
                     f"barrier {self.barrier_checks}: shard "

@@ -112,22 +112,26 @@ class TestEquivalence:
         reply = run_cluster(scenario)
         assert reply["accepted"] == 1 and reply["rejected"] == 1
 
-    def test_cross_shard_trigger_rejected_same_code(self):
+    def test_cross_worker_trigger_installs_a_plan(self):
         async def scenario(cluster):
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
-                # task-0 routes to shard 1, task-4 to shard 0 (golden
-                # assignments) — correlation gating stays intra-shard.
+                # task-0 routes to shard 1 (on w1), task-4 to shard 0 (on
+                # w0) — golden assignments: a pair across workers is a
+                # plan like any other.
                 for task in TASKS:
                     await client.register_task(**task)
-                return await client.request(
+                reply = await client.request(
                     {"op": "add_trigger", "target": "task-0",
                      "trigger": "task-4", "elevation_level": 0.5})
+                return reply, await client.trigger_state("task-0")
             finally:
                 await client.close()
 
-        reply = run_cluster(scenario, shards=SHARDS)
-        assert not reply["ok"] and reply["code"] == "cross-shard-trigger"
+        reply, state = run_cluster(scenario, shards=SHARDS)
+        assert reply == {"ok": True, "target": "task-0",
+                         "trigger": "task-4", "plans": 1}
+        assert state["state"]["trigger"] == "task-4"
 
     def test_same_shard_trigger_accepted(self):
         async def scenario(cluster):

@@ -1,9 +1,9 @@
 """Golden tests pinning the task-to-shard routing function.
 
 ``route(task_id, n_shards)`` is a compatibility contract, not an
-implementation detail: checkpoints persist ``task_shard`` maps, the
-cross-shard-trigger rule depends on which tasks co-locate, and a cluster
-restores single-authored state by recomputing the same assignments. If
+implementation detail: checkpoints persist ``task_shard`` maps, whether
+a trigger edge is flipped inline depends on which tasks co-locate, and a
+cluster restores single-authored state by recomputing the same assignments. If
 these pins ever fail, the change silently orphans every existing
 checkpoint — bump a checkpoint version instead of editing the values.
 """

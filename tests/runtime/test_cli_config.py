@@ -28,18 +28,16 @@ from repro.runtime.server import RuntimeServer
 CLUSTER_SECTION = {
     "workers": 3, "shards": 7, "backend": "inproc", "host": "127.0.0.2",
     "port": 9701, "http_port": 9791, "queue_depth": 77, "max_batch": 99,
-    "buffer_depth": 1234, "heartbeat_interval": 0.25,
-    "heartbeat_misses": 5, "heartbeat_timeout": 1.5,
-    "connections_per_worker": 3, "checkpoint_path": "/tmp/c.ckpt",
-    "checkpoint_interval": 12.5, "shed_retry_ms": 17,
-    "trace_capacity": 321, "runtime_dir": "/tmp/rt",
+    "heartbeat_interval": 0.25, "heartbeat_misses": 5,
+    "heartbeat_timeout": 1.5, "checkpoint_path": "/tmp/c.ckpt",
+    "checkpoint_interval": 12.5, "trace_capacity": 321,
+    "runtime_dir": "/tmp/rt",
 }
 RUNTIME_SECTION = {
     "shards": 3, "queue_depth": 77, "max_batch": 99, "host": "127.0.0.2",
     "port": 9701, "unix_socket": "/tmp/r.sock",
     "checkpoint_path": "/tmp/r.ckpt", "checkpoint_interval": 12.5,
-    "shed_retry_ms": 17, "http_port": 9791, "trace_capacity": 321,
-    "selfmon_interval": 0.5,
+    "http_port": 9791, "trace_capacity": 321, "selfmon_interval": 0.5,
 }
 
 

@@ -73,12 +73,12 @@ class TestNegotiation:
 
         assert run_with_server(scenario)
 
-    def test_legacy_server_without_hello_keeps_client_on_json(self):
-        # Simulate a protocol-1 build: every op answers unknown-op. The
-        # client's negotiate() must treat that as "stay on JSON", not an
-        # error.
+    def test_server_without_hello_is_a_protocol_error(self):
+        # Every server has ``hello``; one that answers it unknown-op is
+        # not a server this client speaks to, and negotiate() says so
+        # instead of settling on JSON.
         async def runner():
-            async def legacy(reader, writer):
+            async def no_hello(reader, writer):
                 while await read_frame(reader) is not None:
                     writer.writelines(encode_frame_parts(
                         {"ok": False, "error": "unknown op",
@@ -86,20 +86,19 @@ class TestNegotiation:
                     await writer.drain()
                 writer.close()
 
-            server = await asyncio.start_server(legacy, host="127.0.0.1")
+            server = await asyncio.start_server(no_hello, host="127.0.0.1")
             port = server.sockets[0].getsockname()[1]
             client = AsyncRuntimeClient(port=port)
             try:
-                agreed = await client.negotiate()
-                return agreed, client.protocol
+                with pytest.raises(ProtocolError, match="unknown-op"):
+                    await client.negotiate()
+                return client.protocol
             finally:
                 await client.close()
                 server.close()
                 await server.wait_closed()
 
-        agreed, protocol = asyncio.run(runner())
-        assert agreed == PROTOCOL_JSON
-        assert protocol == PROTOCOL_JSON
+        assert asyncio.run(runner()) == PROTOCOL_JSON
 
     def test_binary_offer_before_hello_is_a_protocol_error(self):
         async def scenario(server, client):

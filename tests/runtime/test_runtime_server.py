@@ -137,7 +137,9 @@ class TestSharding:
         # 64 names over 4 shards: every shard gets some tasks.
         assert len(collections.Counter(shards.values())) == 4
 
-    def test_cross_shard_trigger_rejected(self):
+    def test_cross_shard_trigger_installs_a_plan(self):
+        # A pair is a plan wherever its ends live: the same-shard and the
+        # cross-shard pair both install at hysteresis 0 / hold 0.
         async def scenario(server, client):
             names = [f"task-{i}" for i in range(16)]
             for name in names:
@@ -146,15 +148,16 @@ class TestSharding:
                     if route(n, 4) == route(names[0], 4)]
             other = [n for n in names
                      if route(n, 4) != route(names[0], 4)]
-            ok = await client.add_trigger(same[1], same[0], 5.0)
-            bad = await client.request(
-                {"op": "add_trigger", "target": other[0],
-                 "trigger": names[0], "elevation_level": 5.0})
-            return ok, bad
+            local = await client.add_trigger(same[1], same[0], 5.0)
+            cross = await client.add_trigger(other[0], names[0], 5.0)
+            state = await client.trigger_state(other[0])
+            return other[0], local, cross, state, await client.trigger_plans()
 
-        ok, bad = run_with_server(scenario)
-        assert ok["ok"]
-        assert not bad["ok"] and bad["code"] == "cross-shard-trigger"
+        target, local, cross, state, plans = run_with_server(scenario)
+        assert local["ok"] and cross["ok"] and cross["plans"] == 2
+        assert state["state"]["trigger"] == "task-0"
+        assert {(p["target"], p["trigger"], p["hysteresis"], p["min_hold"])
+                for p in plans["plans"]} >= {(target, "task-0", 0.0, 0)}
 
     def test_batch_fans_out_across_shards(self):
         async def scenario(server, client):

@@ -26,6 +26,7 @@ from repro.cluster.routing import route
 from repro.cluster.server import ClusterServer
 from repro.config import ClusterConfig, RuntimeConfig
 from repro.core.soa import STEP_MAX, STEP_MIN
+from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.protocol import (OfferReply, encode_frame,
                                     encode_offer_columns, read_frame)
 from repro.runtime.server import RuntimeServer
@@ -210,9 +211,11 @@ CASES: dict[str, list[Any]] = {
     "unknown-task-trigger-state": _per_task("trigger_state"),
     "unknown-task-missing-field": [{"op": "task_info"}],
     "unknown-task-add-trigger-target": [
-        {"op": "add_trigger", "target": "ghost", "trigger": A}],
+        {"op": "add_trigger", "target": "ghost", "trigger": A,
+         "elevation_level": 0.5}],
     "unknown-task-add-trigger-trigger": [
-        {"op": "add_trigger", "target": A, "trigger": "ghost"}],
+        {"op": "add_trigger", "target": A, "trigger": "ghost",
+         "elevation_level": 0.5}],
     "unknown-task-trigger-install": [
         {"op": "trigger_install", "plan": {**PLAN, "trigger": "ghost"}}],
     # -- task control ---------------------------------------------------
@@ -250,10 +253,14 @@ CASES: dict[str, list[Any]] = {
     "add-trigger-ok": [{"op": "add_trigger", "target": A, "trigger": SAME,
                         "elevation_level": 0.5}],
     "add-trigger-cross-shard": [
-        {"op": "add_trigger", "target": A, "trigger": OTHER}],
+        {"op": "add_trigger", "target": A, "trigger": OTHER,
+         "elevation_level": 0.5}, *_GATES],
+    "add-trigger-missing-level": [
+        {"op": "add_trigger", "target": A, "trigger": SAME}],
+    "add-trigger-unknown-field": [{**LOCAL_GATE, "hysteresis": 0.1}],
     "add-trigger-bad-interval": [
         {"op": "add_trigger", "target": A, "trigger": SAME,
-         "suspend_interval": "long"}],
+         "elevation_level": 0.5, "suspend_interval": "long"}],
     "trigger-install-ok": [{"op": "trigger_install", "plan": PLAN},
                            {"op": "trigger_install", "plan": PLAN},
                            {"op": "trigger_state", "task": OTHER},
@@ -469,6 +476,82 @@ def test_removing_a_plans_end_drops_the_plan(make_server):
     assert target["state"] == {} and plans["plans"] == []
 
 
+# A task no script registers whose shard sits on the other worker of the
+# two-worker cluster than ``A``'s (placement starts round-robin: shard i
+# on worker i % 2).
+FAR = next(n for n in _NAMES if n not in (SAME, SAME2, OTHER)
+           and route(n, SHARDS) % 2 != route(A, SHARDS) % 2)
+_FAR_PAIR = {"target": FAR, "trigger": A, "elevation_level": 50.0,
+             "suspend_interval": 6}
+
+
+@pytest.mark.parametrize("make_server", [_runtime, _cluster],
+                         ids=["runtime", "cluster"])
+def test_add_trigger_is_trigger_install_at_hold_zero(make_server):
+    """A pair on two shards — two workers of the cluster — installs, and
+    leaves the target's guard, the trigger's watch and the plan table
+    as ``trigger_install`` of the pair at hysteresis 0 / hold 0 does.
+    (Both servers used to refuse it with ``cross-shard-trigger``.)"""
+    reads = [{"op": "trigger_state", "task": FAR},
+             {"op": "trigger_state", "task": A}, {"op": "trigger_plans"}]
+    via_add = asyncio.run(_run_script(make_server(), [
+        _task(FAR), {"op": "add_trigger", **_FAR_PAIR}, *reads]))
+    via_install = asyncio.run(_run_script(make_server(), [
+        _task(FAR), {"op": "trigger_install",
+                     "plan": {**_FAR_PAIR, "hysteresis": 0.0,
+                              "min_hold": 0}}, *reads]))
+    assert via_add[1] == {"ok": True, "target": FAR, "trigger": A,
+                          "plans": 1}
+    assert via_add == via_install
+    assert via_add[2]["state"]["trigger"] == A
+    assert via_add[3]["state"]["watch"]["hysteresis"] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["runtime", "cluster"])
+def test_a_restored_plan_wins_over_a_config_trigger(kind, tmp_path):
+    """A config ``triggers`` entry is skipped when a checkpoint restored
+    a plan for its target, as a ``trigger_plans`` entry is: the plan an
+    operator installed, and the guard they disarmed, survive a restart
+    with the same file. (Both servers used to re-apply every
+    ``triggers`` entry over the restored plan.)"""
+    config = {"tasks": [{"name": A, "threshold": 100.0},
+                        {"name": FAR, "threshold": 100.0}],
+              "triggers": [_FAR_PAIR]}
+    debounced = {**_FAR_PAIR, "elevation_level": 70.0, "hysteresis": 0.2,
+                 "min_hold": 3}
+    path = tmp_path / f"{kind}.ckpt"
+
+    def make() -> Any:
+        if kind == "runtime":
+            return RuntimeServer(RuntimeConfig(
+                port=0, shards=SHARDS, checkpoint_path=path),
+                service_config=config)
+        return ClusterServer(ClusterConfig(
+            backend="inproc", workers=2, shards=SHARDS, port=0,
+            checkpoint_path=path), service_config=config)
+
+    async def run(*requests: dict[str, Any]) -> list[dict[str, Any]]:
+        server = make()
+        await server.start()
+        try:
+            async with AsyncRuntimeClient(port=server.tcp_port) as client:
+                return [await client.request(r) for r in requests]
+        finally:
+            await server.shutdown()  # flushes the final checkpoint
+
+    plans = {"op": "trigger_plans"}
+    first = asyncio.run(run(plans, {"op": "trigger_install",
+                                    "plan": debounced},
+                            {"op": "trigger_disarm", "task": FAR}))
+    assert first[0]["plans"] == [{**_FAR_PAIR, "hysteresis": 0.0,
+                                  "min_hold": 0}]
+    assert first[1]["ok"] and first[2]["ok"]
+    after, state = asyncio.run(run(plans, {"op": "trigger_state",
+                                           "task": FAR}))
+    assert after["plans"] == [debounced]
+    assert state["state"]["armed"] is False
+
+
 def test_table_provokes_every_error_code():
     """The table is only a contract if it reaches every client-facing
     code; a new code needs a row."""
@@ -481,8 +564,8 @@ def test_table_provokes_every_error_code():
         return codes
 
     assert asyncio.run(collect()) == {
-        "protocol", "unknown-op", "unknown-task", "cross-shard-trigger",
-        "batch-too-large", "bad-update", "bad-request"}
+        "protocol", "unknown-op", "unknown-task", "batch-too-large",
+        "bad-update", "bad-request"}
 
 
 # -- the checkpointer (one, in the front end) ---------------------------

@@ -10,16 +10,18 @@ architecture:
 * :mod:`repro.cluster.transport` — the shard-transport interface and its
   three backends (in-proc, subprocess over a unix socket, TCP);
 * :mod:`repro.cluster.worker` — the worker process entry point;
-* :mod:`repro.cluster.coordinator` — placement table, live migration,
-  heartbeat failure recovery, cluster checkpoints, fleet telemetry;
-* :mod:`repro.cluster.server` — the client-facing routing tier, wire-
-  compatible with :class:`repro.runtime.server.RuntimeServer`;
+* :mod:`repro.cluster.server` — :class:`ClusterServer`, the client-facing
+  routing tier (wire-compatible with
+  :class:`repro.runtime.server.RuntimeServer`) and the coordinator behind
+  it: placement table, live migration, heartbeat failure recovery,
+  cluster checkpoints, fleet telemetry;
 * :mod:`repro.cluster.fleet` — merging per-worker metric registries.
 
-Only :func:`route` is imported eagerly: :mod:`repro.runtime.shard`
-imports it for its shard map, so pulling in the heavier cluster modules
-here (which themselves import :mod:`repro.runtime`) would create an
-import cycle. Everything else resolves lazily on first attribute access.
+Only :func:`route` is imported eagerly: :mod:`repro.runtime.frontend` and
+:mod:`repro.runtime.server` import it for their shard maps, so pulling in
+the heavier cluster modules here (which themselves import
+:mod:`repro.runtime`) would create an import cycle. Everything else
+resolves lazily on first attribute access.
 """
 
 from __future__ import annotations
@@ -28,16 +30,14 @@ from typing import Any
 
 from repro.cluster.routing import route
 
-__all__ = ["ClusterServer", "ClusterWorker", "Coordinator",
-           "InProcTransport", "ShardRoute", "ShardTransport",
-           "SubprocessTransport", "TCPTransport", "WorkerHost",
-           "merge_fleet_snapshots", "route"]
+__all__ = ["ClusterServer", "ClusterWorker", "InProcTransport",
+           "ShardRoute", "ShardTransport", "SubprocessTransport",
+           "TCPTransport", "WorkerHost", "merge_fleet_snapshots", "route"]
 
 _LAZY = {
     "ClusterServer": "repro.cluster.server",
     "ClusterWorker": "repro.cluster.worker",
-    "Coordinator": "repro.cluster.coordinator",
-    "ShardRoute": "repro.cluster.coordinator",
+    "ShardRoute": "repro.cluster.server",
     "InProcTransport": "repro.cluster.transport",
     "ShardTransport": "repro.cluster.transport",
     "SubprocessTransport": "repro.cluster.transport",

@@ -86,19 +86,18 @@ async def _run(args: argparse.Namespace) -> None:
                            adaptation=adaptation,
                            service_config=service_config)
     await server.start()
-    coord = server.coordinator
     endpoints = [f"tcp {server.config.host}:{server.tcp_port}"]
     if server.http_port is not None:
         endpoints.append(f"http {server.config.host}:{server.http_port}")
     print(f"[cluster] listening on {', '.join(endpoints)} "
-          f"({len(coord.transports)} workers x {coord.n_shards} shards, "
+          f"({len(server.transports)} workers x {server.n_shards} shards, "
           f"backend={server.config.backend}, "
           f"{server.restored_tasks} tasks restored)", flush=True)
     write_ready_file(args.ready_file, {
         "port": server.tcp_port,
         "http_port": server.http_port,
         "pid": os.getpid(),
-        "workers": coord.worker_pids()})
+        "workers": server.worker_pids()})
     await server.serve_forever()
     print("[cluster] shut down cleanly", flush=True)
 

@@ -54,9 +54,9 @@ from repro.telemetry.histogram import DEFAULT_RELATIVE_ERROR
 from repro.triggers.plan import TriggerPlan
 from repro.types import ThresholdDirection
 
-__all__ = ["ClusterConfig", "RuntimeConfig", "config_trigger_plans",
-           "register_task_from_config", "service_from_config",
-           "task_from_config", "trigger_pair_plan"]
+__all__ = ["ClusterConfig", "RuntimeConfig", "ServerConfig",
+           "config_trigger_plans", "register_task_from_config",
+           "service_from_config", "task_from_config", "trigger_pair_plan"]
 
 
 def _coerce(hint: Any, value: Any) -> Any:
@@ -114,58 +114,66 @@ def _from_section(cls: Any, entry: Any, section: str) -> Any:
 
 
 @dataclass(frozen=True, slots=True)
-class RuntimeConfig:
-    """Deployment knobs for the live-ingestion runtime (``repro.runtime``).
+class ServerConfig:
+    """The knobs both servers share, declared and checked once.
 
     Attributes:
-        shards: number of independent shard workers; tasks are routed to
-            shards by a stable hash of the task name.
+        host / port: TCP listen address (``port=0`` picks a free port).
+        http_port: telemetry HTTP endpoint (``/metrics`` + ``/healthz`` +
+            ``/trace``); ``None`` (the default) disables it, ``0`` picks a
+            free port. Binds on ``host``.
         queue_depth: bounded per-shard ingest queue, in batches. A full
             queue triggers backpressure: further batches for that shard are
             shed with an explicit reply, never queued unboundedly.
         max_batch: maximum updates accepted per ``offer_batch`` frame.
-        host / port: TCP listen address (``port=0`` picks a free port).
-        unix_socket: optional unix-domain socket path to (also) listen on.
-        checkpoint_path: where periodic + shutdown snapshots are written;
-            ``None`` disables checkpointing.
+        checkpoint_path: where periodic + shutdown checkpoints are
+            written; ``None`` disables checkpointing.
         checkpoint_interval: seconds between periodic checkpoints.
-        http_port: telemetry HTTP endpoint (``/metrics`` + ``/healthz`` +
-            ``/trace``); ``None`` (the default) disables it, ``0`` picks a
-            free port. Binds on ``host``.
         trace_capacity: decision-trace ring buffer size in events.
+    """
+
+    host: str = "127.0.0.1"
+    port: int = 0
+    http_port: int | None = None
+    queue_depth: int = 1024
+    max_batch: int = 8192
+    checkpoint_path: pathlib.Path | None = None
+    checkpoint_interval: float = 30.0
+    trace_capacity: int = 4096
+
+    def __post_init__(self) -> None:
+        for attr in ("queue_depth", "max_batch", "trace_capacity"):
+            if getattr(self, attr) < 1:
+                raise ConfigurationError(
+                    f"{attr} must be >= 1, got {getattr(self, attr)}")
+        if self.checkpoint_interval <= 0:
+            raise ConfigurationError(
+                f"checkpoint_interval must be > 0, got "
+                f"{self.checkpoint_interval}")
+
+
+@dataclass(frozen=True, slots=True)
+class RuntimeConfig(ServerConfig):
+    """Deployment knobs for the live-ingestion runtime (``repro.runtime``),
+    beside the shared :class:`ServerConfig` ones.
+
+    Attributes:
+        shards: number of independent shard workers; tasks are routed to
+            shards by a stable hash of the task name.
+        unix_socket: optional unix-domain socket path to (also) listen on.
         selfmon_interval: seconds between self-monitoring polls (the
             runtime's own gauges monitored as Volley tasks); ``None``
             (the default) disables self-monitoring.
     """
 
     shards: int = 4
-    queue_depth: int = 1024
-    max_batch: int = 8192
-    host: str = "127.0.0.1"
-    port: int = 0
     unix_socket: pathlib.Path | None = None
-    checkpoint_path: pathlib.Path | None = None
-    checkpoint_interval: float = 30.0
-    http_port: int | None = None
-    trace_capacity: int = 4096
     selfmon_interval: float | None = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.queue_depth < 1:
-            raise ConfigurationError(
-                f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.max_batch < 1:
-            raise ConfigurationError(
-                f"max_batch must be >= 1, got {self.max_batch}")
-        if self.checkpoint_interval <= 0:
-            raise ConfigurationError(
-                f"checkpoint_interval must be > 0, got "
-                f"{self.checkpoint_interval}")
-        if self.trace_capacity < 1:
-            raise ConfigurationError(
-                f"trace_capacity must be >= 1, got {self.trace_capacity}")
+        ServerConfig.__post_init__(self)
         if self.selfmon_interval is not None and self.selfmon_interval <= 0:
             raise ConfigurationError(
                 f"selfmon_interval must be > 0, got {self.selfmon_interval}")
@@ -180,8 +188,12 @@ _CLUSTER_BACKENDS = ("inproc", "subprocess", "tcp")
 
 
 @dataclass(frozen=True, slots=True)
-class ClusterConfig:
-    """Deployment knobs for the multi-process cluster (``repro.cluster``).
+class ClusterConfig(ServerConfig):
+    """Deployment knobs for the multi-process cluster (``repro.cluster``),
+    beside the shared :class:`ServerConfig` ones (there ``host`` /
+    ``port`` / ``http_port`` are the routing tier's, ``queue_depth`` is
+    each worker's per-shard queue and ``checkpoint_path`` holds the
+    placement table beside every shard snapshot).
 
     Attributes:
         workers: worker processes (or in-proc hosts) the coordinator
@@ -196,23 +208,10 @@ class ClusterConfig:
             or ``tcp`` (externally started workers at
             ``worker_endpoints``).
         worker_endpoints: ``host:port`` strings for the ``tcp`` backend.
-        host / port: the routing tier's TCP listen address
-            (``port=0`` picks a free port).
-        http_port: fleet telemetry HTTP endpoint (merged ``/metrics``,
-            ``/healthz``, ``/trace``); ``None`` disables, ``0`` picks a
-            free port.
-        queue_depth: per-shard ingest queue depth on each worker.
-        max_batch: maximum updates accepted per ``offer_batch`` frame at
-            the router.
         heartbeat_interval: seconds between coordinator heartbeats.
         heartbeat_misses: consecutive missed heartbeats before a worker
             is declared dead and its shards re-placed.
         heartbeat_timeout: per-heartbeat reply timeout in seconds.
-        checkpoint_path: cluster checkpoint file (placement table + every
-            shard snapshot, in the CRC-trailed checkpoint file format);
-            ``None`` disables.
-        checkpoint_interval: seconds between periodic cluster checkpoints.
-        trace_capacity: coordinator decision-trace ring size.
         runtime_dir: directory for worker unix sockets and ready files
             (``subprocess`` backend); ``None`` uses a fresh temp dir.
     """
@@ -221,17 +220,9 @@ class ClusterConfig:
     shards: int | None = None
     backend: str = "subprocess"
     worker_endpoints: tuple[str, ...] = ()
-    host: str = "127.0.0.1"
-    port: int = 0
-    http_port: int | None = None
-    queue_depth: int = 1024
-    max_batch: int = 8192
     heartbeat_interval: float = 0.5
     heartbeat_misses: int = 3
     heartbeat_timeout: float = 2.0
-    checkpoint_path: pathlib.Path | None = None
-    checkpoint_interval: float = 30.0
-    trace_capacity: int = 4096
     runtime_dir: pathlib.Path | None = None
 
     def __post_init__(self) -> None:
@@ -258,13 +249,11 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"shards ({self.shards}) must be >= workers "
                 f"({self.workers}); a worker with no shard serves nothing")
-        for attr in ("queue_depth", "max_batch", "heartbeat_misses",
-                     "trace_capacity"):
-            if getattr(self, attr) < 1:
-                raise ConfigurationError(
-                    f"{attr} must be >= 1, got {getattr(self, attr)}")
-        for attr in ("heartbeat_interval", "heartbeat_timeout",
-                     "checkpoint_interval"):
+        ServerConfig.__post_init__(self)
+        if self.heartbeat_misses < 1:
+            raise ConfigurationError(
+                f"heartbeat_misses must be >= 1, got {self.heartbeat_misses}")
+        for attr in ("heartbeat_interval", "heartbeat_timeout"):
             if getattr(self, attr) <= 0:
                 raise ConfigurationError(
                     f"{attr} must be > 0, got {getattr(self, attr)}")

@@ -6,7 +6,7 @@ connection loop, protocol negotiation and interning, offer validation
 and routing, the op dispatcher with its error mapping, and every
 router-level control op. :class:`~repro.runtime.server.RuntimeServer`
 (shards in this process) and :class:`~repro.cluster.server.ClusterServer`
-(shards behind a coordinator) subclass it and differ only in how a
+(shards on worker hosts) subclass it and differ only in how a
 routed request reaches a shard.
 
 Every control op is written over a seam of two members:
@@ -808,7 +808,7 @@ class WireServer:
     async def install_plan(self, plan: TriggerPlan) -> dict[str, Any]:
         """Install a trigger plan on the shards of both its tasks — one
         shard or two, on one worker or two: the trigger's shard watches
-        for elevation edges and its host (or the coordinator) routes
+        for elevation edges and its host (or the cluster server) routes
         them to the target's shard."""
         for name in (plan.target, plan.trigger):
             if name not in self.task_shard:

@@ -23,7 +23,6 @@ must score as maximal-cost/zero-delay and as a mis-detection breach.
 from __future__ import annotations
 
 import asyncio
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,6 +36,7 @@ from repro.scenarios.compiler import CompiledScenario
 from repro.service import MonitoringService
 from repro.testkit.faults import (FaultPlan, FaultSpec, NOOP_HOOK,
                                   PlanFaultHook)
+from repro.triggers.plan import count_edge
 
 __all__ = ["ReplayResult", "replay_scenario", "simulate_replay"]
 
@@ -357,18 +357,16 @@ def simulate_replay(compiled: CompiledScenario,
     names = compiled.task_names
 
     # The one service routes its own edges; the sink counts them per
-    # plan, as the servers do (repro.triggers.plan.count_edge).
+    # plan by the servers' rule.
     plans = compiled.trigger_plans()
     edges = {"arm": 0, "disarm": 0}
     if plans:
         for trigger_plan in plans:
             service.install_trigger_plan(trigger_plan)
-        fan_out = Counter(plan.trigger for plan in plans)
-
-        def _count_edge(event: dict[str, Any]) -> None:
-            edges[event["op"]] += fan_out[event["trigger"]]
-
-        service.set_trigger_sink(_count_edge)
+        by_target = {plan.target: plan for plan in plans}
+        tasks = set(names)
+        service.set_trigger_sink(
+            lambda event: count_edge(by_target, tasks, edges, event))
     boundaries = ({span.end for span in compiled.spans} if plans
                   else set())
     phase_samples: list[list[int]] = []

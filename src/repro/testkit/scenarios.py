@@ -20,10 +20,9 @@ scheduling-dependent counters appear in it — so two runs of
 reports, and any failure reproduces from the pair alone
 (see docs/TESTING.md).
 
-Time is virtual: the workload advances a
-:class:`~repro.simulation.clock.SimulationClock` along the grid, crashes
-happen at plan-chosen grid steps, and checkpoints are taken at fixed
-barriers — no wall-clock sleeps anywhere.
+Time is virtual: the workload steps along the grid, crashes happen at
+plan-chosen grid steps, and checkpoints are taken at fixed barriers — no
+wall-clock sleeps anywhere.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from repro.runtime.protocol import encode_frame, read_frame
 from repro.runtime.server import RuntimeServer
 from repro.runtime.shard import SHARD_COUNTERS
 from repro.service import MonitoringService
-from repro.simulation.clock import SimulationClock
 from repro.testkit.faults import (FRAME_CORRUPT, FRAME_DROP, FRAME_OK,
                                   FRAME_TRUNCATE, FaultPlan, FaultSpec,
                                   PlanFaultHook)
@@ -165,7 +163,6 @@ class _ScenarioDriver:
         self.hook.checkpoint_armed = False
         self.ckpt_path = workdir / "checkpoint.json"
         self.adaptation = AdaptationConfig(**ADAPTATION)
-        self.clock = SimulationClock()
         self.trace = scenario_trace(name, seed)
         # Shadow reference: per-shard services the driver advances itself.
         self.shadow: list[MonitoringService] = []
@@ -266,7 +263,6 @@ class _ScenarioDriver:
                              fault_hook=self.hook)
 
     async def _feed_step(self, server: RuntimeServer, step: int) -> None:
-        self.clock.advance_to(float(step))
         batch = []
         for i, name in enumerate(TASKS):
             sent_step = max(0, step + self.plan.skew(i, step))
@@ -526,7 +522,7 @@ class _ScenarioDriver:
                 "err": ERR,
                 "max_interval": MAX_INTERVAL,
                 "adaptation": dict(ADAPTATION),
-                "virtual_clock_end": self.clock.now,
+                "virtual_clock_end": float(STEPS - 1),
             },
             "injected": dict(self.hook.injected),
             "checkpoints": {

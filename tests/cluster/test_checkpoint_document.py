@@ -48,13 +48,6 @@ def _server(kind: str, path, workers: int = 1, **kwargs):
                                        heartbeat_interval=NEVER, **common))
 
 
-async def _drain(server) -> None:
-    if isinstance(server, ClusterServer):
-        await server.coordinator.drain()
-    else:
-        await server.drain()
-
-
 async def _write(kind: str, path, workers: int) -> None:
     """Register, guard, offer and checkpoint on a fresh server."""
     server = _server(kind, path, workers)
@@ -69,7 +62,7 @@ async def _write(kind: str, path, workers: int) -> None:
         await client.offer_batch([[name, step, 40.0 + (step * 7 + i) % 23]
                                   for step in range(60)
                                   for i, name in enumerate(TASKS)])
-        await _drain(server)
+        await server.drain()
         await client.checkpoint()
     finally:
         await client.close()
@@ -143,17 +136,16 @@ def test_a_dead_workers_shards_keep_their_last_known_good_entry(tmp_path):
                   checkpoint_interval=NEVER, heartbeat_interval=NEVER)
 
     async def before(cluster):
-        coord = cluster.coordinator
         client = AsyncRuntimeClient(port=cluster.tcp_port)
         try:
             for name in names:
                 await client.register_task(name, 1e9)
             await client.offer_batch([[name, step, 1.0] for step in range(20)
                                       for name in names])
-            await coord.drain()
-            await coord._collect_state()
-            await coord.kill_worker("w0")
-            await coord._handle_worker_loss("w0")
+            await cluster.drain()
+            await cluster._collect_state()
+            await cluster.kill_worker("w0")
+            await cluster._handle_worker_loss("w0")
             await cluster.write_checkpoint()
         finally:
             await client.close()
@@ -183,33 +175,32 @@ def test_a_registration_after_the_last_collect_is_pending(tmp_path):
     config = dict(workers=2, shards=SHARDS, checkpoint_interval=NEVER,
                   heartbeat_interval=NEVER)
 
-    def max_interval(coord, name: str) -> int:
-        sid = coord.task_shard[name]
-        host = coord.transports[coord.routes[sid].worker_id].host
+    def max_interval(cluster, name: str) -> int:
+        sid = cluster.task_shard[name]
+        host = cluster.transports[cluster.routes[sid].worker_id].host
         snapshot = host.shards[sid].service.snapshot()
         return snapshot["spec"]["max_interval"][
             snapshot_task_names(snapshot).index(name)]
 
     async def scenario(cluster):
-        coord = cluster.coordinator
         client = AsyncRuntimeClient(port=cluster.tcp_port)
         try:
             await client.register_task(TASKS[0], 60.0)
-            await coord._collect_state()
-            quiet = dict(coord.pending)
+            await cluster._collect_state()
+            quiet = dict(cluster.pending)
             await client.register_task(late, 70.0)
             await client.install_trigger_plan({
                 "target": late, "trigger": TASKS[0],
                 "elevation_level": 65.0, "suspend_interval": 3})
-            logged = dict(coord.pending)
-            victim = coord.routes[route(late, SHARDS)].worker_id
-            await coord.kill_worker(victim)
+            logged = dict(cluster.pending)
+            victim = cluster.routes[route(late, SHARDS)].worker_id
+            await cluster.kill_worker(victim)
             await cluster.write_checkpoint()  # the late task's shard is gone
             shutil.copyfile(path, logged_file)
-            await coord._handle_worker_loss(victim)
+            await cluster._handle_worker_loss(victim)
             info = await client.task_info(late)
             guard = (await client.trigger_state(late))["state"]
-            return quiet, logged, info, guard, max_interval(coord, late)
+            return quiet, logged, info, guard, max_interval(cluster, late)
         finally:
             await client.close()
 
@@ -218,7 +209,7 @@ def test_a_registration_after_the_last_collect_is_pending(tmp_path):
         try:
             return (await client.task_info(late),
                     (await client.trigger_state(late))["state"],
-                    max_interval(cluster.coordinator, late))
+                    max_interval(cluster, late))
         finally:
             await client.close()
 
@@ -259,8 +250,7 @@ def test_collect_passes_do_not_interleave_around_a_registration(tmp_path):
     sid = route(late, SHARDS)
 
     async def scenario(cluster):
-        coord = cluster.coordinator
-        request = coord._request
+        request = cluster._request
         snapshotted, release = asyncio.Event(), asyncio.Event()
 
         async def paused(worker_id, payload):
@@ -271,19 +261,19 @@ def test_collect_passes_do_not_interleave_around_a_registration(tmp_path):
                 await release.wait()
             return reply
 
-        coord._request = paused
+        cluster._request = paused
         client = AsyncRuntimeClient(port=cluster.tcp_port)
         try:
             writing = asyncio.create_task(cluster.write_checkpoint())
             await snapshotted.wait()
             await client.register_task(late, 60.0)
-            beat = asyncio.create_task(coord._collect_state())
+            beat = asyncio.create_task(cluster._collect_state())
             await asyncio.wait({beat}, timeout=0.5)
             release.set()
             await asyncio.gather(writing, beat)
-            recovered = coord._recovery[str(sid)]["snapshot"]
+            recovered = cluster._recovery[str(sid)]["snapshot"]
             return read_checkpoint(path), (
-                late in coord.pending
+                late in cluster.pending
                 or late in snapshot_task_names(recovered))
         finally:
             await client.close()
@@ -306,7 +296,7 @@ def test_a_shard_count_mismatch_is_refused_before_any_worker_starts(
     server = _server("cluster", path, workers=2)
     with pytest.raises(CheckpointError, match=r"2 shards.*configured with 4"):
         asyncio.run(server.start())
-    assert server.coordinator.transports == {}
+    assert server.transports == {}
 
 
 def test_a_failed_start_leaves_no_worker_process(tmp_path):
@@ -323,7 +313,7 @@ def test_a_failed_start_leaves_no_worker_process(tmp_path):
         checkpoint_path=path, runtime_dir=tmp_path / "run"))
     with pytest.raises(ReproError):
         asyncio.run(server.start())
-    pids = [t.pid for t in server.coordinator.transports.values()]
+    pids = [t.pid for t in server.transports.values()]
     assert len(pids) == 2 and None not in pids
     orphans = [pid for pid in pids if _running(pid)]
     for pid in orphans:

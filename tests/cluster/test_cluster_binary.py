@@ -15,10 +15,13 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from cluster_utils import run_cluster
 
+from repro.config import RuntimeConfig
 from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.protocol import PROTOCOL_BINARY
+from repro.runtime.server import RuntimeServer
 
 TASKS = 8
 STEPS = 60
@@ -66,6 +69,15 @@ async def _drive(server, binary: bool) -> dict:
         await client.close()
 
 
+async def _on_runtime(scenario):
+    server = RuntimeServer(RuntimeConfig(port=0))
+    await server.start()
+    try:
+        return await scenario(server)
+    finally:
+        await server.shutdown()
+
+
 class TestClusterBinary:
     def test_negotiate_intern_offer_columns_end_to_end(self):
         async def scenario(server):
@@ -95,10 +107,10 @@ class TestClusterBinary:
                 assert bin_side["infos"][name][key] == info[key], \
                     (name, key)
 
-    def test_unregistered_interned_name_rejected_in_ack(self):
-        # The routing tier resolves gids at the front door, so a name
-        # with no registered task is rejected in the reply itself (the
-        # single-process runtime defers the same rejection to the shard).
+    @pytest.mark.parametrize("kind", ["cluster", "runtime"])
+    def test_unregistered_interned_name_rejected_in_ack(self, kind):
+        # Both servers resolve interned names at the front door, so a
+        # name with no registered task is rejected in the reply itself.
         async def scenario(server):
             client = AsyncRuntimeClient(port=server.tcp_port)
             try:
@@ -120,10 +132,14 @@ class TestClusterBinary:
             finally:
                 await client.close()
 
-        reply, totals, info = run_cluster(scenario, workers=2)
+        if kind == "cluster":
+            reply, totals, info = run_cluster(scenario, workers=2)
+        else:
+            reply, totals, info = asyncio.run(_on_runtime(scenario))
         assert reply.accepted == 1
         assert reply.rejected == 1
         assert totals["applied"] == 1
+        assert totals["rejected"] == 0  # no shard saw the phantom
         assert info["samples_taken"] == 1
 
 

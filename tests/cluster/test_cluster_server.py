@@ -15,6 +15,7 @@ import asyncio
 
 from cluster_utils import run_cluster
 
+from repro.cluster.server import ClusterServer
 from repro.config import RuntimeConfig
 from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.server import RuntimeServer
@@ -37,7 +38,7 @@ def _schedule(steps: int = 80) -> list[list]:
     return updates
 
 
-async def _drive(client, coordinator=None, server=None) -> dict:
+async def _drive(client, server) -> dict:
     """Register TASKS, push the schedule, drain, collect observables."""
     for task in TASKS:
         reply = await client.register_task(**task)
@@ -47,10 +48,7 @@ async def _drive(client, coordinator=None, server=None) -> dict:
         reply = await client.offer_batch(schedule[i:i + 48])
         assert reply["accepted"] + reply["shed"] + reply["rejected"] \
             == len(schedule[i:i + 48])
-    if coordinator is not None:
-        await coordinator.drain()
-    else:
-        await server.drain()
+    await server.drain()
     observed = {"stats": await client.stats()}
     observed["info"] = {t["name"]: await client.task_info(t["name"])
                        for t in TASKS}
@@ -64,7 +62,7 @@ async def _drive_runtime() -> dict:
     await server.start()
     client = AsyncRuntimeClient(port=server.tcp_port)
     try:
-        return await _drive(client, server=server)
+        return await _drive(client, server)
     finally:
         await client.close()
         await server.shutdown()
@@ -75,8 +73,7 @@ class TestEquivalence:
         async def scenario(cluster):
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
-                return await _drive(client,
-                                    coordinator=cluster.coordinator)
+                return await _drive(client, cluster)
             finally:
                 await client.close()
 
@@ -173,7 +170,7 @@ class TestClusterOnlyOps:
                 for task in TASKS:
                     await client.register_task(**task)
                 await client.offer_batch(_schedule(40))
-                await cluster.coordinator.drain()
+                await cluster.drain()
                 before = await client.placement()
                 # task-0 lives on shard 1; move that shard to the other
                 # worker and keep using it.
@@ -222,7 +219,7 @@ class TestClusterOnlyOps:
                 quiet = [[t["name"], step, 10.0 + (step % 3) * 0.1]
                          for step in range(120) for t in TASKS]
                 await client.offer_batch(quiet)
-                await cluster.coordinator.drain()
+                await cluster.drain()
                 return await client.trace()
             finally:
                 await client.close()
@@ -238,7 +235,7 @@ class TestClusterOnlyOps:
     def test_trace_counts_events_workers_evicted(self):
         async def scenario(cluster):
             client = AsyncRuntimeClient(port=cluster.tcp_port)
-            hosts = [t.host for t in cluster.coordinator.transports.values()]
+            hosts = [t.host for t in cluster.transports.values()]
             try:
                 for task in TASKS:
                     await client.register_task(**task)
@@ -267,7 +264,7 @@ class TestClusterOnlyOps:
                 for task in TASKS:
                     await client.register_task(**task)
                 await client.offer_batch(_schedule(40))
-                await cluster.coordinator.drain()
+                await cluster.drain()
                 return await client.telemetry()
             finally:
                 await client.close()
@@ -296,15 +293,14 @@ class TestRestartFromOwnCheckpoint:
         every task as restored and sends no ``w_register_task``: what
         the shard snapshots carry is read through
         ``repro.service.snapshot_task_names``, whatever their version."""
-        from repro.cluster.coordinator import Coordinator
         names = [f"task-{i}" for i in range(12)]
         ops: list[str] = []
-        request = Coordinator._request
+        request = ClusterServer._request
 
         async def recorded(self, worker_id, payload):
             ops.append(payload["op"])
             return await request(self, worker_id, payload)
-        monkeypatch.setattr(Coordinator, "_request", recorded)
+        monkeypatch.setattr(ClusterServer, "_request", recorded)
 
         async def first(cluster):
             client = AsyncRuntimeClient(port=cluster.tcp_port)
@@ -315,7 +311,7 @@ class TestRestartFromOwnCheckpoint:
                 await client.offer_batch([[name, s, 20.0 + s % 5]
                                           for s in range(12)
                                           for name in names])
-                await cluster.coordinator.drain()
+                await cluster.drain()
                 return [await client.task_info(name) for name in names]
             finally:
                 await client.close()

@@ -59,7 +59,6 @@ async def _victim_of(client, shard: int) -> str:
 class TestInProcReplacement:
     def test_dead_worker_shards_move_to_survivor_with_state(self):
         async def scenario(cluster):
-            coord = cluster.coordinator
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
                 await client.register_task(**TASK_SPEC)
@@ -68,25 +67,25 @@ class TestInProcReplacement:
                                          suspend_interval=2)
                 await client.offer_batch(
                     [[TASK, s, 20.0 + (s % 9)] for s in range(50)])
-                await coord.drain()
+                await cluster.drain()
                 before = await client.task_info(TASK)
                 # Pin the recovery snapshot at exactly this point.
-                await coord._collect_state()
+                await cluster._collect_state()
                 victim = await _victim_of(client, TASK_SHARD)
-                await coord.kill_worker(victim)
+                await cluster.kill_worker(victim)
                 victim_shards = sum(
-                    1 for r in coord.routes if r.worker_id == victim)
+                    1 for r in cluster.routes if r.worker_id == victim)
                 await _wait_until(
-                    lambda: coord.replacements >= victim_shards)
-                await coord.drain()
+                    lambda: cluster.replacements >= victim_shards)
+                await cluster.drain()
                 after = await client.task_info(TASK)
                 placement = await client.placement()
                 more = await client.offer_batch([[TASK, 100, 25.0]])
-                await coord.drain()
+                await cluster.drain()
                 final = await client.task_info(TASK)
-                events = coord.trace.drain(0, 10_000)
-                host = coord.transports[
-                    coord.routes[TASK_SHARD].worker_id].host
+                events = cluster.trace.drain(0, 10_000)
+                host = cluster.transports[
+                    cluster.routes[TASK_SHARD].worker_id].host
                 worker = host.shards[TASK_SHARD]
                 gids = np.asarray([host.gid_names.index(TASK)])
                 rows = (host._rows_for(TASK_SHARD, gids).tolist()
@@ -124,29 +123,28 @@ class TestInProcReplacement:
         the re-placed shard is the copy, fingerprint for fingerprint."""
 
         async def scenario(cluster):
-            coord = cluster.coordinator
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
                 await client.register_task(**TASK_SPEC)
                 await client.register_task(**{**TASK_SPEC, "name": PARTNER})
                 await client.offer_batch(
                     [[TASK, s, 50.0 + (s % 13)] for s in range(40)])
-                await coord.drain()
-                shards = await coord._collect_state()
+                await cluster.drain()
+                shards = await cluster._collect_state()
                 copy = shards[str(TASK_SHARD)]["snapshot"]
                 taken = state_fingerprint(copy)
                 await client.offer_batch(
                     [[name, s, 55.0 + (s % 11)] for s in range(40, 90)
                      for name in (TASK, PARTNER)])
-                await coord.drain()
+                await cluster.drain()
                 victim = await _victim_of(client, TASK_SHARD)
-                live = coord.transports[victim].host.shards[TASK_SHARD]
+                live = cluster.transports[victim].host.shards[TASK_SHARD]
                 moved = state_fingerprint(live.service.snapshot())
                 kept = state_fingerprint(copy)
-                await coord.kill_worker(victim)
-                await coord._handle_worker_loss(victim)
-                host = coord.transports[
-                    coord.routes[TASK_SHARD].worker_id].host
+                await cluster.kill_worker(victim)
+                await cluster._handle_worker_loss(victim)
+                host = cluster.transports[
+                    cluster.routes[TASK_SHARD].worker_id].host
                 replaced = state_fingerprint(
                     host.shards[TASK_SHARD].service.snapshot())
                 return victim, taken, moved, kept, replaced, host
@@ -165,7 +163,6 @@ class TestInProcReplacement:
         registrations registered again."""
 
         async def scenario(cluster):
-            coord = cluster.coordinator
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
                 await client.register_task(**TASK_SPEC)
@@ -173,13 +170,13 @@ class TestInProcReplacement:
                 # Kill before any heartbeat snapshotted the shard: the
                 # re-placement has nothing to restore from and must fall
                 # back to a fresh shard plus the pending registration.
-                await coord.kill_worker(victim)
-                await _wait_until(lambda: coord.replacements >= 1)
+                await cluster.kill_worker(victim)
+                await _wait_until(lambda: cluster.replacements >= 1)
                 info = await client.task_info(TASK)
                 reply = await client.offer_batch([[TASK, 0, 99.0]])
-                await coord.drain()
+                await cluster.drain()
                 final = await client.task_info(TASK)
-                events = coord.trace.drain(0, 10_000)
+                events = cluster.trace.drain(0, 10_000)
                 return info, reply, final, events
             finally:
                 await client.close()
@@ -197,14 +194,13 @@ class TestInProcReplacement:
 
     def test_worker_up_gauge_tracks_death(self):
         async def scenario(cluster):
-            coord = cluster.coordinator
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
                 await client.register_task(**TASK_SPEC)
                 victim = await _victim_of(client, TASK_SHARD)
-                await coord.kill_worker(victim)
-                await _wait_until(lambda: coord.replacements >= 1)
-                snapshot = coord.registry.snapshot()
+                await cluster.kill_worker(victim)
+                await _wait_until(lambda: cluster.replacements >= 1)
+                snapshot = cluster.registry.snapshot()
                 return victim, snapshot
             finally:
                 await client.close()
@@ -231,7 +227,7 @@ class TestSubprocessSmoke:
                 await client.register_task(**TASK_SPEC)
                 reply = await client.offer_batch(
                     [[TASK, s, 30.0] for s in range(20)])
-                await cluster.coordinator.drain()
+                await cluster.drain()
                 stats = await client.stats()
                 info = await client.task_info(TASK)
                 placement = await client.placement()
@@ -255,33 +251,32 @@ class TestSubprocessChaos:
 
     def test_sigkill_under_load_keeps_acked_ledger(self):
         async def scenario(cluster):
-            coord = cluster.coordinator
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             writer = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
                 await client.register_task(**TASK_SPEC)
                 await client.offer_batch(
                     [[TASK, s, 20.0 + (s % 9)] for s in range(50)])
-                await coord.drain()
-                await coord._collect_state()
+                await cluster.drain()
+                await cluster._collect_state()
                 base = (await client.stats())["totals"]["applied"]
                 victim = await _victim_of(client, TASK_SHARD)
-                await coord.kill_worker(victim)
+                await cluster.kill_worker(victim)
 
                 # Keep offering through the outage: every batch either
                 # ACKs (and must survive) or sheds (honest backpressure).
                 acked = 0
                 step = 1000
-                while coord.replacements == 0:
+                while cluster.replacements == 0:
                     reply = await writer.offer_batch(
                         [[TASK, step + i, 30.0] for i in range(4)])
                     acked += reply["accepted"]
                     step += 4
                     await asyncio.sleep(0.01)
-                await coord.drain()
+                await cluster.drain()
                 post = await client.offer_batch([[TASK, step, 31.0]])
                 acked += post["accepted"]
-                await coord.drain()
+                await cluster.drain()
                 final = (await client.stats())["totals"]["applied"]
                 return base, acked, final
             finally:
@@ -304,19 +299,18 @@ class TestSubprocessChaos:
         """Migration to a dead worker fails; the source stays whole."""
 
         async def scenario(cluster):
-            coord = cluster.coordinator
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             writer = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
                 await client.register_task(**TASK_SPEC)
                 await client.offer_batch(
                     [[TASK, s, 30.0] for s in range(40)])
-                await coord.drain()
+                await cluster.drain()
                 source = await _victim_of(client, TASK_SHARD)
                 target = "w1" if source == "w0" else "w0"
                 # Slow heartbeat: the coordinator has not noticed the
                 # target die when the migration tries to restore there.
-                await coord.kill_worker(target)
+                await cluster.kill_worker(target)
 
                 stop = asyncio.Event()
                 acked = 0
@@ -338,10 +332,10 @@ class TestSubprocessChaos:
                      "worker": target})
                 stop.set()
                 await pump_task
-                await coord.drain()
+                await cluster.drain()
                 applied = (await client.stats())["totals"]["applied"]
-                events = coord.trace.drain(0, 10_000)
-                return migrated, acked, applied, coord.migrations, events
+                events = cluster.trace.drain(0, 10_000)
+                return migrated, acked, applied, cluster.migrations, events
             finally:
                 await client.close()
                 await writer.close()

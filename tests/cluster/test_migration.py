@@ -91,7 +91,7 @@ class TestMidStreamMigration:
                            for step, v in enumerate(values)]
                 if updates[:cut]:
                     await client.offer_batch(updates[:cut])
-                await cluster.coordinator.drain()
+                await cluster.drain()
                 placement = await client.placement()
                 source = next(w for w, entry in placement["workers"].items()
                               if TASK_SHARD in entry["shards"])
@@ -100,9 +100,9 @@ class TestMidStreamMigration:
                 assert migrated["fingerprint_match"], migrated
                 if updates[cut:]:
                     await client.offer_batch(updates[cut:])
-                await cluster.coordinator.drain()
+                await cluster.drain()
                 observed = await _observe(client)
-                snap = await cluster.coordinator._request(target, {
+                snap = await cluster._request(target, {
                     "op": "w_snapshot_shard", "shard": TASK_SHARD,
                     "fingerprint": True})
                 return observed, snap["fingerprint"]
@@ -128,7 +128,7 @@ class TestMigrationUnderConcurrentLoad:
                 await client.register_task(**TASK_SPEC)
                 await client.offer_batch(
                     [[TASK, s, 30.0] for s in range(50)])
-                await cluster.coordinator.drain()
+                await cluster.drain()
 
                 stop = asyncio.Event()
                 acked = 0
@@ -154,7 +154,7 @@ class TestMigrationUnderConcurrentLoad:
                 await asyncio.sleep(0.05)
                 stop.set()
                 await pump_task
-                await cluster.coordinator.drain()
+                await cluster.drain()
                 stats = await client.stats()
                 return migrated, acked, stats
             finally:
@@ -184,9 +184,9 @@ class TestMigrationUnderConcurrentLoad:
                 await client.offer_batch(updates[30:60])
                 await client.migrate(TASK_SHARD, home)
                 await client.offer_batch(updates[60:])
-                await cluster.coordinator.drain()
+                await cluster.drain()
                 observed = await _observe(client)
-                snap = await cluster.coordinator._request(home, {
+                snap = await cluster._request(home, {
                     "op": "w_snapshot_shard", "shard": TASK_SHARD,
                     "fingerprint": True})
                 return observed, snap["fingerprint"]
@@ -224,28 +224,27 @@ class TestTheGateIsTheMigrations:
         path = tmp_path / "cluster.ckpt"
 
         async def first(cluster):
-            coord = cluster.coordinator
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
                 await client.register_task(**TASK_SPEC)
                 await client.offer_batch(
                     [[TASK, s, 20.0 + (s % 9)] for s in range(40)])
-                await coord.drain()
+                await cluster.drain()
                 await client.checkpoint()
                 await cluster.write_checkpoint()
-                await coord._heartbeat_once()
+                await cluster._heartbeat_once()
                 assert calls == [], "checkpoint / heartbeat hashed state"
-                source = coord.routes[TASK_SHARD].worker_id
+                source = cluster.routes[TASK_SHARD].worker_id
                 await client.migrate(TASK_SHARD, _other(source))
                 assert len(calls) == 2
                 await client.migrate(TASK_SHARD, source)
                 assert len(calls) == 4
                 # Failover: the victim's shards are restored elsewhere
                 # from the recovery copy, with nothing to compare to.
-                await coord.kill_worker(source)
-                for _ in range(coord.config.heartbeat_misses):
-                    await coord._heartbeat_once()
-                assert coord.replacements > 0
+                await cluster.kill_worker(source)
+                for _ in range(cluster.config.heartbeat_misses):
+                    await cluster._heartbeat_once()
+                assert cluster.replacements > 0
                 return await client.task_info(TASK)
             finally:
                 await client.close()
@@ -266,22 +265,21 @@ class TestTheGateIsTheMigrations:
 
     def test_fingerprint_mismatch_aborts_with_the_source_serving(self):
         async def scenario(cluster):
-            coord = cluster.coordinator
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
                 await client.register_task(**TASK_SPEC)
                 await client.offer_batch(
                     [[TASK, s, 30.0] for s in range(20)])
-                await coord.drain()
-                routed = coord.routes[TASK_SHARD]
+                await cluster.drain()
+                routed = cluster.routes[TASK_SHARD]
                 source = routed.worker_id
                 target = _other(source)
-                placement = coord.placement()
+                placement = cluster.placement()
 
                 # The target restores a state that hashes differently
                 # (here: its reply is tampered), and while it does, more
                 # offers arrive and are ACKed into the migration buffer.
-                transport = coord.transports[target]
+                transport = cluster.transports[target]
                 forward = transport.request
                 gate = asyncio.Event()
 
@@ -294,7 +292,7 @@ class TestTheGateIsTheMigrations:
 
                 transport.request = tampered
                 migration = asyncio.create_task(
-                    coord.migrate(TASK_SHARD, target))
+                    cluster.migrate(TASK_SHARD, target))
                 while not routed.buffering:
                     await asyncio.sleep(0)
                 meanwhile = await client.offer_batch(
@@ -307,14 +305,14 @@ class TestTheGateIsTheMigrations:
                 except Exception as exc:  # noqa: BLE001 - asserted below
                     raised = exc
                 transport.request = forward
-                await coord.drain()
+                await cluster.drain()
                 after = await client.offer_batch([[TASK, 30, 30.0]])
-                await coord.drain()
+                await cluster.drain()
                 stats = await client.stats()
-                events = [e["kind"] for e in coord.trace.drain(since=0)]
-                hosted = await coord._request(target, {"op": "w_ping"})
+                events = [e["kind"] for e in cluster.trace.drain(since=0)]
+                hosted = await cluster._request(target, {"op": "w_ping"})
                 return (raised, meanwhile, after, stats, events, hosted,
-                        placement, coord.placement(), source)
+                        placement, cluster.placement(), source)
             finally:
                 await client.close()
 

@@ -130,7 +130,7 @@ class TestCountsFollowTheRows:
                 for task in TASKS:
                     await client.register_task(**task)
                 await _feed(client, _schedule(80))
-                await cluster.coordinator.drain()
+                await cluster.drain()
                 before = (await client.telemetry())["metrics"]
                 placement = await client.placement()
                 source = next(wid for wid, w in placement["workers"].items()
@@ -173,7 +173,7 @@ class TestCountsFollowTheRows:
                 for task in TASKS:
                     await client.register_task(**task)
                 await _feed(client, _schedule(80))
-                await cluster.coordinator.drain()
+                await cluster.drain()
                 return (await client.telemetry())["metrics"]
             finally:
                 await client.close()

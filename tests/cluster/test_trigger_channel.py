@@ -103,7 +103,7 @@ class TestTriggerWireParity:
         async def cluster_scenario(cluster):
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
-                return await _drive(client, cluster.coordinator.drain)
+                return await _drive(client, cluster.drain)
             finally:
                 await client.close()
 
@@ -137,16 +137,15 @@ class TestTriggerWireParity:
 
 class TestPlansChangeUnderThePump:
     def test_an_install_racing_a_yielding_pump_raises_nothing(self):
-        """The plans are the front end's to change while the coordinator
-        awaits a shard: ``pump_triggers`` (run by the heartbeat, ``drain``
-        and ``trigger_plans``) and ``_reinstall_triggers`` walk a copy.
-        Iterating the shared dict itself raised ``RuntimeError:
+        """The control ops may change the plans while the server awaits
+        a shard: ``pump_triggers`` (run by the heartbeat, ``drain`` and
+        ``trigger_plans``) and ``_reinstall_triggers`` walk a copy.
+        Iterating the dict itself raised ``RuntimeError:
         dictionary changed size during iteration`` — into ``drain``'s
         caller, or out of the beat."""
         late = [f"late-{i}" for i in range(2)]
 
         async def scenario(cluster):
-            coord = cluster.coordinator
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
                 for name in (TRIGGER, TARGET, *late):
@@ -162,8 +161,8 @@ class TestPlansChangeUnderThePump:
                         {**PLAN, "target": target})
                     assert reply["ok"]
 
-                shard_call, best_effort = (coord.shard_call,
-                                           coord._best_effort)
+                shard_call, best_effort = (cluster._shard_call,
+                                           cluster._best_effort)
 
                 async def yielding(forward, op, *args):
                     # A transport that yields, and an install that gets
@@ -172,15 +171,15 @@ class TestPlansChangeUnderThePump:
                         await install_another()
                     return await forward(*args)
 
-                coord.shard_call = lambda *a: yielding(
+                cluster._shard_call = lambda *a: yielding(
                     shard_call, "w_trigger_set", *a)
-                await coord.drain()                     # pumps the edge
-                coord.shard_call = shard_call
-                coord._best_effort = lambda *a: yielding(
+                await cluster.drain()                   # pumps the edge
+                cluster._shard_call = shard_call
+                cluster._best_effort = lambda *a: yielding(
                     best_effort, "w_trigger_install", *a)
-                await coord._reinstall_triggers(
-                    coord.routes[route(TARGET, SHARDS)])
-                coord._best_effort = best_effort
+                await cluster._reinstall_triggers(
+                    cluster.routes[route(TARGET, SHARDS)])
+                cluster._best_effort = best_effort
                 return (await client.trigger_state(TARGET),
                         await client.trigger_plans())
             finally:
@@ -197,7 +196,6 @@ class TestPlansChangeUnderThePump:
 class TestTriggerMigration:
     def test_disarmed_guard_survives_live_migration(self):
         async def scenario(cluster):
-            coord = cluster.coordinator
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
                 for name in (TRIGGER, TARGET):
@@ -205,7 +203,7 @@ class TestTriggerMigration:
                 await client.install_trigger_plan(PLAN)
                 await client.offer_batch(
                     [[TRIGGER, s, 10.0] for s in range(8)])
-                await coord.drain()
+                await cluster.drain()
                 before = await client.trigger_state(TARGET)
 
                 target_shard = route(TARGET, SHARDS)
@@ -220,12 +218,12 @@ class TestTriggerMigration:
                 # The moved guard still defers probes...
                 await client.offer_batch(
                     [[TARGET, s, 30.0] for s in range(12)])
-                await coord.drain()
+                await cluster.drain()
                 plans_disarmed = await client.trigger_plans()
                 # ...and still receives edges from the (unmoved) trigger.
                 await client.offer_batch(
                     [[TRIGGER, 8 + i, 90.0] for i in range(3)])
-                await coord.drain()
+                await cluster.drain()
                 rearmed = await client.trigger_state(TARGET)
                 return migrated, before, after, plans_disarmed, rearmed
             finally:
@@ -250,7 +248,6 @@ class TestTriggerMigration:
 
         def scenario(migrate):
             async def run(cluster):
-                coord = cluster.coordinator
                 client = AsyncRuntimeClient(port=cluster.tcp_port)
                 try:
                     for name in (trigger, target):
@@ -259,9 +256,9 @@ class TestTriggerMigration:
                     await client.offer_batch(
                         [[trigger, s, 10.0] for s in range(4)])
                     if migrate:
-                        moved = await coord.migrate(0, "w1")
+                        moved = await cluster.migrate(0, "w1")
                         assert moved["ok"], moved
-                    await coord.drain()
+                    await cluster.drain()
                     return (await client.trigger_state(target),
                             await client.trigger_plans())
                 finally:
@@ -283,9 +280,8 @@ class TestTriggerMigration:
         plan = {**PLAN, "trigger": trigger, "target": target}
 
         async def scenario(cluster):
-            coord = cluster.coordinator
             client = AsyncRuntimeClient(port=cluster.tcp_port)
-            request = coord._request
+            request = cluster._request
 
             async def racing(wid, payload):
                 if payload["op"] == "w_restore_shard":
@@ -298,11 +294,11 @@ class TestTriggerMigration:
                 for name in (trigger, target):
                     await client.register_task(**_spec(name))
                 await client.install_trigger_plan(plan)
-                coord._request = racing
-                moved = await coord.migrate(2, "w1")
-                coord._request = request
+                cluster._request = racing
+                moved = await cluster.migrate(2, "w1")
+                cluster._request = request
                 assert moved["ok"], moved
-                await coord.drain()
+                await cluster.drain()
                 return (await client.trigger_state(target),
                         await client.trigger_plans())
             finally:
@@ -332,7 +328,6 @@ class TestTriggerMigration:
         plan = {**PLAN, "trigger": trigger, "target": target}
 
         async def scenario(cluster):
-            coord = cluster.coordinator
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
                 for name in (trigger, target):
@@ -340,11 +335,11 @@ class TestTriggerMigration:
                 await client.install_trigger_plan(plan)
                 await client.offer_batch(
                     [[trigger, s, 10.0] for s in range(4)])
-                moved = await coord.migrate(shard, to)
+                moved = await cluster.migrate(shard, to)
                 assert moved["ok"], moved
                 await client.offer_batch(
                     [[trigger, s, 90.0] for s in range(4, 8)])
-                await coord.drain()
+                await cluster.drain()
                 return (await client.trigger_state(target),
                         await client.trigger_plans())
             finally:
@@ -360,7 +355,6 @@ class TestTriggerMigration:
 class TestTriggerChaos:
     def test_disarmed_guard_survives_worker_sigkill(self):
         async def scenario(cluster):
-            coord = cluster.coordinator
             client = AsyncRuntimeClient(port=cluster.tcp_port)
             try:
                 for name in (TRIGGER, TARGET):
@@ -368,10 +362,10 @@ class TestTriggerChaos:
                 await client.install_trigger_plan(PLAN)
                 await client.offer_batch(
                     [[TRIGGER, s, 10.0] for s in range(8)])
-                await coord.drain()
+                await cluster.drain()
                 before = await client.trigger_state(TARGET)
                 # Pin the recovery snapshot with the guard disarmed.
-                await coord._collect_state()
+                await cluster._collect_state()
 
                 target_shard = route(TARGET, SHARDS)
                 placement = await client.placement()
@@ -379,13 +373,13 @@ class TestTriggerChaos:
                               if target_shard in e["shards"])
                 victim_shards = len(
                     placement["workers"][victim]["shards"])
-                await coord.kill_worker(victim)
+                await cluster.kill_worker(victim)
                 deadline = asyncio.get_running_loop().time() + 15.0
-                while coord.replacements < victim_shards:
+                while cluster.replacements < victim_shards:
                     if asyncio.get_running_loop().time() > deadline:
                         raise AssertionError("re-placement timed out")
                     await asyncio.sleep(0.02)
-                await coord.drain()
+                await cluster.drain()
 
                 after = await client.trigger_state(TARGET)
                 plans = await client.trigger_plans()
@@ -393,7 +387,7 @@ class TestTriggerChaos:
                 # (whichever worker the trigger's shard now lives on).
                 await client.offer_batch(
                     [[TRIGGER, 8 + i, 90.0] for i in range(3)])
-                await coord.drain()
+                await cluster.drain()
                 rearmed = await client.trigger_state(TARGET)
                 return before, after, plans, rearmed
             finally:

@@ -105,8 +105,7 @@ def _engine_rows(server: Any, names: list[str]) -> list[int]:
     for name in names:
         sid = route(name, SHARDS)
         if isinstance(server, ClusterServer):
-            coord = server.coordinator
-            host = coord.transports[coord.routes[sid].worker_id].host
+            host = server.transports[server.routes[sid].worker_id].host
             worker = host.shards[sid]
             row = worker.service.soa_row_for(name)
             if name in host.gid_names:
@@ -140,10 +139,9 @@ async def _send(client: AsyncRuntimeClient, encoding: str,
 async def _hold_migration(server: ClusterServer) -> tuple[Any, Any]:
     """Start migrating ``MOVED_SHARD`` and hold it at the source
     snapshot, so the frames that follow are ACKed into the buffer."""
-    coord = server.coordinator
-    routed = coord.routes[MOVED_SHARD]
-    source = coord.transports[routed.worker_id]
-    target = next(w for w in sorted(coord.transports)
+    routed = server.routes[MOVED_SHARD]
+    source = server.transports[routed.worker_id]
+    target = next(w for w in sorted(server.transports)
                   if w != routed.worker_id)
     gate = asyncio.Event()
     forward = source.request
@@ -154,7 +152,7 @@ async def _hold_migration(server: ClusterServer) -> tuple[Any, Any]:
         return await forward(payload)
 
     source.request = held
-    migration = asyncio.create_task(coord.migrate(MOVED_SHARD, target))
+    migration = asyncio.create_task(server.migrate(MOVED_SHARD, target))
     while not routed.buffering:
         await asyncio.sleep(0)
     return gate, migration
@@ -185,7 +183,7 @@ async def _drive(server: Any, encoding: str) -> dict[str, Any]:
                 if f < MIGRATE_AT + BUFFERED_FRAMES - 1:
                     continue  # no drain: the held migration would block it
                 gate, migration = held
-                routed = server.coordinator.routes[MOVED_SHARD]
+                routed = server.routes[MOVED_SHARD]
                 assert routed.buffered_updates > 0
                 gate.set()
                 moved = await migration

@@ -31,7 +31,7 @@ Quickstart::
 
 Subpackages: :mod:`repro.core` (algorithms), :mod:`repro.workloads`
 (synthetic datacenter workloads), :mod:`repro.simulation` (seeded RNG
-streams + clock), :mod:`repro.datacenter` (grid-stepped virtualized
+streams), :mod:`repro.datacenter` (grid-stepped virtualized
 testbed + cost models),
 :mod:`repro.baselines`, :mod:`repro.experiments` (figure reproductions).
 """

@@ -18,16 +18,16 @@ snapshot dicts (the checkpoint format), never as live objects.
 Telemetry: each host carries its own
 :class:`~repro.telemetry.registry.MetricsRegistry` with the standard
 per-shard counter families and the ``volley_sampler_*`` counts, each a
-sum over its hosted engine rows; the coordinator pulls raw snapshots
+sum over its hosted engine rows; the cluster server pulls raw snapshots
 (``w_telemetry``) and merges them into the fleet view. Sampler decision
 events (``interval_adapted`` / ``violation``) are emitted into the host's
 local :class:`~repro.telemetry.trace.DecisionTrace` and pulled by the
-coordinator's trace aggregation, so a cluster's trace stream carries the
+cluster server's trace aggregation, so a cluster's trace stream carries the
 same event kinds as a single-process runtime's.
 
 Trigger edges: the host flips its *other* shards' guards on an edge's
 trigger inside the raising shard's drain loop, then passes the edge to
-the outbox the coordinator pumps (``w_trigger_events``) or, for a host
+the outbox the cluster server pumps (``w_trigger_events``) or, for a host
 with no peers, to its owner's ``edge_sink``.
 """
 
@@ -58,10 +58,10 @@ from repro.triggers.plan import TriggerPlan
 __all__ = ["WorkerHost"]
 
 _MAX_GID = 1 << 20
-"""Cap on cluster-global task ids a coordinator may intern on a host."""
+"""Cap on cluster-global task ids a cluster server may intern on a host."""
 
 _EDGE_OUTBOX = 4096
-"""Edges a host holds for the coordinator's next pump; a storm past it
+"""Edges a host holds for the cluster server's next pump; a storm past it
 loses the oldest to other workers' guards, like trace events."""
 
 
@@ -92,16 +92,16 @@ class WorkerHost:
             produces.
         queue_depth: per-shard ingest queue depth, in batches.
         adaptation: default adaptation tunables for tasks registered on
-            hosted shards (the coordinator forwards its own).
+            hosted shards (the cluster server forwards its own).
         registry: metrics registry; the default creates a live one so
             per-worker counters always exist for the fleet merge.
         trace: decision trace for sampler events; the default creates a
-            local ring the coordinator drains via ``w_trace``.
+            local ring the cluster server drains via ``w_trace``.
         fault_hook: chaos-testing seam (``repro.testkit``) handed to
             every hosted :class:`~repro.runtime.shard.ShardWorker` and
             consulted by :meth:`enqueue` (``force_shed``).
         edge_sink: where an edge goes once this host flipped its own
-            guards; default the outbox the coordinator pumps. A host
+            guards; default the outbox the cluster server pumps. A host
             with no peers (the runtime's) passes its owner's counter.
     """
 
@@ -115,7 +115,7 @@ class WorkerHost:
         self.worker_id = worker_id
         self.queue_depth = queue_depth
         self.fault_hook = fault_hook
-        # Cluster-global task-id table, interned lazily by the coordinator
+        # Cluster-global task-id table, interned lazily by the cluster server
         # (``w_intern``). Lives on the *host*, not a shard, so it survives
         # shard migrations in and out of this worker.
         self.gid_names: list[str | None] = []
@@ -317,7 +317,7 @@ class WorkerHost:
                           f"{shard_id}", code="shard-exists")
         adaptation = request.get("adaptation")
         if adaptation is not None:
-            self.adaptation = AdaptationConfig(**adaptation)
+            self.adaptation = AdaptationConfig.from_dict(adaptation)
         self.install_shard(shard_id)
         return {"ok": True, "shard": shard_id}
 
@@ -333,7 +333,7 @@ class WorkerHost:
         shard_id = int(request["shard"])
         adaptation = request.get("adaptation")
         if adaptation is not None:
-            self.adaptation = AdaptationConfig(**adaptation)
+            self.adaptation = AdaptationConfig.from_dict(adaptation)
         # Restore first, swap after: a snapshot that does not load is
         # an error reply, and costs the worker nothing it hosts.
         previous = self.shards.get(shard_id)
@@ -384,7 +384,7 @@ class WorkerHost:
     def _op_intern(self, request: dict[str, Any]) -> dict[str, Any]:
         """Extend the host's gid table: ``{"tasks": [[gid, name], ...]}``.
 
-        The coordinator assigns gids densely and syncs lazily before the
+        The cluster server assigns gids densely and syncs lazily before the
         first columnar forward that references them, so this is called
         rarely (new tasks only) and may re-intern existing entries.
         """
@@ -525,7 +525,7 @@ class WorkerHost:
         """Pop the outbox: every watch edge raised here since the last
         pump, oldest first, each with its ``hosted``.
 
-        Destructive by design: the coordinator is the only consumer, so
+        Destructive by design: the cluster server is the only consumer, so
         a cursor would buy nothing — and edges held by a worker that
         dies before the next pump are lost along with its queues (the
         guarded targets simply stay at their last armed state, which the
@@ -578,7 +578,7 @@ class WorkerHost:
                 "shards": [worker.stats() for worker in workers]}
 
     def _op_telemetry(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Raw-sketch metrics snapshot for the coordinator-side merge."""
+        """Raw-sketch metrics snapshot for the cluster server's merge."""
         return {"ok": True, "worker_id": self.worker_id,
                 "metrics": self.registry.snapshot(raw=True)}
 

@@ -10,8 +10,9 @@ restarts, and across independent processes.
 
 The assignment is pinned by a golden test
 (``tests/cluster/test_routing.py``): shard placement is persistent state
-(checkpoints store a ``task_shard`` map, the cluster placement table
-keys on shard ids), so an accidental change to this function would strand
+(a checkpoint keeps each task in the snapshot of the shard it routed to,
+and restore routes by those snapshots; the cluster placement table keys
+on shard ids), so an accidental change to this function would strand
 every existing checkpoint. Treat the golden file as a compatibility
 contract, not a regression snapshot.
 """

@@ -49,7 +49,6 @@ interleave at await points; the cross-connection coordination
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import logging
 import os
 import pathlib
@@ -222,9 +221,6 @@ class ClusterServer(WireServer):
             await self._close_workers()
             self._done.set()
 
-    def _adaptation_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self.adaptation)
-
     def _build_transports(self) -> None:
         cfg = self.config
         if cfg.backend == "subprocess":
@@ -286,13 +282,13 @@ class ClusterServer(WireServer):
         if entry is None:
             reply = await self._request(routed.worker_id, {
                 "op": "w_add_shard", "shard": routed.shard_id,
-                "adaptation": self._adaptation_dict()})
+                "adaptation": self.adaptation.to_dict()})
         else:
             reply = await self._request(routed.worker_id, {
                 "op": "w_restore_shard", "shard": routed.shard_id,
                 "snapshot": entry["snapshot"],
                 "counters": entry.get("counters"),
-                "adaptation": self._adaptation_dict()})
+                "adaptation": self.adaptation.to_dict()})
         if not reply.get("ok"):
             raise ClusterError(
                 f"cannot place shard {routed.shard_id} on "
@@ -623,7 +619,7 @@ class ClusterServer(WireServer):
             restored = await self._request(target, {
                 "op": "w_restore_shard", "shard": shard_id,
                 "snapshot": snap["snapshot"], "counters": snap["counters"],
-                "adaptation": self._adaptation_dict(), "fingerprint": True})
+                "adaptation": self.adaptation.to_dict(), "fingerprint": True})
             if not restored.get("ok"):
                 raise ClusterError(
                     f"cannot restore shard {shard_id} on {target}: "

@@ -41,11 +41,12 @@ import pathlib
 import types
 import typing
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.core.adaptation import AdaptationConfig
 from repro.core.substrates import (DEFAULT_ENTROPY_WINDOW,
-                                   DEFAULT_SKETCH_WINDOW, TASK_TYPES)
+                                   DEFAULT_SKETCH_WINDOW, TASK_PARAMS,
+                                   TASK_TYPES)
 from repro.core.task import TaskSpec
 from repro.core.windowed import AggregateKind
 from repro.exceptions import ConfigurationError
@@ -55,7 +56,8 @@ from repro.triggers.plan import TriggerPlan
 from repro.types import ThresholdDirection
 
 __all__ = ["ClusterConfig", "RuntimeConfig", "ServerConfig",
-           "config_trigger_plans", "register_task_from_config",
+           "check_task_params", "config_trigger_plans",
+           "register_task_from_config",
            "service_from_config", "task_from_config", "trigger_pair_plan"]
 
 
@@ -270,12 +272,9 @@ class ClusterConfig(ServerConfig):
         return _from_section(cls, entry, "cluster")
 
 
-_TASK_KEYS = {"name", "threshold", "error_allowance", "default_interval",
-              "max_interval", "direction", "window", "aggregate",
-              "type", "quantile", "sketch_window", "relative_error",
-              "entropy_window", "bin_width"}
-_QUANTILE_KEYS = {"quantile", "sketch_window", "relative_error"}
-_ENTROPY_KEYS = {"entropy_window", "bin_width"}
+_COMMON_TASK_KEYS = {"name", "threshold", "error_allowance",
+                     "default_interval", "max_interval", "direction", "type"}
+_TASK_KEYS = _COMMON_TASK_KEYS.union(*TASK_PARAMS.values())
 _TRIGGER_KEYS = {"target", "trigger", "elevation_level",
                  "suspend_interval"}
 _TOP_KEYS = {"defaults", "tasks", "triggers", "trigger_plans"}
@@ -309,30 +308,31 @@ def _aggregate(raw: str) -> AggregateKind:
             f"{[k.value for k in AggregateKind]}, got {raw!r}") from None
 
 
-def _task_kind(entry: dict[str, Any]) -> str:
-    """Validate and return a task entry's ``type`` with its key usage."""
-    where = f"task {entry.get('name', '?')!r}"
-    kind = str(entry.get("type", "value"))
+def check_task_params(kind: str, params: Iterable[str], where: str,
+                      ) -> None:
+    """Refuse a task of type ``kind`` given a parameter key its type
+    does not take (:data:`~repro.core.substrates.TASK_PARAMS`), or a
+    quantile task without its ``quantile`` — the rule a config entry and
+    a scenario timeline share. ``where`` names the task in the error."""
     if kind not in TASK_TYPES:
         raise ConfigurationError(
             f"unknown task type {kind!r} in {where} "
             f"(expected one of {TASK_TYPES})")
-    misplaced: set[str] = set()
-    if kind != "quantile":
-        misplaced |= _QUANTILE_KEYS & set(entry)
-    if kind != "entropy":
-        misplaced |= _ENTROPY_KEYS & set(entry)
+    params = set(params)
+    misplaced = params - set(TASK_PARAMS[kind])
     if misplaced:
         raise ConfigurationError(
             f"key(s) {sorted(misplaced)} in {where} do not apply to "
             f"type {kind!r}")
-    if kind == "quantile" and "quantile" not in entry:
+    if kind == "quantile" and "quantile" not in params:
         raise ConfigurationError(f"quantile task {where} needs 'quantile'")
-    if kind != "value" and ({"window", "aggregate"} & set(entry)):
-        raise ConfigurationError(
-            f"window/aggregate in {where} apply to value tasks only; "
-            f"{kind} tasks window via "
-            f"{'sketch_window' if kind == 'quantile' else 'entropy_window'}")
+
+
+def _task_kind(entry: dict[str, Any]) -> str:
+    """A task entry's ``type``, once its keys are checked against it."""
+    kind = str(entry.get("type", "value"))
+    check_task_params(kind, set(entry) - _COMMON_TASK_KEYS,
+                      f"task {entry.get('name', '?')!r}")
     return kind
 
 

@@ -26,8 +26,8 @@ from repro.core.likelihood import (cantelli_upper_bound,
 from repro.core.online_stats import OnlineStatistics, WindowedStatistics
 from repro.core.sampler import SamplingScheme
 from repro.core.soa import ColumnBatchResult, SoaSamplerEngine
-from repro.core.substrates import (TASK_TYPES, EntropyEstimator,
-                                   QuantileEstimator)
+from repro.core.substrates import (TASK_PARAMS, TASK_TYPES,
+                                   EntropyEstimator, QuantileEstimator)
 from repro.core.task import DistributedTaskSpec, TaskSpec
 from repro.core.windowed import (AggregateKind, WindowedTaskSpec,
                                  aggregate_trace, run_windowed_adaptive)
@@ -47,6 +47,7 @@ __all__ = [
     "EvenAllocation",
     "OnlineStatistics",
     "QuantileEstimator",
+    "TASK_PARAMS",
     "TASK_TYPES",
     "RunAccuracy",
     "SamplingDecision",

@@ -23,7 +23,8 @@ defaults of :class:`AdaptationConfig`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, Mapping
 
 from repro.core.likelihood import (gaussian_misdetection_estimate,
                                    misdetection_bound)
@@ -80,6 +81,22 @@ class AdaptationConfig:
             raise ConfigurationError(
                 "estimator must be 'chebyshev' or 'gaussian', got "
                 f"{self.estimator!r}")
+
+    def to_dict(self) -> dict[str, Any]:
+        """The tunables as a JSON-able dict, one key per field in field
+        order (the config file's ``adaptation`` section, a snapshot's
+        ``adaptation``)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, entry: Mapping[str, Any]) -> "AdaptationConfig":
+        """Inverse of :meth:`to_dict`. Fails closed: a non-map, an
+        unknown key or a mistyped value is a :class:`ConfigurationError`."""
+        try:
+            return cls(**entry)
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"bad adaptation section: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,10 +38,17 @@ from repro.exceptions import ConfigurationError
 from repro.telemetry.histogram import (DEFAULT_RELATIVE_ERROR,
                                        LogHistogram)
 
-__all__ = ["EntropyEstimator", "QuantileEstimator", "TASK_TYPES"]
+__all__ = ["EntropyEstimator", "QuantileEstimator", "TASK_PARAMS",
+           "TASK_TYPES"]
 
 TASK_TYPES = ("value", "quantile", "entropy")
 """Task types the service layer can register (``value`` = scalar)."""
+
+TASK_PARAMS = {"value": ("window", "aggregate"),
+               "quantile": ("quantile", "sketch_window", "relative_error"),
+               "entropy": ("entropy_window", "bin_width")}
+"""The parameter keys each task type takes beside the ones every task
+has (name, threshold, allowance, intervals, direction)."""
 
 DEFAULT_SKETCH_WINDOW = 128
 """Default observations per sketch epoch for quantile tasks."""

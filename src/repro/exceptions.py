@@ -23,11 +23,6 @@ class TraceError(ReproError):
     """A metric trace is malformed (empty, NaN, wrong shape, ...)."""
 
 
-class SimulationError(ReproError):
-    """The simulation reached an inconsistent state (e.g. its clock was
-    asked to move backwards)."""
-
-
 class CoordinationError(ReproError):
     """Distributed coordination received inconsistent monitor reports."""
 

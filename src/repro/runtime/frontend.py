@@ -1109,14 +1109,9 @@ def load_config_file(path: pathlib.Path | None, section: str,
         raise ConfigurationError("config file must hold a JSON object")
     server_section = {name: loaded.pop(name, {})
                       for name in ("runtime", "cluster")}[section]
-    adaptation = None
     adaptation_section = loaded.pop("adaptation", None)
-    if adaptation_section is not None:
-        try:
-            adaptation = AdaptationConfig(**adaptation_section)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"bad adaptation section: {exc}") from None
+    adaptation = (None if adaptation_section is None
+                  else AdaptationConfig.from_dict(adaptation_section))
     return server_section, adaptation, loaded
 
 

@@ -13,6 +13,7 @@ process boundaries never reshuffle a stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -153,14 +154,33 @@ class CompiledScenario:
 
     def guarded_tasks(self) -> list[int]:
         """Fleet ranks guarded by at least one trigger link (sorted)."""
-        guarded: set[int] = set()
-        for link in self.timeline.triggers:
-            if link.targets is not None:
-                guarded.update(link.targets)
-            else:
-                guarded.update(t for t in range(self.n_tasks)
-                               if t != link.trigger)
-        return sorted(guarded)
+        rank = {name: t for t, name in enumerate(self.task_names)}
+        return sorted({rank[plan.target] for plan in self.trigger_plans()})
+
+    def service_config(self) -> dict[str, Any]:
+        """The fleet as a service-config root, the one both replays
+        start from: :func:`~repro.config.service_from_config` reads it
+        offline, and either server takes it as ``service_config``.
+
+        Every task entry is complete (there is no ``defaults`` section),
+        with a typed timeline's ``type`` and parameter keys, so
+        registration derives the sampler-facing spec (e.g. the 1 - q
+        exceedance threshold) as it would for any config.
+        :meth:`trigger_plans` ride along as ``trigger_plans`` dicts.
+        """
+        timeline = self.timeline
+        typed: dict[str, Any] = {}
+        if timeline.task_type != "value":
+            typed = {"type": timeline.task_type, **timeline.task_params}
+        tasks = [{"name": name, "threshold": float(self.thresholds[t]),
+                  "error_allowance": timeline.err,
+                  "default_interval": timeline.default_interval,
+                  "max_interval": timeline.max_interval,
+                  "direction": timeline.direction, **typed}
+                 for t, name in enumerate(self.task_names)]
+        return {"tasks": tasks,
+                "trigger_plans": [plan.to_dict()
+                                  for plan in self.trigger_plans()]}
 
 
 def compile_timeline(timeline: Timeline, seed: int) -> CompiledScenario:

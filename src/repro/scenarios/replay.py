@@ -1,8 +1,14 @@
 """Replaying compiled scenarios against the live runtime.
 
+Both replays start from one statement of the fleet, the scenario's
+service-config root
+(:meth:`~repro.scenarios.compiler.CompiledScenario.service_config`),
+read by the reader the servers use.
+
 :func:`replay_scenario` is the fleet-scale path: it spins up a real
 :class:`~repro.runtime.server.RuntimeServer` on an ephemeral loopback
-port inside one event loop, registers the whole fleet over the wire,
+port inside one event loop with the root as its ``service_config`` (so
+the server registers the fleet and installs its plans at start-up),
 feeds one ``offer_batch`` frame per grid step over that connection,
 polls the decision-trace ring incrementally, and collects every task's
 alerts, sample count and final interval back over the wire. A testkit
@@ -14,10 +20,12 @@ stays a deterministic function of ``(timeline, seed, spec)``.
 
 :func:`simulate_replay` is the offline twin used by the scorer's
 mutation checks: it drives the same per-task update sequence directly
-through a :class:`~repro.service.MonitoringService` (``volley`` mode),
-or through two deliberately broken samplers — ``always`` (samples every
-grid point) and ``never`` (samples nothing) — that a correct scorer
-must score as maximal-cost/zero-delay and as a mis-detection breach.
+through the :class:`~repro.service.MonitoringService` that
+:func:`~repro.config.service_from_config` builds from the root
+(``volley`` mode), or through two deliberately broken samplers —
+``always`` (samples every grid point) and ``never`` (samples nothing) —
+that a correct scorer must score as maximal-cost/zero-delay and as a
+mis-detection breach.
 """
 
 from __future__ import annotations
@@ -26,14 +34,14 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.config import RuntimeConfig, register_task_from_config
+from repro.config import (ClusterConfig, RuntimeConfig,
+                          config_trigger_plans, service_from_config)
 from repro.core.adaptation import AdaptationConfig
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.server import RuntimeServer
 from repro.runtime.shard import SHARD_COUNTERS
 from repro.scenarios.compiler import CompiledScenario
-from repro.service import MonitoringService
 from repro.testkit.faults import (FaultPlan, FaultSpec, NOOP_HOOK,
                                   PlanFaultHook)
 from repro.triggers.plan import count_edge
@@ -41,6 +49,9 @@ from repro.triggers.plan import count_edge
 __all__ = ["ReplayResult", "replay_scenario", "simulate_replay"]
 
 SIM_MODES = ("volley", "always", "never")
+
+TRACE_CAPACITY = 65536
+"""Decision-trace ring size of a live replay's server, in events."""
 
 
 @dataclass
@@ -65,41 +76,9 @@ class ReplayResult:
     triggers: dict[str, Any] | None = None
 
 
-def _adaptation(timeline_overrides: dict[str, Any]) -> AdaptationConfig:
-    try:
-        return AdaptationConfig(**timeline_overrides)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"bad adaptation overrides {timeline_overrides}: {exc}") from exc
-
-
-def _task_entries(compiled: CompiledScenario) -> list[dict[str, Any]]:
-    """The fleet as declarative task config entries.
-
-    One statement for both replays: the live one sends each entry in a
-    ``register_task`` op, the offline twin hands it to
-    :func:`~repro.config.register_task_from_config`, which is what the
-    server's shard host registers through. Typed timelines use the same
-    config keys the wire schema exposes; registration derives the
-    sampler-facing spec (e.g. the 1 - q exceedance threshold).
-    """
-    timeline = compiled.timeline
-    typed_keys: dict[str, Any] = {}
-    if timeline.task_type != "value":
-        typed_keys["type"] = timeline.task_type
-        typed_keys.update(timeline.task_params)
-    return [{"name": name, "threshold": float(compiled.thresholds[t]),
-             "error_allowance": timeline.err,
-             "default_interval": timeline.default_interval,
-             "max_interval": timeline.max_interval,
-             "direction": timeline.direction, **typed_keys}
-            for t, name in enumerate(compiled.task_names)]
-
-
 def replay_scenario(compiled: CompiledScenario, shards: int = 4,
                     fault_spec: FaultSpec | None = None,
                     fault_seed: int | None = None,
-                    trace_capacity: int = 65536,
                     cluster_workers: int = 0,
                     cluster_backend: str = "subprocess") -> ReplayResult:
     """Replay a compiled scenario through a live runtime server.
@@ -121,16 +100,16 @@ def replay_scenario(compiled: CompiledScenario, shards: int = 4,
             "hooks are a single-process server feature (chaos against "
             "the cluster is the testkit SIGKILL matrix)")
     return asyncio.run(_replay(compiled, shards, fault_spec, fault_seed,
-                               trace_capacity, int(cluster_workers),
-                               cluster_backend))
+                               int(cluster_workers), cluster_backend))
 
 
 async def _replay(compiled: CompiledScenario, shards: int,
                   fault_spec: FaultSpec | None, fault_seed: int | None,
-                  trace_capacity: int, cluster_workers: int,
+                  cluster_workers: int,
                   cluster_backend: str) -> ReplayResult:
-    timeline = compiled.timeline
     n_steps, n_tasks = compiled.values.shape
+    root = compiled.service_config()
+    adaptation = AdaptationConfig.from_dict(compiled.timeline.adaptation)
 
     hook = NOOP_HOOK
     plan: FaultPlan | None = None
@@ -141,9 +120,11 @@ async def _replay(compiled: CompiledScenario, shards: int,
         hook.armed = False
         hook.checkpoint_armed = False
 
+    # The server registers the fleet and installs its plans from the
+    # root as it starts, through the bodies the wire ops call; the fault
+    # hook is still disarmed then.
     if cluster_workers:
         from repro.cluster.server import ClusterServer
-        from repro.config import ClusterConfig
 
         cluster_config = ClusterConfig(
             workers=cluster_workers,
@@ -151,19 +132,18 @@ async def _replay(compiled: CompiledScenario, shards: int,
             backend=cluster_backend, port=0,
             queue_depth=max(1024, n_steps + 16),
             max_batch=max(8192, n_tasks),
-            trace_capacity=trace_capacity)
-        server = ClusterServer(cluster_config,
-                               adaptation=_adaptation(timeline.adaptation))
+            trace_capacity=TRACE_CAPACITY)
+        server = ClusterServer(cluster_config, adaptation=adaptation,
+                               service_config=root)
     else:
         config = RuntimeConfig(
             shards=shards, port=0,
             queue_depth=max(1024, n_steps + 16),
             max_batch=max(8192, n_tasks),
-            trace_capacity=trace_capacity,
+            trace_capacity=TRACE_CAPACITY,
             checkpoint_interval=3600.0)
-        server = RuntimeServer(config,
-                               adaptation=_adaptation(timeline.adaptation),
-                               fault_hook=hook)
+        server = RuntimeServer(config, service_config=root,
+                               adaptation=adaptation, fault_hook=hook)
     await server.start()
     assert server.tcp_port is not None
     client = AsyncRuntimeClient(port=server.tcp_port)
@@ -190,28 +170,18 @@ async def _replay(compiled: CompiledScenario, shards: int,
             kind = str(event.get("kind", "?"))
             trace_events[kind] = trace_events.get(kind, 0) + 1
 
-    plans = compiled.trigger_plans()
+    plans = root["trigger_plans"]
     boundaries = ({span.end for span in compiled.spans} if plans
                   else set())
     phase_samples: list[list[int]] = []
 
     try:
-        for entry in _task_entries(compiled):
-            await client.register_task(**entry)
-        for trigger_plan in plans:
-            reply = await client.request({"op": "trigger_install",
-                                          "plan": trigger_plan.to_dict()})
-            if not reply.get("ok"):
-                raise ConfigurationError(
-                    f"cannot install trigger plan for "
-                    f"{trigger_plan.target!r}: {reply.get('error')}")
-
         skewed = (plan is not None and fault_spec is not None
                   and fault_spec.clock_skew_rate > 0.0
                   and fault_spec.clock_skew_max > 0)
         # Poll often enough that the ring can never wrap between polls
         # even if every update produced an event.
-        poll_every = max(1, trace_capacity // (4 * n_tasks))
+        poll_every = max(1, TRACE_CAPACITY // (4 * n_tasks))
         if hook is not NOOP_HOOK:
             hook.armed = True
         values = compiled.values
@@ -350,19 +320,17 @@ def simulate_replay(compiled: CompiledScenario,
             phase_samples=([[0] * n_tasks for _ in compiled.spans]
                            if has_triggers else None))
 
-    service = MonitoringService(_adaptation(timeline.adaptation))
-    for entry in _task_entries(compiled):
-        register_task_from_config(service, entry)
+    root = compiled.service_config()
+    service = service_from_config(
+        root, AdaptationConfig.from_dict(timeline.adaptation))
     values = compiled.values
     names = compiled.task_names
 
     # The one service routes its own edges; the sink counts them per
     # plan by the servers' rule.
-    plans = compiled.trigger_plans()
+    plans = config_trigger_plans(root)
     edges = {"arm": 0, "disarm": 0}
     if plans:
-        for trigger_plan in plans:
-            service.install_trigger_plan(trigger_plan)
         by_target = {plan.target: plan for plan in plans}
         tasks = set(names)
         service.set_trigger_sink(

@@ -18,11 +18,13 @@ determines a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Any, Mapping
+from dataclasses import (dataclass, field, fields as dataclass_fields,
+                         replace)
+from typing import Any
 
-from repro.core.substrates import TASK_TYPES
+from repro.config import check_task_params
 from repro.exceptions import ConfigurationError
+from repro.triggers.plan import TriggerPlan
 from repro.types import ThresholdDirection
 
 __all__ = [
@@ -114,10 +116,6 @@ class Overlay:
         return {f.name: getattr(self, f.name) for f in
                 dataclass_fields(self)}
 
-    @classmethod
-    def from_dict(cls, entry: Mapping[str, Any]) -> "Overlay":
-        return cls(**_known_kwargs(cls, entry))
-
 
 @dataclass(frozen=True, slots=True)
 class TruthWindow:
@@ -147,10 +145,6 @@ class TruthWindow:
     def to_dict(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in
                 dataclass_fields(self)}
-
-    @classmethod
-    def from_dict(cls, entry: Mapping[str, Any]) -> "TruthWindow":
-        return cls(**_known_kwargs(cls, entry))
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,13 +194,12 @@ class TriggerLink:
         _require(0.0 < self.elevation_quantile < 1.0,
                  f"elevation_quantile must be in (0, 1), "
                  f"got {self.elevation_quantile}")
-        _require(self.suspend_interval >= 2,
-                 f"suspend_interval must be >= 2, "
-                 f"got {self.suspend_interval}")
-        _require(0.0 <= self.hysteresis < 1.0,
-                 f"hysteresis must be in [0, 1), got {self.hysteresis}")
-        _require(self.min_hold >= 0,
-                 f"min_hold must be >= 0, got {self.min_hold}")
+        # The channel parameters are the plan's, checked by its rules on
+        # a placeholder pair (the compiled plans carry the real names).
+        TriggerPlan(target="target", trigger="trigger",
+                    elevation_level=0.0,
+                    suspend_interval=self.suspend_interval,
+                    hysteresis=self.hysteresis, min_hold=self.min_hold)
 
     def to_dict(self) -> dict[str, Any]:
         entry = {f.name: getattr(self, f.name) for f in
@@ -214,13 +207,6 @@ class TriggerLink:
         if entry["targets"] is not None:
             entry["targets"] = list(entry["targets"])
         return entry
-
-    @classmethod
-    def from_dict(cls, entry: Mapping[str, Any]) -> "TriggerLink":
-        kwargs = _known_kwargs(cls, entry)
-        if kwargs.get("targets") is not None:
-            kwargs["targets"] = tuple(int(t) for t in kwargs["targets"])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,15 +245,6 @@ class Phase:
                 "overlays": [ov.to_dict() for ov in self.overlays],
                 "truth": [w.to_dict() for w in self.truth]}
 
-    @classmethod
-    def from_dict(cls, entry: Mapping[str, Any]) -> "Phase":
-        return cls(name=str(entry["name"]),
-                   duration=int(entry["duration"]),
-                   overlays=tuple(Overlay.from_dict(o)
-                                  for o in entry.get("overlays", [])),
-                   truth=tuple(TruthWindow.from_dict(w)
-                               for w in entry.get("truth", [])))
-
 
 @dataclass(frozen=True)
 class WorkloadLayer:
@@ -290,11 +267,6 @@ class WorkloadLayer:
 
     def to_dict(self) -> dict[str, Any]:
         return {"generator": self.generator, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, entry: Mapping[str, Any]) -> "WorkloadLayer":
-        return cls(generator=str(entry["generator"]),
-                   params=dict(entry.get("params", {})))
 
 
 @dataclass(frozen=True, slots=True)
@@ -320,11 +292,6 @@ class ThresholdSpec:
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
-
-    @classmethod
-    def from_dict(cls, entry: Mapping[str, Any]) -> "ThresholdSpec":
-        return cls(kind=str(entry.get("kind", "absolute")),
-                   value=float(entry.get("value", 0.0)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -404,23 +371,14 @@ class Timeline:
                  f"direction must be 'upper' or 'lower', "
                  f"got {self.direction!r}")
         object.__setattr__(self, "adaptation", dict(self.adaptation))
-        _require(self.task_type in TASK_TYPES,
-                 f"task_type must be one of {TASK_TYPES}, "
-                 f"got {self.task_type!r}")
         object.__setattr__(self, "task_params", dict(self.task_params))
-        allowed = {"value": set(),
-                   "quantile": {"quantile", "sketch_window",
-                                "relative_error"},
-                   "entropy": {"entropy_window", "bin_width"}}[
-                       self.task_type]
-        unknown = set(self.task_params) - allowed
-        _require(not unknown,
-                 f"task_params key(s) {sorted(unknown)} do not apply to "
-                 f"task_type {self.task_type!r}")
-        _require(self.task_type != "quantile"
-                 or "quantile" in self.task_params,
-                 f"timeline {self.name!r}: quantile task_type needs a "
-                 f"'quantile' param")
+        check_task_params(self.task_type, self.task_params,
+                          f"timeline {self.name!r}")
+        # A value timeline's ground truth is the raw stream, so its
+        # tasks take no window.
+        _require(self.task_type != "value" or not self.task_params,
+                 f"timeline {self.name!r}: value timelines take no "
+                 f"task_params, got {sorted(self.task_params)}")
         object.__setattr__(self, "triggers", tuple(self.triggers))
         for link in self.triggers:
             ranks = (link.trigger,) + (link.targets or ())
@@ -484,34 +442,15 @@ class Timeline:
             entry["triggers"] = [link.to_dict() for link in self.triggers]
         return entry
 
-    @classmethod
-    def from_dict(cls, entry: Mapping[str, Any]) -> "Timeline":
-        return cls(
-            name=str(entry["name"]),
-            description=str(entry.get("description", "")),
-            tasks=int(entry["tasks"]),
-            base=WorkloadLayer.from_dict(entry["base"]),
-            phases=tuple(Phase.from_dict(p) for p in entry["phases"]),
-            threshold=ThresholdSpec.from_dict(entry.get("threshold", {})),
-            err=float(entry.get("err", 0.01)),
-            default_interval=float(entry.get("default_interval", 1.0)),
-            max_interval=int(entry.get("max_interval", 10)),
-            direction=str(entry.get("direction", "upper")),
-            adaptation=dict(entry.get("adaptation", {})),
-            task_type=str(entry.get("task_type", "value")),
-            task_params=dict(entry.get("task_params", {})),
-            triggers=tuple(TriggerLink.from_dict(link)
-                           for link in entry.get("triggers", [])),
-        )
-
     # -- derived timelines -----------------------------------------------
 
     def scaled(self, fleet: float = 1.0, horizon: float = 1.0) -> "Timeline":
         """A reduced (or enlarged) copy for CI-scale runs.
 
         Fleet size and every phase/overlay/window span are rescaled and
-        re-clamped so the result is always a valid timeline; scaling by
-        1.0 returns an equal timeline.
+        re-clamped so the result is always a valid timeline; every other
+        field is carried as it is (``dataclasses.replace``), so scaling
+        by 1.0 returns an equal timeline.
         """
         _require(fleet > 0 and horizon > 0,
                  f"scale factors must be > 0, got {fleet}, {horizon}")
@@ -526,22 +465,20 @@ class Timeline:
                     None if ov.length is None
                     else max(1, round(ov.length * horizon)),
                     round(ov.spread * horizon), duration)
-                overlays.append(Overlay(
-                    kind=ov.kind, peak=ov.peak, start=start, length=length,
-                    ramp_steps=max(1, round(ov.ramp_steps * horizon)),
-                    coverage=ov.coverage, spread=spread, jitter=ov.jitter,
-                    floor=ov.floor))
+                overlays.append(replace(
+                    ov, start=start, length=length, spread=spread,
+                    ramp_steps=max(1, round(ov.ramp_steps * horizon))))
             truth = []
             for w in ph.truth:
                 start, length, spread = _fit_segment(
                     round(w.start * horizon),
                     max(1, round(w.length * horizon)),
                     round(w.spread * horizon), duration)
-                truth.append(TruthWindow(start=start, length=length,
-                                         coverage=w.coverage, spread=spread))
-            phases.append(Phase(name=ph.name, duration=duration,
-                                overlays=tuple(overlays),
-                                truth=tuple(truth)))
+                truth.append(replace(w, start=start, length=length,
+                                     spread=spread))
+            phases.append(replace(ph, duration=duration,
+                                  overlays=tuple(overlays),
+                                  truth=tuple(truth)))
         task_params = dict(self.task_params)
         # Substrate windows are horizon-denominated state: shrink them
         # with the grid so CI-scale runs keep the same relative recency.
@@ -562,20 +499,9 @@ class Timeline:
                 targets = tuple(t for t in targets if t < tasks)
                 if not targets:
                     continue
-            triggers.append(TriggerLink(
-                trigger=link.trigger, targets=targets,
-                elevation_quantile=link.elevation_quantile,
-                elevation_level=link.elevation_level,
-                suspend_interval=link.suspend_interval,
-                hysteresis=link.hysteresis, min_hold=link.min_hold))
-        return Timeline(
-            name=self.name, description=self.description, tasks=tasks,
-            base=self.base, phases=tuple(phases), threshold=self.threshold,
-            err=self.err, default_interval=self.default_interval,
-            max_interval=self.max_interval, direction=self.direction,
-            adaptation=dict(self.adaptation),
-            task_type=self.task_type, task_params=task_params,
-            triggers=tuple(triggers))
+            triggers.append(replace(link, targets=targets))
+        return replace(self, tasks=tasks, phases=tuple(phases),
+                       task_params=task_params, triggers=tuple(triggers))
 
 
 def _fit_segment(start: int, length: int | None, spread: int,
@@ -587,12 +513,3 @@ def _fit_segment(start: int, length: int | None, spread: int,
     length = max(1, min(length, duration - start))
     spread = max(0, min(spread, duration - start - length))
     return start, length, spread
-
-
-def _known_kwargs(cls: type, entry: Mapping[str, Any]) -> dict[str, Any]:
-    known = {f.name for f in dataclass_fields(cls)}
-    unknown = set(entry) - known
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {cls.__name__} key(s) {sorted(unknown)}")
-    return dict(entry)

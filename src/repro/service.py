@@ -36,7 +36,7 @@ import logging
 from collections import deque
 from functools import partial
 from itertools import repeat
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from math import isfinite
 from operator import index
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -281,15 +281,6 @@ class TaskState:
         task_state._window_values.extend(
             (int(s), float(v)) for s, v in state.get("window_values", ()))
         return task_state
-
-
-def _adaptation_to_dict(config: AdaptationConfig) -> dict[str, Any]:
-    return {f.name: getattr(config, f.name)
-            for f in dataclass_fields(AdaptationConfig)}
-
-
-def _adaptation_from_dict(entry: dict[str, Any]) -> AdaptationConfig:
-    return AdaptationConfig(**entry)
 
 
 # -- the snapshot document (DESIGN.md S31 "snapshots are columns") ------
@@ -1553,9 +1544,8 @@ class MonitoringService:
         spec["direction"] = [way.value for way in spec["direction"]]
         return {
             "version": SNAPSHOT_VERSION,
-            "adaptation": _adaptation_to_dict(self._config),
-            "adaptations": [_adaptation_to_dict(config)
-                            for config in configs],
+            "adaptation": self._config.to_dict(),
+            "adaptations": [config.to_dict() for config in configs],
             "names": names,
             "spec": spec,
             "sampler": sampler,
@@ -1619,7 +1609,7 @@ class MonitoringService:
         _check_snapshot(snapshot)
         names = snapshot["names"]
         task = snapshot["task"]
-        configs = [_adaptation_from_dict(entry)
+        configs = [AdaptationConfig.from_dict(entry)
                    for entry in snapshot["adaptations"]]
         # name -> its TaskState.state_dict(), for the few that have one.
         sparse: dict[str, dict[str, Any]] = {}
@@ -1648,7 +1638,7 @@ class MonitoringService:
                 "adaptation", "window", "window_kind", "window_sum",
                 "trigger_level", "suspend_interval")))]
 
-        service = cls(_adaptation_from_dict(snapshot["adaptation"]),
+        service = cls(AdaptationConfig.from_dict(snapshot["adaptation"]),
                       soa=soa)
         engine = service._soa
         rows = repeat(None) if engine is None else engine.add_tasks(

@@ -27,9 +27,11 @@ Quickstart against a running server (``--http-port``)::
 In-process::
 
     from repro.telemetry import MetricsRegistry, render_prometheus
+    served = {"requests": 0}
     registry = MetricsRegistry()
-    hits = registry.counter("hits_total", "requests served")
-    hits.inc()
+    registry.counter("hits_total", "requests served",
+                     fn=lambda: served["requests"])
+    served["requests"] += 1
     print(render_prometheus(registry.snapshot()))
 """
 
@@ -37,7 +39,7 @@ from repro.telemetry.exposition import (CONTENT_TYPE_PROMETHEUS,
                                         TelemetryHTTPServer,
                                         render_prometheus)
 from repro.telemetry.histogram import LogHistogram
-from repro.telemetry.registry import (Counter, Gauge, HistogramInstrument,
+from repro.telemetry.registry import (CallbackSeries, HistogramInstrument,
                                       MetricsFamily, MetricsRegistry,
                                       SUMMARY_QUANTILES)
 from repro.telemetry.selfmon import SELF_SHARD, SelfMonitor
@@ -46,10 +48,9 @@ from repro.telemetry.trace import (DECISION_BLOCK, DecisionTrace,
 
 __all__ = [
     "CONTENT_TYPE_PROMETHEUS",
-    "Counter",
+    "CallbackSeries",
     "DECISION_BLOCK",
     "DecisionTrace",
-    "Gauge",
     "HistogramInstrument",
     "LogHistogram",
     "MetricsFamily",

@@ -1,16 +1,15 @@
 """Metrics registry: counters, gauges, histogram instruments.
 
-The registry is the write side of the telemetry subsystem. Hot paths hold
-*instrument* objects (a :class:`Counter` is one float attribute; ``inc``
-is one addition) and never touch the registry after creation; readers —
-the ``telemetry`` wire op, the ``/metrics`` endpoint — call
-:meth:`MetricsRegistry.snapshot` which walks every family once. Each
+Counters and gauges have one mode: each series is a callback (``fn=``)
+read at snapshot time, over state its owner already keeps (shard
+counters, queue depths, the engine rows' sampler counts, checkpoint
+age), so nothing is counted twice and no hot path pays for a series.
+A family's kind (``counter`` / ``gauge``) is what the exposition
+declares. Histograms are the one pushed instrument: the hot path holds
+the :class:`HistogramInstrument` and calls ``observe``. Readers — the
+``telemetry`` wire op, the ``/metrics`` endpoint — call
+:meth:`MetricsRegistry.snapshot`, which walks every family once. Each
 server owns one registry; there is no un-instrumented mode.
-
-Instruments supporting *callbacks* (``fn=...``) read their value at
-snapshot time instead of being pushed — used to export state the runtime
-already tracks (shard counters, queue depths, the engine rows' sampler
-counts, checkpoint age) without double bookkeeping on the hot path.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from repro.exceptions import ConfigurationError
 from repro.telemetry.histogram import DEFAULT_RELATIVE_ERROR, LogHistogram
 
 __all__ = [
-    "Counter",
-    "Gauge",
+    "CallbackSeries",
     "HistogramInstrument",
     "MetricsFamily",
     "MetricsRegistry",
@@ -33,46 +31,22 @@ SUMMARY_QUANTILES = (0.5, 0.9, 0.99)
 """Quantiles reported for histogram instruments in snapshots."""
 
 
-class Counter:
-    """Monotonically increasing value. ``inc`` is the entire hot path."""
+class CallbackSeries:
+    """One counter or gauge series: its value is ``fn()``, read at
+    snapshot time."""
 
-    kind = "counter"
-    __slots__ = ("value", "_fn")
-
-    def __init__(self, fn: Callable[[], float] | None = None):
-        self.value = 0.0
-        self._fn = fn
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def get(self) -> float:
-        """Current value (evaluates the callback for callback series)."""
-        return float(self._fn()) if self._fn is not None else self.value
-
-
-class Gauge:
-    """A value that can go up and down (or be computed at snapshot time)."""
-
-    kind = "gauge"
-    __slots__ = ("value", "_fn")
+    __slots__ = ("_fn",)
 
     def __init__(self, fn: Callable[[], float] | None = None):
-        self.value = 0.0
+        if fn is None:
+            raise ConfigurationError(
+                "counter and gauge series read their value off a "
+                "callback: pass fn=")
         self._fn = fn
 
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def get(self) -> float:
-        """Current value (evaluates the callback for callback series)."""
-        return float(self._fn()) if self._fn is not None else self.value
+        """Current value (evaluates the callback)."""
+        return float(self._fn())
 
 
 class HistogramInstrument:
@@ -148,8 +122,9 @@ class MetricsFamily:
 
         Args:
             values: label values matching ``label_names`` positionally.
-            fn: optional snapshot-time callback (counters/gauges only);
-                only honoured when the series is first created.
+            fn: the snapshot-time callback a counter or gauge series
+                reads (required when it is first created, ignored
+                after); histogram series take none.
         """
         key = tuple(str(v) for v in values)
         if len(key) != len(self.label_names):
@@ -158,7 +133,7 @@ class MetricsFamily:
                 f"label(s) {list(self.label_names)}, got {len(key)}")
         series = self._series.get(key)
         if series is None:
-            series = self._make(fn) if fn is not None else self._make()
+            series = self._make(fn)
             self._series[key] = series
         return series
 
@@ -222,7 +197,7 @@ class MetricsRegistry:
                 labels: Sequence[str] = (),
                 fn: Callable[[], float] | None = None):
         """A counter family; with no labels, the single series directly."""
-        family = self._family(name, "counter", help, labels, Counter)
+        family = self._family(name, "counter", help, labels, CallbackSeries)
         if labels:
             return family
         return family.labels(fn=fn)
@@ -231,7 +206,7 @@ class MetricsRegistry:
               labels: Sequence[str] = (),
               fn: Callable[[], float] | None = None):
         """A gauge family; with no labels, the single series directly."""
-        family = self._family(name, "gauge", help, labels, Gauge)
+        family = self._family(name, "gauge", help, labels, CallbackSeries)
         if labels:
             return family
         return family.labels(fn=fn)

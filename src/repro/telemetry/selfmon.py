@@ -73,13 +73,18 @@ class SelfMonitor:
         self._step = 0
         self._probes: list[tuple[str, Callable[[], float]]] = []
         self.alerts: list[tuple[str, Alert]] = []
-        self._polls = registry.counter(
+        # Every series reads what the service already holds: each poll
+        # considers every probe, and each collection is one sample.
+        registry.counter(
             "volley_selfmon_polls_total",
-            "Self-monitor probe evaluations considered")
-        self._samples = registry.counter(
+            "Self-monitor probe evaluations considered",
+            fn=lambda: float(self._step * len(self._probes)))
+        registry.counter(
             "volley_selfmon_samples_total",
             "Self-monitor probe collections actually performed "
-            "(polls minus likelihood-scheduling savings)")
+            "(polls minus likelihood-scheduling savings)",
+            fn=lambda: float(sum(self.service.samples_taken(name)
+                                 for name in self.task_names)))
         self._alerts_total = registry.counter(
             "volley_selfmon_alerts_total",
             "Self-monitor alerts", labels=("task",))
@@ -110,13 +115,17 @@ class SelfMonitor:
 
         def on_alert(alert: Alert, _name: str = name) -> None:
             self.alerts.append((_name, alert))
-            self._alerts_total.labels(_name).inc()
             self._trace.emit("selfmon_alert", task=_name, shard=SELF_SHARD,
                              step=alert.time_index, value=alert.value,
                              threshold=alert.threshold)
 
         self.service.add_task(name, task, on_alert=on_alert)
         self._probes.append((name, fn))
+        service = self.service
+        self._alerts_total.labels(
+            name, fn=lambda: float(service.alert_count(name)))
+        self._interval_gauge.labels(
+            name, fn=lambda: float(service.interval(name)))
 
     # -- probe value functions -----------------------------------------
 
@@ -149,13 +158,10 @@ class SelfMonitor:
         service = self.service
         collected = 0
         for name, fn in self._probes:
-            self._polls.inc()
             if not service.due(name, step):
                 continue
             service.offer(name, fn(), step)
             collected += 1
-            self._samples.inc()
-            self._interval_gauge.labels(name).set(service.interval(name))
         self._step = step + 1
         return collected
 

@@ -40,7 +40,7 @@ from typing import Any
 import numpy as np
 
 from repro.cluster.routing import route
-from repro.config import RuntimeConfig, task_from_config
+from repro.config import RuntimeConfig, register_task_from_config
 from repro.core.adaptation import AdaptationConfig
 from repro.core.coordination import AdaptiveAllocation
 from repro.runtime.checkpoint import (_jsonable, read_checkpoint,
@@ -162,7 +162,7 @@ class _ScenarioDriver:
         self.hook.armed = False
         self.hook.checkpoint_armed = False
         self.ckpt_path = workdir / "checkpoint.json"
-        self.adaptation = AdaptationConfig(**ADAPTATION)
+        self.adaptation = AdaptationConfig.from_dict(ADAPTATION)
         self.trace = scenario_trace(name, seed)
         # Shadow reference: per-shard services the driver advances itself.
         self.shadow: list[MonitoringService] = []
@@ -197,11 +197,10 @@ class _ScenarioDriver:
         return hook
 
     def _register_shadow(self, entry: dict[str, Any]) -> None:
-        spec = task_from_config(dict(entry), {})
-        shard = route(spec.name, SHARDS)
-        self.shadow[shard].add_task(spec.name, spec,
-                                    on_alert=self._attach_alert_hook(shard),
-                                    window=1, config=self.adaptation)
+        shard = route(str(entry["name"]), SHARDS)
+        register_task_from_config(self.shadow[shard], dict(entry),
+                                  on_alert=self._attach_alert_hook(shard),
+                                  config=self.adaptation)
 
     def _shadow_apply(self, shard: int, items: list[list[Any]]) -> None:
         """Replay one enqueued batch exactly as the shard drain loop will."""

@@ -71,13 +71,6 @@ class TriggerPlan:
                 f"{guarded[clash[0]]!r} for {clash}; a trigger task "
                 f"carries one watch, hence one level")
 
-    @property
-    def disarm_level(self) -> float:
-        """The value the trigger must drop below to disarm the target."""
-        if self.elevation_level >= 0.0:
-            return self.elevation_level * (1.0 - self.hysteresis)
-        return self.elevation_level * (1.0 + self.hysteresis)
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-able form (the wire/checkpoint representation)."""
         return {

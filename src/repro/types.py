@@ -70,16 +70,6 @@ class Alert:
 
 
 @dataclass(frozen=True, slots=True)
-class LocalViolation:
-    """A monitor-local threshold crossing reported to the coordinator."""
-
-    monitor_id: int
-    time_index: int
-    value: float
-    local_threshold: float
-
-
-@dataclass(frozen=True, slots=True)
 class GlobalPoll:
     """The coordinator's response to a local violation.
 

@@ -25,7 +25,7 @@ def _worker_snapshot(offered: float, values: list[float]) -> dict:
     registry = MetricsRegistry()
     family = registry.counter("volley_updates_offered_total",
                               "Updates accepted", labels=("shard",))
-    family.labels(0).inc(offered)
+    family.labels(0, fn=lambda: offered)
     hist = registry.histogram("volley_sampling_interval", "Intervals")
     for v in values:
         hist.observe(v)
@@ -92,7 +92,8 @@ class TestHistograms:
 class TestBasePassThrough:
     def test_coordinator_families_pass_through(self):
         registry = MetricsRegistry()
-        registry.counter("volley_migrations_total", "Migrations").inc(3)
+        registry.counter("volley_migrations_total", "Migrations",
+                         fn=lambda: 3)
         merged = merge_fleet_snapshots(
             {"w0": _worker_snapshot(1.0, [])}, base=registry.snapshot())
         assert merged["volley_migrations_total"]["series"][0]["value"] == 3
@@ -102,7 +103,7 @@ class TestBasePassThrough:
         shed = registry.counter("volley_updates_offered_total",
                                 "Updates accepted",
                                 labels=("worker", "shard"))
-        shed.labels("router", "-").inc(9)
+        shed.labels("router", "-", fn=lambda: 9)
         merged = merge_fleet_snapshots(
             {"w0": _worker_snapshot(2.0, [])}, base=registry.snapshot())
         series = merged["volley_updates_offered_total"]["series"]
@@ -113,7 +114,7 @@ class TestBasePassThrough:
         registry = MetricsRegistry()
         registry.counter("volley_updates_offered_total",
                          "Updates accepted", labels=("source",)
-                         ).labels("router").inc(9)
+                         ).labels("router", fn=lambda: 9)
         merged = merge_fleet_snapshots(
             {"w0": _worker_snapshot(2.0, [])}, base=registry.snapshot())
         family = merged["volley_updates_offered_total"]

@@ -752,6 +752,18 @@ def _unknown_direction(s):
     s["spec"]["direction"][0] = "sideways"
 
 
+def _unknown_adaptation_key(s):
+    s["adaptations"][0]["colour"] = "blue"
+
+
+def _unknown_service_adaptation_key(s):
+    s["adaptation"]["colour"] = "blue"
+
+
+def _mistyped_adaptation(s):
+    s["adaptations"][0]["patience"] = "twenty"
+
+
 def _unknown_top_level_key(s):
     s["tasks"] = []
 
@@ -816,6 +828,9 @@ class TestMalformedSnapshot:
         (_a_task_twice, "names"),
         (_config_index_out_of_range, "task.adaptation"),
         (_unknown_direction, "spec.direction.*sideways"),
+        (_unknown_adaptation_key, "adaptation.*'colour'"),
+        (_unknown_service_adaptation_key, "adaptation.*'colour'"),
+        (_mistyped_adaptation, "adaptation.*'str' and 'int'"),
         (_unknown_top_level_key, r"\['tasks'\]"),
     ]
     ARRAY_CASES = [

@@ -1,13 +1,15 @@
-"""Timeline model: fail-closed validation, round-trip, scaling."""
+"""Timeline model: fail-closed validation, JSON form, scaling."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.scenarios import (CANNED, Overlay, Phase, ThresholdSpec,
-                             Timeline, TruthWindow, WorkloadLayer,
-                             canned_timeline)
+                             Timeline, TriggerLink, TruthWindow,
+                             WorkloadLayer, canned_timeline)
 
 
 def _mini(**kwargs) -> Timeline:
@@ -32,15 +34,49 @@ def test_horizon_and_spans_partition():
 
 
 def test_roundtrip_to_from_dict():
-    tl = _mini()
-    assert Timeline.from_dict(tl.to_dict()) == tl
+    # ``to_dict`` is plain JSON data: it comes back from JSON unchanged.
+    entry = _mini().to_dict()
+    assert json.loads(json.dumps(entry)) == entry
 
 
 def test_canned_catalogue_roundtrips():
     for name in CANNED:
         tl = canned_timeline(name)
-        assert Timeline.from_dict(tl.to_dict()) == tl
+        entry = tl.to_dict()
+        assert json.loads(json.dumps(entry)) == entry
         assert tl.name == name
+
+
+@pytest.mark.parametrize("task_type, task_params", [
+    ("histogram", {}),
+    # A key another type takes, or none does.
+    ("value", {"quantile": 0.9}),
+    ("quantile", {"quantile": 0.9, "bin_width": 2.0}),
+    ("quantile", {"quantile": 0.9, "window": 4}),
+    ("entropy", {"sketch_window": 32}),
+    ("entropy", {"aggregate": "mean"}),
+    ("entropy", {"colour": "blue"}),
+    # A quantile task without its quantile.
+    ("quantile", {"sketch_window": 32}),
+    # The replay feeds raw values: a value timeline takes no window.
+    ("value", {"window": 4}),
+])
+def test_typed_params_on_the_wrong_task_type_are_refused(task_type,
+                                                         task_params):
+    with pytest.raises(ConfigurationError):
+        _mini(task_type=task_type, task_params=task_params)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(suspend_interval=1), "suspend_interval must be >= 2, got 1"),
+    (dict(hysteresis=1.0), r"hysteresis must be in \[0, 1\), got 1.0"),
+    (dict(min_hold=-1), "min_hold must be >= 0, got -1"),
+    (dict(elevation_quantile=1.0), "elevation_quantile"),
+    (dict(targets=(0,)), "cannot guard itself"),
+])
+def test_trigger_link_refuses_what_a_plan_refuses(bad, message):
+    with pytest.raises(ConfigurationError, match=message):
+        TriggerLink(trigger=0, **bad)
 
 
 @pytest.mark.parametrize("bad", [
@@ -101,8 +137,6 @@ def test_scaled_preserves_validity_and_identity():
         small = tl.scaled(fleet=0.1, horizon=0.25)
         assert small.tasks >= 4
         assert small.horizon == sum(ph.duration for ph in small.phases)
-        # Construction re-validates every overlay/window footprint.
-        assert Timeline.from_dict(small.to_dict()) == small
 
 
 def test_onset_offset_covers_spread_exactly():

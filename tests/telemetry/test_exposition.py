@@ -17,11 +17,12 @@ from repro.telemetry.registry import MetricsRegistry
 class TestRenderPrometheus:
     def test_golden_render(self):
         registry = MetricsRegistry()
-        registry.counter("volley_frames_total", "Frames decoded").inc(7)
+        registry.counter("volley_frames_total", "Frames decoded",
+                         fn=lambda: 7)
         depth = registry.gauge("volley_queue_depth", "Queue depth",
                                labels=("shard",))
-        depth.labels(0).set(3.0)
-        depth.labels(1).set(0.0)
+        depth.labels(0, fn=lambda: 3.0)
+        depth.labels(1, fn=lambda: 0.0)
         lat = registry.histogram("volley_offer_latency_seconds",
                                  "Offer handling latency")
         for v in (0.001, 0.002, 0.004):
@@ -50,7 +51,7 @@ class TestRenderPrometheus:
     def test_label_values_are_escaped(self):
         registry = MetricsRegistry()
         family = registry.counter("odd_total", "odd", labels=("name",))
-        family.labels('he said "hi"\nand \\ left').inc()
+        family.labels('he said "hi"\nand \\ left', fn=lambda: 1)
         text = render_prometheus(registry.snapshot())
         assert (r'odd_total{name="he said \"hi\"\nand \\ left"} 1'
                 in text.splitlines())

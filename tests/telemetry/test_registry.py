@@ -14,15 +14,26 @@ from repro.telemetry.registry import MetricsRegistry
 class TestInstruments:
     def test_counter_and_gauge(self):
         registry = MetricsRegistry()
-        hits = registry.counter("hits_total", "requests")
-        hits.inc()
-        hits.inc(2.5)
-        depth = registry.gauge("depth", "queue depth")
-        depth.set(7.0)
-        depth.inc()
-        depth.dec(3.0)
+        state = {"hits": 3.5, "depth": 5}
+        hits = registry.counter("hits_total", "requests",
+                                fn=lambda: state["hits"])
+        depth = registry.gauge("depth", "queue depth",
+                               fn=lambda: state["depth"])
         assert hits.get() == 3.5
         assert depth.get() == 5.0
+        state["depth"] = 2
+        assert depth.get() == 2.0
+        snap = registry.snapshot()
+        assert snap["hits_total"]["kind"] == "counter"
+        assert snap["depth"]["kind"] == "gauge"
+
+    def test_counter_and_gauge_series_need_a_callback(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ConfigurationError, match="fn="):
+            registry.counter("hits_total", "requests")
+        family = registry.gauge("depth", "queue depth", labels=("shard",))
+        with pytest.raises(ConfigurationError, match="fn="):
+            family.labels(0)
 
     def test_callback_instruments_read_at_snapshot_time(self):
         registry = MetricsRegistry()
@@ -54,10 +65,9 @@ class TestFamilies:
     def test_labelled_series_are_cached(self):
         registry = MetricsRegistry()
         family = registry.counter("per_shard_total", "x", labels=("shard",))
-        a = family.labels(0)
-        a.inc(5)
+        a = family.labels(0, fn=lambda: 5)
         assert family.labels(0) is a
-        assert family.labels(1) is not a
+        assert family.labels(1, fn=lambda: 0) is not a
         snap = registry.snapshot()["per_shard_total"]
         assert snap["label_names"] == ["shard"]
         assert {tuple(s["labels"]): s["value"]
@@ -71,14 +81,13 @@ class TestFamilies:
 
     def test_registration_is_idempotent(self):
         registry = MetricsRegistry()
-        first = registry.counter("same_total", "x")
-        first.inc()
+        first = registry.counter("same_total", "x", fn=lambda: 1)
         again = registry.counter("same_total", "x")
-        assert again.get() == 1.0
+        assert again is first and again.get() == 1.0
 
     def test_kind_conflict_is_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("thing", "x")
+        registry.counter("thing", "x", fn=lambda: 0)
         with pytest.raises(ConfigurationError, match="already registered"):
             registry.gauge("thing", "x")
         with pytest.raises(ConfigurationError, match="already registered"):
@@ -87,7 +96,7 @@ class TestFamilies:
     def test_snapshot_is_json_able(self):
         import json
         registry = MetricsRegistry()
-        registry.counter("a_total", "a").inc()
+        registry.counter("a_total", "a", fn=lambda: 1)
         registry.histogram("b_seconds", "b").observe(0.5)
         assert json.loads(json.dumps(registry.snapshot()))
 

@@ -5,13 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import (ConfigurationError, CoordinationError,
-                              CorrelationError, ReproError, SimulationError,
-                              TraceError)
+                              CorrelationError, ReproError, TraceError)
 
 
 @pytest.mark.parametrize("exc", [ConfigurationError, CoordinationError,
-                                 CorrelationError, SimulationError,
-                                 TraceError])
+                                 CorrelationError, TraceError])
 def test_all_derive_from_repro_error(exc):
     assert issubclass(exc, ReproError)
     assert issubclass(exc, Exception)

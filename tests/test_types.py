@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.types import (Alert, GlobalPoll, LocalViolation, Sample,
-                         ThresholdDirection)
+from repro.types import Alert, GlobalPoll, Sample, ThresholdDirection
 
 
 class TestThresholdDirection:
@@ -38,11 +37,6 @@ class TestRecords:
     def test_alert_fields(self):
         alert = Alert(time_index=5, value=12.0, threshold=10.0)
         assert alert.value > alert.threshold
-
-    def test_local_violation_fields(self):
-        violation = LocalViolation(monitor_id=2, time_index=9, value=3.0,
-                                   local_threshold=2.5)
-        assert violation.monitor_id == 2
 
     def test_global_poll_fields(self):
         poll = GlobalPoll(time_index=1, values=(1.0, 2.0), total=3.0,

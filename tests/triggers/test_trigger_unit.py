@@ -44,14 +44,6 @@ class TestTriggerPlan:
         with pytest.raises(ConfigurationError):
             TriggerPlan.from_dict({**plan.to_dict(), "bogus": 1})
 
-    def test_disarm_level_sides(self):
-        up = TriggerPlan(target="a", trigger="b", elevation_level=100.0,
-                         hysteresis=0.1)
-        assert up.disarm_level == pytest.approx(90.0)
-        down = TriggerPlan(target="a", trigger="b", elevation_level=-100.0,
-                           hysteresis=0.1)
-        assert down.disarm_level == pytest.approx(-110.0)
-
     def test_from_rule_stamps_channel_params(self):
         evidence = CorrelationEvidence(
             pearson=0.9, necessary_condition_score=0.97,
@@ -68,6 +60,12 @@ class TestTriggerPlan:
 
 
 class TestWatcher:
+    def test_disarm_level_sides(self):
+        up = TriggerWatcher(100.0, hysteresis=0.1)
+        assert up.disarm_level == pytest.approx(90.0)
+        down = TriggerWatcher(-100.0, hysteresis=0.1)
+        assert down.disarm_level == pytest.approx(-110.0)
+
     def test_starts_armed_and_needs_band_exit_to_disarm(self):
         watcher = TriggerWatcher(100.0, hysteresis=0.1, min_hold=0)
         assert watcher.armed

@@ -15,7 +15,8 @@ per alert, a sort per step-major batch, a scalar sampler built beside an
 engine row, a last-seen pair dragging its batch off the tick, an
 ``Alert`` object, a trace call or a trace event dict per alert on a
 hosted shard or in its restore, a JSON object per task in a snapshot, a
-decimal number per task in a checkpoint file, a row-by-row engine write
+walk over every task by a snapshot no control op preceded, a decimal
+number per task in a checkpoint file, a row-by-row engine write
 in a restore, a numpy scalar per column read or write of a narrow tick or
 a by-name offer).
 """
@@ -295,6 +296,44 @@ def test_a_checkpoint_spells_no_number_per_task(tmp_path):
         raw = path.read_bytes()
         counts.append(_numbers(json.loads(raw[:raw.index(b"\n")])))
     assert counts[0] == counts[1]
+
+
+def test_a_warm_snapshot_walks_no_task(monkeypatch, tmp_path):
+    """A snapshot builds its registration columns (names, specs,
+    configs, window and guard settings) once per registration change: a
+    second snapshot of a 1 024-task engine service with only offers in
+    between builds them zero times, and one after each of the four
+    control ops that can change them builds them exactly once. A warm
+    snapshot, a cold one (a restore's first) and the same document as
+    lists all write the same checkpoint bytes."""
+    service = _warm(1024)
+    built = _counted(monkeypatch, service_module, "_distinct")
+    first = service.snapshot()
+    assert len(built) == 1
+    rows = np.arange(1024, dtype=np.int64)
+    service.offer_columns(rows, np.full(1024, 8), np.full(1024, 97.0))
+    warm = service.snapshot()
+    assert len(built) == 1
+    assert state_fingerprint(warm) != state_fingerprint(first)
+    for change in (
+            lambda: service.add_task("late", TaskSpec(threshold=100.0,
+                                                      error_allowance=0.01)),
+            lambda: service.remove_task("t0003"),
+            lambda: service.add_remote_trigger("t0010", "far", 50.0),
+            lambda: service.add_trigger_watch("t0020", 60.0)):
+        built.clear()
+        change()
+        service.snapshot()
+        service.snapshot()
+        assert len(built) == 1
+    written = []
+    for document in (warm, MonitoringService.restore(warm, soa=True)
+                     .snapshot(), json.loads(json.dumps(
+                         warm, default=np.ndarray.tolist))):
+        path = tmp_path / f"{len(written)}.ckpt"
+        write_checkpoint(path, {"shard_count": 1, "shards": [document]})
+        written.append(path.read_bytes())
+    assert written[0] == written[1] == written[2]
 
 
 def test_a_local_pair_rides_the_tick(monkeypatch):

@@ -38,7 +38,7 @@ from functools import partial
 from itertools import repeat
 from dataclasses import dataclass, field
 from math import isfinite
-from operator import index
+from operator import attrgetter, index
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -294,10 +294,14 @@ class TaskState:
 # TaskState.state_dict key, under ``sparse``. The columns an engine
 # holds — ``sampler``, ``task.next_due`` / ``samples_taken`` /
 # ``alerts`` and ``alerts`` — are written as read-only i8 / f8 / b1
-# arrays, by both services; the ones a TaskState holds stay lists of the
-# caller's elements. ``restore`` reads either form of any column (a
-# checkpoint hands back arrays, a JSON frame lists). key -> element
-# types, an array's dtype the element type's (core.soa._DTYPES):
+# arrays, by both services. The registration columns — ``names``,
+# ``spec`` and the rest of ``task`` — are built once per registration
+# change (MonitoringService._registration) and written as read-only i8 /
+# f8 arrays when every element is exactly an int or exactly a float,
+# else as lists of the caller's elements (strings, an int among floats).
+# ``restore`` reads either form of any column (a checkpoint hands back
+# arrays, a JSON frame lists). key -> element types, an array's dtype the
+# element type's (core.soa._DTYPES):
 _NUMBER, _INT, _STR = (float, int), (int,), (str,)
 _GROUPS: dict[str, dict[str, tuple[type, ...]]] = {
     "spec": {"threshold": _NUMBER, "error_allowance": _NUMBER,
@@ -335,13 +339,59 @@ def _listed(column: Any) -> Any:
     return column.tolist() if isinstance(column, np.ndarray) else column
 
 
-def _distinct(configs: Iterable[AdaptationConfig],
-              ) -> tuple[list[AdaptationConfig], list[int]]:
+def _distinct(configs: Sequence[AdaptationConfig],
+              ) -> tuple[list[AdaptationConfig], np.ndarray]:
     """The distinct ``configs`` in first-use order, and each one's index
-    among them — a snapshot's ``adaptations`` and ``task.adaptation``."""
+    among them — a snapshot's ``adaptations`` and ``task.adaptation``.
+    Each config *object* is hashed once: most tasks share the service's
+    default, and a frozen dataclass hashes every field per call."""
+    ids = list(map(id, configs))
     seen: dict[AdaptationConfig, int] = {}
-    indices = [seen.setdefault(config, len(seen)) for config in configs]
-    return list(seen), indices
+    at = {key: seen.setdefault(config, len(seen))  # first-use order
+          for key, config in dict(zip(ids, configs)).items()}
+    return list(seen), np.array(list(map(at.__getitem__, ids)), np.int64)
+
+
+def _column(values: list[Any]) -> Any:
+    """A registration column as the checkpoint writer packs it: a
+    read-only ``f8`` / ``i8`` array when every element is exactly a
+    ``float`` / exactly an ``int`` within 64 bits, else ``values``
+    itself — strings, or an int among floats, which the writer keeps as
+    JSON. One exact-type scan per column per registration change."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and (kind := kinds.pop()) in (float, int):
+        try:
+            return _read_only(np.array(values, _DTYPES[kind]))
+        except OverflowError:  # an int wider than 64 bits
+            pass
+    return values
+
+
+def _handed(column: Any) -> Any:
+    """A kept registration column as one snapshot gets it: a read-only
+    view of an array (which nobody can make writeable), a copy of a
+    list — so the document is a value whatever its holder does to it."""
+    if isinstance(column, np.ndarray):
+        return column.view()
+    return list(column)
+
+
+def _overlaid(column: Any, positions: np.ndarray,
+              values: list[Any]) -> Any:
+    """A kept registration column as one snapshot gets it, with the
+    fresh ``values`` at ``positions``: an ``f8`` array while the column
+    is one and every value is exactly a float, else a list."""
+    if not values:
+        return _handed(column)
+    if (isinstance(column, np.ndarray) and column.dtype == _DTYPES[float]
+            and set(map(type, values)) == {float}):
+        column = column.copy()
+        column[positions] = values
+        return _read_only(column)
+    column = list(_listed(column))  # an int among them stays JSON
+    for at, value in zip(positions.tolist(), values):
+        column[at] = value
+    return column
 
 
 def _sparse_maps(states: Iterable[tuple[str, dict[str, Any]]],
@@ -588,6 +638,9 @@ class MonitoringService:
         # are raised.
         self._alert_log = _AlertLog()
         self._alert_callbacks: dict[int, AlertCallback] = {}
+        # The snapshot's registration columns, or None until the next
+        # snapshot builds them (_registration).
+        self._columns: dict[str, Any] | None = None
 
     # -- SoA engine plumbing (DESIGN.md S31) ----------------------------
     #
@@ -604,6 +657,7 @@ class MonitoringService:
         """Take ``state`` in; on an engine service onto a fresh row, or
         onto ``row`` when the caller allocated it (a restore's, in bulk)."""
         self._tasks[state.name] = state
+        self._columns = None
         self._watchers += state.watch is not None
         self._index_guard(state, True)
         engine = self._soa
@@ -812,6 +866,7 @@ class MonitoringService:
         """
         state = self._state(name)  # must exist
         del self._tasks[name]
+        self._columns = None
         self._watchers -= state.watch is not None
         self._index_guard(state, False)
         if self._soa is not None:
@@ -880,6 +935,7 @@ class MonitoringService:
             raise ConfigurationError(
                 f"suspend_interval must be >= 1, got {suspend_interval}")
         fresh = state.remote_trigger != trigger
+        self._columns = None
         self._index_guard(state, False)
         state.remote_trigger = trigger
         self._index_guard(state, True)
@@ -913,6 +969,7 @@ class MonitoringService:
                 self._soa.views.watched[state.soa_row] = True
         state.watch = TriggerWatcher(level, hysteresis=hysteresis,
                                      min_hold=min_hold)
+        self._columns = None
 
     def install_trigger_plan(self, plan: TriggerPlan) -> None:
         """Wire whichever sides of a ``TriggerPlan`` live on this service.
@@ -1505,16 +1562,20 @@ class MonitoringService:
         scalar oracle walks its samplers, and both write the identical
         document — so its fingerprint is the same whether the service
         ran columnar or scalar. The columns an engine holds are read-only
-        arrays of their own, so the document is a value: later offers do
-        not move it. It is JSON once an array is taken for its list
+        arrays of their own; the registration columns are built once per
+        registration change (:meth:`_registration`) and handed out as
+        read-only views of ``f8`` / ``i8`` arrays where every element is
+        exactly a float / an int, as fresh list copies where not. So the
+        document is a value: later offers and control ops do not move
+        it, and a snapshot with no control op since the last walks no
+        task for them. It is JSON once an array is taken for its list
         (``default=numpy.ndarray.tolist``); ``state_fingerprint``, the
         wire and ``write_checkpoint`` do that themselves. Nothing is
         written.
         """
         engine = self._soa
-        names = list(self._tasks)
-        states = list(self._tasks.values())
         if engine is None:
+            states = list(self._tasks.values())
             i8, f8 = _DTYPES[int], _DTYPES[float]
             sampler = sampler_state_columns(
                 [state.sampler.state_dict() for state in states])
@@ -1530,7 +1591,7 @@ class MonitoringService:
         else:
             # A fancy gather: each column an array of its own.
             rows = np.fromiter(self._soa_rows, dtype=np.int64,
-                               count=len(names))
+                               count=len(self._soa_rows))
             sampler = engine.rows_state(rows)
             next_due = engine.next_due[rows]
             samples_taken = engine.samples_taken[rows]
@@ -1538,42 +1599,90 @@ class MonitoringService:
             alerts = self._alert_log.columns()
         for column in (next_due, samples_taken, logged, *alerts.values()):
             _read_only(column)
-        configs, adaptation = _distinct(state.config for state in states)
-        spec = {key: [getattr(state.task, key) for state in states]
-                for key in _GROUPS["spec"]}
-        spec["direction"] = [way.value for way in spec["direction"]]
+        kept = self._registration()
+        held = kept["task"]
+        positions, windowed = kept["windowed"]
         return {
             "version": SNAPSHOT_VERSION,
             "adaptation": self._config.to_dict(),
-            "adaptations": [config.to_dict() for config in configs],
-            "names": names,
-            "spec": spec,
+            "adaptations": [config.to_dict() for config in kept["configs"]],
+            "names": _handed(kept["names"]),
+            "spec": {key: _handed(column)
+                     for key, column in kept["spec"].items()},
             "sampler": sampler,
             "task": {
-                "adaptation": adaptation,
-                "window": [state.window for state in states],
-                "window_kind": [state.window_kind.value
-                                for state in states],
+                "adaptation": _handed(held["adaptation"]),
+                "window": _handed(held["window"]),
+                "window_kind": _handed(held["window_kind"]),
                 # The running sum is serialised verbatim (not recomputed
                 # from the buffer on restore) so a restored task's
                 # aggregates are bit-identical to an uninterrupted
                 # run's, floating-point accumulation history included.
-                "window_sum": [state._window_sum for state in states],
+                "window_sum": _overlaid(held["window_sum"], positions, [
+                    state._window_sum for state in windowed]),
                 "next_due": next_due,
                 "samples_taken": samples_taken,
                 "alerts": logged,
-                "trigger_level": [state.trigger_level for state in states],
-                "suspend_interval": [state.suspend_interval
-                                     for state in states],
+                "trigger_level": _handed(held["trigger_level"]),
+                "suspend_interval": _handed(held["suspend_interval"]),
             },
             "alerts": alerts,
             "sparse": _sparse_maps(
                 (state.name, state.state_dict(self._suspensions(state)))
-                for state in states
-                if state.substrate is not None or state.watch is not None
-                or state.remote_trigger is not None
-                or state._window_values),
+                for state in kept["sparse"]),
         }
+
+    def _registration(self) -> dict[str, Any]:
+        """The snapshot's registration columns: what only a control op
+        can change — names, specs, configs, window / guard settings, and
+        which tasks can have a ``sparse`` entry or a moving
+        ``window_sum``. Built on the first snapshot after a change and
+        kept until the next: ``_register``, ``remove_task``,
+        ``add_remote_trigger`` and ``add_trigger_watch`` drop it (a
+        restore builds a fresh service)."""
+        kept = self._columns
+        if kept is not None:
+            return kept
+        states = list(self._tasks.values())
+        tasks = [state.task for state in states]
+        configs, adaptation = _distinct([state.config for state in states])
+
+        def read(objects: list[Any], field: str) -> list[Any]:
+            return list(map(attrgetter(field), objects))
+        spec = {key: _column(read(tasks, key)) for key in (
+            "threshold", "error_allowance", "default_interval",
+            "max_interval")}
+        # An enum member's ``_value_`` is a plain attribute; ``.value``
+        # is a property, the costliest read of a cold build.
+        spec["direction"] = read(tasks, "direction._value_")
+        spec["name"] = read(tasks, "name")
+        task = {
+            "adaptation": _read_only(adaptation),
+            "window": _column(read(states, "window")),
+            "window_kind": read(states, "window_kind._value_"),
+            "window_sum": _column(read(states, "_window_sum")),
+            "trigger_level": _column(read(states, "trigger_level")),
+            # An int by construction: add_remote_trigger's int(), or a
+            # restore's checked column.
+            "suspend_interval": _read_only(np.array(
+                read(states, "suspend_interval"), np.int64)),
+        }
+        # A window-1 task's sum never moves (TaskState.aggregate).
+        positions = np.flatnonzero(np.asarray(task["window"]) > 1)
+        self._columns = kept = {
+            "configs": configs,
+            "names": list(self._tasks),
+            "spec": spec,
+            "task": task,
+            "windowed": (positions,
+                         [states[at] for at in positions.tolist()]),
+            "sparse": [state for state in states
+                       if state.substrate is not None
+                       or state.watch is not None
+                       or state.remote_trigger is not None
+                       or state.window > 1 or state._window_values],
+        }
+        return kept
 
     @classmethod
     def restore(cls, snapshot: dict[str, Any],

@@ -293,13 +293,39 @@ class TestSnapshotColumns:
                                      AdaptationConfig(estimator="gaussian"),
                                      )[i % 3])
         snapshot = service.snapshot()
-        assert snapshot["task"]["adaptation"] == [0, 1, 1, 0, 1, 1]
+        assert snapshot["task"]["adaptation"].tolist() == [0, 1, 1, 0, 1, 1]
         assert [entry["estimator"] for entry in snapshot["adaptations"]] == [
             "chebyshev", "gaussian"]
         for soa in (False, True):
             restored = MonitoringService.restore(snapshot, soa=soa)
             assert fingerprint(restored) == state_fingerprint(snapshot)
             assert restored._state("t4").config == custom
+
+    def test_an_int_among_floats_stays_a_list(self):
+        """A registration column the checkpoint writer keeps as JSON —
+        here an int window sum and an int guard level, off a wire
+        document — is kept as the list it is, with a windowed task's
+        moving sum written over it on every snapshot."""
+        source = _service(soa=True, tasks=3)
+        source.add_task("w", TaskSpec(100.0, 0.02, name="w"), window=3)
+        source.add_remote_trigger("mix-1", "far", 40.0)
+        document = json.loads(json.dumps(source.snapshot(),
+                                         default=np.ndarray.tolist))
+        document["task"]["window_sum"][0] = 0
+        document["task"]["trigger_level"][1] = 40
+        taken = []
+        for soa in (False, True):
+            service = MonitoringService.restore(document, soa=soa)
+            service.snapshot()
+            for step in range(4):
+                service.offer("w", 95.0 + step, step)
+            snapshot = service.snapshot()
+            for key in ("window_sum", "trigger_level"):
+                assert type(snapshot["task"][key]) is list, key
+            assert snapshot["task"]["window_sum"][:1] == [0]
+            assert snapshot["task"]["window_sum"][3] == 96.0 + 97.0 + 98.0
+            taken.append(state_fingerprint(snapshot))
+        assert taken[0] == taken[1]
 
     def test_task_names_of_either_version(self):
         """Of a snapshot, or of the ``{}`` a shard entry without one
@@ -389,7 +415,9 @@ class TestSnapshotIsAValue:
             assert snapshot["alerts"]["value"].tolist()[:1] == [101.0]
             assert snapshot["alerts"]["threshold"].dtype == np.float64
             assert snapshot["sampler"]["error_allowance"].tolist()[1] == 0.0
-            assert snapshot["spec"]["threshold"] == [100, 100]
+            threshold = snapshot["spec"]["threshold"].tolist()
+            assert threshold == [100, 100]
+            assert list(map(type, threshold)) == [int, int]
             taken.append(state_fingerprint(snapshot))
             assert fingerprint(MonitoringService.restore(
                 snapshot, soa=soa)) == taken[-1]

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from repro.core.adaptation import AdaptationConfig
 from repro.core.task import TaskSpec
 from repro.core.windowed import AggregateKind
+from repro.exceptions import ConfigurationError
+from repro.runtime.checkpoint import state_fingerprint
 from repro.service import MonitoringService
+from repro.triggers.plan import TriggerPlan
 
 bounded = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
 
@@ -73,3 +76,120 @@ def test_alert_callback_fires_exactly_on_violations(alert_steps):
     for step, value in enumerate(values):
         service.offer("t", float(value), step)
     assert sorted(fired) == sorted(alert_steps)
+
+
+# -- the snapshot's kept registration columns --------------------------
+#
+# A snapshot keeps the columns only a control op can change and drops
+# them on every one (MonitoringService._registration). Service A
+# snapshots after every op, so a mutator that failed to drop them would
+# leave A's next document stale; service B snapshots once, at the end.
+
+NAMES = ["a", "b", "c", "d", "far"]  # "far" is never registered
+_name = st.sampled_from(NAMES[:4])
+_any_name = st.sampled_from(NAMES)
+_threshold = st.sampled_from([50, 50.0, 62.5, 80.0])
+
+_CONTROL_OPS = st.one_of(
+    st.tuples(st.just("plain"), _name, _threshold,
+              st.integers(min_value=1, max_value=12)),
+    st.tuples(st.just("windowed"), _name, _threshold,
+              st.integers(min_value=2, max_value=5),
+              st.sampled_from(list(AggregateKind))),
+    st.tuples(st.just("quantile"), _name, _threshold),
+    st.tuples(st.just("entropy"), _name,
+              st.floats(min_value=0.5, max_value=3.0)),
+    st.tuples(st.just("remove"), _name),
+    st.tuples(st.just("trigger"), _name, _name, _threshold,
+              st.integers(min_value=2, max_value=8)),
+    st.tuples(st.just("plan"), _name, _any_name, _threshold,
+              st.integers(min_value=2, max_value=8),
+              st.sampled_from([0.0, 0.1, 0.3]),
+              st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("watch"), _name, _threshold,
+              st.sampled_from([0.0, 0.1, 0.3]),
+              st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("armed"), _name, st.booleans()),
+    st.tuples(st.just("offer"), st.lists(bounded, min_size=4, max_size=4)),
+)
+
+
+def _apply(service: MonitoringService, op: tuple, step: int) -> None:
+    kind, *args = op
+    if kind == "plain":
+        name, threshold, max_interval = args
+        service.add_task(name, TaskSpec(threshold, 0.05,
+                                        max_interval=max_interval,
+                                        name=name))
+    elif kind == "windowed":
+        name, threshold, window, window_kind = args
+        service.add_task(name, TaskSpec(threshold, 0.05, name=name),
+                         window=window, window_kind=window_kind)
+    elif kind == "quantile":
+        name, threshold = args
+        service.add_quantile_task(name, threshold=threshold, quantile=0.9,
+                                  error_allowance=0.05)
+    elif kind == "entropy":
+        name, threshold = args
+        service.add_entropy_task(name, threshold=threshold,
+                                 error_allowance=0.05)
+    elif kind == "remove":
+        service.remove_task(*args)
+    elif kind == "trigger":
+        service.add_trigger(*args)
+    elif kind == "plan":
+        target, trigger, level, suspend, hysteresis, hold = args
+        service.install_trigger_plan(TriggerPlan(
+            target, trigger, level, suspend, hysteresis=hysteresis,
+            min_hold=hold))
+    elif kind == "watch":
+        trigger, level, hysteresis, hold = args
+        service.add_trigger_watch(trigger, level, hysteresis=hysteresis,
+                                  min_hold=hold)
+    elif kind == "armed":
+        service.set_trigger_armed(*args)
+    else:
+        for name, value in zip(NAMES, *args):
+            if name in service.task_names:
+                service.offer(name, 40.0 + value / 200.0, step)
+
+
+def _replayed(ops: list[tuple], soa: bool) -> MonitoringService:
+    """A service fed ``ops`` without a snapshot in between."""
+    service = MonitoringService(soa=soa)
+    for step, op in enumerate(ops):
+        try:
+            _apply(service, op, step)
+        except ConfigurationError:
+            pass
+    return service
+
+
+@given(ops=st.lists(_CONTROL_OPS, min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_every_mutator_drops_the_kept_columns(ops):
+    """Four services — snapshot after every op or only at the end, on
+    rows and on the scalar oracle — fed the same control ops and offers
+    end on one fingerprint, and each restores to it. Each eager
+    snapshot is also the one a service fed the same prefix writes on its
+    first snapshot, so a stale document cannot hide behind a later op."""
+    services = {(soa, eager): MonitoringService(soa=soa)
+                for soa in (False, True) for eager in (False, True)}
+    for step, op in enumerate(ops):
+        refused = set()
+        for (soa, eager), service in services.items():
+            try:
+                _apply(service, op, step)
+            except ConfigurationError:
+                refused.add((soa, eager))
+            if eager:
+                assert state_fingerprint(service.snapshot()) == (
+                    state_fingerprint(_replayed(ops[:step + 1], soa)
+                                      .snapshot())), op
+        assert refused in (set(), set(services)), op
+    taken = {key: state_fingerprint(service.snapshot())
+             for key, service in services.items()}
+    assert len(set(taken.values())) == 1
+    for (soa, _), service in services.items():
+        restored = MonitoringService.restore(service.snapshot(), soa=soa)
+        assert state_fingerprint(restored.snapshot()) == taken[soa, False]

@@ -263,6 +263,63 @@ def test_engine_service_builds_no_scalar_twin(monkeypatch):
         snapshot) and len(dumps) == 1
 
 
+def _typed_fleet(tasks: int) -> MonitoringService:
+    """``tasks`` engine tasks: every 4th quantile, every 8th entropy,
+    every 4th windowed, two guarded (one disarmed) on a watched plain
+    trigger, the rest plain; a few offers in."""
+    service = MonitoringService(soa=True)
+    for i in range(tasks):
+        name = f"t{i:04d}"
+        if i % 4 == 1:
+            service.add_quantile_task(name, threshold=100.0, quantile=0.9)
+        elif i % 8 == 2:
+            service.add_entropy_task(name, threshold=1.0)
+        elif i % 4 == 3:
+            service.add_task(name, TaskSpec(threshold=100.0,
+                                            error_allowance=0.01), window=4)
+        else:
+            service.add_task(name, TaskSpec(threshold=100.0,
+                                            error_allowance=0.01))
+    for target in ("t0004", "t0008"):
+        service.add_remote_trigger(target, "t0000", 60.0, suspend_interval=7)
+    service.add_trigger_watch("t0000", 60.0)
+    service.set_trigger_armed("t0008", False)
+    rows = np.arange(tasks, dtype=np.int64)
+    for step in range(8):
+        service.offer_columns(rows, np.full(tasks, step),
+                              np.full(tasks, 50.0 + step))
+    return service
+
+
+def test_a_restore_takes_its_tasks_in_bulk(monkeypatch):
+    """Restoring a 1 024-task plain engine fleet does no per-row
+    registration work — no ``mark_row``, ``set_floor`` or hook
+    ``bind``: a plain task's fresh row already holds what it needs — and
+    grows the engine at most once. A typed fleet marks and binds exactly
+    its derived (typed or windowed) rows and floors exactly its guarded
+    ones."""
+    plain = _warm(1024).snapshot()
+    typed = _typed_fleet(1024)
+    derived = typed.soa_engine.derived_rows
+    mixed = typed.snapshot()
+    marks = _counted(monkeypatch, SoaSamplerEngine, "mark_row")
+    floors = _counted(monkeypatch, SoaSamplerEngine, "set_floor")
+    binds = _counted(monkeypatch, service_module._RowHooks, "bind")
+    grows = _counted(monkeypatch, SoaSamplerEngine, "_grow")
+    restored = MonitoringService.restore(plain, soa=True)
+    assert not marks and not floors and not binds and len(grows) <= 1
+    assert state_fingerprint(restored.snapshot()) == state_fingerprint(plain)
+    grows.clear()
+    restored = MonitoringService.restore(mixed, soa=True)
+    assert 512 < derived == len(binds) < 1024 and len(grows) <= 1
+    # The derived rows, and the watched trigger.
+    assert len(marks) == derived + 1 and len(floors) == 2
+    assert restored.soa_engine.derived_rows == derived
+    assert restored.soa_engine.floor[:1024].tolist() == (
+        typed.soa_engine.floor[:1024].tolist())
+    assert state_fingerprint(restored.snapshot()) == state_fingerprint(mixed)
+
+
 def test_a_snapshot_holds_nothing_per_task():
     """The number of JSON objects in a plain engine service's snapshot
     does not depend on how many tasks it has (64 or 1024): what every

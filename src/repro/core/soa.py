@@ -59,7 +59,7 @@ migration stay byte-compatible with scalar-only peers.
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from repro.core.adaptation import (_MIN_ERROR_NEEDED, AdaptationConfig,
                                    CoordinationStats)
 from repro.core.task import TaskSpec
 from repro.exceptions import ConfigurationError
+from repro.types import ThresholdDirection
 
 __all__ = ["SoaSamplerEngine", "ColumnBatchResult", "STEP_MIN", "STEP_MAX",
            "SAMPLER_STATE", "sampler_state_columns", "sampler_state_dict"]
@@ -84,6 +85,8 @@ _SQRT2 = math.sqrt(2.0)
 # Stand-in for "restarts disabled": no real stream reaches 2**62 samples,
 # so `n > limit` never fires (OnlineStatistics' `restart_after=None`).
 _NO_RESTART = 2 ** 62
+
+_LOWER = ThresholdDirection.LOWER.value
 
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
@@ -350,10 +353,15 @@ class SoaSamplerEngine:
     def __len__(self) -> int:
         return self._rows
 
-    def _grow(self) -> None:
+    def _grow(self, rows: int) -> None:
+        """Make room for ``rows`` rows in one step: the capacity doubled
+        as often as that takes."""
+        capacity = len(self.sign)
+        while capacity < rows:
+            capacity *= 2
         for name in self._COLUMNS:
             old = getattr(self, name)
-            new = np.zeros(len(old) * 2, dtype=old.dtype)
+            new = np.zeros(capacity, dtype=old.dtype)
             new[:len(old)] = old
             setattr(self, name, new)
         self._bind_views()
@@ -375,7 +383,7 @@ class SoaSamplerEngine:
         """Allocate a row for ``task`` in its scalar-fresh initial state."""
         config = config or AdaptationConfig()
         if self._rows == len(self.sign):
-            self._grow()
+            self._grow(self._rows + 1)
         row = self._rows
         self._rows += 1
         sign, threshold = task.oriented()
@@ -407,31 +415,48 @@ class SoaSamplerEngine:
         self.floor[at] = 1
         self.active[at] = True
 
-    def add_tasks(self, tasks: Sequence[TaskSpec],
-                  configs: Sequence[AdaptationConfig]) -> range:
-        """:meth:`add_task` for many tasks at once (a restore): the rows,
-        in order — each column stored once for all of them."""
-        rows = range(self._rows, self._rows + len(tasks))
-        while rows.stop > len(self.sign):
-            self._grow()
+    def add_tasks(self, spec: Mapping[str, Any],
+                  configs: Sequence[AdaptationConfig],
+                  adaptation: Any) -> range:
+        """:meth:`add_task` for many tasks at once (a restore, a sweep):
+        the rows, in order. ``spec`` holds the tasks' :class:`TaskSpec`
+        fields as columns, each an array or a list — a snapshot's
+        ``spec`` group, or :func:`~repro.core.task.spec_columns` of the
+        specs — of which ``threshold``, ``error_allowance``,
+        ``max_interval`` and ``direction`` (by value) are read; row ``i``
+        takes ``configs[adaptation[i]]``. Each column is stored once:
+        sign and oriented threshold as vector expressions, each config
+        field read once per config and gathered by ``adaptation``. The
+        engine grows at most once, to fit."""
+        adaptation = np.asarray(adaptation, dtype=np.int64)
+        rows = range(self._rows, self._rows + len(adaptation))
+        if rows.stop > len(self.sign):
+            self._grow(rows.stop)
         self._rows = rows.stop
         at = slice(rows.start, rows.stop)
-        oriented = [task.oriented() for task in tasks]
-        self.sign[at] = [sign for sign, _ in oriented]
-        self.threshold[at] = [threshold for _, threshold in oriented]
-        self.alert_threshold[at] = [task.threshold for task in tasks]
-        self.err[at] = [task.error_allowance for task in tasks]
-        self.max_interval[at] = [task.max_interval for task in tasks]
-        self.patience[at] = [config.patience for config in configs]
-        self.min_samples[at] = self.min_fresh[at] = [
-            config.min_samples for config in configs]
-        self.one_minus_slack[at] = [1.0 - config.slack_ratio
-                                    for config in configs]
-        self.use_cheb[at] = [config.estimator == "chebyshev"
-                             for config in configs]
-        self.restart_limit[at] = [
-            _NO_RESTART if config.stats_restart is None
-            else config.stats_restart for config in configs]
+        threshold = np.asarray(spec["threshold"], dtype=np.float64)
+        # TaskSpec.oriented: a lower threshold is the negated upper one.
+        sign = np.where([direction == _LOWER for direction
+                         in spec["direction"]], -1.0, 1.0)
+        self.sign[at] = sign
+        self.threshold[at] = sign * threshold
+        self.alert_threshold[at] = threshold
+        self.err[at] = spec["error_allowance"]
+        self.max_interval[at] = spec["max_interval"]
+
+        def per_config(values: list[Any]) -> np.ndarray:
+            return np.asarray(values)[adaptation]
+        self.patience[at] = per_config(
+            [config.patience for config in configs])
+        self.min_samples[at] = self.min_fresh[at] = per_config(
+            [config.min_samples for config in configs])
+        self.one_minus_slack[at] = per_config(
+            [1.0 - config.slack_ratio for config in configs])
+        self.use_cheb[at] = per_config(
+            [config.estimator == "chebyshev" for config in configs])
+        self.restart_limit[at] = per_config(
+            [_NO_RESTART if config.stats_restart is None
+             else config.stats_restart for config in configs])
         self._freshen(at)
         return rows
 
@@ -514,7 +539,7 @@ class SoaSamplerEngine:
                 state[key] = np.where(state[flag], state[key], 0)
         return {key: _read_only(column) for key, column in state.items()}
 
-    def load_rows_state(self, rows: np.ndarray,
+    def load_rows_state(self, rows: np.ndarray | slice,
                         state: dict[str, Any]) -> None:
         """Load :meth:`rows_state` columns — arrays, or lists of the same
         elements — into ``rows``, one scatter per column."""

@@ -15,11 +15,13 @@ violations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import Any, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.types import ThresholdDirection
 
-__all__ = ["TaskSpec", "DistributedTaskSpec"]
+__all__ = ["TaskSpec", "DistributedTaskSpec", "spec_columns"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,6 +76,22 @@ class TaskSpec:
     def with_error_allowance(self, err: float) -> "TaskSpec":
         """A copy of this spec with a different error allowance."""
         return replace(self, error_allowance=err)
+
+
+def spec_columns(tasks: Sequence[TaskSpec]) -> dict[str, list[Any]]:
+    """``tasks`` as one list per :class:`TaskSpec` field, ``direction``
+    spelled by value: a snapshot's ``spec`` group, which is what
+    :meth:`~repro.core.soa.SoaSamplerEngine.add_tasks` reads."""
+    def read(field: str) -> list[Any]:
+        return list(map(attrgetter(field), tasks))
+    return {"threshold": read("threshold"),
+            "error_allowance": read("error_allowance"),
+            "default_interval": read("default_interval"),
+            "max_interval": read("max_interval"),
+            # An enum member's ``_value_`` is a plain attribute;
+            # ``.value`` is a property, the costliest read of the lot.
+            "direction": read("direction._value_"),
+            "name": read("name")}
 
 
 @dataclass(frozen=True, slots=True)

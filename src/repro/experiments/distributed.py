@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.adaptation import AdaptationConfig
 from repro.core.coordination import AllocationPolicy, EvenAllocation
 from repro.core.soa import _NARROW_TICK_ROWS, SoaSamplerEngine
-from repro.core.task import DistributedTaskSpec
+from repro.core.task import DistributedTaskSpec, spec_columns
 from repro.exceptions import TraceError
 from repro.types import GlobalPoll
 
@@ -185,10 +185,10 @@ def _run_batch(tasks: Sequence[tuple[list[np.ndarray] | np.ndarray,
     bounds = [0, *np.cumsum(sizes).tolist()]
     owners = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
     engine = SoaSamplerEngine(bounds[-1])
-    engine.add_tasks([spec.local_spec(i, shares[i])
-                      for spec, shares in zip(specs, allocations)
-                      for i in range(spec.num_monitors)],
-                     [config or AdaptationConfig()] * bounds[-1])
+    engine.add_tasks(spec_columns([spec.local_spec(i, shares[i])
+                                   for spec, shares in zip(specs, allocations)
+                                   for i in range(spec.num_monitors)]),
+                     [config or AdaptationConfig()], [0] * bounds[-1])
     task_of = np.repeat(np.arange(len(specs)), sizes)
     local = np.concatenate([spec.local_thresholds for spec in specs])
 

@@ -19,7 +19,7 @@ from repro.core.accuracy import RunAccuracy, evaluate_sampling
 from repro.core.adaptation import AdaptationConfig
 from repro.core.sampler import SamplingScheme
 from repro.core.soa import _NARROW_TICK_ROWS, SoaSamplerEngine
-from repro.core.task import TaskSpec
+from repro.core.task import TaskSpec, spec_columns
 from repro.baselines.periodic import PeriodicSampler
 from repro.exceptions import TraceError
 from repro.service import MonitoringService
@@ -170,7 +170,8 @@ def _lockstep(arrays: list[np.ndarray], tasks: Sequence[TaskSpec],
     offering exactly those rows as one tick.
     """
     engine = SoaSamplerEngine(len(tasks))
-    engine.add_tasks(tasks, [config or AdaptationConfig()] * len(tasks))
+    engine.add_tasks(spec_columns(tasks), [config or AdaptationConfig()],
+                     [0] * len(tasks))
     lengths = np.asarray([arr.size for arr in arrays])
     horizon = int(lengths.max())
     sampled = np.zeros((horizon, len(arrays)), dtype=bool)

@@ -35,7 +35,6 @@ from __future__ import annotations
 import logging
 from collections import deque
 from functools import partial
-from itertools import repeat
 from dataclasses import dataclass, field
 from math import isfinite
 from operator import attrgetter, index
@@ -52,7 +51,7 @@ from repro.core.soa import (_DTYPES, SAMPLER_STATE, STEP_MAX, STEP_MIN,
 from repro.core.substrates import (DEFAULT_ENTROPY_WINDOW,
                                    DEFAULT_SKETCH_WINDOW, EntropyEstimator,
                                    QuantileEstimator)
-from repro.core.task import TaskSpec
+from repro.core.task import TaskSpec, spec_columns
 from repro.core.windowed import AggregateKind
 from repro.telemetry.histogram import DEFAULT_RELATIVE_ERROR
 from repro.telemetry.trace import DECISION_BLOCK
@@ -245,42 +244,34 @@ class TaskState:
             state["window_values"] = [[s, v] for s, v in self._window_values]
         return state
 
-    @classmethod
-    def from_state_dict(cls, state: dict[str, Any],
-                        **dense: Any) -> "TaskState":
-        """Rebuild a task from its ``dense`` fields (constructor
-        arguments, off a snapshot's columns) and :meth:`state_dict` — all
-        but ``trigger_suspensions``, which the service loads where it
-        keeps it."""
-        if not state:  # a plain task: most of any fleet
-            return cls(**dense)
+    def load_state_dict(self, state: dict[str, Any]) -> None:
+        """Load a :meth:`state_dict` onto a task built from its dense
+        fields (a snapshot's columns): all but ``trigger_suspensions``,
+        which the service loads where it keeps it."""
         task_type = state.get("type", "value")
-        substrate: Any = None
         if task_type == "quantile":
-            substrate = QuantileEstimator.from_state_dict(state["substrate"])
+            self.substrate = QuantileEstimator.from_state_dict(
+                state["substrate"])
         elif task_type == "entropy":
             # A checkpoint hands a long enough symbol ring back as an array.
             entry = state["substrate"]
-            substrate = EntropyEstimator.from_state_dict(
+            self.substrate = EntropyEstimator.from_state_dict(
                 {**entry, "symbols": _listed(entry.get("symbols", []))})
         elif task_type != "value":
             raise ConfigurationError(
                 f"unknown task type {task_type!r} in snapshot entry "
-                f"{dense.get('name')!r}")
+                f"{self.name!r}")
+        self.task_type = task_type
         # The typed three and the guard three come as sets (_check_snapshot).
-        typed = ({"value_threshold": state["value_threshold"]}
-                 if "type" in state else {})
-        guard = ({"remote_trigger": state["remote_trigger"],
-                  "trigger_armed": state["trigger_armed"]}
-                 if "remote_trigger" in state else {})
-        task_state = cls(
-            task_type=task_type, substrate=substrate,
-            watch=(TriggerWatcher.from_state_dict(state["watch"])
-                   if "watch" in state else None),
-            **typed, **guard, **dense)
-        task_state._window_values.extend(
+        if "type" in state:
+            self.value_threshold = state["value_threshold"]
+        if "remote_trigger" in state:
+            self.remote_trigger = state["remote_trigger"]
+            self.trigger_armed = state["trigger_armed"]
+        if "watch" in state:
+            self.watch = TriggerWatcher.from_state_dict(state["watch"])
+        self._window_values.extend(
             (int(s), float(v)) for s, v in state.get("window_values", ()))
-        return task_state
 
 
 # -- the snapshot document (DESIGN.md S31 "snapshots are columns") ------
@@ -315,6 +306,10 @@ _GROUPS: dict[str, dict[str, tuple[type, ...]]] = {
              "suspend_interval": _INT},
     "alerts": {"step": _INT, "value": _NUMBER, "threshold": _NUMBER},
 }
+# The sampler columns that count something (_check_snapshot's ranges):
+# every int column but the interval and the last-sample step.
+_SAMPLER_COUNTS = ("streak", "observations", "grow_events", "reset_events",
+                   "coord_n", "n", "stale_count", "restarts", "total_count")
 _SPARSE_KEYS = ("type", "value_threshold", "substrate", "remote_trigger",
                 "trigger_armed", "trigger_suspensions", "watch",
                 "window_values")
@@ -470,6 +465,33 @@ def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
         strays = set(column) - set(legal)
         if strays:
             fail(f"column {where} holds {min(strays, key=repr)!r}")
+    # Ranges: what registration and the sampler never leave a task
+    # outside, vectorised — one comparison per column, none per task.
+    # ``var`` is clamped where it is read, so any value is one.
+    def check_range(where: str, column: Any,
+                    within: Callable[[np.ndarray], np.ndarray],
+                    what: str) -> None:
+        outside = np.flatnonzero(~within(np.asarray(column)))
+        if len(outside):
+            at = outside.item(0)
+            fail(f"column {where} holds {_listed(column)[at]!r} "
+                 f"(task {names[at]!r}), not {what}")
+
+    sampler = snapshot["sampler"]
+    max_interval = np.asarray(snapshot["spec"]["max_interval"], np.int64)
+    check_range("sampler.interval", sampler["interval"],
+                lambda interval: (interval >= 1) & (interval <= max_interval),
+                "within 1..spec.max_interval")
+    check_range("sampler.error_allowance", sampler["error_allowance"],
+                lambda err: (err >= 0.0) & (err <= 1.0), "in [0, 1]")
+    for key in _SAMPLER_COUNTS:
+        check_range(f"sampler.{key}", sampler[key],
+                    lambda count: count >= 0, "a count (>= 0)")
+    check_range("task.samples_taken", task["samples_taken"],
+                lambda count: count >= 0, "a count (>= 0)")
+    for key in ("window", "suspend_interval"):
+        check_range(f"task.{key}", task[key], lambda steps: steps >= 1,
+                    ">= 1")
     sparse = snapshot["sparse"]
     check_keys("group 'sparse'", sparse, _SPARSE_KEYS)
     for key, column in sparse.items():
@@ -478,8 +500,11 @@ def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
     for keys in (_SPARSE_KEYS[:3], _SPARSE_KEYS[3:6]):
         if len({frozenset(sparse[key]) for key in keys}) != 1:
             fail(f"maps {list(keys)} are not keyed by the same tasks")
-    if not set(map(type, sparse["trigger_suspensions"].values())) <= {int}:
+    suspensions = sparse["trigger_suspensions"]
+    if not set(map(type, suspensions.values())) <= {int}:
         fail("map 'trigger_suspensions' holds a value that is not int")
+    if min(suspensions.values(), default=0) < 0:
+        fail("map 'trigger_suspensions' holds a negative count")
 
 
 class _RowHooks:
@@ -653,34 +678,54 @@ class MonitoringService:
     # reference :meth:`offer`. Behaviour — and snapshots — are identical
     # either way.
 
-    def _register(self, state: TaskState, row: int | None = None) -> None:
-        """Take ``state`` in; on an engine service onto a fresh row, or
-        onto ``row`` when the caller allocated it (a restore's, in bulk)."""
-        self._tasks[state.name] = state
+    def _register(self, states: list[TaskState],
+                  rows: Sequence[int] | None = None) -> None:
+        """Take ``states`` in, in order; on an engine service onto fresh
+        rows, or onto ``rows`` when the caller allocated them (a
+        restore's, in bulk). What every task has is a bulk update; the
+        per-task work — row marks, floor, hooks, guard index, alert
+        threshold, callback — runs only for the tasks that have any, as
+        a plain task's fresh row already holds what it needs."""
+        self._tasks.update((state.name, state) for state in states)
         self._columns = None
-        self._watchers += state.watch is not None
-        self._index_guard(state, True)
         engine = self._soa
         if engine is None:
-            state.sampler = ViolationLikelihoodSampler(state.task,
-                                                       state.config)
-            return
-        if row is None:
-            row = engine.add_task(state.task, state.config)
-        state.soa_row = row
-        self._row_names.append(state.name)  # rows are handed out in order
-        typed = state.task_type != "value"
-        engine.mark_row(row, absorbs=typed,
-                        derived=typed or state.window > 1,
-                        watched=state.watch is not None)
-        if state.task_type == "quantile":
-            # Alerts are in the value frame (TaskState.make_alert).
-            engine.alert_threshold[row] = state.value_threshold
-        if state.on_alert is not None:
-            self._alert_callbacks[row] = state.on_alert
-        self._soa_rows[row] = state
-        self._hooks.bind(row, state)
-        self._refresh_floor(state)
+            for state in states:
+                state.sampler = ViolationLikelihoodSampler(state.task,
+                                                           state.config)
+        else:
+            if rows is None:
+                rows = [engine.add_task(state.task, state.config)
+                        for state in states]
+            for state, row in zip(states, rows):
+                state.soa_row = row
+            # Rows are handed out in order.
+            self._row_names.extend(state.name for state in states)
+            self._soa_rows.update(zip(rows, states))
+        for state in states:
+            if (state.substrate is None and state.window == 1
+                    and state.watch is None and state.remote_trigger is None
+                    and state.on_alert is None):
+                continue
+            self._watchers += state.watch is not None
+            self._index_guard(state, True)
+            if engine is None:
+                continue
+            row = state.soa_row
+            typed = state.task_type != "value"
+            derived = typed or state.window > 1
+            if derived or state.watch is not None:
+                engine.mark_row(row, absorbs=typed, derived=derived,
+                                watched=state.watch is not None)
+            if derived:
+                self._hooks.bind(row, state)
+            if state.task_type == "quantile":
+                # Alerts are in the value frame (TaskState.make_alert).
+                engine.alert_threshold[row] = state.value_threshold
+            if state.on_alert is not None:
+                self._alert_callbacks[row] = state.on_alert
+            if state.remote_trigger is not None:
+                self._refresh_floor(state)
 
     def _index_guard(self, state: TaskState, guarded: bool) -> None:
         """Enter the task under its trigger in ``_guards`` or take it
@@ -753,10 +798,10 @@ class MonitoringService:
             raise ConfigurationError(f"task {name!r} already registered")
         if window < 1:
             raise ConfigurationError(f"window must be >= 1, got {window}")
-        self._register(TaskState(name=name, task=task,
-                                 config=config or self._config,
-                                 window=window, window_kind=window_kind,
-                                 on_alert=on_alert))
+        self._register([TaskState(name=name, task=task,
+                                  config=config or self._config,
+                                  window=window, window_kind=window_kind,
+                                  on_alert=on_alert)])
 
     def add_quantile_task(self, name: str, *, threshold: float,
                           quantile: float,
@@ -806,10 +851,10 @@ class MonitoringService:
                         default_interval=default_interval,
                         max_interval=max_interval,
                         direction=direction, name=name)
-        self._register(TaskState(
+        self._register([TaskState(
             name=name, task=spec, config=config or self._config,
             on_alert=on_alert, task_type="quantile",
-            value_threshold=float(threshold), substrate=substrate))
+            value_threshold=float(threshold), substrate=substrate)])
 
     def add_entropy_task(self, name: str, *, threshold: float,
                          error_allowance: float = 0.01,
@@ -849,9 +894,9 @@ class MonitoringService:
                         default_interval=default_interval,
                         max_interval=max_interval,
                         direction=direction, name=name)
-        self._register(TaskState(
+        self._register([TaskState(
             name=name, task=spec, config=config or self._config,
-            on_alert=on_alert, task_type="entropy", substrate=substrate))
+            on_alert=on_alert, task_type="entropy", substrate=substrate)])
 
     def remove_task(self, name: str) -> None:
         """Unregister a task (live-runtime tenant churn).
@@ -1644,18 +1689,14 @@ class MonitoringService:
         if kept is not None:
             return kept
         states = list(self._tasks.values())
-        tasks = [state.task for state in states]
         configs, adaptation = _distinct([state.config for state in states])
 
         def read(objects: list[Any], field: str) -> list[Any]:
             return list(map(attrgetter(field), objects))
-        spec = {key: _column(read(tasks, key)) for key in (
-            "threshold", "error_allowance", "default_interval",
-            "max_interval")}
-        # An enum member's ``_value_`` is a plain attribute; ``.value``
-        # is a property, the costliest read of a cold build.
-        spec["direction"] = read(tasks, "direction._value_")
-        spec["name"] = read(tasks, "name")
+        # Strings are kept as lists, numbers packed where they can be.
+        spec = {key: column if key in ("direction", "name") else
+                _column(column) for key, column in spec_columns(
+                    [state.task for state in states]).items()}
         task = {
             "adaptation": _read_only(adaptation),
             "window": _column(read(states, "window")),
@@ -1720,40 +1761,44 @@ class MonitoringService:
         task = snapshot["task"]
         configs = [AdaptationConfig.from_dict(entry)
                    for entry in snapshot["adaptations"]]
-        # name -> its TaskState.state_dict(), for the few that have one.
+        # What builds a TaskSpec or a TaskState is read as lists. Every
+        # spec is built here, before any service exists: its range
+        # checks are the ones the spec columns get.
+        spec = snapshot["spec"]
+        threshold, err, default_interval, max_interval, direction, \
+            spec_name = (_listed(spec[key]) for key in _GROUPS["spec"])
+        specs = list(map(TaskSpec, threshold, err, default_interval,
+                         max_interval, map(_DIRECTIONS.__getitem__, direction),
+                         spec_name))
+        states = [TaskState(name=name, task=task_spec,
+                            config=configs[config], window=window,
+                            window_kind=_WINDOW_KINDS[kind],
+                            _window_sum=window_sum, trigger_level=level,
+                            suspend_interval=suspend_interval)
+                  for (name, task_spec, config, window, kind, window_sum,
+                       level, suspend_interval)
+                  in zip(names, specs, *(_listed(task[key]) for key in (
+                      "adaptation", "window", "window_kind", "window_sum",
+                      "trigger_level", "suspend_interval")))]
+        # What few tasks have: their TaskState.state_dict(), by name.
         sparse: dict[str, dict[str, Any]] = {}
         for key, column in snapshot["sparse"].items():
             for name, value in column.items():
                 sparse.setdefault(name, {})[key] = value
-        # What builds a TaskSpec or a TaskState is read as lists.
-        specs = [TaskSpec(threshold=threshold, error_allowance=err,
-                          default_interval=default_interval,
-                          max_interval=max_interval,
-                          direction=_DIRECTIONS[direction], name=spec_name)
-                 for (threshold, err, default_interval, max_interval,
-                      direction, spec_name)
-                 in zip(*(_listed(snapshot["spec"][key])
-                          for key in _GROUPS["spec"]))]
-        plain: dict[str, Any] = {}
-        states = [TaskState.from_state_dict(
-            sparse.get(name, plain), name=name, task=task_spec,
-            config=configs[config], window=window,
-            window_kind=_WINDOW_KINDS[kind], _window_sum=window_sum,
-            trigger_level=level, suspend_interval=suspend_interval,
-            on_alert=None if on_alert is None else partial(on_alert, name))
-            for (name, task_spec, config, window, kind, window_sum, level,
-                 suspend_interval)
-            in zip(names, specs, *(_listed(task[key]) for key in (
-                "adaptation", "window", "window_kind", "window_sum",
-                "trigger_level", "suspend_interval")))]
+        if sparse:
+            by_name = dict(zip(names, states))
+            for name, entry in sparse.items():
+                by_name[name].load_state_dict(entry)
+        if on_alert is not None:
+            for state in states:
+                state.on_alert = partial(on_alert, state.name)
 
         service = cls(AdaptationConfig.from_dict(snapshot["adaptation"]),
                       soa=soa)
         engine = service._soa
-        rows = repeat(None) if engine is None else engine.add_tasks(
-            specs, [state.config for state in states])
-        for state, row in zip(states, rows):
-            service._register(state, row)
+        rows = None if engine is None else engine.add_tasks(
+            spec, configs, task["adaptation"])
+        service._register(states, rows)
         logged = task["alerts"]
         alerts = list(map(snapshot["alerts"].get, _GROUPS["alerts"]))
         suspensions = snapshot["sparse"]["trigger_suspensions"]
@@ -1777,13 +1822,14 @@ class MonitoringService:
                 state.alerts = history[lo:lo + count]
                 lo += count
         else:
-            rows = np.asarray(rows, dtype=np.int64)
-            engine.load_rows_state(rows, snapshot["sampler"])
-            engine.next_due[rows] = task["next_due"]
-            engine.samples_taken[rows] = task["samples_taken"]
-            engine.alerts[rows] = logged
-            service._alert_log.append(np.repeat(rows, logged), *alerts)
-            row_of = dict(zip(names, rows.tolist()))
-            engine.suspensions[[row_of[name] for name in suspensions]] = (
+            at = slice(rows.start, rows.stop)
+            engine.load_rows_state(at, snapshot["sampler"])
+            engine.next_due[at] = task["next_due"]
+            engine.samples_taken[at] = task["samples_taken"]
+            engine.alerts[at] = logged
+            service._alert_log.append(
+                np.repeat(np.arange(rows.start, rows.stop), logged), *alerts)
+            engine.suspensions[[service._tasks[name].soa_row
+                                for name in suspensions]] = (
                 list(suspensions.values()))
         return service

@@ -18,7 +18,7 @@ from repro.core import soa as soa_mod
 from repro.core.adaptation import (AdaptationConfig,
                                    ViolationLikelihoodSampler)
 from repro.core.soa import STEP_MAX, STEP_MIN
-from repro.core.task import TaskSpec
+from repro.core.task import TaskSpec, spec_columns
 from repro.exceptions import ConfigurationError
 from repro.runtime.checkpoint import state_fingerprint
 from repro.service import (SNAPSHOT_VERSION, MonitoringService,
@@ -258,8 +258,10 @@ class TestSnapshotColumns:
         one_by_one, bulk = soa_mod.SoaSamplerEngine(), (
             soa_mod.SoaSamplerEngine())
         rows = [one_by_one.add_task(task, config) for task, config in specs]
-        assert bulk.add_tasks(*zip(*specs)) == range(300)
-        assert bulk.add_tasks([], []) == range(300, 300)
+        tasks, configs = zip(*specs)
+        assert bulk.add_tasks(spec_columns(tasks), configs,
+                              range(300)) == range(300)
+        assert bulk.add_tasks(spec_columns([]), [], []) == range(300, 300)
         assert rows == list(range(300)) and len(bulk) == len(one_by_one)
         for column in soa_mod.SoaSamplerEngine._COLUMNS:
             assert (getattr(bulk, column).tolist()
@@ -441,7 +443,8 @@ class TestViewsStayBound:
         for _ in range(3):                       # the third row grows
             engine.add_task(task)
         assert len(engine.sign) == 4 and self._bound(engine)
-        engine.add_tasks([task] * 7, [AdaptationConfig()] * 7)
+        engine.add_tasks(spec_columns([task] * 7), [AdaptationConfig()],
+                         [0] * 7)
         assert len(engine.sign) == 16 and self._bound(engine)
         service, _ = TestSnapshotIsAValue._hot(soa=True)
         restored = MonitoringService.restore(service.snapshot(), soa=True)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Any
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from repro.exceptions import ConfigurationError
 from repro.runtime.checkpoint import state_fingerprint
 from repro.service import MonitoringService
 from repro.triggers.plan import TriggerPlan
+from repro.types import ThresholdDirection
 
 bounded = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
 
@@ -193,3 +197,130 @@ def test_every_mutator_drops_the_kept_columns(ops):
     for (soa, _), service in services.items():
         restored = MonitoringService.restore(service.snapshot(), soa=soa)
         assert state_fingerprint(restored.snapshot()) == taken[soa, False]
+
+
+# -- a restore is the registration it was taken from -------------------
+#
+# A restore takes its tasks in bulk (MonitoringService._register of the
+# whole fleet onto rows from one SoaSamplerEngine.add_tasks), where
+# add_task takes them one at a time. The fingerprint sees only what a
+# snapshot writes; these fleets also compare what it does not — the row
+# marks, floors and counters, the hooks, guard index and callbacks —
+# and then the same continuation on both.
+
+_FLEET_CONFIG = st.one_of(st.none(), st.builds(
+    AdaptationConfig, patience=st.integers(min_value=1, max_value=3),
+    min_samples=st.integers(min_value=2, max_value=4),
+    estimator=st.sampled_from(["gaussian", "chebyshev"]),
+    stats_restart=st.sampled_from([None, 9])))
+_FLEET = st.lists(st.tuples(
+    st.sampled_from(["plain", "lower", "windowed", "quantile", "entropy"]),
+    _FLEET_CONFIG,
+    # The guard: none, or armed / disarmed on the local watched trigger
+    # or on one that lives elsewhere.
+    st.sampled_from([None, ("trigger", True), ("trigger", False),
+                     ("far", True), ("far", False)]),
+    st.integers(min_value=1, max_value=9)), min_size=1, max_size=10)
+# Columns a step writes before anything reads them: its own output.
+_STEP_OUTPUT = {"last_beta", "last_flags"}
+
+
+def _fleet(fleet: list[tuple], watched: bool,
+           on_alert: Any) -> MonitoringService:
+    service = MonitoringService(soa=True)
+    names = ["trigger"] + [f"t{i}" for i in range(len(fleet))]
+    service.add_task("trigger", TaskSpec(60.0, 0.05),
+                     on_alert=on_alert and partial(on_alert, "trigger"))
+    for name, (kind, config, _, _) in zip(names[1:], fleet):
+        callback = on_alert and partial(on_alert, name)
+        if kind in ("plain", "lower", "windowed"):
+            service.add_task(
+                name, TaskSpec(60.0, 0.05, max_interval=6,
+                               direction=ThresholdDirection(
+                                   "lower" if kind == "lower" else "upper")),
+                window=3 if kind == "windowed" else 1,
+                window_kind=AggregateKind.MAX, config=config,
+                on_alert=callback)
+        elif kind == "quantile":
+            service.add_quantile_task(name, threshold=62.0, quantile=0.8,
+                                      sketch_window=16, config=config,
+                                      on_alert=callback)
+        else:
+            service.add_entropy_task(name, threshold=2.0, bin_width=4.0,
+                                     entropy_window=16, config=config,
+                                     on_alert=callback)
+    if watched:
+        service.add_trigger_watch("trigger", 58.0, hysteresis=0.1,
+                                  min_hold=2)
+    for name, (_, _, guard, suspend) in zip(names[1:], fleet):
+        if guard is not None:
+            service.add_remote_trigger(name, guard[0], 58.0,
+                                       suspend_interval=suspend)
+            service.set_trigger_armed(name, guard[1])
+    return service
+
+
+def _offer(service: MonitoringService, steps: range, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    names = service.task_names
+    rows = np.asarray([service.soa_row_for(name) for name in names])
+    for step in steps:
+        service.offer_columns(rows, np.full(len(rows), step),
+                              rng.normal(58.0, 6.0, len(rows)), names)
+
+
+def _unseen(service: MonitoringService) -> dict[str, Any]:
+    """What a restore rebuilds that no snapshot writes, by task name."""
+    engine = service.soa_engine
+    names = service.task_names
+    rows = [service.soa_row_for(name) for name in names]
+    name_of = dict(zip(rows, names))
+    return {
+        "columns": {column: getattr(engine, column)[rows].tolist()
+                    for column in engine._COLUMNS
+                    if column not in _STEP_OUTPUT},
+        "counters": (engine.derived_rows, engine._floored,
+                     service._watchers),
+        "row_names": [service._row_names[row] for row in rows],
+        "hooks": (sorted(map(name_of.get, service._hooks.update)),
+                  sorted(map(name_of.get, service._hooks.read))),
+        "guards": {trigger: sorted(guarded)
+                   for trigger, guarded in service._guards.items()},
+        "callbacks": sorted(map(name_of.get, service._alert_callbacks)),
+    }
+
+
+@given(fleet=_FLEET, watched=st.booleans(), callbacks=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_a_restored_engine_is_the_registered_one(fleet, watched,
+                                                  callbacks, seed):
+    """A fleet of every kind of task, registered one by one and offered
+    some steps, restores onto an engine that matches it column for
+    column over the live rows — row marks, floors and suspension counts
+    included — with the same derived / floored row counts, row names,
+    hook rows, guard index, watcher count and alert callbacks; fed the
+    same continuation, both end on one fingerprint and the same alerts,
+    delivered alike."""
+    delivered: dict[str, list] = {"registered": [], "restored": []}
+
+    def recorder(side: str) -> Any:
+        return (lambda name, alert: delivered[side].append((name, alert))
+                ) if callbacks else None
+    registered = _fleet(fleet, watched, recorder("registered"))
+    _offer(registered, range(24), seed)
+    snapshot = registered.snapshot()
+    restored = MonitoringService.restore(snapshot, soa=True,
+                                         on_alert=recorder("restored"))
+    assert restored.task_names == registered.task_names
+    assert _unseen(restored) == _unseen(registered)
+    assert state_fingerprint(restored.snapshot()) == (
+        state_fingerprint(snapshot))
+    delivered["registered"].clear()
+    for service in (registered, restored):
+        _offer(service, range(24, 60), seed + 1)
+    assert state_fingerprint(restored.snapshot()) == (
+        state_fingerprint(registered.snapshot()))
+    for name in registered.task_names:
+        assert restored.alerts(name) == registered.alerts(name)
+    assert delivered["restored"] == delivered["registered"]

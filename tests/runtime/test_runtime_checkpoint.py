@@ -768,6 +768,47 @@ def _unknown_top_level_key(s):
     s["tasks"] = []
 
 
+def _interval_of_zero(s):
+    s["sampler"]["interval"][0] = 0
+
+
+def _negative_interval(s):
+    s["sampler"]["interval"][1] = -3
+
+
+def _interval_beyond_max_interval(s):
+    assert s["spec"]["max_interval"][2] == 10
+    s["sampler"]["interval"][2] = 99
+
+
+def _window_of_zero(s):
+    s["task"]["window"][0] = 0
+
+
+def _negative_window(s):
+    s["task"]["window"][1] = -2
+
+
+def _suspend_interval_of_zero(s):
+    s["task"]["suspend_interval"][2] = 0
+
+
+def _negative_sample_count(s):
+    s["sampler"]["n"][0] = -1
+
+
+def _negative_samples_taken(s):
+    s["task"]["samples_taken"][1] = -1
+
+
+def _negative_suspension_count(s):
+    s["sparse"]["trigger_suspensions"]["held"] = -1
+
+
+def _error_allowance_above_one(s):
+    s["sampler"]["error_allowance"][1] = 1.5
+
+
 def _versions(got):
     """The culprit of a document stamped ``got``: it and the one version
     ``restore`` reads, named."""
@@ -796,6 +837,30 @@ def _object_array(s):
 
 def _array_of_the_wrong_length(s):
     s["sampler"]["var"] = s["sampler"]["var"][:-1]
+
+
+def _interval_array_of_zero(s):
+    s["sampler"]["interval"] = s["sampler"]["interval"] * 0
+
+
+def _interval_array_beyond_max_interval(s):
+    s["sampler"]["interval"] = s["sampler"]["interval"] + 10
+
+
+def _window_array_of_zero(s):
+    s["task"]["window"] = s["task"]["window"] - 1
+
+
+def _suspend_interval_array_of_zero(s):
+    s["task"]["suspend_interval"] = s["task"]["suspend_interval"] * 0
+
+
+def _negative_count_array(s):
+    s["sampler"]["total_count"] = -1 - s["sampler"]["total_count"]
+
+
+def _error_allowance_array_above_one(s):
+    s["sampler"]["error_allowance"] = s["sampler"]["error_allowance"] + 1.5
 
 
 class TestMalformedSnapshot:
@@ -832,6 +897,16 @@ class TestMalformedSnapshot:
         (_unknown_service_adaptation_key, "adaptation.*'colour'"),
         (_mistyped_adaptation, "adaptation.*'str' and 'int'"),
         (_unknown_top_level_key, r"\['tasks'\]"),
+        (_interval_of_zero, r"sampler\.interval holds 0 \(task 'hot'\)"),
+        (_negative_interval, r"sampler\.interval holds -3 \(task 'edge'\)"),
+        (_interval_beyond_max_interval, r"sampler\.interval holds 99"),
+        (_window_of_zero, r"task\.window holds 0"),
+        (_negative_window, r"task\.window holds -2"),
+        (_suspend_interval_of_zero, r"task\.suspend_interval holds 0"),
+        (_negative_sample_count, r"sampler\.n holds -1"),
+        (_negative_samples_taken, r"task\.samples_taken holds -1"),
+        (_negative_suspension_count, "'trigger_suspensions'.*negative"),
+        (_error_allowance_above_one, r"sampler\.error_allowance holds 1\.5"),
     ]
     ARRAY_CASES = [
         (_f8_where_i8_is_expected, "task.next_due.*float64"),
@@ -840,6 +915,13 @@ class TestMalformedSnapshot:
         (_2d_array, "sampler.mean"),
         (_object_array, "alerts.value.*object"),
         (_array_of_the_wrong_length, "sampler.var"),
+        (_interval_array_of_zero, r"sampler\.interval holds 0"),
+        (_interval_array_beyond_max_interval, r"sampler\.interval holds 1\d"),
+        (_window_array_of_zero, r"task\.window holds 0"),
+        (_suspend_interval_array_of_zero, r"task\.suspend_interval holds 0"),
+        (_negative_count_array, r"sampler\.total_count holds -\d"),
+        (_error_allowance_array_above_one,
+         r"sampler\.error_allowance holds 1\.5"),
     ]
 
     @staticmethod

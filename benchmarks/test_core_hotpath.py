@@ -355,6 +355,33 @@ def test_a_checkpoint_spells_no_number_per_task(tmp_path):
     assert counts[0] == counts[1]
 
 
+def test_a_typed_checkpoint_spells_no_number_per_task(tmp_path):
+    """The typed twin: the JSON head of a mixed engine fleet's checkpoint
+    holds as many numbers and as many objects for 1 024 tasks as for
+    256 — quantile sketches (every one sealed by then, with buckets
+    either side of zero), entropy rings and window buffers are columns
+    in the raw section like everything else. At 256 tasks every column
+    whose length grows with the fleet already has ``_MIN_PACKED``
+    elements; the two guards and the one watcher stay JSON at both."""
+    counts = []
+    for tasks in (256, 1024):
+        service = _typed_fleet(tasks)
+        rows = np.arange(tasks, dtype=np.int64)
+        for step in range(8, 8 + 132):  # past the sketch window of 128
+            service.offer_columns(rows, np.full(tasks, step),
+                                  np.random.default_rng(step).normal(
+                                      20.0, 40.0, tasks))
+        snapshot = service.snapshot()
+        assert snapshot["sparse"]["quantile"]["has_sealed"].all()
+        assert snapshot["sparse"]["quantile"]["sealed"]["neg_length"].any()
+        path = tmp_path / f"{tasks}.ckpt"
+        write_checkpoint(path, {"shard_count": 1, "shards": [snapshot]})
+        raw = path.read_bytes()
+        head = raw[:raw.index(b"\n")]
+        counts.append((_numbers(json.loads(head)), head.count(b"{")))
+    assert counts[0] == counts[1]
+
+
 def test_a_warm_snapshot_walks_no_task(monkeypatch, tmp_path):
     """A snapshot builds its registration columns (names, specs,
     configs, window and guard settings) once per registration change: a

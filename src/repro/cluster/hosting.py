@@ -478,13 +478,15 @@ class WorkerHost:
     # Ops — task control / reads
 
     def _op_register_task(self, request: dict[str, Any]) -> dict[str, Any]:
-        entry = request.get("task")
+        entry, defaults = request.get("task"), request.get("defaults")
         if not isinstance(entry, dict):
             return _error("w_register_task needs a 'task' dict")
+        if not isinstance(defaults, (dict, type(None))):
+            return _error("w_register_task 'defaults' must be a dict")
         worker = self._shard(int(request.get("shard", -1)))
-        spec = register_task_from_config(
-            worker.service, dict(entry),
-            dict(request.get("defaults") or {}), config=self.adaptation)
+        # Parsing reads the entry and the defaults and writes neither.
+        spec = register_task_from_config(worker.service, entry, defaults,
+                                         config=self.adaptation)
         # The new task's name may already be cached as row -1.
         self._gid_rows.pop(worker.shard_id, None)
         return {"ok": True, "task": spec.name, "shard": worker.shard_id,

@@ -351,10 +351,17 @@ def task_from_config(entry: dict[str, Any],
             fall back to ``defaults`` then the TaskSpec defaults.
         defaults: the config's ``defaults`` section.
     """
+    return _parse_task(entry, defaults)[0]
+
+
+def _parse_task(entry: dict[str, Any], defaults: dict[str, Any] | None,
+                ) -> tuple[TaskSpec, str]:
+    """:func:`task_from_config`'s spec and the entry's checked type:
+    the entry's keys are checked once."""
     if not isinstance(entry, dict):
         raise ConfigurationError(f"task entry must be a dict, got {entry!r}")
     _reject_unknown(entry, _TASK_KEYS, f"task {entry.get('name', '?')!r}")
-    _task_kind(entry)
+    kind = _task_kind(entry)
     defaults = defaults or {}
     for key in ("name", "threshold"):
         if key not in entry:
@@ -370,7 +377,7 @@ def task_from_config(entry: dict[str, Any],
         max_interval=int(pick("max_interval", 10)),
         direction=_direction(str(pick("direction", "upper"))),
         name=str(entry["name"]),
-    )
+    ), kind
 
 
 def register_task_from_config(service: MonitoringService,
@@ -392,8 +399,7 @@ def register_task_from_config(service: MonitoringService,
     ``defaults``) register as drop-below tasks — the natural polarity of
     an entropy-collapse predicate.
     """
-    spec = task_from_config(entry, defaults)
-    kind = _task_kind(entry)
+    spec, kind = _parse_task(entry, defaults)
     if kind == "value":
         window = int(entry.get("window", 1))
         aggregate = _aggregate(str(entry.get("aggregate", "mean")))

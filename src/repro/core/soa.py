@@ -59,6 +59,8 @@ migration stay byte-compatible with scalar-only peers.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import attrgetter
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -167,6 +169,33 @@ def _read_only(column: np.ndarray) -> np.ndarray:
     value, so nobody writes through it."""
     column.flags.writeable = False
     return column
+
+
+def _array(values: list[Any], kind: type) -> np.ndarray:
+    """Python values of element type ``kind`` as a snapshot column: a
+    read-only array of its dtype."""
+    return _read_only(np.array(values, _DTYPES[kind]))
+
+
+def _read(objects: Sequence[Any], field: str) -> list[Any]:
+    """One attribute (a dotted path) of each of ``objects``: a column
+    in the making."""
+    return list(map(attrgetter(field), objects))
+
+
+def _listed(column: Any) -> Any:
+    """A snapshot column as a list of Python values, for whatever is
+    built or reasoned about element by element: an array's ``tolist()``,
+    a list itself. No numpy scalar reaches a task's objects."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _split(lengths: Any, flat: Any) -> list[list[Any]]:
+    """A CSR pair of snapshot columns — a length per element, and a
+    flat column holding every element's items in turn — as one list of
+    items per element."""
+    flat, cuts = _listed(flat), [0, *accumulate(_listed(lengths))]
+    return [flat[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 def sampler_state_columns(states: list[dict[str, Any]],

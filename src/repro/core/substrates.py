@@ -22,18 +22,23 @@ supplies the two substrates that close that gap:
   entropy-monitoring literature (SYN floods of near-identical packets
   collapse source entropy far below its healthy band).
 
-Both substrates are deterministic, JSON-serialisable via
-``state_dict``/``from_state_dict`` (checkpoint contract: a restored
-substrate answers every future query bit-identically), and cheap enough
-for the push ingest path — updates are O(1) dict/deque work.
+Both substrates are deterministic, serialised many at a time as
+columns (``to_columns`` / ``from_columns``: the snapshot's ``sparse``
+groups, DESIGN.md S31; a restored substrate answers every future query
+bit-identically), and cheap enough for the push ingest path — updates
+are O(1) dict/deque work.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Any, Callable
+from collections import Counter, deque
+from itertools import chain
+from typing import Any, Callable, Sequence
 
+import numpy as np
+
+from repro.core.soa import _array, _listed, _read, _read_only, _split
 from repro.exceptions import ConfigurationError
 from repro.telemetry.histogram import (DEFAULT_RELATIVE_ERROR,
                                        LogHistogram)
@@ -55,6 +60,79 @@ DEFAULT_SKETCH_WINDOW = 128
 
 DEFAULT_ENTROPY_WINDOW = 64
 """Default sliding-window length for entropy tasks."""
+
+# -- the column form (DESIGN.md S31 "snapshots are columns") ------------
+#
+# Many substrates of one kind are one map of columns, element ``i`` the
+# ``i``-th substrate's: read-only ``f8`` / ``i8`` / ``b1`` arrays. A
+# field of variable length (a sketch's buckets, an entropy ring) is CSR:
+# a length column, one element per substrate, then flat columns holding
+# every substrate's elements in turn. The flat symbol column stays the
+# list of its ints when one is wider than 64 bits (the symbol of an
+# extreme value over a fine bin), which the checkpoint writer keeps as
+# JSON; a sketch's bucket index is within 64 bits for any relative
+# error a sketch accepts. ``from_columns`` takes any column as an array
+# or as a list.
+
+
+def _ints(values: list[int]) -> Any:
+    """A flat column of symbols: an ``i8`` array, or the list when one
+    is wider than 64 bits."""
+    try:
+        return _array(values, int)
+    except OverflowError:
+        return values
+
+
+def _sketch_columns(sketches: list[LogHistogram]) -> dict[str, Any]:
+    """``LogHistogram`` s as columns: the scalar fields, and the
+    ``pos`` / ``neg`` buckets as CSR (``*_length``, ``*_key``,
+    ``*_count``). An empty sketch's ``min`` / ``max`` are written as
+    zero (its count is their flag), not as the infinities it holds."""
+    count = _array(_read(sketches, "count"), int)
+    columns = {"count": count,
+               "total": _array(_read(sketches, "total"), float),
+               "zero_count": _array(_read(sketches, "zero_count"), int)}
+    for key in ("min", "max"):
+        extreme = np.array(_read(sketches, "_" + key), np.float64)
+        columns[key] = _read_only(np.where(count > 0, extreme, 0.0))
+    columns["min_value"] = _array(_read(sketches, "min_value"), float)
+    columns["relative_error"] = _array(_read(sketches, "relative_error"),
+                                       float)
+    for side in ("pos", "neg"):
+        buckets = _read(sketches, "_" + side)
+        columns[f"{side}_length"] = _array(list(map(len, buckets)), int)
+        columns[f"{side}_key"] = _array(list(chain.from_iterable(buckets)),
+                                        int)
+        columns[f"{side}_count"] = _array(list(chain.from_iterable(
+            map(dict.values, buckets))), int)
+    return columns
+
+
+def _buckets(columns: dict[str, Any], side: str) -> list[dict[int, int]]:
+    """Each sketch's ``side`` buckets, from their CSR columns."""
+    lengths = columns[f"{side}_length"]
+    keys, counts = (_split(lengths, columns[f"{side}_{part}"])
+                    for part in ("key", "count"))
+    return [dict(zip(*pair)) for pair in zip(keys, counts)]
+
+
+def _sketches(columns: dict[str, Any]) -> list[LogHistogram]:
+    """The inverse of :func:`_sketch_columns`."""
+    sketches = []
+    for (count, total, zero_count, low, high, min_value, relative_error,
+         pos, neg) in zip(*(_listed(columns[key]) for key in (
+             "count", "total", "zero_count", "min", "max", "min_value",
+             "relative_error")), _buckets(columns, "pos"),
+             _buckets(columns, "neg")):
+        sketch = LogHistogram(relative_error=relative_error,
+                              min_value=min_value)
+        sketch.count, sketch.total = count, total
+        sketch.zero_count, sketch._pos, sketch._neg = zero_count, pos, neg
+        if count:
+            sketch._min, sketch._max = low, high
+        sketches.append(sketch)
+    return sketches
 
 
 class QuantileEstimator:
@@ -190,28 +268,47 @@ class QuantileEstimator:
         self._sealed = None
         self._start_epoch()
 
-    def state_dict(self) -> dict[str, Any]:
-        """JSON-able state; restoring reproduces every query bit-for-bit."""
+    @staticmethod
+    def to_columns(estimators: Sequence["QuantileEstimator"],
+                   ) -> dict[str, Any]:
+        """Many estimators' state as columns (module comment above
+        ``_ints``): ``quantile``, ``window``, ``relative_error``,
+        ``in_epoch``, the ``current`` sketches, and the ``sealed`` ones
+        of the estimators whose ``has_sealed`` flag is up. Restoring
+        reproduces every query bit for bit."""
+        sealed = [est._sealed for est in estimators
+                  if est._sealed is not None]
         return {
-            "quantile": self.quantile,
-            "window": self.window,
-            "relative_error": self.relative_error,
-            "in_epoch": self._in_epoch,
-            "current": self._current.to_dict(),
-            "sealed": (None if self._sealed is None
-                       else self._sealed.to_dict()),
+            "quantile": _array(_read(estimators, "quantile"), float),
+            "window": _array(_read(estimators, "window"), int),
+            "relative_error": _array(_read(estimators, "relative_error"),
+                                     float),
+            "in_epoch": _array(_read(estimators, "_in_epoch"), int),
+            "has_sealed": _array([est._sealed is not None
+                                  for est in estimators], bool),
+            "current": _sketch_columns(_read(estimators, "_current")),
+            "sealed": _sketch_columns(sealed),
         }
 
     @classmethod
-    def from_state_dict(cls, state: dict[str, Any]) -> "QuantileEstimator":
-        est = cls(quantile=float(state["quantile"]),
-                  window=int(state["window"]),
-                  relative_error=float(state["relative_error"]))
-        est._current = LogHistogram.from_dict(state["current"])
-        if state.get("sealed") is not None:
-            est._sealed = LogHistogram.from_dict(state["sealed"])
-        est._in_epoch = int(state["in_epoch"])
-        return est
+    def from_columns(cls, columns: dict[str, Any],
+                     ) -> list["QuantileEstimator"]:
+        """The estimators :meth:`to_columns` wrote, in order."""
+        current = iter(_sketches(columns["current"]))
+        sealed = iter(_sketches(columns["sealed"]))
+        estimators = []
+        for quantile, window, relative_error, in_epoch, has_sealed in zip(
+                *(_listed(columns[key]) for key in (
+                    "quantile", "window", "relative_error", "in_epoch",
+                    "has_sealed"))):
+            est = cls(quantile=quantile, window=window,
+                      relative_error=relative_error)
+            est._current = next(current)
+            if has_sealed:
+                est._sealed = next(sealed)
+            est._in_epoch = in_epoch
+            estimators.append(est)
+        return estimators
 
 
 class EntropyEstimator:
@@ -276,20 +373,28 @@ class EntropyEstimator:
             acc += c * math.log2(c)
         return math.log2(n) - acc / n
 
-    def state_dict(self) -> dict[str, Any]:
-        """JSON-able state; the count table is derived, so only the
-        symbol sequence is serialised."""
-        return {
-            "window": self.window,
-            "bin_width": self.bin_width,
-            "symbols": list(self._symbols),
-        }
+    @staticmethod
+    def to_columns(estimators: Sequence["EntropyEstimator"],
+                   ) -> dict[str, Any]:
+        """Many estimators' state as columns: ``window``, ``bin_width``
+        and the symbol rings as CSR (``length``, ``symbols``). The count
+        table is derived, so only the rings are written."""
+        rings = _read(estimators, "_symbols")
+        return {"window": _array(_read(estimators, "window"), int),
+                "bin_width": _array(_read(estimators, "bin_width"), float),
+                "length": _array(list(map(len, rings)), int),
+                "symbols": _ints(list(chain.from_iterable(rings)))}
 
     @classmethod
-    def from_state_dict(cls, state: dict[str, Any]) -> "EntropyEstimator":
-        est = cls(window=int(state["window"]),
-                  bin_width=float(state["bin_width"]))
-        for symbol in state.get("symbols", []):
-            est._symbols.append(int(symbol))
-            est._counts[int(symbol)] = est._counts.get(int(symbol), 0) + 1
-        return est
+    def from_columns(cls, columns: dict[str, Any],
+                     ) -> list["EntropyEstimator"]:
+        """The estimators :meth:`to_columns` wrote, in order."""
+        estimators = []
+        for window, bin_width, ring in zip(
+                _listed(columns["window"]), _listed(columns["bin_width"]),
+                _split(columns["length"], columns["symbols"])):
+            est = cls(window=window, bin_width=bin_width)
+            est._symbols.extend(ring)
+            est._counts = dict(Counter(ring))
+            estimators.append(est)
+        return estimators

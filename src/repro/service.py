@@ -37,7 +37,8 @@ from collections import deque
 from functools import partial
 from dataclasses import dataclass, field
 from math import isfinite
-from operator import attrgetter, index
+from itertools import chain
+from operator import index
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,9 +46,9 @@ import numpy as np
 from repro.core.adaptation import (AdaptationConfig, SamplingDecision,
                                    ViolationLikelihoodSampler)
 from repro.core.soa import (_DTYPES, SAMPLER_STATE, STEP_MAX, STEP_MIN,
-                            ColumnBatchResult, SoaSamplerEngine,
-                            _read_only, sampler_state_columns,
-                            sampler_state_dict)
+                            ColumnBatchResult, SoaSamplerEngine, _array,
+                            _listed, _read, _read_only, _split,
+                            sampler_state_columns, sampler_state_dict)
 from repro.core.substrates import (DEFAULT_ENTROPY_WINDOW,
                                    DEFAULT_SKETCH_WINDOW, EntropyEstimator,
                                    QuantileEstimator)
@@ -67,11 +68,12 @@ logger = logging.getLogger(__name__)
 
 AlertCallback = Callable[[Alert], None]
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 """Format version stamped into :meth:`MonitoringService.snapshot` dicts:
-3 is the columnar document with one kind of trigger gate, and the only
-version :meth:`MonitoringService.restore` reads (DESIGN.md S31 "one
-reader"). Not the checkpoint *file* format's
+4 is the columnar document whose typed-task, guard, watcher and window
+state are columns too, and the only version
+:meth:`MonitoringService.restore` reads (DESIGN.md S31 "one reader").
+Not the checkpoint *file* format's
 (:data:`repro.runtime.checkpoint.CHECKPOINT_VERSION`)."""
 
 
@@ -216,63 +218,6 @@ class TaskState:
         return Alert(time_index=step, value=monitored,
                      threshold=self.task.threshold)
 
-    def state_dict(self, suspensions: int) -> dict[str, Any]:
-        """What few tasks have, JSON-able, only when present: the sparse
-        part of a snapshot (:meth:`MonitoringService.snapshot` holds what
-        every task has as columns). ``suspensions`` is the deferred-offer
-        count from wherever the service keeps it.
-
-        Typed-task keys, trigger-channel keys (so guards survive
-        migration and failover bit-identically) and a non-empty window
-        buffer each appear only on the tasks that have them, so the
-        snapshot of a fleet of plain tasks holds nothing per task. The
-        ``on_alert`` callback is *not* serialisable — restoring callers
-        re-attach their own.
-        """
-        state: dict[str, Any] = {}
-        if self.task_type != "value":
-            state["type"] = self.task_type
-            state["value_threshold"] = self.value_threshold
-            state["substrate"] = self.substrate.state_dict()
-        if self.remote_trigger is not None:
-            state["remote_trigger"] = self.remote_trigger
-            state["trigger_armed"] = self.trigger_armed
-            state["trigger_suspensions"] = suspensions
-        if self.watch is not None:
-            state["watch"] = self.watch.state_dict()
-        if self._window_values:
-            state["window_values"] = [[s, v] for s, v in self._window_values]
-        return state
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        """Load a :meth:`state_dict` onto a task built from its dense
-        fields (a snapshot's columns): all but ``trigger_suspensions``,
-        which the service loads where it keeps it."""
-        task_type = state.get("type", "value")
-        if task_type == "quantile":
-            self.substrate = QuantileEstimator.from_state_dict(
-                state["substrate"])
-        elif task_type == "entropy":
-            # A checkpoint hands a long enough symbol ring back as an array.
-            entry = state["substrate"]
-            self.substrate = EntropyEstimator.from_state_dict(
-                {**entry, "symbols": _listed(entry.get("symbols", []))})
-        elif task_type != "value":
-            raise ConfigurationError(
-                f"unknown task type {task_type!r} in snapshot entry "
-                f"{self.name!r}")
-        self.task_type = task_type
-        # The typed three and the guard three come as sets (_check_snapshot).
-        if "type" in state:
-            self.value_threshold = state["value_threshold"]
-        if "remote_trigger" in state:
-            self.remote_trigger = state["remote_trigger"]
-            self.trigger_armed = state["trigger_armed"]
-        if "watch" in state:
-            self.watch = TriggerWatcher.from_state_dict(state["watch"])
-        self._window_values.extend(
-            (int(s), float(v)) for s, v in state.get("window_values", ()))
-
 
 # -- the snapshot document (DESIGN.md S31 "snapshots are columns") ------
 #
@@ -281,8 +226,8 @@ class TaskState:
 # TaskSpec fields), ``sampler`` (core.soa.SAMPLER_STATE) and ``task``
 # (schedule, window, guard level, alert count). ``alerts`` are three
 # flat columns in ``names`` order, each task's oldest first, cut by
-# ``task.alerts``. What few tasks have is a map by task name per
-# TaskState.state_dict key, under ``sparse``. The columns an engine
+# ``task.alerts``. What few tasks have is columns too, under ``sparse``
+# (_SPARSE below). The columns an engine
 # holds — ``sampler``, ``task.next_due`` / ``samples_taken`` /
 # ``alerts`` and ``alerts`` — are written as read-only i8 / f8 / b1
 # arrays, by both services. The registration columns — ``names``,
@@ -294,6 +239,7 @@ class TaskState:
 # arrays, a JSON frame lists). key -> element types, an array's dtype the
 # element type's (core.soa._DTYPES):
 _NUMBER, _INT, _STR = (float, int), (int,), (str,)
+_FLOAT, _BOOL = (float,), (bool,)
 _GROUPS: dict[str, dict[str, tuple[type, ...]]] = {
     "spec": {"threshold": _NUMBER, "error_allowance": _NUMBER,
              "default_interval": _NUMBER, "max_interval": _INT,
@@ -310,9 +256,49 @@ _GROUPS: dict[str, dict[str, tuple[type, ...]]] = {
 # every int column but the interval and the last-sample step.
 _SAMPLER_COUNTS = ("streak", "observations", "grow_events", "reset_events",
                    "coord_n", "n", "stale_count", "restarts", "total_count")
-_SPARSE_KEYS = ("type", "value_threshold", "substrate", "remote_trigger",
-                "trigger_armed", "trigger_suspensions", "watch",
-                "window_values")
+# What few tasks have: one group of columns per kind of state, each
+# keyed by ``task`` — positions into ``names``, ascending, so a group is
+# in registration order — and written as read-only arrays (the wire's
+# lists on the way back); a group with no member is left out. A group's
+# membership is its kind: a task in ``quantile`` is a quantile task. A
+# quantile task's two sketches are
+# sub-groups, ``sealed`` holding only the tasks whose ``has_sealed`` is
+# up; a variable-length field is CSR (_CSR: flat column -> its length
+# column, one element per task or sketch, the flat one their sum).
+_SKETCH = {"count": _INT, "total": _FLOAT, "zero_count": _INT,
+           "min": _FLOAT, "max": _FLOAT, "min_value": _FLOAT,
+           "relative_error": _FLOAT, "pos_length": _INT, "pos_key": _INT,
+           "pos_count": _INT, "neg_length": _INT, "neg_key": _INT,
+           "neg_count": _INT}
+_SPARSE: dict[str, dict[str, Any]] = {
+    "quantile": {"task": _INT, "value_threshold": _FLOAT,
+                 "quantile": _FLOAT, "window": _INT,
+                 "relative_error": _FLOAT, "in_epoch": _INT,
+                 "has_sealed": _BOOL, "current": _SKETCH,
+                 "sealed": _SKETCH},
+    "entropy": {"task": _INT, "value_threshold": _FLOAT, "window": _INT,
+                "bin_width": _FLOAT, "length": _INT, "symbols": _INT},
+    "guard": {"task": _INT, "remote_trigger": _STR, "armed": _BOOL,
+              "suspensions": _INT},
+    # TriggerWatcher.state_dict's five; an absent last transition is its
+    # flag down and the step written as zero.
+    "watch": {"task": _INT, "level": _FLOAT, "hysteresis": _FLOAT,
+              "min_hold": _INT, "armed": _BOOL, "last_transition": _INT,
+              "transitioned": _BOOL},
+    "window_values": {"task": _INT, "length": _INT, "step": _INT,
+                      "value": _FLOAT},
+}
+_CSR = {"pos_key": "pos_length", "pos_count": "pos_length",
+        "neg_key": "neg_length", "neg_count": "neg_length",
+        "symbols": "length", "step": "length", "value": "length"}
+# The counts among them (_check_snapshot's ranges).
+_SPARSE_COUNTS = ("in_epoch", "count", "zero_count", "pos_count",
+                  "neg_count", "suspensions")
+# What restore reads for a group a document leaves out: no member.
+_NO_MEMBERS = {kind: {key: {part: [] for part in kinds}
+                      if isinstance(kinds, dict) else []
+                      for key, kinds in schema.items()}
+               for kind, schema in _SPARSE.items()}
 _SNAPSHOT_KEYS = {"version", "adaptation", "adaptations", "names",
                   *_GROUPS, "sparse"}
 _DIRECTIONS = {d.value: d for d in ThresholdDirection}
@@ -325,13 +311,6 @@ def snapshot_task_names(snapshot: Mapping[str, Any]) -> list[str]:
     snapshot), so nobody outside this module indexes a snapshot's
     insides."""
     return list(snapshot.get("names", ()))
-
-
-def _listed(column: Any) -> Any:
-    """A snapshot column as a list of Python values, for whatever is
-    built or reasoned about element by element: an array's ``tolist()``,
-    a list itself. No numpy scalar reaches a task's objects."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 def _distinct(configs: Sequence[AdaptationConfig],
@@ -389,19 +368,8 @@ def _overlaid(column: Any, positions: np.ndarray,
     return column
 
 
-def _sparse_maps(states: Iterable[tuple[str, dict[str, Any]]],
-                 ) -> dict[str, dict[str, Any]]:
-    """``(name, TaskState.state_dict())`` pairs as a snapshot's
-    ``sparse`` group: one map by task name per key."""
-    sparse: dict[str, dict[str, Any]] = {key: {} for key in _SPARSE_KEYS}
-    for name, state in states:
-        for key, value in state.items():
-            sparse[key][name] = value
-    return sparse
-
-
 def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
-    """Refuse a version-3 document that is not one — a wrong key set, a
+    """Refuse a version-4 document that is not one — a wrong key set, a
     ragged or mistyped column, counts, indices or names that point
     nowhere — with a :class:`ConfigurationError` naming the culprit,
     before a service exists."""
@@ -416,7 +384,7 @@ def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
                  f"{sorted(set(have) ^ set(want), key=repr)}")
 
     def check(where: str, column: Any, kinds: tuple[type, ...],
-              length: int | None) -> None:
+              length: int | None, wide: bool = False) -> None:
         array = isinstance(column, np.ndarray)
         if not (array and column.ndim == 1 or isinstance(column, list)) \
                 or length not in (None, len(column)):
@@ -431,7 +399,7 @@ def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
         if not set(map(type, column)) <= set(kinds):
             fail(f"column {where} holds an element that is not "
                  + " or ".join(kind.__name__ for kind in kinds))
-        if kinds == _INT:
+        if kinds == _INT and not wide:
             try:
                 np.asarray(column, dtype=np.int64)
             except OverflowError:
@@ -470,12 +438,13 @@ def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
     # ``var`` is clamped where it is read, so any value is one.
     def check_range(where: str, column: Any,
                     within: Callable[[np.ndarray], np.ndarray],
-                    what: str) -> None:
+                    what: str, owners: list[str] | None = names) -> None:
         outside = np.flatnonzero(~within(np.asarray(column)))
         if len(outside):
             at = outside.item(0)
-            fail(f"column {where} holds {_listed(column)[at]!r} "
-                 f"(task {names[at]!r}), not {what}")
+            owner = "" if owners is None else f" (task {owners[at]!r})"
+            fail(f"column {where} holds {_listed(column)[at]!r}{owner}, "
+                 f"not {what}")
 
     sampler = snapshot["sampler"]
     max_interval = np.asarray(snapshot["spec"]["max_interval"], np.int64)
@@ -492,19 +461,62 @@ def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
     for key in ("window", "suspend_interval"):
         check_range(f"task.{key}", task[key], lambda steps: steps >= 1,
                     ">= 1")
+    # The sparse groups: a task column of ascending positions into
+    # names, a column per field of one element per task (or sketch),
+    # flat columns as long as their lengths add up to, counts.
+    def check_group(where: str, group: dict[str, Any],
+                    schema: dict[str, Any], length: int) -> None:
+        for key, kinds in schema.items():
+            if type(kinds) is tuple and key not in _CSR:
+                check(f"{where}.{key}", group[key], kinds, length)
+        for key, by in _CSR.items():
+            if key not in schema:
+                continue
+            check_range(f"{where}.{by}", group[by], lambda n: n >= 0,
+                        "a length (>= 0)", None)
+            total, column = int(np.sum(group[by])), group[key]
+            if isinstance(column, (list, np.ndarray)) \
+                    and len(column) != total:
+                fail(f"column {where}.{key} holds {len(column)} elements, "
+                     f"but {where}.{by} sums to {total}")
+            # A symbol may be any int (an extreme value's, over a fine
+            # bin); a list of such stays JSON.
+            check(f"{where}.{key}", column, schema[key], total,
+                  wide=key == "symbols")
+        for key in _SPARSE_COUNTS:
+            if key in schema:
+                check_range(f"{where}.{key}", group[key],
+                            lambda count: count >= 0, "a count (>= 0)", None)
+
     sparse = snapshot["sparse"]
-    check_keys("group 'sparse'", sparse, _SPARSE_KEYS)
-    for key, column in sparse.items():
-        if not isinstance(column, dict) or not set(column) <= known:
-            fail(f"map {key!r} has a key that is not in names")
-    for keys in (_SPARSE_KEYS[:3], _SPARSE_KEYS[3:6]):
-        if len({frozenset(sparse[key]) for key in keys}) != 1:
-            fail(f"maps {list(keys)} are not keyed by the same tasks")
-    suspensions = sparse["trigger_suspensions"]
-    if not set(map(type, suspensions.values())) <= {int}:
-        fail("map 'trigger_suspensions' holds a value that is not int")
-    if min(suspensions.values(), default=0) < 0:
-        fail("map 'trigger_suspensions' holds a negative count")
+    if not isinstance(sparse, dict):
+        fail("group 'sparse' is not a map")
+    if not set(sparse) <= set(_SPARSE):
+        fail(f"group 'sparse' has unknown keys "
+             f"{sorted(set(sparse) - set(_SPARSE), key=repr)}")
+    positions = {kind: np.empty(0, np.int64) for kind in _SPARSE}
+    for kind, group in sparse.items():
+        where, schema = f"sparse.{kind}", _SPARSE[kind]
+        check_keys(f"group {where!r}", group, schema)
+        check(f"{where}.task", group["task"], _INT, None)
+        positions[kind] = at = np.asarray(group["task"], np.int64)
+        check_range(f"{where}.task", at,
+                    lambda at: (at >= 0) & (at < len(names)),
+                    "a position in names", None)
+        if (np.diff(at) <= 0).any():
+            fail(f"column {where}.task is not ascending: a task repeated "
+                 f"or out of registration order")
+        check_group(where, group, schema, len(at))
+        if kind == "quantile":
+            for part, length in (
+                    ("current", len(at)),
+                    ("sealed", int(np.count_nonzero(group["has_sealed"])))):
+                check_keys(f"group '{where}.{part}'", group[part], _SKETCH)
+                check_group(f"{where}.{part}", group[part], _SKETCH, length)
+    both = np.intersect1d(positions["quantile"], positions["entropy"])
+    if len(both):
+        fail(f"task {names[both.item(0)]!r} is in both sparse.quantile "
+             f"and sparse.entropy")
 
 
 class _RowHooks:
@@ -610,12 +622,16 @@ class _AlertLog:
                                   entries["value"].tolist(),
                                   entries["threshold"].tolist())))
 
-    def columns(self) -> dict[str, np.ndarray]:
+    def columns(self, rows: int) -> dict[str, np.ndarray]:
         """Every entry as a snapshot's ``alerts`` columns: grouped by
         row, rows ascending — registration order, as rows are handed out
         in it and never reused — and each row's oldest first. One stable
-        argsort and one gather per column, into an array of its own."""
-        order = np.argsort(self.rows, kind="stable")
+        argsort and one gather per column, into an array of its own.
+        ``rows`` bounds the row ids (the engine's ``len``): under 2**16
+        the sort key is ``uint16``, which numpy radix-sorts, and a
+        stable sort on a key of the same order is the same permutation."""
+        key = np.uint16 if rows <= 1 << 16 else np.int64
+        order = np.argsort(self.rows.astype(key), kind="stable")
         entries = self._entries[:self.size]
         return {key: entries[key][order] for key in _GROUPS["alerts"]}
 
@@ -1641,7 +1657,7 @@ class MonitoringService:
             next_due = engine.next_due[rows]
             samples_taken = engine.samples_taken[rows]
             logged = engine.alerts[rows]
-            alerts = self._alert_log.columns()
+            alerts = self._alert_log.columns(len(engine))
         for column in (next_due, samples_taken, logged, *alerts.values()):
             _read_only(column)
         kept = self._registration()
@@ -1672,15 +1688,63 @@ class MonitoringService:
                 "suspend_interval": _handed(held["suspend_interval"]),
             },
             "alerts": alerts,
-            "sparse": _sparse_maps(
-                (state.name, state.state_dict(self._suspensions(state)))
-                for state in kept["sparse"]),
+            "sparse": self._sparse(kept["sparse"]),
         }
+
+    def _sparse(self, kept: dict[str, tuple[np.ndarray, list[TaskState]]],
+                ) -> dict[str, dict[str, Any]]:
+        """A snapshot's ``sparse`` groups (module comment above
+        ``_SPARSE``), read fresh off each group's kept candidates — one
+        builder for both representations. A group with no member is
+        left out, so a plain fleet's is ``{}``."""
+        # Of the windowed candidates, those whose buffer holds something.
+        positions, windowed = kept["window_values"]
+        filled = [at for at, state in enumerate(windowed)
+                  if state._window_values]
+        kept = {**kept, "window_values": (_read_only(positions[filled]),
+                                          [windowed[at] for at in filled])}
+        return {kind: {"task": _handed(positions),
+                       **self._sparse_group(kind, states)}
+                for kind, (positions, states) in kept.items() if states}
+
+    def _sparse_group(self, kind: str, states: list[TaskState],
+                      ) -> dict[str, Any]:
+        """The columns of one ``sparse`` group but ``task``, of its
+        members ``states``; a guard's count comes from wherever the
+        service keeps it."""
+        if kind in ("quantile", "entropy"):
+            estimator = (QuantileEstimator if kind == "quantile"
+                         else EntropyEstimator)
+            thresholds = _array(_read(states, "value_threshold"), float)
+            return {"value_threshold": thresholds,
+                    **estimator.to_columns(_read(states, "substrate"))}
+        if kind == "guard":
+            return {"remote_trigger": _read(states, "remote_trigger"),
+                    "armed": _array(_read(states, "trigger_armed"), bool),
+                    "suspensions": _array(list(map(self._suspensions,
+                                                   states)), int)}
+        if kind == "watch":
+            watches = [state.watch.state_dict() for state in states]
+            last = [watch["last_transition"] for watch in watches]
+            return {**{key: _array([watch[key] for watch in watches], element)
+                       for key, element in (("level", float),
+                                            ("hysteresis", float),
+                                            ("min_hold", int),
+                                            ("armed", bool))},
+                    "last_transition": _array(
+                        [0 if step is None else step for step in last], int),
+                    "transitioned": _array([step is not None
+                                            for step in last], bool)}
+        buffers = _read(states, "_window_values")
+        pairs = list(chain.from_iterable(buffers))
+        return {"length": _array(list(map(len, buffers)), int),
+                "step": _array([step for step, _ in pairs], int),
+                "value": _array([value for _, value in pairs], float)}
 
     def _registration(self) -> dict[str, Any]:
         """The snapshot's registration columns: what only a control op
         can change — names, specs, configs, window / guard settings, and
-        which tasks can have a ``sparse`` entry or a moving
+        which tasks each ``sparse`` group can hold or have a moving
         ``window_sum``. Built on the first snapshot after a change and
         kept until the next: ``_register``, ``remove_task``,
         ``add_remote_trigger`` and ``add_trigger_watch`` drop it (a
@@ -1690,26 +1754,35 @@ class MonitoringService:
             return kept
         states = list(self._tasks.values())
         configs, adaptation = _distinct([state.config for state in states])
-
-        def read(objects: list[Any], field: str) -> list[Any]:
-            return list(map(attrgetter(field), objects))
         # Strings are kept as lists, numbers packed where they can be.
         spec = {key: column if key in ("direction", "name") else
                 _column(column) for key, column in spec_columns(
                     [state.task for state in states]).items()}
         task = {
             "adaptation": _read_only(adaptation),
-            "window": _column(read(states, "window")),
-            "window_kind": read(states, "window_kind._value_"),
-            "window_sum": _column(read(states, "_window_sum")),
-            "trigger_level": _column(read(states, "trigger_level")),
+            "window": _column(_read(states, "window")),
+            "window_kind": _read(states, "window_kind._value_"),
+            "window_sum": _column(_read(states, "_window_sum")),
+            "trigger_level": _column(_read(states, "trigger_level")),
             # An int by construction: add_remote_trigger's int(), or a
             # restore's checked column.
             "suspend_interval": _read_only(np.array(
-                read(states, "suspend_interval"), np.int64)),
+                _read(states, "suspend_interval"), np.int64)),
         }
         # A window-1 task's sum never moves (TaskState.aggregate).
         positions = np.flatnonzero(np.asarray(task["window"]) > 1)
+        # Which tasks each sparse group may hold (a window buffer may be
+        # empty); a group's positions are handed out as its task column.
+        sparse: dict[str, list[int]] = {kind: [] for kind in _SPARSE}
+        for at, state in enumerate(states):
+            if state.substrate is not None:
+                sparse[state.task_type].append(at)
+            if state.remote_trigger is not None:
+                sparse["guard"].append(at)
+            if state.watch is not None:
+                sparse["watch"].append(at)
+            if state.window > 1 or state._window_values:
+                sparse["window_values"].append(at)
         self._columns = kept = {
             "configs": configs,
             "names": list(self._tasks),
@@ -1717,11 +1790,9 @@ class MonitoringService:
             "task": task,
             "windowed": (positions,
                          [states[at] for at in positions.tolist()]),
-            "sparse": [state for state in states
-                       if state.substrate is not None
-                       or state.watch is not None
-                       or state.remote_trigger is not None
-                       or state.window > 1 or state._window_values],
+            "sparse": {kind: (_read_only(np.array(at, np.int64)),
+                              [states[i] for i in at])
+                       for kind, at in sparse.items()},
         }
         return kept
 
@@ -1780,15 +1851,40 @@ class MonitoringService:
                   in zip(names, specs, *(_listed(task[key]) for key in (
                       "adaptation", "window", "window_kind", "window_sum",
                       "trigger_level", "suspend_interval")))]
-        # What few tasks have: their TaskState.state_dict(), by name.
-        sparse: dict[str, dict[str, Any]] = {}
-        for key, column in snapshot["sparse"].items():
-            for name, value in column.items():
-                sparse.setdefault(name, {})[key] = value
-        if sparse:
-            by_name = dict(zip(names, states))
-            for name, entry in sparse.items():
-                by_name[name].load_state_dict(entry)
+        # What few tasks have, group by group onto the tasks each names;
+        # substrates and watchers refuse their values here, too.
+        sparse = {**_NO_MEMBERS, **snapshot["sparse"]}
+
+        def members(kind: str) -> list[TaskState]:
+            return [states[at] for at in _listed(sparse[kind]["task"])]
+        for kind, estimator in (("quantile", QuantileEstimator),
+                                ("entropy", EntropyEstimator)):
+            group = sparse[kind]
+            for state, value_threshold, substrate in zip(
+                    members(kind), _listed(group["value_threshold"]),
+                    estimator.from_columns(group)):
+                state.task_type, state.value_threshold = kind, value_threshold
+                state.substrate = substrate
+        guard, watch, windowed = (
+            sparse[kind] for kind in ("guard", "watch", "window_values"))
+        guarded = members("guard")
+        for state, trigger, armed in zip(guarded,
+                                         _listed(guard["remote_trigger"]),
+                                         _listed(guard["armed"])):
+            state.remote_trigger, state.trigger_armed = trigger, armed
+        keys = ("level", "hysteresis", "min_hold", "armed", "last_transition")
+        for state, *fields, transitioned in zip(
+                members("watch"), *(_listed(watch[key]) for key in keys),
+                _listed(watch["transitioned"])):
+            entry = dict(zip(keys, fields))
+            if not transitioned:
+                entry["last_transition"] = None
+            state.watch = TriggerWatcher.from_state_dict(entry)
+        for state, steps, values in zip(
+                members("window_values"),
+                _split(windowed["length"], windowed["step"]),
+                _split(windowed["length"], windowed["value"])):
+            state._window_values.extend(zip(steps, values))
         if on_alert is not None:
             for state in states:
                 state.on_alert = partial(on_alert, state.name)
@@ -1801,7 +1897,6 @@ class MonitoringService:
         service._register(states, rows)
         logged = task["alerts"]
         alerts = list(map(snapshot["alerts"].get, _GROUPS["alerts"]))
-        suspensions = snapshot["sparse"]["trigger_suspensions"]
         # What columns hold goes straight into the columns; the oracle's
         # samplers and tasks take it as lists.
         if engine is None:
@@ -1818,9 +1913,10 @@ class MonitoringService:
                 state.sampler.load_state_dict(sampler_state_dict(sampler, at))
                 state.next_due = next_due
                 state.samples_taken = samples_taken
-                state.trigger_suspensions = suspensions.get(state.name, 0)
                 state.alerts = history[lo:lo + count]
                 lo += count
+            for state, count in zip(guarded, _listed(guard["suspensions"])):
+                state.trigger_suspensions = count
         else:
             at = slice(rows.start, rows.stop)
             engine.load_rows_state(at, snapshot["sampler"])
@@ -1829,7 +1925,6 @@ class MonitoringService:
             engine.alerts[at] = logged
             service._alert_log.append(
                 np.repeat(np.arange(rows.start, rows.stop), logged), *alerts)
-            engine.suspensions[[service._tasks[name].soa_row
-                                for name in suspensions]] = (
-                list(suspensions.values()))
+            engine.suspensions[rows.start + np.asarray(
+                guard["task"], np.int64)] = guard["suspensions"]
         return service

@@ -1,15 +1,16 @@
 """The snapshot format pin: the stream behind it and the answers a
 service restored from it must give.
 
-``tests/fixtures/engine_snapshot_e1f07bf.json`` was written by commit
-e1f07bf: the version-3 snapshot the engine service of :func:`history`
-reaches there, its fingerprint, its :func:`answers`, and the fingerprint
-:func:`drive` reaches on it over :func:`continuation`. ``restore`` reads
-only the version ``snapshot`` writes (DESIGN.md S31 "one reader"), so a
-bump of ``SNAPSHOT_VERSION`` regenerates the pin rather than keeping the
-old one: point ``PIN`` at a file named for the commit that writes it,
-and ``PYTHONPATH=src python tests/core/snapshot_fixtures.py`` writes it
-from the checkout's code.
+``tests/fixtures/engine_snapshot_v4.json`` pins snapshot version 4:
+the snapshot the engine service of :func:`history` reaches, its
+fingerprint, its :func:`answers`, and the fingerprint :func:`drive`
+reaches on it over :func:`continuation`. ``restore`` reads only the
+version ``snapshot`` writes (DESIGN.md S31 "one reader"), so a bump of
+``SNAPSHOT_VERSION`` regenerates the pin rather than keeping the old
+one: point ``PIN`` at a file named for the version it pins, and
+``PYTHONPATH=src python tests/core/snapshot_fixtures.py`` writes it from
+the checkout's code. The answers are the stream's, not the format's: a
+bump that leaves behaviour alone leaves them as they were.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from repro.runtime.checkpoint import state_fingerprint
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
-PIN = FIXTURES / "engine_snapshot_e1f07bf.json"
+PIN = FIXTURES / "engine_snapshot_v4.json"
 
 
 def continuation(names, frames=150, seed=19):

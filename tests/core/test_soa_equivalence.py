@@ -205,7 +205,7 @@ class TestSnapshotRoundTrip:
 
 
 class TestSnapshotPin:
-    """The version-3 format pin (who wrote it, from what stream, and what
+    """The version-4 format pin (who wrote it, from what stream, and what
     it recorded: ``snapshot_fixtures``): a snapshot of every kind of task
     after churn, with a guard disarmed and counting, another armed and a
     watcher inside its hold. It restores onto rows and onto the scalar

@@ -2,7 +2,7 @@
 
 Covers construction validation, epoch rotation, exceedance/entropy
 arithmetic against exact references, the checkpoint contract
-(``state_dict`` -> ``from_state_dict`` answers every query
+(``to_columns`` -> ``from_columns`` answers every query
 bit-identically) and the testkit sketch-factory seam.
 """
 
@@ -19,6 +19,18 @@ from repro.core.substrates import (DEFAULT_ENTROPY_WINDOW,
                                    QuantileEstimator, TASK_TYPES)
 from repro.exceptions import ConfigurationError
 from repro.telemetry.histogram import LogHistogram
+
+
+def columns(est):
+    """One estimator's column form as its JSON (wire) form: lists, so
+    two compare with ``==``."""
+    return json.loads(json.dumps(type(est).to_columns([est]),
+                                 default=np.ndarray.tolist))
+
+
+def restored(est):
+    """The estimator its JSON column form restores to."""
+    return type(est).from_columns(columns(est))[0]
 
 
 class TestTaskTypes:
@@ -94,15 +106,14 @@ class TestQuantileEstimatorCheckpoint:
         est = QuantileEstimator(0.95, window=16)
         for v in rng.lognormal(2.0, 0.4, 40):
             est.update(float(v))
-        state = json.loads(json.dumps(est.state_dict()))
-        clone = QuantileEstimator.from_state_dict(state)
-        assert clone.state_dict() == est.state_dict()
+        clone = restored(est)
+        assert columns(clone) == columns(est)
         for v in rng.lognormal(2.0, 0.4, 40):
             est.update(float(v))
             clone.update(float(v))
             assert clone.exceedance(9.0) == est.exceedance(9.0)
             assert clone.quantile_value() == est.quantile_value()
-        assert clone.state_dict() == est.state_dict()
+        assert columns(clone) == columns(est)
 
     def test_planted_factory_resets_and_sticks(self):
         est = QuantileEstimator(0.9, window=4)
@@ -156,14 +167,15 @@ class TestQuantileEstimatorWatch:
         for v in values[:30]:
             est.update(v)
             est.exceedance(-2.0)
-        clone = QuantileEstimator.from_state_dict(est.state_dict())
+        clone = QuantileEstimator.from_columns(
+            QuantileEstimator.to_columns([est]))[0]
         assert math.isnan(clone._current._watched)  # derived, not saved
         for v in values[30:]:
             est.update(v)
             clone.update(v)
             assert clone.exceedance(-2.0) == est.exceedance(-2.0) \
                 == self.walked(est, -2.0)
-        assert clone.state_dict() == est.state_dict()
+        assert columns(clone) == columns(est)
         # A planted factory of another bucket base: the watch follows,
         # with cut-offs of its own.
         est.plant_sketch_factory(lambda: LogHistogram(relative_error=0.05))
@@ -189,10 +201,10 @@ class TestQuantileEstimatorWatch:
         for v in (1.0, 2.0, 3.0, 4.0, 5.0):
             est.update(v)
         est.exceedance(2.5)
-        before = est.state_dict()
+        before = columns(est)
         with pytest.raises(ValueError, match="non-finite"):
             est.update(bad)
-        assert est.state_dict() == before
+        assert columns(est) == before
         assert est.exceedance(2.5) == self.walked(est, 2.5)
 
 
@@ -259,14 +271,13 @@ class TestEntropyEstimatorCheckpoint:
         est = EntropyEstimator(window=12, bin_width=4.0)
         for v in rng.normal(30.0, 15.0, 30):
             est.update(float(v))
-        state = json.loads(json.dumps(est.state_dict()))
-        clone = EntropyEstimator.from_state_dict(state)
-        assert clone.state_dict() == est.state_dict()
+        clone = restored(est)
+        assert columns(clone) == columns(est)
         for v in rng.normal(30.0, 15.0, 30):
             est.update(float(v))
             clone.update(float(v))
             assert clone.entropy() == est.entropy()
-        assert clone.state_dict() == est.state_dict()
+        assert columns(clone) == columns(est)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e308])
     def test_non_finite_update_is_refused_whole(self, bad):
@@ -275,7 +286,7 @@ class TestEntropyEstimatorCheckpoint:
         est = EntropyEstimator(window=4, bin_width=1e-3)
         for v in (0.001, 0.002, 0.002, 0.004, 0.005):
             est.update(v)
-        before, entropy = est.state_dict(), est.entropy()
+        before, entropy = columns(est), est.entropy()
         with pytest.raises(ValueError, match="non-finite"):
             est.update(bad)
-        assert est.state_dict() == before and est.entropy() == entropy
+        assert columns(est) == before and est.entropy() == entropy

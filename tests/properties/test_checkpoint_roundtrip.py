@@ -11,6 +11,8 @@ actually stores), and demand exact equality from then on.
 from __future__ import annotations
 
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -21,7 +23,8 @@ from repro.core.online_stats import OnlineStatistics
 from repro.core.task import TaskSpec
 from repro.core.windowed import AggregateKind
 from repro.experiments.runner import _lockstep
-from repro.runtime.checkpoint import state_fingerprint
+from repro.runtime.checkpoint import (read_checkpoint, state_fingerprint,
+                                      write_checkpoint)
 from repro.service import MonitoringService
 
 bounded = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
@@ -184,6 +187,96 @@ class TestTypedTaskSnapshotRoundtrip:
                 == uninterrupted.task_estimate(name)
         assert state_fingerprint(restored.snapshot()) \
             == state_fingerprint(uninterrupted.snapshot())
+
+
+# A typed fleet: every kind of sparse state a snapshot writes as columns.
+_TYPED_TASK = st.one_of(
+    # (kind, sketch window or ring length or window, guard)
+    st.tuples(st.just("quantile"), st.integers(min_value=2, max_value=40)),
+    st.tuples(st.just("entropy"), st.integers(min_value=2, max_value=40)),
+    st.tuples(st.just("windowed"), st.integers(min_value=2, max_value=5)),
+    st.tuples(st.just("plain"), st.just(1)))
+_TYPED_FLEET = st.lists(st.tuples(
+    _TYPED_TASK,
+    # The guard: none, or on the watched local trigger or one elsewhere,
+    # left armed or disarmed.
+    st.sampled_from([None, ("trigger", True), ("trigger", False),
+                     ("far", True), ("far", False)])),
+    min_size=1, max_size=8)
+
+
+def _typed_fleet(fleet, soa, min_hold):
+    service = MonitoringService(AdaptationConfig(patience=3, min_samples=4),
+                                soa=soa)
+    service.add_task("trigger", TaskSpec(0.0, 0.05, max_interval=6))
+    service.add_trigger_watch("trigger", 0.0, hysteresis=0.2,
+                              min_hold=min_hold)
+    for at, ((kind, size), guard) in enumerate(fleet):
+        name = f"{kind}-{at}"
+        if kind == "quantile":
+            service.add_quantile_task(name, threshold=1.0, quantile=0.8,
+                                      max_interval=6, sketch_window=size)
+        elif kind == "entropy":
+            service.add_entropy_task(name, threshold=1.0, max_interval=6,
+                                     entropy_window=size, bin_width=4.0)
+        else:
+            service.add_task(name, TaskSpec(5.0, 0.05, max_interval=6),
+                             window=size)
+        if guard is not None:
+            service.add_remote_trigger(name, guard[0], 0.0,
+                                       suspend_interval=3)
+            service.set_trigger_armed(name, guard[1])
+    return service
+
+
+def _typed_offers(names, steps, seed):
+    """Per step one value per task: signed, with exact zeros (the
+    sketch's zero bucket) and a scale that moves between steps."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for step in range(steps):
+        values = rng.normal(rng.choice([-10.0, 0.0, 10.0]), 8.0, len(names))
+        values[rng.random(len(names)) < 0.15] = 0.0
+        frames.append((step, values.tolist()))
+    return frames
+
+
+class TestTypedFleetRoundtrip:
+    """A fleet of quantile tasks (sealed sketch or not; negative, zero
+    and positive buckets), entropy rings part-full and full, windowed
+    tasks, guards armed, disarmed and counting, and a watcher that may
+    sit inside its hold: the scalar and the engine service write one
+    snapshot, and checkpoint -> restore -> checkpoint is the identity
+    on it — as the arrays a checkpoint file hands back, and as the JSON
+    lists a subprocess worker receives — onto either representation."""
+
+    @given(fleet=_TYPED_FLEET,
+           steps=st.integers(min_value=0, max_value=80),
+           min_hold=st.integers(min_value=0, max_value=30),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_a_typed_snapshot_is_one_document_and_restores_to_itself(
+            self, fleet, steps, min_hold, seed):
+        scalar = _typed_fleet(fleet, False, min_hold)
+        engine = _typed_fleet(fleet, True, min_hold)
+        names = scalar.task_names
+        rows = [engine.soa_row_for(name) for name in names]
+        for step, values in _typed_offers(names, steps, seed):
+            for name, value in zip(names, values):
+                scalar.offer(name, value, step)
+            engine.offer_columns(rows, [step] * len(rows), values, names)
+        snapshot = engine.snapshot()
+        fingerprint = state_fingerprint(snapshot)
+        assert state_fingerprint(scalar.snapshot()) == fingerprint
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_checkpoint(pathlib.Path(tmp) / "typed.ckpt",
+                                    {"snapshot": snapshot})
+            filed = read_checkpoint(path)["snapshot"]
+        for document in (snapshot, filed, roundtrip(snapshot)):
+            for soa in (False, True):
+                restored = MonitoringService.restore(document, soa=soa)
+                assert state_fingerprint(restored.snapshot()) == fingerprint
 
 
 class TestServiceSnapshotRoundtrip:

@@ -155,8 +155,9 @@ class TestAnswersAreTheWalksAnswers:
             if op == "update":
                 est.update(arg)
             elif op == "roundtrip":
-                est = QuantileEstimator.from_state_dict(
-                    json.loads(json.dumps(est.state_dict())))
+                est = QuantileEstimator.from_columns(json.loads(json.dumps(
+                    QuantileEstimator.to_columns([est]),
+                    default=np.ndarray.tolist)))[0]
             elif op == "merge":
                 other = LogHistogram(relative_error=alpha)
                 for value in arg:

@@ -649,11 +649,32 @@ class TestServiceSnapshot:
         service = MonitoringService()
         service.add_task("a", task())
         service.add_remote_trigger("a", "gone", 1.0)
-        assert service.snapshot()["sparse"]["remote_trigger"] == {
-            "a": "gone"}
+        guard = service.snapshot()["sparse"]["guard"]
+        assert guard["task"].tolist() == [0]
+        assert guard["remote_trigger"] == ["gone"]
         assert state_fingerprint(MonitoringService.restore(
             service.snapshot()).snapshot()) == state_fingerprint(
             service.snapshot())
+
+    def test_a_symbol_beyond_64_bits_stays_exact(self, tmp_path):
+        """An entropy ring holding the symbol of an extreme value (past
+        2**63 bins) keeps it exactly: that one column stays the list of
+        its ints, through a checkpoint file and back onto either
+        representation."""
+        service = MonitoringService(soa=True)
+        service.add_entropy_task("e", threshold=1.0, bin_width=1.0)
+        for step, value in enumerate([1.0, 1e30, -1e30, 2.0]):
+            service.offer("e", value, step)
+        snapshot = service.snapshot()
+        symbols = snapshot["sparse"]["entropy"]["symbols"]
+        assert isinstance(symbols, list) and max(symbols) > 1 << 63
+        write_checkpoint(tmp_path / "wide.ckpt", {"snapshot": snapshot})
+        filed = read_checkpoint(tmp_path / "wide.ckpt")["snapshot"]
+        for soa in (False, True):
+            restored = MonitoringService.restore(filed, soa=soa)
+            assert state_fingerprint(restored.snapshot()) == (
+                state_fingerprint(snapshot))
+            assert restored.task_estimate("e") == service.task_estimate("e")
 
     def test_window_buffer_survives_restore(self):
         service = MonitoringService()
@@ -693,15 +714,65 @@ def _counts_that_do_not_add_up(s):
 
 
 def _sparse_key_outside_names(s):
-    s["sparse"]["watch"]["ghost"] = dict(s["sparse"]["watch"]["edge"])
+    s["sparse"]["watch"]["task"][0] = len(s["names"])
 
 
 def _half_a_guard(s):
-    del s["sparse"]["trigger_armed"]["held"]
+    del s["sparse"]["guard"]["armed"][0]
 
 
 def _unknown_map(s):
     s["sparse"]["colour"] = {}
+
+
+def _window_lengths_that_do_not_add_up(s):
+    s["sparse"]["window_values"]["length"][0] += 1
+
+
+def _bucket_lengths_that_do_not_add_up(s):
+    s["sparse"]["quantile"]["current"]["pos_length"][1] -= 1
+
+
+def _ring_lengths_that_do_not_add_up(s):
+    s["sparse"]["entropy"]["symbols"].pop()
+
+
+def _negative_ring_length(s):
+    s["sparse"]["entropy"]["length"][0] = -1
+
+
+def _task_position_below_zero(s):
+    s["sparse"]["guard"]["task"][0] = -1
+
+
+def _task_position_repeated(s):
+    quantile = s["sparse"]["quantile"]["task"]
+    quantile[1] = quantile[0]
+
+
+def _task_positions_unsorted(s):
+    s["sparse"]["window_values"]["task"].reverse()
+
+
+def _a_task_of_two_types(s):
+    s["sparse"]["entropy"]["task"][0] = s["sparse"]["quantile"]["task"][0]
+
+
+def _sealed_flag_without_its_sketch(s):
+    assert s["sparse"]["quantile"]["has_sealed"] == [True, False]
+    s["sparse"]["quantile"]["has_sealed"][1] = True
+
+
+def _sealed_sketch_without_its_flag(s):
+    s["sparse"]["quantile"]["has_sealed"][0] = False
+
+
+def _negative_bucket_count(s):
+    s["sparse"]["quantile"]["sealed"]["pos_count"][0] = -2
+
+
+def _bucket_key_as_a_float(s):
+    s["sparse"]["quantile"]["current"]["pos_key"][0] += 0.5
 
 
 def _version_1(s):
@@ -712,8 +783,12 @@ def _version_2(s):
     s["version"] = 2
 
 
-def _version_4(s):
-    s["version"] = 4
+def _version_3(s):
+    s["version"] = 3
+
+
+def _version_5(s):
+    s["version"] = 5
 
 
 def _version_999(s):
@@ -725,11 +800,11 @@ def _no_version(s):
 
 
 def _version_as_string(s):
-    s["version"] = "3"
+    s["version"] = "4"
 
 
 def _version_as_float(s):
-    s["version"] = 3.0
+    s["version"] = 4.0
 
 
 def _bool_in_an_int_column(s):
@@ -802,7 +877,7 @@ def _negative_samples_taken(s):
 
 
 def _negative_suspension_count(s):
-    s["sparse"]["trigger_suspensions"]["held"] = -1
+    s["sparse"]["guard"]["suspensions"][0] = -1
 
 
 def _error_allowance_above_one(s):
@@ -863,9 +938,24 @@ def _error_allowance_array_above_one(s):
     s["sampler"]["error_allowance"] = s["sampler"]["error_allowance"] + 1.5
 
 
+def _f8_bucket_counts(s):
+    current = s["sparse"]["quantile"]["current"]
+    current["pos_count"] = current["pos_count"].astype(np.float64)
+
+
+def _negative_bucket_count_array(s):
+    sealed = s["sparse"]["quantile"]["sealed"]
+    sealed["pos_count"] = -sealed["pos_count"]
+
+
+def _repeated_task_array(s):
+    entropy = s["sparse"]["entropy"]
+    entropy["task"] = np.repeat(entropy["task"], 2)
+
+
 class TestMalformedSnapshot:
-    """A document that is not a version-3 snapshot — any other stamp, or
-    a version-3 stamp on a body that is not one — is refused by name,
+    """A document that is not a version-4 snapshot — any other stamp, or
+    a version-4 stamp on a body that is not one — is refused by name,
     before a service exists, onto rows and onto the scalar oracle alike.
     Nothing upgrades an older stamp. ``CASES`` damage the wire form (the
     document after a JSON round trip, every column a list),
@@ -878,16 +968,45 @@ class TestMalformedSnapshot:
         (_string_in_a_float_column, "sampler.var"),
         (_null_under_a_raised_flag, "sampler.last_value"),
         (_counts_that_do_not_add_up, "alerts.step"),
-        (_sparse_key_outside_names, "'watch'"),
-        (_half_a_guard, "trigger_armed"),
+        (_sparse_key_outside_names,
+         r"sparse\.watch\.task holds 8, not a position in names"),
+        (_half_a_guard, r"sparse\.guard\.armed is not .* of 1 elements"),
         (_unknown_map, r"'sparse'.*\['colour'\]"),
+        (_window_lengths_that_do_not_add_up,
+         r"sparse\.window_values\.step holds \d+ elements, but "
+         r"sparse\.window_values\.length sums to \d+"),
+        (_bucket_lengths_that_do_not_add_up,
+         r"sparse\.quantile\.current\.pos_key holds \d+ elements, but "
+         r"sparse\.quantile\.current\.pos_length sums to"),
+        (_ring_lengths_that_do_not_add_up,
+         r"sparse\.entropy\.symbols holds 5 elements, but "
+         r"sparse\.entropy\.length sums to 6"),
+        (_negative_ring_length, r"sparse\.entropy\.length holds -1, not a "
+                                r"length"),
+        (_task_position_below_zero,
+         r"sparse\.guard\.task holds -1, not a position in names"),
+        (_task_position_repeated, r"sparse\.quantile\.task is not ascending"),
+        (_task_positions_unsorted,
+         r"sparse\.window_values\.task is not ascending"),
+        (_a_task_of_two_types,
+         r"task 'q-sealed' is in both sparse\.quantile and sparse\.entropy"),
+        (_sealed_flag_without_its_sketch,
+         r"sparse\.quantile\.sealed\.count is not .* of 2 elements"),
+        (_sealed_sketch_without_its_flag,
+         r"sparse\.quantile\.sealed\.count is not .* of 0 elements"),
+        (_negative_bucket_count,
+         r"sparse\.quantile\.sealed\.pos_count holds -2, not a count"),
+        (_bucket_key_as_a_float,
+         r"sparse\.quantile\.current\.pos_key holds an element that is "
+         r"not int"),
         (_version_1, _versions(1)),
         (_version_2, _versions(2)),
-        (_version_4, _versions(4)),
+        (_version_3, _versions(3)),
+        (_version_5, _versions(5)),
         (_version_999, _versions(999)),
         (_no_version, _versions(None)),
-        (_version_as_string, _versions("'3'")),
-        (_version_as_float, _versions(r"3\.0")),
+        (_version_as_string, _versions("'4'")),
+        (_version_as_float, _versions(r"4\.0")),
         (_bool_in_an_int_column, "task.next_due"),
         (_int_beyond_64_bits, "sampler.last_time"),
         (_a_task_twice, "names"),
@@ -905,7 +1024,8 @@ class TestMalformedSnapshot:
         (_suspend_interval_of_zero, r"task\.suspend_interval holds 0"),
         (_negative_sample_count, r"sampler\.n holds -1"),
         (_negative_samples_taken, r"task\.samples_taken holds -1"),
-        (_negative_suspension_count, "'trigger_suspensions'.*negative"),
+        (_negative_suspension_count,
+         r"sparse\.guard\.suspensions holds -1, not a count"),
         (_error_allowance_above_one, r"sampler\.error_allowance holds 1\.5"),
     ]
     ARRAY_CASES = [
@@ -922,6 +1042,10 @@ class TestMalformedSnapshot:
         (_negative_count_array, r"sampler\.total_count holds -\d"),
         (_error_allowance_array_above_one,
          r"sampler\.error_allowance holds 1\.5"),
+        (_f8_bucket_counts, r"sparse\.quantile\.current\.pos_count.*float64"),
+        (_negative_bucket_count_array,
+         r"sparse\.quantile\.sealed\.pos_count holds -\d"),
+        (_repeated_task_array, r"sparse\.entropy\.task is not ascending"),
     ]
 
     @staticmethod
@@ -931,8 +1055,16 @@ class TestMalformedSnapshot:
             service.add_task(name, task(threshold=50.0, err=0.05))
         service.add_trigger_watch("edge", 40.0)
         service.add_remote_trigger("held", "edge", 40.0)
+        # Every sparse group: a quantile task with a sealed sketch and one
+        # without, an entropy ring, two window buffers.
+        for name, window in (("q-sealed", 4), ("q-open", 16)):
+            service.add_quantile_task(name, threshold=50.0, quantile=0.9,
+                                      sketch_window=window)
+        service.add_entropy_task("e", threshold=1.0, entropy_window=8)
+        for name in ("w0", "w1"):
+            service.add_task(name, task(threshold=50.0, err=0.05), window=3)
         for step in range(6):
-            for name in ("hot", "edge", "held"):
+            for name in service.task_names:
                 service.offer(name, 45.0 + 2 * step, step)
         snapshot = service.snapshot()
         assert snapshot["task"]["alerts"].sum() > 0
@@ -1003,7 +1135,7 @@ class TestSnapshotOntoEngineRows:
         assert ready()
         written = json.loads(json.dumps(scalar.snapshot(),
                                         default=np.ndarray.tolist))
-        assert any(written["sparse"]["trigger_suspensions"].values())
+        assert any(written["sparse"]["guard"]["suspensions"])
 
         restored = MonitoringService.restore(written, soa=True)
         assert all(restored.soa_row_for(name) >= 0 for name in pair.names)

@@ -7,26 +7,31 @@ through a same-directory temp file + ``os.replace`` so a crash mid-write
 leaves the previous checkpoint intact — readers see either the old
 complete state or the new complete state, never a torn file.
 
-File format version 4 (``CHECKPOINT_VERSION``; not the snapshot
+File format version 5 (``CHECKPOINT_VERSION``; not the snapshot
 documents' own ``repro.service.SNAPSHOT_VERSION``, which a checkpoint
 carries inside) is a JSON head line, a column section and a trailer::
 
-    {"checkpoint_version":4,"columns":[[path,dtype,count],...],"state":{...}}
-    <every packed column's raw little-endian bytes, in table order>
+    {"checkpoint_version":5,"columns":[[path,dtype,count],...],"state":{...}}
+    <every packed column's raw bytes, in table order>
     crc32:<8 hex>
 
 Every list of at least ``_MIN_PACKED`` elements that are all ``float``,
 all ``int`` within int64 or all ``bool``, and every one-dimensional
 ``f8``, ``i8`` or ``b1`` array of as many — a snapshot's dense columns,
-whichever form they take — is written to the column section as ``f8``,
-``i8`` or ``b1`` and left ``null`` in the head's ``state``; the table
-gives the key path back to it, its dtype and its length. Everything else
-stays JSON, a list holding one value a column cannot carry (an int wider
-than 64 bits, a ``None``, an int among floats) included; any other array
-is written as the list it holds. So one document writes the same bytes
-whether its columns are lists or arrays, and :func:`read_checkpoint`
-returns it with the same keys and values, each packed column as a
-read-only array of its dtype (``-0.0`` and ``nan`` as bits): what
+whichever form they take — is written to the column section as
+little-endian ``f8``, ``i8`` or ``b1`` and left ``null`` in the head's
+``state``; the table gives the key path back to it, its dtype and its
+length. A list of as many ``str`` — a snapshot's names, directions and
+window kinds — is a ``str`` column: its strings UTF-8 encoded and joined
+by NUL bytes, its table count the byte length. Everything else stays
+JSON, a list holding one value a column cannot carry (an int wider than
+64 bits, a ``None``, an int among floats, a string holding a NUL or a
+lone surrogate) included; any other array is written as the list it
+holds. So one document writes the same bytes whether its columns are
+lists or arrays, and :func:`read_checkpoint` returns it with the same
+keys and values, each packed number column as a read-only array of its
+dtype (``-0.0`` and ``nan`` as bits) and each ``str`` column as the
+list of its strings: what
 :meth:`~repro.service.MonitoringService.restore` loads without a list in
 between, and what ``state_fingerprint`` cannot tell from the list. The
 table lives beside the state, not in it, so the codec reserves no key of
@@ -43,9 +48,10 @@ trailer is missing or does not match, and any head or column table that
 does not describe the bytes it sits on, with
 :class:`~repro.exceptions.CheckpointError`, instead of loading partial
 shard state. Only the format this module writes is read: a file of an
-earlier format fails closed, naming both versions. Format 3 had this
-framing around the two servers' two older documents; format 2 was the
-whole document as one JSON body.
+earlier format fails closed, naming both versions. Format 4 was this
+one with every string in the head; format 3 had this framing around the
+two servers' two older documents; format 2 was the whole document as
+one JSON body.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 __all__ = ["CHECKPOINT_VERSION", "read_checkpoint", "state_fingerprint",
            "write_checkpoint"]
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 _TRAILER = re.compile(rb"\ncrc32:([0-9a-f]{8})\n?\Z")
 
@@ -86,10 +92,16 @@ _TRAILER = re.compile(rb"\ncrc32:([0-9a-f]{8})\n?\Z")
 _MIN_PACKED = 12
 
 # A column's dtype by the name its table entry gives, and the one Python
-# type whose lists — and the dtype whose arrays — are packed as it.
-_DTYPES = {"f8": np.dtype("<f8"), "i8": np.dtype("<i8"), "b1": np.dtype("?")}
-_PACKED = {float: "f8", int: "i8", bool: "b1"}
-_PACKED_DTYPES = {dtype: name for name, dtype in _DTYPES.items()}
+# type whose lists — and the dtype whose arrays — are packed as it. A
+# ``str`` column is UTF-8 bytes, its count a byte count; no array is
+# packed as one.
+_DTYPES = {"f8": np.dtype("<f8"), "i8": np.dtype("<i8"), "b1": np.dtype("?"),
+           "str": np.dtype("u1")}
+_PACKED = {float: "f8", int: "i8", bool: "b1", str: "str"}
+_PACKED_DTYPES = {dtype: name for name, dtype in _DTYPES.items()
+                  if name != "str"}
+# What separates a str column's strings, so no string of one holds it.
+_NUL = "\0"
 # What _pack walks into: a column, or a container that may hold one.
 _NODES = (dict, list, np.ndarray)
 
@@ -150,6 +162,19 @@ def _pack(value: Any, path: tuple, table: list, chunks: list) -> Any:
     kinds = set(map(type, value))
     if len(value) >= _MIN_PACKED and len(kinds) == 1:
         name = _PACKED.get(next(iter(kinds)))
+        if name == "str":
+            # A NUL would split a string in two, and a lone surrogate has
+            # no UTF-8: a list holding either stays JSON.
+            joined = _NUL.join(value)
+            try:
+                chunk = joined.encode("utf-8")
+            except UnicodeEncodeError:
+                return value
+            if joined.count(_NUL) != len(value) - 1:
+                return value
+            chunks.append(chunk)
+            table.append([list(path), name, len(chunk)])
+            return None
         if name is not None:
             try:
                 chunks.append(np.array(value, _DTYPES[name]).tobytes())
@@ -271,7 +296,15 @@ def _unpack(head: dict[str, Any], raw: bytes, start: int, end: int,
             raise CheckpointError(
                 f"checkpoint {path} column path {keys!r} names no empty "
                 f"slot of its state")
-        node[last] = np.frombuffer(raw, dtype, count, at)
+        if name == "str":
+            try:
+                node[last] = raw[at:at + count].decode("utf-8").split(_NUL)
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(
+                    f"checkpoint {path} column {keys!r} is not valid "
+                    f"UTF-8: {exc}") from None
+        else:
+            node[last] = np.frombuffer(raw, dtype, count, at)
         at += count * dtype.itemsize
     if at != end:
         raise CheckpointError(
@@ -283,8 +316,9 @@ def _unpack(head: dict[str, Any], raw: bytes, start: int, end: int,
 def read_checkpoint(path: pathlib.Path | str) -> dict[str, Any]:
     """Load and validate a checkpoint written by :func:`write_checkpoint`.
 
-    Returns the document written, with ``checkpoint_version`` set and
-    each packed column a read-only ``f8`` / ``i8`` / ``b1`` array.
+    Returns the document written, with ``checkpoint_version`` set,
+    each packed number column a read-only ``f8`` / ``i8`` / ``b1`` array
+    and each ``str`` column the list of its strings.
     Raises :class:`~repro.exceptions.CheckpointError` when the file is
     missing, unparsable, truncated, checksum-mismatched, inconsistent
     with its own column table, or from another format version.

@@ -23,6 +23,7 @@ import pathlib
 import sys
 from typing import Any
 
+from repro.exceptions import ConfigurationError
 from repro.scenarios.catalog import CANNED, canned_timeline
 from repro.scenarios.compiler import compile_timeline
 from repro.scenarios.replay import replay_scenario, simulate_replay
@@ -159,6 +160,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "show":
             return _cmd_show(args.name)
         return _cmd_run(args)
+    except ConfigurationError as exc:
+        print(f"[scenarios] error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # Normal pipeline teardown (e.g. `show NAME | head`): point
         # stdout at devnull so interpreter exit doesn't re-raise.

@@ -216,12 +216,20 @@ async def _replay(compiled: CompiledScenario, shards: int,
             if (step + 1) in boundaries:
                 # Phase-boundary sample snapshots feed the scorer's
                 # per-phase probe-saving accounting for guarded fleets.
+                # They are readings, like the final collection: taken
+                # with the fault hook disarmed, so faults land on the
+                # offers alone and their schedule is the same with or
+                # without a boundary.
                 await server.drain()
+                if hook is not NOOP_HOOK:
+                    hook.armed = False
                 snap = []
                 for name in names:
                     info = await client.task_info(name)
                     snap.append(int(info["samples_taken"]))
                 phase_samples.append(snap)
+                if hook is not NOOP_HOOK:
+                    hook.armed = True
             if (step + 1) % poll_every == 0:
                 await poll_trace()
 

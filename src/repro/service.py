@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from functools import partial
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
 from itertools import chain
 from operator import index
@@ -77,9 +77,13 @@ Not the checkpoint *file* format's
 (:data:`repro.runtime.checkpoint.CHECKPOINT_VERSION`)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskState:
     """Bookkeeping for one registered task.
+
+    A task holds only the containers it uses (DESIGN.md S31): a window
+    buffer once a windowed task aggregates, an alert list on a scalar
+    service. A plain task on an engine service holds neither.
 
     Attributes:
         name: task identifier.
@@ -89,8 +93,9 @@ class TaskState:
             service; ``None`` on an engine service, whose row is it.
         next_due: grid step of the next wanted sample.
         samples_taken: sampling operations consumed so far.
-        alerts: alerts raised so far — on a scalar service; an engine
-            service keeps every task's in its one columnar log.
+        alerts: alerts raised so far — on a scalar service; ``None`` on
+            an engine service, which keeps every task's in its one
+            columnar log.
         trigger_level: elevation level of the gating metric.
         suspend_interval: idle interval while the guard is disarmed.
         remote_trigger: name of the task whose arm/disarm edges gate
@@ -138,7 +143,7 @@ class TaskState:
     soa_row: int = -1
     next_due: int = 0
     samples_taken: int = 0
-    alerts: list[Alert] = field(default_factory=list)
+    alerts: list[Alert] | None = None
     trigger_level: float = 0.0
     suspend_interval: int = 10
     remote_trigger: str | None = None
@@ -151,7 +156,9 @@ class TaskState:
     task_type: str = "value"
     value_threshold: float = 0.0
     substrate: Any = None
-    _window_values: deque[tuple[int, float]] = field(default_factory=deque)
+    # (step, value) pairs in the window, or None until a windowed task
+    # first aggregates: a window-1 task never holds a buffer.
+    _window_values: deque[tuple[int, float]] | None = None
     _window_sum: float = 0.0
 
     def aggregate(self, step: int, value: float) -> float:
@@ -166,6 +173,8 @@ class TaskState:
         if self.window <= 1:
             return value
         buf = self._window_values
+        if buf is None:
+            buf = self._window_values = deque()
         buf.append((step, value))
         self._window_sum += value
         lo = step - self.window + 1
@@ -517,6 +526,12 @@ def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
     if len(both):
         fail(f"task {names[both.item(0)]!r} is in both sparse.quantile "
              f"and sparse.entropy")
+    # Only a windowed task has a buffer (TaskState.aggregate).
+    buffered = positions["window_values"]
+    check_range("sparse.window_values.task", buffered,
+                lambda at: np.asarray(task["window"])[at] > 1,
+                "a windowed task's position (task.window > 1)",
+                [names[at] for at in buffered.tolist()])
 
 
 class _RowHooks:
@@ -709,6 +724,7 @@ class MonitoringService:
             for state in states:
                 state.sampler = ViolationLikelihoodSampler(state.task,
                                                            state.config)
+                state.alerts = []
         else:
             if rows is None:
                 rows = [engine.add_task(state.task, state.config)
@@ -1781,7 +1797,7 @@ class MonitoringService:
                 sparse["guard"].append(at)
             if state.watch is not None:
                 sparse["watch"].append(at)
-            if state.window > 1 or state._window_values:
+            if state.window > 1:
                 sparse["window_values"].append(at)
         self._columns = kept = {
             "configs": configs,
@@ -1884,7 +1900,7 @@ class MonitoringService:
                 members("window_values"),
                 _split(windowed["length"], windowed["step"]),
                 _split(windowed["length"], windowed["value"])):
-            state._window_values.extend(zip(steps, values))
+            state._window_values = deque(zip(steps, values))
         if on_alert is not None:
             for state in states:
                 state.on_alert = partial(on_alert, state.name)

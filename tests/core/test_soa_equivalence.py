@@ -9,6 +9,7 @@ stepping the same stream through the scalar
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -707,8 +708,8 @@ class TestEligibility:
         service = pair.vector
 
         def held():
-            return {name: {key: repr(value) for key, value
-                           in vars(state).items()}
+            return {name: {field.name: repr(getattr(state, field.name))
+                           for field in dataclasses.fields(state)}
                     for name, state in service._tasks.items()}
 
         before = held()

@@ -93,7 +93,8 @@ class TestChecksumTrailer:
     STATE = {"shard_count": 2,
              "shards": [{"x": [0.5 * i for i in range(_MIN_PACKED)]},
                         {"y": list(range(_MIN_PACKED)),
-                         "up": [True, False] * _MIN_PACKED}],
+                         "up": [True, False] * _MIN_PACKED,
+                         "names": [f"t{i}" for i in range(_MIN_PACKED)]}],
              "task_shard": {"a": 0}}
 
     def _write(self, tmp_path):
@@ -106,9 +107,10 @@ class TestChecksumTrailer:
         raw = path.read_bytes()
         assert raw.splitlines()[-1].startswith(b"crc32:")
         head = json.loads(raw[:raw.index(b"\n")])
-        assert head["checkpoint_version"] == CHECKPOINT_VERSION == 4
+        assert head["checkpoint_version"] == CHECKPOINT_VERSION == 5
         assert [entry[1:] for entry in head["columns"]] == [
-            ["f8", _MIN_PACKED], ["i8", _MIN_PACKED], ["b1", 2 * _MIN_PACKED]]
+            ["f8", _MIN_PACKED], ["i8", _MIN_PACKED], ["b1", 2 * _MIN_PACKED],
+            ["str", len("\0".join(self.STATE["shards"][1]["names"]))]]
         state = read_checkpoint(path)
         assert state.pop("checkpoint_version") == CHECKPOINT_VERSION
         _identical(state, self.STATE)
@@ -140,7 +142,7 @@ class TestChecksumTrailer:
         body = json.dumps(dict(self.STATE, checkpoint_version=2)).encode()
         path.write_bytes(body + b"\ncrc32:%08x\n" % zlib.crc32(body))
         with pytest.raises(CheckpointError,
-                           match=r"format version 2;.*format version 4\b"):
+                           match=r"format version 2;.*format version 5\b"):
             read_checkpoint(path)
 
     def test_a_format_3_file_fails_closed_naming_both_formats(self,
@@ -157,7 +159,17 @@ class TestChecksumTrailer:
         path = tmp_path / "format3.ckpt"
         path.write_bytes(body + b"\ncrc32:%08x\n" % zlib.crc32(body))
         with pytest.raises(CheckpointError,
-                           match=r"format version 3;.*format version 4\b"):
+                           match=r"format version 3;.*format version 5\b"):
+            read_checkpoint(path)
+
+    def test_a_format_4_file_fails_closed_naming_both_formats(self,
+                                                              tmp_path):
+        # Format 4: this framing with every string in the head. Nothing
+        # upgrades it.
+        path = self._write(tmp_path)
+        _rewrite_head(path, lambda head: head.update(checkpoint_version=4))
+        with pytest.raises(CheckpointError,
+                           match=r"format version 4;.*format version 5\b"):
             read_checkpoint(path)
 
     def test_losing_only_the_final_newline_is_harmless(self, tmp_path):
@@ -245,6 +257,14 @@ def _entry(head, entry):
     head["columns"][0] = entry
 
 
+def _str_count(head, count):
+    """Set the ``str`` column's byte length (the last column) to
+    ``count`` of it."""
+    last = head["columns"][-1]
+    assert last[1] == "str"
+    last[2] = count(last[2])
+
+
 class TestColumnTable:
     """A head whose column table does not describe the bytes after it —
     checksummed, so only a writer other than this one makes one — is a
@@ -283,6 +303,14 @@ class TestColumnTable:
          "no empty slot"),
         ("entry-not-a-triple", lambda h: _entry(h, ["f8", 16]), "malformed"),
         ("entry-not-a-list", lambda h: _entry(h, None), "malformed"),
+        ("str-count-past-the-end", lambda h: _str_count(h, lambda n: 1 << 40),
+         "past the end"),
+        ("str-count-short", lambda h: _str_count(h, lambda n: n - 1),
+         "does not describe"),
+        # 0.5 as f8 holds the byte pair e0 3f, which no UTF-8 text does.
+        ("str-not-utf8", lambda h: _entry(h, [["shards", 0, "x"], "str",
+                                              8 * _MIN_PACKED]),
+         "not valid UTF-8"),
         ("no-table", lambda h: h.pop("columns"), "column table"),
         ("state-not-an-object", lambda h: h.update(state=[]),
          "column table"),
@@ -324,6 +352,7 @@ def _arrays(element, dtype, shape=(-1,)):
 
 
 _COLUMNS = (_runs(_FLOATS) | _runs(_INT64) | _runs(st.booleans())
+            | _runs(st.text(max_size=3))
             | _runs(_INT64 | _WIDE) | _runs(_FLOATS | _INT64)
             | _runs(_FLOATS | st.none()) | _runs(_LEAVES))
 # What an engine snapshot holds, and arrays the codec writes as the list
@@ -498,6 +527,42 @@ class TestCodecRoundTrip:
         read = read_checkpoint(path)
         del read["checkpoint_version"]
         _identical(read, doc)
+
+
+class TestStringColumns:
+    """A list of at least ``_MIN_PACKED`` strings is one ``str`` column:
+    UTF-8, NUL-joined, its table count the byte length. It reads back as
+    the list of its strings, so neither the document nor its fingerprint
+    can tell; a string holding a NUL or a lone surrogate keeps its list
+    JSON."""
+
+    CASES = [
+        ("exactly-min-packed", [f"task-{i}" for i in range(_MIN_PACKED)],
+         True),
+        ("one-short", [f"task-{i}" for i in range(_MIN_PACKED - 1)], False),
+        ("no-strings", [], False),
+        ("empty-strings", [""] * _MIN_PACKED, True),
+        ("non-ascii", ["é", "日本語", "\U0001f600", "ß"] * _MIN_PACKED, True),
+        ("nul-bearing", ["a\0b"] + ["c"] * _MIN_PACKED, False),
+        ("lone-surrogate", ["\ud800"] + ["c"] * _MIN_PACKED, False),
+    ]
+
+    @pytest.mark.parametrize("strings, packed", [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_comes_back_as_its_strings(self, tmp_path, strings, packed):
+        doc = {"names": strings, "after": [0.5] * _MIN_PACKED}
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(path, doc)
+        raw = path.read_bytes()
+        head = json.loads(raw[:raw.index(b"\n")])
+        want = [[["names"], "str", len("\0".join(strings).encode())]] \
+            if packed else []
+        assert head["columns"] == want + [[["after"], "f8", _MIN_PACKED]]
+        assert (head["state"]["names"] is None) == packed
+        read = read_checkpoint(path)
+        del read["checkpoint_version"]
+        _identical(read, doc)
+        assert state_fingerprint(read) == state_fingerprint(doc)
 
 
 class TestOnlineStatisticsState:
@@ -754,6 +819,10 @@ def _task_positions_unsorted(s):
     s["sparse"]["window_values"]["task"].reverse()
 
 
+def _a_buffer_on_a_window_1_task(s):
+    s["task"]["window"][s["sparse"]["window_values"]["task"][0]] = 1
+
+
 def _a_task_of_two_types(s):
     s["sparse"]["entropy"]["task"][0] = s["sparse"]["quantile"]["task"][0]
 
@@ -990,6 +1059,9 @@ class TestMalformedSnapshot:
          r"sparse\.window_values\.task is not ascending"),
         (_a_task_of_two_types,
          r"task 'q-sealed' is in both sparse\.quantile and sparse\.entropy"),
+        (_a_buffer_on_a_window_1_task,
+         r"sparse\.window_values\.task holds 6 \(task 'w0'\), not a "
+         r"windowed task's position"),
         (_sealed_flag_without_its_sketch,
          r"sparse\.quantile\.sealed\.count is not .* of 2 elements"),
         (_sealed_sketch_without_its_flag,

@@ -20,7 +20,8 @@ number per task in a checkpoint file, a container a task does not use
 (a window buffer, an alert list; held to traced bytes per task), a
 row-by-row engine write
 in a restore, a numpy scalar per column read or write of a narrow tick or
-a by-name offer).
+a by-name offer, a column copied on its way into a checkpoint file; held
+to traced peak bytes).
 """
 
 from __future__ import annotations
@@ -438,6 +439,36 @@ def test_a_typed_checkpoint_spells_no_number_per_task(tmp_path):
         head = raw[:raw.index(b"\n")]
         counts.append((_numbers(json.loads(head)), head.count(b"{")))
     assert counts[0] == counts[1]
+
+
+def test_a_checkpoint_copies_no_column(tmp_path):
+    """A checkpoint writes each column from its own buffer: one
+    ``write_checkpoint`` of a 4 096-task engine document holding over
+    1 MB of alert history peaks, traced, below its JSON head's length
+    plus 256 KB. The copying writer it replaced (each column
+    ``tobytes()``-ed, joined into one body, the trailer appended to a
+    second) peaked at three times the column section."""
+    tasks = 4096
+    service = _engine_service(tasks)
+    rows = np.arange(tasks, dtype=np.int64)
+    for step in range(12):  # every task alerts at every step
+        service.offer_columns(rows, np.full(tasks, step),
+                              np.full(tasks, 105.0))
+    document = {"shard_count": 1, "shards": [service.snapshot()]}
+    assert sum(column.nbytes for column in
+               document["shards"][0]["alerts"].values()) > 1 << 20
+    path = tmp_path / "hot.ckpt"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_checkpoint(path, document)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    raw = path.read_bytes()
+    head = raw.index(b"\n")
+    assert len(raw) - head > 1 << 20
+    assert peak < head + (256 << 10)
 
 
 def test_a_warm_snapshot_walks_no_task(monkeypatch, tmp_path):

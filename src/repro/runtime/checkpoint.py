@@ -39,6 +39,13 @@ the document. To read or diff a file as text: ``json.dumps(
 read_checkpoint(path), indent=1, sort_keys=True,
 default=numpy.ndarray.tolist)``.
 
+The writer streams the column section from each column's own buffer —
+an array as it is (a strided view gathered once), a packed list as one
+array of its elements, a ``str`` column as its UTF-8 bytes — and folds
+the CRC over the parts one by one, so no column is copied on its way to
+the file. Only an enabled fault hook is handed the parts joined, its
+``checkpoint_body`` seam taking and returning whole bytes.
+
 The ``crc32:`` trailer covers head and columns. The atomic writer makes
 torn files impossible through *this* code path, but checkpoints also
 travel — partial copies, filesystem corruption, backup tools interrupted
@@ -132,10 +139,12 @@ def state_fingerprint(state: Mapping[str, Any]) -> str:
 
 def _pack(value: Any, path: tuple, table: list, chunks: list) -> Any:
     """``value`` with every packable list or array under it swapped for
-    ``None``, its table entry and bytes appended to ``table`` and
+    ``None``, its table entry and buffer appended to ``table`` and
     ``chunks``; the very object when nothing under it was packed
     (nothing is copied but the containers on the way to a column), and
-    an array that is not packed as the list it holds."""
+    an array that is not packed as the list it holds. A packed array is
+    its own buffer (a strided view gathered once), a packed list one
+    array of its elements, a ``str`` column its UTF-8 bytes."""
     if type(value) is dict:
         out = value
         for key, item in value.items():
@@ -152,7 +161,7 @@ def _pack(value: Any, path: tuple, table: list, chunks: list) -> Any:
         # The list rule without the scan: the dtype is the element type.
         name = _PACKED_DTYPES.get(value.dtype)
         if value.ndim == 1 and len(value) >= _MIN_PACKED and name:
-            chunks.append(value.tobytes())
+            chunks.append(np.ascontiguousarray(value))
             table.append([list(path), name, len(value)])
             return None
         # Anything else is the list it holds, and goes the list's way.
@@ -177,7 +186,7 @@ def _pack(value: Any, path: tuple, table: list, chunks: list) -> Any:
             return None
         if name is not None:
             try:
-                chunks.append(np.array(value, _DTYPES[name]).tobytes())
+                chunks.append(np.array(value, _DTYPES[name]))
             except OverflowError:  # an int wider than 64 bits: stay JSON
                 return value
             table.append([list(path), name, len(value)])
@@ -195,15 +204,20 @@ def _pack(value: Any, path: tuple, table: list, chunks: list) -> Any:
     return out
 
 
-def _encode(state: dict[str, Any]) -> bytes:
+def _encode(state: dict[str, Any]) -> list[Any]:
+    """The file's parts — head, ``b"\\n"``, every column's buffer, the
+    trailer — with the CRC folded over them one by one, so no column is
+    copied to be written."""
     table: list[list[Any]] = []
-    chunks: list[bytes] = []
+    chunks: list[Any] = []
     head = {"checkpoint_version": CHECKPOINT_VERSION, "columns": table,
             "state": _pack(state, (), table, chunks)}
-    body = b"".join([json.dumps(head, separators=(",", ":"),
-                                default=_jsonable).encode("utf-8"),
-                     b"\n", *chunks])
-    return body + b"\ncrc32:%08x\n" % zlib.crc32(body)
+    parts = [json.dumps(head, separators=(",", ":"),
+                        default=_jsonable).encode("utf-8"), b"\n", *chunks]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return [*parts, b"\ncrc32:%08x\n" % crc]
 
 
 def write_checkpoint(path: pathlib.Path | str, state: dict[str, Any],
@@ -223,13 +237,13 @@ def write_checkpoint(path: pathlib.Path | str, state: dict[str, Any],
     """
     path = pathlib.Path(path)
     try:
-        data = _encode(state)
+        parts = _encode(state)
         if fault_hook is not None and fault_hook.enabled:
-            data = fault_hook.checkpoint_body(data)
+            parts = [fault_hook.checkpoint_body(b"".join(parts))]
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
         with open(tmp, "wb") as handle:
-            handle.write(data)
+            handle.writelines(parts)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

@@ -59,7 +59,9 @@ class ReplayResult:
     """Everything a replay observed, per task and in aggregate.
 
     Deliberately free of wall-clock, ports and latencies so a scored
-    report built from it is byte-reproducible.
+    report built from it is byte-reproducible. ``undelivered`` holds the
+    ``(task, step)`` grid points of every chunk the feed dropped after a
+    connection died, in the order sent; the scorer leaves them out.
     """
 
     mode: str
@@ -70,10 +72,15 @@ class ReplayResult:
     trace_events: dict[str, int] = field(default_factory=dict)
     trace_dropped: int = 0
     reconnects: int = 0
-    lost_updates: int = 0
+    undelivered: list[tuple[int, int]] = field(default_factory=list)
     injected: dict[str, int] | None = None
     phase_samples: list[list[int]] | None = None
     triggers: dict[str, Any] | None = None
+
+    @property
+    def lost_updates(self) -> int:
+        """How many updates the at-most-once feed dropped at the wire."""
+        return len(self.undelivered)
 
 
 def replay_scenario(compiled: CompiledScenario, shards: int = 4,
@@ -150,7 +157,8 @@ async def _replay(compiled: CompiledScenario, shards: int,
 
     trace_events: dict[str, int] = {}
     trace_state = {"cursor": 0, "dropped": 0}
-    stats = {"reconnects": 0, "lost": 0}
+    stats = {"reconnects": 0}
+    undelivered: list[tuple[int, int]] = []
 
     async def reconnect() -> None:
         await client.close()
@@ -205,7 +213,8 @@ async def _replay(compiled: CompiledScenario, shards: int,
                     # mid-frame does not know what landed — drop, not
                     # resend, exactly like the chaos conformance driver.
                     await reconnect()
-                    stats["lost"] += len(chunk)
+                    undelivered.extend(
+                        (t, step) for t in range(lo, lo + len(chunk)))
             if plans and cluster_workers:
                 # Cross-worker edges are pump-propagated (a worker routes
                 # those among its own shards inline, as the single-process
@@ -278,7 +287,7 @@ async def _replay(compiled: CompiledScenario, shards: int,
         trace_events=dict(sorted(trace_events.items())),
         trace_dropped=trace_state["dropped"],
         reconnects=stats["reconnects"],
-        lost_updates=stats["lost"],
+        undelivered=undelivered,
         injected=(dict(hook.injected)
                   if isinstance(hook, PlanFaultHook) else None),
         phase_samples=phase_samples if plans else None,

@@ -14,6 +14,12 @@ scenario:
 * **mis-detection rate** — the paper's point-level metric: the fraction
   of violating grid points that were never sampled, compared against
   the configured error allowance ``err``.
+* **undelivered points** — a lossy replay's at-most-once feed drops
+  whole chunks at the wire; no sampler saw those grid points, so they
+  are scored as neither truth nor detection (not in the mis-detection
+  rate, nor in a window's first crossing). The violating ones are
+  counted as ``misdetection.undelivered_points``, a key a report has
+  only when some were lost.
 * **false-alarm rate** — alerts raised outside every declared window
   (background-noise crossings), per benign grid point.
 * **probe cost** — samples taken vs. the periodic-``Id`` baseline
@@ -49,6 +55,7 @@ def score_scenario(compiled: CompiledScenario,
     n_steps, n_tasks = compiled.values.shape
 
     truth_points = 0
+    undelivered_points = 0
     detected_points = 0
     false_alarms = 0
     benign_steps = 0
@@ -57,8 +64,16 @@ def score_scenario(compiled: CompiledScenario,
     windows_missed = 0
     windows_undetectable = 0
 
+    undelivered: dict[int, list[int]] = {}
+    for t, step in result.undelivered:
+        undelivered.setdefault(t, []).append(step)
+
     for t in range(n_tasks):
         truth = compiled.truth_indices(t)
+        if t in undelivered:
+            delivered = np.setdiff1d(truth, undelivered[t])
+            undelivered_points += int(truth.size - delivered.size)
+            truth = delivered
         alerts = np.asarray(result.alert_steps[t], dtype=int)
         truth_points += int(truth.size)
         detected_points += int(np.intersect1d(alerts, truth,
@@ -137,7 +152,7 @@ def score_scenario(compiled: CompiledScenario,
         "truth": {
             "windows": windows_total,
             "undetectable_windows": windows_undetectable,
-            "violation_points": truth_points,
+            "violation_points": truth_points + undelivered_points,
         },
         "detection": {
             "windows_scoreable": scoreable,
@@ -179,6 +194,8 @@ def score_scenario(compiled: CompiledScenario,
         },
         "passed": passed,
     }
+    if undelivered_points:
+        report["misdetection"]["undelivered_points"] = undelivered_points
     triggers = _score_triggers(compiled, result)
     if triggers is not None:
         report["triggers"] = triggers

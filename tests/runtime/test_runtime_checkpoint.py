@@ -20,6 +20,8 @@ from repro.runtime.checkpoint import (_MIN_PACKED, CHECKPOINT_VERSION,
                                       read_checkpoint, state_fingerprint,
                                       write_checkpoint)
 from repro.service import SNAPSHOT_VERSION, MonitoringService
+from repro.testkit.faults import (NOOP_HOOK, FaultPlan, FaultSpec,
+                                  PlanFaultHook)
 
 
 def task(threshold=100.0, err=0.01, max_interval=10):
@@ -362,12 +364,26 @@ _ARRAYS = (_arrays(_FLOATS, "<f8") | _arrays(_INT64, "<i8")
 _OTHER_ARRAYS = (_arrays(st.integers(-(1 << 31), (1 << 31) - 1), "<i4")
                  | _arrays(_FLOATS, ">f8") | _arrays(_FLOATS, "<f8", (-1, 1))
                  | _FLOATS.map(np.array))
+
+
+def _read_only(array):
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+# Packed columns as views the writer cannot hand to the file as they
+# are — every other element of an array twice as long, the array
+# reversed — and as read-only views.
+_VIEWS = (_ARRAYS.map(lambda array: np.repeat(array, 2)[::2])
+          | _ARRAYS.map(lambda array: array[::-1])
+          | _ARRAYS.map(_read_only))
 # Keys include the head's own, at every depth, to show none is reserved.
 _KEYS = st.sampled_from(["columns", "state", "shards", "x"]) \
     | st.text(max_size=4)
 _DOCS = st.dictionaries(
     _KEYS.filter(lambda key: key != "checkpoint_version"),
-    st.recursive(_LEAVES | _COLUMNS | _ARRAYS | _OTHER_ARRAYS,
+    st.recursive(_LEAVES | _COLUMNS | _ARRAYS | _VIEWS | _OTHER_ARRAYS,
                  lambda inner: st.lists(inner, max_size=3)
                  | st.dictionaries(_KEYS, inner, max_size=3),
                  max_leaves=12),
@@ -458,6 +474,56 @@ def _as_arrays(doc):
     return [_as_arrays(value) for value in doc]
 
 
+_PACKED_NAMES = {np.dtype("<f8"): "f8", np.dtype("<i8"): "i8",
+                 np.dtype("?"): "b1"}
+
+
+def _copying_encode(doc):
+    """The file ``write_checkpoint`` of ``doc`` must write, built the way
+    the copying encoder the streaming writer replaced built it: every
+    packed column ``tobytes()``-ed, joined into one body, the CRC taken
+    over that body."""
+    table, chunks = [], []
+
+    def column(path, name, chunk, count):
+        table.append([path, name, count])
+        chunks.append(chunk)
+
+    def pack(value, path):
+        if isinstance(value, dict):
+            return {key: pack(item, path + [key]) if type(key) is str
+                    else item for key, item in value.items()}
+        if isinstance(value, np.ndarray):
+            dtype = _packed_as(value)
+            if dtype is None:
+                return pack(value.tolist(), path)
+            column(path, _PACKED_NAMES[dtype], value.tobytes(), len(value))
+            return None
+        if not isinstance(value, list):
+            return value
+        if (len(value) >= _MIN_PACKED and set(map(type, value)) == {str}
+                and not any("\0" in item for item in value)):
+            try:
+                chunk = "\0".join(value).encode("utf-8")
+            except UnicodeEncodeError:
+                return value
+            column(path, "str", chunk, len(chunk))
+            return None
+        dtype = _packed_as(value)
+        if dtype is not None:
+            column(path, _PACKED_NAMES[dtype],
+                   np.array(value, dtype).tobytes(), len(value))
+            return None
+        return [pack(item, path + [index])
+                for index, item in enumerate(value)]
+
+    head = {"checkpoint_version": CHECKPOINT_VERSION, "columns": table,
+            "state": pack(doc, [])}
+    body = b"".join([json.dumps(head, separators=(",", ":")).encode("utf-8"),
+                     b"\n", *chunks])
+    return body + b"\ncrc32:%08x\n" % zlib.crc32(body)
+
+
 @pytest.fixture(scope="module")
 def scratch_file(tmp_path_factory):
     return tmp_path_factory.mktemp("codec") / "doc.ckpt"
@@ -478,6 +544,30 @@ class TestCodecRoundTrip:
         assert read.pop("checkpoint_version") == CHECKPOINT_VERSION
         _identical(read, doc)
         assert state_fingerprint(read) == state_fingerprint(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=_DOCS)
+    def test_the_file_is_the_copying_encoders_bytes(self, scratch_file,
+                                                     doc):
+        write_checkpoint(scratch_file, doc)
+        assert scratch_file.read_bytes() == _copying_encode(doc)
+
+    @pytest.mark.parametrize("dtype", ["<f8", "<i8", "?"])
+    def test_a_view_is_written_as_the_array_it_shows(self, tmp_path, dtype):
+        base = (np.arange(4 * _MIN_PACKED) % 3).astype(dtype)
+        doc = {"strided": base[::2], "reversed": base[::-1],
+               "read_only": _read_only(base),
+               "from_bytes": np.frombuffer(base.tobytes(), dtype)}
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(path, doc)
+        raw = path.read_bytes()
+        assert raw == _copying_encode(doc)
+        head = json.loads(raw[:raw.index(b"\n")])
+        assert [keys for keys, _, _ in head["columns"]] == [[key]
+                                                            for key in doc]
+        read = read_checkpoint(path)
+        del read["checkpoint_version"]
+        _identical(read, doc)
 
     @settings(max_examples=100, deadline=None)
     @given(doc=_DOCS)
@@ -527,6 +617,52 @@ class TestCodecRoundTrip:
         read = read_checkpoint(path)
         del read["checkpoint_version"]
         _identical(read, doc)
+
+
+class _RecordingHook(PlanFaultHook):
+    """A fault hook that keeps every body it is handed."""
+
+    def __init__(self, plan):
+        super().__init__(plan)
+        self.handed = []
+
+    def checkpoint_body(self, body):
+        self.handed.append(body)
+        return super().checkpoint_body(body)
+
+
+class TestFaultSeam:
+    """The writer streams its parts to the file, and joins them only for
+    an enabled fault hook: an armed hook is handed exactly the bytes a
+    plain write puts on disk, and what it makes of them — torn or
+    corrupted — still fails the reader."""
+
+    STATE = dict(TestChecksumTrailer.STATE,
+                 strided=np.arange(4.0 * _MIN_PACKED)[::2])
+
+    @pytest.mark.parametrize("spec", [FaultSpec(torn_checkpoint_rate=1.0),
+                                      FaultSpec(corrupt_checkpoint_rate=1.0)],
+                             ids=["torn", "corrupted"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_is_handed_the_plain_files_bytes(self, tmp_path, spec, seed):
+        plain = tmp_path / "plain.ckpt"
+        write_checkpoint(plain, self.STATE, fault_hook=NOOP_HOOK)
+        hook = _RecordingHook(FaultPlan(seed, spec))
+        faulted = tmp_path / "faulted.ckpt"
+        write_checkpoint(faulted, self.STATE, fault_hook=hook)
+        assert hook.handed == [plain.read_bytes()]
+        assert faulted.read_bytes() != hook.handed[0]
+        with pytest.raises(CheckpointError):
+            read_checkpoint(faulted)
+
+    def test_a_disarmed_hook_writes_the_plain_file(self, tmp_path):
+        plain, hooked = tmp_path / "plain.ckpt", tmp_path / "hooked.ckpt"
+        write_checkpoint(plain, self.STATE)
+        hook = _RecordingHook(FaultPlan(0, FaultSpec(
+            torn_checkpoint_rate=1.0)))
+        hook.checkpoint_armed = False
+        write_checkpoint(hooked, self.STATE, fault_hook=hook)
+        assert hooked.read_bytes() == plain.read_bytes() == hook.handed[0]
 
 
 class TestStringColumns:

@@ -8,6 +8,7 @@ mutant slips through, the scorer (not the sampler) is broken.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -59,6 +60,36 @@ def test_volley_sampler_between_the_mutants(compiled):
     assert 0.0 < report["cost"]["sampling_ratio"] < 1.0
     assert report["cost"]["cost_saving"] > 0.0
     assert report["passed"] is True
+
+
+def test_a_lost_chunk_is_neither_truth_nor_detection(compiled):
+    """A lossy replay drops whole chunks at the wire, and no sampler saw
+    their points: an always-sampler that lost the chunk of the first
+    violating step still scores zero mis-detection and zero delay, and
+    the report counts the violating points it left out. Scored as if
+    delivered, the same replay breaches."""
+    whole = simulate_replay(compiled, mode="always")
+    full = score_scenario(compiled, whole)
+    n_tasks = compiled.values.shape[1]
+    truths = [compiled.truth_indices(t) for t in range(n_tasks)]
+    step = min(int(truth[0]) for truth in truths if truth.size)
+    violating = sum(int(step in truth) for truth in truths)
+    naive = dataclasses.replace(whole, alert_steps=[
+        [at for at in steps if at != step] for steps in whole.alert_steps])
+    lossy = dataclasses.replace(
+        naive, undelivered=[(t, step) for t in range(n_tasks)])
+    assert lossy.lost_updates == n_tasks
+    assert score_scenario(compiled, naive)["misdetection"]["rate"] > 0.0
+    report = score_scenario(compiled, lossy)
+    mis = report["misdetection"]
+    assert mis["rate"] == 0.0 and report["passed"] is True
+    assert report["detection"]["max_delay_steps"] == 0
+    assert mis["undelivered_points"] == violating > 0
+    assert mis["truth_points"] == \
+        full["misdetection"]["truth_points"] - violating
+    assert report["truth"] == full["truth"]
+    assert report["runtime"]["lost_updates"] == n_tasks
+    assert "undelivered_points" not in full["misdetection"]
 
 
 def test_report_is_canonical_and_stable(compiled):

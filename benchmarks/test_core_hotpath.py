@@ -512,8 +512,8 @@ def test_a_warm_snapshot_walks_no_task(monkeypatch, tmp_path):
 def test_a_local_pair_rides_the_tick(monkeypatch):
     """A 4 x 1024 step-major batch on a service that also holds one
     local ``add_trigger`` pair and one installed plan, with a sink that
-    only logs: one ``run_columns`` call per watch-cut segment, every one
-    of them with an empty ``fallback``, and nothing is stepped by name —
+    only logs: every offer of every frame reaches ``run_columns``, one
+    call per watch-cut segment, and no row needs re-resolving by name —
     the service routes both triggers' edges itself."""
     service = _engine_service(1024)
     service.add_trigger("t0007", "t0400", elevation_level=50.0)
@@ -522,12 +522,11 @@ def test_a_local_pair_rides_the_tick(monkeypatch):
     edges: list[dict] = []
     service.set_trigger_sink(edges.append)
     segments = _counted(monkeypatch, service, "_apply_columns")
-    by_name = _counted(monkeypatch, service, "_offer_soa")
-    fallbacks: list[int] = []
+    resolved = _counted(monkeypatch, service, "_rows_of")
+    ticked: list[int] = []
     run_columns = SoaSamplerEngine.run_columns
     monkeypatch.setattr(SoaSamplerEngine, "run_columns", lambda *args: (
-        result := run_columns(*args),
-        fallbacks.append(len(result.fallback)))[0])
+        ticked.append(len(args[1])), run_columns(*args))[1])
     rows = np.tile(np.arange(1024, dtype=np.int64), 4)
     names = [f"t{i:04d}" for i in rows.tolist()]
     rng = np.random.default_rng(SEED)
@@ -535,11 +534,13 @@ def test_a_local_pair_rides_the_tick(monkeypatch):
         steps = np.repeat(np.arange(4 * frame, 4 * frame + 4,
                                     dtype=np.int64), 1024)
         values = rng.normal(50.0, 5.0, 4 * 1024)
+        before = sum(ticked)
         applied, _, rejected, _ = service.offer_columns(rows, steps, values,
                                                         names)
         assert (applied, rejected) == (4 * 1024, 0)
-    assert len(fallbacks) == len(segments) > 16     # the edges did cut
-    assert not any(fallbacks) and not by_name
+        assert sum(ticked) - before == 4 * 1024
+    assert len(ticked) == len(segments) > 16     # the edges did cut
+    assert not resolved
     for target in ("t0007", "t0900"):
         assert service.trigger_suspensions(target) > 0
     assert len(edges) > 16

@@ -123,7 +123,7 @@ class WorkerHost:
         # resolve by name). Invalidated whenever the shard's service or
         # task set changes — a task keeps its row for life; stale rows
         # are safe because engine rows are never reused (a removed
-        # task's row stays inactive -> name fallback).
+        # task's row stays inactive -> re-resolved by name).
         self._gid_rows: dict[int, np.ndarray] = {}
         self.adaptation = adaptation or AdaptationConfig()
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -433,8 +433,8 @@ class WorkerHost:
 
         Fed by a decoded ``ShardOffer`` frame or directly by the in-proc
         transport. The router already validated and routed; this side
-        resolves gids to engine rows, with a lazy name view for the
-        fallback path, and enqueues.
+        resolves gids to engine rows, with a lazy name view to re-resolve
+        stale ones by, and enqueues.
         """
         batches = []
         for shard_id, cols in segments:

@@ -17,7 +17,7 @@ rows are one contiguous run — the beta kernel covers all look-ahead
 steps of all rows in one ``(steps, rows)`` pass, and a tick with fewer
 due rows than ``_NARROW_TICK_ROWS`` skips the vector machinery and goes
 row by row through :meth:`SoaSamplerEngine.observe_one`, the scalar
-mirror the by-name path already uses.
+mirror of :meth:`~repro.core.adaptation.ViolationLikelihoodSampler.observe`.
 
 The sampler sees one monitored scalar per task. For most rows that is
 the offered value; for windowed, quantile and entropy tasks it is a
@@ -246,9 +246,7 @@ class _Views:
 class ColumnBatchResult:
     """Outcome of one :meth:`SoaSamplerEngine.run_columns` call.
 
-    ``fallback`` holds positions (into the input arrays) whose rows are
-    negative or not ``active`` — the caller steps those by name, which is
-    always correct. The ``event_*`` arrays carry
+    The ``event_*`` arrays carry
     the rare alert/trace-worthy offers (flags: 1 grew, 2 reset, 4
     violation) for the service to materialise, in tick order — so each
     task's in its arrival order; ``viol_*`` is their violating subset,
@@ -261,7 +259,6 @@ class ColumnBatchResult:
     consumed = 0
     rejected = 0
     consumed_intervals = _EMPTY_I8
-    fallback = _EMPTY_I8
     viol_rows = _EMPTY_I8
     viol_steps = _EMPTY_I8
     viol_values = _EMPTY_F8
@@ -272,32 +269,14 @@ class ColumnBatchResult:
     event_flags = _EMPTY_I8
     event_betas = _EMPTY_F8
 
-    @classmethod
-    def of_one(cls, row: int, step: int, value: float, interval: int,
-               flags: int, beta: float) -> "ColumnBatchResult":
-        """The ``event_*`` / ``viol_*`` columns of one flagged offer
-        stepped outside a batch (``flags`` non-zero)."""
-        result = cls()
-        result.event_rows = np.array([row], dtype=np.int64)
-        result.event_steps = np.array([step], dtype=np.int64)
-        result.event_values = np.array([value], dtype=np.float64)
-        result.event_intervals = np.array([interval], dtype=np.int64)
-        result.event_flags = np.array([flags], dtype=np.int64)
-        result.event_betas = np.array([beta], dtype=np.float64)
-        if flags & 4:
-            result.viol_rows = result.event_rows
-            result.viol_steps = result.event_steps
-            result.viol_values = result.event_values
-        return result
-
 
 class SoaSamplerEngine:
     """Columnar storage + vectorised stepping for many samplers.
 
     Rows are allocated by :meth:`add_task` and never reused: a removed
     task's row is deactivated, so stale row references held by
-    long-lived connections degrade to an explicit fallback instead of
-    silently hitting another task's state. An inactive row is a retired
+    long-lived connections are re-resolved by name (or rejected) instead
+    of silently hitting another task's state. An inactive row is a retired
     row: ``active`` goes up at allocation and down in :meth:`deactivate`.
     """
 
@@ -490,7 +469,8 @@ class SoaSamplerEngine:
         return rows
 
     def deactivate(self, row: int) -> None:
-        """Retire a row; offers routed to it fall back / reject."""
+        """Retire a row; offers routed to it are re-resolved or
+        rejected (:meth:`run_columns`)."""
         self.mark_row(row)
         self.set_floor(row, 1)
         self.views.active[row] = False
@@ -588,17 +568,16 @@ class SoaSamplerEngine:
             {key: column.tolist() for key, column in state.items()}, 0)
 
     # ------------------------------------------------------------------
-    # Scalar drive surface (by-name offers and narrow ticks)
+    # Scalar drive surface (narrow ticks and the offline drivers)
 
     def observe_one(self, row: int, value: float, step: int) -> int:
         """Advance one row by one offer; returns the next interval.
 
         The exact scalar-math mirror of
         :meth:`ViolationLikelihoodSampler.observe` operating on column
-        storage — by-name offers (``MonitoringService.offer`` on an
-        engine service) and columnar batches may interleave freely on
-        the same task: both write the one row. Reads and writes go
-        through :attr:`views`, so every element is a Python number.
+        storage, for a tick too narrow to vectorise (a by-name offer is
+        a batch of one). Reads and writes go through :attr:`views`, so
+        every element is a Python number.
         """
         c = self.views
         v = c.sign[row] * value
@@ -725,15 +704,18 @@ class SoaSamplerEngine:
 
     def run_columns(self, rows: np.ndarray, steps: np.ndarray,
                     values: np.ndarray, hooks: Any = None,
-                    ) -> ColumnBatchResult:
+                    resolve: Any = None) -> ColumnBatchResult:
         """Apply a decoded offer batch (may repeat rows) to the columns.
 
         Splits the batch into ticks — one occurrence per row, in arrival
         order — and advances each tick, vectorised or (narrow ticks) row
-        by row. Rows that are negative (unresolved) or not ``active``
-        (retired) are reported back as ``fallback`` positions instead of
-        being applied; a non-finite value on an active row is rejected
-        here, before any column of the row sees it.
+        by row. A row that is negative (unresolved) or not ``active``
+        (retired) is first re-resolved: ``resolve(positions)`` gives the
+        current row of the offer at each of those positions, ``-1`` where
+        there is none. What is still unusable then — no row, or a
+        non-finite value — is rejected here, before any column sees it;
+        everything else steps in arrival order. Without ``resolve`` an
+        unusable row is rejected.
 
         ``hooks`` is the owner of what the marked rows keep outside the
         columns, called back per tick: ``hooks.absorb(rows, values)``
@@ -749,9 +731,13 @@ class SoaSamplerEngine:
         act = self.active[rows] & (rows >= 0)
         usable = act & np.isfinite(values)
         if np.count_nonzero(usable) < len(rows):
-            result.fallback = np.flatnonzero(~act)
+            stray = np.flatnonzero(~act)
+            if resolve is not None and len(stray):
+                rows = rows.copy()
+                rows[stray] = found = resolve(stray)
+                usable[stray] = (found >= 0) & np.isfinite(values[stray])
             keep = np.flatnonzero(usable)
-            result.rejected = len(rows) - len(keep) - len(result.fallback)
+            result.rejected = len(rows) - len(keep)
             rows = rows[keep]
             steps = steps[keep]
             values = values[keep]

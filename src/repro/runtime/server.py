@@ -131,7 +131,7 @@ class RuntimeServer(WireServer):
 
     def _intern_id(self, name: str, sid: int) -> int:
         # The SoA engine row, the task's for life; a row gone stale
-        # (task removed) degrades to the always-correct by-name fallback.
+        # (task removed) is re-resolved by name where the batch steps.
         try:
             return self._workers[sid].service.soa_row_for(name)
         except ConfigurationError:

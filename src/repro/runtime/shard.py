@@ -70,8 +70,9 @@ class InternedNames:
     """Lazy position → task-name view of a batch addressed through an
     intern table.
 
-    ``offer_columns`` touches names only for the (rare) fallback
-    positions, so the hot path never materialises a per-offer name list.
+    ``offer_columns`` touches names only to re-resolve the (rare)
+    negative or stale rows, so the hot path never materialises a
+    per-offer name list.
     """
 
     __slots__ = ("table", "idx")
@@ -91,8 +92,9 @@ class ColumnBatch:
     rows — the only thing a shard queue carries.
 
     ``rows`` holds SoA engine row ids (``-1`` = resolve by name instead);
-    ``names`` is parallel to the columns and only consulted for fallback
-    positions, so the hot path never materialises per-offer tuples.
+    ``names`` is parallel to the columns and only consulted to re-resolve
+    a negative or stale row to its task's current one, so the hot path
+    never materialises per-offer tuples.
     """
 
     rows: np.ndarray
@@ -170,7 +172,7 @@ class ShardWorker:
 
         Drives the service through
         :meth:`~repro.service.MonitoringService.offer_columns` — one
-        vectorised engine pass plus by-name fallback for stale rows — and
+        vectorised engine pass, stale rows re-resolved by name in it — and
         folds the whole batch's telemetry into count-weighted histogram
         updates instead of one ``observe`` per consumed offer.
         """

@@ -62,6 +62,9 @@ class ReplayResult:
     report built from it is byte-reproducible. ``undelivered`` holds the
     ``(task, step)`` grid points of every chunk the feed dropped after a
     connection died, in the order sent; the scorer leaves them out.
+    ``skewed`` holds ``(task, step, stamp)`` for every update sent
+    stamped off its grid step (a clock-skew fault), in the order sent;
+    the scorer maps alerts at those stamps back to grid steps.
     """
 
     mode: str
@@ -73,6 +76,7 @@ class ReplayResult:
     trace_dropped: int = 0
     reconnects: int = 0
     undelivered: list[tuple[int, int]] = field(default_factory=list)
+    skewed: list[tuple[int, int, int]] = field(default_factory=list)
     injected: dict[str, int] | None = None
     phase_samples: list[list[int]] | None = None
     triggers: dict[str, Any] | None = None
@@ -159,6 +163,7 @@ async def _replay(compiled: CompiledScenario, shards: int,
     trace_state = {"cursor": 0, "dropped": 0}
     stats = {"reconnects": 0}
     undelivered: list[tuple[int, int]] = []
+    skews: list[tuple[int, int, int]] = []
 
     async def reconnect() -> None:
         await client.close()
@@ -199,8 +204,12 @@ async def _replay(compiled: CompiledScenario, shards: int,
             row = values[step]
             if skewed:
                 assert plan is not None
-                batch = [[names[t], step + plan.skew(t, step),
-                          float(row[t])] for t in range(n_tasks)]
+                stamps = [step + plan.skew(t, step) for t in range(n_tasks)]
+                skews.extend((t, step, stamp)
+                             for t, stamp in enumerate(stamps)
+                             if stamp != step)
+                batch = [[names[t], stamps[t], float(row[t])]
+                         for t in range(n_tasks)]
             else:
                 batch = [[names[t], step, float(row[t])]
                          for t in range(n_tasks)]
@@ -288,6 +297,7 @@ async def _replay(compiled: CompiledScenario, shards: int,
         trace_dropped=trace_state["dropped"],
         reconnects=stats["reconnects"],
         undelivered=undelivered,
+        skewed=skews,
         injected=(dict(hook.injected)
                   if isinstance(hook, PlanFaultHook) else None),
         phase_samples=phase_samples if plans else None,

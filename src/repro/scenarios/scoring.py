@@ -20,6 +20,12 @@ scenario:
   rate, nor in a window's first crossing). The violating ones are
   counted as ``misdetection.undelivered_points``, a key a report has
   only when some were lost.
+* **skewed stamps** — a clock-skew fault sends an update stamped off its
+  grid step, and the server alerts at the stamp. Each alert is mapped
+  back to the grid step whose delivered update carried its stamp before
+  anything is scored; where several of a task's updates carried one
+  stamp, the first sent is the one, since a later update at a stamp the
+  sampler has seen is refused or not due. Without skew nothing moves.
 * **false-alarm rate** — alerts raised outside every declared window
   (background-noise crossings), per benign grid point.
 * **probe cost** — samples taken vs. the periodic-``Id`` baseline
@@ -48,6 +54,23 @@ def _round(x: float) -> float:
     return round(float(x), 9)
 
 
+def _carriers(result: ReplayResult,
+              n_steps: int) -> dict[int, dict[int, int]]:
+    """For each task with a skewed update, the grid step whose delivered
+    update carried each stamp: the first sent, where several did."""
+    moved: dict[int, dict[int, int]] = {}
+    for t, step, stamp in result.skewed:
+        moved.setdefault(t, {})[step] = stamp
+    lost = set(result.undelivered)
+    carriers: dict[int, dict[int, int]] = {}
+    for t, stamps in moved.items():
+        carrier = carriers[t] = {}
+        for step in range(n_steps):     # the order sent
+            if (t, step) not in lost:
+                carrier.setdefault(stamps.get(step, step), step)
+    return carriers
+
+
 def score_scenario(compiled: CompiledScenario,
                    result: ReplayResult) -> dict[str, Any]:
     """Score one replay; the report is a pure function of its inputs."""
@@ -68,6 +91,8 @@ def score_scenario(compiled: CompiledScenario,
     for t, step in result.undelivered:
         undelivered.setdefault(t, []).append(step)
 
+    carriers = _carriers(result, n_steps)
+
     for t in range(n_tasks):
         truth = compiled.truth_indices(t)
         if t in undelivered:
@@ -75,6 +100,11 @@ def score_scenario(compiled: CompiledScenario,
             undelivered_points += int(truth.size - delivered.size)
             truth = delivered
         alerts = np.asarray(result.alert_steps[t], dtype=int)
+        if t in carriers:
+            carrier = carriers[t]
+            alerts = np.unique(np.asarray(
+                [carrier.get(stamp, stamp) for stamp in alerts.tolist()],
+                dtype=int))
         truth_points += int(truth.size)
         detected_points += int(np.intersect1d(alerts, truth,
                                               assume_unique=True).size)
@@ -101,8 +131,8 @@ def score_scenario(compiled: CompiledScenario,
             covered[start:end] = True
         benign_steps += int(n_steps - np.count_nonzero(covered))
         if alerts.size:
-            # Clock-skew faults can push an alert's step off the grid;
-            # off-grid alerts are false alarms by definition.
+            # An alert at a stamp no update carried may lie off the
+            # grid; off-grid alerts are false alarms by definition.
             on_grid = alerts[(alerts >= 0) & (alerts < n_steps)]
             false_alarms += int(np.count_nonzero(~covered[on_grid]))
             false_alarms += int(alerts.size - on_grid.size)

@@ -1169,9 +1169,10 @@ class MonitoringService:
     def set_alert_count_sink(self, sink: Callable[[int], None] | None,
                              ) -> None:
         """Attach a callable receiving the number of alerts each batch
-        (or by-name offer) of an engine service raised, after they are
-        logged and before any task's ``on_alert`` runs — how a host
-        counts alerts without a callback per task or a call per alert.
+        of an engine service raised (a by-name offer is a batch of one),
+        after they are logged and before any task's ``on_alert`` runs —
+        how a host counts alerts without a callback per task or a call
+        per alert.
         Not serialised, like :meth:`set_trigger_sink`'s.
         """
         if self._soa is None:
@@ -1235,13 +1236,14 @@ class MonitoringService:
 
         On a scalar service this is the reference statement of a step
         (``sampler.observe``) and the only one; an engine service steps
-        the task's row (:meth:`_offer_soa`). ``step`` is an integer
-        (anything :func:`operator.index` takes); a fractional one raises
-        :class:`TypeError` before anything is touched.
+        the task's row as a batch of one (:meth:`offer_fast`). ``step``
+        is an integer (anything :func:`operator.index` takes); a
+        fractional one raises :class:`TypeError` before anything is
+        touched.
         """
         step = index(step)
         if self._soa is not None:
-            interval = self._offer_soa(name, value, step)
+            interval = self.offer_fast(name, value, step)
             if interval is None:
                 return None
             c = self._soa.views
@@ -1277,50 +1279,32 @@ class MonitoringService:
         interval (the pre-gating value :meth:`offer` reports in its
         decision) of a consumed offer, ``None`` when the task was not
         due. A name, not a surface (DESIGN.md S27): an engine service
-        steps the row without building the decision, a scalar service
-        calls :meth:`offer`.
+        applies the offer as an :meth:`offer_columns` batch of one on the
+        task's row, a scalar service calls :meth:`offer`.
         """
         step = index(step)
-        if self._soa is not None:
-            return self._offer_soa(name, value, step)
-        decision = self.offer(name, value, step)
-        return None if decision is None else decision.next_interval
-
-    def _offer_soa(self, name: str, value: float,
-                   step: int) -> int | None:
-        """An engine service's by-name step of one offer — :meth:`offer`
-        on the task's row, bit for bit, returning what :meth:`offer_fast`
-        does. Every offer that does not ride a tick comes here: the
-        by-name entry points, and the ``fallback`` positions of a column
-        batch (negative or stale rows)."""
+        if self._soa is None:
+            decision = self.offer(name, value, step)
+            return None if decision is None else decision.next_interval
         if not isfinite(value):
             raise ValueError(f"non-finite value: {value!r}")
-        state = self._state(name)
+        row = self._state(name).soa_row
         if not STEP_MIN <= step <= STEP_MAX:
             # Refuse before any column is written rather than half-way
             # through the row.
             raise ValueError(f"step {step!r} is outside the engine's "
                              f"range [{STEP_MIN}, {STEP_MAX}]")
-        engine = self._soa
-        row = state.soa_row
-        if state.watch is not None:
-            self._watch_edge(state, value, step)
-        if state.task_type != "value":
-            state.absorb(value)
-        c = engine.views
-        if step < c.next_due[row]:
-            return None
-        monitored = state.monitored(step, value)
-        interval = engine.observe_one(row, monitored, step)
-        engine.advance_one(row, step, interval)
-        flags = c.last_flags[row]
-        if flags:
-            self._fan_out_columns(
-                ColumnBatchResult.of_one(row, step, monitored, interval,
-                                         flags, c.last_beta[row]),
-                {(row, step): state.substrate.quantile_value()}
-                if flags & 4 and state.task_type == "quantile" else {})
-        return interval
+        _, consumed, rejected, intervals = self.offer_columns(
+            [row], [step], [value])
+        if rejected:
+            # The due row refused the step and wrote nothing: a step not
+            # after its last one, or a non-finite delta.
+            last = self._soa.views.last_time[row]
+            if step <= last:
+                raise ValueError(
+                    f"time_index must increase: {step} after {last}")
+            raise ValueError(f"non-finite observation at step {step}")
+        return int(intervals[0]) if consumed else None
 
     def _gate(self, state: TaskState, interval: int) -> int:
         """Trigger gating of a scalar service's consumed offer: the
@@ -1422,13 +1406,15 @@ class MonitoringService:
     def offer_columns(self, rows: Any, steps: Any, values: Any,
                       names: Sequence[str | None] | None = None,
                       ) -> tuple[int, int, int, np.ndarray]:
-        """Apply a decoded offer batch as columns (the server data path).
+        """Apply an offer batch as columns: the server data path, and
+        every by-name offer of an engine service as a batch of one.
 
-        ``rows`` are engine row ids (``-1`` = unresolved); rows that are
-        negative or retired are stepped by name instead, through
-        ``names`` (parallel to the columns) and :meth:`_offer_soa`, which
-        is always correct — an unknown or missing name counts as
-        rejected, mirroring the per-offer error contract of :meth:`offer`.
+        ``rows`` are engine row ids (``-1`` = unresolved); a row that is
+        negative or retired is re-resolved through ``names`` (parallel to
+        the columns) to its task's current row and steps in arrival order
+        with the rest. An unknown or missing name counts as rejected, as
+        do a non-finite value and a step the row refuses (the per-offer
+        error contract of :meth:`offer`).
 
         Returns ``(applied, consumed, rejected, consumed_intervals)``;
         ``applied`` includes not-due offers, ``consumed_intervals`` holds
@@ -1445,19 +1431,23 @@ class MonitoringService:
         rows = np.asarray(rows, dtype=np.int64)
         steps = np.asarray(steps, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
+        resolve = None if names is None else partial(self._rows_of, names)
         if not self._watchers or not len(rows):
-            return self._apply_columns(rows, steps, values, names, 0)
+            return self._apply_columns(rows, steps, values, resolve)
         parts: list[tuple[int, int, int, np.ndarray]] = []
         pending: list[dict[str, Any]] = []
         lo = 0
-        cuts = self._watch_cuts(rows, steps, values, names)
+        rows, cuts = self._watch_cuts(rows, steps, values, resolve)
         for pos, event, cut in cuts + [(len(rows), None, True)]:
-            if not cut:
+            # An edge at the front of what is left goes out at once, as
+            # a by-name offer's edge goes before its own step.
+            if not cut and pos > lo:
                 pending.append(event)
                 continue
             if pos > lo:
+                # The cuts re-resolved every row they could.
                 parts.append(self._apply_columns(
-                    rows[lo:pos], steps[lo:pos], values[lo:pos], names, lo))
+                    rows[lo:pos], steps[lo:pos], values[lo:pos], None))
                 lo = pos
             for earlier in pending:
                 self._deliver_edge(earlier)
@@ -1470,11 +1460,21 @@ class MonitoringService:
         return (sum(applied), sum(consumed), sum(rejected),
                 np.concatenate(intervals))
 
+    def _rows_of(self, names: Sequence[str | None],
+                 positions: np.ndarray) -> np.ndarray:
+        """The current rows of the tasks ``names`` holds at
+        ``positions``: ``-1`` for a missing or unknown name."""
+        tasks = self._tasks
+        return np.array([getattr(tasks.get(names[pos]), "soa_row", -1)
+                         for pos in positions.tolist()], dtype=np.int64)
+
     def _watch_cuts(self, rows: np.ndarray, steps: np.ndarray,
-                    values: np.ndarray,
-                    names: Sequence[str | None] | None,
-                    ) -> list[tuple[int, dict[str, Any] | None, bool]]:
-        """Run a batch's watchers ahead of the batch; returns where their
+                    values: np.ndarray, resolve: Any,
+                    ) -> tuple[np.ndarray,
+                               list[tuple[int, dict[str, Any] | None, bool]]]:
+        """Run a batch's watchers ahead of the batch; returns its rows,
+        negative or retired ones re-resolved through ``resolve`` (as in
+        :meth:`SoaSamplerEngine.run_columns`), and where the watchers'
         edges fall, as ``(position, event, cut)`` in arrival order.
 
         A watcher depends on its own task's stream alone, so every
@@ -1482,17 +1482,18 @@ class MonitoringService:
         between the offers before its position and the rest: ``cut``
         says the batch has to be split there for that to hold — the
         edge's trigger guards a task of this service, and a later offer
-        of the batch is for its row, or goes by name (not resolved
-        here). Other edges only have to keep their order. A watched task
-        offered by name runs its own watcher in :meth:`_offer_soa`: it
-        is cut out as a batch of one (``event`` None at both ends).
+        of the batch is for its row. Other edges only have to keep their
+        order.
         """
         engine = self._soa
         on_row = engine.active[rows] & (rows >= 0)
-        usable = np.isfinite(values)
-        by_name = np.flatnonzero(~on_row & usable)
-        last_by_name = int(by_name[-1]) if len(by_name) else -1
-        watched = np.flatnonzero(engine.watched[rows] & on_row & usable)
+        stray = np.flatnonzero(~on_row)
+        if resolve is not None and len(stray):
+            rows = rows.copy()
+            rows[stray] = found = resolve(stray)
+            on_row[stray] = found >= 0
+        watched = np.flatnonzero(
+            engine.watched[rows] & on_row & np.isfinite(values))
         cuts: list[tuple[int, dict[str, Any] | None, bool]] = []
         for pos, row, step, value in zip(
                 watched.tolist(), rows[watched].tolist(),
@@ -1502,47 +1503,22 @@ class MonitoringService:
             if edge is None:
                 continue
             guarded = self._guards.get(state.name)
-            cut = guarded is not None and (
-                last_by_name > pos or bool(np.isin(rows[pos + 1:], [
-                    guard.soa_row for guard in guarded.values()]).any()))
+            cut = guarded is not None and bool(np.isin(rows[pos + 1:], [
+                guard.soa_row for guard in guarded.values()]).any())
             cuts.append((pos, {"op": edge, "trigger": state.name,
                                "step": step, "value": value}, cut))
-        if names is not None and len(by_name):
-            for pos in by_name.tolist():
-                state = self._tasks.get(names[pos])
-                if state is not None and state.watch is not None:
-                    cuts += (pos, None, True), (pos + 1, None, True)
-            cuts.sort(key=lambda cut: cut[0])
-        return cuts
+        return rows, cuts
 
     def _apply_columns(self, rows: np.ndarray, steps: np.ndarray,
-                       values: np.ndarray,
-                       names: Sequence[str | None] | None, offset: int,
+                       values: np.ndarray, resolve: Any,
                        ) -> tuple[int, int, int, np.ndarray]:
-        """:meth:`offer_columns` for a batch no trigger edge falls inside;
-        ``names`` is indexed from ``offset``."""
+        """:meth:`offer_columns` for a batch no trigger edge falls
+        inside."""
         engine = self._soa
         hooks = self._hooks
         res = engine.run_columns(rows, steps, values,
-                                 hooks if engine.derived_rows else None)
-        applied, consumed = res.applied, res.consumed
-        rejected = res.rejected
-        fb_intervals: list[int] = []
-        for pos in res.fallback.tolist():  # ascending: arrival order
-            name = None if names is None else names[offset + pos]
-            if name is None:
-                rejected += 1
-                continue
-            try:
-                interval = self._offer_soa(name, float(values[pos]),
-                                           int(steps[pos]))
-            except (ConfigurationError, ValueError, TypeError):
-                rejected += 1
-                continue
-            applied += 1
-            if interval is not None:
-                consumed += 1
-                fb_intervals.append(interval)
+                                 hooks if engine.derived_rows else None,
+                                 resolve)
         # The engine advanced and gated its rows' schedules itself; what
         # is left of the per-offer tail is the alert and trace fan-out of
         # the rare flagged steps.
@@ -1551,11 +1527,7 @@ class MonitoringService:
                else res.viol_rows):
             self._fan_out_columns(res, estimates)
         estimates.clear()
-        intervals = res.consumed_intervals
-        if fb_intervals:
-            intervals = np.concatenate(
-                [intervals, np.asarray(fb_intervals, dtype=np.int64)])
-        return applied, consumed, rejected, intervals
+        return res.applied, res.consumed, res.rejected, res.consumed_intervals
 
     def alerts(self, name: str) -> list[Alert]:
         """Alerts raised by a task so far (chronological)."""

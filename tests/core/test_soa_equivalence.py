@@ -24,6 +24,7 @@ from repro.exceptions import ConfigurationError
 from repro.runtime.checkpoint import state_fingerprint
 from repro.service import (SNAPSHOT_VERSION, MonitoringService,
                            snapshot_task_names)
+from repro.telemetry.trace import DecisionTrace
 from repro.triggers.plan import TriggerPlan
 
 from snapshot_fixtures import answers, continuation, drive, history, read_pin
@@ -155,6 +156,32 @@ class TestMixedPaths:
         assert applied == 1
         assert rejected == 1
         assert service.observations("mix-0") == 1
+
+    def test_a_stale_row_steps_in_arrival_order(self):
+        # "b" removed and registered again has a new row. An offer still
+        # addressed to its old row is re-resolved by name and steps where
+        # it arrived, before the new row's later step, as it does on the
+        # scalar reference.
+        spec = TaskSpec(threshold=100.0, error_allowance=0.02,
+                        max_interval=8, name="b")
+        scalar, vector = _service(soa=False), _service(soa=True)
+        for service in (scalar, vector):
+            service.add_task("b", spec)
+            for step in range(3):
+                service.offer("b", 40.0 + step, step)
+        old_row = vector.soa_row_for("b")
+        for service in (scalar, vector):
+            service.remove_task("b")
+            service.add_task("b", spec)
+        new_row = vector.soa_row_for("b")
+        assert new_row != old_row
+        applied, consumed, rejected, intervals = vector.offer_columns(
+            [old_row, new_row], [5, 6], [50.0, 60.0], ["b", "b"])
+        taken = [scalar.offer("b", 50.0, 5), scalar.offer("b", 60.0, 6)]
+        assert None not in taken
+        assert (applied, consumed, rejected) == (2, 2, 0)
+        assert intervals.tolist() == [d.next_interval for d in taken]
+        assert fingerprint(scalar) == fingerprint(vector)
 
 
 class TestSnapshotRoundTrip:
@@ -549,8 +576,8 @@ class TestEligibility:
     def test_a_local_pair_keeps_its_rows_and_rides_the_tick(
             self, soa_differential, monkeypatch):
         # add_trigger moves no state: both ends keep their rows, live,
-        # and behave as on a never-SoA service — in column batches, which
-        # never leave the tick for them, as by name.
+        # and behave as on a never-SoA service — in column batches and by
+        # name, every offer on the tick.
         rng = np.random.default_rng(5)
         values = rng.normal(90.0, 10.0, 480)
         scalar = _service(soa=False)
@@ -561,20 +588,21 @@ class TestEligibility:
                                 suspend_interval=4)
         assert [vector.soa_row_for(f"mix-{i}") for i in range(4)] == rows
         assert not self._retired(vector)
-        by_name = []
-        offer_soa = vector._offer_soa
-        monkeypatch.setattr(vector, "_offer_soa", lambda *args: (
-            by_name.append(args), offer_soa(*args))[1])
+        ticked = []
+        engine = vector.soa_engine
+        run_columns = engine.run_columns
+        monkeypatch.setattr(engine, "run_columns", lambda rows, *rest: (
+            ticked.append(len(rows)), run_columns(rows, *rest))[1])
         for lo in range(0, 240, 8):
             for i in range(lo, lo + 8):
                 scalar.offer(f"mix-{i % 4}", float(values[i]), i // 4)
             vector.offer_columns(rows * 2, [lo // 4] * 4 + [lo // 4 + 1] * 4,
                                  values[lo:lo + 8])
-        assert not by_name
+        assert sum(ticked) == 240
         for i, value in enumerate(values[240:].tolist(), start=240):
             scalar.offer(f"mix-{i % 4}", value, i // 4)
             vector.offer_fast(f"mix-{i % 4}", value, i // 4)
-        assert len(by_name) == 240
+        assert sum(ticked) == 480 and ticked[-240:] == [1] * 240
         assert fingerprint(scalar) == fingerprint(vector)
         assert (soa_differential.alert_log(scalar)
                 == soa_differential.alert_log(vector))
@@ -848,6 +876,26 @@ class TestEveryKindOnRows:
         # handed to a sink or left in the buffer: the service routes them.
         assert len(calls) > batches + 100 and batches > 180
 
+    @pytest.mark.parametrize("surface", ["offer", "offer_fast"])
+    def test_a_by_name_offer_sends_its_edge_before_it_steps(self, surface):
+        # The scalar offer delivers a watched task's edge, then steps the
+        # task: an engine service's batch of one keeps that order, so
+        # both traces read the guard's arm before the trigger's alert.
+        streams = []
+        for soa in (False, True):
+            trace = DecisionTrace(256)
+            service = _service(soa=soa)
+            service.add_trigger("mix-0", "mix-1", elevation_level=90.0)
+            service.attach_telemetry(trace, shard=0)
+            offer = getattr(service, surface)
+            for step, value in enumerate([50.0] * 10 + [120.0] * 3):
+                offer("mix-1", value, step)
+            streams.append([(e["kind"], e["task"], e.get("step"))
+                            for e in trace.drain()])
+        assert streams[0] == streams[1]
+        assert streams[0][1:3] == [("trigger_armed", "mix-0", None),
+                                   ("violation", "mix-1", 10)]
+
     @pytest.mark.parametrize("order", ["target-first", "trigger-first"])
     def test_edge_lands_between_the_offers_either_side(self, order,
                                                        soa_differential):
@@ -1028,7 +1076,7 @@ class TestCrossover:
                             for engine in engines)
             for name in ("applied", "consumed", "rejected"):
                 assert getattr(wide, name) == getattr(narrow, name)
-            for name in ("consumed_intervals", "fallback", "viol_rows",
+            for name in ("consumed_intervals", "viol_rows",
                          "viol_steps", "viol_values", "event_rows",
                          "event_steps", "event_values", "event_intervals",
                          "event_flags", "event_betas"):

@@ -92,6 +92,51 @@ def test_a_lost_chunk_is_neither_truth_nor_detection(compiled):
     assert "undelivered_points" not in full["misdetection"]
 
 
+def test_skewed_stamps_score_at_the_grid_step_that_sent_them(compiled):
+    """A clock-skew fault stamps an update off its grid step, and the
+    server alerts at the stamp. Every update of an always-sampler sent
+    1 000 steps late scores as the unskewed replay once its alerts are
+    mapped back; scored at the stamps, every alert is a false alarm and
+    every point a miss. Where two of a task's updates carry one stamp,
+    the alert at it belongs to the first sent."""
+    whole = simulate_replay(compiled, mode="always")
+    full = score_scenario(compiled, whole)
+    n_steps, n_tasks = compiled.values.shape
+    late = dataclasses.replace(
+        whole,
+        alert_steps=[[at + 1000 for at in steps]
+                     for steps in whole.alert_steps],
+        skewed=[(t, step, step + 1000) for step in range(n_steps)
+                for t in range(n_tasks)])
+    assert score_scenario(compiled, late) == full
+    naive = score_scenario(compiled, dataclasses.replace(late, skewed=[]))
+    assert naive["misdetection"]["detected_points"] == 0
+    assert naive["false_alarms"]["alerts_outside_windows"] == sum(
+        map(len, whole.alert_steps))
+
+    # Step `first`, a window's first crossing, went out stamped
+    # `first + 1`, as step `first + 1` did after it: the server alerted
+    # once at that stamp, for `first`, and refused the second. Both
+    # points violate; only `first` is detected, with no delay.
+    t, first = next(
+        (t, int(crossed[0])) for t in range(n_tasks)
+        for start, end in compiled.windows_for(t)
+        for truth in [compiled.truth_indices(t)]
+        for crossed in [truth[(truth >= start) & (truth < end)]]
+        if crossed.size > 1 and crossed[1] == crossed[0] + 1)
+    shared = dataclasses.replace(
+        whole,
+        alert_steps=[[at for at in steps if at != first] if i == t
+                     else steps for i, steps in enumerate(whole.alert_steps)],
+        skewed=[(t, first, first + 1)])
+    report = score_scenario(compiled, shared)
+    assert (report["misdetection"]["detected_points"]
+            == full["misdetection"]["detected_points"] - 1)
+    assert report["detection"]["max_delay_steps"] == 0
+    assert score_scenario(compiled, dataclasses.replace(
+        shared, skewed=[]))["detection"]["max_delay_steps"] == 1
+
+
 def test_report_is_canonical_and_stable(compiled):
     a = score_scenario(compiled, simulate_replay(compiled, mode="volley"))
     b = score_scenario(compiled, simulate_replay(compiled, mode="volley"))

@@ -139,9 +139,10 @@ def test_run_lockstep_vs_reference(benchmark, report):
         assert np.array_equal(got.intervals, want.intervals)
         assert got.accuracy == want.accuracy
 
-    report(f"run_lockstep: {len(tasks)} runs x 10,000 steps in "
-           f"{benchmark.stats['mean']:.2f} s; reference loop "
-           f"{reference_s:.2f} s")
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        report(f"run_lockstep: {len(tasks)} runs x 10,000 steps in "
+               f"{benchmark.stats['mean']:.2f} s; reference loop "
+               f"{reference_s:.2f} s")
 
 
 def test_evaluate_sampling_vectorized(benchmark, report):
@@ -161,8 +162,9 @@ def test_evaluate_sampling_vectorized(benchmark, report):
     assert legacy["misdetection_rate"] == result.misdetection_rate
     assert legacy["mean_detection_delay"] == result.mean_detection_delay
 
-    report(f"evaluate_sampling: {benchmark.stats['mean'] * 1e3:.2f} ms "
-           f"for {N:,} points / {sampled.size:,} samples")
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        report(f"evaluate_sampling: {benchmark.stats['mean'] * 1e3:.2f} ms "
+               f"for {N:,} points / {sampled.size:,} samples")
 
 
 def _counted(monkeypatch, owner: Any, name: str) -> list[int]:

@@ -551,11 +551,9 @@ class SoaSamplerEngine:
     def load_rows_state(self, rows: np.ndarray | slice,
                         state: dict[str, Any]) -> None:
         """Load :meth:`rows_state` columns — arrays, or lists of the same
-        elements — into ``rows``, one scatter per column."""
-        err = np.asarray(state["error_allowance"], dtype=np.float64)
-        if not ((err >= 0.0) & (err <= 1.0)).all():
-            raise ConfigurationError(
-                "error allowance must be in [0, 1] on every row")
+        elements — into ``rows``, one scatter per column. The columns
+        are taken as they are: a snapshot's have passed the snapshot
+        validator (``repro.service._check_snapshot``), ranges included."""
         for key, (column, _) in SAMPLER_STATE.items():
             getattr(self, column)[rows] = state[key]
 

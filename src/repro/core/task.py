@@ -14,7 +14,7 @@ violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Any, Sequence
 
@@ -82,16 +82,12 @@ def spec_columns(tasks: Sequence[TaskSpec]) -> dict[str, list[Any]]:
     """``tasks`` as one list per :class:`TaskSpec` field, ``direction``
     spelled by value: a snapshot's ``spec`` group, which is what
     :meth:`~repro.core.soa.SoaSamplerEngine.add_tasks` reads."""
-    def read(field: str) -> list[Any]:
-        return list(map(attrgetter(field), tasks))
-    return {"threshold": read("threshold"),
-            "error_allowance": read("error_allowance"),
-            "default_interval": read("default_interval"),
-            "max_interval": read("max_interval"),
-            # An enum member's ``_value_`` is a plain attribute;
-            # ``.value`` is a property, the costliest read of the lot.
-            "direction": read("direction._value_"),
-            "name": read("name")}
+    paths = {spec.name: spec.name for spec in fields(TaskSpec)}
+    # An enum member's ``_value_`` is a plain attribute; ``.value`` is a
+    # property, the costliest read of the lot.
+    paths["direction"] = "direction._value_"
+    return {key: list(map(attrgetter(path), tasks))
+            for key, path in paths.items()}
 
 
 @dataclass(frozen=True, slots=True)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from math import isfinite
 from itertools import chain
 from operator import index
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,6 +75,396 @@ state are columns too, and the only version
 :meth:`MonitoringService.restore` reads (DESIGN.md S31 "one reader").
 Not the checkpoint *file* format's
 (:data:`repro.runtime.checkpoint.CHECKPOINT_VERSION`)."""
+
+
+# -- the snapshot document (DESIGN.md S31 "snapshots are columns") ------
+#
+# A :meth:`MonitoringService.snapshot` document is columns.
+# What every task has is one column per key, aligned with ``names``
+# (registration order), grouped by where it lives: ``spec`` (the TaskSpec
+# fields), ``sampler`` (``core.soa.SAMPLER_STATE``) and ``task`` (schedule,
+# window, guard level, alert count). ``alerts`` are three flat columns in
+# ``names`` order, each task's oldest first, cut by ``task.alerts``. What
+# few tasks have is columns too, under ``sparse``: one group per kind of
+# state, keyed by ``task`` — positions into ``names``, ascending, so a
+# group is in registration order — and left out when it has no member. A
+# group's membership is its kind: a task in ``quantile`` is a quantile
+# task, whose two sketches are sub-groups, ``sealed`` holding only the
+# tasks whose ``has_sealed`` is up. A variable-length field is CSR: a
+# length column, one element per member, and a flat column holding every
+# member's items in turn.
+#
+# The columns an engine holds — ``sampler``, ``task.next_due`` /
+# ``samples_taken`` / ``alerts`` and ``alerts`` — are written as read-only
+# i8 / f8 / b1 arrays, by both services. The registration columns —
+# ``names``, ``spec`` and the rest of ``task`` — are built once per
+# registration change (``MonitoringService._registration``) and written as
+# read-only i8 / f8 arrays when every element is exactly an int or exactly
+# a float, else as lists of the caller's elements (strings, an int among
+# floats). The ``sparse`` columns are read-only arrays. ``restore`` reads
+# either form of any column (a checkpoint hands back arrays, a JSON frame
+# lists).
+#
+# ``_SCHEMA`` states the layout once: ``_check_snapshot`` walks it, and
+# ``snapshot()`` and ``restore`` read their key lists and element types
+# off it.
+_DIRECTIONS = {d.value: d for d in ThresholdDirection}
+_WINDOW_KINDS = {k.value: k for k in AggregateKind}
+
+
+class _Column(NamedTuple):
+    """One column of the table: its element types ``kinds`` (an array's
+    dtype is the first one's, ``core.soa._DTYPES``); a range
+    rule — ``within(values, group, document)``, a mask true where an
+    element of the column (an array, a string column's list) is inside,
+    or True when all are, and ``what`` a refusal says an element outside
+    is not; for a flat CSR column, the length column ``cut`` that cuts
+    it (declared before it); ``wide`` if a list's ints may pass 64
+    bits."""
+
+    kinds: tuple[type, ...]
+    within: Callable[[Any, Any, Mapping[str, Any]], Any] | None = None
+    what: str = ""
+    cut: str | None = None
+    wide: bool = False
+
+
+class _Group(NamedTuple):
+    """A map of columns, and of sub-groups after them, each column one
+    element per member: per task — whom a range refusal names — unless
+    ``members(where, group, outer, document)`` counts them (``outer``
+    the map the group sits in), checking what they rest on. An
+    ``optional`` group holds groups only, each present only when it has
+    a member."""
+
+    columns: dict[str, Any]
+    members: Callable[[str, Any, Any, Mapping[str, Any]], int] | None = None
+    optional: bool = False
+
+
+# The columns that are their element types and nothing more.
+_NUMBER, _INT, _STR = _Column((float, int)), _Column((int,)), _Column((str,))
+_FLOAT, _BOOL = _Column((float,)), _Column((bool,))
+
+
+def _fail(what: str) -> None:
+    raise ConfigurationError(f"malformed snapshot: {what}")
+
+
+def _check_keys(where: str, have: Any, want: Iterable[str],
+                optional: bool = False) -> None:
+    if not isinstance(have, dict):
+        _fail(f"{where} is not a map")
+    strays = set(have) - set(want) if optional else set(have) ^ set(want)
+    if strays:
+        _fail(f"{where} has {'' if optional else 'missing or '}unknown "
+              f"keys {sorted(strays, key=repr)}")
+
+
+def _check_column(where: str, column: Any, kinds: tuple[type, ...],
+                  length: int | None, wide: bool = False) -> Any:
+    """A list of ``kinds`` elements (ints within 64 bits unless
+    ``wide``), or a 1-D array of the dtype of one — whose elements need
+    no scan — ``length`` long unless that is ``None``. Returns the
+    column, an int list as the ``i8`` array its check made."""
+    array = isinstance(column, np.ndarray)
+    if not (array and column.ndim == 1 or isinstance(column, list)) \
+            or length not in (None, len(column)):
+        _fail(f"column {where} is not a list or a 1-D array"
+              + ("" if length is None else f" of {length} elements"))
+    if array and column.dtype not in [_DTYPES[kind] for kind in kinds
+                                      if kind in _DTYPES]:
+        _fail(f"column {where} holds {column.dtype} elements, not "
+              + " or ".join(kind.__name__ for kind in kinds))
+    if not array and not set(map(type, column)) <= set(kinds):
+        _fail(f"column {where} holds an element that is not "
+              + " or ".join(kind.__name__ for kind in kinds))
+    if not array and kinds == _INT.kinds and not wide:
+        try:
+            return np.asarray(column, dtype=np.int64)
+        except OverflowError:
+            _fail(f"column {where} holds an integer beyond 64 bits")
+    return column
+
+
+def _check_range(where: str, column: Any, inside: Any, what: str,
+                 owners: Sequence[str] | None = None) -> None:
+    """Refuse the first element of ``column`` that ``inside`` leaves
+    out, naming its task from ``owners``."""
+    outside = () if inside is True else np.flatnonzero(~np.asarray(inside))
+    if len(outside):
+        at = outside.item(0)
+        owner = "" if owners is None else f" (task {owners[at]!r})"
+        _fail(f"column {where} holds {_listed(column)[at]!r}{owner}, "
+              f"not {what}")
+
+
+def _among(legal: Mapping[str, Any]) -> _Column:
+    """A string column of ``legal``'s keys: one set difference of the
+    list, and a mask only when it holds a stray."""
+    def within(column: list[str], group: Any, document: Any) -> Any:
+        strays = set(column) - legal.keys()
+        return not strays or [value not in strays for value in column]
+    return _STR._replace(within=within, what=f"one of {sorted(legal)}")
+
+
+def _positions(where: str, group: Any, outer: Any,
+               document: Mapping[str, Any]) -> int:
+    """One per position of the group's ``task`` column, which must point
+    into ``names`` and ascend strictly (registration order)."""
+    at = _check_column(f"{where}.task", group["task"], _INT.kinds, None)
+    _check_range(f"{where}.task", at, (at >= 0) & (at < len(
+        document["names"])), "a position in names")
+    if (np.diff(at) <= 0).any():
+        _fail(f"column {where}.task is not ascending: a task repeated "
+              f"or out of registration order")
+    return len(at)
+
+
+_COUNT = _INT._replace(within=lambda values, group, document: values >= 0,
+                       what="a count (>= 0)")
+_STEPS = _INT._replace(within=lambda values, group, document: values >= 1,
+                       what=">= 1")
+# A quantile task's sketch: count, sum, the zero bucket, the extremes
+# (written as zero for an empty one), and the buckets as CSR.
+_SKETCH_COLUMNS = {
+    "count": _COUNT, "total": _FLOAT, "zero_count": _COUNT, "min": _FLOAT,
+    "max": _FLOAT, "min_value": _FLOAT, "relative_error": _FLOAT,
+    "pos_length": _INT, "pos_key": _INT._replace(cut="pos_length"),
+    "pos_count": _COUNT._replace(cut="pos_length"), "neg_length": _INT,
+    "neg_key": _INT._replace(cut="neg_length"),
+    "neg_count": _COUNT._replace(cut="neg_length")}
+
+_SCHEMA: dict[str, _Group] = {
+    "spec": _Group({
+        "threshold": _NUMBER, "error_allowance": _NUMBER,
+        "default_interval": _NUMBER, "max_interval": _INT,
+        "direction": _among(_DIRECTIONS), "name": _STR}),
+    # Every int column counts something, but the interval and the last
+    # sample's step; ``var`` is clamped where it is read, so any value is
+    # one.
+    "sampler": _Group({
+        **{key: _COUNT if kind is int else _NUMBER if kind is float
+           else _BOOL for key, (_, kind) in SAMPLER_STATE.items()},
+        "interval": _INT._replace(within=lambda values, group, document: (
+            values >= 1) & (values <= np.asarray(document["spec"][
+                "max_interval"])), what="within 1..spec.max_interval"),
+        "last_time": _INT,
+        "error_allowance": _NUMBER._replace(
+            within=lambda values, group, document: (values >= 0.0)
+            & (values <= 1.0), what="in [0, 1]")}),
+    "task": _Group({
+        "adaptation": _INT._replace(within=lambda values, group, document: (
+            values >= 0) & (values < len(document["adaptations"])),
+            what="an index into adaptations"),
+        "window": _STEPS, "window_kind": _among(_WINDOW_KINDS),
+        "window_sum": _NUMBER, "next_due": _INT, "samples_taken": _COUNT,
+        "alerts": _COUNT, "trigger_level": _NUMBER,
+        "suspend_interval": _STEPS}),
+    # Each task's history in turn, as many as its task.alerts.
+    "alerts": _Group({"step": _INT, "value": _NUMBER, "threshold": _NUMBER},
+                     lambda where, group, outer, document: int(np.sum(
+                         document["task"]["alerts"]))),
+    "sparse": _Group({
+        "quantile": _Group({
+            "task": _INT, "value_threshold": _FLOAT, "quantile": _FLOAT,
+            "window": _INT, "relative_error": _FLOAT,
+            # An epoch seals as it fills (QuantileEstimator.update).
+            "in_epoch": _INT._replace(within=lambda values, group, document: (
+                values >= 0) & (values < np.asarray(group["window"])),
+                what="in [0, sparse.quantile.window)"),
+            "has_sealed": _BOOL,
+            "current": _Group(_SKETCH_COLUMNS, lambda where, group, outer,
+                              document: len(outer["task"])),
+            "sealed": _Group(_SKETCH_COLUMNS, lambda where, group, outer,
+                             document: int(np.sum(outer["has_sealed"])))},
+            _positions),
+        "entropy": _Group({
+            "task": _INT, "value_threshold": _FLOAT, "window": _INT,
+            "bin_width": _FLOAT,
+            # The ring drops a symbol per append past its window.
+            "length": _INT._replace(within=lambda values, group, document:
+                                    values <= np.asarray(group["window"]),
+                                    what="in [0, sparse.entropy.window]"),
+            # A symbol may be any int (an extreme value's, over a fine
+            # bin); a list of such stays JSON.
+            "symbols": _INT._replace(cut="length", wide=True)}, _positions),
+        "guard": _Group({"task": _INT, "remote_trigger": _STR,
+                         "armed": _BOOL, "suspensions": _COUNT}, _positions),
+        # TriggerWatcher.state_dict's five; an absent last transition is
+        # its flag down and the step written as zero.
+        "watch": _Group({
+            "task": _INT, "level": _FLOAT, "hysteresis": _FLOAT,
+            "min_hold": _INT, "armed": _BOOL, "last_transition": _INT,
+            "transitioned": _BOOL}, _positions),
+        # A buffer's length has no bound but its CSR sum: a due offer the
+        # sampler then refuses (a repeated step after a guard's reset to
+        # full rate) still enters it, so a service's own buffer can hold
+        # more entries than its window has steps.
+        "window_values": _Group({
+            "task": _INT, "length": _INT,
+            "step": _INT._replace(cut="length"),
+            "value": _FLOAT._replace(cut="length")}, _positions),
+    }, optional=True),
+}
+
+
+def _walk(where: str, group: Any, schema: _Group, outer: Any,
+          document: Mapping[str, Any]) -> None:
+    """One group's checks, each in the order the next relies on: its key
+    set; its members; each column's shape — a list of its element types
+    or a 1-D array of their dtype, one element per member, a flat CSR
+    column as many as its lengths (each >= 0) sum to; then each range
+    rule, and each sub-group present, the same way."""
+    _check_keys(f"group {where!r}", group, schema.columns, schema.optional)
+    owners = document["names"] if schema.members is None else None
+    members = len(document["names"]) if owners is not None else \
+        schema.members(where, group, outer, document)
+    checked: dict[str, Any] = {}  # each column as its check left it
+    for key, entry in schema.columns.items():
+        if type(entry) is _Column and entry.cut is None:
+            checked[key] = _check_column(f"{where}.{key}", group[key],
+                                         entry.kinds, members)
+        elif type(entry) is _Column:
+            by, column = f"{where}.{entry.cut}", group[key]
+            lengths = checked[entry.cut]
+            _check_range(by, lengths, lengths >= 0, "a length (>= 0)")
+            total = int(lengths.sum())
+            if isinstance(column, (list, np.ndarray)) \
+                    and len(column) != total:
+                _fail(f"column {where}.{key} holds {len(column)} "
+                      f"elements, but {by} sums to {total}")
+            checked[key] = _check_column(f"{where}.{key}", column,
+                                         entry.kinds, total, entry.wide)
+    for key, entry in schema.columns.items():
+        if type(entry) is _Group and key in group:
+            _walk(f"{where}.{key}", group[key], entry, group, document)
+        elif type(entry) is _Column and entry.within is not None:
+            column = checked[key]
+            _check_range(f"{where}.{key}", column, entry.within(
+                column if entry.kinds == _STR.kinds else np.asarray(column),
+                group, document), entry.what, owners)
+
+
+def _check_snapshot(snapshot: Any) -> None:
+    """Refuse a document that is not a version-4 snapshot — not a map,
+    another stamp, a wrong key set, a ragged or mistyped column, a value
+    outside its range, positions or names that point nowhere — with a
+    :class:`ConfigurationError` naming the culprit, before a service
+    exists. The table's walk makes every per-column check; what spans
+    groups is checked here."""
+    if not isinstance(snapshot, dict):
+        _fail("the document is not a map")
+    version = snapshot.get("version")
+    if type(version) is not int or version != SNAPSHOT_VERSION:
+        raise ConfigurationError(
+            f"unsupported snapshot version {version!r}; this build "
+            f"reads version {SNAPSHOT_VERSION} only")
+    _check_keys("the document", snapshot,
+                {"version", "adaptation", "adaptations", "names", *_SCHEMA})
+    names = snapshot["names"]
+    _check_column("names", names, _STR.kinds, None)
+    if len(set(names)) != len(names):
+        _fail("names holds a task twice")
+    if not isinstance(snapshot["adaptations"], list):
+        _fail("adaptations is not a list")
+    for group, schema in _SCHEMA.items():
+        _walk(group, snapshot[group], schema, snapshot, snapshot)
+    quantile, entropy, buffered = (_listed(snapshot["sparse"].get(
+        kind, {"task": []})["task"]) for kind in (
+            "quantile", "entropy", "window_values"))
+    both = np.intersect1d(quantile, entropy)
+    if len(both):
+        _fail(f"task {names[int(both.item(0))]!r} is in both "
+              f"sparse.quantile and sparse.entropy")
+    # Only a windowed task has a buffer (TaskState.aggregate).
+    _check_range("sparse.window_values.task", buffered, np.asarray(
+        snapshot["task"]["window"])[buffered] > 1,
+        "a windowed task's position (task.window > 1)",
+        [names[at] for at in buffered])
+
+
+def _ordered(group: Mapping[str, Any], schema: _Group) -> list[Any]:
+    """A checked group's columns in the table's order — a document's own
+    key order is its writer's."""
+    return [group[key] for key in schema.columns]
+
+
+def _no_members(schema: _Group) -> dict[str, Any]:
+    """A group with no member — of ``sparse``, every group with none:
+    what ``restore`` reads for a group a document leaves out."""
+    return {key: _no_members(entry) if type(entry) is _Group else []
+            for key, entry in schema.columns.items()}
+
+
+def _typed(values: list[Any], column: _Column) -> Any:
+    """Python values as a table column: a read-only array of its first
+    element type's dtype, strings a list."""
+    kinds = column.kinds
+    return values if kinds == _STR.kinds else _array(values, kinds[0])
+
+
+def snapshot_task_names(snapshot: Mapping[str, Any]) -> list[str]:
+    """The tasks a :meth:`MonitoringService.snapshot` document carries,
+    in registration order (none for ``{}``, a shard entry with no
+    snapshot), so nobody outside this module indexes a snapshot's
+    insides."""
+    return list(snapshot.get("names", ()))
+
+
+def _distinct(configs: Sequence[AdaptationConfig],
+              ) -> tuple[list[AdaptationConfig], np.ndarray]:
+    """The distinct ``configs`` in first-use order, and each one's index
+    among them — a snapshot's ``adaptations`` and ``task.adaptation``.
+    Each config *object* is hashed once: most tasks share the service's
+    default, and a frozen dataclass hashes every field per call."""
+    ids = list(map(id, configs))
+    seen: dict[AdaptationConfig, int] = {}
+    at = {key: seen.setdefault(config, len(seen))  # first-use order
+          for key, config in dict(zip(ids, configs)).items()}
+    return list(seen), np.array(list(map(at.__getitem__, ids)), np.int64)
+
+
+def _column(values: list[Any]) -> Any:
+    """A registration column as the checkpoint writer packs it: a
+    read-only ``f8`` / ``i8`` array when every element is exactly a
+    ``float`` / exactly an ``int`` within 64 bits, else ``values``
+    itself — strings, or an int among floats, which the writer keeps as
+    JSON. One exact-type scan per column per registration change."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and (kind := kinds.pop()) in (float, int):
+        try:
+            return _read_only(np.array(values, _DTYPES[kind]))
+        except OverflowError:  # an int wider than 64 bits
+            pass
+    return values
+
+
+def _handed(column: Any) -> Any:
+    """A kept registration column as one snapshot gets it: a read-only
+    view of an array (which nobody can make writeable), a copy of a
+    list — so the document is a value whatever its holder does to it."""
+    if isinstance(column, np.ndarray):
+        return column.view()
+    return list(column)
+
+
+def _overlaid(column: Any, positions: np.ndarray,
+              values: list[Any]) -> Any:
+    """A kept registration column as one snapshot gets it, with the
+    fresh ``values`` at ``positions``: an ``f8`` array while the column
+    is one and every value is exactly a float, else a list."""
+    if not values:
+        return _handed(column)
+    if (isinstance(column, np.ndarray) and column.dtype == _DTYPES[float]
+            and set(map(type, values)) == {float}):
+        column = column.copy()
+        column[positions] = values
+        return _read_only(column)
+    column = list(_listed(column))  # an int among them stays JSON
+    for at, value in zip(positions.tolist(), values):
+        column[at] = value
+    return column
 
 
 @dataclass(slots=True)
@@ -228,312 +618,6 @@ class TaskState:
                      threshold=self.task.threshold)
 
 
-# -- the snapshot document (DESIGN.md S31 "snapshots are columns") ------
-#
-# What every task has is one column per key, aligned with ``names``
-# (registration order), grouped by where it lives: ``spec`` (the
-# TaskSpec fields), ``sampler`` (core.soa.SAMPLER_STATE) and ``task``
-# (schedule, window, guard level, alert count). ``alerts`` are three
-# flat columns in ``names`` order, each task's oldest first, cut by
-# ``task.alerts``. What few tasks have is columns too, under ``sparse``
-# (_SPARSE below). The columns an engine
-# holds — ``sampler``, ``task.next_due`` / ``samples_taken`` /
-# ``alerts`` and ``alerts`` — are written as read-only i8 / f8 / b1
-# arrays, by both services. The registration columns — ``names``,
-# ``spec`` and the rest of ``task`` — are built once per registration
-# change (MonitoringService._registration) and written as read-only i8 /
-# f8 arrays when every element is exactly an int or exactly a float,
-# else as lists of the caller's elements (strings, an int among floats).
-# ``restore`` reads either form of any column (a checkpoint hands back
-# arrays, a JSON frame lists). key -> element types, an array's dtype the
-# element type's (core.soa._DTYPES):
-_NUMBER, _INT, _STR = (float, int), (int,), (str,)
-_FLOAT, _BOOL = (float,), (bool,)
-_GROUPS: dict[str, dict[str, tuple[type, ...]]] = {
-    "spec": {"threshold": _NUMBER, "error_allowance": _NUMBER,
-             "default_interval": _NUMBER, "max_interval": _INT,
-             "direction": _STR, "name": _STR},
-    "sampler": {key: _NUMBER if kind is float else (kind,)
-                for key, (_, kind) in SAMPLER_STATE.items()},
-    "task": {"adaptation": _INT, "window": _INT, "window_kind": _STR,
-             "window_sum": _NUMBER, "next_due": _INT, "samples_taken": _INT,
-             "alerts": _INT, "trigger_level": _NUMBER,
-             "suspend_interval": _INT},
-    "alerts": {"step": _INT, "value": _NUMBER, "threshold": _NUMBER},
-}
-# The sampler columns that count something (_check_snapshot's ranges):
-# every int column but the interval and the last-sample step.
-_SAMPLER_COUNTS = ("streak", "observations", "grow_events", "reset_events",
-                   "coord_n", "n", "stale_count", "restarts", "total_count")
-# What few tasks have: one group of columns per kind of state, each
-# keyed by ``task`` — positions into ``names``, ascending, so a group is
-# in registration order — and written as read-only arrays (the wire's
-# lists on the way back); a group with no member is left out. A group's
-# membership is its kind: a task in ``quantile`` is a quantile task. A
-# quantile task's two sketches are
-# sub-groups, ``sealed`` holding only the tasks whose ``has_sealed`` is
-# up; a variable-length field is CSR (_CSR: flat column -> its length
-# column, one element per task or sketch, the flat one their sum).
-_SKETCH = {"count": _INT, "total": _FLOAT, "zero_count": _INT,
-           "min": _FLOAT, "max": _FLOAT, "min_value": _FLOAT,
-           "relative_error": _FLOAT, "pos_length": _INT, "pos_key": _INT,
-           "pos_count": _INT, "neg_length": _INT, "neg_key": _INT,
-           "neg_count": _INT}
-_SPARSE: dict[str, dict[str, Any]] = {
-    "quantile": {"task": _INT, "value_threshold": _FLOAT,
-                 "quantile": _FLOAT, "window": _INT,
-                 "relative_error": _FLOAT, "in_epoch": _INT,
-                 "has_sealed": _BOOL, "current": _SKETCH,
-                 "sealed": _SKETCH},
-    "entropy": {"task": _INT, "value_threshold": _FLOAT, "window": _INT,
-                "bin_width": _FLOAT, "length": _INT, "symbols": _INT},
-    "guard": {"task": _INT, "remote_trigger": _STR, "armed": _BOOL,
-              "suspensions": _INT},
-    # TriggerWatcher.state_dict's five; an absent last transition is its
-    # flag down and the step written as zero.
-    "watch": {"task": _INT, "level": _FLOAT, "hysteresis": _FLOAT,
-              "min_hold": _INT, "armed": _BOOL, "last_transition": _INT,
-              "transitioned": _BOOL},
-    "window_values": {"task": _INT, "length": _INT, "step": _INT,
-                      "value": _FLOAT},
-}
-_CSR = {"pos_key": "pos_length", "pos_count": "pos_length",
-        "neg_key": "neg_length", "neg_count": "neg_length",
-        "symbols": "length", "step": "length", "value": "length"}
-# The counts among them (_check_snapshot's ranges).
-_SPARSE_COUNTS = ("in_epoch", "count", "zero_count", "pos_count",
-                  "neg_count", "suspensions")
-# What restore reads for a group a document leaves out: no member.
-_NO_MEMBERS = {kind: {key: {part: [] for part in kinds}
-                      if isinstance(kinds, dict) else []
-                      for key, kinds in schema.items()}
-               for kind, schema in _SPARSE.items()}
-_SNAPSHOT_KEYS = {"version", "adaptation", "adaptations", "names",
-                  *_GROUPS, "sparse"}
-_DIRECTIONS = {d.value: d for d in ThresholdDirection}
-_WINDOW_KINDS = {k.value: k for k in AggregateKind}
-
-
-def snapshot_task_names(snapshot: Mapping[str, Any]) -> list[str]:
-    """The tasks a :meth:`MonitoringService.snapshot` document carries,
-    in registration order (none for ``{}``, a shard entry with no
-    snapshot), so nobody outside this module indexes a snapshot's
-    insides."""
-    return list(snapshot.get("names", ()))
-
-
-def _distinct(configs: Sequence[AdaptationConfig],
-              ) -> tuple[list[AdaptationConfig], np.ndarray]:
-    """The distinct ``configs`` in first-use order, and each one's index
-    among them — a snapshot's ``adaptations`` and ``task.adaptation``.
-    Each config *object* is hashed once: most tasks share the service's
-    default, and a frozen dataclass hashes every field per call."""
-    ids = list(map(id, configs))
-    seen: dict[AdaptationConfig, int] = {}
-    at = {key: seen.setdefault(config, len(seen))  # first-use order
-          for key, config in dict(zip(ids, configs)).items()}
-    return list(seen), np.array(list(map(at.__getitem__, ids)), np.int64)
-
-
-def _column(values: list[Any]) -> Any:
-    """A registration column as the checkpoint writer packs it: a
-    read-only ``f8`` / ``i8`` array when every element is exactly a
-    ``float`` / exactly an ``int`` within 64 bits, else ``values``
-    itself — strings, or an int among floats, which the writer keeps as
-    JSON. One exact-type scan per column per registration change."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1 and (kind := kinds.pop()) in (float, int):
-        try:
-            return _read_only(np.array(values, _DTYPES[kind]))
-        except OverflowError:  # an int wider than 64 bits
-            pass
-    return values
-
-
-def _handed(column: Any) -> Any:
-    """A kept registration column as one snapshot gets it: a read-only
-    view of an array (which nobody can make writeable), a copy of a
-    list — so the document is a value whatever its holder does to it."""
-    if isinstance(column, np.ndarray):
-        return column.view()
-    return list(column)
-
-
-def _overlaid(column: Any, positions: np.ndarray,
-              values: list[Any]) -> Any:
-    """A kept registration column as one snapshot gets it, with the
-    fresh ``values`` at ``positions``: an ``f8`` array while the column
-    is one and every value is exactly a float, else a list."""
-    if not values:
-        return _handed(column)
-    if (isinstance(column, np.ndarray) and column.dtype == _DTYPES[float]
-            and set(map(type, values)) == {float}):
-        column = column.copy()
-        column[positions] = values
-        return _read_only(column)
-    column = list(_listed(column))  # an int among them stays JSON
-    for at, value in zip(positions.tolist(), values):
-        column[at] = value
-    return column
-
-
-def _check_snapshot(snapshot: Mapping[str, Any]) -> None:
-    """Refuse a version-4 document that is not one — a wrong key set, a
-    ragged or mistyped column, counts, indices or names that point
-    nowhere — with a :class:`ConfigurationError` naming the culprit,
-    before a service exists."""
-    def fail(what: str) -> None:
-        raise ConfigurationError(f"malformed snapshot: {what}")
-
-    def check_keys(where: str, have: Any, want: Iterable[str]) -> None:
-        if not isinstance(have, dict):
-            fail(f"{where} is not a map")
-        if set(have) != set(want):
-            fail(f"{where} has missing or unknown keys "
-                 f"{sorted(set(have) ^ set(want), key=repr)}")
-
-    def check(where: str, column: Any, kinds: tuple[type, ...],
-              length: int | None, wide: bool = False) -> None:
-        array = isinstance(column, np.ndarray)
-        if not (array and column.ndim == 1 or isinstance(column, list)) \
-                or length not in (None, len(column)):
-            fail(f"column {where} is not a list or a 1-D array"
-                 + ("" if length is None else f" of {length} elements"))
-        if array:  # the dtype is the element type: nothing to scan
-            if column.dtype not in [_DTYPES[kind] for kind in kinds
-                                    if kind in _DTYPES]:
-                fail(f"column {where} holds {column.dtype} elements, not "
-                     + " or ".join(kind.__name__ for kind in kinds))
-            return
-        if not set(map(type, column)) <= set(kinds):
-            fail(f"column {where} holds an element that is not "
-                 + " or ".join(kind.__name__ for kind in kinds))
-        if kinds == _INT and not wide:
-            try:
-                np.asarray(column, dtype=np.int64)
-            except OverflowError:
-                fail(f"column {where} holds an integer beyond 64 bits")
-
-    check_keys("the document", snapshot, _SNAPSHOT_KEYS)
-    names = snapshot["names"]
-    check("names", names, _STR, None)
-    known = set(names)
-    if len(known) != len(names):
-        fail("names holds a task twice")
-    for group, kinds in _GROUPS.items():
-        check_keys(f"group {group!r}", snapshot[group], kinds)
-    task = snapshot["task"]
-    check("task.alerts", task["alerts"], _INT, len(names))
-    logged = _listed(task["alerts"])
-    if min(logged, default=0) < 0:
-        fail("column task.alerts holds a negative count")
-    for group, kinds in _GROUPS.items():
-        # One element per task; per alert (task.alerts in all) in alerts.
-        length = sum(logged) if group == "alerts" else len(names)
-        for key, kind in kinds.items():
-            check(f"{group}.{key}", snapshot[group][key], kind, length)
-    configs = snapshot["adaptations"]
-    if not isinstance(configs, list) or not set(
-            _listed(task["adaptation"])) <= set(range(len(configs))):
-        fail("column task.adaptation indexes outside adaptations")
-    for where, column, legal in (
-            ("spec.direction", snapshot["spec"]["direction"], _DIRECTIONS),
-            ("task.window_kind", task["window_kind"], _WINDOW_KINDS)):
-        strays = set(column) - set(legal)
-        if strays:
-            fail(f"column {where} holds {min(strays, key=repr)!r}")
-    # Ranges: what registration and the sampler never leave a task
-    # outside, vectorised — one comparison per column, none per task.
-    # ``var`` is clamped where it is read, so any value is one.
-    def check_range(where: str, column: Any,
-                    within: Callable[[np.ndarray], np.ndarray],
-                    what: str, owners: list[str] | None = names) -> None:
-        outside = np.flatnonzero(~within(np.asarray(column)))
-        if len(outside):
-            at = outside.item(0)
-            owner = "" if owners is None else f" (task {owners[at]!r})"
-            fail(f"column {where} holds {_listed(column)[at]!r}{owner}, "
-                 f"not {what}")
-
-    sampler = snapshot["sampler"]
-    max_interval = np.asarray(snapshot["spec"]["max_interval"], np.int64)
-    check_range("sampler.interval", sampler["interval"],
-                lambda interval: (interval >= 1) & (interval <= max_interval),
-                "within 1..spec.max_interval")
-    check_range("sampler.error_allowance", sampler["error_allowance"],
-                lambda err: (err >= 0.0) & (err <= 1.0), "in [0, 1]")
-    for key in _SAMPLER_COUNTS:
-        check_range(f"sampler.{key}", sampler[key],
-                    lambda count: count >= 0, "a count (>= 0)")
-    check_range("task.samples_taken", task["samples_taken"],
-                lambda count: count >= 0, "a count (>= 0)")
-    for key in ("window", "suspend_interval"):
-        check_range(f"task.{key}", task[key], lambda steps: steps >= 1,
-                    ">= 1")
-    # The sparse groups: a task column of ascending positions into
-    # names, a column per field of one element per task (or sketch),
-    # flat columns as long as their lengths add up to, counts.
-    def check_group(where: str, group: dict[str, Any],
-                    schema: dict[str, Any], length: int) -> None:
-        for key, kinds in schema.items():
-            if type(kinds) is tuple and key not in _CSR:
-                check(f"{where}.{key}", group[key], kinds, length)
-        for key, by in _CSR.items():
-            if key not in schema:
-                continue
-            check_range(f"{where}.{by}", group[by], lambda n: n >= 0,
-                        "a length (>= 0)", None)
-            total, column = int(np.sum(group[by])), group[key]
-            if isinstance(column, (list, np.ndarray)) \
-                    and len(column) != total:
-                fail(f"column {where}.{key} holds {len(column)} elements, "
-                     f"but {where}.{by} sums to {total}")
-            # A symbol may be any int (an extreme value's, over a fine
-            # bin); a list of such stays JSON.
-            check(f"{where}.{key}", column, schema[key], total,
-                  wide=key == "symbols")
-        for key in _SPARSE_COUNTS:
-            if key in schema:
-                check_range(f"{where}.{key}", group[key],
-                            lambda count: count >= 0, "a count (>= 0)", None)
-
-    sparse = snapshot["sparse"]
-    if not isinstance(sparse, dict):
-        fail("group 'sparse' is not a map")
-    if not set(sparse) <= set(_SPARSE):
-        fail(f"group 'sparse' has unknown keys "
-             f"{sorted(set(sparse) - set(_SPARSE), key=repr)}")
-    positions = {kind: np.empty(0, np.int64) for kind in _SPARSE}
-    for kind, group in sparse.items():
-        where, schema = f"sparse.{kind}", _SPARSE[kind]
-        check_keys(f"group {where!r}", group, schema)
-        check(f"{where}.task", group["task"], _INT, None)
-        positions[kind] = at = np.asarray(group["task"], np.int64)
-        check_range(f"{where}.task", at,
-                    lambda at: (at >= 0) & (at < len(names)),
-                    "a position in names", None)
-        if (np.diff(at) <= 0).any():
-            fail(f"column {where}.task is not ascending: a task repeated "
-                 f"or out of registration order")
-        check_group(where, group, schema, len(at))
-        if kind == "quantile":
-            for part, length in (
-                    ("current", len(at)),
-                    ("sealed", int(np.count_nonzero(group["has_sealed"])))):
-                check_keys(f"group '{where}.{part}'", group[part], _SKETCH)
-                check_group(f"{where}.{part}", group[part], _SKETCH, length)
-    both = np.intersect1d(positions["quantile"], positions["entropy"])
-    if len(both):
-        fail(f"task {names[both.item(0)]!r} is in both sparse.quantile "
-             f"and sparse.entropy")
-    # Only a windowed task has a buffer (TaskState.aggregate).
-    buffered = positions["window_values"]
-    check_range("sparse.window_values.task", buffered,
-                lambda at: np.asarray(task["window"])[at] > 1,
-                "a windowed task's position (task.window > 1)",
-                [names[at] for at in buffered.tolist()])
-
-
 class _RowHooks:
     """What :meth:`SoaSamplerEngine.run_columns` calls back for marked
     rows: their substrates and window buffers stay on the
@@ -641,14 +725,15 @@ class _AlertLog:
         """Every entry as a snapshot's ``alerts`` columns: grouped by
         row, rows ascending — registration order, as rows are handed out
         in it and never reused — and each row's oldest first. One stable
-        argsort and one gather per column, into an array of its own.
-        ``rows`` bounds the row ids (the engine's ``len``): under 2**16
-        the sort key is ``uint16``, which numpy radix-sorts, and a
+        argsort and one gather per column, into a read-only array of its
+        own. ``rows`` bounds the row ids (the engine's ``len``): under
+        2**16 the sort key is ``uint16``, which numpy radix-sorts, and a
         stable sort on a key of the same order is the same permutation."""
         key = np.uint16 if rows <= 1 << 16 else np.int64
         order = np.argsort(self.rows.astype(key), kind="stable")
         entries = self._entries[:self.size]
-        return {key: entries[key][order] for key in _GROUPS["alerts"]}
+        return {key: _read_only(entries[key][order])
+                for key in _SCHEMA["alerts"].columns}
 
     def drop_row(self, row: int) -> None:
         """Forget a retired row's entries; the rest keep their order."""
@@ -1605,8 +1690,8 @@ class MonitoringService:
         watchers) and window buffers — everything :meth:`restore` needs to
         resume with identical behaviour. Alert callbacks are not captured.
 
-        The document is columns aligned with ``names`` (module comment
-        above ``_GROUPS``; DESIGN.md S31 "snapshots are columns"): an
+        The document is columns aligned with ``names``
+        (``_SCHEMA``; DESIGN.md S31 "snapshots are columns"): an
         engine service reads each off its rows with one gather, the
         scalar oracle walks its samplers, and both write the identical
         document — so its fingerprint is the same whether the service
@@ -1625,32 +1710,44 @@ class MonitoringService:
         engine = self._soa
         if engine is None:
             states = list(self._tasks.values())
-            i8, f8 = _DTYPES[int], _DTYPES[float]
             sampler = sampler_state_columns(
                 [state.sampler.state_dict() for state in states])
-            next_due = np.array([state.next_due for state in states], i8)
-            samples_taken = np.array(
-                [state.samples_taken for state in states], i8)
-            logged = np.array([len(state.alerts) for state in states], i8)
+            # The task columns a scalar service keeps on its tasks.
+            fresh = {key: _array(_read(states, key), int)
+                     for key in ("next_due", "samples_taken")}
+            fresh["alerts"] = _array(list(map(len, _read(states, "alerts"))),
+                                     int)
             history = [alert for state in states for alert in state.alerts]
-            alerts = {"step": np.array([a.time_index for a in history], i8),
-                      "value": np.array([a.value for a in history], f8),
-                      "threshold": np.array(
-                          [a.threshold for a in history], f8)}
+            alerts = {key: _typed(_read(history, field), entry)
+                      for (key, entry), field in zip(
+                          _SCHEMA["alerts"].columns.items(),
+                          ("time_index", "value", "threshold"))}
         else:
             # A fancy gather: each column an array of its own.
             rows = np.fromiter(self._soa_rows, dtype=np.int64,
                                count=len(self._soa_rows))
             sampler = engine.rows_state(rows)
-            next_due = engine.next_due[rows]
-            samples_taken = engine.samples_taken[rows]
-            logged = engine.alerts[rows]
+            # The engine's columns of the same names.
+            fresh = {key: _read_only(getattr(engine, key)[rows])
+                     for key in ("next_due", "samples_taken", "alerts")}
             alerts = self._alert_log.columns(len(engine))
-        for column in (next_due, samples_taken, logged, *alerts.values()):
-            _read_only(column)
         kept = self._registration()
         held = kept["task"]
-        positions, windowed = kept["windowed"]
+        # A window-1 task's sum never moves (TaskState.aggregate).
+        positions, windowed = kept["sparse"]["window_values"]
+        # The running sum is serialised verbatim (not recomputed from the
+        # buffer on restore) so a restored task's aggregates are
+        # bit-identical to an uninterrupted run's, floating-point
+        # accumulation history included.
+        fresh["window_sum"] = _overlaid(held["window_sum"], positions, [
+            state._window_sum for state in windowed])
+        # A sparse group holds the tasks that have its state: of the
+        # windowed, those whose buffer holds something. A group with no
+        # member is left out, so a plain fleet's is ``{}``.
+        filled = [at for at, state in enumerate(windowed)
+                  if state._window_values]
+        sparse = {**kept["sparse"], "window_values": (
+            _read_only(positions[filled]), [windowed[at] for at in filled])}
         return {
             "version": SNAPSHOT_VERSION,
             "adaptation": self._config.to_dict(),
@@ -1659,84 +1756,58 @@ class MonitoringService:
             "spec": {key: _handed(column)
                      for key, column in kept["spec"].items()},
             "sampler": sampler,
-            "task": {
-                "adaptation": _handed(held["adaptation"]),
-                "window": _handed(held["window"]),
-                "window_kind": _handed(held["window_kind"]),
-                # The running sum is serialised verbatim (not recomputed
-                # from the buffer on restore) so a restored task's
-                # aggregates are bit-identical to an uninterrupted
-                # run's, floating-point accumulation history included.
-                "window_sum": _overlaid(held["window_sum"], positions, [
-                    state._window_sum for state in windowed]),
-                "next_due": next_due,
-                "samples_taken": samples_taken,
-                "alerts": logged,
-                "trigger_level": _handed(held["trigger_level"]),
-                "suspend_interval": _handed(held["suspend_interval"]),
-            },
+            "task": {key: fresh[key] if key in fresh else _handed(held[key])
+                     for key in _SCHEMA["task"].columns},
             "alerts": alerts,
-            "sparse": self._sparse(kept["sparse"]),
+            "sparse": {kind: {"task": _handed(at),
+                              **self._sparse_group(kind, states)}
+                       for kind, (at, states) in sparse.items() if states},
         }
-
-    def _sparse(self, kept: dict[str, tuple[np.ndarray, list[TaskState]]],
-                ) -> dict[str, dict[str, Any]]:
-        """A snapshot's ``sparse`` groups (module comment above
-        ``_SPARSE``), read fresh off each group's kept candidates — one
-        builder for both representations. A group with no member is
-        left out, so a plain fleet's is ``{}``."""
-        # Of the windowed candidates, those whose buffer holds something.
-        positions, windowed = kept["window_values"]
-        filled = [at for at, state in enumerate(windowed)
-                  if state._window_values]
-        kept = {**kept, "window_values": (_read_only(positions[filled]),
-                                          [windowed[at] for at in filled])}
-        return {kind: {"task": _handed(positions),
-                       **self._sparse_group(kind, states)}
-                for kind, (positions, states) in kept.items() if states}
 
     def _sparse_group(self, kind: str, states: list[TaskState],
                       ) -> dict[str, Any]:
-        """The columns of one ``sparse`` group but ``task``, of its
-        members ``states``; a guard's count comes from wherever the
+        """The columns of one ``sparse`` group (``_SCHEMA``) but
+        ``task``, of its members ``states``, read fresh — one
+        builder for both representations — in the table's order: what
+        is read off them typed as the table says, then what their
+        substrates write; a guard's count comes from wherever the
         service keeps it."""
+        schema = _SCHEMA["sparse"].columns[kind].columns
         if kind in ("quantile", "entropy"):
             estimator = (QuantileEstimator if kind == "quantile"
                          else EntropyEstimator)
-            thresholds = _array(_read(states, "value_threshold"), float)
-            return {"value_threshold": thresholds,
-                    **estimator.to_columns(_read(states, "substrate"))}
+            return {"value_threshold": _typed(
+                _read(states, "value_threshold"), schema["value_threshold"]),
+                **estimator.to_columns(_read(states, "substrate"))}
         if kind == "guard":
-            return {"remote_trigger": _read(states, "remote_trigger"),
-                    "armed": _array(_read(states, "trigger_armed"), bool),
-                    "suspensions": _array(list(map(self._suspensions,
-                                                   states)), int)}
-        if kind == "watch":
+            read = {"remote_trigger": _read(states, "remote_trigger"),
+                    "armed": _read(states, "trigger_armed"),
+                    "suspensions": list(map(self._suspensions, states))}
+        elif kind == "watch":
             watches = [state.watch.state_dict() for state in states]
-            last = [watch["last_transition"] for watch in watches]
-            return {**{key: _array([watch[key] for watch in watches], element)
-                       for key, element in (("level", float),
-                                            ("hysteresis", float),
-                                            ("min_hold", int),
-                                            ("armed", bool))},
-                    "last_transition": _array(
-                        [0 if step is None else step for step in last], int),
-                    "transitioned": _array([step is not None
-                                            for step in last], bool)}
-        buffers = _read(states, "_window_values")
-        pairs = list(chain.from_iterable(buffers))
-        return {"length": _array(list(map(len, buffers)), int),
-                "step": _array([step for step, _ in pairs], int),
-                "value": _array([value for _, value in pairs], float)}
+            read = {key: [watch[key] for watch in watches]
+                    for key in watches[0]}
+            last = read["last_transition"]
+            read["last_transition"] = [0 if step is None else step
+                                       for step in last]
+            read["transitioned"] = [step is not None for step in last]
+        else:
+            buffers = _read(states, "_window_values")
+            pairs = list(chain.from_iterable(buffers))
+            read = {"length": list(map(len, buffers)),
+                    "step": [step for step, _ in pairs],
+                    "value": [value for _, value in pairs]}
+        return {key: _typed(read[key], schema[key])
+                for key in schema if key != "task"}
 
     def _registration(self) -> dict[str, Any]:
         """The snapshot's registration columns: what only a control op
         can change — names, specs, configs, window / guard settings, and
-        which tasks each ``sparse`` group can hold or have a moving
-        ``window_sum``. Built on the first snapshot after a change and
-        kept until the next: ``_register``, ``remove_task``,
-        ``add_remote_trigger`` and ``add_trigger_watch`` drop it (a
-        restore builds a fresh service)."""
+        which tasks each ``sparse`` group can hold (a ``window_values``
+        candidate's ``window_sum`` moves too). Built on the first
+        snapshot after a change and kept until the next: ``_register``,
+        ``remove_task``, ``add_remote_trigger`` and ``add_trigger_watch``
+        drop it (a restore builds a fresh service)."""
         kept = self._columns
         if kept is not None:
             return kept
@@ -1754,14 +1825,12 @@ class MonitoringService:
             "trigger_level": _column(_read(states, "trigger_level")),
             # An int by construction: add_remote_trigger's int(), or a
             # restore's checked column.
-            "suspend_interval": _read_only(np.array(
-                _read(states, "suspend_interval"), np.int64)),
+            "suspend_interval": _array(_read(states, "suspend_interval"), int),
         }
-        # A window-1 task's sum never moves (TaskState.aggregate).
-        positions = np.flatnonzero(np.asarray(task["window"]) > 1)
         # Which tasks each sparse group may hold (a window buffer may be
         # empty); a group's positions are handed out as its task column.
-        sparse: dict[str, list[int]] = {kind: [] for kind in _SPARSE}
+        sparse: dict[str, list[int]] = {
+            kind: [] for kind in _SCHEMA["sparse"].columns}
         for at, state in enumerate(states):
             if state.substrate is not None:
                 sparse[state.task_type].append(at)
@@ -1776,10 +1845,7 @@ class MonitoringService:
             "names": list(self._tasks),
             "spec": spec,
             "task": task,
-            "windowed": (positions,
-                         [states[at] for at in positions.tolist()]),
-            "sparse": {kind: (_read_only(np.array(at, np.int64)),
-                              [states[i] for i in at])
+            "sparse": {kind: (_array(at, int), [states[i] for i in at])
                        for kind, at in sparse.items()},
         }
         return kept
@@ -1810,69 +1876,63 @@ class MonitoringService:
         :class:`~repro.exceptions.ConfigurationError` before a service
         exists.
         """
-        version = snapshot.get("version")
-        if type(version) is not int or version != SNAPSHOT_VERSION:
-            raise ConfigurationError(
-                f"unsupported snapshot version {version!r}; this build "
-                f"reads version {SNAPSHOT_VERSION} only")
         _check_snapshot(snapshot)
-        names = snapshot["names"]
-        task = snapshot["task"]
-        configs = [AdaptationConfig.from_dict(entry)
-                   for entry in snapshot["adaptations"]]
-        # What builds a TaskSpec or a TaskState is read as lists. Every
-        # spec is built here, before any service exists: its range
-        # checks are the ones the spec columns get.
+        configs = list(map(AdaptationConfig.from_dict,
+                           snapshot["adaptations"]))
+        # The dense groups, in the table's order. What builds a TaskSpec
+        # or a TaskState is read as lists. Every spec is built here,
+        # before any service exists: its range checks are the ones the
+        # spec columns get.
         spec = snapshot["spec"]
-        threshold, err, default_interval, max_interval, direction, \
-            spec_name = (_listed(spec[key]) for key in _GROUPS["spec"])
-        specs = list(map(TaskSpec, threshold, err, default_interval,
-                         max_interval, map(_DIRECTIONS.__getitem__, direction),
-                         spec_name))
+        *numbers, direction, spec_name = map(_listed, _ordered(
+            spec, _SCHEMA["spec"]))
+        config_at, windows, kinds, window_sums, due, taken, logged, \
+            levels, suspend_intervals = _ordered(snapshot["task"],
+                                                 _SCHEMA["task"])
         states = [TaskState(name=name, task=task_spec,
                             config=configs[config], window=window,
                             window_kind=_WINDOW_KINDS[kind],
                             _window_sum=window_sum, trigger_level=level,
                             suspend_interval=suspend_interval)
                   for (name, task_spec, config, window, kind, window_sum,
-                       level, suspend_interval)
-                  in zip(names, specs, *(_listed(task[key]) for key in (
-                      "adaptation", "window", "window_kind", "window_sum",
-                      "trigger_level", "suspend_interval")))]
+                       level, suspend_interval) in zip(
+                      snapshot["names"], map(TaskSpec, *numbers, map(
+                          _DIRECTIONS.__getitem__, direction), spec_name),
+                      *map(_listed, (config_at, windows, kinds, window_sums,
+                                     levels, suspend_intervals)))]
         # What few tasks have, group by group onto the tasks each names;
         # substrates and watchers refuse their values here, too.
-        sparse = {**_NO_MEMBERS, **snapshot["sparse"]}
-
-        def members(kind: str) -> list[TaskState]:
-            return [states[at] for at in _listed(sparse[kind]["task"])]
+        sparse = _no_members(_SCHEMA["sparse"]) | snapshot["sparse"]
+        members = {kind: [states[at] for at in _listed(group["task"])]
+                   for kind, group in sparse.items()}
         for kind, estimator in (("quantile", QuantileEstimator),
                                 ("entropy", EntropyEstimator)):
             group = sparse[kind]
             for state, value_threshold, substrate in zip(
-                    members(kind), _listed(group["value_threshold"]),
+                    members[kind], _listed(group["value_threshold"]),
                     estimator.from_columns(group)):
                 state.task_type, state.value_threshold = kind, value_threshold
                 state.substrate = substrate
-        guard, watch, windowed = (
-            sparse[kind] for kind in ("guard", "watch", "window_values"))
-        guarded = members("guard")
-        for state, trigger, armed in zip(guarded,
-                                         _listed(guard["remote_trigger"]),
-                                         _listed(guard["armed"])):
-            state.remote_trigger, state.trigger_armed = trigger, armed
-        keys = ("level", "hysteresis", "min_hold", "armed", "last_transition")
-        for state, *fields, transitioned in zip(
-                members("watch"), *(_listed(watch[key]) for key in keys),
-                _listed(watch["transitioned"])):
+        schema = _SCHEMA["sparse"].columns
+        guarded, triggers, armed, suspensions = _ordered(sparse["guard"],
+                                                         schema["guard"])
+        for state, trigger, flag in zip(members["guard"], _listed(triggers),
+                                        _listed(armed)):
+            state.remote_trigger, state.trigger_armed = trigger, flag
+        # A watcher's state_dict, less its transitioned flag.
+        keys = [key for key in schema["watch"].columns if key != "task"]
+        for state, *fields in zip(members["watch"], *(
+                _listed(sparse["watch"][key]) for key in keys)):
             entry = dict(zip(keys, fields))
-            if not transitioned:
+            if not entry.pop("transitioned"):
                 entry["last_transition"] = None
             state.watch = TriggerWatcher.from_state_dict(entry)
-        for state, steps, values in zip(
-                members("window_values"),
-                _split(windowed["length"], windowed["step"]),
-                _split(windowed["length"], windowed["value"])):
-            state._window_values = deque(zip(steps, values))
+        _, lengths, steps, values = _ordered(sparse["window_values"],
+                                             schema["window_values"])
+        for state, buffer_steps, buffer_values in zip(
+                members["window_values"], _split(lengths, steps),
+                _split(lengths, values)):
+            state._window_values = deque(zip(buffer_steps, buffer_values))
         if on_alert is not None:
             for state in states:
                 state.on_alert = partial(on_alert, state.name)
@@ -1881,38 +1941,34 @@ class MonitoringService:
                       soa=soa)
         engine = service._soa
         rows = None if engine is None else engine.add_tasks(
-            spec, configs, task["adaptation"])
+            spec, configs, config_at)
         service._register(states, rows)
-        logged = task["alerts"]
-        alerts = list(map(snapshot["alerts"].get, _GROUPS["alerts"]))
+        alerts = _ordered(snapshot["alerts"], _SCHEMA["alerts"])
         # What columns hold goes straight into the columns; the oracle's
         # samplers and tasks take it as lists.
         if engine is None:
-            history = [Alert(time_index=step, value=float(value),
-                             threshold=float(threshold))
-                       for step, value, threshold
-                       in zip(*map(_listed, alerts))]
+            history = [Alert(step, float(value), float(threshold))
+                       for step, value, threshold in zip(*map(_listed,
+                                                             alerts))]
             sampler = {key: _listed(column)
                        for key, column in snapshot["sampler"].items()}
-            lo = 0
-            for at, (state, count, next_due, samples_taken) in enumerate(zip(
-                    states, _listed(logged), _listed(task["next_due"]),
-                    _listed(task["samples_taken"]))):
+            for at, (state, next_due, samples_taken, held) in enumerate(zip(
+                    states, _listed(due), _listed(taken),
+                    _split(logged, history))):
                 state.sampler.load_state_dict(sampler_state_dict(sampler, at))
                 state.next_due = next_due
                 state.samples_taken = samples_taken
-                state.alerts = history[lo:lo + count]
-                lo += count
-            for state, count in zip(guarded, _listed(guard["suspensions"])):
+                state.alerts = held
+            for state, count in zip(members["guard"], _listed(suspensions)):
                 state.trigger_suspensions = count
         else:
             at = slice(rows.start, rows.stop)
             engine.load_rows_state(at, snapshot["sampler"])
-            engine.next_due[at] = task["next_due"]
-            engine.samples_taken[at] = task["samples_taken"]
+            engine.next_due[at] = due
+            engine.samples_taken[at] = taken
             engine.alerts[at] = logged
             service._alert_log.append(
                 np.repeat(np.arange(rows.start, rows.stop), logged), *alerts)
             engine.suspensions[rows.start + np.asarray(
-                guard["task"], np.int64)] = guard["suspensions"]
+                guarded, np.int64)] = suspensions
         return service

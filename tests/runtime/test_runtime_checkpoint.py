@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import zlib
@@ -877,6 +878,33 @@ class TestServiceSnapshot:
                 state_fingerprint(snapshot))
             assert restored.task_estimate("e") == service.task_estimate("e")
 
+    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
+    def test_a_buffer_longer_than_its_window_that_a_service_wrote_restores(
+            self, soa):
+        """A due offer the sampler then refuses still enters a windowed
+        task's buffer: here a repeated step, due again because each arm
+        edge of its guard resets the target to full rate. So a service
+        writes a buffer longer than its window, and its own document
+        must restore — which is why the snapshot validator holds a
+        buffer's length to nothing but its CSR sum."""
+        service = MonitoringService(soa=soa)
+        service.add_task("src", task(threshold=1e9, err=0.05))
+        service.add_task("tgt", task(threshold=1e9, err=0.05), window=3)
+        service.add_trigger("tgt", "src", elevation_level=50.0)
+        service.offer("src", 10.0, 0)
+        service.offer("tgt", 1.0, 0)
+        for attempt in range(5):
+            service.offer("src", 60.0, 10)
+            with pytest.raises(ValueError, match="time_index must increase"
+                               ) if attempt else contextlib.nullcontext():
+                service.offer("tgt", 2.0 + attempt, 10)
+            service.offer("src", 10.0, 10)
+        snapshot = service.snapshot()
+        assert list(snapshot["sparse"]["window_values"]["length"]) == [5]
+        for onto in (False, True):
+            assert state_fingerprint(MonitoringService.restore(
+                snapshot, soa=onto).snapshot()) == state_fingerprint(snapshot)
+
     def test_window_buffer_survives_restore(self):
         service = MonitoringService()
         service.add_task("w", task(threshold=1e9, err=0.0), window=5,
@@ -978,6 +1006,19 @@ def _negative_bucket_count(s):
 
 def _bucket_key_as_a_float(s):
     s["sparse"]["quantile"]["current"]["pos_key"][0] += 0.5
+
+
+def _an_entropy_ring_longer_than_its_window(s):
+    entropy = s["sparse"]["entropy"]
+    assert entropy["window"] == [8] and entropy["length"] == [6]
+    entropy["length"][0] = 12
+    entropy["symbols"].extend(entropy["symbols"])
+
+
+def _an_epoch_past_its_window(s):
+    quantile = s["sparse"]["quantile"]
+    assert quantile["window"][0] == 4
+    quantile["in_epoch"][0] = 400
 
 
 def _version_1(s):
@@ -1207,6 +1248,12 @@ class TestMalformedSnapshot:
         (_bucket_key_as_a_float,
          r"sparse\.quantile\.current\.pos_key holds an element that is "
          r"not int"),
+        (_an_entropy_ring_longer_than_its_window,
+         r"sparse\.entropy\.length holds 12, not in "
+         r"\[0, sparse\.entropy\.window\]"),
+        (_an_epoch_past_its_window,
+         r"sparse\.quantile\.in_epoch holds 400, not in "
+         r"\[0, sparse\.quantile\.window\)"),
         (_version_1, _versions(1)),
         (_version_2, _versions(2)),
         (_version_3, _versions(3)),
@@ -1300,6 +1347,21 @@ class TestMalformedSnapshot:
         wire = json.loads(json.dumps(self._snapshot(soa=True),
                                      default=np.ndarray.tolist))
         self._refused(wire, damage, culprit, soa, monkeypatch)
+
+    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
+    @pytest.mark.parametrize("document", [[], None, "x"],
+                             ids=["list", "null", "string"])
+    def test_a_document_that_is_not_a_map_is_refused(
+            self, document, soa, monkeypatch):
+        built = []
+        init = MonitoringService.__init__
+        monkeypatch.setattr(
+            MonitoringService, "__init__", lambda self, *args, **kwargs: (
+                built.append(self), init(self, *args, **kwargs))[1])
+        with pytest.raises(ConfigurationError,
+                           match="the document is not a map"):
+            MonitoringService.restore(document, soa=soa)
+        assert not built
 
     @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
     @pytest.mark.parametrize("damage, culprit", ARRAY_CASES, ids=[

@@ -511,6 +511,28 @@ def test_a_warm_snapshot_walks_no_task(monkeypatch, tmp_path):
     assert written[0] == written[1] == written[2]
 
 
+def test_an_unchanged_shard_hands_back_its_document(monkeypatch):
+    """A second snapshot of a 1 024-task typed engine fleet with no op
+    in between is the very document the first built: no engine gather
+    (``rows_state``) and no sparse group read (``_sparse_group``). One
+    ``offer_columns`` in between builds it again, once."""
+    service = _typed_fleet(1024)
+    gathers = _counted(monkeypatch, SoaSamplerEngine, "rows_state")
+    groups = _counted(monkeypatch, MonitoringService, "_sparse_group")
+    first = service.snapshot()
+    assert len(gathers) == 1 and groups
+    gathers.clear()
+    groups.clear()
+    assert service.snapshot() is first
+    assert not gathers and not groups
+    rows = np.arange(1024, dtype=np.int64)
+    service.offer_columns(rows, np.full(1024, 8), np.full(1024, 97.0))
+    again = service.snapshot()
+    assert again is not first and len(gathers) == 1 and groups
+    assert state_fingerprint(again) != state_fingerprint(first)
+    assert service.snapshot() is again and len(gathers) == 1
+
+
 def test_a_local_pair_rides_the_tick(monkeypatch):
     """A 4 x 1024 step-major batch on a service that also holds one
     local ``add_trigger`` pair and one installed plan, with a sink that

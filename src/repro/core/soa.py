@@ -720,8 +720,10 @@ class SoaSamplerEngine:
         for the tick's ``absorbs`` rows, before the due check, and
         ``hooks.monitored(rows, steps, values)`` for its due ``derived``
         rows, whose return (one statistic per row) replaces their values
-        for the rest of the tick — the sampler step, ``viol_values``.
-        Without ``hooks`` every row's monitored scalar is its value.
+        for the rest of the tick — the sampler step, ``viol_values`` —
+        and ``hooks.stepped(refused)`` after the step, with those of them
+        whose step the sampler refused. Without ``hooks`` every row's
+        monitored scalar is its value.
         """
         result = ColumnBatchResult()
         if len(rows) == 0:
@@ -794,17 +796,21 @@ class SoaSamplerEngine:
                 tick_rows = at = tick_rows[d]
                 tick_steps = tick_steps[d]
                 tick_values = tick_values[d]
+            derived = _EMPTY_I8
             if hooks is not None:
                 marked = np.flatnonzero(self.derived[at])
                 if len(marked):
+                    derived = tick_rows[marked]
                     tick_values = tick_values.copy()
                     tick_values[marked] = hooks.monitored(
-                        tick_rows[marked], tick_steps[marked],
-                        tick_values[marked])
+                        derived, tick_steps[marked], tick_values[marked])
             advance = (self._observe_narrow if n_due < _NARROW_TICK_ROWS
                        else self._observe_tick)
             (ok_rows, ok_steps, ok_values, iv_new, flags, beta,
              n_rejected) = advance(tick_rows, tick_values, tick_steps)
+            if len(derived):
+                hooks.stepped(derived[~np.isin(derived, ok_rows)]
+                              if n_rejected else _EMPTY_I8)
             result.rejected += n_rejected
             result.applied += len(ok_rows)
             result.consumed += len(ok_rows)

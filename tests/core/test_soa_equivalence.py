@@ -1110,6 +1110,10 @@ class _RecordingHooks:
             out.append(0.5 * (self.mean.get(row, value) + value))
         return out
 
+    def stepped(self, refused):
+        for row in refused.tolist():
+            self.calls[row].append(("refused",))
+
 
 def _count_argsorts(monkeypatch):
     calls = []

@@ -12,16 +12,16 @@ The count guards at the bottom hold the hosted-shard hot path to its
 regressions a later refactor would reintroduce without any test turning
 red (an O(buckets) walk per due quantile offer, a sketch materialised
 per alert, a sort per step-major batch, a scalar sampler built beside an
-engine row, a last-seen pair dragging its batch off the tick, an
-``Alert`` object, a trace call or a trace event dict per alert on a
-hosted shard or in its restore, a JSON object per task in a snapshot, a
-walk over every task by a snapshot no control op preceded, a decimal
-number per task in a checkpoint file, a container a task does not use
-(a window buffer, an alert list; held to traced bytes per task), a
-row-by-row engine write
-in a restore, a numpy scalar per column read or write of a narrow tick or
-a by-name offer, a column copied on its way into a checkpoint file; held
-to traced peak bytes).
+engine row, a libm ``log`` per row of a wide tick, a last-seen pair
+dragging its batch off the tick, an ``Alert`` object, a trace call or a
+trace event dict per alert on a hosted shard or in its restore, a JSON
+object per task in a snapshot, a walk over every task by a snapshot no
+control op preceded, a decimal number per task in a checkpoint file, a
+container a task does not use (a window buffer, an alert list; held to
+traced bytes per task), a row-by-row engine write in a restore, a numpy
+scalar per column read or write of a narrow tick or a by-name offer, a
+column copied on its way into a checkpoint file; held to traced peak
+bytes).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import math
 import time
 import tracemalloc
 from typing import Any
@@ -226,6 +227,27 @@ def test_step_major_batch_ticks_without_a_sort(monkeypatch):
         result = engine.run_columns(rows, steps, values)
         assert result.applied == 4 * 1024
     assert not sorts
+
+
+def test_a_wide_tick_takes_no_log(monkeypatch):
+    """A 1 024-row tick folds each row's needed error into its
+    coordination product by a multiply and ``np.frexp``: ``math.log``
+    runs zero times there, where it ran once per row. It runs at the
+    drain, once per row that observed."""
+    engine = SoaSamplerEngine()
+    task = TaskSpec(threshold=100.0, error_allowance=0.01, max_interval=10)
+    for _ in range(1024):
+        engine.add_task(task)
+    rows = np.arange(1024, dtype=np.int64)
+    values = np.random.default_rng(SEED).normal(90.0, 4.0, (16, 1024))
+    logs = _counted(monkeypatch, math, "log")
+    ticks = _counted(monkeypatch, SoaSamplerEngine, "_observe_tick")
+    consumed = sum(engine.run_columns(rows, np.full(1024, step),
+                                      values[step]).consumed
+                   for step in range(16))
+    assert consumed >= 16 * 1024 // 2 and len(ticks) == 16
+    assert not logs
+    assert len(engine.drain_coordination(rows)) == len(logs) == 1024
 
 
 def _engine_service(tasks: int) -> MonitoringService:

@@ -34,6 +34,16 @@ from repro.exceptions import ConfigurationError
 
 _MIN_ERROR_NEEDED = 1e-12
 """Clamp for the geometric accumulation of e_i (beta can be exactly 0)."""
+_LN2 = math.log(2.0)
+
+# The sampler's state_dict but ``stats``: each key a slot ("_" + key) of
+# its element type, and the keys that are None until the first sample.
+_STATE: dict[str, type] = {
+    "interval": int, "streak": int, "last_value": float, "last_time": int,
+    "error_allowance": float, "observations": int, "grow_events": int,
+    "reset_events": int, "coord_sum_r": float, "coord_err_mant": float,
+    "coord_err_exp": int, "coord_n": int}
+_UNTIL_SAMPLED = ("last_value", "last_time")
 
 __all__ = [
     "AdaptationConfig",
@@ -139,6 +149,19 @@ class CoordinationStats:
     avg_error_needed: float
     observations: int
 
+    @classmethod
+    def of_period(cls, sum_r: float, err_mant: float, err_exp: int,
+                  n: int) -> CoordinationStats:
+        """The averages of a period of ``n`` samples from its
+        accumulators: ``sum_r`` the sum of the r_i, and the product of
+        the clamped e_i as ``err_mant * 2**err_exp`` in :func:`math.frexp`
+        form, which no run of factors under- or overflows. The period's
+        one ``log`` runs here."""
+        return cls(avg_cost_reduction=sum_r / n,
+                   avg_error_needed=math.exp(
+                       (math.log(err_mant) + err_exp * _LN2) / n),
+                   observations=n)
+
     @property
     def yield_per_error(self) -> float:
         """Cost-reduction yield ``y_i = r_i / e_i`` (paper SIV-B).
@@ -174,10 +197,10 @@ class ViolationLikelihoodSampler:
     """
 
     __slots__ = ("_task", "_config", "_sign", "_threshold",
-                 "_error_allowance", "_stats", "_estimate",
-                 "_interval", "_streak", "_last_value", "_last_time",
-                 "_observations", "_grow_events", "_reset_events",
-                 "_coord_sum_r", "_coord_sum_log_e", "_coord_n")
+                 "_error_allowance", "_stats", "_estimate", "_interval",
+                 "_streak", "_last_value", "_last_time", "_observations",
+                 "_grow_events", "_reset_events", "_coord_sum_r",
+                 "_coord_err_mant", "_coord_err_exp", "_coord_n")
 
     def __init__(self, task: TaskSpec,
                  config: AdaptationConfig | None = None,
@@ -201,9 +224,7 @@ class ViolationLikelihoodSampler:
         self._observations = 0
         self._grow_events = 0
         self._reset_events = 0
-        self._coord_sum_r = 0.0
-        self._coord_sum_log_e = 0.0
-        self._coord_n = 0
+        self._new_period()
 
     @property
     def task(self) -> TaskSpec:
@@ -340,11 +361,16 @@ class ViolationLikelihoodSampler:
         # (from the adaptation rule's growth condition); it is averaged
         # geometrically because instantaneous bounds span many orders of
         # magnitude and the *typical* requirement is what allowance buys.
+        # Their product is kept as a mantissa and a binary exponent: a
+        # correctly rounded multiply and an exact frexp per sample, the
+        # same bits in numpy (SoaSamplerEngine); the log waits for the
+        # drain.
         interval = self._interval
         if interval < self._task.max_interval:
             self._coord_sum_r += 1.0 / interval - 1.0 / (interval + 1.0)
-        self._coord_sum_log_e += math.log(
-            max(beta / (1.0 - cfg.slack_ratio), _MIN_ERROR_NEEDED))
+        self._coord_err_mant, exp = math.frexp(self._coord_err_mant * max(
+            beta / (1.0 - cfg.slack_ratio), _MIN_ERROR_NEEDED))
+        self._coord_err_exp += exp
         self._coord_n += 1
 
         return SamplingDecision(next_interval=self._interval,
@@ -385,20 +411,8 @@ class ViolationLikelihoodSampler:
         same decision stream as one that was never interrupted. Used by the
         live-ingestion runtime's checkpoint/restore (``repro.runtime``).
         """
-        return {
-            "interval": self._interval,
-            "streak": self._streak,
-            "last_value": self._last_value,
-            "last_time": self._last_time,
-            "error_allowance": self._error_allowance,
-            "observations": self._observations,
-            "grow_events": self._grow_events,
-            "reset_events": self._reset_events,
-            "coord_sum_r": self._coord_sum_r,
-            "coord_sum_log_e": self._coord_sum_log_e,
-            "coord_n": self._coord_n,
-            "stats": self._stats.state_dict(),
-        }
+        return {**{key: getattr(self, "_" + key) for key in _STATE},
+                "stats": self._stats.state_dict()}
 
     def load_state_dict(self, state: dict[str, object]) -> None:
         """Restore sampler state produced by :meth:`state_dict`.
@@ -407,19 +421,11 @@ class ViolationLikelihoodSampler:
         configuration that produced the snapshot; only mutable state is
         restored.
         """
-        self._interval = int(state["interval"])  # type: ignore[arg-type]
-        self._streak = int(state["streak"])  # type: ignore[arg-type]
-        last_value = state["last_value"]
-        last_time = state["last_time"]
-        self._last_value = None if last_value is None else float(last_value)  # type: ignore[arg-type]
-        self._last_time = None if last_time is None else int(last_time)  # type: ignore[arg-type]
-        self.error_allowance = float(state["error_allowance"])  # type: ignore[arg-type]
-        self._observations = int(state["observations"])  # type: ignore[arg-type]
-        self._grow_events = int(state["grow_events"])  # type: ignore[arg-type]
-        self._reset_events = int(state["reset_events"])  # type: ignore[arg-type]
-        self._coord_sum_r = float(state["coord_sum_r"])  # type: ignore[arg-type]
-        self._coord_sum_log_e = float(state["coord_sum_log_e"])  # type: ignore[arg-type]
-        self._coord_n = int(state["coord_n"])  # type: ignore[arg-type]
+        for key, kind in _STATE.items():
+            value = state[key]
+            setattr(self, "_" + key, None if value is None
+                    and key in _UNTIL_SAMPLED else kind(value))
+        self.error_allowance = self._error_allowance  # the setter's check
         self._stats.load_state_dict(state["stats"])  # type: ignore[arg-type]
 
     def drain_coordination_stats(self) -> CoordinationStats | None:
@@ -430,15 +436,17 @@ class ViolationLikelihoodSampler:
         """
         if self._coord_n == 0:
             return None
-        stats = CoordinationStats(
-            avg_cost_reduction=self._coord_sum_r / self._coord_n,
-            avg_error_needed=math.exp(self._coord_sum_log_e / self._coord_n),
-            observations=self._coord_n,
-        )
-        self._coord_sum_r = 0.0
-        self._coord_sum_log_e = 0.0
-        self._coord_n = 0
+        stats = CoordinationStats.of_period(
+            self._coord_sum_r, self._coord_err_mant, self._coord_err_exp,
+            self._coord_n)
+        self._new_period()
         return stats
+
+    def _new_period(self) -> None:
+        """Start a coordination period: the sum of its r_i, the product
+        of its e_i (mantissa and exponent) and its sample count empty."""
+        self._coord_sum_r, self._coord_err_mant = 0.0, 1.0
+        self._coord_err_exp = self._coord_n = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ViolationLikelihoodSampler(interval={self._interval}, "

@@ -142,7 +142,8 @@ SAMPLER_STATE: dict[str, tuple[str, type]] = {
     "grow_events": ("grow_events", int),
     "reset_events": ("reset_events", int),
     "coord_sum_r": ("coord_sum_r", float),
-    "coord_sum_log_e": ("coord_sum_log_e", float),
+    "coord_err_mant": ("coord_err_mant", float),
+    "coord_err_exp": ("coord_err_exp", int),
     "coord_n": ("coord_n", int),
     "n": ("stat_n", int),
     "mean": ("mean", float),
@@ -236,11 +237,11 @@ class _Views:
         "patience", "min_samples", "one_minus_slack", "use_cheb",
         "restart_limit", "min_fresh", "interval", "streak", "last_value",
         "has_last", "last_time", "observations", "grow_events",
-        "reset_events", "coord_sum_r", "coord_sum_log_e", "coord_n",
-        "last_beta", "last_flags", "stat_n", "mean", "var", "stale_mean",
-        "stale_var", "has_stale", "stale_count", "restarts", "total_count",
-        "next_due", "samples_taken", "alerts", "active", "absorbs",
-        "derived", "watched", "floor", "suspensions")
+        "reset_events", "coord_sum_r", "coord_err_mant", "coord_err_exp",
+        "coord_n", "last_beta", "last_flags", "stat_n", "mean", "var",
+        "stale_mean", "stale_var", "has_stale", "stale_count", "restarts",
+        "total_count", "next_due", "samples_taken", "alerts", "active",
+        "absorbs", "derived", "watched", "floor", "suspensions")
 
 
 class ColumnBatchResult:
@@ -320,7 +321,8 @@ class SoaSamplerEngine:
         self.grow_events = i8()
         self.reset_events = i8()
         self.coord_sum_r = f8()
-        self.coord_sum_log_e = f8()
+        self.coord_err_mant = f8()
+        self.coord_err_exp = i8()
         self.coord_n = i8()
         self.last_beta = f8()
         self.last_flags = i8()
@@ -417,6 +419,7 @@ class SoaSamplerEngine:
         self.has_last[at] = False
         self.last_beta[at] = 1.0
         self.last_flags[at] = 0
+        self.coord_err_mant[at] = 1.0
         self.next_due[at] = 0
         self.samples_taken[at] = 0
         self.alerts[at] = 0
@@ -513,18 +516,17 @@ class SoaSamplerEngine:
         """:meth:`ViolationLikelihoodSampler.drain_coordination_stats` for
         ``rows``, float for float: one report per row (``None`` for a row
         that observed nothing since its last drain), then every row's
-        accumulators zeroed. ``exp`` runs through :mod:`math`, as there."""
-        counts = self.coord_n[rows].tolist()
-        sums_r = self.coord_sum_r[rows].tolist()
-        sums_log_e = self.coord_sum_log_e[rows].tolist()
-        self.coord_n[rows] = 0
+        accumulators reset, through the same
+        :meth:`CoordinationStats.of_period`."""
+        periods = zip(self.coord_sum_r[rows].tolist(),
+                      self.coord_err_mant[rows].tolist(),
+                      self.coord_err_exp[rows].tolist(),
+                      self.coord_n[rows].tolist())
+        self.coord_n[rows] = self.coord_err_exp[rows] = 0
         self.coord_sum_r[rows] = 0.0
-        self.coord_sum_log_e[rows] = 0.0
-        return [None if n == 0 else CoordinationStats(
-                    avg_cost_reduction=sum_r / n,
-                    avg_error_needed=math.exp(sum_log_e / n),
-                    observations=n)
-                for n, sum_r, sum_log_e in zip(counts, sums_r, sums_log_e)]
+        self.coord_err_mant[rows] = 1.0
+        return [None if n == 0 else CoordinationStats.of_period(
+                    sum_r, mant, exp, n) for sum_r, mant, exp, n in periods]
 
     # ------------------------------------------------------------------
     # Sampler state as snapshot columns (DESIGN.md S31 "snapshots are
@@ -687,8 +689,9 @@ class SoaSamplerEngine:
         if interval < c.max_interval[row]:
             c.coord_sum_r[row] += 1.0 / interval - 1.0 / (interval + 1.0)
         needed = beta / one_minus_slack
-        c.coord_sum_log_e[row] += math.log(
-            _MIN_ERROR_NEEDED if _MIN_ERROR_NEEDED > needed else needed)
+        c.coord_err_mant[row], exp = math.frexp(c.coord_err_mant[row] * (
+            _MIN_ERROR_NEEDED if _MIN_ERROR_NEEDED > needed else needed))
+        c.coord_err_exp[row] += exp
         c.coord_n[row] += 1
 
         c.interval[row] = interval
@@ -989,12 +992,8 @@ class SoaSamplerEngine:
             coord_sum_r = self.coord_sum_r[at] + np.where(
                 iv_new < max_interval, 1.0 / iv_new - 1.0 / (iv_new + 1.0),
                 0.0)
-            log_arg = np.maximum(beta / one_minus_slack, _MIN_ERROR_NEEDED)
-        # math.log element-wise: numpy's log kernel is not guaranteed
-        # bit-identical to libm's, and coord_sum_log_e is fingerprinted.
-        # map() over a pre-converted list keeps the per-element call in C.
-        logs = np.fromiter(map(math.log, log_arg.tolist()),
-                           dtype=np.float64, count=n)
+            err_mant, err_exp = np.frexp(self.coord_err_mant[at] * np.maximum(
+                beta / one_minus_slack, _MIN_ERROR_NEEDED))
 
         self.observations[at] += 1
         self.total_count[at] += has
@@ -1010,7 +1009,8 @@ class SoaSamplerEngine:
         self.reset_events[at] += counted_reset
         self.grow_events[at] += grew
         self.coord_sum_r[at] = coord_sum_r
-        self.coord_sum_log_e[at] += logs
+        self.coord_err_mant[at] = err_mant
+        self.coord_err_exp[at] += err_exp
         self.coord_n[at] += 1
         self.last_beta[at] = beta
         self.last_flags[at] = flags

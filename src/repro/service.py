@@ -68,10 +68,11 @@ logger = logging.getLogger(__name__)
 
 AlertCallback = Callable[[Alert], None]
 
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 """Format version stamped into :meth:`MonitoringService.snapshot` dicts:
-4 is the columnar document whose typed-task, guard, watcher and window
-state are columns too, and the only version
+5 is the columnar document whose typed-task, guard, watcher and window
+state are columns too and whose sampler holds the coordination product
+as a mantissa and an exponent, and the only version
 :meth:`MonitoringService.restore` reads (DESIGN.md S31 "one reader").
 Not the checkpoint *file* format's
 (:data:`repro.runtime.checkpoint.CHECKPOINT_VERSION`)."""
@@ -240,16 +241,21 @@ _SCHEMA: dict[str, _Group] = {
         "threshold": _NUMBER, "error_allowance": _NUMBER,
         "default_interval": _NUMBER, "max_interval": _INT,
         "direction": _among(_DIRECTIONS), "name": _STR}),
-    # Every int column counts something, but the interval and the last
-    # sample's step; ``var`` is clamped where it is read, so any value is
-    # one.
+    # Every int column counts something, but the interval, the last
+    # sample's step and the coordination product's exponent; ``var`` is
+    # clamped where it is read, so any value is one.
     "sampler": _Group({
         **{key: _COUNT if kind is int else _NUMBER if kind is float
            else _BOOL for key, (_, kind) in SAMPLER_STATE.items()},
         "interval": _INT._replace(within=lambda values, group, document: (
             values >= 1) & (values <= np.asarray(document["spec"][
                 "max_interval"])), what="within 1..spec.max_interval"),
-        "last_time": _INT,
+        "last_time": _INT, "coord_err_exp": _INT,
+        # math.frexp's mantissa, 1.0 for the empty product, or NaN once a
+        # NaN bound entered it (statistics overflowed by extreme offers).
+        "coord_err_mant": _NUMBER._replace(
+            within=lambda values, group, document: ~(values < 0.5)
+            & ~(values > 1.0), what="in [0.5, 1]"),
         "error_allowance": _NUMBER._replace(
             within=lambda values, group, document: (values >= 0.0)
             & (values <= 1.0), what="in [0, 1]")}),
@@ -297,12 +303,13 @@ _SCHEMA: dict[str, _Group] = {
             "task": _INT, "level": _FLOAT, "hysteresis": _FLOAT,
             "min_hold": _INT, "armed": _BOOL, "last_transition": _INT,
             "transitioned": _BOOL}, _positions),
-        # A buffer's length has no bound but its CSR sum: a due offer the
-        # sampler then refuses (a repeated step after a guard's reset to
-        # full rate) still enters it, so a service's own buffer can hold
-        # more entries than its window has steps.
+        # A buffer holds one offer per step the sampler took in its
+        # task's window (TaskState.admit); an empty one is not written.
         "window_values": _Group({
-            "task": _INT, "length": _INT,
+            "task": _INT, "length": _INT._replace(
+                within=lambda values, group, document: (values >= 1) & (values
+                    <= np.asarray(document["task"]["window"])[group["task"]]),
+                what="in [1, task.window]"),
             "step": _INT._replace(cut="length"),
             "value": _FLOAT._replace(cut="length")}, _positions),
     }, optional=True),
@@ -347,7 +354,7 @@ def _walk(where: str, group: Any, schema: _Group, outer: Any,
 
 
 def _check_snapshot(snapshot: Any) -> None:
-    """Refuse a document that is not a version-4 snapshot — not a map,
+    """Refuse a document that is not a version-5 snapshot — not a map,
     another stamp, a wrong key set, a ragged or mistyped column, a value
     outside its range, positions or names that point nowhere — with a
     :class:`ConfigurationError` naming the culprit, before a service

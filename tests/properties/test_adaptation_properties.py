@@ -2,10 +2,13 @@
 
 These drive the full sampler over arbitrary bounded traces and check the
 invariants that must hold for *any* input: interval bounds, zero-allowance
-degeneration, schedule validity, and the accuracy bookkeeping identities.
+degeneration, schedule validity, the accuracy bookkeeping identities, and
+the coordination statistic's drained geometric mean.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,8 +17,10 @@ from hypothesis import strategies as st
 from repro.core.accuracy import evaluate_sampling
 from repro.core.adaptation import (AdaptationConfig,
                                    ViolationLikelihoodSampler)
+from repro.core.soa import SoaSamplerEngine
 from repro.core.task import TaskSpec
 from repro.experiments.runner import run_sampler_on_trace
+from test_soa_properties import CROSSOVER, _crossover
 
 bounded_floats = st.floats(min_value=-1e5, max_value=1e5,
                            allow_nan=False, allow_infinity=False)
@@ -126,3 +131,84 @@ class TestCoordinationInvariants:
             assert sum(update.allocations) >= total * (1.0 - 1e-6)
             floor = total * 0.01
             assert min(update.allocations) >= floor * (1.0 - 1e-9)
+
+
+# A stream in segments: flat (a zero-variance delta, so beta is exactly 0
+# and e_i sits at its clamp, 1e-12, sample after sample), noise about the
+# threshold's neighbourhood, or a burst across it.
+segments = st.lists(st.tuples(st.sampled_from(("flat", "noise", "burst")),
+                              st.integers(min_value=1, max_value=300)),
+                    min_size=1, max_size=6)
+
+
+class TestCoordinationProduct:
+    """A period's ``avg_error_needed`` — the product of its clamped e_i
+    kept in frexp form, logged once at the drain — is the geometric mean
+    of the e_i: it agrees with ``exp(fsum(log e_i) / n)`` to 1e-12
+    relative, and an engine row, stepped narrow or vectorised, drains
+    the scalar sampler's floats."""
+
+    ROWS = 3
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           segments=segments,
+           stats_restart=st.sampled_from((None, 6, 40)),
+           estimator=st.sampled_from(("chebyshev", "gaussian")),
+           drain_every=st.sampled_from((5, 64, 100_000)),
+           wide=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_the_drained_mean_is_the_mean_of_the_logs(
+            self, seed, segments, stats_restart, estimator, drain_every,
+            wide):
+        rng = np.random.default_rng(seed)
+        config = AdaptationConfig(patience=2, min_samples=3,
+                                  stats_restart=stats_restart,
+                                  estimator=estimator)
+        task = TaskSpec(threshold=100.0, error_allowance=0.05,
+                        max_interval=8)
+        parts = []
+        for kind, length in segments:
+            level = {"flat": 20.0, "noise": 90.0, "burst": 110.0}[kind]
+            noise = 0.0 if kind == "flat" else 6.0
+            parts.append(level + noise * rng.standard_normal(
+                (self.ROWS, length)))
+        trace = np.concatenate(parts, axis=1)
+        samplers = [ViolationLikelihoodSampler(task, config)
+                    for _ in range(self.ROWS)]
+        engine = SoaSamplerEngine()
+        rows = np.asarray([engine.add_task(task, config)
+                           for _ in range(self.ROWS)], dtype=np.int64)
+        due = [0] * self.ROWS
+        logs = [[] for _ in range(self.ROWS)]
+
+        def drain():
+            reports = [sampler.drain_coordination_stats()
+                       for sampler in samplers]
+            assert engine.drain_coordination(rows) == reports
+            for report, period in zip(reports, logs):
+                if not period:
+                    assert report is None
+                    continue
+                want = math.exp(math.fsum(period) / len(period))
+                assert report.observations == len(period)
+                assert abs(report.avg_error_needed - want) <= 1e-12 * want
+                period.clear()
+
+        # Crossover 0 ticks every row vectorised; under the engine's own,
+        # these few rows step one by one.
+        with _crossover(0 if wide else CROSSOVER):
+            for step in range(trace.shape[1]):
+                values = trace[:, step]
+                for i, sampler in enumerate(samplers):
+                    if due[i] == step:
+                        decision = sampler.observe(float(values[i]), step)
+                        due[i] = step + decision.next_interval
+                        logs[i].append(math.log(max(
+                            decision.misdetection_bound
+                            / (1.0 - config.slack_ratio), 1e-12)))
+                engine.run_columns(rows, np.full(self.ROWS, step), values)
+                if step % drain_every == drain_every - 1:
+                    drain()
+        assert engine.rows_state(rows)["observations"].tolist() == [
+            sampler.observations for sampler in samplers]
+        drain()

@@ -19,6 +19,8 @@ from repro.cluster.hosting import WorkerHost
 from repro.cluster.transport import InProcTransport
 from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
 from repro.core.online_stats import OnlineStatistics
+from repro.core.soa import (SoaSamplerEngine, sampler_state_columns,
+                            sampler_state_dict)
 from repro.core.task import TaskSpec
 from repro.core.windowed import AggregateKind
 from repro.exceptions import CheckpointError, ConfigurationError
@@ -770,14 +772,47 @@ class TestSamplerState:
             step_ref += ref.next_interval
 
     def test_coordination_stats_survive_restore(self):
+        """A period cut by a snapshot -> restore drains the floats of one
+        left whole, whichever representation wrote the state and
+        whichever read it: a scalar sampler's
+        ``drain_coordination_stats`` and an engine row's
+        ``drain_coordination``, float for float."""
         spec = task(err=0.05)
+        values = np.random.default_rng(11).normal(80.0, 15.0, 90).tolist()
         sampler = ViolationLikelihoodSampler(spec)
-        for step in range(40):
-            sampler.observe(1.0, step)
-        clone = ViolationLikelihoodSampler(spec)
-        clone.load_state_dict(sampler.state_dict())
-        assert clone.drain_coordination_stats() \
-            == sampler.drain_coordination_stats()
+        engine = SoaSamplerEngine()
+        rows = [engine.add_task(spec)]
+
+        def feed(lo, hi, samplers, engines):
+            for step in range(lo, hi):
+                for one in samplers:
+                    one.observe(values[step], step)
+                for one in engines:
+                    one.observe_one(0, values[step], step)
+
+        feed(0, 30, [sampler], [engine])
+        assert engine.drain_coordination(rows) == [
+            sampler.drain_coordination_stats()]
+        feed(30, 60, [sampler], [engine])           # mid-period
+        wire = json.loads(json.dumps(sampler.state_dict()))
+        samplers, engines = [sampler], [engine]
+        for columns in (sampler_state_columns([wire]),
+                        engine.rows_state(np.asarray(rows))):
+            restored = ViolationLikelihoodSampler(spec)
+            restored.load_state_dict(sampler_state_dict(
+                {key: column.tolist() for key, column in columns.items()},
+                0))
+            onto = SoaSamplerEngine()
+            onto.load_rows_state([onto.add_task(spec)], columns)
+            samplers.append(restored)
+            engines.append(onto)
+        feed(60, 90, samplers, engines)
+        want = samplers[0].drain_coordination_stats()
+        assert want is not None and want.observations == 60
+        for restored in samplers[1:]:
+            assert restored.drain_coordination_stats() == want
+        for restored in engines:
+            assert restored.drain_coordination(rows) == [want]
 
 
 class TestServiceSnapshot:
@@ -885,15 +920,16 @@ class TestServiceSnapshot:
             assert restored.task_estimate("e") == service.task_estimate("e")
 
     @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
-    def test_a_buffer_longer_than_its_window_that_a_service_wrote_restores(
+    def test_a_buffer_longer_than_its_window_that_old_files_hold_is_refused(
             self, soa):
-        """A service used to let a due offer the sampler then refused
-        enter a windowed task's buffer (a repeated step, due again after
-        each arm edge of its guard), so a checkpoint file written then
-        can hold a buffer longer than its window — five entries in a
-        window of 3 at step 10, built here by hand. Such a document must
-        restore, which is why the snapshot validator holds a buffer's
-        length to nothing but its CSR sum."""
+        """A service once let a due offer the sampler then refused enter
+        a windowed task's buffer (a repeated step, due again after each
+        arm edge of its guard), so a version-4 file could hold a buffer
+        longer than its window — five entries in a window of 3 at step
+        10, built here by hand. A buffer now holds one offer per step
+        the sampler took, and no version-4 file is read, so even
+        stamped with the current version such a document is refused by
+        name, onto either representation."""
         service = MonitoringService(soa=soa)
         service.add_task("tgt", task(threshold=1e9, err=0.05), window=3)
         service.offer("tgt", 1.0, 0)
@@ -907,10 +943,29 @@ class TestServiceSnapshot:
                       value=[2.0, 3.0, 4.0, 5.0, 6.0])
         document["task"]["window_sum"] = [20.0]
         for onto in (False, True):
-            restored = MonitoringService.restore(document, soa=onto)
-            assert state_fingerprint(restored.snapshot()) == (
+            with pytest.raises(ConfigurationError, match=(
+                    r"sparse\.window_values\.length holds 5, not in "
+                    r"\[1, task\.window\]")):
+                MonitoringService.restore(document, soa=onto)
+
+    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
+    def test_a_nan_bound_restores(self, soa):
+        """Finite offers at the edge of the float range overflow the
+        delta statistics to NaN, the bound with them, and the bound
+        takes the coordination product's mantissa to NaN. The validator
+        takes what a service writes, so that document restores, onto
+        either representation, as it was."""
+        service = MonitoringService(AdaptationConfig(min_samples=2,
+                                                     patience=1), soa=soa)
+        service.add_task("x", task(threshold=0.0, err=0.05))
+        for step, value in enumerate([0.0, 1.7e308] * 3):
+            service.offer("x", value, step)
+        document = service.snapshot()
+        assert math.isnan(document["sampler"]["coord_err_mant"][0])
+        for onto in (False, True):
+            assert state_fingerprint(MonitoringService.restore(
+                document, soa=onto).snapshot()) == (
                 state_fingerprint(document))
-            assert restored.offer("tgt", 7.0, 11).next_interval >= 1
 
     @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
     def test_a_refused_step_leaves_the_window_as_it_was(self, soa):
@@ -983,7 +1038,7 @@ class TestSharedDocument:
 
     def test_readers_leave_the_document_as_it_was(self, tmp_path):
         pin = json.loads((pathlib.Path(__file__).parents[1] / "fixtures"
-                          / "engine_snapshot_v4.json").read_text())
+                          / "engine_snapshot_v5.json").read_text())
         service = MonitoringService.restore(pin["snapshot"], soa=True)
         document = service.snapshot()
         copy = deepcopy(document)
@@ -1079,7 +1134,12 @@ def _task_positions_unsorted(s):
 
 
 def _a_buffer_on_a_window_1_task(s):
-    s["task"]["window"][s["sparse"]["window_values"]["task"][0]] = 1
+    # One entry, so the buffer is within its window: what only the
+    # window-1 rule refuses.
+    buffer = s["sparse"]["window_values"]
+    s["task"]["window"][buffer["task"][0]] = 1
+    buffer["length"][0] = 1
+    del buffer["step"][1:3], buffer["value"][1:3]
 
 
 def _a_task_of_two_types(s):
@@ -1101,6 +1161,30 @@ def _negative_bucket_count(s):
 
 def _bucket_key_as_a_float(s):
     s["sparse"]["quantile"]["current"]["pos_key"][0] += 0.5
+
+
+def _a_buffer_longer_than_its_window(s):
+    buffer = s["sparse"]["window_values"]
+    assert buffer["length"] == [3, 3] and buffer["step"][-1] == 5
+    buffer["length"][1] = 4
+    buffer["step"].append(6)
+    buffer["value"].append(57.0)
+
+
+def _an_empty_buffer(s):
+    # A service writes no member for an empty buffer, so one would not
+    # be written back as it was read.
+    buffer = s["sparse"]["window_values"]
+    buffer["length"][0] = 0
+    del buffer["step"][:3], buffer["value"][:3]
+
+
+def _a_mantissa_below_a_half(s):
+    s["sampler"]["coord_err_mant"][2] = 0.25
+
+
+def _an_empty_product_above_one(s):
+    s["sampler"]["coord_err_mant"][0] = 2.0
 
 
 def _an_entropy_ring_longer_than_its_window(s):
@@ -1128,8 +1212,12 @@ def _version_3(s):
     s["version"] = 3
 
 
-def _version_5(s):
-    s["version"] = 5
+def _version_4(s):
+    s["version"] = 4
+
+
+def _version_6(s):
+    s["version"] = 6
 
 
 def _version_999(s):
@@ -1141,11 +1229,11 @@ def _no_version(s):
 
 
 def _version_as_string(s):
-    s["version"] = "4"
+    s["version"] = "5"
 
 
 def _version_as_float(s):
-    s["version"] = 4.0
+    s["version"] = 5.0
 
 
 def _bool_in_an_int_column(s):
@@ -1295,8 +1383,8 @@ def _repeated_task_array(s):
 
 
 class TestMalformedSnapshot:
-    """A document that is not a version-4 snapshot — any other stamp, or
-    a version-4 stamp on a body that is not one — is refused by name,
+    """A document that is not a version-5 snapshot — any other stamp, or
+    a version-5 stamp on a body that is not one — is refused by name,
     before a service exists, onto rows and onto the scalar oracle alike.
     Nothing upgrades an older stamp. ``CASES`` damage the wire form (the
     document after a JSON round trip, every column a list),
@@ -1343,6 +1431,15 @@ class TestMalformedSnapshot:
         (_bucket_key_as_a_float,
          r"sparse\.quantile\.current\.pos_key holds an element that is "
          r"not int"),
+        (_a_buffer_longer_than_its_window,
+         r"sparse\.window_values\.length holds 4, not in \[1, task\.window\]"),
+        (_an_empty_buffer,
+         r"sparse\.window_values\.length holds 0, not in \[1, task\.window\]"),
+        (_a_mantissa_below_a_half,
+         r"sampler\.coord_err_mant holds 0\.25 \(task 'held'\), not in "
+         r"\[0\.5, 1\]"),
+        (_an_empty_product_above_one,
+         r"sampler\.coord_err_mant holds 2\.0 \(task 'hot'\)"),
         (_an_entropy_ring_longer_than_its_window,
          r"sparse\.entropy\.length holds 12, not in "
          r"\[0, sparse\.entropy\.window\]"),
@@ -1352,11 +1449,12 @@ class TestMalformedSnapshot:
         (_version_1, _versions(1)),
         (_version_2, _versions(2)),
         (_version_3, _versions(3)),
-        (_version_5, _versions(5)),
+        (_version_4, _versions(4)),
+        (_version_6, _versions(6)),
         (_version_999, _versions(999)),
         (_no_version, _versions(None)),
-        (_version_as_string, _versions("'4'")),
-        (_version_as_float, _versions(r"4\.0")),
+        (_version_as_string, _versions("'5'")),
+        (_version_as_float, _versions(r"5\.0")),
         (_bool_in_an_int_column, "task.next_due"),
         (_int_beyond_64_bits, "sampler.last_time"),
         (_a_task_twice, "names"),

@@ -1,7 +1,7 @@
 """The snapshot format pin: the stream behind it and the answers a
 service restored from it must give.
 
-``tests/fixtures/engine_snapshot_v5.json`` pins snapshot version 5:
+``tests/fixtures/engine_snapshot_v6.json`` pins snapshot version 6:
 the snapshot the engine service of :func:`history` reaches, its
 fingerprint, its :func:`answers`, and the fingerprint :func:`drive`
 reaches on it over :func:`continuation`. ``restore`` reads only the
@@ -24,7 +24,7 @@ import numpy as np
 from repro.runtime.checkpoint import state_fingerprint
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
-PIN = FIXTURES / "engine_snapshot_v5.json"
+PIN = FIXTURES / "engine_snapshot_v6.json"
 
 
 def continuation(names, frames=150, seed=19):

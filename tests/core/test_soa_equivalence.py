@@ -333,15 +333,14 @@ class TestSnapshotColumns:
 
     def test_an_int_among_floats_stays_a_list(self):
         """A registration column the checkpoint writer keeps as JSON —
-        here an int window sum and an int guard level, off a wire
-        document — is kept as the list it is, with a windowed task's
-        moving sum written over it on every snapshot."""
+        here an int guard level, off a wire document — is kept as the
+        list it is, snapshot after snapshot, while a windowed task's
+        window moves beside it."""
         source = _service(soa=True, tasks=3)
         source.add_task("w", TaskSpec(100.0, 0.02, name="w"), window=3)
         source.add_remote_trigger("mix-1", "far", 40.0)
         document = json.loads(json.dumps(source.snapshot(),
                                          default=np.ndarray.tolist))
-        document["task"]["window_sum"][0] = 0
         document["task"]["trigger_level"][1] = 40
         taken = []
         for soa in (False, True):
@@ -350,10 +349,10 @@ class TestSnapshotColumns:
             for step in range(4):
                 service.offer("w", 95.0 + step, step)
             snapshot = service.snapshot()
-            for key in ("window_sum", "trigger_level"):
-                assert type(snapshot["task"][key]) is list, key
-            assert snapshot["task"]["window_sum"][:1] == [0]
-            assert snapshot["task"]["window_sum"][3] == 96.0 + 97.0 + 98.0
+            assert type(snapshot["task"]["trigger_level"]) is list
+            assert snapshot["task"]["trigger_level"][1] == 40
+            assert snapshot["sparse"]["window_values"]["value"].tolist() == [
+                96.0, 97.0, 98.0]
             taken.append(state_fingerprint(snapshot))
         assert taken[0] == taken[1]
 
@@ -756,7 +755,7 @@ class TestEligibility:
         # the rows the edge's trigger guards; the index it and
         # _deliver_edge read instead must agree under any sequence of
         # add / guard / re-guard / plan / pair / remove / restore, on the
-        # scalar oracle as on rows — and so must the rows' call-backs.
+        # scalar oracle as on rows — and so must the rows' marks.
         rng = np.random.default_rng(37)
         service = MonitoringService(AdaptationConfig(), soa=soa)
         made = populated = refused = 0
@@ -806,13 +805,21 @@ class TestEligibility:
                        for guards in service._guards.values()
                        for name in guards)
             populated += bool(scan)
-            hooks = service._hooks
-            assert set(hooks.update) == {
-                row for row, state in service._soa_rows.items()
-                if state.task_type != "value"}
-            assert set(hooks.read) == {
-                row for row, state in service._soa_rows.items()
-                if state.task_type != "value" or state.window > 1}
+            if soa:
+                # A typed row is marked derived; a windowed row's window
+                # is the engine's, with no call-back.
+                engine = service.soa_engine
+                assert set(np.flatnonzero(
+                    engine.derived[:len(engine)]).tolist()) == {
+                    row for row, state in service._soa_rows.items()
+                    if state.task_type != "value"}
+                # (An engine that never had one has no window column.)
+                window = getattr(engine, "window", engine.floor * 0)
+                assert set(np.flatnonzero(
+                    window[:len(engine)] * engine.active[:len(engine)]
+                ).tolist()) == {
+                    row for row, state in service._soa_rows.items()
+                    if state.window > 1}
         assert made > 100 and populated > 300 and refused
 
 
@@ -1110,9 +1117,6 @@ class _RecordingHooks:
             out.append(0.5 * (self.mean.get(row, value) + value))
         return out
 
-    def stepped(self, refused):
-        for row in refused.tolist():
-            self.calls[row].append(("refused",))
 
 
 def _count_argsorts(monkeypatch):
@@ -1165,8 +1169,7 @@ class TestTickSplit:
         engine = soa_mod.SoaSamplerEngine()
         for task, config in soa_differential.population(tasks, "mixed"):
             row = engine.add_task(task, config)
-            engine.mark_row(row, absorbs=row % 3 == 0,
-                            derived=row % 3 == 0 or row % 5 == 1)
+            engine.mark_row(row, derived=row % 3 == 0 or row % 5 == 1)
         return engine
 
     def test_run_slices_and_argsort_split_leave_the_same_rows(
@@ -1370,8 +1373,9 @@ class TestNonFiniteValuesNeverLand:
         for name in pair.names:
             # Bricked tasks sampled once and then rejected for good.
             assert pair.vector.samples_taken(name) > 20, name
-        window = pair.vector._tasks["win"]
-        assert np.isfinite(window._window_sum)
+        for service in (pair.scalar, pair.vector):
+            assert np.isfinite(service.snapshot()["sparse"]["window_values"][
+                "value"]).all()
 
     def test_finite_streams_are_untouched_by_the_gate(self,
                                                       soa_differential):

@@ -7,7 +7,6 @@ from functools import partial
 from typing import Any
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,28 +44,26 @@ def test_due_offer_schedule_is_consistent(values, err):
 
 
 @given(values=st.lists(bounded, min_size=3, max_size=100),
-       window=st.integers(min_value=1, max_value=10))
+       window=st.integers(min_value=1, max_value=10),
+       kind=st.sampled_from(AggregateKind))
 @settings(max_examples=60, deadline=None)
-def test_windowed_service_matches_reference_aggregate(values, window):
-    """With a zero allowance the service samples every step, so its
-    windowed aggregate must equal the reference implementation."""
+def test_windowed_service_matches_reference_aggregate(values, window, kind):
+    """With a zero allowance the service samples every step, and with a
+    threshold below every aggregate each sample alerts with the value it
+    read: the reference aggregate, bit for bit, on either
+    representation."""
     from repro.core.windowed import aggregate_trace
 
-    service = MonitoringService()
-    threshold = 1e9  # never alert; we only check the aggregation
-    service.add_task("w", TaskSpec(threshold=threshold,
-                                   error_allowance=0.0),
-                     window=window, window_kind=AggregateKind.MEAN)
-    reference = aggregate_trace(np.asarray(values), window,
-                                AggregateKind.MEAN)
-    state = service._state("w")
-    for step, value in enumerate(values):
-        observed, entry = state.aggregate(step, value)
-        # offer() would run the same aggregate, then admit the step the
-        # sampler took; compare directly.
-        state.admit(entry)
-        assert observed == pytest.approx(reference[step], rel=1e-9,
-                                         abs=1e-9)
+    reference = aggregate_trace(np.asarray(values), window, kind).tolist()
+    for soa in (False, True):
+        service = MonitoringService(soa=soa)
+        service.add_task("w", TaskSpec(threshold=-1e9, error_allowance=0.0),
+                         window=window, window_kind=kind)
+        for step, value in enumerate(values):
+            service.offer("w", value, step)
+        observed = [alert.value for alert in service.alerts("w")]
+        assert list(map(float.hex, observed)) == list(map(float.hex,
+                                                          reference))
 
 
 @given(alert_steps=st.sets(st.integers(min_value=0, max_value=99),
@@ -365,8 +362,6 @@ def _unseen(service: MonitoringService) -> dict[str, Any]:
         "counters": (engine.derived_rows, engine._floored,
                      service._watchers),
         "row_names": [service._row_names[row] for row in rows],
-        "hooks": (sorted(map(name_of.get, service._hooks.update)),
-                  sorted(map(name_of.get, service._hooks.read))),
         "guards": {trigger: sorted(guarded)
                    for trigger, guarded in service._guards.items()},
         "callbacks": sorted(map(name_of.get, service._alert_callbacks)),

@@ -13,7 +13,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.windowed import AggregateKind, aggregate_trace
+from repro.core.adaptation import AdaptationConfig
+from repro.core.task import TaskSpec
+from repro.core.windowed import (AggregateKind, WindowedTaskSpec,
+                                 aggregate_trace, run_windowed_adaptive)
+from repro.experiments.runner import run_adaptive
+from repro.service import MonitoringService
 
 bounded = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                     allow_infinity=False)
@@ -88,3 +93,101 @@ class TestAggregateTraceProperties:
         got = aggregate_trace(arr, window, AggregateKind.MAX)
         expected = np.maximum.accumulate(arr)
         assert got.tolist() == expected.tolist()
+
+
+def _live_samples(values, window, kind, spec, soa):
+    """The steps a live service offered every step of ``values`` takes
+    a sample at."""
+    service = MonitoringService(soa=soa)
+    service.add_task("w", spec, window=window, window_kind=kind)
+    return [step for step, value in enumerate(values.tolist())
+            if service.offer("w", value, step) is not None], service
+
+
+class TestLiveWindows:
+    """A live windowed task's window takes every offer stepped after its
+    newest entry, and a sample reads it (DESIGN.md S17): offered every
+    step, it is the offline aggregate, bit for bit."""
+
+    @given(seed=st.integers(0, 2 ** 16), window=st.integers(2, 32),
+           kind=st.sampled_from(AggregateKind),
+           err=st.sampled_from([0.05, 0.1, 0.2]))
+    @settings(max_examples=40, deadline=None)
+    def test_live_samples_are_the_offline_samples(self, seed, window, kind,
+                                                  err):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(60.0, 2.0, 400)
+        start = int(rng.integers(50, 300))
+        values[start:start + 40] += 35.0
+        aggregated = aggregate_trace(values, window, kind)
+        # Above the quiet stream, below the incident's peak.
+        quiet = float(np.median(aggregated))
+        spec = TaskSpec(threshold=quiet + 0.6 * (aggregated.max() - quiet),
+                        error_allowance=err, max_interval=10)
+        offline = run_adaptive(aggregated, spec).sampled_indices.tolist()
+        assert offline != list(range(len(values)))
+        for soa in (False, True):
+            assert _live_samples(values, window, kind, spec,
+                                 soa)[0] == offline, soa
+
+    def test_a_sampled_stream_raises_no_false_alert(self):
+        """A mean of 8 steps over a noisy stream with two incidents: the
+        service once read a window of its samples only, took 1 773
+        samples where the offline run takes 1 307, and raised 2 alerts
+        at steps whose true mean was not above the threshold."""
+        values = np.random.default_rng(5).normal(60.0, 8.0, 3000)
+        values[1000:1040] += 50.0
+        values[2000:2030] += 45.0
+        spec = TaskSpec(threshold=90.0, error_allowance=0.05,
+                        max_interval=10)
+        truth = aggregate_trace(values, 8, AggregateKind.MEAN)
+        offline = run_windowed_adaptive(values, WindowedTaskSpec(
+            spec, 8, AggregateKind.MEAN))
+        for soa in (False, True):
+            taken, service = _live_samples(values, 8, AggregateKind.MEAN,
+                                           spec, soa)
+            assert taken == offline.sampled_indices.tolist()
+            alerts = [alert.time_index for alert in service.alerts("w")]
+            assert alerts and all(truth[step] > 90.0 for step in alerts)
+            assert [alert.value for alert in service.alerts("w")] == [
+                truth[step] for step in alerts]
+
+
+def _windowed(service):
+    """One windowed task per kind and window size of 2, 3 and 5."""
+    names = []
+    for kind in AggregateKind:
+        for window in (2, 3, 5):
+            name = f"w-{kind.value}-{window}"
+            service.add_task(name, TaskSpec(
+                threshold=90.0 * (window if kind is AggregateKind.SUM
+                                  else 1), error_allowance=0.05,
+                max_interval=6, name=name), window=window,
+                window_kind=kind,
+                config=AdaptationConfig(patience=2, min_samples=4))
+            names.append(name)
+    return names
+
+
+@given(seed=st.integers(0, 2 ** 16))
+@settings(max_examples=25, deadline=None)
+def test_gapped_duplicate_and_late_steps_are_one_rule(seed, soa_differential):
+    """Scalar ≡ engine on windowed tasks whose steps jump ahead, repeat
+    and fall behind, in batches that repeat rows, with guards whose arm
+    edges make a late step due again."""
+    pair = soa_differential(soa_differential.population(4, "mixed"),
+                            register_more=_windowed, kinds="chebyshev")
+    rng = np.random.default_rng(seed)
+    clock = np.zeros(len(pair.names), dtype=np.int64)
+    for _ in range(60):
+        tasks = rng.integers(0, len(pair.names), 3 * len(pair.names))
+        steps = []
+        for task in tasks.tolist():
+            move = int(rng.choice([1, 1, 1, 2, 4, 9, 0, -1, -3]))
+            clock[task] = max(clock[task] + move, 0)
+            steps.append(int(clock[task]))
+        pair.offer(tasks.tolist(), steps, [
+            pair.draw(rng, task, step)
+            for task, step in zip(tasks.tolist(), steps)])
+    pair.check()
+    pair.cross_restored().check()

@@ -78,6 +78,22 @@ class TestOnlineStatistics:
         with pytest.raises(ValueError):
             stats.update(float("inf"))
 
+    def test_an_overflowing_variance_restarts_without_the_observation(self):
+        """A finite delta whose update overflows the variance cannot be
+        held: the statistics restart without it, keeping what they held
+        as the stale estimate, and stay finite; the next one is the
+        first fresh sample."""
+        stats = OnlineStatistics(min_fresh=2)
+        stats.update(1.7e308)
+        stats.update(-1.7e308)
+        assert stats.restarts == 1
+        assert (stats.count, stats.total_count) == (0, 2)
+        assert (stats.mean, stats.variance) == (1.7e308, 0.0)  # stale
+        for _ in range(2):
+            stats.update(-1.0)
+        assert (stats.restarts, stats.count) == (1, 2)
+        assert (stats.mean, stats.variance) == (-1.0, 0.0)
+
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
             OnlineStatistics(restart_after=1)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,12 +79,46 @@ class TestAggregateTrace:
             lo = max(0, t - window + 1)
             assert out[t] == values[lo:t + 1].max()
 
+    @given(window=st.integers(min_value=1, max_value=70),
+           kind=st.sampled_from(AggregateKind),
+           data=st.lists(st.floats(min_value=-1e6, max_value=1e6,
+                                   allow_nan=False),
+                         min_size=1, max_size=60))
+    @settings(max_examples=120, deadline=None)
+    def test_property_is_the_window_reduced_oldest_first(self, window, kind,
+                                                         data):
+        """Bit for bit what the live service reads, windows longer than
+        the stream included: a sum added from the oldest, a zero
+        extremum ``+0.0``."""
+        values = np.asarray(data)
+        out = aggregate_trace(values, window, kind)
+        for t in range(values.size):
+            held = data[max(0, t - window + 1):t + 1]
+            if kind in (AggregateKind.MAX, AggregateKind.MIN):
+                expected = (max if kind is AggregateKind.MAX
+                            else min)(held) + 0.0
+            else:
+                expected = functools.reduce(operator.add, held, -0.0)
+                if kind is AggregateKind.MEAN:
+                    expected /= len(held)
+            assert out[t] == expected and (
+                math.copysign(1.0, out[t]) == math.copysign(1.0, expected))
+
 
 class TestWindowedTaskSpec:
     def test_validation(self):
         task = TaskSpec(threshold=1.0, error_allowance=0.01)
         with pytest.raises(ConfigurationError):
             WindowedTaskSpec(task=task, window=0)
+
+    def test_offline_windows_have_no_ring_bound(self):
+        """Only a live task keeps a ring (``core.soa.MAX_WINDOW``);
+        offline analysis takes any window."""
+        spec = WindowedTaskSpec(
+            task=TaskSpec(threshold=1e9, error_allowance=0.01),
+            window=100_000, kind=AggregateKind.SUM)
+        result = run_windowed_adaptive(np.ones(50), spec)
+        assert result.aggregated.tolist() == list(map(float, range(1, 51)))
 
 
 class TestRunWindowedAdaptive:

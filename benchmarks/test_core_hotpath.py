@@ -21,11 +21,13 @@ container a task does not use (a window buffer, an alert list; held to
 traced bytes per task), a row-by-row engine write in a restore, a numpy
 scalar per column read or write of a narrow tick or a by-name offer, a
 column copied on its way into a checkpoint file; held to traced peak
-bytes).
+bytes; numpy's ``np.flatnonzero`` wrapper on the offer path, a histogram
+record per shard batch).
 """
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import gc
 import json
@@ -38,6 +40,7 @@ import numpy as np
 
 from repro import service as service_module
 from repro.cluster.hosting import WorkerHost
+from repro.config import RuntimeConfig
 from repro.core.accuracy import alert_episodes, truth_alert_indices
 from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
 from repro.core.online_stats import OnlineStatistics
@@ -47,10 +50,13 @@ from repro.core.task import TaskSpec
 from repro.experiments.runner import (run_adaptive, run_lockstep,
                                       run_sampler_on_trace)
 from repro.runtime.checkpoint import state_fingerprint, write_checkpoint
-from repro.runtime.shard import ColumnBatch
+from repro.runtime.client import AsyncRuntimeClient
+from repro.runtime.server import RuntimeServer
+from repro.runtime.shard import ColumnBatch, ShardWorker
 from repro.service import MonitoringService
 from repro.telemetry import trace as trace_module
 from repro.telemetry.histogram import LogHistogram
+from repro.telemetry.registry import MetricsRegistry
 from repro.workloads.thresholds import (PAPER_ERROR_ALLOWANCES,
                                         PAPER_SELECTIVITIES,
                                         threshold_for_selectivity)
@@ -703,3 +709,68 @@ def test_a_narrow_tick_indexes_no_column(monkeypatch):
     assert not indexed
     engine.views.mean[0] = 1.5          # the views alias the columns
     assert engine.mean[:1].tolist() == [1.5]
+
+
+def test_a_narrow_batch_pays_no_wrapper_and_no_record(monkeypatch):
+    """A 16-offer shard batch, the narrow batch a per-node agent's
+    64-offer frame becomes: ``apply_columns`` finds its indices through
+    ``ndarray.nonzero``, never the ``np.flatnonzero`` wrapper, and hands
+    its intervals to the histogram as one count column, which the
+    sketch absorbs when it is read — no ``LogHistogram.record`` per
+    batch."""
+    worker = ShardWorker(0, _warm(64), 16)
+    worker.interval_hist = hist = MetricsRegistry().histogram("interval")
+    wrapped = _counted(monkeypatch, np, "flatnonzero")
+    records = _counted(monkeypatch, LogHistogram, "record")
+    rows = np.arange(0, 64, 4, dtype=np.int64)
+    rng = np.random.default_rng(SEED)
+    for step in range(8, 72):
+        worker.apply_columns(ColumnBatch(rows, np.full(16, step),
+                                         rng.normal(50.0, 5.0, 16)))
+    assert worker.applied == 64 * 16 and worker.consumed > 64
+    assert not wrapped and not records
+    assert hist.get()["count"] == worker.consumed and records
+
+
+def test_a_typed_batch_pays_no_index_wrapper(monkeypatch):
+    """A step-major batch over windowed, quantile, entropy, guarded and
+    watched rows takes ``offer_columns`` with no ``np.flatnonzero``."""
+    service = _typed_fleet(256)
+    wrapped = _counted(monkeypatch, np, "flatnonzero")
+    rows = np.tile(np.arange(256, dtype=np.int64), 4)
+    rng = np.random.default_rng(SEED)
+    for frame in range(2, 10):
+        steps = np.repeat(np.arange(4 * frame, 4 * frame + 4,
+                                    dtype=np.int64), 256)
+        applied, _, rejected, _ = service.offer_columns(
+            rows, steps, rng.normal(55.0, 8.0, 4 * 256))
+        assert (applied, rejected) == (4 * 256, 0)
+    assert not wrapped
+
+
+def test_a_binary_frame_pays_no_index_wrapper(monkeypatch):
+    """A binary offer frame through the front end — the step check, an
+    unknown slot, the per-shard split and the shards' apply — calls no
+    ``np.flatnonzero``."""
+    async def scenario() -> tuple[Any, Any]:
+        server = RuntimeServer(RuntimeConfig(port=0, shards=2))
+        await server.start()
+        client = AsyncRuntimeClient(port=server.tcp_port)
+        try:
+            await client.negotiate()
+            names = [f"t{i:02d}" for i in range(16)]
+            for name in names:
+                await client.register_task(name, 100.0,
+                                           error_allowance=0.05)
+            await client.intern([*names, "ghost"])
+            wrapped = _counted(monkeypatch, np, "flatnonzero")
+            reply = await client.offer_columns(
+                list(range(17)), [0] * 17, [50.0] * 17)
+            await server.drain()
+            return reply, wrapped
+        finally:
+            await client.close()
+            await server.shutdown()
+    reply, wrapped = asyncio.run(scenario())
+    assert (reply.accepted, reply.rejected) == (16, 1)
+    assert not wrapped

@@ -599,7 +599,7 @@ class SoaSamplerEngine:
             octave = np.frexp(size)[1]
             out = np.empty(len(rows))
             for group in np.unique(octave):  # each one matrix
-                at = np.flatnonzero(octave == group)
+                at = (octave == group).nonzero()[0]
                 out[at] = self._read_windows(rows[at], steps[at])
             return out
         at = (self.window_newest[rows] - size + 1
@@ -611,7 +611,7 @@ class SoaSamplerEngine:
         with np.errstate(all="ignore"):  # an overflowed sum is refused
             out = np.cumsum(np.where(held, values, -0.0), axis=0)[-1]
             out = np.where(kind == 0, out / count, out)
-        if kind.max() >= 2:
+        if np.count_nonzero(kind >= 2):
             out = np.where(kind < 2, out, np.where(
                 kind == 2, np.where(held, values, -np.inf).max(axis=0),
                 np.where(held, values, np.inf).min(axis=0)) + 0.0)
@@ -870,12 +870,12 @@ class SoaSamplerEngine:
         act = self.active[rows] & (rows >= 0)
         usable = act & np.isfinite(values)
         if np.count_nonzero(usable) < len(rows):
-            stray = np.flatnonzero(~act)
+            stray = (~act).nonzero()[0]
             if resolve is not None and len(stray):
                 rows = rows.copy()
                 rows[stray] = found = resolve(stray)
                 usable[stray] = (found >= 0) & np.isfinite(values[stray])
-            keep = np.flatnonzero(usable)
+            keep = usable.nonzero()[0]
             result.rejected = len(rows) - len(keep)
             rows = rows[keep]
             steps = steps[keep]
@@ -892,7 +892,7 @@ class SoaSamplerEngine:
         if runs == 1:
             ticks: list[Any] = [slice(None)]
         elif len(rows) >= runs * _NARROW_TICK_ROWS:
-            bounds = [0, *(np.flatnonzero(descents) + 1).tolist(), len(rows)]
+            bounds = [0, *(descents.nonzero()[0] + 1).tolist(), len(rows)]
             ticks = list(map(slice, bounds, bounds[1:]))
         else:
             # Occurrence splitting: a stable sort groups equal rows while
@@ -904,7 +904,7 @@ class SoaSamplerEngine:
             new_group[0] = True
             np.not_equal(sorted_rows[1:], sorted_rows[:-1],
                          out=new_group[1:])
-            group_starts = np.flatnonzero(new_group)
+            group_starts = new_group.nonzero()[0]
             if len(group_starts) == len(rows):
                 ticks = [order]
             else:
@@ -926,7 +926,7 @@ class SoaSamplerEngine:
                 tick_values = self._window_tick(tick_rows, tick_steps,
                                                 tick_values, at, due)
             if hooks is not None:
-                marked = np.flatnonzero(self.derived[at])
+                marked = self.derived[at].nonzero()[0]
                 if len(marked):
                     hooks.absorb(tick_rows[marked], tick_values[marked])
             n_due = int(np.count_nonzero(due))
@@ -934,12 +934,12 @@ class SoaSamplerEngine:
             if n_due == 0:
                 continue
             if n_due < len(tick_rows):
-                d = np.flatnonzero(due)
+                d = due.nonzero()[0]
                 tick_rows = at = tick_rows[d]
                 tick_steps = tick_steps[d]
                 tick_values = tick_values[d]
             if hooks is not None:
-                marked = np.flatnonzero(self.derived[at])
+                marked = self.derived[at].nonzero()[0]
                 if len(marked):
                     tick_values = tick_values.copy()
                     tick_values[marked] = hooks.monitored(
@@ -966,14 +966,14 @@ class SoaSamplerEngine:
             (ev_rows, ev_steps, ev_values, ev_iv, ev_flags, ev_beta) = (
                 cols[0] if len(cols) == 1 else np.concatenate(cols)
                 for cols in zip(*events))
-            flagged = np.flatnonzero(ev_flags)
+            flagged = ev_flags.nonzero()[0]
             result.event_rows = ev_rows[flagged]
             result.event_steps = ev_steps[flagged]
             result.event_values = ev_values[flagged]
             result.event_intervals = ev_iv[flagged]
             result.event_flags = flags = ev_flags[flagged]
             result.event_betas = ev_beta[flagged]
-            viol = np.flatnonzero(flags & 4)
+            viol = (flags & 4).nonzero()[0]
             result.viol_rows = result.event_rows[viol]
             result.viol_steps = result.event_steps[viol]
             result.viol_values = result.event_values[viol]
@@ -987,7 +987,7 @@ class SoaSamplerEngine:
         after the newest step their window holds, one write per column —
         and return the tick's values with each ``due`` one's replaced by
         what its window then reads at its step (:meth:`_read_windows`)."""
-        ring = np.flatnonzero(self.window[at])
+        ring = self.window[at].nonzero()[0]
         taken = ring[steps[ring] > self.window_newest[rows[ring]]]
         new_rows, new_steps = rows[taken], steps[taken]
         slots = self.window_base[new_rows] + new_steps % self.window[new_rows]
@@ -1067,7 +1067,7 @@ class SoaSamplerEngine:
             bad = has & ((dt <= 0) | ~np.isfinite(x))
             rejected = int(np.count_nonzero(bad))
             if rejected:
-                ok = np.flatnonzero(~bad)
+                ok = (~bad).nonzero()[0]
                 rows = at = rows[ok]
                 (steps, values, v, threshold, has, stat_n, prev_mean, n_acc,
                  mean_acc, var_acc) = (column[ok] for column in (
@@ -1118,7 +1118,7 @@ class SoaSamplerEngine:
             else:
                 beta = np.ones(n, dtype=np.float64)
                 if n_trusted:
-                    ti = np.flatnonzero(trusted)
+                    ti = trusted.nonzero()[0]
                     beta[ti] = self._kernel(
                         (threshold - v)[ti], mean_est[ti], var_est[ti],
                         interval[ti], use_cheb[ti])

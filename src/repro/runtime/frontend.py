@@ -660,15 +660,14 @@ class WireServer:
         idx = cols.task_idx.astype(np.int64)
         steps = cols.steps
         values = cols.values
-        if count and not (STEP_MIN <= steps.min()
-                          and steps.max() <= STEP_MAX):
+        if np.count_nonzero((steps < STEP_MIN) | (steps > STEP_MAX)):
             return encode_frame_parts(_error(
                 f"offer steps must lie in [{STEP_MIN}, {STEP_MAX}]",
                 code="bad-update"))
         valid = idx < len(conn.names)
         rejected = 0
-        if not valid.all():
-            keep = np.flatnonzero(valid)
+        if np.count_nonzero(valid) < count:
+            keep = valid.nonzero()[0]
             rejected = count - len(keep)
             idx = idx[keep]
             steps = steps[keep]
@@ -691,8 +690,8 @@ class WireServer:
         shards = conn.shard[idx]
         rejected = 0
         unknown = shards < 0
-        if unknown.any():
-            keep = np.flatnonzero(~unknown)
+        if np.count_nonzero(unknown):
+            keep = (~unknown).nonzero()[0]
             rejected = len(idx) - len(keep)
             idx = idx[keep]
             steps = steps[keep]
@@ -703,8 +702,8 @@ class WireServer:
         # rather than a sort of the frame (np.unique): grouping 16 384
         # offers over 4 shards takes ~150 us this way, ~420 us that way.
         present = np.bincount(shards, minlength=self.n_shards)
-        for shard in np.flatnonzero(present).tolist():
-            sel = np.flatnonzero(shards == shard)
+        for shard in present.nonzero()[0].tolist():
+            sel = (shards == shard).nonzero()[0]
             per_shard[shard] = (idx[sel], steps[sel], values[sel])
         result = self._submit_columns(conn, per_shard)
         if hasattr(result, "__await__"):

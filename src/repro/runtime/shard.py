@@ -173,8 +173,9 @@ class ShardWorker:
         Drives the service through
         :meth:`~repro.service.MonitoringService.offer_columns` — one
         vectorised engine pass, stale rows re-resolved by name in it — and
-        folds the whole batch's telemetry into count-weighted histogram
-        updates instead of one ``observe`` per consumed offer.
+        hands the interval histogram the batch's interval counts (one
+        ``np.bincount``), which it absorbs when it is read, instead of
+        one ``observe`` per consumed offer.
         """
         if self.fault_hook.enabled:
             # Chaos seam: may raise to simulate an unexpected internal
@@ -189,11 +190,8 @@ class ShardWorker:
         self.rejected += rejected
         interval_hist = self.interval_hist
         if interval_hist is not None and len(intervals):
-            # Intervals are small positive ints (<= max_interval): a
-            # bincount is the cheap way to the distinct values' counts.
-            for value, count in enumerate(np.bincount(intervals).tolist()):
-                if count:
-                    interval_hist.observe_repeat(value, count)
+            # Intervals are small positive ints (<= max_interval).
+            interval_hist.observe_counts(np.bincount(intervals))
 
     def start(self) -> None:
         """Start the drain loop on the running event loop."""

@@ -1459,7 +1459,7 @@ class MonitoringService:
             block["value"] = res.event_values
             block["threshold"] = engine.alert_threshold[res.event_rows]
             if estimates:
-                block["value"][np.flatnonzero(res.event_flags & 4)] = values
+                block["value"][(res.event_flags & 4).nonzero()[0]] = values
             trace.emit_block(block, self._row_names, self._trace_shard)
         callbacks = self._alert_callbacks
         if callbacks and len(rows):
@@ -1566,13 +1566,13 @@ class MonitoringService:
         """
         engine = self._soa
         on_row = engine.active[rows] & (rows >= 0)
-        stray = np.flatnonzero(~on_row)
+        stray = (~on_row).nonzero()[0]
         if resolve is not None and len(stray):
             rows = rows.copy()
             rows[stray] = found = resolve(stray)
             on_row[stray] = found >= 0
-        watched = np.flatnonzero(
-            engine.watched[rows] & on_row & np.isfinite(values))
+        watched = (engine.watched[rows] & on_row
+                   & np.isfinite(values)).nonzero()[0]
         cuts: list[tuple[int, dict[str, Any] | None, bool]] = []
         for pos, row, step, value in zip(
                 watched.tolist(), rows[watched].tolist(),

@@ -432,16 +432,25 @@ def test_extreme_finite_streams_are_one_rule(frames, seed, soa_differential):
     restart its statistics, and non-finite deltas are refused untouched,
     on either representation alike, in narrow and wide ticks: the two
     services stay equal, their statistics, bounds and coordination
-    products finite, and each one's snapshot restores onto the other."""
-    def windowed(service):
+    products finite, and each one's snapshot restores onto the other.
+    Quantile and entropy tasks take the same values into their sketches
+    and symbol windows."""
+    def more(service):
+        config = AdaptationConfig(patience=2, min_samples=4)
         for kind in AggregateKind:
             service.add_task(f"w-{kind.value}", TaskSpec(
                 threshold=90.0, error_allowance=0.05, max_interval=6,
                 name=f"w-{kind.value}"), window=3, window_kind=kind,
-                config=AdaptationConfig(patience=2, min_samples=4))
-        return [f"w-{kind.value}" for kind in AggregateKind]
+                config=config)
+        service.add_quantile_task("q", threshold=90.0, quantile=0.9,
+                                  error_allowance=0.05, max_interval=6,
+                                  sketch_window=4, config=config)
+        service.add_entropy_task("e", threshold=0.5, entropy_window=4,
+                                 error_allowance=0.05, max_interval=6,
+                                 config=config)
+        return [f"w-{kind.value}" for kind in AggregateKind] + ["q", "e"]
     pair = soa_differential(soa_differential.population(30, "mixed"),
-                            register_more=windowed)
+                            register_more=more)
     rng = np.random.default_rng(seed)
     for step, (even, odd, width) in enumerate(frames):
         # Distinct tasks: a wide frame is one wide, vectorised tick.

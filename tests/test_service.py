@@ -493,6 +493,23 @@ class TestStatisticsOverflow:
         for key in ("mean", "var", "coord_err_mant"):
             assert np.isfinite(document["sampler"][key]).all(), key
 
+    @pytest.mark.parametrize("soa", [False, True], ids=["scalar", "rows"])
+    def test_a_quantile_task_takes_the_largest_finite_float(self, soa):
+        """The largest finite float lands in a bucket whose ``gamma^i``
+        is past the float range; its midpoint is still read, so the
+        first offer is taken and the 50 ordinary offers after it keep
+        sampling, where every one raised ``OverflowError`` before."""
+        service = MonitoringService(soa=soa)
+        service.add_quantile_task("q", threshold=100.0, quantile=0.9,
+                                  error_allowance=0.05, max_interval=6,
+                                  sketch_window=16)
+        service.offer("q", 1.7976931348623157e308, 0)
+        values = np.random.default_rng(3).normal(50.0, 2.0, 50)
+        for step, value in enumerate(values.tolist(), start=1):
+            service.offer("q", value, step)
+        assert service.samples_taken("q") > 10
+        assert np.isfinite(service.task_estimate("q"))
+
 
 class TestEndToEndStream:
     def test_matches_runner_semantics(self, bursty_trace):

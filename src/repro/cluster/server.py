@@ -17,12 +17,13 @@ everything stateful about the cluster flows through it:
   per touched worker. A worker that cannot be reached costs its updates
   a *shed* (never a silent loss) and feeds the failure detector.
 * **Live migration** — :meth:`ClusterServer.migrate` moves one shard
-  between workers under load: buffer incoming offers, wait for in-flight
-  forwards, drain the source, snapshot, restore on the target, verify the
-  restored state's fingerprint matches the source's **before** cutover,
-  then replay the buffer. A fingerprint mismatch aborts the migration
-  with the source still authoritative — the failure mode is a rejected
-  migration, never a corrupted shard.
+  between workers under load: hold new ops to the shard, wait for
+  in-flight forwards, drain the source, snapshot, restore on the target,
+  verify the restored state's fingerprint matches the source's **before**
+  cutover, then let the held ops through to the new worker. A
+  fingerprint mismatch aborts the migration with the source still
+  authoritative — the failure mode is a rejected migration, never a
+  corrupted shard.
 * **Failure re-placement** — a heartbeat loop declares a worker dead
   after ``heartbeat_misses`` consecutive missed pings and rebuilds its
   shards on survivors from the recovery copy (or fresh when no copy
@@ -41,9 +42,12 @@ pids for supervision).
 Unlike the runtime's backend, this one suspends: every data/control op
 awaits a worker round-trip. Per-connection ordering is preserved — one
 frame is fully handled before the next is read — but connections
-interleave at await points; the cross-connection coordination
-(buffering, cutover, settled waits) is per shard, on its
-:class:`ShardRoute` in the placement table.
+interleave at await points. One rule serves every op addressed to a
+shard that is moving (migrating or being re-placed), offers included: it
+waits until the move settles, then goes to whichever worker the route
+names — so an ACK always means a shard queue took the offer. That
+coordination is per shard, on its :class:`ShardRoute` in the placement
+table.
 """
 
 from __future__ import annotations
@@ -55,13 +59,12 @@ import pathlib
 import tempfile
 import time
 from collections import deque
-from typing import Any, AsyncIterator, Callable
+from typing import Any, AsyncIterator, Callable, Iterable
 
 from repro.config import ClusterConfig
 from repro.core.adaptation import AdaptationConfig
 from repro.exceptions import ClusterError, ConfigurationError
 from repro.runtime.frontend import ConnState, WireServer
-from repro.runtime.protocol import SHED_RETRY_MS
 from repro.service import snapshot_task_names
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import DecisionTrace
@@ -76,44 +79,34 @@ __all__ = ["ClusterServer", "ShardRoute"]
 
 logger = logging.getLogger(__name__)
 
-_FLUSH_RETRY_LIMIT = 200
-"""Shed-retry attempts per buffered segment during replay before giving up
-(each waits ``SHED_RETRY_MS``, so ~10s of backpressure)."""
-
-BUFFER_DEPTH = 65536
-"""Updates buffered per shard while it migrates; overflow is shed with
-the usual backpressure reply."""
-
 
 class ShardRoute:
     """Routing-table entry for one global shard."""
 
-    __slots__ = ("shard_id", "worker_id", "buffering", "buffer",
-                 "buffered_updates", "inflight", "_idle", "_settled")
+    __slots__ = ("shard_id", "worker_id", "moving", "inflight", "_idle",
+                 "_settled")
 
     def __init__(self, shard_id: int, worker_id: str):
         self.shard_id = shard_id
         self.worker_id = worker_id
-        self.buffering = False
-        # (gids, steps, values) column segments ACKed while buffering.
-        self.buffer: list[tuple[Any, Any, Any]] = []
-        self.buffered_updates = 0
+        self.moving = False
         self.inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
         self._settled = asyncio.Event()
         self._settled.set()
 
-    def begin_buffering(self) -> None:
-        self.buffering = True
+    def begin_move(self) -> None:
+        self.moving = True
         self._settled.clear()
 
-    def end_buffering(self) -> None:
-        self.buffering = False
+    def end_move(self) -> None:
+        self.moving = False
         self._settled.set()
 
     async def wait_settled(self) -> None:
-        """Block until no migration/re-placement is in progress."""
+        """Block until the move in progress ends (another may begin
+        before the waiter runs: see :meth:`ClusterServer._moving`)."""
         await self._settled.wait()
 
     async def wait_idle(self) -> None:
@@ -175,7 +168,7 @@ class ClusterServer(WireServer):
             "volley_coordinator_uptime_seconds",
             "Seconds since the coordinator started",
             fn=lambda: time.monotonic() - self._started_monotonic)
-        # Shed at the routing tier (unreachable worker / buffer overflow).
+        # Shed at the routing tier (an unreachable worker).
         # Label shape matches the per-worker shed family after the fleet
         # merge prepends "worker", so family totals stay truthful.
         registry.counter(
@@ -363,13 +356,23 @@ class ClusterServer(WireServer):
         except ClusterError:
             pass
 
+    def _moving(self, sids: Iterable[int]) -> ShardRoute | None:
+        """The first route of shards ``sids`` that is moving, if any: the
+        gate every op to a shard loops on, since another move may begin
+        between a wake and the waiter's turn. One attribute read per
+        shard, and no ``await``, when nothing moves."""
+        for sid in sids:
+            if self.routes[sid].moving:
+                return self.routes[sid]
+        return None
+
     async def _shard_call(self, sid: int,
                           payload: dict[str, Any]) -> dict[str, Any]:
         """Send one ``w_*`` op to whichever worker hosts shard ``sid``,
         once no migration or re-placement of it is in progress."""
-        routed = self.routes[sid]
-        await routed.wait_settled()
-        return await self._request(routed.worker_id, payload)
+        while (moving := self._moving((sid,))) is not None:
+            await moving.wait_settled()
+        return await self._request(self.routes[sid].worker_id, payload)
 
     def _note_failure(self, worker_id: str) -> None:
         """A data-path request failed; let the heartbeat confirm sooner."""
@@ -445,49 +448,35 @@ class ClusterServer(WireServer):
         rejected).
 
         ``per_shard`` maps shard id to ``(intern_idx, steps, values)``
-        arrays over ``conn``'s table, whose ``ids`` are the gids.
-        Buffering (migrating) shards ACK the segment into their migration
-        buffer, replayed after cutover — an ACK here carries the same
-        durability as an ACK into a shard queue. Everything else groups
-        into one binary ``SHARD_OFFER`` frame per worker, sent
-        concurrently.
+        arrays over ``conn``'s table, whose ``ids`` are the gids. A frame
+        that touches a moving shard waits until no shard it touches
+        moves; only then does it mark any forward in flight, so a waiting
+        frame holds up no other shard's move. The segments group into one
+        binary ``SHARD_OFFER`` frame per worker, sent concurrently.
         """
+        while (moving := self._moving(per_shard)) is not None:
+            await moving.wait_settled()
         ids = conn.ids
-        accepted = shed = rejected = 0
         per_worker: dict[str, list[Any]] = {}
-        touched: list[ShardRoute] = []
         for sid, (idx, steps, values) in per_shard.items():
             routed = self.routes[sid]
-            gids = ids[idx]
-            if routed.buffering:
-                if (routed.buffered_updates + len(gids)
-                        <= BUFFER_DEPTH):
-                    routed.buffer.append((gids, steps, values))
-                    routed.buffered_updates += len(gids)
-                    accepted += len(gids)
-                else:
-                    self.router_shed += len(gids)
-                    shed += len(gids)
-                continue
             per_worker.setdefault(routed.worker_id, []).append(
-                (sid, gids, steps, values))
+                (sid, ids[idx], steps, values))
             routed.inflight += 1
             routed._idle.clear()
-            touched.append(routed)
-        if per_worker:
-            try:
-                results = await asyncio.gather(
-                    *(self._forward_or_shed(wid, segments)
-                      for wid, segments in per_worker.items()))
-            finally:
-                for routed in touched:
-                    routed.inflight -= 1
-                    if routed.inflight == 0:
-                        routed._idle.set()
-            for a, s, r in results:
-                accepted += a
-                shed += s
-                rejected += r
+        if not per_worker:
+            return 0, 0, 0
+        try:
+            results = await asyncio.gather(
+                *(self._forward_or_shed(wid, segments)
+                  for wid, segments in per_worker.items()))
+        finally:
+            for sid in per_shard:
+                routed = self.routes[sid]
+                routed.inflight -= 1
+                if routed.inflight == 0:
+                    routed._idle.set()
+        accepted, shed, rejected = map(sum, zip(*results))
         return accepted, shed, rejected
 
     async def _forward_or_shed(self, worker_id: str,
@@ -551,7 +540,7 @@ class ClusterServer(WireServer):
                    for i, (wid, event) in enumerate(events)
                    for sid in event["hosted"]
                    if self.routes[sid].worker_id == wid
-                   and not self.routes[sid].buffering}
+                   and not self.routes[sid].moving}
         for i, (_, event) in enumerate(events):
             count_edge(self.trigger_plans, self.task_shard,
                        self.trigger_edges, event)
@@ -587,12 +576,13 @@ class ClusterServer(WireServer):
     # Migration
 
     async def migrate(self, shard_id: int, target: str) -> dict[str, Any]:
-        """Move one shard to ``target`` live, with offers buffered.
+        """Move one shard to ``target`` live.
 
-        Protocol: buffer → wait in-flight → drain+snapshot source →
-        restore on target → **fingerprint check** → cutover → replay
-        buffer → drop source copy. Any failure before cutover aborts
-        with the source untouched and the buffer replayed to it.
+        Protocol: hold new ops to the shard → wait in-flight →
+        drain+snapshot source → restore on target → **fingerprint
+        check** → cutover → release the held ops → drop source copy. Any
+        failure before cutover aborts with the source untouched, and the
+        held ops go on to it.
         """
         if not 0 <= shard_id < self.n_shards:
             raise ClusterError(f"no such shard {shard_id}")
@@ -603,10 +593,10 @@ class ClusterServer(WireServer):
         if target == source:
             return {"ok": True, "shard": shard_id, "from": source,
                     "to": target, "noop": True}
-        if routed.buffering:
+        if routed.moving:
             raise ClusterError(
                 f"shard {shard_id} is already migrating")
-        routed.begin_buffering()
+        routed.begin_move()
         try:
             await routed.wait_idle()
             snap = await self._request(source, {
@@ -635,54 +625,17 @@ class ClusterServer(WireServer):
         except Exception:
             self.trace.emit("migration_aborted", shard=shard_id,
                             source=source, target=target)
-            # Source is still authoritative; replay what we buffered.
-            await self._flush(routed)
-            routed.end_buffering()
-            raise
-        replayed = await self._flush(routed)
-        routed.end_buffering()
+            raise  # the source is still authoritative
+        finally:
+            routed.end_move()
         await self._best_effort(source, {"op": "w_drop_shard",
                                          "shard": shard_id})
         self.migrations += 1
         self.trace.emit("shard_migrated", shard=shard_id, source=source,
-                        target=target, replayed=replayed,
-                        fingerprint=snap.get("fingerprint"))
+                        target=target, fingerprint=snap.get("fingerprint"))
         return {"ok": True, "shard": shard_id, "from": source, "to": target,
-                "replayed": replayed,
                 "fingerprint": snap.get("fingerprint"),
                 "fingerprint_match": True}
-
-    async def _flush(self, routed: ShardRoute) -> int:
-        """Replay a route's buffer head-first to its current worker."""
-        replayed = 0
-        retries = 0
-        while routed.buffer:
-            segment = routed.buffer[0]
-            count = len(segment[0])
-            try:
-                accepted, shed, _ = await self._forward(
-                    routed.worker_id, [(routed.shard_id, *segment)])
-            except ClusterError:
-                accepted = shed = 0
-            if accepted == count:
-                replayed += count
-                routed.buffered_updates -= count
-                routed.buffer.pop(0)
-                retries = 0
-                continue
-            if shed and retries < _FLUSH_RETRY_LIMIT:
-                retries += 1
-                await asyncio.sleep(SHED_RETRY_MS / 1000.0)
-                continue
-            # Worker unreachable, shard rejected, or out of retries: the
-            # remaining buffer is honestly accounted as shed and recovery
-            # (if the worker is dead) is the heartbeat's job.
-            for gids, _steps, _values in routed.buffer:
-                self.router_shed += len(gids)
-                routed.buffered_updates -= len(gids)
-            routed.buffer.clear()
-            break
-        return replayed
 
     # ------------------------------------------------------------------
     # Failure detection and re-placement
@@ -734,7 +687,7 @@ class ClusterServer(WireServer):
         for routed in self.routes:
             if routed.worker_id != worker_id:
                 continue
-            routed.begin_buffering()
+            routed.begin_move()
             try:
                 new_wid = min(survivors, key=lambda w: (load[w], w))
                 entry = self._recovery.get(str(routed.shard_id))
@@ -750,8 +703,7 @@ class ClusterServer(WireServer):
                 logger.exception("re-placement of shard %d failed",
                                  routed.shard_id)
             finally:
-                await self._flush(routed)
-                routed.end_buffering()
+                routed.end_move()
         transport = self.transports.get(worker_id)
         if transport is not None:
             try:
@@ -895,9 +847,9 @@ class ClusterServer(WireServer):
 
     async def _op_stats(self, request: dict[str, Any]) -> dict[str, Any]:
         reply = await super()._op_stats(request)
-        # Shed at the routing tier (unreachable worker, migration-buffer
-        # overflow) never reached a shard queue; fold it into the total
-        # so offered/applied/shed accounting stays conservation-true.
+        # Shed at the routing tier (an unreachable worker) never reached
+        # a shard queue; fold it into the total so offered/applied/shed
+        # accounting stays conservation-true.
         reply["totals"]["shed"] += self.router_shed
         reply["cluster"] = {
             "workers": len(self.transports),

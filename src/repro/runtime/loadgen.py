@@ -139,8 +139,9 @@ async def _migrate_at_midpoint(control: AsyncRuntimeClient,
                                delay: float) -> dict[str, Any]:
     """Move one shard to the least-loaded other live worker, under load.
 
-    The cutover must be invisible to the senders (offers buffered during
-    it replay afterwards); returns the coordinator's own account of it.
+    The cutover must be invisible to the senders, beyond a wait (a frame
+    to the moving shard is held until the move settles); returns the
+    coordinator's own account of it.
     """
     await asyncio.sleep(delay)
     workers = (await control.placement())["workers"]
@@ -238,13 +239,11 @@ async def run_loadgen(args: argparse.Namespace) -> dict[str, Any]:
             server_side = {f"{key}_delta": after[key] - before[key]
                            for key in _LEDGER}
             # Every ACKed offer lands on a shard queue exactly once,
-            # migration-buffer replays included. A cluster's shed deltas
-            # are not compared: replay retries legitimately bump
-            # worker-side shed counters with no client-visible shed.
+            # frames that waited for a migration included, and every shed
+            # the server counts is one a sender saw.
             consistent = (
                 server_side["offered_delta"] == seen["accepted"]
-                and (bool(args.cluster_workers)
-                     or server_side["shed_delta"] == seen["shed"]))
+                and server_side["shed_delta"] == seen["shed"])
 
         triggers = None
         if args.triggers:
@@ -390,7 +389,6 @@ def main(argv: list[str] | None = None) -> int:
               f"{'ok' if moved else 'FAILED'} "
               f"shard={migration.get('shard')} "
               f"{migration.get('from')}->{migration.get('to')} "
-              f"replayed={migration.get('replayed')} "
               f"fingerprint_match={migration.get('fingerprint_match')}",
               flush=True)
         if not moved:

@@ -85,8 +85,7 @@ PROTOCOL_VERSION = PROTOCOL_BINARY
 """Highest protocol version this build speaks."""
 
 SHED_RETRY_MS = 50
-"""The retry hint (``retry_after_ms``) a reply to a shed batch carries;
-the cluster's migration-buffer flush waits as long between retries."""
+"""The retry hint (``retry_after_ms``) a reply to a shed batch carries."""
 
 _BINARY_FLAG = 0x8000_0000
 _LENGTH_MASK = 0x7FFF_FFFF

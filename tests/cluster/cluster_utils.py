@@ -9,6 +9,10 @@ from repro.cluster.server import ClusterServer
 from repro.config import ClusterConfig
 from repro.core.adaptation import AdaptationConfig
 
+SCENARIO_DEADLINE_S = 120.0
+"""How long one scenario may run: a hang fails its test instead of
+stalling the suite (the slowest chaos scenario takes seconds)."""
+
 
 def run_cluster(coro_factory: Callable[[ClusterServer], Awaitable[Any]],
                 adaptation: AdaptationConfig | None = None,
@@ -16,7 +20,8 @@ def run_cluster(coro_factory: Callable[[ClusterServer], Awaitable[Any]],
     """Run one scenario against a fresh cluster and shut it down.
 
     Defaults to the in-proc backend (fast, single event loop) with two
-    workers; pass ``backend="subprocess"`` etc. to override.
+    workers; pass ``backend="subprocess"`` etc. to override. A scenario
+    that runs past ``SCENARIO_DEADLINE_S`` fails with ``TimeoutError``.
     """
     config_kwargs.setdefault("backend", "inproc")
     config_kwargs.setdefault("workers", 2)
@@ -27,7 +32,8 @@ def run_cluster(coro_factory: Callable[[ClusterServer], Awaitable[Any]],
                                adaptation=adaptation)
         await server.start()
         try:
-            return await coro_factory(server)
+            return await asyncio.wait_for(coro_factory(server),
+                                          SCENARIO_DEADLINE_S)
         finally:
             await server.shutdown()
 

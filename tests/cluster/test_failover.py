@@ -346,7 +346,8 @@ class TestSubprocessChaos:
             heartbeat_timeout=0.5)
         assert not migrated["ok"]
         assert migrations == 0
-        # Source still authoritative, buffered offers replayed to it.
+        # Source still authoritative; the writer's held frames went on
+        # to it once the migration gave up.
         result = check_no_acked_loss(
             expected={TASK: 40 + acked}, actual={TASK: applied},
             scope="across the aborted migration")

@@ -25,6 +25,7 @@ from repro.runtime.checkpoint import state_fingerprint
 from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.server import RuntimeServer
 from repro.cluster.routing import route
+from repro.testkit.invariants import check_no_acked_loss
 
 SHARDS = 4
 TASK = "task-0"  # routes to shard 1 of 4 (pinned in test_routing.py)
@@ -118,7 +119,7 @@ class TestMidStreamMigration:
 
 
 class TestMigrationUnderConcurrentLoad:
-    def test_offers_during_migration_are_buffered_not_lost(self):
+    def test_racing_offers_land_exactly_once(self):
         """Offers racing a migration land exactly once, in order."""
 
         async def scenario(cluster):
@@ -164,10 +165,86 @@ class TestMigrationUnderConcurrentLoad:
         migrated, acked, stats = run_cluster(scenario, workers=2,
                                              shards=SHARDS)
         assert migrated["ok"] and migrated["fingerprint_match"]
-        # Every ACKed offer (including any buffered during the cutover)
-        # was applied — nothing lost, nothing duplicated.
+        # Every ACKed offer (including any held during the cutover) was
+        # applied — nothing lost, nothing duplicated.
         assert stats["totals"]["applied"] == acked + 50
         assert stats["cluster"]["migrations"] == 1
+
+    def test_a_writer_cannot_outrun_an_aborted_migration(self):
+        """A ``sleep(0)`` writer to the moving shard while its target's
+        restore fails: the writer's frames wait for the move, so at most
+        the one frame already in flight when it began (4 offers) is ACKed
+        while ``migrate`` runs, and every ACKed offer is applied."""
+        from repro.exceptions import ClusterError
+
+        async def scenario(cluster):
+            client = AsyncRuntimeClient(port=cluster.tcp_port)
+            writer = AsyncRuntimeClient(port=cluster.tcp_port)
+            try:
+                await client.register_task(**TASK_SPEC)
+                await client.offer_batch(
+                    [[TASK, s, 30.0] for s in range(40)])
+                await cluster.drain()
+                target = _other(cluster.routes[TASK_SHARD].worker_id)
+                # The heartbeat has not noticed the target die when the
+                # migration tries to restore there, and the failed restore
+                # takes a while to report, as a dead socket's does.
+                transport = cluster.transports[target]
+                await transport.kill()
+                dead = transport.request
+
+                async def slow_to_fail(payload):
+                    await asyncio.sleep(0.05)
+                    return await dead(payload)
+
+                transport.request = slow_to_fail
+
+                stop = asyncio.Event()
+                migrating = False
+                acked = during = 0
+
+                async def pump():
+                    nonlocal acked, during
+                    step = 2000
+                    while not stop.is_set():
+                        reply = await writer.offer_batch(
+                            [[TASK, step + i, 30.0] for i in range(4)])
+                        acked += reply["accepted"]
+                        if migrating:
+                            during += reply["accepted"]
+                        step += 4
+                        await asyncio.sleep(0)
+
+                pump_task = asyncio.create_task(pump())
+                await asyncio.sleep(0.02)
+                migrating = True
+                try:
+                    await cluster.migrate(TASK_SHARD, target)
+                    raised = None
+                except ClusterError as exc:
+                    raised = exc
+                migrating = False
+                await asyncio.sleep(0.02)
+                stop.set()
+                await pump_task
+                await cluster.drain()
+                applied = (await client.stats())["totals"]["applied"]
+                events = [e["kind"] for e in cluster.trace.drain(0, 10_000)]
+                return raised, acked, during, applied, events
+            finally:
+                await client.close()
+                await writer.close()
+
+        raised, acked, during, applied, events = run_cluster(
+            scenario, workers=2, shards=SHARDS, heartbeat_interval=3600.0)
+        assert raised is not None and "is down" in str(raised)
+        assert "migration_aborted" in events
+        assert during <= 4, during
+        assert acked > 4  # the writer did keep offering around the move
+        result = check_no_acked_loss(
+            expected={TASK: 40 + acked}, actual={TASK: applied},
+            scope="across the aborted migration")
+        assert result.passed, result.detail
 
     def test_double_migration_round_trips_home(self):
         async def scenario(cluster):
@@ -277,8 +354,8 @@ class TestTheGateIsTheMigrations:
                 placement = cluster.placement()
 
                 # The target restores a state that hashes differently
-                # (here: its reply is tampered), and while it does, more
-                # offers arrive and are ACKed into the migration buffer.
+                # (here: its reply is tampered), and while it does, a
+                # frame arrives and waits for the move to settle.
                 transport = cluster.transports[target]
                 forward = transport.request
                 gate = asyncio.Event()
@@ -293,17 +370,19 @@ class TestTheGateIsTheMigrations:
                 transport.request = tampered
                 migration = asyncio.create_task(
                     cluster.migrate(TASK_SHARD, target))
-                while not routed.buffering:
+                while not routed.moving:
                     await asyncio.sleep(0)
-                meanwhile = await client.offer_batch(
-                    [[TASK, s, 30.0] for s in range(20, 30)])
-                assert routed.buffered_updates == 10
+                meanwhile = asyncio.create_task(client.offer_batch(
+                    [[TASK, s, 30.0] for s in range(20, 30)]))
+                await asyncio.sleep(0.05)
+                answered_while_held = meanwhile.done()
                 gate.set()
                 try:
                     await migration
                     raised = None
                 except Exception as exc:  # noqa: BLE001 - asserted below
                     raised = exc
+                meanwhile = await meanwhile
                 transport.request = forward
                 await cluster.drain()
                 after = await client.offer_batch([[TASK, 30, 30.0]])
@@ -311,14 +390,17 @@ class TestTheGateIsTheMigrations:
                 stats = await client.stats()
                 events = [e["kind"] for e in cluster.trace.drain(since=0)]
                 hosted = await cluster._request(target, {"op": "w_ping"})
-                return (raised, meanwhile, after, stats, events, hosted,
-                        placement, cluster.placement(), source)
+                return (raised, answered_while_held, meanwhile, after,
+                        stats, events, hosted, placement,
+                        cluster.placement(), source)
             finally:
                 await client.close()
 
-        (raised, meanwhile, after, stats, events, hosted, before, now,
-         source) = run_cluster(scenario, workers=2, shards=SHARDS)
+        (raised, answered_while_held, meanwhile, after, stats, events,
+         hosted, before, now, source) = run_cluster(scenario, workers=2,
+                                                    shards=SHARDS)
         from repro.exceptions import ClusterError
+        assert not answered_while_held
         assert isinstance(raised, ClusterError)
         assert "fingerprint mismatch" in str(raised)
         assert "migration_aborted" in events
@@ -327,8 +409,8 @@ class TestTheGateIsTheMigrations:
         assert TASK_SHARD not in hosted["shards"]
         assert now == before and now["migrations"] == 0
         assert TASK_SHARD in now["workers"][source]["shards"]
-        # Nothing ACKed was lost: the buffer replayed to the source, which
-        # goes on accepting and applying.
+        # Nothing ACKed was lost: the held frame went on to the source,
+        # which goes on accepting and applying.
         assert meanwhile["accepted"] == 10 and after["accepted"] == 1
         assert stats["totals"]["applied"] == 31
         assert stats["totals"]["shed"] == 0

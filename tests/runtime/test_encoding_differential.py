@@ -6,7 +6,7 @@ offer frames must leave a server in the same place: equal per-frame
 reply counts, equal ``stats`` counters, equal per-shard snapshot
 fingerprints, equal alerts. Checked on a ``RuntimeServer`` and on an
 in-proc ``ClusterServer`` that live-migrates a shard mid-stream, with
-offers ACKed into the migration buffer while it moves.
+frames held, unanswered, while it moves.
 
 The stream is hostile on purpose: plain, windowed, quantile, entropy,
 locally-triggered and plan-guarded tasks; tasks repeated within a frame;
@@ -33,7 +33,7 @@ from repro.runtime.server import RuntimeServer
 SHARDS = 4
 FRAMES = 60
 REGISTER_AT, MIGRATE_AT, REMOVE_AT = 20, 25, 30
-BUFFERED_FRAMES = 3
+HELD_FRAMES = 3
 
 PLAIN = [f"p{i}" for i in range(8)]
 _POOL = [f"t{i}" for i in range(64)]
@@ -138,7 +138,7 @@ async def _send(client: AsyncRuntimeClient, encoding: str,
 
 async def _hold_migration(server: ClusterServer) -> tuple[Any, Any]:
     """Start migrating ``MOVED_SHARD`` and hold it at the source
-    snapshot, so the frames that follow are ACKed into the buffer."""
+    snapshot, so the frames that follow wait for it to settle."""
     routed = server.routes[MOVED_SHARD]
     source = server.transports[routed.worker_id]
     target = next(w for w in sorted(server.transports)
@@ -153,7 +153,7 @@ async def _hold_migration(server: ClusterServer) -> tuple[Any, Any]:
 
     source.request = held
     migration = asyncio.create_task(server.migrate(MOVED_SHARD, target))
-    while not routed.buffering:
+    while not routed.moving:
         await asyncio.sleep(0)
     return gate, migration
 
@@ -170,6 +170,7 @@ async def _drive(server: Any, encoding: str) -> dict[str, Any]:
             assert await client.negotiate() == 2
         replies = []
         held = None
+        sent: list[asyncio.Task] = []
         for f, frame in enumerate(_frames()):
             if f == REGISTER_AT:
                 await client.register_task("late", 100.0,
@@ -178,18 +179,24 @@ async def _drive(server: Any, encoding: str) -> dict[str, Any]:
                 await client.remove_task("gone")
             if f == MIGRATE_AT and isinstance(server, ClusterServer):
                 held = await _hold_migration(server)
-            replies.append(await _send(client, encoding, frame))
-            if held is not None:
-                if f < MIGRATE_AT + BUFFERED_FRAMES - 1:
-                    continue  # no drain: the held migration would block it
-                gate, migration = held
-                routed = server.routes[MOVED_SHARD]
-                assert routed.buffered_updates > 0
-                gate.set()
-                moved = await migration
-                assert moved["fingerprint_match"] and moved["replayed"] > 0
-                assert min(_engine_rows(server, ON_ROWS)) >= 0
-                held = None
+            if held is None:
+                replies.append(await _send(client, encoding, frame))
+                await server.drain()
+                continue
+            # Every frame touches the moving shard, so none is answered
+            # until the move settles (the client sends them in order).
+            sent.append(asyncio.create_task(_send(client, encoding, frame)))
+            if len(sent) < HELD_FRAMES:
+                continue  # no drain: the held migration would block it
+            await asyncio.sleep(0.05)
+            assert not any(task.done() for task in sent)
+            gate, migration = held
+            gate.set()
+            moved = await migration
+            assert moved["fingerprint_match"]
+            replies.extend([await task for task in sent])
+            assert min(_engine_rows(server, ON_ROWS)) >= 0
+            held = None
             await server.drain()
         assert min(_engine_rows(server, ON_ROWS)) >= 0
         stats = await client.stats()

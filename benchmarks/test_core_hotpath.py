@@ -40,6 +40,7 @@ import numpy as np
 
 from repro import service as service_module
 from repro.cluster.hosting import WorkerHost
+from repro.cluster.routing import route
 from repro.config import RuntimeConfig
 from repro.core.accuracy import alert_episodes, truth_alert_indices
 from repro.core.adaptation import AdaptationConfig, ViolationLikelihoodSampler
@@ -601,6 +602,43 @@ def test_a_local_pair_rides_the_tick(monkeypatch):
     for target in ("t0007", "t0900"):
         assert service.trigger_suspensions(target) > 0
     assert len(edges) > 16
+
+
+def test_a_host_pass_ticks_once_per_step(monkeypatch):
+    """A step-major frame of 4 steps over 1 024 tasks routed to four
+    shards of one host: the host's drain loop takes the four shard
+    batches in one pass, whose engine ticks once per step — four
+    ``_observe_tick`` calls, not one per shard per step (sixteen)."""
+    tasks, shards, steps = 1024, 4, 4
+    names = [f"t{i:04d}" for i in range(tasks)]
+    shard_of = [route(name, shards) for name in names]
+
+    async def scenario() -> tuple[WorkerHost, list[int]]:
+        host = WorkerHost("w0")
+        host.start()
+        for sid in range(shards):
+            host.install_shard(sid)
+        for name, sid in zip(names, shard_of):
+            host.shards[sid].service.add_task(name, TaskSpec(
+                threshold=100.0, error_allowance=0.01, max_interval=10))
+        batches = []
+        for sid in range(shards):
+            service = host.shards[sid].service
+            rows = np.asarray([service.soa_row_for(name) for name, home
+                               in zip(names, shard_of) if home == sid])
+            batches.append((sid, ColumnBatch(
+                np.tile(rows, steps), np.repeat(np.arange(steps), len(rows)),
+                np.full(steps * len(rows), 50.0))))
+        ticks = _counted(monkeypatch, SoaSamplerEngine, "_observe_tick")
+        assert host.enqueue(batches) == (steps * tasks, 0, 0)
+        await host.handle({"op": "w_drain"})
+        await host.close()
+        return host, ticks
+
+    host, ticks = asyncio.run(scenario())
+    assert sum(worker.applied for worker in host.shards.values()) == (
+        steps * tasks)
+    assert len(ticks) == steps
 
 
 def _counted_alerts(monkeypatch) -> list[int]:

@@ -8,12 +8,22 @@ object backs every transport backend: the in-proc transport calls
 (:mod:`repro.cluster.worker`) wraps it in a frame loop.
 
 The host deliberately reuses the single-process runtime's building blocks
-unchanged — :class:`~repro.runtime.shard.ShardWorker` queues and drain
-loops, :meth:`~repro.service.MonitoringService.snapshot` /
+unchanged — :class:`~repro.runtime.shard.ShardWorker` queues,
+:meth:`~repro.service.MonitoringService.snapshot` /
 :meth:`~repro.service.MonitoringService.restore` for migration — so a
 shard behaves bit-identically whether it lives in the router process, a
 subprocess, or a remote peer. Shard state moves between workers only as
 snapshot dicts (the checkpoint format), never as live objects.
+
+One engine, one drain loop: every hosted shard's service holds its rows
+in the host's one :class:`~repro.core.soa.SoaSamplerEngine`, and one
+loop drains every shard's queue, a pass at a time — the head batch of
+each non-empty queue, in shard order, applied as one batch
+(:func:`~repro.runtime.shard.apply_pass`), so a frame split over the
+shards ticks once per step, not once per shard and step. A pass gives
+what applying its batches one shard after another gives. A shard that
+leaves the host retires its rows, which are not reused: the engine grows
+by one shard's rows per move-in.
 
 Telemetry: each host carries its own
 :class:`~repro.telemetry.registry.MetricsRegistry` with the standard
@@ -26,28 +36,31 @@ cluster server's trace aggregation, so a cluster's trace stream carries the
 same event kinds as a single-process runtime's.
 
 Trigger edges: the host flips its *other* shards' guards on an edge's
-trigger inside the raising shard's drain loop, then passes the edge to
+trigger inside the pass that raised it, then passes the edge to
 the outbox the cluster server pumps (``w_trigger_events``) or, for a host
 with no peers, to its owner's ``edge_sink``.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 import time
 from collections import deque
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.config import register_task_from_config
 from repro.core.adaptation import AdaptationConfig
+from repro.core.soa import SoaSamplerEngine
 from repro.core.substrates import TASK_TYPES
 from repro.exceptions import ConfigurationError, ReproError
 from repro.runtime.checkpoint import state_fingerprint
 from repro.runtime.protocol import intern_entries
 from repro.runtime.shard import (SHARD_COUNTERS, ColumnBatch,
-                                 InternedNames, ShardWorker,
+                                 InternedNames, ShardWorker, apply_pass,
                                  restore_counters)
 from repro.service import MonitoringService
 from repro.telemetry.registry import MetricsRegistry
@@ -76,7 +89,7 @@ _SAMPLER_COUNTERS = (
      "Threshold violations observed (one alert each)", "alerts"),
 )
 """The paper's monitor-level cost (SIII): each a sum of one engine
-column over the hosted rows, read when a snapshot is taken."""
+column over the hosted shards' rows, read when a snapshot is taken."""
 
 
 def _error(message: str, code: str = "bad-request") -> dict[str, Any]:
@@ -90,7 +103,8 @@ class WorkerHost:
         worker_id: stable identifier within the cluster (``w0``, ``w1``,
             ...); labels every metric series and trace event this host
             produces.
-        queue_depth: per-shard ingest queue depth, in batches.
+        queue_depth: per-shard ingest queue depth, in batches; the drain
+            loop takes at most one batch of a shard per pass.
         adaptation: default adaptation tunables for tasks registered on
             hosted shards (the cluster server forwards its own).
         registry: metrics registry; the default creates a live one so
@@ -130,12 +144,18 @@ class WorkerHost:
         self.trace = trace if trace is not None else DecisionTrace(
             trace_capacity)
         self.shards: dict[int, ShardWorker] = {}
+        # The one engine every hosted shard's service holds its rows in,
+        # and what the one drain loop takes batches from, in shard order:
+        # the hosted shards, and a leaving one until its queue drains.
+        self.engine = SoaSamplerEngine()
+        self._members: list[ShardWorker] = []
+        self._wake = asyncio.Event()
+        self._drainer: asyncio.Task[None] | None = None
         # Host-level, not per shard: an edge outlives a shard that
         # migrates away before the next pump.
         self._outbox: deque[dict[str, Any]] = deque(maxlen=_EDGE_OUTBOX)
         self._edge_sink = (edge_sink if edge_sink is not None
                            else self._outbox.append)
-        self._running = False
         self._started_monotonic = time.monotonic()
         self._interval_hist = self.registry.histogram(
             "volley_sampling_interval",
@@ -175,31 +195,54 @@ class WorkerHost:
                 for w in self.shards.values())))
 
     def _row_sum(self, column: str) -> float:
-        """Engine ``column`` summed over every row of the hosted shards —
-        a removed task's row too, until its shard is restored or moved."""
-        total = 0
-        for worker in self.shards.values():
-            engine = worker.service.soa_engine
-            total += int(getattr(engine, column)[:len(engine)].sum())
-        return float(total)
+        """Engine ``column`` summed over every row the hosted shards'
+        services hold — a removed task's row too, until its shard is
+        restored or moved — and over no row of a shard that left."""
+        engine = self.engine
+        rows = len(engine)
+        hosted = np.zeros(engine.holders + 1, dtype=bool)
+        hosted[[worker.service.holder
+                for worker in self.shards.values()]] = True
+        return float(getattr(engine, column)[:rows][
+            hosted[engine.holder[:rows]]].sum())
 
     # ------------------------------------------------------------------
     # Shard lifecycle
 
     def start(self) -> None:
-        """Start the drain loops of every hosted shard (idempotent)."""
-        self._running = True
-        for worker in self.shards.values():
-            worker.start()
+        """Start the drain loop on the running event loop (idempotent)."""
+        if self._drainer is None:
+            self._drainer = asyncio.get_running_loop().create_task(
+                self._drain(), name=f"host-{self.worker_id}")
+
+    async def _drain(self) -> None:
+        """The one consumer of every hosted shard's queue: passes
+        (:func:`~repro.runtime.shard.apply_pass`) until every queue is
+        empty, then sleep until a batch is queued. A pass awaits nothing,
+        so no batch is queued while one runs: a batch waits behind at
+        most the passes its own shard's backlog needs."""
+        while True:
+            self._wake.clear()
+            while apply_pass(self._members, self._interval_hist):
+                pass
+            await self._wake.wait()
 
     async def close(self, drain: bool = True) -> None:
-        """Stop every hosted shard; with ``drain`` apply queued work first."""
-        self._running = False
-        for worker in self.shards.values():
-            if drain:
-                await worker.stop()
-            else:
-                await worker.abort()
+        """Stop the drain loop; with ``drain`` apply every queued batch
+        first, else drop them."""
+        if drain and self._drainer is not None:
+            for worker in list(self._members):
+                await worker.drain()
+        if self._drainer is not None:
+            self._drainer.cancel()
+            try:
+                await self._drainer
+            except asyncio.CancelledError:
+                pass
+            self._drainer = None
+        if not drain:
+            for worker in self._members:
+                worker.abort()
 
     def install_shard(self, shard_id: int,
                       snapshot: dict[str, Any] | None = None,
@@ -211,20 +254,24 @@ class WorkerHost:
         interval histogram and per-shard metric series, its service's
         alert-count sink feeding ``alerts_fired`` a batch at a time, with
         checkpointed ``counters`` carried over. Every hosted shard's
-        service has an SoA engine: offers reach it as columns whatever
-        encoding the client used. A snapshot that does not load raises
-        before anything hosted is touched; one that does takes the table
-        entry of a hosted shard of the same id, whose drain loop the
-        caller then stops. The service's trigger sink is the host's
-        (:meth:`_route_edge`).
+        service holds its rows in the host's engine: offers reach it as
+        columns whatever encoding the client used. A snapshot that does
+        not load raises before anything hosted is touched; one that does
+        takes the table entry of a hosted shard of the same id, whose
+        queued batches are dropped and rows retired. The service's
+        trigger sink is the host's (:meth:`_route_edge`).
         """
         if snapshot is None:
-            service = MonitoringService(self.adaptation, soa=True)
+            service = MonitoringService(self.adaptation, soa=self.engine)
         else:
-            service = MonitoringService.restore(dict(snapshot), soa=True)
-        self._forget(shard_id)
+            service = MonitoringService.restore(dict(snapshot),
+                                                soa=self.engine)
+        previous = self._forget(shard_id)
+        if previous is not None:
+            self._retire(previous)
         worker = ShardWorker(shard_id, service, self.queue_depth,
-                             fault_hook=self.fault_hook)
+                             fault_hook=self.fault_hook,
+                             wake=self._wake.set)
 
         def count_alerts(fired: int) -> None:
             worker.alerts_fired += fired
@@ -241,8 +288,9 @@ class WorkerHost:
                           fn=lambda w=worker, a=attr: float(getattr(w, a)))
         self._queue_depth_family.labels(
             shard_id, fn=lambda w=worker: float(w.depth))
-        if self._running:
-            worker.start()
+        # A stable sort: a leaving shard's batches still go first.
+        self._members.append(worker)
+        self._members.sort(key=attrgetter("shard_id"))
         return worker
 
     def _forget(self, shard_id: int) -> ShardWorker | None:
@@ -253,12 +301,21 @@ class WorkerHost:
         self._queue_depth_family.remove(shard_id)
         return self.shards.pop(shard_id, None)
 
+    def _retire(self, worker: ShardWorker) -> None:
+        """Let a shard go: drop what its queue holds, take it out of the
+        drain loop and retire its service's rows."""
+        worker.abort()
+        self._members.remove(worker)
+        worker.service.retire()
+
     async def _uninstall(self, shard_id: int, drain: bool) -> None:
+        """Drop a shard: out of the op table at once, so nothing more is
+        queued for it; with ``drain`` (and a running drain loop) its
+        queued batches are applied first."""
         worker = self._forget(shard_id)
-        if drain:
-            await worker.stop()
-        else:
-            await worker.abort()
+        if drain and self._drainer is not None:
+            await worker.drain()
+        self._retire(worker)
 
     def _shard(self, shard_id: int) -> ShardWorker:
         worker = self.shards.get(shard_id)
@@ -321,8 +378,7 @@ class WorkerHost:
         self.install_shard(shard_id)
         return {"ok": True, "shard": shard_id}
 
-    async def _op_restore_shard(self, request: dict[str, Any],
-                                ) -> dict[str, Any]:
+    def _op_restore_shard(self, request: dict[str, Any]) -> dict[str, Any]:
         """Install a shard from a snapshot (migration target / recovery).
 
         With ``"fingerprint": true`` the reply carries the fingerprint of
@@ -336,11 +392,8 @@ class WorkerHost:
             self.adaptation = AdaptationConfig.from_dict(adaptation)
         # Restore first, swap after: a snapshot that does not load is
         # an error reply, and costs the worker nothing it hosts.
-        previous = self.shards.get(shard_id)
         worker = self.install_shard(shard_id, request.get("snapshot"),
                                     request.get("counters"))
-        if previous is not None:
-            await previous.abort()
         reply = {"ok": True, "shard": shard_id,
                  "tasks": len(worker.service.task_names)}
         if request.get("fingerprint"):

@@ -8,7 +8,10 @@ driver). A tick is a set of offers with at
 most one offer per task; :meth:`run_columns` splits an arbitrary decoded
 offer batch into such ticks (its strictly increasing runs of rows as they
 stand when they are long, stable-sorted occurrence splitting otherwise)
-so every task still sees its updates in arrival order.
+so every task still sees its updates in arrival order. Services may share
+one engine (a worker host's shards): a batch is then several services'
+parts, and tick ``k`` takes the ``k``-th run of every part, merged by row,
+so a host ticks once per step of a frame, not once per shard and step.
 
 A tick's cost is mostly fixed — numpy calls, not elements — so the tick
 is written to make few of them: every column is gathered once and every
@@ -120,7 +123,8 @@ _NO_STEP, _NOTHING_HELD = np.iinfo(np.int64).min, STEP_MIN - 1
 _WINDOW_COLUMNS = ("window", "window_kind", "window_base", "window_newest")
 
 # What advancing one tick returns: (rows, steps, monitored values, new
-# intervals, flags, beta) of the accepted offers, and the rejected count.
+# intervals, flags, beta) of the accepted offers, and the rows whose offer
+# the sampler refused.
 _Tick = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
               np.ndarray, int]
 
@@ -267,7 +271,7 @@ class _Views:
         "coord_n", "last_beta", "last_flags", "stat_n", "mean", "var",
         "stale_mean", "stale_var", "has_stale", "stale_count", "restarts",
         "total_count", "next_due", "samples_taken", "alerts", "active",
-        "derived", "watched", "floor", "suspensions")
+        "derived", "watched", "floor", "suspensions", "holder")
 
 
 class ColumnBatchResult:
@@ -277,7 +281,12 @@ class ColumnBatchResult:
     the rare alert/trace-worthy offers (flags: 1 grew, 2 reset, 4
     violation) for the service to materialise, in tick order — so each
     task's in its arrival order; ``viol_*`` is their violating subset,
-    for a caller that only alerts. The defaults are class attributes —
+    for a caller that only alerts. ``consumed_rows`` is the row of each
+    consumed offer (parallel to ``consumed_intervals``), ``rejected_at``
+    the batch position of each offer rejected before any tick (no row, a
+    non-finite value) and ``refused_rows`` the row of each due offer the
+    sampler refused: what a batch of several holders' parts is split back
+    by. The defaults are class attributes —
     shared, and empty, so nothing can be written through them — which
     makes a result free to create on the per-batch path.
     """
@@ -286,6 +295,9 @@ class ColumnBatchResult:
     consumed = 0
     rejected = 0
     consumed_intervals = _EMPTY_I8
+    consumed_rows = _EMPTY_I8
+    rejected_at = _EMPTY_I8
+    refused_rows = _EMPTY_I8
     viol_rows = _EMPTY_I8
     viol_steps = _EMPTY_I8
     viol_values = _EMPTY_F8
@@ -305,6 +317,13 @@ class SoaSamplerEngine:
     long-lived connections are re-resolved by name (or rejected) instead
     of silently hitting another task's state. An inactive row is a retired
     row: ``active`` goes up at allocation and down in :meth:`deactivate`.
+
+    Several services may hold rows of one engine (a worker host's
+    shards). What they keep per row lives here, filled by them:
+    ``row_names`` (every row's task name, by row, retired rows' too —
+    what a trace names a row by), ``row_states`` (an active row's task
+    state, by row) and the ``holder`` column (a number each service takes
+    from ``holders`` and tags its rows with).
     """
 
     def __init__(self, capacity: int = 256):
@@ -325,6 +344,9 @@ class SoaSamplerEngine:
         # Retired rows' rings by size, each emptied, for the next window
         # of that size to take (deactivate, set_windows).
         self._free_rings: dict[int, list[int]] = {}
+        self.row_names: list[str] = []
+        self.row_states: dict[int, Any] = {}
+        self.holders = 0
         self._alloc(capacity)
 
     def _alloc(self, capacity: int) -> None:
@@ -390,6 +412,7 @@ class SoaSamplerEngine:
         self.watched = b1()
         self.floor = i8()
         self.suspensions = i8()
+        self.holder = i8()             # the service holding the row
         self._bind_views()
 
     _COLUMNS = _Views.__slots__
@@ -423,8 +446,10 @@ class SoaSamplerEngine:
     # Row lifecycle
 
     def add_task(self, task: TaskSpec,
-                 config: AdaptationConfig | None = None) -> int:
-        """Allocate a row for ``task`` in its scalar-fresh initial state."""
+                 config: AdaptationConfig | None = None,
+                 holder: int = 0) -> int:
+        """Allocate a row for ``task`` in its scalar-fresh initial state,
+        tagged with ``holder``."""
         config = config or AdaptationConfig()
         if self._rows == len(self.sign):
             self._grow(self._rows + 1)
@@ -443,6 +468,7 @@ class SoaSamplerEngine:
         self.restart_limit[row] = (_NO_RESTART if config.stats_restart
                                    is None else config.stats_restart)
         self.min_fresh[row] = config.min_samples
+        self.holder[row] = holder
         self._freshen(row)
         return row
 
@@ -462,7 +488,7 @@ class SoaSamplerEngine:
 
     def add_tasks(self, spec: Mapping[str, Any],
                   configs: Sequence[AdaptationConfig],
-                  adaptation: Any) -> range:
+                  adaptation: Any, holder: int = 0) -> range:
         """:meth:`add_task` for many tasks at once (a restore, a sweep):
         the rows, in order. ``spec`` holds the tasks' :class:`TaskSpec`
         fields as columns, each an array or a list — a snapshot's
@@ -472,7 +498,8 @@ class SoaSamplerEngine:
         takes ``configs[adaptation[i]]``. Each column is stored once:
         sign and oriented threshold as vector expressions, each config
         field read once per config and gathered by ``adaptation``. The
-        engine grows at most once, to fit."""
+        engine grows at most once, to fit; every row is tagged with
+        ``holder``."""
         adaptation = np.asarray(adaptation, dtype=np.int64)
         rows = range(self._rows, self._rows + len(adaptation))
         if rows.stop > len(self.sign):
@@ -502,6 +529,7 @@ class SoaSamplerEngine:
         self.restart_limit[at] = per_config(
             [_NO_RESTART if config.stats_restart is None
              else config.stats_restart for config in configs])
+        self.holder[at] = holder
         self._freshen(at)
         return rows
 
@@ -839,7 +867,8 @@ class SoaSamplerEngine:
 
     def run_columns(self, rows: np.ndarray, steps: np.ndarray,
                     values: np.ndarray, hooks: Any = None,
-                    resolve: Any = None) -> ColumnBatchResult:
+                    resolve: Any = None,
+                    starts: list[int] | None = None) -> ColumnBatchResult:
         """Apply a decoded offer batch (may repeat rows) to the columns.
 
         Splits the batch into ticks — one occurrence per row, in arrival
@@ -851,6 +880,11 @@ class SoaSamplerEngine:
         non-finite value — is rejected here, before any column sees it;
         everything else steps in arrival order. Without ``resolve`` an
         unusable row is rejected.
+
+        ``starts`` cuts a batch of several services' parts (the first
+        position of each, ascending; the parts' rows disjoint) so each
+        part is planned as if alone (:meth:`_ticks`); ``None`` is one
+        part.
 
         Each windowed row's window takes the tick's offer before the due
         check, if its step is after the newest one the window holds, and
@@ -877,46 +911,19 @@ class SoaSamplerEngine:
                 usable[stray] = (found >= 0) & np.isfinite(values[stray])
             keep = usable.nonzero()[0]
             result.rejected = len(rows) - len(keep)
+            result.rejected_at = (~usable).nonzero()[0]
+            if starts is not None:
+                starts = np.searchsorted(keep, starts).tolist()
             rows = rows[keep]
             steps = steps[keep]
             values = values[keep]
             if len(rows) == 0:
                 return result
 
-        # A strictly increasing run repeats no row, so it is a tick as it
-        # stands, and runs taken in order keep each row's offers in
-        # arrival order: one run (a per-node agent's frame) or a few long
-        # ones (a step-major frame) tick as slices, unsorted.
-        descents = rows[1:] <= rows[:-1]
-        runs = int(np.count_nonzero(descents)) + 1
-        if runs == 1:
-            ticks: list[Any] = [slice(None)]
-        elif len(rows) >= runs * _NARROW_TICK_ROWS:
-            bounds = [0, *(descents.nonzero()[0] + 1).tolist(), len(rows)]
-            ticks = list(map(slice, bounds, bounds[1:]))
-        else:
-            # Occurrence splitting: a stable sort groups equal rows while
-            # preserving their arrival order, so occurrence k of every row
-            # can be processed in tick k: short runs regroup into wide ticks.
-            order = np.argsort(rows, kind="stable")
-            sorted_rows = rows[order]
-            new_group = np.empty(len(sorted_rows), dtype=bool)
-            new_group[0] = True
-            np.not_equal(sorted_rows[1:], sorted_rows[:-1],
-                         out=new_group[1:])
-            group_starts = new_group.nonzero()[0]
-            if len(group_starts) == len(rows):
-                ticks = [order]
-            else:
-                group_ids = np.cumsum(new_group) - 1
-                occurrence = (np.arange(len(sorted_rows))
-                              - group_starts[group_ids])
-                ticks = [order[occurrence == k]
-                         for k in range(int(occurrence.max()) + 1)]
-
         events: list[tuple[np.ndarray, ...]] = []
-        intervals: list[np.ndarray] = []
-        for sel in ticks:
+        consumed: list[tuple[np.ndarray, np.ndarray]] = []
+        refused: list[np.ndarray] = []
+        for sel in self._ticks(rows, starts):
             tick_rows = rows[sel]
             tick_steps = steps[sel]
             tick_values = values[sel]
@@ -948,20 +955,25 @@ class SoaSamplerEngine:
             advance = (self._observe_narrow if n_due < _NARROW_TICK_ROWS
                        else self._observe_tick)
             (ok_rows, ok_steps, ok_values, iv_new, flags, beta,
-             n_rejected) = advance(tick_rows, tick_values, tick_steps)
-            result.rejected += n_rejected
+             refused_rows) = advance(tick_rows, tick_values, tick_steps)
+            if len(refused_rows):
+                result.rejected += len(refused_rows)
+                refused.append(refused_rows)
             result.applied += len(ok_rows)
             result.consumed += len(ok_rows)
             if len(ok_rows) == 0:
                 continue
-            intervals.append(iv_new)
+            consumed.append((ok_rows, iv_new))
             if np.count_nonzero(flags):
                 events.append((ok_rows, ok_steps, ok_values, iv_new, flags,
                                beta))
 
-        if intervals:
-            result.consumed_intervals = (intervals[0] if len(intervals) == 1
-                                         else np.concatenate(intervals))
+        if consumed:
+            result.consumed_rows, result.consumed_intervals = (
+                cols[0] if len(cols) == 1 else np.concatenate(cols)
+                for cols in zip(*consumed))
+        if refused:
+            result.refused_rows = np.concatenate(refused)
         if events:
             (ev_rows, ev_steps, ev_values, ev_iv, ev_flags, ev_beta) = (
                 cols[0] if len(cols) == 1 else np.concatenate(cols)
@@ -978,6 +990,83 @@ class SoaSamplerEngine:
             result.viol_steps = result.event_steps[viol]
             result.viol_values = result.event_values[viol]
         return result
+
+    def _ticks(self, rows: np.ndarray, starts: list[int] | None,
+               ) -> list[Any]:
+        """Cut a batch into ticks — each a slice or an index array of its
+        positions, rows strictly ascending, each row at most once — so
+        that every row's offers fall in tick order as they arrived.
+
+        A strictly increasing run repeats no row, so it is a tick as it
+        stands, and runs taken in order keep each row's offers in arrival
+        order: one run (a per-node agent's frame) or a few long ones (a
+        step-major frame) tick as slices, unsorted. Short runs regroup by
+        occurrence instead: a stable sort groups equal rows in arrival
+        order, and tick ``k`` takes every row's ``k``-th occurrence.
+
+        A batch of several parts (``starts``) is planned part by part:
+        when each part is one run or long runs, tick ``k`` is the
+        ``k``-th run of every part, merged by one stable argsort of its
+        rows — so a tick whose rows are a contiguous block of the engine
+        is still a slice of the columns; otherwise the whole batch
+        regroups by occurrence, which, the parts' rows being disjoint, is
+        each part's own regrouping.
+        """
+        n = len(rows)
+        descents = rows[1:] <= rows[:-1]
+        count = int(np.count_nonzero(descents))
+        if not count:
+            return [slice(None)]
+        firsts = starts or [0]
+        # Past this many descents some part of many runs has short ones.
+        if (count - len(firsts) + 1) * _NARROW_TICK_ROWS <= n:
+            cuts = (descents.nonzero()[0] + 1).tolist()
+            # Each part's runs: its start, its descents, its end.
+            bounds, at = [], 0
+            for lo, hi in zip(firsts, [*firsts[1:], n]):
+                while at < count and cuts[at] <= lo:
+                    at += 1
+                part = [lo]
+                while at < count and cuts[at] < hi:
+                    part.append(cuts[at])
+                    at += 1
+                if hi > lo:
+                    bounds.append(part + [hi])
+            if all(len(part) == 2 or part[-1] - part[0] >= (
+                    len(part) - 1) * _NARROW_TICK_ROWS for part in bounds):
+                return self._merged_runs(rows, bounds)
+        order = np.argsort(rows, kind="stable")
+        sorted_rows = rows[order]
+        new_group = np.empty(n, dtype=bool)
+        new_group[0] = True
+        np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=new_group[1:])
+        group_starts = new_group.nonzero()[0]
+        if len(group_starts) == n:
+            return [order]
+        group_ids = np.cumsum(new_group) - 1
+        occurrence = np.arange(n) - group_starts[group_ids]
+        return [order[occurrence == k]
+                for k in range(int(occurrence.max()) + 1)]
+
+    @staticmethod
+    def _merged_runs(rows: np.ndarray, bounds: list[list[int]],
+                     ) -> list[Any]:
+        """Tick ``k`` of long runs: the ``k``-th run of every part (each
+        part's run bounds in ``bounds``), a slice where one part has it,
+        else its positions ordered by row."""
+        if max(map(len, bounds)) == 2:      # every part one run
+            return [np.argsort(rows, kind="stable")]
+        positions = np.arange(len(rows))
+        ticks: list[Any] = []
+        for k in range(max(map(len, bounds)) - 1):
+            runs = [slice(part[k], part[k + 1]) for part in bounds
+                    if len(part) > k + 1]
+            if len(runs) == 1:
+                ticks.append(runs[0])
+                continue
+            at = np.concatenate([positions[run] for run in runs])
+            ticks.append(at[np.argsort(rows[at], kind="stable")])
+        return ticks
 
     def _window_tick(self, rows: np.ndarray, steps: np.ndarray,
                      values: np.ndarray, at: Any,
@@ -1021,21 +1110,23 @@ class SoaSamplerEngine:
             advance_one(row, step, interval)
             ok.append(pos)
             iv_new.append(interval)
-        rejected = len(rows) - len(ok)
-        if rejected:
-            keep = np.asarray(ok, dtype=np.int64)
-            rows = rows[keep]
-            steps = steps[keep]
-            values = values[keep]
+        refused = _EMPTY_I8
+        if len(ok) < len(rows):
+            kept = np.zeros(len(rows), dtype=bool)
+            kept[ok] = True
+            refused = rows[~kept]
+            rows = rows[kept]
+            steps = steps[kept]
+            values = values[kept]
         return (rows, steps, values, np.asarray(iv_new, dtype=np.int64),
-                self.last_flags[rows], self.last_beta[rows], rejected)
+                self.last_flags[rows], self.last_beta[rows], refused)
 
     def _observe_tick(self, rows: np.ndarray, values: np.ndarray,
                       steps: np.ndarray) -> _Tick:
         """Advance unique ``rows`` by one offer each (all due and active).
 
-        Returns ``(rows, steps, values, new_intervals, flags, beta,
-        rejected)`` for the accepted subset. Matches the scalar error
+        Returns ``(rows, steps, values, new_intervals, flags, beta)``
+        for the accepted subset, and the refused rows. Matches the scalar error
         contract: a non-increasing step or non-finite delta rejects only
         that row's offer and leaves every column of the row — the
         observation counter included — untouched, and a finite delta
@@ -1065,8 +1156,9 @@ class SoaSamplerEngine:
             var_acc = (stat_n * self.var[at]
                        + (x - mean_acc) * (x - prev_mean)) / n_acc
             bad = has & ((dt <= 0) | ~np.isfinite(x))
-            rejected = int(np.count_nonzero(bad))
-            if rejected:
+            refused = _EMPTY_I8
+            if np.count_nonzero(bad):
+                refused = rows[bad]
                 ok = (~bad).nonzero()[0]
                 rows = at = rows[ok]
                 (steps, values, v, threshold, has, stat_n, prev_mean, n_acc,
@@ -1075,7 +1167,7 @@ class SoaSamplerEngine:
                      n_acc, mean_acc, var_acc))
                 if len(rows) == 0:
                     return (rows, steps, values, _EMPTY_I8, _EMPTY_I8,
-                            _EMPTY_F8, rejected)
+                            _EMPTY_F8, refused)
             n = len(rows)
             all_has = np.count_nonzero(has) == n
             restart = n_acc > self.restart_limit[at]
@@ -1181,7 +1273,7 @@ class SoaSamplerEngine:
         else:
             self.next_due[at] = steps + iv_new
         self.samples_taken[at] += 1
-        return rows, steps, values, iv_new, flags, beta, rejected
+        return rows, steps, values, iv_new, flags, beta, refused
 
     @staticmethod
     def _kernel(gap0: np.ndarray, mean_est: np.ndarray, var_est: np.ndarray,

@@ -581,7 +581,7 @@ class WireServer:
         the same ``(intern slot, step, value)`` columns a binary frame
         carries. A malformed update fails the whole frame before
         anything is enqueued — an update must never be ACKed and then
-        fail inside a shard drain loop.
+        fail inside the host's drain loop.
         """
         began = time.perf_counter()
         updates = request.get("updates")

@@ -5,8 +5,8 @@ One process, one event loop, ``shards`` independent
 :class:`~repro.runtime.shard.ShardWorker`. Connection handlers parse
 frames and route; the only work done inline on the data path is hashing
 the task name and a non-blocking queue put — application of updates
-happens in the shard drain loops, so a burst on one shard backpressures
-that shard alone.
+happens in the shards' host's one drain loop, a pass over every shard's
+queue at a time, so a burst on one shard backpressures that shard alone.
 
 Delivery semantics: an ``offer_batch`` reply with ``accepted == n`` means
 the updates are queued on their shards. Batches are applied in arrival

@@ -5,7 +5,9 @@ Tasks are partitioned across shards by
 (``PYTHONHASHSEED``-independent) hash of the task name, so the same task
 always lands on the same shard — across restarts and across independent
 client processes. All updates for a task are therefore applied in arrival
-order by a single consumer, which is what keeps the per-task samplers'
+order by a single consumer — the shards' host's one drain loop, which
+takes the head batch of every shard's queue at a time
+(:func:`apply_pass`) — which is what keeps the per-task samplers'
 strictly-increasing ``time_index`` contract safe without locks.
 
 Backpressure contract: :meth:`ShardWorker.try_enqueue_columns` never
@@ -20,16 +22,16 @@ from __future__ import annotations
 import asyncio
 import logging
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.service import MonitoringService
+from repro.service import MonitoringService, offer_pass
 from repro.testkit.faults import FaultHook, NOOP_HOOK
 
 __all__ = ["SHARD_COUNTERS", "ColumnBatch", "InternedNames",
-           "LedgerCounter", "ShardWorker", "restore_counters"]
+           "LedgerCounter", "ShardWorker", "apply_pass", "restore_counters"]
 
 logger = logging.getLogger(__name__)
 
@@ -115,17 +117,21 @@ def restore_counters(worker: "ShardWorker",
 
 
 class ShardWorker:
-    """One shard's bounded ingest queue and its drain loop.
+    """One shard's bounded ingest queue and its ledger.
 
     The worker owns its :class:`~repro.service.MonitoringService`
     exclusively: control operations (register/remove/trigger) and reads go
     through the owning server on the event loop thread, data-path batches
-    go through the queue and are applied by :meth:`_run`. Since everything
-    runs on one event loop, service state is never touched concurrently.
+    go through the queue. A worker has no drain task of its own: its
+    host's drain loop takes the head batch of every hosted shard's queue
+    at a time (:func:`apply_pass`), and :meth:`apply_columns` applies a
+    batch on the spot. Since everything runs on one event loop, service
+    state is never touched concurrently.
     """
 
     def __init__(self, shard_id: int, service: MonitoringService,
-                 queue_depth: int, fault_hook: FaultHook = NOOP_HOOK):
+                 queue_depth: int, fault_hook: FaultHook = NOOP_HOOK,
+                 wake: Callable[[], None] | None = None):
         if queue_depth < 1:
             raise ConfigurationError(
                 f"queue_depth must be >= 1, got {queue_depth}")
@@ -134,7 +140,8 @@ class ShardWorker:
         self.fault_hook = fault_hook
         self._queue: asyncio.Queue[ColumnBatch] = asyncio.Queue(
             maxsize=queue_depth)
-        self._runner: asyncio.Task[None] | None = None
+        # What a queued batch calls: its host's drain loop's wake-up.
+        self._wake = wake
         # Counters exposed via the server's `stats` op.
         self.offered = 0      # updates accepted into the queue
         self.applied = 0      # updates applied to the service
@@ -165,91 +172,29 @@ class ShardWorker:
             self.shed += len(batch)
             return False
         self.offered += len(batch)
+        if self._wake is not None:
+            self._wake()
         return True
 
     def apply_columns(self, batch: ColumnBatch) -> None:
-        """Apply a batch synchronously (the drain loop's work unit).
-
-        Drives the service through
-        :meth:`~repro.service.MonitoringService.offer_columns` — one
-        vectorised engine pass, stale rows re-resolved by name in it — and
-        hands the interval histogram the batch's interval counts (one
-        ``np.bincount``), which it absorbs when it is read, instead of
-        one ``observe`` per consumed offer.
-        """
-        if self.fault_hook.enabled:
-            # Chaos seam: may raise to simulate an unexpected internal
-            # error taking out the whole batch (the drain loop's
-            # reject-and-continue path). Guarded so production pays one
-            # attribute load + falsy check per batch.
-            self.fault_hook.before_apply(self.shard_id, len(batch))
-        applied, consumed, rejected, intervals = self.service.offer_columns(
-            batch.rows, batch.steps, batch.values, batch.names)
-        self.applied += applied
-        self.consumed += consumed
-        self.rejected += rejected
-        interval_hist = self.interval_hist
-        if interval_hist is not None and len(intervals):
-            # Intervals are small positive ints (<= max_interval).
-            interval_hist.observe_counts(np.bincount(intervals))
-
-    def start(self) -> None:
-        """Start the drain loop on the running event loop."""
-        if self._runner is None:
-            self._runner = asyncio.get_running_loop().create_task(
-                self._run(), name=f"shard-{self.shard_id}")
-
-    async def _run(self) -> None:
-        while True:
-            batch = await self._queue.get()
-            try:
-                self.apply_columns(batch)
-            except Exception:
-                # The drain loop is the shard's only consumer: if it dies,
-                # acknowledged batches pile up unapplied and shutdown's
-                # drain() deadlocks. Reject the batch and keep consuming.
-                self.rejected += len(batch)
-                logger.exception(
-                    "shard %d: dropping batch of %d updates after "
-                    "unexpected error", self.shard_id, len(batch))
-            finally:
-                self._queue.task_done()
+        """Apply a batch synchronously, past the queue: a pass of one
+        part (:func:`apply_pass`), with the histogram handed this
+        worker's ``interval_hist``."""
+        _apply([(self, batch)], self.interval_hist)
 
     async def drain(self) -> None:
-        """Wait until every queued batch has been applied."""
+        """Wait until the queue is empty and no pass holds a batch of
+        it (forever, if nothing drains the queue)."""
         await self._queue.join()
 
-    async def stop(self) -> None:
-        """Drain outstanding batches, then cancel the drain loop.
-
-        A worker whose drain loop is not running (never started, or already
-        stopped) is left as-is — draining would deadlock with no consumer.
-        """
-        if self._runner is None:
-            return
-        await self.drain()
-        self._runner.cancel()
-        try:
-            await self._runner
-        except asyncio.CancelledError:
-            pass
-        self._runner = None
-
-    async def abort(self) -> None:
-        """Hard-stop the drain loop *without* draining (crash simulation).
-
-        Queued batches are abandoned exactly as a process crash would
-        abandon them; the chaos harness uses this to exercise the
-        at-most-once recovery contract.
-        """
-        if self._runner is None:
-            return
-        self._runner.cancel()
-        try:
-            await self._runner
-        except asyncio.CancelledError:
-            pass
-        self._runner = None
+    def abort(self) -> None:
+        """Drop every queued batch unapplied, as a crash would abandon
+        it; the chaos harness uses this to exercise the at-most-once
+        recovery contract."""
+        queue = self._queue
+        while queue.qsize():
+            queue.get_nowait()
+            queue.task_done()
 
     def stats(self) -> dict[str, Any]:
         """Counter snapshot for the ``stats`` wire op.
@@ -266,3 +211,73 @@ class ShardWorker:
         for counter in SHARD_COUNTERS:
             stats[counter.key] = getattr(self, counter.attr)
         return stats
+
+
+def apply_pass(workers: Iterable[ShardWorker],
+               interval_hist: Any = None) -> int:
+    """One pass of a host's drain loop: take the head batch of every
+    non-empty queue among ``workers``, in the order given (shard order),
+    and apply them as one batch; returns how many batches it took (0:
+    every queue was empty). A worker's :meth:`~ShardWorker.drain` returns
+    once no pass holds its batch."""
+    taken = [(worker, worker._queue.get_nowait()) for worker in workers
+             if worker._queue.qsize()]
+    if taken:
+        try:
+            _apply(taken, interval_hist)
+        finally:
+            for worker, _batch in taken:
+                worker._queue.task_done()
+    return len(taken)
+
+
+def _apply(taken: list[tuple[ShardWorker, ColumnBatch]],
+           interval_hist: Any) -> None:
+    """The one apply body: ``(worker, batch)`` pairs, whose services
+    share one engine, as one :func:`~repro.service.offer_pass`, each
+    worker's ledger fed its own part's counts, and the histogram the
+    pass's interval counts (one ``np.bincount``), which it absorbs when
+    it is read, instead of one ``observe`` per consumed offer.
+
+    Reject-and-continue: a batch the chaos seam raises for
+    (``fault_hook.before_apply``) is rejected alone, and an unexpected
+    error in the pass rejects every batch in it — the drain loop is the
+    shards' only consumer, and if it died acknowledged batches would pile
+    up unapplied and shutdown's drain would deadlock.
+    """
+    parts = []
+    for worker, batch in taken:
+        hook = worker.fault_hook
+        try:
+            if hook.enabled:
+                # Guarded so production pays one attribute load + falsy
+                # check per batch.
+                hook.before_apply(worker.shard_id, len(batch))
+        except Exception:
+            _reject(worker, batch)
+        else:
+            parts.append((worker, batch))
+    if not parts:
+        return
+    try:
+        counts, intervals = offer_pass([
+            (worker.service, batch.rows, batch.steps, batch.values,
+             batch.names) for worker, batch in parts])
+    except Exception:
+        for worker, batch in parts:
+            _reject(worker, batch)
+        return
+    for (worker, _batch), (applied, consumed, rejected) in zip(parts,
+                                                               counts):
+        worker.applied += applied
+        worker.consumed += consumed
+        worker.rejected += rejected
+    if interval_hist is not None and len(intervals):
+        # Intervals are small positive ints (<= max_interval).
+        interval_hist.observe_counts(np.bincount(intervals))
+
+
+def _reject(worker: ShardWorker, batch: ColumnBatch) -> None:
+    worker.rejected += len(batch)
+    logger.exception("shard %d: dropping batch of %d updates after "
+                     "unexpected error", worker.shard_id, len(batch))

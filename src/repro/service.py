@@ -33,12 +33,13 @@ Example::
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from functools import partial, reduce
 from dataclasses import dataclass
 from math import isfinite, nan
 from collections import deque
-from itertools import chain
-from operator import add, index
+from itertools import accumulate, chain
+from operator import add, index, sub
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -62,7 +63,7 @@ from repro.triggers.plan import TriggerPlan
 from repro.types import Alert, ThresholdDirection
 
 __all__ = ["MonitoringService", "TaskState", "SNAPSHOT_VERSION",
-           "snapshot_task_names"]
+           "offer_pass", "snapshot_task_names"]
 
 logger = logging.getLogger(__name__)
 
@@ -608,7 +609,8 @@ class _RowHooks:
     """What :meth:`SoaSamplerEngine.run_columns` calls back for marked
     rows, a quantile or entropy task's: their substrates stay on the
     :class:`TaskState`, so the tick asks for the monitored scalar instead
-    of the task leaving the tick. It reads the service's row map."""
+    of the task leaving the tick. It reads the engine's row map, every
+    service's on the engine."""
 
     __slots__ = ("states", "estimates")
 
@@ -730,18 +732,29 @@ class MonitoringService:
     _alert_count_sink: Callable[[int], None] | None = None
 
     def __init__(self, config: AdaptationConfig | None = None,
-                 soa: bool = False):
+                 soa: bool | SoaSamplerEngine = False):
         self._config = config or AdaptationConfig()
         self._tasks: dict[str, TaskState] = {}
         # trigger name -> the tasks of this service guarded on it, by
         # name (see _index_guard): whom an edge of that trigger flips.
         self._guards: dict[str, dict[str, TaskState]] = {}
         self._watchers = 0  # tasks carrying a TriggerWatcher
-        self._soa = SoaSamplerEngine() if soa else None
+        engine = soa if isinstance(soa, SoaSamplerEngine) else (
+            SoaSamplerEngine() if soa else None)
+        self._soa = engine
+        # An engine service's rows are tagged with its holder number. Its
+        # row -> task state map and its row -> task name list are the
+        # engine's, shared with every service on it: the name list holds
+        # removed tasks' too — rows are never reused, so it only grows,
+        # and it is what the trace names a row by.
+        self._holder = 0
         self._soa_rows: dict[int, TaskState] = {}
-        # Every row's task name, removed tasks' included — rows are never
-        # reused, so this only grows: what the trace names a row by.
         self._row_names: list[str] = []
+        if engine is not None:
+            engine.holders += 1
+            self._holder = engine.holders
+            self._soa_rows = engine.row_states
+            self._row_names = engine.row_names
         self._hooks = _RowHooks(self._soa_rows)
         # An engine service's alert history, and the rows whose task
         # came with a caller's on_alert: the only alerts built as they
@@ -764,7 +777,9 @@ class MonitoringService:
     # removal and has no scalar sampler; without, every task is stepped
     # through its own :class:`ViolationLikelihoodSampler` by the
     # reference :meth:`offer`. Behaviour — and snapshots — are identical
-    # either way.
+    # either way. ``soa`` may also be an engine to hold the rows in, one
+    # other services hold rows of too (a worker host's shards share one,
+    # so a pass over their queues ticks once: :func:`offer_pass`).
 
     def _register(self, states: list[TaskState],
                   rows: Sequence[int] | None = None) -> None:
@@ -785,8 +800,8 @@ class MonitoringService:
                 state.alerts = []
         else:
             if rows is None:
-                rows = [engine.add_task(state.task, state.config)
-                        for state in states]
+                rows = [engine.add_task(state.task, state.config,
+                                        self._holder) for state in states]
             for state, row in zip(states, rows):
                 state.soa_row = row
             # Rows are handed out in order.
@@ -845,6 +860,22 @@ class MonitoringService:
     def soa_engine(self):
         """The service's SoA engine, or ``None`` (scalar-only service)."""
         return self._soa
+
+    @property
+    def holder(self) -> int:
+        """The number an engine service tags its rows with in the
+        engine's ``holder`` column (0 on a scalar service)."""
+        return self._holder
+
+    def retire(self) -> None:
+        """Retire every row of an engine service, as :meth:`remove_task`
+        retires one: what a worker host does to a shard that leaves it.
+        Rows are never reused, so a retired row keeps its columns (its
+        window ring excepted) until the engine goes; the service is spent
+        and takes no more offers."""
+        for state in self._tasks.values():
+            self._soa.deactivate(state.soa_row)
+            del self._soa_rows[state.soa_row]
 
     def soa_row_for(self, name: str) -> int:
         """The task's engine row — the same from registration to
@@ -1501,43 +1532,11 @@ class MonitoringService:
 
         Tasks are independent but for trigger edges, so the batch is
         applied tick-wise, not offer by offer — except where a watcher in
-        it fires: see :meth:`_watch_cuts`.
+        it fires: see :meth:`_watch_cuts`. This is the pass of one part
+        (:func:`offer_pass`).
         """
-        if self._soa is None:
-            raise ConfigurationError(
-                "offer_columns requires an SoA-enabled service")
-        self._document = None
-        rows = np.asarray(rows, dtype=np.int64)
-        steps = np.asarray(steps, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        resolve = None if names is None else partial(self._rows_of, names)
-        if not self._watchers or not len(rows):
-            return self._apply_columns(rows, steps, values, resolve)
-        parts: list[tuple[int, int, int, np.ndarray]] = []
-        pending: list[dict[str, Any]] = []
-        lo = 0
-        rows, cuts = self._watch_cuts(rows, steps, values, resolve)
-        for pos, event, cut in cuts + [(len(rows), None, True)]:
-            # An edge at the front of what is left goes out at once, as
-            # a by-name offer's edge goes before its own step.
-            if not cut and pos > lo:
-                pending.append(event)
-                continue
-            if pos > lo:
-                # The cuts re-resolved every row they could.
-                parts.append(self._apply_columns(
-                    rows[lo:pos], steps[lo:pos], values[lo:pos], None))
-                lo = pos
-            for earlier in pending:
-                self._deliver_edge(earlier)
-            pending.clear()
-            if event is not None:
-                self._deliver_edge(event)
-        if len(parts) == 1:
-            return parts[0]
-        applied, consumed, rejected, intervals = zip(*parts)
-        return (sum(applied), sum(consumed), sum(rejected),
-                np.concatenate(intervals))
+        counts, intervals = offer_pass([(self, rows, steps, values, names)])
+        return (*counts[0], intervals)
 
     def _rows_of(self, names: Sequence[str | None],
                  positions: np.ndarray) -> np.ndarray:
@@ -1549,31 +1548,33 @@ class MonitoringService:
 
     def _watch_cuts(self, rows: np.ndarray, steps: np.ndarray,
                     values: np.ndarray, resolve: Any,
-                    ) -> tuple[np.ndarray,
-                               list[tuple[int, dict[str, Any] | None, bool]]]:
-        """Run a batch's watchers ahead of the batch; returns its rows,
-        negative or retired ones re-resolved through ``resolve`` (as in
+                    services: list[MonitoringService], starts: list[int],
+                    ) -> tuple[np.ndarray, list[tuple[
+                        int, MonitoringService, dict[str, Any], bool]]]:
+        """Run a pass's watchers ahead of it; returns its rows, negative
+        or retired ones re-resolved through ``resolve`` (as in
         :meth:`SoaSamplerEngine.run_columns`), and where the watchers'
-        edges fall, as ``(position, event, cut)`` in arrival order.
+        edges fall, as ``(position, service, event, cut)`` in arrival
+        order, ``service`` the one of ``services`` (whose parts start at
+        ``starts``) that raised it.
 
         A watcher depends on its own task's stream alone, so every
-        watched offer of the batch can be observed first. An edge belongs
+        watched offer of the pass can be observed first. An edge belongs
         between the offers before its position and the rest: ``cut``
-        says the batch has to be split there for that to hold — the
-        edge's trigger guards a task of this service, and a later offer
-        of the batch is for its row. Other edges only have to keep their
-        order.
+        says the pass has to be split there for that to hold — a later
+        offer of the pass is for a task that one of ``services`` guards
+        on the edge's trigger. Other edges only have to keep their order.
         """
         engine = self._soa
         on_row = engine.active[rows] & (rows >= 0)
         stray = (~on_row).nonzero()[0]
-        if resolve is not None and len(stray):
+        if len(stray):
             rows = rows.copy()
             rows[stray] = found = resolve(stray)
             on_row[stray] = found >= 0
         watched = (engine.watched[rows] & on_row
                    & np.isfinite(values)).nonzero()[0]
-        cuts: list[tuple[int, dict[str, Any] | None, bool]] = []
+        cuts: list[tuple[int, MonitoringService, dict[str, Any], bool]] = []
         for pos, row, step, value in zip(
                 watched.tolist(), rows[watched].tolist(),
                 steps[watched].tolist(), values[watched].tolist()):
@@ -1581,32 +1582,67 @@ class MonitoringService:
             edge = state.watch.observe(value, step)
             if edge is None:
                 continue
-            guarded = self._guards.get(state.name)
-            cut = guarded is not None and bool(np.isin(rows[pos + 1:], [
-                guard.soa_row for guard in guarded.values()]).any())
-            cuts.append((pos, {"op": edge, "trigger": state.name,
-                               "step": step, "value": value}, cut))
+            guarded = [guard.soa_row for service in services
+                       for guard in service._guards.get(state.name, {})
+                       .values()]
+            cut = bool(guarded) and bool(np.isin(rows[pos + 1:],
+                                                 guarded).any())
+            cuts.append((pos, services[bisect_right(starts, pos) - 1],
+                         {"op": edge, "trigger": state.name, "step": step,
+                          "value": value}, cut))
         return rows, cuts
 
     def _apply_columns(self, rows: np.ndarray, steps: np.ndarray,
                        values: np.ndarray, resolve: Any,
-                       ) -> tuple[int, int, int, np.ndarray]:
-        """:meth:`offer_columns` for a batch no trigger edge falls
-        inside."""
+                       services: list[MonitoringService], starts: list[int],
+                       ) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+        """One stretch of a pass no trigger edge falls inside, as one
+        engine batch: the parts of ``services`` (this one first)
+        starting at ``starts``. Each service gets its own rows of the
+        result — their alert and trace fan-out, and its ``(applied,
+        consumed, rejected)`` — split by the engine's ``holder`` column
+        and, for an offer rejected before any tick, by position; the
+        consumed intervals stay one array."""
         engine = self._soa
         hooks = self._hooks
         res = engine.run_columns(rows, steps, values,
                                  hooks if engine.derived_rows else None,
-                                 resolve)
+                                 resolve, starts)
         # The engine advanced and gated its rows' schedules itself; what
         # is left of the per-offer tail is the alert and trace fan-out of
         # the rare flagged steps.
         estimates = hooks.estimates
-        if len(res.event_rows if self._trace is not None
-               else res.viol_rows):
-            self._fan_out_columns(res, estimates)
+        if len(res.event_rows):
+            owners = engine.holder[res.event_rows]
+            for service in services:
+                mine = (owners == service._holder).nonzero()[0]
+                if not len(mine):
+                    continue
+                part = res if len(mine) == len(owners) else _events_of(
+                    res, mine)
+                if len(part.event_rows if service._trace is not None
+                       else part.viol_rows):
+                    service._fan_out_columns(part, estimates)
         estimates.clear()
-        return res.applied, res.consumed, res.rejected, res.consumed_intervals
+        if len(services) == 1:
+            return ([(res.applied, res.consumed, res.rejected)],
+                    res.consumed_intervals)
+        holders = [service._holder for service in services]
+
+        def per_part(held: np.ndarray) -> list[int]:
+            if not len(held):
+                return [0] * len(holders)
+            return np.bincount(engine.holder[held], minlength=(
+                engine.holders + 1))[holders].tolist()
+        rejected = per_part(res.refused_rows)
+        if len(res.rejected_at):
+            rejected = list(map(add, rejected, np.bincount(
+                np.searchsorted(starts, res.rejected_at, "right") - 1,
+                minlength=len(holders)).tolist()))
+        sizes = map(sub, [*starts[1:], len(rows)], starts)
+        return ([(size - gone, taken, gone) for size, taken, gone in zip(
+            sizes, per_part(res.consumed_rows), rejected)],
+            res.consumed_intervals)
 
     def alerts(self, name: str) -> list[Alert]:
         """Alerts raised by a task so far (chronological)."""
@@ -1721,16 +1757,15 @@ class MonitoringService:
                       for (key, entry), field in zip(
                           _SCHEMA["alerts"].columns.items(),
                           ("time_index", "value", "threshold"))}
-        else:
+        kept = self._registration()
+        if engine is not None:
             # A fancy gather: each column an array of its own.
-            rows = np.fromiter(self._soa_rows, dtype=np.int64,
-                               count=len(self._soa_rows))
+            rows = kept["rows"]
             sampler = engine.rows_state(rows)
             # The engine's columns of the same names.
             fresh = {key: _read_only(getattr(engine, key)[rows])
                      for key in ("next_due", "samples_taken", "alerts")}
             alerts = self._alert_log.columns(len(engine))
-        kept = self._registration()
         held = kept["task"]
         # A sparse group holds the tasks that have its state: of the
         # windowed, those whose window holds something. A group with no
@@ -1841,6 +1876,8 @@ class MonitoringService:
         self._columns = kept = {
             "configs": configs,
             "names": list(self._tasks),
+            # An engine service's rows, in registration order.
+            "rows": _array(_read(states, "soa_row"), int),
             "spec": spec,
             "task": task,
             "sparse": {kind: (_array(at, int), [states[i] for i in at])
@@ -1865,8 +1902,9 @@ class MonitoringService:
                 every restored task (callbacks cannot be serialised, so
                 they are re-wired here).
             soa: restore every task onto a row of an SoA engine
-                (columnar hot path); snapshots carry no trace of the flag,
-                so any snapshot restores either way.
+                (columnar hot path) — a fresh one, or the engine given,
+                as the constructor takes it; snapshots carry no trace of
+                the flag, so any snapshot restores either way.
 
         A restored service produces the same decision/alert stream as one
         that was never interrupted, given the same subsequent offers. A
@@ -1934,7 +1972,7 @@ class MonitoringService:
                       soa=soa)
         engine = service._soa
         rows = None if engine is None else engine.add_tasks(
-            spec, configs, config_at)
+            spec, configs, config_at, service._holder)
         service._register(states, rows)
         alerts = _ordered(snapshot["alerts"], _SCHEMA["alerts"])
         # What columns hold goes straight into the columns; the oracle's
@@ -1971,3 +2009,108 @@ class MonitoringService:
                 engine.load_windows(rows.start + np.asarray(windowed, int),
                                     lengths, steps, values)
         return service
+
+
+def offer_pass(parts: Sequence[tuple[MonitoringService, Any, Any, Any,
+                                     Sequence[str | None] | None]],
+               ) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+    """Apply an offer batch to each of several engine services that hold
+    rows of one engine, as one batch: a worker host's pass over its
+    shards' queues. Each part is ``(service, rows, steps, values,
+    names)``, as :meth:`MonitoringService.offer_columns` takes them —
+    which is the pass of one part. Returns each part's ``(applied,
+    consumed, rejected)`` and every part's consumed intervals in one
+    array.
+
+    A pass gives, row for row, alert for alert and edge for edge, what
+    applying the parts one after another in the order given gives: only
+    the engine's ticks are shared. It runs in three stages. The watchers
+    run over the concatenation, and an edge cuts it wherever a later
+    offer of the pass is for a task that any of the parts' services
+    guards on the edge's trigger (:meth:`MonitoringService._watch_cuts`).
+    Each stretch between cuts goes to the engine as one batch, which
+    plans it part by part and merges the parts' ticks
+    (:meth:`SoaSamplerEngine._ticks`). Each service then gets its own
+    rows of the result: its alerts, its trace block and its counts
+    (:meth:`MonitoringService._apply_columns`). A trace may interleave
+    different services' blocks and guard events otherwise than one part
+    after another would; what each event says is the same.
+    """
+    services = [part[0] for part in parts]
+    first = services[0]
+    engine = first._soa
+    if engine is None:
+        raise ConfigurationError(
+            "offer_columns requires an SoA-enabled service")
+    if any(service._soa is not engine for service in services):
+        raise ConfigurationError("the services of a pass share one engine")
+    for service in services:
+        service._document = None
+    starts = [0, *accumulate(len(part[1]) for part in parts[:-1])]
+    rows, steps, values = (
+        column[0] if len(parts) == 1 else np.concatenate(column)
+        for column in zip(*((np.asarray(rows, dtype=np.int64),
+                             np.asarray(steps, dtype=np.int64),
+                             np.asarray(values, dtype=np.float64))
+                            for _, rows, steps, values, _ in parts)))
+    resolve = partial(_resolve_parts, parts, starts)
+    if not len(rows) or not any(service._watchers for service in services):
+        return first._apply_columns(rows, steps, values, resolve, services,
+                                    starts)
+    counts = [[0, 0, 0] for _ in parts]
+    intervals: list[np.ndarray] = []
+    pending: list[tuple[MonitoringService, dict[str, Any]]] = []
+    lo = 0
+    rows, cuts = first._watch_cuts(rows, steps, values, resolve, services,
+                                   starts)
+    for pos, raiser, event, cut in cuts + [(len(rows), first, None, True)]:
+        # An edge at the front of what is left goes out at once, as a
+        # by-name offer's edge goes before its own step.
+        if not cut and pos > lo:
+            pending.append((raiser, event))
+            continue
+        if pos > lo:
+            # The cuts re-resolved every row they could.
+            got, consumed = first._apply_columns(
+                rows[lo:pos], steps[lo:pos], values[lo:pos], None, services,
+                [min(max(start - lo, 0), pos - lo) for start in starts])
+            for total, part in zip(counts, got):
+                total[:] = map(add, total, part)
+            intervals.append(consumed)
+            lo = pos
+        for earlier, edge in pending:
+            earlier._deliver_edge(edge)
+        pending.clear()
+        if event is not None:
+            raiser._deliver_edge(event)
+    return (list(map(tuple, counts)), intervals[0] if len(intervals) == 1
+            else np.concatenate(intervals))
+
+
+def _resolve_parts(parts: Sequence[tuple[Any, ...]], starts: list[int],
+                   positions: np.ndarray) -> np.ndarray:
+    """The current rows of a pass's offers at ``positions``, each
+    through its own part's service and names (``-1`` for a part with
+    none)."""
+    rows = np.full(len(positions), -1, dtype=np.int64)
+    owner = np.searchsorted(starts, positions, "right") - 1
+    for at, (service, *_, names) in enumerate(parts):
+        mine = (owner == at).nonzero()[0]
+        if names is not None and len(mine):
+            rows[mine] = service._rows_of(names,
+                                          positions[mine] - starts[at])
+    return rows
+
+
+def _events_of(res: ColumnBatchResult, at: np.ndarray) -> ColumnBatchResult:
+    """The flagged offers of ``res`` at ``at`` (one service's rows), as a
+    result of their own for that service's fan-out."""
+    part = ColumnBatchResult()
+    for key in ("event_rows", "event_steps", "event_values",
+                "event_intervals", "event_flags", "event_betas"):
+        setattr(part, key, getattr(res, key)[at])
+    viol = (part.event_flags & 4).nonzero()[0]
+    part.viol_rows = part.event_rows[viol]
+    part.viol_steps = part.event_steps[viol]
+    part.viol_values = part.event_values[viol]
+    return part

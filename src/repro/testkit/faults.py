@@ -69,7 +69,7 @@ class InjectedFault(RuntimeError):
 
     Deliberately *not* a :class:`~repro.exceptions.ReproError`: the point
     is to exercise the runtime's handling of exceptions it never
-    anticipated (the shard drain loop's reject-and-continue path).
+    anticipated (the host drain loop's reject-and-continue path).
     """
 
 
@@ -91,8 +91,8 @@ class FaultSpec:
             dispatched twice (one reply) — duplicated delivery.
         force_shed_rate: a shard batch is shed as if its queue were full,
             exercising the backpressure reply deterministically.
-        shard_error_rate: the shard drain loop's ``apply`` raises an
-            :class:`InjectedFault` for a whole batch.
+        shard_error_rate: the host drain loop's ``apply`` raises an
+            :class:`InjectedFault` for a whole shard batch.
         torn_checkpoint_rate: a checkpoint write persists only a prefix
             of its bytes (simulated torn write / partial copy).
         corrupt_checkpoint_rate: a checkpoint write persists with one

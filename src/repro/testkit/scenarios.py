@@ -1,7 +1,7 @@
 """Chaos scenario matrix against the live runtime (DESIGN.md S28).
 
 Each scenario boots a real :class:`~repro.runtime.server.RuntimeServer`
-in-process (real sockets, real frames, real shard drain loops) with a
+in-process (real sockets, real frames, a real host drain loop) with a
 :class:`~repro.testkit.faults.PlanFaultHook` wired through every seam,
 feeds it a seeded workload, and maintains a **shadow reference**: per-shard
 :class:`~repro.service.MonitoringService` instances the driver advances
@@ -203,7 +203,7 @@ class _ScenarioDriver:
                                   config=self.adaptation)
 
     def _shadow_apply(self, shard: int, items: list[list[Any]]) -> None:
-        """Replay one enqueued batch exactly as the shard drain loop will."""
+        """Replay one enqueued batch exactly as the host's drain loop will."""
         index = self._apply_i[shard]
         self._apply_i[shard] += 1
         counters = self.predicted[shard]

@@ -152,6 +152,49 @@ class TestCountsFollowTheRows:
         assert (_series(after)["observations"][target]
                 - _series(before)["observations"][target]) == moved
 
+    def test_a_round_trip_counts_each_row_once(self):
+        """A shard that moves away and back retires its rows in both
+        hosts' engines, which keep them (rows are never reused), so each
+        host must sum the rows of the shards it holds, not its whole
+        engine: every per-host count is its shards' snapshot columns,
+        and the fleet sum is what it was before the moves."""
+        async def scenario(cluster):
+            client = AsyncRuntimeClient(port=cluster.tcp_port)
+            try:
+                for task in TASKS:
+                    await client.register_task(**task)
+                await _feed(client, _schedule(80))
+                await cluster.drain()
+                before = (await client.telemetry())["metrics"]
+                placement = await client.placement()
+                source = next(wid for wid, w in placement["workers"].items()
+                              if 1 in w["shards"])
+                target = "w1" if source == "w0" else "w0"
+                assert (await client.migrate(1, target))["ok"]
+                assert (await client.migrate(1, source))["ok"]
+                after = (await client.telemetry())["metrics"]
+                hosts = {wid: transport.host for wid, transport
+                         in cluster.transports.items()}
+                held = {wid: {name: float(sum(np.sum(
+                    host.shards[sid].service.snapshot()[group][column],
+                    dtype=np.int64) for sid in host.shards))
+                    for name, (group, column) in COLUMNS.items()}
+                    for wid, host in hosts.items()}
+                rows = sum(len(host.engine) for host in hosts.values())
+                return before, after, held, rows
+            finally:
+                await client.close()
+
+        before, after, held, rows = run_cluster(scenario, workers=2,
+                                                shards=SHARDS)
+        assert _total(after) == _total(before)
+        assert _total(before)["observations"] > 0
+        for name in COLUMNS:
+            assert _series(after)[name] == {
+                wid: counts[name] for wid, counts in held.items()}
+        # Both engines still hold the moved shard's retired rows.
+        assert rows > len(TASKS)
+
     def test_cluster_fleet_sums_equal_the_runtimes_counts(self):
         async def on_runtime():
             server = RuntimeServer(RuntimeConfig(port=0, shards=SHARDS))

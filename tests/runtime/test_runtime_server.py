@@ -19,7 +19,7 @@ from repro.config import ClusterConfig, RuntimeConfig
 from repro.exceptions import ProtocolError
 from repro.runtime.client import AsyncRuntimeClient
 from repro.runtime.server import RuntimeServer
-from repro.runtime.shard import ColumnBatch
+from repro.runtime.shard import ColumnBatch, apply_pass
 from repro.service import MonitoringService
 
 
@@ -175,30 +175,40 @@ class TestSharding:
         assert all(applied > 0 for applied in per_shard)
 
 
+async def _stall(server):
+    """Stop the host's one drain loop, so shard queues fill up and stay
+    put until a pass is run by hand or the loop is restarted."""
+    host = server._host
+    host._drainer.cancel()
+    try:
+        await host._drainer
+    except asyncio.CancelledError:
+        pass
+    host._drainer = None
+    return host
+
+
 class TestBackpressure:
     def test_full_queue_sheds_with_retry_hint(self):
         async def scenario(server, client):
             await client.register_task("t", 1e9)
-            # Stall the shard's drain loop so the queue can fill up.
-            worker = server.worker_for("t")
-            worker._runner.cancel()
-            try:
-                await worker._runner
-            except asyncio.CancelledError:
-                pass
-            worker._runner = None
-
+            host = await _stall(server)
             replies = []
             for i in range(4):
                 replies.append(await client.offer_batch([["t", i, 1.0]]))
-            return replies
+            depth = server.worker_for("t").depth
+            host.start()
+            await server.drain()
+            return replies, depth, await client.task_info("t")
 
-        replies = run_with_server(scenario, queue_depth=2)
+        replies, depth, info = run_with_server(scenario, queue_depth=2)
         accepted = [r for r in replies if not r.get("shed")]
         shed = [r for r in replies if r.get("shed")]
-        assert len(accepted) == 2 and len(shed) == 2
+        assert len(accepted) == 2 and len(shed) == 2 and depth == 2
         assert all(r["backpressure"] and r["retry_after_ms"] >= 0
                    for r in shed)
+        # The loop restarted takes what the full queue held.
+        assert info["observations"] == 2
 
     def test_one_lagging_shard_does_not_block_others(self):
         async def scenario(server, client):
@@ -207,29 +217,28 @@ class TestBackpressure:
                 await client.register_task(name, 1e9)
             victim = names[0]
             stalled = server.worker_for(victim)
-            stalled._runner.cancel()
-            try:
-                await stalled._runner
-            except asyncio.CancelledError:
-                pass
-            stalled._runner = None
             healthy = [n for n in names
                        if server.worker_for(n) is not stalled]
-
-            # Saturate the stalled shard...
+            host = await _stall(server)
+            # Saturate one shard: a full queue, the rest shed...
             for i in range(server.config.queue_depth + 3):
                 await client.offer_batch([[victim, i, 1.0]])
-            # ...then confirm a healthy shard still applies immediately.
+            # ...and another shard's batch is still taken at once.
             reply = await client.offer_batch([[healthy[0], 0, 1.0]])
-            for worker in server._workers:
-                if worker is not stalled:
-                    await worker.drain()
+            backlog = stalled.depth
+            # One pass applies it, whatever the backlog behind the other.
+            assert apply_pass(host._members) == 2
             info = await client.task_info(healthy[0])
-            return reply, info
+            left = stalled.depth
+            host.start()
+            await server.drain()
+            return reply, backlog, info, left, stalled.depth
 
-        reply, info = run_with_server(scenario, queue_depth=2)
+        reply, backlog, info, left, after = run_with_server(scenario,
+                                                            queue_depth=2)
         assert reply["accepted"] == 1 and not reply.get("shed")
         assert info["samples_taken"] == 1
+        assert (backlog, left, after) == (2, 1, 0)
 
     def test_oversized_batch_rejected(self):
         async def scenario(server, client):

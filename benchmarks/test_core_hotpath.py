@@ -11,7 +11,10 @@ The count guards at the bottom hold the hosted-shard hot path to its
 *shape* instead — calls that must not happen, counted, not timed: the
 regressions a later refactor would reintroduce without any test turning
 red (an O(buckets) walk per due quantile offer, a sketch materialised
-per alert, a sort per step-major batch, a scalar sampler built beside an
+per alert, a sort per step-major batch or per merged host tick, a whole
+tick's event columns concatenated where only its flagged offers are
+kept, a β matrix as tall as a tick's widest interval (held to traced
+peak bytes), a scalar sampler built beside an
 engine row, a libm ``log`` per row of a wide tick, a last-seen pair
 dragging its batch off the tick, an ``Alert`` object, a trace call or a
 trace event dict per alert on a hosted shard or in its restore, a JSON
@@ -220,7 +223,10 @@ def test_quantile_value_materialises_no_sketch(monkeypatch):
 
 def test_step_major_batch_ticks_without_a_sort(monkeypatch):
     """A 4 x 1024 step-major batch — what ``bench/``'s bulk, typed-mix
-    and cluster workloads send a shard — is four slices, never sorted."""
+    and cluster workloads send a shard — is four slices, never sorted.
+    Four such batches, one per shard of a host, merge into four ticks
+    whose rows fill the host engine's block: each tick's positions are
+    placed by row, never sorted either."""
     engine = SoaSamplerEngine()
     task = TaskSpec(threshold=100.0, error_allowance=0.01, max_interval=10)
     for _ in range(1024):
@@ -234,6 +240,10 @@ def test_step_major_batch_ticks_without_a_sort(monkeypatch):
         result = engine.run_columns(rows, steps, values)
         assert result.applied == 4 * 1024
     assert not sorts
+    host, (host_sorts, ticks) = _host_pass(
+        monkeypatch, (np, "argsort"), (SoaSamplerEngine, "_observe_tick"))
+    assert sum(worker.applied for worker in host.shards.values()) == 4096
+    assert len(ticks) == 4 and not host_sorts
 
 
 def test_a_wide_tick_takes_no_log(monkeypatch):
@@ -604,16 +614,17 @@ def test_a_local_pair_rides_the_tick(monkeypatch):
     assert len(edges) > 16
 
 
-def test_a_host_pass_ticks_once_per_step(monkeypatch):
-    """A step-major frame of 4 steps over 1 024 tasks routed to four
-    shards of one host: the host's drain loop takes the four shard
-    batches in one pass, whose engine ticks once per step — four
-    ``_observe_tick`` calls, not one per shard per step (sixteen)."""
+def _host_pass(monkeypatch, *counted: tuple[Any, str],
+               ) -> tuple[WorkerHost, list[list[int]]]:
+    """One host pass: a step-major frame of 4 steps over 1 024 tasks,
+    routed to four shards of one host, queued as four shard batches and
+    drained in one pass, with each ``(owner, name)`` of ``counted``
+    counted from the enqueue on; the host and the counts."""
     tasks, shards, steps = 1024, 4, 4
     names = [f"t{i:04d}" for i in range(tasks)]
     shard_of = [route(name, shards) for name in names]
 
-    async def scenario() -> tuple[WorkerHost, list[int]]:
+    async def scenario() -> tuple[WorkerHost, list[list[int]]]:
         host = WorkerHost("w0")
         host.start()
         for sid in range(shards):
@@ -629,16 +640,85 @@ def test_a_host_pass_ticks_once_per_step(monkeypatch):
             batches.append((sid, ColumnBatch(
                 np.tile(rows, steps), np.repeat(np.arange(steps), len(rows)),
                 np.full(steps * len(rows), 50.0))))
-        ticks = _counted(monkeypatch, SoaSamplerEngine, "_observe_tick")
+        counts = [_counted(monkeypatch, owner, name)
+                  for owner, name in counted]
         assert host.enqueue(batches) == (steps * tasks, 0, 0)
         await host.handle({"op": "w_drain"})
         await host.close()
-        return host, ticks
+        return host, counts
 
-    host, ticks = asyncio.run(scenario())
-    assert sum(worker.applied for worker in host.shards.values()) == (
-        steps * tasks)
-    assert len(ticks) == steps
+    return asyncio.run(scenario())
+
+
+def test_a_host_pass_ticks_once_per_step(monkeypatch):
+    """A step-major frame of 4 steps over 1 024 tasks routed to four
+    shards of one host: the host's drain loop takes the four shard
+    batches in one pass, whose engine ticks once per step — four
+    ``_observe_tick`` calls, not one per shard per step (sixteen)."""
+    host, (ticks,) = _host_pass(monkeypatch,
+                                (SoaSamplerEngine, "_observe_tick"))
+    assert sum(worker.applied for worker in host.shards.values()) == 4096
+    assert len(ticks) == 4
+
+
+def test_a_hot_batch_gathers_only_its_flagged_offers(monkeypatch):
+    """A ``bulk-hot``-shaped batch — 4 steps x 1 024 tasks at N(94, 4)
+    against a threshold of 100, every row due every step — flags a few
+    of each tick's offers. Each tick keeps only those: the batch
+    concatenates one row and one interval per consumed offer and the
+    six event columns of its flagged offers, never a whole tick's."""
+    engine = SoaSamplerEngine()
+    task = TaskSpec(threshold=100.0, error_allowance=0.01, max_interval=10)
+    for _ in range(1024):
+        engine.add_task(task)
+    rows = np.tile(np.arange(1024, dtype=np.int64), 4)
+    rng = np.random.default_rng(SEED)
+    for frame in range(8):
+        steps = np.repeat(np.arange(4 * frame, 4 * frame + 4,
+                                    dtype=np.int64), 1024)
+        values = rng.normal(94.0, 4.0, 4 * 1024)
+        if frame == 7:
+            joined: list[int] = []
+            concatenate = np.concatenate
+
+            def counting(arrays: Any, *args: Any, **kwargs: Any) -> Any:
+                out = concatenate(arrays, *args, **kwargs)
+                joined.append(len(out))
+                return out
+            monkeypatch.setattr(np, "concatenate", counting)
+        result = engine.run_columns(rows, steps, values)
+    flagged = len(result.event_rows)
+    assert result.consumed == 4 * 1024
+    assert 0 < len(result.viol_rows) <= flagged < 1024
+    assert sum(joined) == 2 * result.consumed + 6 * flagged
+
+
+def test_a_quiet_tick_builds_a_cell_per_own_step():
+    """A ``bulk-quiet``-shaped tick — 1 536 rows whose intervals follow
+    a quiet run's mix, a quarter of the widest interval on average —
+    builds one β cell per look-ahead step of each row's own interval:
+    the kernel's traced peak stays under ten float64 columns of
+    ``interval.sum()`` cells, where a matrix as tall as the widest
+    interval (``interval.max() * rows`` cells) would not."""
+    rng = np.random.default_rng(SEED)
+    rows = 1536
+    # Rows per interval 1 .. 10 over a quiet run's ticks.
+    mix = np.array([923, 850, 401, 193, 120, 81, 59, 43, 34, 95], float)
+    interval = rng.choice(np.arange(1, 11), rows,
+                          p=mix / mix.sum()).astype(np.int64)
+    args = (rng.uniform(5.0, 60.0, rows), rng.normal(0.0, 0.5, rows),
+            rng.uniform(0.5, 9.0, rows), interval, np.ones(rows, bool))
+    cells = int(interval.sum())
+    assert 3 * cells < int(interval.max()) * rows
+    SoaSamplerEngine._kernel(*args)
+    tracemalloc.start()
+    try:
+        beta = SoaSamplerEngine._kernel(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(beta) == rows
+    assert peak < 10 * 8 * cells
 
 
 def _counted_alerts(monkeypatch) -> list[int]:

@@ -395,7 +395,7 @@ class WorkerHost:
         worker = self.install_shard(shard_id, request.get("snapshot"),
                                     request.get("counters"))
         reply = {"ok": True, "shard": shard_id,
-                 "tasks": len(worker.service.task_names)}
+                 "tasks": worker.service.task_count}
         if request.get("fingerprint"):
             reply["fingerprint"] = state_fingerprint(
                 worker.service.snapshot())

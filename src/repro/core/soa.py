@@ -17,7 +17,10 @@ A tick's cost is mostly fixed — numpy calls, not elements — so the tick
 is written to make few of them: every column is gathered once and every
 written column scattered once — through a slice, a view, when the tick's
 rows are one contiguous run — the beta kernel covers all look-ahead
-steps of all rows in one ``(steps, rows)`` pass, and a tick with fewer
+steps of all rows in one pass over one cell per step of each row's own
+interval (each row's cells one contiguous segment, its survive product
+one left-to-right ``np.multiply.reduceat``), a tick keeps only the
+offers it flagged, and a tick with fewer
 due rows than ``_NARROW_TICK_ROWS`` skips the vector machinery and goes
 row by row through :meth:`SoaSamplerEngine.observe_one`, the scalar
 mirror of :meth:`~repro.core.adaptation.ViolationLikelihoodSampler.observe`.
@@ -131,15 +134,17 @@ _Tick = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
 # Ticks with fewer due rows than this are advanced row by row through
 # observe_one instead of vectorised: a vectorised tick costs ~110 numpy
 # calls whatever its width, observe_one costs per row. Sweep (us per tick,
-# all rows due, quiet stream; median of 600 ticks, the two paths
-# alternating tick by tick on one CPU of a shared 2-CPU VM, numpy 2.4 /
-# CPython 3.11; a hot stream reads the same):
-#   width        4    8   12   16   20   24   28   32   48   64
-#   vectorised 184  188  195  197  208  212  214  210  215  211
-#   row by row  40   64   88  110  140  163  190  215  300  377
-# i.e. ~205 us fixed against ~5.6 us a row + 18: they cross near 28 rows,
-# and near 25 in a quieter hour (~95 us against ~3.6 us a row + 3). Keyed
-# on tick width alone; deliberately not a setting.
+# all rows due; median of 600 ticks, the two paths alternating tick by
+# tick on one CPU of a shared 2-CPU VM, numpy 2.4 / CPython 3.11):
+#   width          4    8   12   16   20   24   28   32   48   64
+#   quiet vector 153  152  170  178  170  164  167  162  181  163
+#   quiet row     35   53   84  108  129  153  163  188  308  385
+#   hot vector   128  139  131  153  128  128  128  128  130  134
+#   hot row       29   52   71   93  106  124  143  163  240  317
+# i.e. ~165 us fixed against ~5.8 us a row + 15 (quiet, every interval
+# at the cap) and ~130 us against ~4.8 us a row + 10 (hot, every interval
+# 1): they cross near 25 - 26 rows. Keyed on tick width alone;
+# deliberately not a setting.
 _NARROW_TICK_ROWS = 24
 
 
@@ -156,6 +161,20 @@ def _columns_at(rows: np.ndarray) -> slice | np.ndarray:
     if rows.item(n - 1) - first == n - 1:
         return slice(first, first + n)
     return rows
+
+
+def _by_row(rows: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Positions ``at`` of a merged tick, whose ``rows`` (one per
+    position) repeat no row, ordered by row. Where the rows fill one
+    block ``lo..hi`` of the engine — every merged tick of a host whose
+    shards take step-major frames — each position is placed at its row's
+    offset in the block; else one stable argsort orders them."""
+    lo = rows.min()
+    if rows.max() - lo == len(rows) - 1:
+        placed = np.empty_like(at)
+        placed[rows - lo] = at
+        return placed
+    return at[np.argsort(rows, kind="stable")]
 
 
 # A sampler's state as a snapshot holds it, one column per key: the
@@ -964,9 +983,10 @@ class SoaSamplerEngine:
             if len(ok_rows) == 0:
                 continue
             consumed.append((ok_rows, iv_new))
-            if np.count_nonzero(flags):
-                events.append((ok_rows, ok_steps, ok_values, iv_new, flags,
-                               beta))
+            hit = flags.nonzero()[0]
+            if len(hit):
+                events.append(tuple(column[hit] for column in (
+                    ok_rows, ok_steps, ok_values, iv_new, flags, beta)))
 
         if consumed:
             result.consumed_rows, result.consumed_intervals = (
@@ -975,17 +995,12 @@ class SoaSamplerEngine:
         if refused:
             result.refused_rows = np.concatenate(refused)
         if events:
-            (ev_rows, ev_steps, ev_values, ev_iv, ev_flags, ev_beta) = (
+            (result.event_rows, result.event_steps, result.event_values,
+             result.event_intervals, result.event_flags,
+             result.event_betas) = (
                 cols[0] if len(cols) == 1 else np.concatenate(cols)
                 for cols in zip(*events))
-            flagged = ev_flags.nonzero()[0]
-            result.event_rows = ev_rows[flagged]
-            result.event_steps = ev_steps[flagged]
-            result.event_values = ev_values[flagged]
-            result.event_intervals = ev_iv[flagged]
-            result.event_flags = flags = ev_flags[flagged]
-            result.event_betas = ev_beta[flagged]
-            viol = (flags & 4).nonzero()[0]
+            viol = (result.event_flags & 4).nonzero()[0]
             result.viol_rows = result.event_rows[viol]
             result.viol_steps = result.event_steps[viol]
             result.viol_values = result.event_values[viol]
@@ -1053,10 +1068,10 @@ class SoaSamplerEngine:
                      ) -> list[Any]:
         """Tick ``k`` of long runs: the ``k``-th run of every part (each
         part's run bounds in ``bounds``), a slice where one part has it,
-        else its positions ordered by row."""
-        if max(map(len, bounds)) == 2:      # every part one run
-            return [np.argsort(rows, kind="stable")]
+        else its positions ordered by row (:func:`_by_row`)."""
         positions = np.arange(len(rows))
+        if max(map(len, bounds)) == 2:      # every part one run
+            return [_by_row(rows, positions)]
         ticks: list[Any] = []
         for k in range(max(map(len, bounds)) - 1):
             runs = [slice(part[k], part[k + 1]) for part in bounds
@@ -1065,7 +1080,7 @@ class SoaSamplerEngine:
                 ticks.append(runs[0])
                 continue
             at = np.concatenate([positions[run] for run in runs])
-            ticks.append(at[np.argsort(rows[at], kind="stable")])
+            ticks.append(_by_row(rows[at], at))
         return ticks
 
     def _window_tick(self, rows: np.ndarray, steps: np.ndarray,
@@ -1281,49 +1296,55 @@ class SoaSamplerEngine:
         """Vectorised misdetection kernels (bit-equal to
         ``misdetection_bound_fused`` and ``gaussian_misdetection_estimate``).
 
-        All look-ahead steps at once, as ``(steps, rows)`` matrices as
-        tall as the widest interval present. Cell ``(i, r)`` holds the
-        single-step violation probability ``q`` the scalar loop computes
-        at step ``i`` — ``1/(1+k^2)`` (Cantelli) or ``erfc(k/sqrt2)/2``
-        through :func:`math.erfc` — and exactly ``0.0`` past the row's
-        interval, so its survive factor ``1 - q`` is the identity there.
-        The survive product is taken top to bottom, one multiply per
-        step: every row performs the scalar loop's multiplications in
-        the scalar loop's order — including the deliberate ``1 - (1 - x)``
-        double rounding (``survive`` starts at exactly 1.0 and
-        ``1.0 * y == y`` in IEEE) — where a reordering reduce would round
-        differently. A step that is certain to violate (``gap <= 0``
-        resp. ``q >= 1``) inside the interval makes beta 1 whatever the
-        product, as the scalar loop's early exit does.
+        One cell per look-ahead step of each row's own interval, each
+        row's cells contiguous and in step order: cell ``(r, i)`` holds
+        the single-step violation probability ``q`` the scalar loop
+        computes at step ``i`` — ``1/(1+k^2)`` (Cantelli) or
+        ``erfc(k/sqrt2)/2`` through :func:`math.erfc`. A row's survive
+        product is one ``np.multiply.reduceat`` over its segment, which
+        multiplies left to right — the scalar loop's multiplications in
+        the scalar loop's order, including the deliberate ``1 - (1 - x)``
+        double rounding (``survive`` starts at exactly 1.0 and ``1.0 * y
+        == y`` in IEEE) — where a reordering or pairwise reduce would
+        round differently. When every row looks one step ahead each
+        segment is one cell and there is nothing to reduce. A step that
+        is certain to violate (``gap <= 0`` resp. ``q >= 1``) makes its
+        row's beta 1 whatever the product, as the scalar loop's early
+        exit does; zero-std rows are overridden last.
         """
         n = len(gap0)
         std_est = np.sqrt(var_est)
-        step = np.arange(1, int(interval.max()) + 1,
-                         dtype=np.float64)[:, None]
-        within = step <= interval
-        gap = gap0 - step * mean_est
-        k = gap / (step * std_est)
-        n_cheb = np.count_nonzero(use_cheb)
-        cheb = within if n_cheb == n else within & use_cheb
-        if n_cheb:
+        ends = np.cumsum(interval)
+        cells = int(ends[-1])
+        if cells == n:                  # every interval 1: a cell a row
+            owner, step, starts = slice(None), 1.0, None
+        else:
+            starts = ends - interval
+            owner = np.repeat(np.arange(n), interval)
+            step = np.arange(1, cells + 1, dtype=np.float64) - starts[owner]
+        gap = gap0[owner] - step * mean_est[owner]
+        k = gap / (step * std_est[owner])
+        if np.count_nonzero(use_cheb) == n:
+            q = 1.0 / (1.0 + k * k)
+            certain = gap <= 0.0
+        else:
+            cheb = use_cheb[owner]
             q = np.where(cheb, 1.0 / (1.0 + k * k), 0.0)
             certain = cheb & (gap <= 0.0)
-        else:
-            q = np.zeros(k.shape, dtype=np.float64)
-            certain = np.zeros(k.shape, dtype=bool)
-        if n_cheb < n:
-            gauss = within & ~cheb
+            gauss = ~cheb
             # math.erfc element-wise: same libm call as the scalar
             # kernel, so the survive product stays bit-identical.
             args = (k[gauss] / _SQRT2).tolist()
             q[gauss] = 0.5 * np.fromiter(map(math.erfc, args),
                                          dtype=np.float64, count=len(args))
             certain |= gauss & (q >= 1.0)
-        factors = 1.0 - q
-        survive = factors[0]
-        for factor in factors[1:]:
-            survive = survive * factor
-        beta = np.where(certain.any(axis=0), 1.0, 1.0 - survive)
+        survive = 1.0 - q
+        if starts is not None:
+            survive = np.multiply.reduceat(survive, starts)
+        beta = 1.0 - survive
+        hit = certain.nonzero()[0]
+        if len(hit):
+            beta[hit if starts is None else owner[hit]] = 1.0
         zero_std = std_est == 0.0
         if np.count_nonzero(zero_std):
             worst = np.where(mean_est >= 0.0, interval, 1)

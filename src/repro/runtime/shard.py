@@ -204,7 +204,7 @@ class ShardWorker:
         """
         stats: dict[str, Any] = {
             "shard": self.shard_id,
-            "tasks": len(self.service.task_names),
+            "tasks": self.service.task_count,
             "queue_depth": self.depth,
             "queue_capacity": self.capacity,
         }

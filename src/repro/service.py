@@ -899,6 +899,11 @@ class MonitoringService:
         """Registered task identifiers."""
         return list(self._tasks)
 
+    @property
+    def task_count(self) -> int:
+        """How many tasks are registered, without listing their names."""
+        return len(self._tasks)
+
     def add_task(self, name: str, task: TaskSpec,
                  on_alert: AlertCallback | None = None,
                  window: int = 1,
